@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-baseline bench-compare fuzz fmt vet daemon-smoke chaos-smoke eval-smoke ci
+.PHONY: all build test race bench bench-e2e-smoke bench-baseline bench-compare fuzz fmt vet daemon-smoke chaos-smoke eval-smoke ci
 
 all: build test
 
@@ -21,6 +21,13 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./...
 
+# End-to-end benchmark smoke: the repository benchmark (bench/,
+# BENCHMARK.json) at smoke size — all five workloads once, every
+# correctness gate (detections equal the offline reference, nothing
+# lost, accounting closed), no timing claim.
+bench-e2e-smoke:
+	$(GO) run ./bench -smoke
+
 # Record the benchmark baseline: full suite with -benchmem, kept both as
 # benchstat-compatible text and as machine-readable JSON. Commit the two
 # BENCH_baseline.* files so future PRs can post their delta.
@@ -35,11 +42,13 @@ bench-compare:
 	benchstat BENCH_baseline.txt /tmp/bench_head.txt
 
 # Fuzz smoke: short coverage-guided runs of the byte-level parsers
-# (DNS wire format, sFlow v5 datagrams, pcap records).
+# (DNS wire format, sFlow v5 datagrams, pcap records) and of the
+# bounded selector ranking against the full-sort reference.
 fuzz:
 	$(GO) test -run '^$$' -fuzz Fuzz -fuzztime 10s ./internal/dnswire
 	$(GO) test -run '^$$' -fuzz FuzzParseDatagram -fuzztime 10s ./internal/sflow
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 10s ./internal/pcap
+	$(GO) test -run '^$$' -fuzz FuzzTopN -fuzztime 10s ./internal/core
 
 # Daemon smoke: service-mode ixpmon fed a generated sFlow log over
 # UDP must serve non-empty /metrics and /detections and exit cleanly
@@ -76,4 +85,4 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-ci: build fmt vet test race fuzz bench daemon-smoke chaos-smoke eval-smoke
+ci: build fmt vet test race fuzz bench bench-e2e-smoke daemon-smoke chaos-smoke eval-smoke

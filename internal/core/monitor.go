@@ -23,6 +23,8 @@ type Monitor struct {
 
 	tab       *names.Table
 	agg       *Aggregator
+	top1      *TopN // Selector 1 and 2 rankings, rescanned per refresh
+	top2      *TopN
 	lastFlush simclock.Time
 
 	// CurrentNames is the latest name list.
@@ -68,6 +70,8 @@ func NewMonitor(n int, interval simclock.Duration, th Thresholds) *Monitor {
 		th:           th,
 		tab:          tab,
 		agg:          NewAggregator(tab, nil),
+		top1:         NewTopNMaxSize(n),
+		top2:         NewTopNANYCount(n),
 		CurrentNames: make(map[string]bool),
 		dayOfData:    -1,
 	}
@@ -98,13 +102,15 @@ func (m *Monitor) Observe(s *ixp.DNSSample) {
 }
 
 // refreshNames recomputes the name list from the running day aggregate.
+// The aggregate restarts every day, so the rankings are rescanned rather
+// than kept incrementally.
 func (m *Monitor) refreshNames(now simclock.Time) {
-	s1 := Selector1MaxSize(m.agg)
-	s2 := Selector2ANYCount(m.agg)
-	nl := BuildNameList(m.N, s1, s2)
-	j := stats.Jaccard(m.CurrentNames, nl.Names)
-	m.CurrentNames = nl.Names
-	m.Updates = append(m.Updates, MonitorUpdate{Time: now, Names: nl.Names, JaccardPrev: j})
+	m.top1.Rescan(m.agg)
+	m.top2.Rescan(m.agg)
+	list := stats.SetOf(append(m.top1.Names(m.agg), m.top2.Names(m.agg)...))
+	j := stats.Jaccard(m.CurrentNames, list)
+	m.CurrentNames = list
+	m.Updates = append(m.Updates, MonitorUpdate{Time: now, Names: list, JaccardPrev: j})
 }
 
 // rollDay finalizes the completed day and resets per-day state.

@@ -29,21 +29,26 @@ func (r SelectorResult) TopSet(n int) map[string]bool {
 	return stats.SetOf(r.Top(n))
 }
 
+// scoreMaxSize and scoreANYCount are the two streaming selector scores.
+func scoreMaxSize(ns *NameStats) int  { return ns.MaxSize }
+func scoreANYCount(ns *NameStats) int { return ns.ANYPackets }
+
 // Selector1MaxSize ranks names by the maximum observed response size
 // (§4.1, Selector 1).
 func Selector1MaxSize(ag *Aggregator) SelectorResult {
-	return rankNames(ag, func(ns *NameStats) int { return ns.MaxSize })
+	return rankNames(ag, scoreMaxSize)
 }
 
 // Selector2ANYCount ranks names by the number of ANY packets (§4.1,
 // Selector 2).
 func Selector2ANYCount(ag *Aggregator) SelectorResult {
-	return rankNames(ag, func(ns *NameStats) int { return ns.ANYPackets })
+	return rankNames(ag, scoreANYCount)
 }
 
-// nv is one (name, score) ranking entry; names are resolved from the
-// interning table before sorting (the ranking is a once-per-run report
-// boundary, not a hot path).
+// nv is one (name, score) entry of a full ranking. rankNames resolves
+// every scored name to its string and sorts the lot, which suits the
+// once-per-study report and makes it the reference the bounded TopN is
+// tested against; the periodic live refresh uses TopN instead.
 type nv struct {
 	name string
 	v    int
@@ -71,6 +76,99 @@ func rankNames(ag *Aggregator, score func(*NameStats) int) SelectorResult {
 		}
 	}
 	return SelectorResult{Ranked: sortRanking(list)}
+}
+
+// TopN is a bounded selector ranking: the first n entries of the full
+// ranking (score descending, then name ascending, scores ≤ 0 excluded),
+// held as name IDs. Names are resolved to strings only to break score
+// ties, so a Rescan is one linear pass over the per-name stats with no
+// sort, and an Offer costs O(n). A TopN is derived state: rebuild it
+// with Rescan whenever the aggregator is replaced or restored.
+type TopN struct {
+	n     int
+	score func(*NameStats) int
+	ent   []idScore // ranking order, len ≤ n
+}
+
+type idScore struct {
+	id uint32
+	v  int
+}
+
+// NewTopNMaxSize returns the bounded form of Selector1MaxSize.
+func NewTopNMaxSize(n int) *TopN { return &TopN{n: n, score: scoreMaxSize} }
+
+// NewTopNANYCount returns the bounded form of Selector2ANYCount.
+func NewTopNANYCount(n int) *TopN { return &TopN{n: n, score: scoreANYCount} }
+
+// Rescan rebuilds the ranking from every name of ag.
+func (t *TopN) Rescan(ag *Aggregator) {
+	t.ent = t.ent[:0]
+	for id := range ag.names {
+		t.insert(ag, idScore{uint32(id), t.score(&ag.names[id])})
+	}
+}
+
+// Offer re-scores one name after ag observed it and reports whether the
+// name newly entered the ranking. Offering every name observed since the
+// last Rescan or Offer keeps the ranking exact provided scores never
+// decrease in between — true of Observe, and EvictDaysBefore leaves
+// per-name stats alone — because the new top n is then a subset of the
+// old top n plus the names observed.
+func (t *TopN) Offer(ag *Aggregator, id uint32) bool {
+	if int(id) >= len(ag.names) {
+		return false
+	}
+	e := idScore{id, t.score(&ag.names[id])}
+	for i := range t.ent {
+		if t.ent[i].id == id {
+			t.ent[i].v = e.v
+			t.siftUp(ag, i)
+			return false
+		}
+	}
+	return t.insert(ag, e)
+}
+
+// insert places a non-member entry, displacing the last one when the
+// ranking is full; it reports whether e made the cut.
+func (t *TopN) insert(ag *Aggregator, e idScore) bool {
+	if e.v <= 0 {
+		return false
+	}
+	if len(t.ent) < t.n {
+		t.ent = append(t.ent, e)
+	} else if t.n > 0 && t.before(ag, e, t.ent[t.n-1]) {
+		t.ent[t.n-1] = e
+	} else {
+		return false
+	}
+	t.siftUp(ag, len(t.ent)-1)
+	return true
+}
+
+// siftUp moves entry i toward the front until the ranking order holds.
+func (t *TopN) siftUp(ag *Aggregator, i int) {
+	for ; i > 0 && t.before(ag, t.ent[i], t.ent[i-1]); i-- {
+		t.ent[i], t.ent[i-1] = t.ent[i-1], t.ent[i]
+	}
+}
+
+// before is sortRanking's order on ID entries.
+func (t *TopN) before(ag *Aggregator, a, b idScore) bool {
+	if a.v != b.v {
+		return a.v > b.v
+	}
+	return ag.Table.Name(a.id) < ag.Table.Name(b.id)
+}
+
+// Names resolves the ranking to strings, best first.
+func (t *TopN) Names(ag *Aggregator) []string {
+	out := make([]string, len(t.ent))
+	for i, e := range t.ent {
+		out[i] = ag.Table.Name(e.id)
+	}
+	return out
 }
 
 // GroundTruthAttack is a honeypot-reported attack (victim and time span)

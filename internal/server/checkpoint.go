@@ -24,6 +24,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -69,8 +70,11 @@ func (w *Window) writeSnapshot(e *binenc.Encoder) {
 	e.U64(w.lateSamples)
 	e.U64(w.detDropped)
 
-	e.U32(uint32(len(w.names)))
-	for n := range w.names {
+	// Sorted, so identical state encodes to identical bytes.
+	list := w.CurrentNames()
+	slices.Sort(list)
+	e.U32(uint32(len(list)))
+	for _, n := range list {
 		e.Str(n)
 	}
 
@@ -107,6 +111,8 @@ func (w *Window) readSnapshot(d *binenc.Decoder) error {
 	if err := w.agg.ReadSnapshot(d); err != nil {
 		return err
 	}
+	// The selector rankings are derived state, not serialized.
+	w.touched, w.rescan = w.touched[:0], true
 
 	w.curDay = int(d.I64())
 	w.lastSeen = simclock.Time(d.I64())

@@ -45,24 +45,50 @@ func logDatagrams(t *testing.T, logBytes []byte) [][]byte {
 	return out
 }
 
-// sendPaced writes datagrams over UDP, pacing against the service's
-// receive counter so the in-flight window stays under the socket
-// buffer. Pacing on Received (not Consumed) keeps it correct when some
-// datagrams are expected to be shed or replay-skipped.
+// waitLossless is waitUntil for a service that must shed nothing: the
+// deadline restarts whenever a service counter advances, so a slow host
+// fails the wait only when the service is stuck, and the first shed
+// datagram fails it at once with the count instead of leaving cond to
+// time out on a total that can no longer arrive.
+func waitLossless(t *testing.T, svc *Service, what string, cond func() bool) {
+	t.Helper()
+	const patience = 10 * time.Second
+	progress := func() uint64 { return svc.Received() + svc.Consumed() + svc.ReplaySkipped() }
+	last, deadline := progress(), time.Now().Add(patience)
+	for !cond() {
+		if drops := svc.QueueDrops(); drops > 0 {
+			t.Fatalf("waiting for %s: backpressure shed %d datagrams of a paced replay", what, drops)
+		}
+		if p := progress(); p != last {
+			last, deadline = p, time.Now().Add(patience)
+		} else if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s: no progress for %v (received %d, consumed %d)",
+				what, patience, svc.Received(), svc.Consumed())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// sendPaced writes datagrams over UDP for a run that asserts
+// losslessness. UDP has no flow control, so it paces on the service's
+// own backlog: datagrams sent but not yet consumed (or skipped by the
+// resume barrier) stay under half the per-source queue share, which
+// also keeps them under the socket buffer. Pacing on the receive
+// counter alone lets a slow consumer fall behind until the source sheds.
 func sendPaced(t *testing.T, svc *Service, conn *net.UDPConn, dgs [][]byte) {
 	t.Helper()
-	rcv0 := svc.Received()
+	done := func() uint64 { return svc.Consumed() + svc.ReplaySkipped() }
+	done0, share := done(), uint64(svc.cfg.PerSourceQueue/2)
 	for i, b := range dgs {
 		if _, err := conn.Write(b); err != nil {
 			t.Fatalf("sending datagram %d: %v", i, err)
 		}
-		if (i+1)%64 == 0 {
-			n := rcv0 + uint64(i+1) - 64
-			waitUntil(t, "receiver to catch up", func() bool { return svc.Received() >= n })
+		if sent := uint64(i + 1); sent%64 == 0 {
+			waitLossless(t, svc, "consumer to catch up", func() bool { return sent-(done()-done0) < share })
 		}
 	}
-	want := rcv0 + uint64(len(dgs))
-	waitUntil(t, "all sent datagrams received", func() bool { return svc.Received() == want })
+	want := done0 + uint64(len(dgs))
+	waitLossless(t, svc, "all sent datagrams consumed", func() bool { return done() == want })
 }
 
 func shutdownSvc(t *testing.T, svc *Service) {
@@ -108,7 +134,6 @@ func TestServiceCrashRecovery(t *testing.T) {
 	// Uninterrupted reference run.
 	ref := startService(t, Config{TimeFromUptime: true, Window: wcfg})
 	sendPaced(t, ref, dialService(t, ref), dgs)
-	waitUntil(t, "reference drained", func() bool { return ref.Consumed() == uint64(len(dgs)) })
 	shutdownSvc(t, ref)
 	wantDets, wantSamples := finalState(ref)
 	if len(wantDets) == 0 {
@@ -125,7 +150,6 @@ func TestServiceCrashRecovery(t *testing.T) {
 	}
 	svc1 := startService(t, base)
 	sendPaced(t, svc1, dialService(t, svc1), dgs[:cut])
-	waitUntil(t, "phase 1 drained", func() bool { return svc1.Consumed() == uint64(cut) })
 
 	// The control surface can force a checkpoint (POST only).
 	resp, err := http.Post("http://"+svc1.HTTPAddr().String()+"/checkpoint", "", nil)
@@ -156,7 +180,9 @@ func TestServiceCrashRecovery(t *testing.T) {
 		t.Fatal("resumed service loaded no checkpoint")
 	}
 	sendPaced(t, svc2, dialService(t, svc2), dgs[cut-overlap:])
-	waitUntil(t, "phase 2 drained", func() bool { return svc2.Consumed() == uint64(len(dgs)) })
+	if got := svc2.Consumed(); got != uint64(len(dgs)) {
+		t.Fatalf("phase 2 consumed up to %d datagrams, want %d", got, len(dgs))
+	}
 	if got := svc2.ReplaySkipped(); got != overlap {
 		t.Errorf("replay barrier skipped %d datagrams, want %d", got, overlap)
 	}

@@ -79,6 +79,15 @@ type Window struct {
 	refreshN int
 	jaccard  float64 // vs previous refresh
 
+	// The per-selector rankings behind names, kept incrementally:
+	// touched logs the name of every sample observed since the last
+	// refresh, and refresh offers just those to top1/top2. rescan marks
+	// the rankings stale as a whole (fresh or restored window, or a log
+	// that outgrew the name table), so the next refresh rebuilds them.
+	top1, top2 *core.TopN
+	touched    []uint32
+	rescan     bool
+
 	detections []*core.Detection
 	detDropped uint64 // detections dropped to MaxDetections
 
@@ -98,8 +107,11 @@ func NewWindow(cfg WindowConfig, stages *Stages) *Window {
 		cfg:    cfg.withDefaults(),
 		curDay: -1,
 		names:  make(map[string]bool),
+		rescan: true,
 		stages: stages,
 	}
+	w.top1 = core.NewTopNMaxSize(w.cfg.ListSize)
+	w.top2 = core.NewTopNANYCount(w.cfg.ListSize)
 	w.agg = core.NewAggregator(nil, nil)
 	// Track every name per client: the window retains only cfg.Days days
 	// of client state, so trackAll stays affordable (the live monitor's
@@ -131,6 +143,7 @@ func (w *Window) Observe(s *ixp.DNSSample) {
 		return
 	}
 	w.agg.Observe(s)
+	w.touch(s.Name)
 	if s.Time.After(w.lastSeen) {
 		w.lastSeen = s.Time
 	}
@@ -183,17 +196,52 @@ func (w *Window) evict() {
 	}
 }
 
-// refresh recomputes the misused-name list from the window aggregate.
+// touch logs one observed name for the next refresh. A log longer than
+// the name table would cost more to replay than a rescan, so it is
+// dropped for one: its memory stays bounded by the table.
+func (w *Window) touch(id uint32) {
+	if w.rescan {
+		return
+	}
+	if len(w.touched) >= w.agg.Table.Len() {
+		w.touched, w.rescan = w.touched[:0], true
+		return
+	}
+	w.touched = append(w.touched, id)
+}
+
+// refresh brings the misused-name list up to date with the window
+// aggregate. Per-name selector scores only grow under Observe and
+// eviction leaves them alone, so the new top ListSize of each selector
+// lies within the old one plus the names touched since: offering those
+// is exact, and a refresh that admits no new name keeps the list as is.
 func (w *Window) refresh(now simclock.Time) {
 	var stop func()
 	if w.stages != nil {
 		stop = w.stages.Track("refresh")
 	}
-	s1 := core.Selector1MaxSize(w.agg)
-	s2 := core.Selector2ANYCount(w.agg)
-	nl := core.BuildNameList(w.cfg.ListSize, s1, s2)
-	w.jaccard = stats.Jaccard(w.names, nl.Names)
-	w.names = nl.Names
+	changed := w.rescan
+	if w.rescan {
+		w.top1.Rescan(w.agg)
+		w.top2.Rescan(w.agg)
+		w.rescan = false
+	} else {
+		for _, id := range w.touched {
+			if w.top1.Offer(w.agg, id) {
+				changed = true
+			}
+			if w.top2.Offer(w.agg, id) {
+				changed = true
+			}
+		}
+	}
+	w.touched = w.touched[:0]
+	w.jaccard = 1
+	if changed {
+		names := stats.SetOf(append(w.top1.Names(w.agg), w.top2.Names(w.agg)...))
+		w.jaccard = stats.Jaccard(w.names, names)
+		w.names = names
+	}
 	w.refreshN++
 	w.lastRefresh = now
 	if stop != nil {

@@ -1,8 +1,13 @@
 package server
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
+	"dnsamp/internal/binenc"
 	"dnsamp/internal/core"
 	"dnsamp/internal/dnswire"
 	"dnsamp/internal/ixp"
@@ -166,5 +171,216 @@ func TestWindowIntervalRefresh(t *testing.T) {
 	w.Observe(winSample(w, at.Add(6*simclock.Minute), 1, "a.test", dnswire.TypeA, 100))
 	if got := w.Stats().Refreshes; got != 1 {
 		t.Fatalf("refreshes after 6 minutes = %d, want 1", got)
+	}
+}
+
+// oracleSample is one sample of the oracle stream, materialized against
+// whichever window is consuming it (a resumed window has its own table).
+type oracleSample struct {
+	at     simclock.Time
+	client byte
+	name   string
+	qt     dnswire.Type
+	size   int
+	resp   bool
+	late   bool // older than the window on arrival: must be dropped
+}
+
+func (o oracleSample) in(w *Window) *ixp.DNSSample {
+	s := winSample(w, o.at, o.client, o.name, o.qt, o.size)
+	s.IsResponse = o.resp
+	return s
+}
+
+// oracleStream builds a deterministic multi-day arrival sequence for a
+// 2-day window: per day a marker query first (it closes the previous
+// day without moving a selector score, so the list refreshed at day
+// close can be compared after Observe returns), then the day's traffic
+// shuffled out of order, laced with stragglers from the previous day
+// (inside the window) and from three days back (late). One 5-minute
+// span per day carries a burst longer than the name table, which
+// overflows the touched log. Sizes come from a few classes so the
+// rank-n cut runs through score ties.
+func oracleStream(days int) []oracleSample {
+	rng := rand.New(rand.NewPCG(12, 34))
+	sizes := []int{300, 1400, 1400, 4096, 4096, 4096}
+	mk := func(at simclock.Time, pool int) oracleSample {
+		o := oracleSample{
+			at: at, client: byte(1 + rng.IntN(30)),
+			name: fmt.Sprintf("n%03d.test", rng.IntN(pool)),
+			qt:   dnswire.TypeA, size: sizes[rng.IntN(len(sizes))], resp: rng.IntN(3) > 0,
+		}
+		if rng.IntN(3) == 0 {
+			o.qt = dnswire.TypeANY
+		}
+		return o
+	}
+	var out []oracleSample
+	for d := 0; d < days; d++ {
+		start := simclock.MeasurementStart.Add(simclock.Days(d))
+		out = append(out, oracleSample{at: start, client: 99, name: "marker.test", qt: dnswire.TypeA, size: 40})
+		var day []oracleSample
+		for i := 0; i < 2500; i++ {
+			// The name pool widens through the study: names keep
+			// appearing mid-stream.
+			day = append(day, mk(start.Add(simclock.Duration(rng.IntN(int(simclock.Day)))), 60+80*d))
+		}
+		burst := start.Add(simclock.Duration(6+d) * simclock.Hour)
+		for i := 0; i < 700; i++ {
+			day = append(day, mk(burst.Add(simclock.Duration(rng.IntN(200))), 60+80*d))
+		}
+		slices.SortFunc(day, func(a, b oracleSample) int { return int(a.at.Sub(b.at)) })
+		for i := range day { // local disorder, as UDP delivers it
+			j := min(len(day)-1, i+rng.IntN(8))
+			day[i], day[j] = day[j], day[i]
+		}
+		for i, o := range day {
+			out = append(out, o)
+			if d >= 1 && i%400 == 7 {
+				out = append(out, mk(o.at.Add(-simclock.Day), 60+80*d))
+			}
+			if d >= 3 && i%500 == 9 {
+				l := mk(o.at.Add(-3*simclock.Day), 60+80*d)
+				l.late = true
+				out = append(out, l)
+			}
+		}
+	}
+	return out
+}
+
+func snapshotBytes(t *testing.T, w *Window) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	e := binenc.NewEncoder(&buf)
+	w.writeSnapshot(e)
+	if err := e.Flush(); err != nil {
+		t.Fatalf("writeSnapshot: %v", err)
+	}
+	return buf.Bytes()
+}
+
+func restoreWindow(t *testing.T, cfg WindowConfig, snap []byte) *Window {
+	t.Helper()
+	w := NewWindow(cfg, nil)
+	d := binenc.NewDecoder(snap, ErrCheckpoint)
+	if err := w.readSnapshot(d); err != nil {
+		t.Fatalf("readSnapshot: %v", err)
+	}
+	if d.Remaining() != 0 {
+		t.Fatalf("%d trailing snapshot bytes", d.Remaining())
+	}
+	return w
+}
+
+// TestWindowRefreshMatchesOracle: at every refresh — interval or day
+// close, incremental or rescanned, before and after a checkpoint
+// resume — the window's list equals the full-sort selectors' list over
+// the same aggregate.
+func TestWindowRefreshMatchesOracle(t *testing.T) {
+	stream := oracleStream(5)
+	for _, listN := range []int{3, 29} {
+		cfg := WindowConfig{Days: 2, ListSize: listN}
+		w := NewWindow(cfg, nil)
+		var incremental, rescanned, late int
+		for i, o := range stream {
+			if i == len(stream)/2 {
+				w = restoreWindow(t, cfg, snapshotBytes(t, w))
+			}
+			refreshes, logged, byRescan := w.refreshN, len(w.touched), w.rescan
+			w.Observe(o.in(w))
+			if o.late {
+				late++
+				if len(w.touched) != logged || w.refreshN != refreshes {
+					t.Fatalf("sample %d: a late sample was logged or refreshed the list", i)
+				}
+				continue
+			}
+			if w.refreshN == refreshes {
+				continue
+			}
+			if byRescan {
+				rescanned++
+			} else {
+				incremental++
+			}
+			got := w.CurrentNames()
+			slices.Sort(got)
+			want := core.BuildNameList(listN, core.Selector1MaxSize(w.agg), core.Selector2ANYCount(w.agg)).Sorted()
+			if !slices.Equal(got, want) {
+				t.Fatalf("ListSize %d, sample %d, refresh %d (rescan %v):\n got %v\nwant %v", listN, i, w.refreshN, byRescan, got, want)
+			}
+		}
+		if st := w.Stats(); int(st.LateSamples) != late || late == 0 {
+			t.Fatalf("late samples: window dropped %d, stream carried %d", st.LateSamples, late)
+		}
+		if incremental < 100 || rescanned < 5 {
+			t.Fatalf("ListSize %d: %d incremental and %d rescanned refreshes; the stream must exercise both", listN, incremental, rescanned)
+		}
+	}
+}
+
+// TestCheckpointBytesDeterministic: one window state has one encoding —
+// snapshotting twice, or loading a snapshot and writing it back, yields
+// identical bytes (the name list used to go out in map order).
+func TestCheckpointBytesDeterministic(t *testing.T) {
+	cfg := WindowConfig{Days: 2, ListSize: 29}
+	w := NewWindow(cfg, nil)
+	for _, o := range oracleStream(2) {
+		w.Observe(o.in(w))
+	}
+	if len(w.names) < 10 {
+		t.Fatalf("name list has %d entries; too few for map order to matter", len(w.names))
+	}
+	first := snapshotBytes(t, w)
+	for i := 0; i < 4; i++ {
+		if !bytes.Equal(snapshotBytes(t, w), first) {
+			t.Fatal("two snapshots of the same window differ")
+		}
+	}
+	if !bytes.Equal(snapshotBytes(t, restoreWindow(t, cfg, first)), first) {
+		t.Fatal("a load→write round trip changed the snapshot bytes")
+	}
+}
+
+// refreshWindow builds a window whose table holds nNames scored names
+// (sizes collide, so the cut runs through ties) with the rankings
+// settled, and returns 64 name IDs spread over the table — a few of
+// them ranked — to replay as one refresh interval's touched log.
+func refreshWindow(tb testing.TB, nNames int) (*Window, []uint32) {
+	tb.Helper()
+	w := NewWindow(WindowConfig{Days: 1}, NewStages())
+	rng := rand.New(rand.NewPCG(9, 9))
+	at := dayTime(0)
+	for i := 0; i < nNames; i++ {
+		s := winSample(w, at, byte(i), fmt.Sprintf("name%07d.example", i), dnswire.TypeANY, 64*(1+rng.IntN(64)))
+		s.Dst[1], s.Dst[2] = byte(i>>16), byte(i>>8) // few names per client
+		w.Observe(s)
+	}
+	w.refresh(at)
+	ids := make([]uint32, 64)
+	for i := range ids {
+		ids[i] = uint32(rng.IntN(nNames))
+	}
+	for i, name := range w.CurrentNames()[:4] {
+		ids[i*16], _ = w.agg.Table.Lookup(name)
+	}
+	return w, ids
+}
+
+// BenchmarkWindowRefresh is one incremental refresh after 64 touched
+// names: its cost must not depend on the size of the name table.
+func BenchmarkWindowRefresh(b *testing.B) {
+	for _, nNames := range []int{12_000, 1_000_000} {
+		b.Run(fmt.Sprintf("names=%d", nNames), func(b *testing.B) {
+			w, ids := refreshWindow(b, nNames)
+			at := dayTime(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.touched = append(w.touched[:0], ids...)
+				w.refresh(at)
+			}
+		})
 	}
 }
