@@ -51,8 +51,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTopN -fuzztime 10s ./internal/core
 
 # Daemon smoke: service-mode ixpmon fed a generated sFlow log over
-# UDP must serve non-empty /metrics and /detections and exit cleanly
-# on SIGTERM.
+# UDP (-listen) and then through -tail must serve a well-formed
+# control surface, refuse a held port and contradictory flags, and
+# exit cleanly on SIGTERM.
 daemon-smoke:
 	./scripts/daemon_smoke.sh
 

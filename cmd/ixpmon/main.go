@@ -15,15 +15,16 @@
 // including time spent waiting in the per-stage timings.
 //
 // Service mode (-serve): an always-on daemon ingesting sFlow v5
-// datagrams over UDP from any number of collectors — or tailing a
-// datagram log with -tail — aggregating them in a sliding window, and
-// serving /detections, /stages, /sources, /metrics, /window, and
-// /healthz over HTTP. With repeatable -input flags (or an -inputs
-// spec file) the daemon instead drives several heterogeneous sources
-// concurrently — UDP listeners, log tails, replay files, pcap,
-// synthetic fill — each under its own supervisor with restart/backoff
-// and fault isolation, merged by the -policy scheduler (round-robin,
-// backlog, or arrival-time merge-replay). With -state it checkpoints
+// datagrams from its configured inputs, aggregating them in a sliding
+// window, and serving /detections, /stages, /sources, /metrics,
+// /window, and /healthz over HTTP. Inputs are source specs — UDP
+// listeners, log tails, replay files, pcap, synthetic fill — given by
+// repeatable -input flags or an -inputs spec file; -listen ADDR is
+// shorthand for -input udp://ADDR (and the default when nothing else
+// is configured), -tail PATH for -input tail:PATH. Every input runs
+// under its own supervisor with restart/backoff and fault isolation,
+// merged by the -policy scheduler (round-robin, backlog, or
+// arrival-time merge-replay). With -state it checkpoints
 // its running state periodically and at shutdown, and -resume
 // continues from the newest valid checkpoint after a crash or restart
 // without double-counting a sample — per-input cursors included.
@@ -40,9 +41,9 @@
 //
 //	ixpmon [-scale 0.05] [-days 14] [-interval 5m] [-concurrency 0]
 //	ixpmon -sflow FILE [-follow] [-interval 5m] [-names 29]
-//	ixpmon -serve [-listen ADDR] [-http ADDR] [-window 7] [-timestamps wall|uptime]
-//	       [-state DIR [-resume] [-checkpoint-every 1m]] [-tail FILE]
-//	       [-input SPEC]... [-inputs FILE] [-policy round-robin|backlog|arrival]
+//	ixpmon -serve [-input SPEC]... [-inputs FILE] [-listen ADDR] [-tail FILE]
+//	       [-policy round-robin|backlog|arrival] [-http ADDR] [-window 7]
+//	       [-timestamps wall|uptime] [-state DIR [-resume] [-checkpoint-every 1m]]
 //	ixpmon -send FILE -to ADDR [-burst 64] [-pause 2ms]
 package main
 
@@ -163,54 +164,77 @@ func printStages(stages []server.StageTiming) {
 	}
 }
 
-// validateServeFlags rejects flag combinations that would silently do
-// nothing or contradict each other: multi-source flags outside -serve,
-// multi-source ingest combined with the single-input modes it
-// replaces, a scheduling policy with nothing to schedule, and uptime
-// timestamps on durable inputs (their datagram logs carry capture
-// time in the entry header; the Uptime field is zero there, so the
-// combination would collapse every sample onto second 0).
-func validateServeFlags(serve bool, inputs []ingest.Spec, inputsFile, tailPath, policy, timestamps string) error {
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+// serveFlags are the flag values serveInputs maps to ingest sources.
+type serveFlags struct {
+	serve      bool
+	inputsFile string        // -inputs FILE
+	fromFile   []ingest.Spec // the specs FILE holds
+	inputs     []ingest.Spec // -input, in command-line order
+	listen     string        // -listen (its default when not explicit)
+	tail       string        // -tail
+	policy     string
+	timestamps string
+}
 
-	if !serve {
+// serveInputs maps the ingest flags to the service's source list: the
+// -inputs file's specs, then every -input, then -listen as udp://ADDR
+// (when given, or when nothing else configures a source — the default
+// daemon is one UDP listener) and -tail as tail:PATH. explicit holds
+// the names of the flags present on the command line. It rejects
+// combinations that would silently do nothing or contradict each
+// other: multi-source flags outside -serve, an -inputs file that
+// configures nothing, a scheduling policy with nothing to schedule,
+// and uptime timestamps on durable inputs (their datagram logs carry
+// capture time in the entry header; the Uptime field is zero there,
+// so the combination would collapse every sample onto second 0).
+func serveInputs(explicit map[string]bool, f serveFlags) ([]ingest.Spec, error) {
+	if !f.serve {
 		for _, name := range []string{"input", "inputs", "policy"} {
 			if explicit[name] {
-				return fmt.Errorf("-%s has no effect without -serve", name)
+				return nil, fmt.Errorf("-%s has no effect without -serve", name)
 			}
 		}
-		return nil
+		return nil, nil
 	}
-	multi := len(inputs) > 0
-	if inputsFile != "" && len(inputs) == 0 {
-		return fmt.Errorf("-inputs %s configures no sources: the file is empty", inputsFile)
+	specs := append(append([]ingest.Spec(nil), f.fromFile...), f.inputs...)
+	if f.inputsFile != "" && len(specs) == 0 {
+		return nil, fmt.Errorf("-inputs %s configures no sources: the file is empty", f.inputsFile)
 	}
-	if multi && tailPath != "" {
-		return fmt.Errorf("-input/-inputs and -tail are mutually exclusive: tail is the single-input mode; add tail:%s as an input instead", tailPath)
-	}
-	if multi && explicit["listen"] {
-		return fmt.Errorf("-listen has no effect with -input/-inputs: add udp://ADDR as an input instead")
-	}
-	if !multi {
-		if policy != "" {
-			return fmt.Errorf("-policy needs -input or -inputs: there is nothing to schedule")
+	switch f.policy {
+	case "":
+	case ingest.PolicyRoundRobin, ingest.PolicyBacklog, ingest.PolicyArrival:
+		if len(specs) == 0 {
+			return nil, fmt.Errorf("-policy needs -input or -inputs: there is nothing to schedule")
 		}
-		return nil
-	}
-	switch policy {
-	case "", ingest.PolicyRoundRobin, ingest.PolicyBacklog, ingest.PolicyArrival:
 	default:
-		return fmt.Errorf("-policy %q: want %s, %s, or %s", policy, ingest.PolicyRoundRobin, ingest.PolicyBacklog, ingest.PolicyArrival)
+		return nil, fmt.Errorf("-policy %q: want %s, %s, or %s", f.policy, ingest.PolicyRoundRobin, ingest.PolicyBacklog, ingest.PolicyArrival)
 	}
-	if timestamps == "uptime" {
-		for _, sp := range inputs {
+	var short []string
+	if explicit["listen"] || (len(specs) == 0 && f.tail == "") {
+		short = append(short, "udp://"+f.listen)
+	}
+	if f.tail != "" {
+		short = append(short, "tail:"+f.tail)
+	}
+	for _, spec := range short {
+		sp, err := ingest.ParseSpec(spec)
+		if err != nil {
+			return nil, err
+		}
+		specs = append(specs, sp)
+	}
+	switch f.timestamps {
+	case "wall":
+	case "uptime":
+		for _, sp := range specs {
 			if sp.Durable() {
-				return fmt.Errorf("-timestamps uptime contradicts durable input %s: file-backed sources carry capture time natively", sp.ID)
+				return nil, fmt.Errorf("-timestamps uptime contradicts durable input %s: file-backed sources carry capture time natively", sp.ID)
 			}
 		}
+	default:
+		return nil, fmt.Errorf("-timestamps must be wall or uptime")
 	}
-	return nil
+	return specs, nil
 }
 
 // runServe runs the always-on service until interrupted.
@@ -222,23 +246,18 @@ func runServe(cfg server.Config) error {
 	if from := svc.ResumedFrom(); from != "" {
 		fmt.Fprintf(os.Stderr, "ixpmon: resumed from %s\n", from)
 	}
-	switch {
-	case len(cfg.Inputs) > 0:
-		pol := cfg.Policy
-		if pol == "" {
-			pol = ingest.PolicyRoundRobin
+	pol := cfg.Policy
+	if pol == "" {
+		pol = ingest.PolicyRoundRobin
+	}
+	fmt.Fprintf(os.Stderr, "ixpmon: driving %d supervised sources (%s policy), control surface on http://%s (window %dd, refresh %v)\n",
+		len(cfg.Inputs), pol, svc.HTTPAddr(), cfg.Window.Days, time.Duration(cfg.Window.Refresh)*time.Second)
+	for _, in := range svc.InputsSnapshot() {
+		if in.Addr != "" {
+			fmt.Fprintf(os.Stderr, "ixpmon:   input %s (listening on udp %s)\n", in.ID, in.Addr)
+		} else {
+			fmt.Fprintf(os.Stderr, "ixpmon:   input %s\n", in.ID)
 		}
-		fmt.Fprintf(os.Stderr, "ixpmon: driving %d supervised sources (%s policy), control surface on http://%s (window %dd, refresh %v)\n",
-			len(cfg.Inputs), pol, svc.HTTPAddr(), cfg.Window.Days, time.Duration(cfg.Window.Refresh)*time.Second)
-		for _, sp := range cfg.Inputs {
-			fmt.Fprintf(os.Stderr, "ixpmon:   input %s\n", sp.ID)
-		}
-	case cfg.TailLog != "":
-		fmt.Fprintf(os.Stderr, "ixpmon: tailing %s, control surface on http://%s (window %dd, refresh %v)\n",
-			cfg.TailLog, svc.HTTPAddr(), cfg.Window.Days, time.Duration(cfg.Window.Refresh)*time.Second)
-	default:
-		fmt.Fprintf(os.Stderr, "ixpmon: serving sflow on udp %s, control surface on http://%s (window %dd, refresh %v)\n",
-			svc.Addr(), svc.HTTPAddr(), cfg.Window.Days, time.Duration(cfg.Window.Refresh)*time.Second)
 	}
 	if cfg.StateDir != "" {
 		fmt.Fprintf(os.Stderr, "ixpmon: crash-safe state in %s (checkpoint every %v)\n", cfg.StateDir, cfg.CheckpointEvery)
@@ -292,15 +311,15 @@ func main() {
 	sflowPath := flag.String("sflow", "", "monitor an sFlow v5 datagram log instead of synthesizing traffic")
 	follow := flag.Bool("follow", false, "with -sflow: keep tailing the log for appended datagrams")
 
-	serve := flag.Bool("serve", false, "run as an always-on UDP sFlow service")
-	listen := flag.String("listen", "127.0.0.1:6343", "with -serve: UDP listen address for sFlow datagrams")
+	serve := flag.Bool("serve", false, "run as an always-on sFlow service")
+	listen := flag.String("listen", "127.0.0.1:6343", "with -serve: UDP listen address for sFlow datagrams, shorthand for -input udp://ADDR (the default source when no other is configured)")
 	httpAddr := flag.String("http", "127.0.0.1:8080", "with -serve: HTTP listen address for the control surface")
 	windowDays := flag.Int("window", 7, "with -serve: sliding window width in days")
 	timestamps := flag.String("timestamps", "wall", "with -serve: datagram time source, wall|uptime (uptime = replayed capture time)")
 	stateDir := flag.String("state", "", "with -serve: directory for checkpoints and poison files (enables crash-safe state)")
 	resume := flag.Bool("resume", false, "with -serve -state: resume from the newest valid checkpoint and continue mid-stream")
 	ckptEvery := flag.Duration("checkpoint-every", time.Minute, "with -serve -state: periodic checkpoint cadence (<= 0 keeps only the shutdown checkpoint)")
-	tailPath := flag.String("tail", "", "with -serve: tail an sFlow datagram log instead of listening on UDP")
+	tailPath := flag.String("tail", "", "with -serve: tail an sFlow datagram log, shorthand for -input tail:PATH")
 	var inputSpecs []ingest.Spec
 	flag.Func("input", "with -serve: add a supervised ingest source (udp://ADDR, tail:PATH, replay:PATH, pcap:PATH, synthetic:[k=v,...]); repeatable", func(v string) error {
 		sp, err := ingest.ParseSpec(v)
@@ -319,25 +338,27 @@ func main() {
 	pause := flag.Duration("pause", 2*time.Millisecond, "with -send: pause between bursts")
 	flag.Parse()
 
+	var fromFile []ingest.Spec
 	if *inputsFile != "" {
-		fromFile, err := ingest.ParseSpecFile(*inputsFile)
-		if err != nil {
+		var err error
+		if fromFile, err = ingest.ParseSpecFile(*inputsFile); err != nil {
 			fmt.Fprintln(os.Stderr, "ixpmon: -inputs:", err)
 			os.Exit(2)
 		}
-		inputSpecs = append(fromFile, inputSpecs...)
 	}
-	if err := validateServeFlags(*serve, inputSpecs, *inputsFile, *tailPath, *policy, *timestamps); err != nil {
+	explicit := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	inputs, err := serveInputs(explicit, serveFlags{
+		serve: *serve, inputsFile: *inputsFile, fromFile: fromFile, inputs: inputSpecs,
+		listen: *listen, tail: *tailPath, policy: *policy, timestamps: *timestamps,
+	})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "ixpmon:", err)
 		os.Exit(2)
 	}
 
 	switch {
 	case *serve:
-		if *timestamps != "wall" && *timestamps != "uptime" {
-			fmt.Fprintln(os.Stderr, "ixpmon: -timestamps must be wall or uptime")
-			os.Exit(2)
-		}
 		if *resume && *stateDir == "" {
 			fmt.Fprintln(os.Stderr, "ixpmon: -resume needs -state")
 			os.Exit(2)
@@ -347,7 +368,6 @@ func main() {
 			ce = -1 // disable the timer; the shutdown checkpoint remains
 		}
 		err := runServe(server.Config{
-			UDPAddr:        *listen,
 			HTTPAddr:       *httpAddr,
 			TimeFromUptime: *timestamps == "uptime",
 			Window: server.WindowConfig{
@@ -358,8 +378,7 @@ func main() {
 			StateDir:        *stateDir,
 			Resume:          *resume,
 			CheckpointEvery: ce,
-			TailLog:         *tailPath,
-			Inputs:          inputSpecs,
+			Inputs:          inputs,
 			Policy:          *policy,
 		})
 		if err != nil {

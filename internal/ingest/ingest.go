@@ -1,5 +1,5 @@
-// Package ingest is the supervised multi-source intake: a scheduler
-// that drives N heterogeneous sources — UDP sFlow listeners, tailed
+// Package ingest is the service's only intake, one source or many: a
+// scheduler that drives N heterogeneous sources — UDP sFlow listeners, tailed
 // datagram logs, finite sFlow/pcap replay files, synthetic fill —
 // concurrently, each wrapped in a supervisor with its own lifecycle
 // state machine, and merges their datagrams into one output stream
@@ -15,6 +15,12 @@
 // datagram: it is quarantined through the configured poison sink
 // (the PR 7 poison-file path, now stamped with the source ID) and the
 // source keeps running.
+//
+// Accounting: every datagram read is counted on its source before it
+// is parsed, and one that fails to parse is counted again as a parse
+// error; Totals sums both over sources. A UDP source's socket is bound
+// in Start, so a listener that cannot bind is a start-up error, not a
+// supervised retry.
 //
 // Concurrency model: one goroutine per source (the supervisor running
 // the source adapter), each feeding a bounded per-source buffer; one
@@ -278,6 +284,10 @@ type Config struct {
 	// Poison receives datagrams whose delivery panicked, for offline
 	// triage (the service wires its poison-file writer here).
 	Poison func(id string, dg *sflow.Datagram, cause any)
+	// Stage, when set, receives the duration of one invocation of a
+	// named processing stage (the service wires Stages.Add here; the UDP
+	// runner reports "parse" through it).
+	Stage func(stage string, d time.Duration)
 }
 
 // Item is one scheduled datagram: the unit the dispatcher hands to the
@@ -359,9 +369,11 @@ type SupervisorStats struct {
 	Panics      uint64 `json:"panics"`
 
 	// Restarts counts supervisor restarts (errors and stalls); Stalls
-	// the subset forced by the watchdog.
-	Restarts uint64 `json:"restarts"`
-	Stalls   uint64 `json:"stalls"`
+	// the subset forced by the watchdog. ReadRetries counts transient
+	// read errors a UDP source retried on its open socket, no restart.
+	Restarts    uint64 `json:"restarts"`
+	Stalls      uint64 `json:"stalls"`
+	ReadRetries uint64 `json:"readRetries"`
 
 	// Buffered is the current per-source buffer depth; Cursor/Epoch the
 	// newest emitted progress cursor.

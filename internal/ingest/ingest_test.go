@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -473,4 +475,125 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Specs: []Spec{sp}, Policy: "wat"}); err == nil {
 		t.Error("unknown policy: expected error")
 	}
+}
+
+// flakyConn fails every other ReadFrom with a transient error, without
+// consuming a datagram, and remembers whether it was ever closed.
+type flakyConn struct {
+	net.PacketConn
+	reads  atomic.Uint64
+	closed atomic.Bool
+}
+
+func (c *flakyConn) ReadFrom(p []byte) (int, net.Addr, error) {
+	if c.reads.Add(1)%2 == 1 {
+		return 0, nil, errors.New("transient read error")
+	}
+	return c.PacketConn.ReadFrom(p)
+}
+
+func (c *flakyConn) Close() error {
+	c.closed.Store(true)
+	return c.PacketConn.Close()
+}
+
+// TestUDPBindAndRetry: Start binds a UDP source before it returns, a
+// transient read error is retried on that same socket (counted on the
+// row, no restart, nothing lost), and a socket closed under the reader
+// costs one restart that rebinds the pinned port. A source whose port
+// is taken fails Start.
+func TestUDPBindAndRetry(t *testing.T) {
+	var mu sync.Mutex
+	var conns []*flakyConn
+	sp, err := ParseSpec("udp://127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{
+		Specs:  []Spec{sp},
+		Tuning: fastTuning(),
+		ListenPacket: func(addr string) (net.PacketConn, error) {
+			c, err := net.ListenPacket("udp", addr)
+			if err != nil {
+				return nil, err
+			}
+			fc := &flakyConn{PacketConn: c}
+			mu.Lock()
+			conns = append(conns, fc)
+			mu.Unlock()
+			return fc, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	addr := s.Snapshot()[0].Addr
+	if _, port, err := net.SplitHostPort(addr); err != nil || port == "0" {
+		t.Fatalf("bound address right after Start = %q, want a concrete port", addr)
+	}
+
+	taken, err := New(Config{Specs: []Spec{{ID: "udp://" + addr, Kind: KindUDP, Addr: addr}}, Tuning: fastTuning()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := taken.Start(); err == nil {
+		taken.Stop()
+		t.Fatalf("a second scheduler bound %s", addr)
+	}
+
+	conn, err := net.Dial("udp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	send := func(from, to uint32) {
+		for seq := from; seq <= to; seq++ {
+			dg := &sflow.Datagram{Agent: [4]byte{203, 0, 113, 1}, Seq: seq,
+				Samples: []sflow.FlowSample{{Seq: seq, Rate: 1, FrameLen: 64, Header: []byte{1}}}}
+			if _, err := conn.Write(sflow.EncodeDatagram(dg)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	receive := func(n int) {
+		t.Helper()
+		deadline := time.After(5 * time.Second)
+		for got := 0; got < n; got++ {
+			select {
+			case <-s.Items():
+			case <-deadline:
+				t.Fatalf("%d of %d datagrams arrived: %+v", got, n, s.Snapshot()[0])
+			}
+		}
+	}
+	send(1, 10)
+	receive(10)
+	st := s.Snapshot()[0]
+	if st.ReadRetries < 10 || st.Restarts != 0 || st.Received != 10 || st.LastError == "" {
+		t.Fatalf("after 10 datagrams through a flaky socket: %+v, want >= 10 read retries, no restart, a last error", st)
+	}
+	mu.Lock()
+	first := conns[0]
+	mu.Unlock()
+	if first.closed.Load() {
+		t.Fatal("a transient read error closed the socket")
+	}
+
+	first.Close() // the socket dies under the reader
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Snapshot()[0].Restarts != 1 || s.Snapshot()[0].State != "healthy" {
+		if time.Now().After(deadline) {
+			t.Fatalf("closed socket was not restarted once: %+v", s.Snapshot()[0])
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := s.Snapshot()[0].Addr; got != addr {
+		t.Fatalf("rebound at %s, want the pinned %s", got, addr)
+	}
+	send(11, 12)
+	receive(2)
 }

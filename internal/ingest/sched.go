@@ -59,6 +59,9 @@ func New(cfg Config) (*Scheduler, error) {
 	// a zero StallAfter would give the UDP runner an already-expired
 	// read deadline on every loop — a socket that can never hear.
 	s.cfg.Tuning = s.tun
+	if s.cfg.Stage == nil {
+		s.cfg.Stage = func(string, time.Duration) {}
+	}
 	switch cfg.Policy {
 	case "", PolicyRoundRobin:
 		s.pol = &roundRobin{last: -1}
@@ -81,8 +84,24 @@ func New(cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-// Start launches the supervisors, the watchdog, and the dispatcher.
-func (s *Scheduler) Start() {
+// Start binds every UDP source's socket, then launches the
+// supervisors, the watchdog, and the dispatcher. A listener that
+// cannot bind fails Start with nothing left running, and every bound
+// address is in Snapshot by the time Start returns.
+func (s *Scheduler) Start() error {
+	for _, sv := range s.sups {
+		u, ok := sv.run.(*udpRunner)
+		if !ok {
+			continue
+		}
+		conn, err := u.bind()
+		if err != nil {
+			s.closeBound()
+			return fmt.Errorf("ingest: %s: %w", sv.spec.ID, err)
+		}
+		u.bound.Store(&conn)
+		sv.addr.Store(u.addr)
+	}
 	for _, sv := range s.sups {
 		s.wg.Add(1)
 		go sv.supervise()
@@ -90,6 +109,18 @@ func (s *Scheduler) Start() {
 	s.wg.Add(2)
 	go s.watchdog()
 	go s.dispatch()
+	return nil
+}
+
+// closeBound closes the sockets Start bound that no run has taken.
+func (s *Scheduler) closeBound() {
+	for _, sv := range s.sups {
+		if u, ok := sv.run.(*udpRunner); ok {
+			if p := u.bound.Swap(nil); p != nil {
+				(*p).Close()
+			}
+		}
+	}
 }
 
 // Items is the merged output stream. It is closed when every source is
@@ -105,7 +136,18 @@ func (s *Scheduler) Stop() {
 		s.cancel()
 		s.cond.Broadcast()
 		s.wg.Wait()
+		s.closeBound()
 	})
+}
+
+// Totals sums datagrams read (before parsing) and parse failures over
+// every source: the service-wide received and parse-error counters.
+func (s *Scheduler) Totals() (received, parseErrors uint64) {
+	for _, sv := range s.sups {
+		received += sv.received.Load()
+		parseErrors += sv.parseErrors.Load()
+	}
+	return received, parseErrors
 }
 
 // Snapshot reports every supervisor's externally visible state, in
@@ -125,6 +167,7 @@ func (s *Scheduler) Snapshot() []SupervisorStats {
 			Panics:      sv.panics.Load(),
 			Restarts:    sv.restarts.Load(),
 			Stalls:      sv.stalls.Load(),
+			ReadRetries: sv.readRetries.Load(),
 			Buffered:    len(sv.buf),
 			Cursor:      sv.cursor.Load(),
 			Epoch:       sv.epoch.Load(),
@@ -137,22 +180,6 @@ func (s *Scheduler) Snapshot() []SupervisorStats {
 		out[i] = st
 	}
 	return out
-}
-
-// Addr reports the bound listen address of a UDP source ("" until it
-// has bound). Test and logging convenience.
-func (s *Scheduler) Addr(id string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sv := range s.sups {
-		if sv.spec.ID == id {
-			if a, ok := sv.addr.Load().(string); ok {
-				return a
-			}
-			return ""
-		}
-	}
-	return ""
 }
 
 // Supervisor owns one source: its runner, its restart loop, its
@@ -176,6 +203,7 @@ type Supervisor struct {
 
 	received, parseErrors, emitted atomic.Uint64
 	panics, restarts, stalls       atomic.Uint64
+	readRetries                    atomic.Uint64
 	cursor                         atomic.Int64
 	epoch                          atomic.Uint64
 	addr                           atomic.Value // string
@@ -343,11 +371,18 @@ func (t *task) parseError() {
 	t.beat()
 }
 
-// setAddr publishes the source's bound listen address.
-func (t *task) setAddr(a string) {
-	if t.live() {
-		t.sv.addr.Store(a)
+// readRetry counts one transient read error retried in place and
+// records it as the row's last error. It beats: a socket being retried
+// is alive.
+func (t *task) readRetry(err error) {
+	if !t.live() {
+		return
 	}
+	t.sv.readRetries.Add(1)
+	t.sv.s.mu.Lock()
+	t.sv.lastErr = err.Error()
+	t.sv.s.mu.Unlock()
+	t.beat()
 }
 
 // deliver hands one parsed datagram to the dispatcher, blocking while

@@ -16,6 +16,7 @@ import (
 	"net"
 	"os"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"dnsamp/internal/ecosystem"
@@ -35,7 +36,7 @@ type runner interface {
 func newRunner(sp Spec, cfg *Config) runner {
 	switch sp.Kind {
 	case KindUDP:
-		return &udpRunner{sp: sp, cfg: cfg, addr: sp.Addr}
+		return &udpRunner{cfg: cfg, addr: sp.Addr}
 	case KindTail:
 		return &tailRunner{sp: sp, cfg: cfg}
 	case KindReplay:
@@ -74,6 +75,12 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return m, err
 }
 
+// udpReadBuffer is the kernel receive buffer requested for every UDP
+// source. Best-effort (the kernel may clamp it): the Linux default of
+// 208 KiB holds fewer than twenty full 64-sample datagrams, which one
+// sender burst overruns before the runner is scheduled again.
+const udpReadBuffer = 1 << 20
+
 // udpRunner listens for sFlow datagrams on a UDP socket. It has no
 // durable input and no cursor: a datagram that was never read is gone
 // (that loss is what the per-agent sequence accounting downstream
@@ -81,25 +88,41 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // concrete bound address on first bind so restarts rebind the same
 // port and senders keep working across a supervisor restart.
 type udpRunner struct {
-	sp   Spec
 	cfg  *Config
 	addr string
+	// bound is the socket Scheduler.Start opened, until the first run
+	// (or Stop) takes it.
+	bound atomic.Pointer[net.PacketConn]
 }
 
-func (u *udpRunner) run(t *task, _ int64) error {
+// bind opens the source's socket and pins its address.
+func (u *udpRunner) bind() (net.PacketConn, error) {
 	listen := u.cfg.ListenPacket
 	if listen == nil {
 		listen = func(a string) (net.PacketConn, error) { return net.ListenPacket("udp", a) }
 	}
 	conn, err := listen(u.addr)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	u.addr = conn.LocalAddr().String()
+	if rb, ok := conn.(interface{ SetReadBuffer(int) error }); ok {
+		_ = rb.SetReadBuffer(udpReadBuffer) // best-effort
+	}
+	return conn, nil
+}
+
+func (u *udpRunner) run(t *task, _ int64) error {
+	var conn net.PacketConn
+	if p := u.bound.Swap(nil); p != nil {
+		conn = *p
+	} else {
+		var err error
+		if conn, err = u.bind(); err != nil {
+			return err
+		}
 	}
 	defer conn.Close()
-	if u.addr == u.sp.Addr {
-		u.addr = conn.LocalAddr().String()
-	}
-	t.setAddr(conn.LocalAddr().String())
 	stop := context.AfterFunc(t.ctx, func() { conn.Close() })
 	defer stop()
 
@@ -109,29 +132,48 @@ func (u *udpRunner) run(t *task, _ int64) error {
 	if beatEvery > 500*time.Millisecond {
 		beatEvery = 500 * time.Millisecond
 	}
+	retryMin := min(u.cfg.Tuning.BackoffMin, beatEvery)
+	retry := retryMin
 	buf := make([]byte, 1<<16)
 	for {
 		conn.SetReadDeadline(time.Now().Add(beatEvery))
 		n, _, err := conn.ReadFrom(buf)
 		if err != nil {
-			if t.ctx.Err() != nil {
-				return t.ctx.Err()
-			}
 			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
+			switch {
+			case t.ctx.Err() != nil:
+				return t.ctx.Err()
+			case errors.As(err, &ne) && ne.Timeout():
 				t.beat()
-				continue
+			case errors.Is(err, net.ErrClosed):
+				// The socket died under the reader: end the run, and the
+				// supervisor rebinds the pinned address.
+				return err
+			default:
+				// Transient: retry on the open socket. A restart would
+				// close it and lose what the kernel has queued. The wait
+				// stays under the heartbeat interval, so a socket that
+				// keeps erroring is alive to the watchdog, and visible as
+				// readRetries and lastError on its row.
+				t.readRetry(err)
+				if !sleepCtx(t.ctx, retry) {
+					return t.ctx.Err()
+				}
+				retry = min(retry*2, beatEvery)
 			}
-			return err
+			continue
 		}
-		t.beat()
+		retry = retryMin
 		t.recv()
+		t0 := time.Now()
 		dg, perr := sflow.ParseDatagram(buf[:n])
+		now := time.Now()
+		u.cfg.Stage("parse", now.Sub(t0))
 		if perr != nil {
 			t.parseError()
 			continue
 		}
-		at := simclock.FromTime(time.Now())
+		at := simclock.FromTime(now)
 		if u.cfg.TimeFromUptime {
 			at = simclock.Time(dg.Uptime)
 		}

@@ -19,7 +19,7 @@ func faultyListen(inj *faults.Injector) func(addr string) (net.PacketConn, error
 			return nil, err
 		}
 		if uc, ok := c.(*net.UDPConn); ok {
-			_ = uc.SetReadBuffer(1 << 20) // best-effort, as listenPacket does
+			_ = uc.SetReadBuffer(1 << 20) // best-effort, as the UDP runner asks of an unwrapped socket
 		}
 		return inj.PacketConn(c), nil
 	}
@@ -39,13 +39,18 @@ func healthzGet(t *testing.T, svc *Service) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
+func parseErrors(svc *Service) uint64 {
+	_, n := svc.ingestTotals()
+	return n
+}
+
 // assertConservation checks that every received datagram is accounted
 // for exactly once: parse-failed, replay-skipped, shed by a tier, or
 // consumed. Call only when the queue is drained.
 func assertConservation(t *testing.T, svc *Service) {
 	t.Helper()
 	received := svc.Received()
-	parse, replay := svc.parseErrors.Load(), svc.ReplaySkipped()
+	parse, replay := parseErrors(svc), svc.ReplaySkipped()
 	sampled, shed, drops := svc.SampledOut(), svc.ShedAll(), svc.QueueDrops()
 	consumed := svc.Consumed()
 	if received != parse+replay+sampled+shed+drops+consumed {
@@ -62,7 +67,7 @@ func TestServiceChaosGolden(t *testing.T) {
 	dgs := logDatagrams(t, wireLog(t, days).Bytes())
 	wcfg := WindowConfig{Days: 2, ListSize: listN, Refresh: simclock.Hour}
 
-	ref := startService(t, Config{TimeFromUptime: true, Window: wcfg})
+	ref := startService(t, Config{Inputs: udpInput(t), TimeFromUptime: true, Window: wcfg})
 	sendPaced(t, ref, dialService(t, ref), dgs)
 	shutdownSvc(t, ref)
 	wantDets, wantSamples := finalState(ref)
@@ -72,13 +77,18 @@ func TestServiceChaosGolden(t *testing.T) {
 
 	inj := faults.New(faults.Plan{Seed: 42, ReadErr: 0.02})
 	svc := startService(t, Config{
+		Inputs:         udpInput(t),
 		TimeFromUptime: true, Window: wcfg,
 		ListenPacket: faultyListen(inj),
 	})
 	sendPaced(t, svc, dialService(t, svc), dgs)
-	if svc.readRetries.Load() == 0 || inj.Stats().ReadErrs == 0 {
+	in := svc.InputsSnapshot()[0]
+	if in.ReadRetries == 0 || inj.Stats().ReadErrs == 0 {
 		t.Fatalf("no read faults fired (retries %d, injected %d); the chaos run was a clean run",
-			svc.readRetries.Load(), inj.Stats().ReadErrs)
+			in.ReadRetries, inj.Stats().ReadErrs)
+	}
+	if in.Restarts != 0 {
+		t.Errorf("transient read errors restarted the input %d times; they are retried on the open socket", in.Restarts)
 	}
 	if status, body := healthzGet(t, svc); status != http.StatusOK || body != "ok\n" {
 		t.Errorf("/healthz after lossless faults = %d %q, want 200 ok", status, body)
@@ -110,6 +120,7 @@ func TestServiceChaosSoak(t *testing.T) {
 	const burst = 2000
 	recvInj := faults.New(faults.Plan{Seed: 7, ReadErr: 0.01})
 	svc := NewService(Config{
+		Inputs:   udpInput(t),
 		Window:   WindowConfig{Days: 2},
 		QueueLen: 64, PerSourceQueue: 64,
 		ListenPacket: faultyListen(recvInj),
@@ -136,7 +147,7 @@ func TestServiceChaosSoak(t *testing.T) {
 	}
 	sendInj := faults.New(faults.Plan{Seed: 11, Drop: 0.05, Dup: 0.05, Reorder: 0.05, Corrupt: 0.05})
 	fconn := sendInj.PacketConn(sender)
-	addr := svc.Addr()
+	addr := udpAddr(t, svc)
 
 	// The storm: a flat-out burst into a stalled consumer. Pacing bounds
 	// in-flight datagrams so the kernel socket buffer never drops — the
@@ -181,7 +192,7 @@ func TestServiceChaosSoak(t *testing.T) {
 	// the hold elapses and the state machine returns to ok.
 	openGate()
 	waitUntil(t, "backlog drained", func() bool {
-		return svc.Consumed() == svc.Received()-svc.parseErrors.Load()-svc.SampledOut()-svc.ShedAll()-svc.QueueDrops()-svc.ReplaySkipped()
+		return svc.Consumed() == svc.Received()-parseErrors(svc)-svc.SampledOut()-svc.ShedAll()-svc.QueueDrops()-svc.ReplaySkipped()
 	})
 	assertConservation(t, svc)
 
@@ -196,7 +207,7 @@ func TestServiceChaosSoak(t *testing.T) {
 		return false
 	})
 	waitUntil(t, "recovery traffic drained", func() bool {
-		return svc.Consumed() == svc.Received()-svc.parseErrors.Load()-svc.SampledOut()-svc.ShedAll()-svc.QueueDrops()-svc.ReplaySkipped()
+		return svc.Consumed() == svc.Received()-parseErrors(svc)-svc.SampledOut()-svc.ShedAll()-svc.QueueDrops()-svc.ReplaySkipped()
 	})
 	assertConservation(t, svc)
 	if status, body := healthzGet(t, svc); status != http.StatusOK || body != "ok\n" {

@@ -1,18 +1,18 @@
 // Crash-safe service state: the running window — aggregator arena,
 // interning table, name list, retained detections — plus per-source
-// consume cursors, per-input ingest cursors (keyed by stable source
-// ID), and the tail-log offset, serialized to one checksummed file. Checkpoints are written atomically (temp file +
-// rename) on a timer and during shutdown; `-resume` loads the newest
-// valid one and continues mid-stream, with a per-source replay barrier
-// skipping datagrams the restored window already contains, so a
-// kill/restart cycle double-counts nothing.
+// consume cursors and per-input ingest cursors (keyed by stable source
+// ID), serialized to one checksummed file. Checkpoints are written
+// atomically (temp file + rename) on a timer and during shutdown;
+// `-resume` loads the newest valid one and continues mid-stream, with a
+// per-source replay barrier skipping datagrams the restored window
+// already contains, so a kill/restart cycle double-counts nothing.
 //
 // Consistency model: the consumer advances each source's cursor under
 // the same lock that guards the window, and the checkpointer encodes
 // both under that lock — a checkpoint is always an exact (window,
 // cursors) pair. Datagrams sitting in the ingest queue at checkpoint
 // time are not in the pair; after a crash they are re-sent (or re-read
-// from the tail log) past the cursor, and after a drained shutdown
+// from a durable input) past the cursor, and after a drained shutdown
 // there are none.
 package server
 
@@ -30,6 +30,7 @@ import (
 
 	"dnsamp/internal/binenc"
 	"dnsamp/internal/core"
+	"dnsamp/internal/ingest"
 	"dnsamp/internal/simclock"
 )
 
@@ -41,8 +42,11 @@ var ckptMagic = [8]byte{'d', 'n', 'a', 'm', 'p', 'C', 'k', 'p'}
 const (
 	// Version history: 1 = single-input (PR 7); 2 adds the per-row
 	// input-source ID and the per-input cursor section for supervised
-	// multi-source ingest.
-	ckptVersion = 2
+	// multi-source ingest; 3 drops the trailing tail-log offset (a
+	// tailed log is an input with a cursor like any other). Version 2
+	// stays readable (adoptSingleInput).
+	ckptVersion    = 3
+	ckptVersionOld = 2
 	// ckptOverhead is the fixed envelope: magic + version up front, an
 	// FNV-1a checksum of the payload at the end.
 	ckptHeaderLen = 12
@@ -130,8 +134,8 @@ func (w *Window) readSnapshot(d *binenc.Decoder) error {
 		w.names[d.Str()] = true
 	}
 
-	// A detection entry costs 4 + 6×8 + 8 = 60 bytes.
-	nDet := d.Count(60)
+	// A detection entry costs 4 + 6×8 = 52 bytes.
+	nDet := d.Count(52)
 	w.detections = make([]*core.Detection, 0, nDet)
 	for i := 0; i < nDet && d.Err() == nil; i++ {
 		det := &core.Detection{}
@@ -214,11 +218,11 @@ func (s *Service) encodeCheckpoint() ([]byte, error) {
 		e.I64(s.inputCursors[id].off)
 	}
 
-	e.U64(s.received.Load())
-	e.U64(s.parseErrors.Load())
+	received, parseErrors := s.ingestTotals()
+	e.U64(received)
+	e.U64(parseErrors)
 	e.U64(s.consumed.Load())
 	e.U64(s.queueDrops.Load())
-	e.I64(s.tailOffConsumed)
 
 	if err := e.Flush(); err != nil {
 		return nil, err
@@ -247,8 +251,9 @@ func (s *Service) decodeCheckpoint(raw []byte) error {
 	if [8]byte(d.Raw(8)) != ckptMagic {
 		return fmt.Errorf("%w: bad magic", ErrCheckpoint)
 	}
-	if v := d.U32(); v != ckptVersion {
-		return fmt.Errorf("%w: version %d", ErrCheckpoint, v)
+	version := d.U32()
+	if version != ckptVersion && version != ckptVersionOld {
+		return fmt.Errorf("%w: version %d", ErrCheckpoint, version)
 	}
 
 	if err := s.win.readSnapshot(d); err != nil {
@@ -304,17 +309,57 @@ func (s *Service) decodeCheckpoint(raw []byte) error {
 		}
 	}
 
-	s.received.Store(d.U64())
-	s.parseErrors.Store(d.U64())
+	s.receivedBase = d.U64()
+	s.parseErrorsBase = d.U64()
 	s.consumed.Store(d.U64())
 	s.queueDrops.Store(d.U64())
-	s.tailOffConsumed = d.I64()
-	s.tailResumeAt = s.tailOffConsumed
+	var tailOff int64
+	if version == ckptVersionOld {
+		tailOff = d.I64()
+	}
 	if err := d.Err(); err != nil {
 		return err
 	}
 	if d.Remaining() != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrCheckpoint, d.Remaining())
+	}
+	return s.adoptSingleInput(tailOff)
+}
+
+// adoptSingleInput maps what a version 2 checkpoint of a -listen or
+// -tail run recorded without naming an input — source rows keyed by
+// the empty input ID, and the trailing tail-log offset — onto the one
+// configured input: the rows are re-keyed to it, so the replay barrier
+// still skips a re-sent overlap, and the offset becomes its cursor, so
+// nothing is re-read. With any other number of inputs there is no
+// telling which one the state belongs to, and the error (not an
+// ErrCheckpoint: the file is fine, the configuration is not) fails
+// Start.
+func (s *Service) adoptSingleInput(tailOff int64) error {
+	var unkeyed []*sourceState
+	for key, src := range s.sources {
+		if key.src == "" {
+			unkeyed = append(unkeyed, src)
+		}
+	}
+	if len(unkeyed) == 0 && tailOff == 0 {
+		return nil
+	}
+	if len(s.cfg.Inputs) != 1 {
+		return fmt.Errorf("checkpoint of a single-input (-listen or -tail) run names no input: it resumes with exactly one input configured, not %d", len(s.cfg.Inputs))
+	}
+	in := s.cfg.Inputs[0]
+	if tailOff > 0 && in.Kind != ingest.KindTail {
+		return fmt.Errorf("checkpoint of a -tail run carries a log offset: it resumes with a tail: input, not %s", in.ID)
+	}
+	for _, src := range unkeyed {
+		delete(s.sources, src.key)
+		src.key.src, src.stats.Input = in.ID, in.ID
+		s.sources[src.key] = src
+	}
+	if tailOff > 0 {
+		s.inputCursors[in.ID] = srcCursor{off: tailOff}
+		s.schedResume[in.ID] = tailOff
 	}
 	return nil
 }
@@ -418,13 +463,15 @@ func (s *Service) resume() error {
 			continue
 		}
 		if err := s.decodeCheckpoint(raw); err != nil {
+			if !errors.Is(err, ErrCheckpoint) {
+				return fmt.Errorf("server: resuming from %s: %w", paths[i], err)
+			}
 			// Reset whatever half-state the failed decode left and try the
 			// next older file.
 			s.win = NewWindow(s.cfg.Window, s.stages)
 			s.sources = make(map[sourceKey]*sourceState)
 			s.inputCursors = make(map[string]srcCursor)
 			s.schedResume = make(map[string]int64)
-			s.tailOffConsumed, s.tailResumeAt = 0, 0
 			continue
 		}
 		s.resumedFrom = paths[i]

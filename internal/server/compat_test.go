@@ -1,0 +1,184 @@
+// Checkpoint format tests: the detection-list bound, and resuming the
+// version 2 checkpoints the PR 12 binary wrote in its -listen and -tail
+// modes (committed under testdata/, written by that commit's
+// `ixpmon -serve ... -state DIR -window 2`; the -listen run consumed
+// miniDatagram 1..8 under -timestamps uptime, the -tail run consumed
+// all twelve entries of parent_tail.sflowlog).
+package server
+
+import (
+	"encoding/binary"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"dnsamp/internal/core"
+	"dnsamp/internal/ingest"
+	"dnsamp/internal/simclock"
+)
+
+// TestSnapshotManyDetections: a window holding hundreds of detections
+// round-trips. The reader used to bound the list at 60 bytes per entry
+// where the writer emits 52, so a list longer than an eighth of the
+// bytes following it read as corrupt and -resume found "none valid".
+func TestSnapshotManyDetections(t *testing.T) {
+	cfg := WindowConfig{Days: 2}
+	w := NewWindow(cfg, nil)
+	for i := 0; i < 600; i++ {
+		at := dayTime(i / 100).Add(simclock.Duration(i))
+		w.detections = append(w.detections, &core.Detection{
+			Victim: [4]byte{10, 1, byte(i >> 8), byte(i)}, Day: i / 100,
+			Packets: 20 + i, CandidatePackets: 19 + i, Share: float64(19+i) / float64(20+i),
+			First: at, Last: at.Add(simclock.Hour),
+		})
+	}
+	got := restoreWindow(t, cfg, snapshotBytes(t, w))
+	if !reflect.DeepEqual(got.detections, w.detections) {
+		t.Fatalf("restored %d detections, wrote %d; first restored %+v", len(got.detections), len(w.detections), got.detections[0])
+	}
+}
+
+// stageCheckpoint copies a committed checkpoint into a fresh state dir.
+func stageCheckpoint(t *testing.T, name string) string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(raw[8:]); v != ckptVersionOld {
+		t.Fatalf("%s is a version %d checkpoint; the fixture must be version %d", name, v, ckptVersionOld)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, ckptName(0)), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestResumeParentListenCheckpoint: the -listen run's rows carry no
+// input ID. With one input configured they are re-keyed to it, so the
+// replay barrier skips the re-sent overlap and the new datagrams are
+// consumed exactly once; the shutdown checkpoint is written in the
+// current format.
+func TestResumeParentListenCheckpoint(t *testing.T) {
+	dir := stageCheckpoint(t, "parent_listen.ckpt")
+	cfg := Config{
+		Inputs: udpInput(t), TimeFromUptime: true, Window: WindowConfig{Days: 2},
+		StateDir: dir, CheckpointEvery: -1, Resume: true,
+	}
+	svc := startService(t, cfg)
+	if svc.ResumedFrom() == "" {
+		t.Fatal("the parent's -listen checkpoint was not resumed")
+	}
+	if got := svc.Received(); got != 8 || svc.Consumed() != 8 || frames(svc) != 8 {
+		t.Fatalf("restored totals: received %d, consumed %d, frames %d, want 8 each", got, svc.Consumed(), frames(svc))
+	}
+	rows := svc.SourcesSnapshot()
+	if len(rows) != 1 || rows[0].Input != cfg.Inputs[0].ID || rows[0].Agent != "198.51.100.9" || rows[0].Datagrams != 8 {
+		t.Fatalf("restored rows = %+v, want the one collector re-keyed to %s", rows, cfg.Inputs[0].ID)
+	}
+
+	// The sender restarts four datagrams back: 5..8 are in the window
+	// already, 9..12 are new.
+	conn := dialService(t, svc)
+	for seq := uint32(5); seq <= 12; seq++ {
+		if _, err := conn.Write(miniDatagram(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitUntil(t, "overlap skipped and new datagrams consumed", func() bool {
+		return svc.ReplaySkipped() == 4 && svc.Consumed() == 12
+	})
+	shutdownSvc(t, svc)
+	if got := frames(svc); got != 12 {
+		t.Errorf("samples processed = %d, want exactly 12 across the format boundary", got)
+	}
+	paths := listCheckpoints(dir)
+	raw, err := os.ReadFile(paths[len(paths)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(raw[8:]); v != ckptVersion {
+		t.Errorf("shutdown checkpoint is version %d, want %d", v, ckptVersion)
+	}
+}
+
+// TestResumeParentTailCheckpoint: the -tail run's byte offset becomes
+// the tail: input's cursor — nothing already consumed is re-read, only
+// the entries appended since — and its collector row is re-keyed to
+// the input.
+func TestResumeParentTailCheckpoint(t *testing.T) {
+	dir := stageCheckpoint(t, "parent_tail.ckpt")
+	logBytes, err := os.ReadFile(filepath.Join("testdata", "parent_tail.sflowlog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(t.TempDir(), "feed.sflowlog")
+	if err := os.WriteFile(logPath, logBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Inputs: tailInput(t, logPath), Window: WindowConfig{Days: 2},
+		StateDir: dir, CheckpointEvery: -1, Resume: true,
+	}
+	id := cfg.Inputs[0].ID
+	svc := startService(t, cfg)
+	if svc.ResumedFrom() == "" {
+		t.Fatal("the parent's -tail checkpoint was not resumed")
+	}
+	if got := svc.InputCursor(id); got != int64(len(logBytes)) {
+		t.Fatalf("restored cursor of %s = %d, want the consumed log size %d", id, got, len(logBytes))
+	}
+	agent := [4]byte{198, 51, 100, 7}
+	appendEntries(t, logPath, agent, 13, simclock.MeasurementStart.Add(12), 5)
+	fi, err := os.Stat(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "appended entries consumed", func() bool {
+		return svc.Consumed() == 17 && svc.InputCursor(id) == fi.Size()
+	})
+	in := svc.InputsSnapshot()[0]
+	if in.Received != 5 || svc.ReplaySkipped() != 0 {
+		t.Errorf("resumed tail read %d entries and replay-skipped %d; want the 5 appended ones and none skipped", in.Received, svc.ReplaySkipped())
+	}
+	shutdownSvc(t, svc)
+	if got := frames(svc); got != 17 {
+		t.Errorf("samples processed = %d, want exactly 17 across the format boundary", got)
+	}
+	if got := consumeCursor(svc, id, agent, 0); got != 17 {
+		t.Errorf("collector row %s|198.51.100.7 consumed up to seq %d, want 17 (row not re-keyed to the input)", id, got)
+	}
+}
+
+// TestResumeParentCheckpointNeedsOneInput: a checkpoint that names no
+// input cannot be assigned among several, or to the wrong kind; Start
+// says so instead of guessing or reporting the file corrupt.
+func TestResumeParentCheckpointNeedsOneInput(t *testing.T) {
+	replay := mustSpec(t, "replay:"+filepath.Join("testdata", "parent_tail.sflowlog"))
+	for _, c := range []struct {
+		name, ckpt string
+		inputs     []ingest.Spec
+		want       string
+	}{
+		{"listen checkpoint, two inputs", "parent_listen.ckpt", append(udpInput(t), replay), "exactly one input"},
+		{"tail checkpoint, two inputs", "parent_tail.ckpt", append(udpInput(t), replay), "exactly one input"},
+		{"tail checkpoint, udp input", "parent_tail.ckpt", udpInput(t), "tail: input"},
+	} {
+		svc := NewService(Config{
+			Inputs: c.inputs, Window: WindowConfig{Days: 2},
+			StateDir: stageCheckpoint(t, c.ckpt), CheckpointEvery: -1, Resume: true,
+		})
+		err := svc.Start()
+		if err == nil {
+			shutdownSvc(t, svc)
+			t.Errorf("%s: Start resumed it", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "none valid") {
+			t.Errorf("%s: Start error %q, want one naming %q", c.name, err, c.want)
+		}
+	}
+}

@@ -37,12 +37,11 @@ func newDetection(d *core.Detection) *Detection {
 }
 
 // SourcesPayload is the /sources response: per-collector accounting
-// rows (one per observed sFlow agent, scoped by input in multi-source
-// mode) plus per-input supervisor state (empty outside multi-source
-// ingest mode).
+// rows (one per observed sFlow agent, scoped by input) plus per-input
+// supervisor state.
 type SourcesPayload struct {
 	Collectors []SourceStats            `json:"collectors"`
-	Inputs     []ingest.SupervisorStats `json:"inputs,omitempty"`
+	Inputs     []ingest.SupervisorStats `json:"inputs"`
 }
 
 // stageJSON is the /stages row: durations human-readable, mean
@@ -125,11 +124,12 @@ func (s *Service) registerMetrics() {
 	counter := func(name, help string, c metrics.Collector) { s.reg.Register(name, help, metrics.Counter, c) }
 	gauge := func(name, help string, c metrics.Collector) { s.reg.Register(name, help, metrics.Gauge, c) }
 
-	counter("ixpmon_datagrams_received_total", "sFlow datagrams read off the UDP socket.", func(emit metrics.Emit) {
-		emit(float64(s.received.Load()))
+	counter("ixpmon_datagrams_received_total", "sFlow datagrams read from the inputs (before parsing), all inputs.", func(emit metrics.Emit) {
+		emit(float64(s.Received()))
 	})
-	counter("ixpmon_parse_errors_total", "Datagrams that failed sFlow v5 parsing.", func(emit metrics.Emit) {
-		emit(float64(s.parseErrors.Load()))
+	counter("ixpmon_parse_errors_total", "Datagrams that failed sFlow v5 parsing, all inputs.", func(emit metrics.Emit) {
+		_, parseErrors := s.ingestTotals()
+		emit(float64(parseErrors))
 	})
 	counter("ixpmon_datagrams_consumed_total", "Datagrams fully drained into the window.", func(emit metrics.Emit) {
 		emit(float64(s.consumed.Load()))
@@ -139,7 +139,7 @@ func (s *Service) registerMetrics() {
 	})
 
 	// Robustness families: overload state machine, global sheds, resume
-	// accounting, ingest retries, panic isolation, checkpoints.
+	// accounting, panic isolation, checkpoints.
 	gauge("ixpmon_health_state", "Overload state: 0 ok, 1 recovering, 2 degraded.", func(emit metrics.Emit) {
 		emit(float64(s.Health()))
 	})
@@ -155,12 +155,6 @@ func (s *Service) registerMetrics() {
 	counter("ixpmon_replay_skipped_total", "Post-resume datagrams skipped at or below the checkpointed cursor.", func(emit metrics.Emit) {
 		emit(float64(s.replaySkipped.Load()))
 	})
-	counter("ixpmon_read_retries_total", "Transient ingest read errors retried with backoff.", func(emit metrics.Emit) {
-		emit(float64(s.readRetries.Load()))
-	})
-	counter("ixpmon_socket_rebinds_total", "Ingest sockets rebound after dying mid-run.", func(emit metrics.Emit) {
-		emit(float64(s.rebinds.Load()))
-	})
 	counter("ixpmon_consumer_panics_total", "Consumer panics isolated (datagram quarantined, drain continued).", func(emit metrics.Emit) {
 		emit(float64(s.panics.Load()))
 	})
@@ -173,19 +167,13 @@ func (s *Service) registerMetrics() {
 	gauge("ixpmon_checkpoint_bytes", "Size of the newest checkpoint file.", func(emit metrics.Emit) {
 		emit(float64(s.ckptBytes.Load()))
 	})
-	counter("ixpmon_tail_reopens_total", "Tail-log reopens after truncation or rotation.", func(emit metrics.Emit) {
-		emit(float64(s.tailReopens.Load()))
-	})
-	gauge("ixpmon_tail_offset_bytes", "Tail-log byte offset drained into the window.", func(emit metrics.Emit) {
-		emit(float64(s.TailOffset()))
-	})
 
 	// Per-source families share one snapshot-per-scrape walk.
 	perSource := func(f func(st *SourceStats) float64) metrics.Collector {
 		return func(emit metrics.Emit) {
 			for _, st := range s.SourcesSnapshot() {
 				st := st
-				emit(f(&st), "agent", st.Agent, "subagent", fmt.Sprint(st.SubAgent))
+				emit(f(&st), "input", st.Input, "agent", st.Agent, "subagent", fmt.Sprint(st.SubAgent))
 			}
 		}
 	}
@@ -199,8 +187,7 @@ func (s *Service) registerMetrics() {
 	counter("ixpmon_source_rate_changes_total", "Observed sampling-rate switches per collector.", perSource(func(st *SourceStats) float64 { return float64(st.RateChanges) }))
 	gauge("ixpmon_source_agent_drops", "Agent-reported cumulative sample drops (flow-sample drops field).", perSource(func(st *SourceStats) float64 { return float64(st.AgentDrops) }))
 
-	// Per-input supervisor families (multi-source ingest mode only: the
-	// snapshot is empty otherwise, so the families emit no samples).
+	// Per-input supervisor families.
 	perInput := func(f func(st *ingest.SupervisorStats) float64) metrics.Collector {
 		return func(emit metrics.Emit) {
 			for _, st := range s.InputsSnapshot() {

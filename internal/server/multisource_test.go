@@ -204,6 +204,19 @@ func TestMultiSourceMergeGolden(t *testing.T) {
 		}
 	}
 	metricsText := string(getBody(t, svc, "/metrics"))
+	// Three inputs carry the same recorded agent: every series must
+	// still be unique, or a Prometheus scraper rejects the whole page.
+	series := make(map[string]bool)
+	for _, line := range strings.Split(metricsText, "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name := line[:strings.LastIndexByte(line, ' ')]
+		if series[name] {
+			t.Errorf("/metrics repeats series %s", name)
+		}
+		series[name] = true
+	}
 	for _, family := range []string{"ixpmon_input_state", "ixpmon_input_emitted_total", "ixpmon_input_restarts_total"} {
 		if !strings.Contains(metricsText, "# TYPE "+family+" ") {
 			t.Errorf("/metrics missing family %s", family)
@@ -473,19 +486,7 @@ func TestMultiSourceResumeRoundTrip(t *testing.T) {
 		}
 	}
 	agent := [4]byte{203, 0, 113, 5}
-	dialInput := func(svc *Service) net.Conn {
-		var addr string
-		waitUntil(t, "udp source bound", func() bool {
-			addr = svc.Ingest().Addr(udpSpec.ID)
-			return addr != ""
-		})
-		conn, err := net.Dial("udp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { conn.Close() })
-		return conn
-	}
+	dialInput := func(svc *Service) net.Conn { return dialService(t, svc) }
 
 	// Run 1: drain both replay files, take 30 UDP datagrams, shut down
 	// (the shutdown checkpoint carries all three inputs' cursors).
@@ -560,8 +561,8 @@ func TestMultiSourceResumeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTailRotateCheckpointResume: the single-input tail mode survives
-// log rotation concurrent with checkpointing. After a rotation the
+// TestTailRotateCheckpointResume: a sole tail: input (what -tail
+// configures) survives log rotation concurrent with checkpointing. After a rotation the
 // consumed offset must track the new file's (smaller) offset space —
 // not keep the dead file's larger one — so a resume seeks the right
 // place; and entries appended after the restart are consumed even when
@@ -594,10 +595,11 @@ func TestTailRotateCheckpointResume(t *testing.T) {
 	writeLog(logPath, 1, start, 40)
 	svcCfg := func(resume bool) Config {
 		return Config{
-			TailLog: logPath, Window: WindowConfig{Days: 2},
+			Inputs: tailInput(t, logPath), Window: WindowConfig{Days: 2},
 			StateDir: stateDir, CheckpointEvery: 25 * time.Millisecond, Resume: resume,
 		}
 	}
+	tailID := "tail:" + logPath
 	svc1 := startService(t, svcCfg(false))
 	waitUntil(t, "initial file consumed", func() bool { return svc1.Consumed() == 40 })
 
@@ -610,13 +612,13 @@ func TestTailRotateCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, "rotated file consumed", func() bool {
-		return svc1.Consumed() == 70 && svc1.TailReopens() == 1
+		return svc1.Consumed() == 70 && svc1.InputsSnapshot()[0].Epoch == 1
 	})
 	fi, err := os.Stat(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off := svc1.TailOffset(); off != fi.Size() {
+	if off := svc1.InputCursor(tailID); off != fi.Size() {
 		t.Fatalf("tail offset after rotation = %d, want the new file's %d (stale pre-rotation cursor)", off, fi.Size())
 	}
 	shutdownService(t, svc1)
@@ -639,7 +641,7 @@ func TestTailRotateCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "tail offset at end of file", func() bool { return svc2.TailOffset() == fi.Size() })
+	waitUntil(t, "tail offset at end of file", func() bool { return svc2.InputCursor(tailID) == fi.Size() })
 	shutdownService(t, svc2)
 	if got := frames(svc2); got != 90 {
 		t.Errorf("samples processed = %d, want exactly 90 across rotation and resume", got)

@@ -132,7 +132,7 @@ func TestServiceCrashRecovery(t *testing.T) {
 	wcfg := WindowConfig{Days: 2, ListSize: listN, Refresh: simclock.Hour}
 
 	// Uninterrupted reference run.
-	ref := startService(t, Config{TimeFromUptime: true, Window: wcfg})
+	ref := startService(t, Config{Inputs: udpInput(t), TimeFromUptime: true, Window: wcfg})
 	sendPaced(t, ref, dialService(t, ref), dgs)
 	shutdownSvc(t, ref)
 	wantDets, wantSamples := finalState(ref)
@@ -145,6 +145,7 @@ func TestServiceCrashRecovery(t *testing.T) {
 	cut := len(dgs) * 2 / 3
 	const overlap = 32
 	base := Config{
+		Inputs:         udpInput(t),
 		TimeFromUptime: true, Window: wcfg,
 		StateDir: dir, CheckpointEvery: -1,
 	}
@@ -225,6 +226,7 @@ func TestShutdownDrainsBacklog(t *testing.T) {
 		dgs = dgs[:48]
 	}
 	svc := NewService(Config{
+		Inputs:         udpInput(t),
 		TimeFromUptime: true,
 		Window:         WindowConfig{Days: 2},
 		QueueLen:       64, PerSourceQueue: 64,
@@ -239,7 +241,9 @@ func TestShutdownDrainsBacklog(t *testing.T) {
 			t.Fatalf("sending datagram %d: %v", i, err)
 		}
 	}
-	waitUntil(t, "backlog received", func() bool { return svc.Received() == uint64(len(dgs)) })
+	waitUntil(t, "backlog received", func() bool {
+		return svc.Received() == uint64(len(dgs)) && accounted(svc) == uint64(len(dgs))
+	})
 	if got := svc.Consumed(); got != 0 {
 		t.Fatalf("consumer ran %d datagrams past a closed gate", got)
 	}
@@ -275,12 +279,12 @@ func TestShutdownDrainsBacklog(t *testing.T) {
 }
 
 // TestSocketRebind: when the ingest socket dies under the reader (not
-// a shutdown), the reader rebinds to the same address and keeps
-// ingesting.
+// a shutdown), the input's supervisor restarts it once, rebinding the
+// same address, and it keeps ingesting.
 func TestSocketRebind(t *testing.T) {
 	var mu sync.Mutex
 	var conns []net.PacketConn
-	cfg := Config{Window: WindowConfig{Days: 2}}
+	cfg := Config{Inputs: udpInput(t), Window: WindowConfig{Days: 2}}
 	cfg.ListenPacket = func(addr string) (net.PacketConn, error) {
 		c, err := net.ListenPacket("udp", addr)
 		if err == nil {
@@ -302,7 +306,7 @@ func TestSocketRebind(t *testing.T) {
 	first := conns[0]
 	mu.Unlock()
 	first.Close() // the socket dies out from under the reader
-	waitUntil(t, "socket rebound", func() bool { return svc.rebinds.Load() == 1 })
+	waitUntil(t, "socket rebound", func() bool { return svc.InputsSnapshot()[0].Restarts == 1 })
 
 	// The rebound socket serves the same address; sends may race the
 	// rebind, so retry until one lands.
@@ -318,6 +322,7 @@ func TestSocketRebind(t *testing.T) {
 func TestConsumerPanicQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	svc := NewService(Config{
+		Inputs:   udpInput(t),
 		Window:   WindowConfig{Days: 2},
 		StateDir: dir, CheckpointEvery: -1,
 	})
@@ -345,9 +350,9 @@ func TestConsumerPanicQuarantine(t *testing.T) {
 	if len(poisons) != 1 {
 		t.Fatalf("poison files = %v, want exactly 1", poisons)
 	}
-	// Single-input modes slug their source ID as "main" in the name.
-	if base := filepath.Base(poisons[0]); !strings.HasPrefix(base, "poison-main-") {
-		t.Errorf("poison file name = %q, want poison-main-* (source-scoped)", base)
+	// The name carries the input the datagram arrived through.
+	if base := filepath.Base(poisons[0]); !strings.HasPrefix(base, "poison-udp___127.0.0.1_0-") {
+		t.Errorf("poison file name = %q, want poison-udp___127.0.0.1_0-* (source-scoped)", base)
 	}
 	raw, err := os.ReadFile(poisons[0])
 	if err != nil {
@@ -380,6 +385,7 @@ func TestConsumerPanicQuarantine(t *testing.T) {
 func TestCheckpointCorruptFallback(t *testing.T) {
 	dir := t.TempDir()
 	base := Config{
+		Inputs:   udpInput(t),
 		Window:   WindowConfig{Days: 2},
 		StateDir: dir, CheckpointEvery: -1,
 	}
@@ -427,7 +433,7 @@ func TestCheckpointCorruptFallback(t *testing.T) {
 		t.Fatalf("resumed from %q, want fallback to %q", got, p1)
 	}
 	svc2.smu.Lock()
-	src := svc2.sources[sourceKey{agent: [4]byte{198, 51, 100, 9}, subAgent: 1}]
+	src := svc2.sources[sourceKey{src: base.Inputs[0].ID, agent: [4]byte{198, 51, 100, 9}, subAgent: 1}]
 	svc2.smu.Unlock()
 	if src == nil || src.cursor != 8 || !src.resuming || src.resumeSeq != 8 {
 		t.Fatalf("restored source = %+v, want cursor 8 with the replay barrier armed", src)
@@ -464,6 +470,7 @@ func TestCheckpointCorruptFallback(t *testing.T) {
 func TestCheckpointRetention(t *testing.T) {
 	dir := t.TempDir()
 	svc := startService(t, Config{
+		Inputs:   udpInput(t),
 		Window:   WindowConfig{Days: 2},
 		StateDir: dir, CheckpointEvery: -1, CheckpointRetain: 2,
 	})
@@ -563,12 +570,13 @@ func TestTailServiceResume(t *testing.T) {
 	}
 	wcfg := WindowConfig{Days: 2, ListSize: 29, Refresh: simclock.Hour}
 	base := Config{
-		Window: wcfg, TailLog: feed,
+		Window: wcfg, Inputs: tailInput(t, feed),
 		StateDir: dir, CheckpointEvery: -1,
 	}
+	feedID := base.Inputs[0].ID
 	svc1 := startService(t, base)
 	waitUntil(t, "truncated log drained", func() bool {
-		return svc1.Consumed() == uint64(k) && svc1.TailOffset() == cut
+		return svc1.Consumed() == uint64(k) && svc1.InputCursor(feedID) == cut
 	})
 	shutdownSvc(t, svc1)
 
@@ -588,7 +596,7 @@ func TestTailServiceResume(t *testing.T) {
 		t.Fatal("resumed tail service loaded no checkpoint")
 	}
 	waitUntil(t, "appended log drained", func() bool {
-		return svc2.Consumed() == uint64(total) && svc2.TailOffset() == int64(len(logBytes))
+		return svc2.Consumed() == uint64(total) && svc2.InputCursor(feedID) == int64(len(logBytes))
 	})
 	if got := svc2.ReplaySkipped(); got != 0 {
 		t.Errorf("offset resume replay-skipped %d entries; it should re-read nothing", got)
@@ -597,7 +605,7 @@ func TestTailServiceResume(t *testing.T) {
 	gotDets, gotSamples := finalState(svc2)
 
 	// Uninterrupted reference: one service tails the complete log.
-	ref := startService(t, Config{Window: wcfg, TailLog: full})
+	ref := startService(t, Config{Window: wcfg, Inputs: tailInput(t, full)})
 	waitUntil(t, "reference log drained", func() bool { return ref.Consumed() == uint64(total) })
 	shutdownSvc(t, ref)
 	wantDets, wantSamples := finalState(ref)

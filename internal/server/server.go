@@ -1,33 +1,36 @@
 // Package server is the live multi-collector service mode: an
-// always-on daemon that ingests sFlow v5 datagrams over UDP from many
-// concurrent collectors, sanitizes their samples through the same
+// always-on daemon that ingests sFlow v5 datagrams from the configured
+// inputs (UDP listeners, tailed or replayed datagram logs, pcap,
+// synthetic fill), sanitizes their samples through the same
 // capture-point pipeline the batch study uses, folds them into a
 // sliding-window incremental aggregate (window-expired client-days
 // evicted in place, arena slots recycled), and serves results and
 // operational state over HTTP.
 //
-// Layering: internal/sflow parses datagrams, internal/ixp sanitizes
-// frames into DNS samples, internal/core aggregates and detects;
-// this package adds what a daemon needs on top — per-source
-// sequence/drop accounting (sources.go), the sliding window
-// (window.go), stage timings (stages.go), datagram replay over UDP
-// (replay.go), crash-safe checkpoint/resume (checkpoint.go), tiered
-// overload response (health.go), tail-log ingest (tail.go), and the
-// Service that wires a UDP reader, a consumer, and an HTTP control
-// surface together (this file, http.go).
+// Layering: internal/ingest reads, parses, and supervises every input
+// and merges them into one stream; internal/ixp sanitizes frames into
+// DNS samples, internal/core aggregates and detects; this package adds
+// what a daemon needs on top — per-source sequence/drop accounting
+// (sources.go), the sliding window (window.go), stage timings
+// (stages.go), datagram replay over UDP (replay.go), crash-safe
+// checkpoint/resume (checkpoint.go), tiered overload response
+// (health.go), and the Service that wires the ingest scheduler, a
+// consumer, and an HTTP control surface together (this file, http.go).
 //
-// Concurrency model: one producer goroutine owns ingest — reading the
-// UDP socket (or tailing a datagram log), parsing, accounting each
-// datagram to its (agent, sub-agent) source row, and enqueuing on a
-// single bounded queue — and one consumer goroutine drains the queue
-// into the window. Backpressure is tiered: per source first (a stalled
-// or flooding collector sheds only its own traffic), then global
+// Concurrency model: one producer goroutine (schedLoop) is the only
+// writer of source rows and the only admitter to the single bounded
+// queue — it drains the scheduler's merged stream, accounts each
+// datagram to its (input, agent, sub-agent) row, and enqueues or
+// sheds it — and one consumer goroutine drains the queue into the
+// window. Backpressure is tiered: per source first (a stalled or
+// flooding collector sheds only its own traffic), then global
 // sampling-down and detection-only shedding when the shared queue
-// fills (health.go). The producer survives transient socket errors
-// with capped backoff and rebinds a dead socket; a consumer panic
-// quarantines the offending datagram to a poison file instead of
-// killing the drain. HTTP handlers take read snapshots under the same
-// locks, so scrapes never block the hot path for long.
+// fills (health.go); durable inputs are flow-controlled instead of
+// shed. Read errors, dead sockets, and rotated logs are the ingest
+// supervisors' job; a consumer panic quarantines the offending
+// datagram to a poison file instead of killing the drain. HTTP
+// handlers take read snapshots under the same locks, so scrapes never
+// block the hot path for long.
 package server
 
 import (
@@ -54,8 +57,6 @@ import (
 // Config configures a Service. Zero fields take the documented
 // defaults.
 type Config struct {
-	// UDPAddr is the sFlow listen address (default "127.0.0.1:0").
-	UDPAddr string
 	// HTTPAddr is the control-surface listen address (default
 	// "127.0.0.1:0").
 	HTTPAddr string
@@ -76,9 +77,6 @@ type Config struct {
 	// pending has new ones dropped and counted against it.
 	QueueLen       int
 	PerSourceQueue int
-	// ReadBuffer is the requested kernel receive buffer size in bytes
-	// (default 1 MiB; best-effort).
-	ReadBuffer int
 
 	// StateDir, when set, enables crash-safe state: periodic checkpoints
 	// (and a final one at shutdown) are written there atomically, and
@@ -95,47 +93,36 @@ type Config struct {
 	// checkpointed cursor are skipped, not double-counted.
 	Resume bool
 
-	// TailLog, when set, replaces UDP ingest with tailing the given
-	// sFlow datagram log (the LogWriter format): entries are consumed as
-	// they are appended, rotation and truncation are survived, and the
-	// consumed byte offset rides in checkpoints so Resume continues from
-	// the right entry.
-	TailLog string
-
-	// Inputs, when non-empty, replaces the single-input modes with
-	// supervised multi-source ingest: every configured source (UDP
-	// listeners, tailed logs, replay files, pcap captures, synthetic
-	// fill) runs under its own supervisor in internal/ingest and feeds
-	// the shared queue in the order Policy picks. Mutually exclusive
-	// with UDPAddr/TailLog single-input operation; per-input resume
-	// cursors ride in checkpoints keyed by the stable Spec ID.
+	// Inputs are the ingest sources; at least one is required. Every
+	// configured source (UDP listeners, tailed logs, replay files, pcap
+	// captures, synthetic fill) runs under its own supervisor in
+	// internal/ingest and feeds the shared queue in the order Policy
+	// picks; per-input resume cursors ride in checkpoints keyed by the
+	// stable Spec ID.
 	Inputs []ingest.Spec
 	// Policy is the ingest scheduling policy (ingest.PolicyRoundRobin,
 	// ingest.PolicyBacklog, or ingest.PolicyArrival; default
-	// round-robin). Only meaningful with Inputs.
+	// round-robin).
 	Policy string
 	// IngestTuning overrides the supervision knobs (buffer depth,
 	// restart backoff, stall deadline, quarantine threshold). Zero
 	// fields take the ingest defaults.
 	IngestTuning ingest.Tuning
 
-	// ListenPacket, when set, binds the ingest socket (initially and on
-	// rebind) instead of net.ListenUDP — the fault-injection seam. With
-	// Inputs it also binds every UDP source's socket.
+	// ListenPacket, when set, binds every UDP source's socket (initially
+	// and on rebind) instead of net.ListenPacket — the fault-injection
+	// seam.
 	ListenPacket func(addr string) (net.PacketConn, error)
 	// WrapReader, when set, wraps every file-backed ingest stream — the
-	// stream-fault seam (faults.Injector.Reader). Only used with Inputs.
+	// stream-fault seam (faults.Injector.Reader).
 	WrapReader func(id string, r io.Reader) io.Reader
 	// IngestFaultPanic, when set, panics per-source datagram delivery on
 	// matching datagrams — the test hook for ingest-level panic
-	// containment. Only used with Inputs.
+	// containment.
 	IngestFaultPanic func(id string, dg *sflow.Datagram) bool
 }
 
 func (c Config) withDefaults() Config {
-	if c.UDPAddr == "" {
-		c.UDPAddr = "127.0.0.1:0"
-	}
 	if c.HTTPAddr == "" {
 		c.HTTPAddr = "127.0.0.1:0"
 	}
@@ -148,9 +135,6 @@ func (c Config) withDefaults() Config {
 			c.PerSourceQueue = 1
 		}
 	}
-	if c.ReadBuffer <= 0 {
-		c.ReadBuffer = 1 << 20
-	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = time.Minute
 	}
@@ -160,20 +144,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Ingest retry/backoff bounds (transient read errors, socket rebinds,
-// tail-log polls).
-const (
-	readBackoffMin = 50 * time.Millisecond
-	readBackoffMax = 5 * time.Second
-	tailBackoffMin = 20 * time.Millisecond
-	tailBackoffMax = 500 * time.Millisecond
-)
-
 // item is one parsed datagram in flight from producer to consumer. off
-// is the durable-input cursor just past its entry (a tail-log byte
-// offset or an ingest count cursor; 0 on UDP paths), and epoch tells
-// the consumer when cursors stopped being comparable (a tailed file
-// was reopened after rotation/truncation, or the source restarted).
+// is the durable-input cursor just past its entry (a byte offset or a
+// deterministic count; 0 for UDP), and epoch tells the consumer when
+// cursors stopped being comparable (a tailed file was reopened after
+// rotation/truncation, or the source restarted).
 type item struct {
 	src   *sourceState
 	dg    *sflow.Datagram
@@ -200,13 +175,11 @@ type Service struct {
 
 	// mu serializes window access (consumer vs HTTP snapshots vs
 	// checkpointer); it also guards the consumer-side resume cursors
-	// (sourceState.cursor, tailOffConsumed, inputCursors) so
-	// checkpoints are exact (window, cursor) pairs.
-	mu                sync.Mutex
-	win               *Window
-	tailOffConsumed   int64
-	tailEpochConsumed uint64
-	inputCursors      map[string]srcCursor
+	// (sourceState.cursor, inputCursors) so checkpoints are exact
+	// (window, cursor) pairs.
+	mu           sync.Mutex
+	win          *Window
+	inputCursors map[string]srcCursor
 
 	// smu guards the source registry; row fields other than pending and
 	// cursor are written only by the producer under it.
@@ -215,13 +188,9 @@ type Service struct {
 
 	queue chan item
 
-	// cmu guards conn, which the producer may swap on rebind.
-	cmu  sync.Mutex
-	conn net.PacketConn
-
-	// sched drives multi-source ingest (nil in the single-input modes);
-	// schedResume carries per-input cursors from a restored checkpoint
-	// into its construction.
+	// sched drives ingest (nil until Start); schedResume carries
+	// per-input cursors from a restored checkpoint into its
+	// construction.
 	sched       *ingest.Scheduler
 	schedResume map[string]int64
 
@@ -239,11 +208,9 @@ type Service struct {
 
 	health health
 
-	// Checkpoint/resume state: write sequence, resume source, tail
-	// resume offset (set by decodeCheckpoint before Start).
-	ckptSeq      uint64
-	resumedFrom  string
-	tailResumeAt int64
+	// Checkpoint/resume state: write sequence and resume source.
+	ckptSeq     uint64
+	resumedFrom string
 
 	// sampleTick drives tier-2 1-in-2 sampling; producer-owned.
 	sampleTick uint64
@@ -255,19 +222,19 @@ type Service struct {
 	// datagrams — the test hook for the panic-isolation path.
 	faultPanic func(*sflow.Datagram) bool
 
-	received      atomic.Uint64 // datagrams read off the socket / log
-	parseErrors   atomic.Uint64
+	// receivedBase/parseErrorsBase are the totals a restored checkpoint
+	// carried; this process's reads are counted per input by the
+	// scheduler (ingestTotals adds the two).
+	receivedBase, parseErrorsBase uint64
+
 	consumed      atomic.Uint64 // datagrams drained into the window
 	queueDrops    atomic.Uint64 // per-source backpressure, across sources
 	replaySkipped atomic.Uint64 // resume-barrier skips, across sources
-	readRetries   atomic.Uint64 // transient ReadFrom errors retried
-	rebinds       atomic.Uint64 // successful socket rebinds
 	panics        atomic.Uint64 // consumer panics isolated
 	poisoned      atomic.Uint64 // datagrams quarantined to poison files
 	ckpts         atomic.Uint64 // checkpoints written
 	ckptErrors    atomic.Uint64 // checkpoint attempts failed
 	ckptBytes     atomic.Uint64 // size of the newest checkpoint
-	tailReopens   atomic.Uint64 // tail-log truncation/rotation reopens
 }
 
 // NewService builds an unstarted service.
@@ -290,32 +257,12 @@ func NewService(cfg Config) *Service {
 	return s
 }
 
-// listenPacket binds the ingest socket at addr, through the configured
-// seam when one is set.
-func (s *Service) listenPacket(addr string) (net.PacketConn, error) {
-	if s.cfg.ListenPacket != nil {
-		return s.cfg.ListenPacket(addr)
-	}
-	uaddr, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("server: resolving UDP addr: %w", err)
-	}
-	conn, err := net.ListenUDP("udp", uaddr)
-	if err != nil {
-		return nil, err
-	}
-	_ = conn.SetReadBuffer(s.cfg.ReadBuffer) // best-effort
-	return conn, nil
-}
-
-// Start binds the listeners, restores a checkpoint when resuming, and
+// Start restores a checkpoint when resuming, binds the listeners (every
+// UDP input's socket included: one that cannot bind fails Start), and
 // launches the producer, consumer, checkpointer, and HTTP goroutines.
 func (s *Service) Start() error {
 	if s.started {
 		return errors.New("server: already started")
-	}
-	if len(s.cfg.Inputs) > 0 && s.cfg.TailLog != "" {
-		return errors.New("server: Inputs and TailLog are mutually exclusive")
 	}
 	if s.cfg.StateDir != "" {
 		if err := os.MkdirAll(s.cfg.StateDir, 0o755); err != nil {
@@ -329,52 +276,37 @@ func (s *Service) Start() error {
 			s.ckptSeq = nextCkptSeq(listCheckpoints(s.cfg.StateDir))
 		}
 	}
-	switch {
-	case len(s.cfg.Inputs) > 0:
-		sched, err := ingest.New(ingest.Config{
-			Specs:          s.cfg.Inputs,
-			Policy:         s.cfg.Policy,
-			Cursors:        s.schedResume,
-			TimeFromUptime: s.cfg.TimeFromUptime,
-			Tuning:         s.cfg.IngestTuning,
-			ListenPacket:   s.cfg.ListenPacket,
-			WrapReader:     s.cfg.WrapReader,
-			FaultPanic:     s.cfg.IngestFaultPanic,
-			Poison: func(id string, dg *sflow.Datagram, cause any) {
-				s.panics.Add(1)
-				s.quarantine(id, dg, cause)
-			},
-		})
-		if err != nil {
-			return fmt.Errorf("server: configuring ingest: %w", err)
-		}
-		s.sched = sched
-	case s.cfg.TailLog == "":
-		conn, err := s.listenPacket(s.cfg.UDPAddr)
-		if err != nil {
-			return fmt.Errorf("server: listening UDP: %w", err)
-		}
-		s.conn = conn
+	sched, err := ingest.New(ingest.Config{
+		Specs:          s.cfg.Inputs,
+		Policy:         s.cfg.Policy,
+		Cursors:        s.schedResume,
+		TimeFromUptime: s.cfg.TimeFromUptime,
+		Tuning:         s.cfg.IngestTuning,
+		ListenPacket:   s.cfg.ListenPacket,
+		WrapReader:     s.cfg.WrapReader,
+		FaultPanic:     s.cfg.IngestFaultPanic,
+		Poison: func(id string, dg *sflow.Datagram, cause any) {
+			s.panics.Add(1)
+			s.quarantine(id, dg, cause)
+		},
+		Stage: s.stages.Add,
+	})
+	if err != nil {
+		return fmt.Errorf("server: configuring ingest: %w", err)
 	}
 	ln, err := net.Listen("tcp", s.cfg.HTTPAddr)
 	if err != nil {
-		if s.conn != nil {
-			s.conn.Close()
-		}
 		return fmt.Errorf("server: listening HTTP: %w", err)
 	}
+	if err := sched.Start(); err != nil {
+		ln.Close()
+		return fmt.Errorf("server: starting ingest: %w", err)
+	}
+	s.sched = sched
 	s.httpLn = ln
 	s.httpSrv = &http.Server{Handler: s.handler()}
 	s.started = true
-	switch {
-	case s.sched != nil:
-		s.sched.Start()
-		go s.schedLoop()
-	case s.cfg.TailLog == "":
-		go s.readLoop()
-	default:
-		go s.tailLoop()
-	}
+	go s.schedLoop()
 	go s.consumeLoop()
 	go s.httpSrv.Serve(ln) //nolint:errcheck // ErrServerClosed on shutdown
 	if s.cfg.StateDir != "" && s.cfg.CheckpointEvery > 0 {
@@ -385,41 +317,23 @@ func (s *Service) Start() error {
 	return nil
 }
 
-// Addr returns the bound UDP listen address (after Start; nil in
-// tail-log mode).
-func (s *Service) Addr() net.Addr {
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	if s.conn == nil {
-		return nil
-	}
-	return s.conn.LocalAddr()
-}
-
 // HTTPAddr returns the bound HTTP listen address (after Start).
 func (s *Service) HTTPAddr() net.Addr { return s.httpLn.Addr() }
 
-// Shutdown stops the service in dependency order: close the socket so
-// the producer exits and closes the queue, wait for the consumer to
-// drain everything already accepted, write the final checkpoint (the
-// drained, pre-finalize state a resumed service continues from),
-// finalize the window (detecting over the day in progress), then stop
-// the HTTP server — so a final scrape after the data path stops still
-// sees the complete state.
+// Shutdown stops the service in dependency order: stop the ingest
+// scheduler so the producer exits and closes the queue, wait for the
+// consumer to drain everything already accepted, write the final
+// checkpoint (the drained, pre-finalize state a resumed service
+// continues from), finalize the window (detecting over the day in
+// progress), then stop the HTTP server — so a final scrape after the
+// data path stops still sees the complete state.
 func (s *Service) Shutdown(ctx context.Context) error {
 	if !s.started {
 		return nil
 	}
 	s.shutdownOnce.Do(func() {
 		s.closing.Store(true)
-		s.cmu.Lock()
-		if s.conn != nil {
-			s.conn.Close()
-		}
-		s.cmu.Unlock()
-		if s.sched != nil {
-			s.sched.Stop()
-		}
+		s.sched.Stop()
 		<-s.readerDone
 		<-s.consumerDone
 		close(s.ckptStop)
@@ -440,105 +354,17 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	return s.shutdownErr
 }
 
-// currentConn fetches the producer's socket (it may have been swapped
-// by a rebind).
-func (s *Service) currentConn() net.PacketConn {
-	s.cmu.Lock()
-	defer s.cmu.Unlock()
-	return s.conn
-}
-
-// rebind replaces a dead socket with a fresh one bound to the same
-// address, retrying with capped backoff until shutdown. Reports
-// whether a new socket is in place.
-func (s *Service) rebind() bool {
-	old := s.currentConn()
-	if old == nil {
-		return false
-	}
-	addr := old.LocalAddr().String()
-	backoff := readBackoffMin
-	for !s.closing.Load() {
-		conn, err := s.listenPacket(addr)
-		if err == nil {
-			s.cmu.Lock()
-			if s.closing.Load() {
-				s.cmu.Unlock()
-				conn.Close()
-				return false
-			}
-			s.conn = conn
-			s.cmu.Unlock()
-			s.rebinds.Add(1)
-			return true
-		}
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > readBackoffMax {
-			backoff = readBackoffMax
-		}
-	}
-	return false
-}
-
-// readLoop owns the socket: read, parse, account, enqueue-or-shed.
-// Transient read errors are retried with capped backoff; a closed
-// socket (when not shutting down) is rebound.
-func (s *Service) readLoop() {
-	defer close(s.readerDone)
-	defer close(s.queue)
-	buf := make([]byte, 1<<16)
-	backoff := readBackoffMin
-	for {
-		conn := s.currentConn()
-		n, _, err := conn.ReadFrom(buf)
-		if err != nil {
-			if s.closing.Load() {
-				return
-			}
-			if errors.Is(err, net.ErrClosed) {
-				// The socket died under us (not Shutdown): rebind it.
-				if !s.rebind() {
-					return
-				}
-				continue
-			}
-			s.readRetries.Add(1)
-			time.Sleep(backoff)
-			if backoff *= 2; backoff > readBackoffMax {
-				backoff = readBackoffMax
-			}
-			continue
-		}
-		backoff = readBackoffMin
-		s.received.Add(1)
-		stop := s.stages.Track("parse")
-		dg, perr := sflow.ParseDatagram(buf[:n])
-		stop()
-		if perr != nil {
-			s.parseErrors.Add(1)
-			continue
-		}
-		var at simclock.Time
-		if s.cfg.TimeFromUptime {
-			at = simclock.Time(dg.Uptime)
-		} else {
-			at = simclock.Time(time.Now().Unix())
-		}
-		s.enqueueParsed("", dg, at)
-	}
-}
-
-// schedLoop is the producer in multi-source ingest mode: it drains the
-// scheduler's merged stream into the shared queue. Items from durable
-// sources are flow-controlled (never shed — their cursors make loss
-// unnecessary); UDP items go through the regular shed tiers. The
-// scheduler already parsed, timestamped, and per-source-buffered
-// everything, so this loop is just accounting plus queue admission.
+// schedLoop is the producer: it drains the scheduler's merged stream
+// into the shared queue, the only writer of source rows and the only
+// queue admission. Items from durable sources are flow-controlled
+// (never shed — their cursors make loss unnecessary); UDP items go
+// through the regular shed tiers. The scheduler already read, counted,
+// parsed, timestamped, and per-source-buffered everything, so this
+// loop is just accounting plus queue admission.
 func (s *Service) schedLoop() {
 	defer close(s.readerDone)
 	defer close(s.queue)
 	for it := range s.sched.Items() {
-		s.received.Add(1)
 		if it.Durable {
 			if !s.enqueueDurable(it.SourceID, it.Dg, it.At, it.Cursor, it.Epoch) {
 				return
@@ -551,9 +377,8 @@ func (s *Service) schedLoop() {
 
 // accountLocked runs the resume barrier and per-source accounting for
 // one parsed datagram, creating the source row on first sight. sid
-// scopes the row to the configured ingest input it arrived through
-// ("" in the single-input modes). Returns nil when the replay barrier
-// skipped the datagram. Producer-goroutine only; caller holds smu.
+// scopes the row to the configured ingest input it arrived through.
+// Returns nil when the replay barrier skipped the datagram. Producer-goroutine only; caller holds smu.
 func (s *Service) accountLocked(sid string, dg *sflow.Datagram, at simclock.Time, durable bool) *sourceState {
 	key := sourceKey{src: sid, agent: dg.Agent, subAgent: dg.SubAgent}
 	src := s.sources[key]
@@ -723,13 +548,10 @@ func (s *Service) consumeOne(it item) {
 		it.src.cursor = it.dg.Seq
 	}
 	if it.off > 0 {
-		if sid := it.src.key.src; sid != "" {
-			c := s.inputCursors[sid]
-			if it.epoch > c.epoch || (it.epoch == c.epoch && it.off > c.off) {
-				s.inputCursors[sid] = srcCursor{epoch: it.epoch, off: it.off}
-			}
-		} else if it.epoch > s.tailEpochConsumed || (it.epoch == s.tailEpochConsumed && it.off > s.tailOffConsumed) {
-			s.tailEpochConsumed, s.tailOffConsumed = it.epoch, it.off
+		sid := it.src.key.src
+		c := s.inputCursors[sid]
+		if it.epoch > c.epoch || (it.epoch == c.epoch && it.off > c.off) {
+			s.inputCursors[sid] = srcCursor{epoch: it.epoch, off: it.off}
 		}
 	}
 }
@@ -752,11 +574,8 @@ func (s *Service) quarantine(sid string, dg *sflow.Datagram, cause any) {
 }
 
 // sourceSlug renders an ingest source ID as a filesystem-safe name
-// fragment. The single-input modes ("" ID) slug as "main".
+// fragment.
 func sourceSlug(sid string) string {
-	if sid == "" {
-		return "main"
-	}
 	slug := strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '.':
@@ -771,8 +590,24 @@ func sourceSlug(sid string) string {
 	return slug
 }
 
-// Received reports datagrams read off the socket so far.
-func (s *Service) Received() uint64 { return s.received.Load() }
+// ingestTotals reports datagrams read (before parsing) and parse
+// failures, summed over inputs, on top of what a restored checkpoint
+// carried.
+func (s *Service) ingestTotals() (received, parseErrors uint64) {
+	received, parseErrors = s.receivedBase, s.parseErrorsBase
+	if s.sched != nil {
+		r, p := s.sched.Totals()
+		received, parseErrors = received+r, parseErrors+p
+	}
+	return received, parseErrors
+}
+
+// Received reports datagrams read from the inputs so far, whether or
+// not they parsed.
+func (s *Service) Received() uint64 {
+	received, _ := s.ingestTotals()
+	return received
+}
 
 // Consumed reports datagrams fully drained into the window so far.
 // Tests pace senders against it: once Consumed matches what was sent,
@@ -837,18 +672,13 @@ func (s *Service) SourcesSnapshot() []SourceStats {
 }
 
 // InputsSnapshot returns per-input supervisor rows in configuration
-// order (nil outside multi-source ingest mode).
+// order (nil before Start). A UDP row carries its bound address.
 func (s *Service) InputsSnapshot() []ingest.SupervisorStats {
 	if s.sched == nil {
 		return nil
 	}
 	return s.sched.Snapshot()
 }
-
-// Ingest exposes the multi-source scheduler (nil in the single-input
-// modes) — bound UDP addresses and supervisor state for tests and the
-// CLI.
-func (s *Service) Ingest() *ingest.Scheduler { return s.sched }
 
 // InputCursor reports the consumed resume cursor of one configured
 // ingest input (0 before anything of it was consumed).

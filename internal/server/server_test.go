@@ -15,6 +15,7 @@ import (
 
 	"dnsamp/internal/core"
 	"dnsamp/internal/ecosystem"
+	"dnsamp/internal/ingest"
 	"dnsamp/internal/ixp"
 	"dnsamp/internal/sflow"
 	"dnsamp/internal/simclock"
@@ -51,14 +52,65 @@ func startService(t *testing.T, cfg Config) *Service {
 	return svc
 }
 
+// mustSpec parses an ingest source spec.
+func mustSpec(t testing.TB, spec string) ingest.Spec {
+	t.Helper()
+	sp, err := ingest.ParseSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp
+}
+
+// udpInput is what `ixpmon -serve -listen 127.0.0.1:0` configures: one
+// UDP listener on an ephemeral loopback port.
+func udpInput(t testing.TB) []ingest.Spec {
+	return []ingest.Spec{mustSpec(t, "udp://127.0.0.1:0")}
+}
+
+// tailInput is what `ixpmon -serve -tail PATH` configures.
+func tailInput(t testing.TB, path string) []ingest.Spec {
+	return []ingest.Spec{mustSpec(t, "tail:"+path)}
+}
+
+// udpAddr reads the service's first UDP input's bound address off its
+// input row, where Start has put it by the time it returns.
+func udpAddr(t *testing.T, svc *Service) *net.UDPAddr {
+	t.Helper()
+	for _, in := range svc.InputsSnapshot() {
+		if in.Kind == string(ingest.KindUDP) {
+			addr, err := net.ResolveUDPAddr("udp", in.Addr)
+			if err != nil {
+				t.Fatalf("input %s bound address %q: %v", in.ID, in.Addr, err)
+			}
+			return addr
+		}
+	}
+	t.Fatal("service has no UDP input")
+	return nil
+}
+
 func dialService(t *testing.T, svc *Service) *net.UDPConn {
 	t.Helper()
-	conn, err := net.DialUDP("udp", nil, svc.Addr().(*net.UDPAddr))
+	conn, err := net.DialUDP("udp", nil, udpAddr(t, svc))
 	if err != nil {
 		t.Fatalf("dialing service: %v", err)
 	}
 	t.Cleanup(func() { conn.Close() })
 	return conn
+}
+
+// accounted reports how many datagrams the producer has finished with:
+// each one either failed parsing at its input or reached a collector
+// row (and from there the queue, a shed counter, or the replay
+// barrier). Received counts reads at the inputs, a step earlier, so a
+// test that inspects rows right after sending waits on this.
+func accounted(svc *Service) uint64 {
+	n := parseErrors(svc)
+	for _, row := range svc.SourcesSnapshot() {
+		n += row.Datagrams + row.ReplaySkipped
+	}
+	return n
 }
 
 // wireRecs generates a deterministic multi-day campaign's sampled IXP
@@ -184,6 +236,7 @@ func TestServiceGoldenReplay(t *testing.T) {
 	// slot recycling run during the replay. Timestamps ride the Uptime
 	// field (the replay convention).
 	svc := startService(t, Config{
+		Inputs:         udpInput(t),
 		TimeFromUptime: true,
 		Window:         WindowConfig{Days: 2, ListSize: listN, Refresh: simclock.Hour},
 	})
@@ -264,7 +317,7 @@ func assertControlSurface(t *testing.T, svc *Service, withSources bool) {
 			t.Errorf("/metrics missing family %s:\n%.500s", family, metricsText)
 		}
 	}
-	if withSources && !strings.Contains(metricsText, `ixpmon_source_datagrams_total{agent="192.0.2.1",subagent="0"}`) {
+	if withSources && !strings.Contains(metricsText, `ixpmon_source_datagrams_total{input="udp://127.0.0.1:0",agent="192.0.2.1",subagent="0"}`) {
 		t.Errorf("/metrics missing per-source sample:\n%.500s", metricsText)
 	}
 
@@ -312,7 +365,7 @@ func assertControlSurface(t *testing.T, svc *Service, withSources bool) {
 // TestServiceMultiSource: concurrent collectors with different
 // sampling rates, loss, and reordering are accounted independently.
 func TestServiceMultiSource(t *testing.T) {
-	svc := startService(t, Config{})
+	svc := startService(t, Config{Inputs: udpInput(t)})
 	conn := dialService(t, svc)
 
 	mk := func(agent byte, sub, seq, rate uint32) []byte {
@@ -339,7 +392,7 @@ func TestServiceMultiSource(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitUntil(t, "6 datagrams received", func() bool { return svc.Received() == 6 })
+	waitUntil(t, "6 datagrams received", func() bool { return svc.Received() == 6 && accounted(svc) == 6 })
 
 	rows := svc.SourcesSnapshot()
 	if len(rows) != 2 {
@@ -361,7 +414,7 @@ func TestServiceMultiSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, "garbage received", func() bool { return svc.Received() == 7 })
-	waitUntil(t, "parse error counted", func() bool { return svc.parseErrors.Load() == 1 })
+	waitUntil(t, "parse error counted", func() bool { return parseErrors(svc) == 1 })
 	if got := len(svc.SourcesSnapshot()); got != 2 {
 		t.Errorf("garbage created a source row: %d", got)
 	}
@@ -371,7 +424,7 @@ func TestServiceMultiSource(t *testing.T) {
 // source exceeds its queue share and sheds its own datagrams — while a
 // quiet neighbour's datagram is still accepted.
 func TestServiceBackpressure(t *testing.T) {
-	svc := NewService(Config{QueueLen: 4, PerSourceQueue: 2})
+	svc := NewService(Config{Inputs: udpInput(t), QueueLen: 4, PerSourceQueue: 2})
 	svc.gate = make(chan struct{})
 	if err := svc.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
@@ -407,7 +460,7 @@ func TestServiceBackpressure(t *testing.T) {
 	if _, err := conn.Write(mk(2, 1)); err != nil { // source B: one datagram
 		t.Fatal(err)
 	}
-	waitUntil(t, "11 datagrams received", func() bool { return svc.Received() == 11 })
+	waitUntil(t, "11 datagrams received", func() bool { return svc.Received() == 11 && accounted(svc) == 11 })
 
 	rows := svc.SourcesSnapshot()
 	if len(rows) != 2 {
@@ -477,3 +530,36 @@ func TestSendLogRewritesUptime(t *testing.T) {
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// TestStartNeedsInputs: a service with no ingest source does not start.
+func TestStartNeedsInputs(t *testing.T) {
+	svc := NewService(Config{})
+	if err := svc.Start(); err == nil {
+		shutdownSvc(t, svc)
+		t.Fatal("Start accepted an empty Config.Inputs")
+	}
+}
+
+// TestStartBindsEveryUDPInput: every UDP input's bound address is on
+// its input row as soon as Start returns, and an input that cannot
+// bind — here, the port the first service holds — fails Start instead
+// of retrying behind a running control surface.
+func TestStartBindsEveryUDPInput(t *testing.T) {
+	svc := startService(t, Config{Inputs: []ingest.Spec{
+		mustSpec(t, "udp://127.0.0.1:0"), mustSpec(t, "udp://:0"),
+	}})
+	for _, in := range svc.InputsSnapshot() {
+		if _, port, err := net.SplitHostPort(in.Addr); err != nil || port == "0" {
+			t.Errorf("input %s: bound address %q right after Start, want a concrete port", in.ID, in.Addr)
+		}
+	}
+	held := udpAddr(t, svc).String()
+
+	clash := NewService(Config{Inputs: []ingest.Spec{
+		mustSpec(t, "udp://127.0.0.1:0"), mustSpec(t, "udp://"+held),
+	}})
+	if err := clash.Start(); err == nil {
+		shutdownSvc(t, clash)
+		t.Fatalf("Start bound %s a second time", held)
+	}
+}

@@ -11,10 +11,9 @@ import (
 // sourceKey identifies one sampling process: an sFlow agent address
 // plus its sub-agent ID. Real IXP deployments run one agent per
 // collector box, often several sub-agents per chassis; each gets its
-// own sequence space and its own accounting row. In multi-source
-// ingest mode the key is additionally scoped by the configured input
-// it arrived through (src, the ingest.Spec ID; "" in the legacy
-// single-input modes): two replay files carrying the same recorded
+// own sequence space and its own accounting row. The key is
+// additionally scoped by the configured input it arrived through (src,
+// the ingest.Spec ID): two replay files carrying the same recorded
 // agent are separate sequence spaces with separate resume barriers,
 // so one input's checkpointed cursor can never skip another's data.
 type sourceKey struct {
@@ -35,9 +34,8 @@ func (k sourceKey) String() string {
 // what /sources serializes and the per-source metrics export.
 type SourceStats struct {
 	// Input is the configured ingest source this collector's datagrams
-	// arrived through (the ingest.Spec ID; empty in the legacy
-	// single-input modes).
-	Input string `json:"input,omitempty"`
+	// arrived through (the ingest.Spec ID).
+	Input string `json:"input"`
 	// Agent is the dotted agent address; SubAgent the sub-agent ID.
 	Agent    string `json:"agent"`
 	SubAgent uint32 `json:"subAgent"`
