@@ -38,14 +38,17 @@ bench-baseline:
 # Compare the working tree against the committed baseline (needs
 # benchstat: go install golang.org/x/perf/cmd/benchstat@latest).
 bench-compare:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1s -timeout 40m . > /tmp/bench_head.txt
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1s -timeout 40m . ./internal/ixp ./internal/sflow > /tmp/bench_head.txt
 	benchstat BENCH_baseline.txt /tmp/bench_head.txt
 
 # Fuzz smoke: short coverage-guided runs of the byte-level parsers
-# (DNS wire format, sFlow v5 datagrams, pcap records) and of the
-# bounded selector ranking against the full-sort reference.
+# (DNS wire format, sFlow v5 datagrams, pcap records), of the sample
+# scanner against the parser, and of the bounded selector ranking
+# against the full-sort reference. Targets are named exactly: go test
+# refuses -fuzz patterns that match more than one target in a package.
 fuzz:
-	$(GO) test -run '^$$' -fuzz Fuzz -fuzztime 10s ./internal/dnswire
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/dnswire
+	$(GO) test -run '^$$' -fuzz '^FuzzScanMatchesParse$$' -fuzztime 10s ./internal/dnswire
 	$(GO) test -run '^$$' -fuzz FuzzParseDatagram -fuzztime 10s ./internal/sflow
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 10s ./internal/pcap
 	$(GO) test -run '^$$' -fuzz FuzzTopN -fuzztime 10s ./internal/core

@@ -449,12 +449,27 @@ func decodeRData(t Type, msg []byte, absOff int, rdata []byte) (RData, error) {
 // the canonical name plus the offset just past the name in the original
 // (non-pointer) position.
 func decodeName(b []byte, off int) (string, int, error) {
-	var sb strings.Builder
+	var buf [64]byte
+	name, end, err := readName(b, off, buf[:0], true)
+	if err != nil {
+		return "", 0, err
+	}
+	return string(name), end, nil
+}
+
+// readName walks the possibly-compressed name starting at off and
+// returns the offset just past it in the original (non-pointer)
+// position. With keep set it also appends the flattened name to dst:
+// every label followed by '.', "." alone for the root, ASCII letters
+// lowercased. DNS case folding is ASCII-only (RFC 4343), so bytes
+// >= 0x80 pass through unchanged and never fold onto a letter.
+func readName(b []byte, off int, dst []byte, keep bool) ([]byte, int, error) {
+	start := len(dst)
 	end := -1 // offset after the name at the original position
 	jumps := 0
 	for {
 		if off >= len(b) {
-			return "", 0, ErrTruncatedRData
+			return dst, 0, ErrTruncatedRData
 		}
 		c := int(b[off])
 		switch {
@@ -462,35 +477,42 @@ func decodeName(b []byte, off int) (string, int, error) {
 			if end < 0 {
 				end = off + 1
 			}
-			name := sb.String()
-			if name == "" {
-				name = "."
+			if keep && len(dst) == start {
+				dst = append(dst, '.')
 			}
-			return strings.ToLower(name), end, nil
+			return dst, end, nil
 		case c&0xc0 == 0xc0:
 			if off+1 >= len(b) {
-				return "", 0, ErrTruncatedRData
+				return dst, 0, ErrTruncatedRData
 			}
 			if end < 0 {
 				end = off + 2
 			}
 			ptr := (c&0x3f)<<8 | int(b[off+1])
 			if ptr >= off {
-				return "", 0, ErrPointerLoop
+				return dst, 0, ErrPointerLoop
 			}
 			off = ptr
 			jumps++
 			if jumps > 64 {
-				return "", 0, ErrPointerLoop
+				return dst, 0, ErrPointerLoop
 			}
 		case c&0xc0 != 0:
-			return "", 0, ErrBadName
+			return dst, 0, ErrBadName
 		default:
 			if off+1+c > len(b) {
-				return "", 0, ErrTruncatedRData
+				return dst, 0, ErrTruncatedRData
 			}
-			sb.Write(b[off+1 : off+1+c])
-			sb.WriteByte('.')
+			if keep {
+				n := len(dst)
+				dst = append(dst, b[off+1:off+1+c]...)
+				for i, ch := range dst[n:] {
+					if 'A' <= ch && ch <= 'Z' {
+						dst[n+i] = ch + ('a' - 'A')
+					}
+				}
+				dst = append(dst, '.')
+			}
 			off += 1 + c
 		}
 	}

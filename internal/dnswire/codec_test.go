@@ -257,6 +257,75 @@ func TestValidName(t *testing.T) {
 	}
 }
 
+// validNameSplit is the strings.Split form ValidName had before it
+// became one pass, kept as the reference.
+func validNameSplit(name string) bool {
+	if name == "." || name == "" {
+		return name == "."
+	}
+	trimmed := strings.TrimSuffix(name, ".")
+	encoded := 1
+	if inner := strings.TrimSuffix(trimmed, "."); inner != "" {
+		for _, label := range strings.Split(inner, ".") {
+			encoded += 1 + len(label)
+		}
+	}
+	if encoded > 255 {
+		return false
+	}
+	for _, label := range strings.Split(trimmed, ".") {
+		if len(label) == 0 || len(label) > 63 {
+			return false
+		}
+		for i := 0; i < len(label); i++ {
+			c := label[i]
+			switch {
+			case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z',
+				c >= '0' && c <= '9', c == '-', c == '_':
+			default:
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestValidNameMatchesSplitForm: the single pass, in its string and
+// byte forms, decides every name the way the split form did — dots in
+// odd places, labels around 63 bytes, names around 255.
+func TestValidNameMatchesSplitForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	alphabet := "ab-_Z9...\x00 \xe2"
+	check := func(name string) {
+		t.Helper()
+		want := validNameSplit(name)
+		if got := ValidName(name); got != want {
+			t.Fatalf("ValidName(%q) = %v, split form %v", name, got, want)
+		}
+		if got := ValidNameBytes([]byte(name)); got != want {
+			t.Fatalf("ValidNameBytes(%q) = %v, split form %v", name, got, want)
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		b := make([]byte, rng.Intn(12))
+		for j := range b {
+			b[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		check(string(b))
+	}
+	for labelLen := 61; labelLen <= 65; labelLen++ {
+		for total := 250; total <= 258; total++ {
+			var sb strings.Builder
+			for sb.Len() < total {
+				sb.WriteString(strings.Repeat("a", min(labelLen, total-sb.Len())))
+				sb.WriteByte('.')
+			}
+			check(sb.String())
+			check(strings.TrimSuffix(sb.String(), "."))
+		}
+	}
+}
+
 func TestCanonicalName(t *testing.T) {
 	cases := [][2]string{
 		{"DOJ.GOV", "doj.gov."},

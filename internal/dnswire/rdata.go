@@ -362,11 +362,9 @@ func EncodedNameLen(name string) int {
 	if name == "" {
 		return 1
 	}
-	n := 1 // trailing root octet
-	for _, label := range strings.Split(name, ".") {
-		n += 1 + len(label)
-	}
-	return n
+	// Every label costs its bytes plus a length octet where the text
+	// form has a dot; the last label's octet and the root make two.
+	return len(name) + 2
 }
 
 // appendName appends the uncompressed wire encoding of name.
@@ -390,29 +388,43 @@ func appendName(dst []byte, name string) []byte {
 // the LDH character set plus underscore (common in SRV owner names). The
 // root name "." is valid. The detector uses this to sanitize traffic
 // (§3.1: "well-formed values for ... DNS query types and names").
-func ValidName(name string) bool {
-	if name == "." || name == "" {
-		return name == "."
-	}
-	trimmed := strings.TrimSuffix(name, ".")
-	if EncodedNameLen(trimmed) > 255 {
+func ValidName(name string) bool { return validName(name) }
+
+// ValidNameBytes is ValidName for a byte view of the name.
+func ValidNameBytes(name []byte) bool { return validName(name) }
+
+func validName[S string | []byte](name S) bool {
+	n := len(name)
+	if n == 0 {
 		return false
 	}
-	for _, label := range strings.Split(trimmed, ".") {
-		if len(label) == 0 || len(label) > 63 {
-			return false
+	if name[n-1] == '.' {
+		if n == 1 {
+			return true
 		}
-		for i := 0; i < len(label); i++ {
-			c := label[i]
-			switch {
-			case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z',
-				c >= '0' && c <= '9', c == '-', c == '_':
-			default:
+		n--
+	}
+	if n+2 > 255 { // EncodedNameLen
+		return false
+	}
+	label := 0
+	for i := 0; i < n; i++ {
+		switch c := name[i]; {
+		case c == '.':
+			if label == 0 {
 				return false
 			}
+			label = 0
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z',
+			c >= '0' && c <= '9', c == '-', c == '_':
+			if label++; label > 63 {
+				return false
+			}
+		default:
+			return false
 		}
 	}
-	return true
+	return label > 0
 }
 
 // CanonicalName lowercases and ensures a trailing dot, the canonical form

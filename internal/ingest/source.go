@@ -60,21 +60,6 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// countingReader counts bytes consumed from the wrapped stream — the
-// byte-offset cursor source for replay inputs. It sits above the
-// WrapReader fault seam so the cursor always reflects what was really
-// consumed, injected short reads included.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	m, err := c.r.Read(p)
-	c.n += int64(m)
-	return m, err
-}
-
 // udpReadBuffer is the kernel receive buffer requested for every UDP
 // source. Best-effort (the kernel may clamp it): the Linux default of
 // 208 KiB holds fewer than twenty full 64-sample datagrams, which one
@@ -244,9 +229,10 @@ func (r *tailRunner) run(t *task, cursor int64) error {
 }
 
 // replayRunner reads a datagram log start to end and completes. The
-// cursor is the byte offset past the last delivered entry; on restart
-// it skips forward by draining the (possibly fault-wrapped) stream so
-// injected faults see the same byte positions a fresh run would.
+// cursor is the reader's offset past the last delivered entry — bytes
+// consumed, not bytes read; on restart it skips forward by draining
+// the (possibly fault-wrapped) stream so injected faults see the same
+// reads a fresh run would.
 type replayRunner struct {
 	sp  Spec
 	cfg *Config
@@ -262,15 +248,12 @@ func (r *replayRunner) run(t *task, cursor int64) error {
 	if r.cfg.WrapReader != nil {
 		src = r.cfg.WrapReader(r.sp.ID, src)
 	}
-	cr := &countingReader{r: src}
-	lr, err := sflow.NewLogReader(cr)
+	lr, err := sflow.NewLogReader(src)
 	if err != nil {
 		return err
 	}
-	if cursor > cr.n {
-		if _, err := io.CopyN(io.Discard, cr, cursor-cr.n); err != nil {
-			return fmt.Errorf("ingest: %s: seeking to cursor %d: %w", r.sp.ID, cursor, err)
-		}
+	if err := lr.SkipTo(cursor); err != nil {
+		return fmt.Errorf("ingest: %s: seeking to cursor %d: %w", r.sp.ID, cursor, err)
 	}
 	for {
 		if t.ctx.Err() != nil {
@@ -296,7 +279,7 @@ func (r *replayRunner) run(t *task, cursor int64) error {
 		if r.cfg.TimeFromUptime {
 			at = simclock.Time(dg.Uptime)
 		}
-		if !t.deliver(dg, at, cr.n, 0) {
+		if !t.deliver(dg, at, lr.Offset(), 0) {
 			return t.ctx.Err()
 		}
 	}

@@ -101,3 +101,24 @@ func TestDayGenerationAllocBound(t *testing.T) {
 			perPacket, dt.Batch.N)
 	}
 }
+
+// TestProcessZeroAllocKnownName guards the live consumer's per-sample
+// step: once a day's names are interned, sanitising its frames again —
+// queries and truncated responses, accepted and dropped — allocates
+// nothing.
+func TestProcessZeroAllocKnownName(t *testing.T) {
+	c, day := wireDay(t)
+	cp := ixp.NewCapturePoint(c.Topo, nil)
+	pass := func() {
+		for _, tr := range day {
+			cp.Process(tr.Rec)
+		}
+	}
+	pass() // interns every name, fills the AS cache
+	if cp.Stats.Accepted == 0 {
+		t.Fatal("nothing accepted")
+	}
+	if allocs := testing.AllocsPerRun(3, pass); allocs != 0 {
+		t.Errorf("Process over %d known-name frames: %.0f allocs, want 0", len(day), allocs)
+	}
+}

@@ -92,6 +92,8 @@ type CapturePoint struct {
 
 	// scratch is the sample reused by ConsumeBatch.
 	scratch DNSSample
+	// qname is the buffer Process scans each question name into.
+	qname []byte
 	// remap lazily translates batch-table IDs into Table IDs; it is
 	// keyed by the identity of the last batch table seen (generator
 	// tables are frozen, so one cache survives across days).
@@ -231,11 +233,15 @@ func NewCapturePoint(topo *topology.Topology, tab *names.Table) *CapturePoint {
 }
 
 // Process sanitizes one sampled record. ok is false when the record is
-// not a well-formed DNS-over-UDP packet.
+// not a well-formed DNS-over-UDP packet. The message is scanned, not
+// parsed: the frame decodes into a stack packet and the question name
+// into the capture point's reused buffer, so a sample whose name the
+// table already holds costs no allocation. The returned sample refers
+// to neither the frame nor that buffer.
 func (c *CapturePoint) Process(rec sflow.Record) (DNSSample, bool) {
 	c.Stats.Frames++
-	pkt, err := netmodel.DecodeFrame(rec.Frame)
-	if err != nil {
+	var pkt netmodel.DecodedPacket
+	if err := pkt.Decode(rec.Frame); err != nil {
 		c.Stats.NonUDP++
 		return DNSSample{}, false
 	}
@@ -243,18 +249,18 @@ func (c *CapturePoint) Process(rec sflow.Record) (DNSSample, bool) {
 		c.Stats.NonDNS++
 		return DNSSample{}, false
 	}
-	res, err := dnswire.Parse(pkt.Payload)
+	m, err := dnswire.Scan(pkt.Payload, c.qname)
 	if err != nil {
 		c.Stats.NonDNS++
 		return DNSSample{}, false
 	}
-	m := res.Msg
-	qname := m.QName()
-	if !dnswire.ValidName(qname) || m.QType() == dnswire.TypeNone {
+	c.qname = m.QName // keep the buffer if the scan grew it
+	if !dnswire.ValidNameBytes(m.QName) || m.QType == dnswire.TypeNone {
 		c.Stats.Malformed++
 		return DNSSample{}, false
 	}
-	id := c.Table.Intern(dnswire.CanonicalName(qname))
+	// A valid scanned name is canonical already: lowercase, dot-ended.
+	id := c.Table.InternBytes(m.QName)
 	s := DNSSample{
 		Time:       rec.Time,
 		Src:        pkt.IP.Src.As4(),
@@ -266,24 +272,15 @@ func (c *CapturePoint) Process(rec sflow.Record) (DNSSample, bool) {
 		IsResponse: m.Header.QR,
 		Name:       id,
 		QName:      c.Table.Name(id),
-		QType:      m.QType(),
+		QType:      m.QType,
 		TXID:       m.Header.ID,
 		MsgSize:    pkt.DNSPayloadSize(),
 		ANCount:    m.Header.ANCount,
+		VisibleNS:  m.NS,
 		RCode:      m.Header.RCode,
 	}
-	for _, rr := range m.Answers {
-		if rr.Type == dnswire.TypeNS {
-			s.VisibleNS++
-		}
-	}
-	for _, rr := range m.Authority {
-		if rr.Type == dnswire.TypeNS {
-			s.VisibleNS++
-		}
-	}
 	if c.Topo != nil {
-		s.OriginAS, s.PeerAS = c.originPeer(pkt.IP.Src.As4())
+		s.OriginAS, s.PeerAS = c.originPeer(s.Src)
 		if s.OriginAS != 0 {
 			c.Stats.OriginMapped++
 		}

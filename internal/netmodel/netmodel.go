@@ -281,38 +281,49 @@ type DecodedPacket struct {
 	Truncated  bool   // payload shorter than the UDP length field promises
 }
 
-// DecodeFrame parses an Ethernet/IPv4/UDP frame. It tolerates truncation
-// below the IP TotalLen (reporting Truncated) but rejects frames too short
-// to carry the three headers, non-IPv4 frames, and non-UDP packets.
+// DecodeFrame parses an Ethernet/IPv4/UDP frame into a fresh
+// DecodedPacket; see Decode for what it accepts.
 func DecodeFrame(frame []byte) (*DecodedPacket, error) {
 	var p DecodedPacket
-	rest, err := p.Eth.Decode(frame)
-	if err != nil {
+	if err := p.Decode(frame); err != nil {
 		return nil, err
 	}
+	return &p, nil
+}
+
+// Decode parses an Ethernet/IPv4/UDP frame into p, which the caller may
+// keep on its stack. It tolerates truncation below the IP TotalLen
+// (reporting Truncated) but rejects frames too short to carry the three
+// headers, non-IPv4 frames, and non-UDP packets. After an error p holds
+// a partial decode.
+func (p *DecodedPacket) Decode(frame []byte) error {
+	rest, err := p.Eth.Decode(frame)
+	if err != nil {
+		return err
+	}
 	if p.Eth.EtherType != EtherTypeIPv4 {
-		return nil, ErrBadVersion
+		return ErrBadVersion
 	}
 	rest, err = p.IP.Decode(rest)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if p.IP.Protocol != ProtoUDP {
-		return nil, fmt.Errorf("netmodel: not UDP (proto %d)", p.IP.Protocol)
+		return fmt.Errorf("netmodel: not UDP (proto %d)", p.IP.Protocol)
 	}
 	if p.IP.FragOff != 0 {
 		// Non-first fragments carry no UDP header; the capture pipeline
 		// skips them (this also avoids double counting fragmented
 		// answers, §3.1).
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	p.Payload, err = p.UDP.Decode(rest)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	p.FullUDPLen = int(p.UDP.Length)
 	p.Truncated = len(p.Payload) < p.FullUDPLen-UDPHeaderLen
-	return &p, nil
+	return nil
 }
 
 // DNSPayloadSize returns the size in bytes of the DNS message carried by

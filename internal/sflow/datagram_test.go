@@ -112,18 +112,22 @@ func FuzzParseDatagram(f *testing.F) {
 }
 
 // logRecords is the deterministic record set used by the log tests and
-// the committed golden fixture.
-func logRecords() ([]Record, []uint32) {
+// the committed golden fixture: two arrival seconds.
+func logRecords() ([]Record, []uint32) { return logRecordsN(130, 70) }
+
+// logRecordsN builds n records, perSecond of them sharing each arrival
+// second (so at most that many, and at most maxLogSamples, per entry).
+func logRecordsN(n, perSecond int) ([]Record, []uint32) {
 	base := simclock.MeasurementStart
 	var recs []Record
 	var inputs []uint32
-	for i := 0; i < 130; i++ {
+	for i := 0; i < n; i++ {
 		frame := make([]byte, 40+i%64)
 		for j := range frame {
 			frame[j] = byte(i + j)
 		}
 		recs = append(recs, Record{
-			Time:     base.Add(simclock.Duration(i / 70)), // two arrival seconds
+			Time:     base.Add(simclock.Duration(i / perSecond)),
 			Frame:    frame,
 			FrameLen: 1200 + i,
 			Seq:      uint64(i + 1),
@@ -136,19 +140,24 @@ func logRecords() ([]Record, []uint32) {
 func writeLog(t *testing.T, w io.Writer) ([]Record, []uint32) {
 	t.Helper()
 	recs, inputs := logRecords()
+	writeRecords(t, w, recs, inputs)
+	return recs, inputs
+}
+
+func writeRecords(tb testing.TB, w io.Writer, recs []Record, inputs []uint32) {
+	tb.Helper()
 	lw, err := NewLogWriter(w, [4]byte{198, 51, 100, 7}, DefaultRate)
 	if err != nil {
-		t.Fatalf("NewLogWriter: %v", err)
+		tb.Fatalf("NewLogWriter: %v", err)
 	}
 	for i, rec := range recs {
 		if err := lw.Add(rec, inputs[i]); err != nil {
-			t.Fatalf("Add: %v", err)
+			tb.Fatalf("Add: %v", err)
 		}
 	}
 	if err := lw.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
+		tb.Fatalf("Flush: %v", err)
 	}
-	return recs, inputs
 }
 
 func TestLogRoundTrip(t *testing.T) {

@@ -24,6 +24,8 @@ var logMagic = [8]byte{'s', 'F', 'l', 'o', 'w', 'L', 'o', 'g'}
 
 const (
 	logVersion = 1
+	// logHeaderLen is the byte length of the log file header.
+	logHeaderLen = 12
 	// maxLogSamples bounds samples per datagram on write.
 	maxLogSamples = 64
 	// maxLogDatagram bounds the datagram length accepted on read.
@@ -122,63 +124,115 @@ func (lw *LogWriter) flush() {
 	lw.cur.Samples = lw.cur.Samples[:0]
 }
 
-// LogReader streams records back out of a datagram log. It reads
-// entries into one reused buffer — safe because ParseDatagram copies
-// header bytes out — and is tail-capable: a Next that hits end of
-// input mid-entry returns io.ErrUnexpectedEOF but keeps its partial
-// state, so calling Next again after the underlying file has grown
-// resumes exactly where it stopped (cmd/ixpmon's -follow mode).
+// readAhead is how much LogReader asks its reader for at a time. An
+// entry runs from a couple of hundred bytes (one sample) to 9 KiB
+// (maxLogSamples), so one read(2) on a file serves tens to hundreds of
+// entries instead of two reads serving one.
+const readAhead = 64 << 10
+
+// LogReader streams records back out of a datagram log. It reads its
+// input in readAhead-sized chunks into one reused buffer — safe because
+// ParseDatagram copies header bytes out — and knows its own position:
+// Offset is an entry boundary however far the reads ran ahead of it.
+// It is tail-capable: a Next that hits end of input mid-entry returns
+// io.ErrUnexpectedEOF but keeps what it has read, so calling Next again
+// after the underlying file has grown resumes exactly where it stopped
+// (cmd/ixpmon's -follow mode).
 type LogReader struct {
 	r io.Reader
 
-	// entry accumulates the current partially read entry; have is how
-	// many bytes of it have been read so far.
-	entry []byte
-	have  int
-	want  int // 0 = header not complete yet
+	// buf[lo:hi] holds the bytes read but not yet consumed; off is the
+	// stream offset of buf[lo], always the end of an entry (or of the
+	// file header).
+	buf    []byte
+	lo, hi int
+	off    int64
 
-	dg    *Datagram
-	next  int
-	dgT   simclock.Time
-	atEOF bool
+	dg      *Datagram
+	next    int
+	dgT     simclock.Time
+	dgStart int64 // offset at which dg's entry starts
 }
 
 // NewLogReader validates the log header and returns a streaming
 // reader.
 func NewLogReader(r io.Reader) (*LogReader, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	lr := &LogReader{r: r, buf: make([]byte, readAhead)}
+	if err := lr.need(logHeaderLen); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, fmt.Errorf("%w: short header (%v)", ErrLog, err)
 	}
+	hdr := lr.buf[:logHeaderLen]
 	if [8]byte(hdr[:8]) != logMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrLog)
 	}
 	if v := binary.LittleEndian.Uint32(hdr[8:]); v != logVersion {
 		return nil, fmt.Errorf("%w: version %d", ErrLog, v)
 	}
-	return &LogReader{r: r}, nil
+	lr.consume(logHeaderLen)
+	return lr, nil
 }
 
-// fill grows the current entry to n bytes, returning io.EOF (have ==
-// 0) or io.ErrUnexpectedEOF (mid-entry) when the input runs dry. Both
-// leave the reader resumable.
-func (lr *LogReader) fill(n int) error {
-	if cap(lr.entry) < n {
-		lr.entry = append(make([]byte, 0, n), lr.entry[:lr.have]...)
+// Offset returns the stream offset of the next unconsumed entry: the
+// resume cursor. Bytes read ahead of it are not counted, and while Next
+// still has samples of the current entry to yield it stays at that
+// entry's start, so resuming from it never skips a sample.
+func (lr *LogReader) Offset() int64 {
+	if lr.dg != nil && lr.next < len(lr.dg.Samples) {
+		return lr.dgStart
 	}
-	lr.entry = lr.entry[:n]
-	for lr.have < n {
-		m, err := lr.r.Read(lr.entry[lr.have:n])
-		lr.have += m
-		if lr.have >= n {
-			return nil
+	return lr.off
+}
+
+// SkipTo consumes input up to stream offset off, which must be an
+// offset a reader of the same log returned from Offset. It reads the
+// bytes rather than seeking, so a wrapped stream sees the same reads a
+// run from the top would.
+func (lr *LogReader) SkipTo(off int64) error {
+	for lr.off < off {
+		if err := lr.need(1); err != nil {
+			return err
 		}
-		if err != nil {
+		lr.consume(int(min(int64(lr.hi-lr.lo), off-lr.off)))
+	}
+	return nil
+}
+
+// resetAt drops the read-ahead and restarts at stream offset off, for
+// a caller that has just seeked the underlying file there.
+func (lr *LogReader) resetAt(off int64) {
+	lr.lo, lr.hi, lr.off = 0, 0, off
+}
+
+// readPos is how far into the stream the reads have run: Offset plus
+// the read-ahead. A file shorter than this has been truncated.
+func (lr *LogReader) readPos() int64 { return lr.off + int64(lr.hi-lr.lo) }
+
+func (lr *LogReader) consume(n int) {
+	lr.lo += n
+	lr.off += int64(n)
+}
+
+// need reads until n unconsumed bytes are buffered, returning io.EOF
+// (nothing buffered) or io.ErrUnexpectedEOF (a partial entry is) when
+// the input runs dry. Either way what was read stays buffered, so the
+// reader is resumable.
+func (lr *LogReader) need(n int) error {
+	for lr.hi-lr.lo < n {
+		if lr.lo > 0 {
+			lr.hi = copy(lr.buf, lr.buf[lr.lo:lr.hi])
+			lr.lo = 0
+		}
+		if len(lr.buf) < n {
+			lr.buf = append(make([]byte, 0, n), lr.buf[:lr.hi]...)[:n]
+		}
+		m, err := lr.r.Read(lr.buf[lr.hi:])
+		lr.hi += m
+		if err != nil && lr.hi-lr.lo < n {
 			if errors.Is(err, io.EOF) {
-				if lr.have == 0 {
+				if lr.hi == lr.lo {
 					return io.EOF
 				}
 				return io.ErrUnexpectedEOF
@@ -228,27 +282,28 @@ func (lr *LogReader) NextEntry() (simclock.Time, *Datagram, error) {
 // readEntry reads and parses the next timestamped datagram entry.
 func (lr *LogReader) readEntry() error {
 	lr.dg, lr.next = nil, 0
-	if err := lr.fill(12); err != nil {
+	if err := lr.need(12); err != nil {
 		return err
 	}
-	ln := int(binary.LittleEndian.Uint32(lr.entry[8:12]))
+	ln := int(binary.LittleEndian.Uint32(lr.buf[lr.lo+8:]))
 	if ln > maxLogDatagram {
 		return fmt.Errorf("%w: %d-byte datagram entry", ErrLog, ln)
 	}
-	if err := lr.fill(12 + ln); err != nil {
+	if err := lr.need(12 + ln); err != nil {
 		return err
 	}
-	t := simclock.Time(int64(binary.LittleEndian.Uint64(lr.entry[:8])))
-	dg, err := ParseDatagram(lr.entry[12 : 12+ln])
+	entry := lr.buf[lr.lo : lr.lo+12+ln]
+	start := lr.off
+	// The framing is intact, so the entry is consumed even when its
+	// body is bad: the next call resyncs at the following entry
+	// boundary instead of re-parsing the same bytes forever — one
+	// corrupt datagram costs one error, not the whole tail.
+	lr.consume(len(entry))
+	dg, err := ParseDatagram(entry[12:])
 	if err != nil {
-		// The framing was intact, only the datagram body is bad:
-		// consume the entry so the next call resyncs at the following
-		// entry boundary instead of re-parsing the same bytes forever —
-		// one corrupt datagram costs one error, not the whole tail.
-		lr.have = 0
 		return err
 	}
-	lr.dg, lr.dgT = dg, t
-	lr.have = 0 // entry consumed; reuse the buffer
+	lr.dg, lr.dgStart = dg, start
+	lr.dgT = simclock.Time(int64(binary.LittleEndian.Uint64(entry)))
 	return nil
 }

@@ -11,6 +11,16 @@
 //     This is statistically identical for independent 1/N sampling and
 //     lets the campaign generator skip materialising the ~10^4× larger
 //     unsampled traffic (ablation: BenchmarkAblationSampling).
+//
+// The package also carries the wire and disk forms of a collector's
+// feed: the sFlow v5 datagram codec (datagram.go), the timestamped
+// datagram log (file.go) and a Tailer that follows such a log across
+// growth, truncation and rotation (tail.go). LogReader reads its input
+// in 64 KiB chunks and owns the resume cursor: Offset is the number of
+// bytes consumed — the boundary just past the last whole entry handed
+// out — never the number of bytes read, so a cursor means the same
+// thing whatever the read sizes were, and Tailer and the ingest
+// runners persist it as is.
 package sflow
 
 import (

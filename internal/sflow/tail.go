@@ -5,8 +5,8 @@
 // adds the stat-based staleness checks and transparent reopen that
 // `ixpmon -follow` and the service's tail-ingest mode need to keep
 // following across logrotate instead of waiting forever at a stale
-// offset. It also tracks the byte offset of the last fully consumed
-// entry — the resume cursor service checkpoints persist.
+// offset. Its resume cursor — what service checkpoints persist — is
+// the LogReader's own Offset.
 package sflow
 
 import (
@@ -18,34 +18,16 @@ import (
 	"dnsamp/internal/simclock"
 )
 
-// countingReader counts bytes read through it — the offset source for
-// resume cursors.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	m, err := c.r.Read(p)
-	c.n += int64(m)
-	return m, err
-}
-
 // Tailer follows a datagram log file. Construct with NewTailer; it is
 // not safe for concurrent use.
 type Tailer struct {
 	path string
 	f    *os.File
 	info os.FileInfo // identity at open, for rotation detection
-	cr   countingReader
 	lr   *LogReader
 
-	off     int64  // offset just past the last fully consumed entry
 	reopens uint64 // truncation/rotation reopens
 }
-
-// logHeaderLen is the byte length of the log file header.
-const logHeaderLen = 12
 
 // NewTailer opens path and validates the log header. resumeAt, when
 // past the header, is a byte offset previously returned by Offset: the
@@ -63,8 +45,7 @@ func NewTailer(path string, resumeAt int64) (*Tailer, error) {
 			t.f.Close()
 			return nil, fmt.Errorf("sflow: seeking to resume offset %d: %w", resumeAt, err)
 		}
-		t.cr.n = resumeAt
-		t.off = resumeAt
+		t.lr.resetAt(resumeAt)
 	}
 	return t, nil
 }
@@ -80,28 +61,26 @@ func (t *Tailer) open() error {
 		f.Close()
 		return err
 	}
-	t.cr = countingReader{r: f}
-	lr, err := NewLogReader(&t.cr)
+	lr, err := NewLogReader(f)
 	if err != nil {
 		f.Close()
 		return err
 	}
 	t.f, t.info, t.lr = f, info, lr
-	t.off = t.cr.n
 	return nil
 }
 
 // stale reports whether the open file no longer matches the path: the
 // path names a different file now (rotation) or the file shrank below
-// what was already read (truncation). A stat error — e.g. the moment
-// between rotation steps when the path is missing — is not staleness;
-// the caller retries later.
+// what was already read, read-ahead included (truncation). A stat error
+// — e.g. the moment between rotation steps when the path is missing —
+// is not staleness; the caller retries later.
 func (t *Tailer) stale() bool {
 	pi, err := os.Stat(t.path)
 	if err != nil {
 		return false
 	}
-	return !os.SameFile(t.info, pi) || pi.Size() < t.cr.n
+	return !os.SameFile(t.info, pi) || pi.Size() < t.lr.readPos()
 }
 
 // reopen abandons the open file and starts over from the top of
@@ -124,7 +103,6 @@ func (t *Tailer) NextEntry() (simclock.Time, *Datagram, error) {
 	for reopened := false; ; {
 		at, dg, err := t.lr.NextEntry()
 		if err == nil {
-			t.off = t.cr.n
 			return at, dg, nil
 		}
 		if (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) && !reopened && t.stale() {
@@ -145,9 +123,6 @@ func (t *Tailer) Next() (Record, uint32, error) {
 	for reopened := false; ; {
 		rec, input, err := t.lr.Next()
 		if err == nil {
-			if t.lr.dg == nil || t.lr.next >= len(t.lr.dg.Samples) {
-				t.off = t.cr.n // entry fully consumed
-			}
 			return rec, input, nil
 		}
 		if (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) && !reopened && t.stale() {
@@ -164,7 +139,7 @@ func (t *Tailer) Next() (Record, uint32, error) {
 // Offset returns the byte offset just past the last fully consumed
 // entry — the resume cursor to persist. Right after open it sits past
 // the file header.
-func (t *Tailer) Offset() int64 { return t.off }
+func (t *Tailer) Offset() int64 { return t.lr.Offset() }
 
 // Reopens counts truncation/rotation reopens so far.
 func (t *Tailer) Reopens() uint64 { return t.reopens }
