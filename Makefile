@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-e2e-smoke bench-baseline bench-compare fuzz fmt vet daemon-smoke chaos-smoke eval-smoke ci
+.PHONY: all build test race bench bench-e2e-smoke bench-baseline bench-compare fuzz fmt vet loc daemon-smoke chaos-smoke eval-smoke ci
 
 all: build test
 
@@ -56,7 +56,9 @@ fuzz:
 # Daemon smoke: service-mode ixpmon fed a generated sFlow log over
 # UDP (-listen) and then through -tail must serve a well-formed
 # control surface, refuse a held port and contradictory flags, and
-# exit cleanly on SIGTERM.
+# exit cleanly on SIGTERM; the one-shot `ixpmon -sflow` over the same
+# log must end by itself with the -tail leg's summary, and exit 1 at
+# once on a missing log.
 daemon-smoke:
 	./scripts/daemon_smoke.sh
 
@@ -88,5 +90,10 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines outside bench/, per package and in total: the net
+# LOC figure every PR quotes before and after (ROADMAP aim 2).
+loc:
+	@./scripts/loc.sh
 
 ci: build fmt vet test race fuzz bench bench-e2e-smoke daemon-smoke chaos-smoke eval-smoke

@@ -1,18 +1,9 @@
-// Command ixpmon is the live-monitoring side of §4.3. It runs in three
-// modes:
-//
-// Batch monitor (default, and with -sflow): streams sampled IXP
-// traffic through the online monitor, which refreshes the misused-name
-// list periodically (at most 5 minutes of delay in the paper) and
-// reports daily victim aggregates and name-list churn. Traffic comes
-// from the synthetic campaign by default; with -sflow it is read from
-// an sFlow v5 datagram log in arrival order the way a collector socket
-// would deliver it. -follow keeps the monitor attached after the last
-// complete entry, tailing the file for appended datagrams with a
-// capped exponential backoff (a partially flushed write is picked up
-// once complete, and a log truncated or rotated out from under the
-// tail is reopened cleanly); interrupt it to get the summary,
-// including time spent waiting in the per-stage timings.
+// Command ixpmon is the live-monitoring side of §4.3: sampled IXP
+// traffic streams through a sliding-window detector that refreshes the
+// misused-name list periodically (at most 5 minutes of delay in the
+// paper), detects over each day as it closes, and reports daily victim
+// aggregates and name-list churn. It is one service run two ways, plus
+// a sender:
 //
 // Service mode (-serve): an always-on daemon ingesting sFlow v5
 // datagrams from its configured inputs, aggregating them in a sliding
@@ -29,9 +20,19 @@
 // continues from the newest valid checkpoint after a crash or restart
 // without double-counting a sample — per-input cursors included.
 // SIGINT/SIGTERM shuts it down gracefully (the backlog is drained,
-// the day in progress finalized, detections reported). See
+// the day in progress finalized, the summary printed). See
 // docs/OPERATIONS.md for the full surface and the failure-handling
 // semantics.
+//
+// One-shot (no -serve): the same service on exactly one input, which
+// returns by itself when the stream ends and prints the same summary.
+// The input is synthetic:scale=S,days=D from -scale/-days by default,
+// replay:FILE with -sflow FILE, and tail:FILE with -sflow FILE -follow
+// (which, like any tail, ends only on SIGINT/SIGTERM). The window,
+// state and HTTP flags apply as in service mode, except that the
+// control surface binds an ephemeral port unless -http is given. A
+// finite input that fails — a missing file, a log cut mid-entry — ends
+// the stream at once and the exit status is 1.
 //
 // Sender mode (-send): replays a recorded datagram log over UDP to a
 // service-mode instance, carrying each entry's capture time in the
@@ -39,8 +40,8 @@
 //
 // Usage:
 //
-//	ixpmon [-scale 0.05] [-days 14] [-interval 5m] [-concurrency 0]
-//	ixpmon -sflow FILE [-follow] [-interval 5m] [-names 29]
+//	ixpmon [-scale 0.05] [-days 14] | -sflow FILE [-follow]
+//	       [-interval 5m] [-names 29] [-window 7] [-http ADDR] [-state DIR ...]
 //	ixpmon -serve [-input SPEC]... [-inputs FILE] [-listen ADDR] [-tail FILE]
 //	       [-policy round-robin|backlog|arrival] [-http ADDR] [-window 7]
 //	       [-timestamps wall|uptime] [-state DIR [-resume] [-checkpoint-every 1m]]
@@ -49,7 +50,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -59,101 +59,10 @@ import (
 	"syscall"
 	"time"
 
-	"dnsamp/internal/core"
-	"dnsamp/internal/ecosystem"
 	"dnsamp/internal/ingest"
-	"dnsamp/internal/ixp"
 	"dnsamp/internal/server"
-	"dnsamp/internal/sflow"
 	"dnsamp/internal/simclock"
-	"dnsamp/internal/source"
 )
-
-// Tail backoff bounds: reset to min whenever data arrives, double up
-// to max while the log is idle — a tailer of a quiet log costs a
-// couple of wakeups per second instead of a constant busy-poll.
-const (
-	tailWaitMin = 50 * time.Millisecond
-	tailWaitMax = 5 * time.Second
-)
-
-// tailLog feeds a datagram log through the monitor in arrival order,
-// through sflow.Tailer — so a log that is truncated or rotated out
-// from under the tail is reopened cleanly instead of wedging the
-// monitor. With follow, end-of-input waits for the file to grow
-// instead of finishing; a signal on stop ends the tail and flushes the
-// summary. Wait and processing time accumulate in stages.
-func tailLog(mon *core.Monitor, path string, follow bool, stop <-chan os.Signal, stages *server.Stages) error {
-	tl, err := sflow.NewTailer(path, 0)
-	if err != nil {
-		return err
-	}
-	defer tl.Close()
-	// No routing substrate for a raw capture: origin/peer stay
-	// unmapped unless the flow sample carries an ingress port.
-	cp := ixp.NewCapturePoint(nil, mon.Table())
-	var last simclock.Time
-	n, dayN := 0, 0
-	curDay := simclock.Time(-1)
-	wait := tailWaitMin
-	var reopens uint64
-	for {
-		stopProcess := stages.Track("process")
-		rec, input, err := tl.Next()
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			stopProcess()
-			if follow {
-				select {
-				case sig := <-stop:
-					fmt.Fprintf(os.Stderr, "ixpmon: %v: closing tail\n", sig)
-				case <-time.After(wait):
-					stages.Add("wait", wait)
-					if wait *= 2; wait > tailWaitMax {
-						wait = tailWaitMax
-					}
-					continue
-				}
-			} else if errors.Is(err, io.ErrUnexpectedEOF) {
-				return fmt.Errorf("log truncated mid-entry after %d samples", n)
-			}
-			break
-		}
-		if err != nil {
-			stopProcess()
-			return err
-		}
-		wait = tailWaitMin // data arrived: the log is live again
-		if r := tl.Reopens(); r != reopens {
-			reopens = r
-			fmt.Fprintf(os.Stderr, "ixpmon: %s truncated or rotated; reopened (offset %d)\n", path, tl.Offset())
-		}
-		if day := rec.Time.StartOfDay(); day != curDay {
-			if curDay >= 0 {
-				fmt.Fprintf(os.Stderr, "%s: %d samples processed\n", curDay.Date(), dayN)
-			}
-			curDay, dayN = day, 0
-		}
-		if s, ok := cp.Process(rec); ok {
-			if input != 0 {
-				s.PeerAS = input
-			}
-			mon.Observe(&s)
-			n++
-			dayN++
-		}
-		last = rec.Time
-		stopProcess()
-	}
-	if curDay >= 0 {
-		fmt.Fprintf(os.Stderr, "%s: %d samples processed\n", curDay.Date(), dayN)
-	}
-	fmt.Fprintf(os.Stderr, "%d DNS samples processed from %s (%d sampled frames)\n", n, path, cp.Stats.Frames)
-	printStages(stages.Snapshot())
-	if n > 0 {
-		mon.Close(last.Add(simclock.Day))
-	}
-	return nil
-}
 
 // printStages writes accumulated per-stage timings to stderr.
 func printStages(stages []server.StageTiming) {
@@ -174,27 +83,44 @@ type serveFlags struct {
 	tail       string        // -tail
 	policy     string
 	timestamps string
+
+	// The one-shot input: -sflow [-follow], else -scale/-days.
+	sflow  string
+	follow bool
+	scale  float64
+	days   int
 }
 
-// serveInputs maps the ingest flags to the service's source list: the
-// -inputs file's specs, then every -input, then -listen as udp://ADDR
-// (when given, or when nothing else configures a source — the default
-// daemon is one UDP listener) and -tail as tail:PATH. explicit holds
-// the names of the flags present on the command line. It rejects
-// combinations that would silently do nothing or contradict each
-// other: multi-source flags outside -serve, an -inputs file that
-// configures nothing, a scheduling policy with nothing to schedule,
-// and uptime timestamps on durable inputs (their datagram logs carry
-// capture time in the entry header; the Uptime field is zero there,
-// so the combination would collapse every sample onto second 0).
+// serveInputs maps the ingest flags to the service's source list. With
+// -serve: the -inputs file's specs, then every -input, then -listen as
+// udp://ADDR (when given, or when nothing else configures a source —
+// the default daemon is one UDP listener) and -tail as tail:PATH.
+// Without: exactly one source, synthetic:scale=S,days=D by default,
+// replay:FILE for -sflow FILE and tail:FILE for -sflow FILE -follow.
+// explicit holds the names of the flags present on the command line.
+// It rejects combinations that would silently do nothing or contradict
+// each other: -follow with no log to follow, -sflow beside -serve or
+// beside the synthetic input's -scale/-days, multi-source flags
+// outside -serve, an -inputs file that configures nothing, a
+// scheduling policy with nothing to schedule, and uptime timestamps on
+// durable inputs (their datagram logs carry capture time in the entry
+// header; the Uptime field is zero there, so the combination would
+// collapse every sample onto second 0).
 func serveInputs(explicit map[string]bool, f serveFlags) ([]ingest.Spec, error) {
+	switch {
+	case f.follow && f.sflow == "":
+		return nil, fmt.Errorf("-follow needs -sflow: there is no log to follow")
+	case f.sflow != "" && f.serve:
+		return nil, fmt.Errorf("-sflow has no effect with -serve: use -input replay:%s or -tail %[1]s", f.sflow)
+	case f.sflow != "" && (explicit["scale"] || explicit["days"]):
+		return nil, fmt.Errorf("-scale and -days have no effect with -sflow: they size the synthetic input")
+	}
 	if !f.serve {
 		for _, name := range []string{"input", "inputs", "policy"} {
 			if explicit[name] {
 				return nil, fmt.Errorf("-%s has no effect without -serve", name)
 			}
 		}
-		return nil, nil
 	}
 	specs := append(append([]ingest.Spec(nil), f.fromFile...), f.inputs...)
 	if f.inputsFile != "" && len(specs) == 0 {
@@ -210,11 +136,20 @@ func serveInputs(explicit map[string]bool, f serveFlags) ([]ingest.Spec, error) 
 		return nil, fmt.Errorf("-policy %q: want %s, %s, or %s", f.policy, ingest.PolicyRoundRobin, ingest.PolicyBacklog, ingest.PolicyArrival)
 	}
 	var short []string
-	if explicit["listen"] || (len(specs) == 0 && f.tail == "") {
-		short = append(short, "udp://"+f.listen)
-	}
-	if f.tail != "" {
-		short = append(short, "tail:"+f.tail)
+	switch {
+	case !f.serve && f.sflow == "":
+		short = append(short, fmt.Sprintf("synthetic:scale=%g,days=%d", f.scale, f.days))
+	case !f.serve && f.follow:
+		short = append(short, "tail:"+f.sflow)
+	case !f.serve:
+		short = append(short, "replay:"+f.sflow)
+	default:
+		if explicit["listen"] || (len(specs) == 0 && f.tail == "") {
+			short = append(short, "udp://"+f.listen)
+		}
+		if f.tail != "" {
+			short = append(short, "tail:"+f.tail)
+		}
 	}
 	for _, spec := range short {
 		sp, err := ingest.ParseSpec(spec)
@@ -237,8 +172,16 @@ func serveInputs(explicit map[string]bool, f serveFlags) ([]ingest.Spec, error) 
 	return specs, nil
 }
 
-// runServe runs the always-on service until interrupted.
-func runServe(cfg server.Config) error {
+// runServe runs the service and writes its summary to out. With stay it
+// runs until SIGINT/SIGTERM. Without, it also returns when the stream
+// ends by itself (cfg has one input), and an input that ended by
+// failing is the error; a finite input's first failure is final there,
+// not backed off and retried, since nothing will repair the file
+// meanwhile.
+func runServe(cfg server.Config, stay bool, out io.Writer) error {
+	if !stay && cfg.Inputs[0].Kind != ingest.KindTail {
+		cfg.IngestTuning.MaxRestarts = 1
+	}
 	svc := server.NewService(cfg)
 	if err := svc.Start(); err != nil {
 		return err
@@ -265,24 +208,63 @@ func runServe(cfg server.Config) error {
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	sig := <-stop
-	fmt.Fprintf(os.Stderr, "ixpmon: %v: shutting down\n", sig)
+	defer signal.Stop(stop)
+	var ended <-chan struct{} // nil with stay: a daemon outlives its inputs
+	if !stay {
+		ended = svc.Done()
+	}
+	select {
+	case sig := <-stop:
+		fmt.Fprintf(os.Stderr, "ixpmon: %v: shutting down\n", sig)
+	case <-ended:
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := svc.Shutdown(ctx); err != nil {
 		return err
 	}
+	printSummary(out, svc)
+	if !stay {
+		for _, in := range svc.InputsSnapshot() {
+			if in.State == ingest.StateQuarantined.String() {
+				return fmt.Errorf("input %s failed: %s", in.ID, in.QuarantineReason)
+			}
+		}
+	}
+	return nil
+}
 
+// printSummary reports a stopped service: totals and stage timings on
+// stderr; on out one row per closed day (the §4.3 daily victim
+// aggregates and the name list's day-over-day similarity), then every
+// retained detection.
+func printSummary(out io.Writer, svc *server.Service) {
 	ws := svc.WindowSnapshot()
 	fmt.Fprintf(os.Stderr, "ixpmon: %d datagrams received, %d consumed, %d shed; %d days closed, %d client-days evicted\n",
 		svc.Received(), svc.Consumed(), svc.QueueDrops(), ws.ClosedDays, ws.Evicted)
 	printStages(svc.StagesSnapshot())
-	dets := svc.DetectionsSnapshot()
-	fmt.Printf("detections: %d\n", len(dets))
-	for _, d := range dets {
-		fmt.Printf("  %s  %-15s %6d pkts  %5.1f%% misused\n", d.Date, d.Victim, d.Packets, 100*d.Share)
+
+	fmt.Fprintln(out, "day          victims  /24s  /16s  /8s  names  Jaccard vs prev close")
+	var sum float64
+	n := 0
+	for _, d := range svc.DaysSnapshot() {
+		j := "   -" // the first close of a process has no predecessor
+		if d.HasPrev {
+			j = fmt.Sprintf("%.2f", d.Jaccard)
+			sum += d.Jaccard
+			n++
+		}
+		fmt.Fprintf(out, "%s %8d %5d %5d %4d %6d  %s\n",
+			simclock.Time(simclock.Days(d.Day)).Date(), d.Victims, d.Prefixes24, d.Prefixes16, d.Prefixes8, d.ListNames, j)
 	}
-	return nil
+	if n > 0 {
+		fmt.Fprintf(out, "mean day-over-day name-list Jaccard: %.2f (paper: 0.96)\n", sum/float64(n))
+	}
+	dets := svc.DetectionsSnapshot()
+	fmt.Fprintf(out, "detections: %d\n", len(dets))
+	for _, d := range dets {
+		fmt.Fprintf(out, "  %s  %-15s %6d pkts  %5.1f%% misused\n", d.Date, d.Victim, d.Packets, 100*d.Share)
+	}
 }
 
 // runSend replays a datagram log over UDP.
@@ -303,22 +285,21 @@ func runSend(path, to string, burst int, pause time.Duration) error {
 }
 
 func main() {
-	scale := flag.Float64("scale", 0.05, "campaign scale")
-	days := flag.Int("days", 14, "days of traffic to monitor")
+	scale := flag.Float64("scale", 0.05, "without -serve or -sflow: campaign scale of the synthetic input")
+	days := flag.Int("days", 14, "without -serve or -sflow: days of synthetic traffic to monitor")
 	interval := flag.Duration("interval", 5*time.Minute, "name-list refresh interval")
 	listSize := flag.Int("names", 29, "per-selector name list size")
-	concurrency := flag.Int("concurrency", 0, "day-traffic prefetch width (0 = all cores, 1 = serial; output is identical)")
-	sflowPath := flag.String("sflow", "", "monitor an sFlow v5 datagram log instead of synthesizing traffic")
-	follow := flag.Bool("follow", false, "with -sflow: keep tailing the log for appended datagrams")
+	sflowPath := flag.String("sflow", "", "without -serve: monitor an sFlow v5 datagram log (replay:FILE) instead of synthesizing traffic, and exit at its end")
+	follow := flag.Bool("follow", false, "with -sflow: keep tailing the log for appended datagrams (tail:FILE) until interrupted")
 
-	serve := flag.Bool("serve", false, "run as an always-on sFlow service")
+	serve := flag.Bool("serve", false, "run as an always-on sFlow service: stay up until SIGINT/SIGTERM")
 	listen := flag.String("listen", "127.0.0.1:6343", "with -serve: UDP listen address for sFlow datagrams, shorthand for -input udp://ADDR (the default source when no other is configured)")
-	httpAddr := flag.String("http", "127.0.0.1:8080", "with -serve: HTTP listen address for the control surface")
-	windowDays := flag.Int("window", 7, "with -serve: sliding window width in days")
+	httpAddr := flag.String("http", "127.0.0.1:8080", "HTTP listen address for the control surface (without -serve, an ephemeral port unless given)")
+	windowDays := flag.Int("window", 7, "sliding window width in days")
 	timestamps := flag.String("timestamps", "wall", "with -serve: datagram time source, wall|uptime (uptime = replayed capture time)")
-	stateDir := flag.String("state", "", "with -serve: directory for checkpoints and poison files (enables crash-safe state)")
-	resume := flag.Bool("resume", false, "with -serve -state: resume from the newest valid checkpoint and continue mid-stream")
-	ckptEvery := flag.Duration("checkpoint-every", time.Minute, "with -serve -state: periodic checkpoint cadence (<= 0 keeps only the shutdown checkpoint)")
+	stateDir := flag.String("state", "", "directory for checkpoints and poison files (enables crash-safe state)")
+	resume := flag.Bool("resume", false, "with -state: resume from the newest valid checkpoint and continue mid-stream")
+	ckptEvery := flag.Duration("checkpoint-every", time.Minute, "with -state: periodic checkpoint cadence (<= 0 keeps only the shutdown checkpoint)")
 	tailPath := flag.String("tail", "", "with -serve: tail an sFlow datagram log, shorthand for -input tail:PATH")
 	var inputSpecs []ingest.Spec
 	flag.Func("input", "with -serve: add a supervised ingest source (udp://ADDR, tail:PATH, replay:PATH, pcap:PATH, synthetic:[k=v,...]); repeatable", func(v string) error {
@@ -351,42 +332,14 @@ func main() {
 	inputs, err := serveInputs(explicit, serveFlags{
 		serve: *serve, inputsFile: *inputsFile, fromFile: fromFile, inputs: inputSpecs,
 		listen: *listen, tail: *tailPath, policy: *policy, timestamps: *timestamps,
+		sflow: *sflowPath, follow: *follow, scale: *scale, days: *days,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ixpmon:", err)
 		os.Exit(2)
 	}
 
-	switch {
-	case *serve:
-		if *resume && *stateDir == "" {
-			fmt.Fprintln(os.Stderr, "ixpmon: -resume needs -state")
-			os.Exit(2)
-		}
-		ce := *ckptEvery
-		if ce <= 0 {
-			ce = -1 // disable the timer; the shutdown checkpoint remains
-		}
-		err := runServe(server.Config{
-			HTTPAddr:       *httpAddr,
-			TimeFromUptime: *timestamps == "uptime",
-			Window: server.WindowConfig{
-				Days:     *windowDays,
-				ListSize: *listSize,
-				Refresh:  simclock.Duration(interval.Seconds()),
-			},
-			StateDir:        *stateDir,
-			Resume:          *resume,
-			CheckpointEvery: ce,
-			Inputs:          inputs,
-			Policy:          *policy,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ixpmon:", err)
-			os.Exit(1)
-		}
-		return
-	case *sendPath != "":
+	if !*serve && *sendPath != "" {
 		if err := runSend(*sendPath, *sendTo, *burst, *pause); err != nil {
 			fmt.Fprintln(os.Stderr, "ixpmon:", err)
 			os.Exit(1)
@@ -394,53 +347,33 @@ func main() {
 		return
 	}
 
-	mon := core.NewMonitor(*listSize, simclock.Duration(interval.Seconds()), core.DefaultThresholds())
-	if *sflowPath != "" {
-		stop := make(chan os.Signal, 1)
-		if *follow {
-			signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-		}
-		if err := tailLog(mon, *sflowPath, *follow, stop, server.NewStages()); err != nil {
-			fmt.Fprintln(os.Stderr, "ixpmon:", err)
-			os.Exit(1)
-		}
-	} else {
-		fmt.Fprintf(os.Stderr, "building campaign (scale %.2f)...\n", *scale)
-		c := ecosystem.NewCampaign(ecosystem.DefaultCampaignConfig(*scale))
-		window := simclock.Window{
-			Start: simclock.MeasurementStart,
-			End:   simclock.MeasurementStart.Add(simclock.Days(*days)),
-		}
-		src := source.NewSynthetic(ecosystem.NewGenerator(c, 11), window)
-
-		// Monitor.Consume prefetches day traffic in parallel while the
-		// (stateful, order-dependent) monitor consumes days in order.
-		mon.Consume(src, c.Topo, *concurrency, func(day simclock.Time, n int) {
-			fmt.Fprintf(os.Stderr, "%s: %d samples processed\n", day.Date(), n)
-		})
+	if *resume && *stateDir == "" {
+		fmt.Fprintln(os.Stderr, "ixpmon: -resume needs -state")
+		os.Exit(2)
 	}
-
-	fmt.Println("day          victims  /24s  /16s  /8s   name-list Jaccard vs prev day")
-	for _, d := range mon.Days() {
-		fmt.Printf("%s %8d %5d %5d %4d   %.2f\n",
-			d.Day.Date(), d.Victims, d.Prefixes24, d.Prefixes16, d.Prefixes8, d.NameListJaccard)
+	ce := *ckptEvery
+	if ce <= 0 {
+		ce = -1 // disable the timer; the shutdown checkpoint remains
 	}
-	fmt.Printf("\nmean day-over-day name-list Jaccard: %.2f (paper: 0.96)\n", mon.MeanNameListJaccard())
-	fmt.Printf("current list (%d names):\n", len(mon.CurrentNames))
-	for _, n := range sortedKeys(mon.CurrentNames) {
-		fmt.Println("  " + n)
+	cfg := server.Config{
+		HTTPAddr:       *httpAddr,
+		TimeFromUptime: *timestamps == "uptime",
+		Window: server.WindowConfig{
+			Days:     *windowDays,
+			ListSize: *listSize,
+			Refresh:  simclock.Duration(interval.Seconds()),
+		},
+		StateDir:        *stateDir,
+		Resume:          *resume,
+		CheckpointEvery: ce,
+		Inputs:          inputs,
+		Policy:          *policy,
 	}
-}
-
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+	if !*serve && !explicit["http"] {
+		cfg.HTTPAddr = "127.0.0.1:0" // two one-shot runs never fight over a port
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
+	if err := runServe(cfg, *serve, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "ixpmon:", err)
+		os.Exit(1)
 	}
-	return out
 }

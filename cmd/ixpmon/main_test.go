@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
+	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"dnsamp/internal/ingest"
+	"dnsamp/internal/server"
+	"dnsamp/internal/simclock"
 )
 
 func specs(t *testing.T, ss ...string) []ingest.Spec {
@@ -70,8 +75,13 @@ func TestServeInputs(t *testing.T) {
 		{"uptime timestamps on UDP inputs", []string{"timestamps", "input"},
 			with(func(f *serveFlags) { f.timestamps = "uptime"; f.inputs = specs(t, "udp://:9000") }),
 			[]string{"udp://:9000"}, ""},
-		{"without -serve the service flags are inert", []string{"listen", "tail", "timestamps"},
-			serveFlags{listen: "x", tail: "a.log", timestamps: "bogus"}, nil, ""},
+		{"without -serve: one synthetic input from -scale/-days; -listen and -tail are inert", []string{"listen", "tail", "scale", "days"},
+			serveFlags{listen: "x", tail: "a.log", timestamps: "wall", scale: 0.02, days: 3},
+			[]string{"synthetic:scale=0.02,days=3,seed=11"}, ""},
+		{"-sflow is replay:FILE", []string{"sflow"}, serveFlags{timestamps: "wall", sflow: "r.log", scale: 0.05, days: 14},
+			[]string{"replay:r.log"}, ""},
+		{"-sflow -follow is tail:FILE", []string{"sflow", "follow"}, serveFlags{timestamps: "wall", sflow: "r.log", follow: true, scale: 0.05, days: 14},
+			[]string{"tail:r.log"}, ""},
 
 		// Rejects.
 		{"-input without -serve", []string{"input"}, serveFlags{inputs: specs(t, "udp://:9000")}, nil, "-input has no effect without -serve"},
@@ -93,6 +103,13 @@ func TestServeInputs(t *testing.T) {
 			with(func(f *serveFlags) { f.inputs = specs(t, "udp://:9000", "replay:r.log"); f.timestamps = "uptime" }), nil, "contradicts durable input replay:r.log"},
 		{"an unknown -timestamps", []string{"timestamps"},
 			with(func(f *serveFlags) { f.timestamps = "gps" }), nil, "-timestamps must be wall or uptime"},
+		{"-follow without -sflow", []string{"follow"}, serveFlags{timestamps: "wall", follow: true, scale: 0.05, days: 14}, nil, "-follow needs -sflow"},
+		{"-follow without -sflow, under -serve", []string{"follow"}, with(func(f *serveFlags) { f.follow = true }), nil, "-follow needs -sflow"},
+		{"-sflow with -serve", []string{"sflow"}, with(func(f *serveFlags) { f.sflow = "r.log" }), nil, "-sflow has no effect with -serve"},
+		{"-scale with -sflow", []string{"sflow", "scale"}, serveFlags{timestamps: "wall", sflow: "r.log", scale: 0.1, days: 14}, nil, "-scale and -days have no effect with -sflow"},
+		{"-days with -sflow", []string{"sflow", "days"}, serveFlags{timestamps: "wall", sflow: "r.log", scale: 0.05, days: 3}, nil, "-scale and -days have no effect with -sflow"},
+		{"a synthetic input of no days", []string{"days"}, serveFlags{timestamps: "wall", scale: 0.05}, nil, "scale and days must be positive"},
+		{"uptime timestamps on the one-shot input", []string{"timestamps"}, serveFlags{timestamps: "uptime", scale: 0.05, days: 14}, nil, "contradicts durable input synthetic:"},
 	} {
 		explicit := map[string]bool{}
 		for _, name := range c.explicit {
@@ -115,6 +132,74 @@ func TestServeInputs(t *testing.T) {
 		}
 		if !slices.Equal(ids, c.want) {
 			t.Errorf("%s: sources %v, want %v", c.name, ids, c.want)
+		}
+	}
+}
+
+// TestOneShotClosesEachDayOnce runs ixpmon's path without -serve over a
+// synthetic input whose day batches carry next-day spill: it must come
+// back by itself with one summary row per calendar day — consecutive
+// dates from the first day of the stream, never one twice — whose victim
+// counts are the per-day counts of the detections printed below them.
+func TestOneShotClosesEachDayOnce(t *testing.T) {
+	inputs, err := serveInputs(nil, serveFlags{timestamps: "wall", scale: 0.02, days: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	cfg := server.Config{HTTPAddr: "127.0.0.1:0", Window: server.WindowConfig{Days: 7}, Inputs: inputs}
+	if err := runServe(cfg, false, &out); err != nil {
+		t.Fatal(err)
+	}
+	table, dets, ok := strings.Cut(out.String(), "detections: ")
+	if !ok {
+		t.Fatalf("summary has no detections block:\n%s", out.String())
+	}
+	perDay := map[string]int{}
+	for _, line := range strings.Split(dets, "\n")[1:] {
+		if f := strings.Fields(line); len(f) > 0 {
+			perDay[f[0]]++
+		}
+	}
+	if len(perDay) == 0 {
+		t.Fatal("no detections: the victim counts would be compared with nothing")
+	}
+	var rows, victims int
+	for _, line := range strings.Split(table, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 2 || !strings.HasPrefix(f[0], "20") {
+			continue // header and mean lines
+		}
+		if want := simclock.MeasurementStart.Add(simclock.Days(rows)).Date(); f[0] != want {
+			t.Errorf("row %d is %s, want %s", rows, f[0], want)
+		}
+		if n, _ := strconv.Atoi(f[1]); n != perDay[f[0]] {
+			t.Errorf("%s: %s victims in the day row, %d detections of that day", f[0], f[1], perDay[f[0]])
+		}
+		victims += perDay[f[0]]
+		rows++
+	}
+	// The last day's spill may open one more calendar day, not more.
+	if rows != 3 && rows != 4 {
+		t.Errorf("%d day rows for a 3-day stream:\n%s", rows, table)
+	}
+	if strings.Count(dets, "\n")-1 != victims {
+		t.Errorf("detections outside the summarised days:\n%s", out.String())
+	}
+}
+
+// TestOneShotInputFailureIsFinal: without -serve a missing log ends the
+// stream at its first error — no backoff rounds — and the error names the
+// input and what went wrong.
+func TestOneShotInputFailureIsFinal(t *testing.T) {
+	inputs, err := serveInputs(nil, serveFlags{timestamps: "wall", sflow: filepath.Join(t.TempDir(), "nosuch.sflow")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = runServe(server.Config{HTTPAddr: "127.0.0.1:0", Inputs: inputs}, false, new(bytes.Buffer))
+	for _, want := range []string{inputs[0].ID, "1 consecutive failures", "no such file"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want it to contain %q", err, want)
 		}
 	}
 }

@@ -1,39 +1,55 @@
 // Livemonitor demonstrates the §4.3 online deployment: sampled traffic
-// streams day by day from a source.Source (as it would from an sFlow
-// collector), the monitor keeps a rolling daily aggregate, refreshes
-// the misused-name list every five minutes of traffic time, and emits
-// per-day victim statistics.
+// streams into the service from one input (synthetic here; a UDP
+// listener or a tailed log in production), the window keeps a rolling
+// aggregate, refreshes the misused-name list every five minutes of
+// traffic time, detects over each day as it closes, and emits per-day
+// victim statistics. It is what `ixpmon` without -serve does.
 //
 // Unlike the offline pipeline, the monitor never sees the future: name
 // lists adapt as attacks change.
 package main
 
 import (
+	"context"
 	"fmt"
+	"os"
 
-	"dnsamp/internal/core"
-	"dnsamp/internal/ecosystem"
+	"dnsamp/internal/ingest"
+	"dnsamp/internal/server"
 	"dnsamp/internal/simclock"
-	"dnsamp/internal/source"
 )
 
 func main() {
-	c := ecosystem.NewCampaign(ecosystem.DefaultCampaignConfig(0.03))
-	mon := core.NewMonitor(29, 5*simclock.Minute, core.DefaultThresholds())
-
-	// Stream one week that includes an entity name transition so the
-	// list update is visible.
-	start := simclock.MeasurementStart.Add(simclock.Days(16))
-	window := simclock.Window{Start: start, End: start.Add(simclock.Days(7))}
-	src := source.NewSynthetic(ecosystem.NewGenerator(c, 11), window)
-	mon.Consume(src, c.Topo, 0, func(day simclock.Time, n int) {
-		fmt.Printf("%s streamed (entity currently misuses %v)\n", day.Date(), c.Entity.NameAt(day))
-	})
-
-	fmt.Println("\nday          victims  /24s  list-Jaccard")
-	for _, d := range mon.Days() {
-		fmt.Printf("%s %8d %5d  %.2f\n", d.Day.Date(), d.Victims, d.Prefixes24, d.NameListJaccard)
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "livemonitor:", err)
+		os.Exit(1)
 	}
-	fmt.Printf("\nname-list refreshes: %d (every 5 traffic-minutes)\n", len(mon.Updates))
-	fmt.Printf("mean day-over-day list Jaccard: %.2f (paper: 0.96)\n", mon.MeanNameListJaccard())
+}
+
+func run() error {
+	week, err := ingest.ParseSpec("synthetic:scale=0.03,days=7")
+	if err != nil {
+		return err
+	}
+	// The zero window: one day of client state, and the paper's 29 names
+	// per selector and refresh every 5 minutes of stream time.
+	svc := server.NewService(server.Config{Inputs: []ingest.Spec{week}})
+	if err := svc.Start(); err != nil {
+		return err
+	}
+	<-svc.Done() // the input is finite: the stream ends by itself
+	if err := svc.Shutdown(context.Background()); err != nil {
+		return err
+	}
+
+	fmt.Println("day          victims  /24s  list-Jaccard vs previous day (paper: 0.96 on average)")
+	for _, d := range svc.DaysSnapshot() {
+		j := "-"
+		if d.HasPrev {
+			j = fmt.Sprintf("%.2f", d.Jaccard)
+		}
+		fmt.Printf("%s %8d %5d  %s\n", simclock.Time(simclock.Days(d.Day)).Date(), d.Victims, d.Prefixes24, j)
+	}
+	fmt.Printf("\nname-list refreshes: %d (every 5 traffic-minutes)\n", svc.WindowSnapshot().Refreshes)
+	return nil
 }

@@ -477,7 +477,7 @@ func (ag *Aggregator) observeClient(key ClientDay, t simclock.Time, size int, is
 // Observe ingests one sanitized sample. The sample's Name ID must be in
 // the aggregator's table space; the hot loop performs no per-packet
 // allocation in steady state. ObserveBatch is the batch-native fast
-// path; Observe remains for per-sample consumers (the live monitor's
+// path; Observe remains for per-sample consumers (server.Window's
 // arrival-order processing, frame-level replay).
 func (ag *Aggregator) Observe(s *ixp.DNSSample) {
 	ag.Samples++
@@ -823,7 +823,7 @@ func (ag *Aggregator) CanonicalizeClients() {
 // CandidateSet is the set of candidate (misused) name IDs in one
 // aggregator's table space. It is a small ID set, not a table-sized
 // bitset: candidate lists are tens of names while a long-lived table
-// (the live monitor's) accretes hundreds of thousands, and membership
+// (the live window's) accretes hundreds of thousands, and membership
 // checks only run per client-day, not per packet.
 type CandidateSet struct {
 	ids map[uint32]bool

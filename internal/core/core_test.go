@@ -352,37 +352,6 @@ func TestVisibilityCurveMonotone(t *testing.T) {
 	}
 }
 
-func TestMonitorRollsDays(t *testing.T) {
-	m := NewMonitor(5, 5*simclock.Minute, DefaultThresholds())
-	t0 := simclock.MeasurementStart
-	for day := 0; day < 3; day++ {
-		for i := 0; i < 50; i++ {
-			s := mkSample(m.Table(), 1, day, "bad.test", dnswire.TypeANY, 5000, true)
-			s.Time = t0.Add(simclock.Days(day)).Add(simclock.Duration(i) * 10 * simclock.Minute)
-			m.Observe(s)
-		}
-	}
-	m.Close(t0.Add(simclock.Days(3)))
-	days := m.Days()
-	if len(days) != 3 {
-		t.Fatalf("days = %d, want 3", len(days))
-	}
-	for _, d := range days {
-		if d.Victims != 1 {
-			t.Errorf("day %s victims = %d, want 1", d.Day.Date(), d.Victims)
-		}
-		if d.Prefixes24 != 1 {
-			t.Errorf("prefixes = %d", d.Prefixes24)
-		}
-	}
-	if len(m.Updates) == 0 {
-		t.Error("no periodic updates")
-	}
-	if m.MeanNameListJaccard() <= 0 {
-		t.Error("stable traffic should give positive day-over-day Jaccard")
-	}
-}
-
 func TestThresholdsDefault(t *testing.T) {
 	th := DefaultThresholds()
 	if th.MinShare != 0.90 || th.MinPackets != 10 {

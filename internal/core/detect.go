@@ -49,7 +49,7 @@ func (d *Detection) Duration() simclock.Duration { return d.Last.Sub(d.First) }
 // happens for the rare candidate-bearing survivors). On a canonicalized
 // aggregator the arena is already in (day, victim) order, so the final
 // deterministic sort is a near-no-op; it is kept so non-canonicalized
-// aggregators (the live monitor's) report in the same order. The scan
+// aggregators (the live window's) report in the same order. The scan
 // reuses the aggregator's scratch columns and allocates only for
 // emitted detections.
 func Detect(ag *Aggregator, candidates map[string]bool, th Thresholds) []*Detection {

@@ -117,8 +117,8 @@ type WireDayTraffic struct {
 //
 // Consumers normally do not call Day directly: source.Synthetic adapts
 // a Generator to the streaming source.Source interface the detection
-// pipeline and the live monitor consume (and source.Cached adds
-// cross-pass batch reuse on top).
+// pipeline consumes (and source.Cached adds cross-pass batch reuse on
+// top); the live service reads WireDay through a synthetic: input.
 type Generator struct {
 	C          *Campaign
 	Background BackgroundConfig

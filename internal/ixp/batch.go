@@ -199,11 +199,11 @@ func (c *CapturePoint) RemapBatch(b *SampleBatch) *SampleBatch {
 // remapping batch-table name IDs into the capture point's table,
 // annotating origin/peer ASNs from the routing substrate, applying
 // ingress-port overrides, and accumulating sanitization stats exactly
-// as the frame-level Process would. It is the per-sample compatibility
-// path — kept for consumers that need one callback per packet (the
-// live monitor's arrival-order processing, Replay/frame-level
-// ingestion); the detection pipeline feeds RemapBatch output to the
-// batch-native Observe paths instead.
+// as the frame-level Process would. It is the per-sample reference
+// path: one callback per packet, which the equivalence tests
+// (TestDayBatchMatchesWire, the source round trips) and the alloc guard
+// compare the batch-native paths against; the detection pipeline feeds
+// RemapBatch output to the batch-native Observe paths instead.
 //
 // fn receives a reused *DNSSample — it must not be retained across
 // calls. The steady-state loop performs zero allocations per record:

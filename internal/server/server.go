@@ -320,6 +320,12 @@ func (s *Service) Start() error {
 // HTTPAddr returns the bound HTTP listen address (after Start).
 func (s *Service) HTTPAddr() net.Addr { return s.httpLn.Addr() }
 
+// Done is closed once the consumer has drained the last datagram: when
+// the stream ends by itself (every input done or quarantined — never,
+// with a UDP or tail: input) or when Shutdown stops it. After a stream
+// that ended by itself Shutdown still has to run.
+func (s *Service) Done() <-chan struct{} { return s.consumerDone }
+
 // Shutdown stops the service in dependency order: stop the ingest
 // scheduler so the producer exits and closes the queue, wait for the
 // consumer to drain everything already accepted, write the final
@@ -648,6 +654,14 @@ func (s *Service) DetectionsSnapshot() []*Detection {
 		out[i] = newDetection(d)
 	}
 	return out
+}
+
+// DaysSnapshot returns the window's day log: one row per day this
+// process closed, oldest first.
+func (s *Service) DaysSnapshot() []DaySummary {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.win.Days()
 }
 
 // SourcesSnapshot returns per-collector accounting rows sorted by

@@ -11,8 +11,7 @@ import (
 type WindowConfig struct {
 	// Days is the window width in days: a closed day is evicted from the
 	// aggregate once it falls more than Days-1 days behind the current
-	// day. Minimum (and default) 1 — current-day-only, the live
-	// monitor's historical behaviour.
+	// day. Minimum (and default) 1 — current-day-only.
 	Days int
 	// ListSize is the per-selector name-list size N (the paper keeps 29).
 	ListSize int
@@ -46,14 +45,15 @@ func (c WindowConfig) withDefaults() WindowConfig {
 	return c
 }
 
-// Window is the sliding-window incremental detector: the always-on
-// generalization of core.Monitor. It ingests sanitized samples in
-// arrival order, keeps the last WindowConfig.Days days of client-day
-// profiles in one core.Aggregator (expired days evicted in place, arena
-// slots recycled), refreshes the misused-name list every Refresh of
+// Window is the sliding-window incremental detector, the §4.3 live
+// monitor: it ingests sanitized samples in arrival order, keeps the
+// last WindowConfig.Days days of client-day profiles in one
+// core.Aggregator (expired days evicted in place, arena slots
+// recycled), refreshes the misused-name list every Refresh of
 // stream time, and emits detections for each day as it closes — so
 // results stream out with bounded memory instead of arriving at the end
-// of a study.
+// of a study. Each close also appends one DaySummary (the paper's daily
+// victim aggregates and name-list churn) to a bounded in-memory day log.
 //
 // Day close happens when a sample of a newer day arrives (UDP transport
 // may reorder within a day; whole-day reordering closes days in arrival
@@ -91,6 +91,12 @@ type Window struct {
 	detections []*core.Detection
 	detDropped uint64 // detections dropped to MaxDetections
 
+	// days is the day log, oldest first; closeNames is the name list as
+	// of the newest close (nil before this process's first). Neither is
+	// checkpointed.
+	days       []DaySummary
+	closeNames map[string]bool
+
 	closedDays  int
 	evicted     uint64
 	lateSamples uint64 // samples older than the window, dropped
@@ -114,8 +120,7 @@ func NewWindow(cfg WindowConfig, stages *Stages) *Window {
 	w.top2 = core.NewTopNANYCount(w.cfg.ListSize)
 	w.agg = core.NewAggregator(nil, nil)
 	// Track every name per client: the window retains only cfg.Days days
-	// of client state, so trackAll stays affordable (the live monitor's
-	// trade, extended from one day to the window).
+	// of client state, so trackAll stays affordable.
 	w.agg.SetTrackAll(true)
 	w.cp = ixp.NewCapturePoint(nil, w.agg.Table)
 	return w
@@ -161,19 +166,59 @@ func (w *Window) advanceTo(newDay int, now simclock.Time) {
 	w.evict()
 }
 
-// closeDay refreshes the name list and detects over the closing day.
+// DaySummary is one closed day of the day log: the §4.3 daily victim
+// aggregates (the paper reports means of 631 /24s, 492 /16s, 121 /8s per
+// day) and the churn of the misused-name list (paper: mean day-over-day
+// Jaccard 0.96).
+type DaySummary struct {
+	Day int
+	// Victims counts the day's detections; PrefixesN the distinct /N
+	// prefixes they fall in.
+	Victims, Prefixes24, Prefixes16, Prefixes8 int
+	// ListNames is the size of the name list the day closed with, and
+	// Jaccard its similarity to the list of the previous close. HasPrev
+	// is false on the first close of a process, which has no
+	// predecessor; Jaccard is 0 there.
+	ListNames int
+	Jaccard   float64
+	HasPrev   bool
+}
+
+// maxDayLog bounds the day log; the oldest rows go first.
+const maxDayLog = 366
+
+// closeDay refreshes the name list, detects over the closing day, and
+// logs its summary.
 func (w *Window) closeDay(now simclock.Time) {
 	w.refresh(now)
 	var stop func()
 	if w.stages != nil {
 		stop = w.stages.Track("detect")
 	}
+	sum := DaySummary{Day: w.curDay, ListNames: len(w.names), HasPrev: w.closeNames != nil}
+	if sum.HasPrev {
+		sum.Jaccard = stats.Jaccard(w.closeNames, w.names)
+	}
+	w.closeNames = w.names // refresh replaces the map, never edits it
+	p24 := make(map[[3]byte]bool)
+	p16 := make(map[[2]byte]bool)
+	p8 := make(map[byte]bool)
 	dets := core.Detect(w.agg, w.names, w.cfg.Thresholds)
 	for _, det := range dets {
 		if det.Day == w.curDay {
 			w.detections = append(w.detections, det)
+			v := det.Victim
+			sum.Victims++
+			p24[[3]byte{v[0], v[1], v[2]}] = true
+			p16[[2]byte{v[0], v[1]}] = true
+			p8[v[0]] = true
 		}
 	}
+	sum.Prefixes24, sum.Prefixes16, sum.Prefixes8 = len(p24), len(p16), len(p8)
+	if len(w.days) == maxDayLog {
+		w.days = append(w.days[:0], w.days[1:]...)
+	}
+	w.days = append(w.days, sum)
 	if over := len(w.detections) - w.cfg.MaxDetections; over > 0 {
 		w.detDropped += uint64(over)
 		w.detections = append(w.detections[:0], w.detections[over:]...)
@@ -265,6 +310,12 @@ func (w *Window) Close() {
 // in emission order.
 func (w *Window) Detections() []*core.Detection {
 	return append([]*core.Detection(nil), w.detections...)
+}
+
+// Days returns a snapshot of the day log: one row per day closed by this
+// process, oldest first.
+func (w *Window) Days() []DaySummary {
+	return append([]DaySummary(nil), w.days...)
 }
 
 // CurrentNames returns a snapshot of the current misused-name list.

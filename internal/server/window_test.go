@@ -174,6 +174,83 @@ func TestWindowIntervalRefresh(t *testing.T) {
 	}
 }
 
+// TestWindowDayLog: three days of one victim's traffic, ten minutes
+// apart, close as three day rows of one victim in one /24 each — also
+// when the stream is disordered: same-day samples behind a next-day
+// straggler land in their (already closed) day and never open a second
+// row for it.
+func TestWindowDayLog(t *testing.T) {
+	w := NewWindow(WindowConfig{Days: 2, ListSize: 5}, nil)
+	t0 := simclock.MeasurementStart
+	for day := 0; day < 3; day++ {
+		for i := 0; i < 50; i++ {
+			at := t0.Add(simclock.Days(day)).Add(simclock.Duration(i) * 10 * simclock.Minute)
+			w.Observe(winSample(w, at, 1, "bad.test", dnswire.TypeANY, 5000))
+			if i == 40 && day < 2 { // the next day's straggler, 10 samples early
+				w.Observe(winSample(w, t0.Add(simclock.Days(day+1)), 1, "bad.test", dnswire.TypeANY, 5000))
+			}
+		}
+	}
+	w.Close()
+	days := w.Days()
+	if len(days) != 3 {
+		t.Fatalf("day rows = %+v, want 3", days)
+	}
+	for i, d := range days {
+		if d.Day != t0.Day()+i {
+			t.Errorf("row %d is day %d, want %d", i, d.Day, t0.Day()+i)
+		}
+		if d.Victims != 1 || d.Prefixes24 != 1 || d.Prefixes16 != 1 || d.Prefixes8 != 1 {
+			t.Errorf("day %d: %+v, want 1 victim in 1 prefix of each length", d.Day, d)
+		}
+		if d.HasPrev != (i > 0) || (i > 0 && d.Jaccard != 1) {
+			t.Errorf("day %d: stable traffic, yet Jaccard %v (has predecessor: %v)", d.Day, d.Jaccard, d.HasPrev)
+		}
+	}
+	if st := w.Stats(); st.Refreshes <= st.ClosedDays || st.ClosedDays != 3 {
+		t.Errorf("no interval refreshes between the closes: %+v", st)
+	}
+}
+
+// TestWindowDayLogJaccard: a day row compares its list with the list of
+// the previous close, not of the previous 5-minute refresh. ListSize 2;
+// day 0 closes on {a, b}; day 1 brings c, larger and more often ANY than
+// b, so it closes on {a, c}: 1 shared of 3 names. An interval refresh
+// has already adopted {a, c} by then, so against it the close reads 1.
+func TestWindowDayLogJaccard(t *testing.T) {
+	w := NewWindow(WindowConfig{Days: 2, ListSize: 2}, nil)
+	feed := func(day int, hour simclock.Duration, name string, size, n int) {
+		for i := 0; i < n; i++ {
+			w.Observe(winSample(w, simclock.MeasurementStart.Add(simclock.Days(day)+hour*simclock.Hour), 1, name, dnswire.TypeANY, size))
+		}
+	}
+	feed(0, 1, "a.test", 4000, 2)
+	feed(0, 1, "b.test", 3000, 1)
+	feed(1, 1, "c.test", 5000, 3)
+	feed(1, 2, "a.test", 4000, 1) // an hour on: the interval refresh sees c
+	if got := w.CurrentNames(); !slices.Contains(got, "c.test.") {
+		t.Fatalf("list after the interval refresh = %v, want c.test. adopted", got)
+	}
+	feed(2, 1, "a.test", 4000, 1)
+	if st := w.Stats(); st.Jaccard != 1 {
+		t.Fatalf("day 1 closed on a changed list (Jaccard vs previous refresh %v); the test needs it unchanged", st.Jaccard)
+	}
+	w.Close()
+	days := w.Days()
+	if len(days) != 3 {
+		t.Fatalf("day rows = %+v, want 3", days)
+	}
+	if d := days[0]; d.HasPrev || d.Jaccard != 0 || d.ListNames != 2 {
+		t.Errorf("first close = %+v, want no predecessor and a 2-name list", d)
+	}
+	if d := days[1]; !d.HasPrev || d.Jaccard != 1.0/3 {
+		t.Errorf("day 1 = %+v, want Jaccard({a,b},{a,c}) = 1/3", d)
+	}
+	if d := days[2]; !d.HasPrev || d.Jaccard != 1 {
+		t.Errorf("day 2 = %+v, want Jaccard 1 (list unchanged since day 1 closed)", d)
+	}
+}
+
 // oracleSample is one sample of the oracle stream, materialized against
 // whichever window is consuming it (a resumed window has its own table).
 type oracleSample struct {

@@ -2,10 +2,9 @@
 // log files — growth (tail), truncation (the file shrank below what
 // was already read), and rotation (the path now names a different
 // file). LogReader alone resumes cleanly when a file grows; Tailer
-// adds the stat-based staleness checks and transparent reopen that
-// `ixpmon -follow` and the service's tail-ingest mode need to keep
-// following across logrotate instead of waiting forever at a stale
-// offset. Its resume cursor — what service checkpoints persist — is
+// adds the stat-based staleness checks and transparent reopen that a
+// tail: input needs to keep following across logrotate instead of
+// waiting forever at a stale offset. Its resume cursor — what service checkpoints persist — is
 // the LogReader's own Offset.
 package sflow
 
@@ -113,26 +112,6 @@ func (t *Tailer) NextEntry() (simclock.Time, *Datagram, error) {
 			continue
 		}
 		return 0, nil, err
-	}
-}
-
-// Next returns the next sampled record and its flow-sample input field,
-// iterating sample by sample the way LogReader.Next does, with the same
-// staleness handling as NextEntry.
-func (t *Tailer) Next() (Record, uint32, error) {
-	for reopened := false; ; {
-		rec, input, err := t.lr.Next()
-		if err == nil {
-			return rec, input, nil
-		}
-		if (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) && !reopened && t.stale() {
-			if rerr := t.reopen(); rerr != nil {
-				return Record{}, 0, rerr
-			}
-			reopened = true
-			continue
-		}
-		return Record{}, 0, err
 	}
 }
 

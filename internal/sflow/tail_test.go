@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"dnsamp/internal/simclock"
 )
 
 // logEntries decodes every entry of an in-memory log image — the
@@ -258,68 +256,5 @@ func TestTailerDetectsRotation(t *testing.T) {
 	}
 	if tl.Reopens() != 1 {
 		t.Fatalf("Reopens = %d, want 1", tl.Reopens())
-	}
-}
-
-// TestTailerSampleIteration: the sample-level Next sees every record
-// across a growth boundary and keeps the offset on entry boundaries.
-func TestTailerSampleIteration(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "feed.sflowlog")
-	raw := writeLogFile(t, path)
-	recs, _ := logRecords()
-
-	cut := len(raw) / 2
-	if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tl, err := NewTailer(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tl.Close()
-
-	var seen int
-	var lastTime simclock.Time
-	drain := func() {
-		for {
-			rec, _, err := tl.Next()
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return
-			}
-			if err != nil {
-				t.Fatalf("Next: %v", err)
-			}
-			seen++
-			lastTime = rec.Time
-		}
-	}
-	drain()
-	if seen == 0 || seen >= len(recs) {
-		t.Fatalf("prefix yielded %d samples, want 1..%d", seen, len(recs)-1)
-	}
-	mid := tl.Offset()
-	if mid <= logHeaderLen || mid > int64(cut) {
-		t.Fatalf("mid-log Offset = %d, want in (%d, %d]", mid, logHeaderLen, cut)
-	}
-
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(raw[cut:]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	drain()
-	if seen != len(recs) {
-		t.Fatalf("saw %d samples, want %d", seen, len(recs))
-	}
-	if lastTime != recs[len(recs)-1].Time {
-		t.Fatalf("last sample time = %v, want %v", lastTime, recs[len(recs)-1].Time)
-	}
-	if tl.Offset() != int64(len(raw)) {
-		t.Fatalf("final Offset = %d, want %d", tl.Offset(), len(raw))
 	}
 }

@@ -1,8 +1,8 @@
 // Package source decouples traffic acquisition from detection: the §4
 // pipeline is source-agnostic — it consumes sampled IXP flows wherever
-// they come from — so every consumer (the offline study engine, the
-// live monitor, the CLI binaries) streams day batches through the
-// Source interface instead of hardwiring ecosystem.Generator.
+// they come from — so every batch consumer (the offline study engine,
+// the CLI binaries) streams day batches through the Source interface
+// instead of hardwiring ecosystem.Generator.
 //
 // Three adapters cover the current workloads:
 //

@@ -1,11 +1,13 @@
 #!/bin/sh
-# Daemon smoke test: drive the real ixpmon binary through service mode
-# and assert every step, the refusals included. Start it on -listen,
-# replay a generated sFlow log into it over UDP, check each endpoint of
-# the control surface, check that a second daemon cannot take the held
-# port and that contradictory flags exit 2, shut down on SIGTERM; then
-# the same recording through -serve -tail. Mirrored by the daemon-smoke
-# CI job and `make daemon-smoke`.
+# Daemon smoke test: drive the real ixpmon binary through both of its
+# modes and assert every step, the refusals included. Start it on
+# -listen, replay a generated sFlow log into it over UDP, check each
+# endpoint of the control surface, check that a second daemon cannot
+# take the held port and that contradictory flags exit 2, shut down on
+# SIGTERM; then the same recording through -serve -tail; then through
+# the one-shot -sflow, which must end by itself with the -tail leg's
+# summary, and exit 1 at once on a missing log. Mirrored by the
+# daemon-smoke CI job and `make daemon-smoke`.
 set -eu
 
 WORK="$(mktemp -d)"
@@ -99,6 +101,10 @@ expect_exit 2 "$WORK/ixpmon" -input udp://127.0.0.1:0
 expect_exit 2 "$WORK/ixpmon" -serve -tail "$WORK/traffic.sflow" -timestamps uptime
 expect_exit 2 "$WORK/ixpmon" -serve -policy arrival
 expect_exit 2 "$WORK/ixpmon" -serve -resume
+expect_exit 2 "$WORK/ixpmon" -follow
+expect_exit 2 "$WORK/ixpmon" -serve -sflow "$WORK/traffic.sflow"
+expect_exit 2 "$WORK/ixpmon" -sflow "$WORK/traffic.sflow" -scale 0.1
+expect_exit 2 "$WORK/ixpmon" -sflow "$WORK/traffic.sflow" -days 3
 
 echo "== starting service mode on -listen =="
 "$WORK/ixpmon" -serve -listen "127.0.0.1:$UDP_PORT" -http "127.0.0.1:$HTTP_PORT" \
@@ -174,5 +180,22 @@ curl -fsS -X POST "$BASE/checkpoint" | grep -q '"checkpoint": ' || fail "POST /c
 ! curl -fsS "$BASE/checkpoint" >/dev/null 2>&1 || false # GET: 405
 stop_daemon
 ls "$WORK/state"/checkpoint-*.ckpt >/dev/null || fail "no checkpoint written to -state"
+sed -n '/^day /,$p' "$WORK/serve.log" >"$WORK/tail.summary"
+
+echo "== one-shot -sflow: the same recording as a replay: input, ending by itself =="
+rc=0
+timeout 60 "$WORK/ixpmon" -sflow "$WORK/traffic.sflow" -window 2 >"$WORK/oneshot.summary" 2>"$WORK/oneshot.log" || rc=$?
+[ "$rc" -eq 0 ] || fail "one-shot run exited $rc (124: still running after 60 s): $(cat "$WORK/oneshot.log")"
+grep '^20' "$WORK/oneshot.summary" | cut -d' ' -f1 >"$WORK/oneshot.days"
+[ "$(wc -l <"$WORK/oneshot.days")" -ge 2 ] || fail "fewer day rows than the recording has days: $(cat "$WORK/oneshot.summary")"
+sort -c -u "$WORK/oneshot.days" || fail "day rows repeat a date or run backwards: $(cat "$WORK/oneshot.days")"
+grep -q '^detections: [1-9]' "$WORK/oneshot.summary" || fail "one-shot summary reported no detections"
+diff "$WORK/tail.summary" "$WORK/oneshot.summary" || fail "one-shot day rows and detections differ from the -serve -tail leg's"
+
+echo "== one-shot on a missing log fails at once =="
+rc=0
+timeout 2 "$WORK/ixpmon" -sflow "$WORK/nosuch.sflow" >"$WORK/missing.log" 2>&1 || rc=$?
+[ "$rc" -eq 1 ] || fail "-sflow on a missing log exited $rc, want 1 (124: still retrying after 2 s)"
+grep -q "input replay:$WORK/nosuch.sflow failed" "$WORK/missing.log" || fail "the failure does not name the input: $(cat "$WORK/missing.log")"
 
 echo "daemon smoke: OK"
