@@ -1,9 +1,10 @@
 # Targets mirror .github/workflows/ci.yml so local runs and CI stay in
-# lockstep: `make build test race bench fuzz fmt` is exactly what a PR runs.
+# lockstep: `make ci` is what a PR's jobs run (the non-race alloc guards
+# as part of `test`; `loc`, which only prints, left out).
 
 GO ?= go
 
-.PHONY: all build test race bench bench-e2e-smoke bench-baseline bench-compare fuzz fmt vet loc daemon-smoke chaos-smoke eval-smoke ci
+.PHONY: all build test race test-cpu bench bench-e2e-smoke fuzz fmt vet loc daemon-smoke chaos-smoke eval-smoke ci
 
 all: build test
 
@@ -16,30 +17,26 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Bench smoke: every benchmark compiles and runs once, with allocation
-# counts reported.
+# The stateful layers again at GOMAXPROCS 1 and 2: their tests wait on
+# goroutines (supervisors, the consumer, tailers), so a wait that only
+# holds with cores to spare shows here.
+test-cpu:
+	$(GO) test -count=1 -cpu 1,2 ./internal/server ./internal/ingest ./internal/sflow
+
+# Layer benchmarks: every benchmark beside its code compiles and runs
+# once, with allocation counts reported. To measure one, give it time:
+# go test -run '^$' -bench ParseDatagram -benchmem ./internal/sflow
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./...
 
 # End-to-end benchmark smoke: the repository benchmark (bench/,
 # BENCHMARK.json) at smoke size — all five workloads once, every
 # correctness gate (detections equal the offline reference, nothing
-# lost, accounting closed), no timing claim.
+# lost, accounting closed), no timing claim. CI's bench-check job runs
+# `bench` and this on every PR, and `go run ./bench -check` (the timed
+# suite twice, medians held against the bounds) on pushes to main.
 bench-e2e-smoke:
 	$(GO) run ./bench -smoke
-
-# Record the benchmark baseline: full suite with -benchmem, kept both as
-# benchstat-compatible text and as machine-readable JSON. Commit the two
-# BENCH_baseline.* files so future PRs can post their delta.
-bench-baseline:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1s -timeout 40m . | tee BENCH_baseline.txt
-	$(GO) run ./cmd/benchjson < BENCH_baseline.txt > BENCH_baseline.json
-
-# Compare the working tree against the committed baseline (needs
-# benchstat: go install golang.org/x/perf/cmd/benchstat@latest).
-bench-compare:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1s -timeout 40m . ./internal/ixp ./internal/sflow > /tmp/bench_head.txt
-	benchstat BENCH_baseline.txt /tmp/bench_head.txt
 
 # Fuzz smoke: short coverage-guided runs of the byte-level parsers
 # (DNS wire format, sFlow v5 datagrams, pcap records), of the sample
@@ -96,4 +93,4 @@ vet:
 loc:
 	@./scripts/loc.sh
 
-ci: build fmt vet test race fuzz bench bench-e2e-smoke daemon-smoke chaos-smoke eval-smoke
+ci: build fmt vet test race test-cpu fuzz bench bench-e2e-smoke daemon-smoke chaos-smoke eval-smoke

@@ -31,9 +31,6 @@ func NewEncoder(w io.Writer) *Encoder {
 	return &Encoder{w: bufio.NewWriterSize(w, 1<<16)}
 }
 
-// Err returns the latched write error, nil while healthy.
-func (e *Encoder) Err() error { return e.err }
-
 // Flush drains the buffer and returns the latched error, if any.
 func (e *Encoder) Flush() error {
 	if e.err != nil {
@@ -133,9 +130,6 @@ func NewDecoder(b []byte, sentinel error) *Decoder {
 
 // Err returns the latched decode error, nil while healthy.
 func (d *Decoder) Err() error { return d.err }
-
-// Offset returns the number of bytes consumed so far.
-func (d *Decoder) Offset() int { return d.off }
 
 // Remaining returns the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.b) - d.off }

@@ -107,15 +107,6 @@ func (a *ClientAgg) addTracked(id uint32, n int) {
 	a.Tracked = append(a.Tracked, NameCount{ID: id, N: n})
 }
 
-// TrackedTotal sums the tracked-name packet counts.
-func (a *ClientAgg) TrackedTotal() int {
-	n := 0
-	for _, c := range a.Tracked {
-		n += c.N
-	}
-	return n
-}
-
 // TrackedCount returns the tracked packet count of one name ID.
 func (a *ClientAgg) TrackedCount(id uint32) int {
 	for _, c := range a.Tracked {
@@ -477,8 +468,8 @@ func (ag *Aggregator) observeClient(key ClientDay, t simclock.Time, size int, is
 // Observe ingests one sanitized sample. The sample's Name ID must be in
 // the aggregator's table space; the hot loop performs no per-packet
 // allocation in steady state. ObserveBatch is the batch-native fast
-// path; Observe remains for per-sample consumers (server.Window's
-// arrival-order processing, frame-level replay).
+// path; Observe remains for server.Window's arrival-order processing
+// and as the reference the batch-equivalence tests compare against.
 func (ag *Aggregator) Observe(s *ixp.DNSSample) {
 	ag.Samples++
 	if !s.IsResponse {
@@ -847,9 +838,6 @@ func (ag *Aggregator) CandidateSet(candidates map[string]bool) CandidateSet {
 
 // Contains reports candidate membership of a name ID.
 func (cs CandidateSet) Contains(id uint32) bool { return cs.ids[id] }
-
-// Len returns the number of resolved candidate names.
-func (cs CandidateSet) Len() int { return len(cs.ids) }
 
 // ShareOf returns the misused-name traffic share of a client profile
 // with respect to a candidate set.

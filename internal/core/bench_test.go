@@ -1,0 +1,100 @@
+package core_test
+
+// The aggregation layer's benchmarks over generated traffic. They sit
+// in the external test package because the traffic comes from
+// internal/ecosystem, which the rest of this package's tests do not
+// need.
+
+import (
+	"testing"
+
+	"dnsamp/internal/core"
+	"dnsamp/internal/ecosystem"
+	"dnsamp/internal/ixp"
+	"dnsamp/internal/simclock"
+)
+
+// benchTraffic is the campaign and day generator the benchmarks below
+// draw their traffic from.
+func benchTraffic() (*ecosystem.Campaign, *ecosystem.Generator) {
+	cfg := ecosystem.DefaultCampaignConfig(0.01)
+	cfg.Zones.ProceduralNames = 20_000
+	c := ecosystem.NewCampaign(cfg)
+	return c, ecosystem.NewGenerator(c, 7)
+}
+
+// BenchmarkObserveBatch measures the batch-native pass-1 loop:
+// RemapBatch (stats + routing coverage over the AS cache) feeding
+// Aggregator.ObserveBatch directly, one generated day per iteration.
+// Must report 0 allocs/op.
+func BenchmarkObserveBatch(b *testing.B) {
+	c, g := benchTraffic()
+	dt := g.Day(simclock.MeasurementStart.Add(simclock.Days(10)))
+	cap := ixp.NewCapturePoint(c.Topo, g.Table())
+	ag := core.NewAggregator(g.Table(), c.DB.ExplicitNames())
+	ag.ObserveBatch(cap.RemapBatch(dt.Batch))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ag.ObserveBatch(cap.RemapBatch(dt.Batch))
+	}
+}
+
+// BenchmarkDetectColumnar measures the threshold scan over the flat
+// client-day arena: candidate resolution into the dense mark column,
+// the cand/total column fill, and the branch-light integer pass.
+func BenchmarkDetectColumnar(b *testing.B) {
+	c, g := benchTraffic()
+	cap := ixp.NewCapturePoint(c.Topo, g.Table())
+	ag := core.NewAggregator(g.Table(), c.DB.ExplicitNames())
+	for d := 0; d < 7; d++ {
+		dt := g.Day(simclock.MeasurementStart.Add(simclock.Days(10 + d)))
+		ag.ObserveBatch(cap.RemapBatch(dt.Batch))
+	}
+	ag.CanonicalizeClients()
+	cands := map[string]bool{}
+	for _, n := range c.DB.MisusedCandidates() {
+		cands[n] = true
+	}
+	th := core.DefaultThresholds()
+	if len(core.Detect(ag, cands, th)) == 0 {
+		b.Fatal("benchmark sweep found no detections")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.Detect(ag, cands, th)
+	}
+}
+
+// BenchmarkEvictDaysBefore is the window slide in steady state: a
+// seven-day arena loses its oldest day per iteration (arena compaction
+// plus the index rebuild over six days of survivors). Off the clock,
+// the evicted day's batch moves seven days ahead and comes back as the
+// newest day, so every iteration evicts from an arena of the same shape.
+func BenchmarkEvictDaysBefore(b *testing.B) {
+	const window = 7
+	c, g := benchTraffic()
+	ag := core.NewAggregator(g.Table(), c.DB.ExplicitNames())
+	first := simclock.MeasurementStart.Add(simclock.Days(10))
+	var ring [window]*ixp.SampleBatch
+	for d := range ring {
+		ring[d] = g.Day(first.Add(simclock.Days(d))).Batch
+		ag.ObserveBatch(ring[d])
+	}
+	perDay := ag.NumClients() / window
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n := ag.EvictDaysBefore(first.Day() + i + 1); n < perDay/2 {
+			b.Fatalf("iteration %d evicted %d profiles of about %d a day", i, n, perDay)
+		}
+		b.StopTimer()
+		oldest := ring[i%window]
+		for j := range oldest.Time[:oldest.N] {
+			oldest.Time[j] = oldest.Time[j].Add(simclock.Days(window))
+		}
+		ag.ObserveBatch(oldest)
+		b.StartTimer()
+	}
+}

@@ -288,10 +288,6 @@ func NewCollector(tab *names.Table, dets []*Detection, candidates map[string]boo
 	return c
 }
 
-// Table exposes the collector's interning table, for wiring up the
-// capture point that feeds it.
-func (c *Collector) Table() *names.Table { return c.tab }
-
 // Observe ingests one sample during pass 2.
 func (c *Collector) Observe(s *ixp.DNSSample) {
 	rec := c.wanted[ClientDay{Client: s.ClientAddr(), Day: s.Time.Day()}]

@@ -235,10 +235,6 @@ func (p *Pool) Get(id int) *Amplifier { return &p.Amps[id] }
 // Len is the population size.
 func (p *Pool) Len() int { return len(p.Amps) }
 
-// Upstreams returns the number of distinct shared recursive resolvers
-// behind the forwarder population.
-func (p *Pool) Upstreams() int { return p.upstreams }
-
 // AliveIDs returns the ids of all amplifiers alive at t, ascending.
 func (p *Pool) AliveIDs(t simclock.Time) []int {
 	var out []int
@@ -284,10 +280,7 @@ func (p *Pool) SampleAlive(rng *rand.Rand, t simclock.Time, k int, pred func(*Am
 	return out
 }
 
-// AddrKey converts an address to the fixed array key used in maps.
-func AddrKey(a netip.Addr) [4]byte { return a.As4() }
-
-// AddrFromKey converts back.
+// AddrFromKey converts a fixed array map key back to an address.
 func AddrFromKey(k [4]byte) netip.Addr { return netip.AddrFrom4(k) }
 
 // hashCoin returns a deterministic pseudo-random bit for a pair of

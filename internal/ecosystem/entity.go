@@ -184,15 +184,6 @@ func (e *Entity) NameAt(day simclock.Time) []string {
 	return nil
 }
 
-// TransitionDays returns the start days of every tenure after the first.
-func (e *Entity) TransitionDays() []simclock.Time {
-	var out []simclock.Time
-	for _, t := range e.Tenures[1:] {
-		out = append(out, t.Start)
-	}
-	return out
-}
-
 // Phase returns the relocation phase at t: 0 before Reloc1, 1 between,
 // 2 after Reloc2.
 func (e *Entity) Phase(t simclock.Time) int {
@@ -341,6 +332,3 @@ func (e *Entity) ResponseEfficiency(t simclock.Time) float64 {
 	}
 	return 0.18
 }
-
-// Vetted reports whether the entity would keep an amplifier on its list.
-func (e *Entity) Vetted(a *Amplifier) bool { return !a.MinimalANY }

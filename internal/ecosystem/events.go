@@ -65,9 +65,6 @@ func (e *AttackEvent) End() simclock.Time { return e.Start.Add(e.Duration) }
 // Day returns the start-of-day of the event's begin.
 func (e *AttackEvent) Day() simclock.Time { return e.Start.StartOfDay() }
 
-// TotalRequests is the unsampled request volume toward amplifiers.
-func (e *AttackEvent) TotalRequests() int { return e.ReqPerAmp * len(e.Amplifiers) }
-
 // VictimKey returns the victim address as a map key.
 func (e *AttackEvent) VictimKey() [4]byte { return e.Victim.As4() }
 

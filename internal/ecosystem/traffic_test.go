@@ -197,3 +197,18 @@ func TestSensorRequestIntensity(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkTrafficDay is one day of columnar traffic synthesis (no
+// frames): what a batch-study worker pays per day before aggregation.
+func BenchmarkTrafficDay(b *testing.B) {
+	cfg := DefaultCampaignConfig(0.01)
+	cfg.Zones.ProceduralNames = 20_000
+	c := NewCampaign(cfg)
+	g := NewGenerator(c, 7)
+	day := simclock.MeasurementStart.Add(simclock.Days(10))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Day(day.Add(simclock.Days(i % 30)))
+	}
+}

@@ -72,27 +72,3 @@ func (s *Suite) Section7() *Report {
 	r.addf("amplification headroom: %.1fx (paper 14x)", pot.Headroom)
 	return r
 }
-
-// MonitorReport summarizes the §4.3 live-monitoring victim aggregates
-// from the study's detections (the interactive prototype lives in
-// cmd/ixpmon).
-func (s *Suite) MonitorReport() *Report {
-	r := &Report{ID: "monitor", Title: "live monitoring (§4.3)"}
-	r.addf("paper: ~631 unique victim /24s per day; day-over-day name-list Jaccard 0.96")
-	byDay := make(map[int]map[[3]byte]bool)
-	for _, d := range s.Study.Detections {
-		if byDay[d.Day] == nil {
-			byDay[d.Day] = make(map[[3]byte]bool)
-		}
-		byDay[d.Day][[3]byte{d.Victim[0], d.Victim[1], d.Victim[2]}] = true
-	}
-	sum, n := 0, 0
-	for _, m := range byDay {
-		sum += len(m)
-		n++
-	}
-	if n > 0 {
-		r.addf("mean unique victim /24s per day: %.0f (scale %.2f)", float64(sum)/float64(n), s.Scale)
-	}
-	return r
-}

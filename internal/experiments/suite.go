@@ -39,13 +39,6 @@ type Suite struct {
 	pot           *analysis.PotentialResult
 }
 
-// NewSuite plans, materializes and analyzes a campaign at the given
-// scale. Scale 0.2 is the documentation default; tests use smaller.
-func NewSuite(scale float64) *Suite {
-	cfg := pipeline.DefaultConfig(scale)
-	return NewSuiteWithConfig(cfg)
-}
-
 // NewSuiteWithConfig runs a suite from an explicit configuration.
 func NewSuiteWithConfig(cfg pipeline.Config) *Suite {
 	s := &Suite{Scale: cfg.Campaign.Scale}
@@ -159,17 +152,6 @@ func (s *Suite) classOf(asn uint32) string {
 		return "unknown"
 	}
 	return as.Type.String()
-}
-
-// honeypotByDay indexes honeypot attacks per (victim, day).
-func (s *Suite) honeypotKeys() map[core.ClientDay]bool {
-	out := make(map[core.ClientDay]bool)
-	for _, a := range s.Study.HoneypotAttacks {
-		for d := a.Start.Day(); d <= a.End.Day(); d++ {
-			out[core.ClientDay{Client: a.VictimKey(), Day: d}] = true
-		}
-	}
-	return out
 }
 
 // sparkline renders a compact series for terminal reports.

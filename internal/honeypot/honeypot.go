@@ -51,9 +51,6 @@ type Attack struct {
 	EventIDs map[int]bool
 }
 
-// Day returns the attack's start day.
-func (a *Attack) Day() simclock.Time { return a.Start.StartOfDay() }
-
 // VictimKey returns the victim as a map key.
 func (a *Attack) VictimKey() [4]byte { return a.Victim.As4() }
 

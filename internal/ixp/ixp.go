@@ -69,14 +69,6 @@ func (s *DNSSample) ClientAddr() [4]byte {
 	return s.Src
 }
 
-// ServerAddr returns the server (amplifier) side of the transaction.
-func (s *DNSSample) ServerAddr() [4]byte {
-	if s.IsResponse {
-		return s.Src
-	}
-	return s.Dst
-}
-
 // CapturePoint turns raw sampled frames into annotated DNS samples.
 type CapturePoint struct {
 	Topo *topology.Topology

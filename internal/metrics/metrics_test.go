@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -91,5 +93,32 @@ func TestRegisterPanics(t *testing.T) {
 			}()
 			r.Register(tc.name, "", Gauge, func(Emit) {})
 		}()
+	}
+}
+
+// BenchmarkWriteText renders a registry the size of the service's: 48
+// single-sample families and 12 with one labelled sample for each of
+// three inputs, as one /metrics scrape does.
+func BenchmarkWriteText(b *testing.B) {
+	r := NewRegistry()
+	for i := 0; i < 48; i++ {
+		v := float64(i) * 1234.5
+		r.Register(fmt.Sprintf("svc_scalar_%d_total", i), "One process-wide counter.", Counter, func(emit Emit) {
+			emit(v)
+		})
+	}
+	for i := 0; i < 12; i++ {
+		r.Register(fmt.Sprintf("svc_source_%d", i), "One gauge per input and agent.", Gauge, func(emit Emit) {
+			for _, in := range []string{"replay:a.sflowlog", "replay:b.sflowlog", "udp://127.0.0.1:6343"} {
+				emit(float64(len(in)), "input", in, "agent", "198.51.100.7", "subagent", "0")
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.WriteText(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

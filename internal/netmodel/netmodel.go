@@ -19,10 +19,9 @@ import (
 
 // Errors returned by the decoders.
 var (
-	ErrTruncated   = errors.New("netmodel: packet truncated")
-	ErrBadVersion  = errors.New("netmodel: unsupported IP version")
-	ErrBadChecksum = errors.New("netmodel: header checksum mismatch")
-	ErrBadLength   = errors.New("netmodel: inconsistent length field")
+	ErrTruncated  = errors.New("netmodel: packet truncated")
+	ErrBadVersion = errors.New("netmodel: unsupported IP version")
+	ErrBadLength  = errors.New("netmodel: inconsistent length field")
 )
 
 // EtherType values used by the simulation.
@@ -164,18 +163,6 @@ func (ip *IPv4) AppendTo(dst []byte) []byte {
 	return dst
 }
 
-// VerifyChecksum recomputes the header checksum over b (which must start
-// at the IPv4 header) and compares with the stored value.
-func (ip *IPv4) VerifyChecksum(b []byte) error {
-	if len(b) < IPv4HeaderLen {
-		return ErrTruncated
-	}
-	if checksum(b[:IPv4HeaderLen]) != 0 && checksumWithZeroedField(b[:IPv4HeaderLen], 10) != ip.Checksum {
-		return ErrBadChecksum
-	}
-	return nil
-}
-
 // UDP is a UDP header. Length covers header plus payload, which is what
 // lets the detector recover the true DNS response size from a frame that
 // was truncated at 128 bytes (§3.1 of the paper).
@@ -228,15 +215,6 @@ func checksum(b []byte) uint16 {
 		sum = sum&0xffff + sum>>16
 	}
 	return ^uint16(sum)
-}
-
-// checksumWithZeroedField computes the checksum of b with the 16-bit field
-// at off treated as zero.
-func checksumWithZeroedField(b []byte, off int) uint16 {
-	tmp := make([]byte, len(b))
-	copy(tmp, b)
-	tmp[off], tmp[off+1] = 0, 0
-	return checksum(tmp)
 }
 
 // EncodeUDPPacket builds a complete Ethernet/IPv4/UDP frame around

@@ -9,9 +9,8 @@ import (
 // counterpart of the per-stage prints cmd/dnsampdetect emits for the
 // batch Runner. The daemon records its processing stages (parse,
 // observe, refresh, detect, evict) and its idle time (wait) here; the
-// /stages endpoint and the stage metrics render snapshots. The batch
-// binaries reuse it for one-shot runs (cmd/ixpmon's tail loop surfaces
-// its backoff wait time through the same type).
+// /stages endpoint and the stage metrics render snapshots, and
+// cmd/ixpmon prints one in its exit summary.
 //
 // Stages is safe for concurrent use.
 type Stages struct {

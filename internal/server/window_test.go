@@ -461,3 +461,90 @@ func BenchmarkWindowRefresh(b *testing.B) {
 		})
 	}
 }
+
+// fillWindow feeds w seven days of traffic, the last left open: per day
+// 10 000 clients with two ordinary responses each, drawn from 2 000
+// names, and 100 victims of 12 large ANY responses to one name. The
+// window must be at least seven days wide to hold it all.
+func fillWindow(w *Window) {
+	for day := 0; day < 7; day++ {
+		at := dayTime(day)
+		for c := 0; c < 10_000; c++ {
+			for k := 0; k < 2; k++ {
+				s := winSample(w, at, byte(c), fmt.Sprintf("n%04d.test", (c*2+k)%2000), dnswire.TypeA, 100+c%1400)
+				s.Dst[1], s.Dst[2] = byte(day), byte(c>>8)
+				w.Observe(s)
+			}
+		}
+		for v := 0; v < 100; v++ {
+			for k := 0; k < 12; k++ {
+				s := winSample(w, at, byte(v), "amp.test", dnswire.TypeANY, 4000)
+				s.Dst[0] = 12
+				w.Observe(s)
+			}
+		}
+	}
+}
+
+// BenchmarkWindowCloseDay is one day close over a full seven-day
+// window: the list refresh, Detect over every retained client-day, and
+// the day's summary row. The detection and day logs are emptied each
+// iteration so they do not grow with b.N.
+func BenchmarkWindowCloseDay(b *testing.B) {
+	w := NewWindow(WindowConfig{Days: 7}, NewStages())
+	fillWindow(w)
+	at := dayTime(6)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.detections, w.days = w.detections[:0], w.days[:0]
+		w.closeDay(at)
+	}
+	if len(w.detections) != 100 {
+		b.Fatalf("the close found %d detections, want the day's 100 victims", len(w.detections))
+	}
+}
+
+// checkpointService is an unstarted service whose window holds
+// fillWindow's seven days.
+func checkpointService() *Service {
+	svc := NewService(Config{Window: WindowConfig{Days: 7}})
+	fillWindow(svc.win)
+	return svc
+}
+
+// BenchmarkCheckpointEncode serializes the whole service state (name
+// table, seven days of client-day arena, lists, checksum) to memory:
+// the part of a checkpoint that runs under the consumer's lock.
+func BenchmarkCheckpointEncode(b *testing.B) {
+	svc := checkpointService()
+	var raw []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if raw, err = svc.encodeCheckpoint(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(len(raw)))
+}
+
+// BenchmarkCheckpointDecode restores that image into a fresh service,
+// as -resume does before the inputs start.
+func BenchmarkCheckpointDecode(b *testing.B) {
+	src := checkpointService()
+	raw, err := src.encodeCheckpoint()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		svc := NewService(src.cfg)
+		if err := svc.decodeCheckpoint(raw); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

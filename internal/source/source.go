@@ -73,21 +73,17 @@ func DaysOf(w simclock.Window) []simclock.Time {
 // (campaign, seed, day), so Synthetic inherits the generator's
 // determinism and concurrency contract.
 type Synthetic struct {
-	Gen    *ecosystem.Generator
-	window simclock.Window
-	days   []simclock.Time
+	Gen  *ecosystem.Generator
+	days []simclock.Time
 }
 
 // NewSynthetic wraps a generator as a Source streaming the days of w.
 func NewSynthetic(gen *ecosystem.Generator, w simclock.Window) *Synthetic {
-	return &Synthetic{Gen: gen, window: w, days: DaysOf(w)}
+	return &Synthetic{Gen: gen, days: DaysOf(w)}
 }
 
 // Table returns the generator's frozen interning table.
 func (s *Synthetic) Table() *names.Table { return s.Gen.Table() }
-
-// Window returns the simulated window the source streams.
-func (s *Synthetic) Window() simclock.Window { return s.window }
 
 // Days lists the start-of-day times of the source's window.
 func (s *Synthetic) Days() []simclock.Time { return s.days }

@@ -158,12 +158,6 @@ func Jaccard(a, b map[string]bool) float64 {
 	return float64(inter) / float64(union)
 }
 
-// JaccardSlices returns the Jaccard index of two string slices,
-// deduplicating first.
-func JaccardSlices(a, b []string) float64 {
-	return Jaccard(SetOf(a), SetOf(b))
-}
-
 // JaccardDistance returns 1 - Jaccard(a, b).
 func JaccardDistance(a, b map[string]bool) float64 { return 1 - Jaccard(a, b) }
 
