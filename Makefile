@@ -19,9 +19,11 @@ race:
 
 # The stateful layers again at GOMAXPROCS 1 and 2: their tests wait on
 # goroutines (supervisors, the consumer, tailers), so a wait that only
-# holds with cores to spare shows here.
+# holds with cores to spare shows here. core, names and par ride along:
+# their contract is single writers over one shared name table.
 test-cpu:
-	$(GO) test -count=1 -cpu 1,2 ./internal/server ./internal/ingest ./internal/sflow
+	$(GO) test -count=1 -cpu 1,2 ./internal/server ./internal/ingest ./internal/sflow \
+		./internal/core ./internal/names ./internal/par
 
 # Layer benchmarks: every benchmark beside its code compiles and runs
 # once, with allocation counts reported. To measure one, give it time:

@@ -23,6 +23,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"dnsamp/internal/dnswire"
@@ -134,8 +135,8 @@ type NameStats struct {
 // an empty bucket); keys live once, in the aggregator's arena-parallel
 // key column, so a probe costs one control load plus one key compare.
 // Entries are never deleted, and the layout is a deterministic function
-// of the insertion sequence (Canonicalize rebuilds it from the sorted
-// arena, making it independent of sharding too).
+// of the insertion sequence (CanonicalizeClients rebuilds it from the
+// sorted arena, making it independent of sharding too).
 type clientIndex struct {
 	ctrl []uint32 // slot+1; 0 = empty
 	mask uint32
@@ -153,14 +154,15 @@ func indexSizeFor(n int) int {
 }
 
 // Aggregator is the streaming pass-1 state. Per-name state is indexed
-// by the interned name IDs of Table; workers run private aggregators
-// over worker-local tables and fold them with Merge + Canonicalize at
-// the stage barrier. An Aggregator is a single-writer structure; it is
-// not safe for concurrent method calls.
+// by the interned name IDs of Table, the run's one name table: workers
+// run private aggregators over that same table, reading it only, and
+// fold them with Merge + CanonicalizeClients at the stage barrier. An
+// Aggregator is a single-writer structure; it is not safe for
+// concurrent method calls.
 type Aggregator struct {
-	// Table is the name-ID space of all per-name state. Samples
-	// observed must carry Name IDs of this table (i.e. come from a
-	// capture point sharing it).
+	// Table is the name-ID space of all per-name state. Samples and
+	// batches observed, and aggregators merged in, must carry this
+	// table (i.e. come from a capture point sharing it).
 	Table *names.Table
 
 	// trackAll tracks every observed name per client (the live
@@ -179,8 +181,9 @@ type Aggregator struct {
 
 	// arena is the flat client-day store: one ClientAgg per observed
 	// (client, day) pair, appended in first-observation order and
-	// re-sorted into (day, client) order by Canonicalize. arenaKeys is
-	// the arena-parallel key column; idx maps keys to arena slots.
+	// re-sorted into (day, client) order by CanonicalizeClients.
+	// arenaKeys is the arena-parallel key column; idx maps keys to
+	// arena slots.
 	arena     []ClientAgg
 	arenaKeys []ClientDay
 	idx       clientIndex
@@ -406,9 +409,9 @@ func (ag *Aggregator) ClientOf(key ClientDay) *ClientAgg {
 func (ag *Aggregator) NumClients() int { return len(ag.arena) }
 
 // EachClient invokes fn for every observed (client, day) profile, in
-// arena order (canonical (day, client) order after Canonicalize). It is
-// the iteration primitive for reports: a contiguous slice walk, no map
-// materialization.
+// arena order (canonical (day, client) order after CanonicalizeClients).
+// It is the iteration primitive for reports: a contiguous slice walk, no
+// map materialization.
 func (ag *Aggregator) EachClient(fn func(key ClientDay, ca *ClientAgg)) {
 	for i := range ag.arena {
 		fn(ag.arenaKeys[i], &ag.arena[i])
@@ -511,10 +514,10 @@ func (ag *Aggregator) observeRow(b *ixp.SampleBatch, i int) {
 
 // ObserveBatch ingests a whole columnar batch: global counters as
 // straight column sums, per-name stats as an ID-indexed slice walk, and
-// per-client state through the dense client-day index. The batch's Name
-// column must be in the aggregator's table space (feed foreign batches
-// through ixp.CapturePoint.RemapBatch first). The result is exactly the
-// state of calling Observe on every row in order; the batch loops
+// per-client state through the dense client-day index. The batch must
+// carry the aggregator's table (ixp.CapturePoint.RemapBatch, which
+// accounts the batch first, refuses any other). The result is exactly
+// the state of calling Observe on every row in order; the batch loops
 // allocate nothing in steady state.
 func (ag *Aggregator) ObserveBatch(b *ixp.SampleBatch) {
 	if b == nil || b.N == 0 {
@@ -652,29 +655,26 @@ func (ag *Aggregator) observeBatchBounded(b *ixp.SampleBatch, w simclock.Window,
 	}
 }
 
-// Merge folds another aggregator's state into ag, translating the other
-// aggregator's name IDs into ag's table and folding its client-day
-// arena slot-wise through ag's index. Aggregation is commutative (sums,
+// Merge folds another aggregator's state into ag: per-name stats add
+// up ID by ID and the client-day arena folds slot-wise through ag's
+// index. Both must be over the same name table — a shard over any other
+// table is a wiring bug and panics. Aggregation is commutative (sums,
 // maxima, and time bounds), so merging shards in any order — followed
-// by Canonicalize — yields the same state as a single aggregator
+// by CanonicalizeClients — yields the same state as a single aggregator
 // observing every sample: the property the parallel pipeline relies on.
 // The other aggregator must not be used afterwards.
 func (ag *Aggregator) Merge(other *Aggregator) {
 	if other == nil {
 		return
 	}
-	remap := ag.Table.Remap(other.Table) // nil = identity
-	xl := func(id uint32) uint32 {
-		if remap == nil {
-			return id
-		}
-		return remap[id]
+	if other.Table != ag.Table {
+		panic(fmt.Sprintf("core: Merge of an aggregator over a foreign name table (%d names) into one over a %d-name table", other.Table.Len(), ag.Table.Len()))
 	}
 
 	ag.trackAll = ag.trackAll || other.trackAll
 	for id, t := range other.tracked {
 		if t {
-			ag.setTracked(xl(uint32(id)))
+			ag.setTracked(uint32(id))
 		}
 	}
 	ag.Samples += other.Samples
@@ -688,7 +688,7 @@ func (ag *Aggregator) Merge(other *Aggregator) {
 		if ons.Packets == 0 && ons.MaxSize == 0 && ons.ANYPackets == 0 {
 			continue
 		}
-		ns := ag.statsFor(xl(uint32(id)))
+		ns := ag.statsFor(uint32(id))
 		if ns.Packets == 0 && ons.Packets > 0 {
 			ag.numNames++
 		}
@@ -717,80 +717,19 @@ func (ag *Aggregator) Merge(other *Aggregator) {
 		ca.ANYPackets += oca.ANYPackets
 		ca.ANYBytes += oca.ANYBytes
 		for _, tc := range oca.Tracked {
-			ca.addTracked(xl(tc.ID), tc.N)
+			ca.addTracked(tc.ID, tc.N)
 		}
 	}
-}
-
-// Canonicalize rebuilds the aggregator over the canonical
-// (lexicographically ordered) table of its observed and tracked names,
-// and re-sorts the client-day arena into (day, client) order, rebuilding
-// the index from the sorted arena. After canonicalization the
-// aggregator's state is byte-identical for any sharding of the same
-// sample stream: canonical ID assignment is independent of interning
-// order, and the arena order and index layout are functions of the key
-// set alone. The sorted arena is also what lets Detect emit detections
-// in report order with a near-no-op final sort.
-func (ag *Aggregator) Canonicalize() {
-	keep := func(id uint32) bool {
-		if int(id) < len(ag.names) {
-			ns := &ag.names[id]
-			if ns.Packets > 0 || ns.ANYPackets > 0 || ns.MaxSize > 0 {
-				return true
-			}
-		}
-		return int(id) < len(ag.tracked) && ag.tracked[id]
-	}
-	ct, remap := ag.Table.Canonicalize(keep)
-
-	nn := make([]NameStats, ct.Len())
-	for id := range ag.names {
-		if nid := remap[id]; nid != names.None {
-			nn[nid] = ag.names[id]
-		}
-	}
-	nt := make([]bool, ct.Len())
-	trackedAny := false
-	for id, t := range ag.tracked {
-		if t {
-			if nid := remap[id]; nid != names.None {
-				nt[nid] = true
-				trackedAny = true
-			}
-		}
-	}
-	if !trackedAny {
-		nt = nil
-	}
-
-	for i := range ag.arena {
-		ca := &ag.arena[i]
-		for j := range ca.Tracked {
-			ca.Tracked[j].ID = remap[ca.Tracked[j].ID]
-		}
-		// Remap preserves no order; restore the sorted-by-ID invariant.
-		for j := 1; j < len(ca.Tracked); j++ {
-			for k := j; k > 0 && ca.Tracked[k-1].ID > ca.Tracked[k].ID; k-- {
-				ca.Tracked[k-1], ca.Tracked[k] = ca.Tracked[k], ca.Tracked[k-1]
-			}
-		}
-	}
-	ag.CanonicalizeClients()
-
-	ag.Table = ct
-	ag.names = nn
-	ag.tracked = nt
 }
 
 // CanonicalizeClients re-sorts the client-day arena into (day, client)
-// order and rebuilds the index from the sorted keys, leaving the name
-// table untouched. It is the stage barrier for shards that aggregated
-// in one shared table (the pipeline's steady state since the source
-// table became the common ID space): name IDs are already identical for
-// any sharding there, so the full Canonicalize — which re-interns every
-// observed name to make IDs interning-order-independent — would spend
-// its time rebuilding a table into itself. Shards over worker-local
-// tables still need Canonicalize.
+// order and rebuilds the index from the sorted keys. It is the stage
+// barrier after Merge: every shard aggregated in the one shared table,
+// so name IDs are already identical for any sharding, and once the
+// arena order and index layout are functions of the key set alone the
+// aggregator's state is byte-identical for any sharding of the same
+// sample stream. The sorted arena is also what lets Detect emit
+// detections in report order with a near-no-op final sort.
 func (ag *Aggregator) CanonicalizeClients() {
 	order := make([]uint32, len(ag.arena))
 	for i := range order {

@@ -309,64 +309,6 @@ func TestCollectorObserveBatchMatchesObserve(t *testing.T) {
 	}
 }
 
-// TestForeignTableBatchRemap guards the invariant the batch-native
-// paths rely on: a batch whose Name column lives in a foreign table
-// (source.Replay's AddDay contract) must, after
-// ixp.CapturePoint.RemapBatch, produce the same study-level results —
-// detections and pass-2 records, which carry no IDs — as consuming the
-// batch natively in its own table space.
-func TestForeignTableBatchRemap(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	foreign := names.NewTable()
-	pool := testNamePool(foreign)
-	b := randomBatch(rng, foreign, pool, 800)
-
-	// Consumer table with a different interning order, so IDs differ.
-	tab := names.NewTable()
-	for _, n := range []string{"cdn.test.", "doj.gov.", "evil.example.", "."} {
-		tab.Intern(n)
-	}
-	cap := ixp.NewCapturePoint(nil, tab)
-	rb := cap.RemapBatch(b)
-	if rb == b || rb.Table != tab {
-		t.Fatal("foreign-table batch was not remapped into the capture table")
-	}
-
-	track := []string{"evil.example.", "."}
-	agF := NewAggregator(foreign, track)
-	agF.ObserveBatch(b)
-	agN := NewAggregator(tab, track)
-	agN.ObserveBatch(rb)
-	if agF.Samples != agN.Samples || agF.TotalBytes != agN.TotalBytes || agF.NumClients() != agN.NumClients() {
-		t.Fatalf("global counters diverged: %d/%d/%d vs %d/%d/%d",
-			agF.Samples, agF.TotalBytes, agF.NumClients(), agN.Samples, agN.TotalBytes, agN.NumClients())
-	}
-	for _, n := range []string{"evil.example.", ".", "bulk-a.test.", "doj.gov."} {
-		if agF.NameStatsOf(n) != agN.NameStatsOf(n) {
-			t.Errorf("NameStatsOf(%q) diverged: %+v vs %+v", n, agF.NameStatsOf(n), agN.NameStatsOf(n))
-		}
-	}
-	cands := map[string]bool{"evil.example.": true, ".": true}
-	th := Thresholds{MinShare: 0.25, MinPackets: 2}
-	detsF := Detect(agF, cands, th)
-	detsN := Detect(agN, cands, th)
-	if len(detsF) == 0 || !reflect.DeepEqual(detsF, detsN) {
-		t.Errorf("detections diverged across table spaces: %d vs %d", len(detsF), len(detsN))
-	}
-
-	// Pass 2: a collector over each table space, fed its batch form.
-	colF := NewCollector(foreign, detsF, cands)
-	colF.ObserveBatch(b, nil)
-	colN := NewCollector(tab, detsN, cands)
-	colN.ObserveBatch(cap.RemapBatch(b), nil)
-	if !reflect.DeepEqual(colF.Records(), colN.Records()) {
-		t.Error("pass-2 records diverged across table spaces")
-	}
-	if !reflect.DeepEqual(colF.VisibleNS, colN.VisibleNS) {
-		t.Error("VisibleNS diverged across table spaces")
-	}
-}
-
 // TestDetectMatchesShareOf pins the columnar threshold scan to the
 // reference semantics: Detect must flag exactly the (client, day) pairs
 // whose ShareOf-based share and packet count pass the thresholds, in

@@ -37,23 +37,24 @@ func day0(offset simclock.Duration) simclock.Time {
 }
 
 func TestMergeEmpty(t *testing.T) {
-	a := NewAggregator(nil, mergeTrack)
-	a.Observe(mergeSample(a.Table, 1, "evil.example.", dnswire.TypeANY, 900, day0(10), true))
-	want := NewAggregator(nil, mergeTrack)
-	want.Observe(mergeSample(want.Table, 1, "evil.example.", dnswire.TypeANY, 900, day0(10), true))
+	tab := names.NewTable()
+	a := NewAggregator(tab, mergeTrack)
+	a.Observe(mergeSample(tab, 1, "evil.example.", dnswire.TypeANY, 900, day0(10), true))
+	want := NewAggregator(tab, mergeTrack)
+	want.Observe(mergeSample(tab, 1, "evil.example.", dnswire.TypeANY, 900, day0(10), true))
 
 	// Merging an empty shard (either direction) must not change state.
-	a.Merge(NewAggregator(nil, mergeTrack))
-	a.Canonicalize()
-	want.Canonicalize()
+	a.Merge(NewAggregator(tab, mergeTrack))
+	a.CanonicalizeClients()
+	want.CanonicalizeClients()
 	if !reflect.DeepEqual(a, want) {
 		t.Error("merging an empty aggregator changed state")
 	}
-	empty := NewAggregator(nil, mergeTrack)
-	full := NewAggregator(nil, mergeTrack)
-	full.Observe(mergeSample(full.Table, 1, "evil.example.", dnswire.TypeANY, 900, day0(10), true))
+	empty := NewAggregator(tab, mergeTrack)
+	full := NewAggregator(tab, mergeTrack)
+	full.Observe(mergeSample(tab, 1, "evil.example.", dnswire.TypeANY, 900, day0(10), true))
 	empty.Merge(full)
-	empty.Canonicalize()
+	empty.CanonicalizeClients()
 	if !reflect.DeepEqual(empty, want) {
 		t.Error("merging into an empty aggregator lost state")
 	}
@@ -65,10 +66,11 @@ func TestMergeEmpty(t *testing.T) {
 
 func TestMergeDisjoint(t *testing.T) {
 	// Shards covering different clients and names must union cleanly.
-	a := NewAggregator(nil, mergeTrack)
-	a.Observe(mergeSample(a.Table, 1, "evil.example.", dnswire.TypeANY, 900, day0(10), true))
-	b := NewAggregator(nil, mergeTrack)
-	b.Observe(mergeSample(b.Table, 2, "benign.example.", dnswire.TypeA, 80, day0(20), false))
+	tab := names.NewTable()
+	a := NewAggregator(tab, mergeTrack)
+	a.Observe(mergeSample(tab, 1, "evil.example.", dnswire.TypeANY, 900, day0(10), true))
+	b := NewAggregator(tab, mergeTrack)
+	b.Observe(mergeSample(tab, 2, "benign.example.", dnswire.TypeA, 80, day0(20), false))
 
 	a.Merge(b)
 	if a.Samples != 2 || a.Requests != 1 || a.TotalBytes != 980 {
@@ -88,29 +90,27 @@ func TestMergeDisjoint(t *testing.T) {
 func TestMergeOverlapping(t *testing.T) {
 	// Two shards observing the same client and name: sums, maxima, and
 	// time bounds must match one aggregator observing everything.
-	mk := func(tab *names.Table) []*ixp.DNSSample {
-		return []*ixp.DNSSample{
-			mergeSample(tab, 1, "evil.example.", dnswire.TypeANY, 900, day0(100), true),
-			mergeSample(tab, 1, "evil.example.", dnswire.TypeANY, 1400, day0(50), true),
-			mergeSample(tab, 1, ".", dnswire.TypeNS, 120, day0(300), false),
-			mergeSample(tab, 1, "evil.example.", dnswire.TypeANY, 700, day0(200), true),
-		}
+	tab := names.NewTable()
+	samples := []*ixp.DNSSample{
+		mergeSample(tab, 1, "evil.example.", dnswire.TypeANY, 900, day0(100), true),
+		mergeSample(tab, 1, "evil.example.", dnswire.TypeANY, 1400, day0(50), true),
+		mergeSample(tab, 1, ".", dnswire.TypeNS, 120, day0(300), false),
+		mergeSample(tab, 1, "evil.example.", dnswire.TypeANY, 700, day0(200), true),
 	}
-	a := NewAggregator(nil, mergeTrack)
-	b := NewAggregator(nil, mergeTrack)
-	want := NewAggregator(nil, mergeTrack)
-	sa, sb, sw := mk(a.Table), mk(b.Table), mk(want.Table)
-	for i := range sw {
+	a := NewAggregator(tab, mergeTrack)
+	b := NewAggregator(tab, mergeTrack)
+	want := NewAggregator(tab, mergeTrack)
+	for i, s := range samples {
 		if i%2 == 0 {
-			a.Observe(sa[i])
+			a.Observe(s)
 		} else {
-			b.Observe(sb[i])
+			b.Observe(s)
 		}
-		want.Observe(sw[i])
+		want.Observe(s)
 	}
 	a.Merge(b)
-	a.Canonicalize()
-	want.Canonicalize()
+	a.CanonicalizeClients()
+	want.CanonicalizeClients()
 	if !reflect.DeepEqual(a, want) {
 		t.Error("merged shards differ from a single aggregator over the same samples")
 	}
@@ -124,42 +124,22 @@ func TestMergeOverlapping(t *testing.T) {
 	}
 }
 
-// TestMergeCanonicalizeShardIndependence shards a sample stream with
-// names the shards discover in different orders: after Merge +
-// Canonicalize the aggregators must be byte-identical regardless of the
-// sharding (the interning analogue of the parallel pipeline's
-// serial/parallel equivalence).
-func TestMergeCanonicalizeShardIndependence(t *testing.T) {
-	type obs struct {
-		client byte
-		name   string
-	}
-	stream := []obs{
-		{1, "zz.example."}, {2, "aa.example."}, {1, "mm.example."},
-		{3, "aa.example."}, {2, "zz.example."}, {1, "evil.example."},
-		{4, "qq.example."}, {3, "mm.example."},
-	}
-	build := func(shards int) *Aggregator {
-		aggs := make([]*Aggregator, shards)
-		for i := range aggs {
-			aggs[i] = NewAggregator(nil, mergeTrack)
+// TestMergeForeignTablePanics pins the one-table invariant at Merge: a
+// shard over any other table than the receiver's is refused, never
+// translated.
+func TestMergeForeignTablePanics(t *testing.T) {
+	a := NewAggregator(names.NewTable(), mergeTrack)
+	b := NewAggregator(names.NewTable(), mergeTrack)
+	b.Observe(mergeSample(b.Table, 1, "evil.example.", dnswire.TypeANY, 900, day0(10), true))
+	defer func() {
+		if recover() == nil {
+			t.Error("Merge accepted an aggregator over a foreign name table")
 		}
-		for i, o := range stream {
-			ag := aggs[i%shards]
-			ag.Observe(mergeSample(ag.Table, o.client, o.name, dnswire.TypeA, 100, day0(simclock.Duration(i)), false))
+		if a.Samples != 0 || a.NumClients() != 0 {
+			t.Errorf("refused Merge still folded state: samples=%d clients=%d", a.Samples, a.NumClients())
 		}
-		for _, other := range aggs[1:] {
-			aggs[0].Merge(other)
-		}
-		aggs[0].Canonicalize()
-		return aggs[0]
-	}
-	want := build(1)
-	for _, shards := range []int{2, 3} {
-		if got := build(shards); !reflect.DeepEqual(got, want) {
-			t.Errorf("%d shards: canonicalized aggregator differs", shards)
-		}
-	}
+	}()
+	a.Merge(b)
 }
 
 func TestConsensusPointParallelMatchesSerial(t *testing.T) {

@@ -1,6 +1,8 @@
 package ixp
 
 import (
+	"fmt"
+
 	"dnsamp/internal/dnswire"
 	"dnsamp/internal/names"
 	"dnsamp/internal/simclock"
@@ -8,7 +10,10 @@ import (
 
 // SampleBatch is one day of sampled DNS traffic in columnar
 // (struct-of-arrays) form: one slice per field, indexed 0..N-1, with
-// query names as IDs into Table. The traffic generator emits batches
+// query names as IDs into Table. A batch is only ever consumed in that
+// table: the capture point that accounts it and the aggregator or
+// collector that observes it carry the same *names.Table (RemapBatch
+// refuses a batch that does not). The traffic generator emits batches
 // instead of per-packet frame records, so the steady-state synthesis
 // and consumption loops allocate nothing per packet.
 //
@@ -19,8 +24,8 @@ import (
 // replays through CapturePoint.ConsumeBatch exactly as its frame-level
 // twin would through Process.
 type SampleBatch struct {
-	// Table is the interning space of the Name column. It is typically
-	// the generator's frozen table, shared by every batch of a run.
+	// Table is the interning space of the Name column: the source's
+	// table (source.Source.Table), shared by every batch of a run.
 	Table *names.Table
 
 	// N is the record count; every column has length N.
@@ -143,29 +148,25 @@ func (b *SampleBatch) AppendSample(s *DNSSample, ingress uint32) {
 	})
 }
 
-// RemapBatch prepares a columnar batch for batch-native consumers
-// (core.Aggregator.ObserveBatch, core.Collector.ObserveBatch): it
-// accumulates the batch's sanitization counters and the routing-
-// coverage stats (origin/peer mapping, through the per-address AS
-// cache) exactly as a full ConsumeBatch replay would, and returns a
-// batch view whose Name column lives in the capture point's table
-// space. Batches already carrying the capture table — the pipeline's
-// steady state, where source, aggregator, and capture point share one
-// frozen table — are returned as-is; foreign-table batches materialize
-// a remapped Name column into a scratch view that is only valid until
-// the next RemapBatch or ConsumeBatch call.
+// RemapBatch accounts a columnar batch for batch-native consumers
+// (core.Aggregator.ObserveBatch, core.Collector.ObserveBatch): it adds
+// the batch's sanitization counters and the routing-coverage stats
+// (origin/peer mapping, through the per-address AS cache) exactly as a
+// full ConsumeBatch replay would, and returns the batch. It translates
+// nothing: a run has one name table, so a batch in any other table than
+// the capture point's is a wiring bug inside the program and panics.
 func (c *CapturePoint) RemapBatch(b *SampleBatch) *SampleBatch {
 	if b == nil {
 		return nil
+	}
+	if b.Table != c.Table {
+		panic(fmt.Sprintf("ixp: batch in a foreign name table (%d names) handed to a capture point over a %d-name table", b.Table.Len(), c.Table.Len()))
 	}
 	c.Stats.Frames += b.Frames
 	c.Stats.NonUDP += b.NonUDP
 	c.Stats.NonDNS += b.NonDNS
 	c.Stats.Malformed += b.Malformed
 	c.Stats.Accepted += b.N
-	if b.N == 0 {
-		return b
-	}
 	if c.Topo != nil {
 		for _, src := range b.Src[:b.N] {
 			origin, peer := c.originPeer(src)
@@ -177,26 +178,10 @@ func (c *CapturePoint) RemapBatch(b *SampleBatch) *SampleBatch {
 			}
 		}
 	}
-	if b.Table == c.Table {
-		return b
-	}
-	if c.remapTab != b.Table {
-		c.remapTab = b.Table
-		c.remap = c.remap[:0]
-	}
-	ids := c.remapNames[:0]
-	for _, id := range b.Name[:b.N] {
-		ids = append(ids, c.translate(b.Table, id))
-	}
-	c.remapNames = ids
-	c.remapView = *b
-	c.remapView.Table = c.Table
-	c.remapView.Name = ids
-	return &c.remapView
+	return b
 }
 
 // ConsumeBatch replays a columnar batch through the capture point:
-// remapping batch-table name IDs into the capture point's table,
 // annotating origin/peer ASNs from the routing substrate, applying
 // ingress-port overrides, and accumulating sanitization stats exactly
 // as the frame-level Process would. It is the per-sample reference
@@ -206,15 +191,12 @@ func (c *CapturePoint) RemapBatch(b *SampleBatch) *SampleBatch {
 // RemapBatch output to the batch-native Observe paths instead.
 //
 // fn receives a reused *DNSSample — it must not be retained across
-// calls. The steady-state loop performs zero allocations per record:
-// the name remap cache is filled once per distinct name, and the
-// sample struct is scratch storage.
+// calls. The loop performs zero allocations per record: the sample
+// struct is scratch storage.
 func (c *CapturePoint) ConsumeBatch(b *SampleBatch, fn func(*DNSSample)) {
-	rb := c.RemapBatch(b)
-	if rb == nil || rb.N == 0 {
+	if c.RemapBatch(b) == nil {
 		return
 	}
-	b = rb
 	s := &c.scratch
 	for i := 0; i < b.N; i++ {
 		*s = DNSSample{
@@ -242,21 +224,4 @@ func (c *CapturePoint) ConsumeBatch(b *SampleBatch, fn func(*DNSSample)) {
 		}
 		fn(s)
 	}
-}
-
-// translate maps a batch-table name ID into the capture table through
-// the lazy per-name remap cache.
-func (c *CapturePoint) translate(tab *names.Table, id uint32) uint32 {
-	if tab == c.Table {
-		return id
-	}
-	for len(c.remap) <= int(id) {
-		c.remap = append(c.remap, names.None)
-	}
-	out := c.remap[id]
-	if out == names.None {
-		out = c.Table.Intern(tab.Name(id))
-		c.remap[id] = out
-	}
-	return out
 }

@@ -74,9 +74,9 @@ type CapturePoint struct {
 	Topo *topology.Topology
 
 	// Table is the capture point's name-interning space: every sample
-	// it emits carries a Name ID of this table. Consumers sharing the
-	// capture point (aggregator, collector, monitor) must use the same
-	// table.
+	// it emits carries a Name ID of this table, and every batch it
+	// accounts must carry this table. Consumers sharing the capture
+	// point (aggregator, collector, window) must use the same table.
 	Table *names.Table
 
 	// Stats accumulates sanitization counters.
@@ -86,15 +86,6 @@ type CapturePoint struct {
 	scratch DNSSample
 	// qname is the buffer Process scans each question name into.
 	qname []byte
-	// remap lazily translates batch-table IDs into Table IDs; it is
-	// keyed by the identity of the last batch table seen (generator
-	// tables are frozen, so one cache survives across days).
-	remap    []uint32
-	remapTab *names.Table
-	// remapView and remapNames back the batch view RemapBatch returns
-	// for foreign-table batches (reused across calls).
-	remapView  SampleBatch
-	remapNames []uint32
 	// asCache memoizes (origin AS, peer-hop AS) per source address:
 	// client populations repeat heavily, so routing resolution drops
 	// from two longest-prefix walks per packet to one cache probe.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dnsamp/internal/dnswire"
+	"dnsamp/internal/names"
 	"dnsamp/internal/netmodel"
 	"dnsamp/internal/sflow"
 	"dnsamp/internal/simclock"
@@ -155,5 +156,38 @@ func TestVisibleNSCount(t *testing.T) {
 	}
 	if s.ANCount != 3 {
 		t.Errorf("announced ANCount = %d, want 3", s.ANCount)
+	}
+}
+
+// TestRemapBatchForeignTablePanics pins the one-table invariant at the
+// capture point: a batch interned in any other table than the capture
+// point's is refused by RemapBatch — and so by ConsumeBatch — before a
+// counter moves, never translated.
+func TestRemapBatchForeignTablePanics(t *testing.T) {
+	foreign := names.NewTable()
+	b := &SampleBatch{Table: foreign, Frames: 1}
+	b.Append(BatchRecord{Name: foreign.Intern("evil.example."), QType: dnswire.TypeANY})
+
+	for name, call := range map[string]func(*CapturePoint){
+		"RemapBatch":   func(c *CapturePoint) { c.RemapBatch(b) },
+		"ConsumeBatch": func(c *CapturePoint) { c.ConsumeBatch(b, func(*DNSSample) { t.Error("sample delivered") }) },
+	} {
+		cp := NewCapturePoint(nil, names.NewTable())
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a batch in a foreign name table", name)
+				}
+			}()
+			call(cp)
+		}()
+		if cp.Stats != (CaptureStats{}) || cp.Table.Len() != 0 {
+			t.Errorf("%s: refused batch still moved state: stats %+v, %d names interned", name, cp.Stats, cp.Table.Len())
+		}
+	}
+
+	own := NewCapturePoint(nil, foreign)
+	if own.RemapBatch(b) != b || own.Stats.Accepted != 1 {
+		t.Errorf("batch in the capture point's own table: stats %+v, want it returned as-is and accounted", own.Stats)
 	}
 }

@@ -53,7 +53,8 @@ type Emit func(value float64, labels ...string)
 
 // Collector produces the current samples of one family. It is invoked
 // on every render, from the rendering goroutine; implementations must
-// do their own locking around shared state.
+// do their own locking around shared state, except for what the
+// registry's prepare hook stored for this render (see NewRegistry).
 type Collector func(emit Emit)
 
 type family struct {
@@ -64,16 +65,21 @@ type family struct {
 
 // Registry is an ordered set of metric families. The zero value is not
 // usable; construct with NewRegistry. Register and WriteText may be
-// called concurrently.
+// called concurrently; renders are serialized.
 type Registry struct {
 	mu       sync.Mutex
+	prepare  func()
 	families []family
 	byName   map[string]bool
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]bool)}
+// NewRegistry returns an empty registry. prepare, when non-nil, runs
+// once at the top of every render, before any collector and under the
+// lock that serializes renders: families that read the same shared
+// state have it snapshotted there once per scrape, and their collectors
+// read the stored snapshot without further locking.
+func NewRegistry(prepare func()) *Registry {
+	return &Registry{prepare: prepare, byName: make(map[string]bool)}
 }
 
 // Register adds a metric family rendered via the collector callback.
@@ -94,17 +100,24 @@ func (r *Registry) Register(name, help string, typ Type, collect Collector) {
 }
 
 // WriteText renders every family in registration order in the
-// Prometheus text exposition format.
+// Prometheus text exposition format. The text is written to w in one
+// piece after the render, so a slow reader holds up no other scrape.
 func (r *Registry) WriteText(w io.Writer) error {
-	r.mu.Lock()
-	fams := append([]family(nil), r.families...)
-	r.mu.Unlock()
-
 	var b strings.Builder
-	for _, f := range fams {
-		b.Reset()
-		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
+	r.render(&b)
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
+func (r *Registry) render(b *strings.Builder) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.prepare != nil {
+		r.prepare()
+	}
+	for _, f := range r.families {
+		fmt.Fprintf(b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
+		fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.typ)
 		f.collect(func(value float64, labels ...string) {
 			b.WriteString(f.name)
 			if len(labels) >= 2 {
@@ -124,11 +137,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 			b.WriteString(strconv.FormatFloat(value, 'g', -1, 64))
 			b.WriteByte('\n')
 		})
-		if _, err := io.WriteString(w, b.String()); err != nil {
-			return err
-		}
 	}
-	return nil
 }
 
 // validName checks the Prometheus metric name grammar

@@ -3,20 +3,15 @@
 // per-packet hot path (traffic synthesis, capture, aggregation) never
 // hashes or allocates strings.
 //
-// Tables are designed for the pipeline's single-writer sharding model:
-// each worker interns into its own local Table (no locks), and local
-// tables are folded into a global table at the stage barrier with Remap.
-// Because a post-merge Canonicalize orders IDs lexicographically, the
-// final ID assignment is independent of worker count and interleaving —
-// the property the pipeline's serial/parallel equivalence proof relies
-// on.
+// A run has one name table. A batch, the capture point that accounts
+// it, the aggregator or collector that observes it and every shard
+// merged into it carry the same *Table, so an ID means the same name at
+// every layer and nothing translates between ID spaces. In the batch
+// study that table is the source's, and every name is interned before a
+// parallel stage starts: the shards are single writers of their own
+// state over one table they only read. The live window owns its table;
+// its capture point, on the consumer goroutine, is the only writer.
 package names
-
-import "slices"
-
-// None is the sentinel for "no ID" (e.g. an un-interned name in a remap
-// cache). It is never returned by Intern.
-const None = ^uint32(0)
 
 // Table maps canonical DNS names to dense IDs 0..Len()-1. The zero
 // Table is not ready; use NewTable. A Table is not safe for concurrent
@@ -85,47 +80,3 @@ func (t *Table) Name(id uint32) string { return t.strs[id] }
 
 // Names returns the id-ordered name slice. Callers must not modify it.
 func (t *Table) Names() []string { return t.strs }
-
-// Remap interns every name of from (in from's ID order) and returns the
-// translation slice: remap[fromID] is the corresponding ID in t. Passing
-// t itself returns nil, meaning the identity mapping. Remap is the stage
-// barrier primitive: worker-local tables fold into a global table, and
-// per-ID state is carried across with one slice indexing per entry.
-func (t *Table) Remap(from *Table) []uint32 {
-	if from == nil || from == t {
-		return nil
-	}
-	out := make([]uint32, from.Len())
-	for id, name := range from.strs {
-		out[id] = t.Intern(name)
-	}
-	return out
-}
-
-// Canonicalize builds the canonical (lexicographically ID-ordered) table
-// over the names selected by keep, plus the translation slice from t's
-// IDs (None for dropped names). Canonical tables are equal for any
-// insertion order of the same name set, which makes downstream state
-// byte-identical across worker counts.
-func (t *Table) Canonicalize(keep func(id uint32) bool) (*Table, []uint32) {
-	kept := make([]string, 0, len(t.strs))
-	for id, name := range t.strs {
-		if keep == nil || keep(uint32(id)) {
-			kept = append(kept, name)
-		}
-	}
-	slices.Sort(kept)
-	ct := &Table{ids: make(map[string]uint32, len(kept)), strs: kept}
-	for id, name := range kept {
-		ct.ids[name] = uint32(id)
-	}
-	remap := make([]uint32, len(t.strs))
-	for id, name := range t.strs {
-		if nid, ok := ct.ids[name]; ok && (keep == nil || keep(uint32(id))) {
-			remap[id] = nid
-		} else {
-			remap[id] = None
-		}
-	}
-	return ct, remap
-}

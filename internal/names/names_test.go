@@ -1,7 +1,6 @@
 package names
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 )
@@ -45,107 +44,33 @@ func TestInternDenseIDs(t *testing.T) {
 	}
 }
 
-func TestRemapIdentity(t *testing.T) {
-	tab := NewTable()
-	tab.Intern("a.")
-	if r := tab.Remap(tab); r != nil {
-		t.Errorf("self remap = %v, want nil identity", r)
-	}
-	if r := tab.Remap(nil); r != nil {
-		t.Errorf("nil remap = %v, want nil", r)
-	}
-}
-
-// TestRemapMergeDeterministic interns shard-locally in different orders
-// (disjoint and overlapping) and checks the canonicalized global tables
-// come out identical — the stage-barrier property the parallel pipeline
-// relies on.
-func TestRemapMergeDeterministic(t *testing.T) {
-	shardsA := [][]string{{"x.", "y."}, {"z.", "w."}}             // disjoint
-	shardsB := [][]string{{"z.", "x.", "w."}, {"w.", "y.", "x."}} // overlapping
-	for _, shards := range [][][]string{shardsA, shardsB} {
-		var tables []*Table
-		for _, names := range shards {
-			tab := NewTable()
-			for _, n := range names {
-				tab.Intern(n)
-			}
-			tables = append(tables, tab)
-		}
-		// Merge in both shard orders.
-		var canon []*Table
-		for _, order := range [][]int{{0, 1}, {1, 0}} {
-			global := NewTable()
-			for _, i := range order {
-				remap := global.Remap(tables[i])
-				if len(remap) != tables[i].Len() {
-					t.Fatalf("remap len %d, want %d", len(remap), tables[i].Len())
-				}
-				for fromID, toID := range remap {
-					if global.Name(toID) != tables[i].Name(uint32(fromID)) {
-						t.Fatalf("remap broke name identity")
-					}
-				}
-			}
-			ct, _ := global.Canonicalize(nil)
-			canon = append(canon, ct)
-		}
-		if !reflect.DeepEqual(canon[0], canon[1]) {
-			t.Errorf("canonical tables differ across merge orders:\n%v\n%v",
-				canon[0].Names(), canon[1].Names())
-		}
-	}
-}
-
-func TestCanonicalizeKeep(t *testing.T) {
-	tab := NewTable()
-	b := tab.Intern("b.")
-	a := tab.Intern("a.")
-	tab.Intern("dropped.")
-	ct, remap := tab.Canonicalize(func(id uint32) bool { return id == a || id == b })
-	if ct.Len() != 2 || ct.Name(0) != "a." || ct.Name(1) != "b." {
-		t.Fatalf("canonical = %v", ct.Names())
-	}
-	if remap[a] != 0 || remap[b] != 1 {
-		t.Errorf("remap = %v", remap)
-	}
-	if remap[2] != None {
-		t.Errorf("dropped name remap = %d, want None", remap[2])
-	}
-}
-
-// TestShardedInternRace mirrors internal/core/merge_test.go's sharding
-// model under the race detector: workers intern into private tables
-// concurrently, the barrier folds them into one global table, and the
-// canonical result is independent of scheduling.
-func TestShardedInternRace(t *testing.T) {
+// TestSharedTableConcurrentReads is the table's side of the one-table
+// invariant under the race detector: once every name is interned, any
+// number of shards may Lookup, Name and re-Intern known names at once.
+func TestSharedTableConcurrentReads(t *testing.T) {
 	names := []string{"doj.gov.", "nsf.gov.", ".", "nic.cz.", "nask.pl."}
-	run := func(workers int) *Table {
-		tables := make([]*Table, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				tab := NewTable()
-				for i := 0; i < 2000; i++ {
-					tab.Intern(names[(i*7+w)%len(names)])
-				}
-				tables[w] = tab
-			}(w)
-		}
-		wg.Wait()
-		global := NewTable()
-		for _, tab := range tables {
-			global.Remap(tab)
-		}
-		ct, _ := global.Canonicalize(nil)
-		return ct
+	tab := NewTable()
+	for _, n := range names {
+		tab.Intern(n)
 	}
-	want := run(1)
-	for _, workers := range []int{2, 8} {
-		if got := run(workers); !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d canonical table differs: %v vs %v", workers, got.Names(), want.Names())
-		}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				want := uint32((i*7 + w) % len(names))
+				n := names[want]
+				if id, ok := tab.Lookup(n); !ok || id != want || tab.Intern(n) != want ||
+					tab.InternBytes([]byte(n)) != want || tab.Name(id) != n {
+					t.Errorf("worker %d: %q resolved to %d, want %d", w, n, id, want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if tab.Len() != len(names) {
+		t.Errorf("len = %d after read-only use, want %d", tab.Len(), len(names))
 	}
 }

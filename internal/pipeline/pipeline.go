@@ -21,12 +21,12 @@
 // Every stage is worker-pooled. Traffic days are materialized in
 // parallel across Config.Concurrency workers as columnar sample batches
 // (name IDs into the source's interning table); each worker replays its
-// batches into its own private core.Aggregator shard over a worker-local
-// name table (single-writer, no locks or string hashing on the hot
-// path), and the shards are merged — with their interning tables
-// remapped and canonicalized — at the stage barrier. The selector
-// consensus sweep and the pass-2 detail collection are parallelized the
-// same way.
+// batches into its own private core.Aggregator shard over that same
+// table, which the parallel stage only reads (single-writer shards, no
+// locks or string hashing on the hot path), and the shards are merged
+// and their client-day arenas canonicalized at the stage barrier. The
+// selector consensus sweep and the pass-2 detail collection are
+// parallelized the same way.
 //
 // Determinism guarantee: a run at a fixed TrafficSeed produces the same
 // Study — detections, records, name list, curves, and aggregate state —
@@ -34,9 +34,10 @@
 // path, and with or without the day-batch cache (Config.CacheDays).
 // This holds because each traffic day is a pure function of (campaign,
 // seed, day), per-day results land in per-day slots merged in day
-// order, shard merging is commutative, and the post-merge
-// canonicalization assigns name IDs lexicographically (independent of
-// which worker interned a name first).
+// order, shard merging is commutative, every shard counts in the
+// source's one name table (so a name's ID never depends on which worker
+// met it), and the post-merge canonicalization orders the client-day
+// arena by key alone.
 package pipeline
 
 import (
@@ -253,13 +254,11 @@ type pass1Shard struct {
 // per-day slots and fed to the platform serially in day order at the
 // barrier. It fills AggMain, AggExt, CaptureStats, and HoneypotAttacks.
 //
-// Shards aggregate directly in the source's interning table space: for
-// the synthetic source every name a worker can meet — including the
-// tracked explicit zones resolved here — was interned at generator
-// construction, so the batches' name IDs need no per-worker
-// re-interning, shard merges are identity remaps, and the table is
-// read-only during the parallel stage. Sources whose batches carry
-// other tables remap lazily per capture point.
+// Shards aggregate directly in the source's interning table: every
+// name a worker can meet is interned before the parallel stage starts —
+// the batches' names by the source, the tracked explicit zones here —
+// so the table is read-only while workers run, shard merges add up ID
+// by ID, and a batch in any other table is refused (RemapBatch panics).
 func (r *Runner) Aggregate() *Runner {
 	r.Plan()
 	st, c := r.st, r.Campaign
@@ -280,11 +279,11 @@ func (r *Runner) Aggregate() *Runner {
 	forEachDay(r.days, workers, func(worker, i int, day simclock.Time) {
 		sh := shards[worker]
 		batch, flows := r.Src.DayFlows(day)
-		// Batch-native pass 1: RemapBatch accumulates capture stats (and
-		// is an identity view here, the batch already carries the shared
-		// table); the aggregators then consume whole columns, split at
-		// the window boundary (a time-bounds check — only batches that
-		// straddle it fall back to a filtered row walk).
+		// Batch-native pass 1: RemapBatch accumulates capture stats and
+		// holds the batch to the shared table; the aggregators then
+		// consume whole columns, split at the window boundary (a
+		// time-bounds check — only batches that straddle it fall back to
+		// a filtered row walk).
 		rb := sh.cap.RemapBatch(batch)
 		core.ObserveBatchSplit(sh.aggMain, sh.aggExt, rb, window)
 		dayFlows[i] = flows
@@ -294,9 +293,8 @@ func (r *Runner) Aggregate() *Runner {
 	// irrelevant) and canonicalize the merged client-day arenas so
 	// their order is independent of the sharding. Every shard
 	// aggregated in the shared source table, so name IDs are already
-	// sharding-independent and the table itself needs no
-	// canonicalization (the aggregates keep the source table as their
-	// ID space).
+	// sharding-independent (the aggregates keep the source table as
+	// their ID space).
 	st.AggMain = shards[0].aggMain
 	st.AggExt = shards[0].aggExt
 	st.CaptureStats = shards[0].cap.Stats
@@ -403,12 +401,12 @@ func (r *Runner) Collect() *Runner {
 	// Pass 2 streams the same source as pass 1 (synthetic day synthesis
 	// is a pure function of the day; a cached source serves pass-1
 	// batches straight back); per-day collectors resolve candidates
-	// against the source table, so batch replay again needs no
-	// re-interning. Candidates are pre-resolved serially here: NameList
-	// names come from selectors over observed traffic, so they are
-	// already interned, and this no-op pass guarantees the concurrent
-	// NewCollector calls below only ever read the shared table even if
-	// a future caller feeds names from elsewhere.
+	// against the source table, the batches' own. Candidates are
+	// pre-resolved serially here: NameList names come from selectors
+	// over observed traffic, so they are already interned, and this
+	// no-op pass guarantees the concurrent NewCollector calls below
+	// only ever read the shared table even if a future caller feeds
+	// names from elsewhere.
 	stab := r.Src.Table()
 	for n := range st.NameList.Names {
 		stab.Intern(n)
@@ -423,16 +421,12 @@ func (r *Runner) Collect() *Runner {
 			return
 		}
 		col := core.NewCollector(stab, dets, st.NameList.Names)
-		// Batch-native pass 2: RemapBatch guarantees the batch is in the
-		// collector's table space (an identity no-op for the usual
-		// shared-table sources; source.Replay may serve foreign-table
-		// batches) and ObserveBatch consumes it directly — no per-sample
-		// materialization, and no routing annotation for the packets the
-		// collector rejects (the old per-sample path annotated every
-		// packet; its capture stats were discarded, so the remap capture
-		// point carries no topology).
-		cap2 := ixp.NewCapturePoint(nil, stab)
-		col.ObserveBatch(cap2.RemapBatch(r.Src.Day(day)), c.Topo)
+		// Batch-native pass 2: the batch is in the collector's table
+		// (pass 1 held every day of this source to stab) and ObserveBatch
+		// consumes it directly — no per-sample materialization, no
+		// capture stats (pass 1 counted them), and no routing annotation
+		// for the packets the collector rejects.
+		col.ObserveBatch(r.Src.Day(day), c.Topo)
 		dayCols[i] = col
 	})
 	col := core.NewCollector(stab, all, st.NameList.Names)

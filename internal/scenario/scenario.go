@@ -32,8 +32,6 @@ import (
 	"dnsamp/internal/core"
 	"dnsamp/internal/dnswire"
 	"dnsamp/internal/ecosystem"
-	"dnsamp/internal/ixp"
-	"dnsamp/internal/names"
 	"dnsamp/internal/netmodel"
 	"dnsamp/internal/sflow"
 	"dnsamp/internal/simclock"
@@ -203,7 +201,7 @@ func (env *Env) Build(sc *Scenario, seed int64) *Built {
 		// call — nothing else references it, so appending the overlay
 		// in place is safe.
 		b := env.Gen.Day(day).Batch
-		appendFrames(b, env.Gen.Table(), plan.DayFrames(day))
+		source.AppendFrames(b, plan.DayFrames(day))
 		rep.AddDay(day, b, nil)
 	})
 	bt := &Built{
@@ -222,25 +220,6 @@ func (env *Env) Build(sc *Scenario, seed int64) *Built {
 		}
 	}
 	return bt
-}
-
-// appendFrames sanitizes sampled wire frames into the batch through the
-// same capture-point decoding AddFrames uses, preserving ingress tags
-// and accounting drops in the batch counters.
-func appendFrames(b *ixp.SampleBatch, tab *names.Table, recs []ecosystem.TaggedRecord) {
-	cp := ixp.NewCapturePoint(nil, tab)
-	b.Grow(len(recs))
-	for _, tr := range recs {
-		s, ok := cp.Process(tr.Rec)
-		if !ok {
-			continue
-		}
-		b.AppendSample(&s, tr.Ingress)
-	}
-	b.Frames += cp.Stats.Frames
-	b.NonUDP += cp.Stats.NonUDP
-	b.NonDNS += cp.Stats.NonDNS
-	b.Malformed += cp.Stats.Malformed
 }
 
 // scenarioSeed decorrelates per-scenario streams: same mixing shape as

@@ -118,8 +118,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 }
 
 // registerMetrics wires every exported family. Collectors read live
-// service state under the service locks at scrape time; the family
-// set and order here is what docs/OPERATIONS.md documents.
+// service state at scrape time: single counters directly, everything
+// that sits behind a service lock from the per-render snapshot
+// (s.scrape). The family set and order here is what
+// docs/OPERATIONS.md documents.
 func (s *Service) registerMetrics() {
 	counter := func(name, help string, c metrics.Collector) { s.reg.Register(name, help, metrics.Counter, c) }
 	gauge := func(name, help string, c metrics.Collector) { s.reg.Register(name, help, metrics.Gauge, c) }
@@ -168,12 +170,12 @@ func (s *Service) registerMetrics() {
 		emit(float64(s.ckptBytes.Load()))
 	})
 
-	// Per-source families share one snapshot-per-scrape walk.
+	// Per-source families share the one source snapshot of the scrape.
 	perSource := func(f func(st *SourceStats) float64) metrics.Collector {
 		return func(emit metrics.Emit) {
-			for _, st := range s.SourcesSnapshot() {
-				st := st
-				emit(f(&st), "input", st.Input, "agent", st.Agent, "subagent", fmt.Sprint(st.SubAgent))
+			for i := range s.scrape.sources {
+				st := &s.scrape.sources[i]
+				emit(f(st), "input", st.Input, "agent", st.Agent, "subagent", fmt.Sprint(st.SubAgent))
 			}
 		}
 	}
@@ -190,9 +192,9 @@ func (s *Service) registerMetrics() {
 	// Per-input supervisor families.
 	perInput := func(f func(st *ingest.SupervisorStats) float64) metrics.Collector {
 		return func(emit metrics.Emit) {
-			for _, st := range s.InputsSnapshot() {
-				st := st
-				emit(f(&st), "input", st.ID)
+			for i := range s.scrape.inputs {
+				st := &s.scrape.inputs[i]
+				emit(f(st), "input", st.ID)
 			}
 		}
 	}
@@ -208,10 +210,7 @@ func (s *Service) registerMetrics() {
 	gauge("ixpmon_input_cursor", "Resume cursor of the newest datagram emitted per input (bytes or records; kind-specific).", perInput(func(st *ingest.SupervisorStats) float64 { return float64(st.Cursor) }))
 
 	window := func(f func(ws *WindowStats) float64) metrics.Collector {
-		return func(emit metrics.Emit) {
-			ws := s.WindowSnapshot()
-			emit(f(&ws))
-		}
+		return func(emit metrics.Emit) { emit(f(&s.scrape.window)) }
 	}
 	gauge("ixpmon_window_current_day", "Day currently accumulating (days since the unix epoch; -1 before data).", window(func(ws *WindowStats) float64 { return float64(ws.CurDay) }))
 	gauge("ixpmon_window_client_days", "Live client-day profiles in the window aggregate.", window(func(ws *WindowStats) float64 { return float64(ws.ClientDays) }))
@@ -227,17 +226,17 @@ func (s *Service) registerMetrics() {
 	}))
 
 	counter("ixpmon_stage_seconds_total", "Wall-clock seconds spent per processing stage.", func(emit metrics.Emit) {
-		for _, st := range s.stages.Snapshot() {
+		for _, st := range s.scrape.stages {
 			emit(st.Total.Seconds(), "stage", st.Stage)
 		}
 	})
 	counter("ixpmon_stage_invocations_total", "Invocations per processing stage.", func(emit metrics.Emit) {
-		for _, st := range s.stages.Snapshot() {
+		for _, st := range s.scrape.stages {
 			emit(float64(st.Count), "stage", st.Stage)
 		}
 	})
 	gauge("ixpmon_stage_max_seconds", "Longest single invocation per processing stage.", func(emit metrics.Emit) {
-		for _, st := range s.stages.Snapshot() {
+		for _, st := range s.scrape.stages {
 			emit(st.Max.Seconds(), "stage", st.Stage)
 		}
 	})

@@ -254,7 +254,7 @@ func TestShutdownDrainsBacklog(t *testing.T) {
 		defer cancel()
 		done <- svc.Shutdown(ctx)
 	}()
-	waitUntil(t, "shutdown to begin", func() bool { return svc.closing.Load() })
+	<-svc.closing // shutdown has begun
 	close(svc.gate)
 	if err := <-done; err != nil {
 		t.Fatalf("Shutdown: %v", err)
@@ -275,6 +275,61 @@ func TestShutdownDrainsBacklog(t *testing.T) {
 	}
 	if st.ClosedDays == 0 {
 		t.Errorf("shutdown did not finalize the day in progress: %+v", st)
+	}
+}
+
+// TestShutdownInterruptsBlockedEnqueue: a durable input's producer
+// blocked on a full queue is released by Shutdown, not by queue space.
+// The entry it was holding is not enqueued and its cursor not advanced,
+// so the shutdown checkpoint covers exactly what was queued and a
+// resume re-reads exactly the rest. No step depends on timing: the gate
+// stays shut until the producer has left.
+func TestShutdownInterruptsBlockedEnqueue(t *testing.T) {
+	const entries, queueLen = 40, 8
+	dir := t.TempDir()
+	path := filepath.Join(dir, "in.sflowlog")
+	var hdr bytes.Buffer
+	encodeWire(t, &hdr, nil) // the file header alone
+	if err := os.WriteFile(path, hdr.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	appendEntries(t, path, [4]byte{192, 0, 2, 1}, 1, simclock.MeasurementStart, entries)
+	cfg := Config{
+		Window: WindowConfig{Days: 2}, QueueLen: queueLen,
+		StateDir: filepath.Join(dir, "state"), CheckpointEvery: -1,
+	}
+	cfg.Inputs = append(cfg.Inputs, mustSpec(t, "replay:"+path))
+
+	svc1 := NewService(cfg)
+	svc1.gate = make(chan struct{})
+	if err := svc1.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	// The consumer holds one entry at the gate, the queue holds
+	// queueLen, and the producer has accounted the one it cannot place.
+	const placed = queueLen + 1
+	waitUntil(t, "producer to meet the full queue", func() bool { return accounted(svc1) == placed+1 })
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		done <- svc1.Shutdown(ctx)
+	}()
+	<-svc1.readerDone // the queue is still full: only Shutdown can have released the producer
+	close(svc1.gate)
+	if err := <-done; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if got := svc1.Consumed(); got != placed {
+		t.Fatalf("interrupted run consumed %d entries, want the %d that were queued", got, placed)
+	}
+
+	cfg.Resume = true
+	svc2 := startService(t, cfg)
+	waitUntil(t, "resumed replay drained", func() bool { return svc2.Consumed() >= entries })
+	shutdownService(t, svc2)
+	if got, fr := svc2.Consumed(), frames(svc2); got != entries || fr != entries {
+		t.Errorf("after resume: %d entries consumed, %d frames processed, want exactly %d of each", got, fr, entries)
 	}
 }
 

@@ -172,6 +172,16 @@ type Service struct {
 	cfg    Config
 	stages *Stages
 	reg    *metrics.Registry
+	// scrape is what the per-source, per-input, window and stage metric
+	// families read: each snapshot taken once per /metrics render by
+	// snapshotForScrape, the registry's prepare hook, and guarded by the
+	// registry's render lock.
+	scrape struct {
+		sources []SourceStats
+		inputs  []ingest.SupervisorStats
+		window  WindowStats
+		stages  []StageTiming
+	}
 
 	// mu serializes window access (consumer vs HTTP snapshots vs
 	// checkpointer); it also guards the consumer-side resume cursors
@@ -202,7 +212,7 @@ type Service struct {
 	ckptStop     chan struct{}
 	ckptDone     chan struct{}
 	started      bool
-	closing      atomic.Bool
+	closing      chan struct{} // closed when Shutdown begins
 	shutdownOnce sync.Once
 	shutdownErr  error
 
@@ -242,7 +252,6 @@ func NewService(cfg Config) *Service {
 	s := &Service{
 		cfg:          cfg.withDefaults(),
 		stages:       NewStages(),
-		reg:          metrics.NewRegistry(),
 		sources:      make(map[sourceKey]*sourceState),
 		inputCursors: make(map[string]srcCursor),
 		schedResume:  make(map[string]int64),
@@ -250,7 +259,9 @@ func NewService(cfg Config) *Service {
 		consumerDone: make(chan struct{}),
 		ckptStop:     make(chan struct{}),
 		ckptDone:     make(chan struct{}),
+		closing:      make(chan struct{}),
 	}
+	s.reg = metrics.NewRegistry(s.snapshotForScrape)
 	s.win = NewWindow(s.cfg.Window, s.stages)
 	s.queue = make(chan item, s.cfg.QueueLen)
 	s.registerMetrics()
@@ -338,7 +349,7 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	s.shutdownOnce.Do(func() {
-		s.closing.Store(true)
+		close(s.closing)
 		s.sched.Stop()
 		<-s.readerDone
 		<-s.consumerDone
@@ -475,18 +486,12 @@ func (s *Service) enqueueDurable(sid string, dg *sflow.Datagram, at simclock.Tim
 	if src == nil {
 		return true
 	}
-	it := item{src: src, dg: dg, at: at, off: off, epoch: epoch}
-	for {
-		select {
-		case s.queue <- it:
-			src.pending.Add(1)
-			return true
-		default:
-		}
-		if s.closing.Load() {
-			return false
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case s.queue <- item{src: src, dg: dg, at: at, off: off, epoch: epoch}:
+		src.pending.Add(1)
+		return true
+	case <-s.closing:
+		return false
 	}
 }
 
@@ -707,3 +712,13 @@ func (s *Service) StagesSnapshot() []StageTiming { return s.stages.Snapshot() }
 
 // Registry exposes the metric registry (the /metrics content).
 func (s *Service) Registry() *metrics.Registry { return s.reg }
+
+// snapshotForScrape takes, once per render, every snapshot that more
+// than one metric family reads: one s.mu, s.smu, scheduler and stages
+// acquisition per scrape instead of one per family.
+func (s *Service) snapshotForScrape() {
+	s.scrape.sources = s.SourcesSnapshot()
+	s.scrape.inputs = s.InputsSnapshot()
+	s.scrape.window = s.WindowSnapshot()
+	s.scrape.stages = s.StagesSnapshot()
+}

@@ -181,6 +181,37 @@ func writeRecords(tb testing.TB, w io.Writer, recs []Record, inputs []uint32) {
 	}
 }
 
+// matchEntry checks one log entry against the records it was written
+// from — recs[0] onwards — and returns how many of them it held.
+func matchEntry(tb testing.TB, at simclock.Time, dg *Datagram, recs []Record, inputs []uint32) int {
+	tb.Helper()
+	if len(dg.Samples) > len(recs) {
+		tb.Fatalf("entry holds %d samples, only %d records were left to read", len(dg.Samples), len(recs))
+	}
+	for i := range dg.Samples {
+		fs, want := &dg.Samples[i], recs[i]
+		if at != want.Time || !bytes.Equal(fs.Header, want.Frame) || int(fs.FrameLen) != want.FrameLen ||
+			uint64(fs.Seq) != want.Seq || fs.Input != inputs[i] {
+			tb.Fatalf("sample %d of the entry: got %+v at %v input %d, want %+v input %d", i, *fs, at, fs.Input, want, inputs[i])
+		}
+	}
+	return len(dg.Samples)
+}
+
+// readLog reads entries until lr reports an error, checking them
+// against recs[from:], and returns the record index reached with that
+// error (io.EOF at a clean end).
+func readLog(tb testing.TB, lr *LogReader, from int, recs []Record, inputs []uint32) (int, error) {
+	tb.Helper()
+	for {
+		at, dg, err := lr.NextEntry()
+		if err != nil {
+			return from, err
+		}
+		from += matchEntry(tb, at, dg, recs[from:], inputs[from:])
+	}
+}
+
 func TestLogRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	recs, inputs := writeLog(t, &buf)
@@ -189,27 +220,14 @@ func TestLogRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLogReader: %v", err)
 	}
-	for i := range recs {
-		rec, input, err := lr.Next()
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(rec, recs[i]) {
-			t.Fatalf("record %d mismatch:\nwant %+v\ngot  %+v", i, recs[i], rec)
-		}
-		if input != inputs[i] {
-			t.Fatalf("record %d input = %d, want %d", i, input, inputs[i])
-		}
-	}
-	if _, _, err := lr.Next(); err != io.EOF {
-		t.Fatalf("after last record: err = %v, want io.EOF", err)
+	if n, err := readLog(t, lr, 0, recs, inputs); err != io.EOF || n != len(recs) {
+		t.Fatalf("read %d of %d records, err = %v, want all and io.EOF", n, len(recs), err)
 	}
 }
 
-// TestLogReaderNextEntry checks the whole-datagram view of the log:
-// entries come back one network datagram at a time with their arrival
-// timestamps, and the samples of all entries concatenated equal what
-// the per-record Next iteration yields.
+// TestLogReaderNextEntry checks the shape of what NextEntry hands out:
+// one network datagram at a time with its arrival timestamp, arrival
+// times non-decreasing, 1..64 samples each, all records covered.
 func TestLogReaderNextEntry(t *testing.T) {
 	var buf bytes.Buffer
 	recs, inputs := writeLog(t, &buf)
@@ -237,29 +255,13 @@ func TestLogReaderNextEntry(t *testing.T) {
 		if len(dg.Samples) == 0 || len(dg.Samples) > 64 {
 			t.Fatalf("entry %d: %d samples, want 1..64", entries, len(dg.Samples))
 		}
-		for s := range dg.Samples {
-			fs := &dg.Samples[s]
-			if i >= len(recs) {
-				t.Fatalf("more samples than records written (at %d)", i)
-			}
-			if at != recs[i].Time {
-				t.Fatalf("sample %d: arrival %v, want %v", i, at, recs[i].Time)
-			}
-			if !bytes.Equal(fs.Header, recs[i].Frame) || fs.Input != inputs[i] || uint64(fs.Seq) != recs[i].Seq {
-				t.Fatalf("sample %d diverges from the Next view", i)
-			}
-			i++
-		}
+		i += matchEntry(t, at, dg, recs[i:], inputs[i:])
 	}
 	if i != len(recs) {
 		t.Fatalf("NextEntry yielded %d samples, want %d", i, len(recs))
 	}
 	if entries < 2 {
 		t.Fatalf("fixture produced %d entries; want several", entries)
-	}
-	// The entry just consumed is not re-served sample-wise.
-	if _, _, err := lr.Next(); err != io.EOF {
-		t.Fatalf("Next after NextEntry drain: err = %v, want io.EOF", err)
 	}
 }
 
@@ -268,7 +270,7 @@ func TestLogReaderNextEntry(t *testing.T) {
 // exactly where it stopped once more bytes arrive.
 func TestLogReaderResumes(t *testing.T) {
 	var buf bytes.Buffer
-	recs, _ := writeLog(t, &buf)
+	recs, inputs := writeLog(t, &buf)
 	full := buf.Bytes()
 
 	cut := len(full) - 37 // mid-entry
@@ -277,38 +279,16 @@ func TestLogReaderResumes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLogReader: %v", err)
 	}
-	var got []Record
-	for {
-		rec, _, err := lr.Next()
-		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-			break
-		}
-		if err != nil {
-			t.Fatalf("first pass: %v", err)
-		}
-		got = append(got, rec)
+	n, err := readLog(t, lr, 0, recs, inputs)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("first pass: err = %v, want io.ErrUnexpectedEOF", err)
 	}
-	if len(got) == 0 || len(got) >= len(recs) {
-		t.Fatalf("first pass read %d of %d records; cut point did not split the log", len(got), len(recs))
+	if n == 0 || n >= len(recs) {
+		t.Fatalf("first pass read %d of %d records; cut point did not split the log", n, len(recs))
 	}
 	grow.data = full // the "file" grew
-	for {
-		rec, _, err := lr.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("resumed pass: %v", err)
-		}
-		got = append(got, rec)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("resumed read ended at %d of %d records", len(got), len(recs))
-	}
-	for i := range recs {
-		if !reflect.DeepEqual(got[i], recs[i]) {
-			t.Fatalf("record %d differs after resume", i)
-		}
+	if n, err = readLog(t, lr, n, recs, inputs); err != io.EOF || n != len(recs) {
+		t.Fatalf("resumed read ended at %d of %d records, err = %v", n, len(recs), err)
 	}
 }
 
@@ -346,7 +326,7 @@ func TestLogReaderRejects(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewLogReader: %v", err)
 	}
-	if _, _, err := lr.Next(); !errors.Is(err, ErrLog) {
+	if _, _, err := lr.NextEntry(); !errors.Is(err, ErrLog) {
 		t.Errorf("oversized entry: err = %v, want ErrLog", err)
 	}
 }
@@ -375,16 +355,7 @@ func TestGoldenLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range recs {
-		rec, input, err := lr.Next()
-		if err != nil {
-			t.Fatalf("fixture record %d: %v", i, err)
-		}
-		if !reflect.DeepEqual(rec, recs[i]) || input != inputs[i] {
-			t.Fatalf("fixture record %d differs", i)
-		}
-	}
-	if _, _, err := lr.Next(); err != io.EOF {
-		t.Fatalf("fixture trailer: %v", err)
+	if n, err := readLog(t, lr, 0, recs, inputs); err != io.EOF || n != len(recs) {
+		t.Fatalf("fixture re-read %d of %d records, err = %v", n, len(recs), err)
 	}
 }

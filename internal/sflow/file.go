@@ -130,14 +130,14 @@ func (lw *LogWriter) flush() {
 // entries instead of two reads serving one.
 const readAhead = 64 << 10
 
-// LogReader streams records back out of a datagram log. It reads its
-// input in readAhead-sized chunks into one reused buffer — safe because
-// ParseDatagram copies header bytes out — and knows its own position:
-// Offset is an entry boundary however far the reads ran ahead of it.
-// It is tail-capable: a Next that hits end of input mid-entry returns
-// io.ErrUnexpectedEOF but keeps what it has read, so calling Next again
-// after the underlying file has grown resumes exactly where it stopped
-// (cmd/ixpmon's -follow mode).
+// LogReader streams a datagram log back out, one entry per NextEntry.
+// It reads its input in readAhead-sized chunks into one reused buffer —
+// safe because ParseDatagram copies header bytes out — and knows its
+// own position: Offset is an entry boundary however far the reads ran
+// ahead of it. It is tail-capable: a NextEntry that hits end of input
+// mid-entry returns io.ErrUnexpectedEOF but keeps what it has read, so
+// calling it again after the underlying file has grown resumes exactly
+// where it stopped (Tailer, behind a tail: input, is built on this).
 type LogReader struct {
 	r io.Reader
 
@@ -147,11 +147,6 @@ type LogReader struct {
 	buf    []byte
 	lo, hi int
 	off    int64
-
-	dg      *Datagram
-	next    int
-	dgT     simclock.Time
-	dgStart int64 // offset at which dg's entry starts
 }
 
 // NewLogReader validates the log header and returns a streaming
@@ -176,15 +171,8 @@ func NewLogReader(r io.Reader) (*LogReader, error) {
 }
 
 // Offset returns the stream offset of the next unconsumed entry: the
-// resume cursor. Bytes read ahead of it are not counted, and while Next
-// still has samples of the current entry to yield it stays at that
-// entry's start, so resuming from it never skips a sample.
-func (lr *LogReader) Offset() int64 {
-	if lr.dg != nil && lr.next < len(lr.dg.Samples) {
-		return lr.dgStart
-	}
-	return lr.off
-}
+// resume cursor. Bytes read ahead of it are not counted.
+func (lr *LogReader) Offset() int64 { return lr.off }
 
 // SkipTo consumes input up to stream offset off, which must be an
 // offset a reader of the same log returned from Offset. It reads the
@@ -243,57 +231,24 @@ func (lr *LogReader) need(n int) error {
 	return nil
 }
 
-// Next returns the next sampled record and its flow-sample input field
-// (the ingress attribution). It returns io.EOF at a clean end of log
-// and io.ErrUnexpectedEOF when the log stops mid-entry; after either,
-// Next may be called again once the underlying reader has more data.
-func (lr *LogReader) Next() (Record, uint32, error) {
-	for lr.dg == nil || lr.next >= len(lr.dg.Samples) {
-		if err := lr.readEntry(); err != nil {
-			return Record{}, 0, err
-		}
-	}
-	s := &lr.dg.Samples[lr.next]
-	lr.next++
-	return Record{
-		Time:     lr.dgT,
-		Frame:    s.Header,
-		FrameLen: int(s.FrameLen),
-		Seq:      uint64(s.Seq),
-	}, s.Input, nil
-}
-
 // NextEntry returns the next whole datagram entry: its collector
-// arrival time and the parsed datagram. It is the replay-grade view of
-// the log — one network datagram per call, the unit a UDP re-sender
-// transmits — while Next iterates sample by sample. The two share the
-// reader's position: NextEntry skips any samples of the current
-// datagram that Next has not yielded yet, so callers should pick one
-// access style per reader. End-of-input behaves exactly like Next
-// (io.EOF clean, io.ErrUnexpectedEOF mid-entry and resumable).
+// arrival time and the parsed datagram — one network datagram per call,
+// the unit a UDP re-sender transmits. It returns io.EOF at a clean end
+// of log and io.ErrUnexpectedEOF when the log stops mid-entry; after
+// either it may be called again once the underlying reader has more
+// data.
 func (lr *LogReader) NextEntry() (simclock.Time, *Datagram, error) {
-	if err := lr.readEntry(); err != nil {
-		return 0, nil, err
-	}
-	lr.next = len(lr.dg.Samples) // consumed wholesale; Next moves on
-	return lr.dgT, lr.dg, nil
-}
-
-// readEntry reads and parses the next timestamped datagram entry.
-func (lr *LogReader) readEntry() error {
-	lr.dg, lr.next = nil, 0
 	if err := lr.need(12); err != nil {
-		return err
+		return 0, nil, err
 	}
 	ln := int(binary.LittleEndian.Uint32(lr.buf[lr.lo+8:]))
 	if ln > maxLogDatagram {
-		return fmt.Errorf("%w: %d-byte datagram entry", ErrLog, ln)
+		return 0, nil, fmt.Errorf("%w: %d-byte datagram entry", ErrLog, ln)
 	}
 	if err := lr.need(12 + ln); err != nil {
-		return err
+		return 0, nil, err
 	}
 	entry := lr.buf[lr.lo : lr.lo+12+ln]
-	start := lr.off
 	// The framing is intact, so the entry is consumed even when its
 	// body is bad: the next call resyncs at the following entry
 	// boundary instead of re-parsing the same bytes forever — one
@@ -301,9 +256,7 @@ func (lr *LogReader) readEntry() error {
 	lr.consume(len(entry))
 	dg, err := ParseDatagram(entry[12:])
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
-	lr.dg, lr.dgStart = dg, start
-	lr.dgT = simclock.Time(int64(binary.LittleEndian.Uint64(entry)))
-	return nil
+	return simclock.Time(int64(binary.LittleEndian.Uint64(entry))), dg, nil
 }

@@ -173,38 +173,6 @@ func TestLogReaderOffsetExact(t *testing.T) {
 	}
 }
 
-// TestLogReaderOffsetHoldsForSamples: while Next is part-way through an
-// entry's samples Offset stays at that entry's start, so a resume from
-// it loses none of them; it moves to the end with the last sample.
-func TestLogReaderOffsetHoldsForSamples(t *testing.T) {
-	raw := bigLog(t)
-	ends := entryEnds(raw)
-	lr, err := NewLogReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := int64(logHeaderLen)
-	for i, end := range ends[:3] {
-		n := 0
-		for {
-			if _, _, err := lr.Next(); err != nil {
-				t.Fatal(err)
-			}
-			n++
-			if lr.Offset() == end {
-				break
-			}
-			if lr.Offset() != start {
-				t.Fatalf("entry %d, sample %d: Offset = %d, want the entry's start %d", i, n, lr.Offset(), start)
-			}
-		}
-		if n != maxLogSamples {
-			t.Fatalf("entry %d: Offset reached the end after %d samples, want %d", i, n, maxLogSamples)
-		}
-		start = end
-	}
-}
-
 // TestTailerStaleInsideReadAhead: a file cut to a size the reader has
 // consumed past is stale, and so is one cut to a size between what was
 // consumed and what was read ahead — the buffered tail no longer exists

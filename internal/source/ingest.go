@@ -25,16 +25,26 @@ import (
 // io.ErrUnexpectedEOF-wrapped error alongside the count of what was
 // kept. Do not re-ingest the same log into the same Replay after such
 // an error — days accumulate, so the retry would double-count; tail a
-// live log with sflow.LogReader directly (as cmd/ixpmon -follow does)
-// instead.
+// live log with sflow.Tailer (a tail: input of the service) instead.
 func (r *Replay) IngestSFlowLog(rd io.Reader) (int, error) {
 	lr, err := sflow.NewLogReader(rd)
 	if err != nil {
 		return 0, err
 	}
+	var at simclock.Time
+	var rest []sflow.FlowSample // of the entry being handed out
 	return r.ingestFrames(func() (ecosystem.TaggedRecord, error) {
-		rec, input, err := lr.Next()
-		return ecosystem.TaggedRecord{Rec: rec, Ingress: input}, err
+		for len(rest) == 0 {
+			t, dg, err := lr.NextEntry()
+			if err != nil {
+				return ecosystem.TaggedRecord{}, err
+			}
+			at, rest = t, dg.Samples
+		}
+		fs := &rest[0]
+		rest = rest[1:]
+		rec := sflow.Record{Time: at, Frame: fs.Header, FrameLen: int(fs.FrameLen), Seq: uint64(fs.Seq)}
+		return ecosystem.TaggedRecord{Rec: rec, Ingress: fs.Input}, nil
 	})
 }
 

@@ -57,11 +57,15 @@ func Record(src Source) *Replay {
 	return r
 }
 
-// AddDay stores one recorded day. The batch's table need not be the
-// replay table: consumers remap through ixp.CapturePoint.ConsumeBatch.
-// Adding the same day twice replaces it wholesale — batch, counters,
-// and sensors (use AddFrames to accumulate into an existing day).
+// AddDay stores one recorded day; a nil batch is an empty day. The
+// batch must be in the replay's table, as every batch of a Source is in
+// Source.Table(): any other is a wiring bug and panics. Adding the same
+// day twice replaces it wholesale — batch, counters, and sensors (use
+// AddFrames to accumulate into an existing day).
 func (r *Replay) AddDay(day simclock.Time, batch *ixp.SampleBatch, sensors []ecosystem.SensorFlow) {
+	if batch != nil && batch.Table != r.tab {
+		panic(fmt.Sprintf("source: AddDay batch in a foreign name table (%d names) handed to a replay over a %d-name table", batch.Table.Len(), r.tab.Len()))
+	}
 	day = day.StartOfDay()
 	if _, ok := r.byDay[day]; !ok {
 		r.days = append(r.days, day)
@@ -70,12 +74,8 @@ func (r *Replay) AddDay(day simclock.Time, batch *ixp.SampleBatch, sensors []eco
 	r.byDay[day] = &replayDay{batch: batch, sensors: sensors}
 }
 
-// AddFrames sanitizes raw sampled frames into one day's batch: each
-// frame runs through the capture-point decoding and well-formedness
-// checks of §3.1 (drops accounted in the batch counters), survivors are
-// appended in arrival order with their ingress-port tags preserved.
-// AS annotation is not baked in — it happens at consumption time, so a
-// recorded day can be replayed against any routing substrate.
+// AddFrames sanitizes raw sampled frames into one day's batch
+// (AppendFrames) and keeps the day's sensor flows.
 //
 // Ingesting the same day again accumulates: the new frames append to
 // the existing batch and the sanitization counters and sensor flows
@@ -96,8 +96,19 @@ func (r *Replay) AddFrames(day simclock.Time, recs []ecosystem.TaggedRecord, sen
 	if !rd.owned {
 		return fmt.Errorf("source: day %s holds a batch recorded via AddDay (shared with its producer); cannot ingest frames into it", day.Date())
 	}
-	b := rd.batch
-	cp := ixp.NewCapturePoint(nil, r.tab)
+	AppendFrames(rd.batch, recs)
+	rd.sensors = append(rd.sensors, sensors...)
+	return nil
+}
+
+// AppendFrames sanitizes sampled wire frames into b, interning names
+// into b.Table: each frame runs through the capture-point decoding and
+// well-formedness checks of §3.1 (drops added to the batch counters),
+// survivors are appended in arrival order with their ingress-port tags.
+// AS annotation happens at consumption time, not here, so a recorded
+// day can be replayed against any routing substrate.
+func AppendFrames(b *ixp.SampleBatch, recs []ecosystem.TaggedRecord) {
+	cp := ixp.NewCapturePoint(nil, b.Table)
 	b.Grow(len(recs))
 	for _, tr := range recs {
 		s, ok := cp.Process(tr.Rec)
@@ -110,8 +121,6 @@ func (r *Replay) AddFrames(day simclock.Time, recs []ecosystem.TaggedRecord, sen
 	b.NonUDP += cp.Stats.NonUDP
 	b.NonDNS += cp.Stats.NonDNS
 	b.Malformed += cp.Stats.Malformed
-	rd.sensors = append(rd.sensors, sensors...)
-	return nil
 }
 
 // Table returns the replay's interning space.

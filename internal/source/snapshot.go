@@ -43,16 +43,9 @@ const snapVersion = 1
 var ErrSnapshot = errors.New("source: invalid snapshot")
 
 // WriteSnapshot serializes the replay — table, day batches, sensor
-// flows — to w. Every day's batch must live in the replay's interning
-// table (true for Record snapshots and AddFrames ingestion; a foreign
-// AddDay batch is reported as an error rather than written with
-// dangling name IDs).
+// flows — to w. Every day's batch is in the replay's interning table
+// (AddDay admits no other), so the name IDs written resolve in it.
 func (r *Replay) WriteSnapshot(w io.Writer) error {
-	for _, day := range r.days {
-		if b := r.byDay[day].batch; b != nil && b.Table != r.tab {
-			return fmt.Errorf("source: day %s batch uses a foreign interning table; snapshot would dangle its name IDs", day.Date())
-		}
-	}
 	e := binenc.NewEncoder(w)
 	e.Raw(snapMagic[:])
 	e.U32(snapVersion)

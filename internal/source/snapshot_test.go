@@ -3,7 +3,6 @@ package source_test
 import (
 	"bytes"
 	"errors"
-	"io"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -176,20 +175,5 @@ func TestSnapshotCorruption(t *testing.T) {
 	copy(mut[8+4:], []byte{0xff, 0xff, 0xff, 0xff}) // name count
 	if _, err := source.OpenSnapshot(bytes.NewReader(mut)); !errors.Is(err, source.ErrSnapshot) {
 		t.Fatalf("absurd count: err = %v, want ErrSnapshot", err)
-	}
-}
-
-// TestSnapshotRejectsForeignTable pins the write-side guard: a day
-// whose batch lives in another interning table would serialize
-// dangling name IDs and must be refused.
-func TestSnapshotRejectsForeignTable(t *testing.T) {
-	other := names.NewTable()
-	other.Intern("elsewhere.example.")
-	b := &ixp.SampleBatch{Table: other}
-	b.Append(ixp.BatchRecord{Name: 0})
-	r := source.NewReplay(nil)
-	r.AddDay(simclock.MeasurementStart, b, nil)
-	if err := r.WriteSnapshot(io.Discard); err == nil {
-		t.Fatal("WriteSnapshot accepted a foreign-table batch")
 	}
 }

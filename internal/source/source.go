@@ -15,10 +15,11 @@
 //   - Replay serves pre-recorded day batches or sanitized sflow frames,
 //     the first non-synthetic workload.
 //
-// Sources hand out immutable batches: consumers feed them to the
-// batch-native observers (core.Aggregator.ObserveBatch and
+// Sources hand out immutable batches, all in the source's one name
+// table: consumers built over that table feed them to the batch-native
+// observers (core.Aggregator.ObserveBatch and
 // core.Collector.ObserveBatch, with ixp.CapturePoint.RemapBatch
-// translating foreign table spaces) or replay them per sample through
+// accounting the capture stats) or replay them per sample through
 // ixp.CapturePoint.ConsumeBatch — none of which write to a batch — so
 // one materialized day may be shared by any number of passes and
 // workers.
@@ -39,8 +40,8 @@ import (
 // many days at once.
 type Source interface {
 	// Table is the name-interning space of every batch the source
-	// emits (SampleBatch.Table). Consumers that aggregate directly in
-	// this space skip per-sample remapping entirely.
+	// emits (SampleBatch.Table) and so of everything that consumes
+	// them: a run has one name table, and nothing translates IDs.
 	Table() *names.Table
 
 	// Days lists the start-of-day times this source can materialize,

@@ -7,6 +7,7 @@ import (
 
 	"dnsamp/internal/ecosystem"
 	"dnsamp/internal/ixp"
+	"dnsamp/internal/names"
 	"dnsamp/internal/simclock"
 	"dnsamp/internal/source"
 	"dnsamp/internal/topology"
@@ -28,12 +29,17 @@ func testWindow() simclock.Window {
 	}
 }
 
-// drain consumes a batch through a fresh capture point, returning the
-// annotated samples (the stream the detection pipeline sees).
+// drain consumes a batch through a fresh capture point over the batch's
+// own table, returning the annotated samples (the stream the detection
+// pipeline sees). Name is zeroed: an ID means something only inside its
+// table, so streams of two sources compare by QName.
 func drain(c *ecosystem.Campaign, b *ixp.SampleBatch) ([]ixp.DNSSample, ixp.CaptureStats) {
-	cp := ixp.NewCapturePoint(c.Topo, nil)
+	cp := ixp.NewCapturePoint(c.Topo, b.Table)
 	var out []ixp.DNSSample
-	cp.ConsumeBatch(b, func(s *ixp.DNSSample) { out = append(out, *s) })
+	cp.ConsumeBatch(b, func(s *ixp.DNSSample) {
+		out = append(out, *s)
+		out[len(out)-1].Name = 0
+	})
 	return out, cp.Stats
 }
 
@@ -227,5 +233,37 @@ func TestReplayMatchesSynthetic(t *testing.T) {
 	// Unknown days are absent, not invented.
 	if b := rec.Day(w.End.Add(simclock.Days(3))); b != nil {
 		t.Error("unrecorded day must return a nil batch")
+	}
+}
+
+// TestAddDayForeignTablePanics pins the one-table invariant at the
+// replay's door: every batch a Source emits is in Source.Table(), so
+// AddDay refuses a batch interned anywhere else instead of storing name
+// IDs that would dangle. Empty days (nil batches) and batches in the
+// replay's own table are stored.
+func TestAddDayForeignTablePanics(t *testing.T) {
+	other := names.NewTable()
+	foreign := &ixp.SampleBatch{Table: other}
+	foreign.Append(ixp.BatchRecord{Name: other.Intern("elsewhere.example.")})
+
+	r := source.NewReplay(nil)
+	day := simclock.MeasurementStart
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("AddDay accepted a batch in a foreign name table")
+			}
+		}()
+		r.AddDay(day, foreign, nil)
+	}()
+	if len(r.Days()) != 0 {
+		t.Fatalf("refused AddDay still recorded a day: %v", r.Days())
+	}
+
+	r.AddDay(day, nil, nil)
+	own := &ixp.SampleBatch{Table: r.Table()}
+	r.AddDay(day.Add(simclock.Days(1)), own, nil)
+	if len(r.Days()) != 2 || r.Day(day) != nil || r.Day(day.Add(simclock.Days(1))) != own {
+		t.Errorf("nil and own-table batches: days %v", r.Days())
 	}
 }
