@@ -23,12 +23,24 @@
 // supervised retry.
 //
 // Concurrency model: one goroutine per source (the supervisor running
-// the source adapter), each feeding a bounded per-source buffer; one
-// dispatcher goroutine drains the buffers into the output channel in
-// the order the configured policy picks; one watchdog goroutine
-// checks progress clocks. Backpressure is per source first — a full
-// buffer blocks only its own adapter — and global second (a slow
-// consumer of Items() eventually fills every buffer).
+// the source adapter), each feeding a bounded per-source ring; one
+// dispatcher goroutine moves what the rings hold into the output
+// channel in the order the configured policy picks; one watchdog
+// goroutine checks progress counters. Backpressure is per source first
+// — a full ring blocks only its own adapter — and global second (a slow
+// consumer of Items() eventually fills every ring).
+//
+// Every hop has one writer (an adapter its ring, the dispatcher
+// Items()), which is what lets a hop move a whole run under one
+// synchronisation instead of one datagram: the dispatcher takes the
+// lock once, pops for as long as the policy keeps picking, and sends
+// the run on a channel buffered to the same length. The rule at every
+// hop is never to wait to fill a run — a run is what is already there —
+// so a slow stream moves single datagrams with no added latency and
+// there is no flush timer to tune. The bounds: a ring holds
+// Tuning.BufLen datagrams (default 64, a few milliseconds of a busy
+// collector, fixed so the steady state allocates nothing); a run and
+// the Items() buffer hold runLen = 64 (sched.go gives the reason).
 //
 // Cursors: every emitted Item carries the source's progress cursor
 // just past that datagram (a byte offset for file-backed sources, a
@@ -229,7 +241,11 @@ type Tuning struct {
 	BackoffMin, BackoffMax time.Duration
 	// StallAfter is the watchdog deadline: a running source with an
 	// empty buffer and no progress heartbeat for this long is restarted
-	// (default 10s). It also bounds the arrival policy's merge wait.
+	// (default 10s). Heartbeats are a counter the watchdog samples every
+	// StallAfter/4 (at least 5ms), not a clock the source reads, so a
+	// stall is caught between StallAfter and StallAfter plus two such
+	// ticks after the last beat (or after the buffer emptied, if that
+	// was later). It also bounds the arrival policy's merge wait.
 	StallAfter time.Duration
 	// MaxRestarts is how many consecutive failures without any emitted
 	// datagram a source survives before it is quarantined (default 8).

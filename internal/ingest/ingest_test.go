@@ -92,6 +92,15 @@ func (f *fakeRunner) run(t *task, cursor int64) error {
 	return f.errAfter
 }
 
+// tickRunner is a fakeRunner of n items, step apart from start on.
+func tickRunner(start, step, n int) *fakeRunner {
+	f := &fakeRunner{}
+	for i := 0; i < n; i++ {
+		f.at = append(f.at, simclock.Time(start+i*step))
+	}
+	return f
+}
+
 // failRunner always fails without delivering anything.
 type failRunner struct{ n int }
 
@@ -170,16 +179,9 @@ func fastTuning() Tuning {
 // time-sorted stream under the arrival policy, regardless of which
 // source's goroutine runs first.
 func TestArrivalMerge(t *testing.T) {
-	mk := func(start, step, n int) *fakeRunner {
-		f := &fakeRunner{}
-		for i := 0; i < n; i++ {
-			f.at = append(f.at, simclock.Time(start+i*step))
-		}
-		return f
-	}
 	// Interleaved, collectively dense, no cross-source ties.
 	s := fakeSched(t, Config{Policy: PolicyArrival, Tuning: fastTuning()},
-		mk(100, 3, 40), mk(101, 3, 40), mk(102, 3, 40))
+		tickRunner(100, 3, 40), tickRunner(101, 3, 40), tickRunner(102, 3, 40))
 	s.Start()
 	items := collectItems(t, s, 120, 5*time.Second)
 	if len(items) != 120 {
@@ -450,7 +452,7 @@ func TestBacklogPolicy(t *testing.T) {
 	waitFor(func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return len(s.sups[0].buf) == 1 && len(s.sups[1].buf) == 6
+		return s.sups[0].buf.n == 1 && s.sups[1].buf.n == 6
 	})
 	s.wg.Add(2)
 	go s.watchdog()
@@ -633,4 +635,151 @@ func TestUDPBindAndRetry(t *testing.T) {
 	}
 	send(11, 12)
 	receive(2)
+}
+
+// TestRunsKeepOrderUnderSlowConsumer: a consumer that keeps falling
+// behind lets the rings fill and the dispatcher's runs reach their
+// bound. Whatever the run lengths, every policy keeps each source's
+// items in order, the arrival policy keeps the merged stream
+// non-decreasing in capture time, and exactly the items a fast consumer
+// receives arrive.
+func TestRunsKeepOrderUnderSlowConsumer(t *testing.T) {
+	const perSource = 700
+	type key struct {
+		src    string
+		cursor int64
+	}
+	// drain receives the whole stream, sleeping every pause items (never,
+	// when pause is 0), and reports the items and whether it ever found
+	// Items() filled to capacity — a whole run parked there.
+	drain := func(t *testing.T, pol string, pause int) (items []Item, sawFull bool) {
+		s := fakeSched(t, Config{Policy: pol},
+			tickRunner(100, 3, perSource), tickRunner(101, 3, perSource), tickRunner(102, 3, perSource))
+		if err := s.Start(); err != nil {
+			t.Fatal(err)
+		}
+		out := s.Items()
+		for it := range out {
+			items = append(items, it)
+			if pause > 0 && len(items)%pause == 0 {
+				time.Sleep(time.Millisecond)
+				sawFull = sawFull || len(out) == cap(out)
+			}
+		}
+		return items, sawFull
+	}
+	sorted := func(items []Item) []key {
+		keys := make([]key, len(items))
+		for i, it := range items {
+			keys[i] = key{it.SourceID, it.Cursor}
+		}
+		slices.SortFunc(keys, func(a, b key) int {
+			if c := strings.Compare(a.src, b.src); c != 0 {
+				return c
+			}
+			return int(a.cursor - b.cursor)
+		})
+		return keys
+	}
+	for _, pol := range []string{PolicyRoundRobin, PolicyBacklog, PolicyArrival} {
+		t.Run(pol, func(t *testing.T) {
+			slow, sawFull := drain(t, pol, 150)
+			if !sawFull {
+				t.Error("Items() was never full after a pause: no run reached its bound")
+			}
+			if len(slow) != 3*perSource {
+				t.Fatalf("slow consumer received %d items, want %d", len(slow), 3*perSource)
+			}
+			next := map[string]int64{}
+			for i, it := range slow {
+				if it.Cursor != next[it.SourceID]+1 {
+					t.Fatalf("item %d: %s delivered cursor %d after %d", i, it.SourceID, it.Cursor, next[it.SourceID])
+				}
+				next[it.SourceID] = it.Cursor
+				if pol == PolicyArrival && i > 0 && it.At.Before(slow[i-1].At) {
+					t.Fatalf("item %d: capture time %v after %v", i, it.At, slow[i-1].At)
+				}
+			}
+			fast, _ := drain(t, pol, 0)
+			if !slices.Equal(sorted(slow), sorted(fast)) {
+				t.Errorf("slow and fast consumers received different items (%d vs %d)", len(slow), len(fast))
+			}
+		})
+	}
+}
+
+// TestStopWithItemsParked: Stop while Items() holds a parked run and the
+// dispatcher a second one. What the consumer receives before and after
+// the close is, per source, an unbroken prefix of what the source
+// emitted — a run cut short loses its tail, never its middle — and every
+// datagram read stays accounted on its row.
+func TestStopWithItemsParked(t *testing.T) {
+	const perSource, taken = 60, 20
+	var specs []Spec
+	for i := 0; i < 3; i++ {
+		sp, err := ParseSpec("replay:" + writeTestLog(t, perSource))
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, sp)
+	}
+	s, err := New(Config{Specs: specs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	out := s.Items()
+	next := map[string]simclock.Time{}
+	seen := map[string]uint64{}
+	receive := func(it Item) {
+		t.Helper()
+		// One-second entries, in order: a gap in At is a lost datagram.
+		if want := next[it.SourceID]; want != 0 && it.At != want {
+			t.Fatalf("%s delivered the entry of %v, want %v", it.SourceID, it.At, want)
+		}
+		next[it.SourceID] = it.At.Add(1)
+		seen[it.SourceID]++
+	}
+	for i := 0; i < taken; i++ {
+		receive(<-out)
+	}
+	// The logs fit the rings, so every source finishes; of the 160 items
+	// left the channel takes a full run and the dispatcher blocks on the
+	// next one.
+	deadline := time.Now().Add(10 * time.Second)
+	parkedFull := func() bool {
+		for _, st := range s.Snapshot() {
+			if st.State != "done" {
+				return false
+			}
+		}
+		return len(out) == cap(out)
+	}
+	for !parkedFull() {
+		if time.Now().After(deadline) {
+			t.Fatalf("Items() holds %d of %d items: %+v", len(out), cap(out), s.Snapshot())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.Stop()
+	parked := 0
+	for it := range out {
+		receive(it)
+		parked++
+	}
+	if parked != cap(out) {
+		t.Errorf("received %d items after Stop, want the %d that were parked", parked, cap(out))
+	}
+	for _, st := range s.Snapshot() {
+		if st.Received != perSource || st.Received != st.ParseErrors+st.Panics+st.Emitted {
+			t.Errorf("%s: received %d (want %d) != parseErrors %d + panics %d + emitted %d",
+				st.ID, st.Received, perSource, st.ParseErrors, st.Panics, st.Emitted)
+		}
+		if seen[st.ID] > st.Emitted {
+			t.Errorf("%s: consumer saw %d items, source emitted %d", st.ID, seen[st.ID], st.Emitted)
+		}
+	}
 }

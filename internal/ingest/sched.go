@@ -2,9 +2,10 @@
 // ingest. Each configured source runs under its own Supervisor — a
 // restart loop owning the source's lifecycle state machine
 // (starting → healthy → backoff → quarantined / done / stopped) — and
-// feeds a bounded per-source buffer. A single dispatcher drains the
-// buffers into the output channel in whatever order the configured
-// policy picks; a watchdog restarts sources that stop making progress.
+// feeds a bounded per-source ring. A single dispatcher moves what the
+// rings hold into the output channel, a run at a time, in whatever
+// order the configured policy picks; a watchdog restarts sources that
+// stop making progress.
 // All supervisors share one failure philosophy: a broken source is
 // retried with capped-exponential backoff, a wedged one is cancelled
 // and (if need be) abandoned, a hopeless one is parked with a reason —
@@ -75,9 +76,10 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.ctx, s.cancel = context.WithCancel(context.Background())
-	s.out = make(chan Item)
+	s.out = make(chan Item, runLen)
 	for i, sp := range cfg.Specs {
 		sv := &Supervisor{s: s, idx: i, spec: sp, run: newRunner(sp, &s.cfg)}
+		sv.buf.slots = make([]Item, s.tun.BufLen)
 		sv.cursor.Store(cfg.Cursors[sp.ID])
 		s.sups = append(s.sups, sv)
 	}
@@ -123,14 +125,17 @@ func (s *Scheduler) closeBound() {
 	}
 }
 
-// Items is the merged output stream. It is closed when every source is
-// finished (done, quarantined, or stopped) and the buffers are drained,
-// or when the scheduler is stopped.
+// Items is the merged output stream, one datagram per receive. It is
+// closed when every source is finished (done, quarantined, or stopped)
+// and the buffers are drained, or when the scheduler is stopped. The
+// channel is buffered (runLen), so up to that many items can still be
+// received after it is closed.
 func (s *Scheduler) Items() <-chan Item { return s.out }
 
 // Stop cancels every source and waits for all scheduler goroutines.
-// Buffered, undispatched items are discarded (they were never consumed,
-// so cursors never covered them).
+// Items still in a source's ring or in the dispatcher's hands are
+// discarded; a consumer that stops receiving discards what Items()
+// holds. Neither was consumed, so no consumer cursor covers them.
 func (s *Scheduler) Stop() {
 	s.once.Do(func() {
 		s.cancel()
@@ -168,7 +173,7 @@ func (s *Scheduler) Snapshot() []SupervisorStats {
 			Restarts:    sv.restarts.Load(),
 			Stalls:      sv.stalls.Load(),
 			ReadRetries: sv.readRetries.Load(),
-			Buffered:    len(sv.buf),
+			Buffered:    sv.buf.n,
 			Cursor:      sv.cursor.Load(),
 			Epoch:       sv.epoch.Load(),
 			LastError:   sv.lastErr,
@@ -182,6 +187,38 @@ func (s *Scheduler) Snapshot() []SupervisorStats {
 	return out
 }
 
+// ring is one source's bounded FIFO: Tuning.BufLen slots allocated once,
+// so the steady state neither allocates nor keeps a popped datagram
+// reachable.
+type ring struct {
+	slots   []Item
+	head, n int
+}
+
+func (r *ring) full() bool { return r.n == len(r.slots) }
+
+func (r *ring) push(it Item) {
+	i := r.head + r.n
+	if i >= len(r.slots) {
+		i -= len(r.slots)
+	}
+	r.slots[i] = it
+	r.n++
+}
+
+// front is the oldest item; the ring must not be empty.
+func (r *ring) front() *Item { return &r.slots[r.head] }
+
+func (r *ring) pop() Item {
+	it := r.slots[r.head]
+	r.slots[r.head] = Item{}
+	if r.head++; r.head == len(r.slots) {
+		r.head = 0
+	}
+	r.n--
+	return it
+}
+
 // Supervisor owns one source: its runner, its restart loop, its
 // lifecycle state, and its bounded buffer.
 type Supervisor struct {
@@ -191,15 +228,17 @@ type Supervisor struct {
 	run  runner
 
 	// Guarded by s.mu.
-	buf        []Item
+	buf        ring
 	lastErr    string
 	quarReason string
 	cancelRun  context.CancelFunc
 
 	state     atomic.Int32
 	stallFlag atomic.Bool
-	lastBeat  atomic.Int64 // unix nanos of last progress heartbeat
-	gen       atomic.Uint64
+	// beats counts progress heartbeats. The watchdog notes when it last
+	// saw the count move, so a beat costs no clock read.
+	beats atomic.Uint64
+	gen   atomic.Uint64
 
 	received, parseErrors, emitted atomic.Uint64
 	panics, restarts, stalls       atomic.Uint64
@@ -243,8 +282,8 @@ func (sv *Supervisor) supervise() {
 		sv.s.mu.Lock()
 		sv.cancelRun = cancel
 		sv.s.mu.Unlock()
+		sv.beats.Add(1) // a fresh run gets a fresh stall deadline, before it counts as running
 		sv.setState(StateStarting)
-		sv.lastBeat.Store(time.Now().UnixNano())
 		before := sv.emitted.Load()
 
 		t := &task{sv: sv, ctx: runCtx, gen: gen, epochBase: epochBase}
@@ -348,7 +387,7 @@ func (t *task) beat() {
 	if !t.live() {
 		return
 	}
-	t.sv.lastBeat.Store(time.Now().UnixNano())
+	t.sv.beats.Add(1)
 	if State(t.sv.state.Load()) == StateStarting {
 		t.sv.setState(StateHealthy)
 	}
@@ -404,10 +443,10 @@ func (t *task) deliver(dg *sflow.Datagram, at simclock.Time, cursor int64, relEp
 	if !t.live() {
 		return false
 	}
+	t.beat() // before anything can panic: a quarantined datagram is progress too
 	if fp := sv.s.cfg.FaultPanic; fp != nil && fp(sv.spec.ID, dg) {
 		panic(fmt.Sprintf("ingest: injected delivery fault (%s)", sv.spec.ID))
 	}
-	t.beat()
 
 	epoch := t.epochBase + relEpoch
 	it := Item{
@@ -421,14 +460,14 @@ func (t *task) deliver(dg *sflow.Datagram, at simclock.Time, cursor int64, relEp
 	}
 	s := sv.s
 	s.mu.Lock()
-	for len(sv.buf) >= s.tun.BufLen {
+	for sv.buf.full() {
 		if t.ctx.Err() != nil || !t.live() {
 			s.mu.Unlock()
 			return false
 		}
 		s.cond.Wait()
 	}
-	sv.buf = append(sv.buf, it)
+	sv.buf.push(it)
 	s.mu.Unlock()
 	sv.emitted.Add(1)
 	sv.cursor.Store(cursor)
@@ -437,12 +476,24 @@ func (t *task) deliver(dg *sflow.Datagram, at simclock.Time, cursor int64, relEp
 	return true
 }
 
-// dispatch is the single consumer of every source buffer: it asks the
-// policy who goes next and forwards that source's head item.
+// runLen bounds one dispatcher run and is the capacity of Items(): 64
+// datagrams are a few microseconds of consumer work, enough to spread
+// one lock acquisition and one wake-up thin, and no more than a
+// default source ring holds.
+const runLen = 64
+
+// dispatch is the single consumer of every source ring. Under one lock
+// acquisition it pops for as long as the policy keeps picking (at most
+// runLen items), then sends that run on Items(). A run is what is
+// already waiting, never waited for: a slow stream moves one datagram
+// at a time with no added latency. Every pick sees every ring's head,
+// so the order is the one a dispatcher popping a single item per
+// acquisition could have produced.
 func (s *Scheduler) dispatch() {
 	defer s.wg.Done()
 	defer close(s.out)
 	var waitStart time.Time
+	run := make([]Item, 0, runLen)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -451,31 +502,36 @@ func (s *Scheduler) dispatch() {
 			return
 		}
 		forced := !waitStart.IsZero() && time.Since(waitStart) > s.tun.StallAfter
-		idx := s.pol.pick(s.sups, forced)
-		if idx >= 0 {
-			sv := s.sups[idx]
-			it := sv.buf[0]
-			sv.buf = sv.buf[1:]
-			if len(sv.buf) == 0 {
-				sv.buf = nil
+		for len(run) < cap(run) {
+			idx := s.pol.pick(s.sups, forced)
+			if idx < 0 {
+				break
 			}
+			run = append(run, s.sups[idx].buf.pop())
+			forced = false // a release restarts the bounded wait
+		}
+		if len(run) > 0 {
 			waitStart = time.Time{}
-			s.cond.Broadcast() // a buffer slot freed; wake blocked producers
+			s.cond.Broadcast() // ring slots freed; wake blocked producers
 			s.mu.Unlock()
-			select {
-			case s.out <- it:
-				s.mu.Lock()
-			case <-s.ctx.Done():
-				s.mu.Lock()
-				return
+			for _, it := range run {
+				select {
+				case s.out <- it:
+				case <-s.ctx.Done():
+					s.mu.Lock()
+					return
+				}
 			}
+			clear(run)
+			run = run[:0]
+			s.mu.Lock()
 			continue
 		}
 
 		buffered := false
 		parked := true
 		for _, sv := range s.sups {
-			if len(sv.buf) > 0 {
+			if sv.buf.n > 0 {
 				buffered = true
 			}
 			if sv.waiting() {
@@ -495,8 +551,11 @@ func (s *Scheduler) dispatch() {
 }
 
 // watchdog restarts sources that stopped making progress: running
-// state, empty buffer (so it is not consumer backpressure), and no
-// heartbeat within the stall deadline.
+// state, empty buffer (so it is not consumer backpressure), and a
+// heartbeat count that has not moved for the stall deadline. It reads
+// the clock once per tick and the sources read it never, so a stall is
+// caught between StallAfter and StallAfter plus two ticks after the
+// last beat (or after the last buffered item left, if that was later).
 func (s *Scheduler) watchdog() {
 	defer s.wg.Done()
 	tick := s.tun.StallAfter / 4
@@ -505,23 +564,38 @@ func (s *Scheduler) watchdog() {
 	}
 	tk := time.NewTicker(tick)
 	defer tk.Stop()
+	// seen is each source's heartbeat count as of the tick that last saw
+	// progress.
+	type progress struct {
+		beats uint64
+		at    time.Time
+	}
+	seen := make([]progress, len(s.sups))
+	for i := range seen {
+		seen[i].at = time.Now()
+	}
 	for {
 		select {
 		case <-s.ctx.Done():
 			return
 		case <-tk.C:
 		}
-		now := time.Now().UnixNano()
+		now := time.Now()
 		s.mu.Lock()
-		for _, sv := range s.sups {
+		for i, sv := range s.sups {
+			// A backlog is the consumer's turn, not a stall: the deadline
+			// runs from the tick that last saw a beat or a buffered item,
+			// so a run that empties the ring of an adapter blocked on it
+			// leaves the adapter a whole deadline to push again.
+			if b := sv.beats.Load(); b != seen[i].beats || sv.buf.n > 0 {
+				seen[i] = progress{b, now}
+				continue
+			}
 			st := State(sv.state.Load())
 			if st != StateStarting && st != StateHealthy {
 				continue
 			}
-			if len(sv.buf) > 0 {
-				continue // backlogged, not stalled
-			}
-			if now-sv.lastBeat.Load() <= int64(s.tun.StallAfter) {
+			if now.Sub(seen[i].at) < s.tun.StallAfter {
 				continue
 			}
 			sv.stallFlag.Store(true)
@@ -549,7 +623,7 @@ func (p *roundRobin) pick(sups []*Supervisor, _ bool) int {
 	n := len(sups)
 	for i := 1; i <= n; i++ {
 		idx := (p.last + i) % n
-		if len(sups[idx].buf) > 0 {
+		if sups[idx].buf.n > 0 {
 			p.last = idx
 			return idx
 		}
@@ -563,7 +637,7 @@ type backlogWeighted struct{}
 func (backlogWeighted) pick(sups []*Supervisor, _ bool) int {
 	best, bestN := -1, 0
 	for i, sv := range sups {
-		if n := len(sv.buf); n > bestN {
+		if n := sv.buf.n; n > bestN {
 			best, bestN = i, n
 		}
 	}
@@ -581,13 +655,13 @@ func (arrivalOrder) pick(sups []*Supervisor, forced bool) int {
 	best := -1
 	var bestAt simclock.Time
 	for i, sv := range sups {
-		if len(sv.buf) == 0 {
+		if sv.buf.n == 0 {
 			if sv.waiting() && !forced {
 				return -1 // hold the merge for this source's next datagram
 			}
 			continue
 		}
-		if at := sv.buf[0].At; best < 0 || at.Before(bestAt) {
+		if at := sv.buf.front().At; best < 0 || at.Before(bestAt) {
 			best, bestAt = i, at
 		}
 	}

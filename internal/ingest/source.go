@@ -274,7 +274,6 @@ func (r *replayRunner) run(t *task, cursor int64) error {
 			}
 			return err // framing error or stream fault
 		}
-		t.beat()
 		t.recv()
 		if r.cfg.TimeFromUptime {
 			at = simclock.Time(dg.Uptime)

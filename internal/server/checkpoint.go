@@ -7,10 +7,11 @@
 // per-source replay barrier skipping datagrams the restored window
 // already contains, so a kill/restart cycle double-counts nothing.
 //
-// Consistency model: the consumer advances each source's cursor under
-// the same lock that guards the window, and the checkpointer encodes
-// both under that lock — a checkpoint is always an exact (window,
-// cursors) pair. Datagrams sitting in the ingest queue at checkpoint
+// Consistency model: the consumer folds a whole drain into the window
+// and advances the cursors over it in one hold of the lock that guards
+// the window, and the checkpointer encodes both under that lock — a
+// checkpoint is always an exact (window, cursors) pair, made of whole
+// drains. Datagrams sitting in the ingest queue at checkpoint
 // time are not in the pair; after a crash they are re-sent (or re-read
 // from a durable input) past the cursor, and after a drained shutdown
 // there are none.

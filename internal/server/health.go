@@ -50,7 +50,8 @@ const (
 	// lowWaterAt: below ¼ full counts as a healthy observation.
 	lowWaterNum, lowWaterDen = 1, 4
 	// recoverHold is how many consecutive healthy observations
-	// recovering must accumulate before the state returns to ok.
+	// recovering must accumulate before the state returns to ok. One
+	// observation is one datagram enqueued or dequeued.
 	recoverHold = 64
 )
 
@@ -77,12 +78,15 @@ func (h *health) noteOverload() {
 	}
 }
 
-// noteDepth feeds one queue-depth observation (taken at enqueue or
-// dequeue). Draining below the low-water mark moves degraded to
-// recovering; recoverHold consecutive low-water observations complete
-// the recovery. Observations between the marks reset the streak
-// without changing state.
-func (h *health) noteDepth(depth, capacity int) {
+// noteDepth feeds n queue-depth observations at one depth: 1 at an
+// enqueue, the length of the drain at a dequeue — the consumer reads
+// the depth once per drain, and a backlog that drains in a few long
+// drains with no traffic behind it must still count out the hold.
+// Draining below the low-water mark moves degraded to recovering;
+// recoverHold consecutive low-water observations complete the
+// recovery. Observations between the marks reset the streak without
+// changing state.
+func (h *health) noteDepth(depth, capacity, n int) {
 	if HealthState(h.state.Load()) == HealthOK {
 		return
 	}
@@ -91,7 +95,7 @@ func (h *health) noteDepth(depth, capacity int) {
 		return
 	}
 	h.state.CompareAndSwap(int32(HealthDegraded), int32(HealthRecovering))
-	if h.okStreak.Add(1) >= recoverHold {
+	if h.okStreak.Add(int32(n)) >= recoverHold {
 		h.state.CompareAndSwap(int32(HealthRecovering), int32(HealthOK))
 	}
 }

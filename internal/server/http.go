@@ -230,12 +230,12 @@ func (s *Service) registerMetrics() {
 			emit(st.Total.Seconds(), "stage", st.Stage)
 		}
 	})
-	counter("ixpmon_stage_invocations_total", "Invocations per processing stage.", func(emit metrics.Emit) {
+	counter("ixpmon_stage_invocations_total", "Invocations per processing stage; for observe, queue drains of up to 256 datagrams.", func(emit metrics.Emit) {
 		for _, st := range s.scrape.stages {
 			emit(float64(st.Count), "stage", st.Stage)
 		}
 	})
-	gauge("ixpmon_stage_max_seconds", "Longest single invocation per processing stage.", func(emit metrics.Emit) {
+	gauge("ixpmon_stage_max_seconds", "Longest single invocation per processing stage; for observe, the longest drain.", func(emit metrics.Emit) {
 		for _, st := range s.scrape.stages {
 			emit(st.Max.Seconds(), "stage", st.Stage)
 		}

@@ -416,19 +416,27 @@ func TestMultiSourceIsolation(t *testing.T) {
 
 // sendSeq sends one single-sample datagram and waits until the
 // consumer has drained it (verified through the row's consume cursor),
-// making lossy-transport sends deterministic.
+// making lossy-transport sends deterministic. It sends again only while
+// the service has read nothing for a tenth of a second: a second copy
+// of a datagram that is merely slow to be consumed on a loaded host is
+// a genuine duplicate, and would be counted as one. No other input may
+// be delivering meanwhile.
 func sendSeq(t *testing.T, svc *Service, conn net.Conn, sid string, agent [4]byte, seq uint32) {
 	t.Helper()
 	dg := sflow.EncodeDatagram(&sflow.Datagram{
 		Agent: agent, Seq: seq,
 		Samples: []sflow.FlowSample{{Seq: seq, Rate: 2048, FrameLen: 64, Header: []byte{9, 9, byte(seq >> 8), byte(seq)}}},
 	})
+	before := svc.Received()
+	var sent time.Time
 	waitUntil(t, fmt.Sprintf("datagram %d consumed", seq), func() bool {
 		if consumeCursor(svc, sid, agent, 0) >= seq {
 			return true
 		}
-		conn.Write(dg) //nolint:errcheck // re-sent until consumed
-		time.Sleep(time.Millisecond)
+		if svc.Received() == before && time.Since(sent) > 100*time.Millisecond {
+			conn.Write(dg) //nolint:errcheck // sent again if it never arrives
+			sent = time.Now()
+		}
 		return false
 	})
 }

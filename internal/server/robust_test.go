@@ -552,7 +552,7 @@ func TestHealthStateMachine(t *testing.T) {
 	if h.State() != HealthOK {
 		t.Fatalf("initial state = %v", h.State())
 	}
-	h.noteDepth(100, 100) // depth observations are no-ops while ok
+	h.noteDepth(100, 100, 1) // depth observations are no-ops while ok
 	if h.State() != HealthOK {
 		t.Fatalf("ok flapped on a depth observation: %v", h.State())
 	}
@@ -564,27 +564,45 @@ func TestHealthStateMachine(t *testing.T) {
 	if h.degradations.Load() != 1 {
 		t.Fatalf("re-overload counted %d transitions", h.degradations.Load())
 	}
-	h.noteDepth(50, 100) // above low water: no recovery yet
+	h.noteDepth(50, 100, 1) // above low water: no recovery yet
 	if h.State() != HealthDegraded {
 		t.Fatalf("recovered above the low-water mark: %v", h.State())
 	}
-	h.noteDepth(10, 100) // below: recovery starts
+	h.noteDepth(10, 100, 1) // below: recovery starts
 	if h.State() != HealthRecovering {
 		t.Fatalf("below low water: %v, want recovering", h.State())
 	}
-	h.noteDepth(30, 100) // a bounce resets the streak but not the state
+	h.noteDepth(30, 100, 1) // a bounce resets the streak but not the state
 	if h.State() != HealthRecovering {
 		t.Fatalf("bounce: %v, want recovering", h.State())
 	}
 	for i := 0; i < recoverHold-1; i++ {
-		h.noteDepth(0, 100)
+		h.noteDepth(0, 100, 1)
 	}
 	if h.State() != HealthRecovering {
 		t.Fatalf("recovered before the hold elapsed: %v", h.State())
 	}
-	h.noteDepth(0, 100)
+	h.noteDepth(0, 100, 1)
 	if h.State() != HealthOK {
 		t.Fatalf("after the hold: %v, want ok", h.State())
+	}
+
+	// A drain of n datagrams is n observations at the depth it left: a
+	// backlog emptied in two long drains counts out the hold by itself,
+	// and a drain that ends above low water still resets the streak.
+	h.noteOverload()
+	h.noteDepth(10, 100, recoverHold-1)
+	if h.State() != HealthRecovering {
+		t.Fatalf("a drain one short of the hold: %v, want recovering", h.State())
+	}
+	h.noteDepth(30, 100, 1)
+	h.noteDepth(10, 100, recoverHold/2)
+	if h.State() != HealthRecovering {
+		t.Fatalf("half the hold after a bounce: %v, want recovering", h.State())
+	}
+	h.noteDepth(0, 100, recoverHold/2)
+	if h.State() != HealthOK {
+		t.Fatalf("two drains making up the hold: %v, want ok", h.State())
 	}
 }
 

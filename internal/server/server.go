@@ -21,16 +21,26 @@
 // writer of source rows and the only admitter to the single bounded
 // queue — it drains the scheduler's merged stream, accounts each
 // datagram to its (input, agent, sub-agent) row, and enqueues or
-// sheds it — and one consumer goroutine drains the queue into the
-// window. Backpressure is tiered: per source first (a stalled or
-// flooding collector sheds only its own traffic), then global
-// sampling-down and detection-only shedding when the shared queue
-// fills (health.go); durable inputs are flow-controlled instead of
-// shed. Read errors, dead sockets, and rotated logs are the ingest
-// supervisors' job; a consumer panic quarantines the offending
-// datagram to a poison file instead of killing the drain. HTTP
-// handlers take read snapshots under the same locks, so scrapes never
-// block the hot path for long.
+// sheds it — and one consumer goroutine, the window's only writer,
+// drains the queue into it. Both work in runs: each blocks for one
+// datagram, takes whatever else is already waiting — never waiting for
+// more, so a slow stream pays no latency and there is no flush timer —
+// and handles the run under one lock acquisition: the producer admits
+// what Items() held (at most its capacity, 64) under one smu, the
+// consumer folds up to drainMax = 256 queued datagrams into the window
+// under one s.mu, with one stage timing and one cursor write per input.
+// A drain holds s.mu from its first datagram to its last cursor, and
+// the checkpointer encodes under the same lock, so a checkpoint is an
+// exact (window, cursors) pair made of whole drains.
+//
+// Backpressure is tiered: per source first (a stalled or flooding
+// collector sheds only its own traffic), then global sampling-down and
+// detection-only shedding when the shared queue fills (health.go);
+// durable inputs are flow-controlled instead of shed. Read errors, dead
+// sockets, and rotated logs are the ingest supervisors' job; a consumer
+// panic quarantines the offending datagram to a poison file instead of
+// killing the drain. HTTP handlers take read snapshots under the same
+// locks, so scrapes never block the hot path for long.
 package server
 
 import (
@@ -166,6 +176,13 @@ type srcCursor struct {
 	off   int64
 }
 
+// inputAdvance is one input's consumed cursor while a drain is being
+// folded in (Service.advanced).
+type inputAdvance struct {
+	sid string
+	srcCursor
+}
+
 // Service is the running daemon. Construct with NewService, start with
 // Start, stop with Shutdown.
 type Service struct {
@@ -190,6 +207,7 @@ type Service struct {
 	mu           sync.Mutex
 	win          *Window
 	inputCursors map[string]srcCursor
+	advanced     []inputAdvance // consumer scratch, empty between drains
 
 	// smu guards the source registry; row fields other than pending and
 	// cursor are written only by the producer under it.
@@ -371,33 +389,56 @@ func (s *Service) Shutdown(ctx context.Context) error {
 	return s.shutdownErr
 }
 
-// schedLoop is the producer: it drains the scheduler's merged stream
+// takeWaiting appends to run what ch already holds, up to run's
+// capacity, and never waits: a run is what has piled up behind the item
+// its caller blocked for, so a slow stream moves one item at a time with
+// no delay and a fast one amortises each lock and wake-up over the run.
+func takeWaiting[T any](ch <-chan T, run []T) []T {
+	for len(run) < cap(run) {
+		select {
+		case v, ok := <-ch:
+			if !ok {
+				return run
+			}
+			run = append(run, v)
+		default:
+			return run
+		}
+	}
+	return run
+}
+
+// schedLoop is the producer: it moves the scheduler's merged stream
 // into the shared queue, the only writer of source rows and the only
-// queue admission. Items from durable sources are flow-controlled
-// (never shed — their cursors make loss unnecessary); UDP items go
-// through the regular shed tiers. The scheduler already read, counted,
-// parsed, timestamped, and per-source-buffered everything, so this
-// loop is just accounting plus queue admission.
+// queue admission. It blocks for one item, takes whatever else Items()
+// already holds — never waiting for more — and admits that run in one
+// go. The scheduler already read, counted, parsed, timestamped, and
+// per-source-buffered everything, so this loop is just accounting plus
+// queue admission.
 func (s *Service) schedLoop() {
 	defer close(s.readerDone)
 	defer close(s.queue)
-	for it := range s.sched.Items() {
-		if it.Durable {
-			if !s.enqueueDurable(it.SourceID, it.Dg, it.At, it.Cursor, it.Epoch) {
-				return
-			}
-		} else {
-			s.enqueueParsed(it.SourceID, it.Dg, it.At)
+	items := s.sched.Items()
+	run := make([]ingest.Item, 0, 1+cap(items)) // the one blocked for, and all Items() can hold
+	for it := range items {
+		run = takeWaiting(items, append(run[:0], it))
+		admitted := s.admitRun(run)
+		clear(run) // the queue owns the datagrams now
+		if !admitted {
+			return
 		}
 	}
 }
 
-// accountLocked runs the resume barrier and per-source accounting for
-// one parsed datagram, creating the source row on first sight. sid
-// scopes the row to the configured ingest input it arrived through.
-// Returns nil when the replay barrier skipped the datagram. Producer-goroutine only; caller holds smu.
-func (s *Service) accountLocked(sid string, dg *sflow.Datagram, at simclock.Time, durable bool) *sourceState {
+// rowLocked returns the accounting row of the collector that sent dg
+// through input sid, creating it on first sight. last is the row of the
+// run's previous datagram, tried before the map: a collector's
+// datagrams arrive in bursts. Producer-goroutine only; caller holds smu.
+func (s *Service) rowLocked(last *sourceState, sid string, dg *sflow.Datagram) *sourceState {
 	key := sourceKey{src: sid, agent: dg.Agent, subAgent: dg.SubAgent}
+	if last != nil && last.key == key {
+		return last
+	}
 	src := s.sources[key]
 	if src == nil {
 		src = &sourceState{key: key}
@@ -406,6 +447,14 @@ func (s *Service) accountLocked(sid string, dg *sflow.Datagram, at simclock.Time
 		src.stats.SubAgent = key.subAgent
 		s.sources[key] = src
 	}
+	return src
+}
+
+// accountLocked runs the resume barrier and per-source accounting for
+// one parsed datagram on its row. It reports false when the replay
+// barrier skipped the datagram. Producer-goroutine only; caller holds
+// smu.
+func (s *Service) accountLocked(src *sourceState, dg *sflow.Datagram, at simclock.Time, durable bool) bool {
 	if src.resuming {
 		switch {
 		case durable:
@@ -419,27 +468,61 @@ func (s *Service) accountLocked(sid string, dg *sflow.Datagram, at simclock.Time
 			// double-count, so it is skipped before any accounting.
 			src.stats.ReplaySkipped++
 			s.replaySkipped.Add(1)
-			return nil
+			return false
 		default:
 			src.resuming = false
 		}
 	}
 	src.account(dg, at)
-	return src
+	return true
 }
 
-// enqueueParsed accounts one parsed UDP datagram to its source and
-// either enqueues it for the consumer or sheds it: the resume barrier
-// first (already-consumed replays), then the global overload tiers,
-// then per-source backpressure. Producer-goroutine only.
-func (s *Service) enqueueParsed(sid string, dg *sflow.Datagram, at simclock.Time) {
+// admitRun accounts a run of scheduled datagrams to their source rows
+// and admits them to the queue, in order, under one smu acquisition.
+// Items from durable inputs (tail log, replay file, pcap, synthetic)
+// are flow-controlled, never shed: the input survives on its own, so a
+// full queue pauses the producer — with smu given up for the wait —
+// and the overload tiers stay out of it. UDP items go through the shed
+// tiers, each read against the queue depth of that moment. It reports
+// false when shutdown interrupted a blocked enqueue: that entry and the
+// rest of the run were not enqueued and no cursor advanced over them,
+// so a resume re-reads them. Producer-goroutine only.
+func (s *Service) admitRun(run []ingest.Item) bool {
 	s.smu.Lock()
 	defer s.smu.Unlock()
-	src := s.accountLocked(sid, dg, at, false)
-	if src == nil {
-		return
+	var src *sourceState
+	for i := range run {
+		it := &run[i]
+		src = s.rowLocked(src, it.SourceID, it.Dg)
+		if !s.accountLocked(src, it.Dg, it.At, it.Durable) {
+			continue
+		}
+		if !it.Durable {
+			s.admitUDPLocked(src, it)
+			continue
+		}
+		q := item{src: src, dg: it.Dg, at: it.At, off: it.Cursor, epoch: it.Epoch}
+		select {
+		case s.queue <- q:
+		default:
+			s.smu.Unlock()
+			select {
+			case s.queue <- q:
+				s.smu.Lock()
+			case <-s.closing:
+				s.smu.Lock()
+				return false
+			}
+		}
+		src.pending.Add(1)
 	}
+	return true
+}
 
+// admitUDPLocked enqueues one accounted UDP datagram for the consumer or
+// sheds it: the global overload tiers first, then per-source
+// backpressure. Producer-goroutine only; caller holds smu.
+func (s *Service) admitUDPLocked(src *sourceState, it *ingest.Item) {
 	// Global overload tiers (the per-source tier is below, unchanged):
 	// above ⅞ full shed everything, above ¾ keep 1-in-2.
 	depth, capacity := len(s.queue), s.cfg.QueueLen
@@ -455,12 +538,12 @@ func (s *Service) enqueueParsed(sid string, dg *sflow.Datagram, at simclock.Time
 			return
 		}
 	}
-	s.health.noteDepth(depth, capacity)
+	s.health.noteDepth(depth, capacity, 1)
 
 	shed := src.pending.Load() >= int64(s.cfg.PerSourceQueue)
 	if !shed {
 		select {
-		case s.queue <- item{src: src, dg: dg, at: at}:
+		case s.queue <- item{src: src, dg: it.Dg, at: it.At}:
 			src.pending.Add(1)
 		default:
 			shed = true // shared queue full
@@ -472,60 +555,85 @@ func (s *Service) enqueueParsed(sid string, dg *sflow.Datagram, at simclock.Time
 	}
 }
 
-// enqueueDurable accounts one durable-input entry (tail log, replay
-// file, pcap, synthetic) and enqueues it, blocking while the queue is
-// full. Durable ingest never sheds: the input survives on its own, so
-// backpressure is flow control — the producer pauses — not loss, and
-// the overload tiers stay out of it. Reports false when shutdown
-// interrupted the wait; the entry was not enqueued and its offset
-// never advanced, so a resume re-reads it.
-func (s *Service) enqueueDurable(sid string, dg *sflow.Datagram, at simclock.Time, off int64, epoch uint64) bool {
-	s.smu.Lock()
-	src := s.accountLocked(sid, dg, at, true)
-	s.smu.Unlock()
-	if src == nil {
-		return true
-	}
-	select {
-	case s.queue <- item{src: src, dg: dg, at: at, off: off, epoch: epoch}:
-		src.pending.Add(1)
-		return true
-	case <-s.closing:
-		return false
-	}
-}
+// drainMax bounds one consumer drain: 256 datagrams are about a tenth
+// of a millisecond under s.mu, short beside a scrape or a checkpoint
+// and long enough that the lock, the stage timer and the cursor writes
+// no longer show in a profile.
+const drainMax = 256
 
-// consumeLoop drains the queue into the window. A panic while
-// processing one datagram is isolated: the datagram is quarantined to
-// a poison file and the loop moves on.
+// consumeLoop drains the queue into the window. It blocks for one
+// datagram, takes whatever else is queued — never waiting for more —
+// and folds that drain into the window in one go.
 func (s *Service) consumeLoop() {
 	defer close(s.consumerDone)
+	drain := make([]item, 0, drainMax)
 	for it := range s.queue {
 		if s.gate != nil {
 			<-s.gate
 		}
-		it.src.pending.Add(-1)
-		s.consumeOne(it)
-		s.consumed.Add(1)
-		s.health.noteDepth(len(s.queue), s.cfg.QueueLen)
+		drain = takeWaiting(s.queue, append(drain[:0], it))
+		for i := range drain {
+			drain[i].src.pending.Add(-1)
+		}
+		s.consumeDrain(drain)
+		clear(drain)
 	}
 }
 
-// consumeOne observes one datagram's samples into the window and
-// advances the source's consume cursor. Panics unwind through the
-// deferred recover into quarantine; the lock and stage timer unwind
-// with them.
-func (s *Service) consumeOne(it item) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.panics.Add(1)
-			s.quarantine(it.src.key.src, it.dg, r)
-		}
-	}()
-	stop := s.stages.Track("observe")
-	defer stop()
+// consumeDrain folds one drain into the window under one s.mu
+// acquisition and advances the resume cursors over it, so a checkpoint
+// (which encodes under s.mu) is an exact (window, cursors) pair made of
+// whole drains. A panic while processing one datagram is isolated to
+// it: it moves no cursor, and once the lock is released it is
+// quarantined to a poison file and only then counted as consumed. Every
+// other datagram is counted under the lock, as it goes in, so the
+// checkpoint's consumed count belongs to the same pair.
+func (s *Service) consumeDrain(drain []item) {
+	type poison struct {
+		it    *item
+		cause any
+	}
+	var poisoned []poison
+	t0 := time.Now()
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	for i := range drain {
+		it := &drain[i]
+		if cause := s.observeLocked(it); cause != nil {
+			poisoned = append(poisoned, poison{it, cause})
+			continue
+		}
+		if it.dg.Seq > it.src.cursor {
+			it.src.cursor = it.dg.Seq
+		}
+		if it.off > 0 {
+			s.advanceLocked(it)
+		}
+		// Published per datagram, not per drain: a closed-loop sender
+		// pacing on Consumed() is released as its datagrams go in, not in
+		// bursts a drain long. Whoever reads the window next waits for
+		// s.mu, and so for the whole drain.
+		s.consumed.Add(1)
+	}
+	for _, in := range s.advanced {
+		s.inputCursors[in.sid] = in.srcCursor
+	}
+	s.advanced = s.advanced[:0]
+	s.mu.Unlock()
+	s.stages.Add("observe", time.Since(t0))
+
+	for _, p := range poisoned {
+		s.panics.Add(1)
+		s.quarantine(p.it.src.key.src, p.it.dg, p.cause)
+		s.consumed.Add(1)
+	}
+	s.health.noteDepth(len(s.queue), s.cfg.QueueLen, len(drain))
+}
+
+// observeLocked sanitizes one datagram's samples and observes them into
+// the window. A panic on the way is recovered and returned. Caller
+// holds s.mu.
+func (s *Service) observeLocked(it *item) (cause any) {
+	defer func() { cause = recover() }()
 	if s.faultPanic != nil && s.faultPanic(it.dg) {
 		panic(fmt.Sprintf("injected consumer fault on seq %d", it.dg.Seq))
 	}
@@ -548,22 +656,33 @@ func (s *Service) consumeOne(it item) {
 		}
 		s.win.Observe(&smp)
 	}
-	// Cursor advance is the last locked step: a panicking datagram never
-	// moves the cursor, so after a resume it is re-sent, re-quarantined,
-	// and still never half-counted. Offsets compare within an epoch
-	// only: after a rotation/truncation reopen (or a supervised-source
-	// restart) offsets start over in a new, smaller space, and a newer
-	// epoch always supersedes — without this, a post-rotation checkpoint
-	// would carry the dead file's large stale offset.
-	if it.dg.Seq > it.src.cursor {
-		it.src.cursor = it.dg.Seq
-	}
-	if it.off > 0 {
-		sid := it.src.key.src
-		c := s.inputCursors[sid]
-		if it.epoch > c.epoch || (it.epoch == c.epoch && it.off > c.off) {
-			s.inputCursors[sid] = srcCursor{epoch: it.epoch, off: it.off}
+	return nil
+}
+
+// advanceLocked moves the consumed cursor of the input it arrived
+// through past it. The cursor is worked on in s.advanced, one entry per
+// input the drain has touched, and written back to inputCursors when
+// the drain ends: one map write per input and drain, not per datagram.
+// Offsets compare within an epoch only: after
+// a rotation/truncation reopen (or a supervised-source restart) offsets
+// start over in a new, smaller space, and a newer epoch always
+// supersedes — without this, a post-rotation checkpoint would carry the
+// dead file's large stale offset. Caller holds s.mu.
+func (s *Service) advanceLocked(it *item) {
+	sid := it.src.key.src
+	var in *inputAdvance
+	for i := range s.advanced {
+		if s.advanced[i].sid == sid {
+			in = &s.advanced[i]
+			break
 		}
+	}
+	if in == nil {
+		s.advanced = append(s.advanced, inputAdvance{sid, s.inputCursors[sid]})
+		in = &s.advanced[len(s.advanced)-1]
+	}
+	if it.epoch > in.epoch || (it.epoch == in.epoch && it.off > in.off) {
+		in.srcCursor = srcCursor{epoch: it.epoch, off: it.off}
 	}
 }
 

@@ -58,7 +58,7 @@ func (st *Stages) Add(stage string, d time.Duration) {
 }
 
 // Track starts timing one invocation of stage and returns the function
-// that stops it: `defer st.Track("observe")()`.
+// that stops it: `defer st.Track("detect")()`.
 func (st *Stages) Track(stage string) func() {
 	t0 := time.Now()
 	return func() { st.Add(stage, time.Since(t0)) }
