@@ -1,10 +1,10 @@
 # Targets mirror .github/workflows/ci.yml so local runs and CI stay in
 # lockstep: `make ci` is what a PR's jobs run (the non-race alloc guards
-# as part of `test`; `loc`, which only prints, left out).
+# as part of `test`; `loc` and `testonly`, which only print, left out).
 
 GO ?= go
 
-.PHONY: all build test race test-cpu bench bench-e2e-smoke fuzz fmt vet loc daemon-smoke chaos-smoke eval-smoke ci
+.PHONY: all build test race test-cpu bench bench-e2e-smoke fuzz fmt vet loc testonly daemon-smoke chaos-smoke eval-smoke ci
 
 all: build test
 
@@ -94,5 +94,10 @@ vet:
 # LOC figure every PR quotes before and after (ROADMAP aim 2).
 loc:
 	@./scripts/loc.sh
+
+# Exported functions and methods under internal/ that only tests (or
+# nothing) still reach: a listing to judge entry by entry, never a gate.
+testonly:
+	@./scripts/testonly_exports.sh
 
 ci: build fmt vet test race test-cpu fuzz bench bench-e2e-smoke daemon-smoke chaos-smoke eval-smoke

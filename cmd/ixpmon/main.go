@@ -1,12 +1,13 @@
 // Command ixpmon is the live-monitoring side of §4.3: sampled IXP
-// traffic streams through a sliding-window detector that refreshes the
+// traffic streams through a detector that keeps the open day's
+// client-day profiles and cumulative per-name statistics, refreshes the
 // misused-name list periodically (at most 5 minutes of delay in the
 // paper), detects over each day as it closes, and reports daily victim
 // aggregates and name-list churn. It is one service run two ways, plus
 // a sender:
 //
 // Service mode (-serve): an always-on daemon ingesting sFlow v5
-// datagrams from its configured inputs, aggregating them in a sliding
+// datagrams from its configured inputs, aggregating them in the live
 // window, and serving /detections, /stages, /sources, /metrics,
 // /window, and /healthz over HTTP. Inputs are source specs — UDP
 // listeners, log tails, replay files, pcap, synthetic fill — given by
@@ -240,7 +241,7 @@ func runServe(cfg server.Config, stay bool, out io.Writer) error {
 // retained detection.
 func printSummary(out io.Writer, svc *server.Service) {
 	ws := svc.WindowSnapshot()
-	fmt.Fprintf(os.Stderr, "ixpmon: %d datagrams received, %d consumed, %d shed; %d days closed, %d client-days evicted\n",
+	fmt.Fprintf(os.Stderr, "ixpmon: %d datagrams received, %d consumed, %d shed; %d days closed, %d client-days released\n",
 		svc.Received(), svc.Consumed(), shedTotal(svc.QueueDrops(), svc.SampledOut(), svc.ShedAll()), ws.ClosedDays, ws.Evicted)
 	printStages(svc.StagesSnapshot())
 
@@ -303,7 +304,7 @@ func main() {
 	serve := flag.Bool("serve", false, "run as an always-on sFlow service: stay up until SIGINT/SIGTERM")
 	listen := flag.String("listen", "127.0.0.1:6343", "with -serve: UDP listen address for sFlow datagrams, shorthand for -input udp://ADDR (the default source when no other is configured)")
 	httpAddr := flag.String("http", "127.0.0.1:8080", "HTTP listen address for the control surface (without -serve, an ephemeral port unless given)")
-	windowDays := flag.Int("window", 7, "sliding window width in days")
+	windowDays := flag.Int("window", 7, "lateness horizon in days: a sample this many days or more behind the open day is dropped and counted late; a younger straggler still feeds the name list")
 	timestamps := flag.String("timestamps", "wall", "with -serve: datagram time source, wall|uptime (uptime = replayed capture time)")
 	stateDir := flag.String("state", "", "directory for checkpoints and poison files (enables crash-safe state)")
 	resume := flag.Bool("resume", false, "with -state: resume from the newest valid checkpoint and continue mid-stream")

@@ -134,8 +134,9 @@ type NameStats struct {
 // of the aggregator's flat client-day arena. ctrl holds slot+1 (0 marks
 // an empty bucket); keys live once, in the aggregator's arena-parallel
 // key column, so a probe costs one control load plus one key compare.
-// Entries are never deleted, and the layout is a deterministic function
-// of the insertion sequence (CanonicalizeClients rebuilds it from the
+// Entries are never deleted one by one (ResetClients empties the whole
+// table), and the layout is a deterministic function of the table size
+// and the insertion sequence (CanonicalizeClients rebuilds it from the
 // sorted arena, making it independent of sharding too).
 type clientIndex struct {
 	ctrl []uint32 // slot+1; 0 = empty
@@ -314,10 +315,8 @@ func (ag *Aggregator) growIndex() {
 
 // rebuildIndex re-keys the probe table over the current arena at the
 // given size (a power of two). When the current table already has that
-// size its storage is reused (cleared and refilled) — the steady state
-// of a sliding-window aggregator that evicts and refills roughly the
-// same number of client-days each day — so periodic rebuilds stop
-// allocating once the population stabilizes.
+// size — CanonicalizeClients: insertions grew it to what its key count
+// calls for — its storage is reused (cleared and refilled).
 func (ag *Aggregator) rebuildIndex(size int) {
 	ctrl := ag.idx.ctrl
 	if len(ctrl) == size {
@@ -337,50 +336,31 @@ func (ag *Aggregator) rebuildIndex(size int) {
 	ag.idx.mask = mask
 }
 
-// EvictDaysBefore removes every (client, day) profile with Day < day
-// from the client-day arena and rebuilds the index over the survivors.
-// It is the sliding-window primitive: a long-running consumer advances
-// the window by evicting expired days instead of resetting the whole
-// aggregator, so unexpired profiles — including their tracked-name
-// lists and time bounds — survive untouched.
+// ResetClients releases every (client, day) profile: the arena and its
+// key column are truncated and the index is cleared in place. It is the
+// live window's day-close primitive — once a day's detections are out
+// nothing reads its profiles again, so none survive a close. The
+// vacated slots are zeroed so released profiles do not pin their Tracked
+// slices through the retained array; arena and index storage are kept,
+// so a consumer whose days are of similar size allocates for neither
+// after the first and reaches a steady-state arena capacity (ArenaCap).
+// Global and per-name statistics are cumulative and unaffected — the
+// reset bounds detection state, not the selectors' view.
 //
-// The arena compacts in place, preserving the surviving entries'
-// relative order, and keeps its backing storage: evicted slots are
-// recycled by later growth rather than reallocated, so an aggregator
-// whose eviction keeps pace with its intake reaches a steady-state
-// arena capacity (the bound the eviction tests pin via ArenaCap). The
-// vacated tail is zeroed so evicted profiles do not pin their Tracked
-// slices through the retained array. Global and per-name statistics
-// are cumulative and unaffected — eviction bounds detection state, not
-// the selectors' view.
-//
-// Returns the number of evicted profiles.
-func (ag *Aggregator) EvictDaysBefore(day int) int {
-	keep := 0
-	for i := range ag.arena {
-		if ag.arenaKeys[i].Day >= day {
-			if keep != i {
-				ag.arena[keep] = ag.arena[i]
-				ag.arenaKeys[keep] = ag.arenaKeys[i]
-			}
-			keep++
-		}
-	}
-	evicted := len(ag.arena) - keep
-	if evicted == 0 {
-		return 0
-	}
-	clear(ag.arena[keep:])
-	ag.arena = ag.arena[:keep]
-	ag.arenaKeys = ag.arenaKeys[:keep]
-	ag.rebuildIndex(indexSizeFor(keep))
-	ag.idx.n = keep
-	return evicted
+// Returns the number of profiles released.
+func (ag *Aggregator) ResetClients() int {
+	n := len(ag.arena)
+	clear(ag.arena)
+	ag.arena = ag.arena[:0]
+	ag.arenaKeys = ag.arenaKeys[:0]
+	clear(ag.idx.ctrl)
+	ag.idx.n = 0
+	return n
 }
 
 // ArenaCap exposes the client-day arena's current capacity — an
-// observability hook for eviction: a sliding-window consumer whose
-// eviction keeps up reaches a steady-state capacity, which the window
+// observability hook: a consumer that resets at every day close reaches
+// a steady-state capacity (that of its largest day), which the reset
 // tests assert and the service's /metrics endpoint exports.
 func (ag *Aggregator) ArenaCap() int { return cap(ag.arena) }
 
@@ -490,7 +470,8 @@ func (ag *Aggregator) Observe(s *ixp.DNSSample) {
 }
 
 // observeRow ingests one batch row — the row-wise twin of ObserveBatch's
-// columnar loops, used for window-straddling batches.
+// columnar loops, used by ObserveBatchSplit for window-straddling
+// batches.
 func (ag *Aggregator) observeRow(b *ixp.SampleBatch, i int) {
 	ag.Samples++
 	if !b.Resp[i] {
@@ -597,36 +578,17 @@ func (ag *Aggregator) ObserveBatch(b *ixp.SampleBatch) {
 	}
 }
 
-// ObserveBatchWindow ingests the batch rows whose timestamps fall inside
-// (inside true) or outside (inside false) the window. Batches fully on
-// one side of the boundary (the common case; a time-bounds pass
-// decides) take the unconditional ObserveBatch path; straddling batches
-// fall back to a filtered row loop. Callers splitting one batch between
-// two aggregators should use ObserveBatchSplit, which shares the
-// time-bounds pass.
-func (ag *Aggregator) ObserveBatchWindow(b *ixp.SampleBatch, w simclock.Window, inside bool) {
-	if b == nil || b.N == 0 {
-		return
-	}
-	minT, maxT := batchTimeBounds(b)
-	ag.observeBatchBounded(b, w, inside, minT, maxT)
-}
-
 // ObserveBatchSplit splits one batch between two aggregators at the
 // window boundary — rows inside w go to in, every other row to out —
-// the pipeline's main/extended-window fan-out. One time-bounds pass
-// classifies the batch for both sides.
+// the pipeline's main/extended-window fan-out. A batch wholly on one
+// side of the boundary (the common case; one time-bounds pass decides)
+// takes that side's unconditional ObserveBatch path; a straddling batch
+// falls back to a row loop.
 func ObserveBatchSplit(in, out *Aggregator, b *ixp.SampleBatch, w simclock.Window) {
 	if b == nil || b.N == 0 {
 		return
 	}
-	minT, maxT := batchTimeBounds(b)
-	in.observeBatchBounded(b, w, true, minT, maxT)
-	out.observeBatchBounded(b, w, false, minT, maxT)
-}
-
-func batchTimeBounds(b *ixp.SampleBatch) (minT, maxT simclock.Time) {
-	minT, maxT = b.Time[0], b.Time[0]
+	minT, maxT := b.Time[0], b.Time[0]
 	for _, t := range b.Time[1:b.N] {
 		if t.Before(minT) {
 			minT = t
@@ -635,22 +597,18 @@ func batchTimeBounds(b *ixp.SampleBatch) (minT, maxT simclock.Time) {
 			maxT = t
 		}
 	}
-	return minT, maxT
-}
-
-func (ag *Aggregator) observeBatchBounded(b *ixp.SampleBatch, w simclock.Window, inside bool, minT, maxT simclock.Time) {
-	allIn := !minT.Before(w.Start) && maxT.Before(w.End)
-	noneIn := maxT.Before(w.Start) || !minT.Before(w.End)
 	switch {
-	case inside && allIn, !inside && noneIn:
-		ag.ObserveBatch(b)
-		return
-	case inside && noneIn, !inside && allIn:
-		return
-	}
-	for i := 0; i < b.N; i++ {
-		if w.Contains(b.Time[i]) == inside {
-			ag.observeRow(b, i)
+	case !minT.Before(w.Start) && maxT.Before(w.End):
+		in.ObserveBatch(b)
+	case maxT.Before(w.Start) || !minT.Before(w.End):
+		out.ObserveBatch(b)
+	default:
+		for i := 0; i < b.N; i++ {
+			if w.Contains(b.Time[i]) {
+				in.observeRow(b, i)
+			} else {
+				out.observeRow(b, i)
+			}
 		}
 	}
 }

@@ -56,6 +56,31 @@ func TestObserveBatchZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestResetClientsZeroAllocSameSizedDay guards the live window's day
+// turnover: ResetClients keeps the arena and index storage, so a day no
+// larger than the last refills both without allocating. No name is
+// tracked here — a profile's tracked list is released with it and
+// regrown by design.
+func TestResetClientsZeroAllocSameSizedDay(t *testing.T) {
+	ag := NewAggregator(nil, nil)
+	var day []*ixp.DNSSample
+	for c := 0; c < 500; c++ {
+		day = append(day, resetSample(0, c, "zone.example.", ag.Table))
+	}
+	turnover := func() {
+		for _, s := range day {
+			ag.Observe(s)
+		}
+		if n := ag.ResetClients(); n != len(day) {
+			t.Fatalf("ResetClients released %d profiles, want %d", n, len(day))
+		}
+	}
+	turnover() // grows the arena and the index to the day's size
+	if allocs := testing.AllocsPerRun(20, turnover); allocs != 0 {
+		t.Errorf("a same-sized day after ResetClients allocates %.1f times, want 0", allocs)
+	}
+}
+
 // TestDetectScanZeroAllocSteadyState guards the columnar threshold
 // scan: with the scratch columns warmed, a Detect sweep that emits no
 // detections must not allocate — the candidate marks, the cand/total

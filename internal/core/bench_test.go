@@ -66,35 +66,3 @@ func BenchmarkDetectColumnar(b *testing.B) {
 		core.Detect(ag, cands, th)
 	}
 }
-
-// BenchmarkEvictDaysBefore is the window slide in steady state: a
-// seven-day arena loses its oldest day per iteration (arena compaction
-// plus the index rebuild over six days of survivors). Off the clock,
-// the evicted day's batch moves seven days ahead and comes back as the
-// newest day, so every iteration evicts from an arena of the same shape.
-func BenchmarkEvictDaysBefore(b *testing.B) {
-	const window = 7
-	c, g := benchTraffic()
-	ag := core.NewAggregator(g.Table(), c.DB.ExplicitNames())
-	first := simclock.MeasurementStart.Add(simclock.Days(10))
-	var ring [window]*ixp.SampleBatch
-	for d := range ring {
-		ring[d] = g.Day(first.Add(simclock.Days(d))).Batch
-		ag.ObserveBatch(ring[d])
-	}
-	perDay := ag.NumClients() / window
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if n := ag.EvictDaysBefore(first.Day() + i + 1); n < perDay/2 {
-			b.Fatalf("iteration %d evicted %d profiles of about %d a day", i, n, perDay)
-		}
-		b.StopTimer()
-		oldest := ring[i%window]
-		for j := range oldest.Time[:oldest.N] {
-			oldest.Time[j] = oldest.Time[j].Add(simclock.Days(window))
-		}
-		ag.ObserveBatch(oldest)
-		b.StartTimer()
-	}
-}

@@ -1,0 +1,150 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"dnsamp/internal/ixp"
+	"dnsamp/internal/simclock"
+)
+
+// resetSample builds a deterministic sample for (day, client, name).
+func resetSample(day, client int, name string, tab interface {
+	Intern(string) uint32
+	Name(uint32) string
+}) *ixp.DNSSample {
+	id := tab.Intern(name)
+	return &ixp.DNSSample{
+		Time:    simclock.MeasurementStart.Add(simclock.Days(day)).Add(simclock.Duration(client)),
+		Src:     [4]byte{10, 0, byte(client >> 8), byte(client)},
+		Dst:     [4]byte{198, 51, 100, 1},
+		Name:    id,
+		QName:   tab.Name(id),
+		MsgSize: 100 + client%7,
+	}
+}
+
+// TestResetClientsMatchesFresh pins the reset contract: every profile is
+// released and unresolvable, the cumulative per-name and global
+// statistics are untouched, and the client-day state after re-observing
+// is that of a fresh aggregator given the same samples — arena, key
+// column and index layout alike (the next day has the size of the last,
+// so the retained index is the size a fresh one grows to).
+func TestResetClientsMatchesFresh(t *testing.T) {
+	const clients = 300
+	feed := func(ag *Aggregator, day int) {
+		for c := 0; c < clients; c++ {
+			for p := 0; p < 1+c%3; p++ {
+				ag.Observe(resetSample(day, c, fmt.Sprintf("zone%d.example.", (c+p)%5), ag.Table))
+			}
+		}
+	}
+	ag := NewAggregator(nil, nil)
+	ag.SetTrackAll(true)
+	feed(ag, 0)
+	feed(ag, 1) // a straggler day beside the open one: both leave
+
+	keys := append([]ClientDay(nil), ag.arenaKeys...)
+	names := append([]NameStats(nil), ag.names...)
+	samples, numNames := ag.Samples, ag.NumNames()
+
+	if got := ag.ResetClients(); got != 2*clients {
+		t.Fatalf("ResetClients released %d profiles, want %d", got, 2*clients)
+	}
+	if ag.NumClients() != 0 {
+		t.Fatalf("NumClients after reset = %d", ag.NumClients())
+	}
+	for _, key := range keys {
+		if ag.ClientOf(key) != nil {
+			t.Fatalf("ClientOf(%v) resolved a released profile", key)
+		}
+	}
+	ag.EachClient(func(key ClientDay, _ *ClientAgg) { t.Fatalf("EachClient visited %v after reset", key) })
+	if !reflect.DeepEqual(ag.names, names) || ag.Samples != samples || ag.NumNames() != numNames {
+		t.Fatal("reset touched the cumulative statistics")
+	}
+	for i, ca := range ag.arena[:2*clients] {
+		if ca.Tracked != nil {
+			t.Fatalf("vacated slot %d still pins its tracked list", i)
+		}
+	}
+	if got := ag.ResetClients(); got != 0 {
+		t.Fatalf("second reset released %d profiles", got)
+	}
+
+	feed(ag, 2)
+	feed(ag, 3)
+	fresh := NewAggregator(ag.Table, nil)
+	fresh.SetTrackAll(true)
+	feed(fresh, 2)
+	feed(fresh, 3)
+	if !reflect.DeepEqual(ag.arenaKeys, fresh.arenaKeys) || !reflect.DeepEqual(ag.arena, fresh.arena) {
+		t.Fatal("arena after reset + re-observe differs from a fresh aggregator's")
+	}
+	if !reflect.DeepEqual(ag.idx, fresh.idx) {
+		t.Fatal("index layout after reset + re-observe differs from a fresh aggregator's")
+	}
+}
+
+// TestEvictRecyclesArenaSlots is the arena-size assertion: a consumer
+// that resets at every day close over a steady per-day client
+// population keeps the arena capacity and index size its first day
+// reached — released slots are recycled, not reallocated.
+func TestEvictRecyclesArenaSlots(t *testing.T) {
+	ag := NewAggregator(nil, nil)
+	ag.SetTrackAll(true)
+	const clients, totalDays = 200, 40
+	var steadyCap, steadyIdx int
+	for d := 0; d < totalDays; d++ {
+		for c := 0; c < clients; c++ {
+			ag.Observe(resetSample(d, c, "zone.example.", ag.Table))
+		}
+		if got := ag.NumClients(); got != clients {
+			t.Fatalf("day %d: NumClients = %d, want %d", d, got, clients)
+		}
+		if d == 0 {
+			steadyCap, steadyIdx = ag.ArenaCap(), len(ag.idx.ctrl)
+		}
+		if ag.ArenaCap() != steadyCap || len(ag.idx.ctrl) != steadyIdx {
+			t.Fatalf("day %d: arena capacity %d -> %d, index size %d -> %d despite a steady population",
+				d, steadyCap, ag.ArenaCap(), steadyIdx, len(ag.idx.ctrl))
+		}
+		ag.ResetClients()
+	}
+}
+
+// TestEvictThenDetect proves the reset composes with the columnar
+// detection sweep: detections over the days observed since equal those
+// of a fresh aggregator that only ever saw those days.
+func TestEvictThenDetect(t *testing.T) {
+	names := map[string]bool{"zone0.example.": true, "zone1.example.": true}
+	th := Thresholds{MinShare: 0.5, MinPackets: 3}
+	feed := func(ag *Aggregator, fromDay, toDay int) {
+		for d := fromDay; d < toDay; d++ {
+			for c := 0; c < 20; c++ {
+				for p := 0; p < 3+c%3; p++ {
+					ag.Observe(resetSample(d, c, fmt.Sprintf("zone%d.example.", c%4), ag.Table))
+				}
+			}
+		}
+	}
+	reset := NewAggregator(nil, nil)
+	reset.SetTrackAll(true)
+	feed(reset, 0, 5)
+	reset.ResetClients()
+	feed(reset, 5, 8)
+
+	fresh := NewAggregator(nil, nil)
+	fresh.SetTrackAll(true)
+	feed(fresh, 5, 8)
+
+	got := Detect(reset, names, th)
+	want := Detect(fresh, names, th)
+	if len(want) == 0 {
+		t.Fatal("reference detection found nothing; the fixture is too weak")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("detections diverge after a reset:\n got %d detections\nwant %d", len(got), len(want))
+	}
+}

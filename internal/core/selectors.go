@@ -112,7 +112,7 @@ func (t *TopN) Rescan(ag *Aggregator) {
 // Offer re-scores one name after ag observed it and reports whether the
 // name newly entered the ranking. Offering every name observed since the
 // last Rescan or Offer keeps the ranking exact provided scores never
-// decrease in between — true of Observe, and EvictDaysBefore leaves
+// decrease in between — true of Observe, and ResetClients leaves
 // per-name stats alone — because the new top n is then a subset of the
 // old top n plus the names observed.
 func (t *TopN) Offer(ag *Aggregator, id uint32) bool {

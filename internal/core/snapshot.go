@@ -1,7 +1,7 @@
 // Aggregator checkpointing: a full binary dump of the streaming pass-1
 // state — global counters, the dense per-name stats column, the tracked
 // universe, and the client-day arena including every profile's
-// tracked-name list — so a live consumer (the service's sliding window)
+// tracked-name list — so a live consumer (the service's window)
 // can persist its detection state and resume after a crash with
 // byte-identical behaviour. The interning table is serialized by the
 // caller (it is shared with the capture point), so the snapshot here is

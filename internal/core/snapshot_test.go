@@ -109,26 +109,34 @@ func TestAggregatorSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAggregatorSnapshotAfterEvict: snapshotting a slid window (slots
-// recycled in place) round-trips the compacted arena.
+// TestAggregatorSnapshotAfterEvict: snapshotting an aggregator whose
+// profiles were released at a day close (slots recycled in place)
+// round-trips the arena refilled since.
 func TestAggregatorSnapshotAfterEvict(t *testing.T) {
 	tab := names.NewTable()
 	ag := NewAggregator(tab, nil)
 	ag.SetTrackAll(true)
 	feedRandom(ag, tab, 3, 3000)
-	if ag.EvictDaysBefore(simclock.MeasurementStart.Day()+2) == 0 {
-		t.Fatal("expected evictions")
+	if ag.ResetClients() == 0 {
+		t.Fatal("expected profiles to release")
 	}
+	if got := roundTrip(t, ag); got.NumClients() != 0 || !reflect.DeepEqual(got.names, ag.names) {
+		t.Fatal("snapshot of a just-reset aggregator differs")
+	}
+	feedRandom(ag, tab, 4, 500)
 
 	got := roundTrip(t, ag)
 	if !reflect.DeepEqual(got.arenaKeys, ag.arenaKeys) || !reflect.DeepEqual(got.arena, ag.arena) {
-		t.Fatal("post-evict arena differs")
+		t.Fatal("post-reset arena differs")
 	}
-	// Continued sliding behaves identically.
-	feedRandom(ag, tab, 4, 1000)
-	feedRandom(got, tab, 4, 1000)
-	if ag.EvictDaysBefore(simclock.MeasurementStart.Day()+3) != got.EvictDaysBefore(simclock.MeasurementStart.Day()+3) {
-		t.Fatal("post-restore eviction differs")
+	// Both continue identically.
+	feedRandom(ag, tab, 5, 1000)
+	feedRandom(got, tab, 5, 1000)
+	if !reflect.DeepEqual(got.arenaKeys, ag.arenaKeys) || !reflect.DeepEqual(got.arena, ag.arena) {
+		t.Fatal("post-restore arena differs")
+	}
+	if ag.ResetClients() != got.ResetClients() {
+		t.Fatal("post-restore reset differs")
 	}
 }
 

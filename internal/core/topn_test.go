@@ -7,12 +7,11 @@ import (
 	"testing"
 
 	"dnsamp/internal/dnswire"
-	"dnsamp/internal/simclock"
 )
 
 // runTopNProgram interprets prog as a stream of aggregator operations —
-// Observe (three bytes: name, size class, flags), EvictDaysBefore, a
-// snapshot round trip, an explicit Rescan — while a TopN pair of size n
+// Observe (three bytes: name, size class, flags), a day close
+// (ResetClients), a snapshot round trip, an explicit Rescan — while a TopN pair of size n
 // follows along the way server.Window drives one: observed IDs are
 // logged, offered in batches, and the rankings rescanned when the
 // aggregator is restored. After every batch each TopN must equal the
@@ -80,8 +79,8 @@ func runTopNProgram(t *testing.T, n int, prog []byte) {
 			}
 		case op < 240:
 			day++
-			ag.EvictDaysBefore(simclock.MeasurementStart.Add(simclock.Days(day)).Day())
-			check(step, "evict")
+			ag.ResetClients()
+			check(step, "reset")
 		case op < 248:
 			ag = roundTrip(t, ag)
 			touched = touched[:0]

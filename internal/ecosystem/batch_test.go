@@ -9,14 +9,16 @@ import (
 )
 
 // TestDayBatchMatchesWire is the equivalence proof behind the columnar
-// fast path: for every day, the batch emitted by Day — replayed through
-// CapturePoint.ConsumeBatch — must yield exactly the samples and
-// sanitization stats that WireDay's materialized frames yield through
-// the frame-level CapturePoint.Process. Both paths consume their
-// per-day RNG stream identically, so this holds field-by-field — except
-// Name, an ID in each side's own table (the wire side interns as frames
-// arrive, the batch lives in the generator's table): names are compared
-// as QName strings.
+// fast path: for every day, the batch emitted by Day must equal, column
+// by column and row for row, the batch built from WireDay's
+// materialized frames the way source.AppendFrames builds one — each
+// frame through the frame-level CapturePoint.Process, survivors through
+// SampleBatch.AppendSample — and accounting it with RemapBatch must
+// leave the sanitization and routing-coverage stats Process left. Both
+// paths consume their per-day RNG stream identically, so this holds
+// field by field — except Name, an ID in each side's own table (the
+// wire side interns as frames arrive, the batch lives in the
+// generator's table): names are compared as strings.
 func TestDayBatchMatchesWire(t *testing.T) {
 	c := tinyCampaign(t)
 	gw := NewGenerator(c, 7)
@@ -32,36 +34,36 @@ func TestDayBatchMatchesWire(t *testing.T) {
 	for _, day := range days {
 		wire := gw.WireDay(day)
 		batch := gb.Day(day)
+		got := batch.Batch
 
 		capW := ixp.NewCapturePoint(c.Topo, nil)
-		var wSamples []ixp.DNSSample
+		want := &ixp.SampleBatch{Table: capW.Table}
 		for _, tr := range wire.IXP {
-			s, ok := capW.Process(tr.Rec)
-			if !ok {
-				continue
+			if s, ok := capW.Process(tr.Rec); ok {
+				want.AppendSample(&s, tr.Ingress)
 			}
-			if tr.Ingress != 0 {
-				s.PeerAS = tr.Ingress
+		}
+		capB := ixp.NewCapturePoint(c.Topo, got.Table)
+		capB.RemapBatch(got)
+
+		if want.N == 0 || want.N != got.N {
+			t.Fatalf("day %s: %d wire samples vs %d batch rows", day.Date(), want.N, got.N)
+		}
+		for col, pair := range map[string][2]any{
+			"Time": {want.Time, got.Time}, "Src": {want.Src, got.Src}, "Dst": {want.Dst, got.Dst},
+			"SrcPort": {want.SrcPort, got.SrcPort}, "DstPort": {want.DstPort, got.DstPort},
+			"IPTTL": {want.IPTTL, got.IPTTL}, "IPID": {want.IPID, got.IPID}, "Resp": {want.Resp, got.Resp},
+			"QType": {want.QType, got.QType}, "TXID": {want.TXID, got.TXID}, "MsgSize": {want.MsgSize, got.MsgSize},
+			"ANCount": {want.ANCount, got.ANCount}, "VisibleNS": {want.VisibleNS, got.VisibleNS},
+			"Ingress": {want.Ingress, got.Ingress},
+		} {
+			if !reflect.DeepEqual(pair[0], pair[1]) {
+				t.Errorf("day %s: column %s differs between the wire-built batch and Day's", day.Date(), col)
 			}
-			s.Name = 0
-			wSamples = append(wSamples, s)
 		}
-
-		capB := ixp.NewCapturePoint(c.Topo, batch.Batch.Table)
-		var bSamples []ixp.DNSSample
-		capB.ConsumeBatch(batch.Batch, func(s *ixp.DNSSample) {
-			bSamples = append(bSamples, *s)
-			bSamples[len(bSamples)-1].Name = 0
-		})
-
-		if len(wSamples) != len(bSamples) {
-			t.Fatalf("day %s: %d wire samples vs %d batch samples",
-				day.Date(), len(wSamples), len(bSamples))
-		}
-		for i := range wSamples {
-			if !reflect.DeepEqual(wSamples[i], bSamples[i]) {
-				t.Fatalf("day %s sample %d differs:\nwire:  %+v\nbatch: %+v",
-					day.Date(), i, wSamples[i], bSamples[i])
+		for i := 0; i < got.N; i++ {
+			if w, b := want.Table.Name(want.Name[i]), got.Table.Name(got.Name[i]); w != b {
+				t.Fatalf("day %s row %d: name %q on the wire, %q in the batch", day.Date(), i, w, b)
 			}
 		}
 		if capW.Stats != capB.Stats {

@@ -110,9 +110,9 @@ type WireDayTraffic struct {
 // construction.
 //
 // Day (columnar batches) and WireDay (materialized frames) consume
-// their per-day RNG stream identically: for every day,
-// WireDay(d) processed through ixp.CapturePoint.Process yields exactly
-// the samples of Day(d) through ConsumeBatch. TestDayBatchMatchesWire
+// their per-day RNG stream identically: for every day, WireDay(d)
+// sanitized through ixp.CapturePoint.Process and appended sample by
+// sample yields exactly the batch of Day(d). TestDayBatchMatchesWire
 // holds this equivalence.
 //
 // Consumers normally do not call Day directly: source.Synthetic adapts

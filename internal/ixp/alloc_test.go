@@ -16,37 +16,6 @@ import (
 	"dnsamp/internal/topology"
 )
 
-// TestConsumeBatchZeroAllocSteadyState guards the decode/consume hot
-// path end to end: replaying a warmed day batch through the capture
-// point into a warmed aggregator must not allocate per packet — this is
-// the loop the parallel pipeline spends its life in.
-func TestConsumeBatchZeroAllocSteadyState(t *testing.T) {
-	cfg := ecosystem.DefaultCampaignConfig(0.002)
-	cfg.Zones.ProceduralNames = 5000
-	cfg.Topology = topology.Config{Members: 12, ASesPerClass: 20, Seed: 1}
-	c := ecosystem.NewCampaign(cfg)
-	gen := ecosystem.NewGenerator(c, 7)
-	dt := gen.Day(simclock.MeasurementStart.Add(simclock.Days(3)))
-	if dt.Batch == nil || dt.Batch.N == 0 {
-		t.Fatal("no batch records")
-	}
-
-	cap := ixp.NewCapturePoint(c.Topo, gen.Table())
-	ag := core.NewAggregator(gen.Table(), c.DB.ExplicitNames())
-	observe := func(s *ixp.DNSSample) { ag.Observe(s) }
-	// Warm pass: creates every (client, day) profile and name slot.
-	cap.ConsumeBatch(dt.Batch, observe)
-
-	allocs := testing.AllocsPerRun(3, func() {
-		cap.ConsumeBatch(dt.Batch, observe)
-	})
-	perPacket := allocs / float64(dt.Batch.N)
-	if perPacket > 0.001 {
-		t.Errorf("ConsumeBatch+Observe steady state: %.4f allocs/packet over %d packets, want 0",
-			perPacket, dt.Batch.N)
-	}
-}
-
 // TestObserveBatchZeroAllocSteadyState guards the batch-native pass-1
 // loop end to end: RemapBatch (stats + routing-coverage counting over
 // the warmed per-address AS cache, identity table view) feeding

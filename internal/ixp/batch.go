@@ -21,8 +21,8 @@ import (
 // generator performs the wire-level sanitization (frame arithmetic,
 // truncation, parseability of the materialized prefix) at emission time
 // and accounts rejected packets in Frames/NonUDP/NonDNS, so a batch
-// replays through CapturePoint.ConsumeBatch exactly as its frame-level
-// twin would through Process.
+// holds, row for row, what its frame-level twin yields through
+// CapturePoint.Process and AppendSample.
 type SampleBatch struct {
 	// Table is the interning space of the Name column: the source's
 	// table (source.Source.Table), shared by every batch of a run.
@@ -126,8 +126,8 @@ func (b *SampleBatch) Append(r BatchRecord) {
 // in the batch's Table (i.e. the producing capture point interned into
 // it). ingress carries the port metadata of spoofed packets whose
 // source address cannot be attributed (0 = derive at consumption time);
-// AS annotations are not stored: ConsumeBatch recomputes them against
-// the consumer's routing substrate.
+// AS annotations are not stored: a consumer derives them against its
+// own routing substrate.
 func (b *SampleBatch) AppendSample(s *DNSSample, ingress uint32) {
 	b.Append(BatchRecord{
 		Time:      s.Time,
@@ -151,8 +151,8 @@ func (b *SampleBatch) AppendSample(s *DNSSample, ingress uint32) {
 // RemapBatch accounts a columnar batch for batch-native consumers
 // (core.Aggregator.ObserveBatch, core.Collector.ObserveBatch): it adds
 // the batch's sanitization counters and the routing-coverage stats
-// (origin/peer mapping, through the per-address AS cache) exactly as a
-// full ConsumeBatch replay would, and returns the batch. It translates
+// (origin/peer mapping, through the per-address AS cache) exactly as
+// Process does frame by frame, and returns the batch. It translates
 // nothing: a run has one name table, so a batch in any other table than
 // the capture point's is a wiring bug inside the program and panics.
 func (c *CapturePoint) RemapBatch(b *SampleBatch) *SampleBatch {
@@ -179,49 +179,4 @@ func (c *CapturePoint) RemapBatch(b *SampleBatch) *SampleBatch {
 		}
 	}
 	return b
-}
-
-// ConsumeBatch replays a columnar batch through the capture point:
-// annotating origin/peer ASNs from the routing substrate, applying
-// ingress-port overrides, and accumulating sanitization stats exactly
-// as the frame-level Process would. It is the per-sample reference
-// path: one callback per packet, which the equivalence tests
-// (TestDayBatchMatchesWire, the source round trips) and the alloc guard
-// compare the batch-native paths against; the detection pipeline feeds
-// RemapBatch output to the batch-native Observe paths instead.
-//
-// fn receives a reused *DNSSample — it must not be retained across
-// calls. The loop performs zero allocations per record: the sample
-// struct is scratch storage.
-func (c *CapturePoint) ConsumeBatch(b *SampleBatch, fn func(*DNSSample)) {
-	if c.RemapBatch(b) == nil {
-		return
-	}
-	s := &c.scratch
-	for i := 0; i < b.N; i++ {
-		*s = DNSSample{
-			Time:       b.Time[i],
-			Src:        b.Src[i],
-			Dst:        b.Dst[i],
-			SrcPort:    b.SrcPort[i],
-			DstPort:    b.DstPort[i],
-			IPTTL:      b.IPTTL[i],
-			IPID:       b.IPID[i],
-			IsResponse: b.Resp[i],
-			Name:       b.Name[i],
-			QName:      c.Table.Name(b.Name[i]),
-			QType:      b.QType[i],
-			TXID:       b.TXID[i],
-			MsgSize:    int(b.MsgSize[i]),
-			ANCount:    b.ANCount[i],
-			VisibleNS:  int(b.VisibleNS[i]),
-		}
-		if c.Topo != nil {
-			s.OriginAS, s.PeerAS = c.originPeer(b.Src[i])
-		}
-		if b.Ingress[i] != 0 {
-			s.PeerAS = b.Ingress[i]
-		}
-		fn(s)
-	}
 }

@@ -82,8 +82,6 @@ type CapturePoint struct {
 	// Stats accumulates sanitization counters.
 	Stats CaptureStats
 
-	// scratch is the sample reused by ConsumeBatch.
-	scratch DNSSample
 	// qname is the buffer Process scans each question name into.
 	qname []byte
 	// asCache memoizes (origin AS, peer-hop AS) per source address:

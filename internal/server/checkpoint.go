@@ -44,10 +44,13 @@ const (
 	// Version history: 1 = single-input (PR 7); 2 adds the per-row
 	// input-source ID and the per-input cursor section for supervised
 	// multi-source ingest; 3 drops the trailing tail-log offset (a
-	// tailed log is an input with a cursor like any other). Version 2
-	// stays readable (adoptSingleInput).
-	ckptVersion    = 3
-	ckptVersionOld = 2
+	// tailed log is an input with a cursor like any other); 4 appends
+	// the terms the conservation equation lacked after a resume
+	// (replaySkipped, sampledOut, shedAll). Versions 3 and 2 stay
+	// readable: replaySkipped is rebuilt from the source rows, the shed
+	// counters restart at 0 (version 2: see adoptSingleInput).
+	ckptVersion    = 4
+	ckptVersionMin = 2
 	// ckptOverhead is the fixed envelope: magic + version up front, an
 	// FNV-1a checksum of the payload at the end.
 	ckptHeaderLen = 12
@@ -224,6 +227,9 @@ func (s *Service) encodeCheckpoint() ([]byte, error) {
 	e.U64(parseErrors)
 	e.U64(s.consumed.Load())
 	e.U64(s.queueDrops.Load())
+	e.U64(s.replaySkipped.Load())
+	e.U64(s.health.sampledOut.Load())
+	e.U64(s.health.shedAll.Load())
 
 	if err := e.Flush(); err != nil {
 		return nil, err
@@ -253,7 +259,7 @@ func (s *Service) decodeCheckpoint(raw []byte) error {
 		return fmt.Errorf("%w: bad magic", ErrCheckpoint)
 	}
 	version := d.U32()
-	if version != ckptVersion && version != ckptVersionOld {
+	if version < ckptVersionMin || version > ckptVersion {
 		return fmt.Errorf("%w: version %d", ErrCheckpoint, version)
 	}
 
@@ -264,6 +270,7 @@ func (s *Service) decodeCheckpoint(raw []byte) error {
 	// A source row costs at least 4+4+4+1 + 8×6 + 4×4 + 8 = 89 bytes
 	// (the input-ID string adds its length on top).
 	nSrc := d.Count(89)
+	var rowsSkipped uint64
 	for i := 0; i < nSrc && d.Err() == nil; i++ {
 		src := &sourceState{}
 		src.key.src = d.Str()
@@ -285,6 +292,7 @@ func (s *Service) decodeCheckpoint(raw []byte) error {
 		st.RateChanges = d.U64()
 		st.QueueDrops = d.U64()
 		st.ReplaySkipped = d.U64()
+		rowsSkipped += st.ReplaySkipped
 		st.LastArrival = simclock.Time(d.I64())
 		src.cursor = d.U32()
 		// The replay barrier: anything at or below the consumed cursor is
@@ -315,8 +323,15 @@ func (s *Service) decodeCheckpoint(raw []byte) error {
 	s.consumed.Store(d.U64())
 	s.queueDrops.Store(d.U64())
 	var tailOff int64
-	if version == ckptVersionOld {
+	if version == 2 {
 		tailOff = d.I64()
+	}
+	if version < 4 {
+		s.replaySkipped.Store(rowsSkipped)
+	} else {
+		s.replaySkipped.Store(d.U64())
+		s.health.sampledOut.Store(d.U64())
+		s.health.shedAll.Store(d.U64())
 	}
 	if err := d.Err(); err != nil {
 		return err

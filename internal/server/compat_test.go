@@ -1,9 +1,15 @@
 // Checkpoint format tests: the detection-list bound, and resuming the
-// version 2 checkpoints the PR 12 binary wrote in its -listen and -tail
-// modes (committed under testdata/, written by that commit's
+// checkpoints older builds wrote, committed under testdata/. Version 2:
+// the PR 12 binary in its -listen and -tail modes (that commit's
 // `ixpmon -serve ... -state DIR -window 2`; the -listen run consumed
 // miniDatagram 1..8 under -timestamps uptime, the -tail run consumed
-// all twelve entries of parent_tail.sflowlog).
+// all twelve entries of parent_tail.sflowlog). Version 3: the PR 18
+// build, a udp://127.0.0.1:0 service with Window{Days: 7, ListSize: 1}
+// that consumed miniDatagram 1..5, shut down, resumed, was re-sent 1..8
+// (five skipped by the barrier) and, before its shutdown checkpoint,
+// had feedDay(win, 0, 1), (1, 2), (2, 3) folded into its window — so it
+// holds two closed days beside the open one, as that build retained
+// them.
 package server
 
 import (
@@ -40,15 +46,16 @@ func TestSnapshotManyDetections(t *testing.T) {
 	}
 }
 
-// stageCheckpoint copies a committed checkpoint into a fresh state dir.
-func stageCheckpoint(t *testing.T, name string) string {
+// stageCheckpoint copies a committed checkpoint of the given format
+// version into a fresh state dir.
+func stageCheckpoint(t *testing.T, name string, version uint32) string {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(raw[8:]); v != ckptVersionOld {
-		t.Fatalf("%s is a version %d checkpoint; the fixture must be version %d", name, v, ckptVersionOld)
+	if v := binary.LittleEndian.Uint32(raw[8:]); v != version {
+		t.Fatalf("%s is a version %d checkpoint; the fixture must be version %d", name, v, version)
 	}
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, ckptName(0)), raw, 0o644); err != nil {
@@ -63,7 +70,7 @@ func stageCheckpoint(t *testing.T, name string) string {
 // consumed exactly once; the shutdown checkpoint is written in the
 // current format.
 func TestResumeParentListenCheckpoint(t *testing.T) {
-	dir := stageCheckpoint(t, "parent_listen.ckpt")
+	dir := stageCheckpoint(t, "parent_listen.ckpt", 2)
 	cfg := Config{
 		Inputs: udpInput(t), TimeFromUptime: true, Window: WindowConfig{Days: 2},
 		StateDir: dir, CheckpointEvery: -1, Resume: true,
@@ -75,6 +82,7 @@ func TestResumeParentListenCheckpoint(t *testing.T) {
 	if got := svc.Received(); got != 8 || svc.Consumed() != 8 || frames(svc) != 8 {
 		t.Fatalf("restored totals: received %d, consumed %d, frames %d, want 8 each", got, svc.Consumed(), frames(svc))
 	}
+	assertConservation(t, svc)
 	rows := svc.SourcesSnapshot()
 	if len(rows) != 1 || rows[0].Input != cfg.Inputs[0].ID || rows[0].Agent != "198.51.100.9" || rows[0].Datagrams != 8 {
 		t.Fatalf("restored rows = %+v, want the one collector re-keyed to %s", rows, cfg.Inputs[0].ID)
@@ -105,12 +113,58 @@ func TestResumeParentListenCheckpoint(t *testing.T) {
 	}
 }
 
+// TestResumeParentV3Checkpoint: a version 3 checkpoint carries no
+// replaySkipped total and holds the closed days its build retained. The
+// total is rebuilt from the collector rows, so the conservation equation
+// closes at once; the closed days' profiles are restored, reported by no
+// later close, and leave at the first one — detections end identical to
+// an uninterrupted run's.
+func TestResumeParentV3Checkpoint(t *testing.T) {
+	cfg := Config{
+		Inputs: udpInput(t), Window: WindowConfig{Days: 7, ListSize: 1},
+		StateDir: stageCheckpoint(t, "parent_v3.ckpt", 3), CheckpointEvery: -1, Resume: true,
+	}
+	svc := startService(t, cfg)
+	if svc.ResumedFrom() == "" {
+		t.Fatal("the parent's version 3 checkpoint was not resumed")
+	}
+	if svc.Received() != 13 || svc.ReplaySkipped() != 5 || svc.Consumed() != 8 {
+		t.Fatalf("restored totals: received %d, replay-skipped %d, consumed %d, want 13, 5, 8",
+			svc.Received(), svc.ReplaySkipped(), svc.Consumed())
+	}
+	assertConservation(t, svc)
+
+	ref := NewWindow(cfg.Window, nil)
+	victims := []byte{1, 2, 3, 4, 0}
+	for day, v := range victims {
+		feedDay(ref, day, v)
+	}
+	ref.Close()
+
+	svc.mu.Lock()
+	if st := svc.win.Stats(); st.ClientDays != 6 || st.ClosedDays != 2 || st.Evicted != 0 {
+		t.Errorf("restored window = %+v, want the open day and two closed ones: 6 profiles", st)
+	}
+	feedDay(svc.win, 3, victims[3]) // the first close under this build
+	if st := svc.win.Stats(); st.ClientDays != 2 || st.Evicted != 6 {
+		t.Errorf("after the first close = %+v, want every restored profile released and day 3's two held", st)
+	}
+	feedDay(svc.win, 4, victims[4])
+	svc.mu.Unlock()
+	shutdownSvc(t, svc)
+
+	got, _ := finalState(svc)
+	if len(got) != 4 || !reflect.DeepEqual(got, ref.Detections()) {
+		t.Errorf("detections across the resume = %d, uninterrupted run = %d, want 4 identical", len(got), len(ref.Detections()))
+	}
+}
+
 // TestResumeParentTailCheckpoint: the -tail run's byte offset becomes
 // the tail: input's cursor — nothing already consumed is re-read, only
 // the entries appended since — and its collector row is re-keyed to
 // the input.
 func TestResumeParentTailCheckpoint(t *testing.T) {
-	dir := stageCheckpoint(t, "parent_tail.ckpt")
+	dir := stageCheckpoint(t, "parent_tail.ckpt", 2)
 	logBytes, err := os.ReadFile(filepath.Join("testdata", "parent_tail.sflowlog"))
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +223,7 @@ func TestResumeParentCheckpointNeedsOneInput(t *testing.T) {
 	} {
 		svc := NewService(Config{
 			Inputs: c.inputs, Window: WindowConfig{Days: 2},
-			StateDir: stageCheckpoint(t, c.ckpt), CheckpointEvery: -1, Resume: true,
+			StateDir: stageCheckpoint(t, c.ckpt, 2), CheckpointEvery: -1, Resume: true,
 		})
 		err := svc.Start()
 		if err == nil {

@@ -213,14 +213,14 @@ func (s *Service) registerMetrics() {
 		return func(emit metrics.Emit) { emit(f(&s.scrape.window)) }
 	}
 	gauge("ixpmon_window_current_day", "Day currently accumulating (days since the unix epoch; -1 before data).", window(func(ws *WindowStats) float64 { return float64(ws.CurDay) }))
-	gauge("ixpmon_window_client_days", "Live client-day profiles in the window aggregate.", window(func(ws *WindowStats) float64 { return float64(ws.ClientDays) }))
-	gauge("ixpmon_window_arena_cap", "Aggregate arena capacity (recycled-slot bound).", window(func(ws *WindowStats) float64 { return float64(ws.ArenaCap) }))
+	gauge("ixpmon_window_client_days", "Client-day profiles held: the open day's, plus stragglers' since the last close.", window(func(ws *WindowStats) float64 { return float64(ws.ClientDays) }))
+	gauge("ixpmon_window_arena_cap", "Client-day arena capacity: slots are recycled at each close, so it settles at the largest day's size.", window(func(ws *WindowStats) float64 { return float64(ws.ArenaCap) }))
 	gauge("ixpmon_window_names", "Interned DNS name universe size.", window(func(ws *WindowStats) float64 { return float64(ws.Names) }))
 	gauge("ixpmon_window_list_names", "Current misused-name list size.", window(func(ws *WindowStats) float64 { return float64(ws.ListNames) }))
 	counter("ixpmon_window_refreshes_total", "Name-list refreshes.", window(func(ws *WindowStats) float64 { return float64(ws.Refreshes) }))
 	counter("ixpmon_window_closed_days_total", "Day-close detection sweeps.", window(func(ws *WindowStats) float64 { return float64(ws.ClosedDays) }))
-	counter("ixpmon_window_evicted_total", "Client-day profiles evicted after falling out of the window.", window(func(ws *WindowStats) float64 { return float64(ws.Evicted) }))
-	counter("ixpmon_window_late_samples_total", "Samples dropped for arriving older than the window.", window(func(ws *WindowStats) float64 { return float64(ws.LateSamples) }))
+	counter("ixpmon_window_evicted_total", "Client-day profiles released at day closes.", window(func(ws *WindowStats) float64 { return float64(ws.Evicted) }))
+	counter("ixpmon_window_late_samples_total", "Samples dropped for arriving -window or more days behind the open day.", window(func(ws *WindowStats) float64 { return float64(ws.LateSamples) }))
 	counter("ixpmon_detections_total", "Detections emitted (retained plus shed to the cap).", window(func(ws *WindowStats) float64 {
 		return float64(uint64(ws.Detections) + ws.DetectionsDropped)
 	}))

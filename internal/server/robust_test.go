@@ -520,6 +520,73 @@ func TestCheckpointCorruptFallback(t *testing.T) {
 	}
 }
 
+// TestConservationAcrossResume: every term of the conservation equation
+// rides in the checkpoint, so the equation still closes after a resume.
+// Run 2 is re-sent an overlap the replay barrier skips; run 3 must read
+// those skips beside the received total that includes them. Run 3 is
+// then flooded into the sampling-down and shed-all tiers behind a held
+// consumer, drained and shut down; run 4 must read those sheds too.
+func TestConservationAcrossResume(t *testing.T) {
+	cfg := Config{
+		Inputs:   udpInput(t),
+		Window:   WindowConfig{Days: 2},
+		StateDir: t.TempDir(), CheckpointEvery: -1,
+	}
+	send := func(svc *Service, from, to uint32) {
+		conn := dialService(t, svc)
+		for seq := from; seq <= to; seq++ {
+			if _, err := conn.Write(miniDatagram(seq)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	svc1 := startService(t, cfg)
+	send(svc1, 1, 5)
+	waitUntil(t, "run 1 consumed", func() bool { return svc1.Consumed() == 5 })
+	shutdownSvc(t, svc1)
+
+	cfg.Resume = true
+	svc2 := startService(t, cfg)
+	send(svc2, 1, 8)
+	waitUntil(t, "overlap skipped, the rest consumed", func() bool {
+		return svc2.ReplaySkipped() == 5 && svc2.Consumed() == 8
+	})
+	assertConservation(t, svc2) // 13 = 5 + 8
+	shutdownSvc(t, svc2)
+
+	svc3 := NewService(cfg)
+	open := startGated(t, svc3)
+	if svc3.Received() != 13 || svc3.ReplaySkipped() != 5 || svc3.Consumed() != 8 {
+		t.Fatalf("run 3 restored received %d, replay-skipped %d, consumed %d, want 13, 5, 8",
+			svc3.Received(), svc3.ReplaySkipped(), svc3.Consumed())
+	}
+	assertConservation(t, svc3)
+
+	floodUntil(t, svc3, dialService(t, svc3), func() bool { return svc3.SampledOut() > 0 && svc3.ShedAll() > 0 })
+	open()
+	waitDrained(t, svc3)
+	assertConservation(t, svc3)
+	shutdownSvc(t, svc3)
+
+	svc4 := startService(t, cfg)
+	for _, c := range []struct {
+		term      string
+		got, want uint64
+	}{
+		{"received", svc4.Received(), svc3.Received()},
+		{"replaySkipped", svc4.ReplaySkipped(), svc3.ReplaySkipped()},
+		{"sampledOut", svc4.SampledOut(), svc3.SampledOut()},
+		{"shedAll", svc4.ShedAll(), svc3.ShedAll()},
+		{"queueDrops", svc4.QueueDrops(), svc3.QueueDrops()},
+		{"consumed", svc4.Consumed(), svc3.Consumed()},
+	} {
+		if c.got != c.want {
+			t.Errorf("run 4 restored %s %d, run 3 shut down with %d", c.term, c.got, c.want)
+		}
+	}
+	assertConservation(t, svc4)
+}
+
 // TestCheckpointRetention: the retention count bounds how many
 // checkpoint files accumulate.
 func TestCheckpointRetention(t *testing.T) {

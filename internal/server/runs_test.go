@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -125,22 +126,19 @@ func TestConsumerPanicMidDrain(t *testing.T) {
 	}
 }
 
-// TestHealthRecoversFromDrainAlone: a default-size queue flooded into
-// the shedding tiers behind a held consumer drains in a handful of long
-// drains once the gate opens. With no datagram arriving afterwards, the
-// drains alone must count out the recovery hold and return the service
-// to ok.
-func TestHealthRecoversFromDrainAlone(t *testing.T) {
-	svc := NewService(Config{Inputs: udpInput(t), Window: WindowConfig{Days: 2}})
-	open := startGated(t, svc)
-	conn := dialService(t, svc)
-
-	// Eight collectors: one alone stops at its share, a quarter of the
-	// queue, and never reaches the global tiers.
-	sent := uint64(0)
-	for svc.Health() != HealthDegraded {
+// floodUntil sends bursts of one-sample datagrams from eight collectors
+// — one alone stops at its share, a quarter of the queue, and never
+// reaches the global tiers — into a service whose consumer is held,
+// until the filling queue has pushed it as far into the shedding tiers
+// as reached asks. It returns with every datagram sent accounted to its
+// row.
+func floodUntil(t *testing.T, svc *Service, conn *net.UDPConn, reached func() bool) {
+	t.Helper()
+	accounted0, sent := accounted(svc), uint64(0)
+	for !reached() {
 		if sent > 4*uint64(svc.cfg.QueueLen) {
-			t.Fatalf("%d datagrams into a held %d-deep queue and still %v", sent, svc.cfg.QueueLen, svc.Health())
+			t.Fatalf("%d datagrams into a held %d-deep queue and still %v, %d sampled out, %d shed",
+				sent, svc.cfg.QueueLen, svc.Health(), svc.SampledOut(), svc.ShedAll())
 		}
 		for i := 0; i < 64; i++ {
 			sent++
@@ -152,14 +150,32 @@ func TestHealthRecoversFromDrainAlone(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		waitUntil(t, "burst accounted", func() bool { return accounted(svc) == sent })
+		waitUntil(t, "burst accounted", func() bool { return accounted(svc) == accounted0+sent })
 	}
+}
+
+// waitDrained waits until everything received and not shed is consumed:
+// the quiesce point at which the conservation equation must close.
+func waitDrained(t *testing.T, svc *Service) {
+	t.Helper()
+	waitUntil(t, "backlog drained", func() bool {
+		return svc.Consumed() == svc.Received()-parseErrors(svc)-svc.ReplaySkipped()-svc.SampledOut()-svc.ShedAll()-svc.QueueDrops()
+	})
+}
+
+// TestHealthRecoversFromDrainAlone: a default-size queue flooded into
+// the shedding tiers behind a held consumer drains in a handful of long
+// drains once the gate opens. With no datagram arriving afterwards, the
+// drains alone must count out the recovery hold and return the service
+// to ok.
+func TestHealthRecoversFromDrainAlone(t *testing.T) {
+	svc := NewService(Config{Inputs: udpInput(t), Window: WindowConfig{Days: 2}})
+	open := startGated(t, svc)
+	floodUntil(t, svc, dialService(t, svc), func() bool { return svc.Health() == HealthDegraded })
 
 	open()
 	waitUntil(t, "health back at ok on the drains alone", func() bool { return svc.Health() == HealthOK })
-	waitUntil(t, "backlog drained", func() bool {
-		return svc.Consumed() == svc.Received()-svc.SampledOut()-svc.ShedAll()-svc.QueueDrops()
-	})
+	waitDrained(t, svc)
 	assertConservation(t, svc)
 	if drains, consumed := observeDrains(svc), svc.Consumed(); drains*8 > int64(consumed) {
 		t.Errorf("%d datagrams took %d drains; the backlog did not drain in runs", consumed, drains)

@@ -2,16 +2,17 @@
 // always-on daemon that ingests sFlow v5 datagrams from the configured
 // inputs (UDP listeners, tailed or replayed datagram logs, pcap,
 // synthetic fill), sanitizes their samples through the same
-// capture-point pipeline the batch study uses, folds them into a
-// sliding-window incremental aggregate (window-expired client-days
-// evicted in place, arena slots recycled), and serves results and
+// capture-point pipeline the batch study uses, folds them into the live
+// window — the open day's client-day profiles plus per-name statistics
+// cumulative since start; each day is detected over as it closes and
+// its profiles released, arena slots recycled — and serves results and
 // operational state over HTTP.
 //
 // Layering: internal/ingest reads, parses, and supervises every input
 // and merges them into one stream; internal/ixp sanitizes frames into
 // DNS samples, internal/core aggregates and detects; this package adds
 // what a daemon needs on top — per-source sequence/drop accounting
-// (sources.go), the sliding window (window.go), stage timings
+// (sources.go), the live window (window.go), stage timings
 // (stages.go), datagram replay over UDP (replay.go), crash-safe
 // checkpoint/resume (checkpoint.go), tiered overload response
 // (health.go), and the Service that wires the ingest scheduler, a
@@ -71,7 +72,7 @@ type Config struct {
 	// "127.0.0.1:0").
 	HTTPAddr string
 
-	// Window configures the sliding-window detector.
+	// Window configures the live detector.
 	Window WindowConfig
 
 	// TimeFromUptime, when set, takes each datagram's timestamp from its
@@ -648,11 +649,6 @@ func (s *Service) observeLocked(it *item) (cause any) {
 		})
 		if !ok {
 			continue
-		}
-		if smp.PeerAS == 0 && fs.Input != 0 {
-			// The replay convention: ingress member ASN rides the
-			// Input interface field when no topology is wired up.
-			smp.PeerAS = fs.Input
 		}
 		s.win.Observe(&smp)
 	}

@@ -221,20 +221,20 @@ func getBody(t *testing.T, svc *Service, path string) []byte {
 // TestServiceGoldenReplay is the acceptance test of the service mode:
 // a daemonized service fed a recorded datagram stream over UDP must
 // report detections equal to a batch study over the same recording —
-// while it is evicting expired client-days (window narrower than the
-// recording) and exposing per-source and per-stage state over HTTP.
+// while it releases each day's client-day profiles at its close and
+// exposes per-source and per-stage state over HTTP.
 func TestServiceGoldenReplay(t *testing.T) {
 	const days, listN = 5, 29
 	logBuf := wireLog(t, days)
 	logBytes := logBuf.Bytes()
 
-	// Batch reference over the same recording: no UDP, no eviction —
-	// the study pipeline's semantics.
+	// Batch reference over the same recording: no UDP, every profile
+	// kept — the study pipeline's semantics.
 	want := batchReference(t, logBytes, listN)
 
-	// The daemon: 2-day window over a 5-day recording, so eviction and
-	// slot recycling run during the replay. Timestamps ride the Uptime
-	// field (the replay convention).
+	// The daemon: a 5-day recording, so four closes release profiles
+	// and recycle their slots during the replay. Timestamps ride the
+	// Uptime field (the replay convention).
 	svc := startService(t, Config{
 		Inputs:         udpInput(t),
 		TimeFromUptime: true,
@@ -288,8 +288,8 @@ func TestServiceGoldenReplay(t *testing.T) {
 	got := svc.win.Detections()
 	st := svc.win.Stats()
 	svc.mu.Unlock()
-	if st.Evicted == 0 {
-		t.Fatalf("a 2-day window over %d days must evict: %+v", days, st)
+	if st.Evicted == 0 || st.ClientDays != 0 {
+		t.Fatalf("%d closes must have released every profile: %+v", days, st)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("detections: daemon %d, batch %d\ndaemon: %+v\nbatch: %+v", len(got), len(want), got, want)

@@ -40,8 +40,13 @@ func NewStages() *Stages {
 	return &Stages{stats: make(map[string]*StageTiming)}
 }
 
-// Add records one invocation of stage taking d.
+// Add records one invocation of stage taking d. A nil *Stages records
+// nothing, so a holder of optional stages (NewWindow(cfg, nil)) calls
+// Add and Track unguarded.
 func (st *Stages) Add(stage string, d time.Duration) {
+	if st == nil {
+		return
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	s := st.stats[stage]
@@ -58,7 +63,8 @@ func (st *Stages) Add(stage string, d time.Duration) {
 }
 
 // Track starts timing one invocation of stage and returns the function
-// that stops it: `defer st.Track("detect")()`.
+// that stops it: `defer st.Track("detect")()`. On a nil *Stages the stop
+// records nothing (see Add).
 func (st *Stages) Track(stage string) func() {
 	t0 := time.Now()
 	return func() { st.Add(stage, time.Since(t0)) }

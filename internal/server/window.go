@@ -7,11 +7,13 @@ import (
 	"dnsamp/internal/stats"
 )
 
-// WindowConfig sizes the sliding-window detector.
+// WindowConfig configures the live detector.
 type WindowConfig struct {
-	// Days is the window width in days: a closed day is evicted from the
-	// aggregate once it falls more than Days-1 days behind the current
-	// day. Minimum (and default) 1 — current-day-only.
+	// Days is the lateness horizon: a sample Days or more days behind
+	// the open day is dropped and counted late; a younger straggler
+	// still feeds the per-name statistics, though never a detection —
+	// its day has closed. Nothing else depends on it. Minimum (and
+	// default) 1: anything older than the open day is late.
 	Days int
 	// ListSize is the per-selector name-list size N (the paper keeps 29).
 	ListSize int
@@ -45,21 +47,22 @@ func (c WindowConfig) withDefaults() WindowConfig {
 	return c
 }
 
-// Window is the sliding-window incremental detector, the §4.3 live
-// monitor: it ingests sanitized samples in arrival order, keeps the
-// last WindowConfig.Days days of client-day profiles in one
-// core.Aggregator (expired days evicted in place, arena slots
-// recycled), refreshes the misused-name list every Refresh of
-// stream time, and emits detections for each day as it closes — so
-// results stream out with bounded memory instead of arriving at the end
-// of a study. Each close also appends one DaySummary (the paper's daily
-// victim aggregates and name-list churn) to a bounded in-memory day log.
+// Window is the incremental detector, the §4.3 live monitor. Its state
+// is the open day's client-day profiles plus per-name statistics
+// cumulative since start, in one core.Aggregator: it ingests sanitized
+// samples in arrival order, refreshes the misused-name list every
+// Refresh of stream time, emits detections for each day as it closes
+// and then releases every profile (arena slots recycled) — days close
+// once and in order and a close reports the closing day only, so a
+// closed day's profiles would have no reader. Each close also appends
+// one DaySummary (the paper's daily victim aggregates and name-list
+// churn) to a bounded in-memory day log.
 //
 // Day close happens when a sample of a newer day arrives (UDP transport
 // may reorder within a day; whole-day reordering closes days in arrival
 // order) or at Close. Detection for the closing day runs against a
-// freshly refreshed name list over the window aggregate, exactly the
-// batch semantics: per-name selector state is cumulative since start,
+// freshly refreshed name list over the aggregate, exactly the batch
+// semantics: per-name selector state is cumulative since start,
 // per-client threshold state is the closing day's own profiles, so a
 // batch pass over the same stream yields the same detections (the
 // golden equivalence the server tests pin).
@@ -98,13 +101,13 @@ type Window struct {
 	closeNames map[string]bool
 
 	closedDays  int
-	evicted     uint64
-	lateSamples uint64 // samples older than the window, dropped
+	evicted     uint64 // profiles released at day closes
+	lateSamples uint64 // samples Days or more days behind the open day, dropped
 
 	stages *Stages
 }
 
-// NewWindow builds a sliding-window detector. The capture point that
+// NewWindow builds a live detector. The capture point that
 // sanitizes samples for it must share its interning table (Capture
 // returns one wired up); stages, when non-nil, receives refresh /
 // detect / evict timings.
@@ -119,8 +122,8 @@ func NewWindow(cfg WindowConfig, stages *Stages) *Window {
 	w.top1 = core.NewTopNMaxSize(w.cfg.ListSize)
 	w.top2 = core.NewTopNANYCount(w.cfg.ListSize)
 	w.agg = core.NewAggregator(nil, nil)
-	// Track every name per client: the window retains only cfg.Days days
-	// of client state, so trackAll stays affordable.
+	// Track every name per client: the window retains one day of client
+	// state, so trackAll stays affordable.
 	w.agg.SetTrackAll(true)
 	w.cp = ixp.NewCapturePoint(nil, w.agg.Table)
 	return w
@@ -142,8 +145,8 @@ func (w *Window) Observe(s *ixp.DNSSample) {
 		w.advanceTo(d, s.Time)
 	}
 	if d <= w.curDay-w.cfg.Days {
-		// Older than the window: its day is already evicted (or would be
-		// immediately); late stragglers are dropped, not resurrected.
+		// Beyond the lateness horizon: dropped before it can move a
+		// selector score.
 		w.lateSamples++
 		return
 	}
@@ -157,13 +160,15 @@ func (w *Window) Observe(s *ixp.DNSSample) {
 	}
 }
 
-// advanceTo closes every day before newDay and slides the window.
+// advanceTo closes every day before newDay, then releases every profile
+// (the evict stage): their days are reported, nothing reads them again.
 func (w *Window) advanceTo(newDay int, now simclock.Time) {
 	for w.curDay < newDay {
 		w.closeDay(now)
 		w.curDay++
 	}
-	w.evict()
+	defer w.stages.Track("evict")()
+	w.evicted += uint64(w.agg.ResetClients())
 }
 
 // DaySummary is one closed day of the day log: the §4.3 daily victim
@@ -188,13 +193,11 @@ type DaySummary struct {
 const maxDayLog = 366
 
 // closeDay refreshes the name list, detects over the closing day, and
-// logs its summary.
+// logs its summary. The arena may also hold a straggler's profile of an
+// earlier day; the Day filter keeps it out of the output.
 func (w *Window) closeDay(now simclock.Time) {
 	w.refresh(now)
-	var stop func()
-	if w.stages != nil {
-		stop = w.stages.Track("detect")
-	}
+	defer w.stages.Track("detect")()
 	sum := DaySummary{Day: w.curDay, ListNames: len(w.names), HasPrev: w.closeNames != nil}
 	if sum.HasPrev {
 		sum.Jaccard = stats.Jaccard(w.closeNames, w.names)
@@ -224,21 +227,6 @@ func (w *Window) closeDay(now simclock.Time) {
 		w.detections = append(w.detections[:0], w.detections[over:]...)
 	}
 	w.closedDays++
-	if stop != nil {
-		stop()
-	}
-}
-
-// evict drops every day that has fallen out of the window.
-func (w *Window) evict() {
-	var stop func()
-	if w.stages != nil {
-		stop = w.stages.Track("evict")
-	}
-	w.evicted += uint64(w.agg.EvictDaysBefore(w.curDay - w.cfg.Days + 1))
-	if stop != nil {
-		stop()
-	}
 }
 
 // touch logs one observed name for the next refresh. A log longer than
@@ -255,16 +243,13 @@ func (w *Window) touch(id uint32) {
 	w.touched = append(w.touched, id)
 }
 
-// refresh brings the misused-name list up to date with the window
-// aggregate. Per-name selector scores only grow under Observe and
-// eviction leaves them alone, so the new top ListSize of each selector
+// refresh brings the misused-name list up to date with the aggregate.
+// Per-name selector scores only grow under Observe and a day close
+// leaves them alone, so the new top ListSize of each selector
 // lies within the old one plus the names touched since: offering those
 // is exact, and a refresh that admits no new name keeps the list as is.
 func (w *Window) refresh(now simclock.Time) {
-	var stop func()
-	if w.stages != nil {
-		stop = w.stages.Track("refresh")
-	}
+	defer w.stages.Track("refresh")()
 	changed := w.rescan
 	if w.rescan {
 		w.top1.Rescan(w.agg)
@@ -289,21 +274,16 @@ func (w *Window) refresh(now simclock.Time) {
 	}
 	w.refreshN++
 	w.lastRefresh = now
-	if stop != nil {
-		stop()
-	}
 }
 
-// Close finalizes the day currently accumulating (detecting over it)
-// without evicting it. Call once when the stream ends; observing newer
-// samples afterwards reopens the stream consistently.
+// Close finalizes the day currently accumulating: detects over it and
+// releases its profiles, as the first sample of the next day would.
+// Call once when the stream ends; observing newer samples afterwards
+// reopens the stream consistently.
 func (w *Window) Close() {
-	if w.curDay == -1 {
-		return
+	if w.curDay != -1 {
+		w.advanceTo(w.curDay+1, w.lastSeen)
 	}
-	w.closeDay(w.lastSeen)
-	w.curDay++
-	w.evict()
 }
 
 // Detections returns a snapshot of the retained closed-day detections
@@ -333,8 +313,9 @@ type WindowStats struct {
 	// ClosedDays counts day-close detection sweeps.
 	CurDay     int `json:"curDay"`
 	ClosedDays int `json:"closedDays"`
-	// ClientDays / ArenaCap describe the aggregate arena: live profiles
-	// and the recycled-slot capacity bound.
+	// ClientDays / ArenaCap describe the aggregate arena: the open day's
+	// profiles (plus stragglers' since the last close) and the
+	// recycled-slot capacity, which settles at the largest day's size.
 	ClientDays int `json:"clientDays"`
 	ArenaCap   int `json:"arenaCap"`
 	// Names is the interned-name universe size; ListNames the current
@@ -344,9 +325,10 @@ type WindowStats struct {
 	ListNames int     `json:"listNames"`
 	Refreshes int     `json:"refreshes"`
 	Jaccard   float64 `json:"jaccard"`
-	// Evicted counts evicted client-day profiles; LateSamples the
-	// samples dropped for arriving older than the window; Detections the
-	// retained detections; DetectionsDropped those shed to the cap.
+	// Evicted counts the profiles released at day closes; LateSamples
+	// the samples dropped for arriving Days or more days behind the open
+	// day; Detections the retained detections; DetectionsDropped those
+	// shed to the cap.
 	Evicted           uint64 `json:"evicted"`
 	LateSamples       uint64 `json:"lateSamples"`
 	Detections        int    `json:"detections"`

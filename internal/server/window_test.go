@@ -11,13 +11,18 @@ import (
 	"dnsamp/internal/core"
 	"dnsamp/internal/dnswire"
 	"dnsamp/internal/ixp"
+	"dnsamp/internal/names"
 	"dnsamp/internal/simclock"
 )
 
 // winSample builds a sanitized response sample at an explicit stream
 // time, interned into the window's table space.
 func winSample(w *Window, at simclock.Time, client byte, name string, qt dnswire.Type, size int) *ixp.DNSSample {
-	tab := w.Capture().Table
+	return tabSample(w.Capture().Table, at, client, name, qt, size)
+}
+
+// tabSample is winSample for any consumer's table.
+func tabSample(tab *names.Table, at simclock.Time, client byte, name string, qt dnswire.Type, size int) *ixp.DNSSample {
 	id := tab.Intern(dnswire.CanonicalName(name))
 	return &ixp.DNSSample{
 		Time:       at,
@@ -49,46 +54,72 @@ func feedDay(w *Window, day int, victim byte) {
 	}
 }
 
+// TestWindowSlidesAndDetects walks the state model: the window holds the
+// open day's profiles and releases every profile at a close; a straggler
+// inside the lateness horizon feeds the selectors but never a detection;
+// a sample at or beyond the horizon changes nothing.
 func TestWindowSlidesAndDetects(t *testing.T) {
 	w := NewWindow(WindowConfig{Days: 2, ListSize: 1}, NewStages())
 
 	feedDay(w, 0, 1) // victim 11.0.0.1
-	if got := w.Stats(); got.ClosedDays != 0 || got.CurDay != simclock.MeasurementStart.Day() {
+	if got := w.Stats(); got.ClosedDays != 0 || got.CurDay != simclock.MeasurementStart.Day() || got.ClientDays != 2 {
 		t.Fatalf("before first close: %+v", got)
 	}
 
-	feedDay(w, 1, 2) // first day-1 sample closes day 0
+	feedDay(w, 1, 2) // first day-1 sample closes day 0 and releases its two profiles
 	st := w.Stats()
 	if st.ClosedDays != 1 || st.Detections != 1 {
 		t.Fatalf("after day 0 close: %+v", st)
 	}
-	if st.Evicted != 0 {
-		t.Fatalf("nothing should leave a 2-day window yet: %+v", st)
+	if st.Evicted != 2 || st.ClientDays != 2 {
+		t.Fatalf("a close releases the closed day and leaves the open one: %+v", st)
 	}
 
-	feedDay(w, 2, 0) // closes day 1, evicts day 0 (clients 1 and 9)
+	// A straggler one day behind a 2-day horizon: twenty responses that
+	// would make 11.0.0.7 a victim of day 0, had day 0 not closed. They
+	// raise their name's statistics at once and open a profile that no
+	// close reports.
+	for i := 0; i < 20; i++ {
+		w.Observe(winSample(w, dayTime(0), 7, "late.test", dnswire.TypeANY, 5000))
+	}
+	if ns := w.agg.NameStatsOf("late.test"); ns.MaxSize != 5000 || ns.ANYPackets != 20 {
+		t.Fatalf("straggler name statistics = %+v, want MaxSize 5000 and 20 ANY packets", ns)
+	}
+	if st = w.Stats(); st.LateSamples != 0 || st.ClientDays != 3 {
+		t.Fatalf("after the straggler: %+v, want nothing late and one more profile", st)
+	}
+
+	feedDay(w, 2, 0) // closes day 1; its refresh sees the straggler's name
 	st = w.Stats()
 	if st.ClosedDays != 2 || st.Detections != 2 {
-		t.Fatalf("after day 1 close: %+v", st)
+		t.Fatalf("after day 1 close: %+v, want day 1's victim and no detection for the straggler's day", st)
 	}
-	if st.Evicted != 2 {
-		t.Fatalf("evicted = %d, want 2 (day-0 clients)", st.Evicted)
+	if st.Evicted != 5 || st.ClientDays != 1 {
+		t.Fatalf("after day 1 close: %+v, want day 1's two profiles and the straggler's released", st)
+	}
+	names := w.CurrentNames()
+	slices.Sort(names)
+	if !slices.Equal(names, []string{"amp.test.", "late.test."}) {
+		t.Fatalf("name list = %v, want the largest (late.test.) and the most-ANY (amp.test.) name", names)
 	}
 
-	// A straggler from an evicted day is dropped, not resurrected.
-	before := w.Stats().ClientDays
-	w.Observe(winSample(w, dayTime(0), 1, "amp.test", dnswire.TypeANY, 4000))
+	// Two days behind is at the horizon: dropped, counted, and nothing
+	// else moves — not even the selectors' view.
+	late := winSample(w, dayTime(0), 1, "huge.test", dnswire.TypeANY, 60000)
+	before, samples := w.Stats(), w.agg.Samples
+	w.Observe(late)
 	st = w.Stats()
 	if st.LateSamples != 1 {
 		t.Fatalf("late samples = %d, want 1", st.LateSamples)
 	}
-	if st.ClientDays != before {
-		t.Fatalf("late sample changed the aggregate: %d -> %d", before, st.ClientDays)
+	before.LateSamples = 1
+	if st != before || w.agg.Samples != samples || w.agg.NameStatsOf("huge.test") != (core.NameStats{}) {
+		t.Fatalf("a late sample changed the window: %+v -> %+v", before, st)
 	}
 
 	w.Close() // finalizes day 2 (benign only: no new detection)
 	st = w.Stats()
-	if st.ClosedDays != 3 || st.Detections != 2 {
+	if st.ClosedDays != 3 || st.Detections != 2 || st.ClientDays != 0 || st.Evicted != 6 {
 		t.Fatalf("after Close: %+v", st)
 	}
 
@@ -105,14 +136,15 @@ func TestWindowSlidesAndDetects(t *testing.T) {
 			t.Errorf("detection profile = %+v", d)
 		}
 	}
-	if names := w.CurrentNames(); len(names) != 1 || names[0] != "amp.test." {
-		t.Errorf("name list = %v", names)
+	if names := w.CurrentNames(); len(names) != 2 {
+		t.Errorf("name list after Close = %v, want it unchanged by the late sample", names)
 	}
 }
 
-// TestWindowMatchesBatch is the in-process golden: the evicting
-// streaming window must report exactly the detections of a cumulative
-// batch pass with the same day-close semantics over the same samples.
+// TestWindowMatchesBatch is the in-process golden: the streaming
+// window, which keeps one day of profiles, must report exactly the
+// detections of a batch pass that keeps them all, with the same
+// day-close semantics over the same samples.
 func TestWindowMatchesBatch(t *testing.T) {
 	const days, listN = 6, 2
 	w := NewWindow(WindowConfig{Days: 2, ListSize: listN}, nil)
@@ -156,8 +188,8 @@ func TestWindowMatchesBatch(t *testing.T) {
 			t.Errorf("detection %d: got %+v, want %+v", i, *got[i], *want[i])
 		}
 	}
-	if st := w.Stats(); st.Evicted == 0 {
-		t.Fatalf("6 days through a 2-day window must evict: %+v", st)
+	if st := w.Stats(); st.Evicted == 0 || st.ClientDays != 0 {
+		t.Fatalf("six closes must have released every profile: %+v", st)
 	}
 }
 
@@ -464,8 +496,8 @@ func BenchmarkWindowRefresh(b *testing.B) {
 
 // fillWindow feeds w seven days of traffic, the last left open: per day
 // 10 000 clients with two ordinary responses each, drawn from 2 000
-// names, and 100 victims of 12 large ANY responses to one name. The
-// window must be at least seven days wide to hold it all.
+// names, and 100 victims of 12 large ANY responses to one name. It
+// leaves seven days of name statistics and the open day's profiles.
 func fillWindow(w *Window) {
 	for day := 0; day < 7; day++ {
 		at := dayTime(day)
@@ -486,10 +518,11 @@ func fillWindow(w *Window) {
 	}
 }
 
-// BenchmarkWindowCloseDay is one day close over a full seven-day
-// window: the list refresh, Detect over every retained client-day, and
-// the day's summary row. The detection and day logs are emptied each
-// iteration so they do not grow with b.N.
+// BenchmarkWindowCloseDay is one day close: the list refresh, Detect
+// over the open day's 10 100 client-days, and the day's summary row —
+// not the release of the profiles, which the next iteration detects
+// over again. The detection and day logs are emptied each iteration so
+// they do not grow with b.N.
 func BenchmarkWindowCloseDay(b *testing.B) {
 	w := NewWindow(WindowConfig{Days: 7}, NewStages())
 	fillWindow(w)
@@ -505,8 +538,8 @@ func BenchmarkWindowCloseDay(b *testing.B) {
 	}
 }
 
-// checkpointService is an unstarted service whose window holds
-// fillWindow's seven days.
+// checkpointService is an unstarted service whose window holds what
+// fillWindow leaves.
 func checkpointService() *Service {
 	svc := NewService(Config{Window: WindowConfig{Days: 7}})
 	fillWindow(svc.win)
@@ -514,7 +547,7 @@ func checkpointService() *Service {
 }
 
 // BenchmarkCheckpointEncode serializes the whole service state (name
-// table, seven days of client-day arena, lists, checksum) to memory:
+// table, the open day's client-day arena, lists, checksum) to memory:
 // the part of a checkpoint that runs under the consumer's lock.
 func BenchmarkCheckpointEncode(b *testing.B) {
 	svc := checkpointService()

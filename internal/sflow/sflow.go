@@ -5,12 +5,12 @@
 // Two sampling modes are provided:
 //
 //   - Per-packet sampling (Sampler.SamplePacket), faithful to the wire
-//     behaviour, used by the live-monitoring example.
+//     behaviour; only tests call it.
 //   - Binomial flow thinning (Sampler.ThinFlow): given a flow of n
 //     identically shaped packets, draw how many would have been sampled.
 //     This is statistically identical for independent 1/N sampling and
 //     lets the campaign generator skip materialising the ~10^4× larger
-//     unsampled traffic (ablation: BenchmarkAblationSampling).
+//     unsampled traffic.
 //
 // The package also carries the wire and disk forms of a collector's
 // feed: the sFlow v5 datagram codec (datagram.go), the timestamped

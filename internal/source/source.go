@@ -19,8 +19,7 @@
 // table: consumers built over that table feed them to the batch-native
 // observers (core.Aggregator.ObserveBatch and
 // core.Collector.ObserveBatch, with ixp.CapturePoint.RemapBatch
-// accounting the capture stats) or replay them per sample through
-// ixp.CapturePoint.ConsumeBatch — none of which write to a batch — so
+// accounting the capture stats) — none of which write to a batch — so
 // one materialized day may be shared by any number of passes and
 // workers.
 package source

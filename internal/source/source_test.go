@@ -29,17 +29,28 @@ func testWindow() simclock.Window {
 	}
 }
 
-// drain consumes a batch through a fresh capture point over the batch's
-// own table, returning the annotated samples (the stream the detection
-// pipeline sees). Name is zeroed: an ID means something only inside its
-// table, so streams of two sources compare by QName.
-func drain(c *ecosystem.Campaign, b *ixp.SampleBatch) ([]ixp.DNSSample, ixp.CaptureStats) {
+// batchRow is one row of a batch with its name resolved: an ID means
+// something only inside its table, so rows of two sources compare by
+// QName and Name is left zero.
+type batchRow struct {
+	ixp.BatchRecord
+	QName string
+}
+
+// drain accounts a batch through a fresh capture point over the batch's
+// own table, as the detection pipeline does, and returns the batch's
+// rows and the capture stats.
+func drain(c *ecosystem.Campaign, b *ixp.SampleBatch) ([]batchRow, ixp.CaptureStats) {
 	cp := ixp.NewCapturePoint(c.Topo, b.Table)
-	var out []ixp.DNSSample
-	cp.ConsumeBatch(b, func(s *ixp.DNSSample) {
-		out = append(out, *s)
-		out[len(out)-1].Name = 0
-	})
+	cp.RemapBatch(b)
+	out := make([]batchRow, b.N)
+	for i := range out {
+		out[i] = batchRow{QName: b.Table.Name(b.Name[i]), BatchRecord: ixp.BatchRecord{
+			Time: b.Time[i], Src: b.Src[i], Dst: b.Dst[i], SrcPort: b.SrcPort[i], DstPort: b.DstPort[i],
+			IPTTL: b.IPTTL[i], IPID: b.IPID[i], Resp: b.Resp[i], QType: b.QType[i], TXID: b.TXID[i],
+			MsgSize: b.MsgSize[i], ANCount: b.ANCount[i], VisibleNS: b.VisibleNS[i], Ingress: b.Ingress[i],
+		}}
+	}
 	return out, cp.Stats
 }
 
