@@ -42,15 +42,17 @@ bench-e2e-smoke:
 
 # Fuzz smoke: short coverage-guided runs of the byte-level parsers
 # (DNS wire format, sFlow v5 datagrams, pcap records), of the sample
-# scanner against the parser, and of the bounded selector ranking
-# against the full-sort reference. Targets are named exactly: go test
-# refuses -fuzz patterns that match more than one target in a package.
+# scanner against the parser, of the bounded selector ranking against
+# the full-sort reference, and of the name table against a map + slice
+# reference. Targets are named exactly: go test refuses -fuzz patterns
+# that match more than one target in a package.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/dnswire
 	$(GO) test -run '^$$' -fuzz '^FuzzScanMatchesParse$$' -fuzztime 10s ./internal/dnswire
 	$(GO) test -run '^$$' -fuzz FuzzParseDatagram -fuzztime 10s ./internal/sflow
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 10s ./internal/pcap
 	$(GO) test -run '^$$' -fuzz FuzzTopN -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzTable -fuzztime 10s ./internal/names
 
 # Daemon smoke: service-mode ixpmon fed a generated sFlow log over
 # UDP (-listen) and then through -tail must serve a well-formed

@@ -199,13 +199,17 @@ func (d *Decoder) I64() int64 { return int64(d.U64()) }
 func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // Str reads a u32-length-prefixed string.
-func (d *Decoder) Str() string {
+func (d *Decoder) Str() string { return string(d.StrBytes()) }
+
+// StrBytes reads a u32-length-prefixed string as a view into the
+// buffer, nil on exhaustion: Str without the copy.
+func (d *Decoder) StrBytes() []byte {
 	n := int(d.U32())
 	if d.err == nil && n > len(d.b)-d.off {
 		d.Fail("%d-byte string exceeds input", n)
-		return ""
+		return nil
 	}
-	return string(d.Raw(n))
+	return d.Raw(n)
 }
 
 // Count reads a u32 element count and validates it against the bytes

@@ -18,11 +18,12 @@
 // per-client state lives in a flat client-day arena addressed through an
 // open-addressed index (clientIndex) — per packet, one hash probe and an
 // array write instead of a map lookup and a pointer chase. Per-client
-// tracked names are short sorted ID lists, candidate membership is a
+// tracked names are sorted ID lists, candidate membership is a
 // dense column, and strings appear only at report boundaries.
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -79,33 +80,29 @@ type ClientAgg struct {
 	ANYPackets int
 	ANYBytes   int
 	// Tracked counts packets per tracked name (candidate universe),
-	// sorted by name ID. Most clients track one or two names, so a
-	// short sorted slice beats a map by a wide margin.
+	// sorted by name ID (strictly increasing). A slice, not a map: most
+	// lists are short, and a resolver's list of a thousand names is
+	// still a binary search.
 	Tracked []NameCount
 	// First and Last bound the observed activity.
 	First, Last simclock.Time
 }
 
 // addTracked bumps the count of one tracked name, keeping the slice
-// sorted by ID. The linear insertion is intentional: tracked lists are
-// one or two entries long in the pipeline's explicit-track mode, and
-// even under the monitor's trackAll mode a client contributes only a
-// handful of sampled packets (1:16k sampling) per day, bounding the
-// list well below where a map would win.
+// sorted by ID. The slot is found by binary search: in the pipeline's
+// explicit-track mode lists are one or two entries long, but under the
+// live window's trackAll mode a resolver client-day tracks every name
+// it asked for — over a thousand on the benchmark recordings — and a
+// linear scan made the list quadratic to build.
 func (a *ClientAgg) addTracked(id uint32, n int) {
-	for i := range a.Tracked {
-		switch {
-		case a.Tracked[i].ID == id:
-			a.Tracked[i].N += n
-			return
-		case a.Tracked[i].ID > id:
-			a.Tracked = append(a.Tracked, NameCount{})
-			copy(a.Tracked[i+1:], a.Tracked[i:])
-			a.Tracked[i] = NameCount{ID: id, N: n}
-			return
-		}
+	i, found := slices.BinarySearchFunc(a.Tracked, id, func(c NameCount, id uint32) int {
+		return cmp.Compare(c.ID, id)
+	})
+	if found {
+		a.Tracked[i].N += n
+		return
 	}
-	a.Tracked = append(a.Tracked, NameCount{ID: id, N: n})
+	a.Tracked = slices.Insert(a.Tracked, i, NameCount{ID: id, N: n})
 }
 
 // TrackedCount returns the tracked packet count of one name ID.

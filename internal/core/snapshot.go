@@ -113,13 +113,22 @@ func (ag *Aggregator) ReadSnapshot(d *binenc.Decoder) error {
 		ca.ANYBytes = int(d.I64())
 		ca.First = simclock.Time(d.I64())
 		ca.Last = simclock.Time(d.I64())
-		// A tracked entry costs 12 bytes (u32 ID + i64 count).
+		// A tracked entry costs 12 bytes (u32 ID + i64 count). The list
+		// must be what addTracked keeps — strictly increasing IDs of
+		// names in the table — since its binary search relies on it.
 		nt := d.Count(12)
 		if nt > 0 {
 			ca.Tracked = make([]NameCount, nt)
-			for j := range ca.Tracked {
-				ca.Tracked[j].ID = d.U32()
-				ca.Tracked[j].N = int(d.I64())
+			for j := 0; j < nt && d.Err() == nil; j++ {
+				tc := &ca.Tracked[j]
+				tc.ID = d.U32()
+				tc.N = int(d.I64())
+				switch {
+				case int(tc.ID) >= ag.Table.Len():
+					d.Fail("tracked name ID %d outside the %d-name table", tc.ID, ag.Table.Len())
+				case j > 0 && tc.ID <= ca.Tracked[j-1].ID:
+					d.Fail("tracked name IDs not strictly increasing (%d after %d)", tc.ID, ca.Tracked[j-1].ID)
+				}
 			}
 		}
 	}

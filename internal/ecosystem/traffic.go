@@ -303,7 +303,8 @@ func NewGenerator(c *Campaign, seed int64) *Generator {
 
 	g.isExplicit = make([]bool, g.table.Len())
 	g.wireLens = make([]int32, g.table.Len())
-	for id, name := range g.table.Names() {
+	for id := range g.table.Len() {
+		name := g.table.Name(uint32(id))
 		if _, ok := c.DB.Zone(name); ok {
 			g.isExplicit[id] = true
 		}

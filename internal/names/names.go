@@ -11,72 +11,179 @@
 // parallel stage starts: the shards are single writers of their own
 // state over one table they only read. The live window owns its table;
 // its capture point, on the consumer goroutine, is the only writer.
+//
+// A Table holds no pointers (layout: Table), so the garbage collector
+// has nothing in it to mark however many names it holds, and a first
+// sight allocates no per-name object.
 package names
 
-// Table maps canonical DNS names to dense IDs 0..Len()-1. The zero
-// Table is not ready; use NewTable. A Table is not safe for concurrent
-// mutation; concurrent read-only use (Lookup/Name) is safe.
+import (
+	"hash/maphash"
+	"math"
+	"slices"
+	"unsafe"
+)
+
+// seed keys the index hash. It is drawn once per process and decides
+// only where an entry sits in the index: IDs are dense in first-sight
+// order, so no ID, and nothing encoded from IDs or names (checkpoints,
+// snapshots, reports), depends on it.
+var seed = maphash.MakeSeed()
+
+// minIndex is the smallest index size; sizes are powers of two.
+const minIndex = 16
+
+// Table maps canonical DNS names to dense IDs 0..Len()-1.
+//
+// Layout: slab holds every name's bytes back to back in ID order,
+// ends[id] is the slab offset where name id ends (it starts where id-1
+// ends), and index is an open-addressed, linear-probe hash table whose
+// entries pack the high 32 bits of the name's hash above id+1 (0 marks
+// an empty slot). The index stays at or below 3/4 load and grows by
+// re-inserting every name in ID order, so its layout is a function of
+// the seed, the index size and the names in ID order alone.
+//
+// The slab is append-only: bytes once written are never overwritten.
+// That is what makes Name sound — it returns a string viewing the slab
+// directly. A grow copies the slab to a new array, and the old array
+// stays alive for as long as any view points into it. A future release
+// of unused names must therefore start a fresh slab and never compact
+// one in place.
+//
+// The zero Table is an empty table ready for use. A Table is not safe
+// for concurrent mutation; concurrent read-only use (Lookup, Name, Len,
+// and Intern/InternBytes of names already present) is safe.
 type Table struct {
-	ids  map[string]uint32
-	strs []string
+	slab  []byte
+	ends  []uint32
+	index []uint64
 }
 
 // NewTable returns an empty table.
-func NewTable() *Table {
-	return &Table{ids: make(map[string]uint32)}
+func NewTable() *Table { return &Table{} }
+
+// indexSizeFor returns the index size for n names: the smallest power
+// of two (≥ minIndex) keeping load at or below 3/4.
+func indexSizeFor(n int) int {
+	size := minIndex
+	for n*4 > size*3 {
+		size <<= 1
+	}
+	return size
 }
 
-// Reserve pre-sizes the table for about n names, avoiding rehashing
+// Reserve pre-sizes the table for about n names, avoiding index growth
 // during bulk interning (e.g. freezing a generator's name universe).
 func (t *Table) Reserve(n int) {
-	if n <= len(t.strs) {
+	if n <= len(t.ends) {
 		return
 	}
-	ids := make(map[string]uint32, n)
-	for k, v := range t.ids {
-		ids[k] = v
+	t.ends = slices.Grow(t.ends, n-len(t.ends))
+	if size := indexSizeFor(n); size > len(t.index) {
+		t.rehash(size)
 	}
-	t.ids = ids
-	strs := make([]string, len(t.strs), n)
-	copy(strs, t.strs)
-	t.strs = strs
 }
 
 // Len returns the number of interned names.
-func (t *Table) Len() int { return len(t.strs) }
+func (t *Table) Len() int { return len(t.ends) }
 
 // Intern returns the ID of name, assigning the next dense ID on first
 // sight. The caller must pass canonical names (dnswire.CanonicalName);
 // the table does not normalize.
 func (t *Table) Intern(name string) uint32 {
-	if id, ok := t.ids[name]; ok {
-		return id
-	}
-	id := uint32(len(t.strs))
-	t.strs = append(t.strs, name)
-	t.ids[name] = id
-	return id
+	return intern(t, name, maphash.String(seed, name))
 }
 
-// InternBytes is Intern for a byte view of the name. When the name is
-// already interned no string is allocated (the map lookup uses the
-// compiler's string(b) optimization).
+// InternBytes is Intern for a byte view of the name. A known name
+// allocates nothing, and a first sight copies the bytes into the slab.
 func (t *Table) InternBytes(b []byte) uint32 {
-	if id, ok := t.ids[string(b)]; ok {
-		return id
-	}
-	return t.Intern(string(b))
+	return intern(t, b, maphash.Bytes(seed, b))
 }
 
 // Lookup returns the ID of name without interning.
 func (t *Table) Lookup(name string) (uint32, bool) {
-	id, ok := t.ids[name]
+	_, id, ok := find(t, name, maphash.String(seed, name))
 	return id, ok
 }
 
-// Name returns the interned string for id. The returned string is the
-// table's shared storage: assigning it allocates nothing.
-func (t *Table) Name(id uint32) string { return t.strs[id] }
+// Name returns the interned string for id: a view of the slab, so
+// assigning or keeping it allocates nothing (see Table on why the view
+// stays valid).
+func (t *Table) Name(id uint32) string {
+	b := t.bytes(id)
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
+}
 
-// Names returns the id-ordered name slice. Callers must not modify it.
-func (t *Table) Names() []string { return t.strs }
+// bytes returns the slab bytes of name id.
+func (t *Table) bytes(id uint32) []byte {
+	var start uint32
+	if id > 0 {
+		start = t.ends[id-1]
+	}
+	return t.slab[start:t.ends[id]]
+}
+
+// find probes the index for key, whose hash is h. It returns the key's
+// ID when present, otherwise the empty slot where it would be inserted.
+func find[K string | []byte](t *Table, key K, h uint64) (slot int, id uint32, ok bool) {
+	if len(t.index) == 0 {
+		return 0, 0, false
+	}
+	mask := len(t.index) - 1
+	tag := h >> 32
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		e := t.index[i]
+		if e == 0 {
+			return i, 0, false
+		}
+		if e>>32 == tag {
+			id := uint32(e) - 1
+			if string(t.bytes(id)) == string(key) {
+				return i, id, true
+			}
+		}
+	}
+}
+
+// intern is Intern and InternBytes: the known name's ID, or a first
+// sight appended to the slab under the next dense ID.
+func intern[K string | []byte](t *Table, key K, h uint64) uint32 {
+	slot, id, ok := find(t, key, h)
+	if ok {
+		return id
+	}
+	if uint64(len(t.slab))+uint64(len(key)) > math.MaxUint32 {
+		panic("names: slab exceeds 4 GiB") // ends are uint32 offsets
+	}
+	id = uint32(len(t.ends))
+	t.slab = append(t.slab, key...)
+	t.ends = append(t.ends, uint32(len(t.slab)))
+	if len(t.ends)*4 > len(t.index)*3 {
+		t.rehash(indexSizeFor(len(t.ends)))
+	} else {
+		t.index[slot] = entry(h, id)
+	}
+	return id
+}
+
+// entry packs an index entry: the high 32 bits of the name's hash over
+// id+1, so no entry is 0.
+func entry(h uint64, id uint32) uint64 { return h&^math.MaxUint32 | (uint64(id) + 1) }
+
+// rehash rebuilds the index at size, re-inserting every name in ID
+// order.
+func (t *Table) rehash(size int) {
+	t.index = make([]uint64, size)
+	mask := size - 1
+	for id := range t.ends {
+		h := maphash.Bytes(seed, t.bytes(uint32(id)))
+		i := int(h) & mask
+		for t.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.index[i] = entry(h, uint32(id))
+	}
+}

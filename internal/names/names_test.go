@@ -1,6 +1,10 @@
 package names
 
 import (
+	"fmt"
+	"math/bits"
+	"math/rand/v2"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -42,6 +46,215 @@ func TestInternDenseIDs(t *testing.T) {
 			t.Errorf("Intern(%q) = %d, want %d", n, id, i)
 		}
 	}
+}
+
+// TestNameViewsOutliveGrowth: Name returns a view into the slab, and a
+// view taken before the slab and the index grow many times over still
+// reads its name; the empty name is a name like any other.
+func TestNameViewsOutliveGrowth(t *testing.T) {
+	var tab Table // the zero Table is ready
+	if id := tab.Intern(""); id != 0 || tab.Name(0) != "" {
+		t.Fatalf("empty name: ID %d, Name %q", id, tab.Name(0))
+	}
+	first := tab.Name(tab.Intern("doj.gov."))
+	buf := []byte("nsf.gov.")
+	view := tab.Name(tab.InternBytes(buf))
+	copy(buf, "XXXXXXXX") // the table copied the bytes it was handed
+	for i := 0; i < 10_000; i++ {
+		tab.Intern(fmt.Sprintf("n%d.example.", i))
+	}
+	if first != "doj.gov." || view != "nsf.gov." || tab.Name(2) != "nsf.gov." {
+		t.Fatalf("views after growth: %q %q %q", first, view, tab.Name(2))
+	}
+	if id, ok := tab.Lookup(""); !ok || id != 0 {
+		t.Fatalf("Lookup(\"\") = %d, %v", id, ok)
+	}
+}
+
+// TestReserveKeepsIDs: pre-sizing a table that already holds names
+// changes neither their IDs nor what later names get.
+func TestReserveKeepsIDs(t *testing.T) {
+	tab := NewTable()
+	tab.Intern("a.")
+	tab.Intern("b.")
+	tab.Reserve(1000)
+	tab.Reserve(10) // smaller than the last reservation: changes nothing
+	if id, ok := tab.Lookup("b."); !ok || id != 1 || tab.Intern("c.") != 2 || tab.Len() != 3 {
+		t.Fatalf("after Reserve: Lookup(b.) = %d,%v; Len %d", id, ok, tab.Len())
+	}
+}
+
+// TestInternAllocs is the table's allocation guard: a known name costs
+// no allocation on any path, and interning n fresh names costs a
+// logarithmic number of allocations (the slab, end and index arrays
+// grow geometrically), not one per name.
+func TestInternAllocs(t *testing.T) {
+	const n = 1 << 14
+	fresh := make([][]byte, n)
+	for i := range fresh {
+		fresh[i] = fmt.Appendf(nil, "host%d.zone%d.example.", i, i%997)
+	}
+	tab := NewTable()
+	for _, b := range fresh {
+		tab.InternBytes(b)
+	}
+	known, knownStr := fresh[n/2], string(fresh[n/3])
+	if a := testing.AllocsPerRun(100, func() {
+		tab.InternBytes(known)
+		tab.Intern(knownStr)
+		tab.Lookup(knownStr)
+		_ = tab.Name(7)
+	}); a != 0 {
+		t.Errorf("known name: %.1f allocs, want 0", a)
+	}
+
+	a := testing.AllocsPerRun(5, func() {
+		tab := NewTable()
+		for _, b := range fresh {
+			tab.InternBytes(b)
+		}
+	})
+	if limit := 8 * float64(bits.Len(n)); a > limit {
+		t.Errorf("%d fresh names: %.0f allocs, want at most %.0f (O(log n))", n, a, limit)
+	}
+}
+
+// FuzzTable drives random interleavings of every Table operation
+// against a map + slice reference: after each one, Len, every ID's
+// Name and every name's Lookup must agree, and each Name view taken
+// earlier must still read its name. Names are decoded from the input:
+// literal bytes, near-twins of one name (one byte apart), long names,
+// the empty name, re-uses of names already interned, and bulk runs
+// that force several index growths.
+func FuzzTable(f *testing.F) {
+	f.Add([]byte{0, 0, 3, 'a', 'b', '.', 1, 1, 7, 2, 5, 3, 3, 0})
+	f.Add([]byte{5, 200, 2, 1, 9, 4, 60, 0, 2, 40, 1, 6, 'x'})
+	f.Add([]byte{1, 5, 1, 1, 9, 1, 5, 2, 4, 3, 3, 7, 5, 255, 5, 255})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		next := func() byte {
+			if len(prog) == 0 {
+				return 0
+			}
+			b := prog[0]
+			prog = prog[1:]
+			return b
+		}
+		tab := NewTable()
+		ids := map[string]uint32{}
+		var ref, views []string
+		name := func() string {
+			switch mode := next(); mode % 4 {
+			case 0: // literal bytes
+				n := min(int(next()%64), len(prog))
+				s := string(prog[:n])
+				prog = prog[n:]
+				return s
+			case 1: // one byte apart from "www.example."
+				b := []byte("www.example.")
+				b[int(mode>>2)%len(b)] = next()
+				return string(b)
+			case 2: // long
+				return strings.Repeat(string(rune('a'+(mode>>2)%26)), 200+int(next()))
+			}
+			// The empty name, or one already interned.
+			if k := next(); k != 0 && len(ref) > 0 {
+				return ref[int(k)%len(ref)]
+			}
+			return ""
+		}
+		intern := func(s string, got uint32) {
+			want, ok := ids[s]
+			if !ok {
+				want = uint32(len(ref))
+				ids[s] = want
+				ref = append(ref, s)
+				views = append(views, tab.Name(want))
+			}
+			if got != want {
+				t.Fatalf("intern %q: ID %d, want %d", s, got, want)
+			}
+		}
+		for step := 0; len(prog) > 0 && step < 64; step++ {
+			switch op := next(); op % 6 {
+			case 0:
+				s := name()
+				intern(s, tab.Intern(s))
+			case 1:
+				s := name()
+				b := []byte(s)
+				id := tab.InternBytes(b)
+				for i := range b {
+					b[i] ^= 0xff // the caller's buffer is the caller's
+				}
+				intern(s, id)
+			case 2:
+				s := name()
+				id, ok := tab.Lookup(s)
+				if want, wok := ids[s]; ok != wok || id != want {
+					t.Fatalf("Lookup(%q) = %d,%v; want %d,%v", s, id, ok, want, wok)
+				}
+			case 3:
+				if len(ref) > 0 {
+					id := uint32(int(next()) % len(ref))
+					if got := tab.Name(id); got != ref[id] {
+						t.Fatalf("Name(%d) = %q, want %q", id, got, ref[id])
+					}
+				}
+			case 4:
+				tab.Reserve(int(next()) * 8)
+			case 5:
+				base := len(ref)
+				for i := range int(next() % 64) {
+					s := fmt.Sprintf("bulk%d.%d.", base, i)
+					intern(s, tab.InternBytes([]byte(s)))
+				}
+			}
+			if tab.Len() != len(ref) {
+				t.Fatalf("step %d: Len %d, want %d", step, tab.Len(), len(ref))
+			}
+			for id, s := range ref {
+				if got := tab.Name(uint32(id)); got != s || views[id] != s {
+					t.Fatalf("step %d: Name(%d) = %q, earlier view %q, want %q", step, id, got, views[id], s)
+				}
+				if got, ok := tab.Lookup(s); !ok || got != uint32(id) {
+					t.Fatalf("step %d: Lookup(%q) = %d,%v, want %d", step, s, got, ok, id)
+				}
+			}
+		}
+	})
+}
+
+// internSink keeps the benchmark's result live.
+var internSink uint32
+
+// BenchmarkInternBytes is the live window's interning load, shaped like
+// the serve-coarse benchmark recording: 40 566 distinct names over
+// 166 000 InternBytes calls, about a quarter of them first sights, the
+// rest re-uses skewed toward early (popular) names. One op interns the
+// whole sequence into a fresh table, so allocs/op counts its growths.
+func BenchmarkInternBytes(b *testing.B) {
+	const calls, distinct = 166_000, 40_566
+	rng := rand.New(rand.NewPCG(21, 0))
+	seq := make([][]byte, calls)
+	var seen [][]byte
+	for i := range seq {
+		if len(seen)*calls < (i+1)*distinct {
+			seen = append(seen, fmt.Appendf(nil, "r%d.host%d.zone%d.example.", rng.IntN(100), len(seen), len(seen)%997))
+			seq[i] = seen[len(seen)-1]
+			continue
+		}
+		u := rng.Float64()
+		seq[i] = seen[int(u*u*u*float64(len(seen)))]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		tab := NewTable()
+		for _, name := range seq {
+			internSink = tab.InternBytes(name)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*calls), "ns/intern")
 }
 
 // TestSharedTableConcurrentReads is the table's side of the one-table

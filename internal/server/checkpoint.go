@@ -61,10 +61,10 @@ const (
 // scalar cursors, the live misused-name list, retained detections, and
 // capture-point counters.
 func (w *Window) writeSnapshot(e *binenc.Encoder) {
-	strs := w.agg.Table.Names()
-	e.U32(uint32(len(strs)))
-	for _, s := range strs {
-		e.Str(s)
+	tab := w.agg.Table
+	e.U32(uint32(tab.Len()))
+	for id := range tab.Len() {
+		e.Str(tab.Name(uint32(id)))
 	}
 	w.agg.WriteSnapshot(e)
 
@@ -107,11 +107,20 @@ func (w *Window) writeSnapshot(e *binenc.Encoder) {
 // constructed window.
 func (w *Window) readSnapshot(d *binenc.Decoder) error {
 	nStrs := d.Count(4)
-	w.agg.Table.Reserve(nStrs)
-	for i := 0; i < nStrs && d.Err() == nil; i++ {
+	tab := w.agg.Table
+	tab.Reserve(nStrs)
+	for i := 0; i < nStrs; i++ {
 		// A fresh table interns sequentially, so IDs are reproduced
-		// exactly and the aggregator snapshot's name IDs stay valid.
-		w.agg.Table.Intern(d.Str())
+		// exactly and the aggregator snapshot's name IDs stay valid —
+		// unless a name repeats, which would attach every later name's
+		// statistics to the wrong string.
+		b := d.StrBytes()
+		if d.Err() != nil {
+			break
+		}
+		if id := tab.InternBytes(b); int(id) != i {
+			return fmt.Errorf("%w: duplicate table name at ID %d", ErrCheckpoint, i)
+		}
 	}
 	if err := d.Err(); err != nil {
 		return err

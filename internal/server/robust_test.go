@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/fnv"
 	"io"
 	"net"
 	"net/http"
@@ -17,6 +19,7 @@ import (
 	"time"
 
 	"dnsamp/internal/core"
+	"dnsamp/internal/dnswire"
 	"dnsamp/internal/sflow"
 	"dnsamp/internal/simclock"
 )
@@ -517,6 +520,67 @@ func TestCheckpointCorruptFallback(t *testing.T) {
 	if err := svc3.Start(); err == nil {
 		shutdownSvc(t, svc3)
 		t.Fatal("Start resumed from a directory of corrupt checkpoints")
+	}
+}
+
+// TestResumeRejectsDuplicateTableName: a checkpoint whose name table
+// repeats a name is corrupt even under a valid checksum. Restored, every
+// later name would shift down one ID and carry the statistics of the
+// name before it — here the late "cc.test." would read as "bb.test.",
+// and the names column (two entries, the late name was never observed)
+// would still fit the shortened table. -resume falls back past it, and
+// with no other checkpoint reports none valid.
+func TestResumeRejectsDuplicateTableName(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Inputs: udpInput(t), Window: WindowConfig{Days: 2}, StateDir: dir, CheckpointEvery: -1}
+	svc := NewService(cfg)
+	w := svc.win
+	w.Observe(winSample(w, dayTime(3), 1, "aa.test", dnswire.TypeA, 100))
+	good, err := svc.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Observe(winSample(w, dayTime(3), 2, "bb.test", dnswire.TypeANY, 3000))
+	w.Observe(winSample(w, dayTime(0), 3, "cc.test", dnswire.TypeA, 100)) // late: interned, not observed
+	raw, err := svc.encodeCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The table is the payload's first section; rename its second name
+	// to its first and re-sign the payload.
+	i := bytes.Index(raw, []byte("bb.test."))
+	if i < 0 || i > bytes.Index(raw, []byte("cc.test.")) {
+		t.Fatalf("table layout not as expected: %q", raw[:64])
+	}
+	copy(raw[i:], "aa.test.")
+	body := raw[:len(raw)-ckptSumLen]
+	h := fnv.New64a()
+	h.Write(body[ckptHeaderLen:])
+	binary.LittleEndian.PutUint64(raw[len(body):], h.Sum64())
+	dup := filepath.Join(dir, ckptName(1))
+	if err := os.WriteFile(dup, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed := cfg
+	resumed.Resume = true
+	svc2 := startService(t, resumed)
+	if got := svc2.ResumedFrom(); got != good {
+		t.Fatalf("resumed from %q, want the fallback %q", got, good)
+	}
+	shutdownSvc(t, svc2)
+
+	alone := t.TempDir()
+	if err := os.WriteFile(filepath.Join(alone, ckptName(0)), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumed.StateDir = alone
+	svc3 := NewService(resumed)
+	if err := svc3.Start(); err == nil || !strings.Contains(err.Error(), "none valid") {
+		if err == nil {
+			shutdownSvc(t, svc3)
+		}
+		t.Fatalf("Start on a lone duplicate-name checkpoint: err %v, want none valid", err)
 	}
 }
 

@@ -50,10 +50,9 @@ func (r *Replay) WriteSnapshot(w io.Writer) error {
 	e.Raw(snapMagic[:])
 	e.U32(snapVersion)
 
-	strs := r.tab.Names()
-	e.U32(uint32(len(strs)))
-	for _, s := range strs {
-		e.Str(s)
+	e.U32(uint32(r.tab.Len()))
+	for id := range r.tab.Len() {
+		e.Str(r.tab.Name(uint32(id)))
 	}
 
 	e.U32(uint32(len(r.days)))
