@@ -20,10 +20,12 @@ race:
 # The stateful layers again at GOMAXPROCS 1 and 2: their tests wait on
 # goroutines (supervisors, the consumer, tailers), so a wait that only
 # holds with cores to spare shows here. core, names and par ride along:
-# their contract is single writers over one shared name table.
+# their contract is single writers over one shared name table. stats and
+# ecosystem too: Generator.Day runs as concurrent slices over a shared
+# atomic size cache and shared Zipf tables.
 test-cpu:
 	$(GO) test -count=1 -cpu 1,2 ./internal/server ./internal/ingest ./internal/sflow \
-		./internal/core ./internal/names ./internal/par
+		./internal/core ./internal/names ./internal/par ./internal/stats ./internal/ecosystem
 
 # Layer benchmarks: every benchmark beside its code compiles and runs
 # once, with allocation counts reported. To measure one, give it time:
@@ -43,8 +45,9 @@ bench-e2e-smoke:
 # Fuzz smoke: short coverage-guided runs of the byte-level parsers
 # (DNS wire format, sFlow v5 datagrams, pcap records), of the sample
 # scanner against the parser, of the bounded selector ranking against
-# the full-sort reference, and of the name table against a map + slice
-# reference. Targets are named exactly: go test refuses -fuzz patterns
+# the full-sort reference, of the name table against a map + slice
+# reference, and of the Zipf guide-table search against the binary
+# search. Targets are named exactly: go test refuses -fuzz patterns
 # that match more than one target in a package.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/dnswire
@@ -53,6 +56,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 10s ./internal/pcap
 	$(GO) test -run '^$$' -fuzz FuzzTopN -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzTable -fuzztime 10s ./internal/names
+	$(GO) test -run '^$$' -fuzz FuzzZipf -fuzztime 10s ./internal/stats
 
 # Daemon smoke: service-mode ixpmon fed a generated sFlow log over
 # UDP (-listen) and then through -tail must serve a well-formed

@@ -252,21 +252,21 @@ func (p *Pool) AliveIDs(t simclock.Time) []int {
 }
 
 // SampleAlive draws up to k distinct alive amplifiers at t, optionally
-// filtered by pred. It scans from a random offset to stay O(k) amortized.
+// filtered by pred. It walks the pool from a random offset with a stride
+// co-prime to its size, so it visits every id once and stays O(k)
+// amortized.
 func (p *Pool) SampleAlive(rng *rand.Rand, t simclock.Time, k int, pred func(*Amplifier) bool) []int {
 	out := make([]int, 0, k)
 	n := len(p.Amps)
 	if n == 0 || k <= 0 {
 		return out
 	}
-	start := rng.Intn(n)
-	stride := 7919 // prime stride for spread; ensure it is co-prime to n
-	for n%stride == 0 {
-		stride += 2
-	}
-	seen := 0
-	for i := 0; i < n && len(out) < k; i++ {
-		id := (start + i*stride) % n
+	id := rng.Intn(n)
+	step := walkStride(n) % n
+	for i := 0; i < n && len(out) < k; i, id = i+1, id+step {
+		if id >= n {
+			id -= n
+		}
 		a := &p.Amps[id]
 		if !a.AliveAt(t) {
 			continue
@@ -275,9 +275,26 @@ func (p *Pool) SampleAlive(rng *rand.Rand, t simclock.Time, k int, pred func(*Am
 			continue
 		}
 		out = append(out, id)
-		seen++
 	}
 	return out
+}
+
+// walkStride is SampleAlive's stride over a pool of n: the first of
+// 7919, 7921, ... co-prime to n. A prime spreads the walk; co-primality
+// makes it a full cycle.
+func walkStride(n int) int {
+	stride := 7919
+	for gcd(stride, n) != 1 {
+		stride += 2
+	}
+	return stride
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // AddrFromKey converts a fixed array map key back to an address.

@@ -94,6 +94,9 @@ type Campaign struct {
 	SensorASNs []uint32
 
 	rng *rand.Rand
+	// victimASes holds Topo.ASesOfType for every victim class, resolved
+	// once: pickVictim runs per attack event.
+	victimASes map[topology.ASType][]uint32
 	// eventsByDay indexes Events by day for traffic generation.
 	eventsByDay map[int][]*AttackEvent
 }
@@ -106,6 +109,10 @@ func NewCampaign(cfg CampaignConfig) *Campaign {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	c := &Campaign{Cfg: cfg, rng: rng, eventsByDay: make(map[int][]*AttackEvent)}
 	c.Topo = topology.Generate(cfg.Topology)
+	c.victimASes = make(map[topology.ASType][]uint32, len(victimClassWeights))
+	for _, cw := range victimClassWeights {
+		c.victimASes[cw.typ] = c.Topo.ASesOfType(cw.typ)
+	}
 	c.DB = zonedb.New(cfg.Zones)
 
 	poolCfg := cfg.Pool
@@ -226,8 +233,7 @@ func (c *Campaign) pickVictim() (netip.Addr, uint32) {
 			break
 		}
 	}
-	asns := c.Topo.ASesOfType(typ)
-	asn := stats.Pick(c.rng, asns)
+	asn := stats.Pick(c.rng, c.victimASes[typ])
 	addr, _ := c.Topo.RandomAddrIn(c.rng, asn)
 	return addr, asn
 }

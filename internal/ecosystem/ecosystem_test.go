@@ -84,6 +84,39 @@ func TestSampleAliveRespectsPredicate(t *testing.T) {
 	}
 }
 
+// TestWalkStride checks SampleAlive's stride: co-prime to the pool size,
+// so the walk is one full cycle, including at 7919·89, where stepping
+// past divisors of n alone picked 7921 = 89² and cycled through n/89
+// ids; and unchanged wherever that older rule was already co-prime.
+func TestWalkStride(t *testing.T) {
+	for n, want := range map[int]int{704_791: 7923, 7919 * 2: 7921, 2800: 7919, 1: 7919} {
+		if got := walkStride(n); got != want {
+			t.Errorf("walkStride(%d) = %d, want %d", n, got, want)
+		}
+	}
+	const n = 704_791
+	seen := make([]bool, n)
+	id, step := 0, walkStride(n)%n
+	for range n {
+		if seen[id] {
+			t.Fatalf("walk over %d ids revisits %d", n, id)
+		}
+		seen[id] = true
+		if id += step; id >= n {
+			id -= n
+		}
+	}
+	for n := 1; n <= 200_000; n++ {
+		old := 7919
+		for n%old == 0 {
+			old += 2
+		}
+		if gcd(old, n) == 1 && walkStride(n) != old {
+			t.Fatalf("n=%d: stride %d, was %d", n, walkStride(n), old)
+		}
+	}
+}
+
 func TestEntityRotationSchedule(t *testing.T) {
 	c := tinyCampaign(t)
 	e := c.Entity
@@ -438,6 +471,17 @@ func TestZonedbIntegration(t *testing.T) {
 		}
 	}
 	_ = zonedb.DefaultConfig()
+}
+
+// BenchmarkNewCampaign plans the campaign a scale-0.03 study plans:
+// topology, pool, entity and every attack event (victim draws and
+// amplifier-pool walks).
+func BenchmarkNewCampaign(b *testing.B) {
+	cfg := DefaultCampaignConfig(0.03)
+	b.ReportAllocs()
+	for range b.N {
+		NewCampaign(cfg)
+	}
 }
 
 func min(a, b int) int {

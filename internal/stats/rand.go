@@ -69,11 +69,25 @@ func binomialInversion(rng *rand.Rand, n int, p float64) int {
 	return k
 }
 
-// Zipf draws ranks 1..n with exponent s using a precomputed CDF. It is a
-// small deterministic alternative to rand.Zipf that permits s <= 1 and
-// re-seeding per draw site.
+// Zipf draws ranks 1..n with exponent s by inverting a precomputed CDF.
+// It is a small deterministic alternative to rand.Zipf that permits
+// s <= 1 and re-seeding per draw site.
+//
+// A draw maps one rng.Float64() u to the smallest index i with
+// cdf[i] >= u (capped at n-1). It finds it through a guide table (Chen
+// and Asau's indexed search), not a binary search: guide[j] is the
+// smallest i with cdf[i] >= j/n, so the search starts at u's bucket
+// j = int(u*n) and steps back while cdf[i-1] >= u, then forward while
+// cdf[i] < u. cdf is non-decreasing (a running sum of positive terms
+// divided by one positive constant), so those steps end on that
+// smallest index from any start, including a bucket off by the float
+// rounding of u*n: draws are exactly a binary search's. The walk is
+// bounded by its bucket's size, and the n buckets are equally likely,
+// so a draw takes one step on average whatever the exponent. The table
+// is built at construction: concurrent callers share a Zipf read-only.
 type Zipf struct {
-	cdf []float64
+	cdf   []float64
+	guide []int32 // n+1 entries: u*n may round up to n
 }
 
 // NewZipf prepares a Zipf distribution over ranks 1..n with exponent s.
@@ -87,22 +101,38 @@ func NewZipf(n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{cdf: cdf}
+	return indexCDF(cdf)
+}
+
+// indexCDF builds the guide table over a non-decreasing CDF.
+func indexCDF(cdf []float64) *Zipf {
+	n := len(cdf)
+	guide := make([]int32, n+1)
+	i := 0
+	for j := range guide {
+		t := float64(j) / float64(n)
+		for i < n-1 && cdf[i] < t {
+			i++
+		}
+		guide[j] = int32(i)
+	}
+	return &Zipf{cdf: cdf, guide: guide}
 }
 
 // Draw returns a rank in [1, n].
-func (z *Zipf) Draw(rng *rand.Rand) int {
-	u := rng.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+func (z *Zipf) Draw(rng *rand.Rand) int { return z.rank(rng.Float64()) }
+
+// rank maps u in [0, 1) to its rank: one plus the smallest index i with
+// cdf[i] >= u, capped at n.
+func (z *Zipf) rank(u float64) int {
+	i := int(z.guide[int(u*float64(len(z.cdf)))])
+	for i > 0 && z.cdf[i-1] >= u {
+		i--
 	}
-	return lo + 1
+	for i < len(z.cdf)-1 && z.cdf[i] < u {
+		i++
+	}
+	return i + 1
 }
 
 // N returns the number of ranks.

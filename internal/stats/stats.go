@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used throughout the
 // reproduction: empirical CDFs, quantiles and deciles, Jaccard similarity,
-// histograms, Shannon entropy, and deterministic sampling helpers.
+// histograms, and deterministic sampling helpers.
 //
 // Everything here is allocation-conscious and deterministic: no global
 // random state, no wall-clock reads.
@@ -19,13 +19,6 @@ import (
 type ECDF struct {
 	samples []float64
 	sorted  bool
-}
-
-// NewECDF returns an ECDF pre-loaded with the given samples.
-func NewECDF(samples []float64) *ECDF {
-	e := &ECDF{samples: append([]float64(nil), samples...)}
-	e.Sort()
-	return e
 }
 
 // Add appends one sample.
@@ -199,27 +192,6 @@ outer:
 	return float64(inter) / float64(len(union))
 }
 
-// Entropy returns the Shannon entropy (bits) of a discrete count
-// distribution.
-func Entropy[K comparable](counts map[K]int) float64 {
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	var h float64
-	for _, c := range counts {
-		if c == 0 {
-			continue
-		}
-		p := float64(c) / float64(total)
-		h -= p * math.Log2(p)
-	}
-	return h
-}
-
 // Histogram accumulates integer-valued observations into fixed-width bins
 // starting at Origin. Bin i covers [Origin + i*Width, Origin + (i+1)*Width).
 type Histogram struct {
@@ -252,22 +224,6 @@ func (h *Histogram) Observe(v float64) {
 	h.N++
 }
 
-// BinCenter returns the center x of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Origin + (float64(i)+0.5)*h.Width
-}
-
-// Mode returns the index of the fullest bin, or -1 when empty.
-func (h *Histogram) Mode() int {
-	best, idx := -1, -1
-	for i, c := range h.Bins {
-		if c > best {
-			best, idx = c, i
-		}
-	}
-	return idx
-}
-
 // LogBuckets assigns v to a logarithmic bucket: 0 for v<=1, otherwise
 // floor(log10(v)). Used for the log-scale scatter summaries (Figs. 4, 10).
 func LogBucket(v float64) int {
@@ -275,70 +231,6 @@ func LogBucket(v float64) int {
 		return 0
 	}
 	return int(math.Floor(math.Log10(v)))
-}
-
-// Counter is a string counter with deterministic ordered output.
-type Counter struct {
-	counts map[string]int
-}
-
-// NewCounter returns an empty counter.
-func NewCounter() *Counter { return &Counter{counts: make(map[string]int)} }
-
-// Inc increments key by one.
-func (c *Counter) Inc(key string) { c.counts[key]++ }
-
-// Addn increments key by n.
-func (c *Counter) Addn(key string, n int) { c.counts[key] += n }
-
-// Get returns the count for key.
-func (c *Counter) Get(key string) int { return c.counts[key] }
-
-// Len reports the number of distinct keys.
-func (c *Counter) Len() int { return len(c.counts) }
-
-// Total returns the sum of all counts.
-func (c *Counter) Total() int {
-	t := 0
-	for _, v := range c.counts {
-		t += v
-	}
-	return t
-}
-
-// KV is a key/count pair.
-type KV struct {
-	Key   string
-	Count int
-}
-
-// Top returns the n highest-count entries, ties broken lexicographically
-// so output is deterministic. n <= 0 returns all entries.
-func (c *Counter) Top(n int) []KV {
-	kvs := make([]KV, 0, len(c.counts))
-	for k, v := range c.counts {
-		kvs = append(kvs, KV{k, v})
-	}
-	sort.Slice(kvs, func(i, j int) bool {
-		if kvs[i].Count != kvs[j].Count {
-			return kvs[i].Count > kvs[j].Count
-		}
-		return kvs[i].Key < kvs[j].Key
-	})
-	if n > 0 && n < len(kvs) {
-		kvs = kvs[:n]
-	}
-	return kvs
-}
-
-// Keys returns all keys in lexicographic order.
-func (c *Counter) Keys() []string {
-	keys := make([]string, 0, len(c.counts))
-	for k := range c.counts {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
 }
 
 // Mean returns the arithmetic mean of ints.
@@ -360,20 +252,4 @@ func Sum(xs []int) int {
 		s += x
 	}
 	return s
-}
-
-// Percent formats a ratio as a percentage with one decimal.
-func Percent(part, whole int) string {
-	if whole == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.1f%%", 100*float64(part)/float64(whole))
-}
-
-// Ratio returns part/whole as float, 0 when whole is 0.
-func Ratio(part, whole int) float64 {
-	if whole == 0 {
-		return 0
-	}
-	return float64(part) / float64(whole)
 }

@@ -7,8 +7,18 @@ import (
 	"testing/quick"
 )
 
+// ecdfOf builds an ECDF the way product code does: a zero value fed
+// with Add.
+func ecdfOf(samples []float64) *ECDF {
+	e := &ECDF{}
+	for _, v := range samples {
+		e.Add(v)
+	}
+	return e
+}
+
 func TestECDFBasics(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	e := ecdfOf([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	if got := e.P(5); math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("P(5) = %v, want 0.5", got)
 	}
@@ -75,7 +85,7 @@ func TestECDFQuantileMonotone(t *testing.T) {
 		if len(vals) == 0 {
 			return true
 		}
-		e := NewECDF(vals)
+		e := ecdfOf(vals)
 		prev := math.Inf(-1)
 		for q := 0.0; q <= 1.0; q += 0.1 {
 			v := e.Quantile(q)
@@ -92,7 +102,7 @@ func TestECDFQuantileMonotone(t *testing.T) {
 }
 
 func TestECDFPoints(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 3, 4})
+	e := ecdfOf([]float64{1, 2, 3, 4})
 	pts := e.Points(0)
 	if len(pts) != 4 {
 		t.Fatalf("Points(0) = %d points, want 4", len(pts))
@@ -182,22 +192,6 @@ func TestMultiJaccard(t *testing.T) {
 	}
 }
 
-func TestEntropy(t *testing.T) {
-	if got := Entropy(map[string]int{"a": 1, "b": 1}); math.Abs(got-1) > 1e-9 {
-		t.Errorf("Entropy(uniform 2) = %v, want 1", got)
-	}
-	if got := Entropy(map[string]int{"a": 4}); got != 0 {
-		t.Errorf("Entropy(single) = %v, want 0", got)
-	}
-	if got := Entropy(map[string]int{}); got != 0 {
-		t.Errorf("Entropy(empty) = %v, want 0", got)
-	}
-	u4 := Entropy(map[int]int{1: 5, 2: 5, 3: 5, 4: 5})
-	if math.Abs(u4-2) > 1e-9 {
-		t.Errorf("Entropy(uniform 4) = %v, want 2", u4)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(0, 10)
 	for _, v := range []float64{1, 5, 15, 25, 25, -3} {
@@ -211,12 +205,6 @@ func TestHistogram(t *testing.T) {
 	}
 	if h.Bins[1] != 1 || h.Bins[2] != 2 {
 		t.Errorf("bins = %v", h.Bins)
-	}
-	if h.Mode() != 0 {
-		t.Errorf("Mode = %d, want 0", h.Mode())
-	}
-	if h.BinCenter(1) != 15 {
-		t.Errorf("BinCenter(1) = %v, want 15", h.BinCenter(1))
 	}
 }
 
@@ -238,43 +226,6 @@ func TestLogBucket(t *testing.T) {
 		if got := LogBucket(c.v); got != c.want {
 			t.Errorf("LogBucket(%v) = %d, want %d", c.v, got, c.want)
 		}
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc("a")
-	c.Inc("a")
-	c.Addn("b", 5)
-	c.Inc("c")
-	if c.Get("a") != 2 || c.Get("b") != 5 {
-		t.Fatal("counts wrong")
-	}
-	if c.Total() != 8 {
-		t.Errorf("Total = %d, want 8", c.Total())
-	}
-	top := c.Top(2)
-	if len(top) != 2 || top[0].Key != "b" || top[1].Key != "a" {
-		t.Errorf("Top(2) = %v", top)
-	}
-	all := c.Top(0)
-	if len(all) != 3 {
-		t.Errorf("Top(0) = %v", all)
-	}
-	keys := c.Keys()
-	if len(keys) != 3 || keys[0] != "a" || keys[2] != "c" {
-		t.Errorf("Keys = %v", keys)
-	}
-}
-
-func TestCounterTopDeterministicTies(t *testing.T) {
-	c := NewCounter()
-	for _, k := range []string{"z", "m", "a"} {
-		c.Inc(k)
-	}
-	top := c.Top(3)
-	if top[0].Key != "a" || top[1].Key != "m" || top[2].Key != "z" {
-		t.Errorf("tie order not lexicographic: %v", top)
 	}
 }
 
@@ -365,18 +316,6 @@ func TestSampleWithoutReplacement(t *testing.T) {
 	all := SampleWithoutReplacement(rng, xs, 99)
 	if len(all) != len(xs) {
 		t.Fatalf("oversample len = %d, want %d", len(all), len(xs))
-	}
-}
-
-func TestPercentAndRatio(t *testing.T) {
-	if got := Percent(1, 4); got != "25.0%" {
-		t.Errorf("Percent = %q", got)
-	}
-	if got := Percent(1, 0); got != "n/a" {
-		t.Errorf("Percent(1,0) = %q", got)
-	}
-	if Ratio(1, 2) != 0.5 || Ratio(1, 0) != 0 {
-		t.Error("Ratio wrong")
 	}
 }
 
