@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race test-cpu bench bench-e2e-smoke fuzz fmt vet loc testonly daemon-smoke chaos-smoke eval-smoke ci
+.PHONY: all build test race test-cpu bench bench-e2e-smoke fuzz fmt vet loc testonly daemon-smoke cli-smoke chaos-smoke eval-smoke ci
 
 all: build test
 
@@ -67,6 +67,14 @@ fuzz:
 daemon-smoke:
 	./scripts/daemon_smoke.sh
 
+# CLI smoke: the dnsampdetect binary, black box. `-scale 0.02 -v` must
+# print the committed golden (cmd/dnsampdetect/testdata) byte for byte,
+# serial and all-core runs and a snapshot round trip must print the
+# same, and an unknown flag, two replay flags and a missing input file
+# must be refused with their exit statuses.
+cli-smoke:
+	./scripts/cli_smoke.sh
+
 # Chaos smoke: the crash-recovery and fault-injection suite,
 # race-enabled. Replay through deterministic faults (fixed seed) must
 # match the clean run's detections; a lossy fault storm must leave
@@ -106,4 +114,4 @@ loc:
 testonly:
 	@./scripts/testonly_exports.sh
 
-ci: build fmt vet test race test-cpu fuzz bench bench-e2e-smoke daemon-smoke chaos-smoke eval-smoke
+ci: build fmt vet test race test-cpu fuzz bench bench-e2e-smoke daemon-smoke cli-smoke chaos-smoke eval-smoke

@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	dnsampdetect [-scale 0.05] [-seed 1] [-concurrency 0] [-cache-days 0]
+//	dnsampdetect [-scale 0.05] [-seed 1] [-concurrency 0]
 //	             [-replay-sflow FILE | -replay-pcap FILE | -snapshot-in FILE]
 //	             [-snapshot-out FILE] [-v]
 package main
@@ -86,7 +86,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "campaign seed")
 	verbose := flag.Bool("v", false, "print every detection")
 	concurrency := flag.Int("concurrency", 0, "pipeline worker count (0 = all cores, 1 = serial; results are identical)")
-	cacheDays := flag.Int("cache-days", 0, "day-batch cache so pass 2 reuses pass-1 traffic (0 = off, -1 = all days, n = the oldest n days)")
 	replaySFlow := flag.String("replay-sflow", "", "replay an sFlow v5 datagram log instead of synthesizing traffic")
 	replayPCAP := flag.String("replay-pcap", "", "replay a classic pcap capture instead of synthesizing traffic")
 	snapIn := flag.String("snapshot-in", "", "stream traffic from a persisted batch snapshot")
@@ -98,7 +97,6 @@ func main() {
 	cfg.Campaign.Seed = *seed
 	cfg.ExtendedWindow = false // detection only needs the main window
 	cfg.Concurrency = *concurrency
-	cfg.CacheDays = *cacheDays
 
 	// Drive the staged Runner explicitly to report per-stage timings;
 	// the result is byte-identical to pipeline.Run(cfg).

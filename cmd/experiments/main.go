@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	experiments [-scale 0.2] [-seed 1] [-run figure14] [-cache-days 0]
+//	experiments [-scale 0.2] [-seed 1] [-run figure14] [-concurrency 0]
 //
 // Scale 0.2 takes a few minutes and ~2 GB; 0.05 finishes in well under a
 // minute with slightly noisier shares.
@@ -25,14 +25,12 @@ func main() {
 	seed := flag.Int64("seed", 1, "campaign seed")
 	run := flag.String("run", "", "only experiments whose id contains this substring (e.g. figure14, table2, section5)")
 	concurrency := flag.Int("concurrency", 0, "pipeline worker count (0 = all cores, 1 = serial; results are identical)")
-	cacheDays := flag.Int("cache-days", 0, "day-batch cache so pass 2 reuses pass-1 traffic (0 = off, -1 = all days, n = the oldest n days; trades memory for time)")
 	flag.Parse()
 
 	start := time.Now()
 	cfg := pipeline.DefaultConfig(*scale)
 	cfg.Campaign.Seed = *seed
 	cfg.Concurrency = *concurrency
-	cfg.CacheDays = *cacheDays
 	fmt.Fprintf(os.Stderr, "planning and materializing campaign at scale %.2f (seed %d)...\n", *scale, *seed)
 	suite := experiments.NewSuiteWithConfig(cfg)
 	fmt.Fprintf(os.Stderr, "pipeline complete in %s; running experiments\n\n", time.Since(start).Round(time.Second))

@@ -8,10 +8,13 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
+	"strconv"
 	"testing"
 
 	"dnsamp/internal/dnswire"
 	"dnsamp/internal/ixp"
+	"dnsamp/internal/names"
 	"dnsamp/internal/simclock"
 )
 
@@ -119,11 +122,62 @@ func TestCollectorObserveAllocBound(t *testing.T) {
 		ag.Observe(s)
 	}
 	dets := Detect(ag, map[string]bool{"bad.test.": true}, DefaultThresholds())
-	col := NewCollector(ag.Table, dets, map[string]bool{"bad.test.": true})
+	col := NewCollector(NewCandidates(ag.Table, map[string]bool{"bad.test.": true}), dets)
 	reject := mkSample(ag.Table, 77, 0, "bulk.test", dnswire.TypeA, 100, false)
 	reject.Time = simclock.MeasurementStart
 	allocs := testing.AllocsPerRun(200, func() { col.Observe(reject) })
 	if allocs != 0 {
 		t.Errorf("Collector reject path allocates %.1f per sample, want 0", allocs)
+	}
+}
+
+// highIDNames is the table size of the NewCollector guards: about the
+// 4.4 M names of a dnsampdetect run at scale 0.02, whose selected
+// candidates reach IDs in the millions.
+const highIDNames = 4 << 20
+
+// highIDTable returns a table of n short names and its last name, whose
+// ID is n-1.
+func highIDTable(n int) (*names.Table, string) {
+	tab := names.NewTable()
+	tab.Reserve(n)
+	var buf []byte
+	for i := range n {
+		buf = append(strconv.AppendInt(buf[:0], int64(i), 36), '.')
+		tab.InternBytes(buf)
+	}
+	return tab, string(buf)
+}
+
+// TestNewCollectorAllocNotTableSized guards pass 2's per-day set-up: a
+// collector over a 4 M-name table whose one candidate has the top ID
+// allocates in its detections and candidates, not in the table. The
+// table-sized candidate column is the shared Candidates', built once
+// per pass.
+func TestNewCollectorAllocNotTableSized(t *testing.T) {
+	tab, top := highIDTable(highIDNames)
+	cands := NewCandidates(tab, map[string]bool{top: true})
+	dets := []*Detection{{Victim: [4]byte{10, 0, 0, 1}, Day: simclock.MeasurementStart.Day()}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	col := NewCollector(cands, dets)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(col)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<10 {
+		t.Errorf("NewCollector over a %d-name table allocated %d bytes for one candidate and one detection, want O(candidates)",
+			tab.Len(), got)
+	}
+}
+
+// BenchmarkNewCollectorHighID measures that set-up: one collector per
+// op over the shared candidates of a 4 M-name table whose candidate has
+// the top ID.
+func BenchmarkNewCollectorHighID(b *testing.B) {
+	tab, top := highIDTable(highIDNames)
+	cands := NewCandidates(tab, map[string]bool{top: true})
+	dets := []*Detection{{Victim: [4]byte{10, 0, 0, 1}, Day: simclock.MeasurementStart.Day()}}
+	b.ReportAllocs()
+	for b.Loop() {
+		NewCollector(cands, dets)
 	}
 }

@@ -295,8 +295,8 @@ func TestCollectorObserveBatchMatchesObserve(t *testing.T) {
 			})
 		}
 	}
-	batchCol := NewCollector(tab, dets, cands)
-	rowCol := NewCollector(tab, dets, cands)
+	batchCol := NewCollector(NewCandidates(tab, cands), dets)
+	rowCol := NewCollector(NewCandidates(tab, cands), dets)
 	for round := 0; round < 4; round++ {
 		b := randomBatch(rng, tab, pool, 500)
 		batchCol.ObserveBatch(b, nil)

@@ -254,7 +254,7 @@ func TestCollector(t *testing.T) {
 	if len(dets) != 1 {
 		t.Fatalf("detections = %d", len(dets))
 	}
-	col := NewCollector(tab, dets, cands)
+	col := NewCollector(NewCandidates(tab, cands), dets)
 	for _, s := range samples {
 		col.Observe(s)
 	}

@@ -212,73 +212,75 @@ func (r *AttackRecord) DominantName() string {
 // Duration returns the observed attack span.
 func (r *AttackRecord) Duration() simclock.Duration { return r.Last.Sub(r.First) }
 
+// Candidates is a misused-name list resolved against one name table:
+// the sorted candidate names, whose positions index per-record name
+// counts, and a dense column from name ID to position + 1 (0 = not a
+// candidate) that rejects a row with one load. The column reaches the
+// highest candidate ID, which may sit anywhere in a table of millions
+// of names, so a pass builds it once and every collector of the pass
+// shares it; it is read-only once built.
+type Candidates struct {
+	names []string
+	slot  []int32
+}
+
+// NewCandidates resolves candidates against tab, interning names the
+// table has not met. It writes to tab only for such names, so a caller
+// sharing tab with concurrent readers builds it before they start.
+func NewCandidates(tab *names.Table, candidates map[string]bool) *Candidates {
+	cs := &Candidates{}
+	for n, ok := range candidates {
+		if ok {
+			cs.names = append(cs.names, dnswire.CanonicalName(n))
+		}
+	}
+	slices.Sort(cs.names)
+	cs.names = slices.Compact(cs.names)
+	ids := make([]uint32, len(cs.names))
+	for i, n := range cs.names {
+		ids[i] = tab.Intern(n)
+	}
+	if len(ids) > 0 {
+		cs.slot = make([]int32, slices.Max(ids)+1)
+		for i, id := range ids {
+			cs.slot[id] = int32(i + 1)
+		}
+	}
+	return cs
+}
+
+// index returns the candidate position of a name ID, -1 for none.
+func (cs *Candidates) index(id uint32) int32 {
+	if int(id) >= len(cs.slot) {
+		return -1
+	}
+	return cs.slot[id] - 1
+}
+
 // Collector is the pass-2 stage: given the detected (victim, day) pairs,
 // it extracts per-attack details from a second streaming pass. It
-// operates on name IDs of its table; candidate names become strings
-// again only in Records().
+// operates on name IDs of its candidates' table; candidate names become
+// strings again only in Records().
 type Collector struct {
-	tab *names.Table
-	// candNames is the sorted candidate list; per-record name counts
-	// are indexed by position in it.
-	candNames []string
-	// candIdx maps a table name ID to its candidate index. Candidates
-	// are few (tens), so a small map beats a table-sized dense column
-	// for per-sample use; candSlot is its dense twin for the batch
-	// path, sized only up to the highest candidate ID (candidates are
-	// interned early, so the column stays short).
-	candIdx  map[uint32]int32
-	candSlot []int32 // name ID -> candidate index; -1 = not a candidate
-	wanted   map[ClientDay]*AttackRecord
+	cands  *Candidates
+	wanted map[ClientDay]*AttackRecord
 	// VisibleNS records the decodable NS-record count of every attack
 	// response sample (the NXNS check of §4.2).
 	VisibleNS []int
 }
 
-// NewCollector prepares pass 2 for the given detections over the given
-// interning table (a fresh table when nil). The capture point feeding
-// the collector must share the table. Collectors built from the same
-// candidate set are mergeable regardless of their tables.
-func NewCollector(tab *names.Table, dets []*Detection, candidates map[string]bool) *Collector {
-	if tab == nil {
-		tab = names.NewTable()
-	}
-	c := &Collector{tab: tab, wanted: make(map[ClientDay]*AttackRecord, len(dets))}
-	for n := range candidates {
-		if candidates[n] {
-			c.candNames = append(c.candNames, dnswire.CanonicalName(n))
-		}
-	}
-	slices.Sort(c.candNames)
-	c.candNames = slices.Compact(c.candNames)
-	c.candIdx = make(map[uint32]int32, len(c.candNames))
-	maxID := uint32(0)
-	for i, n := range c.candNames {
-		// Lookup first so shared (frozen) tables are never written from
-		// concurrent collector construction; interning only happens on
-		// a collector-owned table that has not met the name yet.
-		id, ok := tab.Lookup(n)
-		if !ok {
-			id = tab.Intern(n)
-		}
-		c.candIdx[id] = int32(i)
-		if id > maxID {
-			maxID = id
-		}
-	}
-	if len(c.candNames) > 0 {
-		c.candSlot = make([]int32, maxID+1)
-		for i := range c.candSlot {
-			c.candSlot[i] = -1
-		}
-		for id, ci := range c.candIdx {
-			c.candSlot[id] = ci
-		}
-	}
+// NewCollector prepares pass 2 for the given detections over a resolved
+// candidate list. The batches or capture point feeding the collector
+// must be in the table the candidates were resolved against. Collectors
+// over the same candidates are mergeable. A collector allocates in the
+// number of detections and candidates only, never in the table's size.
+func NewCollector(cands *Candidates, dets []*Detection) *Collector {
+	c := &Collector{cands: cands, wanted: make(map[ClientDay]*AttackRecord, len(dets))}
 	for _, d := range dets {
 		c.wanted[ClientDay{Client: d.Victim, Day: d.Day}] = &AttackRecord{
 			Victim: d.Victim, Day: d.Day,
 			First: d.First, Last: d.Last,
-			nameCounts: make([]int, len(c.candNames)),
+			nameCounts: make([]int, len(cands.names)),
 			TXIDs:      make(map[uint16]int),
 			Amplifiers: make(map[[4]byte]int),
 			ReqIngress: make(map[uint32]int),
@@ -294,8 +296,8 @@ func (c *Collector) Observe(s *ixp.DNSSample) {
 	if rec == nil {
 		return
 	}
-	ci, ok := c.candIdx[s.Name]
-	if !ok {
+	ci := c.cands.index(s.Name)
+	if ci < 0 {
 		return
 	}
 	rec.Packets++
@@ -324,26 +326,23 @@ func (c *Collector) Observe(s *ixp.DNSSample) {
 
 // ObserveBatch ingests a whole columnar batch during pass 2 — the
 // batch-native twin of Observe. The batch's Name column must be in the
-// collector's table space. The overwhelming majority of rows reject on
-// the dense candidate column (two compares and one load, no hashing);
+// candidates' table space. Rows of other names reject on the dense
+// candidate column (one compare and one load, no hashing);
 // only accepted request rows pay a routing lookup, so the pass-2 sweep
 // never annotates packets it is about to drop. topo supplies the
 // ingress member AS for request packets whose batch Ingress column is
 // zero (nil skips the lookup, recording ingress 0 — exactly the
 // per-sample path's behaviour for an unannotated sample).
 func (c *Collector) ObserveBatch(b *ixp.SampleBatch, topo *topology.Topology) {
-	if b == nil || b.N == 0 || len(c.candSlot) == 0 || len(c.wanted) == 0 {
+	slot := c.cands.slot
+	if b == nil || b.N == 0 || len(slot) == 0 || len(c.wanted) == 0 {
 		return
 	}
-	slot := c.candSlot
 	for i, id := range b.Name[:b.N] {
-		if int(id) >= len(slot) {
+		if int(id) >= len(slot) || slot[id] == 0 {
 			continue
 		}
-		ci := slot[id]
-		if ci < 0 {
-			continue
-		}
+		ci := slot[id] - 1
 		resp := b.Resp[i]
 		client := b.Src[i]
 		if resp {
@@ -420,8 +419,8 @@ func (r *AttackRecord) merge(o *AttackRecord) {
 // in both are combined key-wise; VisibleNS (and per-record sizes) are
 // appended in call order, so merging per-day partial collectors in day
 // order yields exactly the state of one collector observing the full
-// stream serially. Both collectors must share the candidate set (their
-// tables may differ). The other collector must not be used afterwards.
+// stream serially. Both collectors must be over the same candidates.
+// The other collector must not be used afterwards.
 func (c *Collector) Merge(o *Collector) {
 	for key, orec := range o.wanted {
 		rec := c.wanted[key]
@@ -450,7 +449,7 @@ func (c *Collector) Records() []*AttackRecord {
 			r.Names = make(map[string]int)
 			for i, n := range r.nameCounts {
 				if n > 0 {
-					r.Names[c.candNames[i]] = n
+					r.Names[c.cands.names[i]] = n
 				}
 			}
 		}

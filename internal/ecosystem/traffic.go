@@ -117,8 +117,8 @@ type WireDayTraffic struct {
 //
 // Consumers normally do not call Day directly: source.Synthetic adapts
 // a Generator to the streaming source.Source interface the detection
-// pipeline consumes (and source.Cached adds cross-pass batch reuse on
-// top); the live service reads WireDay through a synthetic: input.
+// pipeline consumes (pass 2 asks DayFor for its victims' rows only);
+// the live service reads WireDay through a synthetic: input.
 type Generator struct {
 	C          *Campaign
 	Background BackgroundConfig
@@ -164,8 +164,11 @@ type Generator struct {
 	// (no response is 0 bytes).
 	sizeCache []sizeCacheCol
 
-	// bgClients is the background client population.
+	// bgClients is the background client population; bgSet holds the
+	// same addresses for DayFor's "is any of these a background client"
+	// test.
 	bgClients []netip.Addr
+	bgSet     map[[4]byte]struct{}
 	bgZipf    *stats.Zipf
 	nameZipf  *stats.Zipf
 	servers   []netip.Addr
@@ -262,10 +265,12 @@ func NewGenerator(c *Campaign, seed int64) *Generator {
 		asns = append(asns, asn)
 	}
 	slices.Sort(asns)
+	g.bgSet = make(map[[4]byte]struct{}, g.Background.Clients)
 	for i := 0; i < g.Background.Clients; i++ {
 		asn := asns[rng.Intn(len(asns))]
 		addr, _ := c.Topo.RandomAddrIn(rng, asn)
 		g.bgClients = append(g.bgClients, addr)
+		g.bgSet[addr.As4()] = struct{}{}
 	}
 	hosting := c.Topo.ASesOfType(topology.ASHosting)
 	for i := 0; i < 400; i++ {
@@ -362,12 +367,44 @@ func (g *Generator) responseSizeFor(nameID uint32, qtype dnswire.Type, t simcloc
 // may be called from multiple goroutines concurrently and in any day
 // order.
 func (g *Generator) Day(day simclock.Time) *DayTraffic {
+	return g.day(day, true)
+}
+
+// DayFor is Day for a consumer that reads only the rows whose client
+// (DNSSample.ClientAddr) is in clients: the returned batch holds, in
+// generation order, at least every such row of Day(day).Batch, and the
+// sensor flows of Day(day). The day's attack events come first on its
+// RNG stream and are always synthesized; the background loop comes last
+// and every row it emits has a background client as its client, so it
+// runs only when one of clients is a background client — and skipping
+// it moves no earlier draw. The batch's sanitization counters (Frames,
+// NonUDP, NonDNS, Malformed) cover only the rows it holds: a consumer
+// that accounts capture statistics must use Day.
+func (g *Generator) DayFor(day simclock.Time, clients [][4]byte) *DayTraffic {
+	return g.day(day, g.anyBackgroundClient(clients))
+}
+
+// anyBackgroundClient reports whether any of clients is in the
+// background population.
+func (g *Generator) anyBackgroundClient(clients [][4]byte) bool {
+	for _, c := range clients {
+		if _, ok := g.bgSet[c]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// day is the body of Day and DayFor: the day's attack traffic, then,
+// when background is set, its organic background.
+func (g *Generator) day(day simclock.Time, background bool) *DayTraffic {
 	day = day.StartOfDay()
 	dg := g.slice(day)
 	dt := &DayTraffic{Day: day}
+	background = background && !g.SkipIXP && simclock.MainPeriod().Contains(day)
 	if !g.SkipIXP {
 		dg.batch = &ixp.SampleBatch{Table: g.table}
-		if simclock.MainPeriod().Contains(day) {
+		if background {
 			dg.batch.Grow(g.Background.SamplesPerDay + 256)
 		}
 	}
@@ -376,7 +413,7 @@ func (g *Generator) Day(day simclock.Time) *DayTraffic {
 			dg.attackTraffic(&dt.Sensors, ev)
 		}
 	}
-	if !g.SkipIXP && simclock.MainPeriod().Contains(day) {
+	if background {
 		dg.backgroundTraffic(day)
 	}
 	dt.Batch = dg.batch

@@ -2,9 +2,11 @@ package ecosystem
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"dnsamp/internal/ixp"
 	"dnsamp/internal/simclock"
 	"dnsamp/internal/topology"
 )
@@ -55,6 +57,81 @@ func TestDayConcurrentGeneration(t *testing.T) {
 			t.Errorf("day %d: concurrent generation differs from serial", i)
 		}
 	}
+}
+
+// TestDayForHoldsClientRows is DayFor's exactness contract, over every
+// day of the main period: for each client set, the rows of DayFor whose
+// client is in the set equal the same rows of Day, in order, column for
+// column, and the sensor flows are Day's. The sets cover both branches:
+// none and the day's event victims skip the background loop (unless a
+// victim happens to be a background client), one background client
+// ahead of the victims and background clients alone run it.
+func TestDayForHoldsClientRows(t *testing.T) {
+	c := tinyCampaign(t)
+	g := NewGenerator(c, 7)
+	skipped, next := 0, 0
+	// bg walks the background population, a different client per call.
+	bg := func() [4]byte {
+		next = (next + 7919) % len(g.bgClients)
+		return g.bgClients[next].As4()
+	}
+	simclock.MainPeriod().EachDay(func(day simclock.Time) {
+		full := g.Day(day)
+		var victims [][4]byte
+		for _, ev := range c.EventsOnDay(day) {
+			victims = append(victims, ev.VictimKey())
+		}
+		for _, set := range []struct {
+			name    string
+			clients [][4]byte
+		}{
+			{"none", nil},
+			{"victims", victims},
+			{"background+victims", append([][4]byte{bg()}, victims...)},
+			{"background", [][4]byte{bg(), bg(), bg()}},
+		} {
+			got := g.DayFor(day, set.clients)
+			want, have := clientRows(full.Batch, set.clients), clientRows(got.Batch, set.clients)
+			if !reflect.DeepEqual(want, have) {
+				t.Fatalf("day %s, %s: DayFor holds %d of the set's rows, Day %d (or they differ)",
+					day.Date(), set.name, len(have), len(want))
+			}
+			if !reflect.DeepEqual(got.Sensors, full.Sensors) {
+				t.Fatalf("day %s, %s: sensor flows differ from Day's", day.Date(), set.name)
+			}
+			if got.Batch.N < full.Batch.N {
+				skipped++
+			}
+			if set.name == "background" && !reflect.DeepEqual(got.Batch, full.Batch) {
+				t.Fatalf("day %s: DayFor for background clients is not the whole day", day.Date())
+			}
+		}
+	})
+	if skipped == 0 {
+		t.Fatal("DayFor never skipped the background loop")
+	}
+}
+
+// clientRows returns, in batch order, the rows of b whose client is in
+// clients.
+func clientRows(b *ixp.SampleBatch, clients [][4]byte) []ixp.BatchRecord {
+	var out []ixp.BatchRecord
+	for i := 0; i < b.N; i++ {
+		client := b.Src[i]
+		if b.Resp[i] {
+			client = b.Dst[i]
+		}
+		if !slices.Contains(clients, client) {
+			continue
+		}
+		out = append(out, ixp.BatchRecord{
+			Time: b.Time[i], Src: b.Src[i], Dst: b.Dst[i], SrcPort: b.SrcPort[i], DstPort: b.DstPort[i],
+			IPTTL: b.IPTTL[i], IPID: b.IPID[i], Resp: b.Resp[i], Name: b.Name[i], QType: b.QType[i],
+			TXID: b.TXID[i], MsgSize: b.MsgSize[i], ANCount: b.ANCount[i], VisibleNS: b.VisibleNS[i],
+			Ingress: b.Ingress[i],
+		})
+	}
+	return out
 }
 
 func TestNameAtConcurrentEpisode(t *testing.T) {

@@ -31,10 +31,9 @@
 // Determinism guarantee: a run at a fixed TrafficSeed produces the same
 // Study — detections, records, name list, curves, and aggregate state —
 // at every Concurrency level, including the serial Concurrency == 1
-// path, and with or without the day-batch cache (Config.CacheDays).
-// This holds because each traffic day is a pure function of (campaign,
-// seed, day), per-day results land in per-day slots merged in day
-// order, shard merging is commutative, every shard counts in the
+// path. This holds because each traffic day is a pure function of
+// (campaign, seed, day), per-day results land in per-day slots merged
+// in day order, shard merging is commutative, every shard counts in the
 // source's one name table (so a name's ID never depends on which worker
 // met it), and the post-merge canonicalization orders the client-day
 // arena by key alone.
@@ -68,16 +67,6 @@ type Config struct {
 	// means runtime.GOMAXPROCS(0); 1 forces the serial path. Results
 	// are identical at every setting.
 	Concurrency int
-	// CacheDays wraps the default synthetic source in a day-batch cache
-	// (source.Cached) so pass 2 reuses the batches pass 1 materialized
-	// instead of regenerating them: 0 disables the cache, a negative
-	// value caches every day (unbounded — full pass-2 reuse), a
-	// positive value caps resident days (the cache keeps the oldest
-	// days, so pass 2 reuses roughly CacheDays of them and regenerates
-	// the rest). Results are identical at every setting; the cache
-	// trades memory (roughly one day's batch per resident day) for
-	// generation time.
-	CacheDays int
 }
 
 // DefaultConfig returns a study configuration at the given scale.
@@ -89,8 +78,7 @@ func DefaultConfig(scale float64) Config {
 		MaxSelectorN:   70,
 		ExtendedWindow: true,
 		// Concurrency stays 0: the portable "all cores" value, resolved
-		// by workers() at run time. CacheDays stays 0: regeneration is
-		// the memory-lean default; memory-rich hosts opt in.
+		// by workers() at run time.
 	}
 }
 
@@ -156,9 +144,8 @@ func forEachDay(days []simclock.Time, workers int, fn func(worker, i int, day si
 //
 // Campaign and Src may be set before the first stage runs to study
 // custom traffic: a nil Src is planned as source.Synthetic over the
-// campaign's generator (wrapped in source.Cached when Cfg.CacheDays is
-// non-zero). A Runner is not safe for concurrent stage invocations; the
-// parallelism lives inside the stages.
+// campaign's generator. A Runner is not safe for concurrent stage
+// invocations; the parallelism lives inside the stages.
 type Runner struct {
 	Cfg Config
 
@@ -230,12 +217,6 @@ func (r *Runner) Plan() *Runner {
 	if r.Src == nil {
 		gen := ecosystem.NewGenerator(r.Campaign, r.Cfg.TrafficSeed)
 		r.Src = source.NewSynthetic(gen, full)
-		if n := r.Cfg.CacheDays; n != 0 {
-			if n < 0 {
-				n = 0 // source.Cached treats <= 0 as unbounded
-			}
-			r.Src = source.NewCached(r.Src, n)
-		}
 	}
 	r.days = r.Src.Days()
 	r.planned = true
@@ -377,7 +358,10 @@ func (r *Runner) Detect() *Runner {
 // after their generation day. Each generation day therefore gets a
 // private collector over the detections it can possibly feed — its own
 // day plus the campaign's maximum event span ("spill horizon") — and
-// days that cannot feed any detection are skipped entirely. The
+// days that cannot feed any detection are skipped entirely. A day asks
+// the source only for its collector's victims' rows (Source.DayFor):
+// the collector keeps no other row, so a synthetic source skips the
+// background traffic unless a victim is a background client. The
 // per-day partials are merged into the full collector in day order at
 // the barrier, which reproduces the serial collector's record and
 // VisibleNS ordering exactly.
@@ -399,18 +383,12 @@ func (r *Runner) Collect() *Runner {
 		}
 	}
 	// Pass 2 streams the same source as pass 1 (synthetic day synthesis
-	// is a pure function of the day; a cached source serves pass-1
-	// batches straight back); per-day collectors resolve candidates
-	// against the source table, the batches' own. Candidates are
-	// pre-resolved serially here: NameList names come from selectors
-	// over observed traffic, so they are already interned, and this
-	// no-op pass guarantees the concurrent NewCollector calls below
-	// only ever read the shared table even if a future caller feeds
-	// names from elsewhere.
-	stab := r.Src.Table()
-	for n := range st.NameList.Names {
-		stab.Intern(n)
-	}
+	// is a pure function of the day). The candidates are resolved once,
+	// serially, against the source table, the batches' own: NameList
+	// names come from selectors over observed traffic, so they are
+	// already interned, and every per-day collector below shares the
+	// one read-only lookup.
+	cands := core.NewCandidates(r.Src.Table(), st.NameList.Names)
 	dayCols := make([]*core.Collector, len(r.days))
 	forEachDay(r.days, workers, func(worker, i int, day simclock.Time) {
 		var dets []*core.Detection
@@ -420,16 +398,21 @@ func (r *Runner) Collect() *Runner {
 		if len(dets) == 0 {
 			return
 		}
-		col := core.NewCollector(stab, dets, st.NameList.Names)
-		// Batch-native pass 2: the batch is in the collector's table
-		// (pass 1 held every day of this source to stab) and ObserveBatch
+		victims := make([][4]byte, len(dets))
+		for j, d := range dets {
+			victims[j] = d.Victim
+		}
+		col := core.NewCollector(cands, dets)
+		// Batch-native pass 2: the batch is in the candidates' table
+		// (pass 1 held every day of this source to it) and ObserveBatch
 		// consumes it directly — no per-sample materialization, no
-		// capture stats (pass 1 counted them), and no routing annotation
-		// for the packets the collector rejects.
-		col.ObserveBatch(r.Src.Day(day), c.Topo)
+		// capture stats (pass 1 counted them, and DayFor's counters
+		// cover only the rows it holds), and no routing annotation for
+		// the packets the collector rejects.
+		col.ObserveBatch(r.Src.DayFor(day, victims), c.Topo)
 		dayCols[i] = col
 	})
-	col := core.NewCollector(stab, all, st.NameList.Names)
+	col := core.NewCollector(cands, all)
 	for _, dc := range dayCols {
 		if dc != nil {
 			col.Merge(dc)
@@ -449,22 +432,3 @@ func (r *Runner) Collect() *Runner {
 // need detections invoke Detect and read Current: threshold sweeps skip
 // the pass-2 record collection entirely. Nil before Plan has run.
 func (r *Runner) Current() *Study { return r.st }
-
-// DetectionKeys returns the set of detected (victim, day) keys in the
-// main window.
-func (st *Study) DetectionKeys() map[core.ClientDay]bool {
-	out := make(map[core.ClientDay]bool, len(st.Detections))
-	for _, d := range st.Detections {
-		out[core.ClientDay{Client: d.Victim, Day: d.Day}] = true
-	}
-	return out
-}
-
-// RecordIndex returns pass-2 records indexed by (victim, day).
-func (st *Study) RecordIndex() map[core.ClientDay]*core.AttackRecord {
-	out := make(map[core.ClientDay]*core.AttackRecord, len(st.Records))
-	for _, r := range st.Records {
-		out[core.ClientDay{Client: r.Victim, Day: r.Day}] = r
-	}
-	return out
-}

@@ -188,26 +188,6 @@ func TestVisibleNSProfile(t *testing.T) {
 	}
 }
 
-func TestRecordIndexAndKeys(t *testing.T) {
-	idx := study.RecordIndex()
-	if len(idx) != len(study.Records) {
-		t.Errorf("index size %d != records %d", len(idx), len(study.Records))
-	}
-	keys := study.DetectionKeys()
-	if len(keys) != len(study.Detections) {
-		t.Errorf("keys = %d", len(keys))
-	}
-	for _, d := range study.Detections {
-		r := idx[core.ClientDay{Client: d.Victim, Day: d.Day}]
-		if r == nil {
-			t.Fatal("detection without record")
-		}
-		if r.Packets == 0 {
-			t.Fatal("empty record")
-		}
-	}
-}
-
 func TestEntityNamesDominantInRecords(t *testing.T) {
 	byName := map[string]int{}
 	for _, r := range study.Records {

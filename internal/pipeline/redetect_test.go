@@ -97,8 +97,10 @@ func TestForceNamesBypassesConsensus(t *testing.T) {
 	// The forced list is a subset of the full campaign's candidate
 	// space, so detections must be a subset of (or equal to) an
 	// unforced run's at the same thresholds, keyed by victim-day.
-	full := Run(cfg)
-	fullKeys := full.DetectionKeys()
+	fullKeys := make(map[core.ClientDay]bool)
+	for _, d := range Run(cfg).Detections {
+		fullKeys[core.ClientDay{Client: d.Victim, Day: d.Day}] = true
+	}
 	for _, d := range st.Detections {
 		if !fullKeys[core.ClientDay{Client: d.Victim, Day: d.Day}] {
 			t.Errorf("forced-name detection (%v, %d) absent from full run", d.Victim, d.Day)

@@ -17,7 +17,7 @@ func runnerConfig() Config {
 }
 
 // checkStudiesEqual compares every Study field except Cfg (which may
-// legitimately differ in engine knobs like CacheDays that must not
+// legitimately differ in engine knobs like Concurrency that must not
 // affect results).
 func checkStudiesEqual(t *testing.T, label string, a, b *Study) {
 	t.Helper()
@@ -46,8 +46,7 @@ func checkStudiesEqual(t *testing.T, label string, a, b *Study) {
 
 // TestRunnerMatchesRun is the API-redesign golden test: driving the
 // staged Runner stage by stage must reproduce pipeline.Run's Study
-// exactly — serial and worker-pooled, with and without the day-batch
-// cache.
+// exactly — serial and worker-pooled.
 func TestRunnerMatchesRun(t *testing.T) {
 	for _, conc := range []int{1, 8} {
 		cfg := runnerConfig()
@@ -61,14 +60,6 @@ func TestRunnerMatchesRun(t *testing.T) {
 			t.Errorf("concurrency %d: Cfg differs", conc)
 		}
 		checkStudiesEqual(t, "staged", want, got)
-
-		cached := cfg
-		cached.CacheDays = -1
-		checkStudiesEqual(t, "cached", want, Run(cached))
-
-		bounded := cfg
-		bounded.CacheDays = 7 // far below the day count: constant churn
-		checkStudiesEqual(t, "bounded-cache", want, Run(bounded))
 	}
 }
 

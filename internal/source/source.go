@@ -4,14 +4,11 @@
 // the CLI binaries) streams day batches through the Source interface
 // instead of hardwiring ecosystem.Generator.
 //
-// Three adapters cover the current workloads:
+// Two adapters cover the current workloads:
 //
 //   - Synthetic wraps the campaign traffic generator, preserving its
 //     purity contract (each day a pure function of (campaign, seed,
 //     day), safe for concurrent materialization).
-//   - Cached wraps any Source with a bounded day-batch cache so
-//     multi-pass consumers (the pipeline's pass 2) stop regenerating
-//     days.
 //   - Replay serves pre-recorded day batches or sanitized sflow frames,
 //     the first non-synthetic workload.
 //
@@ -34,7 +31,7 @@ import (
 // Source is a stream of daily sampled IXP traffic plus the honeypot-side
 // sensor flows of the same simulated days.
 //
-// Implementations must be safe for concurrent Day/DayFlows calls on
+// Implementations must be safe for concurrent DayFor/DayFlows calls on
 // distinct or identical days: the pipeline's worker pool materializes
 // many days at once.
 type Source interface {
@@ -47,15 +44,21 @@ type Source interface {
 	// in chronological order.
 	Days() []simclock.Time
 
-	// Day materializes one day's sampled IXP traffic. The returned
-	// batch is immutable and may be shared; it is nil (or empty) for
-	// days the source has nothing for.
-	Day(day simclock.Time) *ixp.SampleBatch
+	// DayFor materializes the part of one day's sampled IXP traffic a
+	// consumer of the given clients reads: a batch holding, in the
+	// order DayFlows would give them, at least every row of the day
+	// whose client (DNSSample.ClientAddr) is in clients. It may hold
+	// more, up to the whole day. Its sanitization counters cover only
+	// the rows it holds, so it serves per-client passes (the pipeline's
+	// pass 2), never capture accounting. The batch is immutable and
+	// may be shared; it is nil (or empty) for days the source has
+	// nothing for.
+	DayFor(day simclock.Time, clients [][4]byte) *ixp.SampleBatch
 
-	// DayFlows materializes one day's batch together with its honeypot
-	// sensor flows. For synthetic sources both are drawn from the same
-	// per-day RNG stream, so consumers needing both must use this
-	// method rather than pairing Day with a second generation.
+	// DayFlows materializes one day's whole batch together with its
+	// honeypot sensor flows. For synthetic sources both are drawn from
+	// the same per-day RNG stream, so consumers needing both must use
+	// this method rather than pairing DayFor with a second generation.
 	DayFlows(day simclock.Time) (*ixp.SampleBatch, []ecosystem.SensorFlow)
 }
 
@@ -88,9 +91,11 @@ func (s *Synthetic) Table() *names.Table { return s.Gen.Table() }
 // Days lists the start-of-day times of the source's window.
 func (s *Synthetic) Days() []simclock.Time { return s.days }
 
-// Day materializes one day's sampled IXP batch.
-func (s *Synthetic) Day(day simclock.Time) *ixp.SampleBatch {
-	return s.Gen.Day(day).Batch
+// DayFor materializes the day's attack rows, and its background rows
+// only when one of clients is a background client
+// (ecosystem.Generator.DayFor).
+func (s *Synthetic) DayFor(day simclock.Time, clients [][4]byte) *ixp.SampleBatch {
+	return s.Gen.DayFor(day, clients).Batch
 }
 
 // DayFlows materializes one day's batch and sensor flows from a single

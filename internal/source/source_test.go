@@ -2,7 +2,6 @@ package source_test
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"dnsamp/internal/ecosystem"
@@ -78,116 +77,17 @@ func TestSyntheticSource(t *testing.T) {
 		if !reflect.DeepEqual(want.Sensors, flows) {
 			t.Fatalf("day %s: sensor flows differ", day.Date())
 		}
-		if !reflect.DeepEqual(want.Batch, src.Day(day)) {
-			t.Fatalf("day %s: Day batch differs", day.Date())
-		}
-	}
-}
-
-// TestCachedEvictionAndDeterminism drives the bounded cache through
-// hits, misses and evictions — the policy drops the most recently
-// touched resident day, keeping the oldest days so a second ascending
-// scan still reuses them — and checks that cached batches are the
-// uncached ones: pointer-identical on a hit, value-identical after
-// re-generation.
-func TestCachedEvictionAndDeterminism(t *testing.T) {
-	c := tinyCampaign(t)
-	w := testWindow()
-	cached := source.NewCached(source.NewSynthetic(ecosystem.NewGenerator(c, 7), w), 2)
-	ref := source.NewSynthetic(ecosystem.NewGenerator(c, 7), w)
-	days := cached.Days()
-
-	d0 := cached.Day(days[0])
-	d1 := cached.Day(days[1])
-	if h, m, e := cached.Stats(); h != 0 || m != 2 || e != 0 {
-		t.Fatalf("after two cold reads: hits=%d misses=%d evictions=%d", h, m, e)
-	}
-	if got := cached.Day(days[0]); got != d0 {
-		t.Fatal("hit must return the resident batch, not regenerate")
-	}
-	if h, _, _ := cached.Stats(); h != 1 {
-		t.Fatal("repeat read did not count as a hit")
-	}
-	// days[0] is now the most recently touched resident day; overflowing
-	// must evict it — not the older days[1] — so an ascending re-scan
-	// keeps its head.
-	d2 := cached.Day(days[2])
-	if _, m, e := cached.Stats(); m != 3 || e != 1 {
-		t.Fatalf("after overflow: misses=%d evictions=%d, want 3/1", m, e)
-	}
-	if got := cached.Day(days[1]); got != d1 {
-		t.Fatal("oldest resident day must survive the overflow")
-	}
-	d0again := cached.Day(days[0])
-	if d0again == d0 {
-		t.Fatal("evicted day served from cache")
-	}
-	if h, m, e := cached.Stats(); h != 2 || m != 4 || e != 2 {
-		t.Fatalf("final stats: hits=%d misses=%d evictions=%d, want 2/4/2", h, m, e)
-	}
-	// Every batch — cached, evicted-and-regenerated, or fresh — must be
-	// value-identical to the uncached source's output.
-	for i, b := range []*ixp.SampleBatch{d0again, d1, d2} {
-		day := days[i]
-		wantS, wantStats := drain(c, ref.Day(day))
-		gotS, gotStats := drain(c, b)
-		if !reflect.DeepEqual(wantS, gotS) || wantStats != gotStats {
-			t.Fatalf("day %s: cached stream differs from uncached", day.Date())
-		}
-	}
-}
-
-// TestCachedBoundedReuse is the sequential-flooding regression guard: a
-// bounded cache far smaller than the day count must still serve hits to
-// a second ascending scan (roughly one per slot of capacity), which an
-// LRU policy would reduce to zero.
-func TestCachedBoundedReuse(t *testing.T) {
-	c := tinyCampaign(t)
-	w := simclock.Window{
-		Start: simclock.MeasurementStart,
-		End:   simclock.MeasurementStart.Add(simclock.Days(12)),
-	}
-	cached := source.NewCached(source.NewSynthetic(ecosystem.NewGenerator(c, 7), w), 4)
-	for pass := 0; pass < 2; pass++ {
-		for _, day := range cached.Days() {
-			cached.Day(day)
-		}
-	}
-	if h, _, _ := cached.Stats(); h < 3 {
-		h, m, e := cached.Stats()
-		t.Fatalf("second ascending pass reused %d days (misses=%d evictions=%d); want >= capacity-1", h, m, e)
-	}
-}
-
-// TestCachedConcurrent hammers one Cached source from many goroutines
-// (run under -race in CI): same-day requests must share one
-// materialization.
-func TestCachedConcurrent(t *testing.T) {
-	c := tinyCampaign(t)
-	cached := source.NewCached(source.NewSynthetic(ecosystem.NewGenerator(c, 7), testWindow()), 0)
-	days := cached.Days()
-
-	got := make([][]*ixp.SampleBatch, 4)
-	var wg sync.WaitGroup
-	for g := range got {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for _, day := range days {
-				got[g] = append(got[g], cached.Day(day))
-			}
-		}(g)
-	}
-	wg.Wait()
-	for g := 1; g < len(got); g++ {
-		for i := range days {
-			if got[g][i] != got[0][i] {
-				t.Fatalf("goroutine %d day %d: distinct batch for the same day", g, i)
+		// Asked for every client of the day, DayFor is the whole day.
+		clients := make([][4]byte, batch.N)
+		for i := range clients {
+			clients[i] = batch.Src[i]
+			if batch.Resp[i] {
+				clients[i] = batch.Dst[i]
 			}
 		}
-	}
-	if _, m, _ := cached.Stats(); m != len(days) {
-		t.Fatalf("misses = %d, want one per day (%d)", m, len(days))
+		if !reflect.DeepEqual(want.Batch, src.DayFor(day, clients)) {
+			t.Fatalf("day %s: DayFor over every client of the day differs from the day", day.Date())
+		}
 	}
 }
 
@@ -234,7 +134,7 @@ func TestReplayMatchesSynthetic(t *testing.T) {
 	// Record: a snapshot of another source shares its batches.
 	rec := source.Record(syn)
 	for _, day := range syn.Days() {
-		if b := rec.Day(day); b == nil || b.N != syn.Day(day).N {
+		if b, sb := rec.Day(day), syn.Gen.Day(day).Batch; b == nil || b.N != sb.N {
 			t.Fatalf("day %s: recorded batch missing or truncated", day.Date())
 		}
 	}

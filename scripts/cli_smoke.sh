@@ -1,0 +1,74 @@
+#!/bin/sh
+# Black-box smoke test of dnsampdetect: build the binary, run it, and
+# assert its stdout and exit status. Every command is asserted;
+# refusals are written `! cmd || false` and followed by a check of the
+# exit status. Mirrored by the cli-smoke CI job and `make cli-smoke`.
+#
+#   - `-scale 0.02 -v` prints the committed golden byte for byte;
+#   - `-concurrency 1` (serial) prints what `-concurrency 0` prints;
+#   - a `-snapshot-out` run and a `-snapshot-in` run of its snapshot
+#     print the same;
+#   - an unknown flag (`-cache-days`) exits 2, two replay
+#     flags exit 1, and a missing input file exits 1.
+#
+# The golden changes only with an intended output change; regenerate
+# it deliberately with
+#   go run ./cmd/dnsampdetect -scale 0.02 -v > cmd/dnsampdetect/testdata/scale0.02-v.golden
+set -eu
+
+cd "$(dirname "$0")/.."
+WORK="$(mktemp -d)"
+trap 'rm -rf "$WORK"' EXIT
+BIN="$WORK/dnsampdetect"
+GOLDEN=cmd/dnsampdetect/testdata/scale0.02-v.golden
+
+fail() {
+    echo "cli smoke: FAIL: $*" >&2
+    exit 1
+}
+
+# run CMD...: run CMD with stdout in $WORK/out and stderr in $WORK/err;
+# leave its exit status in RC and return it.
+run() {
+    RC=0
+    "$@" >"$WORK/out" 2>"$WORK/err" || RC=$?
+    return "$RC"
+}
+
+# same FILE WANT WHAT: FILE must equal WANT byte for byte.
+same() {
+    cmp -s "$1" "$2" || {
+        diff -u "$2" "$1" | head -40 >&2
+        fail "$3"
+    }
+}
+
+go build -o "$BIN" ./cmd/dnsampdetect
+
+echo "== -scale 0.02 -v prints the golden"
+"$BIN" -scale 0.02 -v -concurrency 0 >"$WORK/all.out"
+same "$WORK/all.out" "$GOLDEN" "stdout differs from $GOLDEN"
+
+echo "== -concurrency 1 prints the same"
+"$BIN" -scale 0.02 -v -concurrency 1 >"$WORK/serial.out"
+same "$WORK/serial.out" "$WORK/all.out" "-concurrency 1 stdout differs from -concurrency 0"
+
+echo "== -snapshot-out, then -snapshot-in, print the same"
+"$BIN" -scale 0.02 -v -snapshot-out "$WORK/study.snap" >"$WORK/snapout.out"
+[ -s "$WORK/study.snap" ] || fail "-snapshot-out wrote no snapshot"
+"$BIN" -scale 0.02 -v -snapshot-in "$WORK/study.snap" >"$WORK/snapin.out"
+same "$WORK/snapin.out" "$WORK/snapout.out" "-snapshot-in stdout differs from the -snapshot-out run"
+same "$WORK/snapout.out" "$WORK/all.out" "-snapshot-out stdout differs from the synthetic run"
+
+echo "== refusals"
+! run "$BIN" -cache-days 1 || false
+[ "$RC" -eq 2 ] || fail "-cache-days 1 exited $RC, want 2 (unknown flag)"
+! run "$BIN" -replay-sflow "$WORK/study.snap" -snapshot-in "$WORK/study.snap" || false
+[ "$RC" -eq 1 ] || fail "two replay flags exited $RC, want 1"
+grep -q 'mutually exclusive' "$WORK/err" || fail "two replay flags: no 'mutually exclusive' error: $(cat "$WORK/err")"
+! run "$BIN" -snapshot-in "$WORK/missing.snap" || false
+[ "$RC" -eq 1 ] || fail "a missing snapshot exited $RC, want 1"
+! run "$BIN" -replay-pcap "$WORK/missing.pcap" || false
+[ "$RC" -eq 1 ] || fail "a missing pcap exited $RC, want 1"
+
+echo "cli smoke: OK"
