@@ -60,7 +60,12 @@ func TestDBSCANFindsTwoClusters(t *testing.T) {
 	if got := NoiseShare(labels); math.Abs(got-0.2) > 1e-9 {
 		t.Errorf("noise share = %v, want 0.2", got)
 	}
-	sizes := ClusterSizes(labels)
+	sizes := make([]int, NumClusters(labels))
+	for _, l := range labels {
+		if l >= 0 {
+			sizes[l]++
+		}
+	}
 	if len(sizes) != 2 || sizes[0] != 10 || sizes[1] != 10 {
 		t.Errorf("sizes = %v", sizes)
 	}
@@ -236,7 +241,7 @@ func TestSpread(t *testing.T) {
 	if Spread(pts, []int{0}) != 0 {
 		t.Error("single-point spread should be 0")
 	}
-	if MeanPairwise(pts) <= 0 {
-		t.Error("MeanPairwise should be positive")
+	if got := Spread(pts, []int{0, 1, 2}); math.Abs(got-20.0/3) > 1e-9 {
+		t.Errorf("Spread over all three = %v, want 20/3", got)
 	}
 }

@@ -97,17 +97,6 @@ func NumClusters(labels []int) int {
 	return max + 1
 }
 
-// ClusterSizes returns the member count per cluster id (noise excluded).
-func ClusterSizes(labels []int) []int {
-	sizes := make([]int, NumClusters(labels))
-	for _, l := range labels {
-		if l >= 0 {
-			sizes[l]++
-		}
-	}
-	return sizes
-}
-
 // NoiseShare returns the fraction of points labelled Noise (the paper
 // reports ~92% outliers).
 func NoiseShare(labels []int) float64 {

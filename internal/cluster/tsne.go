@@ -227,12 +227,3 @@ func Spread(pts []Point2, idx []int) float64 {
 	}
 	return sum / float64(cnt)
 }
-
-// MeanPairwise is Spread over all points.
-func MeanPairwise(pts []Point2) float64 {
-	idx := make([]int, len(pts))
-	for i := range idx {
-		idx[i] = i
-	}
-	return Spread(pts, idx)
-}

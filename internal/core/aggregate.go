@@ -355,6 +355,55 @@ func (ag *Aggregator) ResetClients() int {
 	return n
 }
 
+// ReleaseNames forgets every name keep rejects, in the table and in the
+// per-name column alike (names.Table.Keep), and returns Keep's
+// old-to-new ID map for whatever else holds IDs (the live window's
+// rankings). keep sees each ID with its statistics, zero for a name
+// interned but never observed. Names of the explicit tracked universe
+// are configuration and always kept. It is the live window's other
+// day-close primitive, called after ResetClients: a held profile's
+// Tracked list carries IDs, so calling it with any profile held panics.
+func (ag *Aggregator) ReleaseNames(keep func(id uint32, ns *NameStats) bool) []uint32 {
+	if len(ag.arena) > 0 {
+		panic(fmt.Sprintf("core: ReleaseNames with %d client-day profiles held", len(ag.arena)))
+	}
+	var unseen NameStats
+	remap := ag.Table.Keep(func(id uint32) bool {
+		switch {
+		case int(id) < len(ag.tracked) && ag.tracked[id]:
+			return true
+		case int(id) < len(ag.names):
+			return keep(id, &ag.names[id])
+		}
+		unseen = NameStats{}
+		return keep(id, &unseen)
+	})
+	// Kept IDs only move down, so both columns compact in place.
+	n, t := 0, 0
+	ag.numNames = 0
+	for old, id := range remap {
+		if id == names.Dropped {
+			continue
+		}
+		if old < len(ag.names) {
+			ag.names[id] = ag.names[old]
+			n = int(id) + 1
+			if ag.names[id].Packets > 0 {
+				ag.numNames++
+			}
+		}
+		if old < len(ag.tracked) {
+			ag.tracked[id] = ag.tracked[old]
+			t = int(id) + 1
+		}
+	}
+	clear(ag.names[n:])
+	ag.names = ag.names[:n]
+	clear(ag.tracked[t:])
+	ag.tracked = ag.tracked[:t]
+	return remap
+}
+
 // ArenaCap exposes the client-day arena's current capacity — an
 // observability hook: a consumer that resets at every day close reaches
 // a steady-state capacity (that of its largest day), which the reset

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dnsamp/internal/dnswire"
 	"dnsamp/internal/ixp"
 	"dnsamp/internal/simclock"
 )
@@ -146,5 +147,90 @@ func TestEvictThenDetect(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("detections diverge after a reset:\n got %d detections\nwant %d", len(got), len(want))
+	}
+}
+
+// TestReleaseNames pins the name-release contract: the kept names keep
+// their statistics under dense new IDs in their old order, the released
+// ones are gone from the table and the column alike, a name of the
+// explicit tracked universe is kept whatever keep says, NumNames is
+// recounted, a ranking remapped over the release reads as a rescan of
+// the released aggregate does — and a release with a profile held
+// panics.
+func TestReleaseNames(t *testing.T) {
+	ag := NewAggregator(nil, []string{"tracked.test"})
+	feed := []struct {
+		name string
+		qt   dnswire.Type
+		size int
+		resp bool
+	}{
+		{"small.test", dnswire.TypeA, 300, true},
+		{"big.test", dnswire.TypeA, 4000, true},
+		{"any.test", dnswire.TypeANY, 60, false},
+		{"query.test", dnswire.TypeA, 900, false}, // no response: MaxSize 0
+		{"mid.test", dnswire.TypeA, 2000, true},
+		{"big.test", dnswire.TypeA, 100, true},
+	}
+	for i, f := range feed {
+		ag.Observe(mkSample(ag.Table, byte(i), 0, f.name, f.qt, f.size, f.resp))
+	}
+	ag.Table.Intern("unseen.test.") // interned, never observed: zero statistics
+	top1, top2 := NewTopNMaxSize(2), NewTopNANYCount(2)
+	top1.Rescan(ag)
+	top2.Rescan(ag)
+	before := map[string]NameStats{}
+	for id := range ag.Table.Len() {
+		before[ag.Table.Name(uint32(id))] = ag.NameStatsOf(ag.Table.Name(uint32(id)))
+	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("ReleaseNames with profiles held did not panic")
+			}
+		}()
+		ag.ReleaseNames(func(uint32, *NameStats) bool { return true })
+	}()
+	ag.ResetClients()
+	floor, full := top1.Floor()
+	if !full || floor != 2000 {
+		t.Fatalf("Floor = %d, %v; want mid.test's 2000 of a full 2-entry ranking", floor, full)
+	}
+	remap := ag.ReleaseNames(func(_ uint32, ns *NameStats) bool {
+		return ns.ANYPackets > 0 || ns.MaxSize >= floor
+	})
+	top1.Remap(remap)
+	top2.Remap(remap)
+
+	want := []string{"tracked.test.", "big.test.", "any.test.", "mid.test."}
+	var got []string
+	for id := range ag.Table.Len() {
+		got = append(got, ag.Table.Name(uint32(id)))
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) || len(remap) != 7 {
+		t.Fatalf("kept %v (remap %v), want %v", got, remap, want)
+	}
+	for _, n := range want {
+		if ag.NameStatsOf(n) != before[n] {
+			t.Errorf("%s: statistics %+v after the release, %+v before", n, ag.NameStatsOf(n), before[n])
+		}
+	}
+	for _, n := range []string{"small.test.", "query.test.", "unseen.test."} {
+		if _, ok := ag.Table.Lookup(n); ok {
+			t.Errorf("released %s still in the table", n)
+		}
+	}
+	if ag.NumNames() != 3 || len(ag.names) != 4 {
+		t.Errorf("NumNames %d over a %d-entry column, want 3 observed names of 4", ag.NumNames(), len(ag.names))
+	}
+	if id, _ := ag.Table.Lookup("tracked.test."); !ag.isTracked(id) || ag.isTracked(id+1) {
+		t.Errorf("tracked bitset after the release: %v", ag.tracked)
+	}
+	r1, r2 := NewTopNMaxSize(2), NewTopNANYCount(2)
+	r1.Rescan(ag)
+	r2.Rescan(ag)
+	if fmt.Sprint(top1.Names(ag), top2.Names(ag)) != fmt.Sprint(r1.Names(ag), r2.Names(ag)) {
+		t.Errorf("remapped rankings %v %v, rescanned %v %v", top1.Names(ag), top2.Names(ag), r1.Names(ag), r2.Names(ag))
 	}
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 
 	"dnsamp/internal/dnswire"
+	"dnsamp/internal/names"
 	"dnsamp/internal/par"
 	"dnsamp/internal/simclock"
 	"dnsamp/internal/stats"
@@ -160,6 +162,32 @@ func (t *TopN) before(ag *Aggregator, a, b idScore) bool {
 		return a.v > b.v
 	}
 	return ag.Table.Name(a.id) < ag.Table.Name(b.id)
+}
+
+// Floor returns the score of the ranking's last entry and whether the
+// ranking is full. Scores only grow, so once full the floor only rises:
+// a name scoring strictly below it now can never enter.
+func (t *TopN) Floor() (v int, full bool) {
+	if t.n == 0 || len(t.ent) < t.n {
+		return 0, false
+	}
+	return t.ent[len(t.ent)-1].v, true
+}
+
+// Remap renumbers the ranking after Aggregator.ReleaseNames; remap is
+// the map it returned. A release must keep every ranked name, so a
+// ranked name remap drops panics. Ties break by name, not by ID, so the
+// order stands. Offer stays exact across the release provided every
+// released name scored strictly below a full ranking's floor: it returns
+// with its score restarted, and its old score could not rank either.
+func (t *TopN) Remap(remap []uint32) {
+	for i := range t.ent {
+		id := remap[t.ent[i].id]
+		if id == names.Dropped {
+			panic(fmt.Sprintf("core: name release dropped ranked name ID %d", t.ent[i].id))
+		}
+		t.ent[i].id = id
+	}
 }
 
 // Names resolves the ranking to strings, best first.

@@ -518,13 +518,6 @@ func readName(b []byte, off int, dst []byte, keep bool) ([]byte, int, error) {
 	}
 }
 
-// WireSize returns the encoded size of m in bytes without retaining the
-// encoding.
-func WireSize(m *Message) int {
-	var e Encoder
-	return len(e.Encode(m))
-}
-
 // NewQuery builds a standard recursive query for (name, type) with the
 // given transaction ID, optionally advertising an EDNS0 payload size.
 func NewQuery(id uint16, name string, qtype Type, ednsSize uint16) *Message {

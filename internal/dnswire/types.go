@@ -55,16 +55,6 @@ func (t Type) String() string {
 	return fmt.Sprintf("TYPE%d", uint16(t))
 }
 
-// ParseType maps a mnemonic back to a Type; ok is false for unknown names.
-func ParseType(s string) (Type, bool) {
-	for t, n := range typeNames {
-		if n == s {
-			return t, true
-		}
-	}
-	return TypeNone, false
-}
-
 // Class is a DNS class.
 type Class uint16
 

@@ -37,6 +37,11 @@ type DNSSample struct {
 	// QName is the canonical first question name. It aliases the
 	// interning table's storage, so assigning it never allocates.
 	QName string
+	// NameGen is the table generation (names.Table.Gen) Name was handed
+	// out in. A consumer that releases names checks it: a sample
+	// processed before a release carries an ID of the old numbering and
+	// re-interns QName, which still reads the name.
+	NameGen uint32
 	// QType is the first question type.
 	QType dnswire.Type
 	// TXID is the DNS transaction ID.
@@ -253,6 +258,7 @@ func (c *CapturePoint) Process(rec sflow.Record) (DNSSample, bool) {
 		IsResponse: m.Header.QR,
 		Name:       id,
 		QName:      c.Table.Name(id),
+		NameGen:    c.Table.Gen(),
 		QType:      m.QType,
 		TXID:       m.Header.ID,
 		MsgSize:    pkt.DNSPayloadSize(),

@@ -15,6 +15,11 @@
 // A Table holds no pointers (layout: Table), so the garbage collector
 // has nothing in it to mark however many names it holds, and a first
 // sight allocates no per-name object.
+//
+// The live window also forgets names: at each day close, Keep moves the
+// names it still needs to a fresh slab under new dense IDs and returns
+// the old-to-new map, and Gen tells an ID handed out before that from
+// one handed out after.
 package names
 
 import (
@@ -46,9 +51,9 @@ const minIndex = 16
 // The slab is append-only: bytes once written are never overwritten.
 // That is what makes Name sound — it returns a string viewing the slab
 // directly. A grow copies the slab to a new array, and the old array
-// stays alive for as long as any view points into it. A future release
-// of unused names must therefore start a fresh slab and never compact
-// one in place.
+// stays alive for as long as any view points into it. Keep, which
+// releases names, likewise builds a fresh slab and never compacts one in
+// place: a view into the old slab keeps reading its name.
 //
 // The zero Table is an empty table ready for use. A Table is not safe
 // for concurrent mutation; concurrent read-only use (Lookup, Name, Len,
@@ -57,7 +62,11 @@ type Table struct {
 	slab  []byte
 	ends  []uint32
 	index []uint64
+	gen   uint32 // Keep calls so far
 }
+
+// Dropped marks a released name in the map Keep returns.
+const Dropped = math.MaxUint32
 
 // NewTable returns an empty table.
 func NewTable() *Table { return &Table{} }
@@ -86,6 +95,42 @@ func (t *Table) Reserve(n int) {
 
 // Len returns the number of interned names.
 func (t *Table) Len() int { return len(t.ends) }
+
+// Gen counts the Keep calls so far. An ID is valid only in the
+// generation it was handed out in.
+func (t *Table) Gen() uint32 { return t.gen }
+
+// Keep releases every name keep rejects (keep is called once per ID, in
+// ID order). The kept names move, in ID order, to a new slab, end column
+// and index built at their size, taking the dense IDs 0..n-1, and Gen
+// advances. remap[old] is a name's new ID, or Dropped. A released name
+// interned again is a first sight under the next dense ID. Views Name
+// returned earlier keep reading their names: the old slab is left as it
+// is, for the garbage collector to reclaim once no view points into it.
+func (t *Table) Keep(keep func(id uint32) bool) (remap []uint32) {
+	remap = make([]uint32, len(t.ends))
+	n, size := 0, 0
+	for id := range remap {
+		if !keep(uint32(id)) {
+			remap[id] = Dropped
+			continue
+		}
+		remap[id] = uint32(n)
+		n++
+		size += len(t.bytes(uint32(id)))
+	}
+	slab, ends := make([]byte, 0, size), make([]uint32, 0, n)
+	for id, to := range remap {
+		if to != Dropped {
+			slab = append(slab, t.bytes(uint32(id))...)
+			ends = append(ends, uint32(len(slab)))
+		}
+	}
+	t.slab, t.ends = slab, ends
+	t.rehash(indexSizeFor(n))
+	t.gen++
+	return remap
+}
 
 // Intern returns the ID of name, assigning the next dense ID on first
 // sight. The caller must pass canonical names (dnswire.CanonicalName);

@@ -84,6 +84,53 @@ func TestReserveKeepsIDs(t *testing.T) {
 	}
 }
 
+// TestKeep: a release renumbers the kept names densely in ID order, a
+// dropped name is gone until interned again (then under the next dense
+// ID), views taken before the release still read their names, and each
+// release advances Gen.
+func TestKeep(t *testing.T) {
+	tab := NewTable()
+	in := []string{"a.", "drop1.", "b.", "drop2.", "c."}
+	var views []string
+	for _, n := range in {
+		views = append(views, tab.Name(tab.Intern(n)))
+	}
+	if tab.Gen() != 0 {
+		t.Fatalf("Gen before any release = %d", tab.Gen())
+	}
+	remap := tab.Keep(func(id uint32) bool { return id%2 == 0 })
+	want := []uint32{0, Dropped, 1, Dropped, 2}
+	if fmt.Sprint(remap) != fmt.Sprint(want) || tab.Len() != 3 || tab.Gen() != 1 {
+		t.Fatalf("Keep: remap %v, Len %d, Gen %d; want %v, 3, 1", remap, tab.Len(), tab.Gen(), want)
+	}
+	for old, n := range in {
+		id, ok := tab.Lookup(n)
+		if remap[old] == Dropped {
+			if ok {
+				t.Errorf("dropped %q still looks up to %d", n, id)
+			}
+			continue
+		}
+		if !ok || id != remap[old] || tab.Name(id) != n {
+			t.Errorf("kept %q: Lookup %d,%v, Name %q; want %d", n, id, ok, tab.Name(id), remap[old])
+		}
+	}
+	for i, v := range views {
+		if v != in[i] {
+			t.Errorf("view of %q taken before Keep reads %q", in[i], v)
+		}
+	}
+	if id := tab.InternBytes([]byte("drop1.")); id != 3 || tab.Name(3) != "drop1." {
+		t.Errorf("re-interned dropped name got ID %d, want the next dense ID 3", id)
+	}
+	if tab.Keep(func(uint32) bool { return false }); tab.Len() != 0 || tab.Gen() != 2 {
+		t.Errorf("dropping everything: Len %d, Gen %d", tab.Len(), tab.Gen())
+	}
+	if id := tab.Intern("c."); id != 0 {
+		t.Errorf("first name after an empty release got ID %d", id)
+	}
+}
+
 // TestInternAllocs is the table's allocation guard: a known name costs
 // no allocation on any path, and interning n fresh names costs a
 // logarithmic number of allocations (the slab, end and index arrays
@@ -122,14 +169,16 @@ func TestInternAllocs(t *testing.T) {
 // FuzzTable drives random interleavings of every Table operation
 // against a map + slice reference: after each one, Len, every ID's
 // Name and every name's Lookup must agree, and each Name view taken
-// earlier must still read its name. Names are decoded from the input:
-// literal bytes, near-twins of one name (one byte apart), long names,
-// the empty name, re-uses of names already interned, and bulk runs
-// that force several index growths.
+// earlier must still read its name — a released name's too. Names are
+// decoded from the input: literal bytes, near-twins of one name (one
+// byte apart), long names, the empty name, re-uses of names already
+// interned, and bulk runs that force several index growths. A Keep
+// step releases the names an input byte's bits select.
 func FuzzTable(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 'a', 'b', '.', 1, 1, 7, 2, 5, 3, 3, 0})
 	f.Add([]byte{5, 200, 2, 1, 9, 4, 60, 0, 2, 40, 1, 6, 'x'})
 	f.Add([]byte{1, 5, 1, 1, 9, 1, 5, 2, 4, 3, 3, 7, 5, 255, 5, 255})
+	f.Add([]byte{5, 40, 6, 0x5a, 0, 0, 2, 'a', '.', 6, 0, 5, 9, 6, 0xff, 1, 3, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		next := func() byte {
 			if len(prog) == 0 {
@@ -142,6 +191,7 @@ func FuzzTable(f *testing.F) {
 		tab := NewTable()
 		ids := map[string]uint32{}
 		var ref, views []string
+		var gone, goneViews []string // released names and their earlier views
 		name := func() string {
 			switch mode := next(); mode % 4 {
 			case 0: // literal bytes
@@ -175,7 +225,7 @@ func FuzzTable(f *testing.F) {
 			}
 		}
 		for step := 0; len(prog) > 0 && step < 64; step++ {
-			switch op := next(); op % 6 {
+			switch op := next(); op % 7 {
 			case 0:
 				s := name()
 				intern(s, tab.Intern(s))
@@ -208,9 +258,43 @@ func FuzzTable(f *testing.F) {
 					s := fmt.Sprintf("bulk%d.%d.", base, i)
 					intern(s, tab.InternBytes([]byte(s)))
 				}
+			case 6:
+				mask, gen := next(), tab.Gen()
+				kept := func(id int) bool { return mask>>(id%8)&1 != 0 }
+				remap := tab.Keep(func(id uint32) bool { return kept(int(id)) })
+				if tab.Gen() != gen+1 || len(remap) != len(ref) {
+					t.Fatalf("step %d: Keep left Gen %d (was %d) and a %d-entry remap for %d names", step, tab.Gen(), gen, len(remap), len(ref))
+				}
+				var kref, kviews []string
+				clear(ids)
+				for old, s := range ref {
+					want := uint32(len(kref))
+					if !kept(old) {
+						want = Dropped
+						gone, goneViews = append(gone, s), append(goneViews, views[old])
+					} else {
+						ids[s] = want
+						kref, kviews = append(kref, s), append(kviews, views[old])
+					}
+					if remap[old] != want {
+						t.Fatalf("step %d: remap[%d] = %d, want %d", step, old, remap[old], want)
+					}
+				}
+				ref, views = kref, kviews
 			}
 			if tab.Len() != len(ref) {
 				t.Fatalf("step %d: Len %d, want %d", step, tab.Len(), len(ref))
+			}
+			for i, s := range gone {
+				if goneViews[i] != s {
+					t.Fatalf("step %d: view of released %q reads %q", step, s, goneViews[i])
+				}
+				if _, back := ids[s]; back {
+					continue // interned again: checked with ref below
+				}
+				if id, ok := tab.Lookup(s); ok {
+					t.Fatalf("step %d: released %q looks up to %d", step, s, id)
+				}
 			}
 			for id, s := range ref {
 				if got := tab.Name(uint32(id)); got != s || views[id] != s {
@@ -232,8 +316,13 @@ var internSink uint32
 // 166 000 InternBytes calls, about a quarter of them first sights, the
 // rest re-uses skewed toward early (popular) names. One op interns the
 // whole sequence into a fresh table, so allocs/op counts its growths.
+// fresh keeps every name; daily splits the sequence into the
+// recording's ten days and, as the window's day close does, releases
+// all but about a tenth of the names at the end of each (the r0–r9
+// names; the window keeps 3 649 of 40 566), so a released name that
+// recurs is a first sight again.
 func BenchmarkInternBytes(b *testing.B) {
-	const calls, distinct = 166_000, 40_566
+	const calls, distinct, days = 166_000, 40_566, 10
 	rng := rand.New(rand.NewPCG(21, 0))
 	seq := make([][]byte, calls)
 	var seen [][]byte
@@ -246,15 +335,26 @@ func BenchmarkInternBytes(b *testing.B) {
 		u := rng.Float64()
 		seq[i] = seen[int(u*u*u*float64(len(seen)))]
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
-		tab := NewTable()
-		for _, name := range seq {
-			internSink = tab.InternBytes(name)
+	for _, release := range []bool{false, true} {
+		name := "fresh"
+		if release {
+			name = "daily"
 		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				tab := NewTable()
+				keep := func(id uint32) bool { return tab.Name(id)[2] == '.' }
+				for i, name := range seq {
+					internSink = tab.InternBytes(name)
+					if release && (i+1)%(calls/days) == 0 {
+						tab.Keep(keep)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*calls), "ns/intern")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*calls), "ns/intern")
 }
 
 // TestSharedTableConcurrentReads is the table's side of the one-table

@@ -209,19 +209,6 @@ func (r *Resolver) Cached(name string, qtype dnswire.Type, t simclock.Time) bool
 	return ok && t.Before(e.expires)
 }
 
-// FlushExpired drops dead entries; callers may invoke it periodically to
-// bound memory in long campaigns.
-func (r *Resolver) FlushExpired(t simclock.Time) {
-	for k, e := range r.cache {
-		if !t.Before(e.expires) {
-			delete(r.cache, k)
-		}
-	}
-}
-
-// CacheLen returns the number of live plus stale entries held.
-func (r *Resolver) CacheLen() int { return len(r.cache) }
-
 // allowRRL implements a fixed-window per-second budget.
 func (r *Resolver) allowRRL(t simclock.Time) bool {
 	if t != r.rrlWindow {

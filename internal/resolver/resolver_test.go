@@ -154,20 +154,6 @@ func TestWarmThroughForwarder(t *testing.T) {
 	}
 }
 
-func TestFlushExpired(t *testing.T) {
-	r := New(addr("192.0.2.1"), Recursive, testDB)
-	t0 := simclock.MeasurementStart
-	r.Handle("doj.gov", dnswire.TypeA, t0)
-	r.Handle("nsf.gov", dnswire.TypeA, t0)
-	if r.CacheLen() != 2 {
-		t.Fatalf("cache len = %d", r.CacheLen())
-	}
-	r.FlushExpired(t0.Add(simclock.Days(2)))
-	if r.CacheLen() != 0 {
-		t.Errorf("cache len after flush = %d", r.CacheLen())
-	}
-}
-
 func TestAmplificationFactor(t *testing.T) {
 	r := New(addr("192.0.2.1"), Recursive, testDB)
 	af := r.AmplificationFactor("bigcorp.com", dnswire.TypeANY, simclock.MeasurementStart)

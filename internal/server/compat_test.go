@@ -1,5 +1,6 @@
-// Checkpoint format tests: the detection-list bound, and resuming the
-// checkpoints older builds wrote, committed under testdata/. Version 2:
+// Checkpoint format tests: the detection-list bound, the decoder under
+// fuzzing, and resuming the checkpoints older builds wrote, committed
+// under testdata/. Version 2:
 // the PR 12 binary in its -listen and -tail modes (that commit's
 // `ixpmon -serve ... -state DIR -window 2`; the -listen run consumed
 // miniDatagram 1..8 under -timestamps uptime, the -tail run consumed
@@ -13,10 +14,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -235,4 +239,82 @@ func TestResumeParentCheckpointNeedsOneInput(t *testing.T) {
 			t.Errorf("%s: Start error %q, want one naming %q", c.name, err, c.want)
 		}
 	}
+}
+
+// resealCheckpoint rewrites the trailing checksum of raw to match its
+// payload, so mutated bytes reach the decoder instead of failing the
+// checksum.
+func resealCheckpoint(raw []byte) []byte {
+	if len(raw) >= ckptHeaderLen+ckptSumLen {
+		h := fnv.New64a()
+		h.Write(raw[ckptHeaderLen : len(raw)-ckptSumLen])
+		binary.LittleEndian.PutUint64(raw[len(raw)-ckptSumLen:], h.Sum64())
+	}
+	return raw
+}
+
+// FuzzLoadCheckpoint holds the checkpoint decoder to the contract of
+// internal/binenc: any bytes, checksum made valid, decode without a
+// panic and allocate no more than the bytes present justify — a count
+// is bounded by the input left to back it. A decoded state re-encodes
+// to a canonical image: decoding that image and encoding again gives
+// the same bytes, and the encoder's own output (the post-release seed)
+// round-trips byte for byte. A mutated image need not re-encode to its
+// own bytes: the name list, collector rows and cursors are sets the
+// encoder writes sorted, and a restored collector row rewinds its last
+// sequence number to its consumed cursor. One tail: input is configured
+// so the version 2 fixtures' input-less rows are adopted.
+func FuzzLoadCheckpoint(f *testing.F) {
+	cfg := Config{Window: WindowConfig{Days: 2}, Inputs: []ingest.Spec{mustSpec(f, "tail:fuzz.sflowlog")}}
+	seed := NewService(cfg)
+	for _, o := range randomSubdomainStream(3, 120)[:400] {
+		seed.win.Observe(o.in(seed.win))
+	}
+	post, err := seed.encodeCheckpoint()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if seed.win.Stats().NamesReleased == 0 {
+		f.Fatal("the seed window released no names")
+	}
+	back := NewService(cfg)
+	if err := back.decodeCheckpoint(post); err != nil {
+		f.Fatal(err)
+	}
+	if again, _ := back.encodeCheckpoint(); !bytes.Equal(again, post) {
+		f.Fatal("the post-release checkpoint does not re-encode to its own bytes")
+	}
+	f.Add(post)
+	for _, name := range []string{"parent_listen.ckpt", "parent_tail.ckpt", "parent_v3.ckpt"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		raw = resealCheckpoint(bytes.Clone(raw))
+		svc := NewService(cfg)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := svc.decodeCheckpoint(raw)
+		runtime.ReadMemStats(&m1)
+		if grew, bound := m1.TotalAlloc-m0.TotalAlloc, 64*uint64(len(raw))+64<<10; grew > bound {
+			t.Fatalf("decoding %d bytes allocated %d, over the %d they justify", len(raw), grew, bound)
+		}
+		if err != nil {
+			return
+		}
+		first, err := svc.encodeCheckpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again := NewService(cfg)
+		if err := again.decodeCheckpoint(first); err != nil {
+			t.Fatalf("a re-encoded checkpoint does not decode: %v", err)
+		}
+		if second, _ := again.encodeCheckpoint(); !bytes.Equal(first, second) {
+			t.Fatal("re-encoding is not canonical: a decoded image encodes differently a second time")
+		}
+	})
 }

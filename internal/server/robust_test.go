@@ -3,10 +3,8 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"hash/fnv"
 	"io"
 	"net"
 	"net/http"
@@ -553,10 +551,7 @@ func TestResumeRejectsDuplicateTableName(t *testing.T) {
 		t.Fatalf("table layout not as expected: %q", raw[:64])
 	}
 	copy(raw[i:], "aa.test.")
-	body := raw[:len(raw)-ckptSumLen]
-	h := fnv.New64a()
-	h.Write(body[ckptHeaderLen:])
-	binary.LittleEndian.PutUint64(raw[len(body):], h.Sum64())
+	resealCheckpoint(raw)
 	dup := filepath.Join(dir, ckptName(1))
 	if err := os.WriteFile(dup, raw, 0o644); err != nil {
 		t.Fatal(err)

@@ -3,9 +3,10 @@
 // inputs (UDP listeners, tailed or replayed datagram logs, pcap,
 // synthetic fill), sanitizes their samples through the same
 // capture-point pipeline the batch study uses, folds them into the live
-// window — the open day's client-day profiles plus per-name statistics
-// cumulative since start; each day is detected over as it closes and
-// its profiles released, arena slots recycled — and serves results and
+// window — the open day's client-day profiles plus the per-name
+// statistics a selector ranking can still reach; each day is detected
+// over as it closes, then its profiles and the names no ranking can
+// reach are released, arena slots recycled — and serves results and
 // operational state over HTTP.
 //
 // Layering: internal/ingest reads, parses, and supervises every input

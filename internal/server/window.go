@@ -1,6 +1,8 @@
 package server
 
 import (
+	"strings"
+
 	"dnsamp/internal/core"
 	"dnsamp/internal/ixp"
 	"dnsamp/internal/simclock"
@@ -48,24 +50,28 @@ func (c WindowConfig) withDefaults() WindowConfig {
 }
 
 // Window is the incremental detector, the §4.3 live monitor. Its state
-// is the open day's client-day profiles plus per-name statistics
-// cumulative since start, in one core.Aggregator: it ingests sanitized
-// samples in arrival order, refreshes the misused-name list every
-// Refresh of stream time, emits detections for each day as it closes
-// and then releases every profile (arena slots recycled) — days close
-// once and in order and a close reports the closing day only, so a
-// closed day's profiles would have no reader. Each close also appends
-// one DaySummary (the paper's daily victim aggregates and name-list
-// churn) to a bounded in-memory day log.
+// is the open day's client-day profiles plus the per-name statistics of
+// every name a selector ranking can still reach, in one core.Aggregator:
+// it ingests sanitized samples in arrival order, refreshes the
+// misused-name list every Refresh of stream time, emits detections for
+// each day as it closes and then releases every profile (arena slots
+// recycled) — days close once and in order and a close reports the
+// closing day only, so a closed day's profiles would have no reader.
+// The close then forgets every name no ranking can reach again (see
+// releaseNames), so memory follows the kept names plus one day's, not
+// every name ever seen. Each close also appends one DaySummary (the
+// paper's daily victim aggregates and name-list churn) to a bounded
+// in-memory day log.
 //
 // Day close happens when a sample of a newer day arrives (UDP transport
 // may reorder within a day; whole-day reordering closes days in arrival
 // order) or at Close. Detection for the closing day runs against a
 // freshly refreshed name list over the aggregate, exactly the batch
-// semantics: per-name selector state is cumulative since start,
-// per-client threshold state is the closing day's own profiles, so a
-// batch pass over the same stream yields the same detections (the
-// golden equivalence the server tests pin).
+// semantics: the selectors rank as over per-name statistics cumulative
+// since start (a forgotten name could not have ranked), per-client
+// threshold state is the closing day's own profiles, so a batch pass
+// over the same stream yields the same detections (the golden
+// equivalence the server tests pin).
 //
 // Window is not safe for concurrent use; Service serializes access.
 type Window struct {
@@ -100,9 +106,10 @@ type Window struct {
 	days       []DaySummary
 	closeNames map[string]bool
 
-	closedDays  int
-	evicted     uint64 // profiles released at day closes
-	lateSamples uint64 // samples Days or more days behind the open day, dropped
+	closedDays    int
+	evicted       uint64 // profiles released at day closes
+	lateSamples   uint64 // samples Days or more days behind the open day, dropped
+	namesReleased uint64 // names forgotten at day closes by this process
 
 	stages *Stages
 }
@@ -134,7 +141,9 @@ func NewWindow(cfg WindowConfig, stages *Stages) *Window {
 func (w *Window) Capture() *ixp.CapturePoint { return w.cp }
 
 // Observe ingests one sanitized sample in arrival order. The sample's
-// Name ID must be in the window's table space (come from Capture).
+// Name ID must be in the window's table space (come from Capture). A
+// sample processed before a day close released names carries a stale
+// NameGen; Observe re-interns its QName and rewrites Name and NameGen.
 func (w *Window) Observe(s *ixp.DNSSample) {
 	d := s.Time.Day()
 	if w.curDay == -1 {
@@ -150,6 +159,9 @@ func (w *Window) Observe(s *ixp.DNSSample) {
 		w.lateSamples++
 		return
 	}
+	if tab := w.agg.Table; s.NameGen != tab.Gen() {
+		s.Name, s.NameGen = tab.Intern(s.QName), tab.Gen()
+	}
 	w.agg.Observe(s)
 	w.touch(s.Name)
 	if s.Time.After(w.lastSeen) {
@@ -161,7 +173,8 @@ func (w *Window) Observe(s *ixp.DNSSample) {
 }
 
 // advanceTo closes every day before newDay, then releases every profile
-// (the evict stage): their days are reported, nothing reads them again.
+// and every name no ranking can reach (the evict stage): their days are
+// reported, nothing reads them again.
 func (w *Window) advanceTo(newDay int, now simclock.Time) {
 	for w.curDay < newDay {
 		w.closeDay(now)
@@ -169,6 +182,34 @@ func (w *Window) advanceTo(newDay int, now simclock.Time) {
 	}
 	defer w.stages.Track("evict")()
 	w.evicted += uint64(w.agg.ResetClients())
+	w.releaseNames()
+}
+
+// releaseNames forgets every name that can never enter either ranking
+// again: no ANY packet, and a max size of 0 or strictly below the last
+// score of the full max-size ranking. Both scores only grow, so that
+// floor only rises; a forgotten name that returns restarts at 0, and
+// its old max was below the floor, so it could not have ranked either.
+// Detections, the day log and the list at every refresh are therefore
+// those of a window that keeps every name. Ranked names are kept (a
+// top1 name scores at or above the floor, a top2 name has an ANY
+// packet), and the rankings are current: the close just refreshed them.
+func (w *Window) releaseNames() {
+	floor, full := w.top1.Floor()
+	remap := w.agg.ReleaseNames(func(_ uint32, ns *core.NameStats) bool {
+		return ns.ANYPackets > 0 || (ns.MaxSize > 0 && (!full || ns.MaxSize >= floor))
+	})
+	w.top1.Remap(remap)
+	w.top2.Remap(remap)
+	w.namesReleased += uint64(len(remap) - w.agg.Table.Len())
+	// The list's strings are views into the slab just released; copied,
+	// they stop keeping it alive. closeNames is the same map: the close
+	// just set it.
+	owned := make(map[string]bool, len(w.names))
+	for n := range w.names {
+		owned[strings.Clone(n)] = true
+	}
+	w.names, w.closeNames = owned, owned
 }
 
 // DaySummary is one closed day of the day log: the §4.3 daily victim
@@ -318,13 +359,17 @@ type WindowStats struct {
 	// recycled-slot capacity, which settles at the largest day's size.
 	ClientDays int `json:"clientDays"`
 	ArenaCap   int `json:"arenaCap"`
-	// Names is the interned-name universe size; ListNames the current
-	// misused-name list length; Refreshes the refresh count; Jaccard the
-	// similarity of the last two lists.
-	Names     int     `json:"names"`
-	ListNames int     `json:"listNames"`
-	Refreshes int     `json:"refreshes"`
-	Jaccard   float64 `json:"jaccard"`
+	// Names is the number of names held: those a ranking can still reach,
+	// plus the ones interned since the last close. NamesReleased counts
+	// the names forgotten at day closes by this process (not
+	// checkpointed). ListNames is the current misused-name list length;
+	// Refreshes the refresh count; Jaccard the similarity of the last two
+	// lists.
+	Names         int     `json:"names"`
+	NamesReleased uint64  `json:"namesReleased"`
+	ListNames     int     `json:"listNames"`
+	Refreshes     int     `json:"refreshes"`
+	Jaccard       float64 `json:"jaccard"`
 	// Evicted counts the profiles released at day closes; LateSamples
 	// the samples dropped for arriving Days or more days behind the open
 	// day; Detections the retained detections; DetectionsDropped those
@@ -343,6 +388,7 @@ func (w *Window) Stats() WindowStats {
 		ClientDays:        w.agg.NumClients(),
 		ArenaCap:          w.agg.ArenaCap(),
 		Names:             w.agg.Table.Len(),
+		NamesReleased:     w.namesReleased,
 		ListNames:         len(w.names),
 		Refreshes:         w.refreshN,
 		Jaccard:           w.jaccard,

@@ -31,6 +31,7 @@ func tabSample(tab *names.Table, at simclock.Time, client byte, name string, qt 
 		IsResponse: true,
 		Name:       id,
 		QName:      tab.Name(id),
+		NameGen:    tab.Gen(),
 		QType:      qt,
 		MsgSize:    size,
 	}

@@ -229,18 +229,6 @@ func Prefix24(addr netip.Addr) netip.Prefix {
 	return p
 }
 
-// Prefix16 returns the covering /16.
-func Prefix16(addr netip.Addr) netip.Prefix {
-	p, _ := addr.Prefix(16)
-	return p
-}
-
-// Prefix8 returns the covering /8.
-func Prefix8(addr netip.Addr) netip.Prefix {
-	p, _ := addr.Prefix(8)
-	return p
-}
-
 // routeTable is a longest-prefix-match table over IPv4, implemented as
 // per-length exact-match maps probed from the longest populated length
 // downward — simple, deterministic and fast enough for simulation scale.

@@ -178,12 +178,6 @@ func TestPrefixHelpers(t *testing.T) {
 	if Prefix24(a).String() != "11.22.33.0/24" {
 		t.Errorf("Prefix24 = %v", Prefix24(a))
 	}
-	if Prefix16(a).String() != "11.22.0.0/16" {
-		t.Errorf("Prefix16 = %v", Prefix16(a))
-	}
-	if Prefix8(a).String() != "11.0.0.0/8" {
-		t.Errorf("Prefix8 = %v", Prefix8(a))
-	}
 }
 
 func TestLongestPrefixMatchPrecedence(t *testing.T) {

@@ -543,28 +543,6 @@ func (db *DB) proceduralTypedSize(name string, qtype dnswire.Type) int {
 	return size
 }
 
-// CountProceduralAbove returns how many bulk names exceed the threshold,
-// computed analytically from the calibrated distribution (iterating 4.4 M
-// hashes in tests would be slow; the experiments harness iterates for
-// real when building the CDF).
-func (db *DB) CountProceduralAbove(threshold float64) int {
-	var p float64
-	switch {
-	case threshold <= 400:
-		p = 1 // everything at/above tiny sizes — callers use larger thresholds
-	case threshold <= 1200:
-		p = 1 - (0.70 + 0.25*(threshold-400)/800)
-	case threshold <= procTailStart:
-		frac := (threshold - 1200) / (procTailStart - 1200)
-		p = procTailP + (1-procTailP-0.95)*(1-frac)
-	case threshold >= procTailMax:
-		p = 0
-	default:
-		p = procTailP * math.Pow(threshold/procTailStart, -procTailAlpha)
-	}
-	return int(p * float64(db.procCount))
-}
-
 func rrWireLen(r dnswire.RR) int {
 	return dnswire.EncodedNameLen(r.Name) + 10 + r.Data.WireLen()
 }

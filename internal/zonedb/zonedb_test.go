@@ -210,20 +210,6 @@ func TestProceduralTailCalibration(t *testing.T) {
 	}
 }
 
-func TestCountProceduralAboveMatchesSample(t *testing.T) {
-	db := New(Config{ProceduralNames: 1_000_000})
-	analytic := db.CountProceduralAbove(4096)
-	if analytic < 100 || analytic > 400 {
-		t.Errorf("analytic count above 4096 = %d, expected ~210", analytic)
-	}
-	if db.CountProceduralAbove(200000) != 0 {
-		t.Error("count above max should be 0")
-	}
-	if db.CountProceduralAbove(142855) != 0 {
-		t.Error("count above tail max should be 0")
-	}
-}
-
 func TestBuildANYResponseEncodes(t *testing.T) {
 	db := smallDB()
 	z, _ := db.Zone("doj.gov")

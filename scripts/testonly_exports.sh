@@ -1,8 +1,10 @@
 #!/bin/sh
 # Exported functions and methods under internal/ that no non-test file
 # of internal/, cmd/, examples/ or bench/ refers to: what only tests
-# still reach (or nothing does). Informational, never failing — a
-# listing for a reviewer to judge entry by entry; `make testonly`.
+# still reach (or nothing does); `make testonly`. A ratchet: every entry
+# must be judged in scripts/testonly_allowlist.txt (one line each, with
+# its reason), and the script exits 1 on an entry the allowlist lacks or
+# an allowlist line that no longer matches an entry.
 #
 # Matching is by identifier, not by type: Type.Name counts as referenced
 # when the word Name occurs anywhere in non-test code outside its own
@@ -15,6 +17,7 @@ cd "$(dirname "$0")/.."
 
 IFACE='String|Error|Read|Write|Close|Len|Less|Swap|ServeHTTP|Unwrap|MarshalJSON|UnmarshalJSON'
 DECL='^func (\([A-Za-z_]+ \*?[A-Z][A-Za-z0-9_]*(\[[^]]*\])?\) )?[A-Z][A-Za-z0-9_]*[[(]'
+ALLOW=scripts/testonly_allowlist.txt
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -33,8 +36,30 @@ find internal -name '*.go' ! -name '*_test.go' -exec grep -HE "$DECL" {} + |
         {
             name = $NF
             if (name in used || (NF == 3 && name ~ iface)) next
-            printf "%-22s %s\n", $1, (NF == 3 ? $2 "." name : name)
-            n++
+            print $1, (NF == 3 ? $2 "." name : name)
         }
-        END { printf "%d exported functions and methods referenced from no non-test file\n", n }
-    ' "$tmp/used" -
+    ' "$tmp/used" - >"$tmp/listing"
+
+awk '
+    FILENAME == ARGV[1] {
+        if ($0 ~ /^#/ || NF == 0) next
+        if (NF < 3) { printf "%s:%d: no reason given for %s %s\n", FILENAME, FNR, $1, $2; bad++ }
+        allowed[$1 " " $2] = 1
+        next
+    }
+    {
+        listed[$0] = 1
+        n++
+        if ($0 in allowed) { printf "%-22s %s\n", $1, $2; next }
+        printf "%-22s %s   NOT ALLOWLISTED: delete it, or add it to %s with a reason\n", $1, $2, ARGV[1]
+        bad++
+    }
+    END {
+        for (k in allowed) if (!(k in listed)) {
+            printf "%s   STALE: allowlisted but no longer test-only; remove the line from %s\n", k, ARGV[1]
+            bad++
+        }
+        printf "%d exported functions and methods referenced from no non-test file\n", n
+        exit (bad > 0)
+    }
+' "$ALLOW" "$tmp/listing"
