@@ -44,7 +44,9 @@ bench-e2e-smoke:
 
 # Fuzz smoke: short coverage-guided runs of the byte-level parsers
 # (DNS wire format, sFlow v5 datagrams, pcap records, the checkpoint
-# decoder), of the sample scanner against the parser, of the bounded
+# decoder), of the pcap datagram reader against the pcap reader (same
+# packets, per-second batches, resumable cursors), of the sample
+# scanner against the parser, of the bounded
 # selector ranking against the full-sort reference, of the name table
 # (interning and release) against a map + slice reference, and of the
 # Zipf guide-table search against the binary search. Targets are named
@@ -55,6 +57,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanMatchesParse$$' -fuzztime 10s ./internal/dnswire
 	$(GO) test -run '^$$' -fuzz FuzzParseDatagram -fuzztime 10s ./internal/sflow
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 10s ./internal/pcap
+	$(GO) test -run '^$$' -fuzz FuzzPCAPDatagrams -fuzztime 10s ./internal/sflow
 	$(GO) test -run '^$$' -fuzz FuzzTopN -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzTable -fuzztime 10s ./internal/names
 	$(GO) test -run '^$$' -fuzz FuzzZipf -fuzztime 10s ./internal/stats
@@ -72,8 +75,10 @@ daemon-smoke:
 # CLI smoke: the dnsampdetect binary, black box. `-scale 0.02 -v` must
 # print the committed golden (cmd/dnsampdetect/testdata) byte for byte,
 # serial and all-core runs and a snapshot round trip must print the
-# same, and an unknown flag, two replay flags and a missing input file
-# must be refused with their exit statuses.
+# same, one attackgen wire stream must replay as a log and as a pcap
+# with the same frame count (and as a log with a corrupt datagram, one
+# skipped), and an unknown flag, two replay flags and a missing input
+# file must be refused with their exit statuses.
 cli-smoke:
 	./scripts/cli_smoke.sh
 

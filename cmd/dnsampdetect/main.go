@@ -44,6 +44,7 @@ func loadSource(sflowPath, pcapPath, snapPath string) (source.Source, error) {
 	if set > 1 {
 		return nil, fmt.Errorf("-replay-sflow, -replay-pcap and -snapshot-in are mutually exclusive")
 	}
+	path, ingest := sflowPath, (*source.Replay).IngestSFlowLog
 	switch {
 	case snapPath != "":
 		f, err := os.Open(snapPath)
@@ -52,33 +53,22 @@ func loadSource(sflowPath, pcapPath, snapPath string) (source.Source, error) {
 		}
 		defer f.Close()
 		return source.OpenSnapshot(f)
-	case sflowPath != "":
-		f, err := os.Open(sflowPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		rep := source.NewReplay(nil)
-		n, err := rep.IngestSFlowLog(f)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "ingested %d sampled frames from %s (%d days)\n", n, sflowPath, len(rep.Days()))
-		return rep, nil
-	default:
-		f, err := os.Open(pcapPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		rep := source.NewReplay(nil)
-		n, err := rep.IngestPCAP(f)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "ingested %d frames from %s (%d days)\n", n, pcapPath, len(rep.Days()))
-		return rep, nil
+	case pcapPath != "":
+		path, ingest = pcapPath, (*source.Replay).IngestPCAP
 	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	rep := source.NewReplay(nil)
+	n, err := ingest(rep, f)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "ingested %d frames from %s (%d days; malformed datagrams skipped: %d)\n",
+		n, path, len(rep.Days()), rep.Skipped())
+	return rep, nil
 }
 
 func main() {

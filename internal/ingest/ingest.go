@@ -43,8 +43,8 @@
 // the Items() buffer hold runLen = 64 (sched.go gives the reason).
 //
 // Cursors: every emitted Item carries the source's progress cursor
-// just past that datagram (a byte offset for file-backed sources, a
-// deterministic datagram count for pcap/synthetic, 0 for UDP, which
+// just past that datagram (a byte offset for a log, a frame count for
+// pcap, a sample count for synthetic fill, 0 for UDP, which
 // resumes through the per-agent sequence barrier instead). The
 // consumer persists the cursor of the newest item it fully consumed,
 // keyed by the stable Spec.ID, and hands the map back through
@@ -291,8 +291,8 @@ type Config struct {
 	// ListenPacket, when set, binds UDP ingest sockets — the
 	// fault-injection seam, as on server.Config.
 	ListenPacket func(addr string) (net.PacketConn, error)
-	// WrapReader, when set, wraps every file-backed replay reader —
-	// the stream-fault seam (faults.Injector.Reader).
+	// WrapReader, when set, wraps the stream of every replay: and pcap:
+	// input — the stream-fault seam (faults.Injector.Reader).
 	WrapReader func(id string, r io.Reader) io.Reader
 	// FaultPanic, when non-nil, panics datagram delivery on matching
 	// datagrams — the test hook for per-datagram panic containment.

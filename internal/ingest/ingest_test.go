@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"dnsamp/internal/pcap"
 	"dnsamp/internal/sflow"
 	"dnsamp/internal/simclock"
 )
@@ -349,42 +350,92 @@ func writeTestLog(t *testing.T, n int) string {
 	return path
 }
 
-// TestReplayResume: a replay source restarted from a mid-file cursor
-// delivers exactly the remainder, nothing twice.
-func TestReplayResume(t *testing.T) {
-	const n = 20
-	path := writeTestLog(t, n)
-	sp, err := ParseSpec("replay:" + path)
+// testPCAP writes a capture of seconds×perSecond 60-byte frames,
+// perSecond to each arrival second, and returns its bytes and path.
+func testPCAP(t *testing.T, seconds, perSecond int) ([]byte, string) {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := pcap.NewWriter(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	runAll := func(cursors map[string]int64) []Item {
-		s, err := New(Config{Specs: []Spec{sp}, Tuning: fastTuning(), Cursors: cursors})
-		if err != nil {
+	for i := 0; i < seconds*perSecond; i++ {
+		if err := w.WritePacket(simclock.Time(1000+i/perSecond), 0, 60, bytes.Repeat([]byte{byte(i)}, 60)); err != nil {
 			t.Fatal(err)
 		}
-		defer s.Stop()
-		s.Start()
-		return collectItems(t, s, 0, 5*time.Second)
 	}
+	path := filepath.Join(t.TempDir(), "cap.pcap")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), path
+}
 
-	full := runAll(nil)
-	if len(full) != n {
-		t.Fatalf("full run: %d datagrams, want %d", len(full), n)
+// runSpec drains one source to the end of its stream.
+func runSpec(t *testing.T, sp Spec, cursors map[string]int64) ([]Item, SupervisorStats) {
+	t.Helper()
+	s, err := New(Config{Specs: []Spec{sp}, Tuning: fastTuning(), Cursors: cursors})
+	if err != nil {
+		t.Fatal(err)
 	}
-	const k = 7
-	rest := runAll(map[string]int64{sp.ID: full[k-1].Cursor})
-	if len(rest) != n-k {
-		t.Fatalf("resumed run: %d datagrams, want %d", len(rest), n-k)
+	defer s.Stop()
+	s.Start()
+	items := collectItems(t, s, 0, 5*time.Second)
+	return items, s.Snapshot()[0]
+}
+
+// TestReplayResume: a replay: or pcap: source restarted from a mid-file
+// cursor delivers exactly the remainder, nothing twice, with the
+// cursors and datagram sequence numbers of a full run.
+func TestReplayResume(t *testing.T) {
+	const n = 20
+	_, pcapPath := testPCAP(t, n, 3)
+	for _, spec := range []string{"replay:" + writeTestLog(t, n), "pcap:" + pcapPath} {
+		t.Run(strings.Split(spec, ":")[0], func(t *testing.T) {
+			sp, err := ParseSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, _ := runSpec(t, sp, nil)
+			if len(full) != n {
+				t.Fatalf("full run: %d datagrams, want %d", len(full), n)
+			}
+			const k = 7
+			rest, _ := runSpec(t, sp, map[string]int64{sp.ID: full[k-1].Cursor})
+			if len(rest) != n-k {
+				t.Fatalf("resumed run: %d datagrams, want %d", len(rest), n-k)
+			}
+			if rest[0].At != full[k].At || rest[0].Cursor != full[k].Cursor {
+				t.Fatalf("resume misaligned: got (%v,%d), want (%v,%d)", rest[0].At, rest[0].Cursor, full[k].At, full[k].Cursor)
+			}
+			for i, it := range rest {
+				if it.Cursor != full[k+i].Cursor || it.Dg.Seq != full[k+i].Dg.Seq {
+					t.Fatalf("entry %d: cursor %d seq %d, want %d seq %d", i, it.Cursor, it.Dg.Seq, full[k+i].Cursor, full[k+i].Dg.Seq)
+				}
+			}
+		})
 	}
-	if rest[0].At != full[k].At || rest[0].Cursor != full[k].Cursor {
-		t.Fatalf("resume misaligned: got (%v,%d), want (%v,%d)", rest[0].At, rest[0].Cursor, full[k].At, full[k].Cursor)
+}
+
+// TestPCAPTruncatedDeliversWhole: a pcap: input over a capture cut
+// inside its last record delivers every whole frame — the last
+// datagram included — and then fails as a log that ends mid-entry does,
+// until it is quarantined.
+func TestPCAPTruncatedDeliversWhole(t *testing.T) {
+	raw, path := testPCAP(t, 10, 5)
+	if err := os.WriteFile(path, raw[:len(raw)-7], 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for i, it := range rest {
-		if it.Cursor != full[k+i].Cursor {
-			t.Fatalf("entry %d: cursor %d, want %d", i, it.Cursor, full[k+i].Cursor)
-		}
+	items, st := runSpec(t, Spec{ID: "pcap:" + path, Kind: KindPCAP, Path: path}, nil)
+	frames := 0
+	for _, it := range items {
+		frames += len(it.Dg.Samples)
+	}
+	if frames != 49 || items[len(items)-1].Cursor != 49 {
+		t.Fatalf("delivered %d frames to cursor %d, want the 49 whole ones", frames, items[len(items)-1].Cursor)
+	}
+	if st.State != "quarantined" || !strings.Contains(st.LastError, "ends mid-entry") {
+		t.Fatalf("input = %+v, want quarantined on an ends-mid-entry error", st)
 	}
 }
 

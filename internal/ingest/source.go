@@ -8,7 +8,6 @@
 package ingest
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -20,7 +19,6 @@ import (
 	"time"
 
 	"dnsamp/internal/ecosystem"
-	"dnsamp/internal/pcap"
 	"dnsamp/internal/sflow"
 	"dnsamp/internal/simclock"
 	"dnsamp/internal/topology"
@@ -39,10 +37,8 @@ func newRunner(sp Spec, cfg *Config) runner {
 		return &udpRunner{cfg: cfg, addr: sp.Addr}
 	case KindTail:
 		return &tailRunner{sp: sp, cfg: cfg}
-	case KindReplay:
-		return &replayRunner{sp: sp, cfg: cfg}
-	case KindPCAP:
-		return &pcapRunner{sp: sp, cfg: cfg}
+	case KindReplay, KindPCAP:
+		return &fileRunner{sp: sp, cfg: cfg}
 	default:
 		return &synthRunner{sp: sp, cfg: cfg}
 	}
@@ -228,17 +224,18 @@ func (r *tailRunner) run(t *task, cursor int64) error {
 	}
 }
 
-// replayRunner reads a datagram log start to end and completes. The
-// cursor is the reader's offset past the last delivered entry — bytes
-// consumed, not bytes read; on restart it skips forward by draining
-// the (possibly fault-wrapped) stream so injected faults see the same
-// reads a fresh run would.
-type replayRunner struct {
+// fileRunner reads a capture file start to end through its format's
+// sflow.EntryReader — the reader the batch study's ingestion drains
+// too — and completes. The cursor is the reader's Offset past the last
+// delivered datagram (bytes consumed for replay:, frames for pcap:); a
+// restart skips forward by reading the (possibly fault-wrapped) stream,
+// so injected faults see the same reads a fresh run would.
+type fileRunner struct {
 	sp  Spec
 	cfg *Config
 }
 
-func (r *replayRunner) run(t *task, cursor int64) error {
+func (r *fileRunner) run(t *task, cursor int64) error {
 	f, err := os.Open(r.sp.Path)
 	if err != nil {
 		return err
@@ -248,148 +245,40 @@ func (r *replayRunner) run(t *task, cursor int64) error {
 	if r.cfg.WrapReader != nil {
 		src = r.cfg.WrapReader(r.sp.ID, src)
 	}
-	lr, err := sflow.NewLogReader(src)
+	var rd sflow.EntryReader
+	if r.sp.Kind == KindPCAP {
+		rd, err = sflow.NewPCAPReader(src, r.sp.agent())
+	} else {
+		rd, err = sflow.NewLogReader(src)
+	}
 	if err != nil {
 		return err
 	}
-	if err := lr.SkipTo(cursor); err != nil {
+	if err := rd.SkipTo(cursor); err != nil {
 		return fmt.Errorf("ingest: %s: seeking to cursor %d: %w", r.sp.ID, cursor, err)
 	}
 	for {
 		if t.ctx.Err() != nil {
 			return t.ctx.Err()
 		}
-		at, dg, err := lr.NextEntry()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil // drained
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return fmt.Errorf("ingest: %s: log ends mid-entry: %w", r.sp.ID, err)
-			}
-			if errors.Is(err, sflow.ErrDatagram) {
-				t.recv()
-				t.parseError() // one bad body; the reader resynced
-				continue
-			}
+		at, dg, err := rd.NextEntry()
+		switch {
+		case errors.Is(err, io.EOF):
+			return nil // drained
+		case errors.Is(err, io.ErrUnexpectedEOF):
+			return fmt.Errorf("ingest: %s: input ends mid-entry: %w", r.sp.ID, err)
+		case errors.Is(err, sflow.ErrDatagram):
+			t.recv()
+			t.parseError() // one bad body; the reader resynced
+			continue
+		case err != nil:
 			return err // framing error or stream fault
 		}
 		t.recv()
 		if r.cfg.TimeFromUptime {
 			at = simclock.Time(dg.Uptime)
 		}
-		if !t.deliver(dg, at, lr.Offset(), 0) {
-			return t.ctx.Err()
-		}
-	}
-}
-
-// batcher groups time-ordered flow samples into per-second datagrams,
-// mirroring sflow.LogWriter's canonical batching (flush on time change
-// or maxSamples) so pcap and synthetic inputs produce the same datagram
-// stream shape a recorded log would. Batching is a pure function of the
-// sample sequence, so datagram boundaries — and with them Seq numbers
-// and count cursors — reproduce exactly across restarts.
-type batcher struct {
-	agent [4]byte
-	cur   sflow.Datagram
-	curAt simclock.Time
-	dgSeq uint32
-	n     int64 // samples added so far
-}
-
-const batchMaxSamples = 64 // one datagram per arrival second, capped
-
-// add appends one sample; when that forces the previous batch out, the
-// flushed datagram, its time, and the sample count through its last
-// sample are returned.
-func (b *batcher) add(s sflow.FlowSample, at simclock.Time) (*sflow.Datagram, simclock.Time, int64) {
-	var dg *sflow.Datagram
-	var dgAt simclock.Time
-	var dgN int64
-	if len(b.cur.Samples) > 0 && (at != b.curAt || len(b.cur.Samples) >= batchMaxSamples) {
-		dg, dgAt, dgN = b.flush()
-	}
-	b.curAt = at
-	b.cur.Samples = append(b.cur.Samples, s)
-	b.n++
-	return dg, dgAt, dgN
-}
-
-// flush emits any buffered samples as a datagram.
-func (b *batcher) flush() (*sflow.Datagram, simclock.Time, int64) {
-	if len(b.cur.Samples) == 0 {
-		return nil, 0, 0
-	}
-	b.dgSeq++
-	dg := &sflow.Datagram{
-		Agent:   b.agent,
-		Seq:     b.dgSeq,
-		Uptime:  uint32(b.curAt),
-		Samples: b.cur.Samples,
-	}
-	b.cur.Samples = nil // the flushed datagram owns the slice
-	return dg, b.curAt, b.n
-}
-
-// pcapRunner reads a classic pcap capture, batches frames into
-// per-second datagrams, and completes. The cursor is the count of
-// frames delivered; restart re-runs the deterministic batching and
-// skips datagrams whose last frame is at or before the cursor, so Seq
-// numbers continue seamlessly.
-type pcapRunner struct {
-	sp  Spec
-	cfg *Config
-}
-
-func (p *pcapRunner) run(t *task, cursor int64) error {
-	f, err := os.Open(p.sp.Path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var src io.Reader = f
-	if p.cfg.WrapReader != nil {
-		src = p.cfg.WrapReader(p.sp.ID, src)
-	}
-	pr, err := pcap.NewReader(bufio.NewReader(src))
-	if err != nil {
-		return err
-	}
-	// A capture is a full packet record, not a sampled feed: rate 1.
-	b := &batcher{agent: p.sp.agent()}
-	emit := func(dg *sflow.Datagram, at simclock.Time, n int64) bool {
-		if dg == nil || n <= cursor {
-			return true // nil flush, or already delivered before restart
-		}
-		t.recv()
-		return t.deliver(dg, at, n, 0)
-	}
-	for {
-		if t.ctx.Err() != nil {
-			return t.ctx.Err()
-		}
-		pkt, err := pr.Next()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				if !emit(b.flush()) {
-					return t.ctx.Err()
-				}
-				return nil
-			}
-			return err
-		}
-		t.beat()
-		frame := pkt.Data
-		s := sflow.FlowSample{
-			Seq:      uint32(b.n + 1),
-			SourceID: 1,
-			Rate:     1,
-			Pool:     uint32(b.n + 1),
-			FrameLen: uint32(pkt.Orig),
-			Header:   frame,
-		}
-		if !emit(b.add(s, pkt.Time)) {
+		if !t.deliver(dg, at, rd.Offset(), 0) {
 			return t.ctx.Err()
 		}
 	}
@@ -414,10 +303,12 @@ func (r *synthRunner) run(t *task, cursor int64) error {
 		cfg.Topology = topology.Config{Members: 24, ASesPerClass: 40, Seed: r.sp.Seed}
 		r.gen = ecosystem.NewGenerator(ecosystem.NewCampaign(cfg), r.sp.Seed)
 	}
-	b := &batcher{agent: r.sp.agent()}
-	emit := func(dg *sflow.Datagram, at simclock.Time, n int64) bool {
+	b := sflow.Batcher{Agent: r.sp.agent(), Rate: sflow.DefaultRate}
+	var n int64 // samples batched so far
+	emit := func() bool {
+		dg, at := b.Take()
 		if dg == nil || n <= cursor {
-			return true
+			return true // nothing open, or delivered before a restart
 		}
 		t.recv()
 		return t.deliver(dg, at, n, 0)
@@ -433,22 +324,15 @@ func (r *synthRunner) run(t *task, cursor int64) error {
 		})
 		t.beat()
 		for _, tr := range recs {
-			s := sflow.FlowSample{
-				Seq:      uint32(tr.Rec.Seq),
-				SourceID: 1,
-				Rate:     sflow.DefaultRate,
-				Pool:     uint32(tr.Rec.Seq) * sflow.DefaultRate,
-				Input:    tr.Ingress,
-				FrameLen: uint32(tr.Rec.FrameLen),
-				Header:   tr.Rec.Frame,
-			}
-			if !emit(b.add(s, tr.Rec.Time)) {
+			if b.Full(tr.Rec.Time) && !emit() {
 				return t.ctx.Err()
 			}
+			n++
+			b.Add(tr.Rec, tr.Ingress)
 		}
 		day = day.Add(simclock.Day)
 	}
-	if !emit(b.flush()) {
+	if !emit() {
 		return t.ctx.Err()
 	}
 	return nil

@@ -161,14 +161,14 @@ func NewReader(r io.Reader) (*Reader, error) {
 }
 
 // Next reads the next packet. It returns io.EOF at a clean end of file
-// and an ErrFormat-wrapped error when the file stops mid-record or a
-// length field is implausible.
+// and an ErrFormat-wrapped error when the file stops mid-record (that
+// one wraps io.ErrUnexpectedEOF too) or a length field is implausible.
 func (r *Reader) Next() (Packet, error) {
 	if _, err := io.ReadFull(r.r, r.buf[:]); err != nil {
 		if errors.Is(err, io.EOF) {
 			return Packet{}, io.EOF
 		}
-		return Packet{}, fmt.Errorf("%w: truncated record header (%v)", ErrFormat, err)
+		return Packet{}, fmt.Errorf("%w: truncated record header: %w", ErrFormat, err)
 	}
 	incl := int(r.order.Uint32(r.buf[8:12]))
 	orig := int(r.order.Uint32(r.buf[12:16]))
@@ -177,7 +177,10 @@ func (r *Reader) Next() (Packet, error) {
 	}
 	data := make([]byte, incl) // fresh per packet: the packet owns it
 	if _, err := io.ReadFull(r.r, data); err != nil {
-		return Packet{}, fmt.Errorf("%w: truncated packet data (%v)", ErrFormat, err)
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF // the record header promised the data
+		}
+		return Packet{}, fmt.Errorf("%w: truncated packet data: %w", ErrFormat, err)
 	}
 	return Packet{
 		Time: simclock.Time(int64(r.order.Uint32(r.buf[0:4]))),

@@ -22,8 +22,10 @@ import (
 
 	"dnsamp/internal/ecosystem"
 	"dnsamp/internal/ingest"
+	"dnsamp/internal/pcap"
 	"dnsamp/internal/sflow"
 	"dnsamp/internal/simclock"
+	"dnsamp/internal/source"
 )
 
 // splitWire writes recs round-robin across n datagram logs — each file
@@ -31,6 +33,12 @@ import (
 // order is only recoverable by merging on capture timestamps — and
 // returns the replay specs, per-file entry counts, and the total.
 func splitWire(t *testing.T, dir string, recs []ecosystem.TaggedRecord, n int) ([]ingest.Spec, []int, int) {
+	return splitWireAs(t, dir, recs, n, ingest.KindReplay)
+}
+
+// splitWireAs is splitWire writing each part as an input of kind reads
+// it: a datagram log for replay:, a classic pcap for pcap:.
+func splitWireAs(t *testing.T, dir string, recs []ecosystem.TaggedRecord, n int, kind ingest.Kind) ([]ingest.Spec, []int, int) {
 	t.Helper()
 	specs := make([]ingest.Spec, n)
 	counts := make([]int, n)
@@ -41,17 +49,16 @@ func splitWire(t *testing.T, dir string, recs []ecosystem.TaggedRecord, n int) (
 			part = append(part, recs[j])
 		}
 		path := filepath.Join(dir, fmt.Sprintf("part%d.sflowlog", i))
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
+		if kind == ingest.KindPCAP {
+			path = filepath.Join(dir, fmt.Sprintf("part%d.pcap", i))
 		}
-		encodeWire(t, f, part)
-		if err := f.Close(); err != nil {
+		raw := wireAs(t, part, kind)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		counts[i] = countEntries(t, path)
 		total += counts[i]
-		sp, err := ingest.ParseSpec("replay:" + path)
+		sp, err := ingest.ParseSpec(string(kind) + ":" + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +67,28 @@ func splitWire(t *testing.T, dir string, recs []ecosystem.TaggedRecord, n int) (
 	return specs, counts, total
 }
 
-// countEntries re-reads a finished log and counts its datagram entries.
+// wireAs encodes recs as the capture an input of kind reads.
+func wireAs(t *testing.T, recs []ecosystem.TaggedRecord, kind ingest.Kind) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if kind == ingest.KindReplay {
+		encodeWire(t, &buf, recs)
+		return buf.Bytes()
+	}
+	pw, err := pcap.NewWriter(&buf, sflow.DefaultSnaplen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range recs {
+		if err := pw.WritePacket(tr.Rec.Time, 0, tr.Rec.FrameLen, tr.Rec.Frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// countEntries re-reads a finished capture — a pcap when the path says
+// so, a datagram log otherwise — and counts its datagram entries.
 func countEntries(t *testing.T, path string) int {
 	t.Helper()
 	f, err := os.Open(path)
@@ -68,13 +96,18 @@ func countEntries(t *testing.T, path string) int {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	lr, err := sflow.NewLogReader(f)
+	var rd sflow.EntryReader
+	if strings.HasSuffix(path, ".pcap") {
+		rd, err = sflow.NewPCAPReader(f, [4]byte{})
+	} else {
+		rd, err = sflow.NewLogReader(f)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := 0
 	for {
-		if _, _, err := lr.NextEntry(); err != nil {
+		if _, _, err := rd.NextEntry(); err != nil {
 			if err == io.EOF {
 				return n
 			}
@@ -156,87 +189,106 @@ func shutdownService(t *testing.T, svc *Service) {
 // by the arrival-time policy, must produce detections byte-identical
 // to the batch study over the unsplit recording — the merge must
 // reconstruct the global arrival order exactly, across sources that
-// all carry the same sFlow agent.
+// all carry the same sFlow agent. The pcap: leg splits the recording
+// into three captures, and its batch study reads the unsplit capture
+// through IngestPCAP: live and batch read pcap bytes the same way.
 func TestMultiSourceMergeGolden(t *testing.T) {
 	const days, listN = 5, 29
 	recs := wireRecs(t, days)
-	want := batchReference(t, wireLog(t, days).Bytes(), listN)
+	for _, leg := range []struct {
+		kind  ingest.Kind
+		agent func(string) bool // every collector row's agent: the recorded one, or a synthesized one
+	}{
+		{ingest.KindReplay, func(a string) bool { return a == "192.0.2.1" }},
+		{ingest.KindPCAP, func(a string) bool { return strings.HasPrefix(a, "198.18.") }},
+	} {
+		t.Run(string(leg.kind), func(t *testing.T) {
+			want := batchReference(t, wireLog(t, days).Bytes(), listN)
+			if leg.kind == ingest.KindPCAP {
+				rep := source.NewReplay(nil)
+				if _, err := rep.IngestPCAP(bytes.NewReader(wireAs(t, recs, leg.kind))); err != nil {
+					t.Fatalf("IngestPCAP: %v", err)
+				}
+				want = replayReference(t, rep, listN)
+			}
+			dir := t.TempDir()
+			specs, _, total := splitWireAs(t, dir, recs, 3, leg.kind)
+			svc := startService(t, Config{
+				Inputs: specs,
+				Policy: ingest.PolicyArrival,
+				Window: WindowConfig{Days: 2, ListSize: listN, Refresh: simclock.Hour},
+			})
 
-	dir := t.TempDir()
-	specs, _, total := splitWire(t, dir, recs, 3)
-	svc := startService(t, Config{
-		Inputs: specs,
-		Policy: ingest.PolicyArrival,
-		Window: WindowConfig{Days: 2, ListSize: listN, Refresh: simclock.Hour},
-	})
+			ids := []string{specs[0].ID, specs[1].ID, specs[2].ID}
+			waitUntil(t, "split replay consumed", func() bool {
+				return svc.Consumed() == uint64(total) && allInputsDone(svc, ids...)
+			})
+			if drops := svc.QueueDrops(); drops != 0 {
+				t.Fatalf("durable ingest shed %d datagrams", drops)
+			}
 
-	ids := []string{specs[0].ID, specs[1].ID, specs[2].ID}
-	waitUntil(t, "split replay consumed", func() bool {
-		return svc.Consumed() == uint64(total) && allInputsDone(svc, ids...)
-	})
-	if drops := svc.QueueDrops(); drops != 0 {
-		t.Fatalf("durable ingest shed %d datagrams", drops)
-	}
+			// Control surface: three supervisor rows all done and conserving,
+			// three collector rows scoped by input, per-input metric
+			// families present.
+			var payload SourcesPayload
+			if err := json.Unmarshal(getBody(t, svc, "/sources"), &payload); err != nil {
+				t.Fatalf("/sources: %v", err)
+			}
+			if len(payload.Inputs) != 3 {
+				t.Fatalf("/sources inputs = %+v, want 3", payload.Inputs)
+			}
+			for i := range payload.Inputs {
+				st := &payload.Inputs[i]
+				if st.State != "done" || st.Emitted == 0 {
+					t.Errorf("input %s = %+v, want done with emits", st.ID, st)
+				}
+				assertInputConservation(t, st)
+			}
+			if len(payload.Collectors) != 3 {
+				t.Fatalf("/sources collectors = %+v, want one row per input", payload.Collectors)
+			}
+			for _, row := range payload.Collectors {
+				if !leg.agent(row.Agent) || row.Input == "" {
+					t.Errorf("collector row = %+v, want the %s input's agent, scoped by input", row, leg.kind)
+				}
+			}
+			metricsText := string(getBody(t, svc, "/metrics"))
+			// Three replay: inputs carry the same recorded agent: every
+			// series must still be unique, or a Prometheus scraper rejects
+			// the whole page.
+			series := make(map[string]bool)
+			for _, line := range strings.Split(metricsText, "\n") {
+				if line == "" || strings.HasPrefix(line, "#") {
+					continue
+				}
+				name := line[:strings.LastIndexByte(line, ' ')]
+				if series[name] {
+					t.Errorf("/metrics repeats series %s", name)
+				}
+				series[name] = true
+			}
+			for _, family := range []string{"ixpmon_input_state", "ixpmon_input_emitted_total", "ixpmon_input_restarts_total"} {
+				if !strings.Contains(metricsText, "# TYPE "+family+" ") {
+					t.Errorf("/metrics missing family %s", family)
+				}
+			}
+			if !strings.Contains(metricsText, fmt.Sprintf(`ixpmon_input_state{input=%q} 4`, specs[0].ID)) {
+				t.Errorf("/metrics missing done-state sample for %s:\n%.800s", specs[0].ID, metricsText)
+			}
 
-	// Control surface: three supervisor rows all done and conserving,
-	// three collector rows scoped by input (same agent in every file),
-	// per-input metric families present.
-	var payload SourcesPayload
-	if err := json.Unmarshal(getBody(t, svc, "/sources"), &payload); err != nil {
-		t.Fatalf("/sources: %v", err)
-	}
-	if len(payload.Inputs) != 3 {
-		t.Fatalf("/sources inputs = %+v, want 3", payload.Inputs)
-	}
-	for i := range payload.Inputs {
-		st := &payload.Inputs[i]
-		if st.State != "done" || st.Emitted == 0 {
-			t.Errorf("input %s = %+v, want done with emits", st.ID, st)
-		}
-		assertInputConservation(t, st)
-	}
-	if len(payload.Collectors) != 3 {
-		t.Fatalf("/sources collectors = %+v, want one row per input", payload.Collectors)
-	}
-	for _, row := range payload.Collectors {
-		if row.Agent != "192.0.2.1" || row.Input == "" {
-			t.Errorf("collector row = %+v, want agent 192.0.2.1 scoped by input", row)
-		}
-	}
-	metricsText := string(getBody(t, svc, "/metrics"))
-	// Three inputs carry the same recorded agent: every series must
-	// still be unique, or a Prometheus scraper rejects the whole page.
-	series := make(map[string]bool)
-	for _, line := range strings.Split(metricsText, "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name := line[:strings.LastIndexByte(line, ' ')]
-		if series[name] {
-			t.Errorf("/metrics repeats series %s", name)
-		}
-		series[name] = true
-	}
-	for _, family := range []string{"ixpmon_input_state", "ixpmon_input_emitted_total", "ixpmon_input_restarts_total"} {
-		if !strings.Contains(metricsText, "# TYPE "+family+" ") {
-			t.Errorf("/metrics missing family %s", family)
-		}
-	}
-	if !strings.Contains(metricsText, fmt.Sprintf(`ixpmon_input_state{input=%q} 4`, specs[0].ID)) {
-		t.Errorf("/metrics missing done-state sample for %s:\n%.800s", specs[0].ID, metricsText)
-	}
-
-	shutdownService(t, svc)
-	svc.mu.Lock()
-	got := svc.win.Detections()
-	svc.mu.Unlock()
-	if len(got) != len(want) {
-		t.Fatalf("detections: merged %d, batch %d\nmerged: %+v\nbatch: %+v", len(got), len(want), got, want)
-	}
-	for i := range got {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("detection %d: merged %+v, batch %+v", i, *got[i], *want[i])
-		}
+			shutdownService(t, svc)
+			svc.mu.Lock()
+			got := svc.win.Detections()
+			svc.mu.Unlock()
+			if len(got) != len(want) {
+				t.Fatalf("detections: merged %d, batch %d\nmerged: %+v\nbatch: %+v", len(got), len(want), got, want)
+			}
+			for i := range got {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("detection %d: merged %+v, batch %+v", i, *got[i], *want[i])
+				}
+			}
+		})
 	}
 }
 

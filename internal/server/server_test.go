@@ -180,6 +180,12 @@ func batchReference(t *testing.T, logBytes []byte, listN int) []*core.Detection 
 	if _, err := rep.IngestSFlowLog(bytes.NewReader(logBytes)); err != nil {
 		t.Fatalf("IngestSFlowLog: %v", err)
 	}
+	return replayReference(t, rep, listN)
+}
+
+// replayReference is batchReference over a capture already ingested.
+func replayReference(t *testing.T, rep *source.Replay, listN int) []*core.Detection {
+	t.Helper()
 	tab := rep.Table()
 	ref := core.NewAggregator(tab, nil)
 	ref.SetTrackAll(true)

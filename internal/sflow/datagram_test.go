@@ -137,7 +137,7 @@ func BenchmarkParseDatagram(b *testing.B) {
 func logRecords() ([]Record, []uint32) { return logRecordsN(130, 70) }
 
 // logRecordsN builds n records, perSecond of them sharing each arrival
-// second (so at most that many, and at most maxLogSamples, per entry).
+// second (so at most that many, and at most maxBatchSamples, per entry).
 func logRecordsN(n, perSecond int) ([]Record, []uint32) {
 	base := simclock.MeasurementStart
 	var recs []Record

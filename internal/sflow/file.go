@@ -6,8 +6,7 @@
 //
 // after an 8-byte magic + version header, every integer little-endian.
 // Records sharing one arrival second are batched into one datagram
-// (bounded by maxLogSamples), mirroring how an agent packs samples
-// until the MTU or a timeout flushes.
+// (Batcher).
 package sflow
 
 import (
@@ -15,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"dnsamp/internal/simclock"
 )
@@ -26,8 +26,8 @@ const (
 	logVersion = 1
 	// logHeaderLen is the byte length of the log file header.
 	logHeaderLen = 12
-	// maxLogSamples bounds samples per datagram on write.
-	maxLogSamples = 64
+	// maxBatchSamples bounds samples per datagram (Batcher).
+	maxBatchSamples = 64
 	// maxLogDatagram bounds the datagram length accepted on read.
 	maxLogDatagram = 1 << 20
 )
@@ -36,19 +36,80 @@ const (
 // entry). Truncation mid-entry surfaces as io.ErrUnexpectedEOF.
 var ErrLog = errors.New("sflow: malformed datagram log")
 
+// Batcher packs time-ordered records into datagrams the way an agent
+// fills them until a timeout or the MTU: one datagram per arrival
+// second, at most maxBatchSamples samples, numbered from 1. Packing is
+// a pure function of the record sequence, so re-batching from the top
+// reproduces every boundary and Seq number, and a record count serves
+// as a resume cursor. LogWriter, PCAPReader and the service's synthetic
+// input all batch through it.
+type Batcher struct {
+	Agent [4]byte
+	Rate  uint32 // the sampling denominator every flow sample records
+
+	dg Datagram // the open datagram
+	at simclock.Time
+}
+
+// Full reports whether a record arriving at `at` must wait until the
+// open datagram is taken.
+func (b *Batcher) Full(at simclock.Time) bool {
+	n := len(b.dg.Samples)
+	return n > 0 && (at != b.at || n >= maxBatchSamples)
+}
+
+// Add appends rec to the open datagram as a flow sample whose input
+// field is input; take the datagram first when Full(rec.Time). The
+// sample holds rec.Frame, not a copy.
+func (b *Batcher) Add(rec Record, input uint32) {
+	b.at = rec.Time
+	b.dg.Samples = append(b.dg.Samples, FlowSample{
+		Seq:      uint32(rec.Seq),
+		SourceID: 1,
+		Rate:     b.Rate,
+		Pool:     uint32(rec.Seq) * b.Rate,
+		Input:    input,
+		FrameLen: uint32(rec.FrameLen),
+		Header:   rec.Frame,
+	})
+}
+
+// Take closes the open datagram and returns it for keeping, with its
+// arrival second; nil when nothing is open. The datagram owns its
+// sample slice, and its Uptime is the arrival second, as a live agent's
+// clock would stamp it.
+func (b *Batcher) Take() (*Datagram, simclock.Time) {
+	dg, ok := b.take()
+	if !ok {
+		return nil, 0
+	}
+	dg.Uptime = uint32(b.at)
+	dg.Samples = slices.Clone(dg.Samples)
+	return &dg, b.at
+}
+
+// take closes the open datagram in place: its samples alias the
+// batcher's buffer, which the next Add overwrites.
+func (b *Batcher) take() (Datagram, bool) {
+	if len(b.dg.Samples) == 0 {
+		return Datagram{}, false
+	}
+	b.dg.Agent = b.Agent
+	b.dg.Seq++
+	dg := b.dg
+	b.dg.Samples = b.dg.Samples[:0]
+	return dg, true
+}
+
 // LogWriter serializes sampled records as a timestamped sFlow v5
 // datagram log. Records must be added in non-decreasing time order to
 // get the canonical one-datagram-per-second batching; out-of-order
-// times still round-trip (each time change flushes a datagram).
+// times still round-trip (each time change flushes a datagram). Every
+// datagram's Uptime is 0: the entry header carries the arrival time.
 type LogWriter struct {
-	w     io.Writer
-	agent [4]byte
-	rate  uint32
-
-	cur     Datagram
-	curTime simclock.Time
-	dgSeq   uint32
-	err     error
+	w   io.Writer
+	b   Batcher
+	err error
 }
 
 // NewLogWriter writes the log header and returns a writer attributing
@@ -64,7 +125,7 @@ func NewLogWriter(w io.Writer, agent [4]byte, rate int) (*LogWriter, error) {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return nil, err
 	}
-	return &LogWriter{w: w, agent: agent, rate: uint32(rate)}, nil
+	return &LogWriter{w: w, b: Batcher{Agent: agent, Rate: uint32(rate)}}, nil
 }
 
 // Add appends one sampled record. input is the ingress interface
@@ -73,60 +134,46 @@ func NewLogWriter(w io.Writer, agent [4]byte, rate int) (*LogWriter, error) {
 // address), matching ecosystem.TaggedRecord.Ingress.
 //
 // rec.Frame is retained (not copied) until its datagram is flushed —
-// at the next time change, every maxLogSamples records, or Flush —
+// at the next time change, every maxBatchSamples records, or Flush —
 // so callers must not reuse the frame buffer before then. Records
 // from Sampler own their bytes already.
 func (lw *LogWriter) Add(rec Record, input uint32) error {
 	if lw.err != nil {
 		return lw.err
 	}
-	if len(lw.cur.Samples) > 0 && (rec.Time != lw.curTime || len(lw.cur.Samples) >= maxLogSamples) {
+	if lw.b.Full(rec.Time) {
 		lw.flush()
 	}
-	lw.curTime = rec.Time
-	lw.cur.Samples = append(lw.cur.Samples, FlowSample{
-		Seq:      uint32(rec.Seq),
-		SourceID: 1,
-		Rate:     lw.rate,
-		Pool:     uint32(rec.Seq) * lw.rate,
-		Input:    input,
-		FrameLen: uint32(rec.FrameLen),
-		Header:   rec.Frame,
-	})
+	lw.b.Add(rec, input)
 	return lw.err
 }
 
 // Flush writes any buffered samples as a final datagram. Call once
 // after the last Add.
 func (lw *LogWriter) Flush() error {
-	if len(lw.cur.Samples) > 0 {
-		lw.flush()
-	}
+	lw.flush()
 	return lw.err
 }
 
 func (lw *LogWriter) flush() {
-	if lw.err != nil {
+	dg, ok := lw.b.take()
+	if !ok || lw.err != nil {
 		return
 	}
-	lw.dgSeq++
-	lw.cur.Agent = lw.agent
-	lw.cur.Seq = lw.dgSeq
-	body := EncodeDatagram(&lw.cur)
+	body := EncodeDatagram(&dg)
 	var hdr [12]byte
-	binary.LittleEndian.PutUint64(hdr[:8], uint64(lw.curTime))
+	binary.LittleEndian.PutUint64(hdr[:8], uint64(lw.b.at))
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(body)))
 	if _, err := lw.w.Write(hdr[:]); err != nil {
 		lw.err = err
 	} else if _, err := lw.w.Write(body); err != nil {
 		lw.err = err
 	}
-	lw.cur.Samples = lw.cur.Samples[:0]
 }
 
 // readAhead is how much LogReader asks its reader for at a time. An
 // entry runs from a couple of hundred bytes (one sample) to 9 KiB
-// (maxLogSamples), so one read(2) on a file serves tens to hundreds of
+// (maxBatchSamples), so one read(2) on a file serves tens to hundreds of
 // entries instead of two reads serving one.
 const readAhead = 64 << 10
 

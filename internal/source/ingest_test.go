@@ -231,6 +231,56 @@ func TestIngestTruncatedLog(t *testing.T) {
 	}
 }
 
+// TestIngestSkipsCorruptDatagram: a datagram whose body does not parse
+// costs that datagram and one count in Skipped, not the ingest — what
+// the service's replay: input does with it (one parse error).
+func TestIngestSkipsCorruptDatagram(t *testing.T) {
+	recs := syntheticLogRecords(500) // 3 s apart: one record per entry
+	var buf bytes.Buffer
+	lw, err := sflow.NewLogWriter(&buf, [4]byte{192, 0, 2, 3}, sflow.DefaultRate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range recs {
+		if err := lw.Add(tr.Rec, tr.Ingress); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	raw[24], raw[25] = ^raw[24], ^raw[25] // the first body's version field: past the file and entry headers
+
+	rep := source.NewReplay(nil)
+	n, err := rep.IngestSFlowLog(bytes.NewReader(raw))
+	if err != nil || n != len(recs)-1 || rep.Skipped() != 1 {
+		t.Fatalf("ingested %d of %d frames, skipped %d, err %v; want all but the corrupt one, 1 skipped, no error",
+			n, len(recs), rep.Skipped(), err)
+	}
+}
+
+// TestIngestTruncatedPCAP: a capture cut inside its last record ingests
+// every whole frame and reports io.ErrUnexpectedEOF, as a log does.
+func TestIngestTruncatedPCAP(t *testing.T) {
+	var buf bytes.Buffer
+	pw, err := pcap.NewWriter(&buf, sflow.DefaultSnaplen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range syntheticLogRecords(50) {
+		at := simclock.MeasurementStart.Add(simclock.Duration(i / 5)) // 10 seconds, 5 frames each
+		if err := pw.WritePacket(at, 0, tr.Rec.FrameLen, tr.Rec.Frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep := source.NewReplay(nil)
+	n, err := rep.IngestPCAP(bytes.NewReader(buf.Bytes()[:buf.Len()-7]))
+	if !errors.Is(err, io.ErrUnexpectedEOF) || !errors.Is(err, pcap.ErrFormat) || n != 49 {
+		t.Fatalf("kept %d frames, err %v; want the 49 whole ones, then io.ErrUnexpectedEOF", n, err)
+	}
+}
+
 // TestAddFramesAccumulates is the double-ingestion regression test:
 // the same day arriving in two AddFrames calls must keep the first
 // call's samples, sanitization counters, and sensor flows (the second

@@ -21,9 +21,10 @@ import (
 // not safe concurrently with the readers, but a populated Replay is
 // read-only and safe for any number of concurrent readers.
 type Replay struct {
-	tab   *names.Table
-	days  []simclock.Time
-	byDay map[simclock.Time]*replayDay
+	tab     *names.Table
+	days    []simclock.Time
+	byDay   map[simclock.Time]*replayDay
+	skipped int // datagrams IngestSFlowLog/IngestPCAP skipped
 }
 
 type replayDay struct {

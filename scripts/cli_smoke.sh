@@ -8,6 +8,10 @@
 #   - `-concurrency 1` (serial) prints what `-concurrency 0` prints;
 #   - a `-snapshot-out` run and a `-snapshot-in` run of its snapshot
 #     print the same;
+#   - one `attackgen` wire stream written as an sFlow log and as a pcap
+#     replays through `-replay-sflow` and `-replay-pcap` with the same
+#     ingested-frame count, and the log with one datagram body corrupted
+#     in place still replays, reporting one skipped datagram;
 #   - an unknown flag (`-cache-days`) exits 2, two replay
 #     flags exit 1, and a missing input file exits 1.
 #
@@ -59,6 +63,27 @@ echo "== -snapshot-out, then -snapshot-in, print the same"
 "$BIN" -scale 0.02 -v -snapshot-in "$WORK/study.snap" >"$WORK/snapin.out"
 same "$WORK/snapin.out" "$WORK/snapout.out" "-snapshot-in stdout differs from the -snapshot-out run"
 same "$WORK/snapout.out" "$WORK/all.out" "-snapshot-out stdout differs from the synthetic run"
+
+echo "== -replay-sflow and -replay-pcap of one wire stream ingest the same frames"
+go build -o "$WORK/attackgen" ./cmd/attackgen
+"$WORK/attackgen" -scale 0.02 -summary -wire-days 2 \
+    -sflow-out "$WORK/wire.sflowlog" -pcap-out "$WORK/wire.pcap" 2>"$WORK/gen.err"
+# ingested FILE: the frame count and skip count dnsampdetect reported.
+ingested() {
+    sed -n 's/^ingested \([0-9]*\) frames from .*skipped: \([0-9]*\))$/\1 \2/p' "$1"
+}
+run "$BIN" -scale 0.02 -replay-sflow "$WORK/wire.sflowlog" || fail "-replay-sflow exited $RC: $(cat "$WORK/err")"
+SFLOW="$(ingested "$WORK/err")"
+run "$BIN" -scale 0.02 -replay-pcap "$WORK/wire.pcap" || fail "-replay-pcap exited $RC: $(cat "$WORK/err")"
+PCAP="$(ingested "$WORK/err")"
+[ -n "$SFLOW" ] && [ "${SFLOW% 0}" != "$SFLOW" ] || fail "-replay-sflow reported '$SFLOW', want '<frames> 0'"
+[ "$PCAP" = "$SFLOW" ] || fail "-replay-pcap ingested '$PCAP', -replay-sflow '$SFLOW'"
+# The first datagram's version field: past the 12-byte log header and
+# the 12-byte entry header.
+printf '\377\377' | dd of="$WORK/wire.sflowlog" bs=1 seek=24 conv=notrunc 2>/dev/null
+run "$BIN" -scale 0.02 -replay-sflow "$WORK/wire.sflowlog" || fail "a corrupt datagram body exited $RC: $(cat "$WORK/err")"
+CORRUPT="$(ingested "$WORK/err")"
+[ "${CORRUPT#* }" = 1 ] || fail "a corrupt datagram body reported '$CORRUPT', want one skipped datagram"
 
 echo "== refusals"
 ! run "$BIN" -cache-days 1 || false
