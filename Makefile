@@ -47,7 +47,9 @@ bench-e2e-smoke:
 # decoder), of the pcap datagram reader against the pcap reader (same
 # packets, per-second batches, resumable cursors), of the sample
 # scanner against the parser, of the bounded
-# selector ranking against the full-sort reference, of the name table
+# selector ranking against the full-sort reference, of the aggregator
+# (observe, batch, split, merge, reset, release, snapshot) against a
+# naive map model, of the name table
 # (interning and release) against a map + slice reference, and of the
 # Zipf guide-table search against the binary search. Targets are named
 # exactly: go test refuses -fuzz patterns that match more than one
@@ -59,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 10s ./internal/pcap
 	$(GO) test -run '^$$' -fuzz FuzzPCAPDatagrams -fuzztime 10s ./internal/sflow
 	$(GO) test -run '^$$' -fuzz FuzzTopN -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzAggregator -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzTable -fuzztime 10s ./internal/names
 	$(GO) test -run '^$$' -fuzz FuzzZipf -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/server

@@ -12,14 +12,17 @@
 //  3. Attack detection (detect.go): the traffic-share and minimum-packet
 //     thresholds, grouping packets into attack events.
 //
-// The hot path is batch-native and operates on interned name IDs
-// (internal/names): ObserveBatch accumulates directly over the columns
-// of an ixp.SampleBatch, per-name state is a dense ID-indexed slice, and
-// per-client state lives in a flat client-day arena addressed through an
-// open-addressed index (clientIndex) — per packet, one hash probe and an
-// array write instead of a map lookup and a pointer chase. Per-client
-// tracked names are sorted ID lists, candidate membership is a
-// dense column, and strings appear only at report boundaries.
+// Aggregation is one fold over interned name IDs (internal/names): every
+// packet, whichever entry point delivers it — Observe for the live
+// window's samples, ObserveBatch and ObserveBatchSplit for the batch
+// study's columns — runs the same per-row step, which updates the global
+// counters, the name's slot in a dense ID-indexed slice and one profile
+// of a flat client-day arena. The entry points differ only in how they
+// find that profile: an open-addressed index (clientIndex), one hash
+// probe instead of a map lookup and a pointer chase, behind a one-entry
+// memo on the batch path. Per-client tracked names are sorted ID lists,
+// candidate membership is a dense column, and strings appear only at
+// report boundaries.
 package core
 
 import (
@@ -171,11 +174,8 @@ type Aggregator struct {
 	tracked []bool
 
 	// names holds per-name stats indexed by ID; entries beyond the
-	// slice are implicitly zero. numNames counts the entries with
-	// observed packets (kept incrementally; re-scanning per report was
-	// measurable inside the experiments loop).
-	names    []NameStats
-	numNames int
+	// slice are implicitly zero.
+	names []NameStats
 
 	// arena is the flat client-day store: one ClientAgg per observed
 	// (client, day) pair, appended in first-observation order and
@@ -258,9 +258,6 @@ func (ag *Aggregator) NameStatsOf(name string) NameStats {
 	}
 	return ag.names[id]
 }
-
-// NumNames returns the number of names with observed traffic.
-func (ag *Aggregator) NumNames() int { return ag.numNames }
 
 // clientFor returns the arena profile of key, appending a zeroed slot on
 // first sight (isNew true: the caller must initialize First/Last). The
@@ -380,7 +377,6 @@ func (ag *Aggregator) ReleaseNames(keep func(id uint32, ns *NameStats) bool) []u
 	})
 	// Kept IDs only move down, so both columns compact in place.
 	n, t := 0, 0
-	ag.numNames = 0
 	for old, id := range remap {
 		if id == names.Dropped {
 			continue
@@ -388,9 +384,6 @@ func (ag *Aggregator) ReleaseNames(keep func(id uint32, ns *NameStats) bool) []u
 		if old < len(ag.names) {
 			ag.names[id] = ag.names[old]
 			n = int(id) + 1
-			if ag.names[id].Packets > 0 {
-				ag.numNames++
-			}
 		}
 		if old < len(ag.tracked) {
 			ag.tracked[id] = ag.tracked[old]
@@ -444,42 +437,30 @@ func (ag *Aggregator) EachClient(fn func(key ClientDay, ca *ClientAgg)) {
 	}
 }
 
-// Clients materializes the map view of the client-day arena for report
-// code that wants keyed random access. The map is rebuilt on every call
-// (callers should hold on to it); the *ClientAgg values point into the
-// arena and stay valid until the aggregator observes more traffic.
-func (ag *Aggregator) Clients() map[ClientDay]*ClientAgg {
-	m := make(map[ClientDay]*ClientAgg, len(ag.arena))
-	for i := range ag.arena {
-		m[ag.arenaKeys[i]] = &ag.arena[i]
-	}
-	return m
-}
-
-// observeName folds one packet into the per-name stats column.
-func (ag *Aggregator) observeName(id uint32, size int, isANY, isResp bool) {
+// observe is the aggregation step of §4 and the only place a packet is
+// counted: it folds one packet — at t, of name id, size bytes, of type
+// ANY or not, a response or a query — into the global counters, the
+// name's statistics and ca, the packet's (client, day) profile, which
+// the entry point has already found (profile). Every entry point runs
+// it per row, so live and batch aggregation cannot drift apart.
+func (ag *Aggregator) observe(ca *ClientAgg, t simclock.Time, id uint32, size int, isANY, isResp bool) {
+	ag.Samples++
+	ag.TotalBytes += size
 	ns := ag.statsFor(id)
-	if ns.Packets == 0 {
-		ag.numNames++
-	}
 	ns.Packets++
-	if isANY {
-		ns.ANYPackets++
-	}
-	if isResp && size > ns.MaxSize {
-		ns.MaxSize = size
-	}
-}
-
-// observeClient folds one packet into its (client, day) profile.
-func (ag *Aggregator) observeClient(key ClientDay, t simclock.Time, size int, isANY bool, id uint32) {
-	ca, isNew := ag.clientFor(key)
-	if isNew {
-		ca.First, ca.Last = t, t
+	if isResp {
+		if size > ns.MaxSize {
+			ns.MaxSize = size
+		}
+	} else {
+		ag.Requests++
 	}
 	ca.Total++
 	ca.Bytes += size
 	if isANY {
+		ag.ANYPackets++
+		ag.ANYBytes += size
+		ns.ANYPackets++
 		ca.ANYPackets++
 		ca.ANYBytes += size
 	}
@@ -494,133 +475,57 @@ func (ag *Aggregator) observeClient(key ClientDay, t simclock.Time, size int, is
 	}
 }
 
-// Observe ingests one sanitized sample. The sample's Name ID must be in
-// the aggregator's table space; the hot loop performs no per-packet
-// allocation in steady state. ObserveBatch is the batch-native fast
-// path; Observe remains for server.Window's arrival-order processing
-// and as the reference the batch-equivalence tests compare against.
-func (ag *Aggregator) Observe(s *ixp.DNSSample) {
-	ag.Samples++
-	if !s.IsResponse {
-		ag.Requests++
+// profile returns key's profile through the client index, opening it at
+// t on first sight. The pointer is valid until the next profile call.
+func (ag *Aggregator) profile(key ClientDay, t simclock.Time) *ClientAgg {
+	ca, isNew := ag.clientFor(key)
+	if isNew {
+		ca.First, ca.Last = t, t
 	}
-	ag.TotalBytes += s.MsgSize
-	isANY := s.QType == dnswire.TypeANY
-	if isANY {
-		ag.ANYPackets++
-		ag.ANYBytes += s.MsgSize
-	}
-	ag.observeName(s.Name, s.MsgSize, isANY, s.IsResponse)
-	key := ClientDay{Client: s.ClientAddr(), Day: s.Time.Day()}
-	ag.observeClient(key, s.Time, s.MsgSize, isANY, s.Name)
+	return ca
 }
 
-// observeRow ingests one batch row — the row-wise twin of ObserveBatch's
-// columnar loops, used by ObserveBatchSplit for window-straddling
-// batches.
-func (ag *Aggregator) observeRow(b *ixp.SampleBatch, i int) {
-	ag.Samples++
-	if !b.Resp[i] {
-		ag.Requests++
-	}
-	size := int(b.MsgSize[i])
-	ag.TotalBytes += size
-	isANY := b.QType[i] == dnswire.TypeANY
-	if isANY {
-		ag.ANYPackets++
-		ag.ANYBytes += size
-	}
-	ag.observeName(b.Name[i], size, isANY, b.Resp[i])
+// rowKey is the (client, day) pair a batch row is attributed to: the
+// querier of a query, the destination of a response.
+func rowKey(b *ixp.SampleBatch, i int) ClientDay {
 	client := b.Src[i]
 	if b.Resp[i] {
 		client = b.Dst[i]
 	}
-	key := ClientDay{Client: client, Day: b.Time[i].Day()}
-	ag.observeClient(key, b.Time[i], size, isANY, b.Name[i])
+	return ClientDay{Client: client, Day: b.Time[i].Day()}
 }
 
-// ObserveBatch ingests a whole columnar batch: global counters as
-// straight column sums, per-name stats as an ID-indexed slice walk, and
-// per-client state through the dense client-day index. The batch must
-// carry the aggregator's table (ixp.CapturePoint.RemapBatch, which
-// accounts the batch first, refuses any other). The result is exactly
-// the state of calling Observe on every row in order; the batch loops
-// allocate nothing in steady state.
+// observeRow folds batch row i into ag, whose profile of the row is ca.
+func (ag *Aggregator) observeRow(ca *ClientAgg, b *ixp.SampleBatch, i int) {
+	ag.observe(ca, b.Time[i], b.Name[i], int(b.MsgSize[i]), b.QType[i] == dnswire.TypeANY, b.Resp[i])
+}
+
+// Observe ingests one sanitized sample — server.Window's arrival-order
+// entry point. The sample's Name ID must be in the aggregator's table
+// space; in steady state it allocates nothing.
+func (ag *Aggregator) Observe(s *ixp.DNSSample) {
+	ca := ag.profile(ClientDay{Client: s.ClientAddr(), Day: s.Time.Day()}, s.Time)
+	ag.observe(ca, s.Time, s.Name, s.MsgSize, s.QType == dnswire.TypeANY, s.IsResponse)
+}
+
+// ObserveBatch ingests a whole columnar batch row by row, in the state
+// Observe on every row in order would leave. Attack flows emit bursts of
+// rows for one (client, day), so a one-entry memo skips the index probe
+// on consecutive repeats; the memo is refreshed on every probe, which is
+// also when the arena can grow. The batch must carry the aggregator's
+// table (ixp.CapturePoint.RemapBatch, which accounts the batch first,
+// refuses any other). In steady state it allocates nothing.
 func (ag *Aggregator) ObserveBatch(b *ixp.SampleBatch) {
-	if b == nil || b.N == 0 {
+	if b == nil {
 		return
 	}
-	n := b.N
-
-	// Global counters: independent single-column passes the compiler
-	// can keep in registers (and auto-vectorize where profitable).
-	ag.Samples += n
-	req := 0
-	for _, r := range b.Resp[:n] {
-		if !r {
-			req++
-		}
-	}
-	ag.Requests += req
-	var total int64
-	for _, sz := range b.MsgSize[:n] {
-		total += int64(sz)
-	}
-	ag.TotalBytes += int(total)
-	anyPkts := 0
-	var anyBytes int64
-	for i, qt := range b.QType[:n] {
-		if qt == dnswire.TypeANY {
-			anyPkts++
-			anyBytes += int64(b.MsgSize[i])
-		}
-	}
-	ag.ANYPackets += anyPkts
-	ag.ANYBytes += int(anyBytes)
-
-	// Per-name stats: one walk over the ID column into the dense slice.
-	for i, id := range b.Name[:n] {
-		ag.observeName(id, int(b.MsgSize[i]), b.QType[i] == dnswire.TypeANY, b.Resp[i])
-	}
-
-	// Per-client profiles. Attack flows emit bursts of rows for one
-	// (client, day), so a one-entry memo skips the index probe on
-	// consecutive repeats; the memo pointer is refreshed on every probe,
-	// which is also when the arena can grow.
 	var lastKey ClientDay
-	var lastCA *ClientAgg
-	for i := 0; i < n; i++ {
-		client := b.Src[i]
-		if b.Resp[i] {
-			client = b.Dst[i]
+	var ca *ClientAgg
+	for i := 0; i < b.N; i++ {
+		if key := rowKey(b, i); ca == nil || key != lastKey {
+			ca, lastKey = ag.profile(key, b.Time[i]), key
 		}
-		t := b.Time[i]
-		key := ClientDay{Client: client, Day: t.Day()}
-		ca := lastCA
-		if ca == nil || key != lastKey {
-			var isNew bool
-			ca, isNew = ag.clientFor(key)
-			if isNew {
-				ca.First, ca.Last = t, t
-			}
-			lastKey, lastCA = key, ca
-		}
-		ca.Total++
-		size := int(b.MsgSize[i])
-		ca.Bytes += size
-		if b.QType[i] == dnswire.TypeANY {
-			ca.ANYPackets++
-			ca.ANYBytes += size
-		}
-		if t.Before(ca.First) {
-			ca.First = t
-		}
-		if t.After(ca.Last) {
-			ca.Last = t
-		}
-		if ag.isTracked(b.Name[i]) {
-			ca.addTracked(b.Name[i], 1)
-		}
+		ag.observeRow(ca, b, i)
 	}
 }
 
@@ -628,8 +533,8 @@ func (ag *Aggregator) ObserveBatch(b *ixp.SampleBatch) {
 // window boundary — rows inside w go to in, every other row to out —
 // the pipeline's main/extended-window fan-out. A batch wholly on one
 // side of the boundary (the common case; one time-bounds pass decides)
-// takes that side's unconditional ObserveBatch path; a straddling batch
-// falls back to a row loop.
+// takes that side's ObserveBatch; a straddling batch finds each row's
+// profile through its aggregator's index.
 func ObserveBatchSplit(in, out *Aggregator, b *ixp.SampleBatch, w simclock.Window) {
 	if b == nil || b.N == 0 {
 		return
@@ -650,11 +555,11 @@ func ObserveBatchSplit(in, out *Aggregator, b *ixp.SampleBatch, w simclock.Windo
 		out.ObserveBatch(b)
 	default:
 		for i := 0; i < b.N; i++ {
+			ag := out
 			if w.Contains(b.Time[i]) {
-				in.observeRow(b, i)
-			} else {
-				out.observeRow(b, i)
+				ag = in
 			}
+			ag.observeRow(ag.profile(rowKey(b, i), b.Time[i]), b, i)
 		}
 	}
 }
@@ -693,9 +598,6 @@ func (ag *Aggregator) Merge(other *Aggregator) {
 			continue
 		}
 		ns := ag.statsFor(uint32(id))
-		if ns.Packets == 0 && ons.Packets > 0 {
-			ag.numNames++
-		}
 		ns.Packets += ons.Packets
 		ns.ANYPackets += ons.ANYPackets
 		if ons.MaxSize > ns.MaxSize {

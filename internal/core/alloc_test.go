@@ -44,8 +44,8 @@ func TestObserveZeroAllocSteadyState(t *testing.T) {
 // TestObserveBatchZeroAllocSteadyState guards the batch-native
 // aggregation path: once the name slots, client-day arena entries, and
 // tracked lists exist, replaying a whole batch must not allocate — the
-// column sums, the per-name walk, and the client-index probes all run
-// on preexisting storage.
+// memo, the client-index probes and the fold all run on preexisting
+// storage.
 func TestObserveBatchZeroAllocSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ag := NewAggregator(nil, []string{"evil.example.", "."})
@@ -109,9 +109,11 @@ func TestDetectScanZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestCollectorObserveAllocBound guards pass 2's per-sample path: the
-// reject path (the overwhelming majority of samples) must be
-// allocation-free; accepted samples only append to amortized slices.
+// TestCollectorObserveAllocBound guards pass 2's reject path, the
+// overwhelming majority of rows: a batch of rows of a name that is no
+// candidate, and of the candidate for clients no detection wants, must
+// pass through ObserveBatch without allocating. Accepted rows only
+// append to amortized slices.
 func TestCollectorObserveAllocBound(t *testing.T) {
 	ag := NewAggregator(nil, []string{"bad.test."})
 	var warm []*ixp.DNSSample
@@ -123,11 +125,17 @@ func TestCollectorObserveAllocBound(t *testing.T) {
 	}
 	dets := Detect(ag, map[string]bool{"bad.test.": true}, DefaultThresholds())
 	col := NewCollector(NewCandidates(ag.Table, map[string]bool{"bad.test.": true}), dets)
-	reject := mkSample(ag.Table, 77, 0, "bulk.test", dnswire.TypeA, 100, false)
-	reject.Time = simclock.MeasurementStart
-	allocs := testing.AllocsPerRun(200, func() { col.Observe(reject) })
+	reject := &ixp.SampleBatch{Table: ag.Table}
+	for c := byte(0); c < 64; c++ {
+		reject.AppendSample(mkSample(ag.Table, 1+c%4, 0, "bulk.test", dnswire.TypeA, 100, false), 0)
+		reject.AppendSample(mkSample(ag.Table, 77+c, 0, "bad.test", dnswire.TypeANY, 4000, true), 0)
+	}
+	allocs := testing.AllocsPerRun(200, func() { col.ObserveBatch(reject, nil) })
 	if allocs != 0 {
-		t.Errorf("Collector reject path allocates %.1f per sample, want 0", allocs)
+		t.Errorf("Collector reject path allocates %.1f per %d-row batch, want 0", allocs, reject.N)
+	}
+	if recs := col.Records(); recs[0].Packets != 0 {
+		t.Fatalf("the reject batch was collected: %+v", recs[0])
 	}
 }
 

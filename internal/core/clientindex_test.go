@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dnsamp/internal/dnswire"
@@ -173,27 +175,54 @@ func testNamePool(tab *names.Table) []uint32 {
 }
 
 // TestObserveBatchMatchesObserve is the randomized equivalence guard:
-// for generated batches, ObserveBatch must leave the aggregator in
-// exactly the state of observing every row one sample at a time — the
-// invariant that lets the pipeline swap per-sample callbacks for the
-// columnar path. Exercised in explicit-track and track-all modes.
+// for generated batches, ObserveBatch (behind its memo) and Observe
+// (one index probe per sample) must both read as the naive model
+// counting every row, and leave byte-identical aggregators — arena
+// order and index layout included. Exercised in explicit-track and
+// track-all modes.
 func TestObserveBatchMatchesObserve(t *testing.T) {
+	track := []string{"evil.example.", "."}
 	for _, trackAll := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(42))
-		batchAg := NewAggregator(nil, []string{"evil.example.", "."})
-		rowAg := NewAggregator(batchAg.Table, []string{"evil.example.", "."})
+		batchAg := NewAggregator(nil, track)
+		rowAg := NewAggregator(batchAg.Table, track)
 		batchAg.SetTrackAll(trackAll)
 		rowAg.SetTrackAll(trackAll)
+		m := newModel(track, trackAll)
 		pool := testNamePool(batchAg.Table)
 		for round := 0; round < 5; round++ {
 			b := randomBatch(rng, batchAg.Table, pool, 400+round*150)
+			if round%2 == 1 {
+				burst(b)
+			}
 			batchAg.ObserveBatch(b)
 			for i := 0; i < b.N; i++ {
 				rowAg.Observe(sampleFromRow(rowAg.Table, b, i))
 			}
+			m.observeBatch(b)
+			what := fmt.Sprintf("trackAll=%v round %d", trackAll, round)
+			m.check(t, batchAg, what+", ObserveBatch")
+			m.check(t, rowAg, what+", Observe")
 			if !reflect.DeepEqual(batchAg, rowAg) {
-				t.Fatalf("trackAll=%v round %d: ObserveBatch state diverged from per-sample Observe", trackAll, round)
+				t.Fatalf("%s: ObserveBatch state diverged from per-sample Observe", what)
 			}
+		}
+	}
+}
+
+// burst rewrites b into runs of one (client, day): each row takes the
+// attribution of the row before it unless it starts a run of eight,
+// the shape of an attack flow that the batch path memoizes.
+func burst(b *ixp.SampleBatch) {
+	for i := 1; i < b.N; i++ {
+		if i%8 == 0 {
+			continue
+		}
+		b.Time[i] = b.Time[i-1]
+		if b.Resp[i] == b.Resp[i-1] {
+			b.Src[i], b.Dst[i] = b.Src[i-1], b.Dst[i-1]
+		} else {
+			b.Src[i], b.Dst[i] = b.Dst[i-1], b.Src[i-1]
 		}
 	}
 }
@@ -276,10 +305,10 @@ func TestMergeArenasMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestCollectorObserveBatchMatchesObserve checks the pass-2 batch path:
-// a collector fed whole batches must end byte-identical — records,
-// per-name counts, and VisibleNS order included — to one observing the
-// same rows sample by sample.
+// TestCollectorObserveBatchMatchesObserve checks the pass-2 batch path
+// against the reference collector: fed the same rows sample by sample,
+// it must collect the same records — per-name counts, sizes in order —
+// and the same VisibleNS sequence.
 func TestCollectorObserveBatchMatchesObserve(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	tab := names.NewTable()
@@ -295,19 +324,30 @@ func TestCollectorObserveBatchMatchesObserve(t *testing.T) {
 			})
 		}
 	}
-	batchCol := NewCollector(NewCandidates(tab, cands), dets)
-	rowCol := NewCollector(NewCandidates(tab, cands), dets)
+	col := NewCollector(NewCandidates(tab, cands), dets)
+	ref := newRefCollector(cands, dets)
 	for round := 0; round < 4; round++ {
 		b := randomBatch(rng, tab, pool, 500)
-		batchCol.ObserveBatch(b, nil)
+		col.ObserveBatch(b, nil)
 		for i := 0; i < b.N; i++ {
-			rowCol.Observe(sampleFromRow(tab, b, i))
+			ref.observe(sampleFromRow(tab, b, i))
 		}
 	}
-	if !reflect.DeepEqual(batchCol, rowCol) {
-		t.Error("Collector.ObserveBatch state diverged from per-sample Observe")
+	got, want := col.Records(), ref.records()
+	if len(got) != len(want) {
+		t.Fatalf("%d records, reference %d", len(got), len(want))
 	}
-	if len(batchCol.VisibleNS) == 0 || batchCol.Records()[0].Packets == 0 {
+	for i, r := range got {
+		plain := *r
+		plain.nameCounts = nil
+		if !reflect.DeepEqual(&plain, want[i]) {
+			t.Errorf("record %v day %d:\n got %+v\nwant %+v", r.Victim, r.Day, plain, *want[i])
+		}
+	}
+	if !slices.Equal(col.VisibleNS, ref.visibleNS) {
+		t.Errorf("VisibleNS %v, reference %v", col.VisibleNS, ref.visibleNS)
+	}
+	if len(col.VisibleNS) == 0 || got[0].Packets == 0 {
 		t.Fatal("degenerate case: collector saw no candidate traffic")
 	}
 }

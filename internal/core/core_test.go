@@ -43,7 +43,7 @@ func TestAggregatorClientAttribution(t *testing.T) {
 		t.Fatalf("client pairs = %d, want 1", ag.NumClients())
 	}
 	id, _ := ag.Table.Lookup("doj.gov.")
-	for _, ca := range ag.Clients() {
+	ag.EachClient(func(_ ClientDay, ca *ClientAgg) {
 		if ca.Total != 2 || ca.TrackedCount(id) != 2 {
 			t.Errorf("agg = %+v", ca)
 		}
@@ -53,7 +53,7 @@ func TestAggregatorClientAttribution(t *testing.T) {
 		if ca.ANYPackets != 2 {
 			t.Errorf("ANY packets = %d", ca.ANYPackets)
 		}
-	}
+	})
 	if ag.NameStatsOf("doj.gov.").MaxSize != 4000 {
 		t.Errorf("max size = %d (responses only)", ag.NameStatsOf("doj.gov.").MaxSize)
 	}
@@ -240,10 +240,9 @@ func TestCollector(t *testing.T) {
 		s.VisibleNS = 1
 		samples = append(samples, s)
 	}
-	// Requests with ingress annotation.
+	// Requests; the batch below carries their ingress member AS.
 	for i := 0; i < 5; i++ {
 		s := mkSample(tab, 1, 0, "bad.test", dnswire.TypeANY, 40, false)
-		s.PeerAS = 777
 		s.IPTTL = 250
 		samples = append(samples, s)
 	}
@@ -255,10 +254,11 @@ func TestCollector(t *testing.T) {
 		t.Fatalf("detections = %d", len(dets))
 	}
 	col := NewCollector(NewCandidates(tab, cands), dets)
-	for _, s := range samples {
-		col.Observe(s)
+	b := &ixp.SampleBatch{Table: tab}
+	for _, s := range append(samples, mkSample(tab, 99, 0, "bad.test", dnswire.TypeANY, 4000, true)) { // the last not wanted
+		b.AppendSample(s, 777)
 	}
-	col.Observe(mkSample(tab, 99, 0, "bad.test", dnswire.TypeANY, 4000, true)) // not wanted
+	col.ObserveBatch(b, nil)
 	col.SetVictimASN(func([4]byte) uint32 { return 42 })
 	recs := col.Records()
 	if len(recs) != 1 {
@@ -361,8 +361,8 @@ func TestThresholdsDefault(t *testing.T) {
 
 func TestDetectionDuration(t *testing.T) {
 	d := &Detection{First: 100, Last: 400}
-	if d.Duration() != 300 {
-		t.Errorf("duration = %v", d.Duration())
+	if got := d.Last.Sub(d.First); got != 300 {
+		t.Errorf("duration = %v", got)
 	}
 }
 

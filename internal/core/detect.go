@@ -37,9 +37,6 @@ type Detection struct {
 	First, Last simclock.Time
 }
 
-// Duration is the observed attack span.
-func (d *Detection) Duration() simclock.Duration { return d.Last.Sub(d.First) }
-
 // Detect applies the thresholds to pass-1 aggregates. The candidate set
 // is resolved once into a dense mark column over the aggregator's ID
 // space; the sweep is then columnar over the flat client-day arena:
@@ -249,14 +246,6 @@ func NewCandidates(tab *names.Table, candidates map[string]bool) *Candidates {
 	return cs
 }
 
-// index returns the candidate position of a name ID, -1 for none.
-func (cs *Candidates) index(id uint32) int32 {
-	if int(id) >= len(cs.slot) {
-		return -1
-	}
-	return cs.slot[id] - 1
-}
-
 // Collector is the pass-2 stage: given the detected (victim, day) pairs,
 // it extracts per-attack details from a second streaming pass. It
 // operates on name IDs of its candidates' table; candidate names become
@@ -290,49 +279,13 @@ func NewCollector(cands *Candidates, dets []*Detection) *Collector {
 	return c
 }
 
-// Observe ingests one sample during pass 2.
-func (c *Collector) Observe(s *ixp.DNSSample) {
-	rec := c.wanted[ClientDay{Client: s.ClientAddr(), Day: s.Time.Day()}]
-	if rec == nil {
-		return
-	}
-	ci := c.cands.index(s.Name)
-	if ci < 0 {
-		return
-	}
-	rec.Packets++
-	rec.nameCounts[ci]++
-	rec.TXIDs[s.TXID]++
-	if s.QType == dnswire.TypeANY {
-		rec.ANYPackets++
-	}
-	if s.IsResponse {
-		rec.Responses++
-		rec.Amplifiers[s.Src]++
-		rec.Sizes = append(rec.Sizes, s.MsgSize)
-		c.VisibleNS = append(c.VisibleNS, s.VisibleNS)
-	} else {
-		rec.Requests++
-		rec.ReqIngress[s.PeerAS]++
-		rec.ReqTTLs[s.IPTTL]++
-	}
-	if s.Time.Before(rec.First) {
-		rec.First = s.Time
-	}
-	if s.Time.After(rec.Last) {
-		rec.Last = s.Time
-	}
-}
-
-// ObserveBatch ingests a whole columnar batch during pass 2 — the
-// batch-native twin of Observe. The batch's Name column must be in the
-// candidates' table space. Rows of other names reject on the dense
-// candidate column (one compare and one load, no hashing);
-// only accepted request rows pay a routing lookup, so the pass-2 sweep
-// never annotates packets it is about to drop. topo supplies the
-// ingress member AS for request packets whose batch Ingress column is
-// zero (nil skips the lookup, recording ingress 0 — exactly the
-// per-sample path's behaviour for an unannotated sample).
+// ObserveBatch ingests a whole columnar batch during pass 2. The batch's
+// Name column must be in the candidates' table space. Rows of other
+// names reject on the dense candidate column (one compare and one load,
+// no hashing); only accepted request rows pay a routing lookup, so the
+// pass-2 sweep never annotates packets it is about to drop. topo
+// supplies the ingress member AS for request packets whose batch Ingress
+// column is zero (nil skips the lookup, recording ingress 0).
 func (c *Collector) ObserveBatch(b *ixp.SampleBatch, topo *topology.Topology) {
 	slot := c.cands.slot
 	if b == nil || b.N == 0 || len(slot) == 0 || len(c.wanted) == 0 {

@@ -1,0 +1,473 @@
+package core
+
+import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
+	"testing"
+
+	"dnsamp/internal/dnswire"
+	"dnsamp/internal/ixp"
+	"dnsamp/internal/names"
+	"dnsamp/internal/simclock"
+)
+
+// modelAgg is the naive reference of the aggregation fold: per-name
+// statistics keyed by name string and per-(client, day) profiles in a
+// map, each counted the plainest way. It knows nothing of name IDs, the
+// arena, the client index or the batch memo, so a name release, an
+// arena re-sort or a snapshot restore leaves it as it is, while the
+// aggregator must still read the same.
+type modelAgg struct {
+	trackAll bool
+	track    map[string]bool
+
+	samples, requests, totalBytes, anyPackets, anyBytes int
+
+	names   map[string]NameStats
+	clients map[ClientDay]*modelClient
+}
+
+// modelClient is one (client, day) profile of the model.
+type modelClient struct {
+	total, bytes, anyPackets, anyBytes int
+	first, last                        simclock.Time
+	tracked                            map[string]int
+}
+
+func newModel(track []string, trackAll bool) *modelAgg {
+	m := &modelAgg{
+		trackAll: trackAll,
+		track:    map[string]bool{},
+		names:    map[string]NameStats{},
+		clients:  map[ClientDay]*modelClient{},
+	}
+	for _, n := range track {
+		m.track[dnswire.CanonicalName(n)] = true
+	}
+	return m
+}
+
+// observe counts one packet of name at t, attributed to client.
+func (m *modelAgg) observe(client [4]byte, t simclock.Time, name string, size int, isANY, isResp bool) {
+	m.samples++
+	m.totalBytes += size
+	if !isResp {
+		m.requests++
+	}
+	if isANY {
+		m.anyPackets++
+		m.anyBytes += size
+	}
+
+	ns := m.names[name]
+	ns.Packets++
+	if isANY {
+		ns.ANYPackets++
+	}
+	if isResp {
+		ns.MaxSize = max(ns.MaxSize, size)
+	}
+	m.names[name] = ns
+
+	key := ClientDay{Client: client, Day: t.Day()}
+	mc := m.clients[key]
+	if mc == nil {
+		mc = &modelClient{first: t, last: t, tracked: map[string]int{}}
+		m.clients[key] = mc
+	}
+	mc.total++
+	mc.bytes += size
+	if isANY {
+		mc.anyPackets++
+		mc.anyBytes += size
+	}
+	mc.first = min(mc.first, t)
+	mc.last = max(mc.last, t)
+	if m.trackAll || m.track[name] {
+		mc.tracked[name]++
+	}
+}
+
+// observeSample counts one sample: a query is the source's, a response
+// the destination's.
+func (m *modelAgg) observeSample(tab *names.Table, s *ixp.DNSSample) {
+	client := s.Src
+	if s.IsResponse {
+		client = s.Dst
+	}
+	m.observe(client, s.Time, tab.Name(s.Name), s.MsgSize, s.QType == dnswire.TypeANY, s.IsResponse)
+}
+
+// observeBatch counts every row of b, in row order.
+func (m *modelAgg) observeBatch(b *ixp.SampleBatch) {
+	for i := 0; i < b.N; i++ {
+		m.observeSample(b.Table, sampleFromRow(b.Table, b, i))
+	}
+}
+
+// merge adds o's counts into m.
+func (m *modelAgg) merge(o *modelAgg) {
+	m.trackAll = m.trackAll || o.trackAll
+	for n := range o.track {
+		m.track[n] = true
+	}
+	m.samples += o.samples
+	m.requests += o.requests
+	m.totalBytes += o.totalBytes
+	m.anyPackets += o.anyPackets
+	m.anyBytes += o.anyBytes
+	for n, ons := range o.names {
+		ns := m.names[n]
+		ns.Packets += ons.Packets
+		ns.ANYPackets += ons.ANYPackets
+		ns.MaxSize = max(ns.MaxSize, ons.MaxSize)
+		m.names[n] = ns
+	}
+	for key, oc := range o.clients {
+		mc := m.clients[key]
+		if mc == nil {
+			mc = &modelClient{first: oc.first, last: oc.last, tracked: map[string]int{}}
+			m.clients[key] = mc
+		}
+		mc.total += oc.total
+		mc.bytes += oc.bytes
+		mc.anyPackets += oc.anyPackets
+		mc.anyBytes += oc.anyBytes
+		mc.first = min(mc.first, oc.first)
+		mc.last = max(mc.last, oc.last)
+		for n, c := range oc.tracked {
+			mc.tracked[n] += c
+		}
+	}
+}
+
+// check holds ag to the model: global counters, the statistics of every
+// name in the table (zero for one the model never counted), every
+// profile, found through the index too, and its tracked list, which
+// must be sorted by strictly increasing ID.
+func (m *modelAgg) check(t *testing.T, ag *Aggregator, what string) {
+	t.Helper()
+	got := [...]int{ag.Samples, ag.Requests, ag.TotalBytes, ag.ANYPackets, ag.ANYBytes}
+	want := [...]int{m.samples, m.requests, m.totalBytes, m.anyPackets, m.anyBytes}
+	if got != want {
+		t.Fatalf("%s: globals (samples, requests, bytes, ANY packets, ANY bytes) %v, model %v", what, got, want)
+	}
+	tab := ag.Table
+	if len(ag.names) > tab.Len() {
+		t.Fatalf("%s: %d name entries over a %d-name table", what, len(ag.names), tab.Len())
+	}
+	for id := range tab.Len() {
+		var ns NameStats
+		if id < len(ag.names) {
+			ns = ag.names[id]
+		}
+		if name := tab.Name(uint32(id)); ns != m.names[name] {
+			t.Fatalf("%s: %s stats %+v, model %+v", what, name, ns, m.names[name])
+		}
+	}
+	for n := range m.names {
+		if _, ok := tab.Lookup(n); !ok {
+			t.Fatalf("%s: counted name %s is not in the table", what, n)
+		}
+	}
+	if ag.NumClients() != len(m.clients) {
+		t.Fatalf("%s: %d profiles, model %d", what, ag.NumClients(), len(m.clients))
+	}
+	ag.EachClient(func(key ClientDay, ca *ClientAgg) {
+		mc := m.clients[key]
+		switch {
+		case mc == nil:
+			t.Fatalf("%s: profile %v the model never opened", what, key)
+		case ag.ClientOf(key) != ca:
+			t.Fatalf("%s: the index does not resolve %v to its arena slot", what, key)
+		case ca.Total != mc.total || ca.Bytes != mc.bytes || ca.ANYPackets != mc.anyPackets ||
+			ca.ANYBytes != mc.anyBytes || ca.First != mc.first || ca.Last != mc.last:
+			t.Fatalf("%s: profile %v = %d pkts %d B, ANY %d pkts %d B, [%d, %d]; model %d pkts %d B, ANY %d pkts %d B, [%d, %d]",
+				what, key, ca.Total, ca.Bytes, ca.ANYPackets, ca.ANYBytes, ca.First, ca.Last,
+				mc.total, mc.bytes, mc.anyPackets, mc.anyBytes, mc.first, mc.last)
+		case len(ca.Tracked) != len(mc.tracked):
+			t.Fatalf("%s: profile %v tracks %d names, model %d", what, key, len(ca.Tracked), len(mc.tracked))
+		}
+		for j, tc := range ca.Tracked {
+			if j > 0 && tc.ID <= ca.Tracked[j-1].ID {
+				t.Fatalf("%s: profile %v tracked list not sorted: ID %d after %d", what, key, tc.ID, ca.Tracked[j-1].ID)
+			}
+			if name := tab.Name(tc.ID); tc.N != mc.tracked[name] {
+				t.Fatalf("%s: profile %v tracks %s %d times, model %d", what, key, name, tc.N, mc.tracked[name])
+			}
+		}
+	})
+}
+
+// modelPool is the name pool of the model programs: the tracked universe
+// ("." and n0.test.) and untracked names.
+var (
+	modelTrack = []string{"n0.test.", "."}
+	modelPool  = []string{".", "n0.test.", "n1.test.", "n2.test.", "n3.test.", "n4.example.", "n5.example.", "n6.gov."}
+	modelSizes = [...]int{40, 60, 512, 1400, 1400, 3000, 4096, 9000}
+)
+
+// modelRow decodes one packet of a model program from four bytes:
+// client and day, name and flags, size, time of day.
+func modelRow(tab *names.Table, p [4]byte) ixp.BatchRecord {
+	client := [4]byte{10, 0, 0, p[0] & 0x3f}
+	server := [4]byte{203, 0, 113, p[2] & 3}
+	r := ixp.BatchRecord{
+		Time:    simclock.MeasurementStart.Add(simclock.Days(int(p[0]>>6)) + simclock.Duration(p[3])*(simclock.Day/256)),
+		Src:     client,
+		Dst:     server,
+		Resp:    p[1]&0x40 != 0,
+		Name:    tab.Intern(modelPool[int(p[1]&0x3f)%len(modelPool)]),
+		QType:   dnswire.TypeA,
+		MsgSize: int32(modelSizes[p[2]%8] + int(p[2]>>3)),
+	}
+	if p[1]&0x80 != 0 {
+		r.QType = dnswire.TypeANY
+	}
+	if r.Resp {
+		r.Src, r.Dst = server, client
+	}
+	return r
+}
+
+// runAggregatorProgram interprets prog as a stream of aggregator
+// operations over two aggregators sharing one table — ag and ext, the
+// pipeline's main and extended pair — each followed by a model, and
+// holds both to their model after every operation. An operation byte
+// selects, by its value mod 8:
+//
+//	0, 1  Observe one packet (4 bytes, modelRow)
+//	2     ObserveBatch: a count byte, then that many packets; with bit 5
+//	      of the count set, rows with an even first byte take the first
+//	      row's client and day, so runs of one key exercise the memo
+//	3     ObserveBatchSplit(ag, ext) at a two-day window starting at a
+//	      window byte's 64th of a day, then a batch as for 2
+//	4     ext merged into ag, CanonicalizeClients, a fresh ext
+//	5     ResetClients of ag
+//	6     ReleaseNames after ext is merged and ag reset: a name is kept
+//	      when it has ANY packets or a MaxSize at or above a floor byte
+//	      × 32 (tracked names always); the table must keep exactly those
+//	7     a WriteSnapshot + ReadSnapshot round trip of ag
+//
+// Bit 3 of the first byte puts both aggregators in track-all mode.
+func runAggregatorProgram(t *testing.T, prog []byte) {
+	t.Helper()
+	if len(prog) == 0 {
+		return
+	}
+	trackAll := prog[0]&8 != 0
+	tab := names.NewTable()
+	fresh := func() (*Aggregator, *modelAgg) {
+		ag := NewAggregator(tab, modelTrack)
+		ag.SetTrackAll(trackAll)
+		return ag, newModel(modelTrack, trackAll)
+	}
+	ag, m := fresh()
+	ext, mExt := fresh()
+
+	take := func(n int) []byte {
+		if len(prog) < n {
+			prog = nil
+			return nil
+		}
+		b := prog[:n]
+		prog = prog[n:]
+		return b
+	}
+	batch := func() *ixp.SampleBatch {
+		c := take(1)
+		if c == nil {
+			return nil
+		}
+		b := &ixp.SampleBatch{Table: tab}
+		var first byte
+		for i := 0; i < 1+int(c[0]&0x1f); i++ {
+			p := take(4)
+			if p == nil {
+				break
+			}
+			row := [4]byte(p)
+			if i == 0 {
+				first = row[0]
+			} else if c[0]&0x20 != 0 && row[0]&1 == 0 {
+				row[0] = first
+			}
+			b.Append(modelRow(tab, row))
+		}
+		return b
+	}
+
+	for step := 0; len(prog) > 0; step++ {
+		op := take(1)[0]
+		what := fmt.Sprintf("step %d (op %d)", step, op%8)
+		switch op % 8 {
+		case 0, 1:
+			p := take(4)
+			if p == nil {
+				return
+			}
+			r := modelRow(tab, [4]byte(p))
+			b := &ixp.SampleBatch{Table: tab}
+			b.Append(r)
+			s := sampleFromRow(tab, b, 0)
+			ag.Observe(s)
+			m.observeSample(tab, s)
+		case 2:
+			b := batch()
+			if b == nil {
+				return
+			}
+			ag.ObserveBatch(b)
+			m.observeBatch(b)
+		case 3:
+			wb := take(1)
+			b := batch()
+			if b == nil {
+				return
+			}
+			start := simclock.MeasurementStart.Add(simclock.Duration(wb[0]) * (simclock.Day / 64))
+			w := simclock.Window{Start: start, End: start.Add(simclock.Days(2))}
+			ObserveBatchSplit(ag, ext, b, w)
+			for i := 0; i < b.N; i++ {
+				s := sampleFromRow(tab, b, i)
+				if w.Contains(s.Time) {
+					m.observeSample(tab, s)
+				} else {
+					mExt.observeSample(tab, s)
+				}
+			}
+		case 4:
+			ag.Merge(ext)
+			ag.CanonicalizeClients()
+			m.merge(mExt)
+			ext, mExt = fresh()
+		case 5:
+			if n := ag.ResetClients(); n != len(m.clients) {
+				t.Fatalf("%s: ResetClients released %d profiles, model held %d", what, n, len(m.clients))
+			}
+			clear(m.clients)
+		case 6:
+			fb := take(1)
+			if fb == nil {
+				return
+			}
+			floor := int(fb[0]) * 32
+			ag.Merge(ext)
+			m.merge(mExt)
+			ag.ResetClients()
+			clear(m.clients)
+			kept := func(name string) bool {
+				ns := m.names[name]
+				return m.track[name] || ns.ANYPackets > 0 || ns.MaxSize >= floor
+			}
+			var want []string
+			for id := range tab.Len() {
+				if n := tab.Name(uint32(id)); kept(n) {
+					want = append(want, n)
+				}
+			}
+			ag.ReleaseNames(func(_ uint32, ns *NameStats) bool { return ns.ANYPackets > 0 || ns.MaxSize >= floor })
+			for n := range m.names {
+				if !kept(n) {
+					delete(m.names, n)
+				}
+			}
+			var have []string
+			for id := range tab.Len() {
+				have = append(have, tab.Name(uint32(id)))
+			}
+			if !slices.Equal(have, want) {
+				t.Fatalf("%s: the table kept %v, want %v", what, have, want)
+			}
+			ext, mExt = fresh()
+		case 7:
+			ag = roundTrip(t, ag)
+		}
+		m.check(t, ag, what)
+		mExt.check(t, ext, what+", extended")
+	}
+}
+
+// TestAggregatorMatchesModel runs seeded random programs, in explicit-
+// track and track-all mode, against the model.
+func TestAggregatorMatchesModel(t *testing.T) {
+	for seed := uint64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 26))
+		prog := make([]byte, 3000)
+		for i := range prog {
+			prog[i] = byte(rng.IntN(256))
+		}
+		prog[0] = byte(seed) << 3 // alternate track-all
+		runAggregatorProgram(t, prog)
+	}
+}
+
+func FuzzAggregator(f *testing.F) {
+	f.Add([]byte{0, 7, 0x40, 3, 9, 1, 7, 0x40, 3, 200, 2, 0x23, 1, 1, 1, 1, 2, 2, 2, 2, 5, 7})
+	f.Add([]byte{8, 3, 60, 0x22, 0xc1, 0x81, 5, 17, 0x42, 0xc1, 6, 33, 4, 2, 1, 0x40, 9, 9, 6, 10, 7})
+	f.Add([]byte{8, 2, 0x3f, 0x41, 0xc0, 2, 1, 0x40, 1, 0xc7, 3, 255, 0x4, 0x82, 0x03, 0x40, 0x02, 0x07, 0x41, 0x05, 4, 6, 0, 5})
+	f.Fuzz(runAggregatorProgram)
+}
+
+// refCollector is the pass-2 reference: the attack details of §4.2
+// collected sample by sample over name strings, the plainest way, for
+// Collector.ObserveBatch to be held equal to.
+type refCollector struct {
+	cands     map[string]bool
+	recs      map[ClientDay]*AttackRecord
+	visibleNS []int
+}
+
+func newRefCollector(cands map[string]bool, dets []*Detection) *refCollector {
+	r := &refCollector{cands: cands, recs: map[ClientDay]*AttackRecord{}}
+	for _, d := range dets {
+		r.recs[ClientDay{Client: d.Victim, Day: d.Day}] = &AttackRecord{
+			Victim: d.Victim, Day: d.Day, First: d.First, Last: d.Last,
+			Names: map[string]int{}, TXIDs: map[uint16]int{}, Amplifiers: map[[4]byte]int{},
+			ReqIngress: map[uint32]int{}, ReqTTLs: map[uint8]int{},
+		}
+	}
+	return r
+}
+
+// observe collects one sample whose ingress member AS is PeerAS.
+func (r *refCollector) observe(s *ixp.DNSSample) {
+	rec := r.recs[ClientDay{Client: s.ClientAddr(), Day: s.Time.Day()}]
+	if rec == nil || !r.cands[s.QName] {
+		return
+	}
+	rec.Packets++
+	rec.Names[s.QName]++
+	rec.TXIDs[s.TXID]++
+	if s.QType == dnswire.TypeANY {
+		rec.ANYPackets++
+	}
+	if s.IsResponse {
+		rec.Responses++
+		rec.Amplifiers[s.Src]++
+		rec.Sizes = append(rec.Sizes, s.MsgSize)
+		r.visibleNS = append(r.visibleNS, s.VisibleNS)
+	} else {
+		rec.Requests++
+		rec.ReqIngress[s.PeerAS]++
+		rec.ReqTTLs[s.IPTTL]++
+	}
+	rec.First = min(rec.First, s.Time)
+	rec.Last = max(rec.Last, s.Time)
+}
+
+// records returns the collected records in (day, victim) order.
+func (r *refCollector) records() []*AttackRecord {
+	var out []*AttackRecord
+	for _, rec := range r.recs {
+		out = append(out, rec)
+	}
+	slices.SortFunc(out, func(a, b *AttackRecord) int {
+		if a.Day != b.Day {
+			return a.Day - b.Day
+		}
+		return cmpAddr(a.Victim, b.Victim)
+	})
+	return out
+}

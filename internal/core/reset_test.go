@@ -48,7 +48,7 @@ func TestResetClientsMatchesFresh(t *testing.T) {
 
 	keys := append([]ClientDay(nil), ag.arenaKeys...)
 	names := append([]NameStats(nil), ag.names...)
-	samples, numNames := ag.Samples, ag.NumNames()
+	samples := ag.Samples
 
 	if got := ag.ResetClients(); got != 2*clients {
 		t.Fatalf("ResetClients released %d profiles, want %d", got, 2*clients)
@@ -62,7 +62,7 @@ func TestResetClientsMatchesFresh(t *testing.T) {
 		}
 	}
 	ag.EachClient(func(key ClientDay, _ *ClientAgg) { t.Fatalf("EachClient visited %v after reset", key) })
-	if !reflect.DeepEqual(ag.names, names) || ag.Samples != samples || ag.NumNames() != numNames {
+	if !reflect.DeepEqual(ag.names, names) || ag.Samples != samples {
 		t.Fatal("reset touched the cumulative statistics")
 	}
 	for i, ca := range ag.arena[:2*clients] {
@@ -153,8 +153,7 @@ func TestEvictThenDetect(t *testing.T) {
 // TestReleaseNames pins the name-release contract: the kept names keep
 // their statistics under dense new IDs in their old order, the released
 // ones are gone from the table and the column alike, a name of the
-// explicit tracked universe is kept whatever keep says, NumNames is
-// recounted, a ranking remapped over the release reads as a rescan of
+// explicit tracked universe is kept whatever keep says, a ranking remapped over the release reads as a rescan of
 // the released aggregate does — and a release with a profile held
 // panics.
 func TestReleaseNames(t *testing.T) {
@@ -221,8 +220,8 @@ func TestReleaseNames(t *testing.T) {
 			t.Errorf("released %s still in the table", n)
 		}
 	}
-	if ag.NumNames() != 3 || len(ag.names) != 4 {
-		t.Errorf("NumNames %d over a %d-entry column, want 3 observed names of 4", ag.NumNames(), len(ag.names))
+	if len(ag.names) != 4 {
+		t.Errorf("a %d-entry column, want one per kept name, 4", len(ag.names))
 	}
 	if id, _ := ag.Table.Lookup("tracked.test."); !ag.isTracked(id) || ag.isTracked(id+1) {
 		t.Errorf("tracked bitset after the release: %v", ag.tracked)

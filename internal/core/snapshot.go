@@ -85,15 +85,11 @@ func (ag *Aggregator) ReadSnapshot(d *binenc.Decoder) error {
 	// (4+8 key, 6×8 fields, 4 tracked count).
 	nNames := d.Count(24)
 	ag.names = make([]NameStats, nNames)
-	ag.numNames = 0
 	for i := range ag.names {
 		ns := &ag.names[i]
 		ns.MaxSize = int(d.I64())
 		ns.ANYPackets = int(d.I64())
 		ns.Packets = int(d.I64())
-		if ns.Packets > 0 {
-			ag.numNames++
-		}
 	}
 	if len(ag.names) > 0 && ag.Table.Len() < len(ag.names) {
 		return fmt.Errorf("core: snapshot has %d name entries but the table holds %d names", len(ag.names), ag.Table.Len())

@@ -24,9 +24,6 @@ type WindowConfig struct {
 	Refresh simclock.Duration
 	// Thresholds are the §4.2 detection thresholds.
 	Thresholds core.Thresholds
-	// MaxDetections bounds the retained detection log (0 = default
-	// 65536). When full, the oldest detections are dropped and counted.
-	MaxDetections int
 }
 
 // withDefaults normalizes zero fields.
@@ -42,9 +39,6 @@ func (c WindowConfig) withDefaults() WindowConfig {
 	}
 	if c.Thresholds == (core.Thresholds{}) {
 		c.Thresholds = core.DefaultThresholds()
-	}
-	if c.MaxDetections <= 0 {
-		c.MaxDetections = 1 << 16
 	}
 	return c
 }
@@ -98,7 +92,7 @@ type Window struct {
 	rescan     bool
 
 	detections []*core.Detection
-	detDropped uint64 // detections dropped to MaxDetections
+	detDropped uint64 // detections dropped to maxDetections
 
 	// days is the day log, oldest first; closeNames is the name list as
 	// of the newest close (nil before this process's first). Neither is
@@ -230,8 +224,12 @@ type DaySummary struct {
 	HasPrev   bool
 }
 
-// maxDayLog bounds the day log; the oldest rows go first.
-const maxDayLog = 366
+// maxDayLog bounds the day log and maxDetections the detection log; the
+// oldest rows go first, and dropped detections are counted.
+const (
+	maxDayLog     = 366
+	maxDetections = 1 << 16
+)
 
 // closeDay refreshes the name list, detects over the closing day, and
 // logs its summary. The arena may also hold a straggler's profile of an
@@ -263,7 +261,7 @@ func (w *Window) closeDay(now simclock.Time) {
 		w.days = append(w.days[:0], w.days[1:]...)
 	}
 	w.days = append(w.days, sum)
-	if over := len(w.detections) - w.cfg.MaxDetections; over > 0 {
+	if over := len(w.detections) - maxDetections; over > 0 {
 		w.detDropped += uint64(over)
 		w.detections = append(w.detections[:0], w.detections[over:]...)
 	}
