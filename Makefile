@@ -22,10 +22,13 @@ race:
 # holds with cores to spare shows here. core, names and par ride along:
 # their contract is single writers over one shared name table. stats and
 # ecosystem too: Generator.Day runs as concurrent slices over a shared
-# atomic size cache and shared Zipf tables.
+# atomic size cache and shared Zipf tables. pipeline too: its barrier
+# sorts the shards concurrently, and serial == parallel must hold on
+# one core.
 test-cpu:
 	$(GO) test -count=1 -cpu 1,2 ./internal/server ./internal/ingest ./internal/sflow \
-		./internal/core ./internal/names ./internal/par ./internal/stats ./internal/ecosystem
+		./internal/core ./internal/names ./internal/par ./internal/stats ./internal/ecosystem \
+		./internal/pipeline
 
 # Layer benchmarks: every benchmark beside its code compiles and runs
 # once, with allocation counts reported. To measure one, give it time:

@@ -17,18 +17,29 @@
 // window's samples, ObserveBatch and ObserveBatchSplit for the batch
 // study's columns — runs the same per-row step, which updates the global
 // counters, the name's slot in a dense ID-indexed slice and one profile
-// of a flat client-day arena. The entry points differ only in how they
+// of the chunked client-day arena. The entry points differ only in how they
 // find that profile: an open-addressed index (clientIndex), one hash
 // probe instead of a map lookup and a pointer chase, behind a one-entry
 // memo on the batch path. Per-client tracked names are sorted ID lists,
 // candidate membership is a dense column, and strings appear only at
 // report boundaries.
+//
+// The client-day arena is a list of fixed-size chunks, each chunkLen
+// profiles and their keys; slot s lives at chunk s>>chunkShift, offset
+// s&chunkMask. Growth appends one chunk and copies
+// nothing, so a profile never moves and a pointer to it stays valid, and
+// ResetClients keeps the chunks for the next day. The batch study's
+// shards meet at one barrier, MergeShards: each shard's arena is sorted
+// into (day, client) order in place, concurrently, and the shards are
+// k-way merged into the canonical arena, each input chunk dropped as
+// soon as it is consumed, so the aggregate is held about once.
 package core
 
 import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"dnsamp/internal/dnswire"
 	"dnsamp/internal/ixp"
@@ -131,13 +142,13 @@ type NameStats struct {
 
 // clientIndex is the dense client-day index: an open-addressed
 // (linear-probe) hash table mapping epoch-keyed ClientDay pairs to slots
-// of the aggregator's flat client-day arena. ctrl holds slot+1 (0 marks
-// an empty bucket); keys live once, in the aggregator's arena-parallel
+// of the aggregator's chunked client-day arena. ctrl holds slot+1 (0
+// marks an empty bucket); keys live once, in the aggregator's arena-parallel
 // key column, so a probe costs one control load plus one key compare.
 // Entries are never deleted one by one (ResetClients empties the whole
 // table), and the layout is a deterministic function of the table size
-// and the insertion sequence (CanonicalizeClients rebuilds it from the
-// sorted arena, making it independent of sharding too).
+// and the insertion sequence (MergeShards rebuilds it from the sorted
+// arena, making it independent of sharding too).
 type clientIndex struct {
 	ctrl []uint32 // slot+1; 0 = empty
 	mask uint32
@@ -154,12 +165,28 @@ func indexSizeFor(n int) int {
 	return size
 }
 
+// The client-day arena's chunk geometry: chunkLen profiles per chunk.
+// A chunk is 44 KiB, under the 64 KiB a snapshot restore may allocate
+// beyond what its bytes justify (the one chunk a single decoded entry
+// opens), yet long enough that a pass-1 shard holds about a hundred.
+const (
+	chunkShift = 9
+	chunkLen   = 1 << chunkShift
+	chunkMask  = chunkLen - 1
+)
+
+// arenaChunk is one chunk of the client-day arena: chunkLen profiles
+// and the key of each.
+type arenaChunk struct {
+	prof [chunkLen]ClientAgg
+	keys [chunkLen]ClientDay
+}
+
 // Aggregator is the streaming pass-1 state. Per-name state is indexed
 // by the interned name IDs of Table, the run's one name table: workers
 // run private aggregators over that same table, reading it only, and
-// fold them with Merge + CanonicalizeClients at the stage barrier. An
-// Aggregator is a single-writer structure; it is not safe for
-// concurrent method calls.
+// fold them with MergeShards at the stage barrier. An Aggregator is a
+// single-writer structure; it is not safe for concurrent method calls.
 type Aggregator struct {
 	// Table is the name-ID space of all per-name state. Samples and
 	// batches observed, and aggregators merged in, must carry this
@@ -177,14 +204,14 @@ type Aggregator struct {
 	// slice are implicitly zero.
 	names []NameStats
 
-	// arena is the flat client-day store: one ClientAgg per observed
-	// (client, day) pair, appended in first-observation order and
-	// re-sorted into (day, client) order by CanonicalizeClients.
-	// arenaKeys is the arena-parallel key column; idx maps keys to
-	// arena slots.
-	arena     []ClientAgg
-	arenaKeys []ClientDay
-	idx       clientIndex
+	// chunks is the client-day arena: one ClientAgg per observed
+	// (client, day) pair, with its key, appended in first-observation
+	// order (MergeShards builds its arena in (day, client) order). n
+	// counts the slots in use; chunks past them are kept for reuse. idx
+	// maps keys to arena slots.
+	chunks []*arenaChunk
+	n      int
+	idx    clientIndex
 
 	// Samples counts accepted DNS samples.
 	Samples int
@@ -235,11 +262,14 @@ func (ag *Aggregator) isTracked(id uint32) bool {
 }
 
 // statsFor returns the per-name slot for id, growing the dense slice on
-// first sight of a higher ID.
+// first sight of a higher ID. A growth sizes the column for the whole
+// table, and at least doubles it: over a frozen table (pass 1) the
+// column is allocated once, and over a growing one (the live window)
+// growth stays amortised.
 func (ag *Aggregator) statsFor(id uint32) *NameStats {
 	if int(id) >= len(ag.names) {
 		if int(id) >= cap(ag.names) {
-			grown := make([]NameStats, int(id)+1, 1+cap(ag.names)*2+int(id))
+			grown := make([]NameStats, int(id)+1, max(int(id)+1, ag.Table.Len(), 2*cap(ag.names)))
 			copy(grown, ag.names)
 			ag.names = grown
 		} else {
@@ -259,9 +289,27 @@ func (ag *Aggregator) NameStatsOf(name string) NameStats {
 	return ag.names[id]
 }
 
+// at returns the profile in arena slot s.
+func (ag *Aggregator) at(s uint32) *ClientAgg { return &ag.chunks[s>>chunkShift].prof[s&chunkMask] }
+
+// keyAt returns the key of arena slot s.
+func (ag *Aggregator) keyAt(s uint32) ClientDay { return ag.chunks[s>>chunkShift].keys[s&chunkMask] }
+
+// push appends a zeroed profile for key to the arena and returns its
+// slot. Crossing a chunk boundary reuses a chunk ResetClients kept or
+// appends a new one; no profile ever moves.
+func (ag *Aggregator) push(key ClientDay) uint32 {
+	s := uint32(ag.n)
+	if ag.n>>chunkShift == len(ag.chunks) {
+		ag.chunks = append(ag.chunks, new(arenaChunk))
+	}
+	ag.chunks[s>>chunkShift].keys[s&chunkMask] = key
+	ag.n++
+	return s
+}
+
 // clientFor returns the arena profile of key, appending a zeroed slot on
-// first sight (isNew true: the caller must initialize First/Last). The
-// returned pointer is valid until the next arena growth.
+// first sight (isNew true: the caller must initialize First/Last).
 func (ag *Aggregator) clientFor(key ClientDay) (ca *ClientAgg, isNew bool) {
 	ix := &ag.idx
 	if ix.ctrl == nil {
@@ -272,29 +320,16 @@ func (ag *Aggregator) clientFor(key ClientDay) (ca *ClientAgg, isNew bool) {
 	for {
 		c := ix.ctrl[i]
 		if c == 0 {
-			slot := uint32(len(ag.arena))
-			if len(ag.arena) == cap(ag.arena) {
-				// Double explicitly: the runtime's large-slice growth
-				// factor (~1.25x) would copy the arena about twice as
-				// often, and this append is the hot path's only grower.
-				grown := make([]ClientAgg, len(ag.arena), 2*cap(ag.arena)+16)
-				copy(grown, ag.arena)
-				ag.arena = grown
-				gk := make([]ClientDay, len(ag.arenaKeys), 2*cap(ag.arenaKeys)+16)
-				copy(gk, ag.arenaKeys)
-				ag.arenaKeys = gk
-			}
-			ag.arena = append(ag.arena, ClientAgg{})
-			ag.arenaKeys = append(ag.arenaKeys, key)
+			slot := ag.push(key)
 			ix.ctrl[i] = slot + 1
 			ix.n++
 			if ix.n*4 > len(ix.ctrl)*3 {
 				ag.growIndex()
 			}
-			return &ag.arena[slot], true
+			return ag.at(slot), true
 		}
-		if ag.arenaKeys[c-1] == key {
-			return &ag.arena[c-1], false
+		if ch := ag.chunks[(c-1)>>chunkShift]; ch.keys[(c-1)&chunkMask] == key {
+			return &ch.prof[(c-1)&chunkMask], false
 		}
 		i = (i + 1) & ix.mask
 	}
@@ -308,45 +343,40 @@ func (ag *Aggregator) growIndex() {
 }
 
 // rebuildIndex re-keys the probe table over the current arena at the
-// given size (a power of two). When the current table already has that
-// size — CanonicalizeClients: insertions grew it to what its key count
-// calls for — its storage is reused (cleared and refilled).
+// given size (a power of two).
 func (ag *Aggregator) rebuildIndex(size int) {
-	ctrl := ag.idx.ctrl
-	if len(ctrl) == size {
-		clear(ctrl)
-	} else {
-		ctrl = make([]uint32, size)
-	}
+	ctrl := make([]uint32, size)
 	mask := uint32(size - 1)
-	for slot, key := range ag.arenaKeys {
-		i := key.hashKey() & mask
+	for slot := range uint32(ag.n) {
+		i := ag.keyAt(slot).hashKey() & mask
 		for ctrl[i] != 0 {
 			i = (i + 1) & mask
 		}
-		ctrl[i] = uint32(slot) + 1
+		ctrl[i] = slot + 1
 	}
-	ag.idx.ctrl = ctrl
-	ag.idx.mask = mask
+	ag.idx = clientIndex{ctrl: ctrl, mask: mask, n: ag.n}
 }
 
-// ResetClients releases every (client, day) profile: the arena and its
-// key column are truncated and the index is cleared in place. It is the
-// live window's day-close primitive — once a day's detections are out
-// nothing reads its profiles again, so none survive a close. The
-// vacated slots are zeroed so released profiles do not pin their Tracked
-// slices through the retained array; arena and index storage are kept,
-// so a consumer whose days are of similar size allocates for neither
-// after the first and reaches a steady-state arena capacity (ArenaCap).
-// Global and per-name statistics are cumulative and unaffected — the
-// reset bounds detection state, not the selectors' view.
+// ResetClients releases every (client, day) profile: the arena is
+// emptied and the index is cleared in place. It is the live window's
+// day-close primitive — once a day's detections are out nothing reads
+// its profiles again, so none survive a close. The vacated slots are
+// zeroed so released profiles do not pin their Tracked slices through a
+// kept chunk; the chunks and the index storage are kept, so a consumer
+// whose days are of similar size allocates for neither after the first
+// and reaches a steady-state arena capacity (ArenaCap). Global and
+// per-name statistics are cumulative and unaffected — the reset bounds
+// detection state, not the selectors' view.
 //
 // Returns the number of profiles released.
 func (ag *Aggregator) ResetClients() int {
-	n := len(ag.arena)
-	clear(ag.arena)
-	ag.arena = ag.arena[:0]
-	ag.arenaKeys = ag.arenaKeys[:0]
+	n := ag.n
+	for c := 0; c<<chunkShift < n; c++ {
+		used := min(n-c<<chunkShift, chunkLen)
+		clear(ag.chunks[c].prof[:used])
+		clear(ag.chunks[c].keys[:used])
+	}
+	ag.n = 0
 	clear(ag.idx.ctrl)
 	ag.idx.n = 0
 	return n
@@ -361,8 +391,8 @@ func (ag *Aggregator) ResetClients() int {
 // day-close primitive, called after ResetClients: a held profile's
 // Tracked list carries IDs, so calling it with any profile held panics.
 func (ag *Aggregator) ReleaseNames(keep func(id uint32, ns *NameStats) bool) []uint32 {
-	if len(ag.arena) > 0 {
-		panic(fmt.Sprintf("core: ReleaseNames with %d client-day profiles held", len(ag.arena)))
+	if ag.n > 0 {
+		panic(fmt.Sprintf("core: ReleaseNames with %d client-day profiles held", ag.n))
 	}
 	var unseen NameStats
 	remap := ag.Table.Keep(func(id uint32) bool {
@@ -397,15 +427,15 @@ func (ag *Aggregator) ReleaseNames(keep func(id uint32, ns *NameStats) bool) []u
 	return remap
 }
 
-// ArenaCap exposes the client-day arena's current capacity — an
-// observability hook: a consumer that resets at every day close reaches
-// a steady-state capacity (that of its largest day), which the reset
-// tests assert and the service's /metrics endpoint exports.
-func (ag *Aggregator) ArenaCap() int { return cap(ag.arena) }
+// ArenaCap exposes the client-day arena's current capacity, its chunks
+// times chunkLen — an observability hook: a consumer that resets at
+// every day close reaches a steady-state capacity (its largest day's
+// profiles rounded up to a whole chunk), which the reset tests assert
+// and the service's /metrics endpoint exports.
+func (ag *Aggregator) ArenaCap() int { return len(ag.chunks) * chunkLen }
 
 // ClientOf returns the profile of one (client, day) pair, nil when the
-// pair was never observed. The pointer is valid until the aggregator
-// observes more traffic.
+// pair was never observed. The pointer is valid until ResetClients.
 func (ag *Aggregator) ClientOf(key ClientDay) *ClientAgg {
 	ix := &ag.idx
 	if ix.n == 0 {
@@ -417,23 +447,23 @@ func (ag *Aggregator) ClientOf(key ClientDay) *ClientAgg {
 		if c == 0 {
 			return nil
 		}
-		if ag.arenaKeys[c-1] == key {
-			return &ag.arena[c-1]
+		if ag.keyAt(c-1) == key {
+			return ag.at(c - 1)
 		}
 		i = (i + 1) & ix.mask
 	}
 }
 
 // NumClients returns the number of observed (client, day) pairs.
-func (ag *Aggregator) NumClients() int { return len(ag.arena) }
+func (ag *Aggregator) NumClients() int { return ag.n }
 
 // EachClient invokes fn for every observed (client, day) profile, in
-// arena order (canonical (day, client) order after CanonicalizeClients).
-// It is the iteration primitive for reports: a contiguous slice walk, no
-// map materialization.
+// arena order (canonical (day, client) order after MergeShards). It is
+// the iteration primitive for reports: a walk of the chunks, no map
+// materialization.
 func (ag *Aggregator) EachClient(fn func(key ClientDay, ca *ClientAgg)) {
-	for i := range ag.arena {
-		fn(ag.arenaKeys[i], &ag.arena[i])
+	for s := range uint32(ag.n) {
+		fn(ag.keyAt(s), ag.at(s))
 	}
 }
 
@@ -476,7 +506,7 @@ func (ag *Aggregator) observe(ca *ClientAgg, t simclock.Time, id uint32, size in
 }
 
 // profile returns key's profile through the client index, opening it at
-// t on first sight. The pointer is valid until the next profile call.
+// t on first sight.
 func (ag *Aggregator) profile(key ClientDay, t simclock.Time) *ClientAgg {
 	ca, isNew := ag.clientFor(key)
 	if isNew {
@@ -511,8 +541,7 @@ func (ag *Aggregator) Observe(s *ixp.DNSSample) {
 // ObserveBatch ingests a whole columnar batch row by row, in the state
 // Observe on every row in order would leave. Attack flows emit bursts of
 // rows for one (client, day), so a one-entry memo skips the index probe
-// on consecutive repeats; the memo is refreshed on every probe, which is
-// also when the arena can grow. The batch must carry the aggregator's
+// on consecutive repeats. The batch must carry the aggregator's
 // table (ixp.CapturePoint.RemapBatch, which accounts the batch first,
 // refuses any other). In steady state it allocates nothing.
 func (ag *Aggregator) ObserveBatch(b *ixp.SampleBatch) {
@@ -564,96 +593,146 @@ func ObserveBatchSplit(in, out *Aggregator, b *ixp.SampleBatch, w simclock.Windo
 	}
 }
 
-// Merge folds another aggregator's state into ag: per-name stats add
-// up ID by ID and the client-day arena folds slot-wise through ag's
-// index. Both must be over the same name table — a shard over any other
-// table is a wiring bug and panics. Aggregation is commutative (sums,
-// maxima, and time bounds), so merging shards in any order — followed
-// by CanonicalizeClients — yields the same state as a single aggregator
-// observing every sample: the property the parallel pipeline relies on.
-// The other aggregator must not be used afterwards.
-func (ag *Aggregator) Merge(other *Aggregator) {
-	if other == nil {
-		return
-	}
-	if other.Table != ag.Table {
-		panic(fmt.Sprintf("core: Merge of an aggregator over a foreign name table (%d names) into one over a %d-name table", other.Table.Len(), ag.Table.Len()))
-	}
-
-	ag.trackAll = ag.trackAll || other.trackAll
-	for id, t := range other.tracked {
-		if t {
-			ag.setTracked(uint32(id))
+// MergeShards is the batch study's stage barrier: it folds shards, one
+// or more single-writer aggregators of one pass over the same table, into
+// one aggregator whose state is that of a single aggregator observing
+// every sample, with its client-day arena in canonical (day, client)
+// order — a function of the key set alone, so the result is
+// byte-identical for any sharding of the same sample stream (and Detect
+// emits in report order with a near-no-op final sort). A shard over any
+// other table than the first's is a wiring bug and panics before
+// anything is touched.
+//
+// Each shard's arena is first sorted in place, one goroutine per shard;
+// the sorted arenas are then k-way merged into the result's arena, a
+// client-day that several shards hold folding into one profile (sums,
+// maxima, time bounds and tracked counts are commutative), and each
+// input chunk is dropped as soon as it is consumed. Per-name columns add
+// up ID by ID into the first shard's column. The shards are empty
+// afterwards and must not be used again.
+func MergeShards(shards []*Aggregator) *Aggregator {
+	tab := shards[0].Table
+	for _, sh := range shards[1:] {
+		if sh.Table != tab {
+			panic(fmt.Sprintf("core: MergeShards of an aggregator over a foreign name table (%d names) with one over a %d-name table", sh.Table.Len(), tab.Len()))
 		}
 	}
-	ag.Samples += other.Samples
-	ag.Requests += other.Requests
-	ag.TotalBytes += other.TotalBytes
-	ag.ANYPackets += other.ANYPackets
-	ag.ANYBytes += other.ANYBytes
-
-	for id := range other.names {
-		ons := &other.names[id]
-		if ons.Packets == 0 && ons.MaxSize == 0 && ons.ANYPackets == 0 {
-			continue
+	ag := &Aggregator{Table: tab, trackAll: shards[0].trackAll, tracked: shards[0].tracked, names: shards[0].names}
+	shards[0].tracked, shards[0].names = nil, nil
+	for _, sh := range shards[1:] {
+		ag.trackAll = ag.trackAll || sh.trackAll
+		for id, t := range sh.tracked {
+			if t {
+				ag.setTracked(uint32(id))
+			}
 		}
-		ns := ag.statsFor(uint32(id))
-		ns.Packets += ons.Packets
-		ns.ANYPackets += ons.ANYPackets
-		if ons.MaxSize > ns.MaxSize {
-			ns.MaxSize = ons.MaxSize
+		for id := range sh.names {
+			ons := &sh.names[id]
+			if ons.Packets == 0 && ons.MaxSize == 0 && ons.ANYPackets == 0 {
+				continue
+			}
+			ns := ag.statsFor(uint32(id))
+			ns.Packets += ons.Packets
+			ns.ANYPackets += ons.ANYPackets
+			ns.MaxSize = max(ns.MaxSize, ons.MaxSize)
 		}
+		sh.tracked, sh.names = nil, nil
+	}
+	for _, sh := range shards {
+		ag.Samples += sh.Samples
+		ag.Requests += sh.Requests
+		ag.TotalBytes += sh.TotalBytes
+		ag.ANYPackets += sh.ANYPackets
+		ag.ANYBytes += sh.ANYBytes
 	}
 
-	for slot := range other.arena {
-		oca := &other.arena[slot]
-		ca, isNew := ag.clientFor(other.arenaKeys[slot])
-		if isNew {
-			ca.First, ca.Last = oca.First, oca.Last
+	var wg sync.WaitGroup
+	for _, sh := range shards {
+		sh.idx = clientIndex{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sh.sortClients()
+		}()
+	}
+	wg.Wait()
+
+	pos := make([]int, len(shards))
+	for {
+		best := -1
+		var bestKey ClientDay
+		for i, sh := range shards {
+			if pos[i] < sh.n {
+				if k := sh.keyAt(uint32(pos[i])); best < 0 || k.less(bestKey) < 0 {
+					best, bestKey = i, k
+				}
+			}
+		}
+		if best < 0 {
+			break
+		}
+		sh := shards[best]
+		s := uint32(pos[best])
+		if ag.n > 0 && ag.keyAt(uint32(ag.n-1)) == bestKey {
+			ag.at(uint32(ag.n - 1)).fold(sh.at(s))
 		} else {
-			if oca.First.Before(ca.First) {
-				ca.First = oca.First
-			}
-			if oca.Last.After(ca.Last) {
-				ca.Last = oca.Last
-			}
+			*ag.at(ag.push(bestKey)) = *sh.at(s)
 		}
-		ca.Total += oca.Total
-		ca.Bytes += oca.Bytes
-		ca.ANYPackets += oca.ANYPackets
-		ca.ANYBytes += oca.ANYBytes
-		for _, tc := range oca.Tracked {
-			ca.addTracked(tc.ID, tc.N)
+		pos[best]++
+		if pos[best]&chunkMask == 0 || pos[best] == sh.n {
+			sh.chunks[s>>chunkShift] = nil
 		}
+	}
+	for _, sh := range shards {
+		sh.chunks, sh.n = nil, 0
+	}
+	ag.rebuildIndex(indexSizeFor(ag.n))
+	return ag
+}
+
+// fold adds another profile of the same client-day into a.
+func (a *ClientAgg) fold(o *ClientAgg) {
+	a.Total += o.Total
+	a.Bytes += o.Bytes
+	a.ANYPackets += o.ANYPackets
+	a.ANYBytes += o.ANYBytes
+	if o.First.Before(a.First) {
+		a.First = o.First
+	}
+	if o.Last.After(a.Last) {
+		a.Last = o.Last
+	}
+	for _, tc := range o.Tracked {
+		a.addTracked(tc.ID, tc.N)
 	}
 }
 
-// CanonicalizeClients re-sorts the client-day arena into (day, client)
-// order and rebuilds the index from the sorted keys. It is the stage
-// barrier after Merge: every shard aggregated in the one shared table,
-// so name IDs are already identical for any sharding, and once the
-// arena order and index layout are functions of the key set alone the
-// aggregator's state is byte-identical for any sharding of the same
-// sample stream. The sorted arena is also what lets Detect emit
-// detections in report order with a near-no-op final sort.
-func (ag *Aggregator) CanonicalizeClients() {
-	order := make([]uint32, len(ag.arena))
-	for i := range order {
-		order[i] = uint32(i)
+// sortClients sorts the arena into (day, client) order in place: a
+// 4-byte-per-profile permutation is sorted by key, then applied cycle by
+// cycle, each profile and key moving once. The index is not maintained.
+func (ag *Aggregator) sortClients() {
+	perm := make([]uint32, ag.n)
+	for i := range perm {
+		perm[i] = uint32(i)
 	}
-	slices.SortFunc(order, func(a, b uint32) int {
-		return ag.arenaKeys[a].less(ag.arenaKeys[b])
-	})
-	arena := make([]ClientAgg, len(ag.arena))
-	keys := make([]ClientDay, len(ag.arena))
-	for ni, oi := range order {
-		arena[ni] = ag.arena[oi]
-		keys[ni] = ag.arenaKeys[oi]
+	slices.SortFunc(perm, func(a, b uint32) int { return ag.keyAt(a).less(ag.keyAt(b)) })
+	// perm[i] is the slot whose profile belongs at i; a placed slot is
+	// marked perm[i] == i.
+	for i := range uint32(len(perm)) {
+		if perm[i] == i {
+			continue
+		}
+		ca, key := *ag.at(i), ag.keyAt(i)
+		j := i
+		for perm[j] != i {
+			k := perm[j]
+			*ag.at(j), ag.chunks[j>>chunkShift].keys[j&chunkMask] = *ag.at(k), ag.keyAt(k)
+			perm[j] = j
+			j = k
+		}
+		*ag.at(j), ag.chunks[j>>chunkShift].keys[j&chunkMask] = ca, key
+		perm[j] = j
 	}
-	ag.arena = arena
-	ag.arenaKeys = keys
-	ag.rebuildIndex(indexSizeFor(len(keys)))
-	ag.idx.n = len(keys)
 }
 
 // CandidateSet is the set of candidate (misused) name IDs in one

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
+	"unsafe"
 
 	"dnsamp/internal/dnswire"
 	"dnsamp/internal/ixp"
@@ -84,6 +85,101 @@ func TestResetClientsZeroAllocSameSizedDay(t *testing.T) {
 	}
 }
 
+// TestArenaChunkGrowthAlloc guards the chunked arena: opening the
+// profile that crosses a chunk boundary allocates the new chunk and
+// nothing of the size of the arena — no profile is
+// copied — and a profile pointer taken before the growth still reads
+// the same profile after it.
+func TestArenaChunkGrowthAlloc(t *testing.T) {
+	ag := NewAggregator(nil, nil)
+	sample := func(c int) *ixp.DNSSample { return resetSample(0, c, "zone.example.", ag.Table) }
+	for c := range chunkLen {
+		ag.Observe(sample(c))
+	}
+	first := sample(0)
+	held := ag.ClientOf(ClientDay{Client: first.Src, Day: first.Time.Day()})
+	crossing := sample(chunkLen)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ag.Observe(crossing)
+	runtime.ReadMemStats(&after)
+	// The allocator rounds a chunk up to whole 8 KiB pages.
+	chunkBytes := (uint64(unsafe.Sizeof(arenaChunk{})) + 8<<10 - 1) &^ (8<<10 - 1)
+	if got := after.TotalAlloc - before.TotalAlloc; got > chunkBytes+256 {
+		t.Errorf("crossing a chunk boundary allocated %d bytes, want the new chunk's %d", got, chunkBytes)
+	}
+	if ag.ArenaCap() != 2*chunkLen {
+		t.Errorf("ArenaCap %d after one crossing, want %d", ag.ArenaCap(), 2*chunkLen)
+	}
+	ag.Observe(first)
+	if now := ag.ClientOf(ClientDay{Client: first.Src, Day: first.Time.Day()}); now != held || held.Total != 2 {
+		t.Errorf("a profile taken before the growth moved (%p -> %p) or misreads: %+v", held, now, *held)
+	}
+}
+
+// TestNameColumnAllocOnceFrozenTable guards pass 1's per-name columns:
+// shards observing a frozen table through the pass-1 split each
+// allocate their column once, sized to the table, and the barrier folds
+// them into the first one without allocating another.
+func TestNameColumnAllocOnceFrozenTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	tab := names.NewTable()
+	pool := testNamePool(tab)
+	for i := range 5000 {
+		tab.Intern("filler" + strconv.Itoa(i) + ".test.")
+	}
+	var batches []*ixp.SampleBatch
+	for range 12 {
+		batches = append(batches, randomBatch(rng, tab, pool, 200))
+	}
+	top := &ixp.SampleBatch{Table: tab}
+	top.Append(ixp.BatchRecord{Time: simclock.MeasurementStart.Add(simclock.Days(1)), Name: uint32(tab.Len() - 1), QType: dnswire.TypeA, MsgSize: 60})
+	batches = append(batches, top)
+
+	w := simclock.Window{Start: simclock.MeasurementStart.Add(simclock.Days(1)), End: simclock.MeasurementStart.Add(simclock.Days(3))}
+	shards := make([]*Aggregator, 3)
+	exts := make([]*Aggregator, 3)
+	cols := make([]*NameStats, 3)
+	for i := range shards {
+		shards[i], exts[i] = NewAggregator(tab, []string{"evil.example."}), NewAggregator(tab, nil)
+	}
+	for i, b := range batches {
+		sh := i % len(shards)
+		ObserveBatchSplit(shards[sh], exts[sh], b, w)
+		if cap(shards[sh].names) != tab.Len() {
+			t.Fatalf("batch %d: shard %d column cap %d, want the table's %d names", i, sh, cap(shards[sh].names), tab.Len())
+		}
+		if cols[sh] == nil {
+			cols[sh] = &shards[sh].names[:1][0]
+		} else if &shards[sh].names[:1][0] != cols[sh] {
+			t.Fatalf("batch %d: shard %d reallocated its name column", i, sh)
+		}
+	}
+	if ag := MergeShards(shards); &ag.names[:1][0] != cols[0] || cap(ag.names) != tab.Len() {
+		t.Errorf("the barrier moved the name column (cap %d, table %d names)", cap(ag.names), tab.Len())
+	}
+}
+
+// TestMergeShardsDropsChunksAlloc guards the barrier's hand-over: once
+// MergeShards returns, no shard holds a chunk, an index or a name
+// column, so the merged aggregate is the only copy left alive.
+func TestMergeShardsDropsChunksAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	tab := names.NewTable()
+	pool := testNamePool(tab)
+	shards := []*Aggregator{NewAggregator(tab, nil), NewAggregator(tab, nil)}
+	for c := range 3 * chunkLen {
+		shards[c%2].Observe(resetSample(c%3, c, "zone.example.", tab))
+	}
+	shards[1].ObserveBatch(randomBatch(rng, tab, pool, 500))
+	total := shards[0].NumClients() + shards[1].NumClients()
+	ag := MergeShards(shards)
+	checkMerged(t, "barrier", ag, shards)
+	if ag.NumClients() > total || ag.NumClients() < 3*chunkLen {
+		t.Fatalf("%d merged profiles from %d shard profiles", ag.NumClients(), total)
+	}
+}
+
 // TestDetectScanZeroAllocSteadyState guards the columnar threshold
 // scan: with the scratch columns warmed, a Detect sweep that emits no
 // detections must not allocate — the candidate marks, the cand/total
@@ -96,7 +192,7 @@ func TestDetectScanZeroAllocSteadyState(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		ag.ObserveBatch(randomBatch(rng, ag.Table, testNamePool(ag.Table), 500))
 	}
-	ag.CanonicalizeClients()
+	ag = MergeShards([]*Aggregator{ag})
 	cands := map[string]bool{"evil.example.": true, ".": true}
 	none := Thresholds{MinShare: 0.5, MinPackets: 1 << 30} // scan runs, nothing passes
 	if dets := Detect(ag, cands, none); dets != nil {

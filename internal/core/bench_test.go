@@ -51,7 +51,7 @@ func BenchmarkDetectColumnar(b *testing.B) {
 		dt := g.Day(simclock.MeasurementStart.Add(simclock.Days(10 + d)))
 		ag.ObserveBatch(cap.RemapBatch(dt.Batch))
 	}
-	ag.CanonicalizeClients()
+	ag = core.MergeShards([]*core.Aggregator{ag})
 	cands := map[string]bool{}
 	for _, n := range c.DB.MisusedCandidates() {
 		cands[n] = true

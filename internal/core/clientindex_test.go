@@ -51,7 +51,7 @@ func TestClientIndexGrowRehash(t *testing.T) {
 
 // TestClientIndexDeterminism: identical insertion sequences must yield
 // byte-identical aggregators (arena, keys, and probe-table layout), and
-// different insertion orders must converge after CanonicalizeClients.
+// different insertion orders must converge through MergeShards.
 func TestClientIndexDeterminism(t *testing.T) {
 	build := func(perm []int) *Aggregator {
 		ag := NewAggregator(nil, nil)
@@ -76,9 +76,7 @@ func TestClientIndexDeterminism(t *testing.T) {
 	for i := range rev {
 		rev[i] = len(fwd) - 1 - i
 	}
-	a, b := build(fwd), build(rev)
-	a.CanonicalizeClients()
-	b.CanonicalizeClients()
+	a, b := MergeShards([]*Aggregator{build(fwd)}), MergeShards([]*Aggregator{build(rev)})
 	if !reflect.DeepEqual(a, b) {
 		t.Error("canonicalized aggregators differ across insertion orders")
 	}
@@ -280,8 +278,8 @@ func TestObserveBatchSplitMatchesRows(t *testing.T) {
 
 // TestMergeArenasMatchesSingle shards randomized batches across
 // aggregators — disjoint and overlapping client populations — and
-// checks Merge + CanonicalizeClients equals one aggregator observing
-// everything (the arena-level analogue of the map-era merge guarantee).
+// checks MergeShards equals one aggregator observing everything (the
+// arena-level analogue of the map-era merge guarantee).
 func TestMergeArenasMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	tab := names.NewTable()
@@ -295,12 +293,7 @@ func TestMergeArenasMatchesSingle(t *testing.T) {
 		single.ObserveBatch(b)
 		shards[round%len(shards)].ObserveBatch(b)
 	}
-	merged := shards[0]
-	merged.Merge(shards[1])
-	merged.Merge(shards[2])
-	merged.CanonicalizeClients()
-	single.CanonicalizeClients()
-	if !reflect.DeepEqual(merged, single) {
+	if !reflect.DeepEqual(MergeShards(shards), MergeShards([]*Aggregator{single})) {
 		t.Error("merged shard arenas differ from a single aggregator over the same batches")
 	}
 }
@@ -392,7 +385,7 @@ func TestDetectMatchesShareOf(t *testing.T) {
 	}
 	for _, canonical := range []bool{false, true} {
 		if canonical {
-			ag.CanonicalizeClients()
+			ag = MergeShards([]*Aggregator{ag})
 		}
 		want := reference(ag)
 		sortDet(want)

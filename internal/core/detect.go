@@ -39,18 +39,18 @@ type Detection struct {
 
 // Detect applies the thresholds to pass-1 aggregates. The candidate set
 // is resolved once into a dense mark column over the aggregator's ID
-// space; the sweep is then columnar over the flat client-day arena:
+// space; the sweep is then columnar over the chunked client-day arena:
 // one walk extracts each slot's candidate and total packet counts into
 // contiguous uint32 columns, and the minimum-packet threshold runs as a
 // branch-light integer pass over those columns (the share division only
-// happens for the rare candidate-bearing survivors). On a canonicalized
-// aggregator the arena is already in (day, victim) order, so the final
-// deterministic sort is a near-no-op; it is kept so non-canonicalized
+// happens for the rare candidate-bearing survivors). On an aggregator
+// out of MergeShards the arena is already in (day, victim) order, so
+// the final deterministic sort is a near-no-op; it is kept so other
 // aggregators (the live window's) report in the same order. The scan
 // reuses the aggregator's scratch columns and allocates only for
 // emitted detections.
 func Detect(ag *Aggregator, candidates map[string]bool, th Thresholds) []*Detection {
-	n := len(ag.arena)
+	n := ag.n
 	if n == 0 {
 		return nil
 	}
@@ -87,8 +87,8 @@ func Detect(ag *Aggregator, candidates map[string]bool, th Thresholds) []*Detect
 		ag.detTot = ag.detTot[:n]
 	}
 	cand, tot := ag.detCand, ag.detTot
-	for i := range ag.arena {
-		ca := &ag.arena[i]
+	for i := range uint32(n) {
+		ca := ag.at(i)
 		c := 0
 		for _, tc := range ca.Tracked {
 			if int(tc.ID) < tl && mark[tc.ID] {
@@ -124,12 +124,12 @@ func Detect(ag *Aggregator, candidates map[string]bool, th Thresholds) []*Detect
 
 	var out []*Detection
 	for _, i := range hits {
-		ca := &ag.arena[i]
+		ca := ag.at(i)
 		share := float64(cand[i]) / float64(ca.Total)
 		if share < th.MinShare {
 			continue
 		}
-		key := ag.arenaKeys[i]
+		key := ag.keyAt(i)
 		out = append(out, &Detection{
 			Victim: key.Client, Day: key.Day,
 			Packets: ca.Total, CandidatePackets: int(cand[i]), Share: share,

@@ -36,31 +36,27 @@ func day0(offset simclock.Duration) simclock.Time {
 	return simclock.MeasurementStart.Add(offset)
 }
 
+// merged runs the barrier over shards.
+func merged(shards ...*Aggregator) *Aggregator { return MergeShards(shards) }
+
 func TestMergeEmpty(t *testing.T) {
 	tab := names.NewTable()
-	a := NewAggregator(tab, mergeTrack)
-	a.Observe(mergeSample(tab, 1, "evil.example.", dnswire.TypeANY, 900, day0(10), true))
-	want := NewAggregator(tab, mergeTrack)
-	want.Observe(mergeSample(tab, 1, "evil.example.", dnswire.TypeANY, 900, day0(10), true))
+	observed := func() *Aggregator {
+		ag := NewAggregator(tab, mergeTrack)
+		ag.Observe(mergeSample(tab, 1, "evil.example.", dnswire.TypeANY, 900, day0(10), true))
+		return ag
+	}
+	want := merged(observed())
 
-	// Merging an empty shard (either direction) must not change state.
-	a.Merge(NewAggregator(tab, mergeTrack))
-	a.CanonicalizeClients()
-	want.CanonicalizeClients()
-	if !reflect.DeepEqual(a, want) {
+	// Merging an empty shard (on either side) must not change state.
+	if !reflect.DeepEqual(merged(observed(), NewAggregator(tab, mergeTrack)), want) {
 		t.Error("merging an empty aggregator changed state")
 	}
-	empty := NewAggregator(tab, mergeTrack)
-	full := NewAggregator(tab, mergeTrack)
-	full.Observe(mergeSample(tab, 1, "evil.example.", dnswire.TypeANY, 900, day0(10), true))
-	empty.Merge(full)
-	empty.CanonicalizeClients()
-	if !reflect.DeepEqual(empty, want) {
+	if !reflect.DeepEqual(merged(NewAggregator(tab, mergeTrack), observed()), want) {
 		t.Error("merging into an empty aggregator lost state")
 	}
-	a.Merge(nil)
-	if !reflect.DeepEqual(a, want) {
-		t.Error("merging nil changed state")
+	if got := merged(NewAggregator(tab, mergeTrack), NewAggregator(tab, mergeTrack)); got.NumClients() != 0 || got.Samples != 0 {
+		t.Errorf("two empty shards merged into %d profiles, %d samples", got.NumClients(), got.Samples)
 	}
 }
 
@@ -72,17 +68,17 @@ func TestMergeDisjoint(t *testing.T) {
 	b := NewAggregator(tab, mergeTrack)
 	b.Observe(mergeSample(tab, 2, "benign.example.", dnswire.TypeA, 80, day0(20), false))
 
-	a.Merge(b)
-	if a.Samples != 2 || a.Requests != 1 || a.TotalBytes != 980 {
-		t.Fatalf("global counters: samples=%d requests=%d bytes=%d", a.Samples, a.Requests, a.TotalBytes)
+	m := merged(a, b)
+	if m.Samples != 2 || m.Requests != 1 || m.TotalBytes != 980 {
+		t.Fatalf("global counters: samples=%d requests=%d bytes=%d", m.Samples, m.Requests, m.TotalBytes)
 	}
-	if a.NumClients() != 2 {
-		t.Fatalf("clients=%d, want 2", a.NumClients())
+	if m.NumClients() != 2 {
+		t.Fatalf("clients=%d, want 2", m.NumClients())
 	}
-	if ns := a.NameStatsOf("evil.example."); ns.MaxSize != 900 || ns.ANYPackets != 1 {
+	if ns := m.NameStatsOf("evil.example."); ns.MaxSize != 900 || ns.ANYPackets != 1 {
 		t.Errorf("evil stats: %+v", ns)
 	}
-	if ns := a.NameStatsOf("benign.example."); ns.MaxSize != 0 || ns.Packets != 1 {
+	if ns := m.NameStatsOf("benign.example."); ns.MaxSize != 0 || ns.Packets != 1 {
 		t.Errorf("benign stats: %+v", ns)
 	}
 }
@@ -99,47 +95,46 @@ func TestMergeOverlapping(t *testing.T) {
 	}
 	a := NewAggregator(tab, mergeTrack)
 	b := NewAggregator(tab, mergeTrack)
-	want := NewAggregator(tab, mergeTrack)
+	single := NewAggregator(tab, mergeTrack)
 	for i, s := range samples {
 		if i%2 == 0 {
 			a.Observe(s)
 		} else {
 			b.Observe(s)
 		}
-		want.Observe(s)
+		single.Observe(s)
 	}
-	a.Merge(b)
-	a.CanonicalizeClients()
-	want.CanonicalizeClients()
-	if !reflect.DeepEqual(a, want) {
+	m := merged(a, b)
+	if !reflect.DeepEqual(m, merged(single)) {
 		t.Error("merged shards differ from a single aggregator over the same samples")
 	}
-	ca := a.ClientOf(ClientDay{Client: [4]byte{10, 0, 0, 1}, Day: day0(0).Day()})
+	ca := m.ClientOf(ClientDay{Client: [4]byte{10, 0, 0, 1}, Day: day0(0).Day()})
 	if ca == nil || ca.Total != 4 || ca.First != day0(50) || ca.Last != day0(300) {
 		t.Fatalf("client profile after merge: %+v", ca)
 	}
-	id, _ := a.Table.Lookup("evil.example.")
+	id, _ := m.Table.Lookup("evil.example.")
 	if got := ca.TrackedCount(id); got != 3 {
 		t.Errorf("tracked count = %d, want 3", got)
 	}
 }
 
-// TestMergeForeignTablePanics pins the one-table invariant at Merge: a
-// shard over any other table than the receiver's is refused, never
-// translated.
+// TestMergeForeignTablePanics pins the one-table invariant at the
+// barrier: a shard over any other table than the first's is refused,
+// never translated, and no shard is touched.
 func TestMergeForeignTablePanics(t *testing.T) {
 	a := NewAggregator(names.NewTable(), mergeTrack)
 	b := NewAggregator(names.NewTable(), mergeTrack)
 	b.Observe(mergeSample(b.Table, 1, "evil.example.", dnswire.TypeANY, 900, day0(10), true))
 	defer func() {
 		if recover() == nil {
-			t.Error("Merge accepted an aggregator over a foreign name table")
+			t.Error("MergeShards accepted an aggregator over a foreign name table")
 		}
-		if a.Samples != 0 || a.NumClients() != 0 {
-			t.Errorf("refused Merge still folded state: samples=%d clients=%d", a.Samples, a.NumClients())
+		if a.Samples != 0 || a.NumClients() != 0 || b.NumClients() != 1 {
+			t.Errorf("refused merge still moved state: samples=%d clients=%d, foreign shard %d",
+				a.Samples, a.NumClients(), b.NumClients())
 		}
 	}()
-	a.Merge(b)
+	merged(a, b)
 }
 
 func TestConsensusPointParallelMatchesSerial(t *testing.T) {

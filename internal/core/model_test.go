@@ -243,9 +243,13 @@ func modelRow(tab *names.Table, p [4]byte) ixp.BatchRecord {
 //	      row's client and day, so runs of one key exercise the memo
 //	3     ObserveBatchSplit(ag, ext) at a two-day window starting at a
 //	      window byte's 64th of a day, then a batch as for 2
-//	4     ext merged into ag, CanonicalizeClients, a fresh ext
+//	4     the barrier: a shard-count byte picks 1–3 shards — ag alone;
+//	      ag and ext; or ag, ext and a third shard fed a batch as for 2
+//	      — merged by MergeShards into ag (a fresh ext unless ag went
+//	      alone); the result must be in canonical order and the shards
+//	      must hold no chunks
 //	5     ResetClients of ag
-//	6     ReleaseNames after ext is merged and ag reset: a name is kept
+//	6     ReleaseNames after ag and ext are merged and reset: a name is kept
 //	      when it has ANY packets or a MaxSize at or above a floor byte
 //	      × 32 (tracked names always); the table must keep exactly those
 //	7     a WriteSnapshot + ReadSnapshot round trip of ag
@@ -338,10 +342,31 @@ func runAggregatorProgram(t *testing.T, prog []byte) {
 				}
 			}
 		case 4:
-			ag.Merge(ext)
-			ag.CanonicalizeClients()
-			m.merge(mExt)
-			ext, mExt = fresh()
+			kb := take(1)
+			if kb == nil {
+				return
+			}
+			shards := []*Aggregator{ag}
+			if k := 1 + int(kb[0])%3; k > 1 {
+				shards = append(shards, ext)
+				m.merge(mExt)
+				if k == 3 {
+					b := batch()
+					if b == nil {
+						return
+					}
+					third, mThird := fresh()
+					third.ObserveBatch(b)
+					mThird.observeBatch(b)
+					shards = append(shards, third)
+					m.merge(mThird)
+				}
+			}
+			ag = MergeShards(shards)
+			if len(shards) > 1 {
+				ext, mExt = fresh()
+			}
+			checkMerged(t, what, ag, shards)
 		case 5:
 			if n := ag.ResetClients(); n != len(m.clients) {
 				t.Fatalf("%s: ResetClients released %d profiles, model held %d", what, n, len(m.clients))
@@ -353,7 +378,7 @@ func runAggregatorProgram(t *testing.T, prog []byte) {
 				return
 			}
 			floor := int(fb[0]) * 32
-			ag.Merge(ext)
+			ag = MergeShards([]*Aggregator{ag, ext})
 			m.merge(mExt)
 			ag.ResetClients()
 			clear(m.clients)
@@ -389,6 +414,25 @@ func runAggregatorProgram(t *testing.T, prog []byte) {
 	}
 }
 
+// checkMerged holds the barrier's own promises: the merged arena is in
+// strictly increasing (day, client) order and the shards hold nothing.
+func checkMerged(t *testing.T, what string, ag *Aggregator, shards []*Aggregator) {
+	t.Helper()
+	prev, first := ClientDay{}, true
+	ag.EachClient(func(key ClientDay, _ *ClientAgg) {
+		if !first && prev.less(key) >= 0 {
+			t.Fatalf("%s: merged arena out of order: %v after %v", what, key, prev)
+		}
+		prev, first = key, false
+	})
+	for i, sh := range shards {
+		if sh.chunks != nil || sh.n != 0 || sh.idx.ctrl != nil || sh.names != nil {
+			t.Fatalf("%s: shard %d still holds %d chunks, %d profiles, %d index slots, %d name entries after the barrier",
+				what, i, len(sh.chunks), sh.n, len(sh.idx.ctrl), len(sh.names))
+		}
+	}
+}
+
 // TestAggregatorMatchesModel runs seeded random programs, in explicit-
 // track and track-all mode, against the model.
 func TestAggregatorMatchesModel(t *testing.T) {
@@ -407,7 +451,77 @@ func FuzzAggregator(f *testing.F) {
 	f.Add([]byte{0, 7, 0x40, 3, 9, 1, 7, 0x40, 3, 200, 2, 0x23, 1, 1, 1, 1, 2, 2, 2, 2, 5, 7})
 	f.Add([]byte{8, 3, 60, 0x22, 0xc1, 0x81, 5, 17, 0x42, 0xc1, 6, 33, 4, 2, 1, 0x40, 9, 9, 6, 10, 7})
 	f.Add([]byte{8, 2, 0x3f, 0x41, 0xc0, 2, 1, 0x40, 1, 0xc7, 3, 255, 0x4, 0x82, 0x03, 0x40, 0x02, 0x07, 0x41, 0x05, 4, 6, 0, 5})
+	// Three shards at the barrier, one client-day held by all three.
+	f.Add([]byte{2, 0x02, 1, 0x40, 3, 9, 2, 1, 7, 10, 1, 0x81, 2, 20,
+		3, 100, 0x01, 1, 0x40, 3, 200, 65, 1, 2, 30,
+		4, 2, 0x01, 1, 0x40, 5, 50, 2, 0x41, 4, 60, 7, 4, 1})
 	f.Fuzz(runAggregatorProgram)
+}
+
+// TestArenaChunksMatchModel pushes more than three chunks of profiles
+// through every arena path — Observe, ObserveBatch, ResetClients, a
+// snapshot round trip and the barrier over three shards whose
+// client-days collide — and holds the aggregator to the model after
+// each.
+func TestArenaChunksMatchModel(t *testing.T) {
+	const clients = 3*chunkLen + chunkLen/2
+	tab := names.NewTable()
+	row := func(c, day, salt int) ixp.BatchRecord {
+		r := modelRow(tab, [4]byte{byte(day << 6), byte(c + salt), byte(c), byte(salt)})
+		if r.Resp {
+			r.Dst = [4]byte{10, 1, byte(c >> 8), byte(c)}
+		} else {
+			r.Src = [4]byte{10, 1, byte(c >> 8), byte(c)}
+		}
+		return r
+	}
+	// feed opens one profile per client on day, through Observe for
+	// even clients and one batch for the odd ones.
+	feed := func(ag *Aggregator, m *modelAgg, day, salt int) {
+		b := &ixp.SampleBatch{Table: tab}
+		for c := range clients {
+			r := row(c, day, salt)
+			if c%2 == 0 {
+				one := &ixp.SampleBatch{Table: tab}
+				one.Append(r)
+				s := sampleFromRow(tab, one, 0)
+				ag.Observe(s)
+				m.observeSample(tab, s)
+				continue
+			}
+			b.Append(r)
+		}
+		ag.ObserveBatch(b)
+		m.observeBatch(b)
+	}
+	ag, m := NewAggregator(tab, modelTrack), newModel(modelTrack, false)
+	feed(ag, m, 0, 0)
+	feed(ag, m, 1, 1)
+	m.check(t, ag, "two days")
+	if got := ag.ArenaCap(); got < 2*clients || got%chunkLen != 0 {
+		t.Fatalf("ArenaCap %d for %d profiles", got, 2*clients)
+	}
+	ag.ResetClients()
+	clear(m.clients)
+	feed(ag, m, 2, 2)
+	m.check(t, ag, "after the reset")
+	ag = roundTrip(t, ag)
+	m.check(t, ag, "after the round trip")
+
+	shards := []*Aggregator{ag}
+	for i := 1; i <= 2; i++ {
+		sh, ms := NewAggregator(tab, modelTrack), newModel(modelTrack, false)
+		feed(sh, ms, 2, 2+i) // day 2 again: every client-day collides
+		feed(sh, ms, i-1, i)
+		shards = append(shards, sh)
+		m.merge(ms)
+	}
+	ag = MergeShards(shards)
+	m.check(t, ag, "after the barrier")
+	checkMerged(t, "after the barrier", ag, shards)
+	if ag.NumClients() != 3*clients {
+		t.Fatalf("%d merged profiles, want %d", ag.NumClients(), 3*clients)
+	}
 }
 
 // refCollector is the pass-2 reference: the attack details of §4.2

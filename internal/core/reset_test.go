@@ -26,12 +26,24 @@ func resetSample(day, client int, name string, tab interface {
 	}
 }
 
+// arenaOf returns copies of ag's held keys and profiles, in arena order.
+func arenaOf(ag *Aggregator) ([]ClientDay, []ClientAgg) {
+	var keys []ClientDay
+	var profs []ClientAgg
+	ag.EachClient(func(key ClientDay, ca *ClientAgg) {
+		keys = append(keys, key)
+		profs = append(profs, *ca)
+	})
+	return keys, profs
+}
+
 // TestResetClientsMatchesFresh pins the reset contract: every profile is
 // released and unresolvable, the cumulative per-name and global
-// statistics are untouched, and the client-day state after re-observing
-// is that of a fresh aggregator given the same samples — arena, key
-// column and index layout alike (the next day has the size of the last,
-// so the retained index is the size a fresh one grows to).
+// statistics are untouched, the kept chunks pin nothing, and the
+// client-day state after re-observing is that of a fresh aggregator
+// given the same samples — arena, key column and index layout alike (the
+// next day has the size of the last, so the retained index is the size a
+// fresh one grows to).
 func TestResetClientsMatchesFresh(t *testing.T) {
 	const clients = 300
 	feed := func(ag *Aggregator, day int) {
@@ -46,7 +58,7 @@ func TestResetClientsMatchesFresh(t *testing.T) {
 	feed(ag, 0)
 	feed(ag, 1) // a straggler day beside the open one: both leave
 
-	keys := append([]ClientDay(nil), ag.arenaKeys...)
+	keys, _ := arenaOf(ag)
 	names := append([]NameStats(nil), ag.names...)
 	samples := ag.Samples
 
@@ -65,9 +77,9 @@ func TestResetClientsMatchesFresh(t *testing.T) {
 	if !reflect.DeepEqual(ag.names, names) || ag.Samples != samples {
 		t.Fatal("reset touched the cumulative statistics")
 	}
-	for i, ca := range ag.arena[:2*clients] {
-		if ca.Tracked != nil {
-			t.Fatalf("vacated slot %d still pins its tracked list", i)
+	for i := range uint32(2 * clients) {
+		if ag.at(i).Tracked != nil || ag.keyAt(i) != (ClientDay{}) {
+			t.Fatalf("vacated slot %d still holds its profile", i)
 		}
 	}
 	if got := ag.ResetClients(); got != 0 {
@@ -80,7 +92,7 @@ func TestResetClientsMatchesFresh(t *testing.T) {
 	fresh.SetTrackAll(true)
 	feed(fresh, 2)
 	feed(fresh, 3)
-	if !reflect.DeepEqual(ag.arenaKeys, fresh.arenaKeys) || !reflect.DeepEqual(ag.arena, fresh.arena) {
+	if !reflect.DeepEqual(ag.chunks, fresh.chunks) || ag.n != fresh.n {
 		t.Fatal("arena after reset + re-observe differs from a fresh aggregator's")
 	}
 	if !reflect.DeepEqual(ag.idx, fresh.idx) {

@@ -40,12 +40,12 @@ func (ag *Aggregator) WriteSnapshot(e *binenc.Encoder) {
 		e.I64(int64(ns.Packets))
 	}
 
-	e.U32(uint32(len(ag.arena)))
-	for i := range ag.arena {
-		k := ag.arenaKeys[i]
+	e.U32(uint32(ag.n))
+	for s := range uint32(ag.n) {
+		k := ag.keyAt(s)
 		e.Raw(k.Client[:])
 		e.I64(int64(k.Day))
-		ca := &ag.arena[i]
+		ca := ag.at(s)
 		e.I64(int64(ca.Total))
 		e.I64(int64(ca.Bytes))
 		e.I64(int64(ca.ANYPackets))
@@ -81,7 +81,7 @@ func (ag *Aggregator) ReadSnapshot(d *binenc.Decoder) error {
 	ag.ANYPackets = int(d.I64())
 	ag.ANYBytes = int(d.I64())
 
-	// A NameStats entry costs 24 bytes; a client-day slot at least 60
+	// A NameStats entry costs 24 bytes; a client-day slot at least 64
 	// (4+8 key, 6×8 fields, 4 tracked count).
 	nNames := d.Count(24)
 	ag.names = make([]NameStats, nNames)
@@ -95,14 +95,14 @@ func (ag *Aggregator) ReadSnapshot(d *binenc.Decoder) error {
 		return fmt.Errorf("core: snapshot has %d name entries but the table holds %d names", len(ag.names), ag.Table.Len())
 	}
 
-	nClients := d.Count(60)
-	ag.arena = make([]ClientAgg, nClients)
-	ag.arenaKeys = make([]ClientDay, nClients)
+	// The arena grows chunk by chunk as entries decode, so a count the
+	// bytes cannot back fails before it allocates much.
+	nClients := d.Count(64)
 	for i := 0; i < nClients && d.Err() == nil; i++ {
-		k := &ag.arenaKeys[i]
+		var k ClientDay
 		copy(k.Client[:], d.Raw(4))
 		k.Day = int(d.I64())
-		ca := &ag.arena[i]
+		ca := ag.at(ag.push(k))
 		ca.Total = int(d.I64())
 		ca.Bytes = int(d.I64())
 		ca.ANYPackets = int(d.I64())
@@ -131,7 +131,6 @@ func (ag *Aggregator) ReadSnapshot(d *binenc.Decoder) error {
 	if err := d.Err(); err != nil {
 		return err
 	}
-	ag.rebuildIndex(indexSizeFor(nClients))
-	ag.idx.n = nClients
+	ag.rebuildIndex(indexSizeFor(ag.n))
 	return nil
 }

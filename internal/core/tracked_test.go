@@ -83,7 +83,7 @@ func TestReadSnapshotRejectsBadTracked(t *testing.T) {
 			if tab.Len() != 2 || ag.NumClients() != 1 {
 				t.Fatalf("setup: %d names, %d clients", tab.Len(), ag.NumClients())
 			}
-			ag.arena[0].Tracked = tc.tracked
+			ag.at(0).Tracked = tc.tracked
 
 			var buf bytes.Buffer
 			e := binenc.NewEncoder(&buf)

@@ -83,11 +83,17 @@ func DefaultPoolConfig() PoolConfig {
 // Pool is the amplifier population.
 type Pool struct {
 	Amps []Amplifier
+	// life is the Amps-parallel column of reachability windows: the
+	// sampling walk reads 16 bytes per candidate, not an Amplifier.
+	life []lifespan
 	// byBirth is sorted by Born for windowed queries.
 	byBirth []int
 	// upstreams is the number of distinct shared recursive resolvers.
 	upstreams int
 }
+
+// lifespan is one amplifier's reachability window [born, died).
+type lifespan struct{ born, died simclock.Time }
 
 // historyStart is the beginning of the scan-history horizon (Fig. 15's
 // x-axis starts in 2016).
@@ -219,8 +225,10 @@ func NewPool(cfg PoolConfig, topo *topology.Topology) *Pool {
 		p.Amps = append(p.Amps, a)
 	}
 
+	p.life = make([]lifespan, len(p.Amps))
 	p.byBirth = make([]int, len(p.Amps))
 	for i := range p.byBirth {
+		p.life[i] = lifespan{p.Amps[i].Born, p.Amps[i].Died}
 		p.byBirth[i] = i
 	}
 	sort.Slice(p.byBirth, func(i, j int) bool {
@@ -251,35 +259,36 @@ func (p *Pool) AliveIDs(t simclock.Time) []int {
 	return out
 }
 
-// SampleAlive draws up to k distinct alive amplifiers at t, optionally
-// filtered by pred. It walks the pool from a random offset with a stride
-// co-prime to its size, so it visits every id once and stays O(k)
-// amortized.
-func (p *Pool) SampleAlive(rng *rand.Rand, t simclock.Time, k int, pred func(*Amplifier) bool) []int {
-	out := make([]int, 0, k)
-	n := len(p.Amps)
+// AppendAlive appends to dst up to k distinct amplifiers alive at t,
+// optionally filtered by pred, and returns the extended slice. It walks
+// the pool from a random offset with a stride co-prime to its size, so
+// it visits every id once and stays O(k) amortized; aliveness is read
+// from the compact lifespan column, and pred sees only alive
+// candidates.
+func (p *Pool) AppendAlive(dst []int, rng *rand.Rand, t simclock.Time, k int, pred func(*Amplifier) bool) []int {
+	n := len(p.life)
 	if n == 0 || k <= 0 {
-		return out
+		return dst
 	}
+	end := len(dst) + k
 	id := rng.Intn(n)
 	step := walkStride(n) % n
-	for i := 0; i < n && len(out) < k; i, id = i+1, id+step {
+	for i := 0; i < n && len(dst) < end; i, id = i+1, id+step {
 		if id >= n {
 			id -= n
 		}
-		a := &p.Amps[id]
-		if !a.AliveAt(t) {
+		if l := p.life[id]; t.Before(l.born) || !t.Before(l.died) {
 			continue
 		}
-		if pred != nil && !pred(a) {
+		if pred != nil && !pred(&p.Amps[id]) {
 			continue
 		}
-		out = append(out, id)
+		dst = append(dst, id)
 	}
-	return out
+	return dst
 }
 
-// walkStride is SampleAlive's stride over a pool of n: the first of
+// walkStride is AppendAlive's stride over a pool of n: the first of
 // 7919, 7921, ... co-prime to n. A prime spreads the walk; co-primality
 // makes it a full cycle.
 func walkStride(n int) int {

@@ -497,7 +497,7 @@ func (c *Campaign) scheduleIndependent(attackers []*independentAttacker, total i
 			// Root-query attacks exploit misconfigured root hint files
 			// and reach authoritative nameservers ~4x more often
 			// (§7.1).
-			amps = c.Pool.SampleAlive(c.rng, day, n, func(am *Amplifier) bool {
+			amps = c.Pool.AppendAlive(make([]int, 0, n), c.rng, day, n, func(am *Amplifier) bool {
 				if am.Kind == resolverAuthoritative {
 					return true
 				}
@@ -567,7 +567,7 @@ func (c *Campaign) refreshList(a *independentAttacker, day simclock.Time) {
 	a.list = kept
 	want := a.listSize - len(a.list)
 	if want > 0 {
-		a.list = append(a.list, c.Pool.SampleAlive(c.rng, day, want, nil)...)
+		a.list = c.Pool.AppendAlive(a.list, c.rng, day, want, nil)
 	}
 }
 
@@ -581,7 +581,7 @@ func (c *Campaign) generateFixedListEvents() {
 
 	// α: perfectly static list, long-lived amplifiers only.
 	alphaStart := window.Start.Add(simclock.Days(20))
-	alphaList := c.Pool.SampleAlive(c.rng, alphaStart, 30, func(a *Amplifier) bool {
+	alphaList := c.Pool.AppendAlive(nil, c.rng, alphaStart, 30, func(a *Amplifier) bool {
 		return a.Died.Sub(alphaStart) > simclock.Days(45)
 	})
 	nAlpha := scaleInt(177, c.Cfg.Scale)
@@ -601,14 +601,15 @@ func (c *Campaign) generateFixedListEvents() {
 
 	// β: large list with a small steady change per attack.
 	betaSize := scaleInt(527, math.Max(c.Cfg.Scale, 0.3))
-	betaList := c.Pool.SampleAlive(c.rng, window.Start, betaSize, nil)
+	betaList := c.Pool.AppendAlive(nil, c.rng, window.Start, betaSize, nil)
 	nBeta := scaleInt(120, c.Cfg.Scale)
+	var repl []int
 	for i := 0; i < nBeta; i++ {
 		day := window.Start.Add(simclock.Days(c.rng.Intn(window.Days())))
 		// Replace ~2% of the list each attack.
 		for j := 0; j < len(betaList)/50+1; j++ {
 			idx := c.rng.Intn(len(betaList))
-			if repl := c.Pool.SampleAlive(c.rng, day, 1, nil); len(repl) == 1 {
+			if repl = c.Pool.AppendAlive(repl[:0], c.rng, day, 1, nil); len(repl) == 1 {
 				betaList[idx] = repl[0]
 			}
 		}
@@ -629,7 +630,7 @@ func (c *Campaign) generateFixedListEvents() {
 	for k := 0; k < nClusters; k++ {
 		size := 8 + c.rng.Intn(40)
 		cstart := window.Start.Add(simclock.Days(c.rng.Intn(60)))
-		list := c.Pool.SampleAlive(c.rng, cstart, size, func(a *Amplifier) bool {
+		list := c.Pool.AppendAlive(nil, c.rng, cstart, size, func(a *Amplifier) bool {
 			return a.Died.Sub(cstart) > simclock.Days(30)
 		})
 		names, weights := c.independentNameWeights()

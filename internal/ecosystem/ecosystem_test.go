@@ -67,7 +67,11 @@ func TestSampleAliveRespectsPredicate(t *testing.T) {
 	pool := NewPool(PoolConfig{Size: 20_000, AuthoritativeShare: 0.02, ForwarderShare: 0.98, Seed: 2}, topo)
 	rng := rand.New(rand.NewSource(5))
 	day := simclock.MeasurementStart
-	got := pool.SampleAlive(rng, day, 50, func(a *Amplifier) bool { return !a.MinimalANY })
+	got := pool.AppendAlive([]int{-1}, rng, day, 50, func(a *Amplifier) bool { return !a.MinimalANY })
+	if len(got) != 51 || got[0] != -1 {
+		t.Fatalf("appended %d ids after the caller's %v, want 50", len(got)-1, got[:1])
+	}
+	got = got[1:]
 	seen := map[int]bool{}
 	for _, id := range got {
 		a := pool.Get(id)
@@ -84,7 +88,7 @@ func TestSampleAliveRespectsPredicate(t *testing.T) {
 	}
 }
 
-// TestWalkStride checks SampleAlive's stride: co-prime to the pool size,
+// TestWalkStride checks AppendAlive's stride: co-prime to the pool size,
 // so the walk is one full cycle, including at 7919·89, where stepping
 // past divisors of n alone picked 7921 = 89² and cycled through n/89
 // ids; and unchanged wherever that older rule was already co-prime.

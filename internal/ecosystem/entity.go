@@ -89,6 +89,7 @@ type Entity struct {
 	list     []int // current amplifier working set (pool ids)
 	inList   map[int]bool
 	newToday int
+	fresh    []int // AdvanceTo's top-up candidates, reused day to day
 	curDay   int
 }
 
@@ -267,10 +268,10 @@ func (e *Entity) AdvanceTo(day simclock.Time) (list []int, newCount int) {
 	// endpoints (useless for ANY) — it evidently tests its reflectors.
 	want := e.Cfg.ListSize - len(e.list)
 	if want > 0 {
-		fresh := e.pool.SampleAlive(e.rng, day, want*2, func(a *Amplifier) bool {
+		e.fresh = e.pool.AppendAlive(e.fresh[:0], e.rng, day, want*2, func(a *Amplifier) bool {
 			return !a.MinimalANY && !e.inList[a.ID]
 		})
-		for _, id := range fresh {
+		for _, id := range e.fresh {
 			if len(e.list) >= e.Cfg.ListSize {
 				break
 			}

@@ -79,20 +79,24 @@ func NewPlatform(cfg InferenceConfig, numSensors int) *Platform {
 	return &Platform{Cfg: cfg, NumSensors: numSensors, obs: make(map[[4]byte][]*sensorObs)}
 }
 
-// Observe ingests one sensor flow. Flows below the per-sensor threshold
-// or with request gaps above MaxGap are ignored — exactly the CCC rule
-// ("5 requests per sensor with no gap of more than 900 seconds").
-func (p *Platform) Observe(f ecosystem.SensorFlow) {
-	if f.Count < p.Cfg.MinRequests {
-		return
+// Accepts reports whether a sensor flow qualifies as an attack
+// observation: at least MinRequests requests with no gap above MaxGap —
+// exactly the CCC rule ("5 requests per sensor with no gap of more than
+// 900 seconds").
+func (cfg InferenceConfig) Accepts(f ecosystem.SensorFlow) bool {
+	if f.Count < cfg.MinRequests {
+		return false
 	}
 	// Requests are spread across the flow; the largest inter-request
 	// gap under even spacing is Duration/(Count-1).
-	if f.Count > 1 {
-		gap := f.Duration / simclock.Duration(f.Count-1)
-		if gap > p.Cfg.MaxGap {
-			return
-		}
+	return f.Count <= 1 || f.Duration/simclock.Duration(f.Count-1) <= cfg.MaxGap
+}
+
+// Observe ingests one sensor flow; flows the configuration does not
+// accept are ignored.
+func (p *Platform) Observe(f ecosystem.SensorFlow) {
+	if !p.Cfg.Accepts(f) {
+		return
 	}
 	key := f.Victim.As4()
 	p.obs[key] = append(p.obs[key], &sensorObs{

@@ -44,6 +44,32 @@ func TestThresholdMaxGap(t *testing.T) {
 	}
 }
 
+// TestAcceptsBoundaries pins the CCC rule as Accepts states it, at both
+// edges: the request floor and the largest even-spacing gap.
+func TestAcceptsBoundaries(t *testing.T) {
+	cfg := CCCThresholds()
+	t0 := simclock.MeasurementStart
+	for _, tc := range []struct {
+		f    ecosystem.SensorFlow
+		want bool
+	}{
+		{flow(1, "11.0.0.1", t0, 600, 4), false},                     // below 5 requests
+		{flow(1, "11.0.0.1", t0, 600, 5), true},                      // at the floor
+		{flow(1, "11.0.0.1", t0, 4*900*simclock.Second, 5), true},    // gap exactly 900 s
+		{flow(1, "11.0.0.1", t0, 4*900*simclock.Second+4, 5), false}, // gap just above
+		{flow(1, "11.0.0.1", t0, 3*simclock.Hour, 10), false},
+	} {
+		if got := cfg.Accepts(tc.f); got != tc.want {
+			t.Errorf("Accepts(%d requests over %v) = %v, want %v", tc.f.Count, tc.f.Duration, got, tc.want)
+		}
+		p := NewPlatform(cfg, 80)
+		p.Observe(tc.f)
+		if got := len(p.Finalize()) == 1; got != tc.want {
+			t.Errorf("Observe of %d requests over %v kept it: %v, Accepts says %v", tc.f.Count, tc.f.Duration, got, tc.want)
+		}
+	}
+}
+
 func TestAmpPotThresholdsStricter(t *testing.T) {
 	ccc := NewPlatform(CCCThresholds(), 80)
 	amp := NewPlatform(AmpPotThresholds(), 80)

@@ -223,17 +223,13 @@ func (r *Runner) Plan() *Runner {
 	return r
 }
 
-// pass1Shard is one worker's private single-writer aggregation state.
-type pass1Shard struct {
-	aggMain, aggExt *core.Aggregator
-	cap             *ixp.CapturePoint
-}
-
 // Aggregate runs pass 1: workers materialize the source's days in
-// parallel, each observing into its own aggregator shard and capture
-// point (single writer, no locks); honeypot sensor flows are kept in
-// per-day slots and fed to the platform serially in day order at the
-// barrier. It fills AggMain, AggExt, CaptureStats, and HoneypotAttacks.
+// parallel, each observing into its own aggregator shards and capture
+// point (single writer, no locks); the honeypot sensor flows a worker
+// meets are kept in per-day slots — only the in-window ones the
+// platform's inference accepts — and fed to the platform serially in day
+// order at the barrier. It fills AggMain, AggExt, CaptureStats, and
+// HoneypotAttacks.
 //
 // Shards aggregate directly in the source's interning table: every
 // name a worker can meet is interned before the parallel stage starts —
@@ -247,51 +243,50 @@ func (r *Runner) Aggregate() *Runner {
 	track := append([]string{}, c.DB.ExplicitNames()...)
 
 	stab := r.Src.Table()
-	shards := make([]*pass1Shard, workers)
-	for w := range shards {
-		shards[w] = &pass1Shard{
-			aggMain: core.NewAggregator(stab, track),
-			aggExt:  core.NewAggregator(stab, track),
-			cap:     ixp.NewCapturePoint(c.Topo, stab),
-		}
+	mains := make([]*core.Aggregator, workers)
+	exts := make([]*core.Aggregator, workers)
+	caps := make([]*ixp.CapturePoint, workers)
+	for w := range workers {
+		mains[w] = core.NewAggregator(stab, track)
+		exts[w] = core.NewAggregator(stab, track)
+		caps[w] = ixp.NewCapturePoint(c.Topo, stab)
 	}
 	window := r.window
+	hpCfg := honeypot.CCCThresholds()
 	dayFlows := make([][]ecosystem.SensorFlow, len(r.days))
 	forEachDay(r.days, workers, func(worker, i int, day simclock.Time) {
-		sh := shards[worker]
 		batch, flows := r.Src.DayFlows(day)
 		// Batch-native pass 1: RemapBatch accumulates capture stats and
 		// holds the batch to the shared table; the aggregators then
 		// consume whole columns, split at the window boundary (a
 		// time-bounds check — only batches that straddle it fall back to
 		// a filtered row walk).
-		rb := sh.cap.RemapBatch(batch)
-		core.ObserveBatchSplit(sh.aggMain, sh.aggExt, rb, window)
-		dayFlows[i] = flows
+		rb := caps[worker].RemapBatch(batch)
+		core.ObserveBatchSplit(mains[worker], exts[worker], rb, window)
+		var kept []ecosystem.SensorFlow
+		for _, sf := range flows {
+			if window.Contains(sf.Start) && hpCfg.Accepts(sf) {
+				kept = append(kept, sf)
+			}
+		}
+		dayFlows[i] = kept
 	})
 
-	// Stage barrier: merge shards (commutative, so worker order is
-	// irrelevant) and canonicalize the merged client-day arenas so
-	// their order is independent of the sharding. Every shard
-	// aggregated in the shared source table, so name IDs are already
-	// sharding-independent (the aggregates keep the source table as
-	// their ID space).
-	st.AggMain = shards[0].aggMain
-	st.AggExt = shards[0].aggExt
-	st.CaptureStats = shards[0].cap.Stats
-	for _, sh := range shards[1:] {
-		st.AggMain.Merge(sh.aggMain)
-		st.AggExt.Merge(sh.aggExt)
-		st.CaptureStats.Add(sh.cap.Stats)
+	// Stage barrier: MergeShards folds each window's shards into one
+	// aggregator with a canonical client-day arena, independent of the
+	// sharding. Every shard aggregated in the shared source table, so
+	// name IDs are already sharding-independent (the aggregates keep the
+	// source table as their ID space).
+	st.AggMain = core.MergeShards(mains)
+	st.AggExt = core.MergeShards(exts)
+	st.CaptureStats = caps[0].Stats
+	for _, cp := range caps[1:] {
+		st.CaptureStats.Add(cp.Stats)
 	}
-	st.AggMain.CanonicalizeClients()
-	st.AggExt.CanonicalizeClients()
-	hp := honeypot.NewPlatform(honeypot.CCCThresholds(), r.Cfg.Campaign.NumSensors)
+	hp := honeypot.NewPlatform(hpCfg, r.Cfg.Campaign.NumSensors)
 	for _, flows := range dayFlows {
 		for _, sf := range flows {
-			if window.Contains(sf.Start) {
-				hp.Observe(sf)
-			}
+			hp.Observe(sf)
 		}
 	}
 	st.HoneypotAttacks = hp.Finalize()

@@ -326,7 +326,7 @@ func pickVictims(env *Env, rng *rand.Rand, n int) ([]netip.Addr, []uint32) {
 
 // pickAmplifiers samples k alive amplifier endpoints at t.
 func pickAmplifiers(env *Env, rng *rand.Rand, t simclock.Time, k int) []*ecosystem.Amplifier {
-	ids := env.C.Pool.SampleAlive(rng, t, k, nil)
+	ids := env.C.Pool.AppendAlive(nil, rng, t, k, nil)
 	out := make([]*ecosystem.Amplifier, len(ids))
 	for i, id := range ids {
 		out[i] = env.C.Pool.Get(id)

@@ -253,6 +253,34 @@ func resealCheckpoint(raw []byte) []byte {
 	return raw
 }
 
+// inflateClientCount returns img, a checkpoint of a window aggregating
+// in ag, with its client-day count raised to what the bytes after it
+// could back at 60 bytes an entry — the bound the decoder once used,
+// below an entry's true 64 — resealed.
+func inflateClientCount(tb testing.TB, ag *core.Aggregator, img []byte) []byte {
+	tb.Helper()
+	var first core.ClientDay
+	found := false
+	ag.EachClient(func(k core.ClientDay, _ *core.ClientAgg) {
+		if !found {
+			first, found = k, true
+		}
+	})
+	if !found {
+		tb.Fatal("the seed window holds no client-day")
+	}
+	pat := binary.LittleEndian.AppendUint32(nil, uint32(ag.NumClients()))
+	pat = append(pat, first.Client[:]...)
+	pat = binary.LittleEndian.AppendUint64(pat, uint64(first.Day))
+	at := bytes.Index(img, pat)
+	if at < 0 || bytes.Contains(img[at+1:], pat) {
+		tb.Fatal("the client-day count is not in the image exactly once")
+	}
+	out := bytes.Clone(img)
+	binary.LittleEndian.PutUint32(out[at:], uint32((len(out)-at-4-ckptSumLen)/60))
+	return resealCheckpoint(out)
+}
+
 // FuzzLoadCheckpoint holds the checkpoint decoder to the contract of
 // internal/binenc: any bytes, checksum made valid, decode without a
 // panic and allocate no more than the bytes present justify — a count
@@ -292,6 +320,11 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		}
 		f.Add(raw)
 	}
+	inflated := inflateClientCount(f, seed.win.agg, post)
+	if err := NewService(cfg).decodeCheckpoint(inflated); err == nil {
+		f.Fatal("a client-day count the bytes cannot back decoded")
+	}
+	f.Add(inflated)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		raw = resealCheckpoint(bytes.Clone(raw))
 		svc := NewService(cfg)

@@ -214,7 +214,7 @@ func (s *Service) registerMetrics() {
 	}
 	gauge("ixpmon_window_current_day", "Day currently accumulating (days since the unix epoch; -1 before data).", window(func(ws *WindowStats) float64 { return float64(ws.CurDay) }))
 	gauge("ixpmon_window_client_days", "Client-day profiles held: the open day's, plus stragglers' since the last close.", window(func(ws *WindowStats) float64 { return float64(ws.ClientDays) }))
-	gauge("ixpmon_window_arena_cap", "Client-day arena capacity: slots are recycled at each close, so it settles at the largest day's size.", window(func(ws *WindowStats) float64 { return float64(ws.ArenaCap) }))
+	gauge("ixpmon_window_arena_cap", "Client-day arena capacity in whole 512-profile chunks: each close keeps its chunks for the next day, so it settles at the largest day's size rounded up to a chunk.", window(func(ws *WindowStats) float64 { return float64(ws.ArenaCap) }))
 	gauge("ixpmon_window_names", "DNS names held: those a selector ranking can still reach, plus the ones first seen since the last close.", window(func(ws *WindowStats) float64 { return float64(ws.Names) }))
 	counter("ixpmon_window_names_released_total", "Names forgotten at day closes: no ANY packet and a max size below the full max-size ranking's last score.", window(func(ws *WindowStats) float64 { return float64(ws.NamesReleased) }))
 	gauge("ixpmon_window_list_names", "Current misused-name list size.", window(func(ws *WindowStats) float64 { return float64(ws.ListNames) }))

@@ -354,7 +354,8 @@ type WindowStats struct {
 	ClosedDays int `json:"closedDays"`
 	// ClientDays / ArenaCap describe the aggregate arena: the open day's
 	// profiles (plus stragglers' since the last close) and the
-	// recycled-slot capacity, which settles at the largest day's size.
+	// capacity of the chunks kept across closes, which settles at the
+	// largest day's size rounded up to a chunk.
 	ClientDays int `json:"clientDays"`
 	ArenaCap   int `json:"arenaCap"`
 	// Names is the number of names held: those a ranking can still reach,
