@@ -24,11 +24,13 @@ race:
 # ecosystem too: Generator.Day runs as concurrent slices over a shared
 # atomic size cache and shared Zipf tables. pipeline too: its barrier
 # sorts the shards concurrently, and serial == parallel must hold on
-# one core.
+# one core. experiments too: the study merges one shard at -cpu 1 and
+# two at -cpu 2, so the tracked rows' re-keying at the barrier and the
+# reports' candidate column run under both.
 test-cpu:
 	$(GO) test -count=1 -cpu 1,2 ./internal/server ./internal/ingest ./internal/sflow \
 		./internal/core ./internal/names ./internal/par ./internal/stats ./internal/ecosystem \
-		./internal/pipeline
+		./internal/pipeline ./internal/experiments
 
 # Layer benchmarks: every benchmark beside its code compiles and runs
 # once, with allocation counts reported. To measure one, give it time:

@@ -20,15 +20,19 @@
 // of the chunked client-day arena. The entry points differ only in how they
 // find that profile: an open-addressed index (clientIndex), one hash
 // probe instead of a map lookup and a pointer chase, behind a one-entry
-// memo on the batch path. Per-client tracked names are sorted ID lists,
-// candidate membership is a dense column, and strings appear only at
-// report boundaries.
+// memo on the batch path. A packet of a tracked name also bumps one row
+// of the aggregator's (arena slot, name ID) count table (pairTable), so
+// a profile holds no pointer and no per-client list; every reader of
+// those counts — Detect, Selector 3, the validation and the reports'
+// candidate column — is one sweep over the rows. Candidate membership is
+// a dense column, and strings appear only at report boundaries.
 //
 // The client-day arena is a list of fixed-size chunks, each chunkLen
 // profiles and their keys; slot s lives at chunk s>>chunkShift, offset
 // s&chunkMask. Growth appends one chunk and copies
 // nothing, so a profile never moves and a pointer to it stays valid, and
-// ResetClients keeps the chunks for the next day. The batch study's
+// ResetClients keeps the chunks for the next day. A chunk holds no
+// pointer, so the collector never scans the arena. The batch study's
 // shards meet at one barrier, MergeShards: each shard's arena is sorted
 // into (day, client) order in place, concurrently, and the shards are
 // k-way merged into the canonical arena, each input chunk dropped as
@@ -36,7 +40,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -77,13 +80,9 @@ func (k ClientDay) less(o ClientDay) int {
 	return cmpAddr(k.Client, o.Client)
 }
 
-// NameCount is one (interned name, packet count) entry.
-type NameCount struct {
-	ID uint32
-	N  int
-}
-
-// ClientAgg is the per-(client, day) traffic profile.
+// ClientAgg is the per-(client, day) traffic profile: 48 bytes and no
+// pointer (its tracked-name counts are rows of the aggregator's
+// pairTable).
 type ClientAgg struct {
 	// Total is the number of sampled DNS packets attributed to the
 	// client (source of queries, destination of responses).
@@ -93,40 +92,8 @@ type ClientAgg struct {
 	// ANYPackets / ANYBytes cover the type-ANY subset.
 	ANYPackets int
 	ANYBytes   int
-	// Tracked counts packets per tracked name (candidate universe),
-	// sorted by name ID (strictly increasing). A slice, not a map: most
-	// lists are short, and a resolver's list of a thousand names is
-	// still a binary search.
-	Tracked []NameCount
 	// First and Last bound the observed activity.
 	First, Last simclock.Time
-}
-
-// addTracked bumps the count of one tracked name, keeping the slice
-// sorted by ID. The slot is found by binary search: in the pipeline's
-// explicit-track mode lists are one or two entries long, but under the
-// live window's trackAll mode a resolver client-day tracks every name
-// it asked for — over a thousand on the benchmark recordings — and a
-// linear scan made the list quadratic to build.
-func (a *ClientAgg) addTracked(id uint32, n int) {
-	i, found := slices.BinarySearchFunc(a.Tracked, id, func(c NameCount, id uint32) int {
-		return cmp.Compare(c.ID, id)
-	})
-	if found {
-		a.Tracked[i].N += n
-		return
-	}
-	a.Tracked = slices.Insert(a.Tracked, i, NameCount{ID: id, N: n})
-}
-
-// TrackedCount returns the tracked packet count of one name ID.
-func (a *ClientAgg) TrackedCount(id uint32) int {
-	for _, c := range a.Tracked {
-		if c.ID == id {
-			return c.N
-		}
-	}
-	return 0
 }
 
 // NameStats is the global per-name aggregate feeding Selectors 1 and 2.
@@ -166,7 +133,7 @@ func indexSizeFor(n int) int {
 }
 
 // The client-day arena's chunk geometry: chunkLen profiles per chunk.
-// A chunk is 44 KiB, under the 64 KiB a snapshot restore may allocate
+// A chunk is 32 KiB, under the 64 KiB a snapshot restore may allocate
 // beyond what its bytes justify (the one chunk a single decoded entry
 // opens), yet long enough that a pass-1 shard holds about a hundred.
 const (
@@ -176,7 +143,8 @@ const (
 )
 
 // arenaChunk is one chunk of the client-day arena: chunkLen profiles
-// and the key of each.
+// and the key of each. It holds no pointer, so it is allocated outside
+// the collector's scan list.
 type arenaChunk struct {
 	prof [chunkLen]ClientAgg
 	keys [chunkLen]ClientDay
@@ -212,6 +180,10 @@ type Aggregator struct {
 	chunks []*arenaChunk
 	n      int
 	idx    clientIndex
+
+	// pairs counts the packets of each tracked name per profile, one row
+	// per (arena slot, name ID) pair.
+	pairs pairTable
 
 	// Samples counts accepted DNS samples.
 	Samples int
@@ -308,9 +280,9 @@ func (ag *Aggregator) push(key ClientDay) uint32 {
 	return s
 }
 
-// clientFor returns the arena profile of key, appending a zeroed slot on
+// clientFor returns the arena slot of key, appending a zeroed profile on
 // first sight (isNew true: the caller must initialize First/Last).
-func (ag *Aggregator) clientFor(key ClientDay) (ca *ClientAgg, isNew bool) {
+func (ag *Aggregator) clientFor(key ClientDay) (slot uint32, isNew bool) {
 	ix := &ag.idx
 	if ix.ctrl == nil {
 		ix.ctrl = make([]uint32, indexSizeFor(0))
@@ -326,10 +298,10 @@ func (ag *Aggregator) clientFor(key ClientDay) (ca *ClientAgg, isNew bool) {
 			if ix.n*4 > len(ix.ctrl)*3 {
 				ag.growIndex()
 			}
-			return ag.at(slot), true
+			return slot, true
 		}
-		if ch := ag.chunks[(c-1)>>chunkShift]; ch.keys[(c-1)&chunkMask] == key {
-			return &ch.prof[(c-1)&chunkMask], false
+		if ag.keyAt(c-1) == key {
+			return c - 1, false
 		}
 		i = (i + 1) & ix.mask
 	}
@@ -361,10 +333,11 @@ func (ag *Aggregator) rebuildIndex(size int) {
 // emptied and the index is cleared in place. It is the live window's
 // day-close primitive — once a day's detections are out nothing reads
 // its profiles again, so none survive a close. The vacated slots are
-// zeroed so released profiles do not pin their Tracked slices through a
-// kept chunk; the chunks and the index storage are kept, so a consumer
-// whose days are of similar size allocates for neither after the first
-// and reaches a steady-state arena capacity (ArenaCap). Global and
+// zeroed, as push expects of a slot it hands out, and the tracked rows
+// go with their profiles; the chunks, the rows' storage and both
+// indexes are kept, so a consumer whose days are of similar size
+// allocates for none of them after the first and reaches a steady-state
+// arena capacity (ArenaCap). Global and
 // per-name statistics are cumulative and unaffected — the reset bounds
 // detection state, not the selectors' view.
 //
@@ -379,6 +352,7 @@ func (ag *Aggregator) ResetClients() int {
 	ag.n = 0
 	clear(ag.idx.ctrl)
 	ag.idx.n = 0
+	ag.pairs.reset()
 	return n
 }
 
@@ -389,7 +363,7 @@ func (ag *Aggregator) ResetClients() int {
 // interned but never observed. Names of the explicit tracked universe
 // are configuration and always kept. It is the live window's other
 // day-close primitive, called after ResetClients: a held profile's
-// Tracked list carries IDs, so calling it with any profile held panics.
+// tracked rows carry IDs, so calling it with any profile held panics.
 func (ag *Aggregator) ReleaseNames(keep func(id uint32, ns *NameStats) bool) []uint32 {
 	if ag.n > 0 {
 		panic(fmt.Sprintf("core: ReleaseNames with %d client-day profiles held", ag.n))
@@ -437,18 +411,27 @@ func (ag *Aggregator) ArenaCap() int { return len(ag.chunks) * chunkLen }
 // ClientOf returns the profile of one (client, day) pair, nil when the
 // pair was never observed. The pointer is valid until ResetClients.
 func (ag *Aggregator) ClientOf(key ClientDay) *ClientAgg {
+	if s, ok := ag.slotOf(key); ok {
+		return ag.at(s)
+	}
+	return nil
+}
+
+// slotOf returns the arena slot of one (client, day) pair through the
+// index; ok is false when the pair was never observed.
+func (ag *Aggregator) slotOf(key ClientDay) (slot uint32, ok bool) {
 	ix := &ag.idx
 	if ix.n == 0 {
-		return nil
+		return 0, false
 	}
 	i := key.hashKey() & ix.mask
 	for {
 		c := ix.ctrl[i]
 		if c == 0 {
-			return nil
+			return 0, false
 		}
 		if ag.keyAt(c-1) == key {
-			return ag.at(c - 1)
+			return c - 1, true
 		}
 		i = (i + 1) & ix.mask
 	}
@@ -470,10 +453,11 @@ func (ag *Aggregator) EachClient(fn func(key ClientDay, ca *ClientAgg)) {
 // observe is the aggregation step of §4 and the only place a packet is
 // counted: it folds one packet — at t, of name id, size bytes, of type
 // ANY or not, a response or a query — into the global counters, the
-// name's statistics and ca, the packet's (client, day) profile, which
-// the entry point has already found (profile). Every entry point runs
+// name's statistics, the packet's (client, day) profile in arena slot
+// slot, which the entry point has already found (profile), and, for a
+// tracked name, the slot's row of the pair table. Every entry point runs
 // it per row, so live and batch aggregation cannot drift apart.
-func (ag *Aggregator) observe(ca *ClientAgg, t simclock.Time, id uint32, size int, isANY, isResp bool) {
+func (ag *Aggregator) observe(slot uint32, t simclock.Time, id uint32, size int, isANY, isResp bool) {
 	ag.Samples++
 	ag.TotalBytes += size
 	ns := ag.statsFor(id)
@@ -485,6 +469,7 @@ func (ag *Aggregator) observe(ca *ClientAgg, t simclock.Time, id uint32, size in
 	} else {
 		ag.Requests++
 	}
+	ca := ag.at(slot)
 	ca.Total++
 	ca.Bytes += size
 	if isANY {
@@ -501,18 +486,19 @@ func (ag *Aggregator) observe(ca *ClientAgg, t simclock.Time, id uint32, size in
 		ca.Last = t
 	}
 	if ag.isTracked(id) {
-		ca.addTracked(id, 1)
+		ag.pairs.add(slot, id, 1)
 	}
 }
 
-// profile returns key's profile through the client index, opening it at
-// t on first sight.
-func (ag *Aggregator) profile(key ClientDay, t simclock.Time) *ClientAgg {
-	ca, isNew := ag.clientFor(key)
+// profile returns the arena slot of key's profile through the client
+// index, opening it at t on first sight.
+func (ag *Aggregator) profile(key ClientDay, t simclock.Time) uint32 {
+	slot, isNew := ag.clientFor(key)
 	if isNew {
+		ca := ag.at(slot)
 		ca.First, ca.Last = t, t
 	}
-	return ca
+	return slot
 }
 
 // rowKey is the (client, day) pair a batch row is attributed to: the
@@ -525,17 +511,18 @@ func rowKey(b *ixp.SampleBatch, i int) ClientDay {
 	return ClientDay{Client: client, Day: b.Time[i].Day()}
 }
 
-// observeRow folds batch row i into ag, whose profile of the row is ca.
-func (ag *Aggregator) observeRow(ca *ClientAgg, b *ixp.SampleBatch, i int) {
-	ag.observe(ca, b.Time[i], b.Name[i], int(b.MsgSize[i]), b.QType[i] == dnswire.TypeANY, b.Resp[i])
+// observeRow folds batch row i into ag, whose profile of the row is in
+// arena slot slot.
+func (ag *Aggregator) observeRow(slot uint32, b *ixp.SampleBatch, i int) {
+	ag.observe(slot, b.Time[i], b.Name[i], int(b.MsgSize[i]), b.QType[i] == dnswire.TypeANY, b.Resp[i])
 }
 
 // Observe ingests one sanitized sample — server.Window's arrival-order
 // entry point. The sample's Name ID must be in the aggregator's table
 // space; in steady state it allocates nothing.
 func (ag *Aggregator) Observe(s *ixp.DNSSample) {
-	ca := ag.profile(ClientDay{Client: s.ClientAddr(), Day: s.Time.Day()}, s.Time)
-	ag.observe(ca, s.Time, s.Name, s.MsgSize, s.QType == dnswire.TypeANY, s.IsResponse)
+	slot := ag.profile(ClientDay{Client: s.ClientAddr(), Day: s.Time.Day()}, s.Time)
+	ag.observe(slot, s.Time, s.Name, s.MsgSize, s.QType == dnswire.TypeANY, s.IsResponse)
 }
 
 // ObserveBatch ingests a whole columnar batch row by row, in the state
@@ -549,12 +536,12 @@ func (ag *Aggregator) ObserveBatch(b *ixp.SampleBatch) {
 		return
 	}
 	var lastKey ClientDay
-	var ca *ClientAgg
+	var slot uint32
 	for i := 0; i < b.N; i++ {
-		if key := rowKey(b, i); ca == nil || key != lastKey {
-			ca, lastKey = ag.profile(key, b.Time[i]), key
+		if key := rowKey(b, i); i == 0 || key != lastKey {
+			slot, lastKey = ag.profile(key, b.Time[i]), key
 		}
-		ag.observeRow(ca, b, i)
+		ag.observeRow(slot, b, i)
 	}
 }
 
@@ -603,13 +590,16 @@ func ObserveBatchSplit(in, out *Aggregator, b *ixp.SampleBatch, w simclock.Windo
 // other table than the first's is a wiring bug and panics before
 // anything is touched.
 //
-// Each shard's arena is first sorted in place, one goroutine per shard;
-// the sorted arenas are then k-way merged into the result's arena, a
-// client-day that several shards hold folding into one profile (sums,
-// maxima, time bounds and tracked counts are commutative), and each
-// input chunk is dropped as soon as it is consumed. Per-name columns add
-// up ID by ID into the first shard's column. The shards are empty
-// afterwards and must not be used again.
+// Each shard's arena is first sorted in place, one goroutine per shard,
+// its tracked rows re-keyed to the sorted slots; the sorted arenas are
+// then k-way merged into the result's arena, a client-day that several
+// shards hold folding into one profile (sums, maxima and time bounds are
+// commutative), and each input chunk is dropped as soon as it is
+// consumed. A consumed profile's rows move to its merged slot, where
+// counts of one name held by several shards add up, and the merged rows
+// end in (slot, ID) order, so they too are independent of the sharding.
+// Per-name columns add up ID by ID into the first shard's column. The
+// shards are empty afterwards and must not be used again.
 func MergeShards(shards []*Aggregator) *Aggregator {
 	tab := shards[0].Table
 	for _, sh := range shards[1:] {
@@ -649,6 +639,7 @@ func MergeShards(shards []*Aggregator) *Aggregator {
 	var wg sync.WaitGroup
 	for _, sh := range shards {
 		sh.idx = clientIndex{}
+		sh.pairs.ctrl = nil
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -658,6 +649,7 @@ func MergeShards(shards []*Aggregator) *Aggregator {
 	wg.Wait()
 
 	pos := make([]int, len(shards))
+	rowPos := make([]int, len(shards))
 	for {
 		best := -1
 		var bestKey ClientDay
@@ -678,15 +670,21 @@ func MergeShards(shards []*Aggregator) *Aggregator {
 		} else {
 			*ag.at(ag.push(bestKey)) = *sh.at(s)
 		}
+		rows := sh.pairs.rows
+		for r := rowPos[best]; r < len(rows) && rows[r].slot == s; r++ {
+			ag.pairs.add(uint32(ag.n-1), rows[r].id, rows[r].n)
+			rowPos[best] = r + 1
+		}
 		pos[best]++
 		if pos[best]&chunkMask == 0 || pos[best] == sh.n {
 			sh.chunks[s>>chunkShift] = nil
 		}
 	}
 	for _, sh := range shards {
-		sh.chunks, sh.n = nil, 0
+		sh.chunks, sh.n, sh.pairs = nil, 0, pairTable{}
 	}
 	ag.rebuildIndex(indexSizeFor(ag.n))
+	ag.pairs.canonicalize()
 	return ag
 }
 
@@ -702,20 +700,29 @@ func (a *ClientAgg) fold(o *ClientAgg) {
 	if o.Last.After(a.Last) {
 		a.Last = o.Last
 	}
-	for _, tc := range o.Tracked {
-		a.addTracked(tc.ID, tc.N)
-	}
 }
 
 // sortClients sorts the arena into (day, client) order in place: a
 // 4-byte-per-profile permutation is sorted by key, then applied cycle by
-// cycle, each profile and key moving once. The index is not maintained.
+// cycle, each profile and key moving once. The tracked rows are re-keyed
+// to the sorted slots and ordered by (slot, ID); neither index is
+// maintained.
 func (ag *Aggregator) sortClients() {
 	perm := make([]uint32, ag.n)
 	for i := range perm {
 		perm[i] = uint32(i)
 	}
 	slices.SortFunc(perm, func(a, b uint32) int { return ag.keyAt(a).less(ag.keyAt(b)) })
+	if rows := ag.pairs.rows; len(rows) > 0 {
+		to := make([]uint32, ag.n)
+		for i, s := range perm {
+			to[s] = uint32(i)
+		}
+		for r := range rows {
+			rows[r].slot = to[rows[r].slot]
+		}
+		ag.pairs.sortRows()
+	}
 	// perm[i] is the slot whose profile belongs at i; a placed slot is
 	// marked perm[i] == i.
 	for i := range uint32(len(perm)) {
@@ -733,46 +740,4 @@ func (ag *Aggregator) sortClients() {
 		*ag.at(j), ag.chunks[j>>chunkShift].keys[j&chunkMask] = ca, key
 		perm[j] = j
 	}
-}
-
-// CandidateSet is the set of candidate (misused) name IDs in one
-// aggregator's table space. It is a small ID set, not a table-sized
-// bitset: candidate lists are tens of names while a long-lived table
-// (the live window's) accretes hundreds of thousands, and membership
-// checks only run per client-day, not per packet.
-type CandidateSet struct {
-	ids map[uint32]bool
-}
-
-// CandidateSet resolves a candidate name set into the aggregator's ID
-// space. Names the aggregator never saw are ignored (they cannot have
-// packet counts).
-func (ag *Aggregator) CandidateSet(candidates map[string]bool) CandidateSet {
-	cs := CandidateSet{ids: make(map[uint32]bool, len(candidates))}
-	for n, ok := range candidates {
-		if !ok {
-			continue
-		}
-		if id, found := ag.Table.Lookup(dnswire.CanonicalName(n)); found {
-			cs.ids[id] = true
-		}
-	}
-	return cs
-}
-
-// Contains reports candidate membership of a name ID.
-func (cs CandidateSet) Contains(id uint32) bool { return cs.ids[id] }
-
-// ShareOf returns the misused-name traffic share of a client profile
-// with respect to a candidate set.
-func (a *ClientAgg) ShareOf(cs CandidateSet) (share float64, candPackets int) {
-	for _, tc := range a.Tracked {
-		if cs.Contains(tc.ID) {
-			candPackets += tc.N
-		}
-	}
-	if a.Total == 0 {
-		return 0, 0
-	}
-	return float64(candPackets) / float64(a.Total), candPackets
 }

@@ -61,27 +61,34 @@ func TestObserveBatchZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestResetClientsZeroAllocSameSizedDay guards the live window's day
-// turnover: ResetClients keeps the arena and index storage, so a day no
-// larger than the last refills both without allocating. No name is
-// tracked here — a profile's tracked list is released with it and
-// regrown by design.
+// turnover: ResetClients keeps the arena, the tracked rows and both
+// indexes, so a day no larger than the last refills them without
+// allocating — with no name tracked, and in the window's track-all mode
+// with each client asking for several names.
 func TestResetClientsZeroAllocSameSizedDay(t *testing.T) {
-	ag := NewAggregator(nil, nil)
-	var day []*ixp.DNSSample
-	for c := 0; c < 500; c++ {
-		day = append(day, resetSample(0, c, "zone.example.", ag.Table))
-	}
-	turnover := func() {
-		for _, s := range day {
-			ag.Observe(s)
-		}
-		if n := ag.ResetClients(); n != len(day) {
-			t.Fatalf("ResetClients released %d profiles, want %d", n, len(day))
-		}
-	}
-	turnover() // grows the arena and the index to the day's size
-	if allocs := testing.AllocsPerRun(20, turnover); allocs != 0 {
-		t.Errorf("a same-sized day after ResetClients allocates %.1f times, want 0", allocs)
+	for _, trackAll := range []bool{false, true} {
+		t.Run(map[bool]string{false: "untracked", true: "track-all"}[trackAll], func(t *testing.T) {
+			ag := NewAggregator(nil, nil)
+			ag.SetTrackAll(trackAll)
+			var day []*ixp.DNSSample
+			for c := 0; c < 500; c++ {
+				for n := range 1 + c%5 {
+					day = append(day, resetSample(0, c, "zone"+strconv.Itoa((c+n)%7)+".example.", ag.Table))
+				}
+			}
+			turnover := func() {
+				for _, s := range day {
+					ag.Observe(s)
+				}
+				if n := ag.ResetClients(); n != 500 {
+					t.Fatalf("ResetClients released %d profiles, want 500", n)
+				}
+			}
+			turnover() // grows the arena, the tracked rows and both indexes
+			if allocs := testing.AllocsPerRun(20, turnover); allocs != 0 {
+				t.Errorf("a same-sized day after ResetClients allocates %.1f times, want 0", allocs)
+			}
+		})
 	}
 }
 

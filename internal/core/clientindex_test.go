@@ -27,10 +27,11 @@ func TestClientIndexGrowRehash(t *testing.T) {
 	seen := map[ClientDay]*ClientAgg{}
 	for i := 0; i < n; i++ {
 		key := key4(byte(i>>8), byte(i), 7, 1, i%97)
-		ca, isNew := ag.clientFor(key)
+		slot, isNew := ag.clientFor(key)
 		if !isNew {
 			t.Fatalf("key %v reported as existing on first insert", key)
 		}
+		ca := ag.at(slot)
 		ca.Total = i + 1
 		seen[key] = ca
 	}
@@ -56,7 +57,8 @@ func TestClientIndexDeterminism(t *testing.T) {
 	build := func(perm []int) *Aggregator {
 		ag := NewAggregator(nil, nil)
 		for _, i := range perm {
-			ca, isNew := ag.clientFor(key4(byte(i>>8), byte(i), 3, 9, i%31))
+			slot, isNew := ag.clientFor(key4(byte(i>>8), byte(i), 3, 9, i%31))
+			ca := ag.at(slot)
 			if isNew {
 				ca.First = simclock.Time(i)
 				ca.Last = simclock.Time(i)
@@ -345,57 +347,68 @@ func TestCollectorObserveBatchMatchesObserve(t *testing.T) {
 	}
 }
 
-// TestDetectMatchesShareOf pins the columnar threshold scan to the
+// TestDetectMatchesNaiveShare pins the columnar threshold scan to the
 // reference semantics: Detect must flag exactly the (client, day) pairs
-// whose ShareOf-based share and packet count pass the thresholds, in
-// (day, victim) order, on canonicalized and raw arenas alike.
-func TestDetectMatchesShareOf(t *testing.T) {
+// whose share of candidate-name packets, counted by the naive model
+// (modelAgg) from the same batches, and packet count pass the
+// thresholds, in (day, victim) order, on canonicalized and raw arenas
+// alike. CandidatePackets must read the model's numerators too.
+func TestDetectMatchesNaiveShare(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	ag := NewAggregator(nil, []string{"evil.example.", "."})
+	track := []string{"evil.example.", "."}
+	ag := NewAggregator(nil, track)
+	m := newModel(track, false)
 	pool := testNamePool(ag.Table)
 	for round := 0; round < 4; round++ {
-		ag.ObserveBatch(randomBatch(rng, ag.Table, pool, 600))
+		b := randomBatch(rng, ag.Table, pool, 600)
+		ag.ObserveBatch(b)
+		m.observeBatch(b)
 	}
 	cands := map[string]bool{"evil.example.": true, ".": true, "absent.test.": false}
 	th := Thresholds{MinShare: 0.30, MinPackets: 3}
 
-	reference := func(ag *Aggregator) []*Detection {
-		cs := ag.CandidateSet(cands)
-		var want []*Detection
-		ag.EachClient(func(key ClientDay, ca *ClientAgg) {
-			share, cand := ca.ShareOf(cs)
-			if cand == 0 || ca.Total < th.MinPackets || share < th.MinShare {
-				return
-			}
-			want = append(want, &Detection{
-				Victim: key.Client, Day: key.Day,
-				Packets: ca.Total, CandidatePackets: cand, Share: share,
-				First: ca.First, Last: ca.Last,
-			})
-		})
-		return want
-	}
-	sortDet := func(ds []*Detection) {
-		for i := 1; i < len(ds); i++ {
-			for j := i; j > 0 && (ds[j].Day < ds[j-1].Day ||
-				(ds[j].Day == ds[j-1].Day && cmpAddr(ds[j].Victim, ds[j-1].Victim) < 0)); j-- {
-				ds[j], ds[j-1] = ds[j-1], ds[j]
+	candOf := func(mc *modelClient) int {
+		c := 0
+		for name, n := range mc.tracked {
+			if cands[name] {
+				c += n
 			}
 		}
+		return c
+	}
+	var want []*Detection
+	for key, mc := range m.clients {
+		cand := candOf(mc)
+		share := float64(cand) / float64(mc.total)
+		if cand == 0 || mc.total < th.MinPackets || share < th.MinShare {
+			continue
+		}
+		want = append(want, &Detection{
+			Victim: key.Client, Day: key.Day,
+			Packets: mc.total, CandidatePackets: cand, Share: share,
+			First: mc.first, Last: mc.last,
+		})
+	}
+	slices.SortFunc(want, func(a, b *Detection) int {
+		return ClientDay{Client: a.Victim, Day: a.Day}.less(ClientDay{Client: b.Victim, Day: b.Day})
+	})
+	if len(want) == 0 {
+		t.Fatal("degenerate case: no reference detections")
 	}
 	for _, canonical := range []bool{false, true} {
 		if canonical {
 			ag = MergeShards([]*Aggregator{ag})
 		}
-		want := reference(ag)
-		sortDet(want)
-		got := Detect(ag, cands, th)
-		if len(want) == 0 {
-			t.Fatal("degenerate case: no reference detections")
-		}
-		if !reflect.DeepEqual(got, want) {
+		if got := Detect(ag, cands, th); !reflect.DeepEqual(got, want) {
 			t.Errorf("canonical=%v: Detect = %d detections, reference = %d (or contents differ)",
 				canonical, len(got), len(want))
 		}
+		col, slot := ag.CandidatePackets(cands), 0
+		ag.EachClient(func(key ClientDay, _ *ClientAgg) {
+			if got, want := int(col[slot]), candOf(m.clients[key]); got != want {
+				t.Errorf("canonical=%v: CandidatePackets of %v = %d, model %d", canonical, key, got, want)
+			}
+			slot++
+		})
 	}
 }

@@ -42,10 +42,10 @@ func TestAggregatorClientAttribution(t *testing.T) {
 	if ag.NumClients() != 1 {
 		t.Fatalf("client pairs = %d, want 1", ag.NumClients())
 	}
-	id, _ := ag.Table.Lookup("doj.gov.")
-	ag.EachClient(func(_ ClientDay, ca *ClientAgg) {
-		if ca.Total != 2 || ca.TrackedCount(id) != 2 {
-			t.Errorf("agg = %+v", ca)
+	tracked := trackedCounts(t, ag, "attribution")
+	ag.EachClient(func(key ClientDay, ca *ClientAgg) {
+		if ca.Total != 2 || tracked[key]["doj.gov."] != 2 {
+			t.Errorf("agg = %+v, tracked %v", ca, tracked[key])
 		}
 		if ca.Bytes != 4040 {
 			t.Errorf("bytes = %d", ca.Bytes)

@@ -39,9 +39,10 @@ type Detection struct {
 
 // Detect applies the thresholds to pass-1 aggregates. The candidate set
 // is resolved once into a dense mark column over the aggregator's ID
-// space; the sweep is then columnar over the chunked client-day arena:
-// one walk extracts each slot's candidate and total packet counts into
-// contiguous uint32 columns, and the minimum-packet threshold runs as a
+// space; the sweep is then columnar: one pass over the tracked rows sums
+// each slot's candidate packets (cand[slot] += n where mark[id]), one
+// walk of the chunked arena extracts its total, both into contiguous
+// uint32 columns, and the minimum-packet threshold runs as a
 // branch-light integer pass over those columns (the share division only
 // happens for the rare candidate-bearing survivors). On an aggregator
 // out of MergeShards the arena is already in (day, victim) order, so
@@ -51,52 +52,19 @@ type Detection struct {
 // emitted detections.
 func Detect(ag *Aggregator, candidates map[string]bool, th Thresholds) []*Detection {
 	n := ag.n
-	if n == 0 {
+	if n == 0 || !ag.markCandidates(candidates) {
 		return nil
 	}
 
-	// Resolve candidates into the dense mark column.
-	tl := ag.Table.Len()
-	if cap(ag.detMark) < tl {
-		ag.detMark = make([]bool, tl)
-	} else {
-		ag.detMark = ag.detMark[:tl]
-		clear(ag.detMark)
-	}
-	mark := ag.detMark
-	resolved := false
-	for name, ok := range candidates {
-		if !ok {
-			continue
-		}
-		if id, found := ag.Table.Lookup(dnswire.CanonicalName(name)); found {
-			mark[id] = true
-			resolved = true
-		}
-	}
-	if !resolved {
-		return nil
-	}
-
-	// Column pass: per-slot candidate and total packet counts.
-	if cap(ag.detCand) < n {
-		ag.detCand = make([]uint32, n)
+	// Column passes: per-slot candidate and total packet counts.
+	if cap(ag.detTot) < n {
 		ag.detTot = make([]uint32, n)
 	} else {
-		ag.detCand = ag.detCand[:n]
 		ag.detTot = ag.detTot[:n]
 	}
-	cand, tot := ag.detCand, ag.detTot
+	cand, tot := ag.candidateColumn(), ag.detTot
 	for i := range uint32(n) {
-		ca := ag.at(i)
-		c := 0
-		for _, tc := range ca.Tracked {
-			if int(tc.ID) < tl && mark[tc.ID] {
-				c += tc.N
-			}
-		}
-		cand[i] = uint32(c)
-		tot[i] = uint32(ca.Total)
+		tot[i] = uint32(ag.at(i).Total)
 	}
 
 	// Threshold scan: integer compares over two contiguous columns.
@@ -142,6 +110,61 @@ func Detect(ag *Aggregator, candidates map[string]bool, th Thresholds) []*Detect
 		}
 		return cmpAddr(a.Victim, b.Victim)
 	})
+	return out
+}
+
+// markCandidates resolves candidates into the dense mark column over
+// the table (the aggregator's scratch), reporting whether any resolved.
+// Names the aggregator never saw are ignored: they cannot have packet
+// counts.
+func (ag *Aggregator) markCandidates(candidates map[string]bool) bool {
+	tl := ag.Table.Len()
+	if cap(ag.detMark) < tl {
+		ag.detMark = make([]bool, tl)
+	} else {
+		ag.detMark = ag.detMark[:tl]
+		clear(ag.detMark)
+	}
+	resolved := false
+	for name, ok := range candidates {
+		if !ok {
+			continue
+		}
+		if id, found := ag.Table.Lookup(dnswire.CanonicalName(name)); found {
+			ag.detMark[id] = true
+			resolved = true
+		}
+	}
+	return resolved
+}
+
+// candidateColumn sums, per arena slot, the packets of the names
+// markCandidates marked — one sweep over the tracked rows — into the
+// aggregator's scratch column and returns it.
+func (ag *Aggregator) candidateColumn() []uint32 {
+	if cap(ag.detCand) < ag.n {
+		ag.detCand = make([]uint32, ag.n)
+	} else {
+		ag.detCand = ag.detCand[:ag.n]
+		clear(ag.detCand)
+	}
+	cand, mark := ag.detCand, ag.detMark
+	for _, r := range ag.pairs.rows {
+		if mark[r.id] {
+			cand[r.slot] += uint32(r.n)
+		}
+	}
+	return cand
+}
+
+// CandidatePackets returns a new column holding, per client-day in
+// EachClient order, its packets of candidate names: the numerator of
+// the §4.2 traffic share, whose denominator is the profile's Total.
+func (ag *Aggregator) CandidatePackets(candidates map[string]bool) []uint32 {
+	out := make([]uint32, ag.n)
+	if ag.n > 0 && ag.markCandidates(candidates) {
+		copy(out, ag.candidateColumn())
+	}
 	return out
 }
 
@@ -424,7 +447,7 @@ func ValidateDetection(ag *Aggregator, visible []GroundTruthAttack, candidates m
 	if len(visible) == 0 {
 		return 0
 	}
-	cs := ag.CandidateSet(candidates)
+	cand := ag.CandidatePackets(candidates)
 	// Only ground-truth attacks that remain visible under the minimum
 	// packet threshold can possibly be detected; the paper reports the
 	// detection rate over visible attacks.
@@ -436,15 +459,16 @@ func ValidateDetection(ag *Aggregator, visible []GroundTruthAttack, candidates m
 		vis := false
 		hit := false
 		for _, d := range gt.Days() {
-			ca := ag.ClientOf(ClientDay{Client: gt.Victim, Day: d})
-			if ca == nil {
+			s, ok := ag.slotOf(ClientDay{Client: gt.Victim, Day: d})
+			if !ok {
 				continue
 			}
+			ca := ag.at(s)
 			if ca.Total >= th.MinPackets {
 				vis = true
 			}
-			share, cand := ca.ShareOf(cs)
-			if cand > 0 && ca.Total >= th.MinPackets && share >= th.MinShare {
+			if cand[s] > 0 && ca.Total >= th.MinPackets &&
+				float64(cand[s])/float64(ca.Total) >= th.MinShare {
 				hit = true
 			}
 		}

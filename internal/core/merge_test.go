@@ -108,12 +108,12 @@ func TestMergeOverlapping(t *testing.T) {
 	if !reflect.DeepEqual(m, merged(single)) {
 		t.Error("merged shards differ from a single aggregator over the same samples")
 	}
-	ca := m.ClientOf(ClientDay{Client: [4]byte{10, 0, 0, 1}, Day: day0(0).Day()})
+	key := ClientDay{Client: [4]byte{10, 0, 0, 1}, Day: day0(0).Day()}
+	ca := m.ClientOf(key)
 	if ca == nil || ca.Total != 4 || ca.First != day0(50) || ca.Last != day0(300) {
 		t.Fatalf("client profile after merge: %+v", ca)
 	}
-	id, _ := m.Table.Lookup("evil.example.")
-	if got := ca.TrackedCount(id); got != 3 {
+	if got := trackedCounts(t, m, "merged")[key]["evil.example."]; got != 3 {
 		t.Errorf("tracked count = %d, want 3", got)
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -144,8 +146,9 @@ func (m *modelAgg) merge(o *modelAgg) {
 
 // check holds ag to the model: global counters, the statistics of every
 // name in the table (zero for one the model never counted), every
-// profile, found through the index too, and its tracked list, which
-// must be sorted by strictly increasing ID.
+// profile, found through the index too, and every (client-day, name)
+// count of the tracked-row table, whose rows must be well formed
+// (trackedCounts).
 func (m *modelAgg) check(t *testing.T, ag *Aggregator, what string) {
 	t.Helper()
 	got := [...]int{ag.Samples, ag.Requests, ag.TotalBytes, ag.ANYPackets, ag.ANYBytes}
@@ -186,18 +189,14 @@ func (m *modelAgg) check(t *testing.T, ag *Aggregator, what string) {
 			t.Fatalf("%s: profile %v = %d pkts %d B, ANY %d pkts %d B, [%d, %d]; model %d pkts %d B, ANY %d pkts %d B, [%d, %d]",
 				what, key, ca.Total, ca.Bytes, ca.ANYPackets, ca.ANYBytes, ca.First, ca.Last,
 				mc.total, mc.bytes, mc.anyPackets, mc.anyBytes, mc.first, mc.last)
-		case len(ca.Tracked) != len(mc.tracked):
-			t.Fatalf("%s: profile %v tracks %d names, model %d", what, key, len(ca.Tracked), len(mc.tracked))
-		}
-		for j, tc := range ca.Tracked {
-			if j > 0 && tc.ID <= ca.Tracked[j-1].ID {
-				t.Fatalf("%s: profile %v tracked list not sorted: ID %d after %d", what, key, tc.ID, ca.Tracked[j-1].ID)
-			}
-			if name := tab.Name(tc.ID); tc.N != mc.tracked[name] {
-				t.Fatalf("%s: profile %v tracks %s %d times, model %d", what, key, name, tc.N, mc.tracked[name])
-			}
 		}
 	})
+	tracked := trackedCounts(t, ag, what)
+	for key, mc := range m.clients {
+		if !maps.Equal(tracked[key], mc.tracked) {
+			t.Fatalf("%s: profile %v tracks %v, model %v", what, key, tracked[key], mc.tracked)
+		}
+	}
 }
 
 // modelPool is the name pool of the model programs: the tracked universe
@@ -415,7 +414,8 @@ func runAggregatorProgram(t *testing.T, prog []byte) {
 }
 
 // checkMerged holds the barrier's own promises: the merged arena is in
-// strictly increasing (day, client) order and the shards hold nothing.
+// strictly increasing (day, client) order, so are the tracked rows in
+// (slot, ID), and the shards hold nothing.
 func checkMerged(t *testing.T, what string, ag *Aggregator, shards []*Aggregator) {
 	t.Helper()
 	prev, first := ClientDay{}, true
@@ -425,10 +425,15 @@ func checkMerged(t *testing.T, what string, ag *Aggregator, shards []*Aggregator
 		}
 		prev, first = key, false
 	})
+	if !slices.IsSortedFunc(ag.pairs.rows, func(a, b pairRow) int {
+		return cmp.Or(cmp.Compare(a.slot, b.slot), cmp.Compare(a.id, b.id))
+	}) {
+		t.Fatalf("%s: merged tracked rows out of (slot, ID) order", what)
+	}
 	for i, sh := range shards {
-		if sh.chunks != nil || sh.n != 0 || sh.idx.ctrl != nil || sh.names != nil {
-			t.Fatalf("%s: shard %d still holds %d chunks, %d profiles, %d index slots, %d name entries after the barrier",
-				what, i, len(sh.chunks), sh.n, len(sh.idx.ctrl), len(sh.names))
+		if sh.chunks != nil || sh.n != 0 || sh.idx.ctrl != nil || sh.names != nil || sh.pairs.rows != nil || sh.pairs.ctrl != nil {
+			t.Fatalf("%s: shard %d still holds %d chunks, %d profiles, %d index slots, %d name entries, %d tracked rows after the barrier",
+				what, i, len(sh.chunks), sh.n, len(sh.idx.ctrl), len(sh.names), len(sh.pairs.rows))
 		}
 	}
 }
@@ -455,6 +460,13 @@ func FuzzAggregator(f *testing.F) {
 	f.Add([]byte{2, 0x02, 1, 0x40, 3, 9, 2, 1, 7, 10, 1, 0x81, 2, 20,
 		3, 100, 0x01, 1, 0x40, 3, 200, 65, 1, 2, 30,
 		4, 2, 0x01, 1, 0x40, 5, 50, 2, 0x41, 4, 60, 7, 4, 1})
+	// Track-all: one client-day asks for several names in ag, ext and a
+	// third shard, so the barrier re-keys colliding rows from three
+	// arenas; then a round trip, a reset and a refill.
+	f.Add([]byte{10, 0x23, 5, 0x00, 3, 9, 5, 0x01, 3, 9, 5, 0x02, 4, 9, 5, 0x06, 5, 9,
+		3, 0x40, 0x02, 5, 0x03, 3, 9, 5, 0x41, 2, 9, 5, 0x07, 4, 9,
+		4, 2, 0x02, 5, 0x00, 3, 9, 5, 0x03, 3, 9, 5, 0x04, 3, 9,
+		7, 5, 0, 5, 0x01, 3, 9, 0, 5, 0x02, 3, 9, 7})
 	f.Fuzz(runAggregatorProgram)
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dnsamp/internal/dnswire"
@@ -78,9 +79,12 @@ func TestResetClientsMatchesFresh(t *testing.T) {
 		t.Fatal("reset touched the cumulative statistics")
 	}
 	for i := range uint32(2 * clients) {
-		if ag.at(i).Tracked != nil || ag.keyAt(i) != (ClientDay{}) {
+		if *ag.at(i) != (ClientAgg{}) || ag.keyAt(i) != (ClientDay{}) {
 			t.Fatalf("vacated slot %d still holds its profile", i)
 		}
+	}
+	if len(ag.pairs.rows) != 0 || slices.ContainsFunc(ag.pairs.ctrl, func(c uint32) bool { return c != 0 }) {
+		t.Fatalf("reset left %d tracked rows or a non-empty pair index", len(ag.pairs.rows))
 	}
 	if got := ag.ResetClients(); got != 0 {
 		t.Fatalf("second reset released %d profiles", got)
@@ -97,6 +101,9 @@ func TestResetClientsMatchesFresh(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ag.idx, fresh.idx) {
 		t.Fatal("index layout after reset + re-observe differs from a fresh aggregator's")
+	}
+	if !reflect.DeepEqual(ag.pairs, fresh.pairs) {
+		t.Fatal("tracked rows or their index after reset + re-observe differ from a fresh aggregator's")
 	}
 }
 

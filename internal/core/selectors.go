@@ -222,22 +222,27 @@ func (g GroundTruthAttack) Days() []int {
 // any IXP DNS traffic was found ("we find DNS attack traffic for 16% of
 // all CCC DNS attack events").
 func Selector3GroundTruth(ag *Aggregator, attacks []GroundTruthAttack) (SelectorResult, []GroundTruthAttack) {
-	counts := make(map[uint32]int)
+	// weight[slot] counts the attack-days that name the slot's
+	// client-day; one sweep over the tracked rows then credits each name
+	// with its packets there, once per such attack-day.
+	weight := make([]int, ag.n)
 	var visible []GroundTruthAttack
 	for _, gt := range attacks {
 		found := false
 		for _, d := range gt.Days() {
-			ca := ag.ClientOf(ClientDay{Client: gt.Victim, Day: d})
-			if ca == nil {
-				continue
-			}
-			found = true
-			for _, tc := range ca.Tracked {
-				counts[tc.ID] += tc.N
+			if s, ok := ag.slotOf(ClientDay{Client: gt.Victim, Day: d}); ok {
+				weight[s]++
+				found = true
 			}
 		}
 		if found {
 			visible = append(visible, gt)
+		}
+	}
+	counts := make(map[uint32]int)
+	for _, r := range ag.pairs.rows {
+		if w := weight[r.slot]; w > 0 {
+			counts[r.id] += w * r.n
 		}
 	}
 	list := make([]nv, 0, len(counts))

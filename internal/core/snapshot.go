@@ -1,7 +1,8 @@
 // Aggregator checkpointing: a full binary dump of the streaming pass-1
 // state — global counters, the dense per-name stats column, the tracked
-// universe, and the client-day arena including every profile's
-// tracked-name list — so a live consumer (the service's window)
+// universe, and the client-day arena with every profile's tracked-name
+// counts, written as a list of ascending IDs after the profile — so a
+// live consumer (the service's window)
 // can persist its detection state and resume after a crash with
 // byte-identical behaviour. The interning table is serialized by the
 // caller (it is shared with the capture point), so the snapshot here is
@@ -17,8 +18,10 @@ import (
 
 // WriteSnapshot serializes the aggregator's complete state (except the
 // Table, which the caller owns and serializes alongside) to e. The
-// rebuilt-on-load client index and the Detect scratch columns are
-// derived state and not written.
+// rebuilt-on-load indexes and the Detect scratch columns are derived
+// state and not written. The tracked rows are grouped by slot, IDs
+// ascending, by counting passes (pairTable.bySlot), so the bytes do not
+// depend on the order the rows were observed in.
 func (ag *Aggregator) WriteSnapshot(e *binenc.Encoder) {
 	e.Bool(ag.trackAll)
 	e.U32(uint32(len(ag.tracked)))
@@ -40,6 +43,7 @@ func (ag *Aggregator) WriteSnapshot(e *binenc.Encoder) {
 		e.I64(int64(ns.Packets))
 	}
 
+	order, start := ag.pairs.bySlot(ag.n, ag.Table.Len())
 	e.U32(uint32(ag.n))
 	for s := range uint32(ag.n) {
 		k := ag.keyAt(s)
@@ -52,10 +56,11 @@ func (ag *Aggregator) WriteSnapshot(e *binenc.Encoder) {
 		e.I64(int64(ca.ANYBytes))
 		e.I64(int64(ca.First))
 		e.I64(int64(ca.Last))
-		e.U32(uint32(len(ca.Tracked)))
-		for _, tc := range ca.Tracked {
-			e.U32(tc.ID)
-			e.I64(int64(tc.N))
+		rows := order[start[s]:start[s+1]]
+		e.U32(uint32(len(rows)))
+		for _, r := range rows {
+			e.U32(ag.pairs.rows[r].id)
+			e.I64(int64(ag.pairs.rows[r].n))
 		}
 	}
 }
@@ -102,7 +107,8 @@ func (ag *Aggregator) ReadSnapshot(d *binenc.Decoder) error {
 		var k ClientDay
 		copy(k.Client[:], d.Raw(4))
 		k.Day = int(d.I64())
-		ca := ag.at(ag.push(k))
+		slot := ag.push(k)
+		ca := ag.at(slot)
 		ca.Total = int(d.I64())
 		ca.Bytes = int(d.I64())
 		ca.ANYPackets = int(d.I64())
@@ -110,22 +116,21 @@ func (ag *Aggregator) ReadSnapshot(d *binenc.Decoder) error {
 		ca.First = simclock.Time(d.I64())
 		ca.Last = simclock.Time(d.I64())
 		// A tracked entry costs 12 bytes (u32 ID + i64 count). The list
-		// must be what addTracked keeps — strictly increasing IDs of
-		// names in the table — since its binary search relies on it.
+		// must be what WriteSnapshot writes — strictly increasing IDs of
+		// names in the table — so each entry is one new row.
 		nt := d.Count(12)
-		if nt > 0 {
-			ca.Tracked = make([]NameCount, nt)
-			for j := 0; j < nt && d.Err() == nil; j++ {
-				tc := &ca.Tracked[j]
-				tc.ID = d.U32()
-				tc.N = int(d.I64())
-				switch {
-				case int(tc.ID) >= ag.Table.Len():
-					d.Fail("tracked name ID %d outside the %d-name table", tc.ID, ag.Table.Len())
-				case j > 0 && tc.ID <= ca.Tracked[j-1].ID:
-					d.Fail("tracked name IDs not strictly increasing (%d after %d)", tc.ID, ca.Tracked[j-1].ID)
-				}
+		prev := uint32(0)
+		for j := 0; j < nt && d.Err() == nil; j++ {
+			id, n := d.U32(), int(d.I64())
+			switch {
+			case int(id) >= ag.Table.Len():
+				d.Fail("tracked name ID %d outside the %d-name table", id, ag.Table.Len())
+			case j > 0 && id <= prev:
+				d.Fail("tracked name IDs not strictly increasing (%d after %d)", id, prev)
+			default:
+				ag.pairs.add(slot, id, n)
 			}
+			prev = id
 		}
 	}
 	if err := d.Err(); err != nil {

@@ -73,11 +73,13 @@ func roundTrip(t *testing.T, ag *Aggregator) *Aggregator {
 }
 
 // sameArena reports whether a and b hold the same profiles under the
-// same keys in the same order.
-func sameArena(a, b *Aggregator) bool {
+// same keys in the same order, with the same tracked-name counts.
+func sameArena(t *testing.T, a, b *Aggregator) bool {
+	t.Helper()
 	ak, ap := arenaOf(a)
 	bk, bp := arenaOf(b)
-	return reflect.DeepEqual(ak, bk) && reflect.DeepEqual(ap, bp)
+	return reflect.DeepEqual(ak, bk) && reflect.DeepEqual(ap, bp) &&
+		reflect.DeepEqual(trackedCounts(t, a, "a"), trackedCounts(t, b, "b"))
 }
 
 // TestAggregatorSnapshotRoundTrip: a restored aggregator is
@@ -101,7 +103,7 @@ func TestAggregatorSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.names, ag.names) {
 		t.Fatal("per-name stats differ")
 	}
-	if !sameArena(got, ag) {
+	if !sameArena(t, got, ag) {
 		t.Fatal("client-day arena differs")
 	}
 
@@ -133,13 +135,13 @@ func TestAggregatorSnapshotAfterEvict(t *testing.T) {
 	feedRandom(ag, tab, 4, 500)
 
 	got := roundTrip(t, ag)
-	if !sameArena(got, ag) {
+	if !sameArena(t, got, ag) {
 		t.Fatal("post-reset arena differs")
 	}
 	// Both continue identically.
 	feedRandom(ag, tab, 5, 1000)
 	feedRandom(got, tab, 5, 1000)
-	if !sameArena(got, ag) {
+	if !sameArena(t, got, ag) {
 		t.Fatal("post-restore arena differs")
 	}
 	if ag.ResetClients() != got.ResetClients() {

@@ -3,8 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
-	"math/rand/v2"
-	"slices"
+	"reflect"
 	"testing"
 
 	"dnsamp/internal/binenc"
@@ -13,65 +12,52 @@ import (
 	"dnsamp/internal/simclock"
 )
 
-// addTrackedLinear is the sorted-insert linear scan addTracked replaced:
-// the oracle its binary search must agree with after every call.
-func addTrackedLinear(a *ClientAgg, id uint32, n int) {
-	for i := range a.Tracked {
+// trackedCounts reads ag's tracked-name counts back per client-day and
+// name, failing unless the pair table is well formed: every row names a
+// held slot and a name of the table, no (slot, ID) pair has two rows,
+// and the index resolves every row to itself.
+func trackedCounts(t *testing.T, ag *Aggregator, what string) map[ClientDay]map[string]int {
+	t.Helper()
+	p := &ag.pairs
+	out := map[ClientDay]map[string]int{}
+	seen := map[[2]uint32]bool{}
+	for r, row := range p.rows {
 		switch {
-		case a.Tracked[i].ID == id:
-			a.Tracked[i].N += n
-			return
-		case a.Tracked[i].ID > id:
-			a.Tracked = append(a.Tracked, NameCount{})
-			copy(a.Tracked[i+1:], a.Tracked[i:])
-			a.Tracked[i] = NameCount{ID: id, N: n}
-			return
+		case int(row.slot) >= ag.n:
+			t.Fatalf("%s: row %d names slot %d of a %d-profile arena", what, r, row.slot, ag.n)
+		case int(row.id) >= ag.Table.Len():
+			t.Fatalf("%s: row %d names ID %d of a %d-name table", what, r, row.id, ag.Table.Len())
+		case seen[[2]uint32{row.slot, row.id}]:
+			t.Fatalf("%s: two rows for slot %d, ID %d", what, row.slot, row.id)
 		}
-	}
-	a.Tracked = append(a.Tracked, NameCount{ID: id, N: n})
-}
-
-// TestAddTrackedMatchesLinear: seeded random call sequences — narrow ID
-// ranges that mostly hit, wide ones that mostly insert, ascending and
-// descending runs that insert at either end — leave the binary-search
-// list equal to the linear oracle's after every call.
-func TestAddTrackedMatchesLinear(t *testing.T) {
-	for seed := uint64(1); seed <= 40; seed++ {
-		rng := rand.New(rand.NewPCG(seed, 0))
-		span := 1 + rng.IntN(2000)
-		var got, want ClientAgg
-		for step := 0; step < 1500; step++ {
-			var id uint32
-			switch rng.IntN(4) {
-			case 0:
-				id = uint32(step) // ascending: appends at the end
-			case 1:
-				id = uint32(1<<20 - step) // descending: inserts at the front
-			default:
-				id = uint32(rng.IntN(span))
+		seen[[2]uint32{row.slot, row.id}] = true
+		i := pairHash(row.slot, row.id) & p.mask
+		for p.ctrl[i] != uint32(r+1) {
+			if p.ctrl[i] == 0 {
+				t.Fatalf("%s: the index does not resolve row %d (slot %d, ID %d)", what, r, row.slot, row.id)
 			}
-			n := 1 + rng.IntN(3)
-			got.addTracked(id, n)
-			addTrackedLinear(&want, id, n)
-			if !slices.Equal(got.Tracked, want.Tracked) {
-				t.Fatalf("seed %d step %d: addTracked(%d, %d) gave %d entries, linear oracle %d",
-					seed, step, id, n, len(got.Tracked), len(want.Tracked))
-			}
+			i = (i + 1) & p.mask
 		}
+		key := ag.keyAt(row.slot)
+		if out[key] == nil {
+			out[key] = map[string]int{}
+		}
+		out[key][ag.Table.Name(row.id)] = row.n
 	}
+	return out
 }
 
 // TestReadSnapshotRejectsBadTracked: a tracked list that is not what
-// addTracked keeps — out of order, repeating an ID, or naming an ID the
-// table does not hold — fails the restore with a decoder error.
+// WriteSnapshot writes — out of order, repeating an ID, or naming an ID
+// the table does not hold — fails the restore with a decoder error.
 func TestReadSnapshotRejectsBadTracked(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		tracked []NameCount
+		name string
+		ids  [2]uint32
 	}{
-		{"descending", []NameCount{{ID: 1, N: 1}, {ID: 0, N: 1}}},
-		{"duplicate", []NameCount{{ID: 0, N: 1}, {ID: 0, N: 2}}},
-		{"outside table", []NameCount{{ID: 0, N: 1}, {ID: 2, N: 1}}},
+		{"descending", [2]uint32{1, 0}},
+		{"duplicate", [2]uint32{0, 0}},
+		{"outside table", [2]uint32{0, 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tab := names.NewTable()
@@ -83,18 +69,54 @@ func TestReadSnapshotRejectsBadTracked(t *testing.T) {
 			if tab.Len() != 2 || ag.NumClients() != 1 {
 				t.Fatalf("setup: %d names, %d clients", tab.Len(), ag.NumClients())
 			}
-			ag.at(0).Tracked = tc.tracked
 
-			var buf bytes.Buffer
+			// The one profile's list, two 12-byte entries, ends the
+			// snapshot: overwrite it with the bad one.
+			var buf, bad bytes.Buffer
 			e := binenc.NewEncoder(&buf)
 			ag.WriteSnapshot(e)
-			if err := e.Flush(); err != nil {
+			eb := binenc.NewEncoder(&bad)
+			for _, id := range tc.ids {
+				eb.U32(id)
+				eb.I64(1)
+			}
+			if err := errors.Join(e.Flush(), eb.Flush()); err != nil {
 				t.Fatal(err)
 			}
-			err := NewAggregator(tab, nil).ReadSnapshot(binenc.NewDecoder(buf.Bytes(), errSnapTest))
+			raw := buf.Bytes()
+			copy(raw[len(raw)-bad.Len():], bad.Bytes())
+
+			err := NewAggregator(tab, nil).ReadSnapshot(binenc.NewDecoder(raw, errSnapTest))
 			if !errors.Is(err, errSnapTest) {
-				t.Fatalf("restore of tracked list %v: err %v, want a decode error", tc.tracked, err)
+				t.Fatalf("restore of tracked IDs %v: err %v, want a decode error", tc.ids, err)
 			}
 		})
+	}
+}
+
+// TestArenaPointerFree pins the arena's layout: a profile and an arena
+// chunk hold no pointer, slice, map, string or other reference, so the
+// chunks stay off the collector's scan list, and a profile is 48 bytes.
+func TestArenaPointerFree(t *testing.T) {
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := range ty.NumField() {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("%s is a %s: the arena must hold no reference", path, ty.Kind())
+		}
+	}
+	walk("ClientAgg", reflect.TypeFor[ClientAgg]())
+	walk("arenaChunk", reflect.TypeFor[arenaChunk]())
+	if size := reflect.TypeFor[ClientAgg]().Size(); size != 48 {
+		t.Errorf("ClientAgg is %d bytes, want 48", size)
 	}
 }

@@ -108,14 +108,13 @@ func (s *Suite) FutureWork() *Report {
 	// Faintly-visible attacks: truth pairs with >= 2 sampled candidate
 	// packets at the IXP.
 	faint := 0
-	cands := s.Study.AggMain.CandidateSet(s.Study.NameList.Names)
-	s.Study.AggMain.EachClient(func(key core.ClientDay, ca *core.ClientAgg) {
-		if !truth[key] {
-			return
-		}
-		if _, cand := ca.ShareOf(cands); cand >= 2 {
+	cand := s.Study.AggMain.CandidatePackets(s.Study.NameList.Names)
+	slot := 0
+	s.Study.AggMain.EachClient(func(key core.ClientDay, _ *core.ClientAgg) {
+		if truth[key] && cand[slot] >= 2 {
 			faint++
 		}
+		slot++
 	})
 
 	r.addf("%8s %8s %11s %10s %8s", "share", "minPkts", "detections", "precision", "recall")

@@ -58,15 +58,18 @@ func (s *Suite) Figure3() *Report {
 // Figure4 reproduces the misused-name share vs packet-count bimodality.
 func (s *Suite) Figure4() *Report {
 	r := &Report{ID: "figure4", Title: "share of misused names per (client, day)"}
-	cands := s.Study.AggMain.CandidateSet(s.Study.NameList.Names)
+	cand := s.Study.AggMain.CandidatePackets(s.Study.NameList.Names)
 	// Bucket by log10(packets); track share distribution per bucket.
 	type bucket struct{ lo, mid, hi, n int }
 	buckets := map[int]*bucket{}
+	slot := 0
 	s.Study.AggMain.EachClient(func(_ core.ClientDay, ca *core.ClientAgg) {
-		share, cand := ca.ShareOf(cands)
-		if cand == 0 {
+		c := cand[slot]
+		slot++
+		if c == 0 {
 			return
 		}
+		share := float64(c) / float64(ca.Total)
 		b := buckets[stats.LogBucket(float64(ca.Total))]
 		if b == nil {
 			b = &bucket{}
