@@ -26,11 +26,14 @@ race:
 # sorts the shards concurrently, and serial == parallel must hold on
 # one core. experiments too: the study merges one shard at -cpu 1 and
 # two at -cpu 2, so the tracked rows' re-keying at the barrier and the
-# reports' candidate column run under both.
+# reports' candidate column run under both. source and ixp too: a
+# source must serve DayFor and DayFlows concurrently, and the capture
+# point's per-address AS cache must answer the same on one core as on
+# two.
 test-cpu:
 	$(GO) test -count=1 -cpu 1,2 ./internal/server ./internal/ingest ./internal/sflow \
 		./internal/core ./internal/names ./internal/par ./internal/stats ./internal/ecosystem \
-		./internal/pipeline ./internal/experiments
+		./internal/pipeline ./internal/experiments ./internal/source ./internal/ixp
 
 # Layer benchmarks: every benchmark beside its code compiles and runs
 # once, with allocation counts reported. To measure one, give it time:
@@ -124,10 +127,11 @@ vet:
 loc:
 	@./scripts/loc.sh
 
-# Exported functions and methods under internal/ that only tests (or
-# nothing) still reach. A ratchet: fails on an entry that
+# Functions and methods under internal/ that no program reaches (only
+# tests, or nothing), by the linker's own reachability over every main
+# (cmd/*, examples/*, bench). A ratchet: fails on an entry that
 # scripts/testonly_allowlist.txt does not judge, or a stale line there.
 testonly:
-	@./scripts/testonly_exports.sh
+	@$(GO) run ./scripts/unreached
 
 ci: build fmt vet testonly test race test-cpu fuzz bench bench-e2e-smoke daemon-smoke cli-smoke chaos-smoke eval-smoke

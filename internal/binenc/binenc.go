@@ -168,14 +168,6 @@ func (d *Decoder) U8() uint8 {
 // Bool reads one byte as a bool.
 func (d *Decoder) Bool() bool { return d.U8() != 0 }
 
-// U16 reads a little-endian uint16.
-func (d *Decoder) U16() uint16 {
-	if v := d.Raw(2); v != nil {
-		return binary.LittleEndian.Uint16(v)
-	}
-	return 0
-}
-
 // U32 reads a little-endian uint32.
 func (d *Decoder) U32() uint32 {
 	if v := d.Raw(4); v != nil {
@@ -229,23 +221,4 @@ func (d *Decoder) CountAt(n, minBytes int) int {
 		return 0
 	}
 	return n
-}
-
-// Addr reads the length-prefixed netip.Addr form.
-func (d *Decoder) Addr() netip.Addr {
-	switch n := d.U8(); n {
-	case 0:
-		return netip.Addr{}
-	case 4:
-		var b [4]byte
-		copy(b[:], d.Raw(4))
-		return netip.AddrFrom4(b)
-	case 16:
-		var b [16]byte
-		copy(b[:], d.Raw(16))
-		return netip.AddrFrom16(b)
-	default:
-		d.Fail("address length %d", n)
-		return netip.Addr{}
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"net/netip"
 	"testing"
 )
 
@@ -16,16 +15,12 @@ func TestRoundTrip(t *testing.T) {
 	e.U8(7)
 	e.Bool(true)
 	e.Bool(false)
-	e.U16(0xbeef)
 	e.U32(0xdeadbeef)
 	e.U64(1 << 60)
 	e.I64(-42)
 	e.F64(math.Pi)
 	e.Str("hello")
 	e.Str("")
-	e.Addr(netip.MustParseAddr("192.0.2.1"))
-	e.Addr(netip.MustParseAddr("2001:db8::1"))
-	e.Addr(netip.Addr{})
 	e.Raw([]byte{1, 2, 3})
 	if err := e.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
@@ -37,9 +32,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if !d.Bool() || d.Bool() {
 		t.Error("Bool round trip")
-	}
-	if got := d.U16(); got != 0xbeef {
-		t.Errorf("U16 = %#x", got)
 	}
 	if got := d.U32(); got != 0xdeadbeef {
 		t.Errorf("U32 = %#x", got)
@@ -58,15 +50,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if got := d.Str(); got != "" {
 		t.Errorf("empty Str = %q", got)
-	}
-	if got := d.Addr(); got != netip.MustParseAddr("192.0.2.1") {
-		t.Errorf("Addr v4 = %v", got)
-	}
-	if got := d.Addr(); got != netip.MustParseAddr("2001:db8::1") {
-		t.Errorf("Addr v6 = %v", got)
-	}
-	if got := d.Addr(); got.IsValid() {
-		t.Errorf("zero Addr = %v", got)
 	}
 	if got := d.Raw(3); !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Errorf("Raw = %v", got)

@@ -34,9 +34,6 @@ func NewStreamDecoder(r io.Reader, sentinel error) *StreamDecoder {
 // Err returns the latched decode error, nil while healthy.
 func (d *StreamDecoder) Err() error { return d.err }
 
-// Offset returns the number of bytes consumed so far.
-func (d *StreamDecoder) Offset() int { return d.off }
-
 // Fail latches a decode error (wrapping the sentinel) unless one is
 // already set.
 func (d *StreamDecoder) Fail(format string, args ...any) {
@@ -58,23 +55,6 @@ func (d *StreamDecoder) read(dst []byte) bool {
 		return false
 	}
 	return true
-}
-
-// Raw reads the next n bytes into a fresh slice, nil on exhaustion.
-// Unlike Decoder.Raw this allocates (there is no backing buffer to
-// view); prefer RawInto on hot paths.
-func (d *StreamDecoder) Raw(n int) []byte {
-	if d.err != nil || n < 0 {
-		if n < 0 {
-			d.Fail("negative length %d", n)
-		}
-		return nil
-	}
-	b := make([]byte, n)
-	if !d.read(b) {
-		return nil
-	}
-	return b
 }
 
 // RawInto fills dst from the stream without allocating.

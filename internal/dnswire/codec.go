@@ -3,7 +3,6 @@ package dnswire
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"net/netip"
 	"strings"
 )
@@ -546,15 +545,4 @@ func NewResponse(q *Message) *Message {
 		Questions: append([]Question(nil), q.Questions...),
 	}
 	return m
-}
-
-// String summarizes a message for logs and examples.
-func (m *Message) String() string {
-	kind := "query"
-	if m.Header.QR {
-		kind = "response"
-	}
-	return fmt.Sprintf("%s id=%d %s %s an=%d ns=%d ar=%d rcode=%s",
-		kind, m.Header.ID, m.QName(), m.QType(), len(m.Answers),
-		len(m.Authority), len(m.Additional), m.Header.RCode)
 }

@@ -83,14 +83,6 @@ var rcodeNames = map[RCode]string{
 	RCodeNXDomain: "NXDOMAIN", RCodeNotImp: "NOTIMP", RCodeRefused: "REFUSED",
 }
 
-// String returns the mnemonic for rc.
-func (rc RCode) String() string {
-	if s, ok := rcodeNames[rc]; ok {
-		return s
-	}
-	return fmt.Sprintf("RCODE%d", uint8(rc))
-}
-
 // OpCode is a DNS opcode.
 type OpCode uint8
 

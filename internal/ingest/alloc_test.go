@@ -13,28 +13,40 @@ import (
 )
 
 // TestDispatchZeroAllocSteadyState guards the scheduler's hand-off: one
-// datagram through deliver, the policy's pick and the receive on
-// Items() allocates nothing under any policy, in the dispatcher's
-// goroutine or the caller's. The source rings and the dispatcher's run
-// are allocated once.
+// datagram through deliver, the policy's pick and either a Next (the
+// service's path) or the receive on Items() allocates nothing under any
+// policy, in the caller's goroutine or the relay's. The source rings,
+// the run and the Items() channel are allocated once.
 func TestDispatchZeroAllocSteadyState(t *testing.T) {
 	for _, pol := range []string{PolicyRoundRobin, PolicyBacklog, PolicyArrival} {
 		t.Run(pol, func(t *testing.T) {
-			s := fakeSched(t, Config{Policy: pol}, idleRunner{})
-			s.wg.Add(1)
-			go s.dispatch()
-			tk := &task{sv: s.sups[0], ctx: s.ctx}
-			dg := &sflow.Datagram{Agent: [4]byte{203, 0, 113, 1}}
-			c := int64(0)
-			allocs := testing.AllocsPerRun(1000, func() {
-				c++
-				if !tk.deliver(dg, simclock.Time(c), c, 0) {
-					t.Fatal("deliver refused a live task")
-				}
-				<-s.Items()
-			})
-			if allocs != 0 {
-				t.Errorf("one datagram through the scheduler allocates %.2f times, want 0", allocs)
+			for _, via := range []string{"next", "items"} {
+				t.Run(via, func(t *testing.T) {
+					s := fakeSched(t, Config{Policy: pol}, idleRunner{})
+					run := make([]Item, 0, RunLen)
+					take := func() {
+						if run = s.Next(run); len(run) != 1 {
+							t.Fatalf("Next returned %d items, want the 1 delivered", len(run))
+						}
+					}
+					if via == "items" {
+						items := s.Items()
+						take = func() { <-items }
+					}
+					tk := &task{sv: s.sups[0], ctx: s.ctx}
+					dg := &sflow.Datagram{Agent: [4]byte{203, 0, 113, 1}}
+					c := int64(0)
+					allocs := testing.AllocsPerRun(1000, func() {
+						c++
+						if !tk.deliver(dg, simclock.Time(c), c, 0) {
+							t.Fatal("deliver refused a live task")
+						}
+						take()
+					})
+					if allocs != 0 {
+						t.Errorf("one datagram through the scheduler allocates %.2f times, want 0", allocs)
+					}
+				})
 			}
 		})
 	}

@@ -2,7 +2,7 @@
 // scheduler that drives N heterogeneous sources — UDP sFlow listeners, tailed
 // datagram logs, finite sFlow/pcap replay files, synthetic fill —
 // concurrently, each wrapped in a supervisor with its own lifecycle
-// state machine, and merges their datagrams into one output stream
+// state machine, and merges their datagrams into one stream of runs
 // under a pluggable scheduling policy.
 //
 // Fault isolation is the design center: one misbehaving feed is never
@@ -23,24 +23,20 @@
 // supervised retry.
 //
 // Concurrency model: one goroutine per source (the supervisor running
-// the source adapter), each feeding a bounded per-source ring; one
-// dispatcher goroutine moves what the rings hold into the output
-// channel in the order the configured policy picks; one watchdog
-// goroutine checks progress counters. Backpressure is per source first
-// — a full ring blocks only its own adapter — and global second (a slow
-// consumer of Items() eventually fills every ring).
+// the source adapter), each feeding a bounded per-source ring, and one
+// watchdog goroutine checking progress counters. The consumer pulls the
+// rings on its own goroutine with Scheduler.Next, in the order the
+// configured policy picks. Backpressure is per source first — a full
+// ring blocks only its own adapter — and global second (a slow consumer
+// eventually fills every ring).
 //
-// Every hop has one writer (an adapter its ring, the dispatcher
-// Items()), which is what lets a hop move a whole run under one
-// synchronisation instead of one datagram: the dispatcher takes the
-// lock once, pops for as long as the policy keeps picking, and sends
-// the run on a channel buffered to the same length. The rule at every
-// hop is never to wait to fill a run — a run is what is already there —
-// so a slow stream moves single datagrams with no added latency and
-// there is no flush timer to tune. The bounds: a ring holds
-// Tuning.BufLen datagrams (default 64, a few milliseconds of a busy
-// collector, fixed so the steady state allocates nothing); a run and
-// the Items() buffer hold runLen = 64 (sched.go gives the reason).
+// Every ring has one writer (its adapter) and one reader (the caller of
+// Next), which is what lets Next pop a whole run under one lock
+// acquisition instead of one datagram. It never waits to fill a run —
+// a run is what is already there — so a slow stream moves single
+// datagrams with no added latency and there is no flush timer to tune.
+// A ring holds Tuning.BufLen datagrams (default 64, a few milliseconds
+// of a busy collector, fixed so the steady state allocates nothing).
 //
 // Cursors: every emitted Item carries the source's progress cursor
 // just past that datagram (a byte offset for a log, a frame count for
@@ -276,7 +272,8 @@ type Config struct {
 	// Specs are the sources to drive; at least one is required, and
 	// IDs must be unique.
 	Specs []Spec
-	// Policy picks the dispatch order (default PolicyRoundRobin).
+	// Policy picks the order Next pops the rings in (default
+	// PolicyRoundRobin).
 	Policy string
 	// Cursors are per-source resume cursors keyed by Spec.ID (from a
 	// checkpoint); absent entries start from the top.
@@ -306,8 +303,7 @@ type Config struct {
 	Stage func(stage string, d time.Duration)
 }
 
-// Item is one scheduled datagram: the unit the dispatcher hands to the
-// consumer.
+// Item is one scheduled datagram: the unit Next hands to the consumer.
 type Item struct {
 	// SourceID is the Spec.ID of the source that produced it.
 	SourceID string
@@ -377,7 +373,7 @@ type SupervisorStats struct {
 
 	// Received counts datagrams read from the input; ParseErrors the
 	// subset that failed sFlow parsing; Emitted the subset delivered to
-	// the dispatcher; Panics the subset quarantined by per-datagram
+	// the source's ring; Panics the subset quarantined by per-datagram
 	// panic containment.
 	Received    uint64 `json:"received"`
 	ParseErrors uint64 `json:"parseErrors"`

@@ -480,13 +480,14 @@ func TestSourceConservation(t *testing.T) {
 	}
 }
 
-// TestBacklogPolicy: the deepest buffer drains first.
+// TestBacklogPolicy: the deepest buffer drains first, and a tie goes
+// to the source configured first.
 func TestBacklogPolicy(t *testing.T) {
 	a := &fakeRunner{at: []simclock.Time{1}}
 	b := &fakeRunner{at: []simclock.Time{2, 3, 4, 5, 6, 7}}
 	s := fakeSched(t, Config{Policy: PolicyBacklog, Tuning: fastTuning()}, a, b)
-	// Let both runners finish filling their buffers before dispatching
-	// so the depth comparison is deterministic.
+	// Let both runners finish filling their buffers before the first
+	// Next so the depth comparison is deterministic.
 	for _, sv := range s.sups {
 		s.wg.Add(1)
 		go sv.supervise()
@@ -505,15 +506,25 @@ func TestBacklogPolicy(t *testing.T) {
 		defer s.mu.Unlock()
 		return s.sups[0].buf.n == 1 && s.sups[1].buf.n == 6
 	})
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go s.watchdog()
-	go s.dispatch()
-	items := collectItems(t, s, 7, 5*time.Second)
+	items := s.Next(make([]Item, 0, RunLen))
 	if len(items) != 7 {
 		t.Fatalf("got %d items, want 7", len(items))
 	}
 	if items[0].SourceID != "replay:fake-1" {
 		t.Fatalf("first item from %s, want the deeper source", items[0].SourceID)
+	}
+	var got []simclock.Time
+	for _, it := range items {
+		got = append(got, it.At)
+	}
+	// b holds 6 against a's 1 until b is down to 1: the tie goes to a.
+	if want := []simclock.Time{2, 3, 4, 5, 6, 1, 7}; !slices.Equal(got, want) {
+		t.Fatalf("backlog order %v, want %v", got, want)
+	}
+	if rest := s.Next(items); len(rest) != 0 {
+		t.Fatalf("Next after both sources drained returned %d items, want the end of the stream", len(rest))
 	}
 }
 
@@ -534,11 +545,27 @@ func (r streamRunner) run(t *task, _ int64) error {
 // sources that always have a datagram ready (their capture times
 // interleave, so the arrival merge alternates), default tuning, drained
 // by a loop that does nothing. One iteration is one dispatched item:
-// producer hand-off into the source buffer, the policy's pick, and the
-// send on Items().
+// producer hand-off into the source buffer and the policy's pick, then
+// either its share of a Next run of RunLen (next, the service's path)
+// or, on top of that, the relay's send and the receive on Items()
+// (items).
 func BenchmarkDispatch(b *testing.B) {
 	for _, pol := range []string{PolicyRoundRobin, PolicyBacklog, PolicyArrival} {
-		b.Run(pol, func(b *testing.B) {
+		b.Run(pol+"/next", func(b *testing.B) {
+			s := fakeSched(b, Config{Policy: pol}, streamRunner{0, 3}, streamRunner{1, 3}, streamRunner{2, 3})
+			if err := s.Start(); err != nil {
+				b.Fatal(err)
+			}
+			run := make([]Item, 0, RunLen)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += len(run) {
+				if run = s.Next(run[:0:min(RunLen, b.N-i)]); len(run) == 0 {
+					b.Fatal("the stream ended")
+				}
+			}
+		})
+		b.Run(pol+"/items", func(b *testing.B) {
 			s := fakeSched(b, Config{Policy: pol}, streamRunner{0, 3}, streamRunner{1, 3}, streamRunner{2, 3})
 			if err := s.Start(); err != nil {
 				b.Fatal(err)
@@ -688,8 +715,8 @@ func TestUDPBindAndRetry(t *testing.T) {
 	receive(2)
 }
 
-// TestRunsKeepOrderUnderSlowConsumer: a consumer that keeps falling
-// behind lets the rings fill and the dispatcher's runs reach their
+// TestRunsKeepOrderUnderSlowConsumer: a consumer of Items() that keeps
+// falling behind lets the rings fill and the relay's runs reach their
 // bound. Whatever the run lengths, every policy keeps each source's
 // items in order, the arrival policy keeps the merged stream
 // non-decreasing in capture time, and exactly the items a fast consumer
@@ -759,8 +786,8 @@ func TestRunsKeepOrderUnderSlowConsumer(t *testing.T) {
 	}
 }
 
-// TestStopWithItemsParked: Stop while Items() holds a parked run and the
-// dispatcher a second one. What the consumer receives before and after
+// TestStopWithItemsParked: Stop while Items() holds a parked run and its
+// relay a second one. What the consumer receives before and after
 // the close is, per source, an unbroken prefix of what the source
 // emitted — a run cut short loses its tail, never its middle — and every
 // datagram read stays accounted on its row.
@@ -798,8 +825,8 @@ func TestStopWithItemsParked(t *testing.T) {
 		receive(<-out)
 	}
 	// The logs fit the rings, so every source finishes; of the 160 items
-	// left the channel takes a full run and the dispatcher blocks on the
-	// next one.
+	// left the channel takes a full run and the relay blocks on the next
+	// one.
 	deadline := time.Now().Add(10 * time.Second)
 	parkedFull := func() bool {
 		for _, st := range s.Snapshot() {

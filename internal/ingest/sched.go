@@ -2,10 +2,9 @@
 // ingest. Each configured source runs under its own Supervisor — a
 // restart loop owning the source's lifecycle state machine
 // (starting → healthy → backoff → quarantined / done / stopped) — and
-// feeds a bounded per-source ring. A single dispatcher moves what the
-// rings hold into the output channel, a run at a time, in whatever
-// order the configured policy picks; a watchdog restarts sources that
-// stop making progress.
+// feeds a bounded per-source ring. The consumer pulls what the rings
+// hold with Next, a run at a time, in whatever order the configured
+// policy picks; a watchdog restarts sources that stop making progress.
 // All supervisors share one failure philosophy: a broken source is
 // retried with capped-exponential backoff, a wedged one is cancelled
 // and (if need be) abandoned, a hopeless one is parked with a reason —
@@ -25,7 +24,7 @@ import (
 )
 
 // Scheduler drives the configured sources and merges their datagrams
-// into Items(). Construct with New, then Start; Stop is idempotent.
+// into Next's runs. Construct with New, then Start; Stop is idempotent.
 type Scheduler struct {
 	cfg Config
 	tun Tuning
@@ -37,9 +36,10 @@ type Scheduler struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	out    chan Item
 	wg     sync.WaitGroup
 	once   sync.Once
+	relay  sync.Once // starts Items()
+	out    chan Item
 }
 
 // New validates the configuration and builds a scheduler (sources do
@@ -76,7 +76,6 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.ctx, s.cancel = context.WithCancel(context.Background())
-	s.out = make(chan Item, runLen)
 	for i, sp := range cfg.Specs {
 		sv := &Supervisor{s: s, idx: i, spec: sp, run: newRunner(sp, &s.cfg)}
 		sv.buf.slots = make([]Item, s.tun.BufLen)
@@ -87,9 +86,9 @@ func New(cfg Config) (*Scheduler, error) {
 }
 
 // Start binds every UDP source's socket, then launches the
-// supervisors, the watchdog, and the dispatcher. A listener that
-// cannot bind fails Start with nothing left running, and every bound
-// address is in Snapshot by the time Start returns.
+// supervisors and the watchdog. A listener that cannot bind fails
+// Start with nothing left running, and every bound address is in
+// Snapshot by the time Start returns.
 func (s *Scheduler) Start() error {
 	for _, sv := range s.sups {
 		u, ok := sv.run.(*udpRunner)
@@ -108,9 +107,8 @@ func (s *Scheduler) Start() error {
 		s.wg.Add(1)
 		go sv.supervise()
 	}
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go s.watchdog()
-	go s.dispatch()
 	return nil
 }
 
@@ -125,21 +123,43 @@ func (s *Scheduler) closeBound() {
 	}
 }
 
-// Items is the merged output stream, one datagram per receive. It is
-// closed when every source is finished (done, quarantined, or stopped)
-// and the buffers are drained, or when the scheduler is stopped. The
-// channel is buffered (runLen), so up to that many items can still be
-// received after it is closed.
-func (s *Scheduler) Items() <-chan Item { return s.out }
+// Items is the merged stream as a channel, for a reader that wants one
+// in place of Next (never beside it): its first call starts a goroutine
+// relaying Next's runs. It is closed at the end of the stream or by
+// Stop, buffered (RunLen), so items can still arrive after that.
+func (s *Scheduler) Items() <-chan Item {
+	s.relay.Do(func() {
+		s.out = make(chan Item, RunLen)
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			defer close(s.out)
+			for run := make([]Item, 0, RunLen); ; {
+				if run = s.Next(run); len(run) == 0 {
+					return
+				}
+				for _, it := range run {
+					select {
+					case s.out <- it:
+					case <-s.ctx.Done():
+						return
+					}
+				}
+			}
+		}()
+	})
+	return s.out
+}
 
-// Stop cancels every source and waits for all scheduler goroutines.
-// Items still in a source's ring or in the dispatcher's hands are
-// discarded; a consumer that stops receiving discards what Items()
-// holds. Neither was consumed, so no consumer cursor covers them.
+// Stop cancels every source, wakes a blocked Next, and waits for all
+// scheduler goroutines. Items still in a source's ring or in Items()'s
+// hands are discarded; none was consumed, so no cursor covers them.
 func (s *Scheduler) Stop() {
 	s.once.Do(func() {
 		s.cancel()
+		s.mu.Lock() // a Next that saw the context live is in cond.Wait
 		s.cond.Broadcast()
+		s.mu.Unlock()
 		s.wg.Wait()
 		s.closeBound()
 	})
@@ -248,8 +268,12 @@ type Supervisor struct {
 	addr                           atomic.Value // string
 }
 
+// setState stores under s.mu, so a Next that read the old state is in
+// cond.Wait when the broadcast comes.
 func (sv *Supervisor) setState(st State) {
+	sv.s.mu.Lock()
 	sv.state.Store(int32(st))
+	sv.s.mu.Unlock()
 	sv.s.cond.Broadcast()
 }
 
@@ -424,7 +448,7 @@ func (t *task) readRetry(err error) {
 	t.beat()
 }
 
-// deliver hands one parsed datagram to the dispatcher, blocking while
+// deliver hands one parsed datagram to the source's ring, blocking while
 // the source's buffer is full. It returns false when the run should
 // stop (cancelled or superseded). A panic while delivering — the
 // per-datagram containment boundary — quarantines that datagram to the
@@ -476,31 +500,22 @@ func (t *task) deliver(dg *sflow.Datagram, at simclock.Time, cursor int64, relEp
 	return true
 }
 
-// runLen bounds one dispatcher run and is the capacity of Items(): 64
-// datagrams are a few microseconds of consumer work, enough to spread
-// one lock acquisition and one wake-up thin, and no more than a
-// default source ring holds.
-const runLen = 64
+// RunLen is the run capacity the service's producer and Items() pass
+// to Next: no more than a default source ring holds.
+const RunLen = 64
 
-// dispatch is the single consumer of every source ring. Under one lock
-// acquisition it pops for as long as the policy keeps picking (at most
-// runLen items), then sends that run on Items(). A run is what is
-// already waiting, never waited for: a slow stream moves one datagram
-// at a time with no added latency. Every pick sees every ring's head,
-// so the order is the one a dispatcher popping a single item per
-// acquisition could have produced.
-func (s *Scheduler) dispatch() {
-	defer s.wg.Done()
-	defer close(s.out)
+// Next is the single consumer of every source ring: it overwrites run
+// with up to cap(run) items, popped under one lock acquisition while
+// the policy keeps picking. It blocks until the first pick, never to
+// fill the run, and returns an empty run once every source finished and
+// its ring drained, or after Stop.
+func (s *Scheduler) Next(run []Item) []Item {
+	clear(run)
+	run = run[:0]
 	var waitStart time.Time
-	run := make([]Item, 0, runLen)
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		if s.ctx.Err() != nil {
-			return
-		}
+	for s.ctx.Err() == nil {
 		forced := !waitStart.IsZero() && time.Since(waitStart) > s.tun.StallAfter
 		for len(run) < cap(run) {
 			idx := s.pol.pick(s.sups, forced)
@@ -511,35 +526,17 @@ func (s *Scheduler) dispatch() {
 			forced = false // a release restarts the bounded wait
 		}
 		if len(run) > 0 {
-			waitStart = time.Time{}
 			s.cond.Broadcast() // ring slots freed; wake blocked producers
-			s.mu.Unlock()
-			for _, it := range run {
-				select {
-				case s.out <- it:
-				case <-s.ctx.Done():
-					s.mu.Lock()
-					return
-				}
-			}
-			clear(run)
-			run = run[:0]
-			s.mu.Lock()
-			continue
+			return run
 		}
 
-		buffered := false
-		parked := true
+		buffered, parked := false, true
 		for _, sv := range s.sups {
-			if sv.buf.n > 0 {
-				buffered = true
-			}
-			if sv.waiting() {
-				parked = false
-			}
+			buffered = buffered || sv.buf.n > 0
+			parked = parked && !sv.waiting()
 		}
 		if !buffered && parked {
-			return // every source finished and drained: end of stream
+			return run // every source finished and drained: end of stream
 		}
 		if buffered && waitStart.IsZero() {
 			// The policy is holding buffered data back (arrival-order
@@ -548,6 +545,7 @@ func (s *Scheduler) dispatch() {
 		}
 		s.cond.Wait()
 	}
+	return run
 }
 
 // watchdog restarts sources that stopped making progress: running
@@ -604,14 +602,14 @@ func (s *Scheduler) watchdog() {
 			}
 		}
 		s.mu.Unlock()
-		s.cond.Broadcast() // drive the dispatcher's bounded-wait clock
+		s.cond.Broadcast() // drive Next's bounded-wait clock
 	}
 }
 
-// policy picks which source's head item the dispatcher forwards next.
-// Called with the scheduler lock held; returns -1 to wait. forced is
-// set when the dispatcher has already waited out the bounded-wait
-// deadline: the policy must then release buffered data if it has any.
+// policy picks which source's head item Next pops next. Called with
+// the scheduler lock held; returns -1 to wait. forced is set when Next
+// has already waited out the bounded-wait deadline: the policy must
+// then release buffered data if it has any.
 type policy interface {
 	pick(sups []*Supervisor, forced bool) int
 }

@@ -285,11 +285,12 @@ func (r *fileRunner) run(t *task, cursor int64) error {
 }
 
 // synthRunner generates sampled campaign traffic — the ecosystem
-// generator's wire-level day stream, arrival-ordered and batched into
-// datagrams — then completes. Generation is a pure function of
-// (scale, seed, day), so the cursor is a plain sample count: restart
-// regenerates and skips what was already delivered. The campaign is
-// built once and kept across restarts (construction dominates).
+// generator's wire-level day stream, arrival-ordered across midnights
+// and batched into datagrams — then completes. Generation is a pure
+// function of (scale, seed, day), so the cursor is a plain sample
+// count: restart regenerates and skips what was already delivered. The
+// campaign is built once and kept across restarts (construction
+// dominates).
 type synthRunner struct {
 	sp  Spec
 	cfg *Config
@@ -313,24 +314,31 @@ func (r *synthRunner) run(t *task, cursor int64) error {
 		t.recv()
 		return t.deliver(dg, at, n, 0)
 	}
+	// recs holds, sorted, the records that ran past the last midnight (an
+	// event straddling it): they go out among the next day's.
+	var recs []ecosystem.TaggedRecord
 	day := simclock.MeasurementStart
-	for d := 0; d < r.sp.Days; d++ {
+	for d := 0; d <= r.sp.Days; d++ {
 		if t.ctx.Err() != nil {
 			return t.ctx.Err()
 		}
-		recs := slices.Clone(r.gen.WireDay(day).IXP)
-		slices.SortStableFunc(recs, func(a, b ecosystem.TaggedRecord) int {
-			return int(a.Rec.Time.Sub(b.Rec.Time))
-		})
+		if d < r.sp.Days {
+			recs = append(recs, r.gen.WireDay(day).IXP...)
+			slices.SortStableFunc(recs, func(a, b ecosystem.TaggedRecord) int {
+				return int(a.Rec.Time.Sub(b.Rec.Time))
+			})
+		}
+		day = day.Add(simclock.Day)
 		t.beat()
-		for _, tr := range recs {
-			if b.Full(tr.Rec.Time) && !emit() {
+		i := 0
+		for ; i < len(recs) && (d == r.sp.Days || recs[i].Rec.Time.Before(day)); i++ {
+			if b.Full(recs[i].Rec.Time) && !emit() {
 				return t.ctx.Err()
 			}
 			n++
-			b.Add(tr.Rec, tr.Ingress)
+			b.Add(recs[i].Rec, recs[i].Ingress)
 		}
-		day = day.Add(simclock.Day)
+		recs = recs[:copy(recs, recs[i:])]
 	}
 	if !emit() {
 		return t.ctx.Err()

@@ -50,10 +50,6 @@ const UDPHeaderLen = 8
 type MAC [6]byte
 
 // String renders the MAC in the canonical colon form.
-func (m MAC) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
-}
-
 // Ethernet is an Ethernet II frame header.
 type Ethernet struct {
 	Dst, Src  MAC

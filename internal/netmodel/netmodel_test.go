@@ -152,13 +152,6 @@ func TestChecksumOddLength(t *testing.T) {
 	}
 }
 
-func TestMACString(t *testing.T) {
-	m := MAC{0xde, 0xad, 0xbe, 0xef, 0x00, 0x01}
-	if got := m.String(); got != "de:ad:be:ef:00:01" {
-		t.Errorf("MAC.String = %q", got)
-	}
-}
-
 func TestEthernetRoundTrip(t *testing.T) {
 	e := Ethernet{Dst: MAC{1, 2, 3, 4, 5, 6}, Src: MAC{7, 8, 9, 10, 11, 12}, EtherType: EtherTypeIPv4}
 	buf := e.AppendTo(nil)

@@ -114,18 +114,9 @@ func (idx *Index) Lookup(addr netip.Addr) (History, bool) {
 	return h, ok
 }
 
-// Known reports whether the address appears in the index at all.
-func (idx *Index) Known(addr netip.Addr) bool {
-	_, ok := idx.hist[addr]
-	return ok
-}
-
 // KnownBefore reports whether the address was first seen strictly before
 // t — the "abused before discovery" test of §7.1.
 func (idx *Index) KnownBefore(addr netip.Addr, t simclock.Time) bool {
 	h, ok := idx.hist[addr]
 	return ok && h.FirstSeen.Before(t)
 }
-
-// Size returns the number of indexed addresses.
-func (idx *Index) Size() int { return len(idx.hist) }

@@ -18,7 +18,7 @@ func testPool() *ecosystem.Pool {
 func TestCoverage(t *testing.T) {
 	pool := testPool()
 	idx := Build(DefaultConfig(), pool, simclock.EntityPeriod())
-	share := float64(idx.Size()) / float64(pool.Len())
+	share := float64(len(idx.hist)) / float64(pool.Len())
 	// CoverageProb 0.95 minus short-lived endpoints that died before
 	// any scan caught them.
 	if share < 0.80 || share > 0.96 {
@@ -103,7 +103,7 @@ func TestDeterminism(t *testing.T) {
 	pool := testPool()
 	a := Build(DefaultConfig(), pool, simclock.EntityPeriod())
 	b := Build(DefaultConfig(), pool, simclock.EntityPeriod())
-	if a.Size() != b.Size() {
+	if len(a.hist) != len(b.hist) {
 		t.Fatal("index sizes differ")
 	}
 	for i := 0; i < pool.Len(); i++ {
@@ -119,13 +119,8 @@ func TestDeterminism(t *testing.T) {
 func TestUnknownAddr(t *testing.T) {
 	pool := testPool()
 	idx := Build(DefaultConfig(), pool, simclock.EntityPeriod())
-	if idx.Known(pool.Get(0).Addr) == false {
-		// fine — may be uncovered; just exercise the path for a
-		// definitely-unknown address:
-		_ = idx
-	}
 	var unknown = [4]byte{9, 9, 9, 9}
-	if idx.Known(ecosystem.AddrFromKey(unknown)) {
+	if _, ok := idx.Lookup(ecosystem.AddrFromKey(unknown)); ok {
 		t.Error("out-of-pool address should be unknown")
 	}
 }

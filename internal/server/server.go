@@ -21,16 +21,17 @@
 //
 // Concurrency model: one producer goroutine (schedLoop) is the only
 // writer of source rows and the only admitter to the single bounded
-// queue — it drains the scheduler's merged stream, accounts each
-// datagram to its (input, agent, sub-agent) row, and enqueues or
-// sheds it — and one consumer goroutine, the window's only writer,
-// drains the queue into it. Both work in runs: each blocks for one
-// datagram, takes whatever else is already waiting — never waiting for
-// more, so a slow stream pays no latency and there is no flush timer —
-// and handles the run under one lock acquisition: the producer admits
-// what Items() held (at most its capacity, 64) under one smu, the
-// consumer folds up to drainMax = 256 queued datagrams into the window
-// under one s.mu, with one stage timing and one cursor write per input.
+// queue — it pulls the merged stream straight off the source rings
+// (Scheduler.Next), accounts each datagram to its (input, agent,
+// sub-agent) row, and enqueues or sheds it — and one consumer
+// goroutine, the window's only writer, drains the queue into it: two
+// goroutine hand-offs per datagram. Both work in runs: each blocks for
+// one datagram, takes whatever else is already waiting — never waiting
+// for more, so a slow stream pays no latency and there is no flush
+// timer — and handles the run under one lock acquisition: the producer
+// admits up to ingest.RunLen = 64 datagrams under one smu, the consumer
+// folds up to drainMax = 256 queued datagrams into the window under one
+// s.mu, with one stage timing and one cursor write per input.
 // A drain holds s.mu from its first datagram to its last cursor, and
 // the checkpointer encodes under the same lock, so a checkpoint is an
 // exact (window, cursors) pair made of whole drains.
@@ -412,21 +413,17 @@ func takeWaiting[T any](ch <-chan T, run []T) []T {
 
 // schedLoop is the producer: it moves the scheduler's merged stream
 // into the shared queue, the only writer of source rows and the only
-// queue admission. It blocks for one item, takes whatever else Items()
-// already holds — never waiting for more — and admits that run in one
-// go. The scheduler already read, counted, parsed, timestamped, and
-// per-source-buffered everything, so this loop is just accounting plus
-// queue admission.
+// queue admission. Next blocks for one datagram and returns whatever
+// else the source rings already hold — never waiting for more — and
+// the loop admits that run in one go. The scheduler already read,
+// counted, parsed, timestamped, and per-source-buffered everything, so
+// this loop is just accounting plus queue admission.
 func (s *Service) schedLoop() {
 	defer close(s.readerDone)
 	defer close(s.queue)
-	items := s.sched.Items()
-	run := make([]ingest.Item, 0, 1+cap(items)) // the one blocked for, and all Items() can hold
-	for it := range items {
-		run = takeWaiting(items, append(run[:0], it))
-		admitted := s.admitRun(run)
-		clear(run) // the queue owns the datagrams now
-		if !admitted {
+	run := make([]ingest.Item, 0, ingest.RunLen)
+	for {
+		if run = s.sched.Next(run); len(run) == 0 || !s.admitRun(run) {
 			return
 		}
 	}

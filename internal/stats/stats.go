@@ -75,23 +75,8 @@ func (e *ECDF) Quantile(q float64) float64 {
 	return e.samples[rank]
 }
 
-// Min returns the smallest sample.
-func (e *ECDF) Min() float64 { return e.Quantile(0) }
-
 // Max returns the largest sample.
 func (e *ECDF) Max() float64 { return e.Quantile(1) }
-
-// Mean returns the arithmetic mean, or 0 for an empty distribution.
-func (e *ECDF) Mean() float64 {
-	if len(e.samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range e.samples {
-		sum += v
-	}
-	return sum / float64(len(e.samples))
-}
 
 // Points returns up to n evenly spaced (x, F(x)) pairs suitable for
 // plotting the CDF. With n <= 0 every distinct sample is emitted.
@@ -243,13 +228,4 @@ func Mean(xs []int) float64 {
 		sum += x
 	}
 	return float64(sum) / float64(len(xs))
-}
-
-// Sum adds up a slice of ints.
-func Sum(xs []int) int {
-	s := 0
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
