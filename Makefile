@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race test-cpu bench bench-e2e-smoke fuzz fmt vet loc testonly daemon-smoke cli-smoke chaos-smoke eval-smoke ci
+.PHONY: all build test race test-cpu bench bench-e2e-smoke bench-pairs fuzz fmt vet loc testonly daemon-smoke cli-smoke chaos-smoke eval-smoke ci
 
 all: build test
 
@@ -49,6 +49,22 @@ bench:
 # suite twice, medians held against the bounds) on pushes to main.
 bench-e2e-smoke:
 	$(GO) run ./bench -smoke
+
+# Benchmark pairs: two commits on the repository benchmark, compared in
+# alternating pairs (scripts/benchpoint). Both are exported with git
+# archive and their ./bench built once; every workload runs once per
+# seed on each side, the side that goes first alternating. It prints
+# each end-to-end metric's median, quartiles and pairs won, and with
+# POINT=n writes the same table to BENCH_n.json. About 35 s per pair and
+# workload; run nothing else meanwhile. For example:
+#   make bench-pairs BASE=HEAD~1 WORKLOADS=serve-coarse SEEDS=501-510 POINT=31
+BASE ?= HEAD~1
+HEAD ?= HEAD
+SEEDS ?= 501-510
+WORKLOADS ?=
+POINT ?= 0
+bench-pairs:
+	$(GO) run ./scripts/benchpoint -base "$(BASE)" -head "$(HEAD)" -seeds "$(SEEDS)" -workloads "$(WORKLOADS)" -point $(POINT)
 
 # Fuzz smoke: short coverage-guided runs of the byte-level parsers
 # (DNS wire format, sFlow v5 datagrams, pcap records, the checkpoint

@@ -13,10 +13,11 @@ import (
 )
 
 // TestDispatchZeroAllocSteadyState guards the scheduler's hand-off: one
-// datagram through deliver, the policy's pick and either a Next (the
-// service's path) or the receive on Items() allocates nothing under any
-// policy, in the caller's goroutine or the relay's. The source rings,
-// the run and the Items() channel are allocated once.
+// datagram through deliver (the copy into its chunk included), the
+// policy's pick, either a Next (the service's path) or the receive on
+// Items(), and its release allocates nothing under any policy, in the
+// caller's goroutine or the relay's. The source rings, the run, the
+// Items() channel and the chunks are allocated once.
 func TestDispatchZeroAllocSteadyState(t *testing.T) {
 	for _, pol := range []string{PolicyRoundRobin, PolicyBacklog, PolicyArrival} {
 		t.Run(pol, func(t *testing.T) {
@@ -28,13 +29,19 @@ func TestDispatchZeroAllocSteadyState(t *testing.T) {
 						if run = s.Next(run); len(run) != 1 {
 							t.Fatalf("Next returned %d items, want the 1 delivered", len(run))
 						}
+						run[0].Release()
 					}
 					if via == "items" {
 						items := s.Items()
-						take = func() { <-items }
+						take = func() {
+							it := <-items
+							it.Release()
+						}
 					}
-					tk := &task{sv: s.sups[0], ctx: s.ctx}
-					dg := &sflow.Datagram{Agent: [4]byte{203, 0, 113, 1}}
+					tk := &task{sv: s.sups[0], ctx: s.ctx, w: NewWriter()}
+					dg := &sflow.Datagram{Agent: [4]byte{203, 0, 113, 1}, Samples: []sflow.FlowSample{
+						{Seq: 1, Rate: sflow.DefaultRate, FrameLen: 90, Header: make([]byte, 90)},
+					}}
 					c := int64(0)
 					allocs := testing.AllocsPerRun(1000, func() {
 						c++

@@ -37,6 +37,10 @@
 // datagrams with no added latency and there is no flush timer to tune.
 // A ring holds Tuning.BufLen datagrams (default 64, a few milliseconds
 // of a busy collector, fixed so the steady state allocates nothing).
+// Nor does a datagram: each run of a source decodes into one reused
+// sflow.Datagram and copies it into a pointer-free chunk it owns
+// (chunk.go), and an Item carries a reference into that chunk, which
+// returns to the run's free list once every item in it is released.
 //
 // Cursors: every emitted Item carries the source's progress cursor
 // just past that datagram (a byte offset for a log, a frame count for
@@ -292,7 +296,8 @@ type Config struct {
 	// input — the stream-fault seam (faults.Injector.Reader).
 	WrapReader func(id string, r io.Reader) io.Reader
 	// FaultPanic, when non-nil, panics datagram delivery on matching
-	// datagrams — the test hook for per-datagram panic containment.
+	// datagrams — the test hook for per-datagram panic containment. It
+	// sees a copy rebuilt from the datagram's chunk.
 	FaultPanic func(id string, dg *sflow.Datagram) bool
 	// Poison receives datagrams whose delivery panicked, for offline
 	// triage (the service wires its poison-file writer here).
@@ -304,6 +309,8 @@ type Config struct {
 }
 
 // Item is one scheduled datagram: the unit Next hands to the consumer.
+// Whoever ends its journey — consumes it, sheds it, skips it — releases
+// its Ref.
 type Item struct {
 	// SourceID is the Spec.ID of the source that produced it.
 	SourceID string
@@ -312,7 +319,9 @@ type Item struct {
 	// controlled, not shed.
 	Durable bool
 
-	Dg *sflow.Datagram
+	// Ref is the datagram: its rows in the chunk its reader decoded it
+	// into.
+	Ref
 	At simclock.Time
 
 	// Cursor is the source's progress cursor just past this datagram

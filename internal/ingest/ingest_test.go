@@ -409,8 +409,8 @@ func TestReplayResume(t *testing.T) {
 				t.Fatalf("resume misaligned: got (%v,%d), want (%v,%d)", rest[0].At, rest[0].Cursor, full[k].At, full[k].Cursor)
 			}
 			for i, it := range rest {
-				if it.Cursor != full[k+i].Cursor || it.Dg.Seq != full[k+i].Dg.Seq {
-					t.Fatalf("entry %d: cursor %d seq %d, want %d seq %d", i, it.Cursor, it.Dg.Seq, full[k+i].Cursor, full[k+i].Dg.Seq)
+				if it.Cursor != full[k+i].Cursor || it.Head().Seq != full[k+i].Head().Seq {
+					t.Fatalf("entry %d: cursor %d seq %d, want %d seq %d", i, it.Cursor, it.Head().Seq, full[k+i].Cursor, full[k+i].Head().Seq)
 				}
 			}
 		})
@@ -429,7 +429,7 @@ func TestPCAPTruncatedDeliversWhole(t *testing.T) {
 	items, st := runSpec(t, Spec{ID: "pcap:" + path, Kind: KindPCAP, Path: path}, nil)
 	frames := 0
 	for _, it := range items {
-		frames += len(it.Dg.Samples)
+		frames += int(it.Head().Samples)
 	}
 	if frames != 49 || items[len(items)-1].Cursor != 49 {
 		t.Fatalf("delivered %d frames to cursor %d, want the 49 whole ones", frames, items[len(items)-1].Cursor)

@@ -153,7 +153,8 @@ func (s *Scheduler) Items() <-chan Item {
 
 // Stop cancels every source, wakes a blocked Next, and waits for all
 // scheduler goroutines. Items still in a source's ring or in Items()'s
-// hands are discarded; none was consumed, so no cursor covers them.
+// hands are discarded, their chunks left to the collector; none was
+// consumed, so no cursor covers them.
 func (s *Scheduler) Stop() {
 	s.once.Do(func() {
 		s.cancel()
@@ -310,7 +311,7 @@ func (sv *Supervisor) supervise() {
 		sv.setState(StateStarting)
 		before := sv.emitted.Load()
 
-		t := &task{sv: sv, ctx: runCtx, gen: gen, epochBase: epochBase}
+		t := &task{sv: sv, ctx: runCtx, gen: gen, epochBase: epochBase, w: NewWriter()}
 		resCh := make(chan error, 1)
 		go func() {
 			defer func() {
@@ -401,6 +402,9 @@ type task struct {
 	ctx       context.Context
 	gen       uint64
 	epochBase uint64
+	// w is the run's chunk writer. Each run has its own, so a run the
+	// supervisor abandoned never writes into a chunk its successor fills.
+	w *Writer
 }
 
 func (t *task) live() bool { return t.sv.gen.Load() == t.gen }
@@ -448,28 +452,19 @@ func (t *task) readRetry(err error) {
 	t.beat()
 }
 
-// deliver hands one parsed datagram to the source's ring, blocking while
-// the source's buffer is full. It returns false when the run should
-// stop (cancelled or superseded). A panic while delivering — the
-// per-datagram containment boundary — quarantines that datagram to the
-// poison sink and keeps the source running.
-func (t *task) deliver(dg *sflow.Datagram, at simclock.Time, cursor int64, relEpoch uint64) (ok bool) {
+// deliver copies one parsed datagram into the run's chunk and hands it
+// to the source's ring, blocking while the source's buffer is full. dg
+// may alias the runner's read buffer: nothing keeps it. It returns
+// false when the run should stop (cancelled or superseded).
+func (t *task) deliver(dg *sflow.Datagram, at simclock.Time, cursor int64, relEpoch uint64) bool {
 	sv := t.sv
-	defer func() {
-		if p := recover(); p != nil {
-			sv.panics.Add(1)
-			if sv.s.cfg.Poison != nil {
-				sv.s.cfg.Poison(sv.spec.ID, dg, p)
-			}
-			ok = true // the entry is quarantined; the source lives on
-		}
-	}()
 	if !t.live() {
 		return false
 	}
 	t.beat() // before anything can panic: a quarantined datagram is progress too
-	if fp := sv.s.cfg.FaultPanic; fp != nil && fp(sv.spec.ID, dg) {
-		panic(fmt.Sprintf("ingest: injected delivery fault (%s)", sv.spec.ID))
+	ref := t.w.Append(dg)
+	if fp := sv.s.cfg.FaultPanic; fp != nil && t.faulted(fp, ref) {
+		return true // the entry is quarantined; the source lives on
 	}
 
 	epoch := t.epochBase + relEpoch
@@ -477,7 +472,7 @@ func (t *task) deliver(dg *sflow.Datagram, at simclock.Time, cursor int64, relEp
 		SourceID: sv.spec.ID,
 		Kind:     sv.spec.Kind,
 		Durable:  sv.spec.Durable(),
-		Dg:       dg,
+		Ref:      ref,
 		At:       at,
 		Cursor:   cursor,
 		Epoch:    epoch,
@@ -487,6 +482,7 @@ func (t *task) deliver(dg *sflow.Datagram, at simclock.Time, cursor int64, relEp
 	for sv.buf.full() {
 		if t.ctx.Err() != nil || !t.live() {
 			s.mu.Unlock()
+			ref.Release()
 			return false
 		}
 		s.cond.Wait()
@@ -498,6 +494,29 @@ func (t *task) deliver(dg *sflow.Datagram, at simclock.Time, cursor int64, relEp
 	sv.epoch.Store(epoch)
 	s.cond.Broadcast()
 	return true
+}
+
+// faulted runs the FaultPanic hook on a copy of the datagram rebuilt
+// from its chunk. A panic there — the per-datagram containment
+// boundary — quarantines that copy to the poison sink and releases the
+// datagram; hit reports it.
+func (t *task) faulted(fp func(string, *sflow.Datagram) bool, ref Ref) (hit bool) {
+	sv := t.sv
+	dg := ref.Datagram()
+	defer func() {
+		if p := recover(); p != nil {
+			sv.panics.Add(1)
+			if sv.s.cfg.Poison != nil {
+				sv.s.cfg.Poison(sv.spec.ID, dg, p)
+			}
+			ref.Release()
+			hit = true
+		}
+	}()
+	if fp(sv.spec.ID, dg) {
+		panic(fmt.Sprintf("ingest: injected delivery fault (%s)", sv.spec.ID))
+	}
+	return false
 }
 
 // RunLen is the run capacity the service's producer and Items() pass

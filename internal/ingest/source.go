@@ -1,5 +1,8 @@
 // Source adapters: one runner per Spec kind, each a blocking read loop
-// driven by its supervisor. Runners report through the task handle —
+// driven by its supervisor. Every runner decodes into one reused
+// sflow.Datagram (ParseDatagramInto and the readers' NextInto) that
+// deliver copies into the run's chunk, so a datagram costs no heap
+// object. Runners report through the task handle —
 // recv/parseError/beat/deliver — and return nil when a finite input is
 // drained, or an error when the input failed (the supervisor decides
 // restart vs quarantine). A runner must be restartable: run is called
@@ -108,17 +111,33 @@ func (u *udpRunner) run(t *task, _ int64) error {
 	defer stop()
 
 	// Wake from blocking reads often enough to heartbeat while idle:
-	// an idle socket is not a stalled one.
+	// an idle socket is not a stalled one. The deadline is re-armed once
+	// half of it has run, and right after it fired, not before every
+	// read.
 	beatEvery := u.cfg.Tuning.StallAfter / 4
 	if beatEvery > 500*time.Millisecond {
 		beatEvery = 500 * time.Millisecond
 	}
+	var rearmAt time.Time
+	arm := func(now time.Time) {
+		conn.SetReadDeadline(now.Add(beatEvery))
+		rearmAt = now.Add(beatEvery / 2)
+	}
+	arm(time.Now())
+	// A *net.UDPConn reads without allocating the sender's address.
+	uc, _ := conn.(*net.UDPConn)
 	retryMin := min(u.cfg.Tuning.BackoffMin, beatEvery)
 	retry := retryMin
 	buf := make([]byte, 1<<16)
+	var dg sflow.Datagram
 	for {
-		conn.SetReadDeadline(time.Now().Add(beatEvery))
-		n, _, err := conn.ReadFrom(buf)
+		var n int
+		var err error
+		if uc != nil {
+			n, _, err = uc.ReadFromUDPAddrPort(buf)
+		} else {
+			n, _, err = conn.ReadFrom(buf)
+		}
 		if err != nil {
 			var ne net.Error
 			switch {
@@ -126,6 +145,7 @@ func (u *udpRunner) run(t *task, _ int64) error {
 				return t.ctx.Err()
 			case errors.As(err, &ne) && ne.Timeout():
 				t.beat()
+				arm(time.Now())
 			case errors.Is(err, net.ErrClosed):
 				// The socket died under the reader: end the run, and the
 				// supervisor rebinds the pinned address.
@@ -147,9 +167,12 @@ func (u *udpRunner) run(t *task, _ int64) error {
 		retry = retryMin
 		t.recv()
 		t0 := time.Now()
-		dg, perr := sflow.ParseDatagram(buf[:n])
+		perr := sflow.ParseDatagramInto(&dg, buf[:n])
 		now := time.Now()
 		u.cfg.Stage("parse", now.Sub(t0))
+		if now.After(rearmAt) {
+			arm(now)
+		}
 		if perr != nil {
 			t.parseError()
 			continue
@@ -158,7 +181,7 @@ func (u *udpRunner) run(t *task, _ int64) error {
 		if u.cfg.TimeFromUptime {
 			at = simclock.Time(dg.Uptime)
 		}
-		if !t.deliver(dg, at, 0, 0) {
+		if !t.deliver(&dg, at, 0, 0) {
 			return t.ctx.Err()
 		}
 	}
@@ -190,11 +213,12 @@ func (r *tailRunner) run(t *task, cursor int64) error {
 		poll = pollMax
 	}
 	pollMin := poll
+	var dg sflow.Datagram
 	for {
 		if t.ctx.Err() != nil {
 			return t.ctx.Err()
 		}
-		at, dg, err := tl.NextEntry()
+		at, err := tl.NextInto(&dg)
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				t.beat() // idle at end of log, not stalled
@@ -218,7 +242,7 @@ func (r *tailRunner) run(t *task, cursor int64) error {
 		if r.cfg.TimeFromUptime {
 			at = simclock.Time(dg.Uptime)
 		}
-		if !t.deliver(dg, at, tl.Offset(), tl.Reopens()) {
+		if !t.deliver(&dg, at, tl.Offset(), tl.Reopens()) {
 			return t.ctx.Err()
 		}
 	}
@@ -257,11 +281,12 @@ func (r *fileRunner) run(t *task, cursor int64) error {
 	if err := rd.SkipTo(cursor); err != nil {
 		return fmt.Errorf("ingest: %s: seeking to cursor %d: %w", r.sp.ID, cursor, err)
 	}
+	var dg sflow.Datagram
 	for {
 		if t.ctx.Err() != nil {
 			return t.ctx.Err()
 		}
-		at, dg, err := rd.NextEntry()
+		at, err := rd.NextInto(&dg)
 		switch {
 		case errors.Is(err, io.EOF):
 			return nil // drained
@@ -278,7 +303,7 @@ func (r *fileRunner) run(t *task, cursor int64) error {
 		if r.cfg.TimeFromUptime {
 			at = simclock.Time(dg.Uptime)
 		}
-		if !t.deliver(dg, at, rd.Offset(), 0) {
+		if !t.deliver(&dg, at, rd.Offset(), 0) {
 			return t.ctx.Err()
 		}
 	}
@@ -306,13 +331,14 @@ func (r *synthRunner) run(t *task, cursor int64) error {
 	}
 	b := sflow.Batcher{Agent: r.sp.agent(), Rate: sflow.DefaultRate}
 	var n int64 // samples batched so far
+	var dg sflow.Datagram
 	emit := func() bool {
-		dg, at := b.Take()
-		if dg == nil || n <= cursor {
+		at, ok := b.TakeInto(&dg)
+		if !ok || n <= cursor {
 			return true // nothing open, or delivered before a restart
 		}
 		t.recv()
-		return t.deliver(dg, at, n, 0)
+		return t.deliver(&dg, at, n, 0)
 	}
 	// recs holds, sorted, the records that ran past the last midnight (an
 	// event straddling it): they go out among the next day's.

@@ -77,7 +77,7 @@ func TestSyntheticTimeOrderedAcrossMidnight(t *testing.T) {
 	}
 	for i := range rest {
 		g, w := rest[i], want[i]
-		if g.At != w.At || g.Cursor != w.Cursor || !bytes.Equal(sflow.EncodeDatagram(g.Dg), sflow.EncodeDatagram(w.Dg)) {
+		if g.At != w.At || g.Cursor != w.Cursor || !bytes.Equal(sflow.EncodeDatagram(g.Datagram()), sflow.EncodeDatagram(w.Datagram())) {
 			t.Fatalf("restart datagram %d: at %v cursor %d, want at %v cursor %d (or its bytes differ)", i, g.At, g.Cursor, w.At, w.Cursor)
 		}
 	}

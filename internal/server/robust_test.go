@@ -749,7 +749,7 @@ func TestTailServiceResume(t *testing.T) {
 	}
 	var offs []int64
 	for {
-		if _, _, err := tl.NextEntry(); err != nil {
+		if _, err := tl.NextInto(new(sflow.Datagram)); err != nil {
 			if !errors.Is(err, io.EOF) {
 				t.Fatal(err)
 			}

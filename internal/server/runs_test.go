@@ -368,10 +368,46 @@ func TestShutdownMidStreamCursorCoversConsumedOnly(t *testing.T) {
 	}
 }
 
+// TestObserveStageExcludesLockWait: a drain that waits for the window
+// lock — behind a checkpoint encode or a scrape — books only the time it
+// holds the lock as observe work. The test holds s.mu for 300 ms while
+// one datagram waits; the stage's max must stay far below that.
+func TestObserveStageExcludesLockWait(t *testing.T) {
+	const hold = 300 * time.Millisecond
+	svc := NewService(Config{Window: WindowConfig{Days: 2}})
+	go svc.consumeLoop()
+	defer func() {
+		close(svc.queue)
+		<-svc.consumerDone
+	}()
+	ref := ingest.NewWriter().Append(&sflow.Datagram{Agent: [4]byte{192, 0, 2, 1}, Seq: 1,
+		Samples: []sflow.FlowSample{{Seq: 1, Rate: sflow.DefaultRate, FrameLen: 64, Header: []byte{1, 2, 3, 4}}}})
+	src := &sourceState{key: sourceKey{src: "replay:lock", agent: [4]byte{192, 0, 2, 1}}}
+
+	svc.mu.Lock()
+	svc.queue <- item{src: src, ref: ref, at: simclock.MeasurementStart}
+	for len(svc.queue) > 0 { // the consumer has it in hand and waits for s.mu
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(hold)
+	svc.mu.Unlock()
+	waitUntil(t, "the drain timed", func() bool { return observeDrains(svc) == 1 })
+
+	for _, st := range svc.StagesSnapshot() {
+		if st.Stage == "observe" {
+			if st.Count != 1 || st.Max >= hold/2 {
+				t.Fatalf("observe: %d drains, max %v; want 1 drain well under the %v lock wait", st.Count, st.Max, hold)
+			}
+			return
+		}
+	}
+	t.Fatal("no observe stage recorded")
+}
+
 // BenchmarkHandoff is the hand-off alone, one iteration per datagram:
-// pre-parsed datagrams admitted in runs of a scheduler run's length
-// (admitRun), through the queue, folded into a real Window by the real
-// consumer goroutine. The frames are too short to be packets, so
+// parsed datagrams copied into chunks and admitted in runs of a
+// scheduler run's length (admitRun), through the queue, folded into a
+// real Window by the real consumer goroutine. The frames are too short to be packets, so
 // Process turns every sample away at its first check and what is timed
 // is the accounting, the queue, the drain and the cursors — the
 // "enqueue" row of the budget in docs/PERFORMANCE.md. ns/op is ns per
@@ -385,21 +421,20 @@ func BenchmarkHandoff(b *testing.B) {
 			for i := range samples {
 				samples[i] = sflow.FlowSample{Seq: uint32(i), Rate: sflow.DefaultRate, FrameLen: 64, Header: []byte{1, 2, 3, 4}}
 			}
-			// More datagrams than can be in flight (queue + drain + run),
-			// so none is reused while the consumer may still hold it.
-			dgs := make([]*sflow.Datagram, 2*svc.cfg.QueueLen)
-			for i := range dgs {
-				dgs[i] = &sflow.Datagram{Agent: [4]byte{192, 0, 2, 1}, Seq: uint32(i + 1), Samples: samples}
-			}
+			// Each datagram is copied into a chunk as a reader's deliver
+			// does, and the consumer's releases recycle the chunks.
+			w := ingest.NewWriter()
+			dg := &sflow.Datagram{Agent: [4]byte{192, 0, 2, 1}, Samples: samples}
 			run := make([]ingest.Item, 64)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for sent := 0; sent < b.N; {
 				n := min(len(run), b.N-sent)
 				for i := range run[:n] {
+					dg.Seq = uint32(sent + 1)
 					run[i] = ingest.Item{
 						SourceID: "replay:bench", Kind: ingest.KindReplay, Durable: true,
-						Dg: dgs[sent%len(dgs)], At: simclock.MeasurementStart, Cursor: int64(sent + 1),
+						Ref: w.Append(dg), At: simclock.MeasurementStart, Cursor: int64(sent + 1),
 					}
 					sent++
 				}

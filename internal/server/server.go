@@ -34,7 +34,11 @@
 // s.mu, with one stage timing and one cursor write per input.
 // A drain holds s.mu from its first datagram to its last cursor, and
 // the checkpointer encodes under the same lock, so a checkpoint is an
-// exact (window, cursors) pair made of whole drains.
+// exact (window, cursors) pair made of whole drains. A datagram travels
+// as a reference into its reader's chunk (ingest.Ref), not as a heap
+// object: the producer releases what it sheds or skips, the consumer
+// the rest once its drain is done, and the released chunks go back to
+// their readers for reuse.
 //
 // Backpressure is tiered: per source first (a stalled or flooding
 // collector sheds only its own traffic), then global sampling-down and
@@ -157,14 +161,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// item is one parsed datagram in flight from producer to consumer. off
-// is the durable-input cursor just past its entry (a byte offset or a
-// deterministic count; 0 for UDP), and epoch tells the consumer when
-// cursors stopped being comparable (a tailed file was reopened after
-// rotation/truncation, or the source restarted).
+// item is one parsed datagram in flight from producer to consumer: its
+// rows in its reader's chunk, released once the consumer is done with
+// them. off is the durable-input cursor just past its entry (a byte
+// offset or a deterministic count; 0 for UDP), and epoch tells the
+// consumer when cursors stopped being comparable (a tailed file was
+// reopened after rotation/truncation, or the source restarted).
 type item struct {
 	src   *sourceState
-	dg    *sflow.Datagram
+	ref   ingest.Ref
 	at    simclock.Time
 	off   int64
 	epoch uint64
@@ -429,12 +434,13 @@ func (s *Service) schedLoop() {
 	}
 }
 
-// rowLocked returns the accounting row of the collector that sent dg
-// through input sid, creating it on first sight. last is the row of the
-// run's previous datagram, tried before the map: a collector's
-// datagrams arrive in bursts. Producer-goroutine only; caller holds smu.
-func (s *Service) rowLocked(last *sourceState, sid string, dg *sflow.Datagram) *sourceState {
-	key := sourceKey{src: sid, agent: dg.Agent, subAgent: dg.SubAgent}
+// rowLocked returns the accounting row of the collector that sent the
+// datagram headed h through input sid, creating it on first sight. last
+// is the row of the run's previous datagram, tried before the map: a
+// collector's datagrams arrive in bursts. Producer-goroutine only;
+// caller holds smu.
+func (s *Service) rowLocked(last *sourceState, sid string, h *ingest.Head) *sourceState {
+	key := sourceKey{src: sid, agent: h.Agent, subAgent: h.SubAgent}
 	if last != nil && last.key == key {
 		return last
 	}
@@ -450,10 +456,10 @@ func (s *Service) rowLocked(last *sourceState, sid string, dg *sflow.Datagram) *
 }
 
 // accountLocked runs the resume barrier and per-source accounting for
-// one parsed datagram on its row. It reports false when the replay
-// barrier skipped the datagram. Producer-goroutine only; caller holds
-// smu.
-func (s *Service) accountLocked(src *sourceState, dg *sflow.Datagram, at simclock.Time, durable bool) bool {
+// one parsed datagram, headed h, on its row. It reports false when the
+// replay barrier skipped the datagram. Producer-goroutine only; caller
+// holds smu.
+func (s *Service) accountLocked(src *sourceState, h *ingest.Head, at simclock.Time, durable bool) bool {
 	if src.resuming {
 		switch {
 		case durable:
@@ -462,7 +468,7 @@ func (s *Service) accountLocked(src *sourceState, dg *sflow.Datagram, at simcloc
 			// barrier adds nothing — and misfires after a rotation reset
 			// the writer's sequence numbers below the consumed cursor.
 			src.resuming = false
-		case dg.Seq <= src.resumeSeq && dg.Seq >= src.stats.FirstSeq:
+		case h.Seq <= src.resumeSeq && h.Seq >= src.stats.FirstSeq:
 			// Already inside the restored window: consuming it again would
 			// double-count, so it is skipped before any accounting.
 			src.stats.ReplaySkipped++
@@ -472,7 +478,7 @@ func (s *Service) accountLocked(src *sourceState, dg *sflow.Datagram, at simcloc
 			src.resuming = false
 		}
 	}
-	src.account(dg, at)
+	src.account(h, at)
 	return true
 }
 
@@ -485,22 +491,25 @@ func (s *Service) accountLocked(src *sourceState, dg *sflow.Datagram, at simcloc
 // tiers, each read against the queue depth of that moment. It reports
 // false when shutdown interrupted a blocked enqueue: that entry and the
 // rest of the run were not enqueued and no cursor advanced over them,
-// so a resume re-reads them. Producer-goroutine only.
+// so a resume re-reads them. Whatever it does not enqueue it releases.
+// Producer-goroutine only.
 func (s *Service) admitRun(run []ingest.Item) bool {
 	s.smu.Lock()
 	defer s.smu.Unlock()
 	var src *sourceState
 	for i := range run {
 		it := &run[i]
-		src = s.rowLocked(src, it.SourceID, it.Dg)
-		if !s.accountLocked(src, it.Dg, it.At, it.Durable) {
+		h := it.Head()
+		src = s.rowLocked(src, it.SourceID, &h)
+		if !s.accountLocked(src, &h, it.At, it.Durable) {
+			it.Release()
 			continue
 		}
 		if !it.Durable {
 			s.admitUDPLocked(src, it)
 			continue
 		}
-		q := item{src: src, dg: it.Dg, at: it.At, off: it.Cursor, epoch: it.Epoch}
+		q := item{src: src, ref: it.Ref, at: it.At, off: it.Cursor, epoch: it.Epoch}
 		select {
 		case s.queue <- q:
 		default:
@@ -510,6 +519,9 @@ func (s *Service) admitRun(run []ingest.Item) bool {
 				s.smu.Lock()
 			case <-s.closing:
 				s.smu.Lock()
+				for j := i; j < len(run); j++ {
+					run[j].Release()
+				}
 				return false
 			}
 		}
@@ -528,12 +540,14 @@ func (s *Service) admitUDPLocked(src *sourceState, it *ingest.Item) {
 	if depth*shedAllDen >= capacity*shedAllNum {
 		s.health.noteOverload()
 		s.health.shedAll.Add(1)
+		it.Release()
 		return
 	}
 	if depth*sampleDownDen >= capacity*sampleDownNum {
 		s.health.noteOverload()
 		if s.sampleTick++; s.sampleTick%2 == 1 {
 			s.health.sampledOut.Add(1)
+			it.Release()
 			return
 		}
 	}
@@ -542,7 +556,7 @@ func (s *Service) admitUDPLocked(src *sourceState, it *ingest.Item) {
 	shed := src.pending.Load() >= int64(s.cfg.PerSourceQueue)
 	if !shed {
 		select {
-		case s.queue <- item{src: src, dg: it.Dg, at: it.At}:
+		case s.queue <- item{src: src, ref: it.Ref, at: it.At}:
 			src.pending.Add(1)
 		default:
 			shed = true // shared queue full
@@ -551,6 +565,7 @@ func (s *Service) admitUDPLocked(src *sourceState, it *ingest.Item) {
 	if shed {
 		src.stats.QueueDrops++
 		s.queueDrops.Add(1)
+		it.Release()
 	}
 }
 
@@ -586,23 +601,26 @@ func (s *Service) consumeLoop() {
 // it: it moves no cursor, and once the lock is released it is
 // quarantined to a poison file and only then counted as consumed. Every
 // other datagram is counted under the lock, as it goes in, so the
-// checkpoint's consumed count belongs to the same pair.
+// checkpoint's consumed count belongs to the same pair. The observe
+// stage is timed from the lock's acquisition, so a wait behind a
+// checkpoint or a scrape is not booked as consumer work. Every item is
+// released at the end.
 func (s *Service) consumeDrain(drain []item) {
 	type poison struct {
 		it    *item
 		cause any
 	}
 	var poisoned []poison
-	t0 := time.Now()
 	s.mu.Lock()
+	t0 := time.Now()
 	for i := range drain {
 		it := &drain[i]
 		if cause := s.observeLocked(it); cause != nil {
 			poisoned = append(poisoned, poison{it, cause})
 			continue
 		}
-		if it.dg.Seq > it.src.cursor {
-			it.src.cursor = it.dg.Seq
+		if seq := it.ref.Head().Seq; seq > it.src.cursor {
+			it.src.cursor = seq
 		}
 		if it.off > 0 {
 			s.advanceLocked(it)
@@ -622,8 +640,11 @@ func (s *Service) consumeDrain(drain []item) {
 
 	for _, p := range poisoned {
 		s.panics.Add(1)
-		s.quarantine(p.it.src.key.src, p.it.dg, p.cause)
+		s.quarantine(p.it.src.key.src, p.it.ref.Datagram(), p.cause)
 		s.consumed.Add(1)
+	}
+	for i := range drain {
+		drain[i].ref.Release()
 	}
 	s.health.noteDepth(len(s.queue), s.cfg.QueueLen, len(drain))
 }
@@ -633,12 +654,14 @@ func (s *Service) consumeDrain(drain []item) {
 // holds s.mu.
 func (s *Service) observeLocked(it *item) (cause any) {
 	defer func() { cause = recover() }()
-	if s.faultPanic != nil && s.faultPanic(it.dg) {
-		panic(fmt.Sprintf("injected consumer fault on seq %d", it.dg.Seq))
+	if s.faultPanic != nil {
+		if dg := it.ref.Datagram(); s.faultPanic(dg) {
+			panic(fmt.Sprintf("injected consumer fault on seq %d", dg.Seq))
+		}
 	}
 	cp := s.win.Capture()
-	for i := range it.dg.Samples {
-		fs := &it.dg.Samples[i]
+	for i := range int(it.ref.Head().Samples) {
+		fs := it.ref.Sample(i)
 		smp, ok := cp.Process(sflow.Record{
 			Time:     it.at,
 			Frame:    fs.Header,

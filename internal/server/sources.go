@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"dnsamp/internal/sflow"
+	"dnsamp/internal/ingest"
 	"dnsamp/internal/simclock"
 )
 
@@ -106,24 +106,24 @@ type sourceState struct {
 	resumeSeq uint32
 }
 
-// account folds one arrived datagram into the row. Called by the
-// reader with the source registry locked.
-func (s *sourceState) account(dg *sflow.Datagram, at simclock.Time) {
+// account folds one arrived datagram, headed h, into the row. Called
+// by the reader with the source registry locked.
+func (s *sourceState) account(h *ingest.Head, at simclock.Time) {
 	st := &s.stats
 	st.Datagrams++
-	st.Samples += uint64(len(dg.Samples))
+	st.Samples += uint64(h.Samples)
 	st.LastArrival = at
 	if !s.started {
 		s.started = true
-		st.FirstSeq, st.LastSeq = dg.Seq, dg.Seq
+		st.FirstSeq, st.LastSeq = h.Seq, h.Seq
 	} else {
 		expected := st.LastSeq + 1
 		switch {
-		case dg.Seq == expected:
-			st.LastSeq = dg.Seq
-		case dg.Seq > expected:
-			st.Lost += uint64(dg.Seq - expected)
-			st.LastSeq = dg.Seq
+		case h.Seq == expected:
+			st.LastSeq = h.Seq
+		case h.Seq > expected:
+			st.Lost += uint64(h.Seq - expected)
+			st.LastSeq = h.Seq
 		default: // late, reordered, or duplicated
 			st.OutOfOrder++
 			if st.Lost > 0 {
@@ -131,16 +131,17 @@ func (s *sourceState) account(dg *sflow.Datagram, at simclock.Time) {
 			}
 		}
 	}
-	for i := range dg.Samples {
-		fs := &dg.Samples[i]
-		if fs.Rate != 0 && fs.Rate != st.Rate {
+	// The samples' rates in order, as the head summarises them: a change
+	// is a non-zero rate unlike the one before it.
+	if h.FirstRate != 0 {
+		if h.FirstRate != st.Rate {
 			if st.Rate != 0 {
 				st.RateChanges++
 			}
-			st.Rate = fs.Rate
+			st.Rate = h.FirstRate
 		}
-		if fs.Drops > st.AgentDrops {
-			st.AgentDrops = fs.Drops
-		}
+		st.RateChanges += uint64(h.RateSwitches)
+		st.Rate = h.LastRate
 	}
+	st.AgentDrops = max(st.AgentDrops, h.MaxDrops)
 }

@@ -1,15 +1,18 @@
 package server
 
 import (
+	"math/rand"
 	"testing"
 
+	"dnsamp/internal/ingest"
 	"dnsamp/internal/sflow"
 	"dnsamp/internal/simclock"
 )
 
-// dg builds a one-sample datagram with the given sequence number.
-func dg(seq uint32, rate uint32, drops uint32) *sflow.Datagram {
-	return &sflow.Datagram{
+// dg builds a one-sample datagram with the given sequence number and
+// returns its chunk head row, what account reads.
+func dg(seq uint32, rate uint32, drops uint32) *ingest.Head {
+	return head(&sflow.Datagram{
 		Agent:    [4]byte{10, 0, 0, 1},
 		SubAgent: 0,
 		Seq:      seq,
@@ -17,7 +20,12 @@ func dg(seq uint32, rate uint32, drops uint32) *sflow.Datagram {
 			Seq: seq, Rate: rate, Drops: drops,
 			FrameLen: 64, Header: []byte{0xde, 0xad},
 		}},
-	}
+	})
+}
+
+func head(d *sflow.Datagram) *ingest.Head {
+	h := ingest.NewWriter().Append(d).Head()
+	return &h
 }
 
 func TestAccountSequenceRules(t *testing.T) {
@@ -79,6 +87,39 @@ func TestAccountRateAndAgentDrops(t *testing.T) {
 	}
 	if st.AgentDrops != 5 {
 		t.Fatalf("agent drops = %d, want 5", st.AgentDrops)
+	}
+}
+
+// TestAccountRateSummary: a datagram whose samples switch rates and
+// carry zero rates moves the row exactly as folding its samples one by
+// one would (the rule the head's summary stands in for).
+func TestAccountRateSummary(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	rates := []uint32{0, 1, 8192, 16384}
+	var got sourceState
+	var want SourceStats
+	for seq := uint32(1); seq <= 500; seq++ {
+		d := &sflow.Datagram{Seq: seq}
+		for range rng.Intn(6) {
+			d.Samples = append(d.Samples, sflow.FlowSample{Rate: rates[rng.Intn(len(rates))], Drops: uint32(rng.Intn(50))})
+		}
+		got.account(head(d), 0)
+		for _, fs := range d.Samples {
+			if fs.Rate != 0 && fs.Rate != want.Rate {
+				if want.Rate != 0 {
+					want.RateChanges++
+				}
+				want.Rate = fs.Rate
+			}
+			want.AgentDrops = max(want.AgentDrops, fs.Drops)
+		}
+		if got.stats.Rate != want.Rate || got.stats.RateChanges != want.RateChanges || got.stats.AgentDrops != want.AgentDrops {
+			t.Fatalf("datagram %d: rate %d changes %d drops %d, want %d %d %d", seq,
+				got.stats.Rate, got.stats.RateChanges, got.stats.AgentDrops, want.Rate, want.RateChanges, want.AgentDrops)
+		}
+	}
+	if want.RateChanges < 100 {
+		t.Fatalf("only %d rate changes: the case proves little", want.RateChanges)
 	}
 }
 

@@ -191,51 +191,68 @@ func (c *dgCursor) take(n int) []byte {
 // owns its bytes, so callers may reuse the read buffer (the ingestion
 // contract that keeps previously parsed samples intact).
 func ParseDatagram(b []byte) (*Datagram, error) {
+	d := new(Datagram)
+	if err := parseDatagram(d, b, true); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// ParseDatagramInto decodes b into d with ParseDatagram's validation
+// and errors, but reuses d's sample storage and copies nothing: every
+// Header is a view into b, valid while b is. Once d.Samples has grown
+// to a datagram's sample count, the decode allocates nothing. After an
+// error d holds whatever was decoded before it.
+func ParseDatagramInto(d *Datagram, b []byte) error {
+	d.Samples = d.Samples[:0]
+	return parseDatagram(d, b, false)
+}
+
+// parseDatagram is the one decode: own says whether header bytes are
+// copied out of b or left as views into it.
+func parseDatagram(d *Datagram, b []byte, own bool) error {
 	c := &dgCursor{b: b}
 	if v := c.u32(); c.err == nil && v != Version {
-		return nil, fmt.Errorf("%w: version %d", ErrDatagram, v)
+		return fmt.Errorf("%w: version %d", ErrDatagram, v)
 	}
 	if at := c.u32(); c.err == nil && at != addrTypeIPv4 {
 		// IPv6 agents (type 2) are not produced by the simulation.
-		return nil, fmt.Errorf("%w: unsupported agent address type %d", ErrDatagram, at)
+		return fmt.Errorf("%w: unsupported agent address type %d", ErrDatagram, at)
 	}
-	var d Datagram
 	copy(d.Agent[:], c.take(4))
 	d.SubAgent = c.u32()
 	d.Seq = c.u32()
 	d.Uptime = c.u32()
 	n := c.u32()
 	if c.err != nil {
-		return nil, c.err
+		return c.err
 	}
 	if n > maxSamples {
-		return nil, fmt.Errorf("%w: %d samples", ErrDatagram, n)
+		return fmt.Errorf("%w: %d samples", ErrDatagram, n)
 	}
 	for i := uint32(0); i < n; i++ {
 		typ := c.u32()
 		ln := int(c.u32())
 		body := c.take(ln)
 		if c.err != nil {
-			return nil, c.err
+			return c.err
 		}
 		if typ != sampleTypeFlow {
 			continue // counter samples etc.: skip via the length field
 		}
-		s, err := parseFlowSample(body)
-		if err != nil {
-			return nil, err
+		d.Samples = append(d.Samples, FlowSample{})
+		if err := parseFlowSample(&d.Samples[len(d.Samples)-1], body, own); err != nil {
+			return err
 		}
-		d.Samples = append(d.Samples, s)
 	}
 	if c.off != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrDatagram, len(b)-c.off)
+		return fmt.Errorf("%w: %d trailing bytes", ErrDatagram, len(b)-c.off)
 	}
-	return &d, nil
+	return nil
 }
 
-func parseFlowSample(b []byte) (FlowSample, error) {
+func parseFlowSample(s *FlowSample, b []byte, own bool) error {
 	c := &dgCursor{b: b}
-	var s FlowSample
 	s.Seq = c.u32()
 	s.SourceID = c.u32()
 	s.Rate = c.u32()
@@ -245,10 +262,10 @@ func parseFlowSample(b []byte) (FlowSample, error) {
 	s.Output = c.u32()
 	nrec := c.u32()
 	if c.err != nil {
-		return s, c.err
+		return c.err
 	}
 	if nrec > maxSamples {
-		return s, fmt.Errorf("%w: %d flow records", ErrDatagram, nrec)
+		return fmt.Errorf("%w: %d flow records", ErrDatagram, nrec)
 	}
 	got := false
 	for i := uint32(0); i < nrec; i++ {
@@ -256,7 +273,7 @@ func parseFlowSample(b []byte) (FlowSample, error) {
 		ln := int(c.u32())
 		body := c.take(ln)
 		if c.err != nil {
-			return s, c.err
+			return c.err
 		}
 		if fmtID != recordRawPacket || got {
 			continue // extended data records: skip
@@ -268,22 +285,26 @@ func parseFlowSample(b []byte) (FlowSample, error) {
 		hlen := int(rc.u32())
 		hdr := rc.take(hlen)
 		if rc.err != nil {
-			return s, rc.err
+			return rc.err
 		}
 		if rem := len(rc.b) - rc.off; rem != pad4(hlen)-hlen {
-			return s, fmt.Errorf("%w: raw header record padding %d", ErrDatagram, rem)
+			return fmt.Errorf("%w: raw header record padding %d", ErrDatagram, rem)
 		}
 		if proto != headerProtoEth {
 			continue // non-Ethernet header: not ours
 		}
-		s.Header = append([]byte(nil), hdr...) // own the bytes
+		if own {
+			s.Header = append([]byte(nil), hdr...)
+		} else {
+			s.Header = hdr[:hlen:hlen]
+		}
 		got = true
 	}
 	if !got {
-		return s, fmt.Errorf("%w: flow sample without raw Ethernet header record", ErrDatagram)
+		return fmt.Errorf("%w: flow sample without raw Ethernet header record", ErrDatagram)
 	}
 	if c.off != len(b) {
-		return s, fmt.Errorf("%w: %d trailing bytes in flow sample", ErrDatagram, len(b)-c.off)
+		return fmt.Errorf("%w: %d trailing bytes in flow sample", ErrDatagram, len(b)-c.off)
 	}
-	return s, nil
+	return nil
 }

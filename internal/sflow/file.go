@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 
 	"dnsamp/internal/simclock"
 )
@@ -74,18 +73,19 @@ func (b *Batcher) Add(rec Record, input uint32) {
 	})
 }
 
-// Take closes the open datagram and returns it for keeping, with its
-// arrival second; nil when nothing is open. The datagram owns its
-// sample slice, and its Uptime is the arrival second, as a live agent's
-// clock would stamp it.
-func (b *Batcher) Take() (*Datagram, simclock.Time) {
+// TakeInto closes the open datagram into dst and returns its arrival
+// second; false when nothing is open. dst's sample storage is reused,
+// each Header is the record's frame as Add kept it, and Uptime is the
+// arrival second, as a live agent's clock would stamp it.
+func (b *Batcher) TakeInto(dst *Datagram) (simclock.Time, bool) {
 	dg, ok := b.take()
 	if !ok {
-		return nil, 0
+		return 0, false
 	}
 	dg.Uptime = uint32(b.at)
-	dg.Samples = slices.Clone(dg.Samples)
-	return &dg, b.at
+	dg.Samples = append(dst.Samples[:0], dg.Samples...)
+	*dst = dg
+	return b.at, true
 }
 
 // take closes the open datagram in place: its samples alias the
@@ -179,7 +179,8 @@ const readAhead = 64 << 10
 
 // LogReader streams a datagram log back out, one entry per NextEntry.
 // It reads its input in readAhead-sized chunks into one reused buffer —
-// safe because ParseDatagram copies header bytes out — and knows its
+// safe because ParseDatagram copies header bytes out, and NextInto's
+// views last only until the next call — and knows its
 // own position: Offset is an entry boundary however far the reads ran
 // ahead of it. It is tail-capable: a NextEntry that hits end of input
 // mid-entry returns io.ErrUnexpectedEOF but keeps what it has read, so
@@ -285,6 +286,34 @@ func (lr *LogReader) need(n int) error {
 // either it may be called again once the underlying reader has more
 // data.
 func (lr *LogReader) NextEntry() (simclock.Time, *Datagram, error) {
+	at, body, err := lr.nextBody()
+	if err != nil {
+		return 0, nil, err
+	}
+	dg, err := ParseDatagram(body)
+	if err != nil {
+		return 0, nil, err
+	}
+	return at, dg, nil
+}
+
+// NextInto is NextEntry decoding into dst (ParseDatagramInto): the
+// samples' Header bytes are views into the reader's buffer, valid until
+// the next call.
+func (lr *LogReader) NextInto(dst *Datagram) (simclock.Time, error) {
+	at, body, err := lr.nextBody()
+	if err != nil {
+		return 0, err
+	}
+	if err := ParseDatagramInto(dst, body); err != nil {
+		return 0, err
+	}
+	return at, nil
+}
+
+// nextBody frames the next whole entry: its arrival time and its
+// datagram bytes, a view into the buffer valid until the next read.
+func (lr *LogReader) nextBody() (simclock.Time, []byte, error) {
 	if err := lr.need(12); err != nil {
 		return 0, nil, err
 	}
@@ -301,9 +330,5 @@ func (lr *LogReader) NextEntry() (simclock.Time, *Datagram, error) {
 	// boundary instead of re-parsing the same bytes forever — one
 	// corrupt datagram costs one error, not the whole tail.
 	lr.consume(len(entry))
-	dg, err := ParseDatagram(entry[12:])
-	if err != nil {
-		return 0, nil, err
-	}
-	return simclock.Time(int64(binary.LittleEndian.Uint64(entry))), dg, nil
+	return simclock.Time(int64(binary.LittleEndian.Uint64(entry))), entry[12:], nil
 }

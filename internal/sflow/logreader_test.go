@@ -190,7 +190,7 @@ func TestTailerStaleInsideReadAhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tl.Close()
-	if _, _, err := tl.NextEntry(); err != nil {
+	if _, err := tl.NextInto(new(Datagram)); err != nil {
 		t.Fatal(err)
 	}
 	consumed, read := tl.Offset(), tl.lr.readPos()

@@ -20,10 +20,15 @@ import (
 //     call resyncs at the following entry;
 //   - any other error when the framing is gone: the read is over.
 //
+// NextInto is NextEntry decoding into a caller's datagram, reusing its
+// sample storage; the Header bytes it leaves are valid until the next
+// call.
+//
 // Offset is the resume cursor just past the last datagram handed out;
 // SkipTo(cursor) on a fresh reader of the same input resumes after it.
 type EntryReader interface {
 	NextEntry() (simclock.Time, *Datagram, error)
+	NextInto(dst *Datagram) (simclock.Time, error)
 	Offset() int64
 	SkipTo(off int64) error
 }
@@ -65,13 +70,24 @@ func (r *PCAPReader) SkipTo(off int64) error {
 // capture ends, cleanly or not, the open datagram is handed out first
 // and the end on the call after.
 func (r *PCAPReader) NextEntry() (simclock.Time, *Datagram, error) {
+	dg := new(Datagram)
+	at, err := r.NextInto(dg)
+	if err != nil {
+		return 0, nil, err
+	}
+	return at, dg, nil
+}
+
+// NextInto is NextEntry into dst: every Header is its frame's own
+// bytes, so they stay valid after the next call too.
+func (r *PCAPReader) NextInto(dst *Datagram) (simclock.Time, error) {
 	for r.err == nil {
 		p, err := r.pr.Next()
 		r.err = err
-		var dg *Datagram
 		var at simclock.Time
+		took := false
 		if err != nil || r.b.Full(p.Time) {
-			if dg, at = r.b.Take(); dg != nil {
+			if at, took = r.b.TakeInto(dst); took {
 				r.off = r.frames
 			}
 		}
@@ -79,9 +95,9 @@ func (r *PCAPReader) NextEntry() (simclock.Time, *Datagram, error) {
 			r.frames++
 			r.b.Add(Record{Time: p.Time, Frame: p.Data, FrameLen: p.Orig, Seq: uint64(r.frames)}, 0)
 		}
-		if dg != nil && r.off > r.skip {
-			return at, dg, nil
+		if took && r.off > r.skip {
+			return at, nil
 		}
 	}
-	return 0, nil, r.err
+	return 0, r.err
 }

@@ -93,25 +93,26 @@ func (t *Tailer) reopen() error {
 	return nil
 }
 
-// NextEntry returns the next whole datagram entry. At end of input it
+// NextInto decodes the next whole datagram entry into dst (LogReader.NextInto:
+// Header bytes are valid until the next call). At end of input it
 // returns io.EOF (clean) or io.ErrUnexpectedEOF (mid-entry); both mean
 // "nothing more right now" — call again after a backoff. When the file
 // was truncated or rotated away, the tailer transparently reopens and
 // continues with the new file's first entry.
-func (t *Tailer) NextEntry() (simclock.Time, *Datagram, error) {
+func (t *Tailer) NextInto(dst *Datagram) (simclock.Time, error) {
 	for reopened := false; ; {
-		at, dg, err := t.lr.NextEntry()
+		at, err := t.lr.NextInto(dst)
 		if err == nil {
-			return at, dg, nil
+			return at, nil
 		}
 		if (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) && !reopened && t.stale() {
 			if rerr := t.reopen(); rerr != nil {
-				return 0, nil, rerr
+				return 0, rerr
 			}
 			reopened = true
 			continue
 		}
-		return 0, nil, err
+		return 0, err
 	}
 }
 

@@ -69,15 +69,21 @@ func writeLogFile(t *testing.T, path string) []byte {
 // drainTailer reads entries until end of input, appending to got.
 func drainTailer(t *testing.T, tl *Tailer, got []*Datagram) []*Datagram {
 	t.Helper()
+	var dg Datagram
 	for {
-		_, dg, err := tl.NextEntry()
+		_, err := tl.NextInto(&dg)
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return got
 		}
 		if err != nil {
-			t.Fatalf("NextEntry: %v", err)
+			t.Fatalf("NextInto: %v", err)
 		}
-		got = append(got, dg)
+		// Re-parse the encoding: a copy that owns its header bytes.
+		own, err := ParseDatagram(EncodeDatagram(&dg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, own)
 	}
 }
 
@@ -155,7 +161,7 @@ func TestTailerResumeAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tl.NextEntry(); err != nil {
+	if _, err := tl.NextInto(new(Datagram)); err != nil {
 		t.Fatal(err)
 	}
 	cursor := tl.Offset()
@@ -245,8 +251,8 @@ func TestTailerDetectsRotation(t *testing.T) {
 	}
 	// While the path is missing, end-of-input is not an error and must
 	// not kill the tailer.
-	if _, _, err := tl.NextEntry(); !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("NextEntry with path missing = %v, want end-of-input", err)
+	if _, err := tl.NextInto(new(Datagram)); !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("NextInto with path missing = %v, want end-of-input", err)
 	}
 	writeLogFile(t, path)
 
