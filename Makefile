@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race test-cpu bench bench-e2e-smoke bench-pairs fuzz fmt vet loc testonly daemon-smoke cli-smoke chaos-smoke eval-smoke ci
+.PHONY: all build test race test-cpu bench bench-e2e-smoke bench-pairs fuzz fmt vet loc loc-diff testonly daemon-smoke cli-smoke chaos-smoke eval-smoke ci
 
 all: build test
 
@@ -142,6 +142,13 @@ vet:
 # LOC figure every PR quotes before and after (ROADMAP aim 2).
 loc:
 	@./scripts/loc.sh
+
+# The same count on a git archive of BASE and on the working tree, per
+# package: before, after and delta, the figure a PR quotes. Not part of
+# `loc`: CI's shallow checkout has no parent commit to count.
+#   make loc-diff BASE=HEAD~1
+loc-diff:
+	@./scripts/loc_diff.sh "$(BASE)"
 
 # Functions and methods under internal/ that no program reaches (only
 # tests, or nothing), by the linker's own reachability over every main

@@ -27,6 +27,7 @@ import (
 
 	"dnsamp/internal/ecosystem"
 	"dnsamp/internal/scenario"
+	"dnsamp/internal/simclock"
 )
 
 // eventJSON is the serialized ground-truth form.
@@ -158,8 +159,11 @@ func main() {
 		c.Entity.Reloc1.Date(), c.Entity.Ingress1, c.Entity.Reloc2.Date(), c.Entity.Ingress2)
 
 	if wantWire {
-		recs := scenario.CampaignWireRecords(c, *trafficSeed, *wireDays)
-		n, err := scenario.WriteWire(recs, *sflowOut, *pcapOut)
+		gen := ecosystem.NewGenerator(c, *trafficSeed)
+		days := ecosystem.NewWireStream(simclock.MeasurementStart, *wireDays, func(day simclock.Time) ([]ecosystem.TaggedRecord, error) {
+			return gen.WireDay(day).IXP, nil
+		})
+		n, err := scenario.WriteWire(days, *sflowOut, *pcapOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "attackgen: wire export:", err)
 			os.Exit(1)

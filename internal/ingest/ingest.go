@@ -172,8 +172,9 @@ func ParseSpec(s string) (Spec, error) {
 				}
 			}
 		}
-		if sp.Scale <= 0 || sp.Days < 1 {
-			return Spec{}, fmt.Errorf("ingest: spec %q: scale and days must be positive", s)
+		// NaN fails too; scale 1 is the paper's campaign, and a huge one overflows.
+		if !(sp.Scale > 0 && sp.Scale <= 1) || sp.Days < 1 {
+			return Spec{}, fmt.Errorf("ingest: spec %q: scale and days must be positive (scale at most 1, the paper's size)", s)
 		}
 		sp.ID = fmt.Sprintf("synthetic:scale=%g,days=%d,seed=%d", sp.Scale, sp.Days, sp.Seed)
 		return sp, nil

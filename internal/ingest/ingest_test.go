@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -51,6 +52,7 @@ func TestParseSpec(t *testing.T) {
 	for _, bad := range []string{
 		"", "x", "udp://nope", "tail:", "ftp:whatever",
 		"synthetic:scale=-1", "synthetic:bogus=1", "synthetic:days=0",
+		"synthetic:scale=NaN", "synthetic:scale=Inf", "synthetic:scale=1e308",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q): expected error", bad)
@@ -384,33 +386,74 @@ func runSpec(t *testing.T, sp Spec, cursors map[string]int64) ([]Item, Superviso
 	return items, s.Snapshot()[0]
 }
 
-// TestReplayResume: a replay: or pcap: source restarted from a mid-file
-// cursor delivers exactly the remainder, nothing twice, with the
-// cursors and datagram sequence numbers of a full run.
+// takeSpec reads a source's first n datagrams (a tail: input never
+// ends) under the default tuning, whose watchdog leaves a synthetic:
+// input time to generate a day.
+func takeSpec(t *testing.T, sp Spec, cursors map[string]int64, n int) []Item {
+	t.Helper()
+	s, err := New(Config{Specs: []Spec{sp}, Cursors: cursors})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var items []Item
+	for run := make([]Item, 0, RunLen); len(items) < n; {
+		if run = s.Next(run[:0:min(RunLen, n-len(items))]); len(run) == 0 {
+			break
+		}
+		items = append(items, run...)
+	}
+	return items
+}
+
+// TestReplayResume: every durable input — tail:, replay:, pcap:,
+// synthetic: — restarted from a mid-stream cursor delivers exactly the
+// remainder, nothing twice, with the cursors, arrival times and
+// datagram sequence numbers of a full run.
 func TestReplayResume(t *testing.T) {
 	const n = 20
+	logPath := writeTestLog(t, n)
 	_, pcapPath := testPCAP(t, n, 3)
-	for _, spec := range []string{"replay:" + writeTestLog(t, n), "pcap:" + pcapPath} {
-		t.Run(strings.Split(spec, ":")[0], func(t *testing.T) {
-			sp, err := ParseSpec(spec)
+	for _, row := range []struct {
+		spec string
+		n    int // datagrams in the stream; 0 for "whatever it holds"
+	}{
+		{"tail:" + logPath, n},
+		{"replay:" + logPath, n},
+		{"pcap:" + pcapPath, n},
+		{"synthetic:scale=0.02,days=2,seed=3", 0},
+	} {
+		t.Run(strings.Split(row.spec, ":")[0], func(t *testing.T) {
+			sp, err := ParseSpec(row.spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, _ := runSpec(t, sp, nil)
-			if len(full) != n {
-				t.Fatalf("full run: %d datagrams, want %d", len(full), n)
+			// A finite input is read to its end; a tail: input never
+			// ends, so it is read to its log's last datagram.
+			limit := math.MaxInt
+			if sp.Kind == KindTail {
+				limit = row.n
 			}
-			const k = 7
-			rest, _ := runSpec(t, sp, map[string]int64{sp.ID: full[k-1].Cursor})
-			if len(rest) != n-k {
-				t.Fatalf("resumed run: %d datagrams, want %d", len(rest), n-k)
+			full := takeSpec(t, sp, nil, limit)
+			if row.n != 0 && len(full) != row.n {
+				t.Fatalf("full run: %d datagrams, want %d", len(full), row.n)
 			}
-			if rest[0].At != full[k].At || rest[0].Cursor != full[k].Cursor {
-				t.Fatalf("resume misaligned: got (%v,%d), want (%v,%d)", rest[0].At, rest[0].Cursor, full[k].At, full[k].Cursor)
+			k := len(full) / 3
+			if k == 0 {
+				t.Fatalf("full run: %d datagrams, too few to resume inside", len(full))
+			}
+			rest := takeSpec(t, sp, map[string]int64{sp.ID: full[k-1].Cursor}, limit-k)
+			if len(rest) != len(full)-k {
+				t.Fatalf("resumed run: %d datagrams, want %d", len(rest), len(full)-k)
 			}
 			for i, it := range rest {
-				if it.Cursor != full[k+i].Cursor || it.Head().Seq != full[k+i].Head().Seq {
-					t.Fatalf("entry %d: cursor %d seq %d, want %d seq %d", i, it.Cursor, it.Head().Seq, full[k+i].Cursor, full[k+i].Head().Seq)
+				w := full[k+i]
+				if it.At != w.At || it.Cursor != w.Cursor || it.Head().Seq != w.Head().Seq {
+					t.Fatalf("entry %d: at %v cursor %d seq %d, want at %v cursor %d seq %d",
+						i, it.At, it.Cursor, it.Head().Seq, w.At, w.Cursor, w.Head().Seq)
 				}
 			}
 		})

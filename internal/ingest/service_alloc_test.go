@@ -7,6 +7,7 @@ package ingest_test
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -28,7 +29,10 @@ import (
 // the queue and the consumer's Process and Observe — over one sampled
 // day, written twice. The first copy warms the window up (every client
 // day and name it will hold); over the second, the service may allocate
-// at most 0.02 objects per datagram. No checkpoints, no scrapes.
+// at most 0.02 objects per datagram. No checkpoints, no scrapes. The
+// input's stream holds the second copy back until the baseline is read,
+// so the measurement covers exactly that copy however the consumer is
+// scheduled.
 func TestServiceAllocPerDatagram(t *testing.T) {
 	cfg := ecosystem.DefaultCampaignConfig(0.01)
 	cfg.Zones.ProceduralNames = 20_000
@@ -43,7 +47,7 @@ func TestServiceAllocPerDatagram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	datagrams := 0
+	datagrams, firstCopy := 0, 0
 	for range 2 {
 		for _, tr := range recs {
 			if err := lw.Add(tr.Rec, tr.Ingress); err != nil {
@@ -54,7 +58,7 @@ func TestServiceAllocPerDatagram(t *testing.T) {
 			t.Fatal(err)
 		}
 		if datagrams == 0 {
-			datagrams = countEntries(t, log.Bytes())
+			datagrams, firstCopy = countEntries(t, log.Bytes()), log.Len()
 		}
 	}
 	if total := countEntries(t, log.Bytes()); total != 2*datagrams {
@@ -68,8 +72,12 @@ func TestServiceAllocPerDatagram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	second := make(chan struct{})
 	svc := server.NewService(server.Config{
-		Inputs:          []ingest.Spec{sp},
+		Inputs: []ingest.Spec{sp},
+		WrapReader: func(_ string, r io.Reader) io.Reader {
+			return &gatedReader{r: r, left: int64(firstCopy), open: second}
+		},
 		TimeFromUptime:  true,
 		CheckpointEvery: -1,
 		Window:          server.WindowConfig{Days: 2, Refresh: simclock.Day},
@@ -92,6 +100,7 @@ func TestServiceAllocPerDatagram(t *testing.T) {
 	waitConsumed(uint64(datagrams))
 	runtime.ReadMemStats(&m0)
 	c0 := svc.Consumed()
+	close(second)
 	<-svc.Done()
 	runtime.ReadMemStats(&m1)
 	c1 := svc.Consumed()
@@ -103,6 +112,29 @@ func TestServiceAllocPerDatagram(t *testing.T) {
 	if per > 0.02 {
 		t.Errorf("the service allocates %.3f objects per datagram after warm-up, want ≤ 0.02", per)
 	}
+}
+
+// gatedReader hands out r's first left bytes, then blocks until open
+// is closed and passes the rest through.
+type gatedReader struct {
+	r    io.Reader
+	left int64 // bytes still to hand out before the gate; -1 once open
+	open chan struct{}
+}
+
+func (g *gatedReader) Read(p []byte) (int, error) {
+	if g.left == 0 {
+		<-g.open
+		g.left = -1
+	}
+	if g.left > 0 && int64(len(p)) > g.left {
+		p = p[:g.left]
+	}
+	n, err := g.r.Read(p)
+	if g.left > 0 {
+		g.left -= int64(n)
+	}
+	return n, err
 }
 
 // countEntries counts a datagram log's entries.

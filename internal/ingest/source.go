@@ -1,13 +1,14 @@
-// Source adapters: one runner per Spec kind, each a blocking read loop
-// driven by its supervisor. Every runner decodes into one reused
-// sflow.Datagram (ParseDatagramInto and the readers' NextInto) that
-// deliver copies into the run's chunk, so a datagram costs no heap
-// object. Runners report through the task handle —
-// recv/parseError/beat/deliver — and return nil when a finite input is
-// drained, or an error when the input failed (the supervisor decides
-// restart vs quarantine). A runner must be restartable: run is called
-// again after backoff with the cursor of the last datagram actually
-// delivered, and must not re-deliver anything at or before it.
+// Source adapters: two runners, each a blocking read loop driven by its
+// supervisor — one for UDP, one for every durable input (tail:,
+// replay:, pcap:, synthetic:), which reads its sflow.EntryReader. Both
+// decode into one reused sflow.Datagram (ParseDatagramInto and the
+// readers' NextInto) that deliver copies into the run's chunk, so a
+// datagram costs no heap object. Runners report through the task
+// handle — recv/parseError/beat/deliver — and return nil when a finite
+// input is drained, or an error when the input failed (the supervisor
+// decides restart vs quarantine). A runner must be restartable: run is
+// called again after backoff with the cursor of the last datagram
+// actually delivered, and must not re-deliver anything at or before it.
 package ingest
 
 import (
@@ -17,7 +18,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -35,16 +35,10 @@ type runner interface {
 }
 
 func newRunner(sp Spec, cfg *Config) runner {
-	switch sp.Kind {
-	case KindUDP:
+	if sp.Kind == KindUDP {
 		return &udpRunner{cfg: cfg, addr: sp.Addr}
-	case KindTail:
-		return &tailRunner{sp: sp, cfg: cfg}
-	case KindReplay, KindPCAP:
-		return &fileRunner{sp: sp, cfg: cfg}
-	default:
-		return &synthRunner{sp: sp, cfg: cfg}
 	}
+	return &durableRunner{sp: sp, cfg: cfg}
 }
 
 // sleepCtx sleeps d or until ctx is done; false means ctx ended first.
@@ -187,100 +181,35 @@ func (u *udpRunner) run(t *task, _ int64) error {
 	}
 }
 
-// tailRunner follows a growing datagram log through sflow.Tailer,
-// surviving rotation and truncation. The cursor is the byte offset
-// past the last delivered entry in the *current* file incarnation;
-// the epoch (Tailer.Reopens, offset by the supervisor's restart base)
-// tells the consumer when offsets stopped being comparable.
-type tailRunner struct {
+// durableRunner reads a tail:, replay:, pcap: or synthetic: input
+// through its sflow.EntryReader; only opening the reader differs by
+// kind. A tail: input follows its log (sflow.Tailer) and polls at the
+// end instead of completing; its epoch (Tailer.Reopens, offset by the
+// supervisor's restart base) tells the consumer when offsets stopped
+// being comparable. A synthetic: input batches its campaign's wire
+// stream, a pure function of (scale, seed, day), from a generator built
+// once and kept across restarts (construction dominates). The cursor is
+// the reader's Offset — bytes for a log, frames for pcap:, samples for
+// synthetic: — and a restart skips forward by reading, so what follows
+// carries the bytes and Seq numbers of a full run, and injected stream
+// faults see the same reads a fresh run would.
+type durableRunner struct {
 	sp  Spec
 	cfg *Config
+	gen *ecosystem.Generator // synthetic: the campaign, once built
 }
 
-func (r *tailRunner) run(t *task, cursor int64) error {
-	tl, err := sflow.NewTailer(r.sp.Path, cursor)
+func (r *durableRunner) run(t *task, cursor int64) error {
+	rd, closeInput, err := r.open(t, cursor)
 	if err != nil {
 		return err
 	}
-	defer tl.Close()
+	defer closeInput()
+	tl, follow := rd.(*sflow.Tailer)
 
-	pollMax := r.cfg.Tuning.StallAfter / 4
-	if pollMax > time.Second {
-		pollMax = time.Second
-	}
-	poll := r.cfg.Tuning.BackoffMin
-	if poll > pollMax {
-		poll = pollMax
-	}
-	pollMin := poll
-	var dg sflow.Datagram
-	for {
-		if t.ctx.Err() != nil {
-			return t.ctx.Err()
-		}
-		at, err := tl.NextInto(&dg)
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				t.beat() // idle at end of log, not stalled
-				if !sleepCtx(t.ctx, poll) {
-					return t.ctx.Err()
-				}
-				if poll *= 2; poll > pollMax {
-					poll = pollMax
-				}
-				continue
-			}
-			if errors.Is(err, sflow.ErrDatagram) {
-				t.recv()
-				t.parseError() // one bad body; the tailer resynced
-				continue
-			}
-			return err // framing gone, or the file went unreadable
-		}
-		poll = pollMin
-		t.recv()
-		if r.cfg.TimeFromUptime {
-			at = simclock.Time(dg.Uptime)
-		}
-		if !t.deliver(&dg, at, tl.Offset(), tl.Reopens()) {
-			return t.ctx.Err()
-		}
-	}
-}
-
-// fileRunner reads a capture file start to end through its format's
-// sflow.EntryReader — the reader the batch study's ingestion drains
-// too — and completes. The cursor is the reader's Offset past the last
-// delivered datagram (bytes consumed for replay:, frames for pcap:); a
-// restart skips forward by reading the (possibly fault-wrapped) stream,
-// so injected faults see the same reads a fresh run would.
-type fileRunner struct {
-	sp  Spec
-	cfg *Config
-}
-
-func (r *fileRunner) run(t *task, cursor int64) error {
-	f, err := os.Open(r.sp.Path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var src io.Reader = f
-	if r.cfg.WrapReader != nil {
-		src = r.cfg.WrapReader(r.sp.ID, src)
-	}
-	var rd sflow.EntryReader
-	if r.sp.Kind == KindPCAP {
-		rd, err = sflow.NewPCAPReader(src, r.sp.agent())
-	} else {
-		rd, err = sflow.NewLogReader(src)
-	}
-	if err != nil {
-		return err
-	}
-	if err := rd.SkipTo(cursor); err != nil {
-		return fmt.Errorf("ingest: %s: seeking to cursor %d: %w", r.sp.ID, cursor, err)
-	}
+	pollMax := min(r.cfg.Tuning.StallAfter/4, time.Second)
+	pollMin := min(r.cfg.Tuning.BackoffMin, pollMax)
+	poll := pollMin
 	var dg sflow.Datagram
 	for {
 		if t.ctx.Err() != nil {
@@ -288,6 +217,13 @@ func (r *fileRunner) run(t *task, cursor int64) error {
 		}
 		at, err := rd.NextInto(&dg)
 		switch {
+		case follow && (errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)):
+			t.beat() // idle at end of log, not stalled
+			if !sleepCtx(t.ctx, poll) {
+				return t.ctx.Err()
+			}
+			poll = min(poll*2, pollMax)
+			continue
 		case errors.Is(err, io.EOF):
 			return nil // drained
 		case errors.Is(err, io.ErrUnexpectedEOF):
@@ -297,77 +233,80 @@ func (r *fileRunner) run(t *task, cursor int64) error {
 			t.parseError() // one bad body; the reader resynced
 			continue
 		case err != nil:
-			return err // framing error or stream fault
+			return err // framing gone, a stream fault, or a cancelled generation
 		}
+		poll = pollMin
 		t.recv()
 		if r.cfg.TimeFromUptime {
 			at = simclock.Time(dg.Uptime)
 		}
-		if !t.deliver(&dg, at, rd.Offset(), 0) {
+		var epoch uint64
+		if follow {
+			epoch = tl.Reopens()
+		}
+		if !t.deliver(&dg, at, rd.Offset(), epoch) {
 			return t.ctx.Err()
 		}
 	}
 }
 
-// synthRunner generates sampled campaign traffic — the ecosystem
-// generator's wire-level day stream, arrival-ordered across midnights
-// and batched into datagrams — then completes. Generation is a pure
-// function of (scale, seed, day), so the cursor is a plain sample
-// count: restart regenerates and skips what was already delivered. The
-// campaign is built once and kept across restarts (construction
-// dominates).
-type synthRunner struct {
-	sp  Spec
-	cfg *Config
-	gen *ecosystem.Generator
+// open opens the input's reader for one run, resumed past cursor, and
+// what closes it.
+func (r *durableRunner) open(t *task, cursor int64) (sflow.EntryReader, func() error, error) {
+	var rd interface {
+		sflow.EntryReader
+		SkipTo(off int64) error
+	}
+	closeInput := func() error { return nil }
+	switch r.sp.Kind {
+	case KindTail:
+		tl, err := sflow.NewTailer(r.sp.Path, cursor)
+		if err != nil {
+			return nil, nil, err
+		}
+		return tl, tl.Close, nil
+	case KindSynthetic:
+		if r.gen == nil {
+			r.gen = syntheticGenerator(r.sp)
+		}
+		days := ecosystem.NewWireStream(simclock.MeasurementStart, r.sp.Days, func(day simclock.Time) ([]ecosystem.TaggedRecord, error) {
+			recs := r.gen.WireDay(day).IXP
+			t.beat() // a day generated is progress, delivered or skipped
+			return recs, t.ctx.Err()
+		})
+		rd = sflow.NewRecordReader(days, r.sp.agent(), sflow.DefaultRate)
+	default:
+		f, err := os.Open(r.sp.Path)
+		if err != nil {
+			return nil, nil, err
+		}
+		closeInput = f.Close
+		var src io.Reader = f
+		if r.cfg.WrapReader != nil {
+			src = r.cfg.WrapReader(r.sp.ID, src)
+		}
+		if r.sp.Kind == KindPCAP {
+			rd, err = sflow.NewPCAPReader(src, r.sp.agent())
+		} else {
+			rd, err = sflow.NewLogReader(src)
+		}
+		if err != nil {
+			f.Close()
+			return nil, nil, err
+		}
+	}
+	if err := rd.SkipTo(cursor); err != nil {
+		closeInput()
+		return nil, nil, fmt.Errorf("ingest: %s: seeking to cursor %d: %w", r.sp.ID, cursor, err)
+	}
+	return rd, closeInput, nil
 }
 
-func (r *synthRunner) run(t *task, cursor int64) error {
-	if r.gen == nil {
-		cfg := ecosystem.DefaultCampaignConfig(r.sp.Scale)
-		cfg.Zones.ProceduralNames = 20_000
-		cfg.Topology = topology.Config{Members: 24, ASesPerClass: 40, Seed: r.sp.Seed}
-		r.gen = ecosystem.NewGenerator(ecosystem.NewCampaign(cfg), r.sp.Seed)
-	}
-	b := sflow.Batcher{Agent: r.sp.agent(), Rate: sflow.DefaultRate}
-	var n int64 // samples batched so far
-	var dg sflow.Datagram
-	emit := func() bool {
-		at, ok := b.TakeInto(&dg)
-		if !ok || n <= cursor {
-			return true // nothing open, or delivered before a restart
-		}
-		t.recv()
-		return t.deliver(&dg, at, n, 0)
-	}
-	// recs holds, sorted, the records that ran past the last midnight (an
-	// event straddling it): they go out among the next day's.
-	var recs []ecosystem.TaggedRecord
-	day := simclock.MeasurementStart
-	for d := 0; d <= r.sp.Days; d++ {
-		if t.ctx.Err() != nil {
-			return t.ctx.Err()
-		}
-		if d < r.sp.Days {
-			recs = append(recs, r.gen.WireDay(day).IXP...)
-			slices.SortStableFunc(recs, func(a, b ecosystem.TaggedRecord) int {
-				return int(a.Rec.Time.Sub(b.Rec.Time))
-			})
-		}
-		day = day.Add(simclock.Day)
-		t.beat()
-		i := 0
-		for ; i < len(recs) && (d == r.sp.Days || recs[i].Rec.Time.Before(day)); i++ {
-			if b.Full(recs[i].Rec.Time) && !emit() {
-				return t.ctx.Err()
-			}
-			n++
-			b.Add(recs[i].Rec, recs[i].Ingress)
-		}
-		recs = recs[:copy(recs, recs[i:])]
-	}
-	if !emit() {
-		return t.ctx.Err()
-	}
-	return nil
+// syntheticGenerator builds a synthetic: input's campaign: 20 000
+// procedural names, 24 members and 40 ASes per class, seeded by sp.Seed.
+func syntheticGenerator(sp Spec) *ecosystem.Generator {
+	cfg := ecosystem.DefaultCampaignConfig(sp.Scale)
+	cfg.Zones.ProceduralNames = 20_000
+	cfg.Topology = topology.Config{Members: 24, ASesPerClass: 40, Seed: sp.Seed}
+	return ecosystem.NewGenerator(ecosystem.NewCampaign(cfg), sp.Seed)
 }

@@ -28,7 +28,7 @@ func TestSyntheticTimeOrderedAcrossMidnight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(cursor int64) ([]Item, *synthRunner) {
+	run := func(cursor int64) []Item {
 		s, err := New(Config{Specs: []Spec{sp}, Cursors: map[string]int64{sp.ID: cursor}})
 		if err != nil {
 			t.Fatal(err)
@@ -37,16 +37,17 @@ func TestSyntheticTimeOrderedAcrossMidnight(t *testing.T) {
 		if err := s.Start(); err != nil {
 			t.Fatal(err)
 		}
-		return drainAll(s), s.sups[0].run.(*synthRunner)
+		return drainAll(s)
 	}
-	items, r := run(0)
+	items := run(0)
 
 	// The input must spill, or the order check proves nothing.
+	gen := syntheticGenerator(sp)
 	spilled := 0
 	day := simclock.MeasurementStart
 	for d := 0; d < sp.Days-1; d++ {
 		next := day.Add(simclock.Day)
-		for _, tr := range r.gen.WireDay(day).IXP {
+		for _, tr := range gen.WireDay(day).IXP {
 			if !tr.Rec.Time.Before(next) {
 				spilled++
 			}
@@ -70,7 +71,7 @@ func TestSyntheticTimeOrderedAcrossMidnight(t *testing.T) {
 	}
 
 	mid := len(items) / 2
-	rest, _ := run(items[mid].Cursor)
+	rest := run(items[mid].Cursor)
 	want := items[mid+1:]
 	if len(rest) != len(want) {
 		t.Fatalf("restart at cursor %d delivered %d datagrams, want %d", items[mid].Cursor, len(rest), len(want))

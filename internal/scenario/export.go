@@ -2,8 +2,9 @@ package scenario
 
 import (
 	"bufio"
+	"errors"
+	"io"
 	"os"
-	"slices"
 
 	"dnsamp/internal/ecosystem"
 	"dnsamp/internal/pcap"
@@ -11,118 +12,97 @@ import (
 	"dnsamp/internal/simclock"
 )
 
-// WireRecords materializes the built scenario's complete frame-level
-// stream: the background generator's wire twin plus the scenario
-// overlay, sorted stably by capture time (a collector's log is
-// arrival-ordered; generation order is per-flow). Re-ingesting these
-// frames (source.IngestSFlowLog / IngestPCAP) reproduces the Built's
-// canonical batches as a row multiset, so detection scores are
+// WireDay is the built scenario's frames of one day: the background
+// generator's wire twin, then the scenario overlay. Re-ingesting them
+// (source.IngestSFlowLog / IngestPCAP) reproduces the Built's canonical
+// batch of that day as a row multiset, so detection scores are
 // identical — the generator's Day/WireDay equivalence plus the pure
 // per-day overlay guarantee it.
-func (bt *Built) WireRecords() []ecosystem.TaggedRecord {
-	var recs []ecosystem.TaggedRecord
-	bt.Env.P.Window().EachDay(func(day simclock.Time) {
-		recs = append(recs, bt.Env.Gen.WireDay(day).IXP...)
-		recs = append(recs, bt.plan.DayFrames(day)...)
+func (bt *Built) WireDay(day simclock.Time) []ecosystem.TaggedRecord {
+	return append(bt.Env.Gen.WireDay(day).IXP, bt.plan.DayFrames(day)...)
+}
+
+// WireStream streams the scenario window's frames in capture-time order
+// (a collector's log is arrival-ordered; generation order is per-flow).
+func (bt *Built) WireStream() *ecosystem.WireStream {
+	return ecosystem.NewWireStream(bt.Env.P.Window().Start, bt.Env.P.Days, func(day simclock.Time) ([]ecosystem.TaggedRecord, error) {
+		return bt.WireDay(day), nil
 	})
-	sortByTime(recs)
-	return recs
 }
 
 // ExportWire writes the scenario's wire stream to an sFlow v5 datagram
 // log and/or a classic pcap file (empty path = skip that format). It
 // returns the number of sampled frames written.
 func (bt *Built) ExportWire(sflowPath, pcapPath string) (int, error) {
-	return WriteWire(bt.WireRecords(), sflowPath, pcapPath)
+	return WriteWire(bt.WireStream(), sflowPath, pcapPath)
 }
 
-// CampaignWireRecords materializes the first `days` days of a full
-// campaign (attack events included) as the time-sorted frame stream —
-// the attackgen export path, shared here so the CLI stays a thin
-// wrapper.
-func CampaignWireRecords(c *ecosystem.Campaign, trafficSeed int64, days int) []ecosystem.TaggedRecord {
-	gen := ecosystem.NewGenerator(c, trafficSeed)
-	var recs []ecosystem.TaggedRecord
-	day := simclock.MeasurementStart
-	for d := 0; d < days; d++ {
-		recs = append(recs, gen.WireDay(day).IXP...)
-		day = day.Add(simclock.Day)
-	}
-	sortByTime(recs)
-	return recs
-}
-
-func sortByTime(recs []ecosystem.TaggedRecord) {
-	slices.SortStableFunc(recs, func(a, b ecosystem.TaggedRecord) int {
-		return int(a.Rec.Time.Sub(b.Rec.Time))
-	})
-}
-
-// WriteWire writes an already time-ordered record stream to the
-// requested capture formats and returns the frame count. The sFlow log
+// WriteWire writes a time-ordered record stream to the requested
+// capture formats as it reads it and returns the frame count. The sFlow log
 // carries ingress-port annotations; classic pcap cannot (re-ingesting a
 // pcap loses spoofed-ingress attribution, which does not affect
 // detection scores).
-func WriteWire(recs []ecosystem.TaggedRecord, sflowPath, pcapPath string) (int, error) {
-	var lw *sflow.LogWriter
-	var pw *pcap.Writer
+func WriteWire(src sflow.RecordSource, sflowPath, pcapPath string) (n int, err error) {
 	var closers []func() error
-	finish := func() error {
+	defer func() {
 		// Flush writers innermost-last: closers were appended
-		// file-then-buffer, so walk them in reverse.
+		// file-then-buffer, so walk them in reverse. Every file is
+		// closed; the first failure is the one reported.
 		for i := len(closers) - 1; i >= 0; i-- {
-			if err := closers[i](); err != nil {
-				return err
+			if cerr := closers[i](); err == nil {
+				err = cerr
 			}
 		}
-		return nil
-	}
-	if sflowPath != "" {
-		f, err := os.Create(sflowPath)
 		if err != nil {
-			return 0, err
+			n = 0
 		}
-		closers = append(closers, f.Close)
+	}()
+	create := func(path string) (io.Writer, error) {
+		f, err := os.Create(path)
+		if err != nil {
+			return nil, err
+		}
 		bw := bufio.NewWriter(f)
-		closers = append(closers, bw.Flush)
-		if lw, err = sflow.NewLogWriter(bw, [4]byte{192, 0, 2, 1}, sflow.DefaultRate); err != nil {
-			finish()
+		closers = append(closers, f.Close, bw.Flush)
+		return bw, nil
+	}
+	var lw *sflow.LogWriter
+	var pw *pcap.Writer
+	if sflowPath != "" {
+		w, err := create(sflowPath)
+		if err == nil {
+			lw, err = sflow.NewLogWriter(w, [4]byte{192, 0, 2, 1}, sflow.DefaultRate)
+		}
+		if err != nil {
 			return 0, err
 		}
 	}
 	if pcapPath != "" {
-		f, err := os.Create(pcapPath)
-		if err != nil {
-			finish()
-			return 0, err
+		w, err := create(pcapPath)
+		if err == nil {
+			pw, err = pcap.NewWriter(w, sflow.DefaultSnaplen)
 		}
-		closers = append(closers, f.Close)
-		bw := bufio.NewWriter(f)
-		closers = append(closers, bw.Flush)
-		if pw, err = pcap.NewWriter(bw, sflow.DefaultSnaplen); err != nil {
-			finish()
+		if err != nil {
 			return 0, err
 		}
 	}
-	for _, tr := range recs {
-		if lw != nil {
-			if err := lw.Add(tr.Rec, tr.Ingress); err != nil {
-				finish()
-				return 0, err
-			}
+	for ; ; n++ {
+		rec, ingress, err := src.Next()
+		if errors.Is(err, io.EOF) {
+			break
 		}
-		if pw != nil {
-			if err := pw.WritePacket(tr.Rec.Time, 0, tr.Rec.FrameLen, tr.Rec.Frame); err != nil {
-				finish()
-				return 0, err
-			}
+		if err == nil && lw != nil {
+			err = lw.Add(rec, ingress)
+		}
+		if err == nil && pw != nil {
+			err = pw.WritePacket(rec.Time, 0, rec.FrameLen, rec.Frame)
+		}
+		if err != nil {
+			return 0, err
 		}
 	}
 	if lw != nil {
-		if err := lw.Flush(); err != nil {
-			finish()
-			return 0, err
-		}
+		return n, lw.Flush()
 	}
-	return len(recs), finish()
+	return n, nil
 }

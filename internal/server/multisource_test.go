@@ -105,9 +105,10 @@ func countEntries(t *testing.T, path string) int {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var dg sflow.Datagram
 	n := 0
 	for {
-		if _, _, err := rd.NextEntry(); err != nil {
+		if _, err := rd.NextInto(&dg); err != nil {
 			if err == io.EOF {
 				return n
 			}

@@ -40,8 +40,8 @@ var ErrLog = errors.New("sflow: malformed datagram log")
 // second, at most maxBatchSamples samples, numbered from 1. Packing is
 // a pure function of the record sequence, so re-batching from the top
 // reproduces every boundary and Seq number, and a record count serves
-// as a resume cursor. LogWriter, PCAPReader and the service's synthetic
-// input all batch through it.
+// as a resume cursor. LogWriter and RecordReader (a pcap capture, a
+// campaign's wire records) both batch through it.
 type Batcher struct {
 	Agent [4]byte
 	Rate  uint32 // the sampling denominator every flow sample records

@@ -29,7 +29,7 @@ func pcapImage(tb testing.TB, frames, perSecond int) []byte {
 	return buf.Bytes()
 }
 
-// pcapEntry is one datagram a PCAPReader handed out, with Offset after it.
+// pcapEntry is one datagram a pcap RecordReader handed out, with Offset after it.
 type pcapEntry struct {
 	at  simclock.Time
 	dg  Datagram
@@ -38,18 +38,19 @@ type pcapEntry struct {
 
 // drainPCAP reads r to its end and returns what it handed out and the
 // error it ended with.
-func drainPCAP(r *PCAPReader) ([]pcapEntry, error) {
+func drainPCAP(r *RecordReader) ([]pcapEntry, error) {
 	var out []pcapEntry
 	for {
-		at, dg, err := r.NextEntry()
+		var dg Datagram
+		at, err := r.NextInto(&dg)
 		if err != nil {
 			return out, err
 		}
-		out = append(out, pcapEntry{at, *dg, r.Offset()})
+		out = append(out, pcapEntry{at, dg, r.Offset()})
 	}
 }
 
-// checkPCAPDatagrams holds a PCAPReader over raw to pcap.Reader: the
+// checkPCAPDatagrams holds a pcap RecordReader over raw to pcap.Reader: the
 // datagrams' samples, flattened, are the capture's packets in order up
 // to the first error, which both report; every datagram holds at most
 // maxBatchSamples samples of one arrival second, numbered on from 1;

@@ -14,13 +14,13 @@
 //
 // The package also carries the wire and disk forms of a collector's
 // feed: the sFlow v5 datagram codec (datagram.go), the datagram log and
-// its per-second Batcher (file.go), one EntryReader per capture format
-// (reader.go) and a Tailer that follows a log across growth, truncation
-// and rotation (tail.go). LogReader reads its input in 64 KiB chunks and
-// owns the resume cursor: Offset is the number of bytes consumed — the
-// boundary just past the last whole entry handed out — never the number
-// of bytes read, so a cursor means the same thing whatever the read
-// sizes were, and Tailer and the ingest runners persist it as is.
+// its per-second Batcher (file.go), the EntryReaders (reader.go) and a
+// Tailer that follows a log across growth, truncation and rotation
+// (tail.go). LogReader reads its input in 64 KiB chunks and owns the
+// resume cursor: Offset is the number of bytes consumed — the boundary
+// just past the last whole entry handed out — never the number of bytes
+// read, so a cursor means the same thing whatever the read sizes were,
+// and Tailer and the ingest runner persist it as is.
 package sflow
 
 import (

@@ -59,6 +59,7 @@ func (r *Replay) ingest(rd sflow.EntryReader, err error) (int, error) {
 		return 0, err
 	}
 	byDay := make(map[simclock.Time][]ecosystem.TaggedRecord)
+	var frames []byte // the buffered records' frames: AddFrames keeps none
 	n, buffered := 0, 0
 	flush := func() error {
 		for _, day := range slices.Sorted(maps.Keys(byDay)) {
@@ -68,12 +69,13 @@ func (r *Replay) ingest(rd sflow.EntryReader, err error) (int, error) {
 			n += len(byDay[day])
 			delete(byDay, day)
 		}
-		buffered = 0
+		frames, buffered = frames[:0], 0
 		return nil
 	}
+	var dg sflow.Datagram
 	var streamErr error
 	for {
-		at, dg, err := rd.NextEntry()
+		at, err := rd.NextInto(&dg)
 		if errors.Is(err, sflow.ErrDatagram) {
 			r.skipped++
 			continue
@@ -86,7 +88,9 @@ func (r *Replay) ingest(rd sflow.EntryReader, err error) (int, error) {
 		}
 		day := at.StartOfDay()
 		for _, fs := range dg.Samples {
-			rec := sflow.Record{Time: at, Frame: fs.Header, FrameLen: int(fs.FrameLen), Seq: uint64(fs.Seq)}
+			frames = append(frames, fs.Header...)
+			frame := frames[len(frames)-len(fs.Header) : len(frames) : len(frames)]
+			rec := sflow.Record{Time: at, Frame: frame, FrameLen: int(fs.FrameLen), Seq: uint64(fs.Seq)}
 			byDay[day] = append(byDay[day], ecosystem.TaggedRecord{Rec: rec, Ingress: fs.Input})
 		}
 		if buffered += len(dg.Samples); buffered >= ingestChunk {

@@ -1,9 +1,11 @@
 #!/bin/sh
 # Non-test Go lines (blank and comment lines included) outside bench/,
 # per top-level package and in total: the "net LOC of non-test code"
-# every PR reports (ROADMAP aim 2). Run from anywhere; `make loc`.
+# every PR reports (ROADMAP aim 2). Counts the tree at DIR, by default
+# this repository. Run from anywhere; `make loc`.
+#   usage: loc.sh [DIR]
 set -eu
-cd "$(dirname "$0")/.."
+cd "${1:-$(dirname "$0")/..}"
 
 find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' -exec wc -l {} + |
     awk '$2 != "total" {
