@@ -68,7 +68,7 @@ bench-pairs:
 
 # Fuzz smoke: short coverage-guided runs of the byte-level parsers
 # (DNS wire format, sFlow v5 datagrams, pcap records, the checkpoint
-# decoder), of the pcap datagram reader against the pcap reader (same
+# and batch-snapshot decoders, input specs and their IDs), of the pcap datagram reader against the pcap reader (same
 # packets, per-second batches, resumable cursors), of the sample
 # scanner against the parser, of the bounded
 # selector ranking against the full-sort reference, of the aggregator
@@ -89,6 +89,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTable -fuzztime 10s ./internal/names
 	$(GO) test -run '^$$' -fuzz FuzzZipf -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzOpenSnapshot -fuzztime 10s ./internal/source
+	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/ingest
 
 # Daemon smoke: service-mode ixpmon fed a generated sFlow log over
 # UDP (-listen) and then through -tail must serve a well-formed
@@ -126,10 +128,13 @@ chaos-smoke:
 # contrast expectations must hold. A detector change that shifts any
 # precision/recall/time-to-detect cell fails the diff; regenerate the
 # golden deliberately with `go test ./internal/eval -run Golden -update`.
+# The table goes to a mktemp file (set TMPDIR to move it), removed after
+# the diff.
 eval-smoke:
+	out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
 	$(GO) run ./cmd/evalrun -days 6 -scale 0.03 -procedural-names 20000 \
-		-campaign-seed 1 -traffic-seed 11 -seed 42 -out /tmp/eval_head.txt
-	diff -u internal/eval/testdata/golden_catalog.txt /tmp/eval_head.txt
+		-campaign-seed 1 -traffic-seed 11 -seed 42 -out "$$out" && \
+	diff -u internal/eval/testdata/golden_catalog.txt "$$out"
 	$(GO) test -count=1 -run 'TestGoldenExpectations' ./internal/eval/
 
 fmt:

@@ -73,12 +73,7 @@ func (ag *Aggregator) WriteSnapshot(e *binenc.Encoder) {
 // decoder's sentinel space, never a panic.
 func (ag *Aggregator) ReadSnapshot(d *binenc.Decoder) error {
 	ag.trackAll = d.Bool()
-	if n := d.Count(1); n > 0 {
-		ag.tracked = make([]bool, n)
-		for i := range ag.tracked {
-			ag.tracked[i] = d.Bool()
-		}
-	}
+	ag.tracked = binenc.Slice(d, d.Count(1), d.Bool)
 
 	ag.Samples = int(d.I64())
 	ag.Requests = int(d.I64())
@@ -88,14 +83,9 @@ func (ag *Aggregator) ReadSnapshot(d *binenc.Decoder) error {
 
 	// A NameStats entry costs 24 bytes; a client-day slot at least 64
 	// (4+8 key, 6×8 fields, 4 tracked count).
-	nNames := d.Count(24)
-	ag.names = make([]NameStats, nNames)
-	for i := range ag.names {
-		ns := &ag.names[i]
-		ns.MaxSize = int(d.I64())
-		ns.ANYPackets = int(d.I64())
-		ns.Packets = int(d.I64())
-	}
+	ag.names = binenc.Slice(d, d.Count(24), func() NameStats {
+		return NameStats{MaxSize: int(d.I64()), ANYPackets: int(d.I64()), Packets: int(d.I64())}
+	})
 	if len(ag.names) > 0 && ag.Table.Len() < len(ag.names) {
 		return fmt.Errorf("core: snapshot has %d name entries but the table holds %d names", len(ag.names), ag.Table.Len())
 	}

@@ -66,8 +66,8 @@ func roundTrip(t *testing.T, ag *Aggregator) *Aggregator {
 	if err := got.ReadSnapshot(d); err != nil {
 		t.Fatalf("ReadSnapshot: %v", err)
 	}
-	if d.Remaining() != 0 {
-		t.Fatalf("%d trailing snapshot bytes", d.Remaining())
+	if err := d.Finish(); err != nil {
+		t.Fatalf("after the snapshot: %v", err)
 	}
 	return got
 }

@@ -350,7 +350,7 @@ func (c *Campaign) generateEntityEvents() {
 				QName:      name,
 				QType:      dnswire.TypeANY,
 				Amplifiers: amps,
-				ReqPerAmp:  maxInt(1, vol/maxInt(1, len(amps))),
+				ReqPerAmp:  max(1, vol/max(1, len(amps))),
 				ReqIPTTL:   250,
 				SrcPort:    uint16(1024 + c.rng.Intn(60000)),
 			}
@@ -522,7 +522,7 @@ func (c *Campaign) scheduleIndependent(attackers []*independentAttacker, total i
 			QName:      qname,
 			QType:      dnswire.TypeANY,
 			Amplifiers: amps,
-			ReqPerAmp:  maxInt(1, vol/maxInt(1, n)),
+			ReqPerAmp:  max(1, vol/max(1, n)),
 			ReqIPTTL:   uint8(40 + c.rng.Intn(200)),
 			SrcPort:    uint16(1024 + c.rng.Intn(60000)),
 		}
@@ -594,7 +594,7 @@ func (c *Campaign) generateFixedListEvents() {
 			Duration: c.attackDuration(),
 			QName:    "nask.pl.", QType: dnswire.TypeANY,
 			Amplifiers: append([]int(nil), alphaList...),
-			ReqPerAmp:  maxInt(1, c.fixedListVolume()/30),
+			ReqPerAmp:  max(1, c.fixedListVolume()/30),
 			ReqIPTTL:   120, SrcPort: uint16(1024 + c.rng.Intn(60000)),
 		})
 	}
@@ -620,7 +620,7 @@ func (c *Campaign) generateFixedListEvents() {
 			Duration: c.attackDuration(),
 			QName:    "nic.cz.", QType: dnswire.TypeANY,
 			Amplifiers: append([]int(nil), betaList...),
-			ReqPerAmp:  maxInt(1, c.fixedListVolume()/len(betaList)),
+			ReqPerAmp:  max(1, c.fixedListVolume()/len(betaList)),
 			ReqIPTTL:   110, SrcPort: uint16(1024 + c.rng.Intn(60000)),
 		})
 	}
@@ -645,7 +645,7 @@ func (c *Campaign) generateFixedListEvents() {
 				Duration: c.attackDuration(),
 				QName:    name, QType: dnswire.TypeANY,
 				Amplifiers: append([]int(nil), list...),
-				ReqPerAmp:  maxInt(1, c.fixedListVolume()/maxInt(1, len(list))),
+				ReqPerAmp:  max(1, c.fixedListVolume()/max(1, len(list))),
 				ReqIPTTL:   uint8(40 + c.rng.Intn(200)),
 				SrcPort:    uint16(1024 + c.rng.Intn(60000)),
 			})
@@ -699,13 +699,6 @@ func poisson(rng *rand.Rand, lambda float64) int {
 		}
 		k++
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func clampInt(v, lo, hi int) int {

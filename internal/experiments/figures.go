@@ -528,10 +528,3 @@ func meanClusterSpread(cl *analysis.ClusteringResult) float64 {
 	}
 	return sum / float64(n)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -315,7 +315,6 @@ type Config struct {
 type Item struct {
 	// SourceID is the Spec.ID of the source that produced it.
 	SourceID string
-	Kind     Kind
 	// Durable mirrors Spec.Durable: a durable item must be flow-
 	// controlled, not shed.
 	Durable bool

@@ -20,8 +20,10 @@ import (
 	"dnsamp/internal/simclock"
 )
 
-func TestParseSpec(t *testing.T) {
-	cases := []struct {
+// specCases are accepted specs with their IDs and kinds; badSpecs are
+// refused.
+var (
+	specCases = []struct {
 		in   string
 		id   string
 		kind Kind
@@ -35,7 +37,15 @@ func TestParseSpec(t *testing.T) {
 		{"synthetic:scale=0.1,seed=3", "synthetic:scale=0.1,days=1,seed=3", KindSynthetic},
 		{" tail:x ", "tail:x", KindTail},
 	}
-	for _, c := range cases {
+	badSpecs = []string{
+		"", "x", "udp://nope", "tail:", "ftp:whatever",
+		"synthetic:scale=-1", "synthetic:bogus=1", "synthetic:days=0",
+		"synthetic:scale=NaN", "synthetic:scale=Inf", "synthetic:scale=1e308",
+	}
+)
+
+func TestParseSpec(t *testing.T) {
+	for _, c := range specCases {
 		sp, err := ParseSpec(c.in)
 		if err != nil {
 			t.Fatalf("ParseSpec(%q): %v", c.in, err)
@@ -49,15 +59,36 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("ParseSpec(%q) not a fixpoint: %+v, %v", sp.ID, sp2, err)
 		}
 	}
-	for _, bad := range []string{
-		"", "x", "udp://nope", "tail:", "ftp:whatever",
-		"synthetic:scale=-1", "synthetic:bogus=1", "synthetic:days=0",
-		"synthetic:scale=NaN", "synthetic:scale=Inf", "synthetic:scale=1e308",
-	} {
+	for _, bad := range badSpecs {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q): expected error", bad)
 		}
 	}
+}
+
+// FuzzParseSpec: ParseSpec never panics, and an accepted spec re-parses
+// from its ID to an equal Spec — the ID is the key a checkpoint stores
+// the input's cursor under, so a resume must find the same input there.
+func FuzzParseSpec(f *testing.F) {
+	for _, c := range specCases {
+		f.Add(c.in)
+	}
+	for _, bad := range badSpecs {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sp, err := ParseSpec(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseSpec(sp.ID)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) accepted, but its ID %q is refused: %v", s, sp.ID, err)
+		}
+		if back != sp {
+			t.Fatalf("ParseSpec(%q) = %+v, but its ID re-parses to %+v", s, sp, back)
+		}
+	})
 }
 
 func TestParseSpecs(t *testing.T) {

@@ -470,7 +470,6 @@ func (t *task) deliver(dg *sflow.Datagram, at simclock.Time, cursor int64, relEp
 	epoch := t.epochBase + relEpoch
 	it := Item{
 		SourceID: sv.spec.ID,
-		Kind:     sv.spec.Kind,
 		Durable:  sv.spec.Durable(),
 		Ref:      ref,
 		At:       at,

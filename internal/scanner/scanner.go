@@ -45,7 +45,6 @@ type History struct {
 
 // Index is the full simulated scan database.
 type Index struct {
-	cfg  Config
 	hist map[netip.Addr]History
 }
 
@@ -54,7 +53,7 @@ type Index struct {
 // horizon (2016) so that first-seen dates predate the campaign.
 func Build(cfg Config, pool *ecosystem.Pool, window simclock.Window) *Index {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	idx := &Index{cfg: cfg, hist: make(map[netip.Addr]History, pool.Len())}
+	idx := &Index{hist: make(map[netip.Addr]History, pool.Len())}
 	for i := 0; i < pool.Len(); i++ {
 		a := pool.Get(i)
 		if rng.Float64() >= cfg.CoverageProb {

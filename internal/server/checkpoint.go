@@ -108,7 +108,7 @@ func (w *Window) writeSnapshot(e *binenc.Encoder) {
 func (w *Window) readSnapshot(d *binenc.Decoder) error {
 	nStrs := d.Count(4)
 	tab := w.agg.Table
-	tab.Reserve(nStrs)
+	tab.Reserve(d.Cap(nStrs, 16))
 	for i := 0; i < nStrs; i++ {
 		// A fresh table interns sequentially, so IDs are reproduced
 		// exactly and the aggregator snapshot's name IDs stay valid —
@@ -142,15 +142,13 @@ func (w *Window) readSnapshot(d *binenc.Decoder) error {
 	w.detDropped = d.U64()
 
 	nList := d.Count(4)
-	w.names = make(map[string]bool, nList)
+	w.names = binenc.Map[string, bool](d, nList)
 	for i := 0; i < nList && d.Err() == nil; i++ {
 		w.names[d.Str()] = true
 	}
 
 	// A detection entry costs 4 + 6×8 = 52 bytes.
-	nDet := d.Count(52)
-	w.detections = make([]*core.Detection, 0, nDet)
-	for i := 0; i < nDet && d.Err() == nil; i++ {
+	w.detections = binenc.Slice(d, d.Count(52), func() *core.Detection {
 		det := &core.Detection{}
 		copy(det.Victim[:], d.Raw(4))
 		det.Day = int(d.I64())
@@ -159,8 +157,8 @@ func (w *Window) readSnapshot(d *binenc.Decoder) error {
 		det.Share = d.F64()
 		det.First = simclock.Time(d.I64())
 		det.Last = simclock.Time(d.I64())
-		w.detections = append(w.detections, det)
-	}
+		return det
+	})
 
 	st := &w.cp.Stats
 	for _, p := range []*int{&st.Frames, &st.NonUDP, &st.NonDNS, &st.Malformed, &st.Accepted, &st.OriginMapped, &st.PeerMapped} {
@@ -342,11 +340,8 @@ func (s *Service) decodeCheckpoint(raw []byte) error {
 		s.health.sampledOut.Store(d.U64())
 		s.health.shedAll.Store(d.U64())
 	}
-	if err := d.Err(); err != nil {
+	if err := d.Finish(); err != nil {
 		return err
-	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCheckpoint, d.Remaining())
 	}
 	return s.adoptSingleInput(tailOff)
 }

@@ -433,7 +433,7 @@ func BenchmarkHandoff(b *testing.B) {
 				for i := range run[:n] {
 					dg.Seq = uint32(sent + 1)
 					run[i] = ingest.Item{
-						SourceID: "replay:bench", Kind: ingest.KindReplay, Durable: true,
+						SourceID: "replay:bench", Durable: true,
 						Ref: w.Append(dg), At: simclock.MeasurementStart, Cursor: int64(sent + 1),
 					}
 					sent++

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"dnsamp/internal/ingest"
@@ -20,14 +19,6 @@ type sourceKey struct {
 	src      string
 	agent    [4]byte
 	subAgent uint32
-}
-
-func (k sourceKey) String() string {
-	base := fmt.Sprintf("%d.%d.%d.%d/%d", k.agent[0], k.agent[1], k.agent[2], k.agent[3], k.subAgent)
-	if k.src == "" {
-		return base
-	}
-	return k.src + "|" + base
 }
 
 // SourceStats is the externally visible per-collector accounting row:

@@ -122,10 +122,3 @@ func TestAccountRateSummary(t *testing.T) {
 		t.Fatalf("only %d rate changes: the case proves little", want.RateChanges)
 	}
 }
-
-func TestSourceKeyString(t *testing.T) {
-	k := sourceKey{agent: [4]byte{192, 0, 2, 7}, subAgent: 3}
-	if got := k.String(); got != "192.0.2.7/3" {
-		t.Fatalf("key string = %q", got)
-	}
-}

@@ -377,8 +377,8 @@ func restoreWindow(t *testing.T, cfg WindowConfig, snap []byte) *Window {
 	if err := w.readSnapshot(d); err != nil {
 		t.Fatalf("readSnapshot: %v", err)
 	}
-	if d.Remaining() != 0 {
-		t.Fatalf("%d trailing snapshot bytes", d.Remaining())
+	if err := d.Finish(); err != nil {
+		t.Fatalf("after the snapshot: %v", err)
 	}
 	return w
 }

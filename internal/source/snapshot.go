@@ -130,32 +130,17 @@ func (r *Replay) WriteSnapshot(w io.Writer) error {
 	return e.Flush()
 }
 
-// allocCap bounds the up-front capacity of a snapshot column or table:
-// a claimed element count only guides preallocation up to this limit,
-// and larger claims grow by append as elements actually arrive off the
-// stream — so a corrupt count costs at most the bytes the input really
-// contains, never the memory it promises.
-const allocCap = 1 << 16
-
-// cappedCap is the initial capacity for a slice expecting n elements.
-func cappedCap(n int) int {
-	if n > allocCap {
-		return allocCap
-	}
-	return n
-}
-
 // OpenSnapshot reads a snapshot produced by WriteSnapshot and rebuilds
 // the Replay: a fresh interning table with the recorded ID order, and
-// per-day batches the replay owns. The input is decoded as a stream —
-// a multi-gigabyte snapshot is never buffered wholesale — and malformed
-// input (truncation, a bad magic, inconsistent counts) yields an
+// per-day batches the replay owns. The input is decoded from the reader
+// — a multi-gigabyte snapshot is never buffered wholesale — and every
+// claimed count is allocated by binenc's rule, so a corrupt count costs
+// at most the bytes the input really contains. Malformed input
+// (truncation, a bad magic, inconsistent counts) yields an
 // ErrSnapshot-wrapped error, never a panic.
 func OpenSnapshot(rd io.Reader) (*Replay, error) {
-	d := binenc.NewStreamDecoder(rd, ErrSnapshot)
-	var magic [8]byte
-	d.RawInto(magic[:])
-	if d.Err() == nil && magic != snapMagic {
+	d := binenc.NewReaderDecoder(rd, ErrSnapshot)
+	if m := d.Raw(8); m != nil && [8]byte(m) != snapMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrSnapshot)
 	}
 	if v := d.U32(); d.Err() == nil && v != snapVersion {
@@ -164,17 +149,21 @@ func OpenSnapshot(rd io.Reader) (*Replay, error) {
 
 	nNames := d.Count(4) // a name costs at least its u32 length prefix
 	tab := names.NewTable()
-	tab.Reserve(cappedCap(nNames))
+	tab.Reserve(d.Cap(nNames, 16))
 	for i := 0; i < nNames && d.Err() == nil; i++ {
-		s := d.Str()
+		s := d.StrBytes()
 		if d.Err() != nil {
 			break
 		}
-		if id := tab.Intern(s); int(id) != i {
+		if id := tab.InternBytes(s); int(id) != i {
 			return nil, fmt.Errorf("%w: duplicate table name at ID %d", ErrSnapshot, i)
 		}
 	}
 
+	addr4 := func() (a [4]byte) {
+		copy(a[:], d.Raw(4))
+		return a
+	}
 	r := NewReplay(tab)
 	nDays := d.Count(13)
 	for i := 0; i < nDays && d.Err() == nil; i++ {
@@ -191,100 +180,45 @@ func OpenSnapshot(rd io.Reader) (*Replay, error) {
 			// 2 qtype, 2 txid, 4 size, 2 ancount, 2 visibleNS,
 			// 4 ingress).
 			n := d.Count(44)
-			if d.Err() != nil {
-				break
-			}
 			b.N = n
-			b.Time = make([]simclock.Time, 0, cappedCap(n))
-			for j := 0; j < n && d.Err() == nil; j++ {
-				b.Time = append(b.Time, simclock.Time(d.I64()))
-			}
-			b.Src = make([][4]byte, 0, cappedCap(n))
-			for j := 0; j < n && d.Err() == nil; j++ {
-				var a [4]byte
-				d.RawInto(a[:])
-				b.Src = append(b.Src, a)
-			}
-			b.Dst = make([][4]byte, 0, cappedCap(n))
-			for j := 0; j < n && d.Err() == nil; j++ {
-				var a [4]byte
-				d.RawInto(a[:])
-				b.Dst = append(b.Dst, a)
-			}
-			b.SrcPort = make([]uint16, 0, cappedCap(n))
-			for j := 0; j < n && d.Err() == nil; j++ {
-				b.SrcPort = append(b.SrcPort, d.U16())
-			}
-			b.DstPort = make([]uint16, 0, cappedCap(n))
-			for j := 0; j < n && d.Err() == nil; j++ {
-				b.DstPort = append(b.DstPort, d.U16())
-			}
-			b.IPTTL = make([]uint8, 0, cappedCap(n))
-			for j := 0; j < n && d.Err() == nil; j++ {
-				b.IPTTL = append(b.IPTTL, d.U8())
-			}
-			b.IPID = make([]uint16, 0, cappedCap(n))
-			for j := 0; j < n && d.Err() == nil; j++ {
-				b.IPID = append(b.IPID, d.U16())
-			}
-			b.Resp = make([]bool, 0, cappedCap(n))
-			for j := 0; j < n && d.Err() == nil; j++ {
-				b.Resp = append(b.Resp, d.Bool())
-			}
-			b.Name = make([]uint32, 0, cappedCap(n))
-			for j := 0; j < n && d.Err() == nil; j++ {
+			b.Time = binenc.Slice(d, n, func() simclock.Time { return simclock.Time(d.I64()) })
+			b.Src = binenc.Slice(d, n, addr4)
+			b.Dst = binenc.Slice(d, n, addr4)
+			b.SrcPort = binenc.Slice(d, n, d.U16)
+			b.DstPort = binenc.Slice(d, n, d.U16)
+			b.IPTTL = binenc.Slice(d, n, d.U8)
+			b.IPID = binenc.Slice(d, n, d.U16)
+			b.Resp = binenc.Slice(d, n, d.Bool)
+			b.Name = binenc.Slice(d, n, func() uint32 {
 				id := d.U32()
-				if d.Err() == nil && int(id) >= tab.Len() {
-					return nil, fmt.Errorf("%w: name ID %d outside the %d-entry table", ErrSnapshot, id, tab.Len())
+				if int(id) >= tab.Len() {
+					d.Fail("name ID %d outside the %d-entry table", id, tab.Len())
 				}
-				b.Name = append(b.Name, id)
-			}
-			b.QType = make([]dnswire.Type, 0, cappedCap(n))
-			for j := 0; j < n && d.Err() == nil; j++ {
-				b.QType = append(b.QType, dnswire.Type(d.U16()))
-			}
-			b.TXID = make([]uint16, 0, cappedCap(n))
-			for j := 0; j < n && d.Err() == nil; j++ {
-				b.TXID = append(b.TXID, d.U16())
-			}
-			b.MsgSize = make([]int32, 0, cappedCap(n))
-			for j := 0; j < n && d.Err() == nil; j++ {
-				b.MsgSize = append(b.MsgSize, int32(d.U32()))
-			}
-			b.ANCount = make([]uint16, 0, cappedCap(n))
-			for j := 0; j < n && d.Err() == nil; j++ {
-				b.ANCount = append(b.ANCount, d.U16())
-			}
-			b.VisibleNS = make([]uint16, 0, cappedCap(n))
-			for j := 0; j < n && d.Err() == nil; j++ {
-				b.VisibleNS = append(b.VisibleNS, d.U16())
-			}
-			b.Ingress = make([]uint32, 0, cappedCap(n))
-			for j := 0; j < n && d.Err() == nil; j++ {
-				b.Ingress = append(b.Ingress, d.U32())
-			}
+				return id
+			})
+			b.QType = binenc.Slice(d, n, func() dnswire.Type { return dnswire.Type(d.U16()) })
+			b.TXID = binenc.Slice(d, n, d.U16)
+			b.MsgSize = binenc.Slice(d, n, func() int32 { return int32(d.U32()) })
+			b.ANCount = binenc.Slice(d, n, d.U16)
+			b.VisibleNS = binenc.Slice(d, n, d.U16)
+			b.Ingress = binenc.Slice(d, n, d.U32)
 		}
 		// A sensor flow costs at least 49 bytes (8 sensor, 1 addr tag,
 		// 8+8 start/duration, 8 count, 4 qname prefix, 2+2 qtype/txid,
 		// 8 event ID).
-		nSens := d.Count(49)
-		var sensors []ecosystem.SensorFlow
-		if nSens > 0 {
-			sensors = make([]ecosystem.SensorFlow, 0, cappedCap(nSens))
-		}
-		for j := 0; j < nSens && d.Err() == nil; j++ {
-			var sf ecosystem.SensorFlow
-			sf.Sensor = int(d.I64())
-			sf.Victim = d.Addr()
-			sf.Start = simclock.Time(d.I64())
-			sf.Duration = simclock.Duration(d.I64())
-			sf.Count = int(d.I64())
-			sf.QName = d.Str()
-			sf.QType = dnswire.Type(d.U16())
-			sf.TXID = d.U16()
-			sf.EventID = int(d.I64())
-			sensors = append(sensors, sf)
-		}
+		sensors := binenc.Slice(d, d.Count(49), func() ecosystem.SensorFlow {
+			return ecosystem.SensorFlow{
+				Sensor:   int(d.I64()),
+				Victim:   d.Addr(),
+				Start:    simclock.Time(d.I64()),
+				Duration: simclock.Duration(d.I64()),
+				Count:    int(d.I64()),
+				QName:    d.Str(),
+				QType:    dnswire.Type(d.U16()),
+				TXID:     d.U16(),
+				EventID:  int(d.I64()),
+			}
+		})
 		if d.Err() != nil {
 			break
 		}
@@ -296,9 +230,8 @@ func OpenSnapshot(rd io.Reader) (*Replay, error) {
 		// later AddFrames may keep accumulating into them.
 		r.byDay[day.StartOfDay()].owned = b != nil
 	}
-	d.ExpectEOF()
-	if d.Err() != nil {
-		return nil, d.Err()
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return r, nil
 }

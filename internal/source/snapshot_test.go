@@ -2,10 +2,12 @@ package source_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"dnsamp/internal/dnswire"
@@ -14,6 +16,7 @@ import (
 	"dnsamp/internal/names"
 	"dnsamp/internal/simclock"
 	"dnsamp/internal/source"
+	"dnsamp/internal/topology"
 )
 
 // randomReplay builds a replay with randomized batches, counters, and
@@ -175,5 +178,91 @@ func TestSnapshotCorruption(t *testing.T) {
 	copy(mut[8+4:], []byte{0xff, 0xff, 0xff, 0xff}) // name count
 	if _, err := source.OpenSnapshot(bytes.NewReader(mut)); !errors.Is(err, source.ErrSnapshot) {
 		t.Fatalf("absurd count: err = %v, want ErrSnapshot", err)
+	}
+}
+
+// claimRows is a 65-byte snapshot whose one day claims n batch rows
+// and carries none of them.
+func claimRows(n uint32) []byte {
+	b := append([]byte("dnsampSS"), 1, 0, 0, 0) // magic, version 1
+	b = binary.LittleEndian.AppendUint32(b, 0)  // no names
+	b = binary.LittleEndian.AppendUint32(b, 1)  // one day
+	b = binary.LittleEndian.AppendUint64(b, uint64(simclock.MeasurementStart))
+	b = append(b, 1)                   // with a batch
+	b = append(b, make([]byte, 32)...) // its four counters
+	return binary.LittleEndian.AppendUint32(b, n)
+}
+
+func snapshotBytes(tb testing.TB, r *source.Replay) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := r.WriteSnapshot(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzOpenSnapshot holds the snapshot decoder to the contract of
+// internal/binenc: any bytes decode without a panic and allocate no
+// more than the bytes present justify (FuzzLoadCheckpoint's bound), and
+// an accepted snapshot re-encodes to bytes that open again and
+// re-encode identically. The seeds are a Record of one synthetic day
+// taken off the wire, so its table holds only the names the day
+// carries (a Record of a Synthetic holds the generator's whole
+// 200 000-name table, 3.9 MB, which the fuzzer would spend its time
+// minimizing), cuts of it, a random replay with sensor flows and a
+// batch-less day, and a snapshot claiming 2^20 rows it does not carry.
+func FuzzOpenSnapshot(f *testing.F) {
+	cfg := ecosystem.DefaultCampaignConfig(0.0002)
+	cfg.Zones.ProceduralNames = 20_000
+	cfg.Topology = topology.Config{Members: 24, ASesPerClass: 40, Seed: 1}
+	day := simclock.MeasurementStart
+	wd := ecosystem.NewGenerator(ecosystem.NewCampaign(cfg), 7).WireDay(day)
+	wire := source.NewReplay(nil)
+	if err := wire.AddFrames(day, wd.IXP, wd.Sensors); err != nil {
+		f.Fatal(err)
+	}
+	rec := snapshotBytes(f, source.Record(wire))
+	f.Add(rec)
+	for _, cut := range []int{12, len(rec) / 2, len(rec) - 1} {
+		f.Add(rec[:cut])
+	}
+	f.Add(snapshotBytes(f, randomReplay(rand.New(rand.NewSource(3)))))
+	f.Add(claimRows(1 << 20))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		r, err := source.OpenSnapshot(bytes.NewReader(raw))
+		runtime.ReadMemStats(&m1)
+		if grew, bound := m1.TotalAlloc-m0.TotalAlloc, 64*uint64(len(raw))+64<<10; grew > bound {
+			t.Fatalf("decoding %d bytes allocated %d, over the %d they justify", len(raw), grew, bound)
+		}
+		if err != nil {
+			if !errors.Is(err, source.ErrSnapshot) {
+				t.Fatalf("err = %v, want ErrSnapshot", err)
+			}
+			return
+		}
+		first := snapshotBytes(t, r)
+		again, err := source.OpenSnapshot(bytes.NewReader(first))
+		if err != nil {
+			t.Fatalf("a re-encoded snapshot does not open: %v", err)
+		}
+		if second := snapshotBytes(t, again); !bytes.Equal(first, second) {
+			t.Fatal("re-encoding is not canonical: an opened snapshot encodes differently a second time")
+		}
+	})
+}
+
+// BenchmarkOpenSnapshot is the snapshot decoder's layer guard: five
+// recorded synthetic days, opened from memory through the reader path.
+func BenchmarkOpenSnapshot(b *testing.B) {
+	raw := snapshotBytes(b, source.Record(source.NewSynthetic(ecosystem.NewGenerator(tinyCampaign(b), 7), testWindow())))
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := source.OpenSnapshot(bytes.NewReader(raw)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

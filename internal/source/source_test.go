@@ -13,7 +13,7 @@ import (
 )
 
 // tinyCampaign builds a small deterministic campaign for source tests.
-func tinyCampaign(t *testing.T) *ecosystem.Campaign {
+func tinyCampaign(t testing.TB) *ecosystem.Campaign {
 	t.Helper()
 	cfg := ecosystem.DefaultCampaignConfig(0.01)
 	cfg.Zones.ProceduralNames = 20_000

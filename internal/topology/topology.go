@@ -86,7 +86,7 @@ func Generate(cfg Config) *Topology {
 		rt:   newRouteTable(),
 		cone: make(map[uint32]uint32),
 	}
-	alloc := newPrefixAllocator(rng)
+	alloc := newPrefixAllocator()
 
 	nextASN := uint32(100)
 	newAS := func(typ ASType, member bool, prefixes int, plen int) *AS {
@@ -270,14 +270,13 @@ func (rt *routeTable) lookup(addr netip.Addr) uint32 {
 // prefixAllocator hands out disjoint prefixes from 10.0.0.0/8 upward
 // through several private-ish /8s, enough space for simulation scale.
 type prefixAllocator struct {
-	rng    *rand.Rand
 	next32 uint32
 }
 
-func newPrefixAllocator(rng *rand.Rand) *prefixAllocator {
+func newPrefixAllocator() *prefixAllocator {
 	// Start at 11.0.0.0 to keep 10/8 free for honeypot sensors and
 	// scanner infrastructure.
-	return &prefixAllocator{rng: rng, next32: 11 << 24}
+	return &prefixAllocator{next32: 11 << 24}
 }
 
 // next allocates the next free prefix of the given length.
