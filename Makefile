@@ -77,20 +77,21 @@ bench-pairs:
 # (interning and release) against a map + slice reference, and of the
 # Zipf guide-table search against the binary search. Targets are named
 # exactly: go test refuses -fuzz patterns that match more than one
-# target in a package.
+# target in a package. -fuzzminimizetime 1s caps the shrinking of each
+# new input (60 s by default), which otherwise eats the 10 s budget.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/dnswire
-	$(GO) test -run '^$$' -fuzz '^FuzzScanMatchesParse$$' -fuzztime 10s ./internal/dnswire
-	$(GO) test -run '^$$' -fuzz FuzzParseDatagram -fuzztime 10s ./internal/sflow
-	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 10s ./internal/pcap
-	$(GO) test -run '^$$' -fuzz FuzzPCAPDatagrams -fuzztime 10s ./internal/sflow
-	$(GO) test -run '^$$' -fuzz FuzzTopN -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzAggregator -fuzztime 10s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzTable -fuzztime 10s ./internal/names
-	$(GO) test -run '^$$' -fuzz FuzzZipf -fuzztime 10s ./internal/stats
-	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/server
-	$(GO) test -run '^$$' -fuzz FuzzOpenSnapshot -fuzztime 10s ./internal/source
-	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/ingest
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dnswire
+	$(GO) test -run '^$$' -fuzz '^FuzzScanMatchesParse$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/dnswire
+	$(GO) test -run '^$$' -fuzz FuzzParseDatagram -fuzztime 10s -fuzzminimizetime 1s ./internal/sflow
+	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 10s -fuzzminimizetime 1s ./internal/pcap
+	$(GO) test -run '^$$' -fuzz FuzzPCAPDatagrams -fuzztime 10s -fuzzminimizetime 1s ./internal/sflow
+	$(GO) test -run '^$$' -fuzz FuzzTopN -fuzztime 10s -fuzzminimizetime 1s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzAggregator -fuzztime 10s -fuzzminimizetime 1s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzTable -fuzztime 10s -fuzzminimizetime 1s ./internal/names
+	$(GO) test -run '^$$' -fuzz FuzzZipf -fuzztime 10s -fuzzminimizetime 1s ./internal/stats
+	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 10s -fuzzminimizetime 1s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzOpenSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/source
+	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s -fuzzminimizetime 1s ./internal/ingest
 
 # Daemon smoke: service-mode ixpmon fed a generated sFlow log over
 # UDP (-listen) and then through -tail must serve a well-formed

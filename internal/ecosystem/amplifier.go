@@ -15,7 +15,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"slices"
-	"sort"
+	"sync"
 	"time"
 
 	"dnsamp/internal/resolver"
@@ -83,11 +83,20 @@ func DefaultPoolConfig() PoolConfig {
 // Pool is the amplifier population.
 type Pool struct {
 	Amps []Amplifier
-	// life is the Amps-parallel column of reachability windows: the
-	// sampling walk reads 16 bytes per candidate, not an Amplifier.
-	life []lifespan
-	// byBirth is sorted by Born for windowed queries.
-	byBirth []int
+	// walk is AppendAlive's stride walk started at id 0: walk[j] is the
+	// id at walk position j and pos[id] its position, so a walk from
+	// any id visits positions pos[id], pos[id]+1, ... cyclically. life
+	// holds the reachability windows in walk order.
+	walk, pos []int32
+	life      []lifespan
+	// edges are the distinct Born and Died instants, ascending. Epoch e
+	// is [edges[e-1], edges[e]); epoch 0 is before edges[0] and the last
+	// from the last edge on. Within one, the alive set does not change.
+	edges []simclock.Time
+	// mu guards alive: per epoch, the walk positions of the amplifiers
+	// alive in it, ascending; nil until first asked for.
+	mu    sync.Mutex
+	alive [][]int32
 	// upstreams is the number of distinct shared recursive resolvers.
 	upstreams int
 }
@@ -225,15 +234,26 @@ func NewPool(cfg PoolConfig, topo *topology.Topology) *Pool {
 		p.Amps = append(p.Amps, a)
 	}
 
-	p.life = make([]lifespan, len(p.Amps))
-	p.byBirth = make([]int, len(p.Amps))
-	for i := range p.byBirth {
-		p.life[i] = lifespan{p.Amps[i].Born, p.Amps[i].Died}
-		p.byBirth[i] = i
+	n := len(p.Amps)
+	p.walk = make([]int32, n)
+	p.pos = make([]int32, n)
+	p.life = make([]lifespan, n)
+	p.edges = make([]simclock.Time, 0, 2*n)
+	if n > 0 {
+		step := walkStride(n) % n
+		for j, id := 0, 0; j < n; j, id = j+1, id+step {
+			if id >= n {
+				id -= n
+			}
+			a := &p.Amps[id]
+			p.walk[j], p.pos[id] = int32(id), int32(j)
+			p.life[j] = lifespan{a.Born, a.Died}
+			p.edges = append(p.edges, a.Born, a.Died)
+		}
 	}
-	sort.Slice(p.byBirth, func(i, j int) bool {
-		return p.Amps[p.byBirth[i]].Born < p.Amps[p.byBirth[j]].Born
-	})
+	slices.Sort(p.edges)
+	p.edges = slices.Clone(slices.Compact(p.edges))
+	p.alive = make([][]int32, len(p.edges)+1)
 	return p
 }
 
@@ -246,46 +266,71 @@ func (p *Pool) Len() int { return len(p.Amps) }
 // AliveIDs returns the ids of all amplifiers alive at t, ascending.
 func (p *Pool) AliveIDs(t simclock.Time) []int {
 	var out []int
-	for _, id := range p.byBirth {
-		a := &p.Amps[id]
-		if a.Born.After(t) {
-			break
-		}
-		if a.AliveAt(t) {
+	for id := range p.Amps {
+		if p.Amps[id].AliveAt(t) {
 			out = append(out, id)
 		}
 	}
-	slices.Sort(out)
 	return out
 }
 
 // AppendAlive appends to dst up to k distinct amplifiers alive at t,
 // optionally filtered by pred, and returns the extended slice. It walks
-// the pool from a random offset with a stride co-prime to its size, so
-// it visits every id once and stays O(k) amortized; aliveness is read
-// from the compact lifespan column, and pred sees only alive
-// candidates.
+// the pool from a random id with a stride co-prime to its size, so it
+// visits every id once, and pred sees only alive candidates, in walk
+// order. The walk skips dead ids through t's epoch list (aliveAt), so a
+// call costs O(log a) to find its start plus one step per alive
+// candidate visited: at most a, the number alive at t, when fewer than
+// k pass pred. The first call in an epoch also builds its list, O(n).
 func (p *Pool) AppendAlive(dst []int, rng *rand.Rand, t simclock.Time, k int, pred func(*Amplifier) bool) []int {
-	n := len(p.life)
+	n := len(p.Amps)
 	if n == 0 || k <= 0 {
 		return dst
 	}
+	start := p.pos[rng.Intn(n)]
+	alive := p.aliveAt(t)
+	i, _ := slices.BinarySearch(alive, start)
 	end := len(dst) + k
-	id := rng.Intn(n)
-	step := walkStride(n) % n
-	for i := 0; i < n && len(dst) < end; i, id = i+1, id+step {
-		if id >= n {
-			id -= n
+	for range alive {
+		if len(dst) == end {
+			break
 		}
-		if l := p.life[id]; t.Before(l.born) || !t.Before(l.died) {
-			continue
+		if i == len(alive) {
+			i = 0
 		}
-		if pred != nil && !pred(&p.Amps[id]) {
-			continue
+		id := int(p.walk[alive[i]])
+		i++
+		if pred == nil || pred(&p.Amps[id]) {
+			dst = append(dst, id)
 		}
-		dst = append(dst, id)
 	}
 	return dst
+}
+
+// aliveAt returns the walk positions of the amplifiers alive at t,
+// ascending, building t's epoch list on first use. The list is built at
+// the epoch's first instant, so every t in the epoch shares it; it is
+// never modified afterwards.
+func (p *Pool) aliveAt(t simclock.Time) []int32 {
+	e, at := slices.BinarySearch(p.edges, t)
+	if at {
+		e++
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.alive[e] == nil {
+		list := []int32{} // non-nil: an epoch with nobody alive is built too
+		if e > 0 {
+			from := p.edges[e-1]
+			for j, l := range p.life {
+				if !from.Before(l.born) && from.Before(l.died) {
+					list = append(list, int32(j))
+				}
+			}
+		}
+		p.alive[e] = list
+	}
+	return p.alive[e]
 }
 
 // walkStride is AppendAlive's stride over a pool of n: the first of

@@ -487,10 +487,3 @@ func BenchmarkNewCampaign(b *testing.B) {
 		NewCampaign(cfg)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -69,10 +69,15 @@ func (r *Replay) AddDay(day simclock.Time, batch *ixp.SampleBatch, sensors []eco
 	}
 	day = day.StartOfDay()
 	if _, ok := r.byDay[day]; !ok {
-		r.days = append(r.days, day)
-		slices.Sort(r.days)
+		r.insertDay(day)
 	}
 	r.byDay[day] = &replayDay{batch: batch, sensors: sensors}
+}
+
+// insertDay adds a day not yet recorded to the sorted day list.
+func (r *Replay) insertDay(day simclock.Time) {
+	i, _ := slices.BinarySearch(r.days, day)
+	r.days = slices.Insert(r.days, i, day)
 }
 
 // AddFrames sanitizes raw sampled frames into one day's batch
@@ -91,8 +96,7 @@ func (r *Replay) AddFrames(day simclock.Time, recs []ecosystem.TaggedRecord, sen
 	if !ok {
 		rd = &replayDay{batch: &ixp.SampleBatch{Table: r.tab}, owned: true}
 		r.byDay[day] = rd
-		r.days = append(r.days, day)
-		slices.Sort(r.days)
+		r.insertDay(day)
 	}
 	if !rd.owned {
 		return fmt.Errorf("source: day %s holds a batch recorded via AddDay (shared with its producer); cannot ingest frames into it", day.Date())

@@ -1,7 +1,9 @@
 package source_test
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dnsamp/internal/ecosystem"
@@ -176,5 +178,60 @@ func TestAddDayForeignTablePanics(t *testing.T) {
 	r.AddDay(day.Add(simclock.Days(1)), own, nil)
 	if len(r.Days()) != 2 || r.Day(day) != nil || r.Day(day.Add(simclock.Days(1))) != own {
 		t.Errorf("nil and own-table batches: days %v", r.Days())
+	}
+}
+
+// TestReplayDayOrder adds days out of order, through AddDay and
+// AddFrames, with repeats: Days() must come out sorted and distinct and
+// Day must resolve every one of them.
+func TestReplayDayOrder(t *testing.T) {
+	const n = 40
+	reverse := make([]simclock.Time, n)
+	for i := range reverse {
+		reverse[i] = simclock.MeasurementStart.Add(simclock.Days(n - 1 - i))
+	}
+	shuffled := slices.Clone(reverse)
+	rand.New(rand.NewSource(5)).Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	want := slices.Clone(reverse)
+	slices.Reverse(want)
+
+	for _, order := range []struct {
+		name string
+		days []simclock.Time
+	}{{"reverse", reverse}, {"shuffled", shuffled}} {
+		for _, method := range []string{"AddDay", "AddFrames", "both"} {
+			r := source.NewReplay(nil)
+			for i, day := range order.days {
+				// A day re-added later in the hour must not be listed twice.
+				for _, at := range []simclock.Time{day, day.Add(simclock.Hour)} {
+					if method == "AddDay" || method == "both" && i%2 == 0 {
+						r.AddDay(at, &ixp.SampleBatch{Table: r.Table()}, nil)
+					} else if err := r.AddFrames(at, nil, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if got := r.Days(); !slices.Equal(got, want) {
+				t.Fatalf("%s via %s: Days() = %v, want %v", order.name, method, got, want)
+			}
+			for _, day := range want {
+				if r.Day(day) == nil {
+					t.Errorf("%s via %s: Day(%s) = nil", order.name, method, day.Date())
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkReplayAddDays records 20 000 empty days in ascending order,
+// the order OpenSnapshot adds them in.
+func BenchmarkReplayAddDays(b *testing.B) {
+	const n = 20_000
+	b.ReportAllocs()
+	for b.Loop() {
+		r := source.NewReplay(nil)
+		for i := range n {
+			r.AddDay(simclock.MeasurementStart.Add(simclock.Days(i)), nil, nil)
+		}
 	}
 }
