@@ -68,7 +68,8 @@ bench-pairs:
 
 # Fuzz smoke: short coverage-guided runs of the byte-level parsers
 # (DNS wire format, sFlow v5 datagrams, pcap records, the checkpoint
-# and batch-snapshot decoders, input specs and their IDs), of the pcap datagram reader against the pcap reader (same
+# and batch-snapshot decoders, input specs and their IDs), of sFlow log
+# ingestion (frames and drops add up, repeatably), of the pcap datagram reader against the pcap reader (same
 # packets, per-second batches, resumable cursors), of the sample
 # scanner against the parser, of the bounded
 # selector ranking against the full-sort reference, of the aggregator
@@ -90,7 +91,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTable -fuzztime 10s -fuzzminimizetime 1s ./internal/names
 	$(GO) test -run '^$$' -fuzz FuzzZipf -fuzztime 10s -fuzzminimizetime 1s ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 10s -fuzzminimizetime 1s ./internal/server
-	$(GO) test -run '^$$' -fuzz FuzzOpenSnapshot -fuzztime 10s -fuzzminimizetime 1s ./internal/source
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenSnapshot$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/source
+	$(GO) test -run '^$$' -fuzz '^FuzzIngestSFlowLog$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/source
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s -fuzzminimizetime 1s ./internal/ingest
 
 # Daemon smoke: service-mode ixpmon fed a generated sFlow log over

@@ -221,22 +221,17 @@ func (s *Signer) Sign(t simclock.Time, owner string, covered dnswire.Type, ttl u
 func (s *Signer) SignatureOverheadAt(t simclock.Time, owner string, nRRsets int, ttl uint32) int {
 	total := 0
 	for _, rr := range s.DNSKEYRecords(t, ttl) {
-		total += rrWireLen(rr)
+		total += rr.WireLen()
 	}
 	for _, rr := range s.Sign(t, s.Zone, dnswire.TypeDNSKEY, ttl) {
-		total += rrWireLen(rr)
+		total += rr.WireLen()
 	}
 	perSet := s.Sign(t, owner, dnswire.TypeA, ttl) // representative covered type
 	setLen := 0
 	for _, rr := range perSet {
-		setLen += rrWireLen(rr)
+		setLen += rr.WireLen()
 	}
 	return total + nRRsets*setLen
-}
-
-// rrWireLen is the uncompressed wire length of one RR.
-func rrWireLen(rr dnswire.RR) int {
-	return dnswire.EncodedNameLen(rr.Name) + 10 + rr.Data.WireLen()
 }
 
 // keyTag derives a stable synthetic key tag for (zone, generation, ksk).

@@ -132,6 +132,12 @@ type RR struct {
 	Data  RData
 }
 
+// WireLen is the RR's uncompressed wire length: owner name, the fixed
+// 10 bytes of type, class, TTL and rdlength, and the rdata.
+func (rr RR) WireLen() int {
+	return EncodedNameLen(rr.Name) + 10 + rr.Data.WireLen()
+}
+
 // RData is implemented by all decoded rdata representations.
 type RData interface {
 	// WireLen returns the rdata length in bytes when encoded without

@@ -609,7 +609,7 @@ func (g *dayGen) emitAttackResponse(amp *Amplifier, ev *AttackEvent, tmpl *respT
 		if len(buf) >= 2 {
 			buf[0], buf[1] = byte(txid>>8), byte(txid)
 		}
-		eth := netmodel.Ethernet{Src: macForAS(amp.ASN), Dst: macForAS(ev.VictimASN)}
+		eth := netmodel.Ethernet{Src: MACForAS(amp.ASN), Dst: MACForAS(ev.VictimASN)}
 		ip := netmodel.IPv4{TTL: amp.ObservedTTL(), ID: ipID, Src: amp.Addr, Dst: ev.Victim}
 		udp := netmodel.UDP{
 			SrcPort: 53,
@@ -671,7 +671,7 @@ func (g *dayGen) emitAttackRequest(amp *Amplifier, ev *AttackEvent, evName strin
 	if g.frames != nil {
 		q := dnswire.NewQuery(txid, ev.QName, ev.QType, 4096)
 		payload := g.enc.Encode(q)
-		eth := netmodel.Ethernet{Src: macForAS(ev.IngressAS), Dst: macForAS(amp.ASN)}
+		eth := netmodel.Ethernet{Src: MACForAS(ev.IngressAS), Dst: MACForAS(amp.ASN)}
 		ip := netmodel.IPv4{
 			TTL: ev.ReqIPTTL,
 			ID:  ipID,
@@ -985,7 +985,7 @@ func (g *dayGen) emitBackgroundResponse(server, client netip.Addr, nameID uint32
 	}, wl, respLen, size)
 }
 
-// macForAS derives a stable router MAC for a member/AS.
-func macForAS(asn uint32) netmodel.MAC {
+// MACForAS derives the stable router MAC of a member/AS.
+func MACForAS(asn uint32) netmodel.MAC {
 	return netmodel.MAC{0x02, 0x42, byte(asn >> 24), byte(asn >> 16), byte(asn >> 8), byte(asn)}
 }

@@ -3,6 +3,7 @@ package ixp
 import (
 	"net/netip"
 	"testing"
+	"unsafe"
 
 	"dnsamp/internal/dnswire"
 	"dnsamp/internal/names"
@@ -184,5 +185,14 @@ func TestRemapBatchForeignTablePanics(t *testing.T) {
 	own := NewCapturePoint(nil, foreign)
 	if own.RemapBatch(b) != b || own.Stats.Accepted != 1 {
 		t.Errorf("batch in the capture point's own table: stats %+v, want it returned as-is and accounted", own.Stats)
+	}
+}
+
+// TestCapturePointWholeCacheLines holds CapturePoint to whole 64-byte
+// cache lines: the per-sample Stats writes of a capture point in a
+// size class that splits lines cost the live path CPU (see its pad).
+func TestCapturePointWholeCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(CapturePoint{}); size%64 != 0 {
+		t.Fatalf("CapturePoint is %d bytes, not a whole number of 64-byte lines: resize its pad", size)
 	}
 }

@@ -274,7 +274,7 @@ func (e *emitter) response(t simclock.Time, src netip.Addr, srcASN uint32, dst n
 	if size < len(payload) {
 		size = len(payload)
 	}
-	eth := netmodel.Ethernet{Src: macForAS(srcASN), Dst: macForAS(dstASN)}
+	eth := netmodel.Ethernet{Src: ecosystem.MACForAS(srcASN), Dst: ecosystem.MACForAS(dstASN)}
 	ip := netmodel.IPv4{TTL: ttl, ID: uint16(e.rng.Intn(1 << 16)), Src: src, Dst: dst}
 	udp := netmodel.UDP{
 		SrcPort: 53,
@@ -292,16 +292,11 @@ func (e *emitter) query(t simclock.Time, src netip.Addr, srcASN uint32, dst neti
 	txid := uint16(e.rng.Intn(1 << 16))
 	q := dnswire.NewQuery(txid, name, qtype, 4096)
 	payload := e.enc.Encode(q)
-	eth := netmodel.Ethernet{Src: macForAS(srcASN), Dst: macForAS(dstASN)}
+	eth := netmodel.Ethernet{Src: ecosystem.MACForAS(srcASN), Dst: ecosystem.MACForAS(dstASN)}
 	ip := netmodel.IPv4{TTL: ttl, ID: uint16(e.rng.Intn(1 << 16)), Src: src, Dst: dst}
 	udp := netmodel.UDP{SrcPort: uint16(1024 + e.rng.Intn(60000)), DstPort: 53}
 	frame := netmodel.EncodeUDPPacket(eth, ip, udp, payload)
 	e.out = append(e.out, ecosystem.TaggedRecord{Rec: e.sampler.Take(t, frame), Ingress: ingress})
-}
-
-// macForAS mirrors the generator's stable router-MAC derivation.
-func macForAS(asn uint32) netmodel.MAC {
-	return netmodel.MAC{0x02, 0x42, byte(asn >> 24), byte(asn >> 16), byte(asn >> 8), byte(asn)}
 }
 
 // pickVictims draws n distinct victim addresses (with their origin

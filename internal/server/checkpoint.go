@@ -61,11 +61,7 @@ const (
 // scalar cursors, the live misused-name list, retained detections, and
 // capture-point counters.
 func (w *Window) writeSnapshot(e *binenc.Encoder) {
-	tab := w.agg.Table
-	e.U32(uint32(tab.Len()))
-	for id := range tab.Len() {
-		e.Str(tab.Name(uint32(id)))
-	}
+	w.agg.Table.Encode(e)
 	w.agg.WriteSnapshot(e)
 
 	e.I64(int64(w.curDay))
@@ -106,22 +102,7 @@ func (w *Window) writeSnapshot(e *binenc.Encoder) {
 // readSnapshot restores writeSnapshot's state into a freshly
 // constructed window.
 func (w *Window) readSnapshot(d *binenc.Decoder) error {
-	nStrs := d.Count(4)
-	tab := w.agg.Table
-	tab.Reserve(d.Cap(nStrs, 16))
-	for i := 0; i < nStrs; i++ {
-		// A fresh table interns sequentially, so IDs are reproduced
-		// exactly and the aggregator snapshot's name IDs stay valid —
-		// unless a name repeats, which would attach every later name's
-		// statistics to the wrong string.
-		b := d.StrBytes()
-		if d.Err() != nil {
-			break
-		}
-		if id := tab.InternBytes(b); int(id) != i {
-			return fmt.Errorf("%w: duplicate table name at ID %d", ErrCheckpoint, i)
-		}
-	}
+	w.agg.Table.Decode(d)
 	if err := d.Err(); err != nil {
 		return err
 	}

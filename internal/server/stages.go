@@ -7,8 +7,8 @@ import (
 
 // Stages accumulates named wall-clock stage timings — the live
 // counterpart of the per-stage prints cmd/dnsampdetect emits for the
-// batch Runner. The daemon records its processing stages (parse,
-// observe, refresh, detect, evict) and its idle time (wait) here; the
+// batch Runner. The daemon records its processing stages here: parse,
+// observe, refresh, detect and evict (idle time is not timed). The
 // /stages endpoint and the stage metrics render snapshots, and
 // cmd/ixpmon prints one in its exit summary.
 //

@@ -3,6 +3,7 @@ package source_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net/netip"
 	"reflect"
@@ -10,11 +11,13 @@ import (
 
 	"dnsamp/internal/dnswire"
 	"dnsamp/internal/ecosystem"
+	"dnsamp/internal/ixp"
 	"dnsamp/internal/netmodel"
 	"dnsamp/internal/pcap"
 	"dnsamp/internal/sflow"
 	"dnsamp/internal/simclock"
 	"dnsamp/internal/source"
+	"dnsamp/internal/topology"
 )
 
 // batchesEqual compares two replays' day batches column by column
@@ -42,46 +45,63 @@ func batchesEqual(t *testing.T, label string, a, b *source.Replay) {
 	}
 }
 
+// addFrames records one day sanitized from recs by AppendFrames: the
+// oracle ingestion is held to.
+func addFrames(r *source.Replay, day simclock.Time, recs []ecosystem.TaggedRecord, sensors []ecosystem.SensorFlow) {
+	b := &ixp.SampleBatch{Table: r.Table()}
+	source.AppendFrames(b, recs)
+	r.AddDay(day, b, sensors)
+}
+
+// logOf writes recs, in the order given, as an sFlow datagram log.
+func logOf(tb testing.TB, recs []ecosystem.TaggedRecord) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	lw, err := sflow.NewLogWriter(&buf, [4]byte{192, 0, 2, 3}, sflow.DefaultRate)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, tr := range recs {
+		if err := lw.Add(tr.Rec, tr.Ingress); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := lw.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// ingestLog ingests one log into r and fails the test on any error.
+func ingestLog(tb testing.TB, r *source.Replay, log []byte) int {
+	tb.Helper()
+	n, err := r.IngestSFlowLog(bytes.NewReader(log))
+	if err != nil {
+		tb.Fatalf("IngestSFlowLog: %v", err)
+	}
+	return n
+}
+
 // TestIngestSFlowLogMatchesDirect is the ingestion acceptance test: a
 // wire day encoded as an sFlow v5 datagram log and re-ingested through
 // the log reader (which reuses one read buffer — the aliasing
 // regression path) must yield sample-for-sample identical batches to
-// AddFrames over the original in-memory frames.
+// AppendFrames over the original in-memory frames.
 func TestIngestSFlowLogMatchesDirect(t *testing.T) {
 	c := tinyCampaign(t)
 	gen := ecosystem.NewGenerator(c, 7)
-	days := testWindow()
 
 	direct := source.NewReplay(nil)
-	var buf bytes.Buffer
-	lw, err := sflow.NewLogWriter(&buf, [4]byte{192, 0, 2, 9}, sflow.DefaultRate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, day := range source.DaysOf(days) {
+	var all []ecosystem.TaggedRecord
+	for _, day := range source.DaysOf(testWindow()) {
 		wd := gen.WireDay(day)
-		if err := direct.AddFrames(day, wd.IXP, nil); err != nil {
-			t.Fatalf("direct AddFrames: %v", err)
-		}
-		for _, tr := range wd.IXP {
-			if err := lw.Add(tr.Rec, tr.Ingress); err != nil {
-				t.Fatalf("log Add: %v", err)
-			}
-			total++
-		}
-	}
-	if err := lw.Flush(); err != nil {
-		t.Fatal(err)
+		addFrames(direct, day, wd.IXP, nil)
+		all = append(all, wd.IXP...)
 	}
 
 	ingested := source.NewReplay(nil)
-	n, err := ingested.IngestSFlowLog(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("IngestSFlowLog: %v", err)
-	}
-	if n != total {
-		t.Fatalf("ingested %d frames, wrote %d", n, total)
+	if n := ingestLog(t, ingested, logOf(t, all)); n != len(all) {
+		t.Fatalf("ingested %d frames, wrote %d", n, len(all))
 	}
 	batchesEqual(t, "sflow-log", direct, ingested)
 }
@@ -109,9 +129,7 @@ func TestIngestPCAPMatchesDirect(t *testing.T) {
 			}
 			total++
 		}
-		if err := direct.AddFrames(day, recs, nil); err != nil {
-			t.Fatal(err)
-		}
+		addFrames(direct, day, recs, nil)
 	}
 
 	ingested := source.NewReplay(nil)
@@ -126,8 +144,7 @@ func TestIngestPCAPMatchesDirect(t *testing.T) {
 }
 
 // syntheticLogRecords builds count valid DNS-over-UDP records spread
-// over a few days — enough volume to cross the ingestion chunk
-// boundary without a full campaign.
+// over a few days — volume without a full campaign.
 func syntheticLogRecords(count int) []ecosystem.TaggedRecord {
 	eth := netmodel.Ethernet{Dst: netmodel.MAC{2, 0, 0, 0, 0, 1}, Src: netmodel.MAC{2, 0, 0, 0, 0, 2}}
 	var recs []ecosystem.TaggedRecord
@@ -148,50 +165,107 @@ func syntheticLogRecords(count int) []ecosystem.TaggedRecord {
 	return recs
 }
 
-// TestIngestChunkedFlushMatchesWholeDay forces the ingestion loop
-// across its chunk boundary (>64k records): per-day chunked AddFrames
-// accumulation must produce batches identical to one whole-day call.
-func TestIngestChunkedFlushMatchesWholeDay(t *testing.T) {
+// TestIngestManyDaysMatchesAppendFrames: a 70 000-record log spanning
+// several days ingests into batches identical to one AppendFrames call
+// per whole day.
+func TestIngestManyDaysMatchesAppendFrames(t *testing.T) {
 	recs := syntheticLogRecords(70_000)
-	var buf bytes.Buffer
-	lw, err := sflow.NewLogWriter(&buf, [4]byte{192, 0, 2, 3}, sflow.DefaultRate)
-	if err != nil {
-		t.Fatal(err)
-	}
 	byDay := make(map[simclock.Time][]ecosystem.TaggedRecord)
 	var dayOrder []simclock.Time
 	for _, tr := range recs {
-		if err := lw.Add(tr.Rec, tr.Ingress); err != nil {
-			t.Fatal(err)
-		}
 		day := tr.Rec.Time.StartOfDay()
 		if _, ok := byDay[day]; !ok {
 			dayOrder = append(dayOrder, day)
 		}
 		byDay[day] = append(byDay[day], tr)
 	}
-	if err := lw.Flush(); err != nil {
-		t.Fatal(err)
-	}
 
 	direct := source.NewReplay(nil)
 	for _, day := range dayOrder {
-		if err := direct.AddFrames(day, byDay[day], nil); err != nil {
-			t.Fatal(err)
-		}
+		addFrames(direct, day, byDay[day], nil)
 	}
 	ingested := source.NewReplay(nil)
-	n, err := ingested.IngestSFlowLog(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("IngestSFlowLog: %v", err)
-	}
-	if n != len(recs) {
+	if n := ingestLog(t, ingested, logOf(t, recs)); n != len(recs) {
 		t.Fatalf("ingested %d of %d frames", n, len(recs))
 	}
 	if len(ingested.Days()) < 3 {
 		t.Fatalf("expected the record set to span several days, got %d", len(ingested.Days()))
 	}
-	batchesEqual(t, "chunked", direct, ingested)
+	batchesEqual(t, "many-days", direct, ingested)
+}
+
+// midnightRecords builds n records whose arrival order crosses
+// midnight back and forth over three days, with names first seen in a
+// different order on each day, and every few records a frame the
+// capture point drops: not UDP, not DNS, or a malformed question.
+func midnightRecords(n int) []ecosystem.TaggedRecord {
+	eth := netmodel.Ethernet{Dst: netmodel.MAC{2, 0, 0, 0, 0, 1}, Src: netmodel.MAC{2, 0, 0, 0, 0, 2}}
+	midnight := simclock.MeasurementStart.Add(simclock.Days(1))
+	offsets := []simclock.Duration{-40, 5, -30, simclock.Day + 2, 9, -1, simclock.Day + 7, 0}
+	recs := make([]ecosystem.TaggedRecord, 0, n)
+	for i := range n {
+		qtype := dnswire.TypeANY
+		if i%17 == 0 {
+			qtype = dnswire.TypeNone // malformed: no question type
+		}
+		q := dnswire.NewQuery(uint16(i), fmt.Sprintf("n%d.example.", i*7%23), qtype, 4096)
+		ip := netmodel.IPv4{
+			TTL: 64,
+			ID:  uint16(i),
+			Src: netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)}),
+			Dst: netip.AddrFrom4([4]byte{203, 0, 113, 53}),
+		}
+		udp := netmodel.UDP{SrcPort: uint16(1024 + i), DstPort: 53}
+		if i%11 == 0 {
+			udp.DstPort = 5353 // not DNS
+		}
+		frame := netmodel.EncodeUDPPacket(eth, ip, udp, dnswire.Encode(q))
+		if i%13 == 0 {
+			frame = frame[:20] // not UDP: cut inside the IP header
+		}
+		at := midnight.Add(offsets[i%len(offsets)] + simclock.Duration(i/len(offsets)))
+		recs = append(recs, ecosystem.TaggedRecord{
+			Rec:     sflow.Record{Time: at, Frame: frame, FrameLen: len(frame), Seq: uint64(i + 1)},
+			Ingress: uint32(i%3) * 64500,
+		})
+	}
+	return recs
+}
+
+// TestIngestCrossesMidnight: a log whose arrival order crosses midnight
+// back and forth lands each record in its own day in arrival order.
+// Every day's batch equals, row for row with names resolved and counter
+// for counter, AppendFrames over that day's records in arrival order:
+// the table's ID order follows arrival across days, so IDs themselves
+// are not compared.
+func TestIngestCrossesMidnight(t *testing.T) {
+	recs := midnightRecords(400)
+	byDay := make(map[simclock.Time][]ecosystem.TaggedRecord)
+	for _, tr := range recs {
+		day := tr.Rec.Time.StartOfDay()
+		byDay[day] = append(byDay[day], tr)
+	}
+	ingested := source.NewReplay(nil)
+	if n := ingestLog(t, ingested, logOf(t, recs)); n != len(recs) {
+		t.Fatalf("ingested %d of %d frames", n, len(recs))
+	}
+	if got := ingested.Days(); len(got) != 3 || len(byDay) != 3 {
+		t.Fatalf("days %v, want the 3 the records touch", got)
+	}
+	for _, day := range ingested.Days() {
+		want := &ixp.SampleBatch{Table: source.NewReplay(nil).Table()}
+		source.AppendFrames(want, byDay[day])
+		got := ingested.Day(day)
+		if want.N == 0 || want.NonUDP == 0 || want.NonDNS == 0 || want.Malformed == 0 {
+			t.Fatalf("day %s: oracle %d rows, drops %d/%d/%d; every kind must occur", day.Date(), want.N, want.NonUDP, want.NonDNS, want.Malformed)
+		}
+		if w, g := [4]int{want.Frames, want.NonUDP, want.NonDNS, want.Malformed}, [4]int{got.Frames, got.NonUDP, got.NonDNS, got.Malformed}; w != g {
+			t.Fatalf("day %s: counters %v, want %v", day.Date(), g, w)
+		}
+		if w, g := rowsOf(want), rowsOf(got); !reflect.DeepEqual(w, g) {
+			t.Fatalf("day %s: %d rows differ from AppendFrames' %d", day.Date(), len(g), len(w))
+		}
+	}
 }
 
 // TestIngestTruncatedLog pins the partial-stream contract: a log that
@@ -199,23 +273,11 @@ func TestIngestChunkedFlushMatchesWholeDay(t *testing.T) {
 // count, and surfaces io.ErrUnexpectedEOF.
 func TestIngestTruncatedLog(t *testing.T) {
 	recs := syntheticLogRecords(500)
-	var buf bytes.Buffer
-	lw, err := sflow.NewLogWriter(&buf, [4]byte{192, 0, 2, 3}, sflow.DefaultRate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range recs {
-		if err := lw.Add(tr.Rec, tr.Ingress); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	cut := buf.Len() - 41 // mid-entry
+	log := logOf(t, recs)
+	cut := len(log) - 41 // mid-entry
 
 	rep := source.NewReplay(nil)
-	n, err := rep.IngestSFlowLog(bytes.NewReader(buf.Bytes()[:cut]))
+	n, err := rep.IngestSFlowLog(bytes.NewReader(log[:cut]))
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
 	}
@@ -236,20 +298,7 @@ func TestIngestTruncatedLog(t *testing.T) {
 // the service's replay: input does with it (one parse error).
 func TestIngestSkipsCorruptDatagram(t *testing.T) {
 	recs := syntheticLogRecords(500) // 3 s apart: one record per entry
-	var buf bytes.Buffer
-	lw, err := sflow.NewLogWriter(&buf, [4]byte{192, 0, 2, 3}, sflow.DefaultRate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range recs {
-		if err := lw.Add(tr.Rec, tr.Ingress); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := lw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := logOf(t, recs)
 	raw[24], raw[25] = ^raw[24], ^raw[25] // the first body's version field: past the file and entry headers
 
 	rep := source.NewReplay(nil)
@@ -281,11 +330,13 @@ func TestIngestTruncatedPCAP(t *testing.T) {
 	}
 }
 
-// TestAddFramesAccumulates is the double-ingestion regression test:
-// the same day arriving in two AddFrames calls must keep the first
-// call's samples, sanitization counters, and sensor flows (the second
-// call used to replace the day's batch wholesale).
-func TestAddFramesAccumulates(t *testing.T) {
+// TestIngestAccumulates is the double-ingestion regression test: the
+// same day arriving in two logs must keep the first log's samples and
+// sanitization counters (a second read used to replace the day's batch
+// wholesale). Between the two logs the day goes through a snapshot
+// with the day's sensor flows attached: a day opened from a snapshot
+// accepts more frames and keeps its flows.
+func TestIngestAccumulates(t *testing.T) {
 	c := tinyCampaign(t)
 	gen := ecosystem.NewGenerator(c, 7)
 	day := source.DaysOf(testWindow())[0]
@@ -294,19 +345,19 @@ func TestAddFramesAccumulates(t *testing.T) {
 		t.Fatalf("wire day too small to split: %d frames", len(wd.IXP))
 	}
 	mid := len(wd.IXP) / 2
-	sMid := len(wd.Sensors) / 2
 
 	whole := source.NewReplay(nil)
-	if err := whole.AddFrames(day, wd.IXP, wd.Sensors); err != nil {
+	ingestLog(t, whole, logOf(t, wd.IXP))
+	whole.AddDay(day, whole.Day(day), wd.Sensors)
+
+	first := source.NewReplay(nil)
+	ingestLog(t, first, logOf(t, wd.IXP[:mid]))
+	first.AddDay(day, first.Day(day), wd.Sensors)
+	split, err := source.OpenSnapshot(bytes.NewReader(snapshotBytes(t, first)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	split := source.NewReplay(nil)
-	if err := split.AddFrames(day, wd.IXP[:mid], wd.Sensors[:sMid]); err != nil {
-		t.Fatal(err)
-	}
-	if err := split.AddFrames(day, wd.IXP[mid:], wd.Sensors[sMid:]); err != nil {
-		t.Fatal(err)
-	}
+	ingestLog(t, split, logOf(t, wd.IXP[mid:]))
 
 	batchesEqual(t, "split-ingest", whole, split)
 	wb, sb := whole.Day(day), split.Day(day)
@@ -317,15 +368,15 @@ func TestAddFramesAccumulates(t *testing.T) {
 	}
 	_, wFlows := whole.DayFlows(day)
 	_, sFlows := split.DayFlows(day)
-	if !reflect.DeepEqual(wFlows, sFlows) {
+	if len(wFlows) == 0 || !reflect.DeepEqual(wFlows, sFlows) {
 		t.Fatal("sensor flows lost across split ingestion")
 	}
 }
 
-// TestAddFramesRejectsSharedDay: a day recorded via AddDay shares its
-// batch with the producer; appending frames to it must error, not
+// TestIngestRejectsSharedDay: a day recorded via AddDay shares its
+// batch with the producer; ingesting frames into it must error, not
 // silently mutate (or drop) the shared batch.
-func TestAddFramesRejectsSharedDay(t *testing.T) {
+func TestIngestRejectsSharedDay(t *testing.T) {
 	c := tinyCampaign(t)
 	gen := ecosystem.NewGenerator(c, 7)
 	day := source.DaysOf(testWindow())[0]
@@ -335,10 +386,50 @@ func TestAddFramesRejectsSharedDay(t *testing.T) {
 	r.AddDay(day, dt.Batch, dt.Sensors)
 	nBefore := dt.Batch.N
 	wd := gen.WireDay(day)
-	if err := r.AddFrames(day, wd.IXP, nil); err == nil {
-		t.Fatal("AddFrames into an AddDay-shared batch must error")
+	if _, err := r.IngestSFlowLog(bytes.NewReader(logOf(t, wd.IXP))); err == nil {
+		t.Fatal("ingesting into an AddDay-shared batch must error")
 	}
 	if dt.Batch.N != nBefore {
 		t.Fatalf("shared batch mutated: N %d -> %d", nBefore, dt.Batch.N)
 	}
+}
+
+// FuzzIngestSFlowLog holds log ingestion to its accounting on any
+// bytes: it never panics, the returned count is the sum of the
+// batches' Frames, every batch holds N = Frames − NonUDP − NonDNS −
+// Malformed rows, and the same bytes ingested into two fresh replays
+// give equal replays, count and error. The seeds are one synthetic
+// wire day's log, cuts of it, and a log of one garbage entry.
+func FuzzIngestSFlowLog(f *testing.F) {
+	cfg := ecosystem.DefaultCampaignConfig(0.0002)
+	cfg.Zones.ProceduralNames = 20_000
+	cfg.Topology = topology.Config{Members: 24, ASesPerClass: 40, Seed: 1}
+	wd := ecosystem.NewGenerator(ecosystem.NewCampaign(cfg), 7).WireDay(simclock.MeasurementStart)
+	log := logOf(f, wd.IXP)
+	f.Add(log)
+	for _, cut := range []int{8, len(log) / 2, len(log) - 1} {
+		f.Add(log[:cut])
+	}
+	garbage := append([]byte{}, log[:12]...)                      // the file header
+	garbage = append(garbage, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0) // arrival 0, a 4-byte body
+	f.Add(append(garbage, 0xde, 0xad, 0xbe, 0xef))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		a, b := source.NewReplay(nil), source.NewReplay(nil)
+		n, err := a.IngestSFlowLog(bytes.NewReader(raw))
+		n2, err2 := b.IngestSFlowLog(bytes.NewReader(raw))
+		if n != n2 || fmt.Sprint(err) != fmt.Sprint(err2) || !reflect.DeepEqual(a, b) {
+			t.Fatalf("two ingestions of the same bytes differ: %d, %v vs %d, %v", n, err, n2, err2)
+		}
+		frames := 0
+		for _, day := range a.Days() {
+			d := a.Day(day)
+			frames += d.Frames
+			if d.N != d.Frames-d.NonUDP-d.NonDNS-d.Malformed {
+				t.Fatalf("day %s: N %d, but %d frames less %d+%d+%d drops", day.Date(), d.N, d.Frames, d.NonUDP, d.NonDNS, d.Malformed)
+			}
+		}
+		if frames != n {
+			t.Fatalf("returned %d frames, batches hold %d", n, frames)
+		}
+	})
 }

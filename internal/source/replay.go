@@ -11,11 +11,12 @@ import (
 )
 
 // Replay serves pre-recorded traffic: day batches captured from another
-// source (Record), batches handed in directly (AddDay), or raw sampled
-// sflow frames sanitized at ingest time (AddFrames). It is the
-// first non-synthetic workload: anything that can produce sampled
-// frames — a pcap reader, an sFlow collector, a previous run's dump —
-// feeds the detection pipeline through it.
+// source (Record), batches handed in directly (AddDay) or opened from a
+// snapshot (OpenSnapshot), or a sampled capture sanitized as it is read
+// (IngestSFlowLog, IngestPCAP). It is the first non-synthetic workload:
+// anything that can produce sampled frames — a pcap file, an sFlow
+// collector's log, a previous run's dump — feeds the detection pipeline
+// through it.
 //
 // Populate a Replay fully before streaming from it: the Add methods are
 // not safe concurrently with the readers, but a populated Replay is
@@ -30,10 +31,10 @@ type Replay struct {
 type replayDay struct {
 	batch   *ixp.SampleBatch
 	sensors []ecosystem.SensorFlow
-	// owned marks batches built by AddFrames: only those may be
-	// appended to on repeated ingestion — AddDay batches are shared
-	// with their producer (Record does not copy) and must stay
-	// immutable.
+	// owned marks batches built by ingestion or opened from a
+	// snapshot: only those may be appended to on repeated ingestion —
+	// AddDay batches are shared with their producer (Record does not
+	// copy) and must stay immutable.
 	owned bool
 }
 
@@ -61,8 +62,7 @@ func Record(src Source) *Replay {
 // AddDay stores one recorded day; a nil batch is an empty day. The
 // batch must be in the replay's table, as every batch of a Source is in
 // Source.Table(): any other is a wiring bug and panics. Adding the same
-// day twice replaces it wholesale — batch, counters, and sensors (use
-// AddFrames to accumulate into an existing day).
+// day twice replaces it wholesale — batch, counters, and sensors.
 func (r *Replay) AddDay(day simclock.Time, batch *ixp.SampleBatch, sensors []ecosystem.SensorFlow) {
 	if batch != nil && batch.Table != r.tab {
 		panic(fmt.Sprintf("source: AddDay batch in a foreign name table (%d names) handed to a replay over a %d-name table", batch.Table.Len(), r.tab.Len()))
@@ -80,18 +80,11 @@ func (r *Replay) insertDay(day simclock.Time) {
 	r.days = slices.Insert(r.days, i, day)
 }
 
-// AddFrames sanitizes raw sampled frames into one day's batch
-// (AppendFrames) and keeps the day's sensor flows.
-//
-// Ingesting the same day again accumulates: the new frames append to
-// the existing batch and the sanitization counters and sensor flows
-// add up, so a day arriving in several reads (chunked logs, tailing a
-// live capture) loses nothing. The one rejected case is a day whose
-// batch came in through AddDay: those batches are shared with their
-// producer (Record does not copy), so appending would mutate state the
-// replay does not own.
-func (r *Replay) AddFrames(day simclock.Time, recs []ecosystem.TaggedRecord, sensors []ecosystem.SensorFlow) error {
-	day = day.StartOfDay()
+// ownedBatch returns the batch ingestion appends the frames captured
+// at t to, opening an owned day on the day's first frame. A day whose
+// batch came in through AddDay is refused.
+func (r *Replay) ownedBatch(t simclock.Time) (*ixp.SampleBatch, error) {
+	day := t.StartOfDay()
 	rd, ok := r.byDay[day]
 	if !ok {
 		rd = &replayDay{batch: &ixp.SampleBatch{Table: r.tab}, owned: true}
@@ -99,33 +92,9 @@ func (r *Replay) AddFrames(day simclock.Time, recs []ecosystem.TaggedRecord, sen
 		r.insertDay(day)
 	}
 	if !rd.owned {
-		return fmt.Errorf("source: day %s holds a batch recorded via AddDay (shared with its producer); cannot ingest frames into it", day.Date())
+		return nil, fmt.Errorf("source: day %s holds a batch recorded via AddDay (shared with its producer); cannot ingest frames into it", day.Date())
 	}
-	AppendFrames(rd.batch, recs)
-	rd.sensors = append(rd.sensors, sensors...)
-	return nil
-}
-
-// AppendFrames sanitizes sampled wire frames into b, interning names
-// into b.Table: each frame runs through the capture-point decoding and
-// well-formedness checks of §3.1 (drops added to the batch counters),
-// survivors are appended in arrival order with their ingress-port tags.
-// AS annotation happens at consumption time, not here, so a recorded
-// day can be replayed against any routing substrate.
-func AppendFrames(b *ixp.SampleBatch, recs []ecosystem.TaggedRecord) {
-	cp := ixp.NewCapturePoint(nil, b.Table)
-	b.Grow(len(recs))
-	for _, tr := range recs {
-		s, ok := cp.Process(tr.Rec)
-		if !ok {
-			continue
-		}
-		b.AppendSample(&s, tr.Ingress)
-	}
-	b.Frames += cp.Stats.Frames
-	b.NonUDP += cp.Stats.NonUDP
-	b.NonDNS += cp.Stats.NonDNS
-	b.Malformed += cp.Stats.Malformed
+	return rd.batch, nil
 }
 
 // Table returns the replay's interning space.

@@ -50,10 +50,7 @@ func (r *Replay) WriteSnapshot(w io.Writer) error {
 	e.Raw(snapMagic[:])
 	e.U32(snapVersion)
 
-	e.U32(uint32(r.tab.Len()))
-	for id := range r.tab.Len() {
-		e.Str(r.tab.Name(uint32(id)))
-	}
+	r.tab.Encode(e)
 
 	e.U32(uint32(len(r.days)))
 	for _, day := range r.days {
@@ -147,18 +144,8 @@ func OpenSnapshot(rd io.Reader) (*Replay, error) {
 		return nil, fmt.Errorf("%w: version %d (this build speaks %d)", ErrSnapshot, v, snapVersion)
 	}
 
-	nNames := d.Count(4) // a name costs at least its u32 length prefix
 	tab := names.NewTable()
-	tab.Reserve(d.Cap(nNames, 16))
-	for i := 0; i < nNames && d.Err() == nil; i++ {
-		s := d.StrBytes()
-		if d.Err() != nil {
-			break
-		}
-		if id := tab.InternBytes(s); int(id) != i {
-			return nil, fmt.Errorf("%w: duplicate table name at ID %d", ErrSnapshot, i)
-		}
-	}
+	tab.Decode(d)
 
 	addr4 := func() (a [4]byte) {
 		copy(a[:], d.Raw(4))
@@ -227,7 +214,7 @@ func OpenSnapshot(rd io.Reader) (*Replay, error) {
 		}
 		r.AddDay(day, b, sensors)
 		// Snapshot batches are rebuilt in the replay's own table, so a
-		// later AddFrames may keep accumulating into them.
+		// later ingestion may keep accumulating into them.
 		r.byDay[day.StartOfDay()].owned = b != nil
 	}
 	if err := d.Finish(); err != nil {

@@ -219,9 +219,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 	day := simclock.MeasurementStart
 	wd := ecosystem.NewGenerator(ecosystem.NewCampaign(cfg), 7).WireDay(day)
 	wire := source.NewReplay(nil)
-	if err := wire.AddFrames(day, wd.IXP, wd.Sensors); err != nil {
-		f.Fatal(err)
-	}
+	addFrames(wire, day, wd.IXP, wd.Sensors)
 	rec := snapshotBytes(f, source.Record(wire))
 	f.Add(rec)
 	for _, cut := range []int{12, len(rec) / 2, len(rec) - 1} {

@@ -9,8 +9,9 @@
 //   - Synthetic wraps the campaign traffic generator, preserving its
 //     purity contract (each day a pure function of (campaign, seed,
 //     day), safe for concurrent materialization).
-//   - Replay serves pre-recorded day batches or sanitized sflow frames,
-//     the first non-synthetic workload.
+//   - Replay serves pre-recorded day batches, snapshots, or an sFlow
+//     log or pcap capture sanitized as it is read (each frame straight
+//     into its capture day's batch), the first non-synthetic workload.
 //
 // Sources hand out immutable batches, all in the source's one name
 // table: consumers built over that table feed them to the batch-native

@@ -44,6 +44,11 @@ type batchRow struct {
 func drain(c *ecosystem.Campaign, b *ixp.SampleBatch) ([]batchRow, ixp.CaptureStats) {
 	cp := ixp.NewCapturePoint(c.Topo, b.Table)
 	cp.RemapBatch(b)
+	return rowsOf(b), cp.Stats
+}
+
+// rowsOf lists a batch's rows with their names resolved.
+func rowsOf(b *ixp.SampleBatch) []batchRow {
 	out := make([]batchRow, b.N)
 	for i := range out {
 		out[i] = batchRow{QName: b.Table.Name(b.Name[i]), BatchRecord: ixp.BatchRecord{
@@ -52,7 +57,7 @@ func drain(c *ecosystem.Campaign, b *ixp.SampleBatch) ([]batchRow, ixp.CaptureSt
 			MsgSize: b.MsgSize[i], ANCount: b.ANCount[i], VisibleNS: b.VisibleNS[i], Ingress: b.Ingress[i],
 		}}
 	}
-	return out, cp.Stats
+	return out
 }
 
 // TestSyntheticSource checks the generator adapter: day listing from
@@ -106,7 +111,7 @@ func TestReplayMatchesSynthetic(t *testing.T) {
 	replay := source.NewReplay(nil)
 	for _, day := range syn.Days() {
 		wd := wireGen.WireDay(day)
-		replay.AddFrames(day, wd.IXP, wd.Sensors)
+		addFrames(replay, day, wd.IXP, wd.Sensors)
 	}
 	if !reflect.DeepEqual(replay.Days(), syn.Days()) {
 		t.Fatal("replay day list differs")
@@ -182,7 +187,7 @@ func TestAddDayForeignTablePanics(t *testing.T) {
 }
 
 // TestReplayDayOrder adds days out of order, through AddDay and
-// AddFrames, with repeats: Days() must come out sorted and distinct and
+// ingestion, with repeats: Days() must come out sorted and distinct and
 // Day must resolve every one of them.
 func TestReplayDayOrder(t *testing.T) {
 	const n = 40
@@ -199,15 +204,17 @@ func TestReplayDayOrder(t *testing.T) {
 		name string
 		days []simclock.Time
 	}{{"reverse", reverse}, {"shuffled", shuffled}} {
-		for _, method := range []string{"AddDay", "AddFrames", "both"} {
+		for _, method := range []string{"AddDay", "ingest", "both"} {
 			r := source.NewReplay(nil)
 			for i, day := range order.days {
 				// A day re-added later in the hour must not be listed twice.
 				for _, at := range []simclock.Time{day, day.Add(simclock.Hour)} {
 					if method == "AddDay" || method == "both" && i%2 == 0 {
 						r.AddDay(at, &ixp.SampleBatch{Table: r.Table()}, nil)
-					} else if err := r.AddFrames(at, nil, nil); err != nil {
-						t.Fatal(err)
+					} else {
+						rec := syntheticLogRecords(1)
+						rec[0].Rec.Time = at
+						ingestLog(t, r, logOf(t, rec))
 					}
 				}
 			}

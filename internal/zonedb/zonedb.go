@@ -396,7 +396,7 @@ func (z *Zone) ANYSize(t simclock.Time) int {
 	n := 0
 	for _, set := range z.RRsets {
 		for _, r := range set {
-			size += rrWireLen(r)
+			size += r.WireLen()
 		}
 		n++
 	}
@@ -425,11 +425,11 @@ func (db *DB) ResponseSize(name string, qtype dnswire.Type, t simclock.Time) int
 	}
 	size := dnswire.HeaderLen + dnswire.EncodedNameLen(z.Name) + 4 + 11
 	for _, r := range z.RRsets[qtype] {
-		size += rrWireLen(r)
+		size += r.WireLen()
 	}
 	if z.Signer != nil && len(z.RRsets[qtype]) > 0 {
 		for _, sig := range z.Signer.Sign(t, z.Name, qtype, z.TTL) {
-			size += rrWireLen(sig)
+			size += sig.WireLen()
 		}
 	}
 	return size
@@ -541,10 +541,6 @@ func (db *DB) proceduralTypedSize(name string, qtype dnswire.Type) int {
 		size += 286 // one RSA-2048 RRSIG
 	}
 	return size
-}
-
-func rrWireLen(r dnswire.RR) int {
-	return dnswire.EncodedNameLen(r.Name) + 10 + r.Data.WireLen()
 }
 
 // rrFixed is the wire length of one RR with rdlen bytes of rdata.
