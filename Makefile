@@ -29,11 +29,14 @@ race:
 # reports' candidate column run under both. source and ixp too: a
 # source must serve DayFor and DayFlows concurrently, and the capture
 # point's per-address AS cache must answer the same on one core as on
-# two.
+# two. zonedb and dnssec too: concurrent day slices read the bulk-name
+# parser behind the table's range, the DNSSEC size arithmetic and the
+# key material of response templates.
 test-cpu:
 	$(GO) test -count=1 -cpu 1,2 ./internal/server ./internal/ingest ./internal/sflow \
 		./internal/core ./internal/names ./internal/par ./internal/stats ./internal/ecosystem \
-		./internal/pipeline ./internal/experiments ./internal/source ./internal/ixp
+		./internal/pipeline ./internal/experiments ./internal/source ./internal/ixp \
+		./internal/zonedb ./internal/dnssec
 
 # Layer benchmarks: every benchmark beside its code compiles and runs
 # once, with allocation counts reported. To measure one, give it time:
@@ -75,7 +78,8 @@ bench-pairs:
 # selector ranking against the full-sort reference, of the aggregator
 # (observe, batch, split, merge, reset, release, snapshot) against a
 # naive map model, of the name table
-# (interning and release) against a map + slice reference, and of the
+# (interning, release and a procedural range) against a map + slice
+# reference, of the bulk-name parser against the formatter, and of the
 # Zipf guide-table search against the binary search. Targets are named
 # exactly: go test refuses -fuzz patterns that match more than one
 # target in a package. -fuzzminimizetime 1s caps the shrinking of each
@@ -90,6 +94,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAggregator -fuzztime 10s -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzTable -fuzztime 10s -fuzzminimizetime 1s ./internal/names
 	$(GO) test -run '^$$' -fuzz FuzzZipf -fuzztime 10s -fuzzminimizetime 1s ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzProceduralName$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/zonedb
 	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 10s -fuzzminimizetime 1s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenSnapshot$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/source
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestSFlowLog$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/source

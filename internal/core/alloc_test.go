@@ -251,7 +251,6 @@ const highIDNames = 4 << 20
 // ID is n-1.
 func highIDTable(n int) (*names.Table, string) {
 	tab := names.NewTable()
-	tab.Reserve(n)
 	var buf []byte
 	for i := range n {
 		buf = append(strconv.AppendInt(buf[:0], int64(i), 36), '.')

@@ -12,7 +12,7 @@ package dnssec
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
+	"strconv"
 
 	"dnsamp/internal/dnswire"
 	"dnsamp/internal/simclock"
@@ -118,38 +118,54 @@ type State struct {
 // Interval; during the first Overlap of each generation the previous key
 // is still present.
 func (s *Signer) At(t simclock.Time) State {
-	if s.Interval <= 0 {
-		return State{ZSKTags: []uint16{keyTag(s.Zone, 0, false)}, KSKTag: s.kskTag, SigsPerRRset: 1}
-	}
-	rel := int64(t) + int64(s.Phase)
-	gen := int(rel / int64(s.Interval))
-	if rel < 0 {
-		gen--
-	}
-	into := rel - int64(gen)*int64(s.Interval)
+	gen, rolling := s.rollover(t)
 	st := State{
 		KSKTag:       s.kskTag,
 		SigsPerRRset: 1,
+		InRollover:   rolling,
 		Generation:   gen,
 	}
 	cur := keyTag(s.Zone, gen, false)
-	if into < int64(s.Overlap) && gen > 0 {
-		prev := keyTag(s.Zone, gen-1, false)
-		st.InRollover = true
-		switch s.Scheme {
-		case DoubleSignature:
-			// Both keys sign: two DNSKEYs, two RRSIGs per set.
-			st.ZSKTags = []uint16{prev, cur}
+	if rolling {
+		// Both schemes publish the new key beside the old one; only
+		// double signature has both sign (two RRSIGs per set), while
+		// pre-publish keeps the new key in stand-by.
+		st.ZSKTags = []uint16{keyTag(s.Zone, gen-1, false), cur}
+		if s.Scheme == DoubleSignature {
 			st.SigsPerRRset = 2
-		default: // PrePublish
-			// New key published in stand-by; old key still signs alone.
-			st.ZSKTags = []uint16{prev, cur}
-			st.SigsPerRRset = 1
 		}
 	} else {
 		st.ZSKTags = []uint16{cur}
 	}
 	return st
+}
+
+// rollover returns the ZSK generation in force at t and whether the
+// previous generation's key is still present (the overlap).
+func (s *Signer) rollover(t simclock.Time) (gen int, rolling bool) {
+	if s.Interval <= 0 {
+		return 0, false
+	}
+	rel := int64(t) + int64(s.Phase)
+	gen = int(rel / int64(s.Interval))
+	if rel < 0 {
+		gen--
+	}
+	into := rel - int64(gen)*int64(s.Interval)
+	return gen, into < int64(s.Overlap) && gen > 0
+}
+
+// counts returns what At(t) says without deriving a key tag: the
+// number of ZSKs in the DNSKEY RRset and of RRSIGs over every other
+// RRset.
+func (s *Signer) counts(t simclock.Time) (zsks, sigsPerRRset int) {
+	if _, rolling := s.rollover(t); !rolling {
+		return 1, 1
+	}
+	if s.Scheme == DoubleSignature {
+		return 2, 2
+	}
+	return 2, 1
 }
 
 // DNSKEYRecords materializes the DNSKEY RRset at time t.
@@ -217,21 +233,25 @@ func (s *Signer) Sign(t simclock.Time, owner string, covered dnswire.Type, ttl u
 // SignatureOverheadAt returns the extra bytes that DNSSEC adds to an ANY
 // response containing nRRsets authoritative RRsets at time t: the DNSKEY
 // RRset itself plus all RRSIGs. This is the quantity whose time series
-// produces the Fig. 8b plateaus.
+// produces the Fig. 8b plateaus. It is the wire length of the records
+// DNSKEYRecords and Sign build, computed from the key and signature
+// sizes and the rollover state alone.
 func (s *Signer) SignatureOverheadAt(t simclock.Time, owner string, nRRsets int, ttl uint32) int {
-	total := 0
-	for _, rr := range s.DNSKEYRecords(t, ttl) {
-		total += rr.WireLen()
+	zsks, _ := s.counts(t)
+	dnskey := (zsks + 1) * (dnswire.EncodedNameLen(s.Zone) + 10 + 4 + KeyLen(s.Algorithm))
+	return dnskey + s.RRSIGLen(t, s.Zone, dnswire.TypeDNSKEY) +
+		nRRsets*s.RRSIGLen(t, owner, dnswire.TypeA) // representative covered type
+}
+
+// RRSIGLen returns the wire length of the RRSIG records Sign(t, owner,
+// covered, ttl) returns, for any ttl, without building them.
+func (s *Signer) RRSIGLen(t simclock.Time, owner string, covered dnswire.Type) int {
+	sigs := 1 // the KSK's over DNSKEY
+	if covered != dnswire.TypeDNSKEY {
+		_, sigs = s.counts(t)
 	}
-	for _, rr := range s.Sign(t, s.Zone, dnswire.TypeDNSKEY, ttl) {
-		total += rr.WireLen()
-	}
-	perSet := s.Sign(t, owner, dnswire.TypeA, ttl) // representative covered type
-	setLen := 0
-	for _, rr := range perSet {
-		setLen += rr.WireLen()
-	}
-	return total + nRRsets*setLen
+	return sigs * (dnswire.EncodedNameLen(dnswire.CanonicalName(owner)) + 10 +
+		18 + dnswire.EncodedNameLen(s.Zone) + SigLen(s.Algorithm))
 }
 
 // keyTag derives a stable synthetic key tag for (zone, generation, ksk).
@@ -254,14 +274,17 @@ func keyTag(zone string, gen int, ksk bool) uint16 {
 
 // syntheticKeyMaterial produces deterministic pseudo-random bytes of the
 // requested length; only the size matters for amplification analysis.
+// Block ctr is the SHA-256 of "zone/tag/ctr".
 func syntheticKeyMaterial(zone string, tag uint16, n int) []byte {
-	out := make([]byte, 0, n)
-	var ctr uint32
-	for len(out) < n {
-		h := sha256.New()
-		fmt.Fprintf(h, "%s/%d/%d", zone, tag, ctr)
-		out = h.Sum(out)
-		ctr++
+	out := make([]byte, 0, n+sha256.Size)
+	in := append([]byte(zone), '/')
+	in = strconv.AppendUint(in, uint64(tag), 10)
+	in = append(in, '/')
+	prefix := len(in)
+	for ctr := uint64(0); len(out) < n; ctr++ {
+		in = strconv.AppendUint(in[:prefix], ctr, 10)
+		sum := sha256.Sum256(in)
+		out = append(out, sum[:]...)
 	}
 	return out[:n]
 }

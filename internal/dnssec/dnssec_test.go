@@ -1,6 +1,9 @@
 package dnssec
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"dnsamp/internal/dnswire"
@@ -223,5 +226,90 @@ func TestRecordsParseable(t *testing.T) {
 	}
 	if len(res.Msg.Answers) != len(m.Answers) {
 		t.Fatalf("answers = %d, want %d", len(res.Msg.Answers), len(m.Answers))
+	}
+}
+
+// wireLen sums the wire lengths of records.
+func wireLen(rrs []dnswire.RR) int {
+	n := 0
+	for _, rr := range rrs {
+		n += rr.WireLen()
+	}
+	return n
+}
+
+// TestSizesMatchRecords holds the size arithmetic to the records it
+// stands for: SignatureOverheadAt equals the summed wire lengths of
+// DNSKEYRecords, the KSK's RRSIG over them and nRRsets RRSIG sets, and
+// RRSIGLen equals Sign's, across algorithms, schemes, steady and
+// rollover instants (a zero interval, a phase shift and a negative
+// time too), owners in and out of canonical form, and TTLs.
+func TestSizesMatchRecords(t *testing.T) {
+	day := int64(simclock.Days(1))
+	for _, alg := range []uint8{dnswire.AlgRSASHA256, dnswire.AlgECDSAP256SHA256} {
+		for _, scheme := range []Scheme{PrePublish, DoubleSignature} {
+			for _, s := range []*Signer{
+				NewSigner("nsf.gov", alg, scheme, 47, 0),
+				NewSigner("Deep.Sub.Example.ORG.", alg, scheme, 30, simclock.Days(20)),
+				{Zone: "static.example.", Algorithm: alg, Scheme: scheme}, // no rollovers
+			} {
+				var times []simclock.Time
+				for _, at := range []int64{-1, 0, 1, 13 * day, 14 * day, 15 * day} {
+					times = append(times, simclock.Time(at), simclock.Time(int64(s.Interval)+at), simclock.Time(-int64(s.Interval)+at))
+				}
+				for _, tm := range times {
+					for _, owner := range []string{s.Zone, "www.NSF.gov", ".", "a.b.c.d.example."} {
+						for _, ttl := range []uint32{0, 300, 86400} {
+							want := wireLen(s.DNSKEYRecords(tm, ttl)) + wireLen(s.Sign(tm, s.Zone, dnswire.TypeDNSKEY, ttl)) +
+								5*wireLen(s.Sign(tm, owner, dnswire.TypeA, ttl))
+							if got := s.SignatureOverheadAt(tm, owner, 5, ttl); got != want {
+								t.Fatalf("%s alg %d %s at %d, owner %q: overhead %d, records %d", s.Zone, alg, scheme, tm, owner, got, want)
+							}
+							for _, covered := range []dnswire.Type{dnswire.TypeA, dnswire.TypeDNSKEY, dnswire.TypeTXT} {
+								if got, want := s.RRSIGLen(tm, owner, covered), wireLen(s.Sign(tm, owner, covered, ttl)); got != want {
+									t.Fatalf("%s alg %d %s at %d, owner %q, %v: RRSIGLen %d, records %d", s.Zone, alg, scheme, tm, owner, covered, got, want)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSyntheticKeyMaterialBytes holds the key material to its formatted
+// definition: block ctr is the SHA-256 of fmt's "zone/tag/ctr".
+func TestSyntheticKeyMaterialBytes(t *testing.T) {
+	ref := func(zone string, tag uint16, n int) []byte {
+		var out []byte
+		for ctr := 0; len(out) < n; ctr++ {
+			sum := sha256.Sum256(fmt.Appendf(nil, "%s/%d/%d", zone, tag, ctr))
+			out = append(out, sum[:]...)
+		}
+		return out[:n]
+	}
+	for _, zone := range []string{"doj.gov.", ".", ""} {
+		for _, tag := range []uint16{0, 7, 65535} {
+			for _, n := range []int{0, 1, 32, 64, 260, 320, 33 * 32} {
+				if got, want := syntheticKeyMaterial(zone, tag, n), ref(zone, tag, n); !bytes.Equal(got, want) {
+					t.Fatalf("zone %q tag %d n %d: bytes differ", zone, tag, n)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSignatureOverhead is the DNSSEC share of a signed zone's ANY
+// size, as zonedb.Zone.ANYSize asks for it: one steady and one rollover
+// instant per op, for a 7-RRset .gov zone.
+func BenchmarkSignatureOverhead(b *testing.B) {
+	s := NewSigner("nsf.gov", dnswire.AlgRSASHA256, DoubleSignature, 47, 0)
+	steady := simclock.Time(int64(s.Interval) - 1)
+	roll := simclock.Time(int64(s.Interval) + 1)
+	b.ReportAllocs()
+	for b.Loop() {
+		s.SignatureOverheadAt(steady, s.Zone, 7, 3600)
+		s.SignatureOverheadAt(roll, s.Zone, 7, 3600)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"slices"
+	"sort"
 	"sync/atomic"
 
 	"dnsamp/internal/dnswire"
@@ -14,6 +15,7 @@ import (
 	"dnsamp/internal/simclock"
 	"dnsamp/internal/stats"
 	"dnsamp/internal/topology"
+	"dnsamp/internal/zonedb"
 )
 
 // TaggedRecord is one sampled IXP frame plus the ingress-port metadata
@@ -141,21 +143,20 @@ type Generator struct {
 	seed int64
 
 	// table is the frozen name-interning space: every name the
-	// generator can emit (root, explicit zones, procedural namespace,
-	// event names) is interned at construction, so day synthesis never
-	// writes to it and batches from concurrent Day calls share it.
-	table   *names.Table
-	rootID  uint32
-	procIDs []uint32 // procedural index -> table ID
-	misIDs  []uint32 // MisusedCandidates index -> table ID
+	// generator can emit (root, explicit zones, event names, procedural
+	// namespace) is in it from construction, so day synthesis never
+	// writes to it and batches from concurrent Day calls share it. The
+	// procedural namespace is the table's range: bulk name i has ID
+	// procBase+i.
+	table    *names.Table
+	rootID   uint32
+	procBase uint32
+	misIDs   []uint32 // MisusedCandidates index -> table ID
 
-	// isExplicit flags table IDs backed by an explicit zone, replacing
-	// the per-packet zones-map lookup.
+	// isExplicit flags the table IDs below procBase backed by an
+	// explicit zone, replacing the per-packet zones-map lookup; no bulk
+	// name has a zone.
 	isExplicit []bool
-	// wireLens caches nameWireLen per table ID, so the background hot
-	// path sizes queries and response skeletons from a flat int column
-	// instead of dereferencing the interned string per packet.
-	wireLens []int32
 	// sizeCache memoizes the procedural response size per (qtype slot,
 	// name ID). Sizes of bulk names are pure functions of (name, qtype)
 	// but cost two SHA-256 hashes to derive; concurrent Day slices fill
@@ -278,11 +279,11 @@ func NewGenerator(c *Campaign, seed int64) *Generator {
 		g.servers = append(g.servers, addr)
 	}
 	g.bgZipf = stats.NewZipf(len(g.bgClients), 1.05)
-	g.nameZipf = stats.NewZipf(200_000, 1.0)
+	g.nameZipf = stats.NewZipf(namespaceRanks, 1.0)
 
-	// Freeze the interning table over the full emittable namespace.
+	// Freeze the interning table over the full emittable namespace:
+	// the named zones and events hashed, the bulk names as a range.
 	g.table = names.NewTable()
-	g.table.Reserve(g.nameZipf.N() + len(c.DB.ExplicitNames()) + len(c.Events) + 64)
 	g.rootID = g.table.Intern(".")
 	for _, n := range c.DB.ExplicitNames() {
 		g.table.Intern(dnswire.CanonicalName(n))
@@ -295,31 +296,46 @@ func NewGenerator(c *Campaign, seed int64) *Generator {
 	for i, n := range mis {
 		g.misIDs[i] = g.table.Intern(dnswire.CanonicalName(n))
 	}
+	g.isExplicit = make([]bool, g.table.Len())
+	for id := range g.isExplicit {
+		_, g.isExplicit[id] = c.DB.Zone(g.table.Name(uint32(id)))
+	}
 	// The background name Zipf spans a fixed 200k-rank namespace that
 	// may exceed the DB's procedural count, so freeze the union.
-	np := c.DB.NumProceduralNames()
-	if np < g.nameZipf.N() {
-		np = g.nameZipf.N()
-	}
-	g.procIDs = make([]uint32, np)
-	for i := 0; i < np; i++ {
-		g.procIDs[i] = g.table.Intern(c.DB.ProceduralName(i))
-	}
-
-	g.isExplicit = make([]bool, g.table.Len())
-	g.wireLens = make([]int32, g.table.Len())
-	for id := range g.table.Len() {
-		name := g.table.Name(uint32(id))
-		if _, ok := c.DB.Zone(name); ok {
-			g.isExplicit[id] = true
-		}
-		g.wireLens[id] = int32(nameWireLen(name))
-	}
+	g.procBase = g.table.AppendRange(zonedb.ProceduralRange(max(c.DB.NumProceduralNames(), g.nameZipf.N())))
 	g.sizeCache = make([]sizeCacheCol, len(qtypeSlots))
 	for i := range g.sizeCache {
 		g.sizeCache[i] = make(sizeCacheCol, g.table.Len())
 	}
 	return g
+}
+
+// namespaceRanks is the background name Zipf's rank count, and so the
+// fewest bulk names a generator's table holds.
+const namespaceRanks = 200_000
+
+// AdoptNamespace gives a table decoded from a generator's table its
+// bulk namespace back as a range. A generator holds that namespace as
+// its table's range (names.Table.AppendRange), which the table's
+// encoding does not mark: its names are written like any other. Read
+// back, the run of bulk names 0, 1, 2, ... from bulk name 0's ID becomes
+// the range again when it spans at least namespaceRanks names, so the
+// table opened is the table written; a table no generator built holds
+// no such run. The run's end is found by bisection, and AdoptRange
+// checks every name of it.
+func AdoptNamespace(tab *names.Table) {
+	all := zonedb.ProceduralRange(tab.Len())
+	base, ok := tab.Lookup(string(all.AppendName(nil, 0)))
+	if !ok {
+		return
+	}
+	n := sort.Search(tab.Len()-int(base), func(j int) bool {
+		i, ok := all.ParseName(tab.Name(base + uint32(j)))
+		return !ok || i != j
+	})
+	if n >= namespaceRanks {
+		tab.AdoptRange(base, zonedb.ProceduralRange(n))
+	}
 }
 
 // sizeCacheCol is one qtype's response-size column, indexed by name ID.
@@ -342,12 +358,17 @@ func qtypeSlot(qtype dnswire.Type) int {
 	return -1
 }
 
+// explicit reports whether name id has an explicit zone.
+func (g *Generator) explicit(id uint32) bool {
+	return int(id) < len(g.isExplicit) && g.isExplicit[id]
+}
+
 // responseSizeFor returns DB.ResponseSize(name, qtype, t), serving bulk
 // names from the per-ID cache (their sizes are time-independent pure
 // functions, but cost two SHA-256 hashes to derive). The name string is
 // only materialized on the slow paths; cache hits never touch it.
 func (g *Generator) responseSizeFor(nameID uint32, qtype dnswire.Type, t simclock.Time) int {
-	if g.isExplicit[nameID] {
+	if g.explicit(nameID) {
 		return g.C.DB.ResponseSize(g.table.Name(nameID), qtype, t)
 	}
 	slot := qtypeSlot(qtype)
@@ -452,7 +473,7 @@ func nameWireLen(name string) int {
 
 // querySize is the encoded size of dnswire.NewQuery(_, name, _, 4096):
 // header, one question, one OPT RR. querySizeWL is its twin over a
-// precomputed wire length (Generator.wireLens).
+// precomputed wire length.
 func querySize(name string) int {
 	return querySizeWL(nameWireLen(name))
 }
@@ -866,10 +887,10 @@ func (g *dayGen) backgroundTraffic(day simclock.Time) {
 		case g.rng.Float64() < g.Background.ANYShare:
 			// Organic ANY (debugging tools): spread uniformly across
 			// the bulk namespace rather than by popularity.
-			nameID = g.procIDs[g.rng.Intn(g.C.DB.NumProceduralNames())]
+			nameID = g.procBase + uint32(g.rng.Intn(g.C.DB.NumProceduralNames()))
 			qtype = dnswire.TypeANY
 		default:
-			nameID = g.procIDs[g.nameZipf.Draw(g.rng)-1]
+			nameID = g.procBase + uint32(g.nameZipf.Draw(g.rng)-1)
 			v := g.rng.Float64()
 			acc := 0.0
 			for _, tw := range backgroundQTypes {
@@ -889,8 +910,8 @@ func (g *dayGen) backgroundTraffic(day simclock.Time) {
 }
 
 // emitBackgroundQuery draws and emits one organic client->server query.
-// The batch path never materializes the name string; sizes come from
-// the per-ID wire-length column.
+// The batch path never copies the name: sizes come from the length of
+// its slab view, which the table's end column gives.
 func (g *dayGen) emitBackgroundQuery(client, server netip.Addr, nameID uint32, qtype dnswire.Type, t simclock.Time) {
 	txid := uint16(g.rng.Intn(1 << 16))
 	ttl := uint8(32 + g.rng.Intn(200))
@@ -907,7 +928,7 @@ func (g *dayGen) emitBackgroundQuery(client, server netip.Addr, nameID uint32, q
 		return
 	}
 
-	wl := int(g.wireLens[nameID])
+	wl := nameWireLen(g.table.Name(nameID))
 	qlen := querySizeWL(wl)
 	g.emitSimple(ixp.BatchRecord{
 		Time:    t,
@@ -929,7 +950,7 @@ func (g *dayGen) emitBackgroundResponse(server, client netip.Addr, nameID uint32
 	size := g.responseSizeFor(nameID, qtype, t)
 	// Organic jitter: caches, case randomization, EDNS variations.
 	size += g.rng.Intn(24)
-	if !g.isExplicit[nameID] && size > 4096 {
+	if !g.explicit(nameID) && size > 4096 {
 		// Recursive resolvers answering organic queries for bulk names
 		// cap at the common EDNS buffer; only the misused-name zones
 		// (queried at their authoritatives or via uncapped resolvers)
@@ -964,7 +985,7 @@ func (g *dayGen) emitBackgroundResponse(server, client netip.Addr, nameID uint32
 		return
 	}
 
-	wl := int(g.wireLens[nameID])
+	wl := nameWireLen(g.table.Name(nameID))
 	respLen := bgResponseSizeWL(wl)
 	if size < respLen {
 		size = respLen

@@ -1,7 +1,9 @@
 package ecosystem
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -287,5 +289,34 @@ func BenchmarkTrafficDay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Day(day.Add(simclock.Days(i % 30)))
+	}
+}
+
+// BenchmarkNewGenerator builds the generator of a campaign at three
+// scales over the recording's zone database (20 000 procedural names,
+// so the name Zipf's 200 000-rank namespace is the larger): the client
+// population grows with the scale, the namespace does not. live-MB is
+// the heap one built generator holds.
+func BenchmarkNewGenerator(b *testing.B) {
+	for _, scale := range []float64{0.0002, 0.02, 0.05} {
+		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) {
+			cfg := DefaultCampaignConfig(scale)
+			cfg.Zones.ProceduralNames = 20_000
+			c := NewCampaign(cfg)
+			b.ReportAllocs()
+			var g *Generator
+			for b.Loop() {
+				g = NewGenerator(c, 7)
+			}
+			var before, after runtime.MemStats
+			g = nil
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			g = NewGenerator(c, 7)
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(g)
+			b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/(1<<20), "live-MB")
+		})
 	}
 }

@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestInternLookupRoundTrip(t *testing.T) {
@@ -71,19 +74,6 @@ func TestNameViewsOutliveGrowth(t *testing.T) {
 	}
 }
 
-// TestReserveKeepsIDs: pre-sizing a table that already holds names
-// changes neither their IDs nor what later names get.
-func TestReserveKeepsIDs(t *testing.T) {
-	tab := NewTable()
-	tab.Intern("a.")
-	tab.Intern("b.")
-	tab.Reserve(1000)
-	tab.Reserve(10) // smaller than the last reservation: changes nothing
-	if id, ok := tab.Lookup("b."); !ok || id != 1 || tab.Intern("c.") != 2 || tab.Len() != 3 {
-		t.Fatalf("after Reserve: Lookup(b.) = %d,%v; Len %d", id, ok, tab.Len())
-	}
-}
-
 // TestKeep: a release renumbers the kept names densely in ID order, a
 // dropped name is gone until interned again (then under the next dense
 // ID), views taken before the release still read their names, and each
@@ -131,6 +121,165 @@ func TestKeep(t *testing.T) {
 	}
 }
 
+// testRange is the tests' Range: name i is "r", i in decimal (no
+// leading zero), ".range.", for i < N.
+type testRange struct{ N int }
+
+func (r testRange) Len() int { return r.N }
+
+func (r testRange) Size() int {
+	size := r.N * len("r0.range.")
+	for lo := 10; lo < r.N; lo *= 10 {
+		size += r.N - lo // one more digit from lo on
+	}
+	return size
+}
+
+func (r testRange) AppendName(dst []byte, i int) []byte {
+	dst = append(dst, 'r')
+	dst = strconv.AppendInt(dst, int64(i), 10)
+	return append(dst, ".range."...)
+}
+
+func (r testRange) ParseName(name string) (int, bool) {
+	digits, ok := strings.CutPrefix(name, "r")
+	if digits, ok = strings.CutSuffix(digits, ".range."); !ok || digits == "" || digits[0] == '0' && digits != "0" {
+		return 0, false
+	}
+	i, err := strconv.Atoi(digits)
+	if err != nil || i < 0 || i >= r.N || strconv.Itoa(i) != digits {
+		return 0, false
+	}
+	return i, true
+}
+
+// panics reports whether f panics.
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}
+
+// TestAppendRange: a range takes the next dense IDs, every way back to
+// a name of it finds its ID without the name being hashed, the index
+// sizes to the hashed names alone, names interned after it come after
+// it, a name that already parses into it or a second range panics, and
+// Keep indexes the kept range names like any other. Two tables built by
+// the same steps stay reflect.DeepEqual. (TestAppendRangeAllocs counts
+// its allocations.)
+func TestAppendRange(t *testing.T) {
+	build := func() *Table {
+		tab := NewTable()
+		tab.Intern(".")
+		tab.Intern("r12.range.x.") // not a range name: the suffix differs
+		if base := tab.AppendRange(testRange{N: 10_000}); base != 2 {
+			t.Fatalf("range base %d, want 2", base)
+		}
+		tab.Intern("after.")
+		return tab
+	}
+	tab := build()
+	if tab.Len() != 10_003 || len(tab.index) != minIndex {
+		t.Fatalf("Len %d, index %d slots; want 10 003 names and a %d-slot index of 3", tab.Len(), len(tab.index), minIndex)
+	}
+	for _, i := range []int{0, 1, 9, 10, 4321, 9999} {
+		name, id := testRange{}.AppendName(nil, i), uint32(2+i)
+		if tab.Name(id) != string(name) {
+			t.Fatalf("Name(%d) = %q, want %q", id, tab.Name(id), name)
+		}
+		if got, ok := tab.Lookup(string(name)); !ok || got != id || tab.Intern(string(name)) != id || tab.InternBytes(name) != id {
+			t.Fatalf("%q: Lookup %d,%v; want %d from every path", name, got, ok, id)
+		}
+	}
+	for _, miss := range []string{"r10000.range.", "r01.range.", "r-1.range.", "r.range."} {
+		if id, ok := tab.Lookup(miss); ok {
+			t.Fatalf("Lookup(%q) = %d outside the range", miss, id)
+		}
+	}
+	if id := tab.Intern("r10000.range."); id != 10_003 || tab.Name(id) != "r10000.range." {
+		t.Fatalf("a name past the range interned as %d", id)
+	}
+	if !reflect.DeepEqual(build(), build()) {
+		t.Fatal("two tables built alike differ")
+	}
+	if !panics(func() { tab.AppendRange(testRange{N: 1}) }) {
+		t.Fatal("a second range did not panic")
+	}
+	clash := NewTable()
+	clash.Intern("r5.range.")
+	if !panics(func() { clash.AppendRange(testRange{N: 6}) }) {
+		t.Fatal("a range holding an earlier name did not panic")
+	}
+	if clash.AppendRange(testRange{N: 5}) != 1 {
+		t.Fatal("a range that holds no earlier name was refused")
+	}
+
+	remap := tab.Keep(func(id uint32) bool { return id%2 == 0 })
+	if tab.rng != nil || len(tab.index) != indexSizeFor(tab.Len()) {
+		t.Fatalf("after Keep: range %v, %d-slot index for %d names", tab.rng, len(tab.index), tab.Len())
+	}
+	if id, ok := tab.Lookup("r4.range."); !ok || id != remap[6] {
+		t.Fatalf("kept range name: Lookup %d,%v, want %d", id, ok, remap[6])
+	}
+	if _, ok := tab.Lookup("r5.range."); ok {
+		t.Fatal("a released range name still looks up")
+	}
+}
+
+// TestAdoptRange: names interned one by one and then adopted as a
+// range make the very table AppendRange builds (reflect.DeepEqual), and
+// adoption refuses, changing nothing, a table with a range already, IDs
+// that do not hold the range's names in order and a range that runs
+// past the table.
+func TestAdoptRange(t *testing.T) {
+	r := testRange{N: 3000}
+	appended := NewTable()
+	appended.Intern("a.")
+	appended.AppendRange(r)
+	appended.Intern("b.")
+
+	adopted := NewTable()
+	adopted.Intern("a.")
+	for i := range r.N {
+		adopted.InternBytes(r.AppendName(nil, i))
+	}
+	adopted.Intern("b.")
+	if !adopted.AdoptRange(1, r) || !reflect.DeepEqual(adopted, appended) {
+		t.Fatal("adopting the range did not make the appended table")
+	}
+	if adopted.AdoptRange(1, r) {
+		t.Fatal("a second range was adopted")
+	}
+
+	loose := NewTable()
+	loose.Intern("r2.range.")
+	loose.Intern("r0.range.")
+	loose.Intern("r1.range.")
+	before := fmt.Sprint(*loose)
+	for _, c := range []struct {
+		base uint32
+		r    testRange
+	}{{0, testRange{N: 3}}, {0, testRange{N: 1}}, {2, testRange{N: 2}}, {1, testRange{N: 3}}} {
+		if loose.AdoptRange(c.base, c.r) || fmt.Sprint(*loose) != before {
+			t.Fatalf("adopted %d names at %d that are not the range's names in order", c.r.N, c.base)
+		}
+	}
+	if !loose.AdoptRange(1, testRange{N: 2}) {
+		t.Fatal("r0, r1 at IDs 1, 2 were not adopted")
+	}
+	if id, ok := loose.Lookup("r1.range."); !ok || id != 2 || len(loose.index) != minIndex {
+		t.Fatalf("after adoption: Lookup(r1.range.) = %d,%v", id, ok)
+	}
+}
+
+// TestTableWholeCacheLines holds the table's size to whole 64-byte
+// lines (see its pad).
+func TestTableWholeCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(Table{}); size%64 != 0 {
+		t.Fatalf("Table is %d bytes, not a whole number of 64-byte lines: resize its pad", size)
+	}
+}
+
 // TestInternAllocs is the table's allocation guard: a known name costs
 // no allocation on any path, and interning n fresh names costs a
 // logarithmic number of allocations (the slab, end and index arrays
@@ -172,13 +321,17 @@ func TestInternAllocs(t *testing.T) {
 // earlier must still read its name — a released name's too. Names are
 // decoded from the input: literal bytes, near-twins of one name (one
 // byte apart), long names, the empty name, re-uses of names already
-// interned, and bulk runs that force several index growths. A Keep
-// step releases the names an input byte's bits select.
+// interned, names of the test range and near misses of them, and bulk
+// runs that force several index growths. A Keep step releases the
+// names an input byte's bits select. A range step appends a testRange,
+// which must panic when the table holds a range already or a name that
+// parses into it, and otherwise takes the next IDs in order.
 func FuzzTable(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 'a', 'b', '.', 1, 1, 7, 2, 5, 3, 3, 0})
 	f.Add([]byte{5, 200, 2, 1, 9, 4, 60, 0, 2, 40, 1, 6, 'x'})
 	f.Add([]byte{1, 5, 1, 1, 9, 1, 5, 2, 4, 3, 3, 7, 5, 255, 5, 255})
 	f.Add([]byte{5, 40, 6, 0x5a, 0, 0, 2, 'a', '.', 6, 0, 5, 9, 6, 0xff, 1, 3, 0})
+	f.Add([]byte{0, 4, 3, 6, 2, 0, 4, 1, 2, 4, 1, 5, 0x55, 0, 4, 1, 6, 5, 1, 4, 2})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		next := func() byte {
 			if len(prog) == 0 {
@@ -192,8 +345,9 @@ func FuzzTable(f *testing.F) {
 		ids := map[string]uint32{}
 		var ref, views []string
 		var gone, goneViews []string // released names and their earlier views
+		hasRange := false
 		name := func() string {
-			switch mode := next(); mode % 4 {
+			switch mode := next(); mode % 5 {
 			case 0: // literal bytes
 				n := min(int(next()%64), len(prog))
 				s := string(prog[:n])
@@ -205,6 +359,12 @@ func FuzzTable(f *testing.F) {
 				return string(b)
 			case 2: // long
 				return strings.Repeat(string(rune('a'+(mode>>2)%26)), 200+int(next()))
+			case 4: // a range name, or with a leading zero a near miss
+				s := fmt.Sprintf("r%d.range.", int(next())<<2|int(mode>>3&3))
+				if mode>>5&1 != 0 {
+					s = "r0" + s[1:]
+				}
+				return s
 			}
 			// The empty name, or one already interned.
 			if k := next(); k != 0 && len(ref) > 0 {
@@ -251,14 +411,12 @@ func FuzzTable(f *testing.F) {
 					}
 				}
 			case 4:
-				tab.Reserve(int(next()) * 8)
-			case 5:
 				base := len(ref)
 				for i := range int(next() % 64) {
 					s := fmt.Sprintf("bulk%d.%d.", base, i)
 					intern(s, tab.InternBytes([]byte(s)))
 				}
-			case 6:
+			case 5:
 				mask, gen := next(), tab.Gen()
 				kept := func(id int) bool { return mask>>(id%8)&1 != 0 }
 				remap := tab.Keep(func(id uint32) bool { return kept(int(id)) })
@@ -281,6 +439,25 @@ func FuzzTable(f *testing.F) {
 					}
 				}
 				ref, views = kref, kviews
+				hasRange = false // Keep indexes the range's kept names
+			case 6:
+				r := testRange{N: int(next()) * 4}
+				clash := hasRange
+				for _, s := range ref {
+					if _, in := r.ParseName(s); in {
+						clash = true
+					}
+				}
+				var base uint32
+				if panicked := panics(func() { base = tab.AppendRange(r) }); panicked != clash {
+					t.Fatalf("step %d: AppendRange of %d names panicked %v, want %v", step, r.N, panicked, clash)
+				}
+				if !clash {
+					hasRange = true
+					for i := range r.N {
+						intern(string(r.AppendName(nil, i)), base+uint32(i))
+					}
+				}
 			}
 			if tab.Len() != len(ref) {
 				t.Fatalf("step %d: Len %d, want %d", step, tab.Len(), len(ref))

@@ -146,6 +146,9 @@ func OpenSnapshot(rd io.Reader) (*Replay, error) {
 
 	tab := names.NewTable()
 	tab.Decode(d)
+	if d.Err() == nil {
+		ecosystem.AdoptNamespace(tab)
+	}
 
 	addr4 := func() (a [4]byte) {
 		copy(a[:], d.Raw(4))

@@ -202,6 +202,20 @@ func snapshotBytes(tb testing.TB, r *source.Replay) []byte {
 	return buf.Bytes()
 }
 
+// TestSnapshotRestoresNamespace: a recorded synthetic source's table
+// holds the generator's bulk namespace as a range, which the snapshot
+// writes as plain names; the table opened is the table written.
+func TestSnapshotRestoresNamespace(t *testing.T) {
+	rec := source.Record(source.NewSynthetic(ecosystem.NewGenerator(tinyCampaign(t), 7), testWindow()))
+	loaded, err := source.OpenSnapshot(bytes.NewReader(snapshotBytes(t, rec)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rec.Table(), loaded.Table()) {
+		t.Fatal("the opened table differs from the generator's")
+	}
+}
+
 // FuzzOpenSnapshot holds the snapshot decoder to the contract of
 // internal/binenc: any bytes decode without a panic and allocate no
 // more than the bytes present justify (FuzzLoadCheckpoint's bound), and

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Binomial draws from Binomial(n, p) using rng. For large n it uses a
@@ -83,12 +84,29 @@ func binomialInversion(rng *rand.Rand, n int, p float64) int {
 // smallest index from any start, including a bucket off by the float
 // rounding of u*n: draws are exactly a binary search's. The walk is
 // bounded by its bucket's size, and the n buckets are equally likely,
-// so a draw takes one step on average whatever the exponent. The table
-// is built at construction: concurrent callers share a Zipf read-only.
+// so a draw takes one step on average whatever the exponent.
+//
+// Over more than headRanks ranks, a u below cdf[headRanks-1] starts
+// from a second guide table, head, over that stretch of u alone (j =
+// int(u*headRanks/cdf[headRanks-1])). The answer lies in the first
+// headRanks ranks, so the draw reads only head and those ranks' CDF
+// values, which stay in cache where the whole guide cannot; the steps
+// above make the start's exact value irrelevant to the rank. Most draws
+// land there: at s = 1 over 200 000 ranks, 75 % do. The tables are
+// built at construction: concurrent callers share a Zipf read-only.
 type Zipf struct {
 	cdf   []float64
 	guide []int32 // n+1 entries: u*n may round up to n
+
+	head      []int32 // headRanks+1 entries; nil when n <= headRanks
+	headEnd   float64 // cdf[headRanks-1]: head serves u < headEnd
+	headScale float64 // headRanks / headEnd
 }
+
+// headRanks is the number of ranks the head guide covers: its table and
+// their CDF values take 96 KiB. It was chosen on the batch study's
+// profile, where 8 192 beat 4 096, 16 384 and 65 536.
+const headRanks = 8192
 
 // NewZipf prepares a Zipf distribution over ranks 1..n with exponent s.
 func NewZipf(n int, s float64) *Zipf {
@@ -104,19 +122,30 @@ func NewZipf(n int, s float64) *Zipf {
 	return indexCDF(cdf)
 }
 
-// indexCDF builds the guide table over a non-decreasing CDF.
+// indexCDF builds the guide tables over a non-decreasing CDF.
 func indexCDF(cdf []float64) *Zipf {
-	n := len(cdf)
-	guide := make([]int32, n+1)
+	z := &Zipf{cdf: cdf, guide: guideTable(cdf, len(cdf), 1)}
+	if len(cdf) > headRanks {
+		z.headEnd = cdf[headRanks-1]
+		z.headScale = headRanks / z.headEnd
+		z.head = guideTable(cdf[:headRanks], headRanks, z.headEnd)
+	}
+	return z
+}
+
+// guideTable returns the buckets+1 entries over cdf whose entry j is
+// the smallest i with cdf[i] >= j/buckets*end, capped at len(cdf)-1.
+func guideTable(cdf []float64, buckets int, end float64) []int32 {
+	guide := make([]int32, buckets+1)
 	i := 0
 	for j := range guide {
-		t := float64(j) / float64(n)
-		for i < n-1 && cdf[i] < t {
+		t := float64(j) / float64(buckets) * end
+		for i < len(cdf)-1 && cdf[i] < t {
 			i++
 		}
 		guide[j] = int32(i)
 	}
-	return &Zipf{cdf: cdf, guide: guide}
+	return guide
 }
 
 // Draw returns a rank in [1, n].
@@ -125,7 +154,12 @@ func (z *Zipf) Draw(rng *rand.Rand) int { return z.rank(rng.Float64()) }
 // rank maps u in [0, 1) to its rank: one plus the smallest index i with
 // cdf[i] >= u, capped at n.
 func (z *Zipf) rank(u float64) int {
-	i := int(z.guide[int(u*float64(len(z.cdf)))])
+	var i int
+	if u < z.headEnd {
+		i = int(z.head[int(u*z.headScale)])
+	} else {
+		i = int(z.guide[int(u*float64(len(z.cdf)))])
+	}
 	for i > 0 && z.cdf[i-1] >= u {
 		i--
 	}
@@ -162,6 +196,10 @@ func Shuffle[T any](rng *rand.Rand, xs []T) {
 
 // SampleWithoutReplacement returns k distinct elements of xs chosen
 // uniformly. If k >= len(xs) a shuffled copy of xs is returned.
+//
+// Below that it runs a partial Fisher-Yates: k swaps over a pooled
+// identity permutation of xs's indices, undone before the permutation
+// goes back to the pool, so a call costs O(k), not O(len(xs)).
 func SampleWithoutReplacement[T any](rng *rand.Rand, xs []T, k int) []T {
 	n := len(xs)
 	if k >= n {
@@ -169,16 +207,35 @@ func SampleWithoutReplacement[T any](rng *rand.Rand, xs []T, k int) []T {
 		Shuffle(rng, out)
 		return out
 	}
-	// Partial Fisher-Yates over a copy of indices.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
 	out := make([]T, 0, k)
+	p, _ := permPool.Get().(*perm)
+	if p == nil {
+		p = new(perm)
+	}
+	for i := len(p.idx); i < n; i++ {
+		p.idx = append(p.idx, i)
+	}
+	idx, swaps := p.idx[:n], p.swaps[:0]
 	for i := 0; i < k; i++ {
 		j := i + rng.Intn(n-i)
 		idx[i], idx[j] = idx[j], idx[i]
+		swaps = append(swaps, j)
 		out = append(out, xs[idx[i]])
 	}
+	for i := k - 1; i >= 0; i-- {
+		j := swaps[i]
+		idx[i], idx[j] = idx[j], idx[i]
+	}
+	p.swaps = swaps
+	permPool.Put(p)
 	return out
+}
+
+// permPool holds SampleWithoutReplacement's permutations.
+var permPool sync.Pool // of *perm
+
+// perm is an identity permutation (idx[i] == i whenever it is in the
+// pool) and the swap list that restores it.
+type perm struct {
+	idx, swaps []int
 }

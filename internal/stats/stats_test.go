@@ -3,6 +3,8 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -308,6 +310,82 @@ func TestSampleWithoutReplacement(t *testing.T) {
 	if len(all) != len(xs) {
 		t.Fatalf("oversample len = %d, want %d", len(all), len(xs))
 	}
+}
+
+// sampleFreshIndex is SampleWithoutReplacement as it was before the
+// pooled permutation, kept as the oracle: a partial Fisher-Yates over a
+// fresh n-element index.
+func sampleFreshIndex[T any](rng *rand.Rand, xs []T, k int) []T {
+	n := len(xs)
+	if k >= n {
+		out := append([]T(nil), xs...)
+		Shuffle(rng, out)
+		return out
+	}
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	out := make([]T, 0, k)
+	for i := 0; i < k; i++ {
+		j := i + rng.Intn(n-i)
+		idx[i], idx[j] = idx[j], idx[i]
+		out = append(out, xs[idx[i]])
+	}
+	return out
+}
+
+// checkSampleMatchesFresh draws from both functions with one seed and
+// fails unless the samples and the rng's next Int63 agree.
+func checkSampleMatchesFresh(t *testing.T, xs []int, k int, seed int64) {
+	a, b := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+	got, want := SampleWithoutReplacement(a, xs, k), sampleFreshIndex(b, xs, k)
+	if !slices.Equal(got, want) {
+		t.Errorf("n=%d k=%d seed=%d: sample %v, fresh index %v", len(xs), k, seed, got, want)
+	}
+	if x, y := a.Int63(), b.Int63(); x != y {
+		t.Errorf("n=%d k=%d seed=%d: next Int63 %d, fresh index %d", len(xs), k, seed, x, y)
+	}
+}
+
+// TestSampleMatchesFreshIndex holds the pooled sampler to the fresh
+// index, call after call through one pool: sizes up and down (so a
+// longer pooled permutation serves a shorter call), k from none to all
+// but one, several seeds.
+func TestSampleMatchesFreshIndex(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 4400, 7, 2} {
+		xs := make([]int, n)
+		for i := range xs {
+			xs[i] = 1000 + i
+		}
+		for _, k := range []int{0, 1, n / 2, n - 1, n} {
+			for seed := int64(1); seed <= 4; seed++ {
+				checkSampleMatchesFresh(t, xs, k, seed)
+			}
+		}
+	}
+}
+
+// TestSampleConcurrentCallers runs samplers on several goroutines at
+// once over one pool (run it under -race): each call must still match
+// the fresh index.
+func TestSampleConcurrentCallers(t *testing.T) {
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				n := 1 + (i*37+w*11)%300
+				xs := make([]int, n)
+				for j := range xs {
+					xs[j] = j
+				}
+				checkSampleMatchesFresh(t, xs, (i*13)%n, int64(w*100+i))
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestMeanSum(t *testing.T) {

@@ -24,8 +24,10 @@ func searchRank(cdf []float64, u float64) int {
 
 // TestZipfMatchesBinarySearch holds the guide-table search to the
 // binary search at every place they could part: each CDF value and its
-// float neighbours (where cdf[i] >= u flips), each bucket edge j/n
-// (where the guide entry changes), and both ends of [0, 1).
+// float neighbours (where cdf[i] >= u flips; cdf[headRanks-1] is where
+// the head guide hands over to the full one), each bucket edge j/n
+// (where the guide entry changes) and each head bucket edge, and both
+// ends of [0, 1).
 //
 // One thinning keeps it fast. A draw walks its bucket, and buckets are
 // equally likely, so a draw costs one step on average; but probing
@@ -34,7 +36,7 @@ func searchRank(cdf []float64, u float64) int {
 // values more than 4 096 entries past their bucket's start are probed
 // every 512th entry.
 func TestZipfMatchesBinarySearch(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7, 3600, 200_000} {
+	for _, n := range []int{1, 2, 3, 7, 3600, headRanks, headRanks + 1, 200_000} {
 		for _, s := range []float64{0.5, 1, 1.05, 2} {
 			z := NewZipf(n, s)
 			probes := []float64{0, 1 - 0x1p-53}
@@ -46,6 +48,10 @@ func TestZipfMatchesBinarySearch(t *testing.T) {
 			}
 			for j := range n {
 				probes = append(probes, float64(j)/float64(n))
+			}
+			for j := range len(z.head) {
+				u := float64(j) / headRanks * z.headEnd
+				probes = append(probes, u, math.Nextafter(u, 0), math.Nextafter(u, 2))
 			}
 			for _, u := range probes {
 				if u < 0 || u >= 1 {
@@ -75,11 +81,20 @@ func TestZipfRoundingStepsBack(t *testing.T) {
 }
 
 // FuzzZipf compares the guide-table search with the binary search at
-// fuzzed sizes, exponents and draws.
+// fuzzed sizes, exponents and draws. Seeds include the hand-over from
+// the head guide to the full one: u at cdf[headRanks-1] and its float
+// neighbours.
 func FuzzZipf(f *testing.F) {
 	f.Add(uint16(7), 1.0, 0.5)
 	f.Add(uint16(3600), 1.05, 0.999)
 	f.Add(uint16(0), 2.0, 0.0)
+	for _, s := range []float64{1.0, 0.5} {
+		const n = 20_000
+		end := NewZipf(n, s).headEnd
+		for _, u := range []float64{end, math.Nextafter(end, 0), math.Nextafter(end, 2)} {
+			f.Add(uint16(n-1), s, u)
+		}
+	}
 	f.Fuzz(func(t *testing.T, n uint16, s, u float64) {
 		if math.IsNaN(s) || math.IsInf(s, 0) || math.IsNaN(u) || math.IsInf(u, 0) {
 			t.Skip()

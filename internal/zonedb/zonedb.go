@@ -61,7 +61,6 @@ type DB struct {
 	attacked     []string // candidates with attack traffic (32)
 
 	procCount int
-	procTLDs  []string
 }
 
 // Config controls namespace synthesis.
@@ -127,7 +126,6 @@ func New(cfg Config) *DB {
 	db := &DB{
 		zones:     make(map[string]*Zone),
 		procCount: cfg.ProceduralNames,
-		procTLDs:  []string{"com", "net", "org", "de", "nl", "info", "io", "co", "us", "fr"},
 	}
 
 	// Entity .gov zones: DNSSEC-signed, double-signature ZSK rollovers,
@@ -349,10 +347,80 @@ func (db *DB) NumProceduralNames() int { return db.procCount }
 
 // ProceduralName returns the i-th bulk name (0-based), equal to
 // fmt.Sprintf("host%07d.%s.", i, tld) but without the formatter
-// overhead (name-table freezing interns hundreds of thousands of
-// these).
+// overhead.
 func (db *DB) ProceduralName(i int) string {
-	tld := db.procTLDs[i%len(db.procTLDs)]
+	return string(appendProceduralName(nil, i))
+}
+
+// procTLDs are the bulk namespace's TLDs: name i takes procTLDs[i%10].
+var procTLDs = [...]string{"com", "net", "org", "de", "nl", "info", "io", "co", "us", "fr"}
+
+// ProceduralRange returns the first n bulk names as a range a
+// names.Table holds without hashing them (names.Table.AppendRange). n
+// may exceed a DB's NumProceduralNames: every index has a name.
+func ProceduralRange(n int) Procedural { return Procedural{n: n} }
+
+// Procedural is the bulk names 0..n-1: name i is "host", i zero-padded
+// to seven decimal digits, ".", the TLD i selects, ".". It is plain
+// data, so tables holding equal ranges compare equal.
+type Procedural struct{ n int }
+
+// procDigits is the zero-padded width of a bulk name's index.
+const procDigits = 7
+
+// Len returns the number of names.
+func (p Procedural) Len() int { return p.n }
+
+// Size returns the total length of the names: "host", seven digits
+// and two dots each, a digit more per name from index 10 000 000 on
+// (and another from 100 000 000 on, ...), and each name's TLD.
+func (p Procedural) Size() int {
+	size := p.n * (len("host") + procDigits + 2)
+	for lo := 10_000_000; lo < p.n; lo *= 10 {
+		size += p.n - lo
+	}
+	for j, tld := range procTLDs {
+		size += (p.n - j + len(procTLDs) - 1) / len(procTLDs) * len(tld) // names j, j+10, ...
+	}
+	return size
+}
+
+// AppendName appends name i to dst.
+func (p Procedural) AppendName(dst []byte, i int) []byte {
+	return appendProceduralName(dst, i)
+}
+
+// ParseName returns the i whose name is name, if 0 ≤ i < Len(). It
+// accepts exactly the bytes AppendName writes: no other padding, case
+// or TLD.
+func (p Procedural) ParseName(name string) (int, bool) {
+	if len(name) < len("host0000000.") || name[:len("host")] != "host" {
+		return 0, false
+	}
+	// Seven digits, or more without a leading zero. Eleven digits at
+	// most are read, which a uint64 holds: more fail the dot test.
+	var v uint64
+	end := len("host")
+	for ; end < len(name) && end < len("host")+11 && name[end] != '.'; end++ {
+		c := name[end] - '0'
+		if c > 9 {
+			return 0, false
+		}
+		v = v*10 + uint64(c)
+	}
+	digits := end - len("host")
+	if end == len(name) || name[end] != '.' || digits < procDigits || digits > procDigits && name[len("host")] == '0' || v >= uint64(p.n) {
+		return 0, false
+	}
+	tld, rest := procTLDs[v%uint64(len(procTLDs))], name[end+1:]
+	if len(rest) != len(tld)+1 || rest[len(tld)] != '.' || rest[:len(tld)] != tld {
+		return 0, false
+	}
+	return int(v), true
+}
+
+// appendProceduralName appends bulk name i.
+func appendProceduralName(dst []byte, i int) []byte {
 	var digits [20]byte
 	d := len(digits)
 	for v := i; ; {
@@ -363,16 +431,15 @@ func (db *DB) ProceduralName(i int) string {
 			break
 		}
 	}
-	buf := make([]byte, 0, 13+len(tld))
-	buf = append(buf, "host"...)
-	for pad := 7 - (len(digits) - d); pad > 0; pad-- {
-		buf = append(buf, '0')
+	for d > len(digits)-procDigits {
+		d--
+		digits[d] = '0'
 	}
-	buf = append(buf, digits[d:]...)
-	buf = append(buf, '.')
-	buf = append(buf, tld...)
-	buf = append(buf, '.')
-	return string(buf)
+	dst = append(dst, "host"...)
+	dst = append(dst, digits[d:]...)
+	dst = append(dst, '.')
+	dst = append(dst, procTLDs[i%len(procTLDs)]...)
+	return append(dst, '.')
 }
 
 // ANYSize returns the estimated ANY response size in bytes of a name at
@@ -428,9 +495,7 @@ func (db *DB) ResponseSize(name string, qtype dnswire.Type, t simclock.Time) int
 		size += r.WireLen()
 	}
 	if z.Signer != nil && len(z.RRsets[qtype]) > 0 {
-		for _, sig := range z.Signer.Sign(t, z.Name, qtype, z.TTL) {
-			size += sig.WireLen()
-		}
+		size += z.Signer.RRSIGLen(t, z.Name, qtype)
 	}
 	return size
 }
