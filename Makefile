@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race test-cpu bench bench-e2e-smoke bench-pairs fuzz fmt vet loc loc-diff testonly daemon-smoke cli-smoke chaos-smoke eval-smoke ci
+.PHONY: all build test race test-cpu bench bench-e2e-smoke bench-pairs bench-report fuzz fmt vet loc loc-diff testonly daemon-smoke cli-smoke chaos-smoke eval-smoke ci
 
 all: build test
 
@@ -69,6 +69,16 @@ POINT ?= 0
 bench-pairs:
 	$(GO) run ./scripts/benchpoint -base "$(BASE)" -head "$(HEAD)" -seeds "$(SEEDS)" -workloads "$(WORKLOADS)" -point $(POINT)
 
+# Benchmark report: the trajectory the committed BENCH_<n>.json points
+# make, one table per workload. Each row is one point: per end-to-end
+# metric, its head median over its base median and the pairs the head
+# won; the last row chains those ratios from the first point. Absolute
+# medians are never compared across points (each point's base
+# calibrates its own session), and a point whose base is not the
+# previous point's head is flagged. It runs no benchmark.
+bench-report:
+	$(GO) run ./scripts/benchpoint -report
+
 # Fuzz smoke: short coverage-guided runs of the byte-level parsers
 # (DNS wire format, sFlow v5 datagrams, pcap records, the checkpoint
 # and batch-snapshot decoders, input specs and their IDs), of sFlow log
@@ -80,7 +90,7 @@ bench-pairs:
 # naive map model, of the name table
 # (interning, release and a procedural range) against a map + slice
 # reference, of the bulk-name parser against the formatter, and of the
-# Zipf guide-table search against the binary search. Targets are named
+# Zipf's guided search against the binary search. Targets are named
 # exactly: go test refuses -fuzz patterns that match more than one
 # target in a package. -fuzzminimizetime 1s caps the shrinking of each
 # new input (60 s by default), which otherwise eats the 10 s budget.

@@ -29,7 +29,7 @@ func benchTraffic() (*ecosystem.Campaign, *ecosystem.Generator) {
 // Must report 0 allocs/op.
 func BenchmarkObserveBatch(b *testing.B) {
 	c, g := benchTraffic()
-	dt := g.Day(simclock.MeasurementStart.Add(simclock.Days(10)))
+	dt := g.Day(simclock.MeasurementStart.Add(simclock.Days(10)), nil)
 	cap := ixp.NewCapturePoint(c.Topo, g.Table())
 	ag := core.NewAggregator(g.Table(), c.DB.ExplicitNames())
 	ag.ObserveBatch(cap.RemapBatch(dt.Batch))
@@ -48,7 +48,7 @@ func BenchmarkDetectColumnar(b *testing.B) {
 	cap := ixp.NewCapturePoint(c.Topo, g.Table())
 	ag := core.NewAggregator(g.Table(), c.DB.ExplicitNames())
 	for d := 0; d < 7; d++ {
-		dt := g.Day(simclock.MeasurementStart.Add(simclock.Days(10 + d)))
+		dt := g.Day(simclock.MeasurementStart.Add(simclock.Days(10+d)), nil)
 		ag.ObserveBatch(cap.RemapBatch(dt.Batch))
 	}
 	ag = core.MergeShards([]*core.Aggregator{ag})

@@ -1,6 +1,7 @@
 package dnswire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"net/netip"
@@ -118,10 +119,10 @@ func (e *Encoder) appendCompressedName(name string) {
 			name = ""
 		}
 		if label == "" {
-			// Empty labels (leading/consecutive dots, as produced when a
-			// decoded wire label itself contains a '.' byte) have no wire
-			// form: a zero length octet would terminate the name early
-			// and shift every following record.
+			// Empty labels (leading or consecutive dots in a name given
+			// in presentation form; the decoder never yields one) have
+			// no wire form: a zero length octet would terminate the name
+			// early and shift every following record.
 			continue
 		}
 		if len(label) > 63 {
@@ -461,7 +462,9 @@ func decodeName(b []byte, off int) (string, int, error) {
 // position. With keep set it also appends the flattened name to dst:
 // every label followed by '.', "." alone for the root, ASCII letters
 // lowercased. DNS case folding is ASCII-only (RFC 4343), so bytes
-// >= 0x80 pass through unchanged and never fold onto a letter.
+// >= 0x80 pass through unchanged and never fold onto a letter. A label
+// holding a '.' byte is refused with ErrBadName, kept or not: joined
+// unescaped it would read back as two labels, a different name.
 func readName(b []byte, off int, dst []byte, keep bool) ([]byte, int, error) {
 	start := len(dst)
 	end := -1 // offset after the name at the original position
@@ -502,15 +505,21 @@ func readName(b []byte, off int, dst []byte, keep bool) ([]byte, int, error) {
 			if off+1+c > len(b) {
 				return dst, 0, ErrTruncatedRData
 			}
+			label := b[off+1 : off+1+c]
 			if keep {
 				n := len(dst)
-				dst = append(dst, b[off+1:off+1+c]...)
+				dst = append(dst, label...)
 				for i, ch := range dst[n:] {
-					if 'A' <= ch && ch <= 'Z' {
+					switch {
+					case 'A' <= ch && ch <= 'Z':
 						dst[n+i] = ch + ('a' - 'A')
+					case ch == '.':
+						return dst, 0, ErrBadName
 					}
 				}
 				dst = append(dst, '.')
+			} else if bytes.IndexByte(label, '.') >= 0 {
+				return dst, 0, ErrBadName
 			}
 			off += 1 + c
 		}

@@ -33,7 +33,7 @@ func TestDayBatchMatchesWire(t *testing.T) {
 	}
 	for _, day := range days {
 		wire := gw.WireDay(day)
-		batch := gb.Day(day)
+		batch := gb.Day(day, nil)
 		got := batch.Batch
 
 		capW := ixp.NewCapturePoint(c.Topo, nil)
@@ -81,7 +81,7 @@ func TestDayBatchMatchesWire(t *testing.T) {
 func TestBatchColumnsConsistent(t *testing.T) {
 	c := tinyCampaign(t)
 	g := NewGenerator(c, 7)
-	dt := g.Day(simclock.MeasurementStart.Add(simclock.Days(3)))
+	dt := g.Day(simclock.MeasurementStart.Add(simclock.Days(3)), nil)
 	b := dt.Batch
 	if b == nil || b.N == 0 {
 		t.Fatal("no batch records")

@@ -35,7 +35,7 @@ func TestSynthesisDigest(t *testing.T) {
 			c.Entity.Reloc1.Add(simclock.Days(3)), // ingress-tagged requests
 			simclock.MeasurementEnd.Add(simclock.Days(5)),
 		} {
-			dt := g.Day(day)
+			dt := g.Day(day, nil)
 			if dt.Batch.N == 0 {
 				t.Fatalf("seed %d: day %s has no samples to digest", seed, day.Date())
 			}

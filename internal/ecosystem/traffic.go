@@ -157,13 +157,9 @@ type Generator struct {
 	// explicit zone, replacing the per-packet zones-map lookup; no bulk
 	// name has a zone.
 	isExplicit []bool
-	// sizeCache memoizes the procedural response size per (qtype slot,
-	// name ID). Sizes of bulk names are pure functions of (name, qtype)
-	// but cost two SHA-256 hashes to derive; concurrent Day slices fill
-	// the cache racelessly with atomics (every writer stores the same
-	// deterministic value). Slot 0 is ANY; 0 means "not yet computed"
-	// (no response is 0 bytes).
-	sizeCache []sizeCacheCol
+	// sizes memoizes the response sizes of the names without an
+	// explicit zone.
+	sizes sizeCache
 
 	// bgClients is the background client population; bgSet holds the
 	// same addresses for DayFor's "is any of these a background client"
@@ -303,10 +299,7 @@ func NewGenerator(c *Campaign, seed int64) *Generator {
 	// The background name Zipf spans a fixed 200k-rank namespace that
 	// may exceed the DB's procedural count, so freeze the union.
 	g.procBase = g.table.AppendRange(zonedb.ProceduralRange(max(c.DB.NumProceduralNames(), g.nameZipf.N())))
-	g.sizeCache = make([]sizeCacheCol, len(qtypeSlots))
-	for i := range g.sizeCache {
-		g.sizeCache[i] = make(sizeCacheCol, g.table.Len())
-	}
+	g.sizes = newSizeCache(g.table.Len(), int(g.procBase)+g.nameZipf.N())
 	return g
 }
 
@@ -338,11 +331,55 @@ func AdoptNamespace(tab *names.Table) {
 	}
 }
 
-// sizeCacheCol is one qtype's response-size column, indexed by name ID.
-type sizeCacheCol []atomic.Int32
+// sizeCache memoizes the response size of names without an explicit
+// zone per (qtype slot, name ID): such a size is a time-independent pure
+// function of (name, qtype), but costs two SHA-256 hashes to derive.
+// Sizes are held capped at sizeCap, in 16-bit lanes two to a 32-bit
+// word; 0 means "not yet computed" (no response is 0 bytes). Concurrent
+// Day slices fill the lanes racelessly: a lane goes once from 0 to the
+// one value every writer computes, set by an atomic OR.
+//
+// Slot 0 (ANY) covers every table ID, since organic ANY queries spread
+// uniformly over the whole bulk namespace. The typed slots cover only
+// the IDs a typed draw reaches, the hashed names and the name Zipf's
+// ranks (typedReach): at dnsampdetect's default 4.4 M bulk names, 200 000
+// of them. An ID outside a slot's cover is sized directly.
+type sizeCache struct {
+	lanes      [][]atomic.Uint32 // per qtype slot; ID i in word i/2
+	typedReach uint32
+}
 
-// qtypeSlots maps the background query types to size-cache columns
-// (slot 0 is ANY).
+// sizeCap is the largest size the cache holds. Its one reader,
+// emitBackgroundResponse, adds under 24 bytes of jitter to the size of a
+// name without an explicit zone and caps the sum at 4096, so a size held
+// as min(size, 4096) yields the same packet.
+const sizeCap = 4096
+
+// newSizeCache covers ids table IDs in the ANY slot and the first
+// typedReach in the typed slots.
+func newSizeCache(ids, typedReach int) sizeCache {
+	c := sizeCache{lanes: make([][]atomic.Uint32, len(qtypeSlots)), typedReach: uint32(typedReach)}
+	for slot := range c.lanes {
+		n := typedReach
+		if slot == 0 {
+			n = ids
+		}
+		c.lanes[slot] = make([]atomic.Uint32, (n+1)/2)
+	}
+	return c
+}
+
+// word returns the word holding the lane of (slot, id) and the lane's
+// shift in it, or nil when no slot covers them.
+func (c *sizeCache) word(slot int, id uint32) (*atomic.Uint32, int) {
+	if slot < 0 || slot > 0 && id >= c.typedReach {
+		return nil, 0
+	}
+	return &c.lanes[slot][id/2], int(id%2) * 16
+}
+
+// qtypeSlots maps the background query types to size-cache slots (slot
+// 0 is ANY).
 var qtypeSlots = []dnswire.Type{
 	dnswire.TypeANY, dnswire.TypeA, dnswire.TypeAAAA, dnswire.TypePTR,
 	dnswire.TypeMX, dnswire.TypeTXT, dnswire.TypeNS, dnswire.TypeSOA,
@@ -363,23 +400,25 @@ func (g *Generator) explicit(id uint32) bool {
 	return int(id) < len(g.isExplicit) && g.isExplicit[id]
 }
 
-// responseSizeFor returns DB.ResponseSize(name, qtype, t), serving bulk
-// names from the per-ID cache (their sizes are time-independent pure
-// functions, but cost two SHA-256 hashes to derive). The name string is
-// only materialized on the slow paths; cache hits never touch it.
+// responseSizeFor returns DB.ResponseSize(name, qtype, t) for a name
+// with an explicit zone, and that size capped at sizeCap for any other,
+// served from the size cache where a slot covers the name. The name
+// string is only materialized on the slow paths; cache hits never
+// touch it.
 func (g *Generator) responseSizeFor(nameID uint32, qtype dnswire.Type, t simclock.Time) int {
 	if g.explicit(nameID) {
 		return g.C.DB.ResponseSize(g.table.Name(nameID), qtype, t)
 	}
-	slot := qtypeSlot(qtype)
-	if slot < 0 {
-		return g.C.DB.ResponseSize(g.table.Name(nameID), qtype, t)
+	w, shift := g.sizes.word(qtypeSlot(qtype), nameID)
+	if w != nil {
+		if v := w.Load() >> shift & 0xffff; v != 0 {
+			return int(v)
+		}
 	}
-	if v := g.sizeCache[slot][nameID].Load(); v != 0 {
-		return int(v)
+	v := min(g.C.DB.ResponseSize(g.table.Name(nameID), qtype, t), sizeCap)
+	if w != nil {
+		w.Or(uint32(v) << shift)
 	}
-	v := g.C.DB.ResponseSize(g.table.Name(nameID), qtype, t)
-	g.sizeCache[slot][nameID].Store(int32(v))
 	return v
 }
 
@@ -387,8 +426,14 @@ func (g *Generator) responseSizeFor(nameID uint32, qtype dnswire.Type, t simcloc
 // form. Each day's output depends only on (campaign, seed, day), so Day
 // may be called from multiple goroutines concurrently and in any day
 // order.
-func (g *Generator) Day(day simclock.Time) *DayTraffic {
-	return g.day(day, true)
+//
+// The batch is written into scratch, which Day resets first, so a
+// caller that synthesizes day after day into one batch allocates its
+// columns once; the returned DayTraffic.Batch is then scratch itself
+// and is overwritten by the next call with it. Concurrent callers need
+// one scratch each. A nil scratch gets a fresh batch.
+func (g *Generator) Day(day simclock.Time, scratch *ixp.SampleBatch) *DayTraffic {
+	return g.day(day, true, scratch)
 }
 
 // DayFor is Day for a consumer that reads only the rows whose client
@@ -400,9 +445,10 @@ func (g *Generator) Day(day simclock.Time) *DayTraffic {
 // runs only when one of clients is a background client — and skipping
 // it moves no earlier draw. The batch's sanitization counters (Frames,
 // NonUDP, NonDNS, Malformed) cover only the rows it holds: a consumer
-// that accounts capture statistics must use Day.
-func (g *Generator) DayFor(day simclock.Time, clients [][4]byte) *DayTraffic {
-	return g.day(day, g.anyBackgroundClient(clients))
+// that accounts capture statistics must use Day. scratch is used as by
+// Day.
+func (g *Generator) DayFor(day simclock.Time, clients [][4]byte, scratch *ixp.SampleBatch) *DayTraffic {
+	return g.day(day, g.anyBackgroundClient(clients), scratch)
 }
 
 // anyBackgroundClient reports whether any of clients is in the
@@ -417,14 +463,19 @@ func (g *Generator) anyBackgroundClient(clients [][4]byte) bool {
 }
 
 // day is the body of Day and DayFor: the day's attack traffic, then,
-// when background is set, its organic background.
-func (g *Generator) day(day simclock.Time, background bool) *DayTraffic {
+// when background is set, its organic background, into scratch (a
+// fresh batch when nil).
+func (g *Generator) day(day simclock.Time, background bool, scratch *ixp.SampleBatch) *DayTraffic {
 	day = day.StartOfDay()
 	dg := g.slice(day)
 	dt := &DayTraffic{Day: day}
 	background = background && !g.SkipIXP && simclock.MainPeriod().Contains(day)
 	if !g.SkipIXP {
-		dg.batch = &ixp.SampleBatch{Table: g.table}
+		if scratch == nil {
+			scratch = new(ixp.SampleBatch)
+		}
+		scratch.Reset(g.table)
+		dg.batch = scratch
 		if background {
 			dg.batch.Grow(g.Background.SamplesPerDay + 256)
 		}

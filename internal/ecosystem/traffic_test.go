@@ -2,6 +2,7 @@ package ecosystem
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -22,13 +23,13 @@ func TestDayIndependentOfCallOrder(t *testing.T) {
 	d5 := simclock.MeasurementStart.Add(simclock.Days(5))
 
 	seq := NewGenerator(c, 7)
-	seq.Day(d3) // consume a prior day first
-	got := seq.Day(d5)
-	fresh := NewGenerator(c, 7).Day(d5)
+	seq.Day(d3, nil) // consume a prior day first
+	got := seq.Day(d5, nil)
+	fresh := NewGenerator(c, 7).Day(d5, nil)
 	if !reflect.DeepEqual(got, fresh) {
 		t.Error("day 5 traffic differs when day 3 is generated first")
 	}
-	if !reflect.DeepEqual(seq.Day(d3), NewGenerator(c, 7).Day(d3)) {
+	if !reflect.DeepEqual(seq.Day(d3, nil), NewGenerator(c, 7).Day(d3, nil)) {
 		t.Error("regenerating day 3 differs from a fresh generator")
 	}
 }
@@ -49,15 +50,169 @@ func TestDayConcurrentGeneration(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out[i] = gen.Day(days[i])
+			out[i] = gen.Day(days[i], nil)
 		}(i)
 	}
 	wg.Wait()
 	serial := NewGenerator(c, 7)
 	for i := range days {
-		if !reflect.DeepEqual(out[i], serial.Day(days[i])) {
+		if !reflect.DeepEqual(out[i], serial.Day(days[i], nil)) {
 			t.Errorf("day %d: concurrent generation differs from serial", i)
 		}
+	}
+}
+
+// TestDayScratchReuse holds a reused scratch batch to a fresh one. Day
+// and DayFor synthesized one after the other into one scratch, over
+// every third day of the main period and ten days after it in shuffled
+// order, return the scratch holding exactly the batch a nil scratch
+// gets, with the same sensor flows; so do four concurrent callers, each
+// over its own scratch (under -race, the pipeline's per-worker
+// batches). DayFor asks for the day's victims, so a whole day and an
+// attack-only day alternate in one scratch.
+func TestDayScratchReuse(t *testing.T) {
+	c := tinyCampaign(t)
+	g := NewGenerator(c, 7)
+	var days []simclock.Time
+	for d := simclock.MeasurementStart; d < simclock.MeasurementEnd; d = d.Add(simclock.Days(3)) {
+		days = append(days, d)
+	}
+	for i := range 10 {
+		days = append(days, simclock.MeasurementEnd.Add(simclock.Days(i)))
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(days), func(i, j int) { days[i], days[j] = days[j], days[i] })
+	type want struct{ day, dayFor *DayTraffic }
+	wants := make(map[simclock.Time]want, len(days))
+	victims := make(map[simclock.Time][][4]byte, len(days))
+	for _, d := range days {
+		for _, ev := range c.EventsOnDay(d) {
+			victims[d] = append(victims[d], ev.VictimKey())
+		}
+		wants[d] = want{g.Day(d, nil), g.DayFor(d, victims[d], nil)}
+	}
+	check := func(scratch *ixp.SampleBatch, d simclock.Time) error {
+		for _, call := range []struct {
+			name string
+			day  func() *DayTraffic
+			want *DayTraffic
+		}{
+			{"Day", func() *DayTraffic { return g.Day(d, scratch) }, wants[d].day},
+			{"DayFor", func() *DayTraffic { return g.DayFor(d, victims[d], scratch) }, wants[d].dayFor},
+		} {
+			got := call.day()
+			if got.Batch != scratch {
+				return fmt.Errorf("day %s: %s returned a batch other than the scratch", d.Date(), call.name)
+			}
+			if !reflect.DeepEqual(rows(got.Batch), rows(call.want.Batch)) || !reflect.DeepEqual(got.Sensors, call.want.Sensors) {
+				return fmt.Errorf("day %s: %s into a reused scratch differs from a fresh batch", d.Date(), call.name)
+			}
+		}
+		return nil
+	}
+	var scratch ixp.SampleBatch
+	for _, d := range days {
+		if err := check(&scratch, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make([]error, 4)
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var scratch ixp.SampleBatch
+			for i := w; i < len(days) && errs[w] == nil; i += len(errs) {
+				errs[w] = check(&scratch, days[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// rows returns a copy of b whose empty columns are nil: a reused batch
+// keeps an emptied column's array where a fresh batch of no rows holds
+// none, and no reader tells the two apart.
+func rows(b *ixp.SampleBatch) ixp.SampleBatch {
+	c := *b
+	v := reflect.ValueOf(&c).Elem()
+	for i := range v.NumField() {
+		if f := v.Field(i); f.Kind() == reflect.Slice && f.Len() == 0 {
+			f.SetZero()
+		}
+	}
+	return c
+}
+
+// TestSizeCacheLanes holds every size-cache lane to the size it stands
+// for, min(DB.ResponseSize, sizeCap) (DB.ResponseSize itself for a name
+// with an explicit zone, which bypasses the cache): in every qtype slot,
+// for the root, every hashed ID, the first and last ranks of the name
+// Zipf, and, in a namespace larger than those ranks, IDs past rank
+// 200 000, which only the ANY slot covers. Each ID is asked twice, so
+// the second answer is read back from its lane. At the benchmark's zone
+// database (20 000 bulk names) the whole cache stays within 4 MiB.
+func TestSizeCacheLanes(t *testing.T) {
+	cfg := DefaultCampaignConfig(0.01)
+	cfg.Zones.ProceduralNames = namespaceRanks + 50_000
+	cfg.Topology = topology.Config{Members: 24, ASesPerClass: 40, Seed: 1}
+	c := NewCampaign(cfg)
+	g := NewGenerator(c, 7)
+	at := simclock.MeasurementStart.Add(simclock.Days(3))
+	var ids []uint32
+	for id := range g.procBase {
+		ids = append(ids, id)
+	}
+	for _, r := range []uint32{0, 1, 2, namespaceRanks - 2, namespaceRanks - 1, namespaceRanks, namespaceRanks + 1} {
+		ids = append(ids, g.procBase+r)
+	}
+	for r := uint32(3); r < uint32(c.DB.NumProceduralNames()); r += 37 {
+		ids = append(ids, g.procBase+r)
+	}
+	ids = append(ids, uint32(g.table.Len()-1))
+	capped, uncovered := 0, 0
+	for slot, qtype := range qtypeSlots {
+		for _, id := range ids {
+			want := c.DB.ResponseSize(g.table.Name(id), qtype, at)
+			if !g.explicit(id) {
+				if want > sizeCap {
+					capped++
+				}
+				want = min(want, sizeCap)
+			}
+			for range 2 {
+				if got := g.responseSizeFor(id, qtype, at); got != want {
+					t.Fatalf("slot %d (%v), ID %d %q: size %d, want %d", slot, qtype, id, g.table.Name(id), got, want)
+				}
+			}
+			w, shift := g.sizes.word(slot, id)
+			if w == nil {
+				uncovered++
+				if slot == 0 || id < g.procBase+namespaceRanks {
+					t.Fatalf("slot %d (%v) does not cover ID %d", slot, qtype, id)
+				}
+				continue
+			}
+			if lane := int(w.Load() >> shift & 0xffff); !g.explicit(id) && lane != want {
+				t.Fatalf("slot %d (%v), ID %d: lane holds %d, want %d", slot, qtype, id, lane, want)
+			}
+		}
+	}
+	if capped == 0 || uncovered == 0 {
+		t.Fatalf("%d sizes above the cap, %d IDs past a typed slot: the check cannot see the cap or the cover", capped, uncovered)
+	}
+	bytes := 0
+	for _, lanes := range NewGenerator(tinyCampaign(t), 7).sizes.lanes {
+		bytes += 4 * len(lanes)
+	}
+	t.Logf("size cache at 20 000 bulk names: %d bytes", bytes)
+	if bytes > 4<<20 {
+		t.Errorf("size cache at 20 000 bulk names holds %d bytes, want at most 4 MiB", bytes)
 	}
 }
 
@@ -78,7 +233,7 @@ func TestDayForHoldsClientRows(t *testing.T) {
 		return g.bgClients[next].As4()
 	}
 	simclock.MainPeriod().EachDay(func(day simclock.Time) {
-		full := g.Day(day)
+		full := g.Day(day, nil)
 		var victims [][4]byte
 		for _, ev := range c.EventsOnDay(day) {
 			victims = append(victims, ev.VictimKey())
@@ -92,7 +247,7 @@ func TestDayForHoldsClientRows(t *testing.T) {
 			{"background+victims", append([][4]byte{bg()}, victims...)},
 			{"background", [][4]byte{bg(), bg(), bg()}},
 		} {
-			got := g.DayFor(day, set.clients)
+			got := g.DayFor(day, set.clients, nil)
 			want, have := clientRows(full.Batch, set.clients), clientRows(got.Batch, set.clients)
 			if !reflect.DeepEqual(want, have) {
 				t.Fatalf("day %s, %s: DayFor holds %d of the set's rows, Day %d (or they differ)",
@@ -168,8 +323,8 @@ func TestSkipIXPSensorsOnly(t *testing.T) {
 	skip := NewGenerator(c, 7)
 	skip.SkipIXP = true
 	day := simclock.MeasurementStart.Add(simclock.Days(5))
-	dtFull := full.Day(day)
-	dtSkip := skip.Day(day)
+	dtFull := full.Day(day, nil)
+	dtSkip := skip.Day(day, nil)
 	if dtSkip.Batch != nil {
 		t.Fatalf("SkipIXP produced an IXP batch (%d records)", dtSkip.Batch.N)
 	}
@@ -189,7 +344,7 @@ func TestEntityRequestsTaggedWithIngress(t *testing.T) {
 	g := NewGenerator(c, 7)
 	// A post-relocation day must yield ingress-tagged request records.
 	day := c.Entity.Reloc1.Add(simclock.Days(3))
-	dt := g.Day(day)
+	dt := g.Day(day, nil)
 	tagged := 0
 	for _, in := range dt.Batch.Ingress {
 		if in != 0 {
@@ -203,7 +358,7 @@ func TestEntityRequestsTaggedWithIngress(t *testing.T) {
 		t.Fatal("no ingress-tagged requests after relocation 1")
 	}
 	// And a pre-relocation day must not.
-	dt0 := g.Day(simclock.MeasurementStart.Add(simclock.Days(2)))
+	dt0 := g.Day(simclock.MeasurementStart.Add(simclock.Days(2)), nil)
 	for _, in := range dt0.Batch.Ingress {
 		if in != 0 {
 			t.Fatal("ingress tag before relocation 1")
@@ -215,10 +370,10 @@ func TestBackgroundOnlyInMainWindow(t *testing.T) {
 	c := tinyCampaign(t)
 	g := NewGenerator(c, 7)
 	after := simclock.MeasurementEnd.Add(simclock.Days(30))
-	dt := g.Day(after)
+	dt := g.Day(after, nil)
 	// Post-window days carry only (entity) attack traffic, which is
 	// far sparser than a background day.
-	mainDay := NewGenerator(c, 7).Day(simclock.MeasurementStart.Add(simclock.Days(3)))
+	mainDay := NewGenerator(c, 7).Day(simclock.MeasurementStart.Add(simclock.Days(3)), nil)
 	if dt.Batch.N >= mainDay.Batch.N {
 		t.Errorf("extended-window day (%d records) should be sparser than main-window day (%d)",
 			dt.Batch.N, mainDay.Batch.N)
@@ -278,30 +433,41 @@ func TestSensorRequestIntensity(t *testing.T) {
 }
 
 // BenchmarkTrafficDay is one day of columnar traffic synthesis (no
-// frames): what a batch-study worker pays per day before aggregation.
+// frames) into a reused scratch batch: what a batch-study worker pays
+// per day before aggregation.
 func BenchmarkTrafficDay(b *testing.B) {
 	cfg := DefaultCampaignConfig(0.01)
 	cfg.Zones.ProceduralNames = 20_000
 	c := NewCampaign(cfg)
 	g := NewGenerator(c, 7)
 	day := simclock.MeasurementStart.Add(simclock.Days(10))
+	var scratch ixp.SampleBatch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Day(day.Add(simclock.Days(i % 30)))
+		g.Day(day.Add(simclock.Days(i%30)), &scratch)
 	}
 }
 
 // BenchmarkNewGenerator builds the generator of a campaign at three
 // scales over the recording's zone database (20 000 procedural names,
 // so the name Zipf's 200 000-rank namespace is the larger): the client
-// population grows with the scale, the namespace does not. live-MB is
-// the heap one built generator holds.
+// population grows with the scale, the namespace does not. The fourth
+// case is dnsampdetect's default zone database, 4.4 M procedural names,
+// at scale 0.02: there the bulk namespace and the size cache's ANY slot
+// span every name. live-MB is the heap one built generator holds.
 func BenchmarkNewGenerator(b *testing.B) {
-	for _, scale := range []float64{0.0002, 0.02, 0.05} {
-		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) {
-			cfg := DefaultCampaignConfig(scale)
-			cfg.Zones.ProceduralNames = 20_000
+	for _, bc := range []struct {
+		scale float64
+		names int
+	}{{0.0002, 20_000}, {0.02, 20_000}, {0.05, 20_000}, {0.02, 4_400_000}} {
+		name := fmt.Sprintf("scale=%g", bc.scale)
+		if bc.names != 20_000 {
+			name += fmt.Sprintf("/names=%d", bc.names)
+		}
+		b.Run(name, func(b *testing.B) {
+			cfg := DefaultCampaignConfig(bc.scale)
+			cfg.Zones.ProceduralNames = bc.names
 			c := NewCampaign(cfg)
 			b.ReportAllocs()
 			var g *Generator

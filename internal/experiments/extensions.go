@@ -61,7 +61,7 @@ func (s *Suite) AppendixB() *Report {
 	gen := ecosystem.NewGenerator(s.Study.Campaign, s.Study.Cfg.TrafficSeed)
 	gen.SkipIXP = true
 	simclock.MainPeriod().EachDay(func(day simclock.Time) {
-		dt := gen.Day(day)
+		dt := gen.Day(day, nil)
 		for _, sf := range dt.Sensors {
 			for _, p := range platforms {
 				p.Observe(sf)

@@ -28,7 +28,7 @@ func TestObserveBatchZeroAllocSteadyState(t *testing.T) {
 	cfg.Topology = topology.Config{Members: 12, ASesPerClass: 20, Seed: 1}
 	c := ecosystem.NewCampaign(cfg)
 	gen := ecosystem.NewGenerator(c, 7)
-	dt := gen.Day(simclock.MeasurementStart.Add(simclock.Days(3)))
+	dt := gen.Day(simclock.MeasurementStart.Add(simclock.Days(3)), nil)
 	if dt.Batch == nil || dt.Batch.N == 0 {
 		t.Fatal("no batch records")
 	}
@@ -58,12 +58,12 @@ func TestDayGenerationAllocBound(t *testing.T) {
 	c := ecosystem.NewCampaign(cfg)
 	gen := ecosystem.NewGenerator(c, 7)
 	day := simclock.MeasurementStart.Add(simclock.Days(3))
-	dt := gen.Day(day)
+	dt := gen.Day(day, nil)
 	if dt.Batch == nil || dt.Batch.N == 0 {
 		t.Fatal("no batch records")
 	}
 
-	allocs := testing.AllocsPerRun(3, func() { gen.Day(day) })
+	allocs := testing.AllocsPerRun(3, func() { gen.Day(day, nil) })
 	perPacket := allocs / float64(dt.Batch.N)
 	if perPacket > 0.5 {
 		t.Errorf("Day generation: %.3f allocs/packet over %d packets, want < 0.5",

@@ -56,6 +56,30 @@ type SampleBatch struct {
 	Frames, NonUDP, NonDNS, Malformed int
 }
 
+// Reset empties the batch for reuse in table, keeping every column's
+// capacity: a producer that fills one batch day after day allocates
+// its columns once.
+func (b *SampleBatch) Reset(table *names.Table) {
+	*b = SampleBatch{
+		Table:     table,
+		Time:      b.Time[:0],
+		Src:       b.Src[:0],
+		Dst:       b.Dst[:0],
+		SrcPort:   b.SrcPort[:0],
+		DstPort:   b.DstPort[:0],
+		IPTTL:     b.IPTTL[:0],
+		IPID:      b.IPID[:0],
+		Resp:      b.Resp[:0],
+		Name:      b.Name[:0],
+		QType:     b.QType[:0],
+		TXID:      b.TXID[:0],
+		MsgSize:   b.MsgSize[:0],
+		ANCount:   b.ANCount[:0],
+		VisibleNS: b.VisibleNS[:0],
+		Ingress:   b.Ingress[:0],
+	}
+}
+
 // Grow preallocates all columns for n additional records.
 func (b *SampleBatch) Grow(n int) {
 	if n <= 0 {

@@ -94,6 +94,24 @@ func TestProcessRejectsMalformedName(t *testing.T) {
 	}
 }
 
+// TestProcessRejectsDotInLabel feeds a query whose one qname label is
+// the three bytes "a.b". Joined unescaped it would read as the
+// two-label name "a.b.", which is not what was asked; the capture
+// point drops it as undecodable instead.
+func TestProcessRejectsDotInLabel(t *testing.T) {
+	cp := NewCapturePoint(nil, nil)
+	payload := []byte{0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 3, 'a', '.', 'b', 0, 0, 1, 0, 1}
+	ip := netmodel.IPv4{TTL: 60, Src: netip.MustParseAddr("192.0.2.7"), Dst: netip.MustParseAddr("198.51.100.9")}
+	frame := netmodel.EncodeUDPPacket(netmodel.Ethernet{}, ip, netmodel.UDP{SrcPort: 4000, DstPort: 53}, payload)
+	s, ok := cp.Process(sflow.Record{Time: simclock.MeasurementStart, Frame: frame, FrameLen: len(frame)})
+	if ok {
+		t.Fatalf("label %q accepted as the name %q", "a.b", s.QName)
+	}
+	if cp.Stats.NonDNS != 1 || cp.Stats.Accepted != 0 {
+		t.Errorf("stats: %+v", cp.Stats)
+	}
+}
+
 func TestProcessRejectsGarbage(t *testing.T) {
 	cp := NewCapturePoint(nil, nil)
 	rec := sflow.Record{Frame: []byte{1, 2, 3}}

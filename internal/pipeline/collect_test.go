@@ -16,16 +16,16 @@ import (
 // the clients and returns the whole day.
 type fullDays struct{ *source.Synthetic }
 
-func (s fullDays) DayFor(day simclock.Time, _ [][4]byte) *ixp.SampleBatch {
-	b, _ := s.DayFlows(day)
+func (s fullDays) DayFor(day simclock.Time, _ [][4]byte, scratch *ixp.SampleBatch) *ixp.SampleBatch {
+	b, _ := s.DayFlows(day, scratch)
 	return b
 }
 
 // attackOnly is a wrong pass 2: it never runs the background loop.
 type attackOnly struct{ *source.Synthetic }
 
-func (s attackOnly) DayFor(day simclock.Time, _ [][4]byte) *ixp.SampleBatch {
-	return s.Synthetic.DayFor(day, nil)
+func (s attackOnly) DayFor(day simclock.Time, _ [][4]byte, scratch *ixp.SampleBatch) *ixp.SampleBatch {
+	return s.Synthetic.DayFor(day, nil, scratch)
 }
 
 // branchCount is the synthetic source itself, counting the DayFor calls
@@ -37,9 +37,9 @@ type branchCount struct {
 	background, skipped *atomic.Int32
 }
 
-func (s branchCount) DayFor(day simclock.Time, clients [][4]byte) *ixp.SampleBatch {
-	b := s.Synthetic.DayFor(day, clients)
-	if b.N > s.Synthetic.DayFor(day, nil).N {
+func (s branchCount) DayFor(day simclock.Time, clients [][4]byte, scratch *ixp.SampleBatch) *ixp.SampleBatch {
+	b := s.Synthetic.DayFor(day, clients, scratch)
+	if b.N > s.Synthetic.DayFor(day, nil, nil).N {
 		s.background.Add(1)
 	} else {
 		s.skipped.Add(1)

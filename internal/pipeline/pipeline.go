@@ -41,6 +41,7 @@ package pipeline
 
 import (
 	"runtime"
+	"slices"
 
 	"dnsamp/internal/core"
 	"dnsamp/internal/ecosystem"
@@ -129,11 +130,23 @@ func (cfg Config) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forEachDay runs fn(worker, i, days[i]) for every day across a pool of
-// workers; fn must write its results into per-day or per-worker slots
-// only.
-func forEachDay(days []simclock.Time, workers int, fn func(worker, i int, day simclock.Time)) {
-	par.For(len(days), workers, func(worker, i int) { fn(worker, i, days[i]) })
+// forEachDay runs fn(worker, i, days[i], scratch) for every day across
+// a pool of workers; fn must write its results into per-day or
+// per-worker slots only. scratch is the calling worker's day batch, to
+// lend to the source (Source.DayFlows, Source.DayFor): a stage
+// allocates one batch per worker, not one per day, and fn must be done
+// with the batch the source returns before it returns. Each worker
+// makes its own scratch on first use, so the batch headers, whose row
+// counters the source bumps per row, are not laid out side by side for
+// two workers to share a cache line.
+func forEachDay(days []simclock.Time, workers int, fn func(worker, i int, day simclock.Time, scratch *ixp.SampleBatch)) {
+	scratch := make([]*ixp.SampleBatch, workers)
+	par.For(len(days), workers, func(worker, i int) {
+		if scratch[worker] == nil {
+			scratch[worker] = new(ixp.SampleBatch)
+		}
+		fn(worker, i, days[i], scratch[worker])
+	})
 }
 
 // Runner is the staged study engine. Zero state is built lazily: each
@@ -254,8 +267,8 @@ func (r *Runner) Aggregate() *Runner {
 	window := r.window
 	hpCfg := honeypot.CCCThresholds()
 	dayFlows := make([][]ecosystem.SensorFlow, len(r.days))
-	forEachDay(r.days, workers, func(worker, i int, day simclock.Time) {
-		batch, flows := r.Src.DayFlows(day)
+	forEachDay(r.days, workers, func(worker, i int, day simclock.Time, scratch *ixp.SampleBatch) {
+		batch, flows := r.Src.DayFlows(day, scratch)
 		// Batch-native pass 1: RemapBatch accumulates capture stats and
 		// holds the batch to the shared table; the aggregators then
 		// consume whole columns, split at the window boundary (a
@@ -263,13 +276,11 @@ func (r *Runner) Aggregate() *Runner {
 		// a filtered row walk).
 		rb := caps[worker].RemapBatch(batch)
 		core.ObserveBatchSplit(mains[worker], exts[worker], rb, window)
-		var kept []ecosystem.SensorFlow
-		for _, sf := range flows {
-			if window.Contains(sf.Start) && hpCfg.Accepts(sf) {
-				kept = append(kept, sf)
-			}
-		}
-		dayFlows[i] = kept
+		// The flows are this call's (Source.DayFlows): keep the accepted
+		// in-window ones in place.
+		dayFlows[i] = slices.DeleteFunc(flows, func(sf ecosystem.SensorFlow) bool {
+			return !window.Contains(sf.Start) || !hpCfg.Accepts(sf)
+		})
 	})
 
 	// Stage barrier: MergeShards folds each window's shards into one
@@ -385,7 +396,7 @@ func (r *Runner) Collect() *Runner {
 	// one read-only lookup.
 	cands := core.NewCandidates(r.Src.Table(), st.NameList.Names)
 	dayCols := make([]*core.Collector, len(r.days))
-	forEachDay(r.days, workers, func(worker, i int, day simclock.Time) {
+	forEachDay(r.days, workers, func(_, i int, day simclock.Time, scratch *ixp.SampleBatch) {
 		var dets []*core.Detection
 		for d := day.Day(); d <= day.Day()+spill; d++ {
 			dets = append(dets, detsByDay[d]...)
@@ -404,7 +415,7 @@ func (r *Runner) Collect() *Runner {
 		// capture stats (pass 1 counted them, and DayFor's counters
 		// cover only the rows it holds), and no routing annotation for
 		// the packets the collector rejects.
-		col.ObserveBatch(r.Src.DayFor(day, victims), c.Topo)
+		col.ObserveBatch(r.Src.DayFor(day, victims, scratch), c.Topo)
 		dayCols[i] = col
 	})
 	col := core.NewCollector(cands, all)

@@ -200,7 +200,7 @@ func (env *Env) Build(sc *Scenario, seed int64) *Built {
 		// The generator hands back a freshly materialized batch each
 		// call — nothing else references it, so appending the overlay
 		// in place is safe.
-		b := env.Gen.Day(day).Batch
+		b := env.Gen.Day(day, nil).Batch
 		source.AppendFrames(b, plan.DayFrames(day))
 		rep.AddDay(day, b, nil)
 	})

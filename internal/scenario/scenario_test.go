@@ -127,7 +127,7 @@ func TestOverlayRidesBackground(t *testing.T) {
 	sc, _ := ByName("resolver-churn")
 	bt := env.Build(sc, 7)
 	attackDay := env.P.Window().Start.Add(simclock.Day)
-	bg := env.Gen.Day(attackDay).Batch
+	bg := env.Gen.Day(attackDay, nil).Batch
 	got := bt.Source.Day(attackDay)
 	if got.N <= bg.N {
 		t.Errorf("overlay day N=%d not larger than background N=%d", got.N, bg.N)
@@ -148,7 +148,7 @@ func TestOverlayRidesBackground(t *testing.T) {
 func TestSkipAttacksBackgroundOnly(t *testing.T) {
 	env := NewEnv(tinyParams())
 	day := env.P.Window().Start.Add(simclock.Day)
-	dt := env.Gen.Day(day)
+	dt := env.Gen.Day(day, nil)
 	if len(dt.Sensors) != 0 {
 		t.Errorf("SkipAttacks day has %d sensor flows, want 0", len(dt.Sensors))
 	}

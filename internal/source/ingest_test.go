@@ -366,8 +366,8 @@ func TestIngestAccumulates(t *testing.T) {
 			[4]int{wb.Frames, wb.NonUDP, wb.NonDNS, wb.Malformed},
 			[4]int{sb.Frames, sb.NonUDP, sb.NonDNS, sb.Malformed})
 	}
-	_, wFlows := whole.DayFlows(day)
-	_, sFlows := split.DayFlows(day)
+	_, wFlows := whole.DayFlows(day, nil)
+	_, sFlows := split.DayFlows(day, nil)
 	if len(wFlows) == 0 || !reflect.DeepEqual(wFlows, sFlows) {
 		t.Fatal("sensor flows lost across split ingestion")
 	}
@@ -380,7 +380,7 @@ func TestIngestRejectsSharedDay(t *testing.T) {
 	c := tinyCampaign(t)
 	gen := ecosystem.NewGenerator(c, 7)
 	day := source.DaysOf(testWindow())[0]
-	dt := gen.Day(day)
+	dt := gen.Day(day, nil)
 
 	r := source.NewReplay(gen.Table())
 	r.AddDay(day, dt.Batch, dt.Sensors)

@@ -53,7 +53,7 @@ func NewReplay(tab *names.Table) *Replay {
 func Record(src Source) *Replay {
 	r := NewReplay(src.Table())
 	for _, day := range src.Days() {
-		b, flows := src.DayFlows(day)
+		b, flows := src.DayFlows(day, nil)
 		r.AddDay(day, b, flows)
 	}
 	return r
@@ -106,23 +106,27 @@ func (r *Replay) Days() []simclock.Time { return r.days }
 // Day returns the recorded batch for day, nil when the day was never
 // recorded.
 func (r *Replay) Day(day simclock.Time) *ixp.SampleBatch {
-	b, _ := r.DayFlows(day)
-	return b
+	if rd, ok := r.byDay[day.StartOfDay()]; ok {
+		return rd.batch
+	}
+	return nil
 }
 
 // DayFor returns the recorded batch for day whatever the clients: it is
 // already materialized, so holding more rows than asked costs nothing.
-func (r *Replay) DayFor(day simclock.Time, _ [][4]byte) *ixp.SampleBatch {
+// scratch is left untouched.
+func (r *Replay) DayFor(day simclock.Time, _ [][4]byte, _ *ixp.SampleBatch) *ixp.SampleBatch {
 	return r.Day(day)
 }
 
-// DayFlows returns the recorded batch and sensor flows for day.
-func (r *Replay) DayFlows(day simclock.Time) (*ixp.SampleBatch, []ecosystem.SensorFlow) {
+// DayFlows returns the recorded batch for day, leaving scratch
+// untouched, and a copy of its sensor flows.
+func (r *Replay) DayFlows(day simclock.Time, _ *ixp.SampleBatch) (*ixp.SampleBatch, []ecosystem.SensorFlow) {
 	rd, ok := r.byDay[day.StartOfDay()]
 	if !ok {
 		return nil, nil
 	}
-	return rd.batch, rd.sensors
+	return rd.batch, slices.Clone(rd.sensors)
 }
 
 // compile-time interface checks for both adapters.

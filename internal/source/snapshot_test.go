@@ -106,8 +106,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatalf("trial %d: interning tables differ", trial)
 		}
 		for _, day := range orig.Days() {
-			ob, oFlows := orig.DayFlows(day)
-			lb, lFlows := loaded.DayFlows(day)
+			ob, oFlows := orig.DayFlows(day, nil)
+			lb, lFlows := loaded.DayFlows(day, nil)
 			if (ob == nil) != (lb == nil) {
 				t.Fatalf("trial %d day %s: batch presence differs", trial, day.Date())
 			}

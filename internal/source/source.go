@@ -13,13 +13,15 @@
 //     log or pcap capture sanitized as it is read (each frame straight
 //     into its capture day's batch), the first non-synthetic workload.
 //
-// Sources hand out immutable batches, all in the source's one name
-// table: consumers built over that table feed them to the batch-native
-// observers (core.Aggregator.ObserveBatch and
-// core.Collector.ObserveBatch, with ixp.CapturePoint.RemapBatch
-// accounting the capture stats) — none of which write to a batch — so
-// one materialized day may be shared by any number of passes and
-// workers.
+// Sources hand out batches in the source's one name table: consumers
+// built over that table feed them to the batch-native observers
+// (core.Aggregator.ObserveBatch and core.Collector.ObserveBatch, with
+// ixp.CapturePoint.RemapBatch accounting the capture stats), none of
+// which write to a batch or keep it. A caller lends a scratch batch to
+// each call: Synthetic synthesizes the day into it, so a worker that
+// reads day after day allocates one batch, not one per day; Replay
+// leaves it alone and returns the day it holds, shared by any number of
+// passes and workers.
 package source
 
 import (
@@ -33,8 +35,16 @@ import (
 // sensor flows of the same simulated days.
 //
 // Implementations must be safe for concurrent DayFor/DayFlows calls on
-// distinct or identical days: the pipeline's worker pool materializes
-// many days at once.
+// distinct or identical days, each with its own scratch: the pipeline's
+// worker pool materializes many days at once.
+//
+// Both methods take a caller-owned scratch batch. A source that builds
+// the day resets scratch, fills it and returns it, so the returned
+// batch aliases scratch and is overwritten by the next call with the
+// same scratch; a source that already holds the day returns its own
+// batch, which nobody may write to, and leaves scratch untouched. A nil
+// scratch asks for a batch the caller may keep (a fresh one, or the
+// held one).
 type Source interface {
 	// Table is the name-interning space of every batch the source
 	// emits (SampleBatch.Table) and so of everything that consumes
@@ -51,16 +61,17 @@ type Source interface {
 	// whose client (DNSSample.ClientAddr) is in clients. It may hold
 	// more, up to the whole day. Its sanitization counters cover only
 	// the rows it holds, so it serves per-client passes (the pipeline's
-	// pass 2), never capture accounting. The batch is immutable and
-	// may be shared; it is nil (or empty) for days the source has
-	// nothing for.
-	DayFor(day simclock.Time, clients [][4]byte) *ixp.SampleBatch
+	// pass 2), never capture accounting. It is nil (or empty) for days
+	// the source has nothing for.
+	DayFor(day simclock.Time, clients [][4]byte, scratch *ixp.SampleBatch) *ixp.SampleBatch
 
 	// DayFlows materializes one day's whole batch together with its
 	// honeypot sensor flows. For synthetic sources both are drawn from
 	// the same per-day RNG stream, so consumers needing both must use
 	// this method rather than pairing DayFor with a second generation.
-	DayFlows(day simclock.Time) (*ixp.SampleBatch, []ecosystem.SensorFlow)
+	// The sensor flows are the caller's: a source returns a slice it
+	// does not read again, so the caller may filter it in place.
+	DayFlows(day simclock.Time, scratch *ixp.SampleBatch) (*ixp.SampleBatch, []ecosystem.SensorFlow)
 }
 
 // DaysOf collects the start-of-day times of a window, the canonical
@@ -92,16 +103,16 @@ func (s *Synthetic) Table() *names.Table { return s.Gen.Table() }
 // Days lists the start-of-day times of the source's window.
 func (s *Synthetic) Days() []simclock.Time { return s.days }
 
-// DayFor materializes the day's attack rows, and its background rows
-// only when one of clients is a background client
+// DayFor synthesizes the day's attack rows into scratch, and its
+// background rows only when one of clients is a background client
 // (ecosystem.Generator.DayFor).
-func (s *Synthetic) DayFor(day simclock.Time, clients [][4]byte) *ixp.SampleBatch {
-	return s.Gen.DayFor(day, clients).Batch
+func (s *Synthetic) DayFor(day simclock.Time, clients [][4]byte, scratch *ixp.SampleBatch) *ixp.SampleBatch {
+	return s.Gen.DayFor(day, clients, scratch).Batch
 }
 
-// DayFlows materializes one day's batch and sensor flows from a single
-// generation (one per-day RNG stream).
-func (s *Synthetic) DayFlows(day simclock.Time) (*ixp.SampleBatch, []ecosystem.SensorFlow) {
-	dt := s.Gen.Day(day)
+// DayFlows synthesizes one day's batch into scratch and its sensor
+// flows from a single generation (one per-day RNG stream).
+func (s *Synthetic) DayFlows(day simclock.Time, scratch *ixp.SampleBatch) (*ixp.SampleBatch, []ecosystem.SensorFlow) {
+	dt := s.Gen.Day(day, scratch)
 	return dt.Batch, dt.Sensors
 }

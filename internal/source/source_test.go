@@ -76,8 +76,8 @@ func TestSyntheticSource(t *testing.T) {
 		t.Fatal("Table() must expose the generator's frozen table")
 	}
 	for _, day := range days {
-		want := gen.Day(day)
-		batch, flows := src.DayFlows(day)
+		want := gen.Day(day, nil)
+		batch, flows := src.DayFlows(day, nil)
 		if !reflect.DeepEqual(want.Batch, batch) {
 			t.Fatalf("day %s: DayFlows batch differs from Generator.Day", day.Date())
 		}
@@ -92,7 +92,7 @@ func TestSyntheticSource(t *testing.T) {
 				clients[i] = batch.Dst[i]
 			}
 		}
-		if !reflect.DeepEqual(want.Batch, src.DayFor(day, clients)) {
+		if !reflect.DeepEqual(want.Batch, src.DayFor(day, clients, nil)) {
 			t.Fatalf("day %s: DayFor over every client of the day differs from the day", day.Date())
 		}
 	}
@@ -117,8 +117,8 @@ func TestReplayMatchesSynthetic(t *testing.T) {
 		t.Fatal("replay day list differs")
 	}
 	for _, day := range syn.Days() {
-		sb, sFlows := syn.DayFlows(day)
-		rb, rFlows := replay.DayFlows(day)
+		sb, sFlows := syn.DayFlows(day, nil)
+		rb, rFlows := replay.DayFlows(day, nil)
 		wantS, wantStats := drain(c, sb)
 		gotS, gotStats := drain(c, rb)
 		if len(wantS) != len(gotS) {
@@ -141,7 +141,7 @@ func TestReplayMatchesSynthetic(t *testing.T) {
 	// Record: a snapshot of another source shares its batches.
 	rec := source.Record(syn)
 	for _, day := range syn.Days() {
-		if b, sb := rec.Day(day), syn.Gen.Day(day).Batch; b == nil || b.N != sb.N {
+		if b, sb := rec.Day(day), syn.Gen.Day(day, nil).Batch; b == nil || b.N != sb.N {
 			t.Fatalf("day %s: recorded batch missing or truncated", day.Date())
 		}
 	}
@@ -151,6 +151,40 @@ func TestReplayMatchesSynthetic(t *testing.T) {
 	// Unknown days are absent, not invented.
 	if b := rec.Day(w.End.Add(simclock.Days(3))); b != nil {
 		t.Error("unrecorded day must return a nil batch")
+	}
+}
+
+// TestReplayLeavesScratch holds Replay to the scratch contract of
+// Source: lent a scratch, DayFlows and DayFor return the recorded batch
+// itself and leave the scratch as it was, and DayFlows' sensor flows
+// are the caller's, so filtering them in place (as the pipeline's pass
+// 1 does) leaves the recording whole.
+func TestReplayLeavesScratch(t *testing.T) {
+	c := tinyCampaign(t)
+	syn := source.NewSynthetic(ecosystem.NewGenerator(c, 7), testWindow())
+	rec := source.Record(syn)
+	var scratch ixp.SampleBatch
+	syn.DayFlows(syn.Days()[0], &scratch)
+	lent := scratch
+	lent.Time = slices.Clone(scratch.Time)
+	withFlows := 0
+	for _, day := range rec.Days() {
+		want, wantFlows := syn.DayFlows(day, nil)
+		b, flows := rec.DayFlows(day, &scratch)
+		if b != rec.Day(day) || rec.DayFor(day, nil, &scratch) != b {
+			t.Fatalf("day %s: the replay did not return its recorded batch", day.Date())
+		}
+		if !reflect.DeepEqual(scratch, lent) {
+			t.Fatalf("day %s: the replay wrote to the lent scratch", day.Date())
+		}
+		withFlows += min(len(flows), 1)
+		clear(flows)
+		if _, again := rec.DayFlows(day, nil); !reflect.DeepEqual(b, want) || !reflect.DeepEqual(again, wantFlows) {
+			t.Fatalf("day %s: the recording changed under its reader", day.Date())
+		}
+	}
+	if withFlows == 0 {
+		t.Fatal("no day has sensor flows: the check cannot see them change")
 	}
 }
 

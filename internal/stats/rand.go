@@ -75,32 +75,46 @@ func binomialInversion(rng *rand.Rand, n int, p float64) int {
 // s <= 1 and re-seeding per draw site.
 //
 // A draw maps one rng.Float64() u to the smallest index i with
-// cdf[i] >= u (capped at n-1). It finds it through a guide table (Chen
-// and Asau's indexed search), not a binary search: guide[j] is the
-// smallest i with cdf[i] >= j/n, so the search starts at u's bucket
-// j = int(u*n) and steps back while cdf[i-1] >= u, then forward while
-// cdf[i] < u. cdf is non-decreasing (a running sum of positive terms
-// divided by one positive constant), so those steps end on that
-// smallest index from any start, including a bucket off by the float
-// rounding of u*n: draws are exactly a binary search's. The walk is
-// bounded by its bucket's size, and the n buckets are equally likely,
-// so a draw takes one step on average whatever the exponent.
+// cdf[i] >= u (capped at n-1). It starts from an estimate of that index
+// and steps back while cdf[i-1] >= u, then forward while cdf[i] < u.
+// cdf is non-decreasing (a running sum of positive terms divided by one
+// positive constant), so those steps end on that smallest index from
+// any start: draws are exactly a binary search's, and the estimate only
+// sets how many steps a draw takes.
 //
-// Over more than headRanks ranks, a u below cdf[headRanks-1] starts
-// from a second guide table, head, over that stretch of u alone (j =
-// int(u*headRanks/cdf[headRanks-1])). The answer lies in the first
-// headRanks ranks, so the draw reads only head and those ranks' CDF
-// values, which stay in cache where the whole guide cannot; the steps
-// above make the start's exact value irrelevant to the rank. Most draws
-// land there: at s = 1 over 200 000 ranks, 75 % do. The tables are
-// built at construction: concurrent callers share a Zipf read-only.
+// Over the first m = min(n, headRanks) ranks, where u < headEnd =
+// cdf[m-1], the estimate comes from a guide table (Chen and Asau's
+// indexed search): head[j] is the smallest i with cdf[i] >= j/m*headEnd,
+// read at u's bucket j = int(u*m/headEnd); a bucket off by the float
+// rounding of that product only costs a step. The walk is bounded by
+// its bucket's size, and the m buckets are equally likely, so a draw
+// takes one step on average. The table and those ranks' CDF values take
+// 96 KiB at most and stay in cache. With n <= headRanks every draw is
+// served there (headEnd is 1).
+//
+// Past them, u >= headEnd, the estimate is the midpoint-rule inverse of
+// the CDF from rank K = headRanks: the sum of i^-s over ranks K+1..k is
+// close to the integral of x^-s from K+1/2 to k+1/2, which solved for k
+// gives
+//
+//	k = (K+1/2)·exp(S·(u-headEnd)) - 1/2                  (s = 1)
+//	k = ((K+1/2)^(1-s) + (1-s)·S·(u-headEnd))^(1/(1-s)) - 1/2
+//
+// with S the sum of i^-s over all n ranks. The rule's error falls like
+// 1/K², so the estimate lands within a rank of the answer, and no table
+// over the n ranks is built or read. At s = 1 over 200 000 ranks, 75 %
+// of draws land in the head. The tables are built at construction:
+// concurrent callers share a Zipf read-only.
 type Zipf struct {
-	cdf   []float64
-	guide []int32 // n+1 entries: u*n may round up to n
+	cdf []float64
 
-	head      []int32 // headRanks+1 entries; nil when n <= headRanks
-	headEnd   float64 // cdf[headRanks-1]: head serves u < headEnd
-	headScale float64 // headRanks / headEnd
+	head      []int32 // m+1 entries: u*headScale may round up to m
+	headEnd   float64 // cdf[m-1]: head serves u < headEnd
+	headScale float64 // m / headEnd
+
+	// The tail estimate's constants: the exponent, S, K+1/2 and
+	// (K+1/2)^(1-s).
+	s, sum, mid, midPow float64
 }
 
 // headRanks is the number of ranks the head guide covers: its table and
@@ -119,17 +133,19 @@ func NewZipf(n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return indexCDF(cdf)
+	z := indexCDF(cdf)
+	z.s, z.sum = s, sum
+	z.mid = float64(len(z.head)-1) + 0.5
+	z.midPow = math.Pow(z.mid, 1-s)
+	return z
 }
 
-// indexCDF builds the guide tables over a non-decreasing CDF.
+// indexCDF builds the head guide over a non-decreasing CDF.
 func indexCDF(cdf []float64) *Zipf {
-	z := &Zipf{cdf: cdf, guide: guideTable(cdf, len(cdf), 1)}
-	if len(cdf) > headRanks {
-		z.headEnd = cdf[headRanks-1]
-		z.headScale = headRanks / z.headEnd
-		z.head = guideTable(cdf[:headRanks], headRanks, z.headEnd)
-	}
+	m := min(len(cdf), headRanks)
+	z := &Zipf{cdf: cdf, headEnd: cdf[m-1]}
+	z.headScale = float64(m) / z.headEnd
+	z.head = guideTable(cdf[:m], m, z.headEnd)
 	return z
 }
 
@@ -154,12 +170,7 @@ func (z *Zipf) Draw(rng *rand.Rand) int { return z.rank(rng.Float64()) }
 // rank maps u in [0, 1) to its rank: one plus the smallest index i with
 // cdf[i] >= u, capped at n.
 func (z *Zipf) rank(u float64) int {
-	var i int
-	if u < z.headEnd {
-		i = int(z.head[int(u*z.headScale)])
-	} else {
-		i = int(z.guide[int(u*float64(len(z.cdf)))])
-	}
+	i := z.start(u)
 	for i > 0 && z.cdf[i-1] >= u {
 		i--
 	}
@@ -167,6 +178,32 @@ func (z *Zipf) rank(u float64) int {
 		i++
 	}
 	return i + 1
+}
+
+// start is the index a draw of u walks from: the head guide's entry,
+// or past the head the tail estimate. It stays small enough to inline
+// into rank, so a head draw calls nothing.
+func (z *Zipf) start(u float64) int {
+	if u < z.headEnd {
+		return int(z.head[int(u*z.headScale)])
+	}
+	return z.tailStart(u)
+}
+
+// tailStart is the tail estimate for u >= headEnd, clamped to the CDF
+// (an estimate that is not a number starts at the last index).
+func (z *Zipf) tailStart(u float64) int {
+	x := z.sum * (u - z.headEnd)
+	var k float64
+	if z.s == 1 {
+		k = z.mid * math.Exp(x)
+	} else {
+		k = math.Pow(z.midPow+(1-z.s)*x, 1/(1-z.s))
+	}
+	if i := k - 0.5; i >= 0 && i < float64(len(z.cdf)-1) {
+		return int(i)
+	}
+	return len(z.cdf) - 1
 }
 
 // N returns the number of ranks.

@@ -22,26 +22,28 @@ func searchRank(cdf []float64, u float64) int {
 	return lo + 1
 }
 
-// TestZipfMatchesBinarySearch holds the guide-table search to the
-// binary search at every place they could part: each CDF value and its
-// float neighbours (where cdf[i] >= u flips; cdf[headRanks-1] is where
-// the head guide hands over to the full one), each bucket edge j/n
-// (where the guide entry changes) and each head bucket edge, and both
-// ends of [0, 1).
+// TestZipfMatchesBinarySearch holds the guided search to the binary
+// search at every place they could part: each CDF value and its float
+// neighbours (where cdf[i] >= u flips; cdf[headRanks-1] is where the
+// head guide hands over to the tail estimate), each head bucket edge,
+// a grid of n points, and both ends of [0, 1). Past the head it also
+// bounds the walk: at every exponent probed, among them the two the
+// generator draws with (s = 1 for names, 1.05 for clients), the tail
+// estimate starts at most one index from the answer.
 //
-// One thinning keeps it fast. A draw walks its bucket, and buckets are
-// equally likely, so a draw costs one step on average; but probing
+// One thinning keeps it fast. A head draw walks its bucket, and buckets
+// are equally likely, so a draw costs one step on average; but probing
 // every entry of a crowded bucket costs the square of its size, and at
-// s = 2, n = 200 000 the last bucket holds 124 384 ranks (20 s). CDF
-// values more than 4 096 entries past their bucket's start are probed
-// every 512th entry.
+// s = 2, n = 8 192 the last bucket holds thousands of ranks. CDF values
+// more than 4 096 entries past their walk's start are probed every
+// 512th entry.
 func TestZipfMatchesBinarySearch(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7, 3600, headRanks, headRanks + 1, 200_000} {
+	for _, n := range []int{1, 2, 3, 7, 3600, headRanks, headRanks + 1, 120_000, 200_000} {
 		for _, s := range []float64{0.5, 1, 1.05, 2} {
 			z := NewZipf(n, s)
 			probes := []float64{0, 1 - 0x1p-53}
 			for i, c := range z.cdf {
-				if walk := i - int(z.guide[int(c*float64(n))]); walk > 4096 && i%512 != 0 {
+				if walk := i - z.start(c); walk > 4096 && i%512 != 0 {
 					continue
 				}
 				probes = append(probes, c, math.Nextafter(c, 0), math.Nextafter(c, 2))
@@ -50,15 +52,19 @@ func TestZipfMatchesBinarySearch(t *testing.T) {
 				probes = append(probes, float64(j)/float64(n))
 			}
 			for j := range len(z.head) {
-				u := float64(j) / headRanks * z.headEnd
+				u := float64(j) / float64(len(z.head)-1) * z.headEnd
 				probes = append(probes, u, math.Nextafter(u, 0), math.Nextafter(u, 2))
 			}
 			for _, u := range probes {
 				if u < 0 || u >= 1 {
 					continue // rng.Float64 never returns these
 				}
-				if got, want := z.rank(u), searchRank(z.cdf, u); got != want {
+				want := searchRank(z.cdf, u)
+				if got := z.rank(u); got != want {
 					t.Fatalf("n=%d s=%v u=%v: rank %d, binary search %d", n, s, u, got, want)
+				}
+				if d := z.start(u) - (want - 1); u >= z.headEnd && (d < -1 || d > 1) {
+					t.Fatalf("n=%d s=%v u=%v: tail estimate %d indices from the answer %d", n, s, u, d, want-1)
 				}
 			}
 		}
@@ -80,21 +86,24 @@ func TestZipfRoundingStepsBack(t *testing.T) {
 	}
 }
 
-// FuzzZipf compares the guide-table search with the binary search at
-// fuzzed sizes, exponents and draws. Seeds include the hand-over from
-// the head guide to the full one: u at cdf[headRanks-1] and its float
-// neighbours.
+// FuzzZipf compares the guided search with the binary search at fuzzed
+// sizes, exponents and draws. Seeds include the hand-over from the head
+// guide to the tail estimate (u at cdf[headRanks-1] and its float
+// neighbours) at s = 1 and s != 1, and the smallest Zipf with a tail,
+// n = headRanks+1, whose tail is its last rank.
 func FuzzZipf(f *testing.F) {
 	f.Add(uint16(7), 1.0, 0.5)
 	f.Add(uint16(3600), 1.05, 0.999)
 	f.Add(uint16(0), 2.0, 0.0)
-	for _, s := range []float64{1.0, 0.5} {
-		const n = 20_000
-		end := NewZipf(n, s).headEnd
-		for _, u := range []float64{end, math.Nextafter(end, 0), math.Nextafter(end, 2)} {
-			f.Add(uint16(n-1), s, u)
+	for _, n := range []int{20_000, headRanks + 1} {
+		for _, s := range []float64{1.0, 0.5, 1.05, 2} {
+			end := NewZipf(n, s).headEnd
+			for _, u := range []float64{end, math.Nextafter(end, 0), math.Nextafter(end, 2)} {
+				f.Add(uint16(n-1), s, u)
+			}
 		}
 	}
+	f.Add(uint16(headRanks), 1.05, 1-0x1p-53)
 	f.Fuzz(func(t *testing.T, n uint16, s, u float64) {
 		if math.IsNaN(s) || math.IsInf(s, 0) || math.IsNaN(u) || math.IsInf(u, 0) {
 			t.Skip()

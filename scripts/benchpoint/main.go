@@ -16,6 +16,12 @@
 // commit ids and a host fingerprint (nproc, the CPU model, the Go
 // version). Workloads, metrics and the run length come from
 // BENCHMARK.json. Run nothing else on the host meanwhile.
+//
+//	go run ./scripts/benchpoint -report
+//
+// prints the trajectory the committed points make instead (`make
+// bench-report`): per workload and end-to-end metric, each point's
+// head-over-base median ratio and those ratios chained (report.go).
 package main
 
 import (
@@ -116,14 +122,8 @@ func main() {
 	seeds := flag.String("seeds", "501-510", "seeds, as FROM-TO or a comma list; one pair per seed")
 	only := flag.String("workloads", "", "comma-separated workloads (default: every one in BENCHMARK.json)")
 	pointN := flag.Int("point", 0, "write BENCH_<point>.json in the current directory")
+	reportOnly := flag.Bool("report", false, "print the committed points' chained ratios, run nothing")
 	flag.Parse()
-	if *base == "" {
-		fail(fmt.Errorf("-base is required"))
-	}
-	seedList, err := parseSeeds(*seeds)
-	if err != nil {
-		fail(err)
-	}
 	var sp spec
 	raw, err := os.ReadFile("BENCHMARK.json")
 	if err == nil {
@@ -131,6 +131,19 @@ func main() {
 	}
 	if err != nil {
 		fail(fmt.Errorf("reading BENCHMARK.json: %w", err))
+	}
+	if *reportOnly {
+		if err := printTrajectory(sp); err != nil {
+			fail(err)
+		}
+		return
+	}
+	if *base == "" {
+		fail(fmt.Errorf("-base is required"))
+	}
+	seedList, err := parseSeeds(*seeds)
+	if err != nil {
+		fail(err)
 	}
 	names := []string{}
 	for _, w := range sp.Workloads {
