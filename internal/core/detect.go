@@ -442,35 +442,27 @@ func (c *Collector) Records() []*AttackRecord {
 
 // ValidateDetection measures the detection rate for visible ground-truth
 // attacks under a candidate list and thresholds (Fig. 6): the fraction
-// of visible ground-truth (victim, day) pairs that the thresholds flag.
+// of visible ground-truth attacks with a (victim, day) that Detect flags.
+// Only attacks with a day of at least MinPackets packets can be
+// detected; the paper reports the rate over those.
 func ValidateDetection(ag *Aggregator, visible []GroundTruthAttack, candidates map[string]bool, th Thresholds) float64 {
 	if len(visible) == 0 {
 		return 0
 	}
-	cand := ag.CandidatePackets(candidates)
-	// Only ground-truth attacks that remain visible under the minimum
-	// packet threshold can possibly be detected; the paper reports the
-	// detection rate over visible attacks.
+	flagged := make(map[ClientDay]bool)
+	for _, d := range Detect(ag, candidates, th) {
+		flagged[ClientDay{Client: d.Victim, Day: d.Day}] = true
+	}
 	detected := 0
 	total := 0
 	for _, gt := range visible {
-		// An attack is detected if any of its days trips the
-		// thresholds.
-		vis := false
-		hit := false
+		vis, hit := false, false
 		for _, d := range gt.Days() {
-			s, ok := ag.slotOf(ClientDay{Client: gt.Victim, Day: d})
-			if !ok {
-				continue
-			}
-			ca := ag.at(s)
-			if ca.Total >= th.MinPackets {
+			cd := ClientDay{Client: gt.Victim, Day: d}
+			if ca := ag.ClientOf(cd); ca != nil && ca.Total >= th.MinPackets {
 				vis = true
 			}
-			if cand[s] > 0 && ca.Total >= th.MinPackets &&
-				float64(cand[s])/float64(ca.Total) >= th.MinShare {
-				hit = true
-			}
+			hit = hit || flagged[cd]
 		}
 		if vis {
 			total++

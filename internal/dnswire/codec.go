@@ -544,6 +544,37 @@ func NewQuery(id uint16, name string, qtype Type, ednsSize uint16) *Message {
 	return m
 }
 
+// QuestionSize is the wire size of a header and one question for the
+// canonical name (CanonicalName(name) == name): an empty response, or a
+// query without EDNS.
+func QuestionSize(name string) int {
+	return HeaderLen + canonicalNameLen(name) + 4
+}
+
+// QuerySize is the wire size of NewQuery(id, name, qtype, ednsSize) for
+// a canonical name and ednsSize > 0: the question and the option-less
+// OPT record.
+func QuerySize(name string) int {
+	return QuestionSize(name) + rrLen(".", 0)
+}
+
+// MinimalANYSize is the uncompressed wire size of an RFC 8482 minimal
+// answer to an EDNS ANY query for a canonical name: the query and one
+// HINFO record with 9 bytes of rdata.
+func MinimalANYSize(name string) int {
+	return QuerySize(name) + rrLen(name, 9)
+}
+
+// canonicalNameLen is EncodedNameLen for a canonical name, read off its
+// length alone (the root is its one name of length 1): loading the last
+// byte of a name viewed in a large table costs a cache miss.
+func canonicalNameLen(name string) int {
+	if len(name) == 1 {
+		return 1
+	}
+	return len(name) + 1
+}
+
 // NewResponse builds a response message skeleton mirroring query q.
 func NewResponse(q *Message) *Message {
 	m := &Message{

@@ -235,6 +235,27 @@ func TestEncodedNameLen(t *testing.T) {
 	}
 }
 
+// TestMessageSizes pins the size helpers to the encoder: QuestionSize to
+// an EDNS-less query, QuerySize to NewQuery(…, 4096), and MinimalANYSize
+// to that query plus one uncompressed HINFO record of 9 rdata bytes.
+func TestMessageSizes(t *testing.T) {
+	long := strings.Repeat("a", 63) + "." + strings.Repeat("b", 63) + ".example.org."
+	for _, name := range []string{".", "gov.", "doj.gov.", "_sip._tcp.example.com.", "r00042.bulk-zone.net.", long} {
+		if got, want := QuestionSize(name), len(Encode(NewQuery(1, name, TypeA, 0))); got != want {
+			t.Errorf("QuestionSize(%q) = %d, encoded %d", name, got, want)
+		}
+		for _, qt := range []Type{TypeA, TypeANY, TypeDNSKEY} {
+			if got, want := QuerySize(name), len(Encode(NewQuery(0xBEEF, name, qt, 4096))); got != want {
+				t.Errorf("QuerySize(%q) = %d, encoded %v query %d", name, got, qt, want)
+			}
+		}
+		hinfo := RR{Name: name, Type: Type(13), Class: ClassIN, Data: RawData{Bytes: make([]byte, 9)}}
+		if got, want := MinimalANYSize(name), QuerySize(name)+hinfo.WireLen(); got != want {
+			t.Errorf("MinimalANYSize(%q) = %d, want %d", name, got, want)
+		}
+	}
+}
+
 func TestValidName(t *testing.T) {
 	valid := []string{".", "gov.", "doj.gov.", "a-b.example.com.", "_sip._tcp.example.com.", "x123.io"}
 	for _, n := range valid {

@@ -7,7 +7,10 @@
 // The decoder is deliberately tolerant of truncation: the IXP pipeline
 // sees frames cut at 128 bytes, which always preserves the DNS header and
 // (for realistic names) the first question, but rarely the full answer
-// section. Parse reports how far it got instead of failing outright.
+// section. Scan reads what the capture point needs from such a prefix;
+// Parse, which reports how far it got instead of failing outright, is
+// the reference Scan is held to. The package owns message lengths too
+// (QuestionSize, QuerySize, MinimalANYSize).
 package dnswire
 
 import "fmt"
@@ -135,7 +138,13 @@ type RR struct {
 // WireLen is the RR's uncompressed wire length: owner name, the fixed
 // 10 bytes of type, class, TTL and rdlength, and the rdata.
 func (rr RR) WireLen() int {
-	return EncodedNameLen(rr.Name) + 10 + rr.Data.WireLen()
+	return rrLen(rr.Name, rr.Data.WireLen())
+}
+
+// rrLen is the uncompressed wire length of a record owned by name with
+// rdlen bytes of rdata.
+func rrLen(name string, rdlen int) int {
+	return EncodedNameLen(name) + 10 + rdlen
 }
 
 // RData is implemented by all decoded rdata representations.

@@ -8,6 +8,9 @@
 // findings (TXID structure, relocations, amplifier-set clusters, ...)
 // must emerge from the mechanics encoded here and be re-derived by the
 // detection and analysis pipeline.
+// Generator.Day sanitizes its samples (§3.1) by the rules' owners, as
+// ixp.CapturePoint.Process does WireDay's frames: frame lengths from
+// netmodel, what is kept from ixp, message lengths from dnswire.
 package ecosystem
 
 import (

@@ -224,23 +224,15 @@ type respTemplate struct {
 	prefix  []byte // first snaplen-42 bytes of the DNS payload
 	fullLen int    // full DNS message size
 	anCount uint16 // announced answer count (from the prefix header)
-	// meta caches, per parse-window length, what the capture point's
-	// tolerant parser recovers from the truncated prefix.
+	// meta caches, per parse-window length, what ixp.CheckDNS makes of
+	// the truncated prefix.
 	meta map[int]tmplMeta
 }
 
 type tmplMeta struct {
 	visibleNS uint16
-	drop      uint8 // dropKind; 0 when the window parses cleanly
+	drop      ixp.Drop
 }
-
-// drop kinds, matching the capture point's sanitization counters.
-const (
-	dropNone = iota
-	dropNonUDP
-	dropNonDNS
-	dropMalformed
-)
 
 // NewGenerator builds a traffic generator. The background volume scales
 // with the campaign's Scale.
@@ -480,11 +472,7 @@ func (g *Generator) day(day simclock.Time, background bool, scratch *ixp.SampleB
 			dg.batch.Grow(g.Background.SamplesPerDay + 256)
 		}
 	}
-	if !g.SkipAttacks {
-		for _, ev := range g.C.EventsOnDay(day) {
-			dg.attackTraffic(&dt.Sensors, ev)
-		}
-	}
+	dt.Sensors = dg.attacks(day)
 	if background {
 		dg.backgroundTraffic(day)
 	}
@@ -501,102 +489,66 @@ func (g *Generator) WireDay(day simclock.Time) *WireDayTraffic {
 	if !g.SkipIXP {
 		dg.frames = &dt.IXP
 	}
-	if !g.SkipAttacks {
-		for _, ev := range g.C.EventsOnDay(day) {
-			dg.attackTraffic(&dt.Sensors, ev)
-		}
-	}
+	dt.Sensors = dg.attacks(day)
 	if !g.SkipIXP && simclock.MainPeriod().Contains(day) {
 		dg.backgroundTraffic(day)
 	}
 	return dt
 }
 
-// nameWireLen returns the uncompressed wire length of a canonical name
-// without allocating: one length octet per label (replacing each dot)
-// plus the terminating root octet.
-func nameWireLen(name string) int {
-	if name == "." {
-		return 1
+// attacks materializes the day's attack events, unless SkipAttacks is
+// set, and returns their honeypot flows: one allocation sized from the
+// events' sensors, nil when they have none.
+func (g *dayGen) attacks(day simclock.Time) []SensorFlow {
+	if g.SkipAttacks {
+		return nil
 	}
-	return len(name) + 1
+	events := g.C.EventsOnDay(day)
+	n := 0
+	for _, ev := range events {
+		n += len(ev.Sensors)
+	}
+	var sensors []SensorFlow
+	if n > 0 {
+		sensors = make([]SensorFlow, 0, n)
+	}
+	for _, ev := range events {
+		g.attackTraffic(&sensors, ev)
+	}
+	return sensors
 }
 
-// querySize is the encoded size of dnswire.NewQuery(_, name, _, 4096):
-// header, one question, one OPT RR. querySizeWL is its twin over a
-// precomputed wire length.
-func querySize(name string) int {
-	return querySizeWL(nameWireLen(name))
+// bgResponseSize is the encoded size of the one-answer background
+// response skeleton for a canonical name: header, echoed question, and
+// an A record whose owner is a compression pointer to the question name
+// (or the root's single octet, which the encoder never points at; the
+// root is the one canonical name of length 1).
+func bgResponseSize(name string) int {
+	owner := 2
+	if len(name) == 1 {
+		owner = 1
+	}
+	return dnswire.QuestionSize(name) + owner + 10 + 4
 }
 
-func querySizeWL(wireLen int) int {
-	return dnswire.HeaderLen + wireLen + 4 + 11
-}
-
-// bgResponseSizeWL is the encoded size of the one-answer background
-// response skeleton over a precomputed name wire length: header, echoed
-// question, and an A record whose owner is a compression pointer to the
-// question name (or the root's single octet — the only name with wire
-// length 1).
-func bgResponseSizeWL(wireLen int) int {
-	ans := 2 + 14 // pointer + fixed RR tail + 4-byte A rdata
-	if wireLen == 1 {
-		ans = 1 + 14
+// emitSimple emits one query or one-answer background response for
+// name. Its whole payload is materialized, and such a message carries
+// no NS record, so ixp.CheckDNS keeps it exactly when the header and
+// first question fit the bytes the decode leaves (a generated name is
+// well formed).
+func (g *dayGen) emitSimple(r ixp.BatchRecord, name string, payloadLen, msgSize int) {
+	avail, size, ok := netmodel.DecodeLengths(payloadLen, msgSize, sflow.DefaultSnaplen)
+	drop := ixp.Keep
+	switch {
+	case !ok:
+		drop = ixp.DropNonUDP
+	case avail < dnswire.QuestionSize(name):
+		drop = ixp.DropNonDNS
 	}
-	return dnswire.HeaderLen + wireLen + 4 + ans
-}
-
-// frameWindow emulates the capture point's frame decoding for a frame
-// that materializes payloadLen bytes of a DNS message whose UDP length
-// field announces trueSize bytes: it returns the parser's input window
-// and the recovered message size, mirroring netmodel.DecodeFrame on the
-// 128-byte-truncated frame (including the uint16 wrap behaviour of the
-// length fields).
-func frameWindow(payloadLen, trueSize int) (parseLen, msgSize int, drop uint8) {
-	udpLen := uint16(netmodel.UDPHeaderLen + trueSize)
-	totalLen := uint16(netmodel.IPv4HeaderLen) + udpLen
-	if int(totalLen) < netmodel.IPv4HeaderLen {
-		return 0, 0, dropNonUDP
+	if g.batch.Count(drop) {
+		r.MsgSize = int32(size)
+		g.batch.Append(r)
 	}
-	// UDP header + payload available after Ethernet/IP headers and the
-	// 128-byte truncation, clipped to the IP TotalLen.
-	avail := payloadLen + netmodel.UDPHeaderLen
-	if max := sflow.DefaultSnaplen - netmodel.EthernetHeaderLen - netmodel.IPv4HeaderLen; avail > max {
-		avail = max
-	}
-	if want := int(totalLen) - netmodel.IPv4HeaderLen; avail > want {
-		avail = want
-	}
-	if avail < netmodel.UDPHeaderLen || udpLen < netmodel.UDPHeaderLen {
-		return 0, 0, dropNonDNS
-	}
-	parseLen = avail - netmodel.UDPHeaderLen
-	if want := int(udpLen) - netmodel.UDPHeaderLen; parseLen > want {
-		parseLen = want
-	}
-	return parseLen, int(udpLen) - netmodel.UDPHeaderLen, dropNone
-}
-
-// emitSimple emits one query or one-answer background response, whose
-// parse outcome is fully determined by the question (of the given name
-// wire length) fitting the parse window (such messages never carry NS
-// records).
-func (g *dayGen) emitSimple(r ixp.BatchRecord, wireLen, payloadLen, trueSize int) {
-	g.batch.Frames++
-	parseLen, msgSize, drop := frameWindow(payloadLen, trueSize)
-	if drop == dropNone && parseLen < dnswire.HeaderLen+wireLen+4 {
-		drop = dropNonDNS // header or first question unreadable
-	}
-	switch drop {
-	case dropNonUDP:
-		g.batch.NonUDP++
-		return
-	case dropNonDNS:
-		g.batch.NonDNS++
-		return
-	}
-	r.MsgSize = int32(msgSize)
-	g.batch.Append(r)
 }
 
 // attackTraffic materializes one event's sampled IXP records and
@@ -693,26 +645,12 @@ func (g *dayGen) emitAttackResponse(amp *Amplifier, ev *AttackEvent, tmpl *respT
 		return
 	}
 
-	payloadLen := len(tmpl.prefix)
-	if payloadLen > size {
-		payloadLen = size
+	avail, msgSize, ok := netmodel.DecodeLengths(min(len(tmpl.prefix), size), size, sflow.DefaultSnaplen)
+	meta := tmplMeta{drop: ixp.DropNonUDP}
+	if ok {
+		meta = tmpl.metaFor(avail)
 	}
-	g.batch.Frames++
-	parseLen, msgSize, drop := frameWindow(payloadLen, size)
-	var meta tmplMeta
-	if drop == dropNone {
-		meta = tmpl.metaFor(parseLen)
-		drop = meta.drop
-	}
-	switch drop {
-	case dropNonUDP:
-		g.batch.NonUDP++
-		return
-	case dropNonDNS:
-		g.batch.NonDNS++
-		return
-	case dropMalformed:
-		g.batch.Malformed++
+	if !g.batch.Count(meta.drop) {
 		return
 	}
 	g.batch.Append(ixp.BatchRecord{
@@ -756,7 +694,7 @@ func (g *dayGen) emitAttackRequest(amp *Amplifier, ev *AttackEvent, evName strin
 		return
 	}
 
-	qlen := querySize(evName)
+	qlen := dnswire.QuerySize(evName)
 	g.emitSimple(ixp.BatchRecord{
 		Time:    t,
 		Src:     ev.Victim.As4(), // spoofed
@@ -769,7 +707,7 @@ func (g *dayGen) emitAttackRequest(amp *Amplifier, ev *AttackEvent, evName strin
 		QType:   ev.QType,
 		TXID:    txid,
 		Ingress: ev.IngressAS,
-	}, nameWireLen(evName), qlen, qlen)
+	}, evName, qlen, qlen)
 }
 
 // sensorFlows emits the honeypot-side flows of one event.
@@ -820,69 +758,36 @@ func (g *dayGen) responseTemplate(name string, t simclock.Time) *respTemplate {
 }
 
 func (g *dayGen) buildTemplate(name string, t simclock.Time) *respTemplate {
-	cn := dnswire.CanonicalName(name)
-	nameID, _ := g.table.Lookup(cn)
-	z, ok := g.C.DB.Zone(name)
-	var tmpl *respTemplate
-	if !ok {
-		// Procedural name: small synthetic answer.
-		q := dnswire.NewQuery(0, name, dnswire.TypeANY, 4096)
-		resp := dnswire.NewResponse(q)
-		wire := dnswire.Encode(resp)
-		tmpl = &respTemplate{nameID: nameID, prefix: clone(wire), fullLen: g.C.DB.ANYSize(name, t)}
+	nameID, _ := g.table.Lookup(dnswire.CanonicalName(name))
+	q := dnswire.NewQuery(0, name, dnswire.TypeANY, 4096)
+	tmpl := &respTemplate{nameID: nameID, meta: make(map[int]tmplMeta, 4)}
+	if z, ok := g.C.DB.Zone(name); ok {
+		wire := g.enc.Encode(z.BuildANYResponse(q, t))
+		snapPayload := sflow.DefaultSnaplen - netmodel.EthernetHeaderLen - netmodel.IPv4HeaderLen - netmodel.UDPHeaderLen
+		tmpl.prefix, tmpl.fullLen = slices.Clone(wire[:min(len(wire), snapPayload)]), len(wire)
 	} else {
-		q := dnswire.NewQuery(0, name, dnswire.TypeANY, 4096)
-		resp := z.BuildANYResponse(q, t)
-		wire := g.enc.Encode(resp)
-		pLen := sflow.DefaultSnaplen - netmodel.EthernetHeaderLen - netmodel.IPv4HeaderLen - netmodel.UDPHeaderLen
-		if pLen > len(wire) {
-			pLen = len(wire)
-		}
-		tmpl = &respTemplate{nameID: nameID, prefix: clone(wire[:pLen]), fullLen: len(wire)}
+		// Procedural name: small synthetic answer.
+		tmpl.prefix, tmpl.fullLen = dnswire.Encode(dnswire.NewResponse(q)), g.C.DB.ANYSize(name, t)
 	}
 	if len(tmpl.prefix) >= dnswire.HeaderLen {
 		tmpl.anCount = uint16(tmpl.prefix[6])<<8 | uint16(tmpl.prefix[7])
 	}
-	tmpl.meta = make(map[int]tmplMeta, 4)
 	return tmpl
 }
 
-// metaFor reports what the capture point's tolerant parser would
-// recover from the first n prefix bytes, caching per window length (the
-// handful of distinct EDNS caps a template meets).
+// metaFor runs ixp.CheckDNS on the first n prefix bytes, caching per
+// window length (the handful of distinct EDNS caps a template meets).
 func (tmpl *respTemplate) metaFor(n int) tmplMeta {
-	if n > len(tmpl.prefix) {
-		n = len(tmpl.prefix)
+	n = min(n, len(tmpl.prefix))
+	m, ok := tmpl.meta[n]
+	if !ok {
+		var s dnswire.Scanned
+		drop := ixp.CheckDNS(&s, tmpl.prefix[:n], nil)
+		m = tmplMeta{visibleNS: uint16(s.NS), drop: drop}
+		tmpl.meta[n] = m
 	}
-	if m, ok := tmpl.meta[n]; ok {
-		return m
-	}
-	var m tmplMeta
-	res, err := dnswire.Parse(tmpl.prefix[:n])
-	switch {
-	case err != nil:
-		m.drop = dropNonDNS
-	case !dnswire.ValidName(res.Msg.QName()) || res.Msg.QType() == dnswire.TypeNone:
-		m.drop = dropMalformed
-	default:
-		ns := 0
-		for _, rr := range res.Msg.Answers {
-			if rr.Type == dnswire.TypeNS {
-				ns++
-			}
-		}
-		for _, rr := range res.Msg.Authority {
-			if rr.Type == dnswire.TypeNS {
-				ns++
-			}
-		}
-		m.visibleNS = uint16(ns)
-	}
-	tmpl.meta[n] = m
 	return m
 }
-
-func clone(b []byte) []byte { return append([]byte(nil), b...) }
 
 // backgroundQTypes is the organic query-type mix (§3.1: A 57%, AAAA 13%).
 var backgroundQTypes = []struct {
@@ -979,8 +884,8 @@ func (g *dayGen) emitBackgroundQuery(client, server netip.Addr, nameID uint32, q
 		return
 	}
 
-	wl := nameWireLen(g.table.Name(nameID))
-	qlen := querySizeWL(wl)
+	name := g.table.Name(nameID)
+	qlen := dnswire.QuerySize(name)
 	g.emitSimple(ixp.BatchRecord{
 		Time:    t,
 		Src:     client.As4(),
@@ -992,7 +897,7 @@ func (g *dayGen) emitBackgroundQuery(client, server netip.Addr, nameID uint32, q
 		Name:    nameID,
 		QType:   qtype,
 		TXID:    txid,
-	}, wl, qlen, qlen)
+	}, name, qlen, qlen)
 }
 
 // emitBackgroundResponse draws and emits one organic server->client
@@ -1036,8 +941,8 @@ func (g *dayGen) emitBackgroundResponse(server, client netip.Addr, nameID uint32
 		return
 	}
 
-	wl := nameWireLen(g.table.Name(nameID))
-	respLen := bgResponseSizeWL(wl)
+	name := g.table.Name(nameID)
+	respLen := bgResponseSize(name)
 	if size < respLen {
 		size = respLen
 	}
@@ -1054,7 +959,7 @@ func (g *dayGen) emitBackgroundResponse(server, client netip.Addr, nameID uint32
 		QType:   qtype,
 		TXID:    txid,
 		ANCount: 1,
-	}, wl, respLen, size)
+	}, name, respLen, size)
 }
 
 // MACForAS derives the stable router MAC of a member/AS.

@@ -18,11 +18,11 @@ import (
 // and consumption loops allocate nothing per packet.
 //
 // Every record in a batch is already well-formed DNS-over-UDP: the
-// generator performs the wire-level sanitization (frame arithmetic,
-// truncation, parseability of the materialized prefix) at emission time
-// and accounts rejected packets in Frames/NonUDP/NonDNS, so a batch
-// holds, row for row, what its frame-level twin yields through
-// CapturePoint.Process and AppendSample.
+// generator sanitizes at emission time — frame lengths through
+// netmodel.DecodeLengths, the payload prefix through CheckDNS — and
+// accounts every frame with Count, so a batch holds, row for row, what
+// its frame-level twin yields through CapturePoint.Process and
+// AppendSample.
 type SampleBatch struct {
 	// Table is the interning space of the Name column: the source's
 	// table (source.Source.Table), shared by every batch of a run.
@@ -54,6 +54,22 @@ type SampleBatch struct {
 	// NonDNS and Malformed count those drops
 	// (N = Frames - NonUDP - NonDNS - Malformed).
 	Frames, NonUDP, NonDNS, Malformed int
+}
+
+// Count accounts one sampled frame with its sanitization outcome and
+// reports whether the frame is kept: the caller appends a kept frame's
+// row.
+func (b *SampleBatch) Count(d Drop) bool {
+	b.Frames++
+	switch d {
+	case DropNonUDP:
+		b.NonUDP++
+	case DropNonDNS:
+		b.NonDNS++
+	case DropMalformed:
+		b.Malformed++
+	}
+	return d == Keep
 }
 
 // Reset empties the batch for reuse in table, keeping every column's

@@ -3,6 +3,9 @@
 // §3.1), and annotates each record with the origin AS and the peering-hop
 // AS using the routing substrate — the metadata the paper derives from
 // RIPE RIS data and IXP member information.
+// It owns what sanitization keeps (CheckDNS, Drop, SampleBatch.Count),
+// for Process and for the traffic generator; netmodel owns frame
+// lengths, dnswire message lengths.
 package ixp
 
 import (
@@ -160,6 +163,33 @@ func NewCapturePoint(topo *topology.Topology, tab *names.Table) *CapturePoint {
 	return &CapturePoint{Topo: topo, Table: tab}
 }
 
+// Drop is a sanitization outcome: Keep, or the CaptureStats counter a
+// dropped frame goes to.
+type Drop uint8
+
+// Sanitization outcomes.
+const (
+	Keep          Drop = iota
+	DropNonUDP         // the frame does not decode (netmodel.DecodedPacket.Decode)
+	DropNonDNS         // no port 53, or the header or first question is unreadable
+	DropMalformed      // the first question's name or type is ill-formed
+)
+
+// CheckDNS is §3.1's test of a port-53 UDP payload: it scans the
+// message into m, flattening the first question name into buf[:0], and
+// says whether the capture point keeps it. m is the caller's, so the
+// per-sample path copies the scan once, not through two results.
+func CheckDNS(m *dnswire.Scanned, payload, buf []byte) Drop {
+	var err error
+	switch *m, err = dnswire.Scan(payload, buf); {
+	case err != nil:
+		return DropNonDNS
+	case !dnswire.ValidNameBytes(m.QName) || m.QType == dnswire.TypeNone:
+		return DropMalformed
+	}
+	return Keep
+}
+
 // Process sanitizes one sampled record. ok is false when the record is
 // not a well-formed DNS-over-UDP packet. The message is scanned, not
 // parsed: the frame decodes into a stack packet and the question name
@@ -177,13 +207,16 @@ func (c *CapturePoint) Process(rec sflow.Record) (DNSSample, bool) {
 		c.Stats.NonDNS++
 		return DNSSample{}, false
 	}
-	m, err := dnswire.Scan(pkt.Payload, c.qname)
-	if err != nil {
+	var m dnswire.Scanned
+	drop := CheckDNS(&m, pkt.Payload, c.qname)
+	if m.QName != nil {
+		c.qname = m.QName // keep the buffer if the scan grew it
+	}
+	switch drop {
+	case DropNonDNS:
 		c.Stats.NonDNS++
 		return DNSSample{}, false
-	}
-	c.qname = m.QName // keep the buffer if the scan grew it
-	if !dnswire.ValidNameBytes(m.QName) || m.QType == dnswire.TypeNone {
+	case DropMalformed:
 		c.Stats.Malformed++
 		return DNSSample{}, false
 	}

@@ -8,6 +8,8 @@
 // layers the paper's detection method needs, and we keep everything
 // allocation-light because the attack generator produces millions of
 // sampled frames per campaign.
+// It owns §3.1's frame lengths: DecodedPacket.Decode reads them off a
+// frame, DecodeLengths is its length-only form for frames never built.
 package netmodel
 
 import (
@@ -298,6 +300,32 @@ func (p *DecodedPacket) Decode(frame []byte) error {
 	p.FullUDPLen = int(p.UDP.Length)
 	p.Truncated = len(p.Payload) < p.FullUDPLen-UDPHeaderLen
 	return nil
+}
+
+// DecodeLengths is Decode reduced to lengths, for a producer that
+// accounts frames without building them: the frame is what
+// EncodeUDPPacket builds around payloadLen payload bytes with a UDP
+// length field of 8+msgSize (wrapping as the field does; a field that
+// wraps to 0 takes the encoder's default), truncated to snaplen bytes.
+// It returns len(Payload) and DNSPayloadSize() of that frame's decode,
+// and ok false exactly where Decode fails.
+func DecodeLengths(payloadLen, msgSize, snaplen int) (avail, size int, ok bool) {
+	udpLen := uint16(UDPHeaderLen + msgSize)
+	if udpLen == 0 {
+		udpLen = uint16(UDPHeaderLen + payloadLen)
+	}
+	totalLen := uint16(IPv4HeaderLen) + udpLen
+	if totalLen < IPv4HeaderLen {
+		return 0, 0, false // IPv4.Decode: ErrBadLength
+	}
+	// The UDP header and payload bytes IPv4.Decode hands on: what the
+	// truncation left, clipped to TotalLen.
+	ipPayload := min(UDPHeaderLen+payloadLen, snaplen-EthernetHeaderLen-IPv4HeaderLen, int(totalLen)-IPv4HeaderLen)
+	if ipPayload < UDPHeaderLen || udpLen < UDPHeaderLen {
+		return 0, 0, false // UDP.Decode: ErrTruncated or ErrBadLength
+	}
+	size = int(udpLen) - UDPHeaderLen
+	return min(ipPayload-UDPHeaderLen, size), size, true
 }
 
 // DNSPayloadSize returns the size in bytes of the DNS message carried by

@@ -139,7 +139,7 @@ func (r *Resolver) handleAuthoritative(name string, qtype dnswire.Type, t simclo
 	for _, z := range r.Zones {
 		if z.Name == cn {
 			if qtype == dnswire.TypeANY && (r.MinimalANY || !z.AllowANY) {
-				return Result{Answered: true, Size: minimalANYSize(cn), TTL: z.TTL, DefaultTTL: z.TTL, Minimal: true}
+				return Result{Answered: true, Size: dnswire.MinimalANYSize(cn), TTL: z.TTL, DefaultTTL: z.TTL, Minimal: true}
 			}
 			size := r.db.ResponseSize(cn, qtype, t)
 			return Result{Answered: true, Size: size, TTL: z.TTL, DefaultTTL: z.TTL}
@@ -147,13 +147,13 @@ func (r *Resolver) handleAuthoritative(name string, qtype dnswire.Type, t simclo
 	}
 	// Authoritative servers refuse queries outside their authority with
 	// a small REFUSED response.
-	return Result{Answered: true, Size: refusedSize(cn), RCode: dnswire.RCodeRefused, Minimal: true}
+	return Result{Answered: true, Size: dnswire.QuestionSize(cn), RCode: dnswire.RCodeRefused, Minimal: true}
 }
 
 func (r *Resolver) handleRecursive(name string, qtype dnswire.Type, t simclock.Time) Result {
 	cn := dnswire.CanonicalName(name)
 	if qtype == dnswire.TypeANY && r.MinimalANY {
-		return Result{Answered: true, Size: minimalANYSize(cn), TTL: 3600, DefaultTTL: 3600, Minimal: true}
+		return Result{Answered: true, Size: dnswire.MinimalANYSize(cn), TTL: 3600, DefaultTTL: 3600, Minimal: true}
 	}
 	key := cacheKey{cn, qtype}
 	if e, ok := r.cache[key]; ok && t.Before(e.expires) {
@@ -219,22 +219,10 @@ func (r *Resolver) allowRRL(t simclock.Time) bool {
 	return r.rrlCount <= r.RRL.ResponsesPerSecond
 }
 
-// minimalANYSize is the wire size of an RFC 8482 HINFO-style minimal
-// answer.
-func minimalANYSize(cn string) int {
-	return dnswire.HeaderLen + dnswire.EncodedNameLen(cn) + 4 + // question
-		dnswire.EncodedNameLen(cn) + 10 + 9 + 11 // HINFO RR + OPT
-}
-
-// refusedSize is the wire size of an empty REFUSED response.
-func refusedSize(cn string) int {
-	return dnswire.HeaderLen + dnswire.EncodedNameLen(cn) + 4
-}
-
 // AmplificationFactor is the response/request size ratio for a query of
 // qtype for name at time t via this resolver, ignoring rate limiting.
 func (r *Resolver) AmplificationFactor(name string, qtype dnswire.Type, t simclock.Time) float64 {
-	req := dnswire.HeaderLen + dnswire.EncodedNameLen(dnswire.CanonicalName(name)) + 4 + 11
+	req := dnswire.QuerySize(dnswire.CanonicalName(name))
 	res := r.Handle(name, qtype, t)
 	if !res.Answered || req == 0 {
 		return 0

@@ -458,8 +458,7 @@ func (db *DB) ANYSize(name string, t simclock.Time) int {
 // ANYSize computes the ANY response size of an explicit zone at t from
 // its real record sets.
 func (z *Zone) ANYSize(t simclock.Time) int {
-	size := dnswire.HeaderLen + dnswire.EncodedNameLen(z.Name) + 4 // question
-	size += 11                                                     // OPT RR
+	size := dnswire.QuerySize(z.Name)
 	n := 0
 	for _, set := range z.RRsets {
 		for _, r := range set {
@@ -486,11 +485,11 @@ func (db *DB) ResponseSize(name string, qtype dnswire.Type, t simclock.Time) int
 	if qtype == dnswire.TypeANY {
 		if !z.AllowANY {
 			// RFC 8482 minimal response: synthesized HINFO-sized answer.
-			return dnswire.HeaderLen + dnswire.EncodedNameLen(z.Name) + 4 + 11 + rrFixed(z.Name, 9)
+			return dnswire.MinimalANYSize(z.Name)
 		}
 		return z.ANYSize(t)
 	}
-	size := dnswire.HeaderLen + dnswire.EncodedNameLen(z.Name) + 4 + 11
+	size := dnswire.QuerySize(z.Name)
 	for _, r := range z.RRsets[qtype] {
 		size += r.WireLen()
 	}
@@ -600,17 +599,11 @@ func (db *DB) proceduralANYSize(name string) int {
 // average, not bare minimum answers.
 func (db *DB) proceduralTypedSize(name string, qtype dnswire.Type) int {
 	u := hashUniform(string(qtype.String()) + "|" + name)
-	size := dnswire.HeaderLen + dnswire.EncodedNameLen(name) + 4 + 11
-	size += 120 + int(u*420)
+	size := dnswire.QuerySize(name) + 120 + int(u*420)
 	if hashUniform("dnssec|"+name) < 0.25 {
 		size += 286 // one RSA-2048 RRSIG
 	}
 	return size
-}
-
-// rrFixed is the wire length of one RR with rdlen bytes of rdata.
-func rrFixed(name string, rdlen int) int {
-	return dnswire.EncodedNameLen(name) + 10 + rdlen
 }
 
 // nameHash returns a stable 32-bit hash of a canonical name.
