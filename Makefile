@@ -31,12 +31,14 @@ race:
 # point's per-address AS cache must answer the same on one core as on
 # two. zonedb and dnssec too: concurrent day slices read the bulk-name
 # parser behind the table's range, the DNSSEC size arithmetic and the
-# key material of response templates.
+# key material of response templates. scenario and eval too: the
+# pipeline's concurrent workers stream one Built scenario's days and
+# read its env's shared name table, which builds extend.
 test-cpu:
 	$(GO) test -count=1 -cpu 1,2 ./internal/server ./internal/ingest ./internal/sflow \
 		./internal/core ./internal/names ./internal/par ./internal/stats ./internal/ecosystem \
 		./internal/pipeline ./internal/experiments ./internal/source ./internal/ixp \
-		./internal/zonedb ./internal/dnssec
+		./internal/zonedb ./internal/dnssec ./internal/scenario ./internal/eval
 
 # Every package at GOMAXPROCS 1 (about 35 s): a test that only passes
 # with a second core to run a goroutine it waits on fails here, in the

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 
 	"dnsamp/internal/core"
@@ -244,6 +245,30 @@ func TestTable2(t *testing.T) {
 	}
 	if total < 99.9 || total > 100.1 {
 		t.Errorf("packet shares sum to %v", total)
+	}
+}
+
+// TestTable2TieOrder pins the row order: attacks descending, then TLD
+// ascending, whatever order the per-TLD map hands the rows over in.
+func TestTable2TieOrder(t *testing.T) {
+	records := []*core.AttackRecord{
+		rec(1, 0, "doj.gov.", evenIDs(2, 100), 100),
+		rec(2, 0, "doj.gov.", evenIDs(2, 50), 50),
+		rec(3, 0, "nic.cz.", evenIDs(2, 30), 30),
+		rec(4, 0, "nask.pl.", evenIDs(2, 30), 30),
+		rec(5, 0, "denic.de.", evenIDs(2, 30), 30),
+		rec(6, 0, "isc.org.", evenIDs(2, 30), 30),
+	}
+	cands := map[string]bool{"doj.gov.": true, "nic.cz.": true, "nask.pl.": true, "denic.de.": true, "isc.org.": true}
+	want := []string{"gov", "cz", "de", "org", "pl"}
+	for range 20 {
+		var got []string
+		for _, r := range Table2(records, cands) {
+			got = append(got, r.TLD)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("row order %v, want %v", got, want)
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"cmp"
 	"slices"
+	"strings"
 
 	"dnsamp/internal/core"
 	"dnsamp/internal/dnswire"
@@ -78,7 +80,7 @@ func Table2(records []*core.AttackRecord, candidates map[string]bool) []Table2Ro
 		}
 		rows = append(rows, row)
 	}
-	slices.SortFunc(rows, func(a, b Table2Row) int { return b.Attacks - a.Attacks })
+	slices.SortFunc(rows, func(a, b Table2Row) int { return cmp.Or(b.Attacks-a.Attacks, strings.Compare(a.TLD, b.TLD)) })
 	return rows
 }
 

@@ -8,9 +8,12 @@
 // findings (TXID structure, relocations, amplifier-set clusters, ...)
 // must emerge from the mechanics encoded here and be re-derived by the
 // detection and analysis pipeline.
-// Generator.Day sanitizes its samples (§3.1) by the rules' owners, as
-// ixp.CapturePoint.Process does WireDay's frames: frame lengths from
-// netmodel, what is kept from ixp, message lengths from dnswire.
+// Each packet the generator synthesizes is one ixp.BatchRecord read by
+// two sinks: Generator.Day sanitizes it (§3.1) by the rules' owners, as
+// ixp.CapturePoint.Process does WireDay's frames (frame lengths from
+// netmodel, what is kept from ixp, message lengths from dnswire), and
+// WireDay frames it through AppendFrame, which the scenario overlays
+// use too.
 package ecosystem
 
 import (

@@ -108,3 +108,19 @@ func TestBatchColumnsConsistent(t *testing.T) {
 		}
 	}
 }
+
+// TestFreshDayReservesOnce holds a fresh batch to one reservation: the
+// background's draws are reserved after the attack rows are in, so a
+// day with more attack rows than a fixed slack regrows no column, and
+// no column ends wider than the frames the day sanitized.
+func TestFreshDayReservesOnce(t *testing.T) {
+	g := NewGenerator(tinyCampaign(t), 7)
+	day := simclock.MeasurementStart.Add(simclock.Days(10))
+	if n := g.DayFor(day, nil, nil).Batch.N; n <= 256 {
+		t.Fatalf("day %s has %d attack rows, want more than 256", day.Date(), n)
+	}
+	b := g.Day(day, nil).Batch
+	if cap(b.Time) > b.Frames {
+		t.Errorf("fresh batch of %d rows: capacity %d, more than its %d frames", b.N, cap(b.Time), b.Frames)
+	}
+}

@@ -1,6 +1,7 @@
 package ecosystem
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"net/netip"
 	"slices"
@@ -85,7 +86,7 @@ func DefaultBackgroundConfig() BackgroundConfig {
 type DayTraffic struct {
 	Day simclock.Time
 	// Batch holds the sampled, sanitized IXP records (unordered within
-	// the day); nil when SkipIXP is set.
+	// the day).
 	Batch *ixp.SampleBatch
 	// Sensors holds the honeypot-side flows.
 	Sensors []SensorFlow
@@ -124,20 +125,14 @@ type WireDayTraffic struct {
 type Generator struct {
 	C          *Campaign
 	Background BackgroundConfig
-	// SkipIXP suppresses IXP record materialization, producing only the
-	// honeypot-side sensor flows. Used by analyses that re-run the
-	// honeypot inference under different thresholds (Appendix B). Note
-	// that skipping changes per-day RNG consumption, so per-flow TXIDs
-	// differ from a full run; counts and timing do not.
-	SkipIXP bool
 	// SkipAttacks suppresses the campaign's attack-event traffic (both
 	// the IXP records and the honeypot sensor flows), leaving only the
 	// organic background. The scenario library composes its own attack
 	// overlays on top of this benign baseline so campaign events never
-	// pollute a scenario's ground-truth labels. As with SkipIXP,
-	// skipping changes per-day RNG consumption relative to a full run;
-	// the background traffic itself stays deterministic for fixed
-	// (campaign, seed, day, SkipAttacks).
+	// pollute a scenario's ground-truth labels. Skipping changes
+	// per-day RNG consumption relative to a full run; the background
+	// traffic itself stays deterministic for fixed (campaign, seed, day,
+	// SkipAttacks).
 	SkipAttacks bool
 
 	seed int64
@@ -175,10 +170,9 @@ type Generator struct {
 func (g *Generator) Table() *names.Table { return g.table }
 
 // dayGen carries the mutable per-day state: the day's RNG stream, its
-// sampler, the wire encoder, the response-template cache, and the
-// emission target (columnar batch or wire frames). One dayGen lives for
-// exactly one Day/WireDay call, which is what makes both safe for
-// concurrent use.
+// sampler, the wire encoder, the response-template cache, and the sink
+// every emitted packet goes to. One dayGen lives for exactly one
+// Day/WireDay call, which is what makes both safe for concurrent use.
 type dayGen struct {
 	*Generator
 	rng      *rand.Rand
@@ -186,9 +180,10 @@ type dayGen struct {
 	enc      dnswire.Encoder
 	respTmpl map[tmplKey]*respTemplate
 
-	// Exactly one of batch/frames is non-nil in IXP-producing mode.
+	// The sink: rows into batch (Day), or, when batch is nil, frames
+	// (WireDay).
 	batch  *ixp.SampleBatch
-	frames *[]TaggedRecord
+	frames []TaggedRecord
 }
 
 // daySeed mixes the generator seed with the day ordinal (splitmix64
@@ -454,30 +449,17 @@ func (g *Generator) anyBackgroundClient(clients [][4]byte) bool {
 	return false
 }
 
-// day is the body of Day and DayFor: the day's attack traffic, then,
-// when background is set, its organic background, into scratch (a
-// fresh batch when nil).
+// day is the body of Day and DayFor: the day's traffic into scratch (a
+// fresh batch when nil), its background only when background is set.
 func (g *Generator) day(day simclock.Time, background bool, scratch *ixp.SampleBatch) *DayTraffic {
+	if scratch == nil {
+		scratch = new(ixp.SampleBatch)
+	}
+	scratch.Reset(g.table)
 	day = day.StartOfDay()
 	dg := g.slice(day)
-	dt := &DayTraffic{Day: day}
-	background = background && !g.SkipIXP && simclock.MainPeriod().Contains(day)
-	if !g.SkipIXP {
-		if scratch == nil {
-			scratch = new(ixp.SampleBatch)
-		}
-		scratch.Reset(g.table)
-		dg.batch = scratch
-		if background {
-			dg.batch.Grow(g.Background.SamplesPerDay + 256)
-		}
-	}
-	dt.Sensors = dg.attacks(day)
-	if background {
-		dg.backgroundTraffic(day)
-	}
-	dt.Batch = dg.batch
-	return dt
+	dg.batch = scratch
+	return &DayTraffic{Day: day, Batch: scratch, Sensors: dg.run(day, background)}
 }
 
 // WireDay materializes the same traffic as Day, as truncated wire
@@ -485,15 +467,19 @@ func (g *Generator) day(day simclock.Time, background bool, scratch *ixp.SampleB
 func (g *Generator) WireDay(day simclock.Time) *WireDayTraffic {
 	day = day.StartOfDay()
 	dg := g.slice(day)
-	dt := &WireDayTraffic{Day: day}
-	if !g.SkipIXP {
-		dg.frames = &dt.IXP
+	sensors := dg.run(day, true)
+	return &WireDayTraffic{Day: day, IXP: dg.frames, Sensors: sensors}
+}
+
+// run emits the day's attack events, then, when background is set and
+// the day lies in the main period, its organic background, and returns
+// the day's honeypot flows.
+func (g *dayGen) run(day simclock.Time, background bool) []SensorFlow {
+	sensors := g.attacks(day)
+	if background && simclock.MainPeriod().Contains(day) {
+		g.backgroundTraffic(day)
 	}
-	dt.Sensors = dg.attacks(day)
-	if !g.SkipIXP && simclock.MainPeriod().Contains(day) {
-		dg.backgroundTraffic(day)
-	}
-	return dt
+	return sensors
 }
 
 // attacks materializes the day's attack events, unless SkipAttacks is
@@ -531,11 +517,38 @@ func bgResponseSize(name string) int {
 	return dnswire.QuestionSize(name) + owner + 10 + 4
 }
 
-// emitSimple emits one query or one-answer background response for
-// name. Its whole payload is materialized, and such a message carries
-// no NS record, so ixp.CheckDNS keeps it exactly when the header and
-// first question fit the bytes the decode leaves (a generated name is
-// well formed).
+// AppendFrame is the wire sink of one synthesized packet: the frame of
+// r's addresses, ports, IP TTL and IP ID behind eth around payload, with
+// r's TXID as the DNS ID and a UDP length field of udpLen (0: header
+// plus payload), sampled at r's time and appended to out with r's
+// ingress port. The generator's WireDay and the scenario overlays build
+// every frame here.
+func AppendFrame(out []TaggedRecord, sampler *sflow.Sampler, r *ixp.BatchRecord, eth netmodel.Ethernet, payload []byte, udpLen int) []TaggedRecord {
+	ip := netmodel.IPv4{TTL: r.IPTTL, ID: r.IPID, Src: netip.AddrFrom4(r.Src), Dst: netip.AddrFrom4(r.Dst)}
+	udp := netmodel.UDP{SrcPort: r.SrcPort, DstPort: r.DstPort, Length: uint16(udpLen)}
+	frame := netmodel.EncodeUDPPacket(eth, ip, udp, payload)
+	if len(payload) >= 2 {
+		binary.BigEndian.PutUint16(frame[len(frame)-len(payload):], r.TXID)
+	}
+	return append(out, TaggedRecord{Rec: sampler.Take(r.Time, frame), Ingress: r.Ingress})
+}
+
+// emitQuery emits the query r describes for name, a canonical name:
+// framed around its encoding with EDNS0, or as a batch row.
+func (g *dayGen) emitQuery(r ixp.BatchRecord, eth netmodel.Ethernet, name string) {
+	if g.batch == nil {
+		g.frames = AppendFrame(g.frames, g.sampler, &r, eth, g.enc.Encode(dnswire.NewQuery(r.TXID, name, r.QType, 4096)), 0)
+		return
+	}
+	qlen := dnswire.QuerySize(name)
+	g.emitSimple(r, name, qlen, qlen)
+}
+
+// emitSimple is the batch sink of one query or one-answer background
+// response for name. Its whole payload is materialized, and such a
+// message carries no NS record, so ixp.CheckDNS keeps it exactly when
+// the header and first question fit the bytes the decode leaves (a
+// generated name is well formed).
 func (g *dayGen) emitSimple(r ixp.BatchRecord, name string, payloadLen, msgSize int) {
 	avail, size, ok := netmodel.DecodeLengths(payloadLen, msgSize, sflow.DefaultSnaplen)
 	drop := ixp.Keep
@@ -556,10 +569,6 @@ func (g *dayGen) emitSimple(r ixp.BatchRecord, name string, payloadLen, msgSize 
 func (g *dayGen) attackTraffic(sensors *[]SensorFlow, ev *AttackEvent) {
 	c := g.C
 	end := ev.End()
-	if g.SkipIXP {
-		g.sensorFlows(sensors, ev)
-		return
-	}
 
 	// Responses: amplifier -> victim.
 	for _, id := range ev.Amplifiers {
@@ -611,7 +620,8 @@ func (g *dayGen) attackTraffic(sensors *[]SensorFlow, ev *AttackEvent) {
 }
 
 // emitAttackResponse draws and emits one amplifier->victim response,
-// applying the amplifier's EDNS cap.
+// applying the amplifier's EDNS cap: the template's prefix, cut to the
+// capped size, announcing that size.
 func (g *dayGen) emitAttackResponse(amp *Amplifier, ev *AttackEvent, tmpl *respTemplate, t, end simclock.Time) {
 	size := tmpl.fullLen
 	if amp.MinimalANY {
@@ -619,95 +629,42 @@ func (g *dayGen) emitAttackResponse(amp *Amplifier, ev *AttackEvent, tmpl *respT
 	} else if amp.EDNSCap > 0 && size > amp.EDNSCap {
 		size = amp.EDNSCap
 	}
-	txid := g.pickTXID(ev, t, end)
-	ipID := uint16(g.rng.Intn(1 << 16))
-	dstPort := uint16(1024 + g.rng.Intn(60000))
-
-	if g.frames != nil {
-		payload := tmpl.prefix
-		if len(payload) > size {
-			payload = payload[:size]
-		}
-		buf := make([]byte, len(payload))
-		copy(buf, payload)
-		if len(buf) >= 2 {
-			buf[0], buf[1] = byte(txid>>8), byte(txid)
-		}
+	r := ixp.BatchRecord{
+		Time: t, Src: amp.Addr.As4(), Dst: ev.Victim.As4(), IPTTL: amp.ObservedTTL(),
+		Resp: true, Name: tmpl.nameID, QType: dnswire.TypeANY, ANCount: tmpl.anCount,
+		TXID:    g.pickTXID(ev, t, end),
+		IPID:    uint16(g.rng.Intn(1 << 16)),
+		SrcPort: 53,
+		DstPort: uint16(1024 + g.rng.Intn(60000)),
+	}
+	payload := tmpl.prefix[:min(len(tmpl.prefix), size)]
+	if g.batch == nil {
 		eth := netmodel.Ethernet{Src: MACForAS(amp.ASN), Dst: MACForAS(ev.VictimASN)}
-		ip := netmodel.IPv4{TTL: amp.ObservedTTL(), ID: ipID, Src: amp.Addr, Dst: ev.Victim}
-		udp := netmodel.UDP{
-			SrcPort: 53,
-			DstPort: dstPort,
-			Length:  uint16(netmodel.UDPHeaderLen + size),
-		}
-		frame := netmodel.EncodeUDPPacket(eth, ip, udp, buf)
-		*g.frames = append(*g.frames, TaggedRecord{Rec: g.sampler.Take(t, frame)})
+		g.frames = AppendFrame(g.frames, g.sampler, &r, eth, payload, netmodel.UDPHeaderLen+size)
 		return
 	}
-
-	avail, msgSize, ok := netmodel.DecodeLengths(min(len(tmpl.prefix), size), size, sflow.DefaultSnaplen)
+	avail, msgSize, ok := netmodel.DecodeLengths(len(payload), size, sflow.DefaultSnaplen)
 	meta := tmplMeta{drop: ixp.DropNonUDP}
 	if ok {
 		meta = tmpl.metaFor(avail)
 	}
-	if !g.batch.Count(meta.drop) {
-		return
+	if g.batch.Count(meta.drop) {
+		r.MsgSize, r.VisibleNS = int32(msgSize), meta.visibleNS
+		g.batch.Append(r)
 	}
-	g.batch.Append(ixp.BatchRecord{
-		Time:      t,
-		Src:       amp.Addr.As4(),
-		Dst:       ev.Victim.As4(),
-		SrcPort:   53,
-		DstPort:   dstPort,
-		IPTTL:     amp.ObservedTTL(),
-		IPID:      ipID,
-		Resp:      true,
-		Name:      tmpl.nameID,
-		QType:     dnswire.TypeANY,
-		TXID:      txid,
-		MsgSize:   int32(msgSize),
-		ANCount:   tmpl.anCount,
-		VisibleNS: meta.visibleNS,
-	})
 }
 
 // emitAttackRequest draws and emits one spoofed attacker->amplifier
 // query.
 func (g *dayGen) emitAttackRequest(amp *Amplifier, ev *AttackEvent, evName string, evNameID uint32, t, end simclock.Time) {
-	txid := g.pickTXID(ev, t, end)
-	ipID := uint16(g.rng.Intn(1 << 16))
-	srcPort := uint16(1024 + g.rng.Intn(60000))
-
-	if g.frames != nil {
-		q := dnswire.NewQuery(txid, ev.QName, ev.QType, 4096)
-		payload := g.enc.Encode(q)
-		eth := netmodel.Ethernet{Src: MACForAS(ev.IngressAS), Dst: MACForAS(amp.ASN)}
-		ip := netmodel.IPv4{
-			TTL: ev.ReqIPTTL,
-			ID:  ipID,
-			Src: ev.Victim, // spoofed
-			Dst: amp.Addr,
-		}
-		udp := netmodel.UDP{SrcPort: srcPort, DstPort: 53}
-		frame := netmodel.EncodeUDPPacket(eth, ip, udp, payload)
-		*g.frames = append(*g.frames, TaggedRecord{Rec: g.sampler.Take(t, frame), Ingress: ev.IngressAS})
-		return
-	}
-
-	qlen := dnswire.QuerySize(evName)
-	g.emitSimple(ixp.BatchRecord{
-		Time:    t,
-		Src:     ev.Victim.As4(), // spoofed
-		Dst:     amp.Addr.As4(),
-		SrcPort: srcPort,
+	g.emitQuery(ixp.BatchRecord{
+		Time: t, Src: ev.Victim.As4(), Dst: amp.Addr.As4(), IPTTL: ev.ReqIPTTL, // spoofed source
+		Name: evNameID, QType: ev.QType, Ingress: ev.IngressAS,
+		TXID:    g.pickTXID(ev, t, end),
+		IPID:    uint16(g.rng.Intn(1 << 16)),
+		SrcPort: uint16(1024 + g.rng.Intn(60000)),
 		DstPort: 53,
-		IPTTL:   ev.ReqIPTTL,
-		IPID:    ipID,
-		Name:    evNameID,
-		QType:   ev.QType,
-		TXID:    txid,
-		Ingress: ev.IngressAS,
-	}, evName, qlen, qlen)
+	}, netmodel.Ethernet{Src: MACForAS(ev.IngressAS), Dst: MACForAS(amp.ASN)}, evName)
 }
 
 // sensorFlows emits the honeypot-side flows of one event.
@@ -812,6 +769,12 @@ func (g *dayGen) backgroundTraffic(day simclock.Time) {
 	if wd := day.Std().Weekday(); wd == 0 || wd == 6 {
 		n = n * 88 / 100
 	}
+	// Room for every draw, reserved once the attack rows are in.
+	if g.batch != nil {
+		g.batch.Grow(n)
+	} else {
+		g.frames = slices.Grow(g.frames, n)
+	}
 	misused := g.C.DB.MisusedCandidates()
 	for i := 0; i < n; i++ {
 		client := g.bgClients[g.bgZipf.Draw(g.rng)-1]
@@ -869,39 +832,18 @@ func (g *dayGen) backgroundTraffic(day simclock.Time) {
 // The batch path never copies the name: sizes come from the length of
 // its slab view, which the table's end column gives.
 func (g *dayGen) emitBackgroundQuery(client, server netip.Addr, nameID uint32, qtype dnswire.Type, t simclock.Time) {
-	txid := uint16(g.rng.Intn(1 << 16))
-	ttl := uint8(32 + g.rng.Intn(200))
-	ipID := uint16(g.rng.Intn(1 << 16))
-	srcPort := uint16(1024 + g.rng.Intn(60000))
-
-	if g.frames != nil {
-		q := dnswire.NewQuery(txid, g.table.Name(nameID), qtype, 4096)
-		payload := g.enc.Encode(q)
-		ip := netmodel.IPv4{TTL: ttl, ID: ipID, Src: client, Dst: server}
-		udp := netmodel.UDP{SrcPort: srcPort, DstPort: 53}
-		frame := netmodel.EncodeUDPPacket(netmodel.Ethernet{}, ip, udp, payload)
-		*g.frames = append(*g.frames, TaggedRecord{Rec: g.sampler.Take(t, frame)})
-		return
-	}
-
-	name := g.table.Name(nameID)
-	qlen := dnswire.QuerySize(name)
-	g.emitSimple(ixp.BatchRecord{
-		Time:    t,
-		Src:     client.As4(),
-		Dst:     server.As4(),
-		SrcPort: srcPort,
+	g.emitQuery(ixp.BatchRecord{
+		Time: t, Src: client.As4(), Dst: server.As4(), Name: nameID, QType: qtype,
+		TXID:    uint16(g.rng.Intn(1 << 16)),
+		IPTTL:   uint8(32 + g.rng.Intn(200)),
+		IPID:    uint16(g.rng.Intn(1 << 16)),
+		SrcPort: uint16(1024 + g.rng.Intn(60000)),
 		DstPort: 53,
-		IPTTL:   ttl,
-		IPID:    ipID,
-		Name:    nameID,
-		QType:   qtype,
-		TXID:    txid,
-	}, name, qlen, qlen)
+	}, netmodel.Ethernet{}, g.table.Name(nameID))
 }
 
 // emitBackgroundResponse draws and emits one organic server->client
-// response.
+// response: one A record for the name, announcing at least its size.
 func (g *dayGen) emitBackgroundResponse(server, client netip.Addr, nameID uint32, qtype dnswire.Type, t simclock.Time) {
 	size := g.responseSizeFor(nameID, qtype, t)
 	// Organic jitter: caches, case randomization, EDNS variations.
@@ -913,53 +855,27 @@ func (g *dayGen) emitBackgroundResponse(server, client netip.Addr, nameID uint32
 		// show larger answers in practice.
 		size = 4096
 	}
-	txid := uint16(g.rng.Intn(1 << 16))
-	ttl := uint8(32 + g.rng.Intn(200))
-	ipID := uint16(g.rng.Intn(1 << 16))
-	dstPort := uint16(1024 + g.rng.Intn(60000))
-
-	if g.frames != nil {
-		name := g.table.Name(nameID)
-		q := dnswire.NewQuery(txid, name, qtype, 4096)
-		resp := dnswire.NewResponse(q)
+	r := ixp.BatchRecord{
+		Time: t, Src: server.As4(), Dst: client.As4(), Resp: true, Name: nameID, QType: qtype, ANCount: 1,
+		TXID:    uint16(g.rng.Intn(1 << 16)),
+		IPTTL:   uint8(32 + g.rng.Intn(200)),
+		IPID:    uint16(g.rng.Intn(1 << 16)),
+		SrcPort: 53,
+		DstPort: uint16(1024 + g.rng.Intn(60000)),
+	}
+	name := g.table.Name(nameID)
+	if g.batch == nil {
+		resp := dnswire.NewResponse(dnswire.NewQuery(r.TXID, name, qtype, 4096))
 		resp.Answers = append(resp.Answers, dnswire.RR{
 			Name: dnswire.CanonicalName(name), Type: dnswire.TypeA, Class: dnswire.ClassIN,
 			TTL: 300, Data: dnswire.AData{Addr: server},
 		})
 		payload := g.enc.Encode(resp)
-		if size < len(payload) {
-			size = len(payload)
-		}
-		ip := netmodel.IPv4{TTL: ttl, ID: ipID, Src: server, Dst: client}
-		udp := netmodel.UDP{
-			SrcPort: 53,
-			DstPort: dstPort,
-			Length:  uint16(netmodel.UDPHeaderLen + size),
-		}
-		frame := netmodel.EncodeUDPPacket(netmodel.Ethernet{}, ip, udp, payload)
-		*g.frames = append(*g.frames, TaggedRecord{Rec: g.sampler.Take(t, frame)})
+		g.frames = AppendFrame(g.frames, g.sampler, &r, netmodel.Ethernet{}, payload, netmodel.UDPHeaderLen+max(size, len(payload)))
 		return
 	}
-
-	name := g.table.Name(nameID)
 	respLen := bgResponseSize(name)
-	if size < respLen {
-		size = respLen
-	}
-	g.emitSimple(ixp.BatchRecord{
-		Time:    t,
-		Src:     server.As4(),
-		Dst:     client.As4(),
-		SrcPort: 53,
-		DstPort: dstPort,
-		IPTTL:   ttl,
-		IPID:    ipID,
-		Resp:    true,
-		Name:    nameID,
-		QType:   qtype,
-		TXID:    txid,
-		ANCount: 1,
-	}, name, respLen, size)
+	g.emitSimple(r, name, respLen, max(size, respLen))
 }
 
 // MACForAS derives the stable router MAC of a member/AS.

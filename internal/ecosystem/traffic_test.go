@@ -317,28 +317,6 @@ func TestNameAtConcurrentEpisode(t *testing.T) {
 	}
 }
 
-func TestSkipIXPSensorsOnly(t *testing.T) {
-	c := tinyCampaign(t)
-	full := NewGenerator(c, 7)
-	skip := NewGenerator(c, 7)
-	skip.SkipIXP = true
-	day := simclock.MeasurementStart.Add(simclock.Days(5))
-	dtFull := full.Day(day, nil)
-	dtSkip := skip.Day(day, nil)
-	if dtSkip.Batch != nil {
-		t.Fatalf("SkipIXP produced an IXP batch (%d records)", dtSkip.Batch.N)
-	}
-	if len(dtSkip.Sensors) != len(dtFull.Sensors) {
-		t.Fatalf("sensor flows %d vs %d — must be identical in count", len(dtSkip.Sensors), len(dtFull.Sensors))
-	}
-	for i := range dtSkip.Sensors {
-		a, b := dtSkip.Sensors[i], dtFull.Sensors[i]
-		if a.Sensor != b.Sensor || a.Victim != b.Victim || a.Count != b.Count || a.EventID != b.EventID {
-			t.Fatalf("sensor flow %d differs beyond TXID: %+v vs %+v", i, a, b)
-		}
-	}
-}
-
 func TestEntityRequestsTaggedWithIngress(t *testing.T) {
 	c := tinyCampaign(t)
 	g := NewGenerator(c, 7)
@@ -447,6 +425,24 @@ func BenchmarkTrafficDay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g.Day(day.Add(simclock.Days(i%30)), &scratch)
 	}
+}
+
+// BenchmarkWireDay is one day of wire frames at the same scale: what a
+// synthetic: input of the live service, or a wire export, pays per day
+// before any frame is parsed. frames/op is the day's sampled frame
+// count, allocs/op what materializing them costs.
+func BenchmarkWireDay(b *testing.B) {
+	cfg := DefaultCampaignConfig(0.01)
+	cfg.Zones.ProceduralNames = 20_000
+	g := NewGenerator(NewCampaign(cfg), 7)
+	day := simclock.MeasurementStart.Add(simclock.Days(10))
+	frames := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		frames += len(g.WireDay(day.Add(simclock.Days(i % 30))).IXP)
+	}
+	b.ReportMetric(float64(frames)/float64(b.N), "frames/op")
 }
 
 // BenchmarkNewGenerator builds the generator of a campaign at three

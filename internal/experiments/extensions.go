@@ -7,6 +7,7 @@ import (
 	"dnsamp/internal/core"
 	"dnsamp/internal/ecosystem"
 	"dnsamp/internal/honeypot"
+	"dnsamp/internal/ixp"
 	"dnsamp/internal/simclock"
 )
 
@@ -53,16 +54,16 @@ func (s *Suite) AppendixB() *Report {
 	}
 
 	// Re-run the honeypot inference from regenerated sensor flows under
-	// each threshold set.
+	// each threshold set. DayFor with no clients skips the background,
+	// and its sensor flows are Day's.
 	platforms := make([]*honeypot.Platform, len(configs))
 	for i, c := range configs {
 		platforms[i] = honeypot.NewPlatform(c.cfg, s.Study.Cfg.Campaign.NumSensors)
 	}
 	gen := ecosystem.NewGenerator(s.Study.Campaign, s.Study.Cfg.TrafficSeed)
-	gen.SkipIXP = true
+	var scratch ixp.SampleBatch
 	simclock.MainPeriod().EachDay(func(day simclock.Time) {
-		dt := gen.Day(day, nil)
-		for _, sf := range dt.Sensors {
+		for _, sf := range gen.DayFor(day, nil, &scratch).Sensors {
 			for _, p := range platforms {
 				p.Observe(sf)
 			}

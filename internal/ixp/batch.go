@@ -96,7 +96,10 @@ func (b *SampleBatch) Reset(table *names.Table) {
 	}
 }
 
-// Grow preallocates all columns for n additional records.
+// Grow preallocates all columns for n additional records. Columns that
+// must move get at least a quarter more room than they had, so a batch
+// refilled day after day moves a few times, not at every new largest
+// day.
 func (b *SampleBatch) Grow(n int) {
 	if n <= 0 {
 		return
@@ -105,6 +108,7 @@ func (b *SampleBatch) Grow(n int) {
 	if cap(b.Time) >= want {
 		return
 	}
+	want = max(want, cap(b.Time)+cap(b.Time)/4)
 	grow := func() int { return want }
 	b.Time = append(make([]simclock.Time, 0, grow()), b.Time...)
 	b.Src = append(make([][4]byte, 0, grow()), b.Src...)

@@ -214,3 +214,26 @@ func TestCapturePointWholeCacheLines(t *testing.T) {
 		t.Fatalf("CapturePoint is %d bytes, not a whole number of 64-byte lines: resize its pad", size)
 	}
 }
+
+// TestGrowMovesGeometrically holds a reused batch to few moves: a day
+// one row larger than the columns hold moves them to a quarter more room,
+// and the rows they held come along.
+func TestGrowMovesGeometrically(t *testing.T) {
+	var b SampleBatch
+	b.Grow(1000)
+	if cap(b.Time) != 1000 {
+		t.Fatalf("first Grow(1000): capacity %d, want exactly 1000", cap(b.Time))
+	}
+	b.Append(BatchRecord{TXID: 7})
+	b.Grow(1000)
+	if cap(b.Time) != 1250 || cap(b.Ingress) != 1250 {
+		t.Fatalf("Grow past the capacity: Time %d, Ingress %d, want 1250", cap(b.Time), cap(b.Ingress))
+	}
+	if b.N != 1 || b.TXID[0] != 7 {
+		t.Fatalf("Grow lost the held row: N %d, TXID %v", b.N, b.TXID)
+	}
+	b.Grow(5000)
+	if cap(b.Time) != 5001 {
+		t.Fatalf("Grow(5000) over one row: capacity %d, want 5001", cap(b.Time))
+	}
+}

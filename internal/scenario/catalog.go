@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"dnsamp/internal/dnswire"
-	"dnsamp/internal/ecosystem"
 	"dnsamp/internal/simclock"
 )
 
@@ -43,24 +42,18 @@ func PulseWave() *Scenario {
 		Description: "single victim; ramp day under MinPackets, then " +
 			"48 pkts/day in on/off bursts",
 	}
-	sc.Prepare = func(env *Env, seed int64) *Plan {
-		s := scenarioSeed(seed, sc.Name)
-		rng := rand.New(rand.NewSource(s))
+	sc.Prepare = func(env *Env, rng *rand.Rand) *Plan {
 		victims, origins := pickVictims(env, rng, 1)
 		victim, victimAS := victims[0], origins[0]
 		name := candidateName(env, rng)
 		amps := pickAmplifiers(env, rng, env.P.Window().Start, 24)
-		days := env.P.Days
 		return &Plan{
-			Truth: []GroundTruth{{Victim: victim.As4(), Days: truthDays(env, 1, days)}},
-			DayFrames: func(day simclock.Time) []ecosystem.TaggedRecord {
-				idx := day.DayIndex(env.P.Window().Start)
-				if idx < 1 || idx >= days {
-					return nil
-				}
-				e := newEmitter(daySeed(s, day))
+			Truth: []GroundTruth{{Victim: victim.As4(), Days: truthDays(env, 1, env.P.Days)}},
+			From:  1,
+			To:    env.P.Days,
+			Emit: func(e *emitter) {
 				pkts := 48
-				if idx == 1 {
+				if e.idx == 1 {
 					pkts = 6 // ramp: below DefaultThresholds.MinPackets
 				}
 				// Eight pulses of equal share, each a few minutes
@@ -70,11 +63,9 @@ func PulseWave() *Scenario {
 					off := simclock.Duration(pulse)*simclock.Hours(3) +
 						simclock.Duration(e.rng.Int63n(int64(simclock.Minutes(5))))
 					amp := amps[e.rng.Intn(len(amps))]
-					e.response(day.Add(off), amp.Addr, amp.ASN, victim, victimAS,
-						name, dnswire.TypeANY, dnswire.RCodeNoError, attackSize,
-						amp.ObservedTTL())
+					e.response(e.day.Add(off), amp, victim, victimAS,
+						name, dnswire.TypeANY, dnswire.RCodeNoError, attackSize)
 				}
-				return e.out
 			},
 		}
 	}
@@ -92,35 +83,27 @@ func CarpetBomb() *Scenario {
 		Description: "36 victims x 6 pkts/day each, all under the " +
 			"default MinPackets",
 	}
-	sc.Prepare = func(env *Env, seed int64) *Plan {
-		s := scenarioSeed(seed, sc.Name)
-		rng := rand.New(rand.NewSource(s))
+	sc.Prepare = func(env *Env, rng *rand.Rand) *Plan {
 		const nVictims = 36
 		victims, origins := pickVictims(env, rng, nVictims)
 		name := candidateName(env, rng)
 		amps := pickAmplifiers(env, rng, env.P.Window().Start, 24)
-		days := env.P.Days
 		truth := make([]GroundTruth, nVictims)
 		for i, v := range victims {
-			truth[i] = GroundTruth{Victim: v.As4(), Days: truthDays(env, 1, days)}
+			truth[i] = GroundTruth{Victim: v.As4(), Days: truthDays(env, 1, env.P.Days)}
 		}
 		return &Plan{
 			Truth: truth,
-			DayFrames: func(day simclock.Time) []ecosystem.TaggedRecord {
-				idx := day.DayIndex(env.P.Window().Start)
-				if idx < 1 || idx >= days {
-					return nil
-				}
-				e := newEmitter(daySeed(s, day))
+			From:  1,
+			To:    env.P.Days,
+			Emit: func(e *emitter) {
 				for vi, v := range victims {
 					for i := 0; i < 6; i++ {
 						amp := amps[e.rng.Intn(len(amps))]
-						e.response(dayTime(e.rng, day), amp.Addr, amp.ASN,
-							v, origins[vi], name, dnswire.TypeANY,
-							dnswire.RCodeNoError, attackSize, amp.ObservedTTL())
+						e.response(e.dayTime(), amp, v, origins[vi], name,
+							dnswire.TypeANY, dnswire.RCodeNoError, attackSize)
 					}
 				}
-				return e.out
 			},
 		}
 	}
@@ -140,35 +123,26 @@ func RandomSubdomain() *Scenario {
 		Description: "NXDOMAIN flood with unique random labels; " +
 			"invisible to candidate-share detection",
 	}
-	sc.Prepare = func(env *Env, seed int64) *Plan {
-		s := scenarioSeed(seed, sc.Name)
-		rng := rand.New(rand.NewSource(s))
+	sc.Prepare = func(env *Env, rng *rand.Rand) *Plan {
 		victims, origins := pickVictims(env, rng, 1)
 		victim, victimAS := victims[0], origins[0]
 		zone := candidateName(env, rng)
 		amps := pickAmplifiers(env, rng, env.P.Window().Start, 16)
-		days := env.P.Days
 		return &Plan{
-			Truth: []GroundTruth{{Victim: victim.As4(), Days: truthDays(env, 1, days)}},
-			DayFrames: func(day simclock.Time) []ecosystem.TaggedRecord {
-				idx := day.DayIndex(env.P.Window().Start)
-				if idx < 1 || idx >= days {
-					return nil
-				}
-				e := newEmitter(daySeed(s, day))
+			Truth: []GroundTruth{{Victim: victim.As4(), Days: truthDays(env, 1, env.P.Days)}},
+			From:  1,
+			To:    env.P.Days,
+			Emit: func(e *emitter) {
 				for i := 0; i < 60; i++ {
 					amp := amps[e.rng.Intn(len(amps))]
 					label := fmt.Sprintf("r%08x.%s", e.rng.Uint32(), zone)
-					t := dayTime(e.rng, day)
+					t := e.dayTime()
 					// Spoofed query src=victim, then the resolver's
 					// NXDOMAIN back at the victim.
-					e.query(t, victim, victimAS, amp.Addr, amp.ASN,
-						label, dnswire.TypeA, 244, 0)
-					e.response(t.Add(simclock.Second), amp.Addr, amp.ASN,
-						victim, victimAS, label, dnswire.TypeA,
-						dnswire.RCodeNXDomain, 0, amp.ObservedTTL())
+					e.query(t, victim, victimAS, amp, label, dnswire.TypeA, 244, 0)
+					e.response(t.Add(simclock.Second), amp, victim, victimAS,
+						label, dnswire.TypeA, dnswire.RCodeNXDomain, 0)
 				}
-				return e.out
 			},
 		}
 	}
@@ -186,29 +160,21 @@ func SlowDrip() *Scenario {
 		Description: "9 pkts/day at share 1.0 — one packet under the " +
 			"default MinPackets, every day",
 	}
-	sc.Prepare = func(env *Env, seed int64) *Plan {
-		s := scenarioSeed(seed, sc.Name)
-		rng := rand.New(rand.NewSource(s))
+	sc.Prepare = func(env *Env, rng *rand.Rand) *Plan {
 		victims, origins := pickVictims(env, rng, 1)
 		victim, victimAS := victims[0], origins[0]
 		name := candidateName(env, rng)
 		amps := pickAmplifiers(env, rng, env.P.Window().Start, 12)
-		days := env.P.Days
 		return &Plan{
-			Truth: []GroundTruth{{Victim: victim.As4(), Days: truthDays(env, 0, days)}},
-			DayFrames: func(day simclock.Time) []ecosystem.TaggedRecord {
-				idx := day.DayIndex(env.P.Window().Start)
-				if idx < 0 || idx >= days {
-					return nil
-				}
-				e := newEmitter(daySeed(s, day))
+			Truth: []GroundTruth{{Victim: victim.As4(), Days: truthDays(env, 0, env.P.Days)}},
+			From:  0,
+			To:    env.P.Days,
+			Emit: func(e *emitter) {
 				for i := 0; i < 9; i++ {
 					amp := amps[e.rng.Intn(len(amps))]
-					e.response(dayTime(e.rng, day), amp.Addr, amp.ASN,
-						victim, victimAS, name, dnswire.TypeANY,
-						dnswire.RCodeNoError, attackSize, amp.ObservedTTL())
+					e.response(e.dayTime(), amp, victim, victimAS, name,
+						dnswire.TypeANY, dnswire.RCodeNoError, attackSize)
 				}
-				return e.out
 			},
 		}
 	}
@@ -227,39 +193,30 @@ func ResolverChurn() *Scenario {
 		Description: "30 pkts/day with the amplifier set and spoofed " +
 			"ingress rotating daily",
 	}
-	sc.Prepare = func(env *Env, seed int64) *Plan {
-		s := scenarioSeed(seed, sc.Name)
-		rng := rand.New(rand.NewSource(s))
+	sc.Prepare = func(env *Env, rng *rand.Rand) *Plan {
 		victims, origins := pickVictims(env, rng, 1)
 		victim, victimAS := victims[0], origins[0]
 		name := candidateName(env, rng)
-		days := env.P.Days
 		return &Plan{
-			Truth: []GroundTruth{{Victim: victim.As4(), Days: truthDays(env, 1, days)}},
-			DayFrames: func(day simclock.Time) []ecosystem.TaggedRecord {
-				idx := day.DayIndex(env.P.Window().Start)
-				if idx < 1 || idx >= days {
-					return nil
-				}
-				e := newEmitter(daySeed(s, day))
+			Truth: []GroundTruth{{Victim: victim.As4(), Days: truthDays(env, 1, env.P.Days)}},
+			From:  1,
+			To:    env.P.Days,
+			Emit: func(e *emitter) {
 				// Fresh reflector sample every day: the churn.
-				amps := pickAmplifiers(env, e.rng, day, 10)
+				amps := pickAmplifiers(env, e.rng, e.day, 10)
 				ingress := amps[e.rng.Intn(len(amps))].ASN
 				for i := 0; i < 30; i++ {
 					amp := amps[e.rng.Intn(len(amps))]
-					t := dayTime(e.rng, day)
+					t := e.dayTime()
 					if i%3 == 0 {
 						// Spoofed query src=victim through the day's
 						// ingress port; counts toward the victim's
 						// candidate share too (request attribution).
-						e.query(t, victim, victimAS, amp.Addr, amp.ASN,
-							name, dnswire.TypeANY, 241, ingress)
+						e.query(t, victim, victimAS, amp, name, dnswire.TypeANY, 241, ingress)
 					}
-					e.response(t.Add(simclock.Second), amp.Addr, amp.ASN,
-						victim, victimAS, name, dnswire.TypeANY,
-						dnswire.RCodeNoError, attackSize, amp.ObservedTTL())
+					e.response(t.Add(simclock.Second), amp, victim, victimAS,
+						name, dnswire.TypeANY, dnswire.RCodeNoError, attackSize)
 				}
-				return e.out
 			},
 		}
 	}
@@ -277,32 +234,23 @@ func FlashCrowd() *Scenario {
 		Description: "popularity burst on a non-candidate name; " +
 			"heavy clients, zero candidate share",
 	}
-	sc.Prepare = func(env *Env, seed int64) *Plan {
-		s := scenarioSeed(seed, sc.Name)
-		rng := rand.New(rand.NewSource(s))
+	sc.Prepare = func(env *Env, rng *rand.Rand) *Plan {
 		const nClients = 80
 		clients, origins := pickVictims(env, rng, nClients)
 		name := env.C.DB.ProceduralName(rng.Intn(10_000))
 		amps := pickAmplifiers(env, rng, env.P.Window().Start, 16)
-		days := env.P.Days
 		return &Plan{
-			Truth: nil,
-			DayFrames: func(day simclock.Time) []ecosystem.TaggedRecord {
-				idx := day.DayIndex(env.P.Window().Start)
-				// The crowd lasts two days mid-window.
-				if idx != days/2 && idx != days/2+1 {
-					return nil
-				}
-				e := newEmitter(daySeed(s, day))
+			// The crowd lasts two days mid-window.
+			From: env.P.Days / 2,
+			To:   env.P.Days/2 + 2,
+			Emit: func(e *emitter) {
 				for ci, cl := range clients {
 					for i := 0; i < 15; i++ {
 						srv := amps[e.rng.Intn(len(amps))]
-						e.response(dayTime(e.rng, day), srv.Addr, srv.ASN,
-							cl, origins[ci], name, dnswire.TypeA,
-							dnswire.RCodeNoError, 220, srv.ObservedTTL())
+						e.response(e.dayTime(), srv, cl, origins[ci], name,
+							dnswire.TypeA, dnswire.RCodeNoError, 220)
 					}
 				}
-				return e.out
 			},
 		}
 	}
@@ -321,32 +269,22 @@ func ScannerBurst() *Scenario {
 		Description: "one scanner ANY-queries all candidates in a day; " +
 			"false positive at default thresholds",
 	}
-	sc.Prepare = func(env *Env, seed int64) *Plan {
-		s := scenarioSeed(seed, sc.Name)
-		rng := rand.New(rand.NewSource(s))
+	sc.Prepare = func(env *Env, rng *rand.Rand) *Plan {
 		scanners, origins := pickVictims(env, rng, 1)
 		scanner, scannerAS := scanners[0], origins[0]
 		amps := pickAmplifiers(env, rng, env.P.Window().Start, 8)
 		names := env.C.DB.MisusedCandidates()
-		days := env.P.Days
 		return &Plan{
-			Truth: nil,
-			DayFrames: func(day simclock.Time) []ecosystem.TaggedRecord {
-				idx := day.DayIndex(env.P.Window().Start)
-				if idx != days/2 {
-					return nil
-				}
-				e := newEmitter(daySeed(s, day))
+			From: env.P.Days / 2,
+			To:   env.P.Days/2 + 1,
+			Emit: func(e *emitter) {
 				for _, name := range names {
 					srv := amps[e.rng.Intn(len(amps))]
-					t := dayTime(e.rng, day)
-					e.query(t, scanner, scannerAS, srv.Addr, srv.ASN,
-						name, dnswire.TypeANY, 52, 0)
-					e.response(t.Add(simclock.Second), srv.Addr, srv.ASN,
-						scanner, scannerAS, name, dnswire.TypeANY,
-						dnswire.RCodeNoError, attackSize, srv.ObservedTTL())
+					t := e.dayTime()
+					e.query(t, scanner, scannerAS, srv, name, dnswire.TypeANY, 52, 0)
+					e.response(t.Add(simclock.Second), srv, scanner, scannerAS,
+						name, dnswire.TypeANY, dnswire.RCodeNoError, attackSize)
 				}
-				return e.out
 			},
 		}
 	}
@@ -357,9 +295,4 @@ func ScannerBurst() *Scenario {
 func candidateName(env *Env, rng *rand.Rand) string {
 	cands := env.C.DB.MisusedCandidates()
 	return cands[rng.Intn(len(cands))]
-}
-
-// dayTime draws a uniform instant within day.
-func dayTime(rng *rand.Rand, day simclock.Time) simclock.Time {
-	return day.Add(simclock.Duration(rng.Int63n(int64(simclock.Day))))
 }

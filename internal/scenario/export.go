@@ -19,7 +19,7 @@ import (
 // identical — the generator's Day/WireDay equivalence plus the pure
 // per-day overlay guarantee it.
 func (bt *Built) WireDay(day simclock.Time) []ecosystem.TaggedRecord {
-	return append(bt.Env.Gen.WireDay(day).IXP, bt.plan.DayFrames(day)...)
+	return append(bt.Env.Gen.WireDay(day).IXP, bt.overlay(day)...)
 }
 
 // WireStream streams the scenario window's frames in capture-time order

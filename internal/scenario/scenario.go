@@ -15,8 +15,9 @@
 // detector should use.
 //
 // Scenario traffic is materialized twice-consistently, like the
-// generator's Day/WireDay twins: the canonical batch form sanitizes the
-// scenario's wire frames through ixp.CapturePoint.Process, and
+// generator's Day/WireDay twins: the overlay's frames come from the
+// generator's wire sink, ecosystem.AppendFrame; the canonical batch
+// form sanitizes them through ixp.CapturePoint.Process, and
 // ExportWire writes those exact frames as an sFlow v5 datagram log
 // and/or classic pcap, so export → re-ingest (source.IngestSFlowLog /
 // IngestPCAP) reproduces identical detection scores — the round-trip
@@ -32,6 +33,7 @@ import (
 	"dnsamp/internal/core"
 	"dnsamp/internal/dnswire"
 	"dnsamp/internal/ecosystem"
+	"dnsamp/internal/ixp"
 	"dnsamp/internal/netmodel"
 	"dnsamp/internal/sflow"
 	"dnsamp/internal/simclock"
@@ -143,8 +145,8 @@ type GroundTruth struct {
 
 // Scenario is one catalog entry: a named, parameterized traffic shape.
 // Prepare derives the per-seed plan (victims, amplifier sets, schedule)
-// without materializing traffic; the plan's DayFrames is a pure
-// function of the day, so days may be materialized in any order.
+// without materializing traffic; the plan's Emit is a pure function of
+// the day, so days may be materialized in any order.
 type Scenario struct {
 	// Name is the catalog key (stable, kebab-case).
 	Name string
@@ -153,19 +155,23 @@ type Scenario struct {
 	// Description is the one-line operator-facing summary.
 	Description string
 
-	// Prepare plans the scenario over the shared env at the given seed.
-	Prepare func(env *Env, seed int64) *Plan
+	// Prepare plans the scenario over the shared env, drawing from rng,
+	// a stream of the build seed and the scenario name.
+	Prepare func(env *Env, rng *rand.Rand) *Plan
 }
 
-// Plan is a prepared scenario: ground truth plus the per-day overlay
-// frame synthesizer.
+// Plan is a prepared scenario: ground truth, the window days its
+// overlay fires on, and what it emits on each.
 type Plan struct {
 	// Truth holds the labeled attacks (empty for benign scenarios).
 	Truth []GroundTruth
-	// DayFrames emits the scenario's sampled overlay frames for one
-	// day (already-sampled records, like the generator's wire path
-	// after flow thinning). It must be a pure function of day.
-	DayFrames func(day simclock.Time) []ecosystem.TaggedRecord
+	// The overlay fires on the window days whose index idx has
+	// From <= idx < To; days past the window never fire.
+	From, To int
+	// Emit synthesizes the overlay of one firing day through e
+	// (already-sampled records, like the generator's wire path after
+	// flow thinning), drawing only from e's stream.
+	Emit func(e *emitter)
 }
 
 // Built is a fully materialized scenario, ready for the pipeline.
@@ -187,6 +193,7 @@ type Built struct {
 	Candidates []string
 
 	plan *Plan
+	seed int64 // the scenario's stream: scenarioSeed(Seed, name)
 }
 
 // Build materializes one scenario: per window day, the background
@@ -194,32 +201,52 @@ type Built struct {
 // through the capture-point path (exactly what re-ingesting the
 // exported wire capture would produce).
 func (env *Env) Build(sc *Scenario, seed int64) *Built {
-	plan := sc.Prepare(env, seed)
-	rep := source.NewReplay(env.Gen.Table())
-	env.P.Window().EachDay(func(day simclock.Time) {
-		// The generator hands back a freshly materialized batch each
-		// call — nothing else references it, so appending the overlay
-		// in place is safe.
-		b := env.Gen.Day(day, nil).Batch
-		source.AppendFrames(b, plan.DayFrames(day))
-		rep.AddDay(day, b, nil)
-	})
+	s := scenarioSeed(seed, sc.Name)
+	plan := sc.Prepare(env, rand.New(rand.NewSource(s)))
 	bt := &Built{
 		Scenario:   sc,
 		Env:        env,
 		Seed:       seed,
-		Source:     rep,
+		Source:     source.NewReplay(env.Gen.Table()),
 		Truth:      plan.Truth,
 		TruthSet:   make(map[core.ClientDay]bool),
 		Candidates: slices.Clone(env.C.DB.MisusedCandidates()),
 		plan:       plan,
+		seed:       s,
 	}
 	for _, gt := range plan.Truth {
 		for _, d := range gt.Days {
 			bt.TruthSet[core.ClientDay{Client: gt.Victim, Day: d}] = true
 		}
 	}
+	env.P.Window().EachDay(func(day simclock.Time) {
+		// The generator hands back a freshly materialized batch each
+		// call — nothing else references it, so appending the overlay
+		// in place is safe.
+		b := env.Gen.Day(day, nil).Batch
+		source.AppendFrames(b, bt.overlay(day))
+		bt.Source.AddDay(day, b, nil)
+	})
 	return bt
+}
+
+// overlay is the scenario's sampled frames of one day: the plan's Emit
+// on its own per-day stream when the day is a window day the plan fires
+// on, nil otherwise.
+func (bt *Built) overlay(day simclock.Time) []ecosystem.TaggedRecord {
+	idx := day.DayIndex(bt.Env.P.Window().Start)
+	if idx < bt.plan.From || idx >= min(bt.plan.To, bt.Env.P.Days) {
+		return nil
+	}
+	seed := daySeed(bt.seed, day)
+	e := &emitter{
+		rng:     rand.New(rand.NewSource(seed)),
+		sampler: sflow.NewSampler(seed ^ 0x5ce),
+		day:     day,
+		idx:     idx,
+	}
+	bt.plan.Emit(e)
+	return e.out
 }
 
 // scenarioSeed decorrelates per-scenario streams: same mixing shape as
@@ -244,59 +271,57 @@ func daySeed(scSeed int64, day simclock.Time) int64 {
 	return int64(z)
 }
 
-// emitter synthesizes sampled overlay frames for one scenario day. It
-// mirrors the generator's wire path: full frames with announced UDP
-// lengths (amplified sizes survive snaplen truncation via the length
-// field), truncated by the sampler to capture records.
+// emitter synthesizes the sampled overlay frames of one scenario day
+// through the generator's wire sink, ecosystem.AppendFrame: full frames
+// with announced UDP lengths (amplified sizes survive snaplen truncation
+// via the length field), truncated by the sampler to capture records.
 type emitter struct {
 	rng     *rand.Rand
 	sampler *sflow.Sampler
 	enc     dnswire.Encoder
 	out     []ecosystem.TaggedRecord
+	day     simclock.Time // the day emitted
+	idx     int           // its window-day index
 }
 
-func newEmitter(seed int64) *emitter {
-	return &emitter{
-		rng:     rand.New(rand.NewSource(seed)),
-		sampler: sflow.NewSampler(seed ^ 0x5ce),
-	}
-}
-
-// response emits one server->client DNS response record whose UDP
-// length announces size bytes (the payload materializes only the
-// encoded message prefix, like a truncated capture of a large answer).
-func (e *emitter) response(t simclock.Time, src netip.Addr, srcASN uint32, dst netip.Addr, dstASN uint32, name string, qtype dnswire.Type, rcode dnswire.RCode, size int, ttl uint8) {
-	txid := uint16(e.rng.Intn(1 << 16))
-	q := dnswire.NewQuery(txid, name, qtype, 4096)
-	resp := dnswire.NewResponse(q)
-	resp.Header.RCode = rcode
-	payload := e.enc.Encode(resp)
-	if size < len(payload) {
-		size = len(payload)
-	}
-	eth := netmodel.Ethernet{Src: ecosystem.MACForAS(srcASN), Dst: ecosystem.MACForAS(dstASN)}
-	ip := netmodel.IPv4{TTL: ttl, ID: uint16(e.rng.Intn(1 << 16)), Src: src, Dst: dst}
-	udp := netmodel.UDP{
+// response emits one amp->dst DNS response whose UDP length announces
+// size bytes, or the encoded message's size if larger (the payload
+// materializes only the message prefix, like a truncated capture of a
+// large answer).
+func (e *emitter) response(t simclock.Time, amp *ecosystem.Amplifier, dst netip.Addr, dstASN uint32, name string, qtype dnswire.Type, rcode dnswire.RCode, size int) {
+	r := ixp.BatchRecord{
+		Time: t, Src: amp.Addr.As4(), Dst: dst.As4(), IPTTL: amp.ObservedTTL(),
+		TXID:    uint16(e.rng.Intn(1 << 16)),
+		IPID:    uint16(e.rng.Intn(1 << 16)),
 		SrcPort: 53,
 		DstPort: uint16(1024 + e.rng.Intn(60000)),
-		Length:  uint16(netmodel.UDPHeaderLen + size),
 	}
-	frame := netmodel.EncodeUDPPacket(eth, ip, udp, payload)
-	e.out = append(e.out, ecosystem.TaggedRecord{Rec: e.sampler.Take(t, frame)})
+	resp := dnswire.NewResponse(dnswire.NewQuery(r.TXID, name, qtype, 4096))
+	resp.Header.RCode = rcode
+	payload := e.enc.Encode(resp)
+	eth := netmodel.Ethernet{Src: ecosystem.MACForAS(amp.ASN), Dst: ecosystem.MACForAS(dstASN)}
+	e.out = ecosystem.AppendFrame(e.out, e.sampler, &r, eth, payload, netmodel.UDPHeaderLen+max(size, len(payload)))
 }
 
-// query emits one client->server DNS query record; ingress carries the
-// member-AS port attribution for spoofed sources (0 = derive from the
-// source address).
-func (e *emitter) query(t simclock.Time, src netip.Addr, srcASN uint32, dst netip.Addr, dstASN uint32, name string, qtype dnswire.Type, ttl uint8, ingress uint32) {
-	txid := uint16(e.rng.Intn(1 << 16))
-	q := dnswire.NewQuery(txid, name, qtype, 4096)
-	payload := e.enc.Encode(q)
-	eth := netmodel.Ethernet{Src: ecosystem.MACForAS(srcASN), Dst: ecosystem.MACForAS(dstASN)}
-	ip := netmodel.IPv4{TTL: ttl, ID: uint16(e.rng.Intn(1 << 16)), Src: src, Dst: dst}
-	udp := netmodel.UDP{SrcPort: uint16(1024 + e.rng.Intn(60000)), DstPort: 53}
-	frame := netmodel.EncodeUDPPacket(eth, ip, udp, payload)
-	e.out = append(e.out, ecosystem.TaggedRecord{Rec: e.sampler.Take(t, frame), Ingress: ingress})
+// query emits one src->amp DNS query; ingress carries the member-AS
+// port attribution for spoofed sources (0 = derive from the source
+// address).
+func (e *emitter) query(t simclock.Time, src netip.Addr, srcASN uint32, amp *ecosystem.Amplifier, name string, qtype dnswire.Type, ttl uint8, ingress uint32) {
+	r := ixp.BatchRecord{
+		Time: t, Src: src.As4(), Dst: amp.Addr.As4(), IPTTL: ttl, Ingress: ingress,
+		TXID:    uint16(e.rng.Intn(1 << 16)),
+		IPID:    uint16(e.rng.Intn(1 << 16)),
+		SrcPort: uint16(1024 + e.rng.Intn(60000)),
+		DstPort: 53,
+	}
+	payload := e.enc.Encode(dnswire.NewQuery(r.TXID, name, qtype, 4096))
+	eth := netmodel.Ethernet{Src: ecosystem.MACForAS(srcASN), Dst: ecosystem.MACForAS(amp.ASN)}
+	e.out = ecosystem.AppendFrame(e.out, e.sampler, &r, eth, payload, 0)
+}
+
+// dayTime draws a uniform instant within the day.
+func (e *emitter) dayTime() simclock.Time {
+	return e.day.Add(simclock.Duration(e.rng.Int63n(int64(simclock.Day))))
 }
 
 // pickVictims draws n distinct victim addresses (with their origin

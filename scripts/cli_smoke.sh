@@ -1,8 +1,9 @@
 #!/bin/sh
-# Black-box smoke test of dnsampdetect: build the binary, run it, and
-# assert its stdout and exit status. Every command is asserted;
-# refusals are written `! cmd || false` and followed by a check of the
-# exit status. Mirrored by the cli-smoke CI job and `make cli-smoke`.
+# Black-box smoke test of dnsampdetect and attackgen: build the
+# binaries, run them, and assert their output and exit status. Every
+# command is asserted; refusals are written `! cmd || false` and
+# followed by a check of the exit status. Mirrored by the cli-smoke CI
+# job and `make cli-smoke`.
 #
 #   - `-scale 0.02 -v` prints the committed golden byte for byte;
 #   - `-concurrency 1` (serial) prints what `-concurrency 0` prints;
@@ -13,11 +14,19 @@
 #     ingested-frame count, and the log with one datagram body corrupted
 #     in place still replays, reporting one skipped datagram;
 #   - an unknown flag (`-cache-days`) exits 2, two replay
-#     flags exit 1, and a missing input file exits 1.
+#     flags exit 1, and a missing input file exits 1;
+#   - attackgen's wire exports are byte-identical to
+#     cmd/attackgen/testdata/wire.sha256: the campaign's at `-scale 0.02
+#     -wire-days 2`, and every `-list-scenarios` entry's at `-wire-days
+#     8`, each as an sFlow log and a pcap;
+#   - attackgen refuses `-scenario` without an output, an unknown
+#     scenario, and `-wire-days 0` with an output: exit 2, no file.
 #
-# The golden changes only with an intended output change; regenerate
-# it deliberately with
+# The golden and the digests change only with an intended output
+# change; regenerate them deliberately with
 #   go run ./cmd/dnsampdetect -scale 0.02 -v > cmd/dnsampdetect/testdata/scale0.02-v.golden
+# and, in a directory holding this script's exports (the commands
+# below), `sha256sum * > cmd/attackgen/testdata/wire.sha256`.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -64,10 +73,33 @@ echo "== -snapshot-out, then -snapshot-in, print the same"
 same "$WORK/snapin.out" "$WORK/snapout.out" "-snapshot-in stdout differs from the -snapshot-out run"
 same "$WORK/snapout.out" "$WORK/all.out" "-snapshot-out stdout differs from the synthetic run"
 
-echo "== -replay-sflow and -replay-pcap of one wire stream ingest the same frames"
+echo "== attackgen wire exports match their digests"
 go build -o "$WORK/attackgen" ./cmd/attackgen
+SUMS="$PWD/cmd/attackgen/testdata/wire.sha256"
+mkdir "$WORK/wire"
 "$WORK/attackgen" -scale 0.02 -summary -wire-days 2 \
-    -sflow-out "$WORK/wire.sflowlog" -pcap-out "$WORK/wire.pcap" 2>"$WORK/gen.err"
+    -sflow-out "$WORK/wire/campaign.sflowlog" -pcap-out "$WORK/wire/campaign.pcap" 2>"$WORK/gen.err"
+for sc in $("$WORK/attackgen" -list-scenarios | awk '{print $1}'); do
+    "$WORK/attackgen" -scale 0.02 -wire-days 8 -scenario "$sc" \
+        -sflow-out "$WORK/wire/$sc.sflowlog" -pcap-out "$WORK/wire/$sc.pcap" 2>"$WORK/gen.err" ||
+        fail "attackgen -scenario $sc exited non-zero: $(cat "$WORK/gen.err")"
+done
+[ "$(ls "$WORK/wire" | wc -l)" -eq "$(wc -l <"$SUMS")" ] || fail "$(ls "$WORK/wire" | wc -l) exports, $(wc -l <"$SUMS") digests"
+(cd "$WORK/wire" && sha256sum -c --quiet "$SUMS") >&2 || fail "an export differs from $SUMS"
+mv "$WORK/wire/campaign.sflowlog" "$WORK/wire.sflowlog"
+mv "$WORK/wire/campaign.pcap" "$WORK/wire.pcap"
+rm -r "$WORK/wire"
+
+echo "== attackgen refusals"
+! run "$WORK/attackgen" -scenario pulse-wave || false
+[ "$RC" -eq 2 ] || fail "-scenario without an output exited $RC, want 2"
+! run "$WORK/attackgen" -scenario no-such-scenario -sflow-out "$WORK/refused.sflowlog" || false
+[ "$RC" -eq 2 ] || fail "an unknown scenario exited $RC, want 2"
+! run "$WORK/attackgen" -wire-days 0 -sflow-out "$WORK/refused.sflowlog" || false
+[ "$RC" -eq 2 ] || fail "-wire-days 0 -sflow-out exited $RC, want 2"
+[ ! -e "$WORK/refused.sflowlog" ] || fail "a refused attackgen run wrote its output"
+
+echo "== -replay-sflow and -replay-pcap of one wire stream ingest the same frames"
 # ingested FILE: the frame count and skip count dnsampdetect reported.
 ingested() {
     sed -n 's/^ingested \([0-9]*\) frames from .*skipped: \([0-9]*\))$/\1 \2/p' "$1"
