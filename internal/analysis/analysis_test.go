@@ -333,7 +333,7 @@ func TestComputeTrafficShares(t *testing.T) {
 	// Simulate one attacked client and background by hand.
 	// (Uses the core test helper pattern inline.)
 	mk := func(client byte, name string, size int, any bool) {
-		s := mkIxpSample(client, name, size, any)
+		s := mkIxpSample(client, size, any)
 		s.Name = ag.Table.Intern(name)
 		ag.Observe(s)
 	}
@@ -426,15 +426,14 @@ func TestAttackDurations(t *testing.T) {
 }
 
 // mkIxpSample builds a minimal sample for share tests.
-func mkIxpSample(client byte, name string, size int, any bool) *ixp.DNSSample {
-	s := &ixp.DNSSample{
-		Time:       simclock.MeasurementStart.Add(simclock.Hour),
-		QName:      name,
-		MsgSize:    size,
-		IsResponse: true,
-		Dst:        [4]byte{11, 0, 0, client},
-		Src:        [4]byte{203, 0, 113, 1},
-		QType:      dnswire.TypeA,
+func mkIxpSample(client byte, size int, any bool) *ixp.BatchRecord {
+	s := &ixp.BatchRecord{
+		Time:    simclock.MeasurementStart.Add(simclock.Hour),
+		MsgSize: int32(size),
+		Resp:    true,
+		Dst:     [4]byte{11, 0, 0, client},
+		Src:     [4]byte{203, 0, 113, 1},
+		QType:   dnswire.TypeA,
 	}
 	if any {
 		s.QType = dnswire.TypeANY

@@ -501,14 +501,9 @@ func (ag *Aggregator) profile(key ClientDay, t simclock.Time) uint32 {
 	return slot
 }
 
-// rowKey is the (client, day) pair a batch row is attributed to: the
-// querier of a query, the destination of a response.
+// rowKey is the (client, day) pair a batch row is attributed to.
 func rowKey(b *ixp.SampleBatch, i int) ClientDay {
-	client := b.Src[i]
-	if b.Resp[i] {
-		client = b.Dst[i]
-	}
-	return ClientDay{Client: client, Day: b.Time[i].Day()}
+	return ClientDay{Client: b.Client(i), Day: b.Time[i].Day()}
 }
 
 // observeRow folds batch row i into ag, whose profile of the row is in
@@ -518,11 +513,11 @@ func (ag *Aggregator) observeRow(slot uint32, b *ixp.SampleBatch, i int) {
 }
 
 // Observe ingests one sanitized sample — server.Window's arrival-order
-// entry point. The sample's Name ID must be in the aggregator's table
+// entry point. The row's Name ID must be in the aggregator's table
 // space; in steady state it allocates nothing.
-func (ag *Aggregator) Observe(s *ixp.DNSSample) {
-	slot := ag.profile(ClientDay{Client: s.ClientAddr(), Day: s.Time.Day()}, s.Time)
-	ag.observe(slot, s.Time, s.Name, s.MsgSize, s.QType == dnswire.TypeANY, s.IsResponse)
+func (ag *Aggregator) Observe(r *ixp.BatchRecord) {
+	slot := ag.profile(ClientDay{Client: r.Client(), Day: r.Time.Day()}, r.Time)
+	ag.observe(slot, r.Time, r.Name, int(r.MsgSize), r.QType == dnswire.TypeANY, r.Resp)
 }
 
 // ObserveBatch ingests a whole columnar batch row by row, in the state

@@ -70,7 +70,7 @@ func TestResetClientsZeroAllocSameSizedDay(t *testing.T) {
 		t.Run(map[bool]string{false: "untracked", true: "track-all"}[trackAll], func(t *testing.T) {
 			ag := NewAggregator(nil, nil)
 			ag.SetTrackAll(trackAll)
-			var day []*ixp.DNSSample
+			var day []*ixp.BatchRecord
 			for c := 0; c < 500; c++ {
 				for n := range 1 + c%5 {
 					day = append(day, resetSample(0, c, "zone"+strconv.Itoa((c+n)%7)+".example.", ag.Table))
@@ -99,7 +99,7 @@ func TestResetClientsZeroAllocSameSizedDay(t *testing.T) {
 // the same profile after it.
 func TestArenaChunkGrowthAlloc(t *testing.T) {
 	ag := NewAggregator(nil, nil)
-	sample := func(c int) *ixp.DNSSample { return resetSample(0, c, "zone.example.", ag.Table) }
+	sample := func(c int) *ixp.BatchRecord { return resetSample(0, c, "zone.example.", ag.Table) }
 	for c := range chunkLen {
 		ag.Observe(sample(c))
 	}
@@ -219,7 +219,7 @@ func TestDetectScanZeroAllocSteadyState(t *testing.T) {
 // append to amortized slices.
 func TestCollectorObserveAllocBound(t *testing.T) {
 	ag := NewAggregator(nil, []string{"bad.test."})
-	var warm []*ixp.DNSSample
+	var warm []*ixp.BatchRecord
 	for i := 0; i < 15; i++ {
 		warm = append(warm, mkSample(ag.Table, 1, 0, "bad.test", dnswire.TypeANY, 4000, true))
 	}
@@ -230,8 +230,8 @@ func TestCollectorObserveAllocBound(t *testing.T) {
 	col := NewCollector(NewCandidates(ag.Table, map[string]bool{"bad.test.": true}), dets)
 	reject := &ixp.SampleBatch{Table: ag.Table}
 	for c := byte(0); c < 64; c++ {
-		reject.AppendSample(mkSample(ag.Table, 1+c%4, 0, "bulk.test", dnswire.TypeA, 100, false), 0)
-		reject.AppendSample(mkSample(ag.Table, 77+c, 0, "bad.test", dnswire.TypeANY, 4000, true), 0)
+		reject.Append(*mkSample(ag.Table, 1+c%4, 0, "bulk.test", dnswire.TypeA, 100, false))
+		reject.Append(*mkSample(ag.Table, 77+c, 0, "bad.test", dnswire.TypeANY, 4000, true))
 	}
 	allocs := testing.AllocsPerRun(200, func() { col.ObserveBatch(reject, nil) })
 	if allocs != 0 {

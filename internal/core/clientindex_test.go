@@ -138,27 +138,24 @@ func randomBatch(rng *rand.Rand, tab *names.Table, pool []uint32, n int) *ixp.Sa
 	return b
 }
 
-// sampleFromRow materializes one batch row as the DNSSample a capture
-// point (without topology) would hand to Observe, ingress override
-// included.
-func sampleFromRow(tab *names.Table, b *ixp.SampleBatch, i int) *ixp.DNSSample {
-	return &ixp.DNSSample{
-		PeerAS:     b.Ingress[i],
-		Time:       b.Time[i],
-		Src:        b.Src[i],
-		Dst:        b.Dst[i],
-		SrcPort:    b.SrcPort[i],
-		DstPort:    b.DstPort[i],
-		IPTTL:      b.IPTTL[i],
-		IPID:       b.IPID[i],
-		IsResponse: b.Resp[i],
-		Name:       b.Name[i],
-		QName:      tab.Name(b.Name[i]),
-		QType:      b.QType[i],
-		TXID:       b.TXID[i],
-		MsgSize:    int(b.MsgSize[i]),
-		ANCount:    b.ANCount[i],
-		VisibleNS:  int(b.VisibleNS[i]),
+// rowAt materializes batch row i as the record Observe takes.
+func rowAt(b *ixp.SampleBatch, i int) *ixp.BatchRecord {
+	return &ixp.BatchRecord{
+		Time:      b.Time[i],
+		Src:       b.Src[i],
+		Dst:       b.Dst[i],
+		SrcPort:   b.SrcPort[i],
+		DstPort:   b.DstPort[i],
+		IPTTL:     b.IPTTL[i],
+		IPID:      b.IPID[i],
+		Resp:      b.Resp[i],
+		Name:      b.Name[i],
+		QType:     b.QType[i],
+		TXID:      b.TXID[i],
+		MsgSize:   b.MsgSize[i],
+		ANCount:   b.ANCount[i],
+		VisibleNS: b.VisibleNS[i],
+		Ingress:   b.Ingress[i],
 	}
 }
 
@@ -197,7 +194,7 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 			}
 			batchAg.ObserveBatch(b)
 			for i := 0; i < b.N; i++ {
-				rowAg.Observe(sampleFromRow(rowAg.Table, b, i))
+				rowAg.Observe(rowAt(b, i))
 			}
 			m.observeBatch(b)
 			what := fmt.Sprintf("trackAll=%v round %d", trackAll, round)
@@ -259,7 +256,7 @@ func TestObserveBatchSplitMatchesRows(t *testing.T) {
 		}
 		ObserveBatchSplit(sIn, sOut, b, w)
 		for i := 0; i < b.N; i++ {
-			s := sampleFromRow(tab, b, i)
+			s := rowAt(b, i)
 			if w.Contains(s.Time) {
 				rIn.Observe(s)
 			} else {
@@ -325,7 +322,7 @@ func TestCollectorObserveBatchMatchesObserve(t *testing.T) {
 		b := randomBatch(rng, tab, pool, 500)
 		col.ObserveBatch(b, nil)
 		for i := 0; i < b.N; i++ {
-			ref.observe(sampleFromRow(tab, b, i))
+			ref.observe(tab, rowAt(b, i))
 		}
 	}
 	got, want := col.Records(), ref.records()

@@ -12,16 +12,13 @@ import (
 
 // mkSample builds a minimal sanitized sample whose name is interned in
 // tab (the table shared with the consuming aggregator/collector).
-func mkSample(tab *names.Table, client byte, day int, name string, qtype dnswire.Type, size int, isResp bool) *ixp.DNSSample {
-	cn := dnswire.CanonicalName(name)
-	id := tab.Intern(cn)
-	s := &ixp.DNSSample{
-		Time:       simclock.MeasurementStart.Add(simclock.Days(day)).Add(simclock.Hour),
-		Name:       id,
-		QName:      tab.Name(id),
-		QType:      qtype,
-		MsgSize:    size,
-		IsResponse: isResp,
+func mkSample(tab *names.Table, client byte, day int, name string, qtype dnswire.Type, size int, isResp bool) *ixp.BatchRecord {
+	s := &ixp.BatchRecord{
+		Time:    simclock.MeasurementStart.Add(simclock.Days(day)).Add(simclock.Hour),
+		Name:    tab.Intern(dnswire.CanonicalName(name)),
+		QType:   qtype,
+		MsgSize: int32(size),
+		Resp:    isResp,
 	}
 	if isResp {
 		s.Dst = [4]byte{11, 0, 0, client}
@@ -233,7 +230,7 @@ func TestCollector(t *testing.T) {
 	tab := names.NewTable()
 	ag := NewAggregator(tab, []string{"bad.test."})
 	cands := map[string]bool{"bad.test.": true}
-	var samples []*ixp.DNSSample
+	var samples []*ixp.BatchRecord
 	for i := 0; i < 15; i++ {
 		s := mkSample(tab, 1, 0, "bad.test", dnswire.TypeANY, 4000, true)
 		s.TXID = uint16(i % 3)
@@ -256,7 +253,8 @@ func TestCollector(t *testing.T) {
 	col := NewCollector(NewCandidates(tab, cands), dets)
 	b := &ixp.SampleBatch{Table: tab}
 	for _, s := range append(samples, mkSample(tab, 99, 0, "bad.test", dnswire.TypeANY, 4000, true)) { // the last not wanted
-		b.AppendSample(s, 777)
+		s.Ingress = 777
+		b.Append(*s)
 	}
 	col.ObserveBatch(b, nil)
 	col.SetVictimASN(func([4]byte) uint32 { return 42 })
@@ -370,9 +368,9 @@ func ExampleDetect() {
 	ag := NewAggregator(nil, []string{"doj.gov."})
 	id, _ := ag.Table.Lookup("doj.gov.")
 	for i := 0; i < 12; i++ {
-		s := &ixp.DNSSample{
-			Time: simclock.MeasurementStart, Name: id, QName: "doj.gov.",
-			QType: dnswire.TypeANY, MsgSize: 4000, IsResponse: true,
+		s := &ixp.BatchRecord{
+			Time: simclock.MeasurementStart, Name: id,
+			QType: dnswire.TypeANY, MsgSize: 4000, Resp: true,
 			Dst: [4]byte{11, 0, 0, 1}, Src: [4]byte{203, 0, 113, 1},
 		}
 		ag.Observe(s)

@@ -320,12 +320,8 @@ func (c *Collector) ObserveBatch(b *ixp.SampleBatch, topo *topology.Topology) {
 		}
 		ci := slot[id] - 1
 		resp := b.Resp[i]
-		client := b.Src[i]
-		if resp {
-			client = b.Dst[i]
-		}
 		t := b.Time[i]
-		rec := c.wanted[ClientDay{Client: client, Day: t.Day()}]
+		rec := c.wanted[ClientDay{Client: b.Client(i), Day: t.Day()}]
 		if rec == nil {
 			continue
 		}

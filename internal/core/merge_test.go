@@ -12,15 +12,13 @@ import (
 
 // mergeSample builds a minimal sanitized sample for merge tests,
 // interned in tab.
-func mergeSample(tab *names.Table, client byte, name string, qtype dnswire.Type, size int, t simclock.Time, response bool) *ixp.DNSSample {
-	id := tab.Intern(name)
-	s := &ixp.DNSSample{
-		Time:       t,
-		Name:       id,
-		QName:      tab.Name(id),
-		QType:      qtype,
-		MsgSize:    size,
-		IsResponse: response,
+func mergeSample(tab *names.Table, client byte, name string, qtype dnswire.Type, size int, t simclock.Time, response bool) *ixp.BatchRecord {
+	s := &ixp.BatchRecord{
+		Time:    t,
+		Name:    tab.Intern(name),
+		QType:   qtype,
+		MsgSize: int32(size),
+		Resp:    response,
 	}
 	if response {
 		s.Dst = [4]byte{10, 0, 0, client}
@@ -87,7 +85,7 @@ func TestMergeOverlapping(t *testing.T) {
 	// Two shards observing the same client and name: sums, maxima, and
 	// time bounds must match one aggregator observing everything.
 	tab := names.NewTable()
-	samples := []*ixp.DNSSample{
+	samples := []*ixp.BatchRecord{
 		mergeSample(tab, 1, "evil.example.", dnswire.TypeANY, 900, day0(100), true),
 		mergeSample(tab, 1, "evil.example.", dnswire.TypeANY, 1400, day0(50), true),
 		mergeSample(tab, 1, ".", dnswire.TypeNS, 120, day0(300), false),

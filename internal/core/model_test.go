@@ -93,18 +93,18 @@ func (m *modelAgg) observe(client [4]byte, t simclock.Time, name string, size in
 
 // observeSample counts one sample: a query is the source's, a response
 // the destination's.
-func (m *modelAgg) observeSample(tab *names.Table, s *ixp.DNSSample) {
+func (m *modelAgg) observeSample(tab *names.Table, s *ixp.BatchRecord) {
 	client := s.Src
-	if s.IsResponse {
+	if s.Resp {
 		client = s.Dst
 	}
-	m.observe(client, s.Time, tab.Name(s.Name), s.MsgSize, s.QType == dnswire.TypeANY, s.IsResponse)
+	m.observe(client, s.Time, tab.Name(s.Name), int(s.MsgSize), s.QType == dnswire.TypeANY, s.Resp)
 }
 
 // observeBatch counts every row of b, in row order.
 func (m *modelAgg) observeBatch(b *ixp.SampleBatch) {
 	for i := 0; i < b.N; i++ {
-		m.observeSample(b.Table, sampleFromRow(b.Table, b, i))
+		m.observeSample(b.Table, rowAt(b, i))
 	}
 }
 
@@ -311,11 +311,8 @@ func runAggregatorProgram(t *testing.T, prog []byte) {
 				return
 			}
 			r := modelRow(tab, [4]byte(p))
-			b := &ixp.SampleBatch{Table: tab}
-			b.Append(r)
-			s := sampleFromRow(tab, b, 0)
-			ag.Observe(s)
-			m.observeSample(tab, s)
+			ag.Observe(&r)
+			m.observeSample(tab, &r)
 		case 2:
 			b := batch()
 			if b == nil {
@@ -333,7 +330,7 @@ func runAggregatorProgram(t *testing.T, prog []byte) {
 			w := simclock.Window{Start: start, End: start.Add(simclock.Days(2))}
 			ObserveBatchSplit(ag, ext, b, w)
 			for i := 0; i < b.N; i++ {
-				s := sampleFromRow(tab, b, i)
+				s := rowAt(b, i)
 				if w.Contains(s.Time) {
 					m.observeSample(tab, s)
 				} else {
@@ -494,11 +491,8 @@ func TestArenaChunksMatchModel(t *testing.T) {
 		for c := range clients {
 			r := row(c, day, salt)
 			if c%2 == 0 {
-				one := &ixp.SampleBatch{Table: tab}
-				one.Append(r)
-				s := sampleFromRow(tab, one, 0)
-				ag.Observe(s)
-				m.observeSample(tab, s)
+				ag.Observe(&r)
+				m.observeSample(tab, &r)
 				continue
 			}
 			b.Append(r)
@@ -557,26 +551,32 @@ func newRefCollector(cands map[string]bool, dets []*Detection) *refCollector {
 	return r
 }
 
-// observe collects one sample whose ingress member AS is PeerAS.
-func (r *refCollector) observe(s *ixp.DNSSample) {
-	rec := r.recs[ClientDay{Client: s.ClientAddr(), Day: s.Time.Day()}]
-	if rec == nil || !r.cands[s.QName] {
+// observe collects one row, its name read in tab, taking its Ingress
+// as the request's member AS.
+func (r *refCollector) observe(tab *names.Table, s *ixp.BatchRecord) {
+	client := s.Src
+	if s.Resp {
+		client = s.Dst
+	}
+	rec := r.recs[ClientDay{Client: client, Day: s.Time.Day()}]
+	qname := tab.Name(s.Name)
+	if rec == nil || !r.cands[qname] {
 		return
 	}
 	rec.Packets++
-	rec.Names[s.QName]++
+	rec.Names[qname]++
 	rec.TXIDs[s.TXID]++
 	if s.QType == dnswire.TypeANY {
 		rec.ANYPackets++
 	}
-	if s.IsResponse {
+	if s.Resp {
 		rec.Responses++
 		rec.Amplifiers[s.Src]++
-		rec.Sizes = append(rec.Sizes, s.MsgSize)
-		r.visibleNS = append(r.visibleNS, s.VisibleNS)
+		rec.Sizes = append(rec.Sizes, int(s.MsgSize))
+		r.visibleNS = append(r.visibleNS, int(s.VisibleNS))
 	} else {
 		rec.Requests++
-		rec.ReqIngress[s.PeerAS]++
+		rec.ReqIngress[s.Ingress]++
 		rec.ReqTTLs[s.IPTTL]++
 	}
 	rec.First = min(rec.First, s.Time)

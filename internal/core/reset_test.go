@@ -12,18 +12,13 @@ import (
 )
 
 // resetSample builds a deterministic sample for (day, client, name).
-func resetSample(day, client int, name string, tab interface {
-	Intern(string) uint32
-	Name(uint32) string
-}) *ixp.DNSSample {
-	id := tab.Intern(name)
-	return &ixp.DNSSample{
+func resetSample(day, client int, name string, tab interface{ Intern(string) uint32 }) *ixp.BatchRecord {
+	return &ixp.BatchRecord{
 		Time:    simclock.MeasurementStart.Add(simclock.Days(day)).Add(simclock.Duration(client)),
 		Src:     [4]byte{10, 0, byte(client >> 8), byte(client)},
 		Dst:     [4]byte{198, 51, 100, 1},
-		Name:    id,
-		QName:   tab.Name(id),
-		MsgSize: 100 + client%7,
+		Name:    tab.Intern(name),
+		MsgSize: int32(100 + client%7),
 	}
 }
 

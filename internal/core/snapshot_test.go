@@ -17,17 +17,15 @@ import (
 var errSnapTest = errors.New("core test: bad snapshot")
 
 // snapSample builds a sanitized sample interned into tab.
-func snapSample(tab *names.Table, at simclock.Time, client byte, name string, qt dnswire.Type, size int, resp bool) *ixp.DNSSample {
-	id := tab.Intern(dnswire.CanonicalName(name))
-	s := &ixp.DNSSample{
-		Time:       at,
-		Src:        [4]byte{10, 0, 0, client},
-		Dst:        [4]byte{203, 0, 113, 9},
-		IsResponse: resp,
-		Name:       id,
-		QName:      tab.Name(id),
-		QType:      qt,
-		MsgSize:    size,
+func snapSample(tab *names.Table, at simclock.Time, client byte, name string, qt dnswire.Type, size int, resp bool) *ixp.BatchRecord {
+	s := &ixp.BatchRecord{
+		Time:    at,
+		Src:     [4]byte{10, 0, 0, client},
+		Dst:     [4]byte{203, 0, 113, 9},
+		Resp:    resp,
+		Name:    tab.Intern(dnswire.CanonicalName(name)),
+		QType:   qt,
+		MsgSize: int32(size),
 	}
 	if resp {
 		s.Src, s.Dst = s.Dst, s.Src

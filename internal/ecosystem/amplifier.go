@@ -10,7 +10,7 @@
 // detection and analysis pipeline.
 // Each packet the generator synthesizes is one ixp.BatchRecord read by
 // two sinks: Generator.Day sanitizes it (§3.1) by the rules' owners, as
-// ixp.CapturePoint.Process does WireDay's frames (frame lengths from
+// ixp.CapturePoint.Sanitize does WireDay's frames (frame lengths from
 // netmodel, what is kept from ixp, message lengths from dnswire), and
 // WireDay frames it through AppendFrame, which the scenario overlays
 // use too.

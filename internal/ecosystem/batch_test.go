@@ -12,10 +12,10 @@ import (
 // fast path: for every day, the batch emitted by Day must equal, column
 // by column and row for row, the batch built from WireDay's
 // materialized frames the way source.AppendFrames builds one — each
-// frame through the frame-level CapturePoint.Process, survivors through
-// SampleBatch.AppendSample — and accounting it with RemapBatch must
-// leave the sanitization and routing-coverage stats Process left. Both
-// paths consume their per-day RNG stream identically, so this holds
+// frame through CapturePoint.Sanitize, counted on the batch, survivors
+// appended with their ingress tag — and accounting each batch with
+// RemapBatch must leave the same sanitization and routing-coverage
+// stats. Both paths consume their per-day RNG stream identically, so this holds
 // field by field — except Name, an ID in each side's own table (the
 // wire side interns as frames arrive, the batch lives in the
 // generator's table): names are compared as strings.
@@ -38,11 +38,14 @@ func TestDayBatchMatchesWire(t *testing.T) {
 
 		capW := ixp.NewCapturePoint(c.Topo, nil)
 		want := &ixp.SampleBatch{Table: capW.Table}
+		var s ixp.DNSSample
 		for _, tr := range wire.IXP {
-			if s, ok := capW.Process(tr.Rec); ok {
-				want.AppendSample(&s, tr.Ingress)
+			if want.Count(capW.Sanitize(tr.Rec, &s)) {
+				s.Ingress = tr.Ingress
+				want.Append(s.BatchRecord)
 			}
 		}
+		capW.RemapBatch(want)
 		capB := ixp.NewCapturePoint(c.Topo, got.Table)
 		capB.RemapBatch(got)
 

@@ -114,8 +114,8 @@ type WireDayTraffic struct {
 //
 // Day (columnar batches) and WireDay (materialized frames) consume
 // their per-day RNG stream identically: for every day, WireDay(d)
-// sanitized through ixp.CapturePoint.Process and appended sample by
-// sample yields exactly the batch of Day(d). TestDayBatchMatchesWire
+// sanitized through ixp.CapturePoint.Sanitize and appended row by row
+// (source.AppendFrames) yields exactly the batch of Day(d). TestDayBatchMatchesWire
 // holds this equivalence.
 //
 // Consumers normally do not call Day directly: source.Synthetic adapts
@@ -424,7 +424,7 @@ func (g *Generator) Day(day simclock.Time, scratch *ixp.SampleBatch) *DayTraffic
 }
 
 // DayFor is Day for a consumer that reads only the rows whose client
-// (DNSSample.ClientAddr) is in clients: the returned batch holds, in
+// (ixp.BatchRecord.Client) is in clients: the returned batch holds, in
 // generation order, at least every such row of Day(day).Batch, and the
 // sensor flows of Day(day). The day's attack events come first on its
 // RNG stream and are always synthesized; the background loop comes last

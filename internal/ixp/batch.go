@@ -21,8 +21,7 @@ import (
 // generator sanitizes at emission time — frame lengths through
 // netmodel.DecodeLengths, the payload prefix through CheckDNS — and
 // accounts every frame with Count, so a batch holds, row for row, what
-// its frame-level twin yields through CapturePoint.Process and
-// AppendSample.
+// its frame-level twin yields through CapturePoint.Sanitize and Append.
 type SampleBatch struct {
 	// Table is the interning space of the Name column: the source's
 	// table (source.Source.Table), shared by every batch of a run.
@@ -44,32 +43,19 @@ type SampleBatch struct {
 	MsgSize   []int32
 	ANCount   []uint16
 	VisibleNS []uint16
-	// Ingress is the member ASN whose port carried the packet, for
-	// spoofed packets that cannot be attributed by source address
-	// (0 = derive from the source address).
-	Ingress []uint32
+	Ingress   []uint32
 
-	// Frames counts the sampled frames behind this batch including
-	// packets the wire-level sanitization would have dropped; NonUDP,
-	// NonDNS and Malformed count those drops
-	// (N = Frames - NonUDP - NonDNS - Malformed).
-	Frames, NonUDP, NonDNS, Malformed int
+	// FrameCounts tallies the frames behind the rows, the dropped ones
+	// too (N = Frames - NonUDP - NonDNS - Malformed).
+	FrameCounts
 }
 
-// Count accounts one sampled frame with its sanitization outcome and
-// reports whether the frame is kept: the caller appends a kept frame's
-// row.
-func (b *SampleBatch) Count(d Drop) bool {
-	b.Frames++
-	switch d {
-	case DropNonUDP:
-		b.NonUDP++
-	case DropNonDNS:
-		b.NonDNS++
-	case DropMalformed:
-		b.Malformed++
+// Client is row i's client (BatchRecord.Client).
+func (b *SampleBatch) Client(i int) [4]byte {
+	if b.Resp[i] {
+		return b.Dst[i]
 	}
-	return d == Keep
+	return b.Src[i]
 }
 
 // Reset empties the batch for reuse in table, keeping every column's
@@ -127,7 +113,7 @@ func (b *SampleBatch) Grow(n int) {
 	b.Ingress = append(make([]uint32, 0, grow()), b.Ingress...)
 }
 
-// BatchRecord is the row view used to append one record to a batch.
+// BatchRecord is one sanitized sample: a batch's row.
 type BatchRecord struct {
 	Time      simclock.Time
 	Src, Dst  [4]byte
@@ -135,14 +121,26 @@ type BatchRecord struct {
 	DstPort   uint16
 	IPTTL     uint8
 	IPID      uint16
-	Resp      bool
-	Name      uint32
+	Resp      bool   // the DNS QR flag
+	Name      uint32 // first question name, an ID in the batch's Table
 	QType     dnswire.Type
 	TXID      uint16
-	MsgSize   int32
+	MsgSize   int32 // from the UDP length field: valid for truncated captures
 	ANCount   uint16
-	VisibleNS uint16
-	Ingress   uint32
+	VisibleNS uint16 // NS records decodable from the truncated capture (§4.2's NXNS check)
+	// Ingress is the member ASN whose port carried the packet, for
+	// spoofed packets that cannot be attributed by source address
+	// (0 = derive from the source address).
+	Ingress uint32
+}
+
+// Client returns the client side of the transaction: the querier of a
+// query, the destination of a response.
+func (r *BatchRecord) Client() [4]byte {
+	if r.Resp {
+		return r.Dst
+	}
+	return r.Src
 }
 
 // Append adds one record to the batch.
@@ -165,38 +163,11 @@ func (b *SampleBatch) Append(r BatchRecord) {
 	b.N++
 }
 
-// AppendSample appends one sanitized sample — as produced by
-// CapturePoint.Process — to the batch. The sample's Name ID must live
-// in the batch's Table (i.e. the producing capture point interned into
-// it). ingress carries the port metadata of spoofed packets whose
-// source address cannot be attributed (0 = derive at consumption time);
-// AS annotations are not stored: a consumer derives them against its
-// own routing substrate.
-func (b *SampleBatch) AppendSample(s *DNSSample, ingress uint32) {
-	b.Append(BatchRecord{
-		Time:      s.Time,
-		Src:       s.Src,
-		Dst:       s.Dst,
-		SrcPort:   s.SrcPort,
-		DstPort:   s.DstPort,
-		IPTTL:     s.IPTTL,
-		IPID:      s.IPID,
-		Resp:      s.IsResponse,
-		Name:      s.Name,
-		QType:     s.QType,
-		TXID:      s.TXID,
-		MsgSize:   int32(s.MsgSize),
-		ANCount:   s.ANCount,
-		VisibleNS: uint16(s.VisibleNS),
-		Ingress:   ingress,
-	})
-}
-
 // RemapBatch accounts a columnar batch for batch-native consumers
 // (core.Aggregator.ObserveBatch, core.Collector.ObserveBatch): it adds
-// the batch's sanitization counters and the routing-coverage stats
-// (origin/peer mapping, through the per-address AS cache) exactly as
-// Process does frame by frame, and returns the batch. It translates
+// the batch's tally and, over a routing substrate, its rows' routing
+// coverage (origin/peer mapping, through the per-address AS cache; no
+// other code counts it), and returns the batch. It translates
 // nothing: a run has one name table, so a batch in any other table than
 // the capture point's is a wiring bug inside the program and panics.
 func (c *CapturePoint) RemapBatch(b *SampleBatch) *SampleBatch {
@@ -206,10 +177,7 @@ func (c *CapturePoint) RemapBatch(b *SampleBatch) *SampleBatch {
 	if b.Table != c.Table {
 		panic(fmt.Sprintf("ixp: batch in a foreign name table (%d names) handed to a capture point over a %d-name table", b.Table.Len(), c.Table.Len()))
 	}
-	c.Stats.Frames += b.Frames
-	c.Stats.NonUDP += b.NonUDP
-	c.Stats.NonDNS += b.NonDNS
-	c.Stats.Malformed += b.Malformed
+	c.Stats.FrameCounts.Add(b.FrameCounts)
 	c.Stats.Accepted += b.N
 	if c.Topo != nil {
 		for _, src := range b.Src[:b.N] {

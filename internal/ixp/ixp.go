@@ -1,10 +1,10 @@
 // Package ixp models the IXP capture point: it decodes sampled frames,
-// keeps only well-formed DNS-over-UDP packets (the sanitization step of
-// §3.1), and annotates each record with the origin AS and the peering-hop
-// AS using the routing substrate — the metadata the paper derives from
-// RIPE RIS data and IXP member information.
-// It owns what sanitization keeps (CheckDNS, Drop, SampleBatch.Count),
-// for Process and for the traffic generator; netmodel owns frame
+// keeps only well-formed DNS-over-UDP packets as rows (the sanitization
+// step of §3.1), and measures the rows' origin and peering-hop AS
+// coverage — the metadata the paper derives from RIPE RIS data and IXP
+// member information. It owns what sanitization keeps (Sanitize,
+// CheckDNS, Drop) and the tally of it (FrameCounts), for live capture,
+// replay ingest and the traffic generator; netmodel owns frame
 // lengths, dnswire message lengths.
 package ixp
 
@@ -15,69 +15,28 @@ import (
 	"dnsamp/internal/names"
 	"dnsamp/internal/netmodel"
 	"dnsamp/internal/sflow"
-	"dnsamp/internal/simclock"
 	"dnsamp/internal/topology"
 )
 
-// DNSSample is one sanitized, annotated DNS packet sample. This is the
-// unit the detection pipeline consumes.
+// DNSSample is one sanitized sample as the live window consumes it:
+// the row plus the window's view of its name.
 type DNSSample struct {
-	Time simclock.Time
-
-	// Addresses and ports from the IP/UDP headers.
-	Src, Dst         [4]byte
-	SrcPort, DstPort uint16
-	IPTTL            uint8
-	IPID             uint16
-
-	// IsResponse is the DNS QR flag. The "client" of a transaction is
-	// the source of queries and the destination of responses.
-	IsResponse bool
-	// Name is the interned ID of the canonical first question name in
-	// the capture point's names.Table. The detection hot path operates
-	// on IDs only; QName carries the string for report boundaries.
-	Name uint32
+	BatchRecord
 	// QName is the canonical first question name. It aliases the
 	// interning table's storage, so assigning it never allocates.
 	QName string
 	// NameGen is the table generation (names.Table.Gen) Name was handed
 	// out in. A consumer that releases names checks it: a sample
-	// processed before a release carries an ID of the old numbering and
+	// sanitized before a release carries an ID of the old numbering and
 	// re-interns QName, which still reads the name.
 	NameGen uint32
-	// QType is the first question type.
-	QType dnswire.Type
-	// TXID is the DNS transaction ID.
-	TXID uint16
-	// MsgSize is the DNS message size recovered from the UDP length
-	// field — valid even for truncated captures.
-	MsgSize int
-	// ANCount is the answer count announced in the header.
-	ANCount uint16
-	// VisibleNS counts NS records decodable from the truncated capture
-	// (used for the NXNS check, §4.2).
-	VisibleNS int
-	// RCode of the message.
-	RCode dnswire.RCode
-
-	// OriginAS is the AS originating the source address (99% coverage
-	// in the paper; 0 when unmapped).
-	OriginAS uint32
-	// PeerAS is the IXP member whose port carried the packet (96%
-	// coverage; 0 when unmapped).
+	// PeerAS is the IXP member whose port carried the packet (0 when
+	// unknown). Sanitize leaves it 0, and the window does not read it.
 	PeerAS uint32
 }
 
-// ClientAddr returns the client side of the transaction: the source of a
-// query or the destination of a response.
-func (s *DNSSample) ClientAddr() [4]byte {
-	if s.IsResponse {
-		return s.Dst
-	}
-	return s.Src
-}
-
-// CapturePoint turns raw sampled frames into annotated DNS samples.
+// CapturePoint turns raw sampled frames into sanitized DNS samples
+// (Sanitize, Process) and accounts whole batches (RemapBatch).
 type CapturePoint struct {
 	Topo *topology.Topology
 
@@ -90,7 +49,7 @@ type CapturePoint struct {
 	// Stats accumulates sanitization counters.
 	Stats CaptureStats
 
-	// qname is the buffer Process scans each question name into.
+	// qname is the buffer Sanitize scans each question name into.
 	qname []byte
 	// asCache memoizes origin | peer<<32 per source address: client
 	// populations repeat heavily, so routing resolution drops from two
@@ -131,12 +90,42 @@ func (c *CapturePoint) originPeer(addr [4]byte) (origin, peer uint32) {
 	return origin, peer
 }
 
-// CaptureStats counts the sanitization pipeline outcomes.
+// FrameCounts tallies sanitization outcomes, for a batch (SampleBatch)
+// and a capture point (CaptureStats); Count moves it frame by frame.
+type FrameCounts struct {
+	Frames    int `json:"frames"`    // sampled frames seen
+	NonUDP    int `json:"nonUDP"`    // dropped: not IPv4/UDP or fragment continuation
+	NonDNS    int `json:"nonDNS"`    // dropped: UDP but not port 53 / unparseable DNS
+	Malformed int `json:"malformed"` // dropped: DNS but ill-formed names/types (§3.1's 3%)
+}
+
+// Count accounts one sampled frame's outcome and reports whether the
+// frame is kept.
+func (f *FrameCounts) Count(d Drop) bool {
+	f.Frames++
+	switch d {
+	case DropNonUDP:
+		f.NonUDP++
+	case DropNonDNS:
+		f.NonDNS++
+	case DropMalformed:
+		f.Malformed++
+	}
+	return d == Keep
+}
+
+// Add accumulates another tally.
+func (f *FrameCounts) Add(o FrameCounts) {
+	f.Frames += o.Frames
+	f.NonUDP += o.NonUDP
+	f.NonDNS += o.NonDNS
+	f.Malformed += o.Malformed
+}
+
+// CaptureStats counts the frames, the samples kept and their routing
+// coverage.
 type CaptureStats struct {
-	Frames       int // sampled frames seen
-	NonUDP       int // dropped: not IPv4/UDP or fragment continuation
-	NonDNS       int // dropped: UDP but not port 53 / unparseable DNS
-	Malformed    int // dropped: DNS but ill-formed names/types (§3.1's 3%)
+	FrameCounts
 	Accepted     int
 	OriginMapped int
 	PeerMapped   int
@@ -145,10 +134,7 @@ type CaptureStats struct {
 // Add accumulates another capture point's counters, combining the stats
 // of per-worker capture points after a parallel pass.
 func (s *CaptureStats) Add(other CaptureStats) {
-	s.Frames += other.Frames
-	s.NonUDP += other.NonUDP
-	s.NonDNS += other.NonDNS
-	s.Malformed += other.Malformed
+	s.FrameCounts.Add(other.FrameCounts)
 	s.Accepted += other.Accepted
 	s.OriginMapped += other.OriginMapped
 	s.PeerMapped += other.PeerMapped
@@ -163,7 +149,7 @@ func NewCapturePoint(topo *topology.Topology, tab *names.Table) *CapturePoint {
 	return &CapturePoint{Topo: topo, Table: tab}
 }
 
-// Drop is a sanitization outcome: Keep, or the CaptureStats counter a
+// Drop is a sanitization outcome: Keep, or the FrameCounts counter a
 // dropped frame goes to.
 type Drop uint8
 
@@ -190,66 +176,58 @@ func CheckDNS(m *dnswire.Scanned, payload, buf []byte) Drop {
 	return Keep
 }
 
-// Process sanitizes one sampled record. ok is false when the record is
-// not a well-formed DNS-over-UDP packet. The message is scanned, not
-// parsed: the frame decodes into a stack packet and the question name
-// into the capture point's reused buffer, so a sample whose name the
-// table already holds costs no allocation. The returned sample refers
-// to neither the frame nor that buffer.
-func (c *CapturePoint) Process(rec sflow.Record) (DNSSample, bool) {
-	c.Stats.Frames++
+// Sanitize is §3.1's step for one sampled record: the outcome, which
+// the caller counts, and for a kept record its sample in s (Ingress
+// and PeerAS 0; a drop leaves s alone). The message is scanned, not
+// parsed, into the capture point's reused name buffer, so a sample
+// whose name the table holds costs no allocation; s refers to neither
+// the frame nor that buffer.
+func (c *CapturePoint) Sanitize(rec sflow.Record, s *DNSSample) Drop {
 	var pkt netmodel.DecodedPacket
 	if err := pkt.Decode(rec.Frame); err != nil {
-		c.Stats.NonUDP++
-		return DNSSample{}, false
+		return DropNonUDP
 	}
 	if pkt.UDP.SrcPort != 53 && pkt.UDP.DstPort != 53 {
-		c.Stats.NonDNS++
-		return DNSSample{}, false
+		return DropNonDNS
 	}
 	var m dnswire.Scanned
 	drop := CheckDNS(&m, pkt.Payload, c.qname)
 	if m.QName != nil {
 		c.qname = m.QName // keep the buffer if the scan grew it
 	}
-	switch drop {
-	case DropNonDNS:
-		c.Stats.NonDNS++
-		return DNSSample{}, false
-	case DropMalformed:
-		c.Stats.Malformed++
-		return DNSSample{}, false
+	if drop != Keep {
+		return drop
 	}
 	// A valid scanned name is canonical already: lowercase, dot-ended.
 	id := c.Table.InternBytes(m.QName)
-	s := DNSSample{
-		Time:       rec.Time,
-		Src:        pkt.IP.Src.As4(),
-		Dst:        pkt.IP.Dst.As4(),
-		SrcPort:    pkt.UDP.SrcPort,
-		DstPort:    pkt.UDP.DstPort,
-		IPTTL:      pkt.IP.TTL,
-		IPID:       pkt.IP.ID,
-		IsResponse: m.Header.QR,
-		Name:       id,
-		QName:      c.Table.Name(id),
-		NameGen:    c.Table.Gen(),
-		QType:      m.QType,
-		TXID:       m.Header.ID,
-		MsgSize:    pkt.DNSPayloadSize(),
-		ANCount:    m.Header.ANCount,
-		VisibleNS:  m.NS,
-		RCode:      m.Header.RCode,
+	*s = DNSSample{
+		BatchRecord: BatchRecord{
+			Time:      rec.Time,
+			Src:       pkt.IP.Src.As4(),
+			Dst:       pkt.IP.Dst.As4(),
+			SrcPort:   pkt.UDP.SrcPort,
+			DstPort:   pkt.UDP.DstPort,
+			IPTTL:     pkt.IP.TTL,
+			IPID:      pkt.IP.ID,
+			Resp:      m.Header.QR,
+			Name:      id,
+			QType:     m.QType,
+			TXID:      m.Header.ID,
+			MsgSize:   int32(pkt.DNSPayloadSize()),
+			ANCount:   m.Header.ANCount,
+			VisibleNS: uint16(m.NS),
+		},
+		QName:   c.Table.Name(id),
+		NameGen: c.Table.Gen(),
 	}
-	if c.Topo != nil {
-		s.OriginAS, s.PeerAS = c.originPeer(s.Src)
-		if s.OriginAS != 0 {
-			c.Stats.OriginMapped++
-		}
-		if s.PeerAS != 0 {
-			c.Stats.PeerMapped++
-		}
+	return Keep
+}
+
+// Process sanitizes one sampled record into the capture point's Stats.
+// ok is false when the record is not a well-formed DNS-over-UDP packet.
+func (c *CapturePoint) Process(rec sflow.Record) (s DNSSample, ok bool) {
+	if ok = c.Stats.Count(c.Sanitize(rec, &s)); ok {
+		c.Stats.Accepted++
 	}
-	c.Stats.Accepted++
-	return s, true
+	return s, ok
 }

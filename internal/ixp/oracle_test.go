@@ -18,11 +18,8 @@ import (
 
 // parseProcess is CapturePoint.Process as it was before the scanner:
 // DecodeFrame, the full dnswire.Parse, ValidName on the decoded string,
-// Intern. It is the reference Process is held to. Routing annotation is
-// not part of the sanitisation under test and goes through originPeer
-// unchanged, so the oracle resolves it directly.
+// Intern. It is the reference Process is held to.
 type parseProcess struct {
-	topo  *topology.Topology
 	table *names.Table
 	stats ixp.CaptureStats
 }
@@ -51,21 +48,22 @@ func (c *parseProcess) Process(rec sflow.Record) (ixp.DNSSample, bool) {
 	}
 	id := c.table.Intern(dnswire.CanonicalName(qname))
 	s := ixp.DNSSample{
-		Time:       rec.Time,
-		Src:        pkt.IP.Src.As4(),
-		Dst:        pkt.IP.Dst.As4(),
-		SrcPort:    pkt.UDP.SrcPort,
-		DstPort:    pkt.UDP.DstPort,
-		IPTTL:      pkt.IP.TTL,
-		IPID:       pkt.IP.ID,
-		IsResponse: m.Header.QR,
-		Name:       id,
-		QName:      c.table.Name(id),
-		QType:      m.QType(),
-		TXID:       m.Header.ID,
-		MsgSize:    pkt.DNSPayloadSize(),
-		ANCount:    m.Header.ANCount,
-		RCode:      m.Header.RCode,
+		BatchRecord: ixp.BatchRecord{
+			Time:    rec.Time,
+			Src:     pkt.IP.Src.As4(),
+			Dst:     pkt.IP.Dst.As4(),
+			SrcPort: pkt.UDP.SrcPort,
+			DstPort: pkt.UDP.DstPort,
+			IPTTL:   pkt.IP.TTL,
+			IPID:    pkt.IP.ID,
+			Resp:    m.Header.QR,
+			Name:    id,
+			QType:   m.QType(),
+			TXID:    m.Header.ID,
+			MsgSize: int32(pkt.DNSPayloadSize()),
+			ANCount: m.Header.ANCount,
+		},
+		QName: c.table.Name(id),
 	}
 	for _, rr := range m.Answers {
 		if rr.Type == dnswire.TypeNS {
@@ -77,23 +75,13 @@ func (c *parseProcess) Process(rec sflow.Record) (ixp.DNSSample, bool) {
 			s.VisibleNS++
 		}
 	}
-	if c.topo != nil {
-		s.OriginAS = c.topo.OriginAS(netip.AddrFrom4(s.Src))
-		s.PeerAS = c.topo.MemberFor(s.OriginAS)
-		if s.OriginAS != 0 {
-			c.stats.OriginMapped++
-		}
-		if s.PeerAS != 0 {
-			c.stats.PeerMapped++
-		}
-	}
 	c.stats.Accepted++
 	return s, true
 }
 
 // wireDay is one generated day of sampled frames: queries and
 // truncated responses of the campaign's name universe.
-func wireDay(tb testing.TB) (*ecosystem.Campaign, []ecosystem.TaggedRecord) {
+func wireDay(tb testing.TB) []ecosystem.TaggedRecord {
 	tb.Helper()
 	cfg := ecosystem.DefaultCampaignConfig(0.002)
 	cfg.Zones.ProceduralNames = 5000
@@ -103,7 +91,7 @@ func wireDay(tb testing.TB) (*ecosystem.Campaign, []ecosystem.TaggedRecord) {
 	if len(recs) == 0 {
 		tb.Fatal("no wire records")
 	}
-	return c, recs
+	return recs
 }
 
 // mutateFrame damages a copy of frame somewhere the sanitisation looks:
@@ -137,9 +125,10 @@ func mutateFrame(rng *rand.Rand, frame []byte) []byte {
 // each of its frames, the scanning Process and the parsing reference
 // accept the same records, return identical samples (name IDs and the
 // aliased table string included) and end with identical counters and
-// name tables.
+// name tables; Sanitize's outcome for each record names the counter the
+// reference moved, and a kept record's sample is Process's.
 func TestProcessMatchesOracle(t *testing.T) {
-	c, day := wireDay(t)
+	day := wireDay(t)
 	rng := rand.New(rand.NewSource(14))
 	recs := make([]sflow.Record, 0, 4*len(day))
 	for _, tr := range day {
@@ -151,13 +140,28 @@ func TestProcessMatchesOracle(t *testing.T) {
 		}
 	}
 
-	cp := ixp.NewCapturePoint(c.Topo, nil)
-	ref := &parseProcess{topo: c.Topo, table: names.NewTable()}
+	cp := ixp.NewCapturePoint(nil, nil)
+	ref := &parseProcess{table: names.NewTable()}
 	for i, rec := range recs {
+		var s ixp.DNSSample
+		drop := cp.Sanitize(rec, &s)
+		before := ref.stats
 		got, gok := cp.Process(rec)
 		want, wok := ref.Process(rec)
 		if gok != wok || got != want {
 			t.Fatalf("record %d, frame %x:\n scan  %+v %v\n parse %+v %v", i, rec.Frame, got, gok, want, wok)
+		}
+		moved := ixp.Keep
+		switch {
+		case ref.stats.NonUDP > before.NonUDP:
+			moved = ixp.DropNonUDP
+		case ref.stats.NonDNS > before.NonDNS:
+			moved = ixp.DropNonDNS
+		case ref.stats.Malformed > before.Malformed:
+			moved = ixp.DropMalformed
+		}
+		if drop != moved || drop == ixp.Keep && s != got {
+			t.Fatalf("record %d, frame %x: Sanitize %d, sample %+v; reference moved %d, Process %+v", i, rec.Frame, drop, s, moved, got)
 		}
 	}
 	if cp.Stats != ref.stats {
@@ -199,10 +203,11 @@ var sinkSample ixp.DNSSample
 
 // BenchmarkCaptureProcess times the per-sample sanitisation over a
 // generated day's query/response mix with its names already interned —
-// the service consumer's steady state.
+// the service consumer's steady state, on a capture point built as
+// server.Window builds its own.
 func BenchmarkCaptureProcess(b *testing.B) {
-	c, day := wireDay(b)
-	cp := ixp.NewCapturePoint(c.Topo, nil)
+	day := wireDay(b)
+	cp := ixp.NewCapturePoint(nil, nil)
 	for _, tr := range day {
 		cp.Process(tr.Rec)
 	}

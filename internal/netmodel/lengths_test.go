@@ -75,7 +75,7 @@ func TestDecodeLengthsMatchesProcess(t *testing.T) {
 			case cp.Stats.Malformed > before.Malformed:
 				got = ixp.DropMalformed
 			}
-			if got != want || kept != (want == ixp.Keep) || kept && s.MsgSize != size {
+			if got != want || kept != (want == ixp.Keep) || kept && s.MsgSize != int32(size) {
 				t.Fatalf("payload %d, msgSize %d: model drop %d size %d, Process drop %d kept %v size %d",
 					payloadLen, msgSize, want, size, got, kept, s.MsgSize)
 			}

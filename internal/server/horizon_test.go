@@ -181,10 +181,10 @@ func horizonOracle(stream []oracleSample, cfg WindowConfig) horizonResult {
 			continue
 		}
 		s := tabSample(tab, o.at, o.client, o.name, o.qt, o.size)
-		s.IsResponse = o.resp
-		selectors.Observe(s)
+		s.Resp = o.resp
+		selectors.Observe(&s.BatchRecord)
 		if d == cur {
-			open.Observe(s)
+			open.Observe(&s.BatchRecord)
 		}
 	}
 	closeDay()

@@ -222,6 +222,13 @@ func (s *Service) registerMetrics() {
 	counter("ixpmon_window_closed_days_total", "Day-close detection sweeps.", window(func(ws *WindowStats) float64 { return float64(ws.ClosedDays) }))
 	counter("ixpmon_window_evicted_total", "Client-day profiles released at day closes.", window(func(ws *WindowStats) float64 { return float64(ws.Evicted) }))
 	counter("ixpmon_window_late_samples_total", "Samples dropped for arriving -window or more days behind the open day.", window(func(ws *WindowStats) float64 { return float64(ws.LateSamples) }))
+	counter("ixpmon_window_frames_total", "Sampled frames the window's capture point sanitized, by outcome: accepted, or the drop that removed them.", func(emit metrics.Emit) {
+		ws := &s.scrape.window
+		emit(float64(ws.Accepted), "outcome", "accepted")
+		emit(float64(ws.NonUDP), "outcome", "non_udp")
+		emit(float64(ws.NonDNS), "outcome", "non_dns")
+		emit(float64(ws.Malformed), "outcome", "malformed")
+	})
 	counter("ixpmon_detections_total", "Detections emitted (retained plus shed to the cap).", window(func(ws *WindowStats) float64 {
 		return float64(uint64(ws.Detections) + ws.DetectionsDropped)
 	}))

@@ -216,7 +216,7 @@ func BenchmarkWindowCloseRelease(b *testing.B) {
 	w := NewWindow(WindowConfig{}, NewStages())
 	for i := 0; i < 3600; i++ {
 		s := winSample(w, dayTime(0), byte(i), fmt.Sprintf("keep%04d.example", i), dnswire.TypeANY, 100)
-		s.IsResponse = false
+		s.Resp = false
 		w.Observe(s)
 	}
 	w.Close()

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/netip"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -14,9 +18,11 @@ import (
 	"time"
 
 	"dnsamp/internal/core"
+	"dnsamp/internal/dnswire"
 	"dnsamp/internal/ecosystem"
 	"dnsamp/internal/ingest"
 	"dnsamp/internal/ixp"
+	"dnsamp/internal/netmodel"
 	"dnsamp/internal/sflow"
 	"dnsamp/internal/simclock"
 	"dnsamp/internal/source"
@@ -303,6 +309,50 @@ func TestServiceGoldenReplay(t *testing.T) {
 	for i := range got {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("detection %d: daemon %+v, batch %+v", i, *got[i], *want[i])
+		}
+	}
+}
+
+// TestWindowFrameOutcomes: after a replay whose log carries one frame
+// of each sanitization drop beside a day of wire traffic, /window's
+// capture tally names every sampled frame once — the four outcomes sum
+// to frames — and ixpmon_window_frames_total reads the same numbers.
+func TestWindowFrameOutcomes(t *testing.T) {
+	recs := slices.Clone(wireRecs(t, 1))
+	at := recs[0].Rec.Time
+	frame := func(src, dst uint16, name string) []byte {
+		q := dnswire.NewQuery(1, "x.test", dnswire.TypeA, 0)
+		q.Questions[0].Name = name // bypass canonicalization
+		ip := netmodel.IPv4{TTL: 60, Src: netip.MustParseAddr("192.0.2.7"), Dst: netip.MustParseAddr("198.51.100.9")}
+		return netmodel.EncodeUDPPacket(netmodel.Ethernet{}, ip, netmodel.UDP{SrcPort: src, DstPort: dst}, dnswire.Encode(q))
+	}
+	for _, f := range [][]byte{
+		{1, 2, 3},                         // non-UDP
+		frame(4000, 4321, "x.test."),      // non-DNS: no port 53
+		frame(4000, 53, "bad name.test."), // malformed name
+	} {
+		recs = append(recs, ecosystem.TaggedRecord{Rec: sflow.Record{Time: at, Frame: f, FrameLen: len(f)}})
+	}
+	path := filepath.Join(t.TempDir(), "in.sflowlog")
+	if err := os.WriteFile(path, wireAs(t, recs, ingest.KindReplay), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc := startService(t, Config{Inputs: []ingest.Spec{mustSpec(t, "replay:"+path)}})
+	<-svc.Done()
+
+	var ws WindowStats
+	if err := json.Unmarshal(getBody(t, svc, "/window"), &ws); err != nil {
+		t.Fatalf("/window: %v", err)
+	}
+	if ws.Frames != len(recs) || ws.NonUDP != 1 || ws.NonDNS != 1 || ws.Malformed != 1 ||
+		ws.Accepted+ws.NonUDP+ws.NonDNS+ws.Malformed != ws.Frames {
+		t.Fatalf("/window tally: %d frames = %d accepted + %d non-UDP + %d non-DNS + %d malformed; want %d frames, one of each drop",
+			ws.Frames, ws.Accepted, ws.NonUDP, ws.NonDNS, ws.Malformed, len(recs))
+	}
+	metricsText := string(getBody(t, svc, "/metrics"))
+	for outcome, n := range map[string]int{"accepted": ws.Accepted, "non_udp": 1, "non_dns": 1, "malformed": 1} {
+		if line := fmt.Sprintf(`ixpmon_window_frames_total{outcome=%q} %d`, outcome, n); !strings.Contains(metricsText, line+"\n") {
+			t.Errorf("/metrics has no line %s", line)
 		}
 	}
 }

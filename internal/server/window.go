@@ -156,7 +156,7 @@ func (w *Window) Observe(s *ixp.DNSSample) {
 	if tab := w.agg.Table; s.NameGen != tab.Gen() {
 		s.Name, s.NameGen = tab.Intern(s.QName), tab.Gen()
 	}
-	w.agg.Observe(s)
+	w.agg.Observe(&s.BatchRecord)
 	w.touch(s.Name)
 	if s.Time.After(w.lastSeen) {
 		w.lastSeen = s.Time
@@ -377,6 +377,10 @@ type WindowStats struct {
 	LateSamples       uint64 `json:"lateSamples"`
 	Detections        int    `json:"detections"`
 	DetectionsDropped uint64 `json:"detectionsDropped"`
+	// The capture point's sanitization tally (checkpointed): every
+	// sampled frame is Accepted or one of FrameCounts' drops.
+	ixp.FrameCounts
+	Accepted int `json:"accepted"`
 }
 
 // Stats snapshots the window state.
@@ -395,5 +399,7 @@ func (w *Window) Stats() WindowStats {
 		LateSamples:       w.lateSamples,
 		Detections:        len(w.detections),
 		DetectionsDropped: w.detDropped,
+		FrameCounts:       w.cp.Stats.FrameCounts,
+		Accepted:          w.cp.Stats.Accepted,
 	}
 }

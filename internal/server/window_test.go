@@ -25,15 +25,17 @@ func winSample(w *Window, at simclock.Time, client byte, name string, qt dnswire
 func tabSample(tab *names.Table, at simclock.Time, client byte, name string, qt dnswire.Type, size int) *ixp.DNSSample {
 	id := tab.Intern(dnswire.CanonicalName(name))
 	return &ixp.DNSSample{
-		Time:       at,
-		Src:        [4]byte{203, 0, 113, 1},
-		Dst:        [4]byte{11, 0, 0, client},
-		IsResponse: true,
-		Name:       id,
-		QName:      tab.Name(id),
-		NameGen:    tab.Gen(),
-		QType:      qt,
-		MsgSize:    size,
+		BatchRecord: ixp.BatchRecord{
+			Time:    at,
+			Src:     [4]byte{203, 0, 113, 1},
+			Dst:     [4]byte{11, 0, 0, client},
+			Resp:    true,
+			Name:    id,
+			QType:   qt,
+			MsgSize: int32(size),
+		},
+		QName:   tab.Name(id),
+		NameGen: tab.Gen(),
 	}
 }
 
@@ -165,11 +167,11 @@ func TestWindowMatchesBatch(t *testing.T) {
 		at := dayTime(day)
 		if victims[day] != 0 {
 			for i := 0; i < 20; i++ {
-				ref.Observe(winSample(w, at, victims[day], "amp.test", dnswire.TypeANY, 4000))
+				ref.Observe(&winSample(w, at, victims[day], "amp.test", dnswire.TypeANY, 4000).BatchRecord)
 			}
 		}
 		for i := 0; i < 5; i++ {
-			ref.Observe(winSample(w, at, 9, "ok.test", dnswire.TypeA, 100))
+			ref.Observe(&winSample(w, at, 9, "ok.test", dnswire.TypeA, 100).BatchRecord)
 		}
 		nl := core.BuildNameList(listN, core.Selector1MaxSize(ref), core.Selector2ANYCount(ref))
 		for _, det := range core.Detect(ref, nl.Names, th) {
@@ -298,7 +300,7 @@ type oracleSample struct {
 
 func (o oracleSample) in(w *Window) *ixp.DNSSample {
 	s := winSample(w, o.at, o.client, o.name, o.qt, o.size)
-	s.IsResponse = o.resp
+	s.Resp = o.resp
 	return s
 }
 

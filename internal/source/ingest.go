@@ -1,8 +1,9 @@
 // Real-capture ingestion: an sFlow v5 datagram log or a classic pcap
 // drained through its sflow.EntryReader — the reader the service's
 // replay: and pcap: inputs use — and sanitized as it is read: each
-// datagram's samples run through one capture point into the owned
-// batch of their capture day, by the per-frame step AppendFrames uses.
+// datagram's samples run through one capture point's Sanitize, the
+// step the live service's Process takes too, into the owned batch of
+// their capture day, by the per-frame step AppendFrames uses.
 package source
 
 import (
@@ -81,9 +82,9 @@ func (r *Replay) ingest(rd sflow.EntryReader, err error) (int, error) {
 }
 
 // AppendFrames sanitizes sampled wire frames into b, interning names
-// into b.Table: each frame runs through the capture-point decoding and
-// well-formedness checks of §3.1 (drops added to the batch counters),
-// survivors are appended in arrival order with their ingress-port tags.
+// into b.Table: each frame runs through ixp.CapturePoint.Sanitize
+// (§3.1) and is counted on b, survivors appended in arrival order with
+// their ingress-port tags.
 // AS annotation happens at consumption time, not here, so a recorded
 // day can be replayed against any routing substrate.
 func AppendFrames(b *ixp.SampleBatch, recs []ecosystem.TaggedRecord) {
@@ -95,15 +96,12 @@ func AppendFrames(b *ixp.SampleBatch, recs []ecosystem.TaggedRecord) {
 }
 
 // appendFrame is the one sanitization step of AppendFrames and
-// ingestion: rec runs through cp into b, a survivor appended with its
-// ingress tag, a drop counted on b as it happens.
+// ingestion: rec is sanitized by cp and counted on b, a survivor
+// appended with its ingress tag.
 func appendFrame(cp *ixp.CapturePoint, b *ixp.SampleBatch, rec sflow.Record, ingress uint32) {
-	cp.Stats = ixp.CaptureStats{}
-	if s, ok := cp.Process(rec); ok {
-		b.AppendSample(&s, ingress)
+	var s ixp.DNSSample
+	if b.Count(cp.Sanitize(rec, &s)) {
+		s.Ingress = ingress
+		b.Append(s.BatchRecord)
 	}
-	b.Frames++
-	b.NonUDP += cp.Stats.NonUDP
-	b.NonDNS += cp.Stats.NonDNS
-	b.Malformed += cp.Stats.Malformed
 }

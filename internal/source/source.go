@@ -10,8 +10,9 @@
 //     purity contract (each day a pure function of (campaign, seed,
 //     day), safe for concurrent materialization).
 //   - Replay serves pre-recorded day batches, snapshots, or an sFlow
-//     log or pcap capture sanitized as it is read (each frame straight
-//     into its capture day's batch), the first non-synthetic workload.
+//     log or pcap capture sanitized as it is read (each frame through
+//     ixp.CapturePoint.Sanitize straight into its capture day's batch),
+//     the first non-synthetic workload.
 //
 // Sources hand out batches in the source's one name table: consumers
 // built over that table feed them to the batch-native observers
@@ -58,7 +59,7 @@ type Source interface {
 	// DayFor materializes the part of one day's sampled IXP traffic a
 	// consumer of the given clients reads: a batch holding, in the
 	// order DayFlows would give them, at least every row of the day
-	// whose client (DNSSample.ClientAddr) is in clients. It may hold
+	// whose client (BatchRecord.Client) is in clients. It may hold
 	// more, up to the whole day. Its sanitization counters cover only
 	// the rows it holds, so it serves per-client passes (the pipeline's
 	// pass 2), never capture accounting. It is nil (or empty) for days

@@ -10,9 +10,11 @@
 #   - a `-snapshot-out` run and a `-snapshot-in` run of its snapshot
 #     print the same;
 #   - one `attackgen` wire stream written as an sFlow log and as a pcap
-#     replays through `-replay-sflow` and `-replay-pcap` with the same
-#     ingested-frame count, and the log with one datagram body corrupted
-#     in place still replays, reporting one skipped datagram;
+#     replays through `-replay-sflow -v` and `-replay-pcap -v` with the
+#     same ingested-frame count and the same stdout, which is
+#     cmd/dnsampdetect/testdata/replay-v.golden byte for byte; the log
+#     with one datagram body corrupted in place still replays, reporting
+#     one skipped datagram, and no longer prints that golden;
 #   - an unknown flag (`-cache-days`) exits 2, two replay
 #     flags exit 1, and a missing input file exits 1;
 #   - attackgen's wire exports are byte-identical to
@@ -22,11 +24,12 @@
 #   - attackgen refuses `-scenario` without an output, an unknown
 #     scenario, and `-wire-days 0` with an output: exit 2, no file.
 #
-# The golden and the digests change only with an intended output
+# The goldens and the digests change only with an intended output
 # change; regenerate them deliberately with
 #   go run ./cmd/dnsampdetect -scale 0.02 -v > cmd/dnsampdetect/testdata/scale0.02-v.golden
 # and, in a directory holding this script's exports (the commands
-# below), `sha256sum * > cmd/attackgen/testdata/wire.sha256`.
+# below), `sha256sum * > cmd/attackgen/testdata/wire.sha256` and
+#   dnsampdetect -scale 0.02 -v -replay-sflow campaign.sflowlog > cmd/dnsampdetect/testdata/replay-v.golden
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -34,6 +37,7 @@ WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 BIN="$WORK/dnsampdetect"
 GOLDEN=cmd/dnsampdetect/testdata/scale0.02-v.golden
+REPLAY_GOLDEN=cmd/dnsampdetect/testdata/replay-v.golden
 
 fail() {
     echo "cli smoke: FAIL: $*" >&2
@@ -99,23 +103,27 @@ echo "== attackgen refusals"
 [ "$RC" -eq 2 ] || fail "-wire-days 0 -sflow-out exited $RC, want 2"
 [ ! -e "$WORK/refused.sflowlog" ] || fail "a refused attackgen run wrote its output"
 
-echo "== -replay-sflow and -replay-pcap of one wire stream ingest the same frames"
+echo "== -replay-sflow -v and -replay-pcap -v of one wire stream print the golden"
 # ingested FILE: the frame count and skip count dnsampdetect reported.
 ingested() {
     sed -n 's/^ingested \([0-9]*\) frames from .*skipped: \([0-9]*\))$/\1 \2/p' "$1"
 }
-run "$BIN" -scale 0.02 -replay-sflow "$WORK/wire.sflowlog" || fail "-replay-sflow exited $RC: $(cat "$WORK/err")"
+run "$BIN" -scale 0.02 -v -replay-sflow "$WORK/wire.sflowlog" || fail "-replay-sflow exited $RC: $(cat "$WORK/err")"
 SFLOW="$(ingested "$WORK/err")"
-run "$BIN" -scale 0.02 -replay-pcap "$WORK/wire.pcap" || fail "-replay-pcap exited $RC: $(cat "$WORK/err")"
+mv "$WORK/out" "$WORK/replay-sflow.out"
+run "$BIN" -scale 0.02 -v -replay-pcap "$WORK/wire.pcap" || fail "-replay-pcap exited $RC: $(cat "$WORK/err")"
 PCAP="$(ingested "$WORK/err")"
 [ -n "$SFLOW" ] && [ "${SFLOW% 0}" != "$SFLOW" ] || fail "-replay-sflow reported '$SFLOW', want '<frames> 0'"
 [ "$PCAP" = "$SFLOW" ] || fail "-replay-pcap ingested '$PCAP', -replay-sflow '$SFLOW'"
+same "$WORK/out" "$WORK/replay-sflow.out" "-replay-pcap -v stdout differs from -replay-sflow -v"
+same "$WORK/replay-sflow.out" "$REPLAY_GOLDEN" "-replay-sflow -v stdout differs from $REPLAY_GOLDEN"
 # The first datagram's version field: past the 12-byte log header and
 # the 12-byte entry header.
 printf '\377\377' | dd of="$WORK/wire.sflowlog" bs=1 seek=24 conv=notrunc 2>/dev/null
-run "$BIN" -scale 0.02 -replay-sflow "$WORK/wire.sflowlog" || fail "a corrupt datagram body exited $RC: $(cat "$WORK/err")"
+run "$BIN" -scale 0.02 -v -replay-sflow "$WORK/wire.sflowlog" || fail "a corrupt datagram body exited $RC: $(cat "$WORK/err")"
 CORRUPT="$(ingested "$WORK/err")"
 [ "${CORRUPT#* }" = 1 ] || fail "a corrupt datagram body reported '$CORRUPT', want one skipped datagram"
+! cmp -s "$WORK/out" "$REPLAY_GOLDEN" || false
 
 echo "== refusals"
 ! run "$BIN" -cache-days 1 || false
