@@ -1,5 +1,5 @@
 // Package binenc is the shared little-endian binary codec behind the
-// repo's persisted artifacts: the columnar batch snapshots
+// repo's persisted artifacts: the column-major batch snapshots
 // (internal/source) and the service checkpoints (internal/server,
 // internal/core) write through one Encoder and read through one
 // Decoder, so every on-disk format inherits the same properties —

@@ -14,10 +14,11 @@
 //
 // Aggregation is one fold over interned name IDs (internal/names): every
 // packet, whichever entry point delivers it — Observe for the live
-// window's samples, ObserveBatch and ObserveBatchSplit for the batch
-// study's columns — runs the same per-row step, which updates the global
-// counters, the name's slot in a dense ID-indexed slice and one profile
-// of the chunked client-day arena. The entry points differ only in how they
+// window's samples, ObserveBatch and ObserveBatchSplit for the rows of
+// the batch study's day batches — runs the same per-row step on one
+// ixp.BatchRecord, which updates the global counters, the name's slot
+// in a dense ID-indexed slice and one profile of the chunked client-day
+// arena. The entry points differ only in how they
 // find that profile: an open-addressed index (clientIndex), one hash
 // probe instead of a map lookup and a pointer chase, behind a one-entry
 // memo on the batch path. A packet of a tracked name also bumps one row
@@ -451,18 +452,18 @@ func (ag *Aggregator) EachClient(fn func(key ClientDay, ca *ClientAgg)) {
 }
 
 // observe is the aggregation step of §4 and the only place a packet is
-// counted: it folds one packet — at t, of name id, size bytes, of type
-// ANY or not, a response or a query — into the global counters, the
-// name's statistics, the packet's (client, day) profile in arena slot
-// slot, which the entry point has already found (profile), and, for a
-// tracked name, the slot's row of the pair table. Every entry point runs
-// it per row, so live and batch aggregation cannot drift apart.
-func (ag *Aggregator) observe(slot uint32, t simclock.Time, id uint32, size int, isANY, isResp bool) {
+// counted: it folds row r into the global counters, the name's
+// statistics, the row's (client, day) profile in arena slot slot, which
+// the entry point has already found (profile), and, for a tracked name,
+// the slot's row of the pair table. Every entry point runs it per row,
+// so live and batch aggregation cannot drift apart.
+func (ag *Aggregator) observe(slot uint32, r *ixp.BatchRecord) {
+	size := int(r.MsgSize)
 	ag.Samples++
 	ag.TotalBytes += size
-	ns := ag.statsFor(id)
+	ns := ag.statsFor(r.Name)
 	ns.Packets++
-	if isResp {
+	if r.Resp {
 		if size > ns.MaxSize {
 			ns.MaxSize = size
 		}
@@ -472,21 +473,21 @@ func (ag *Aggregator) observe(slot uint32, t simclock.Time, id uint32, size int,
 	ca := ag.at(slot)
 	ca.Total++
 	ca.Bytes += size
-	if isANY {
+	if r.QType == dnswire.TypeANY {
 		ag.ANYPackets++
 		ag.ANYBytes += size
 		ns.ANYPackets++
 		ca.ANYPackets++
 		ca.ANYBytes += size
 	}
-	if t.Before(ca.First) {
-		ca.First = t
+	if r.Time.Before(ca.First) {
+		ca.First = r.Time
 	}
-	if t.After(ca.Last) {
-		ca.Last = t
+	if r.Time.After(ca.Last) {
+		ca.Last = r.Time
 	}
-	if ag.isTracked(id) {
-		ag.pairs.add(slot, id, 1)
+	if ag.isTracked(r.Name) {
+		ag.pairs.add(slot, r.Name, 1)
 	}
 }
 
@@ -501,42 +502,36 @@ func (ag *Aggregator) profile(key ClientDay, t simclock.Time) uint32 {
 	return slot
 }
 
-// rowKey is the (client, day) pair a batch row is attributed to.
-func rowKey(b *ixp.SampleBatch, i int) ClientDay {
-	return ClientDay{Client: b.Client(i), Day: b.Time[i].Day()}
-}
-
-// observeRow folds batch row i into ag, whose profile of the row is in
-// arena slot slot.
-func (ag *Aggregator) observeRow(slot uint32, b *ixp.SampleBatch, i int) {
-	ag.observe(slot, b.Time[i], b.Name[i], int(b.MsgSize[i]), b.QType[i] == dnswire.TypeANY, b.Resp[i])
+// rowKey is the (client, day) pair a row is attributed to.
+func rowKey(r *ixp.BatchRecord) ClientDay {
+	return ClientDay{Client: r.Client(), Day: r.Time.Day()}
 }
 
 // Observe ingests one sanitized sample — server.Window's arrival-order
 // entry point. The row's Name ID must be in the aggregator's table
 // space; in steady state it allocates nothing.
 func (ag *Aggregator) Observe(r *ixp.BatchRecord) {
-	slot := ag.profile(ClientDay{Client: r.Client(), Day: r.Time.Day()}, r.Time)
-	ag.observe(slot, r.Time, r.Name, int(r.MsgSize), r.QType == dnswire.TypeANY, r.Resp)
+	ag.observe(ag.profile(rowKey(r), r.Time), r)
 }
 
-// ObserveBatch ingests a whole columnar batch row by row, in the state
-// Observe on every row in order would leave. Attack flows emit bursts of
-// rows for one (client, day), so a one-entry memo skips the index probe
-// on consecutive repeats. The batch must carry the aggregator's
-// table (ixp.CapturePoint.RemapBatch, which accounts the batch first,
-// refuses any other). In steady state it allocates nothing.
+// ObserveBatch ingests a whole batch row by row, in the state Observe
+// on every row in order would leave. Attack flows emit bursts of rows
+// for one (client, day), so a one-entry memo skips the index probe on
+// consecutive repeats. The batch must carry the aggregator's table
+// (ixp.CapturePoint.RemapBatch, which accounts the batch first, refuses
+// any other). In steady state it allocates nothing.
 func (ag *Aggregator) ObserveBatch(b *ixp.SampleBatch) {
 	if b == nil {
 		return
 	}
 	var lastKey ClientDay
 	var slot uint32
-	for i := 0; i < b.N; i++ {
-		if key := rowKey(b, i); i == 0 || key != lastKey {
-			slot, lastKey = ag.profile(key, b.Time[i]), key
+	for i := range b.Rows {
+		r := &b.Rows[i]
+		if key := rowKey(r); i == 0 || key != lastKey {
+			slot, lastKey = ag.profile(key, r.Time), key
 		}
-		ag.observeRow(slot, b, i)
+		ag.observe(slot, r)
 	}
 }
 
@@ -550,8 +545,9 @@ func ObserveBatchSplit(in, out *Aggregator, b *ixp.SampleBatch, w simclock.Windo
 	if b == nil || b.N == 0 {
 		return
 	}
-	minT, maxT := b.Time[0], b.Time[0]
-	for _, t := range b.Time[1:b.N] {
+	minT, maxT := b.Rows[0].Time, b.Rows[0].Time
+	for i := range b.Rows {
+		t := b.Rows[i].Time
 		if t.Before(minT) {
 			minT = t
 		}
@@ -565,12 +561,13 @@ func ObserveBatchSplit(in, out *Aggregator, b *ixp.SampleBatch, w simclock.Windo
 	case maxT.Before(w.Start) || !minT.Before(w.End):
 		out.ObserveBatch(b)
 	default:
-		for i := 0; i < b.N; i++ {
+		for i := range b.Rows {
+			r := &b.Rows[i]
 			ag := out
-			if w.Contains(b.Time[i]) {
+			if w.Contains(r.Time) {
 				ag = in
 			}
-			ag.observeRow(ag.profile(rowKey(b, i), b.Time[i]), b, i)
+			ag.observe(ag.profile(rowKey(r), r.Time), r)
 		}
 	}
 }

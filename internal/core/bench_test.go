@@ -66,3 +66,38 @@ func BenchmarkDetectColumnar(b *testing.B) {
 		core.Detect(ag, cands, th)
 	}
 }
+
+// BenchmarkCollectorObserveBatch measures pass 2's reject scan: a
+// collector over one generated day's detections sweeps the next day,
+// whose rows all reject — most on the dense candidate column, which
+// reads a row's Name alone, the candidate rows on the (client, day)
+// lookup. Must report 0 allocs/op.
+func BenchmarkCollectorObserveBatch(b *testing.B) {
+	c, g := benchTraffic()
+	day := simclock.MeasurementStart.Add(simclock.Days(10))
+	cap := ixp.NewCapturePoint(c.Topo, g.Table())
+	ag := core.NewAggregator(g.Table(), c.DB.ExplicitNames())
+	ag.ObserveBatch(cap.RemapBatch(g.Day(day, nil).Batch))
+	cands := map[string]bool{}
+	for _, n := range c.DB.MisusedCandidates() {
+		cands[n] = true
+	}
+	dets := core.Detect(core.MergeShards([]*core.Aggregator{ag}), cands, core.DefaultThresholds())
+	if len(dets) == 0 {
+		b.Fatal("no detections to collect for")
+	}
+	col := core.NewCollector(core.NewCandidates(g.Table(), cands), dets)
+	next := g.Day(day.Add(simclock.Day), nil).Batch
+	col.ObserveBatch(next, c.Topo)
+	for _, rec := range col.Records() {
+		if rec.Packets != 0 {
+			b.Fatalf("victim %v collected %d packets of the next day, want every row rejected", rec.Victim, rec.Packets)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		col.ObserveBatch(next, c.Topo)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*next.N), "ns/row")
+}

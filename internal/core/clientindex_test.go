@@ -138,27 +138,6 @@ func randomBatch(rng *rand.Rand, tab *names.Table, pool []uint32, n int) *ixp.Sa
 	return b
 }
 
-// rowAt materializes batch row i as the record Observe takes.
-func rowAt(b *ixp.SampleBatch, i int) *ixp.BatchRecord {
-	return &ixp.BatchRecord{
-		Time:      b.Time[i],
-		Src:       b.Src[i],
-		Dst:       b.Dst[i],
-		SrcPort:   b.SrcPort[i],
-		DstPort:   b.DstPort[i],
-		IPTTL:     b.IPTTL[i],
-		IPID:      b.IPID[i],
-		Resp:      b.Resp[i],
-		Name:      b.Name[i],
-		QType:     b.QType[i],
-		TXID:      b.TXID[i],
-		MsgSize:   b.MsgSize[i],
-		ANCount:   b.ANCount[i],
-		VisibleNS: b.VisibleNS[i],
-		Ingress:   b.Ingress[i],
-	}
-}
-
 // testNamePool interns a mixed tracked/untracked name pool.
 func testNamePool(tab *names.Table) []uint32 {
 	pool := make([]uint32, 0, 8)
@@ -193,8 +172,8 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 				burst(b)
 			}
 			batchAg.ObserveBatch(b)
-			for i := 0; i < b.N; i++ {
-				rowAg.Observe(rowAt(b, i))
+			for i := range b.Rows {
+				rowAg.Observe(&b.Rows[i])
 			}
 			m.observeBatch(b)
 			what := fmt.Sprintf("trackAll=%v round %d", trackAll, round)
@@ -215,11 +194,12 @@ func burst(b *ixp.SampleBatch) {
 		if i%8 == 0 {
 			continue
 		}
-		b.Time[i] = b.Time[i-1]
-		if b.Resp[i] == b.Resp[i-1] {
-			b.Src[i], b.Dst[i] = b.Src[i-1], b.Dst[i-1]
+		r, prev := &b.Rows[i], &b.Rows[i-1]
+		r.Time = prev.Time
+		if r.Resp == prev.Resp {
+			r.Src, r.Dst = prev.Src, prev.Dst
 		} else {
-			b.Src[i], b.Dst[i] = b.Dst[i-1], b.Src[i-1]
+			r.Src, r.Dst = prev.Dst, prev.Src
 		}
 	}
 }
@@ -246,17 +226,18 @@ func TestObserveBatchSplitMatchesRows(t *testing.T) {
 	rIn, rOut := mkPair()
 	for round := 0; round < 6; round++ {
 		b := randomBatch(rng, tab, pool, 500)
-		for i := range b.Time[:b.N] {
+		for i := range b.Rows {
+			r := &b.Rows[i]
 			switch round {
 			case 4: // fold the four-day spread into the window's two
-				b.Time[i] = w.Start.Add(b.Time[i].Sub(w.Start) / 2)
+				r.Time = w.Start.Add(r.Time.Sub(w.Start) / 2)
 			case 5:
-				b.Time[i] = b.Time[i].Add(simclock.Days(2))
+				r.Time = r.Time.Add(simclock.Days(2))
 			}
 		}
 		ObserveBatchSplit(sIn, sOut, b, w)
-		for i := 0; i < b.N; i++ {
-			s := rowAt(b, i)
+		for i := range b.Rows {
+			s := &b.Rows[i]
 			if w.Contains(s.Time) {
 				rIn.Observe(s)
 			} else {
@@ -321,8 +302,8 @@ func TestCollectorObserveBatchMatchesObserve(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		b := randomBatch(rng, tab, pool, 500)
 		col.ObserveBatch(b, nil)
-		for i := 0; i < b.N; i++ {
-			ref.observe(tab, rowAt(b, i))
+		for i := range b.Rows {
+			ref.observe(tab, &b.Rows[i])
 		}
 	}
 	got, want := col.Records(), ref.records()

@@ -302,54 +302,52 @@ func NewCollector(cands *Candidates, dets []*Detection) *Collector {
 	return c
 }
 
-// ObserveBatch ingests a whole columnar batch during pass 2. The batch's
-// Name column must be in the candidates' table space. Rows of other
-// names reject on the dense candidate column (one compare and one load,
-// no hashing); only accepted request rows pay a routing lookup, so the
-// pass-2 sweep never annotates packets it is about to drop. topo
-// supplies the ingress member AS for request packets whose batch Ingress
-// column is zero (nil skips the lookup, recording ingress 0).
+// ObserveBatch ingests a whole batch during pass 2. The rows' Name IDs
+// must be in the candidates' table space. Rows of other names reject on
+// the dense candidate column (one compare and one load, no hashing);
+// only accepted request rows pay a routing lookup, so the pass-2 sweep
+// never annotates packets it is about to drop. topo supplies the ingress
+// member AS for request rows whose Ingress is zero (nil skips the
+// lookup, recording ingress 0).
 func (c *Collector) ObserveBatch(b *ixp.SampleBatch, topo *topology.Topology) {
 	slot := c.cands.slot
 	if b == nil || b.N == 0 || len(slot) == 0 || len(c.wanted) == 0 {
 		return
 	}
-	for i, id := range b.Name[:b.N] {
-		if int(id) >= len(slot) || slot[id] == 0 {
+	for i := range b.Rows {
+		r := &b.Rows[i]
+		if int(r.Name) >= len(slot) || slot[r.Name] == 0 {
 			continue
 		}
-		ci := slot[id] - 1
-		resp := b.Resp[i]
-		t := b.Time[i]
-		rec := c.wanted[ClientDay{Client: b.Client(i), Day: t.Day()}]
+		rec := c.wanted[ClientDay{Client: r.Client(), Day: r.Time.Day()}]
 		if rec == nil {
 			continue
 		}
 		rec.Packets++
-		rec.nameCounts[ci]++
-		rec.TXIDs[b.TXID[i]]++
-		if b.QType[i] == dnswire.TypeANY {
+		rec.nameCounts[slot[r.Name]-1]++
+		rec.TXIDs[r.TXID]++
+		if r.QType == dnswire.TypeANY {
 			rec.ANYPackets++
 		}
-		if resp {
+		if r.Resp {
 			rec.Responses++
-			rec.Amplifiers[b.Src[i]]++
-			rec.Sizes = append(rec.Sizes, int(b.MsgSize[i]))
-			c.VisibleNS = append(c.VisibleNS, int(b.VisibleNS[i]))
+			rec.Amplifiers[r.Src]++
+			rec.Sizes = append(rec.Sizes, int(r.MsgSize))
+			c.VisibleNS = append(c.VisibleNS, int(r.VisibleNS))
 		} else {
 			rec.Requests++
-			peer := b.Ingress[i]
+			peer := r.Ingress
 			if peer == 0 && topo != nil {
-				peer = topo.PeerHopAS(netip.AddrFrom4(b.Src[i]))
+				peer = topo.PeerHopAS(netip.AddrFrom4(r.Src))
 			}
 			rec.ReqIngress[peer]++
-			rec.ReqTTLs[b.IPTTL[i]]++
+			rec.ReqTTLs[r.IPTTL]++
 		}
-		if t.Before(rec.First) {
-			rec.First = t
+		if r.Time.Before(rec.First) {
+			rec.First = r.Time
 		}
-		if t.After(rec.Last) {
-			rec.Last = t
+		if r.Time.After(rec.Last) {
+			rec.Last = r.Time
 		}
 	}
 }

@@ -103,8 +103,8 @@ func (m *modelAgg) observeSample(tab *names.Table, s *ixp.BatchRecord) {
 
 // observeBatch counts every row of b, in row order.
 func (m *modelAgg) observeBatch(b *ixp.SampleBatch) {
-	for i := 0; i < b.N; i++ {
-		m.observeSample(b.Table, rowAt(b, i))
+	for i := range b.Rows {
+		m.observeSample(b.Table, &b.Rows[i])
 	}
 }
 
@@ -329,8 +329,8 @@ func runAggregatorProgram(t *testing.T, prog []byte) {
 			start := simclock.MeasurementStart.Add(simclock.Duration(wb[0]) * (simclock.Day / 64))
 			w := simclock.Window{Start: start, End: start.Add(simclock.Days(2))}
 			ObserveBatchSplit(ag, ext, b, w)
-			for i := 0; i < b.N; i++ {
-				s := rowAt(b, i)
+			for i := range b.Rows {
+				s := &b.Rows[i]
 				if w.Contains(s.Time) {
 					m.observeSample(tab, s)
 				} else {

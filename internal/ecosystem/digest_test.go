@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"reflect"
 	"testing"
 
 	"dnsamp/internal/simclock"
@@ -69,8 +70,15 @@ func digestEvents(h hash.Hash, evs []*AttackEvent) {
 func digestDay(h hash.Hash, dt *DayTraffic) {
 	b := dt.Batch
 	put(h, uint32(b.N), uint32(b.Frames), uint32(b.NonUDP), uint32(b.NonDNS), uint32(b.Malformed))
-	put(h, b.Time, b.Src, b.Dst, b.SrcPort, b.DstPort, b.IPTTL, b.IPID, b.Resp,
-		b.Name, b.QType, b.TXID, b.MsgSize, b.ANCount, b.VisibleNS, b.Ingress)
+	// The rows column by column, each field's values as one slice.
+	rows := reflect.ValueOf(b.Rows)
+	for f := range rows.Type().Elem().NumField() {
+		col := reflect.MakeSlice(reflect.SliceOf(rows.Type().Elem().Field(f).Type), b.N, b.N)
+		for i := range b.N {
+			col.Index(i).Set(rows.Index(i).Field(f))
+		}
+		put(h, col.Interface())
+	}
 	for _, s := range dt.Sensors {
 		put(h, uint32(s.Sensor), s.Victim.As4(), s.Start, s.Duration, uint32(s.Count), s.TXID, uint32(s.EventID))
 	}

@@ -23,7 +23,7 @@ import (
 // the fabric knows (needed because spoofed packets cannot be attributed
 // by source address). The frame-level path (WireDay) exists for wire
 // fidelity tests and pcap-style consumers; the detection pipeline
-// consumes the columnar batch form.
+// consumes the batch form.
 type TaggedRecord struct {
 	Rec sflow.Record
 	// Ingress is the member ASN whose port the packet entered through;
@@ -81,7 +81,7 @@ func DefaultBackgroundConfig() BackgroundConfig {
 }
 
 // DayTraffic is everything one simulated day produces, with the sampled
-// IXP traffic in columnar batch form (name IDs into the generator's
+// IXP traffic in batch form (name IDs into the generator's
 // frozen interning table — see Generator.Table).
 type DayTraffic struct {
 	Day simclock.Time
@@ -112,7 +112,7 @@ type WireDayTraffic struct {
 // population, Zipf tables, the name-interning table) is read-only after
 // construction.
 //
-// Day (columnar batches) and WireDay (materialized frames) consume
+// Day (batches of rows) and WireDay (materialized frames) consume
 // their per-day RNG stream identically: for every day, WireDay(d)
 // sanitized through ixp.CapturePoint.Sanitize and appended row by row
 // (source.AppendFrames) yields exactly the batch of Day(d). TestDayBatchMatchesWire
@@ -409,14 +409,13 @@ func (g *Generator) responseSizeFor(nameID uint32, qtype dnswire.Type, t simcloc
 	return v
 }
 
-// Day materializes all traffic of one simulated day in columnar batch
-// form. Each day's output depends only on (campaign, seed, day), so Day
-// may be called from multiple goroutines concurrently and in any day
-// order.
+// Day materializes all traffic of one simulated day in batch form.
+// Each day's output depends only on (campaign, seed, day), so Day may
+// be called from multiple goroutines concurrently and in any day order.
 //
 // The batch is written into scratch, which Day resets first, so a
 // caller that synthesizes day after day into one batch allocates its
-// columns once; the returned DayTraffic.Batch is then scratch itself
+// rows once; the returned DayTraffic.Batch is then scratch itself
 // and is overwritten by the next call with it. Concurrent callers need
 // one scratch each. A nil scratch gets a fresh batch.
 func (g *Generator) Day(day simclock.Time, scratch *ixp.SampleBatch) *DayTraffic {

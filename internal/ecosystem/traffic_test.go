@@ -273,20 +273,10 @@ func TestDayForHoldsClientRows(t *testing.T) {
 // clients.
 func clientRows(b *ixp.SampleBatch, clients [][4]byte) []ixp.BatchRecord {
 	var out []ixp.BatchRecord
-	for i := 0; i < b.N; i++ {
-		client := b.Src[i]
-		if b.Resp[i] {
-			client = b.Dst[i]
+	for _, r := range b.Rows {
+		if slices.Contains(clients, r.Client()) {
+			out = append(out, r)
 		}
-		if !slices.Contains(clients, client) {
-			continue
-		}
-		out = append(out, ixp.BatchRecord{
-			Time: b.Time[i], Src: b.Src[i], Dst: b.Dst[i], SrcPort: b.SrcPort[i], DstPort: b.DstPort[i],
-			IPTTL: b.IPTTL[i], IPID: b.IPID[i], Resp: b.Resp[i], Name: b.Name[i], QType: b.QType[i],
-			TXID: b.TXID[i], MsgSize: b.MsgSize[i], ANCount: b.ANCount[i], VisibleNS: b.VisibleNS[i],
-			Ingress: b.Ingress[i],
-		})
 	}
 	return out
 }
@@ -324,8 +314,8 @@ func TestEntityRequestsTaggedWithIngress(t *testing.T) {
 	day := c.Entity.Reloc1.Add(simclock.Days(3))
 	dt := g.Day(day, nil)
 	tagged := 0
-	for _, in := range dt.Batch.Ingress {
-		if in != 0 {
+	for _, r := range dt.Batch.Rows {
+		if in := r.Ingress; in != 0 {
 			tagged++
 			if in != c.Entity.Ingress1 {
 				t.Fatalf("ingress %d, want %d", in, c.Entity.Ingress1)
@@ -337,8 +327,8 @@ func TestEntityRequestsTaggedWithIngress(t *testing.T) {
 	}
 	// And a pre-relocation day must not.
 	dt0 := g.Day(simclock.MeasurementStart.Add(simclock.Days(2)), nil)
-	for _, in := range dt0.Batch.Ingress {
-		if in != 0 {
+	for _, r := range dt0.Batch.Rows {
+		if r.Ingress != 0 {
 			t.Fatal("ingress tag before relocation 1")
 		}
 	}

@@ -194,24 +194,24 @@ func TestDNSSampleIsOneRow(t *testing.T) {
 }
 
 // TestGrowMovesGeometrically holds a reused batch to few moves: a day
-// one row larger than the columns hold moves them to a quarter more room,
+// one row larger than the rows hold moves them to a quarter more room,
 // and the rows they held come along.
 func TestGrowMovesGeometrically(t *testing.T) {
 	var b SampleBatch
 	b.Grow(1000)
-	if cap(b.Time) != 1000 {
-		t.Fatalf("first Grow(1000): capacity %d, want exactly 1000", cap(b.Time))
+	if cap(b.Rows) != 1000 {
+		t.Fatalf("first Grow(1000): capacity %d, want exactly 1000", cap(b.Rows))
 	}
 	b.Append(BatchRecord{TXID: 7})
 	b.Grow(1000)
-	if cap(b.Time) != 1250 || cap(b.Ingress) != 1250 {
-		t.Fatalf("Grow past the capacity: Time %d, Ingress %d, want 1250", cap(b.Time), cap(b.Ingress))
+	if cap(b.Rows) != 1250 {
+		t.Fatalf("Grow past the capacity: capacity %d, want 1250", cap(b.Rows))
 	}
-	if b.N != 1 || b.TXID[0] != 7 {
-		t.Fatalf("Grow lost the held row: N %d, TXID %v", b.N, b.TXID)
+	if b.N != 1 || len(b.Rows) != 1 || b.Rows[0].TXID != 7 {
+		t.Fatalf("Grow lost the held row: N %d, rows %v", b.N, b.Rows)
 	}
 	b.Grow(5000)
-	if cap(b.Time) != 5001 {
-		t.Fatalf("Grow(5000) over one row: capacity %d, want 5001", cap(b.Time))
+	if cap(b.Rows) != 5001 {
+		t.Fatalf("Grow(5000) over one row: capacity %d, want 5001", cap(b.Rows))
 	}
 }

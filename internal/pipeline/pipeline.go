@@ -19,7 +19,7 @@
 // byte-identical to a staged invocation.
 //
 // Every stage is worker-pooled. Traffic days are materialized in
-// parallel across Config.Concurrency workers as columnar sample batches
+// parallel across Config.Concurrency workers as sample batches of rows
 // (name IDs into the source's interning table); each worker replays its
 // batches into its own private core.Aggregator shard over that same
 // table, which the parallel stage only reads (single-writer shards, no

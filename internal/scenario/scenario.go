@@ -197,7 +197,7 @@ type Built struct {
 }
 
 // Build materializes one scenario: per window day, the background
-// generator's columnar batch plus the scenario overlay frames sanitized
+// generator's batch plus the scenario overlay frames sanitized
 // through the capture-point path (exactly what re-ingesting the
 // exported wire capture would produce).
 func (env *Env) Build(sc *Scenario, seed int64) *Built {
@@ -225,6 +225,11 @@ func (env *Env) Build(sc *Scenario, seed int64) *Built {
 		// in place is safe.
 		b := env.Gen.Day(day, nil).Batch
 		source.AppendFrames(b, bt.overlay(day))
+		// The day is held for the whole run: drop the spare room
+		// AppendFrames' Grow and the sanitizer's drops leave.
+		if cap(b.Rows) > b.N {
+			b.Rows = append(make([]ixp.BatchRecord, 0, b.N), b.Rows...)
+		}
 		bt.Source.AddDay(day, b, nil)
 	})
 	return bt

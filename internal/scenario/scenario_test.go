@@ -109,10 +109,10 @@ func TestBuildDeterministic(t *testing.T) {
 		if x.N != y.N {
 			t.Fatalf("day %s: N %d vs %d", day.Date(), x.N, y.N)
 		}
-		for i := 0; i < x.N; i++ {
-			if x.Time[i] != y.Time[i] || x.Src[i] != y.Src[i] || x.Dst[i] != y.Dst[i] ||
-				x.TXID[i] != y.TXID[i] || x.MsgSize[i] != y.MsgSize[i] ||
-				b1.Source.Table().Name(x.Name[i]) != b2.Source.Table().Name(y.Name[i]) {
+		for i := range x.Rows {
+			r, q := x.Rows[i], y.Rows[i]
+			if r.Time != q.Time || r.Src != q.Src || r.Dst != q.Dst || r.TXID != q.TXID || r.MsgSize != q.MsgSize ||
+				b1.Source.Table().Name(r.Name) != b2.Source.Table().Name(q.Name) {
 				t.Fatalf("day %s row %d differs", day.Date(), i)
 			}
 		}
@@ -136,8 +136,8 @@ func TestOverlayRidesBackground(t *testing.T) {
 		t.Errorf("frame accounting broken: N=%d Frames=%d NonUDP=%d NonDNS=%d Malformed=%d",
 			got.N, got.Frames, got.NonUDP, got.NonDNS, got.Malformed)
 	}
-	if len(got.Time) != got.N || len(got.Name) != got.N || len(got.Ingress) != got.N {
-		t.Errorf("column lengths inconsistent with N=%d", got.N)
+	if len(got.Rows) != got.N {
+		t.Errorf("%d rows, N=%d", len(got.Rows), got.N)
 	}
 }
 
@@ -161,5 +161,25 @@ func TestSkipAttacksBackgroundOnly(t *testing.T) {
 	}
 	if len(wt.IXP) == 0 {
 		t.Error("SkipAttacks wire day has no background frames")
+	}
+}
+
+// TestOverlayDayEndsExact holds a built day to the rows it keeps: the
+// overlay's append moves the background's exactly sized rows to a
+// quarter more room, and Build gives that room back.
+func TestOverlayDayEndsExact(t *testing.T) {
+	env := NewEnv(tinyParams())
+	sc, _ := ByName("pulse-wave")
+	bt := env.Build(sc, 7)
+	day := simclock.FromDate(2019, 6, 3)
+	b := bt.Source.Day(day)
+	if b == nil || b.N == 0 {
+		t.Fatalf("day %s has no rows", day.Date())
+	}
+	if bg := env.Gen.Day(day, nil).Batch; b.N <= bg.N {
+		t.Fatalf("day %s: %d rows, no more than the background's %d: no overlay", day.Date(), b.N, bg.N)
+	}
+	if cap(b.Rows) != b.N {
+		t.Errorf("day %s: %d rows in a capacity of %d, want exact", day.Date(), b.N, cap(b.Rows))
 	}
 }

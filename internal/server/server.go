@@ -661,13 +661,7 @@ func (s *Service) observeLocked(it *item) (cause any) {
 	}
 	cp := s.win.Capture()
 	for i := range int(it.ref.Head().Samples) {
-		fs := it.ref.Sample(i)
-		smp, ok := cp.Process(sflow.Record{
-			Time:     it.at,
-			Frame:    fs.Header,
-			FrameLen: int(fs.FrameLen),
-			Seq:      uint64(fs.Seq),
-		})
+		smp, ok := cp.Process(it.ref.Sample(i).Record(it.at))
 		if !ok {
 			continue
 		}

@@ -51,6 +51,17 @@ func TestDatagramRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFlowSampleRecord pins the sample → capture record conversion the
+// service's consumer and replay ingest share.
+func TestFlowSampleRecord(t *testing.T) {
+	fs := sampleDatagram().Samples[0]
+	at := simclock.MeasurementStart.Add(5)
+	rec := fs.Record(at)
+	if rec.Time != at || rec.FrameLen != 1398 || rec.Seq != 7 || &rec.Frame[0] != &fs.Header[0] || len(rec.Frame) != len(fs.Header) {
+		t.Fatalf("Record(%v) of %+v = %+v", at, fs, rec)
+	}
+}
+
 func TestParseDatagramRejects(t *testing.T) {
 	valid := EncodeDatagram(sampleDatagram())
 	cases := map[string][]byte{

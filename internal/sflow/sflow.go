@@ -97,6 +97,12 @@ type Record struct {
 	Seq uint64
 }
 
+// Record is the sample as a capture record taken at at, the form
+// ixp.CapturePoint sanitizes. Frame aliases Header.
+func (fs FlowSample) Record(at simclock.Time) Record {
+	return Record{Time: at, Frame: fs.Header, FrameLen: int(fs.FrameLen), Seq: uint64(fs.Seq)}
+}
+
 // SamplePacket decides whether a single packet is sampled; if so it
 // returns the truncated record. This mirrors per-packet 1/N sampling:
 // each packet is chosen independently with probability 1/Rate ("sampling

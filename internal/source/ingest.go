@@ -74,8 +74,7 @@ func (r *Replay) ingest(rd sflow.EntryReader, err error) (int, error) {
 			return n, fmt.Errorf("ingesting day %s: %w", at.Date(), err)
 		}
 		for _, fs := range dg.Samples {
-			rec := sflow.Record{Time: at, Frame: fs.Header, FrameLen: int(fs.FrameLen), Seq: uint64(fs.Seq)}
-			appendFrame(cp, b, rec, fs.Input)
+			appendFrame(cp, b, fs.Record(at), fs.Input)
 		}
 		n += len(dg.Samples)
 	}

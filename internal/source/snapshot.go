@@ -1,5 +1,5 @@
-// Persisted batch snapshots: a versioned, little-endian, columnar dump
-// of a Replay — interning table, per-day ixp.SampleBatch columns with
+// Persisted batch snapshots: a versioned, little-endian, column-major
+// dump of a Replay — interning table, per-day ixp.SampleBatch rows with
 // their sanitization counters, and the honeypot sensor flows — so a
 // source.Record snapshot can be written by one process and served from
 // disk by another, byte-identically.
@@ -10,8 +10,9 @@
 //	table:   u32 count, then per name u32 len + bytes (ID order)
 //	days:    u32 count, then per day:
 //	  i64 day | u8 hasBatch
-//	  batch:  i64 frames/nonUDP/nonDNS/malformed | u32 N | columns,
-//	          each written wholesale in declaration order
+//	  batch:  i64 frames/nonUDP/nonDNS/malformed | u32 N | the rows
+//	          column-major: one column per ixp.BatchRecord field, in
+//	          declaration order (rowFields), each written wholesale
 //	  sensors: u32 count, then per flow its fields (addresses as
 //	          len-prefixed netip bytes, names len-prefixed)
 //
@@ -65,50 +66,10 @@ func (r *Replay) WriteSnapshot(w io.Writer) error {
 			e.I64(int64(b.NonDNS))
 			e.I64(int64(b.Malformed))
 			e.U32(uint32(b.N))
-			for i := 0; i < b.N; i++ {
-				e.I64(int64(b.Time[i]))
-			}
-			for i := 0; i < b.N; i++ {
-				e.Raw(b.Src[i][:])
-			}
-			for i := 0; i < b.N; i++ {
-				e.Raw(b.Dst[i][:])
-			}
-			for i := 0; i < b.N; i++ {
-				e.U16(b.SrcPort[i])
-			}
-			for i := 0; i < b.N; i++ {
-				e.U16(b.DstPort[i])
-			}
-			for i := 0; i < b.N; i++ {
-				e.U8(b.IPTTL[i])
-			}
-			for i := 0; i < b.N; i++ {
-				e.U16(b.IPID[i])
-			}
-			for i := 0; i < b.N; i++ {
-				e.Bool(b.Resp[i])
-			}
-			for i := 0; i < b.N; i++ {
-				e.U32(b.Name[i])
-			}
-			for i := 0; i < b.N; i++ {
-				e.U16(uint16(b.QType[i]))
-			}
-			for i := 0; i < b.N; i++ {
-				e.U16(b.TXID[i])
-			}
-			for i := 0; i < b.N; i++ {
-				e.U32(uint32(b.MsgSize[i]))
-			}
-			for i := 0; i < b.N; i++ {
-				e.U16(b.ANCount[i])
-			}
-			for i := 0; i < b.N; i++ {
-				e.U16(b.VisibleNS[i])
-			}
-			for i := 0; i < b.N; i++ {
-				e.U32(b.Ingress[i])
+			for _, f := range rowFields {
+				for i := range b.Rows {
+					f.put(e, &b.Rows[i])
+				}
 			}
 		}
 		e.U32(uint32(len(rd.sensors)))
@@ -150,10 +111,6 @@ func OpenSnapshot(rd io.Reader) (*Replay, error) {
 		ecosystem.AdoptNamespace(tab)
 	}
 
-	addr4 := func() (a [4]byte) {
-		copy(a[:], d.Raw(4))
-		return a
-	}
 	r := NewReplay(tab)
 	nDays := d.Count(13)
 	for i := 0; i < nDays && d.Err() == nil; i++ {
@@ -165,33 +122,26 @@ func OpenSnapshot(rd io.Reader) (*Replay, error) {
 			b.NonUDP = int(d.I64())
 			b.NonDNS = int(d.I64())
 			b.Malformed = int(d.I64())
-			// A record costs 44 bytes across all columns (8 time, 4+4
-			// addresses, 2+2 ports, 1 TTL, 2 IPID, 1 resp, 4 name,
-			// 2 qtype, 2 txid, 4 size, 2 ancount, 2 visibleNS,
-			// 4 ingress).
-			n := d.Count(44)
-			b.N = n
-			b.Time = binenc.Slice(d, n, func() simclock.Time { return simclock.Time(d.I64()) })
-			b.Src = binenc.Slice(d, n, addr4)
-			b.Dst = binenc.Slice(d, n, addr4)
-			b.SrcPort = binenc.Slice(d, n, d.U16)
-			b.DstPort = binenc.Slice(d, n, d.U16)
-			b.IPTTL = binenc.Slice(d, n, d.U8)
-			b.IPID = binenc.Slice(d, n, d.U16)
-			b.Resp = binenc.Slice(d, n, d.Bool)
-			b.Name = binenc.Slice(d, n, func() uint32 {
-				id := d.U32()
-				if int(id) >= tab.Len() {
-					d.Fail("name ID %d outside the %d-entry table", id, tab.Len())
-				}
-				return id
+			// The first column's values grow the rows by Slice's rule.
+			// get is a func value, so the row it fills escapes: one a
+			// day, not one a row.
+			var first row
+			b.Rows = binenc.Slice(d, d.Count(rowBytes), func() row {
+				rowFields[0].get(d, &first)
+				return first
 			})
-			b.QType = binenc.Slice(d, n, func() dnswire.Type { return dnswire.Type(d.U16()) })
-			b.TXID = binenc.Slice(d, n, d.U16)
-			b.MsgSize = binenc.Slice(d, n, func() int32 { return int32(d.U32()) })
-			b.ANCount = binenc.Slice(d, n, d.U16)
-			b.VisibleNS = binenc.Slice(d, n, d.U16)
-			b.Ingress = binenc.Slice(d, n, d.U32)
+			for _, f := range rowFields[1:] {
+				for j := range b.Rows {
+					f.get(d, &b.Rows[j])
+				}
+			}
+			for j := range b.Rows {
+				if id := b.Rows[j].Name; int(id) >= tab.Len() {
+					d.Fail("name ID %d outside the %d-entry table", id, tab.Len())
+					break
+				}
+			}
+			b.N = len(b.Rows)
 		}
 		// A sensor flow costs at least 49 bytes (8 sensor, 1 addr tag,
 		// 8+8 start/duration, 8 count, 4 qname prefix, 2+2 qtype/txid,
@@ -225,3 +175,39 @@ func OpenSnapshot(rd io.Reader) (*Replay, error) {
 	}
 	return r, nil
 }
+
+// rowFields is a batch row's snapshot layout: one column codec per
+// ixp.BatchRecord field, in declaration order. A snapshot writes a
+// day's rows column by column, each column wholesale.
+var rowFields = [...]struct {
+	put func(*enc, *row)
+	get func(*dec, *row)
+}{
+	{func(e *enc, r *row) { e.I64(int64(r.Time)) }, func(d *dec, r *row) { r.Time = simclock.Time(d.I64()) }},
+	{func(e *enc, r *row) { e.Raw(r.Src[:]) }, func(d *dec, r *row) { copy(r.Src[:], d.Raw(4)) }},
+	{func(e *enc, r *row) { e.Raw(r.Dst[:]) }, func(d *dec, r *row) { copy(r.Dst[:], d.Raw(4)) }},
+	{func(e *enc, r *row) { e.U16(r.SrcPort) }, func(d *dec, r *row) { r.SrcPort = d.U16() }},
+	{func(e *enc, r *row) { e.U16(r.DstPort) }, func(d *dec, r *row) { r.DstPort = d.U16() }},
+	{func(e *enc, r *row) { e.U8(r.IPTTL) }, func(d *dec, r *row) { r.IPTTL = d.U8() }},
+	{func(e *enc, r *row) { e.U16(r.IPID) }, func(d *dec, r *row) { r.IPID = d.U16() }},
+	{func(e *enc, r *row) { e.Bool(r.Resp) }, func(d *dec, r *row) { r.Resp = d.Bool() }},
+	{func(e *enc, r *row) { e.U32(r.Name) }, func(d *dec, r *row) { r.Name = d.U32() }},
+	{func(e *enc, r *row) { e.U16(uint16(r.QType)) }, func(d *dec, r *row) { r.QType = dnswire.Type(d.U16()) }},
+	{func(e *enc, r *row) { e.U16(r.TXID) }, func(d *dec, r *row) { r.TXID = d.U16() }},
+	{func(e *enc, r *row) { e.U32(uint32(r.MsgSize)) }, func(d *dec, r *row) { r.MsgSize = int32(d.U32()) }},
+	{func(e *enc, r *row) { e.U16(r.ANCount) }, func(d *dec, r *row) { r.ANCount = d.U16() }},
+	{func(e *enc, r *row) { e.U16(r.VisibleNS) }, func(d *dec, r *row) { r.VisibleNS = d.U16() }},
+	{func(e *enc, r *row) { e.U32(r.Ingress) }, func(d *dec, r *row) { r.Ingress = d.U32() }},
+}
+
+// The shorthand of rowFields' entries.
+type (
+	enc = binenc.Encoder
+	dec = binenc.Decoder
+	row = ixp.BatchRecord
+)
+
+// rowBytes is what rowFields write per row: 8 time, 4+4 addresses,
+// 2+2 ports, 1 TTL, 2 IPID, 1 resp, 4 name, 2 qtype, 2 txid, 4 size,
+// 2 ancount, 2 visibleNS, 4 ingress.
+const rowBytes = 44

@@ -84,7 +84,7 @@ func randomReplay(rng *rand.Rand) *source.Replay {
 }
 
 // TestSnapshotRoundTrip is the randomized round-trip suite: write →
-// read must reproduce the batch columns, counters, sensor flows, and
+// read must reproduce the batch rows, counters, sensor flows, and
 // interning table exactly, and a second write must produce the same
 // bytes (the cross-process byte-identity contract).
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -112,7 +112,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 				t.Fatalf("trial %d day %s: batch presence differs", trial, day.Date())
 			}
 			if ob != nil {
-				// Column-by-column comparison so failures name the field.
+				// Field by field, so a failure names the field.
 				ov, lv := reflect.ValueOf(*ob), reflect.ValueOf(*lb)
 				typ := ov.Type()
 				for f := 0; f < typ.NumField(); f++ {
@@ -120,7 +120,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 						continue // compared above; pointers differ by design
 					}
 					if !reflect.DeepEqual(ov.Field(f).Interface(), lv.Field(f).Interface()) {
-						t.Fatalf("trial %d day %s: column %s differs", trial, day.Date(), typ.Field(f).Name)
+						t.Fatalf("trial %d day %s: batch field %s differs", trial, day.Date(), typ.Field(f).Name)
 					}
 				}
 				if lb.Table != loaded.Table() {

@@ -50,12 +50,9 @@ func drain(c *ecosystem.Campaign, b *ixp.SampleBatch) ([]batchRow, ixp.CaptureSt
 // rowsOf lists a batch's rows with their names resolved.
 func rowsOf(b *ixp.SampleBatch) []batchRow {
 	out := make([]batchRow, b.N)
-	for i := range out {
-		out[i] = batchRow{QName: b.Table.Name(b.Name[i]), BatchRecord: ixp.BatchRecord{
-			Time: b.Time[i], Src: b.Src[i], Dst: b.Dst[i], SrcPort: b.SrcPort[i], DstPort: b.DstPort[i],
-			IPTTL: b.IPTTL[i], IPID: b.IPID[i], Resp: b.Resp[i], QType: b.QType[i], TXID: b.TXID[i],
-			MsgSize: b.MsgSize[i], ANCount: b.ANCount[i], VisibleNS: b.VisibleNS[i], Ingress: b.Ingress[i],
-		}}
+	for i, r := range b.Rows {
+		out[i] = batchRow{QName: b.Table.Name(r.Name), BatchRecord: r}
+		out[i].Name = 0
 	}
 	return out
 }
@@ -87,10 +84,7 @@ func TestSyntheticSource(t *testing.T) {
 		// Asked for every client of the day, DayFor is the whole day.
 		clients := make([][4]byte, batch.N)
 		for i := range clients {
-			clients[i] = batch.Src[i]
-			if batch.Resp[i] {
-				clients[i] = batch.Dst[i]
-			}
+			clients[i] = batch.Rows[i].Client()
 		}
 		if !reflect.DeepEqual(want.Batch, src.DayFor(day, clients, nil)) {
 			t.Fatalf("day %s: DayFor over every client of the day differs from the day", day.Date())
@@ -166,7 +160,7 @@ func TestReplayLeavesScratch(t *testing.T) {
 	var scratch ixp.SampleBatch
 	syn.DayFlows(syn.Days()[0], &scratch)
 	lent := scratch
-	lent.Time = slices.Clone(scratch.Time)
+	lent.Rows = slices.Clone(scratch.Rows)
 	withFlows := 0
 	for _, day := range rec.Days() {
 		want, wantFlows := syn.DayFlows(day, nil)

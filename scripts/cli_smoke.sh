@@ -8,7 +8,9 @@
 #   - `-scale 0.02 -v` prints the committed golden byte for byte;
 #   - `-concurrency 1` (serial) prints what `-concurrency 0` prints;
 #   - a `-snapshot-out` run and a `-snapshot-in` run of its snapshot
-#     print the same;
+#     print the same, and the snapshot, written at `-concurrency 0` and
+#     at `-concurrency 1`, is cmd/dnsampdetect/testdata/snapshot.sha256
+#     byte for byte;
 #   - one `attackgen` wire stream written as an sFlow log and as a pcap
 #     replays through `-replay-sflow -v` and `-replay-pcap -v` with the
 #     same ingested-frame count and the same stdout, which is
@@ -30,6 +32,8 @@
 # and, in a directory holding this script's exports (the commands
 # below), `sha256sum * > cmd/attackgen/testdata/wire.sha256` and
 #   dnsampdetect -scale 0.02 -v -replay-sflow campaign.sflowlog > cmd/dnsampdetect/testdata/replay-v.golden
+# and, in a directory holding `dnsampdetect -scale 0.02 -snapshot-out
+# study.snap`, `sha256sum study.snap > cmd/dnsampdetect/testdata/snapshot.sha256`.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -76,6 +80,17 @@ echo "== -snapshot-out, then -snapshot-in, print the same"
 "$BIN" -scale 0.02 -v -snapshot-in "$WORK/study.snap" >"$WORK/snapin.out"
 same "$WORK/snapin.out" "$WORK/snapout.out" "-snapshot-in stdout differs from the -snapshot-out run"
 same "$WORK/snapout.out" "$WORK/all.out" "-snapshot-out stdout differs from the synthetic run"
+
+echo "== the snapshot's bytes match their digest, at -concurrency 1 too"
+SNAPSUM="$PWD/cmd/dnsampdetect/testdata/snapshot.sha256"
+(cd "$WORK" && sha256sum -c --quiet "$SNAPSUM") >&2 || fail "study.snap differs from $SNAPSUM"
+mkdir "$WORK/serial"
+"$BIN" -scale 0.02 -concurrency 1 -snapshot-out "$WORK/serial/study.snap" >/dev/null
+(cd "$WORK/serial" && sha256sum -c --quiet "$SNAPSUM") >&2 || fail "the -concurrency 1 snapshot differs from $SNAPSUM"
+# One flipped byte must fail the check: it reads the file it names.
+printf '\377' | dd of="$WORK/serial/study.snap" bs=1 seek=100 conv=notrunc 2>/dev/null
+! (cd "$WORK/serial" && sha256sum -c --status "$SNAPSUM") || false
+rm -r "$WORK/serial"
 
 echo "== attackgen wire exports match their digests"
 go build -o "$WORK/attackgen" ./cmd/attackgen
