@@ -133,7 +133,11 @@ daemon-smoke:
 # same, one attackgen wire stream must replay as a log and as a pcap
 # with the same frame count (and as a log with a corrupt datagram, one
 # skipped), and an unknown flag, two replay flags and a missing input
-# file must be refused with their exit statuses.
+# file must be refused with their exit statuses. `experiments -run
+# table2` must print the same bytes twice and an unknown -run be
+# refused before the study is planned; `evalrun` must score two
+# scenarios as the golden table does and refuse bad arguments without
+# writing its output.
 cli-smoke:
 	./scripts/cli_smoke.sh
 

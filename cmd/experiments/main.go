@@ -26,6 +26,10 @@ func main() {
 	run := flag.String("run", "", "only experiments whose id contains this substring (e.g. figure14, table2, section5)")
 	concurrency := flag.Int("concurrency", 0, "pipeline worker count (0 = all cores, 1 = serial; results are identical)")
 	flag.Parse()
+	if len(experiments.Match(*run)) == 0 {
+		fmt.Fprintf(os.Stderr, "no experiment matches %q\n", *run)
+		os.Exit(1)
+	}
 
 	start := time.Now()
 	cfg := pipeline.DefaultConfig(*scale)
@@ -35,12 +39,7 @@ func main() {
 	suite := experiments.NewSuiteWithConfig(cfg)
 	fmt.Fprintf(os.Stderr, "pipeline complete in %s; running experiments\n\n", time.Since(start).Round(time.Second))
 
-	reports := suite.Run(*run)
-	if len(reports) == 0 {
-		fmt.Fprintf(os.Stderr, "no experiment matches %q\n", *run)
-		os.Exit(1)
-	}
-	for _, r := range reports {
+	for _, r := range suite.Run(*run) {
 		fmt.Println(r)
 	}
 	fmt.Fprintf(os.Stderr, "done in %s\n", time.Since(start).Round(time.Second))

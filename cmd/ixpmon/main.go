@@ -238,11 +238,13 @@ func runServe(cfg server.Config, stay bool, out io.Writer) error {
 // printSummary reports a stopped service: totals and stage timings on
 // stderr; on out one row per closed day (the §4.3 daily victim
 // aggregates and the name list's day-over-day similarity), then every
-// retained detection.
+// retained detection. "shed" is every datagram dropped under load: a
+// full queue or per-source share of it, the 1-in-2 thinning of overload
+// tier 2 and the shed-everything of tier 3.
 func printSummary(out io.Writer, svc *server.Service) {
-	ws := svc.WindowSnapshot()
+	ws, a := svc.WindowSnapshot(), svc.Accounting()
 	fmt.Fprintf(os.Stderr, "ixpmon: %d datagrams received, %d consumed, %d shed; %d days closed, %d client-days released\n",
-		svc.Received(), svc.Consumed(), shedTotal(svc.QueueDrops(), svc.SampledOut(), svc.ShedAll()), ws.ClosedDays, ws.Evicted)
+		a.Received, a.Consumed, a.QueueDrops+a.SampledOut+a.ShedAll, ws.ClosedDays, ws.Evicted)
 	printStages(svc.StagesSnapshot())
 
 	fmt.Fprintln(out, "day          victims  /24s  /16s  /8s  names  Jaccard vs prev close")
@@ -266,14 +268,6 @@ func printSummary(out io.Writer, svc *server.Service) {
 	for _, d := range dets {
 		fmt.Fprintf(out, "  %s  %-15s %6d pkts  %5.1f%% misused\n", d.Date, d.Victim, d.Packets, 100*d.Share)
 	}
-}
-
-// shedTotal is every parsed datagram the service dropped under load: a
-// full queue or per-source share of it, the 1-in-2 thinning of overload
-// tier 2 and the shed-everything of tier 3. With parse errors and
-// resume skips it is what separates "received" from "consumed".
-func shedTotal(queueDrops, sampledOut, shedAll uint64) uint64 {
-	return queueDrops + sampledOut + shedAll
 }
 
 // runSend replays a datagram log over UDP.

@@ -203,25 +203,3 @@ func TestOneShotInputFailureIsFinal(t *testing.T) {
 		}
 	}
 }
-
-// TestShedTotal: the summary's "shed" counts every overload drop, not
-// only the queue drops, so its line still adds up (received = consumed +
-// shed, parse errors and resume skips aside) after a tier-2 or tier-3
-// overload.
-func TestShedTotal(t *testing.T) {
-	for _, tc := range []struct {
-		name                            string
-		queueDrops, sampledOut, shedAll uint64
-		want                            uint64
-	}{
-		{"calm", 0, 0, 0, 0},
-		{"per-source backpressure only", 7, 0, 0, 7},
-		{"tier 2 thinned", 7, 30, 0, 37},
-		{"tier 3 shed everything", 7, 30, 500, 537},
-		{"tiers without a queue drop", 0, 4, 9, 13},
-	} {
-		if got := shedTotal(tc.queueDrops, tc.sampledOut, tc.shedAll); got != tc.want {
-			t.Errorf("%s: shedTotal(%d, %d, %d) = %d, want %d", tc.name, tc.queueDrops, tc.sampledOut, tc.shedAll, got, tc.want)
-		}
-	}
-}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -28,7 +29,7 @@ func testSuite(t *testing.T) *Suite {
 
 func TestAllExperimentsProduceReports(t *testing.T) {
 	s := testSuite(t)
-	reports := s.All()
+	reports := s.Run("")
 	if len(reports) != 24 {
 		t.Fatalf("reports = %d, want 24 (T2, F3-F18, S5-S8, AppB, FW)", len(reports))
 	}
@@ -50,17 +51,44 @@ func TestAllExperimentsProduceReports(t *testing.T) {
 	}
 }
 
+// TestRunFilter: a filter is matched against the catalog's IDs, case
+// insensitively, before any report is computed.
 func TestRunFilter(t *testing.T) {
+	if got := Match("Figure8"); !reflect.DeepEqual(got, []string{"figure8a", "figure8b"}) {
+		t.Errorf("Match(Figure8) = %v, want figure8a and figure8b", got)
+	}
+	if got := Match(""); len(got) != len(catalog) {
+		t.Errorf("the empty filter matched %d of %d", len(got), len(catalog))
+	}
+	if got := Match("nonexistent"); len(got) != 0 {
+		t.Errorf("a bogus filter matched %v", got)
+	}
+	if got := testSuite(t).Run("nonexistent"); len(got) != 0 {
+		t.Errorf("Run of a bogus filter returned %d reports", len(got))
+	}
+}
+
+// TestRunMatchesAll: running one experiment by its ID gives exactly its
+// report in the full run, so `experiments -run ID` prints the full
+// run's section. The singles run first, last to first, so a report
+// that leaned on state an earlier one left behind would differ.
+func TestRunMatchesAll(t *testing.T) {
 	s := testSuite(t)
-	got := s.Run("figure8")
-	if len(got) != 2 {
-		t.Fatalf("filter figure8 matched %d, want 2 (8a, 8b)", len(got))
+	single := make([]*Report, len(catalog))
+	for i := len(catalog) - 1; i >= 0; i-- {
+		got := s.Run(catalog[i].id)
+		if len(got) != 1 {
+			t.Fatalf("Run(%q) returned %d reports, want 1", catalog[i].id, len(got))
+		}
+		single[i] = got[0]
 	}
-	if len(s.Run("")) != len(s.All()) {
-		t.Error("empty filter should match all")
-	}
-	if len(s.Run("nonexistent")) != 0 {
-		t.Error("bogus filter should match none")
+	for i, r := range s.Run("") {
+		if r.ID != catalog[i].id {
+			t.Errorf("report %d carries ID %q, the catalog says %q", i, r.ID, catalog[i].id)
+		}
+		if !reflect.DeepEqual(single[i], r) {
+			t.Errorf("Run(%q) differs from its report in the full run:\n%s\nvs\n%s", catalog[i].id, single[i], r)
+		}
 	}
 }
 

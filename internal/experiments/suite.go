@@ -92,48 +92,63 @@ func (r *Report) addf(format string, args ...any) {
 	r.Lines = append(r.Lines, fmt.Sprintf(format, args...))
 }
 
-// All runs every experiment in order.
-func (s *Suite) All() []*Report {
-	return []*Report{
-		s.Table2(),
-		s.Figure3(),
-		s.Figure4(),
-		s.Figure5(),
-		s.Figure6(),
-		s.Figure7(),
-		s.Figure8a(),
-		s.Figure8b(),
-		s.Figure9(),
-		s.Figure10(),
-		s.Figure11(),
-		s.Figure12(),
-		s.Figure13(),
-		s.Figure14(),
-		s.Figure15(),
-		s.Figure16(),
-		s.Figure17(),
-		s.Figure18(),
-		s.Section5(),
-		s.Section6(),
-		s.Section7(),
-		s.Section8(),
-		s.AppendixB(),
-		s.FutureWork(),
-	}
+// catalog is every experiment in output order, under the ID its report
+// carries: a filter is matched here, before anything is computed.
+var catalog = []struct {
+	id  string
+	run func(*Suite) *Report
+}{
+	{"table2", (*Suite).Table2},
+	{"figure3", (*Suite).Figure3},
+	{"figure4", (*Suite).Figure4},
+	{"figure5", (*Suite).Figure5},
+	{"figure6", (*Suite).Figure6},
+	{"figure7", (*Suite).Figure7},
+	{"figure8a", (*Suite).Figure8a},
+	{"figure8b", (*Suite).Figure8b},
+	{"figure9", (*Suite).Figure9},
+	{"figure10", (*Suite).Figure10},
+	{"figure11", (*Suite).Figure11},
+	{"figure12", (*Suite).Figure12},
+	{"figure13", (*Suite).Figure13},
+	{"figure14", (*Suite).Figure14},
+	{"figure15", (*Suite).Figure15},
+	{"figure16", (*Suite).Figure16},
+	{"figure17", (*Suite).Figure17},
+	{"figure18", (*Suite).Figure18},
+	{"section5", (*Suite).Section5},
+	{"section6", (*Suite).Section6},
+	{"section7", (*Suite).Section7},
+	{"section8", (*Suite).Section8},
+	{"appendixB", (*Suite).AppendixB},
+	{"futurework", (*Suite).FutureWork},
 }
 
-// Run executes the experiments whose IDs contain the given substring
-// (case-insensitive); empty matches all.
-func (s *Suite) Run(filter string) []*Report {
-	all := s.All()
-	if filter == "" {
-		return all
+// Match returns, in output order, the IDs of the experiments whose IDs
+// contain filter (case-insensitive); empty matches all. It needs no
+// suite, so a filter that matches nothing is refused before the study
+// runs.
+func Match(filter string) []string {
+	var ids []string
+	for _, e := range catalog {
+		if matches(e.id, filter) {
+			ids = append(ids, e.id)
+		}
 	}
-	f := strings.ToLower(filter)
+	return ids
+}
+
+func matches(id, filter string) bool {
+	return strings.Contains(strings.ToLower(id), strings.ToLower(filter))
+}
+
+// Run executes the experiments Match(filter) names, and only those, in
+// order; the empty filter runs every one.
+func (s *Suite) Run(filter string) []*Report {
 	var out []*Report
-	for _, r := range all {
-		if strings.Contains(strings.ToLower(r.ID), f) {
-			out = append(out, r)
+	for _, e := range catalog {
+		if matches(e.id, filter) {
+			out = append(out, e.run(s))
 		}
 	}
 	return out

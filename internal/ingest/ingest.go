@@ -17,8 +17,9 @@
 // source keeps running.
 //
 // Accounting: every datagram read is counted on its source before it
-// is parsed, and one that fails to parse is counted again as a parse
-// error; Totals sums both over sources. A UDP source's socket is bound
+// is parsed, and one that fails to parse, or whose delivery panics, is
+// counted again as a parse error or a panic; Totals sums all three over
+// sources. A UDP source's socket is bound
 // in Start, so a listener that cannot bind is a start-up error, not a
 // supervised retry.
 //

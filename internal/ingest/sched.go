@@ -166,14 +166,18 @@ func (s *Scheduler) Stop() {
 	})
 }
 
-// Totals sums datagrams read (before parsing) and parse failures over
-// every source: the service-wide received and parse-error counters.
-func (s *Scheduler) Totals() (received, parseErrors uint64) {
+// Totals sums datagrams read (before parsing), parse failures and
+// contained delivery panics over every source: the service-wide
+// received, parse-error and input-panic counters. Each source's two
+// fates are read before its received count, and a datagram is counted
+// received before either, so the fates never sum past received.
+func (s *Scheduler) Totals() (received, parseErrors, panics uint64) {
 	for _, sv := range s.sups {
-		received += sv.received.Load()
 		parseErrors += sv.parseErrors.Load()
+		panics += sv.panics.Load()
+		received += sv.received.Load()
 	}
-	return received, parseErrors
+	return received, parseErrors, panics
 }
 
 // Snapshot reports every supervisor's externally visible state, in

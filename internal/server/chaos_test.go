@@ -39,23 +39,13 @@ func healthzGet(t *testing.T, svc *Service) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
-func parseErrors(svc *Service) uint64 {
-	_, n := svc.ingestTotals()
-	return n
-}
-
-// assertConservation checks that every received datagram is accounted
-// for exactly once: parse-failed, replay-skipped, shed by a tier, or
-// consumed. Call only when the queue is drained.
+// assertConservation checks that every received datagram has met
+// exactly one fate: nothing is in flight (Accounting). Call only when
+// the queue is drained.
 func assertConservation(t *testing.T, svc *Service) {
 	t.Helper()
-	received := svc.Received()
-	parse, replay := parseErrors(svc), svc.ReplaySkipped()
-	sampled, shed, drops := svc.SampledOut(), svc.ShedAll(), svc.QueueDrops()
-	consumed := svc.Consumed()
-	if received != parse+replay+sampled+shed+drops+consumed {
-		t.Fatalf("accounting leak: received %d != parse %d + replay %d + sampled %d + shedAll %d + drops %d + consumed %d",
-			received, parse, replay, sampled, shed, drops, consumed)
+	if a := svc.Accounting(); a.InFlight != 0 {
+		t.Fatalf("accounting leak: %+v", a)
 	}
 }
 
@@ -125,21 +115,7 @@ func TestServiceChaosSoak(t *testing.T) {
 		QueueLen: 64, PerSourceQueue: 64,
 		ListenPacket: faultyListen(recvInj),
 	})
-	svc.gate = make(chan struct{})
-	gateOpen := false
-	openGate := func() {
-		if !gateOpen {
-			gateOpen = true
-			close(svc.gate)
-		}
-	}
-	if err := svc.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	t.Cleanup(func() {
-		openGate()
-		shutdownSvc(t, svc)
-	})
+	openGate := startGated(t, svc)
 
 	sender, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -191,10 +167,7 @@ func TestServiceChaosSoak(t *testing.T) {
 	// The storm passes: drain the backlog, then feed clean traffic until
 	// the hold elapses and the state machine returns to ok.
 	openGate()
-	waitUntil(t, "backlog drained", func() bool {
-		return svc.Consumed() == svc.Received()-parseErrors(svc)-svc.SampledOut()-svc.ShedAll()-svc.QueueDrops()-svc.ReplaySkipped()
-	})
-	assertConservation(t, svc)
+	waitDrained(t, svc)
 
 	clean := dialService(t, svc)
 	seq := uint32(burst)
@@ -206,10 +179,7 @@ func TestServiceChaosSoak(t *testing.T) {
 		clean.Write(miniDatagram(seq)) //nolint:errcheck // retried by the poll
 		return false
 	})
-	waitUntil(t, "recovery traffic drained", func() bool {
-		return svc.Consumed() == svc.Received()-parseErrors(svc)-svc.SampledOut()-svc.ShedAll()-svc.QueueDrops()-svc.ReplaySkipped()
-	})
-	assertConservation(t, svc)
+	waitDrained(t, svc)
 	if status, body := healthzGet(t, svc); status != http.StatusOK || body != "ok\n" {
 		t.Errorf("/healthz after recovery = %d %q, want 200 ok", status, body)
 	}

@@ -47,8 +47,11 @@ const (
 	// tailed log is an input with a cursor like any other); 4 appends
 	// the terms the conservation equation lacked after a resume
 	// (replaySkipped, sampledOut, shedAll). Versions 3 and 2 stay
-	// readable: replaySkipped is rebuilt from the source rows, the shed
-	// counters restart at 0 (version 2: see adoptSingleInput).
+	// readable; their shed counters restart at 0 (version 2: see
+	// adoptSingleInput). The queue-drop and replay-skip totals are the
+	// source rows' sums, checked on load. A version 5 can drop the
+	// capture point's OriginMapped and PeerMapped: always 0 in the
+	// window, whose point has no topology.
 	ckptVersion    = 4
 	ckptVersionMin = 2
 	// ckptOverhead is the fixed envelope: magic + version up front, an
@@ -210,14 +213,14 @@ func (s *Service) encodeCheckpoint() ([]byte, error) {
 		e.I64(s.inputCursors[id].off)
 	}
 
-	received, parseErrors := s.ingestTotals()
-	e.U64(received)
-	e.U64(parseErrors)
-	e.U64(s.consumed.Load())
-	e.U64(s.queueDrops.Load())
-	e.U64(s.replaySkipped.Load())
-	e.U64(s.health.sampledOut.Load())
-	e.U64(s.health.shedAll.Load())
+	a := s.accountingLocked()
+	e.U64(a.Received)
+	e.U64(a.ParseErrors)
+	e.U64(a.Consumed)
+	e.U64(a.QueueDrops)
+	e.U64(a.ReplaySkipped)
+	e.U64(a.SampledOut)
+	e.U64(a.ShedAll)
 
 	if err := e.Flush(); err != nil {
 		return nil, err
@@ -230,8 +233,22 @@ func (s *Service) encodeCheckpoint() ([]byte, error) {
 	return append(raw, sum[:]...), nil
 }
 
+// clearState empties everything decodeCheckpoint restores: the window,
+// the collector rows, the cursors and the totals. A new service starts
+// from it, and resume returns to it when a file fails to decode.
+func (s *Service) clearState() {
+	s.win = NewWindow(s.cfg.Window, s.stages)
+	s.sources = make(map[sourceKey]*sourceState)
+	s.inputCursors = make(map[string]srcCursor)
+	s.schedResume = make(map[string]int64)
+	s.receivedBase, s.parseErrorsBase = 0, 0
+	s.consumed.Store(0)
+	s.health.sampledOut.Store(0)
+	s.health.shedAll.Store(0)
+}
+
 // decodeCheckpoint validates the envelope and restores the state into
-// this (unstarted, freshly constructed) service.
+// this unstarted service, whose state is clear (clearState).
 func (s *Service) decodeCheckpoint(raw []byte) error {
 	if len(raw) < ckptHeaderLen+ckptSumLen {
 		return fmt.Errorf("%w: %d bytes", ErrCheckpoint, len(raw))
@@ -258,7 +275,7 @@ func (s *Service) decodeCheckpoint(raw []byte) error {
 	// A source row costs at least 4+4+4+1 + 8×6 + 4×4 + 8 = 89 bytes
 	// (the input-ID string adds its length on top).
 	nSrc := d.Count(89)
-	var rowsSkipped uint64
+	var rowDrops, rowSkips uint64
 	for i := 0; i < nSrc && d.Err() == nil; i++ {
 		src := &sourceState{}
 		src.key.src = d.Str()
@@ -280,7 +297,8 @@ func (s *Service) decodeCheckpoint(raw []byte) error {
 		st.RateChanges = d.U64()
 		st.QueueDrops = d.U64()
 		st.ReplaySkipped = d.U64()
-		rowsSkipped += st.ReplaySkipped
+		rowDrops += st.QueueDrops
+		rowSkips += st.ReplaySkipped
 		st.LastArrival = simclock.Time(d.I64())
 		src.cursor = d.U32()
 		// The replay barrier: anything at or below the consumed cursor is
@@ -309,20 +327,22 @@ func (s *Service) decodeCheckpoint(raw []byte) error {
 	s.receivedBase = d.U64()
 	s.parseErrorsBase = d.U64()
 	s.consumed.Store(d.U64())
-	s.queueDrops.Store(d.U64())
+	drops, skips := d.U64(), rowSkips
 	var tailOff int64
 	if version == 2 {
 		tailOff = d.I64()
 	}
-	if version < 4 {
-		s.replaySkipped.Store(rowsSkipped)
-	} else {
-		s.replaySkipped.Store(d.U64())
+	if version >= 4 {
+		skips = d.U64()
 		s.health.sampledOut.Store(d.U64())
 		s.health.shedAll.Store(d.U64())
 	}
 	if err := d.Finish(); err != nil {
 		return err
+	}
+	if drops != rowDrops || skips != rowSkips {
+		return fmt.Errorf("%w: %d queue drops and %d replay skips stored, the source rows hold %d and %d",
+			ErrCheckpoint, drops, skips, rowDrops, rowSkips)
 	}
 	return s.adoptSingleInput(tailOff)
 }
@@ -467,12 +487,9 @@ func (s *Service) resume() error {
 			if !errors.Is(err, ErrCheckpoint) {
 				return fmt.Errorf("server: resuming from %s: %w", paths[i], err)
 			}
-			// Reset whatever half-state the failed decode left and try the
+			// Drop whatever half-state the failed decode left and try the
 			// next older file.
-			s.win = NewWindow(s.cfg.Window, s.stages)
-			s.sources = make(map[sourceKey]*sourceState)
-			s.inputCursors = make(map[string]srcCursor)
-			s.schedResume = make(map[string]int64)
+			s.clearState()
 			continue
 		}
 		s.resumedFrom = paths[i]

@@ -10,12 +10,15 @@
 // (five skipped by the barrier) and, before its shutdown checkpoint,
 // had feedDay(win, 0, 1), (1, 2), (2, 3) folded into its window — so it
 // holds two closed days beside the open one, as that build retained
-// them.
+// them. Version 4, the current one, is pinned by the digest of one
+// shutdown checkpoint (testdata/checkpoint.sha256).
 package server
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"hash/fnv"
 	"os"
 	"path/filepath"
@@ -83,10 +86,9 @@ func TestResumeParentListenCheckpoint(t *testing.T) {
 	if svc.ResumedFrom() == "" {
 		t.Fatal("the parent's -listen checkpoint was not resumed")
 	}
-	if got := svc.Received(); got != 8 || svc.Consumed() != 8 || frames(svc) != 8 {
-		t.Fatalf("restored totals: received %d, consumed %d, frames %d, want 8 each", got, svc.Consumed(), frames(svc))
+	if a := svc.Accounting(); a != (Accounting{Received: 8, Consumed: 8}) || frames(svc) != 8 {
+		t.Fatalf("restored %+v and %d frames, want 8 received, consumed and framed", a, frames(svc))
 	}
-	assertConservation(t, svc)
 	rows := svc.SourcesSnapshot()
 	if len(rows) != 1 || rows[0].Input != cfg.Inputs[0].ID || rows[0].Agent != "198.51.100.9" || rows[0].Datagrams != 8 {
 		t.Fatalf("restored rows = %+v, want the one collector re-keyed to %s", rows, cfg.Inputs[0].ID)
@@ -132,11 +134,9 @@ func TestResumeParentV3Checkpoint(t *testing.T) {
 	if svc.ResumedFrom() == "" {
 		t.Fatal("the parent's version 3 checkpoint was not resumed")
 	}
-	if svc.Received() != 13 || svc.ReplaySkipped() != 5 || svc.Consumed() != 8 {
-		t.Fatalf("restored totals: received %d, replay-skipped %d, consumed %d, want 13, 5, 8",
-			svc.Received(), svc.ReplaySkipped(), svc.Consumed())
+	if a := svc.Accounting(); a != (Accounting{Received: 13, ReplaySkipped: 5, Consumed: 8}) {
+		t.Fatalf("restored %+v, want 13 received: 5 replay-skipped, 8 consumed", a)
 	}
-	assertConservation(t, svc)
 
 	ref := NewWindow(cfg.Window, nil)
 	victims := []byte{1, 2, 3, 4, 0}
@@ -211,6 +211,50 @@ func TestResumeParentTailCheckpoint(t *testing.T) {
 	}
 }
 
+// TestCheckpointBytesPinned: the checkpoint a fixed replay: run over
+// the three-day campaign log ends with — what its shutdown writes —
+// hashes to the digest in testdata/checkpoint.sha256, taken from the
+// build that last changed version 4. An encoder change, a change to
+// what the window keeps, or one to a total the checkpoint carries moves
+// the digest; the older fixtures and the round trips cannot see any of
+// them. The input's ID is fixed, so the temporary path stays out.
+func TestCheckpointBytesPinned(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wire.sflowlog")
+	if err := os.WriteFile(path, wireLog(t, 3).Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc := startService(t, Config{
+		Inputs:         []ingest.Spec{{ID: "replay:wire.sflowlog", Kind: ingest.KindReplay, Path: path}},
+		TimeFromUptime: true,
+		Window:         WindowConfig{Days: 2, ListSize: 29, Refresh: simclock.Hour},
+	})
+	<-svc.Done()
+	raw := checkpointBytes(t, svc)
+	sum := sha256.Sum256(raw)
+	pinned, err := os.ReadFile(filepath.Join("testdata", "checkpoint.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want, _ := strings.Cut(string(pinned), " "); hex.EncodeToString(sum[:]) != got {
+		t.Fatalf("checkpoint digest %x (%d bytes), pinned %s (%s)", sum, len(raw), got, strings.TrimSpace(want))
+	}
+}
+
+// checkpointBytes encodes svc's checkpoint as Checkpoint does, without
+// writing it.
+func checkpointBytes(t *testing.T, svc *Service) []byte {
+	t.Helper()
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	svc.smu.Lock()
+	defer svc.smu.Unlock()
+	raw, err := svc.encodeCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 // TestResumeParentCheckpointNeedsOneInput: a checkpoint that names no
 // input cannot be assigned among several, or to the wrong kind; Start
 // says so instead of guessing or reporting the file corrupt.
@@ -281,6 +325,15 @@ func inflateClientCount(tb testing.TB, ag *core.Aggregator, img []byte) []byte {
 	return resealCheckpoint(out)
 }
 
+// decodeTarget is the part of a service a checkpoint decodes into and
+// encodes from, without the queue, metric registry and channels
+// NewService adds: the fuzz target builds up to two per input.
+func decodeTarget(cfg Config) *Service {
+	s := &Service{cfg: cfg.withDefaults()}
+	s.clearState()
+	return s
+}
+
 // FuzzLoadCheckpoint holds the checkpoint decoder to the contract of
 // internal/binenc: any bytes, checksum made valid, decode without a
 // panic and allocate no more than the bytes present justify — a count
@@ -294,7 +347,7 @@ func inflateClientCount(tb testing.TB, ag *core.Aggregator, img []byte) []byte {
 // so the version 2 fixtures' input-less rows are adopted.
 func FuzzLoadCheckpoint(f *testing.F) {
 	cfg := Config{Window: WindowConfig{Days: 2}, Inputs: []ingest.Spec{mustSpec(f, "tail:fuzz.sflowlog")}}
-	seed := NewService(cfg)
+	seed := decodeTarget(cfg)
 	for _, o := range randomSubdomainStream(3, 120)[:400] {
 		seed.win.Observe(o.in(seed.win))
 	}
@@ -305,7 +358,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	if seed.win.Stats().NamesReleased == 0 {
 		f.Fatal("the seed window released no names")
 	}
-	back := NewService(cfg)
+	back := decodeTarget(cfg)
 	if err := back.decodeCheckpoint(post); err != nil {
 		f.Fatal(err)
 	}
@@ -321,13 +374,13 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		f.Add(raw)
 	}
 	inflated := inflateClientCount(f, seed.win.agg, post)
-	if err := NewService(cfg).decodeCheckpoint(inflated); err == nil {
+	if err := decodeTarget(cfg).decodeCheckpoint(inflated); err == nil {
 		f.Fatal("a client-day count the bytes cannot back decoded")
 	}
 	f.Add(inflated)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		raw = resealCheckpoint(bytes.Clone(raw))
-		svc := NewService(cfg)
+		svc := decodeTarget(cfg)
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		err := svc.decodeCheckpoint(raw)
@@ -342,7 +395,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		again := NewService(cfg)
+		again := decodeTarget(cfg)
 		if err := again.decodeCheckpoint(first); err != nil {
 			t.Fatalf("a re-encoded checkpoint does not decode: %v", err)
 		}

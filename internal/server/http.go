@@ -119,26 +119,20 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // registerMetrics wires every exported family. Collectors read live
 // service state at scrape time: single counters directly, everything
-// that sits behind a service lock from the per-render snapshot
-// (s.scrape). The family set and order here is what
-// docs/OPERATIONS.md documents.
+// that sits behind a service lock — the datagram totals included — from
+// the per-render snapshot (s.scrape). The family set and order here is
+// what docs/OPERATIONS.md documents.
 func (s *Service) registerMetrics() {
 	counter := func(name, help string, c metrics.Collector) { s.reg.Register(name, help, metrics.Counter, c) }
 	gauge := func(name, help string, c metrics.Collector) { s.reg.Register(name, help, metrics.Gauge, c) }
+	total := func(f func(a *Accounting) uint64) metrics.Collector {
+		return func(emit metrics.Emit) { emit(float64(f(&s.scrape.acct))) }
+	}
 
-	counter("ixpmon_datagrams_received_total", "sFlow datagrams read from the inputs (before parsing), all inputs.", func(emit metrics.Emit) {
-		emit(float64(s.Received()))
-	})
-	counter("ixpmon_parse_errors_total", "Datagrams that failed sFlow v5 parsing, all inputs.", func(emit metrics.Emit) {
-		_, parseErrors := s.ingestTotals()
-		emit(float64(parseErrors))
-	})
-	counter("ixpmon_datagrams_consumed_total", "Datagrams fully drained into the window.", func(emit metrics.Emit) {
-		emit(float64(s.consumed.Load()))
-	})
-	counter("ixpmon_queue_drops_total", "Datagrams shed by per-source backpressure.", func(emit metrics.Emit) {
-		emit(float64(s.queueDrops.Load()))
-	})
+	counter("ixpmon_datagrams_received_total", "sFlow datagrams read from the inputs (before parsing), all inputs.", total(func(a *Accounting) uint64 { return a.Received }))
+	counter("ixpmon_parse_errors_total", "Datagrams that failed sFlow v5 parsing, all inputs.", total(func(a *Accounting) uint64 { return a.ParseErrors }))
+	counter("ixpmon_datagrams_consumed_total", "Datagrams fully drained into the window.", total(func(a *Accounting) uint64 { return a.Consumed }))
+	counter("ixpmon_queue_drops_total", "Datagrams shed by per-source backpressure.", total(func(a *Accounting) uint64 { return a.QueueDrops }))
 
 	// Robustness families: overload state machine, global sheds, resume
 	// accounting, panic isolation, checkpoints.
@@ -148,16 +142,10 @@ func (s *Service) registerMetrics() {
 	counter("ixpmon_degraded_total", "Transitions into the degraded state.", func(emit metrics.Emit) {
 		emit(float64(s.health.degradations.Load()))
 	})
-	counter("ixpmon_sampled_out_total", "Datagrams shed by tier-2 global sampling-down (1-in-2 above 3/4 queue).", func(emit metrics.Emit) {
-		emit(float64(s.health.sampledOut.Load()))
-	})
-	counter("ixpmon_shed_all_total", "Datagrams shed by tier-3 detection-only mode (above 7/8 queue).", func(emit metrics.Emit) {
-		emit(float64(s.health.shedAll.Load()))
-	})
-	counter("ixpmon_replay_skipped_total", "Post-resume datagrams skipped at or below the checkpointed cursor.", func(emit metrics.Emit) {
-		emit(float64(s.replaySkipped.Load()))
-	})
-	counter("ixpmon_consumer_panics_total", "Consumer panics isolated (datagram quarantined, drain continued).", func(emit metrics.Emit) {
+	counter("ixpmon_sampled_out_total", "Datagrams shed by tier-2 global sampling-down (1-in-2 above 3/4 queue).", total(func(a *Accounting) uint64 { return a.SampledOut }))
+	counter("ixpmon_shed_all_total", "Datagrams shed by tier-3 detection-only mode (above 7/8 queue).", total(func(a *Accounting) uint64 { return a.ShedAll }))
+	counter("ixpmon_replay_skipped_total", "Post-resume datagrams skipped at or below the checkpointed cursor.", total(func(a *Accounting) uint64 { return a.ReplaySkipped }))
+	counter("ixpmon_consumer_panics_total", "Consumer panics isolated (datagram quarantined, drain continued); an input's delivery panics count on ixpmon_input_panics_total only.", func(emit metrics.Emit) {
 		emit(float64(s.panics.Load()))
 	})
 	counter("ixpmon_checkpoints_total", "Checkpoints written successfully.", func(emit metrics.Emit) {

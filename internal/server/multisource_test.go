@@ -7,7 +7,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -176,15 +175,6 @@ func assertInputConservation(t *testing.T, st *ingest.SupervisorStats) {
 	}
 }
 
-func shutdownService(t *testing.T, svc *Service) {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := svc.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
-}
-
 // TestMultiSourceMergeGolden is the tentpole acceptance test: a 5-day
 // recording split round-robin across three replay sources, merged back
 // by the arrival-time policy, must produce detections byte-identical
@@ -277,10 +267,8 @@ func TestMultiSourceMergeGolden(t *testing.T) {
 				t.Errorf("/metrics missing done-state sample for %s:\n%.800s", specs[0].ID, metricsText)
 			}
 
-			shutdownService(t, svc)
-			svc.mu.Lock()
-			got := svc.win.Detections()
-			svc.mu.Unlock()
+			shutdownSvc(t, svc)
+			got, _ := finalState(svc)
 			if len(got) != len(want) {
 				t.Fatalf("detections: merged %d, batch %d\nmerged: %+v\nbatch: %+v", len(got), len(want), got, want)
 			}
@@ -460,6 +448,15 @@ func TestMultiSourceIsolation(t *testing.T) {
 		if st.Panics != uint64(badEntries) || st.Emitted != 0 {
 			t.Errorf("panicking input = %+v, want %d contained panics and no emits", st, badEntries)
 		}
+		// The panics are the input's, counted once: not as consumer
+		// panics, and as the one fate of their datagrams.
+		if got := svc.Panics(); got != 0 {
+			t.Errorf("consumer panics = %d, want 0: the %d delivery panics are the input's", got, badEntries)
+		}
+		waitDrained(t, svc)
+		if a := svc.Accounting(); a.InputPanics != uint64(badEntries) {
+			t.Errorf("accounting %+v, want %d input panics", a, badEntries)
+		}
 		poisons, _ := filepath.Glob(filepath.Join(stateDir, "poison-replay_*.sflow"))
 		if len(poisons) != badEntries {
 			t.Errorf("poison files = %d, want %d source-scoped files", len(poisons), badEntries)
@@ -559,7 +556,7 @@ func TestMultiSourceResumeRoundTrip(t *testing.T) {
 	for seq := uint32(1); seq <= 30; seq++ {
 		sendSeq(t, svc1, conn, udpSpec.ID, agent, seq)
 	}
-	shutdownService(t, svc1)
+	shutdownSvc(t, svc1)
 	for _, sp := range replays {
 		if c := svc1.InputCursor(sp.ID); c <= 0 {
 			t.Fatalf("input %s cursor = %d after drain, want positive", sp.ID, c)
@@ -597,7 +594,7 @@ func TestMultiSourceResumeRoundTrip(t *testing.T) {
 	for seq := uint32(31); seq <= 50; seq++ {
 		sendSeq(t, svc2, conn2, udpSpec.ID, agent, seq)
 	}
-	shutdownService(t, svc2)
+	shutdownSvc(t, svc2)
 
 	// Exactly-once, across the whole round trip: every generated record,
 	// every appended entry, every distinct UDP datagram — once.
@@ -682,7 +679,7 @@ func TestTailRotateCheckpointResume(t *testing.T) {
 	if off := svc1.InputCursor(tailID); off != fi.Size() {
 		t.Fatalf("tail offset after rotation = %d, want the new file's %d (stale pre-rotation cursor)", off, fi.Size())
 	}
-	shutdownService(t, svc1)
+	shutdownSvc(t, svc1)
 
 	// The log grows while the service is down, continuing the rotated
 	// writer's count: sequences 31..50, the first ten at or below the
@@ -703,7 +700,7 @@ func TestTailRotateCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, "tail offset at end of file", func() bool { return svc2.InputCursor(tailID) == fi.Size() })
-	shutdownService(t, svc2)
+	shutdownSvc(t, svc2)
 	if got := frames(svc2); got != 90 {
 		t.Errorf("samples processed = %d, want exactly 90 across rotation and resume", got)
 	}

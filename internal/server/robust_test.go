@@ -54,17 +54,17 @@ func logDatagrams(t *testing.T, logBytes []byte) [][]byte {
 func waitLossless(t *testing.T, svc *Service, what string, cond func() bool) {
 	t.Helper()
 	const patience = 10 * time.Second
-	progress := func() uint64 { return svc.Received() + svc.Consumed() + svc.ReplaySkipped() }
-	last, deadline := progress(), time.Now().Add(patience)
+	var last Accounting
+	deadline := time.Now().Add(patience)
 	for !cond() {
-		if drops := svc.QueueDrops(); drops > 0 {
-			t.Fatalf("waiting for %s: backpressure shed %d datagrams of a paced replay", what, drops)
+		a := svc.Accounting()
+		if a.QueueDrops > 0 {
+			t.Fatalf("waiting for %s: backpressure shed %d datagrams of a paced replay", what, a.QueueDrops)
 		}
-		if p := progress(); p != last {
-			last, deadline = p, time.Now().Add(patience)
+		if a != last {
+			last, deadline = a, time.Now().Add(patience)
 		} else if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s: no progress for %v (received %d, consumed %d)",
-				what, patience, svc.Received(), svc.Consumed())
+			t.Fatalf("timed out waiting for %s: no progress for %v (%+v)", what, patience, a)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -181,15 +181,9 @@ func TestServiceCrashRecovery(t *testing.T) {
 	if svc2.ResumedFrom() == "" {
 		t.Fatal("resumed service loaded no checkpoint")
 	}
-	sendPaced(t, svc2, dialService(t, svc2), dgs[cut-overlap:])
-	if got := svc2.Consumed(); got != uint64(len(dgs)) {
-		t.Fatalf("phase 2 consumed up to %d datagrams, want %d", got, len(dgs))
-	}
-	if got := svc2.ReplaySkipped(); got != overlap {
-		t.Errorf("replay barrier skipped %d datagrams, want %d", got, overlap)
-	}
-	if drops := ref.QueueDrops() + svc1.QueueDrops() + svc2.QueueDrops(); drops != 0 {
-		t.Fatalf("backpressure shed %d datagrams of a paced replay", drops)
+	sendPaced(t, svc2, dialService(t, svc2), dgs[cut-overlap:]) // sendPaced fails on a shed datagram
+	if a, n := svc2.Accounting(), uint64(len(dgs)); a != (Accounting{Received: n + overlap, ReplaySkipped: overlap, Consumed: n}) {
+		t.Fatalf("phase 2 ended at %+v, want every datagram consumed once and the %d re-sent skipped", a, overlap)
 	}
 	shutdownSvc(t, svc2)
 
@@ -207,12 +201,7 @@ func TestServiceCrashRecovery(t *testing.T) {
 		}
 	}
 
-	svc2.mu.Lock()
-	st2 := svc2.win.Stats()
-	svc2.mu.Unlock()
-	ref.mu.Lock()
-	stRef := ref.win.Stats()
-	ref.mu.Unlock()
+	st2, stRef := svc2.WindowSnapshot(), ref.WindowSnapshot()
 	if st2.ClosedDays != stRef.ClosedDays || st2.Evicted != stRef.Evicted || st2.LateSamples != stRef.LateSamples {
 		t.Errorf("window counters diverged across the crash: resumed %+v, uninterrupted %+v", st2, stRef)
 	}
@@ -261,20 +250,13 @@ func TestShutdownDrainsBacklog(t *testing.T) {
 		t.Fatalf("Shutdown: %v", err)
 	}
 
-	if got := svc.Consumed(); got != uint64(len(dgs)) {
-		t.Errorf("shutdown drained %d of %d backlogged datagrams", got, len(dgs))
+	if n := uint64(len(dgs)); svc.Accounting() != (Accounting{Received: n, Consumed: n}) {
+		t.Errorf("shutdown left %+v, want all %d backlogged datagrams consumed", svc.Accounting(), n)
 	}
-	if drops := svc.QueueDrops(); drops != 0 {
-		t.Errorf("backlog within the queue bound shed %d datagrams", drops)
-	}
-	svc.mu.Lock()
-	st := svc.win.Stats()
-	samples := svc.win.agg.Samples
-	svc.mu.Unlock()
-	if samples == 0 {
+	if _, samples := finalState(svc); samples == 0 {
 		t.Error("no samples observed from the drained backlog")
 	}
-	if st.ClosedDays == 0 {
+	if st := svc.WindowSnapshot(); st.ClosedDays == 0 {
 		t.Errorf("shutdown did not finalize the day in progress: %+v", st)
 	}
 }
@@ -328,7 +310,7 @@ func TestShutdownInterruptsBlockedEnqueue(t *testing.T) {
 	cfg.Resume = true
 	svc2 := startService(t, cfg)
 	waitUntil(t, "resumed replay drained", func() bool { return svc2.Consumed() >= entries })
-	shutdownService(t, svc2)
+	shutdownSvc(t, svc2)
 	if got, fr := svc2.Consumed(), frames(svc2); got != entries || fr != entries {
 		t.Errorf("after resume: %d entries consumed, %d frames processed, want exactly %d of each", got, fr, entries)
 	}
@@ -580,7 +562,8 @@ func TestResumeRejectsDuplicateTableName(t *testing.T) {
 }
 
 // TestConservationAcrossResume: every term of the conservation equation
-// rides in the checkpoint, so the equation still closes after a resume.
+// but the inputs' delivery panics rides in the checkpoint, so without
+// such panics the equation still closes after a resume.
 // Run 2 is re-sent an overlap the replay barrier skips; run 3 must read
 // those skips beside the received total that includes them. Run 3 is
 // then flooded into the sampling-down and shed-all tiers behind a held
@@ -608,40 +591,24 @@ func TestConservationAcrossResume(t *testing.T) {
 	svc2 := startService(t, cfg)
 	send(svc2, 1, 8)
 	waitUntil(t, "overlap skipped, the rest consumed", func() bool {
-		return svc2.ReplaySkipped() == 5 && svc2.Consumed() == 8
+		return svc2.Accounting() == Accounting{Received: 13, ReplaySkipped: 5, Consumed: 8}
 	})
-	assertConservation(t, svc2) // 13 = 5 + 8
 	shutdownSvc(t, svc2)
 
 	svc3 := NewService(cfg)
 	open := startGated(t, svc3)
-	if svc3.Received() != 13 || svc3.ReplaySkipped() != 5 || svc3.Consumed() != 8 {
-		t.Fatalf("run 3 restored received %d, replay-skipped %d, consumed %d, want 13, 5, 8",
-			svc3.Received(), svc3.ReplaySkipped(), svc3.Consumed())
+	if a := svc3.Accounting(); a != (Accounting{Received: 13, ReplaySkipped: 5, Consumed: 8}) {
+		t.Fatalf("run 3 restored %+v, want 13 received: 5 replay-skipped, 8 consumed", a)
 	}
-	assertConservation(t, svc3)
 
 	floodUntil(t, svc3, dialService(t, svc3), func() bool { return svc3.SampledOut() > 0 && svc3.ShedAll() > 0 })
 	open()
 	waitDrained(t, svc3)
-	assertConservation(t, svc3)
 	shutdownSvc(t, svc3)
 
 	svc4 := startService(t, cfg)
-	for _, c := range []struct {
-		term      string
-		got, want uint64
-	}{
-		{"received", svc4.Received(), svc3.Received()},
-		{"replaySkipped", svc4.ReplaySkipped(), svc3.ReplaySkipped()},
-		{"sampledOut", svc4.SampledOut(), svc3.SampledOut()},
-		{"shedAll", svc4.ShedAll(), svc3.ShedAll()},
-		{"queueDrops", svc4.QueueDrops(), svc3.QueueDrops()},
-		{"consumed", svc4.Consumed(), svc3.Consumed()},
-	} {
-		if c.got != c.want {
-			t.Errorf("run 4 restored %s %d, run 3 shut down with %d", c.term, c.got, c.want)
-		}
+	if got, want := svc4.Accounting(), svc3.Accounting(); got != want {
+		t.Errorf("run 4 restored %+v, run 3 shut down with %+v", got, want)
 	}
 	assertConservation(t, svc4)
 }

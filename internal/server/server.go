@@ -206,6 +206,7 @@ type Service struct {
 		inputs  []ingest.SupervisorStats
 		window  WindowStats
 		stages  []StageTiming
+		acct    Accounting
 	}
 
 	// mu serializes window access (consumer vs HTTP snapshots vs
@@ -260,17 +261,16 @@ type Service struct {
 
 	// receivedBase/parseErrorsBase are the totals a restored checkpoint
 	// carried; this process's reads are counted per input by the
-	// scheduler (ingestTotals adds the two).
+	// scheduler (Accounting adds the two). Queue drops and replay skips
+	// are counted on the collector rows only.
 	receivedBase, parseErrorsBase uint64
 
-	consumed      atomic.Uint64 // datagrams drained into the window
-	queueDrops    atomic.Uint64 // per-source backpressure, across sources
-	replaySkipped atomic.Uint64 // resume-barrier skips, across sources
-	panics        atomic.Uint64 // consumer panics isolated
-	poisoned      atomic.Uint64 // datagrams quarantined to poison files
-	ckpts         atomic.Uint64 // checkpoints written
-	ckptErrors    atomic.Uint64 // checkpoint attempts failed
-	ckptBytes     atomic.Uint64 // size of the newest checkpoint
+	consumed   atomic.Uint64 // datagrams drained into the window
+	panics     atomic.Uint64 // consumer panics isolated
+	poisoned   atomic.Uint64 // datagrams quarantined to poison files
+	ckpts      atomic.Uint64 // checkpoints written
+	ckptErrors atomic.Uint64 // checkpoint attempts failed
+	ckptBytes  atomic.Uint64 // size of the newest checkpoint
 }
 
 // NewService builds an unstarted service.
@@ -278,17 +278,14 @@ func NewService(cfg Config) *Service {
 	s := &Service{
 		cfg:          cfg.withDefaults(),
 		stages:       NewStages(),
-		sources:      make(map[sourceKey]*sourceState),
-		inputCursors: make(map[string]srcCursor),
-		schedResume:  make(map[string]int64),
 		readerDone:   make(chan struct{}),
 		consumerDone: make(chan struct{}),
 		ckptStop:     make(chan struct{}),
 		ckptDone:     make(chan struct{}),
 		closing:      make(chan struct{}),
 	}
+	s.clearState()
 	s.reg = metrics.NewRegistry(s.snapshotForScrape)
-	s.win = NewWindow(s.cfg.Window, s.stages)
 	s.queue = make(chan item, s.cfg.QueueLen)
 	s.registerMetrics()
 	return s
@@ -322,11 +319,8 @@ func (s *Service) Start() error {
 		ListenPacket:   s.cfg.ListenPacket,
 		WrapReader:     s.cfg.WrapReader,
 		FaultPanic:     s.cfg.IngestFaultPanic,
-		Poison: func(id string, dg *sflow.Datagram, cause any) {
-			s.panics.Add(1)
-			s.quarantine(id, dg, cause)
-		},
-		Stage: s.stages.Add,
+		Poison:         s.quarantine,
+		Stage:          s.stages.Add,
 	})
 	if err != nil {
 		return fmt.Errorf("server: configuring ingest: %w", err)
@@ -472,7 +466,6 @@ func (s *Service) accountLocked(src *sourceState, h *ingest.Head, at simclock.Ti
 			// Already inside the restored window: consuming it again would
 			// double-count, so it is skipped before any accounting.
 			src.stats.ReplaySkipped++
-			s.replaySkipped.Add(1)
 			return false
 		default:
 			src.resuming = false
@@ -564,7 +557,6 @@ func (s *Service) admitUDPLocked(src *sourceState, it *ingest.Item) {
 	}
 	if shed {
 		src.stats.QueueDrops++
-		s.queueDrops.Add(1)
 		it.Release()
 	}
 }
@@ -731,23 +723,68 @@ func sourceSlug(sid string) string {
 	return slug
 }
 
-// ingestTotals reports datagrams read (before parsing) and parse
-// failures, summed over inputs, on top of what a restored checkpoint
-// carried.
-func (s *Service) ingestTotals() (received, parseErrors uint64) {
-	received, parseErrors = s.receivedBase, s.parseErrorsBase
-	if s.sched != nil {
-		r, p := s.sched.Totals()
-		received, parseErrors = received+r, parseErrors+p
+// Accounting is where every datagram the inputs read has gone, each
+// fate read from its one counter:
+//
+//	Received == ParseErrors + InputPanics + ReplaySkipped + SampledOut +
+//	            ShedAll + QueueDrops + Consumed + InFlight
+//
+// InFlight, read and no fate yet (in an input, the producer's run, the
+// queue or a drain), is 0 once the service is drained: any other value
+// there is a datagram lost or counted twice.
+type Accounting struct {
+	Received      uint64 // read from the inputs, before parsing
+	ParseErrors   uint64 // failed sFlow v5 parsing at their input
+	InputPanics   uint64 // delivery panicked at their input; not checkpointed
+	ReplaySkipped uint64 // at or below a resumed collector's cursor
+	SampledOut    uint64 // tier-2 1-in-2 shed
+	ShedAll       uint64 // tier-3 shed
+	QueueDrops    uint64 // per-source backpressure
+	Consumed      uint64 // drained into the window, consumer panics included
+	InFlight      uint64
+}
+
+// Accounting reads every fate under s.mu and s.smu, in Checkpoint's
+// order, so no drain or admission moves a datagram between two reads.
+func (s *Service) Accounting() Accounting {
+	s.mu.Lock()
+	s.smu.Lock()
+	defer s.mu.Unlock()
+	defer s.smu.Unlock()
+	return s.accountingLocked()
+}
+
+// accountingLocked reads every fate, then Received (Scheduler.Totals
+// does the same per input), on top of what a restored checkpoint
+// carried: a datagram is received before any fate, so InFlight never
+// wraps. Caller holds s.mu and s.smu.
+func (s *Service) accountingLocked() Accounting {
+	a := Accounting{Received: s.receivedBase, ParseErrors: s.parseErrorsBase}
+	for _, src := range s.sources {
+		a.QueueDrops += src.stats.QueueDrops
+		a.ReplaySkipped += src.stats.ReplaySkipped
 	}
-	return received, parseErrors
+	a.Consumed = s.consumed.Load()
+	a.SampledOut = s.health.sampledOut.Load()
+	a.ShedAll = s.health.shedAll.Load()
+	if s.sched != nil {
+		r, p, x := s.sched.Totals()
+		a.Received, a.ParseErrors, a.InputPanics = a.Received+r, a.ParseErrors+p, x
+	}
+	a.InFlight = a.Received - (a.ParseErrors + a.InputPanics + a.ReplaySkipped +
+		a.SampledOut + a.ShedAll + a.QueueDrops + a.Consumed)
+	return a
 }
 
 // Received reports datagrams read from the inputs so far, whether or
-// not they parsed.
+// not they parsed; unlike Accounting it takes no lock.
 func (s *Service) Received() uint64 {
-	received, _ := s.ingestTotals()
-	return received
+	n := s.receivedBase
+	if s.sched != nil {
+		r, _, _ := s.sched.Totals()
+		n += r
+	}
+	return n
 }
 
 // Consumed reports datagrams fully drained into the window so far.
@@ -755,13 +792,13 @@ func (s *Service) Received() uint64 {
 // every accepted sample is in the window.
 func (s *Service) Consumed() uint64 { return s.consumed.Load() }
 
-// QueueDrops reports datagrams shed by per-source backpressure across
-// all sources.
-func (s *Service) QueueDrops() uint64 { return s.queueDrops.Load() }
+// QueueDrops reports datagrams shed by per-source backpressure, summed
+// over the collector rows.
+func (s *Service) QueueDrops() uint64 { return s.Accounting().QueueDrops }
 
 // ReplaySkipped reports datagrams skipped by the post-resume replay
-// barrier across all sources.
-func (s *Service) ReplaySkipped() uint64 { return s.replaySkipped.Load() }
+// barrier, summed over the collector rows.
+func (s *Service) ReplaySkipped() uint64 { return s.Accounting().ReplaySkipped }
 
 // SampledOut reports datagrams shed by tier-2 global sampling-down.
 func (s *Service) SampledOut() uint64 { return s.health.sampledOut.Load() }
@@ -769,7 +806,8 @@ func (s *Service) SampledOut() uint64 { return s.health.sampledOut.Load() }
 // ShedAll reports datagrams shed by tier-3 detection-only mode.
 func (s *Service) ShedAll() uint64 { return s.health.shedAll.Load() }
 
-// Panics reports consumer panics isolated so far.
+// Panics reports consumer panics isolated so far; an input's delivery
+// panics are its own (InputsSnapshot, Accounting.InputPanics).
 func (s *Service) Panics() uint64 { return s.panics.Load() }
 
 // WindowSnapshot returns the window's observable state.
@@ -803,11 +841,16 @@ func (s *Service) DaysSnapshot() []DaySummary {
 // (input, agent, sub-agent).
 func (s *Service) SourcesSnapshot() []SourceStats {
 	s.smu.Lock()
+	defer s.smu.Unlock()
+	return s.sourceRowsLocked()
+}
+
+// sourceRowsLocked is SourcesSnapshot; caller holds s.smu.
+func (s *Service) sourceRowsLocked() []SourceStats {
 	out := make([]SourceStats, 0, len(s.sources))
 	for _, src := range s.sources {
 		out = append(out, src.stats)
 	}
-	s.smu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Input != out[j].Input {
 			return out[i].Input < out[j].Input
@@ -845,10 +888,17 @@ func (s *Service) Registry() *metrics.Registry { return s.reg }
 
 // snapshotForScrape takes, once per render, every snapshot that more
 // than one metric family reads: one s.mu, s.smu, scheduler and stages
-// acquisition per scrape instead of one per family.
+// acquisition per scrape instead of one per family. The window, the
+// collector rows and the accounting totals are read in one hold of s.mu
+// and s.smu, so the totals of one scrape add up and match its rows.
 func (s *Service) snapshotForScrape() {
-	s.scrape.sources = s.SourcesSnapshot()
 	s.scrape.inputs = s.InputsSnapshot()
-	s.scrape.window = s.WindowSnapshot()
 	s.scrape.stages = s.StagesSnapshot()
+	s.mu.Lock()
+	s.scrape.window = s.win.Stats()
+	s.smu.Lock()
+	s.scrape.sources = s.sourceRowsLocked()
+	s.scrape.acct = s.accountingLocked()
+	s.smu.Unlock()
+	s.mu.Unlock()
 }

@@ -2,8 +2,9 @@ package server
 
 import (
 	"bytes"
-	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -48,13 +49,7 @@ func startService(t *testing.T, cfg Config) *Service {
 	if err := svc.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := svc.Shutdown(ctx); err != nil {
-			t.Errorf("Shutdown: %v", err)
-		}
-	})
+	t.Cleanup(func() { shutdownSvc(t, svc) })
 	return svc
 }
 
@@ -112,7 +107,7 @@ func dialService(t *testing.T, svc *Service) *net.UDPConn {
 // barrier). Received counts reads at the inputs, a step earlier, so a
 // test that inspects rows right after sending waits on this.
 func accounted(svc *Service) uint64 {
-	n := parseErrors(svc)
+	n := svc.Accounting().ParseErrors
 	for _, row := range svc.SourcesSnapshot() {
 		n += row.Datagrams + row.ReplaySkipped
 	}
@@ -290,16 +285,10 @@ func TestServiceGoldenReplay(t *testing.T) {
 
 	// Mid-run scrape again with full per-source state, then finalize.
 	assertControlSurface(t, svc, scraped)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := svc.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
+	shutdownSvc(t, svc)
 
-	svc.mu.Lock()
-	got := svc.win.Detections()
-	st := svc.win.Stats()
-	svc.mu.Unlock()
+	got, _ := finalState(svc)
+	st := svc.WindowSnapshot()
 	if st.Evicted == 0 || st.ClientDays != 0 {
 		t.Fatalf("%d closes must have released every profile: %+v", days, st)
 	}
@@ -470,7 +459,7 @@ func TestServiceMultiSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, "garbage received", func() bool { return svc.Received() == 7 })
-	waitUntil(t, "parse error counted", func() bool { return parseErrors(svc) == 1 })
+	waitUntil(t, "parse error counted", func() bool { return svc.Accounting().ParseErrors == 1 })
 	if got := len(svc.SourcesSnapshot()); got != 2 {
 		t.Errorf("garbage created a source row: %d", got)
 	}
@@ -481,25 +470,7 @@ func TestServiceMultiSource(t *testing.T) {
 // quiet neighbour's datagram is still accepted.
 func TestServiceBackpressure(t *testing.T) {
 	svc := NewService(Config{Inputs: udpInput(t), QueueLen: 4, PerSourceQueue: 2})
-	svc.gate = make(chan struct{})
-	if err := svc.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	gateOpen := false
-	openGate := func() {
-		if !gateOpen {
-			gateOpen = true
-			close(svc.gate)
-		}
-	}
-	t.Cleanup(func() {
-		openGate()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := svc.Shutdown(ctx); err != nil {
-			t.Errorf("Shutdown: %v", err)
-		}
-	})
+	openGate := startGated(t, svc)
 	conn := dialService(t, svc)
 
 	mk := func(agent byte, seq uint32) []byte {
@@ -535,6 +506,21 @@ func TestServiceBackpressure(t *testing.T) {
 
 	openGate()
 	waitUntil(t, "accepted datagrams consumed", func() bool { return svc.Consumed() == 3 })
+
+	// A checkpoint stores the rows' sums as its queue-drop and replay-skip
+	// totals, the 4th and 3rd last words; either one off is malformed.
+	img := checkpointBytes(t, svc)
+	for _, back := range []int{32, 24} {
+		bad := bytes.Clone(img)
+		at := len(bad) - ckptSumLen - back
+		binary.LittleEndian.PutUint64(bad[at:], binary.LittleEndian.Uint64(bad[at:])+1)
+		if err := decodeTarget(svc.cfg).decodeCheckpoint(resealCheckpoint(bad)); !errors.Is(err, ErrCheckpoint) {
+			t.Errorf("a total at offset %d one past its rows decoded with %v, want ErrCheckpoint", at, err)
+		}
+	}
+	if err := decodeTarget(svc.cfg).decodeCheckpoint(img); err != nil {
+		t.Errorf("the checkpoint of 8 queue drops: %v", err)
+	}
 }
 
 // TestSendLogRewritesUptime: the replay sender stamps each datagram's

@@ -33,7 +33,10 @@ type recorded struct {
 // point's head, or the commit that recorded the previous point (a head
 // measured before it was committed is a tree that no longer exists);
 // any other base is flagged, since the ratio then spans commits no
-// point measured.
+// point measured. In a tree without the history (a git archive copy) no
+// point's recording commit is known and, since heads are measured
+// before they are committed, no base can be checked: that is said once,
+// and the ratios still chain in point order.
 func printTrajectory(sp spec) error {
 	files, err := filepath.Glob("BENCH_*.json")
 	if err != nil {
@@ -62,11 +65,15 @@ func printTrajectory(sp spec) error {
 		return fmt.Errorf("no BENCH_<n>.json in the current directory")
 	}
 	slices.SortFunc(pts, func(a, b recorded) int { return a.Point - b.Point })
+	history := slices.ContainsFunc(pts, func(p recorded) bool { return p.by != "" })
 
 	fmt.Printf("%d points, %s to %s: head median / base median per point, pairs the head won\n",
 		len(pts), pts[0].file, pts[len(pts)-1].file)
+	if !history {
+		fmt.Println("  ! no point's commit is in the git history (an exported tree?): bases are not checked, ratios chain in point order")
+	}
 	for i := 1; i < len(pts); i++ {
-		if note := chainBreak(pts[i-1], pts[i]); note != "" {
+		if note := chainBreak(pts[i-1], pts[i], history); note != "" {
 			fmt.Printf("  ! %s: %s\n", pts[i].file, note)
 		}
 	}
@@ -105,10 +112,11 @@ func printTrajectory(sp spec) error {
 }
 
 // chainBreak says why cur's base does not continue the chain from
-// prev, or returns "" when it does.
-func chainBreak(prev, cur recorded) string {
+// prev, or returns "" when it does or, without history, when it cannot
+// tell: a base that is prev's recording commit looks like any other.
+func chainBreak(prev, cur recorded, history bool) string {
 	base := cur.Base.Commit
-	if base == prev.Head.Commit || (prev.by != "" && base == prev.by) {
+	if base == prev.Head.Commit || (prev.by != "" && base == prev.by) || !history {
 		return ""
 	}
 	if prev.by == "" {

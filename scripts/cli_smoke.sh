@@ -1,6 +1,7 @@
 #!/bin/sh
-# Black-box smoke test of dnsampdetect and attackgen: build the
-# binaries, run them, and assert their output and exit status. Every
+# Black-box smoke test of dnsampdetect, attackgen, experiments and
+# evalrun: build the binaries, run them, and assert their output and
+# exit status. Every
 # command is asserted; refusals are written `! cmd || false` and
 # followed by a check of the exit status. Mirrored by the cli-smoke CI
 # job and `make cli-smoke`.
@@ -24,7 +25,14 @@
 #     -wire-days 2`, and every `-list-scenarios` entry's at `-wire-days
 #     8`, each as an sFlow log and a pcap;
 #   - attackgen refuses `-scenario` without an output, an unknown
-#     scenario, and `-wire-days 0` with an output: exit 2, no file.
+#     scenario, and `-wire-days 0` with an output: exit 2, no file;
+#   - `experiments -scale 0.02 -run table2` prints the one table, the
+#     same bytes twice (ties broken by TLD), and an unknown `-run` exits
+#     1 before the campaign is planned, printing nothing;
+#   - `evalrun` lists attackgen's catalog, scores two scenarios at the
+#     eval-smoke parameters as the golden table's rows for them, and
+#     refuses a stray argument, a bad grid value, an empty grid and an
+#     unknown scenario: exit 1, no output file.
 #
 # The goldens and the digests change only with an intended output
 # change; regenerate them deliberately with
@@ -150,5 +158,42 @@ grep -q 'mutually exclusive' "$WORK/err" || fail "two replay flags: no 'mutually
 [ "$RC" -eq 1 ] || fail "a missing snapshot exited $RC, want 1"
 ! run "$BIN" -replay-pcap "$WORK/missing.pcap" || false
 [ "$RC" -eq 1 ] || fail "a missing pcap exited $RC, want 1"
+
+echo "== experiments -run"
+go build -o "$WORK/experiments" ./cmd/experiments
+run "$WORK/experiments" -scale 0.02 -run table2 || fail "experiments -run table2 exited $RC: $(cat "$WORK/err")"
+[ "$(grep -c '^== ' "$WORK/out")" -eq 1 ] || fail "-run table2 printed $(grep -c '^== ' "$WORK/out") reports, want 1"
+grep -q '^== table2: ' "$WORK/out" || fail "-run table2 did not print table2"
+T2SUM="$(md5sum <"$WORK/out")"
+run "$WORK/experiments" -scale 0.02 -run table2 || fail "the second -run table2 exited $RC: $(cat "$WORK/err")"
+[ "$(md5sum <"$WORK/out")" = "$T2SUM" ] || fail "two -run table2 runs printed different bytes"
+! run "$WORK/experiments" -scale 0.02 -run nosuch || false
+[ "$RC" -eq 1 ] || fail "an unknown -run exited $RC, want 1"
+grep -q 'no experiment matches "nosuch"' "$WORK/err" || fail "an unknown -run: no refusal: $(cat "$WORK/err")"
+if grep -q planning "$WORK/err"; then fail "an unknown -run planned the campaign before refusing"; fi
+[ ! -s "$WORK/out" ] || fail "an unknown -run printed a report"
+
+echo "== evalrun"
+go build -o "$WORK/evalrun" ./cmd/evalrun
+run "$WORK/evalrun" -list || fail "evalrun -list exited $RC: $(cat "$WORK/err")"
+"$WORK/attackgen" -list-scenarios >"$WORK/scenarios"
+same "$WORK/out" "$WORK/scenarios" "evalrun -list differs from attackgen -list-scenarios"
+EVAL_GOLDEN=internal/eval/testdata/golden_catalog.txt
+"$WORK/evalrun" -days 6 -scale 0.03 -procedural-names 20000 -campaign-seed 1 -traffic-seed 11 -seed 42 \
+    -scenario pulse-wave,slow-drip -out "$WORK/eval.txt" -json "$WORK/eval.json" 2>"$WORK/err" ||
+    fail "evalrun -scenario pulse-wave,slow-drip exited non-zero: $(cat "$WORK/err")"
+grep -E '^(#|scenario |pulse-wave |slow-drip )' "$EVAL_GOLDEN" >"$WORK/eval.want"
+grep -v '^$' "$WORK/eval.txt" >"$WORK/eval.got"
+same "$WORK/eval.got" "$WORK/eval.want" "two scenarios' rows differ from $EVAL_GOLDEN"
+[ "$(head -c 1 "$WORK/eval.json")" = "{" ] || fail "-json wrote no JSON object"
+! run "$WORK/evalrun" -out "$WORK/refused.txt" stray || false
+[ "$RC" -eq 1 ] && grep -q 'unexpected arguments' "$WORK/err" || fail "a stray argument exited $RC: $(cat "$WORK/err")"
+! run "$WORK/evalrun" -shares 2 -out "$WORK/refused.txt" || false
+[ "$RC" -eq 1 ] && grep -q 'bad -shares value "2"' "$WORK/err" || fail "-shares 2 exited $RC: $(cat "$WORK/err")"
+! run "$WORK/evalrun" -minpkts , -out "$WORK/refused.txt" || false
+[ "$RC" -eq 1 ] && grep -q 'empty thresholds grid' "$WORK/err" || fail "-minpkts , exited $RC: $(cat "$WORK/err")"
+! run "$WORK/evalrun" -scenario no-such-scenario -out "$WORK/refused.txt" || false
+[ "$RC" -eq 1 ] || fail "an unknown scenario exited $RC, want 1"
+[ ! -e "$WORK/refused.txt" ] || fail "a refused evalrun run wrote its output"
 
 echo "cli smoke: OK"
