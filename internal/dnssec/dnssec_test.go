@@ -120,7 +120,7 @@ func TestDNSKEYRecords(t *testing.T) {
 		if len(d.PublicKey) != RSA2048KeyLen {
 			t.Errorf("key len = %d, want %d", len(d.PublicKey), RSA2048KeyLen)
 		}
-		if d.IsZSK() {
+		if d.Flags == dnswire.DNSKEYFlagZSK {
 			zsk++
 		}
 	}

@@ -338,25 +338,17 @@ func decodeRData(t Type, msg []byte, absOff int, rdata []byte) (RData, error) {
 		if len(rdata) < 7 {
 			return nil, ErrTruncatedRData
 		}
-		target, _, err := decodeName(msg, absOff+6)
+		target, end, err := decodeName(msg, absOff+6)
 		if err != nil {
 			return nil, err
 		}
-		return SRVData{
-			Priority: binary.BigEndian.Uint16(rdata[0:2]),
-			Weight:   binary.BigEndian.Uint16(rdata[2:4]),
-			Port:     binary.BigEndian.Uint16(rdata[4:6]),
-			Target:   target,
-		}, nil
-	case TypeURI:
+		// The target may run past rdlen, as validRData allows too.
+		return flattenName(rdata[:6], target, rdata[min(end-absOff, len(rdata)):]), nil
+	case TypeURI, TypeDS:
 		if len(rdata) < 4 {
 			return nil, ErrTruncatedRData
 		}
-		return URIData{
-			Priority: binary.BigEndian.Uint16(rdata[0:2]),
-			Weight:   binary.BigEndian.Uint16(rdata[2:4]),
-			Target:   string(rdata[4:]),
-		}, nil
+		return RawData{append([]byte(nil), rdata...)}, nil
 	case TypeDNSKEY:
 		if len(rdata) < 4 {
 			return nil, ErrTruncatedRData
@@ -404,29 +396,18 @@ func decodeRData(t Type, msg []byte, absOff int, rdata []byte) (RData, error) {
 			Value: string(rdata[2+tagLen:]),
 		}, nil
 	case TypeNSEC:
-		next, off, err := decodeName(msg, absOff)
+		next, end, err := decodeName(msg, absOff)
 		if err != nil {
 			return nil, err
 		}
-		bitmapStart := off - absOff
+		bitmapStart := end - absOff
 		if bitmapStart > len(rdata) {
 			return nil, ErrTruncatedRData
 		}
-		types, err := decodeTypeBitmap(rdata[bitmapStart:])
-		if err != nil {
+		if err := decodeTypeBitmap(rdata[bitmapStart:]); err != nil {
 			return nil, err
 		}
-		return NSECData{NextName: next, Types: types}, nil
-	case TypeDS:
-		if len(rdata) < 4 {
-			return nil, ErrTruncatedRData
-		}
-		return DSData{
-			KeyTag:     binary.BigEndian.Uint16(rdata[0:2]),
-			Algorithm:  rdata[2],
-			DigestType: rdata[3],
-			Digest:     append([]byte(nil), rdata[4:]...),
-		}, nil
+		return flattenName(nil, next, rdata[bitmapStart:]), nil
 	case TypeOPT:
 		var opts []EDNSOption
 		for i := 0; i+4 <= len(rdata); {
@@ -443,6 +424,31 @@ func decodeRData(t Type, msg []byte, absOff int, rdata []byte) (RData, error) {
 	default:
 		return RawData{append([]byte(nil), rdata...)}, nil
 	}
+}
+
+// flattenName returns prefix, name written uncompressed, and tail as
+// one rdata. An embedded name copied verbatim could hold a compression
+// pointer, which would point at other bytes once the encoder has
+// compressed the names in front of it.
+func flattenName(prefix []byte, name string, tail []byte) RawData {
+	b := appendName(append([]byte(nil), prefix...), name)
+	return RawData{append(b, tail...)}
+}
+
+// decodeTypeBitmap walks an NSEC window-block type bitmap: each block a
+// window number, a length of 1 to 32 and that many bitmap bytes.
+func decodeTypeBitmap(b []byte) error {
+	for len(b) > 0 {
+		if len(b) < 2 {
+			return ErrTruncatedRData
+		}
+		blen := int(b[1])
+		if blen == 0 || blen > 32 || 2+blen > len(b) {
+			return ErrTruncatedRData
+		}
+		b = b[2+blen:]
+	}
+	return nil
 }
 
 // decodeName reads a possibly-compressed name starting at off and returns

@@ -1,6 +1,7 @@
 package dnswire
 
 import (
+	"bytes"
 	"math/rand"
 	"net/netip"
 	"strings"
@@ -22,7 +23,7 @@ func TestQueryRoundTrip(t *testing.T) {
 	if m.Header.ID != 0xBEEF {
 		t.Errorf("id = %#x", m.Header.ID)
 	}
-	if !m.IsQuery() {
+	if m.Header.QR {
 		t.Error("query flagged as response")
 	}
 	if m.QName() != "doj.gov." {
@@ -31,18 +32,20 @@ func TestQueryRoundTrip(t *testing.T) {
 	if m.QType() != TypeANY {
 		t.Errorf("qtype = %v", m.QType())
 	}
-	if m.EDNSPayloadSize() != 4096 {
-		t.Errorf("edns size = %d", m.EDNSPayloadSize())
+	if len(m.Additional) != 1 || m.Additional[0].Type != TypeOPT || m.Additional[0].Class != 4096 {
+		t.Errorf("additional = %+v, want one OPT record advertising 4096", m.Additional)
 	}
 	if !m.Header.RD {
 		t.Error("RD not set")
 	}
 }
 
+// TestEDNSDefault: a query built without an EDNS size is classic DNS,
+// with no OPT record.
 func TestEDNSDefault(t *testing.T) {
 	q := NewQuery(1, "example.com", TypeA, 0)
-	if q.EDNSPayloadSize() != 512 {
-		t.Errorf("no-OPT payload size = %d, want 512", q.EDNSPayloadSize())
+	if len(q.Additional) != 0 {
+		t.Errorf("no-EDNS query carries %+v", q.Additional)
 	}
 }
 
@@ -65,11 +68,15 @@ func bigResponse() *Message {
 		{Name: "nsf.gov.", Type: TypeDNSKEY, Class: ClassIN, TTL: 3600, Data: DNSKEYData{Flags: DNSKEYFlagZSK, Protocol: 3, Algorithm: AlgRSASHA256, PublicKey: key}},
 		{Name: "nsf.gov.", Type: TypeDNSKEY, Class: ClassIN, TTL: 3600, Data: DNSKEYData{Flags: DNSKEYFlagKSK, Protocol: 3, Algorithm: AlgRSASHA256, PublicKey: key}},
 		{Name: "nsf.gov.", Type: TypeRRSIG, Class: ClassIN, TTL: 3600, Data: RRSIGData{TypeCovered: TypeDNSKEY, Algorithm: AlgRSASHA256, Labels: 2, OriginalTTL: 3600, Expiration: 1567296000, Inception: 1559347200, KeyTag: 12345, SignerName: "nsf.gov.", Signature: sig}},
-		{Name: "nsf.gov.", Type: TypeNSEC, Class: ClassIN, TTL: 300, Data: NSECData{NextName: "a.nsf.gov.", Types: []Type{TypeA, TypeNS, TypeSOA, TypeRRSIG, TypeNSEC, TypeDNSKEY}}},
-		{Name: "nsf.gov.", Type: TypeSRV, Class: ClassIN, TTL: 300, Data: SRVData{Priority: 1, Weight: 5, Port: 443, Target: "www.nsf.gov."}},
-		{Name: "nsf.gov.", Type: TypeURI, Class: ClassIN, TTL: 300, Data: URIData{Priority: 1, Weight: 1, Target: "https://www.nsf.gov/"}},
+		// Next name a.nsf.gov., one window 0 bitmap of A NS SOA RRSIG NSEC DNSKEY.
+		{Name: "nsf.gov.", Type: TypeNSEC, Class: ClassIN, TTL: 300, Data: RawData{append(appendName(nil, "a.nsf.gov."), 0, 7, 0x62, 0, 0, 0, 0, 0x03, 0x80)}},
+		// Priority 1, weight 5, port 443, target www.nsf.gov.
+		{Name: "nsf.gov.", Type: TypeSRV, Class: ClassIN, TTL: 300, Data: RawData{appendName([]byte{0, 1, 0, 5, 0x01, 0xbb}, "www.nsf.gov.")}},
+		// Priority 1, weight 1, then the URI.
+		{Name: "nsf.gov.", Type: TypeURI, Class: ClassIN, TTL: 300, Data: RawData{[]byte("\x00\x01\x00\x01https://www.nsf.gov/")}},
 		{Name: "nsf.gov.", Type: TypeCAA, Class: ClassIN, TTL: 300, Data: CAAData{Flags: 0, Tag: "issue", Value: "letsencrypt.org"}},
-		{Name: "nsf.gov.", Type: TypeDS, Class: ClassIN, TTL: 3600, Data: DSData{KeyTag: 99, Algorithm: AlgRSASHA256, DigestType: 2, Digest: make([]byte, 32)}},
+		// Key tag 99, RSA/SHA-256, digest type 2, a zero SHA-256 digest.
+		{Name: "nsf.gov.", Type: TypeDS, Class: ClassIN, TTL: 3600, Data: RawData{append([]byte{0, 99, AlgRSASHA256, 2}, make([]byte, 32)...)}},
 		{Name: "nsf.gov.", Type: TypePTR, Class: ClassIN, TTL: 300, Data: NameData{"host.nsf.gov."}},
 	}
 	return r
@@ -109,24 +116,21 @@ func TestFullResponseRoundTrip(t *testing.T) {
 		t.Errorf("SOA = %+v", soa)
 	}
 	dk := m.Answers[7].Data.(DNSKEYData)
-	if len(dk.PublicKey) != 260 || !dk.IsZSK() {
+	if len(dk.PublicKey) != 260 || dk.Flags != DNSKEYFlagZSK {
 		t.Errorf("DNSKEY = flags %d, keylen %d", dk.Flags, len(dk.PublicKey))
 	}
-	ksk := m.Answers[8].Data.(DNSKEYData)
-	if ksk.IsZSK() {
-		t.Error("KSK misclassified as ZSK")
+	if ksk := m.Answers[8].Data.(DNSKEYData); ksk.Flags != DNSKEYFlagKSK {
+		t.Errorf("KSK flags = %d", ksk.Flags)
 	}
 	sig := m.Answers[9].Data.(RRSIGData)
 	if sig.TypeCovered != TypeDNSKEY || len(sig.Signature) != 256 || sig.SignerName != "nsf.gov." {
 		t.Errorf("RRSIG = %+v", sig)
 	}
-	srv := m.Answers[11].Data.(SRVData)
-	if srv.Port != 443 || srv.Target != "www.nsf.gov." {
-		t.Errorf("SRV = %+v", srv)
-	}
-	uri := m.Answers[12].Data.(URIData)
-	if uri.Target != "https://www.nsf.gov/" {
-		t.Errorf("URI = %+v", uri)
+	// NSEC, SRV, URI and DS come back as the rdata they were sent as.
+	for _, i := range []int{10, 11, 12, 14} {
+		if got, want := m.Answers[i].Data.(RawData), r.Answers[i].Data.(RawData); !bytes.Equal(got.Bytes, want.Bytes) {
+			t.Errorf("%v rdata = %x, want %x", m.Answers[i].Type, got.Bytes, want.Bytes)
+		}
 	}
 	caa := m.Answers[13].Data.(CAAData)
 	if caa.Tag != "issue" || caa.Value != "letsencrypt.org" {
@@ -450,21 +454,31 @@ func TestAllRDataWireLenMatchesEncoding(t *testing.T) {
 	}
 }
 
+// TestNSECBitmap: Parse accepts an NSEC type bitmap of well-formed
+// window blocks (here windows 0 and 1: A and CAA) and stops at a
+// record whose bitmap is not.
 func TestNSECBitmap(t *testing.T) {
-	d := NSECData{NextName: "b.example.", Types: []Type{TypeA, TypeCAA}}
-	enc := d.appendTo(nil)
-	if len(enc) != d.WireLen() {
-		t.Fatalf("NSEC WireLen mismatch: %d vs %d", d.WireLen(), len(enc))
+	nsec := func(bitmap ...byte) *ParseResult {
+		t.Helper()
+		m := &Message{
+			Header:    Header{QR: true},
+			Questions: []Question{{Name: "a.example.", Type: TypeNSEC, Class: ClassIN}},
+			Answers: []RR{{Name: "a.example.", Type: TypeNSEC, Class: ClassIN, TTL: 60,
+				Data: RawData{append(appendName(nil, "b.example."), bitmap...)}}},
+		}
+		res, err := Parse(Encode(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	// Two windows: 0 (A) and 1 (CAA=257).
-	m := &Message{
-		Header:    Header{QR: true},
-		Questions: []Question{{Name: "a.example.", Type: TypeNSEC, Class: ClassIN}},
-		Answers:   []RR{{Name: "a.example.", Type: TypeNSEC, Class: ClassIN, TTL: 60, Data: d}},
+	if res := nsec(0, 1, 0x40, 1, 1, 0x40); !res.Complete {
+		t.Error("two-window bitmap: NSEC parse incomplete")
 	}
-	res, err := Parse(Encode(m))
-	if err != nil || !res.Complete {
-		t.Fatalf("NSEC parse: %v", err)
+	for _, bad := range [][]byte{{0}, {0, 0}, {0, 33}, {0, 2, 0x40}} {
+		if res := nsec(bad...); res.Complete {
+			t.Errorf("bitmap %x: NSEC parse complete", bad)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
-	"slices"
 	"strings"
 )
 
@@ -111,37 +110,6 @@ func (d TXTData) appendTo(dst []byte) []byte {
 	return dst
 }
 
-// SRVData is an SRV record.
-type SRVData struct {
-	Priority, Weight, Port uint16
-	Target                 string
-}
-
-// WireLen implements RData.
-func (d SRVData) WireLen() int { return 6 + EncodedNameLen(d.Target) }
-
-func (d SRVData) appendTo(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint16(dst, d.Priority)
-	dst = binary.BigEndian.AppendUint16(dst, d.Weight)
-	dst = binary.BigEndian.AppendUint16(dst, d.Port)
-	return appendName(dst, d.Target)
-}
-
-// URIData is a URI record (RFC 7553).
-type URIData struct {
-	Priority, Weight uint16
-	Target           string
-}
-
-// WireLen implements RData.
-func (d URIData) WireLen() int { return 4 + len(d.Target) }
-
-func (d URIData) appendTo(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint16(dst, d.Priority)
-	dst = binary.BigEndian.AppendUint16(dst, d.Weight)
-	return append(dst, d.Target...)
-}
-
 // CAAData is a CAA record.
 type CAAData struct {
 	Flags uint8
@@ -189,9 +157,6 @@ func (d DNSKEYData) appendTo(dst []byte) []byte {
 	return append(dst, d.PublicKey...)
 }
 
-// IsZSK reports whether the key is a zone-signing key (SEP flag clear).
-func (d DNSKEYData) IsZSK() bool { return d.Flags&1 == 0 }
-
 // RRSIGData is an RRSIG record. Signature sizes: RSA-2048 produces a
 // 256-byte signature, ECDSA P-256 a 64-byte one.
 type RRSIGData struct {
@@ -220,99 +185,6 @@ func (d RRSIGData) appendTo(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, d.KeyTag)
 	dst = appendName(dst, d.SignerName)
 	return append(dst, d.Signature...)
-}
-
-// DSData is a DS record.
-type DSData struct {
-	KeyTag     uint16
-	Algorithm  uint8
-	DigestType uint8
-	Digest     []byte
-}
-
-// WireLen implements RData.
-func (d DSData) WireLen() int { return 4 + len(d.Digest) }
-
-func (d DSData) appendTo(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint16(dst, d.KeyTag)
-	dst = append(dst, d.Algorithm, d.DigestType)
-	return append(dst, d.Digest...)
-}
-
-// NSECData is an NSEC record with a type bitmap.
-type NSECData struct {
-	NextName string
-	Types    []Type
-}
-
-// WireLen implements RData.
-func (d NSECData) WireLen() int {
-	return EncodedNameLen(d.NextName) + len(encodeTypeBitmap(d.Types))
-}
-
-func (d NSECData) appendTo(dst []byte) []byte {
-	dst = appendName(dst, d.NextName)
-	return append(dst, encodeTypeBitmap(d.Types)...)
-}
-
-// encodeTypeBitmap builds the NSEC window-block type bitmap.
-func encodeTypeBitmap(types []Type) []byte {
-	if len(types) == 0 {
-		return nil
-	}
-	sorted := append([]Type(nil), types...)
-	slices.Sort(sorted)
-	var out []byte
-	window := -1
-	var bitmap []byte
-	flush := func() {
-		if window >= 0 && len(bitmap) > 0 {
-			out = append(out, byte(window), byte(len(bitmap)))
-			out = append(out, bitmap...)
-		}
-	}
-	for _, t := range sorted {
-		w := int(t >> 8)
-		if w != window {
-			flush()
-			window = w
-			bitmap = nil
-		}
-		lo := int(t & 0xff)
-		byteIdx := lo / 8
-		for len(bitmap) <= byteIdx {
-			bitmap = append(bitmap, 0)
-		}
-		bitmap[byteIdx] |= 0x80 >> (lo % 8)
-	}
-	flush()
-	return out
-}
-
-// decodeTypeBitmap parses an NSEC window-block type bitmap back into a
-// sorted type list.
-func decodeTypeBitmap(b []byte) ([]Type, error) {
-	var types []Type
-	for i := 0; i < len(b); {
-		if i+2 > len(b) {
-			return nil, ErrTruncatedRData
-		}
-		window := int(b[i])
-		blen := int(b[i+1])
-		i += 2
-		if blen == 0 || blen > 32 || i+blen > len(b) {
-			return nil, ErrTruncatedRData
-		}
-		for j := 0; j < blen; j++ {
-			for bit := 0; bit < 8; bit++ {
-				if b[i+j]&(0x80>>bit) != 0 {
-					types = append(types, Type(window<<8|j*8+bit))
-				}
-			}
-		}
-		i += blen
-	}
-	return types, nil
 }
 
 // OPTData is the EDNS0 OPT pseudo-record rdata (options only; the UDP
@@ -346,7 +218,9 @@ func (d OPTData) appendTo(dst []byte) []byte {
 	return dst
 }
 
-// RawData carries rdata of types without a decoded representation.
+// RawData carries rdata Parse decodes into no fields: unknown types, and
+// SRV, URI, DS and NSEC, whose embedded names (SRV target, NSEC next
+// name) Parse writes back uncompressed.
 type RawData struct{ Bytes []byte }
 
 // WireLen implements RData.

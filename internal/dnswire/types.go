@@ -1,16 +1,18 @@
 // Package dnswire implements a DNS message codec: header, question and
-// resource-record encoding and decoding with name compression, the record
-// types relevant to amplification analysis (including the DNSSEC records
-// DNSKEY, RRSIG, DS and NSEC and the EDNS0 OPT pseudo-record), plus
-// wire-size estimation used by the OpenINTEL-style response size model.
+// resource-record encoding with name compression for the record types
+// the simulated zones answer with (including the DNSSEC records DNSKEY
+// and RRSIG and the EDNS0 OPT pseudo-record), plus wire-size estimation
+// used by the OpenINTEL-style response size model.
 //
-// The decoder is deliberately tolerant of truncation: the IXP pipeline
-// sees frames cut at 128 bytes, which always preserves the DNS header and
-// (for realistic names) the first question, but rarely the full answer
-// section. Scan reads what the capture point needs from such a prefix;
-// Parse, which reports how far it got instead of failing outright, is
-// the reference Scan is held to. The package owns message lengths too
-// (QuestionSize, QuerySize, MinimalANYSize).
+// The IXP pipeline sees frames cut at 128 bytes, which always preserves
+// the DNS header and (for realistic names) the first question, but
+// rarely the full answer section. Scan reads what the capture point
+// needs from such a prefix: the header, the first question and the NS
+// records in view. Parse, a tolerant decoder that reports how far it got
+// instead of failing outright, is the reference Scan is held to; it
+// accepts every record type by the rules Scan checks and keeps the
+// rdata of SRV, URI, DS, NSEC and unknown types as RawData. The package
+// owns message lengths too (QuestionSize, QuerySize, MinimalANYSize).
 package dnswire
 
 import "fmt"
@@ -80,11 +82,6 @@ const (
 	RCodeNotImp   RCode = 4
 	RCodeRefused  RCode = 5
 )
-
-var rcodeNames = map[RCode]string{
-	RCodeNoError: "NOERROR", RCodeFormErr: "FORMERR", RCodeServFail: "SERVFAIL",
-	RCodeNXDomain: "NXDOMAIN", RCodeNotImp: "NOTIMP", RCodeRefused: "REFUSED",
-}
 
 // OpCode is a DNS opcode.
 type OpCode uint8
@@ -166,9 +163,6 @@ type Message struct {
 	Additional []RR
 }
 
-// IsQuery reports whether m is a query (QR clear).
-func (m *Message) IsQuery() bool { return !m.Header.QR }
-
 // QName returns the first question name, or "".
 func (m *Message) QName() string {
 	if len(m.Questions) == 0 {
@@ -183,17 +177,6 @@ func (m *Message) QType() Type {
 		return TypeNone
 	}
 	return m.Questions[0].Type
-}
-
-// EDNSPayloadSize returns the advertised EDNS0 UDP payload size from the
-// OPT record in the additional section, or 512 (classic DNS) when absent.
-func (m *Message) EDNSPayloadSize() int {
-	for _, rr := range m.Additional {
-		if rr.Type == TypeOPT {
-			return int(rr.Class)
-		}
-	}
-	return 512
 }
 
 // RecommendedEDNSLimit is the EDNS payload size RFC 6891 recommends

@@ -269,17 +269,6 @@ func (p *Pool) Get(id int) *Amplifier { return &p.Amps[id] }
 // Len is the population size.
 func (p *Pool) Len() int { return len(p.Amps) }
 
-// AliveIDs returns the ids of all amplifiers alive at t, ascending.
-func (p *Pool) AliveIDs(t simclock.Time) []int {
-	var out []int
-	for id := range p.Amps {
-		if p.Amps[id].AliveAt(t) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // AppendAlive appends to dst up to k distinct amplifiers alive at t,
 // optionally filtered by pred, and returns the extended slice. It walks
 // the pool from a random id with a stride co-prime to its size, so it

@@ -11,6 +11,18 @@ import (
 	"dnsamp/internal/topology"
 )
 
+// AliveIDs returns the ids of all amplifiers alive at t, ascending: the
+// full scan the pool tests count against.
+func (p *Pool) AliveIDs(t simclock.Time) []int {
+	var out []int
+	for id := range p.Amps {
+		if p.Amps[id].AliveAt(t) {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 // strideWalk is AppendAlive as a plain stride walk over every id, dead
 // or alive: the reference the epoch lists must reproduce draw for draw.
 func strideWalk(p *Pool, dst []int, rng *rand.Rand, t simclock.Time, k int, pred func(*Amplifier) bool) []int {

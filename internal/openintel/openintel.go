@@ -90,9 +90,6 @@ func (f *Feed) RegisterNS(addr netip.Addr, zone string) {
 	f.nsAddrs[addr] = append(f.nsAddrs[addr], zone)
 }
 
-// NSAddrCount returns the number of distinct nameserver addresses known.
-func (f *Feed) NSAddrCount() int { return len(f.nsAddrs) }
-
 // RolloverPlateaus extracts the rollover plateaus from a size series: a
 // plateau is a maximal run of days whose size exceeds the series
 // baseline (minimum) by at least minDelta bytes.

@@ -81,9 +81,9 @@ func TestNSMapping(t *testing.T) {
 func TestRegisterNS(t *testing.T) {
 	f := New(db)
 	addr := netip.MustParseAddr("100.66.1.1")
-	before := f.NSAddrCount()
+	before := len(f.nsAddrs)
 	f.RegisterNS(addr, "zone-x.example.")
-	if f.NSAddrCount() != before+1 {
+	if len(f.nsAddrs) != before+1 {
 		t.Error("RegisterNS did not add")
 	}
 	if got := f.AuthoritativeZonesFor(addr); len(got) != 1 || got[0] != "zone-x.example." {

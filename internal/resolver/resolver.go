@@ -200,15 +200,6 @@ func (r *Resolver) Warm(name string, qtype dnswire.Type, t simclock.Time) {
 	}
 }
 
-// Cached reports whether (name, qtype) is live in the cache at t.
-func (r *Resolver) Cached(name string, qtype dnswire.Type, t simclock.Time) bool {
-	if r.Kind == Forwarder && r.Upstream != nil {
-		return r.Upstream.Cached(name, qtype, t)
-	}
-	e, ok := r.cache[cacheKey{dnswire.CanonicalName(name), qtype}]
-	return ok && t.Before(e.expires)
-}
-
 // allowRRL implements a fixed-window per-second budget.
 func (r *Resolver) allowRRL(t simclock.Time) bool {
 	if t != r.rrlWindow {

@@ -9,6 +9,15 @@ import (
 	"dnsamp/internal/zonedb"
 )
 
+// Cached reports whether (name, qtype) is live in the cache at t.
+func (r *Resolver) Cached(name string, qtype dnswire.Type, t simclock.Time) bool {
+	if r.Kind == Forwarder && r.Upstream != nil {
+		return r.Upstream.Cached(name, qtype, t)
+	}
+	e, ok := r.cache[cacheKey{dnswire.CanonicalName(name), qtype}]
+	return ok && t.Before(e.expires)
+}
+
 var testDB = zonedb.New(zonedb.Config{ProceduralNames: 10_000})
 
 func addr(s string) netip.Addr { return netip.MustParseAddr(s) }

@@ -112,10 +112,3 @@ func (idx *Index) Lookup(addr netip.Addr) (History, bool) {
 	h, ok := idx.hist[addr]
 	return h, ok
 }
-
-// KnownBefore reports whether the address was first seen strictly before
-// t — the "abused before discovery" test of §7.1.
-func (idx *Index) KnownBefore(addr netip.Addr, t simclock.Time) bool {
-	h, ok := idx.hist[addr]
-	return ok && h.FirstSeen.Before(t)
-}

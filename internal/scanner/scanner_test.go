@@ -75,30 +75,6 @@ func TestDiscoveryLag(t *testing.T) {
 	}
 }
 
-func TestKnownBefore(t *testing.T) {
-	pool := testPool()
-	idx := Build(DefaultConfig(), pool, simclock.EntityPeriod())
-	var addrFound bool
-	for i := 0; i < pool.Len(); i++ {
-		a := pool.Get(i)
-		h, ok := idx.Lookup(a.Addr)
-		if !ok {
-			continue
-		}
-		addrFound = true
-		if !idx.KnownBefore(a.Addr, h.FirstSeen.Add(simclock.Day)) {
-			t.Fatal("KnownBefore false right after first sighting")
-		}
-		if idx.KnownBefore(a.Addr, h.FirstSeen) {
-			t.Fatal("KnownBefore true at the first-sighting instant")
-		}
-		break
-	}
-	if !addrFound {
-		t.Fatal("no indexed amplifier found")
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	pool := testPool()
 	a := Build(DefaultConfig(), pool, simclock.EntityPeriod())

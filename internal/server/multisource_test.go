@@ -461,6 +461,16 @@ func TestMultiSourceIsolation(t *testing.T) {
 		if len(poisons) != badEntries {
 			t.Errorf("poison files = %d, want %d source-scoped files", len(poisons), badEntries)
 		}
+		// Each names the stage that panicked: delivery, not the consumer.
+		for _, p := range poisons {
+			raw, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.HasPrefix(raw, []byte("# input delivery panic: ")) {
+				t.Errorf("%s opens %.40q, want # input delivery panic: …", filepath.Base(p), raw)
+			}
+		}
 	})
 }
 

@@ -396,6 +396,9 @@ func TestConsumerPanicQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.HasPrefix(raw, []byte("# consumer panic: ")) {
+		t.Errorf("poison file opens %.40q, want the stage that panicked: # consumer panic: …", raw)
+	}
 	rest := raw
 	if rest[0] != '#' {
 		t.Fatalf("poison file meta header malformed: %q", raw)

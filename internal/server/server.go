@@ -319,8 +319,10 @@ func (s *Service) Start() error {
 		ListenPacket:   s.cfg.ListenPacket,
 		WrapReader:     s.cfg.WrapReader,
 		FaultPanic:     s.cfg.IngestFaultPanic,
-		Poison:         s.quarantine,
-		Stage:          s.stages.Add,
+		Poison: func(id string, dg *sflow.Datagram, cause any) {
+			s.quarantine("input delivery", id, dg, cause)
+		},
+		Stage: s.stages.Add,
 	})
 	if err != nil {
 		return fmt.Errorf("server: configuring ingest: %w", err)
@@ -632,7 +634,7 @@ func (s *Service) consumeDrain(drain []item) {
 
 	for _, p := range poisoned {
 		s.panics.Add(1)
-		s.quarantine(p.it.src.key.src, p.it.ref.Datagram(), p.cause)
+		s.quarantine("consumer", p.it.src.key.src, p.it.ref.Datagram(), p.cause)
 		s.consumed.Add(1)
 	}
 	for i := range drain {
@@ -689,19 +691,20 @@ func (s *Service) advanceLocked(it *item) {
 	}
 }
 
-// quarantine writes the datagram that broke the consumer to a poison
-// file for offline triage, named with the source it arrived through so
-// two sources' poison in the same instant can never collide or point
-// triage at the wrong feed. Without a StateDir the event is only
-// counted.
-func (s *Service) quarantine(sid string, dg *sflow.Datagram, cause any) {
+// quarantine writes a datagram whose processing panicked to a poison
+// file for offline triage. The file opens with the stage that panicked
+// ("input delivery" or "consumer") and is named with the source the
+// datagram arrived through, so two sources' poison in the same instant
+// can never collide or point triage at the wrong feed. Without a
+// StateDir the event is only counted.
+func (s *Service) quarantine(stage, sid string, dg *sflow.Datagram, cause any) {
 	if s.cfg.StateDir == "" {
 		return
 	}
 	n := s.poisoned.Add(1)
 	body := sflow.EncodeDatagram(dg)
-	meta := fmt.Sprintf("# consumer panic: %v\n# source %s\n# agent %d.%d.%d.%d/%d seq %d\n",
-		cause, sourceSlug(sid), dg.Agent[0], dg.Agent[1], dg.Agent[2], dg.Agent[3], dg.SubAgent, dg.Seq)
+	meta := fmt.Sprintf("# %s panic: %v\n# source %s\n# agent %d.%d.%d.%d/%d seq %d\n",
+		stage, cause, sourceSlug(sid), dg.Agent[0], dg.Agent[1], dg.Agent[2], dg.Agent[3], dg.SubAgent, dg.Seq)
 	path := filepath.Join(s.cfg.StateDir, fmt.Sprintf("poison-%s-%06d.sflow", sourceSlug(sid), n))
 	_ = atomicWriteFile(path, append([]byte(meta), body...))
 }
@@ -806,10 +809,6 @@ func (s *Service) SampledOut() uint64 { return s.health.sampledOut.Load() }
 // ShedAll reports datagrams shed by tier-3 detection-only mode.
 func (s *Service) ShedAll() uint64 { return s.health.shedAll.Load() }
 
-// Panics reports consumer panics isolated so far; an input's delivery
-// panics are its own (InputsSnapshot, Accounting.InputPanics).
-func (s *Service) Panics() uint64 { return s.panics.Load() }
-
 // WindowSnapshot returns the window's observable state.
 func (s *Service) WindowSnapshot() WindowStats {
 	s.mu.Lock()
@@ -870,14 +869,6 @@ func (s *Service) InputsSnapshot() []ingest.SupervisorStats {
 		return nil
 	}
 	return s.sched.Snapshot()
-}
-
-// InputCursor reports the consumed resume cursor of one configured
-// ingest input (0 before anything of it was consumed).
-func (s *Service) InputCursor(id string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inputCursors[id].off
 }
 
 // StagesSnapshot returns accumulated per-stage timings.

@@ -139,8 +139,3 @@ func (s *Sampler) take(t simclock.Time, frame []byte) Record {
 		Seq:      s.seq,
 	}
 }
-
-// RNG exposes the sampler's random source so traffic generators can draw
-// correlated decisions (e.g. timestamps of sampled packets) without
-// maintaining a second seed.
-func (s *Sampler) RNG() *rand.Rand { return s.random() }

@@ -159,8 +159,8 @@ func TestZeroValueSampler(t *testing.T) {
 		t.Errorf("zero-value Take = %d-byte frame (orig %d), want %d/500",
 			len(rec.Frame), rec.FrameLen, DefaultSnaplen)
 	}
-	if s3.RNG() == nil {
-		t.Error("zero-value RNG() must lazily seed, not return nil")
+	if s3.random() == nil {
+		t.Error("zero-value random() must lazily seed, not return nil")
 	}
 }
 
@@ -169,7 +169,7 @@ func TestDefaults(t *testing.T) {
 	if s.Rate != 16384 || s.Snaplen != 128 {
 		t.Errorf("defaults = 1:%d snaplen %d, want 1:16384/128 (§3.1)", s.Rate, s.Snaplen)
 	}
-	if s.RNG() == nil {
-		t.Error("RNG accessor nil")
+	if s.random() == nil {
+		t.Error("random source nil")
 	}
 }

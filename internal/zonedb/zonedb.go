@@ -525,24 +525,6 @@ func (z *Zone) BuildANYResponse(q *dnswire.Message, t simclock.Time) *dnswire.Me
 	return resp
 }
 
-// BuildResponse materializes a typed response from an explicit zone.
-func (z *Zone) BuildResponse(q *dnswire.Message, t simclock.Time) *dnswire.Message {
-	if q.QType() == dnswire.TypeANY && z.AllowANY {
-		return z.BuildANYResponse(q, t)
-	}
-	resp := dnswire.NewResponse(q)
-	resp.Header.AA = true
-	set := z.RRsets[q.QType()]
-	resp.Answers = append(resp.Answers, set...)
-	if z.Signer != nil && len(set) > 0 {
-		resp.Answers = append(resp.Answers, z.Signer.Sign(t, z.Name, q.QType(), z.TTL)...)
-	}
-	if len(set) == 0 {
-		resp.Authority = append(resp.Authority, z.RRsets[dnswire.TypeSOA]...)
-	}
-	return resp
-}
-
 // --- procedural namespace -------------------------------------------------
 
 // Tail calibration: match the paper's Fig. 16 proportions.

@@ -245,25 +245,6 @@ func TestBuildANYResponseEncodes(t *testing.T) {
 	}
 }
 
-func TestBuildTypedResponse(t *testing.T) {
-	db := smallDB()
-	z, _ := db.Zone("nsf.gov")
-	q := dnswire.NewQuery(9, "nsf.gov", dnswire.TypeA, 4096)
-	resp := z.BuildResponse(q, simclock.MeasurementStart)
-	if len(resp.Answers) < 2 { // A + RRSIG
-		t.Fatalf("answers = %d", len(resp.Answers))
-	}
-	if resp.Answers[0].Type != dnswire.TypeA {
-		t.Errorf("first answer %v", resp.Answers[0].Type)
-	}
-	// Unknown type yields SOA in authority.
-	q2 := dnswire.NewQuery(9, "nsf.gov", dnswire.TypeSRV, 4096)
-	resp2 := z.BuildResponse(q2, simclock.MeasurementStart)
-	if len(resp2.Answers) != 0 || len(resp2.Authority) == 0 {
-		t.Error("negative answer should carry SOA")
-	}
-}
-
 func TestRootZone(t *testing.T) {
 	db := smallDB()
 	z, ok := db.Zone(".")

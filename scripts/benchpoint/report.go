@@ -112,8 +112,9 @@ func printTrajectory(sp spec) error {
 }
 
 // chainBreak says why cur's base does not continue the chain from
-// prev, or returns "" when it does or, without history, when it cannot
-// tell: a base that is prev's recording commit looks like any other.
+// prev, or returns "" when it does, when the commits between change no
+// code (touchesCode), or, without history, when it cannot tell: a base
+// that is prev's recording commit looks like any other.
 func chainBreak(prev, cur recorded, history bool) string {
 	base := cur.Base.Commit
 	if base == prev.Head.Commit || (prev.by != "" && base == prev.by) || !history {
@@ -122,12 +123,26 @@ func chainBreak(prev, cur recorded, history bool) string {
 	if prev.by == "" {
 		return fmt.Sprintf("base %s is not %s's head %s, which is not committed", short(base), prev.file, short(prev.Head.Commit))
 	}
+	if out, err := exec.Command("git", "diff", "--name-only", prev.by, base).Output(); err == nil &&
+		!touchesCode(strings.Fields(string(out))) {
+		return ""
+	}
 	between := "an unknown number of commits"
 	if out, err := exec.Command("git", "rev-list", "--count", prev.by+".."+base).Output(); err == nil {
 		between = strings.TrimSpace(string(out)) + " commit(s)"
 	}
 	return fmt.Sprintf("base %s is not %s's head (recorded at %s): %s between, measured by no point",
 		short(base), prev.file, short(prev.by), between)
+}
+
+// touchesCode reports whether a diff's paths include anything the
+// benchmark builds from: a Go file, go.mod or go.sum (the module embeds
+// no other file). A range of documentation commits measures the same
+// program as its base.
+func touchesCode(paths []string) bool {
+	return slices.ContainsFunc(paths, func(p string) bool {
+		return strings.HasSuffix(p, ".go") || p == "go.mod" || p == "go.sum"
+	})
 }
 
 // workload returns the point's row for name, nil when it was not run.

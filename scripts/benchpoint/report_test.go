@@ -33,3 +33,26 @@ func TestChainBreakWithoutHistory(t *testing.T) {
 		}
 	}
 }
+
+// TestTouchesCode: a range that changes only documentation, the
+// allowlist or the committed points measures the same program; any Go
+// file or module file breaks the chain.
+func TestTouchesCode(t *testing.T) {
+	for _, c := range []struct {
+		paths []string
+		want  bool
+	}{
+		{nil, false},
+		{[]string{"ROADMAP.md"}, false},
+		{[]string{"docs/ARCHITECTURE.md", "BENCH_45.json", "scripts/testonly_allowlist.txt", "internal/dnswire/testdata/fuzz/FuzzParse/x"}, false},
+		{[]string{"README.md", "internal/server/server.go"}, true},
+		{[]string{"internal/server/runs_test.go"}, true},
+		{[]string{"go.mod"}, true},
+		{[]string{"go.sum"}, true},
+		{[]string{"docs/go.mod.md"}, false},
+	} {
+		if got := touchesCode(c.paths); got != c.want {
+			t.Errorf("touchesCode(%q) = %v, want %v", c.paths, got, c.want)
+		}
+	}
+}
