@@ -24,13 +24,13 @@ func benchTraffic() (*ecosystem.Campaign, *ecosystem.Generator) {
 }
 
 // BenchmarkObserveBatch measures the batch-native pass-1 loop:
-// RemapBatch (stats + routing coverage over the AS cache) feeding
+// RemapBatch (the batch's tally) feeding
 // Aggregator.ObserveBatch directly, one generated day per iteration.
 // Must report 0 allocs/op.
 func BenchmarkObserveBatch(b *testing.B) {
 	c, g := benchTraffic()
 	dt := g.Day(simclock.MeasurementStart.Add(simclock.Days(10)), nil)
-	cap := ixp.NewCapturePoint(c.Topo, g.Table())
+	cap := ixp.NewCapturePoint(nil, g.Table())
 	ag := core.NewAggregator(g.Table(), c.DB.ExplicitNames())
 	ag.ObserveBatch(cap.RemapBatch(dt.Batch))
 	b.ReportAllocs()
@@ -45,7 +45,7 @@ func BenchmarkObserveBatch(b *testing.B) {
 // the cand/total column fill, and the branch-light integer pass.
 func BenchmarkDetectColumnar(b *testing.B) {
 	c, g := benchTraffic()
-	cap := ixp.NewCapturePoint(c.Topo, g.Table())
+	cap := ixp.NewCapturePoint(nil, g.Table())
 	ag := core.NewAggregator(g.Table(), c.DB.ExplicitNames())
 	for d := 0; d < 7; d++ {
 		dt := g.Day(simclock.MeasurementStart.Add(simclock.Days(10+d)), nil)
@@ -75,7 +75,7 @@ func BenchmarkDetectColumnar(b *testing.B) {
 func BenchmarkCollectorObserveBatch(b *testing.B) {
 	c, g := benchTraffic()
 	day := simclock.MeasurementStart.Add(simclock.Days(10))
-	cap := ixp.NewCapturePoint(c.Topo, g.Table())
+	cap := ixp.NewCapturePoint(nil, g.Table())
 	ag := core.NewAggregator(g.Table(), c.DB.ExplicitNames())
 	ag.ObserveBatch(cap.RemapBatch(g.Day(day, nil).Batch))
 	cands := map[string]bool{}

@@ -315,14 +315,6 @@ func eventAmplifierCount(rng *rand.Rand) int {
 // pow10 returns 10^x.
 func pow10(x float64) float64 { return math.Pow(10, x) }
 
-// DailySeries describes the entity's working set evolution for Fig. 12.
-type DailySeries struct {
-	Day        simclock.Time
-	ListSize   int
-	NewCount   int
-	Transition bool
-}
-
 // ResponseEfficiency is the fraction of spoofed requests that produce a
 // response after the escalation: the entity overdrives its reflectors,
 // so the absolute response volume stays flat while requests soar (§6.2:

@@ -326,11 +326,9 @@ type Item struct {
 	At simclock.Time
 
 	// Cursor is the source's progress cursor just past this datagram
-	// (byte offset or deterministic count; 0 for UDP). Epoch increments
-	// when a tailed file is reopened after rotation or truncation, so
-	// cursors from different file incarnations never compare.
+	// (byte offset or deterministic count; 0 for UDP). A source's items
+	// arrive in read order, so the last one consumed is its resume point.
 	Cursor int64
-	Epoch  uint64
 }
 
 // State is a supervisor's lifecycle state.
@@ -397,8 +395,8 @@ type SupervisorStats struct {
 	Stalls      uint64 `json:"stalls"`
 	ReadRetries uint64 `json:"readRetries"`
 
-	// Buffered is the current per-source buffer depth; Cursor/Epoch the
-	// newest emitted progress cursor.
+	// Buffered is the current per-source buffer depth; Cursor the newest
+	// emitted progress cursor; Epoch the cumulative tail-reopen count.
 	Buffered int    `json:"buffered"`
 	Cursor   int64  `json:"cursor"`
 	Epoch    uint64 `json:"epoch"`

@@ -357,6 +357,100 @@ func TestDeliverPanicContainment(t *testing.T) {
 	}
 }
 
+// idleAfterRunner delivers cursors 1..n past the resume cursor, then
+// stays healthy until finish closes: a source whose stream does not end
+// before the test says so. ended receives each run's generation when
+// that run returns.
+type idleAfterRunner struct {
+	n      int
+	finish chan struct{}
+	ended  chan uint64
+}
+
+func (r *idleAfterRunner) run(t *task, cursor int64) error {
+	defer func() { r.ended <- t.gen }()
+	for c := cursor + 1; c <= int64(r.n); c++ {
+		if !t.deliver(&sflow.Datagram{Seq: uint32(c)}, simclock.Time(c), c, 0) {
+			return t.ctx.Err()
+		}
+	}
+	for {
+		t.beat()
+		select {
+		case <-r.finish:
+			return nil
+		case <-t.ctx.Done():
+			return t.ctx.Err()
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
+// TestAbandonedRunPushesNothing: a run wedged inside deliver (its
+// FaultPanic hook blocks at cursor 3) is stall-cancelled and abandoned,
+// and its successor resumes from cursor 2. When the hook lets go, the
+// abandoned run must push nothing: every cursor reaches the consumer
+// once and in order, and the source's cursor never moves back.
+func TestAbandonedRunPushesNothing(t *testing.T) {
+	const n = 20
+	var wedged atomic.Bool
+	release := make(chan struct{})
+	r := &idleAfterRunner{n: n, finish: make(chan struct{}), ended: make(chan uint64, 4)}
+	s := fakeSched(t, Config{
+		Tuning: fastTuning(),
+		FaultPanic: func(_ string, dg *sflow.Datagram) bool {
+			if dg.Seq == 3 && wedged.CompareAndSwap(false, true) {
+				<-release
+			}
+			return false
+		},
+	}, r)
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	out := s.Items()
+	var cursors []int64
+	for len(cursors) == 0 || cursors[len(cursors)-1] != n {
+		select {
+		case it := <-out:
+			cursors = append(cursors, it.Cursor)
+			it.Release()
+		case <-time.After(10 * time.Second):
+			t.Fatalf("successor never delivered cursor %d; got %v", n, cursors)
+		}
+	}
+	if st := s.Snapshot()[0]; st.Restarts != 1 || st.Stalls != 1 {
+		t.Fatalf("want one stall restart before the successor finished: %+v", st)
+	}
+
+	// The successor is idling at end of input; let the wedged run go on
+	// and wait for it to return.
+	close(release)
+	select {
+	case gen := <-r.ended:
+		if gen != 1 {
+			t.Fatalf("run %d ended first, want the abandoned run 1", gen)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("abandoned run never returned")
+	}
+	if c := s.Snapshot()[0].Cursor; c != n {
+		t.Errorf("source cursor = %d after the abandoned run returned, want %d", c, n)
+	}
+	close(r.finish)
+	for it := range out {
+		cursors = append(cursors, it.Cursor)
+		it.Release()
+	}
+	want := make([]int64, n)
+	for i := range want {
+		want[i] = int64(i + 1)
+	}
+	if !slices.Equal(cursors, want) {
+		t.Errorf("consumed cursors %v, want each of 1..%d once, in order", cursors, n)
+	}
+}
+
 // writeTestLog writes a datagram log with n one-sample entries at
 // 1-second spacing and returns its path.
 func writeTestLog(t *testing.T, n int) string {

@@ -299,23 +299,25 @@ func (sv *Supervisor) supervise() {
 	tun := sv.s.tun
 	backoff := tun.BackoffMin
 	failStreak := 0
-	var epochBase uint64
 
 	for {
 		if sv.s.ctx.Err() != nil {
 			sv.setState(StateStopped)
 			return
 		}
-		gen := sv.gen.Add(1)
 		runCtx, cancel := context.WithCancel(sv.s.ctx)
+		// Under s.mu, the lock deliver pushes under: an abandoned run
+		// pushed before the cursor is read here, or never pushes again.
 		sv.s.mu.Lock()
+		gen := sv.gen.Add(1)
+		cursor, reopenBase := sv.cursor.Load(), sv.epoch.Load()
 		sv.cancelRun = cancel
 		sv.s.mu.Unlock()
 		sv.beats.Add(1) // a fresh run gets a fresh stall deadline, before it counts as running
 		sv.setState(StateStarting)
 		before := sv.emitted.Load()
 
-		t := &task{sv: sv, ctx: runCtx, gen: gen, epochBase: epochBase, w: NewWriter()}
+		t := &task{sv: sv, ctx: runCtx, gen: gen, reopenBase: reopenBase, w: NewWriter()}
 		resCh := make(chan error, 1)
 		go func() {
 			defer func() {
@@ -323,7 +325,7 @@ func (sv *Supervisor) supervise() {
 					resCh <- fmt.Errorf("runner panic: %v", p)
 				}
 			}()
-			resCh <- sv.run.run(t, sv.cursor.Load())
+			resCh <- sv.run.run(t, cursor)
 		}()
 
 		var err error
@@ -352,9 +354,6 @@ func (sv *Supervisor) supervise() {
 
 		stalled := sv.stallFlag.Swap(false)
 		progressed := sv.emitted.Load() > before
-		// The next run's epochs must exceed anything already emitted:
-		// a restarted tailer counts reopens from zero again.
-		epochBase = sv.epoch.Load() + 1
 
 		switch {
 		case sv.s.ctx.Err() != nil:
@@ -402,10 +401,10 @@ func (sv *Supervisor) supervise() {
 // is generation-checked so a run the supervisor has abandoned (or
 // replaced) can no longer touch shared state.
 type task struct {
-	sv        *Supervisor
-	ctx       context.Context
-	gen       uint64
-	epochBase uint64
+	sv         *Supervisor
+	ctx        context.Context
+	gen        uint64
+	reopenBase uint64 // the source's reopen count when the run started
 	// w is the run's chunk writer. Each run has its own, so a run the
 	// supervisor abandoned never writes into a chunk its successor fills.
 	w *Writer
@@ -459,8 +458,9 @@ func (t *task) readRetry(err error) {
 // deliver copies one parsed datagram into the run's chunk and hands it
 // to the source's ring, blocking while the source's buffer is full. dg
 // may alias the runner's read buffer: nothing keeps it. It returns
-// false when the run should stop (cancelled or superseded).
-func (t *task) deliver(dg *sflow.Datagram, at simclock.Time, cursor int64, relEpoch uint64) bool {
+// false when the run should stop (cancelled or superseded); liveness is
+// checked under the push's lock, so a superseded run pushes nothing.
+func (t *task) deliver(dg *sflow.Datagram, at simclock.Time, cursor int64, reopens uint64) bool {
 	sv := t.sv
 	if !t.live() {
 		return false
@@ -471,30 +471,28 @@ func (t *task) deliver(dg *sflow.Datagram, at simclock.Time, cursor int64, relEp
 		return true // the entry is quarantined; the source lives on
 	}
 
-	epoch := t.epochBase + relEpoch
 	it := Item{
 		SourceID: sv.spec.ID,
 		Durable:  sv.spec.Durable(),
 		Ref:      ref,
 		At:       at,
 		Cursor:   cursor,
-		Epoch:    epoch,
 	}
 	s := sv.s
 	s.mu.Lock()
-	for sv.buf.full() {
-		if t.ctx.Err() != nil || !t.live() {
-			s.mu.Unlock()
-			ref.Release()
-			return false
-		}
+	for sv.buf.full() && t.ctx.Err() == nil && t.live() {
 		s.cond.Wait()
 	}
+	if sv.buf.full() || !t.live() {
+		s.mu.Unlock()
+		ref.Release()
+		return false
+	}
 	sv.buf.push(it)
+	sv.cursor.Store(cursor)
+	sv.epoch.Store(t.reopenBase + reopens)
 	s.mu.Unlock()
 	sv.emitted.Add(1)
-	sv.cursor.Store(cursor)
-	sv.epoch.Store(epoch)
 	s.cond.Broadcast()
 	return true
 }

@@ -183,13 +183,13 @@ func (u *udpRunner) run(t *task, _ int64) error {
 
 // durableRunner reads a tail:, replay:, pcap: or synthetic: input
 // through its sflow.EntryReader; only opening the reader differs by
-// kind. A tail: input follows its log (sflow.Tailer) and polls at the
-// end instead of completing; its epoch (Tailer.Reopens, offset by the
-// supervisor's restart base) tells the consumer when offsets stopped
-// being comparable. A synthetic: input batches its campaign's wire
-// stream, a pure function of (scale, seed, day), from a generator built
-// once and kept across restarts (construction dominates). The cursor is
-// the reader's Offset — bytes for a log, frames for pcap:, samples for
+// kind. A tail: input follows its log (sflow.Tailer), polls at the end
+// instead of completing, and reports its reopens (Tailer.Reopens) for
+// the row's epoch count. A synthetic: input batches its campaign's
+// wire stream, a pure function of (scale, seed, day), from a generator
+// built once and kept across restarts (construction dominates). The
+// cursor is the reader's Offset — bytes for a log (after a reopen, in
+// the file the path names now), frames for pcap:, samples for
 // synthetic: — and a restart skips forward by reading, so what follows
 // carries the bytes and Seq numbers of a full run, and injected stream
 // faults see the same reads a fresh run would.
@@ -240,11 +240,11 @@ func (r *durableRunner) run(t *task, cursor int64) error {
 		if r.cfg.TimeFromUptime {
 			at = simclock.Time(dg.Uptime)
 		}
-		var epoch uint64
+		var reopens uint64
 		if follow {
-			epoch = tl.Reopens()
+			reopens = tl.Reopens()
 		}
-		if !t.deliver(&dg, at, rd.Offset(), epoch) {
+		if !t.deliver(&dg, at, rd.Offset(), reopens) {
 			return t.ctx.Err()
 		}
 	}

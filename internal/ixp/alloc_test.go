@@ -17,9 +17,8 @@ import (
 )
 
 // TestObserveBatchZeroAllocSteadyState guards the batch-native pass-1
-// loop end to end: RemapBatch (stats + routing-coverage counting over
-// the warmed per-address AS cache, identity table view) feeding
-// Aggregator.ObserveBatch must not allocate per batch once the name
+// loop end to end: RemapBatch (the batch's tally, identity table view)
+// feeding Aggregator.ObserveBatch must not allocate per batch once the name
 // slots and client-day arena exist — this is the loop the pipeline's
 // Aggregate stage now spends its life in.
 func TestObserveBatchZeroAllocSteadyState(t *testing.T) {
@@ -33,9 +32,9 @@ func TestObserveBatchZeroAllocSteadyState(t *testing.T) {
 		t.Fatal("no batch records")
 	}
 
-	cap := ixp.NewCapturePoint(c.Topo, gen.Table())
+	cap := ixp.NewCapturePoint(nil, gen.Table())
 	ag := core.NewAggregator(gen.Table(), c.DB.ExplicitNames())
-	// Warm pass: fills the AS cache and creates every aggregation slot.
+	// Warm pass: creates every aggregation slot.
 	ag.ObserveBatch(cap.RemapBatch(dt.Batch))
 
 	allocs := testing.AllocsPerRun(3, func() {

@@ -94,11 +94,9 @@ func (b *SampleBatch) Append(r BatchRecord) {
 
 // RemapBatch accounts a batch for batch-native consumers
 // (core.Aggregator.ObserveBatch, core.Collector.ObserveBatch): it adds
-// the batch's tally and, over a routing substrate, its rows' routing
-// coverage (origin/peer mapping, through the per-address AS cache; no
-// other code counts it), and returns the batch. It translates
-// nothing: a run has one name table, so a batch in any other table than
-// the capture point's is a wiring bug inside the program and panics.
+// the batch's tally and returns the batch. It translates nothing: a run
+// has one name table, so a batch in any other table than the capture
+// point's is a wiring bug inside the program and panics.
 func (c *CapturePoint) RemapBatch(b *SampleBatch) *SampleBatch {
 	if b == nil {
 		return nil
@@ -108,16 +106,5 @@ func (c *CapturePoint) RemapBatch(b *SampleBatch) *SampleBatch {
 	}
 	c.Stats.FrameCounts.Add(b.FrameCounts)
 	c.Stats.Accepted += b.N
-	if c.Topo != nil {
-		for i := range b.Rows {
-			origin, peer := c.originPeer(b.Rows[i].Src)
-			if origin != 0 {
-				c.Stats.OriginMapped++
-			}
-			if peer != 0 {
-				c.Stats.PeerMapped++
-			}
-		}
-	}
 	return b
 }

@@ -1,16 +1,12 @@
-// Package ixp models the IXP capture point: it decodes sampled frames,
-// keeps only well-formed DNS-over-UDP packets as rows (the sanitization
-// step of §3.1), and measures the rows' origin and peering-hop AS
-// coverage — the metadata the paper derives from RIPE RIS data and IXP
-// member information. It owns what sanitization keeps (Sanitize,
-// CheckDNS, Drop) and the tally of it (FrameCounts), for live capture,
-// replay ingest and the traffic generator; netmodel owns frame
-// lengths, dnswire message lengths.
+// Package ixp models the IXP capture point: it decodes sampled frames
+// and keeps only well-formed DNS-over-UDP packets as rows (the
+// sanitization step of §3.1). It owns what sanitization keeps
+// (Sanitize, CheckDNS, Drop) and the tally of it (FrameCounts), for
+// live capture, replay ingest and the traffic generator; netmodel owns
+// frame lengths, dnswire message lengths.
 package ixp
 
 import (
-	"net/netip"
-
 	"dnsamp/internal/dnswire"
 	"dnsamp/internal/names"
 	"dnsamp/internal/netmodel"
@@ -38,8 +34,6 @@ type DNSSample struct {
 // CapturePoint turns raw sampled frames into sanitized DNS samples
 // (Sanitize, Process) and accounts whole batches (RemapBatch).
 type CapturePoint struct {
-	Topo *topology.Topology
-
 	// Table is the capture point's name-interning space: every sample
 	// it emits carries a Name ID of this table, and every batch it
 	// accounts must carry this table. Consumers sharing the capture
@@ -51,43 +45,12 @@ type CapturePoint struct {
 
 	// qname is the buffer Sanitize scans each question name into.
 	qname []byte
-	// asCache memoizes origin | peer<<32 per source address: client
-	// populations repeat heavily, so routing resolution drops from two
-	// longest-prefix walks per packet to one map probe. Entries are
-	// never evicted, but insertion stops at asCacheMax entries:
-	// synthetic campaigns stay far below it, while replayed or live
-	// traffic with high-cardinality spoofed sources (scans, carpet
-	// bombing) degrades to direct routing lookups instead of growing
-	// without bound.
-	asCache map[uint32]uint64
 
 	// _ rounds the struct up to whole 64-byte cache lines (128 bytes).
 	// Process writes Stats on every sample: at 112 bytes, a size class
 	// that does not divide into whole lines, the live window's capture
 	// point cost serve-coarse 12 % more CPU per sample than at 128.
-	_ [3]uint64
-}
-
-// asCacheMax bounds the AS cache at 2^20 entries: far above any
-// synthetic client population, far below an address-sweep's reach.
-const asCacheMax = 1 << 20
-
-// originPeer resolves the origin AS and peer-hop member AS of a source
-// address through the per-address cache.
-func (c *CapturePoint) originPeer(addr [4]byte) (origin, peer uint32) {
-	key := uint32(addr[0])<<24 | uint32(addr[1])<<16 | uint32(addr[2])<<8 | uint32(addr[3])
-	if v, ok := c.asCache[key]; ok {
-		return uint32(v), uint32(v >> 32)
-	}
-	origin = c.Topo.OriginAS(netip.AddrFrom4(addr))
-	peer = c.Topo.MemberFor(origin)
-	if c.asCache == nil {
-		c.asCache = make(map[uint32]uint64)
-	}
-	if len(c.asCache) < asCacheMax {
-		c.asCache[key] = uint64(origin) | uint64(peer)<<32
-	}
-	return origin, peer
+	_ [7]uint64
 }
 
 // FrameCounts tallies sanitization outcomes, for a batch (SampleBatch)
@@ -122,13 +85,10 @@ func (f *FrameCounts) Add(o FrameCounts) {
 	f.Malformed += o.Malformed
 }
 
-// CaptureStats counts the frames, the samples kept and their routing
-// coverage.
+// CaptureStats counts the frames and the samples kept.
 type CaptureStats struct {
 	FrameCounts
-	Accepted     int
-	OriginMapped int
-	PeerMapped   int
+	Accepted int
 }
 
 // Add accumulates another capture point's counters, combining the stats
@@ -136,17 +96,16 @@ type CaptureStats struct {
 func (s *CaptureStats) Add(other CaptureStats) {
 	s.FrameCounts.Add(other.FrameCounts)
 	s.Accepted += other.Accepted
-	s.OriginMapped += other.OriginMapped
-	s.PeerMapped += other.PeerMapped
 }
 
-// NewCapturePoint builds a capture point over the routing substrate,
-// interning names into tab (a fresh table when nil).
-func NewCapturePoint(topo *topology.Topology, tab *names.Table) *CapturePoint {
+// NewCapturePoint builds a capture point interning names into tab (a
+// fresh table when nil). The first parameter is unused; the benchmark
+// harness (bench/recording.go) still passes it.
+func NewCapturePoint(_ *topology.Topology, tab *names.Table) *CapturePoint {
 	if tab == nil {
 		tab = names.NewTable()
 	}
-	return &CapturePoint{Topo: topo, Table: tab}
+	return &CapturePoint{Table: tab}
 }
 
 // Drop is a sanitization outcome: Keep, or the FrameCounts counter a

@@ -262,7 +262,7 @@ func (r *Runner) Aggregate() *Runner {
 	for w := range workers {
 		mains[w] = core.NewAggregator(stab, track)
 		exts[w] = core.NewAggregator(stab, track)
-		caps[w] = ixp.NewCapturePoint(c.Topo, stab)
+		caps[w] = ixp.NewCapturePoint(nil, stab)
 	}
 	window := r.window
 	hpCfg := honeypot.CCCThresholds()

@@ -9,5 +9,5 @@ func (s *Service) Panics() uint64 { return s.panics.Load() }
 func (s *Service) InputCursor(id string) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.inputCursors[id].off
+	return s.inputCursors[id]
 }

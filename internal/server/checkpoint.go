@@ -49,9 +49,9 @@ const (
 	// (replaySkipped, sampledOut, shedAll). Versions 3 and 2 stay
 	// readable; their shed counters restart at 0 (version 2: see
 	// adoptSingleInput). The queue-drop and replay-skip totals are the
-	// source rows' sums, checked on load. A version 5 can drop the
-	// capture point's OriginMapped and PeerMapped: always 0 in the
-	// window, whose point has no topology.
+	// source rows' sums, checked on load. A version 5 can drop the two
+	// zero words that held the capture point's routing coverage, which
+	// no longer exists (it was always 0 in the window).
 	ckptVersion    = 4
 	ckptVersionMin = 2
 	// ckptOverhead is the fixed envelope: magic + version up front, an
@@ -97,9 +97,11 @@ func (w *Window) writeSnapshot(e *binenc.Encoder) {
 	}
 
 	st := &w.cp.Stats
-	for _, v := range []int{st.Frames, st.NonUDP, st.NonDNS, st.Malformed, st.Accepted, st.OriginMapped, st.PeerMapped} {
+	for _, v := range []int{st.Frames, st.NonUDP, st.NonDNS, st.Malformed, st.Accepted} {
 		e.I64(int64(v))
 	}
+	e.I64(0) // version 4's origin-mapped count
+	e.I64(0) // version 4's peer-mapped count
 }
 
 // readSnapshot restores writeSnapshot's state into a freshly
@@ -145,9 +147,11 @@ func (w *Window) readSnapshot(d *binenc.Decoder) error {
 	})
 
 	st := &w.cp.Stats
-	for _, p := range []*int{&st.Frames, &st.NonUDP, &st.NonDNS, &st.Malformed, &st.Accepted, &st.OriginMapped, &st.PeerMapped} {
+	for _, p := range []*int{&st.Frames, &st.NonUDP, &st.NonDNS, &st.Malformed, &st.Accepted} {
 		*p = int(d.I64())
 	}
+	d.I64() // version 4's origin-mapped count, always 0
+	d.I64() // version 4's peer-mapped count, always 0
 	return d.Err()
 }
 
@@ -198,10 +202,10 @@ func (s *Service) encodeCheckpoint() ([]byte, error) {
 	}
 
 	// Per-input consumed cursors for supervised multi-source ingest,
-	// keyed by the stable ingest.Spec ID. Only the offset persists: an
-	// epoch orders offsets within one process lifetime; across a
-	// restart each source adapter revalidates the offset against
-	// whatever the input looks like now (Tailer resumeAt semantics).
+	// keyed by the stable ingest.Spec ID: each the offset just past the
+	// last datagram consumed from that input. Across a restart each
+	// source adapter revalidates the offset against whatever the input
+	// looks like now (Tailer resumeAt semantics).
 	ids := make([]string, 0, len(s.inputCursors))
 	for id := range s.inputCursors {
 		ids = append(ids, id)
@@ -210,7 +214,7 @@ func (s *Service) encodeCheckpoint() ([]byte, error) {
 	e.U32(uint32(len(ids)))
 	for _, id := range ids {
 		e.Str(id)
-		e.I64(s.inputCursors[id].off)
+		e.I64(s.inputCursors[id])
 	}
 
 	a := s.accountingLocked()
@@ -239,7 +243,7 @@ func (s *Service) encodeCheckpoint() ([]byte, error) {
 func (s *Service) clearState() {
 	s.win = NewWindow(s.cfg.Window, s.stages)
 	s.sources = make(map[sourceKey]*sourceState)
-	s.inputCursors = make(map[string]srcCursor)
+	s.inputCursors = make(map[string]int64)
 	s.schedResume = make(map[string]int64)
 	s.receivedBase, s.parseErrorsBase = 0, 0
 	s.consumed.Store(0)
@@ -319,7 +323,7 @@ func (s *Service) decodeCheckpoint(raw []byte) error {
 		id := d.Str()
 		off := d.I64()
 		if d.Err() == nil {
-			s.inputCursors[id] = srcCursor{off: off}
+			s.inputCursors[id] = off
 			s.schedResume[id] = off
 		}
 	}
@@ -379,7 +383,7 @@ func (s *Service) adoptSingleInput(tailOff int64) error {
 		s.sources[src.key] = src
 	}
 	if tailOff > 0 {
-		s.inputCursors[in.ID] = srcCursor{off: tailOff}
+		s.inputCursors[in.ID] = tailOff
 		s.schedResume[in.ID] = tailOff
 	}
 	return nil

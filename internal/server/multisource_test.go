@@ -629,6 +629,26 @@ func TestMultiSourceResumeRoundTrip(t *testing.T) {
 	}
 }
 
+// writeTailLog creates a datagram log at path holding n entries
+// (appendEntries), replacing any file there.
+func writeTailLog(t *testing.T, path string, agent [4]byte, firstSeq uint32, at simclock.Time, n int) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr [12]byte
+	copy(hdr[:8], []byte("sFlowLog"))
+	binary.LittleEndian.PutUint32(hdr[8:], 1)
+	if _, err := f.Write(hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	appendEntries(t, path, agent, firstSeq, at, n)
+}
+
 // TestTailRotateCheckpointResume: a sole tail: input (what -tail
 // configures) survives log rotation concurrent with checkpointing. After a rotation the
 // consumed offset must track the new file's (smaller) offset space —
@@ -644,20 +664,7 @@ func TestTailRotateCheckpointResume(t *testing.T) {
 	start := simclock.MeasurementStart
 
 	writeLog := func(path string, firstSeq uint32, at simclock.Time, n int) {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var hdr [12]byte
-		copy(hdr[:8], []byte("sFlowLog"))
-		binary.LittleEndian.PutUint32(hdr[8:], 1)
-		if _, err := f.Write(hdr[:]); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		appendEntries(t, path, agent, firstSeq, at, n)
+		writeTailLog(t, path, agent, firstSeq, at, n)
 	}
 
 	writeLog(logPath, 1, start, 40)
@@ -713,5 +720,72 @@ func TestTailRotateCheckpointResume(t *testing.T) {
 	shutdownSvc(t, svc2)
 	if got := frames(svc2); got != 90 {
 		t.Errorf("samples processed = %d, want exactly 90 across rotation and resume", got)
+	}
+}
+
+// TestTailRotatedWhileDownResume: a tail: input's log is rotated to a
+// smaller file while the service is down. The resumed run reads the new
+// file from the top, and its consumed cursor must follow it down to the
+// new file's size, not stay at the dead file's larger offset. Entries
+// appended before a second resume are then consumed once: the cursor
+// is the last datagram consumed, whatever offsets came before it.
+func TestTailRotatedWhileDownResume(t *testing.T) {
+	dir := t.TempDir()
+	logPath := filepath.Join(dir, "wire.sflowlog")
+	agent := [4]byte{198, 51, 100, 7}
+	start := simclock.MeasurementStart
+	tailID := "tail:" + logPath
+	cfg := func(resume bool) Config {
+		return Config{
+			Inputs: tailInput(t, logPath), Window: WindowConfig{Days: 2},
+			StateDir: filepath.Join(dir, "state"), Resume: resume,
+		}
+	}
+	// resume starts a resumed service and waits until it has read the
+	// whole log and consumed what it read.
+	resume := func() *Service {
+		t.Helper()
+		svc := startService(t, cfg(true))
+		if svc.ResumedFrom() == "" {
+			t.Fatal("service did not resume from a checkpoint")
+		}
+		fi, err := os.Stat(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitUntil(t, "log read to its end", func() bool { return svc.InputsSnapshot()[0].Cursor == fi.Size() })
+		waitDrained(t, svc)
+		if c := svc.InputCursor(tailID); c != fi.Size() {
+			t.Errorf("consumed cursor = %d, want the log's size %d", c, fi.Size())
+		}
+		return svc
+	}
+
+	writeTailLog(t, logPath, agent, 1, start, 40)
+	svc1 := startService(t, cfg(false))
+	waitUntil(t, "initial file consumed", func() bool { return svc1.Consumed() == 40 })
+	shutdownSvc(t, svc1)
+
+	// Rotated while down: a fresh 10-entry file, a quarter of the old
+	// one's size, replaces the log.
+	tmp := logPath + ".next"
+	writeTailLog(t, tmp, agent, 1, start.Add(40), 10)
+	if err := os.Rename(tmp, logPath); err != nil {
+		t.Fatal(err)
+	}
+	svc2 := resume()
+	shutdownSvc(t, svc2)
+	if got := svc2.Consumed(); got != 50 {
+		t.Errorf("after the first resume consumed = %d, want 50", got)
+	}
+
+	appendEntries(t, logPath, agent, 11, start.Add(50), 5)
+	svc3 := resume()
+	shutdownSvc(t, svc3)
+	if got := svc3.Consumed(); got != 55 {
+		t.Errorf("after the second resume consumed = %d, want exactly 55 (a datagram consumed twice)", got)
+	}
+	if got := frames(svc3); got != 55 {
+		t.Errorf("samples processed = %d, want exactly 55", got)
 	}
 }

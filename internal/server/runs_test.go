@@ -285,7 +285,7 @@ func TestCheckpointMidStreamIsWholeDrains(t *testing.T) {
 	if k < total/3 || k >= total {
 		t.Fatalf("checkpoint holds %d of %d datagrams, want one taken mid-stream from datagram %d on", k, total, total/3)
 	}
-	if got := probe.inputCursors[in.ID].off; got != offs[k-1] {
+	if got := probe.inputCursors[in.ID]; got != offs[k-1] {
 		t.Errorf("checkpoint consumed %d datagrams but its cursor is %d, want %d, just past the %d-th entry", k, got, offs[k-1], k)
 	}
 	if got := probe.win.cp.Stats.Frames; got != samplesThrough[k-1] {

@@ -164,31 +164,19 @@ func (c Config) withDefaults() Config {
 // item is one parsed datagram in flight from producer to consumer: its
 // rows in its reader's chunk, released once the consumer is done with
 // them. off is the durable-input cursor just past its entry (a byte
-// offset or a deterministic count; 0 for UDP), and epoch tells the
-// consumer when cursors stopped being comparable (a tailed file was
-// reopened after rotation/truncation, or the source restarted).
+// offset or a deterministic count; 0 for UDP).
 type item struct {
-	src   *sourceState
-	ref   ingest.Ref
-	at    simclock.Time
-	off   int64
-	epoch uint64
-}
-
-// srcCursor is the consumed position of one durable ingest input:
-// the newest (epoch, offset) the consumer drained into the window.
-// Epochs order incomparable offset spaces; only the offset persists
-// in checkpoints (it is what the source adapter can seek to).
-type srcCursor struct {
-	epoch uint64
-	off   int64
+	src *sourceState
+	ref ingest.Ref
+	at  simclock.Time
+	off int64
 }
 
 // inputAdvance is one input's consumed cursor while a drain is being
 // folded in (Service.advanced).
 type inputAdvance struct {
 	sid string
-	srcCursor
+	off int64
 }
 
 // Service is the running daemon. Construct with NewService, start with
@@ -215,7 +203,7 @@ type Service struct {
 	// (window, cursor) pairs.
 	mu           sync.Mutex
 	win          *Window
-	inputCursors map[string]srcCursor
+	inputCursors map[string]int64
 	advanced     []inputAdvance // consumer scratch, empty between drains
 
 	// smu guards the source registry; row fields other than pending and
@@ -504,7 +492,7 @@ func (s *Service) admitRun(run []ingest.Item) bool {
 			s.admitUDPLocked(src, it)
 			continue
 		}
-		q := item{src: src, ref: it.Ref, at: it.At, off: it.Cursor, epoch: it.Epoch}
+		q := item{src: src, ref: it.Ref, at: it.At, off: it.Cursor}
 		select {
 		case s.queue <- q:
 		default:
@@ -626,7 +614,7 @@ func (s *Service) consumeDrain(drain []item) {
 		s.consumed.Add(1)
 	}
 	for _, in := range s.advanced {
-		s.inputCursors[in.sid] = in.srcCursor
+		s.inputCursors[in.sid] = in.off
 	}
 	s.advanced = s.advanced[:0]
 	s.mu.Unlock()
@@ -664,31 +652,23 @@ func (s *Service) observeLocked(it *item) (cause any) {
 	return nil
 }
 
-// advanceLocked moves the consumed cursor of the input it arrived
-// through past it. The cursor is worked on in s.advanced, one entry per
-// input the drain has touched, and written back to inputCursors when
-// the drain ends: one map write per input and drain, not per datagram.
-// Offsets compare within an epoch only: after
-// a rotation/truncation reopen (or a supervised-source restart) offsets
-// start over in a new, smaller space, and a newer epoch always
-// supersedes — without this, a post-rotation checkpoint would carry the
-// dead file's large stale offset. Caller holds s.mu.
+// advanceLocked sets the consumed cursor of the input it arrived
+// through to its offset. An input's datagrams are consumed in the order
+// its reader read them (one ring, one live writer, one FIFO queue, one
+// consumer), so the last one consumed holds the resume point, also when
+// a tail: input's log was rotated and its offsets started over. The
+// cursor is worked on in s.advanced, one entry per input the drain has
+// touched, and written back to inputCursors when the drain ends: one
+// map write per input and drain, not per datagram. Caller holds s.mu.
 func (s *Service) advanceLocked(it *item) {
 	sid := it.src.key.src
-	var in *inputAdvance
 	for i := range s.advanced {
 		if s.advanced[i].sid == sid {
-			in = &s.advanced[i]
-			break
+			s.advanced[i].off = it.off
+			return
 		}
 	}
-	if in == nil {
-		s.advanced = append(s.advanced, inputAdvance{sid, s.inputCursors[sid]})
-		in = &s.advanced[len(s.advanced)-1]
-	}
-	if it.epoch > in.epoch || (it.epoch == in.epoch && it.off > in.off) {
-		in.srcCursor = srcCursor{epoch: it.epoch, off: it.off}
-	}
+	s.advanced = append(s.advanced, inputAdvance{sid, it.off})
 }
 
 // quarantine writes a datagram whose processing panicked to a poison

@@ -41,8 +41,8 @@ type batchRow struct {
 // drain accounts a batch through a fresh capture point over the batch's
 // own table, as the detection pipeline does, and returns the batch's
 // rows and the capture stats.
-func drain(c *ecosystem.Campaign, b *ixp.SampleBatch) ([]batchRow, ixp.CaptureStats) {
-	cp := ixp.NewCapturePoint(c.Topo, b.Table)
+func drain(b *ixp.SampleBatch) ([]batchRow, ixp.CaptureStats) {
+	cp := ixp.NewCapturePoint(nil, b.Table)
 	cp.RemapBatch(b)
 	return rowsOf(b), cp.Stats
 }
@@ -113,8 +113,8 @@ func TestReplayMatchesSynthetic(t *testing.T) {
 	for _, day := range syn.Days() {
 		sb, sFlows := syn.DayFlows(day, nil)
 		rb, rFlows := replay.DayFlows(day, nil)
-		wantS, wantStats := drain(c, sb)
-		gotS, gotStats := drain(c, rb)
+		wantS, wantStats := drain(sb)
+		gotS, gotStats := drain(rb)
 		if len(wantS) != len(gotS) {
 			t.Fatalf("day %s: %d synthetic samples vs %d replayed", day.Date(), len(wantS), len(gotS))
 		}

@@ -6,8 +6,10 @@
 # take the held port and that contradictory flags exit 2, shut down on
 # SIGTERM; then the same recording through -serve -tail; then through
 # the one-shot -sflow, which must end by itself with the -tail leg's
-# summary, and exit 1 at once on a missing log. Mirrored by the
-# daemon-smoke CI job and `make daemon-smoke`.
+# summary; then the -tail leg resumed twice after its log was rotated
+# to a shorter recording while it was down and then grown, which must
+# count every entry once; and -sflow must exit 1 at once on a missing
+# log. Mirrored by the daemon-smoke CI job and `make daemon-smoke`.
 set -eu
 
 WORK="$(mktemp -d)"
@@ -78,6 +80,26 @@ stop_daemon() {
     SERVE_PID=""
     grep -q 'shutting down' "$WORK/serve.log" || fail "no shutdown log line"
     grep -q '^detections: [1-9]' "$WORK/serve.log" || fail "shutdown summary reported no detections"
+}
+
+# wait_cursor SIZE: the input row's cursor reaches SIZE (the whole log
+# read). Leaves the scrape in $SOURCES.
+wait_cursor() {
+    i=0
+    while :; do
+        SOURCES="$(curl -fsS "$BASE/sources")" || fail "scraping /sources"
+        [ "$(input_field cursor)" = "$1" ] && break
+        i=$((i + 1))
+        [ "$i" -le 100 ] || fail "tail cursor $(input_field cursor) never reached the file size $1"
+        sleep 0.2
+    done
+}
+
+# datagrams FILE: how many datagrams a log holds, as the one-shot
+# -sflow summary counts them.
+datagrams() {
+    "$WORK/ixpmon" -sflow "$1" -window 2 2>&1 >/dev/null |
+        sed -n 's/^ixpmon: \([0-9]*\) datagrams received.*/\1/p'
 }
 
 # input_field NAME: the value of one field of the (single) input row of
@@ -163,15 +185,9 @@ echo "== service mode on -tail: the same recording as a tail: input =="
     -window 2 -state "$WORK/state" >"$WORK/serve.log" 2>&1 &
 SERVE_PID=$!
 wait_up
-i=0
-while :; do
-    SOURCES="$(curl -fsS "$BASE/sources")" || fail "scraping /sources"
-    [ "$(input_field cursor)" = "$LOG_SIZE" ] && break
-    i=$((i + 1))
-    [ "$i" -le 100 ] || fail "tail cursor $(input_field cursor) never reached the file size $LOG_SIZE"
-    sleep 0.2
-done
+wait_cursor "$LOG_SIZE"
 wait_drained # the cursor is the newest entry read; the queue behind it drains next
+TAIL_RECEIVED="$RECEIVED"
 [ "$(input_field id)" = "tail:$WORK/traffic.sflow" ] || fail "/sources input row id = $(input_field id)"
 [ "$(input_field state)" = "healthy" ] || fail "tail input state = $(input_field state), want healthy (idle at end of log)"
 [ "$(input_field epoch)" = "0" ] || fail "tail input reopened an untouched log: epoch $(input_field epoch)"
@@ -191,6 +207,39 @@ grep '^20' "$WORK/oneshot.summary" | cut -d' ' -f1 >"$WORK/oneshot.days"
 sort -c -u "$WORK/oneshot.days" || fail "day rows repeat a date or run backwards: $(cat "$WORK/oneshot.days")"
 grep -q '^detections: [1-9]' "$WORK/oneshot.summary" || fail "one-shot summary reported no detections"
 diff "$WORK/tail.summary" "$WORK/oneshot.summary" || fail "one-shot day rows and detections differ from the -serve -tail leg's"
+
+echo "== -tail -resume after the log was rotated to a shorter one while down =="
+"$WORK/attackgen" -scale 0.02 -wire-days 1 -sflow-out "$WORK/short.sflow" -summary >/dev/null 2>&1
+"$WORK/attackgen" -scale 0.005 -wire-days 1 -traffic-seed 2 -sflow-out "$WORK/more.sflow" -summary >/dev/null 2>&1
+SHORT_N="$(datagrams "$WORK/short.sflow")"
+MORE_N="$(datagrams "$WORK/more.sflow")"
+[ "${SHORT_N:-0}" -gt 0 ] && [ "${MORE_N:-0}" -gt 0 ] || fail "could not count the rotation recordings' datagrams"
+SHORT_SIZE="$(wc -c <"$WORK/short.sflow" | tr -d ' ')"
+[ "$SHORT_SIZE" -lt "$LOG_SIZE" ] || fail "the rotated log ($SHORT_SIZE bytes) is not shorter than the old one ($LOG_SIZE)"
+mv "$WORK/short.sflow" "$WORK/traffic.sflow"
+"$WORK/ixpmon" -serve -tail "$WORK/traffic.sflow" -http "127.0.0.1:$HTTP_PORT" \
+    -window 2 -state "$WORK/state" -resume >"$WORK/serve.log" 2>&1 &
+SERVE_PID=$!
+wait_up
+wait_cursor "$SHORT_SIZE"
+wait_drained
+[ "$RECEIVED" -eq $((TAIL_RECEIVED + SHORT_N)) ] ||
+    fail "first resume received $RECEIVED datagrams in all, want $TAIL_RECEIVED + $SHORT_N"
+stop_daemon
+
+echo "== -tail -resume again after the rotated log grew: each entry once =="
+tail -c +13 "$WORK/more.sflow" >>"$WORK/traffic.sflow" # the entries, without the log header
+GROWN_SIZE="$(wc -c <"$WORK/traffic.sflow" | tr -d ' ')"
+"$WORK/ixpmon" -serve -tail "$WORK/traffic.sflow" -http "127.0.0.1:$HTTP_PORT" \
+    -window 2 -state "$WORK/state" -resume >"$WORK/serve.log" 2>&1 &
+SERVE_PID=$!
+wait_up
+wait_cursor "$GROWN_SIZE"
+wait_drained
+stop_daemon
+WANT=$((TAIL_RECEIVED + SHORT_N + MORE_N))
+grep -q "^ixpmon: $WANT datagrams received, $WANT consumed," "$WORK/serve.log" ||
+    fail "summary does not count each entry once ($WANT): $(grep '^ixpmon: .* datagrams received' "$WORK/serve.log")"
 
 echo "== one-shot on a missing log fails at once =="
 rc=0
