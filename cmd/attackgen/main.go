@@ -50,7 +50,7 @@ type eventJSON struct {
 }
 
 func main() {
-	scale := flag.Float64("scale", 0.1, "campaign scale")
+	scale := flag.Float64("scale", 0.1, "campaign scale, in (0, 1]")
 	seed := flag.Int64("seed", 1, "campaign seed")
 	out := flag.String("out", "-", "output file for JSONL events (- = stdout)")
 	summaryOnly := flag.Bool("summary", false, "print only the summary")
@@ -69,7 +69,7 @@ func main() {
 		}
 		return
 	}
-	if err := validateFlags(*sflowOut, *pcapOut, *wireDays, *scenarioName); err != nil {
+	if err := validateFlags(*scale, *sflowOut, *pcapOut, *wireDays, *scenarioName); err != nil {
 		fmt.Fprintln(os.Stderr, "attackgen:", err)
 		fmt.Fprintln(os.Stderr, "run with -h for usage")
 		os.Exit(2)
@@ -172,11 +172,14 @@ func main() {
 	}
 }
 
-// validateFlags rejects flag combinations that would silently do
-// nothing (or silently do less than asked): wire-export tuning without
-// an output, outputs with a non-positive day count, scenarios without a
-// capture to land in.
-func validateFlags(sflowOut, pcapOut string, wireDays int, scenarioName string) error {
+// validateFlags rejects a -scale outside (0, 1] and flag combinations
+// that would silently do nothing (or silently do less than asked):
+// wire-export tuning without an output, outputs with a non-positive day
+// count, scenarios without a capture to land in.
+func validateFlags(scale float64, sflowOut, pcapOut string, wireDays int, scenarioName string) error {
+	if err := ecosystem.CheckScale(scale); err != nil {
+		return fmt.Errorf("-scale %w", err)
+	}
 	wantWire := sflowOut != "" || pcapOut != ""
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })

@@ -1,0 +1,22 @@
+package main
+
+import (
+	"math"
+	"strings"
+	"testing"
+)
+
+// TestValidateFlagsScale: a -scale outside (0, 1] is refused before
+// anything is planned, not read as another scale.
+func TestValidateFlagsScale(t *testing.T) {
+	for _, bad := range []float64{0, -1, math.NaN(), 2} {
+		if err := validateFlags(bad, "", "", 3, ""); err == nil || !strings.Contains(err.Error(), "outside (0, 1]") {
+			t.Errorf("-scale %g: error %v, want a refusal", bad, err)
+		}
+	}
+	for _, ok := range []float64{0.02, 1} {
+		if err := validateFlags(ok, "", "", 3, ""); err != nil {
+			t.Errorf("-scale %g refused: %v", ok, err)
+		}
+	}
+}

@@ -71,8 +71,17 @@ func loadSource(sflowPath, pcapPath, snapPath string) (source.Source, error) {
 	return rep, nil
 }
 
+// checkFlags refuses flag values that name no run before anything is
+// planned: a -scale outside (0, 1].
+func checkFlags(scale float64) error {
+	if err := ecosystem.CheckScale(scale); err != nil {
+		return fmt.Errorf("-scale %w", err)
+	}
+	return nil
+}
+
 func main() {
-	scale := flag.Float64("scale", 0.05, "campaign scale")
+	scale := flag.Float64("scale", 0.05, "campaign scale, in (0, 1]")
 	seed := flag.Int64("seed", 1, "campaign seed")
 	verbose := flag.Bool("v", false, "print every detection")
 	concurrency := flag.Int("concurrency", 0, "pipeline worker count (0 = all cores, 1 = serial; results are identical)")
@@ -81,6 +90,10 @@ func main() {
 	snapIn := flag.String("snapshot-in", "", "stream traffic from a persisted batch snapshot")
 	snapOut := flag.String("snapshot-out", "", "record the traffic stream to a batch snapshot file before detecting")
 	flag.Parse()
+	if err := checkFlags(*scale); err != nil {
+		fmt.Fprintln(os.Stderr, "dnsampdetect:", err)
+		os.Exit(2)
+	}
 
 	start := time.Now()
 	cfg := pipeline.DefaultConfig(*scale)

@@ -31,13 +31,14 @@ import (
 	"strconv"
 	"strings"
 
+	"dnsamp/internal/ecosystem"
 	"dnsamp/internal/eval"
 	"dnsamp/internal/scenario"
 )
 
 func main() {
-	days := flag.Int("days", 8, "scenario window length in days")
-	scale := flag.Float64("scale", 0.05, "background campaign scale")
+	days := flag.Int("days", 8, "scenario window length in days, at least 1")
+	scale := flag.Float64("scale", 0.05, "background campaign scale, in (0, 1]")
 	procNames := flag.Int("procedural-names", 50_000, "procedural namespace size")
 	campaignSeed := flag.Int64("campaign-seed", 1, "background campaign seed")
 	trafficSeed := flag.Int64("traffic-seed", 11, "background traffic seed")
@@ -62,6 +63,10 @@ func main() {
 			fmt.Printf("%-18s %-7s %s\n", sc.Name, sc.Kind, sc.Description)
 		}
 		return
+	}
+	if err := checkWindow(*days, *scale); err != nil {
+		fmt.Fprintln(os.Stderr, "evalrun:", err)
+		os.Exit(2)
 	}
 
 	grid, err := parseGrid(*shares, *minpkts)
@@ -187,6 +192,18 @@ func writeOut(path string, fn func(*bufio.Writer) error) error {
 		return err
 	}
 	return w.Flush()
+}
+
+// checkWindow refuses a scenario window that plans no campaign: fewer
+// than one day, or a -scale outside (0, 1].
+func checkWindow(days int, scale float64) error {
+	if days < 1 {
+		return fmt.Errorf("-days %d: want at least 1", days)
+	}
+	if err := ecosystem.CheckScale(scale); err != nil {
+		return fmt.Errorf("-scale %w", err)
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -16,16 +16,30 @@ import (
 	"os"
 	"time"
 
+	"dnsamp/internal/ecosystem"
 	"dnsamp/internal/experiments"
 	"dnsamp/internal/pipeline"
 )
 
+// checkFlags refuses flag values that name no run before anything is
+// planned: a -scale outside (0, 1].
+func checkFlags(scale float64) error {
+	if err := ecosystem.CheckScale(scale); err != nil {
+		return fmt.Errorf("-scale %w", err)
+	}
+	return nil
+}
+
 func main() {
-	scale := flag.Float64("scale", 0.2, "campaign scale (1.0 = paper scale)")
+	scale := flag.Float64("scale", 0.2, "campaign scale, in (0, 1] (1.0 = paper scale)")
 	seed := flag.Int64("seed", 1, "campaign seed")
 	run := flag.String("run", "", "only experiments whose id contains this substring (e.g. figure14, table2, section5)")
 	concurrency := flag.Int("concurrency", 0, "pipeline worker count (0 = all cores, 1 = serial; results are identical)")
 	flag.Parse()
+	if err := checkFlags(*scale); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
+	}
 	if len(experiments.Match(*run)) == 0 {
 		fmt.Fprintf(os.Stderr, "no experiment matches %q\n", *run)
 		os.Exit(1)

@@ -15,8 +15,8 @@
 // shorthand for -input udp://ADDR (and the default when nothing else
 // is configured), -tail PATH for -input tail:PATH. Every input runs
 // under its own supervisor with restart/backoff and fault isolation,
-// merged by the -policy scheduler (round-robin, backlog, or
-// arrival-time merge-replay). With -state it checkpoints
+// merged by the -policy scheduler (round-robin or arrival-time
+// merge-replay). With -state it checkpoints
 // its running state periodically and at shutdown, and -resume
 // continues from the newest valid checkpoint after a crash or restart
 // without double-counting a sample — per-input cursors included.
@@ -44,7 +44,7 @@
 //	ixpmon [-scale 0.05] [-days 14] | -sflow FILE [-follow]
 //	       [-interval 5m] [-names 29] [-window 7] [-http ADDR] [-state DIR ...]
 //	ixpmon -serve [-input SPEC]... [-inputs FILE] [-listen ADDR] [-tail FILE]
-//	       [-policy round-robin|backlog|arrival] [-http ADDR] [-window 7]
+//	       [-policy round-robin|arrival] [-http ADDR] [-window 7]
 //	       [-timestamps wall|uptime] [-state DIR [-resume] [-checkpoint-every 1m]]
 //	ixpmon -send FILE -to ADDR [-burst 64] [-pause 2ms]
 package main
@@ -129,12 +129,12 @@ func serveInputs(explicit map[string]bool, f serveFlags) ([]ingest.Spec, error) 
 	}
 	switch f.policy {
 	case "":
-	case ingest.PolicyRoundRobin, ingest.PolicyBacklog, ingest.PolicyArrival:
+	case ingest.PolicyRoundRobin, ingest.PolicyArrival:
 		if len(specs) == 0 {
 			return nil, fmt.Errorf("-policy needs -input or -inputs: there is nothing to schedule")
 		}
 	default:
-		return nil, fmt.Errorf("-policy %q: want %s, %s, or %s", f.policy, ingest.PolicyRoundRobin, ingest.PolicyBacklog, ingest.PolicyArrival)
+		return nil, fmt.Errorf("-policy %q: want %s or %s", f.policy, ingest.PolicyRoundRobin, ingest.PolicyArrival)
 	}
 	var short []string
 	switch {
@@ -314,7 +314,7 @@ func main() {
 		return nil
 	})
 	inputsFile := flag.String("inputs", "", "with -serve: read supervised ingest sources from FILE, one spec per line (#-comments allowed); combines with -input")
-	policy := flag.String("policy", "", "with -serve -input/-inputs: source scheduling policy: round-robin (default), backlog, or arrival (capture-time merge-replay)")
+	policy := flag.String("policy", "", "with -serve -input/-inputs: source scheduling policy: round-robin (default) or arrival (capture-time merge-replay)")
 
 	sendPath := flag.String("send", "", "replay a datagram log over UDP to a -serve instance and exit")
 	sendTo := flag.String("to", "127.0.0.1:6343", "with -send: destination address")

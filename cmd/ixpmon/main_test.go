@@ -70,7 +70,7 @@ func TestServeInputs(t *testing.T) {
 			with(func(f *serveFlags) { f.inputsFile = "empty.txt"; f.inputs = specs(t, "udp://:9000") }),
 			[]string{"udp://:9000"}, ""},
 		{"-policy with one -input", []string{"input", "policy"},
-			with(func(f *serveFlags) { f.inputs = specs(t, "replay:r.log"); f.policy = ingest.PolicyBacklog }),
+			with(func(f *serveFlags) { f.inputs = specs(t, "replay:r.log"); f.policy = ingest.PolicyArrival }),
 			[]string{"replay:r.log"}, ""},
 		{"uptime timestamps on UDP inputs", []string{"timestamps", "input"},
 			with(func(f *serveFlags) { f.timestamps = "uptime"; f.inputs = specs(t, "udp://:9000") }),
@@ -92,9 +92,11 @@ func TestServeInputs(t *testing.T) {
 		{"-policy with only the default listener", []string{"policy"},
 			with(func(f *serveFlags) { f.policy = ingest.PolicyArrival }), nil, "-policy needs -input or -inputs"},
 		{"-policy with only -tail", []string{"policy", "tail"},
-			with(func(f *serveFlags) { f.policy = ingest.PolicyBacklog; f.tail = "a.log" }), nil, "-policy needs -input or -inputs"},
+			with(func(f *serveFlags) { f.policy = ingest.PolicyArrival; f.tail = "a.log" }), nil, "-policy needs -input or -inputs"},
 		{"an unknown -policy", []string{"policy", "input"},
 			with(func(f *serveFlags) { f.policy = "fifo"; f.inputs = specs(t, "udp://:9000") }), nil, `-policy "fifo"`},
+		{"the deleted backlog policy", []string{"policy", "input"},
+			with(func(f *serveFlags) { f.policy = "backlog"; f.inputs = specs(t, "replay:r.log") }), nil, `-policy "backlog": want round-robin or arrival`},
 		{"a -listen value that is no address", []string{"listen"},
 			with(func(f *serveFlags) { f.listen = "nope" }), nil, "udp://nope"},
 		{"uptime timestamps on -tail", []string{"tail", "timestamps"},

@@ -17,8 +17,7 @@ func main() {
 	cfg := pipeline.DefaultConfig(0.04)
 	st := pipeline.Run(cfg)
 
-	fp := analysis.DefaultFingerprint()
-	ent := analysis.AnalyzeEntity(st.Records, len(st.Detections), fp)
+	ent := analysis.AnalyzeEntity(st.Records, len(st.Detections))
 
 	fmt.Printf("attack records analyzed: %d; attributed to one entity: %d (%.0f%% of main-window attacks)\n",
 		len(st.Records), len(ent.Records), 100*ent.ShareOfAttacks)

@@ -35,7 +35,7 @@ func main() {
 	fmt.Printf("attacks invisible to the honeypot: %.0f%% (paper: 96%%)\n",
 		100*float64(ov.NewAtIXP)/float64(ov.IXPAttacks))
 
-	ent := analysis.AnalyzeEntity(st.Records, len(st.Detections), analysis.DefaultFingerprint())
+	ent := analysis.AnalyzeEntity(st.Records, len(st.Detections))
 	fmt.Println("\n== major attack entity (§6) ==")
 	fmt.Printf("fingerprinted share of attacks: %.0f%% (paper: 59%%)\n", 100*ent.ShareOfAttacks)
 	fmt.Printf("events with single-parity TXIDs: %.0f%% (paper: 91%%)\n", 100*ent.PureParityShare)

@@ -109,12 +109,12 @@ func oddIDs(n, count int) map[uint16]int {
 
 func TestProfileTXIDs(t *testing.T) {
 	r := rec(1, 0, "doj.gov.", evenIDs(2, 100), 100)
-	p := ProfileTXIDs(r, 0.9)
+	p := ProfileTXIDs(r)
 	if !p.Pure || p.DominantParity != 0 {
 		t.Errorf("profile = %+v", p)
 	}
 	r = rec(1, 0, "doj.gov.", map[uint16]int{2: 50, 3: 50}, 100)
-	p = ProfileTXIDs(r, 0.9)
+	p = ProfileTXIDs(r)
 	if p.Pure {
 		t.Error("50/50 parity should not be pure")
 	}
@@ -124,21 +124,20 @@ func TestProfileTXIDs(t *testing.T) {
 }
 
 func TestMatchEntity(t *testing.T) {
-	f := DefaultFingerprint()
 	// Entity-like: .gov name, 2 even TXIDs across 100 packets.
-	if !f.MatchEntity(rec(1, 0, "doj.gov.", evenIDs(2, 100), 100)) {
+	if !MatchEntity(rec(1, 0, "doj.gov.", evenIDs(2, 100), 100)) {
 		t.Error("entity record rejected")
 	}
 	// Wrong TLD.
-	if f.MatchEntity(rec(1, 0, "nic.cz.", evenIDs(2, 100), 100)) {
+	if MatchEntity(rec(1, 0, "nic.cz.", evenIDs(2, 100), 100)) {
 		t.Error("non-gov record accepted")
 	}
 	// High TXID entropy: 100 ids across 100 packets.
-	if f.MatchEntity(rec(1, 0, "doj.gov.", evenIDs(80, 100), 100)) {
+	if MatchEntity(rec(1, 0, "doj.gov.", evenIDs(80, 100), 100)) {
 		t.Error("high-entropy record accepted")
 	}
 	// Too small.
-	if f.MatchEntity(rec(1, 0, "doj.gov.", evenIDs(1, 5), 5)) {
+	if MatchEntity(rec(1, 0, "doj.gov.", evenIDs(1, 5), 5)) {
 		t.Error("tiny record accepted")
 	}
 }
@@ -162,7 +161,7 @@ func TestAnalyzeEntityRhythmAndSeries(t *testing.T) {
 			records = append(records, rec(v+byte(20*d), d, name, ids, 90))
 		}
 	}
-	res := AnalyzeEntity(records, len(records), DefaultFingerprint())
+	res := AnalyzeEntity(records, len(records))
 	if len(res.Records) != len(records) {
 		t.Fatalf("matched %d of %d", len(res.Records), len(records))
 	}
@@ -206,7 +205,7 @@ func TestAnalyzeRelocations(t *testing.T) {
 		}
 		records = append(records, r)
 	}
-	res := AnalyzeEntity(records, len(records), DefaultFingerprint())
+	res := AnalyzeEntity(records, len(records))
 	if len(res.Relocations) != 2 {
 		t.Fatalf("relocations = %d, want 2: %+v", len(res.Relocations), res.Relocations)
 	}

@@ -20,16 +20,20 @@ type SnoopConfig struct {
 	// Forwarders are additional endpoints that phase 1 must identify
 	// and exclude (they inherit upstream TTLs and would bias results).
 	Forwarders int
-	// ErrorRate models mutual resolver caches and DNS optimizers that
-	// produce residual cache hits even for fresh names.
-	ErrorRate float64
-	Seed      int64
 }
 
 // DefaultSnoopConfig returns study defaults.
 func DefaultSnoopConfig() SnoopConfig {
-	return SnoopConfig{Resolvers: 1500, Forwarders: 1500, ErrorRate: 0.015, Seed: 9}
+	return SnoopConfig{Resolvers: 1500, Forwarders: 1500}
 }
+
+const (
+	// snoopErrorRate models mutual resolver caches and DNS optimizers
+	// that produce residual cache hits even for fresh names.
+	snoopErrorRate float64 = 0.015
+	// snoopSeed seeds the cache population and the residual errors.
+	snoopSeed = 9
+)
 
 // SnoopName describes one probed name.
 type SnoopName struct {
@@ -94,7 +98,7 @@ func organicPopularity(rank int) float64 {
 // RunSnoopStudy executes phase 1 (resolver identification) and phase 2
 // (ANY snooping) and returns per-name hit/miss counts.
 func RunSnoopStudy(cfg SnoopConfig, db *zonedb.DB, misused []string, now simclock.Time) *SnoopStudy {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(snoopSeed))
 	st := &SnoopStudy{Cfg: cfg}
 
 	// --- Phase 1: identify resolvers, exclude forwarders --------------
@@ -160,7 +164,7 @@ func RunSnoopStudy(cfg SnoopConfig, db *zonedb.DB, misused []string, now simcloc
 			res.Responses++
 			hit := r.CacheHit && r.TTL < r.DefaultTTL
 			// Residual error: mutual caches / TTL manipulators.
-			if !hit && rng.Float64() < cfg.ErrorRate {
+			if !hit && rng.Float64() < snoopErrorRate {
 				hit = true
 			}
 			if hit {

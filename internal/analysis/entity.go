@@ -8,27 +8,21 @@ import (
 	"dnsamp/internal/simclock"
 )
 
-// EntityFingerprint holds the §6 criteria that link attack records to
-// the major attack entity: misuse of .gov names combined with static DNS
-// transaction-ID behaviour (a small ID pool with single-parity
-// structure).
-type EntityFingerprint struct {
-	// MaxTXIDRatio is the maximum #TXIDs / #packets ratio (the paper
+// The §6.1 fingerprint that links attack records to the major attack
+// entity: misuse of .gov names combined with static DNS transaction-ID
+// behaviour (a small ID pool with single-parity structure).
+const (
+	// maxTXIDRatio is the maximum #TXIDs / #packets ratio (the paper
 	// finds IDs 1–2 orders of magnitude below the packet count).
-	MaxTXIDRatio float64
-	// MinParityShare is the minimum share of packets whose TXID parity
+	maxTXIDRatio float64 = 0.35
+	// minParityShare is the minimum share of packets whose TXID parity
 	// matches the dominant parity (paper: 91% of events are pure; the
 	// rest show a two-phase shift).
-	MinParityShare float64
-	// MinPackets guards against tiny records where parity is
+	minParityShare float64 = 0.90
+	// minEntityPackets guards against tiny records where parity is
 	// uninformative.
-	MinPackets int
-}
-
-// DefaultFingerprint returns the §6.1 configuration.
-func DefaultFingerprint() EntityFingerprint {
-	return EntityFingerprint{MaxTXIDRatio: 0.35, MinParityShare: 0.90, MinPackets: 9}
-}
+	minEntityPackets = 9
+)
 
 // TXIDProfile summarizes a record's transaction-ID structure.
 type TXIDProfile struct {
@@ -36,7 +30,7 @@ type TXIDProfile struct {
 	Unique  int
 	// EvenShare is the fraction of packets with even TXIDs.
 	EvenShare float64
-	// Pure is true when one parity dominates at MinParityShare.
+	// Pure is true when one parity dominates at minParityShare.
 	Pure bool
 	// TwoPhase is true when the IDs split into an even set and an odd
 	// set of meaningful size (the straddling 9%).
@@ -46,7 +40,7 @@ type TXIDProfile struct {
 }
 
 // ProfileTXIDs computes the TXID structure of a record.
-func ProfileTXIDs(r *core.AttackRecord, minShare float64) TXIDProfile {
+func ProfileTXIDs(r *core.AttackRecord) TXIDProfile {
 	p := TXIDProfile{Packets: r.Packets, Unique: len(r.TXIDs)}
 	even := 0
 	for id, c := range r.TXIDs {
@@ -66,24 +60,24 @@ func ProfileTXIDs(r *core.AttackRecord, minShare float64) TXIDProfile {
 	if p.DominantParity == 1 {
 		domShare = 1 - p.EvenShare
 	}
-	p.Pure = domShare >= minShare
+	p.Pure = domShare >= minParityShare
 	p.TwoPhase = !p.Pure && domShare >= 0.55 && domShare <= 0.95 ||
 		(!p.Pure && p.EvenShare > 0.2 && p.EvenShare < 0.8)
 	return p
 }
 
 // MatchEntity applies the fingerprint to one record.
-func (f EntityFingerprint) MatchEntity(r *core.AttackRecord) bool {
-	if r.Packets < f.MinPackets {
+func MatchEntity(r *core.AttackRecord) bool {
+	if r.Packets < minEntityPackets {
 		return false
 	}
 	if dnswire.TLD(r.DominantName()) != "gov" {
 		return false
 	}
-	if float64(len(r.TXIDs)) > f.MaxTXIDRatio*float64(r.Packets) {
+	if float64(len(r.TXIDs)) > maxTXIDRatio*float64(r.Packets) {
 		return false
 	}
-	p := ProfileTXIDs(r, f.MinParityShare)
+	p := ProfileTXIDs(r)
 	return p.Pure || p.TwoPhase
 }
 
@@ -161,14 +155,14 @@ type Relocation struct {
 
 // AnalyzeEntity runs the §6 analyses over all attack records (main +
 // extended window).
-func AnalyzeEntity(records []*core.AttackRecord, mainWindowAttacks int, f EntityFingerprint) *EntityResult {
+func AnalyzeEntity(records []*core.AttackRecord, mainWindowAttacks int) *EntityResult {
 	res := &EntityResult{
 		NameSeries:          make(map[string]map[int]int),
 		RequestShareByPhase: make(map[int]float64),
 		SizesByName:         make(map[string][]int),
 	}
 	for _, r := range records {
-		if f.MatchEntity(r) {
+		if MatchEntity(r) {
 			res.Records = append(res.Records, r)
 		}
 	}
@@ -180,7 +174,7 @@ func AnalyzeEntity(records []*core.AttackRecord, mainWindowAttacks int, f Entity
 		if simclock.MainPeriod().Contains(simclock.Time(r.Day) * simclock.Time(simclock.Day)) {
 			mainCount++
 		}
-		p := ProfileTXIDs(r, f.MinParityShare)
+		p := ProfileTXIDs(r)
 		if p.Pure {
 			pure++
 		}
@@ -199,7 +193,7 @@ func AnalyzeEntity(records []*core.AttackRecord, mainWindowAttacks int, f Entity
 		res.PureParityShare = float64(pure) / float64(len(res.Records))
 	}
 
-	res.analyzeRhythm(f)
+	res.analyzeRhythm()
 	res.analyzeTransitions()
 	res.analyzeVictims()
 	res.analyzeAmplifiers()
@@ -208,11 +202,11 @@ func AnalyzeEntity(records []*core.AttackRecord, mainWindowAttacks int, f Entity
 }
 
 // analyzeRhythm scores the 48-hour parity alternation.
-func (res *EntityResult) analyzeRhythm(f EntityFingerprint) {
+func (res *EntityResult) analyzeRhythm() {
 	match := [2]int{}
 	total := 0
 	for _, r := range res.Records {
-		p := ProfileTXIDs(r, f.MinParityShare)
+		p := ProfileTXIDs(r)
 		if !p.Pure {
 			continue
 		}

@@ -10,9 +10,7 @@ import (
 
 func TestAnalyzeMitigation(t *testing.T) {
 	topo := topology.Generate(topology.Config{Members: 20, ASesPerClass: 30, Seed: 1})
-	pool := ecosystem.NewPool(ecosystem.PoolConfig{
-		Size: 10_000, AuthoritativeShare: 0.02, ForwarderShare: 0.98, Seed: 2,
-	}, topo)
+	pool := ecosystem.NewPool(10_000, topo)
 
 	// Build records whose amplifiers are real pool endpoints.
 	var fwd, rec2 []*ecosystem.Amplifier
@@ -82,7 +80,7 @@ func TestAnalyzeMitigation(t *testing.T) {
 
 func TestMitigationEmpty(t *testing.T) {
 	topo := topology.Generate(topology.Config{Members: 10, ASesPerClass: 5, Seed: 1})
-	pool := ecosystem.NewPool(ecosystem.PoolConfig{Size: 100, AuthoritativeShare: 0.02, ForwarderShare: 0.98, Seed: 2}, topo)
+	pool := ecosystem.NewPool(100, topo)
 	mit := AnalyzeMitigation(nil, pool)
 	if mit.ANYShare != 0 || mit.Upstreams != 0 {
 		t.Errorf("empty input: %+v", mit)

@@ -12,17 +12,20 @@ type TSNEConfig struct {
 	Perplexity float64
 	// Iterations of gradient descent.
 	Iterations int
-	// LearningRate (eta).
-	LearningRate float64
-	// Seed for the initial layout.
-	Seed int64
 }
 
 // DefaultTSNEConfig returns a configuration adequate for a few thousand
 // points.
 func DefaultTSNEConfig() TSNEConfig {
-	return TSNEConfig{Perplexity: 30, Iterations: 300, LearningRate: 20, Seed: 4}
+	return TSNEConfig{Perplexity: 30, Iterations: 300}
 }
+
+const (
+	// learningRate is the gradient descent's step size (eta).
+	learningRate float64 = 20
+	// tsneSeed seeds the initial layout.
+	tsneSeed = 4
+)
 
 // Point2 is one embedded point.
 type Point2 struct{ X, Y float64 }
@@ -40,7 +43,7 @@ func TSNE(m DistanceMatrix, cfg TSNEConfig) []Point2 {
 	if n == 1 {
 		return []Point2{{}}
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(tsneSeed))
 
 	// Symmetrized input affinities P.
 	P := inputAffinities(m, cfg.Perplexity)
@@ -98,8 +101,8 @@ func TSNE(m DistanceMatrix, cfg TSNEConfig) []Point2 {
 			}
 		}
 		for i := 0; i < n; i++ {
-			vel[i].X = momentum*vel[i].X - cfg.LearningRate*grad[i].X
-			vel[i].Y = momentum*vel[i].Y - cfg.LearningRate*grad[i].Y
+			vel[i].X = momentum*vel[i].X - learningRate*grad[i].X
+			vel[i].Y = momentum*vel[i].Y - learningRate*grad[i].Y
 			Y[i].X += vel[i].X
 			Y[i].Y += vel[i].Y
 		}

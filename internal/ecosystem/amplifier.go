@@ -65,26 +65,18 @@ func (a *Amplifier) AliveAt(t simclock.Time) bool {
 // ObservedTTL is the IP TTL its responses carry at the IXP.
 func (a *Amplifier) ObservedTTL() uint8 { return a.InitTTL - a.PathLen }
 
-// PoolConfig controls amplifier population synthesis.
-type PoolConfig struct {
-	// Size is the total number of amplifiers ever existing across the
-	// scan-history horizon (2016-2020).
-	Size int
-	// AuthoritativeShare is the fraction of authoritative servers
+// The amplifier population's kind mix. Typed, so that NewPool's birth
+// weights round as their run-time products of float64 fields did.
+const (
+	// authoritativeShare is the fraction of authoritative servers
 	// (paper: ~2% of abused amplifiers, §7.1).
-	AuthoritativeShare float64
-	// ForwarderShare of the non-authoritative part (paper: 98% of open
+	authoritativeShare float64 = 0.02
+	// forwarderShare of the non-authoritative part (paper: 98% of open
 	// amplifiers are forwarders).
-	ForwarderShare float64
-	Seed           int64
-}
-
-// DefaultPoolConfig sizes the pool so that the alive population during
-// the main period comfortably exceeds the abused set (at paper scale:
-// ~2M reachable open resolvers vs 45k abused).
-func DefaultPoolConfig() PoolConfig {
-	return PoolConfig{Size: 280_000, AuthoritativeShare: 0.02, ForwarderShare: 0.98, Seed: 2}
-}
+	forwarderShare float64 = 0.98
+	// poolSeed seeds the population draw.
+	poolSeed = 2
+)
 
 // Pool is the amplifier population.
 type Pool struct {
@@ -114,14 +106,15 @@ type lifespan struct{ born, died simclock.Time }
 // x-axis starts in 2016).
 var historyStart = simclock.FromDate(2016, time.January, 1)
 
-// NewPool synthesizes the amplifier population over topo's access-heavy
+// NewPool synthesizes a population of size amplifiers, ever existing
+// across the scan-history horizon (2016-2020), over topo's access-heavy
 // address space.
-func NewPool(cfg PoolConfig, topo *topology.Topology) *Pool {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+func NewPool(size int, topo *topology.Topology) *Pool {
+	rng := rand.New(rand.NewSource(poolSeed))
 	access := topo.ASesOfType(topology.ASAccess)
 	hosting := topo.ASesOfType(topology.ASHosting)
 	education := topo.ASesOfType(topology.ASEducation)
-	p := &Pool{upstreams: 1 + cfg.Size/1500}
+	p := &Pool{upstreams: 1 + size/1500}
 
 	horizon := simclock.EntityTrackingEnd
 	recentStart := simclock.MeasurementStart.Add(-simclock.Days(183)) // 6 months before
@@ -139,14 +132,14 @@ func NewPool(cfg PoolConfig, topo *topology.Topology) *Pool {
 	// beyond the simulated horizon (their effective alive time is
 	// shorter than the nominal mean), calibrated against the abused-
 	// amplifier composition of §7.1.
-	wF := (1 - cfg.AuthoritativeShare) * cfg.ForwarderShare / meanForwarderLife
-	wR := (1 - cfg.AuthoritativeShare) * (1 - cfg.ForwarderShare) * 4 / meanServerLife
-	wA := cfg.AuthoritativeShare * 3 / meanServerLife
+	wF := (1 - authoritativeShare) * forwarderShare / meanForwarderLife
+	wR := (1 - authoritativeShare) * (1 - forwarderShare) * 4 / meanServerLife
+	wA := authoritativeShare * 3 / meanServerLife
 	wSum := wF + wR + wA
 
-	usedAddrs := make(map[netip.Addr]bool, cfg.Size)
+	usedAddrs := make(map[netip.Addr]bool, size)
 
-	for i := 0; i < cfg.Size; i++ {
+	for i := 0; i < size; i++ {
 		var a Amplifier
 		a.ID = i
 		switch r := rng.Float64() * wSum; {

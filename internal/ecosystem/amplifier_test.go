@@ -88,7 +88,7 @@ func TestAppendAliveMatchesStrideWalk(t *testing.T) {
 	}
 	topo := topology.Generate(topology.Config{Members: 24, ASesPerClass: 40, Seed: 1})
 	for _, size := range []int{1, 2, 7919, 14_000} {
-		p := NewPool(PoolConfig{Size: size, AuthoritativeShare: 0.02, ForwarderShare: 0.98, Seed: 2}, topo)
+		p := NewPool(size, topo)
 		pick := rand.New(rand.NewSource(int64(size)))
 		ts := edgeTimes(p, pick)
 		// Twice over, in a shuffled order: the second pass reads every
@@ -133,7 +133,7 @@ func TestAppendAliveMatchesStrideWalk(t *testing.T) {
 // each must draw what it draws alone on another pool.
 func TestAppendAliveConcurrent(t *testing.T) {
 	topo := topology.Generate(topology.Config{Members: 24, ASesPerClass: 40, Seed: 1})
-	cfg := PoolConfig{Size: 14_000, AuthoritativeShare: 0.02, ForwarderShare: 0.98, Seed: 2}
+	const size = 14_000
 	walks := func(p *Pool, seed int64) []int {
 		rng := rand.New(rand.NewSource(seed))
 		var out []int
@@ -144,13 +144,13 @@ func TestAppendAliveConcurrent(t *testing.T) {
 		return out
 	}
 
-	serial := NewPool(cfg, topo)
+	serial := NewPool(size, topo)
 	want := make([][]int, 4)
 	for g := range want {
 		want[g] = walks(serial, int64(g))
 	}
 
-	shared := NewPool(cfg, topo)
+	shared := NewPool(size, topo)
 	got := make([][]int, 4)
 	var wg sync.WaitGroup
 	for g := range got {

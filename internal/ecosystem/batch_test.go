@@ -14,8 +14,7 @@ import (
 // materialized frames the way source.AppendFrames builds one — each
 // frame through CapturePoint.Sanitize, counted on the batch, survivors
 // appended with their ingress tag — and accounting each batch with
-// RemapBatch must leave the same sanitization and routing-coverage
-// stats. Both paths consume their per-day RNG stream identically, so this holds
+// RemapBatch must leave the same sanitization stats. Both paths consume their per-day RNG stream identically, so this holds
 // field by field — except Name, an ID in each side's own table (the
 // wire side interns as frames arrive, the batch lives in the
 // generator's table): names are compared as strings.

@@ -26,53 +26,62 @@ type CampaignConfig struct {
 	// Scale multiplies every event count (not per-event volumes, which
 	// must stay paper-faithful for the sampling thresholds to behave
 	// identically). 1.0 reproduces paper scale; the default harness
-	// uses 0.2.
+	// uses 0.2. It must lie in (0, 1] (CheckScale).
 	Scale float64
 
 	Topology topology.Config
-	Pool     PoolConfig
 	Zones    zonedb.Config
-	Entity   EntityConfig
-
-	// NumSensors is the honeypot platform size (paper: 80 sensors in
-	// 62 prefixes and 15 ASes).
-	NumSensors     int
-	SensorPrefixes int
-	SensorASes     int
-
-	// VettedEvents / SprayEvents are the paper-scale independent event
-	// counts (scaled by Scale).
-	VettedEvents int
-	SprayEvents  int
-	// VettedAttackers / SprayAttackers partition those events.
-	VettedAttackers int
-	SprayAttackers  int
-
-	// PathViaIXPProb is the chance a given (source AS, destination AS)
-	// pair routes across the IXP.
-	PathViaIXPProb float64
 }
 
 // DefaultCampaignConfig returns the standard configuration at the given
 // scale.
 func DefaultCampaignConfig(scale float64) CampaignConfig {
 	return CampaignConfig{
-		Seed:            1,
-		Scale:           scale,
-		Topology:        topology.DefaultConfig(),
-		Pool:            DefaultPoolConfig(),
-		Zones:           zonedb.DefaultConfig(),
-		Entity:          DefaultEntityConfig(),
-		NumSensors:      80,
-		SensorPrefixes:  62,
-		SensorASes:      15,
-		VettedEvents:    9400,
-		SprayEvents:     37000,
-		VettedAttackers: 28,
-		SprayAttackers:  60,
-		PathViaIXPProb:  0.75,
+		Seed:     1,
+		Scale:    scale,
+		Topology: topology.DefaultConfig(),
+		Zones:    zonedb.DefaultConfig(),
 	}
 }
+
+// CheckScale is the one rule for a campaign scale: 1 is the paper's
+// campaign and a smaller one shrinks every event count, so a scale
+// outside (0, 1], NaN included, plans no campaign and is refused.
+func CheckScale(scale float64) error {
+	if !(scale > 0 && scale <= 1) {
+		return fmt.Errorf("%g is outside (0, 1]", scale)
+	}
+	return nil
+}
+
+// The honeypot platform (§3.2: 80 sensors in 62 prefixes and 15 ASes).
+// The 15 hosting ASes are 10 access plus 5 education ASes.
+const (
+	NumSensors          = 80
+	sensorPrefixes      = 62
+	sensorAccessASes    = 10
+	sensorEducationASes = 5
+)
+
+// Paper-scale independent event counts (scaled by Scale) and the
+// attackers they are spread over.
+const (
+	vettedEvents    = 9400
+	sprayEvents     = 37000
+	vettedAttackers = 28
+	sprayAttackers  = 60
+)
+
+// pathViaIXPProb is the chance a given (source AS, destination AS) pair
+// routes across the IXP. Typed, so that RouteViaIXP's sum rounds as the
+// run-time sum of a float64 did.
+const pathViaIXPProb float64 = 0.75
+
+// poolSize is the paper-scale number of amplifiers ever existing across
+// the scan-history horizon (scaled by Scale): the alive population
+// during the main period comfortably exceeds the abused set (at paper
+// scale: ~2M reachable open resolvers vs 45k abused).
+const poolSize = 280_000
 
 // Campaign is a fully planned synthetic measurement campaign: ground
 // truth events plus the substrate needed to materialize traffic.
@@ -102,9 +111,11 @@ type Campaign struct {
 }
 
 // NewCampaign plans a campaign. Materialize traffic with a Generator.
+// Its scale must pass CheckScale, which every entry point applies to
+// its input.
 func NewCampaign(cfg CampaignConfig) *Campaign {
-	if cfg.Scale <= 0 {
-		cfg.Scale = 1
+	if err := CheckScale(cfg.Scale); err != nil {
+		panic("ecosystem: campaign scale " + err.Error())
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	c := &Campaign{Cfg: cfg, rng: rng, eventsByDay: make(map[int][]*AttackEvent)}
@@ -115,19 +126,14 @@ func NewCampaign(cfg CampaignConfig) *Campaign {
 	}
 	c.DB = zonedb.New(cfg.Zones)
 
-	poolCfg := cfg.Pool
-	poolCfg.Size = scaleInt(poolCfg.Size, cfg.Scale)
-	c.Pool = NewPool(poolCfg, c.Topo)
+	c.Pool = NewPool(scaleInt(poolSize, cfg.Scale), c.Topo)
 
 	c.placeSensors()
 
 	// The entity's back-end relocates into two different transit
 	// members' cones; pick the two largest cones.
 	in1, in2 := c.largestTransitMembers()
-	entCfg := cfg.Entity
-	entCfg.ListSize = scaleInt(entCfg.ListSize, cfg.Scale)
-	entCfg.BaseEventsPerDay *= cfg.Scale
-	c.Entity = NewEntity(entCfg, c.DB, c.Pool, simclock.EntityPeriod(), in1, in2, rng)
+	c.Entity = NewEntity(cfg.Scale, c.DB, c.Pool, simclock.EntityPeriod(), in1, in2, rng)
 
 	c.generateEntityEvents()
 	c.generateVettedEvents()
@@ -155,10 +161,10 @@ func scaleInt(v int, s float64) int {
 func (c *Campaign) placeSensors() {
 	access := c.Topo.ASesOfType(topology.ASAccess)
 	edu := c.Topo.ASesOfType(topology.ASEducation)
-	hostASes := append(append([]uint32{}, access[:10]...), edu[:5]...)
+	hostASes := append(append([]uint32{}, access[:sensorAccessASes]...), edu[:sensorEducationASes]...)
 	c.SensorASNs = hostASes
-	prefixes := make([]netip.Prefix, 0, c.Cfg.SensorPrefixes)
-	for len(prefixes) < c.Cfg.SensorPrefixes {
+	prefixes := make([]netip.Prefix, 0, sensorPrefixes)
+	for len(prefixes) < sensorPrefixes {
 		asn := hostASes[len(prefixes)%len(hostASes)]
 		addr, _ := c.Topo.RandomAddrIn(c.rng, asn)
 		p := topology.Prefix24(addr)
@@ -173,7 +179,7 @@ func (c *Campaign) placeSensors() {
 			prefixes = append(prefixes, p)
 		}
 	}
-	for i := 0; i < c.Cfg.NumSensors; i++ {
+	for i := 0; i < NumSensors; i++ {
 		p := prefixes[i%len(prefixes)]
 		base := p.Addr().As4()
 		base[3] = byte(10 + i%200)
@@ -365,7 +371,7 @@ func (c *Campaign) generateEntityEvents() {
 				ev.IngressAS = e.IngressAt(start)
 			}
 			// Near-perfect honeypot avoidance.
-			if c.rng.Float64() < e.Cfg.SensorLeakProb {
+			if c.rng.Float64() < sensorLeakProb {
 				ns := 1 + c.rng.Intn(3)
 				for j := 0; j < ns; j++ {
 					ev.Sensors = append(ev.Sensors, c.rng.Intn(len(c.Sensors)))
@@ -438,9 +444,9 @@ type independentAttacker struct {
 // attackers that curate amplifier lists (no honeypot sensors) and push
 // detect-grade volumes.
 func (c *Campaign) generateVettedEvents() {
-	total := scaleInt(c.Cfg.VettedEvents, c.Cfg.Scale)
+	total := scaleInt(vettedEvents, c.Cfg.Scale)
 	names, weights := c.independentNameWeights()
-	attackers := make([]*independentAttacker, c.Cfg.VettedAttackers)
+	attackers := make([]*independentAttacker, vettedAttackers)
 	for i := range attackers {
 		nn := 1 + c.rng.Intn(4)
 		own := make([]string, 0, nn)
@@ -459,9 +465,9 @@ func (c *Campaign) generateVettedEvents() {
 // generateSprayEvents creates the honeypot-visible long tail: attackers
 // using huge public reflector lists that include the sensors.
 func (c *Campaign) generateSprayEvents() {
-	total := scaleInt(c.Cfg.SprayEvents, c.Cfg.Scale)
+	total := scaleInt(sprayEvents, c.Cfg.Scale)
 	names, weights := c.independentNameWeights()
-	attackers := make([]*independentAttacker, c.Cfg.SprayAttackers)
+	attackers := make([]*independentAttacker, sprayAttackers)
 	for i := range attackers {
 		nn := 1 + c.rng.Intn(3)
 		own := make([]string, 0, nn)
@@ -672,7 +678,7 @@ func (c *Campaign) RouteViaIXP(srcASN, dstASN uint32) bool {
 	if c.Topo.MemberFor(srcASN) == c.Topo.MemberFor(dstASN) {
 		return false // stays inside one member's cone
 	}
-	if !hashCoin(srcASN, 0, c.Cfg.PathViaIXPProb+0.1, uint32(c.Cfg.Seed)) {
+	if !hashCoin(srcASN, 0, pathViaIXPProb+0.1, uint32(c.Cfg.Seed)) {
 		return false
 	}
 	return hashCoin(srcASN, dstASN, 0.9, uint32(c.Cfg.Seed)+1)

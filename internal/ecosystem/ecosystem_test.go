@@ -24,7 +24,7 @@ func tinyCampaign(t *testing.T) *Campaign {
 
 func TestPoolComposition(t *testing.T) {
 	topo := topology.Generate(topology.Config{Members: 24, ASesPerClass: 40, Seed: 1})
-	pool := NewPool(PoolConfig{Size: 30_000, AuthoritativeShare: 0.02, ForwarderShare: 0.98, Seed: 2}, topo)
+	pool := NewPool(30_000, topo)
 	if pool.Len() != 30_000 {
 		t.Fatalf("pool size = %d", pool.Len())
 	}
@@ -48,7 +48,7 @@ func TestPoolComposition(t *testing.T) {
 
 func TestPoolBirthRecency(t *testing.T) {
 	topo := topology.Generate(topology.Config{Members: 24, ASesPerClass: 40, Seed: 1})
-	pool := NewPool(PoolConfig{Size: 20_000, AuthoritativeShare: 0.02, ForwarderShare: 0.98, Seed: 2}, topo)
+	pool := NewPool(20_000, topo)
 	recent := 0
 	cut := simclock.MeasurementStart.Add(-simclock.Days(183))
 	for i := 0; i < pool.Len(); i++ {
@@ -64,7 +64,7 @@ func TestPoolBirthRecency(t *testing.T) {
 
 func TestSampleAliveRespectsPredicate(t *testing.T) {
 	topo := topology.Generate(topology.Config{Members: 24, ASesPerClass: 40, Seed: 1})
-	pool := NewPool(PoolConfig{Size: 20_000, AuthoritativeShare: 0.02, ForwarderShare: 0.98, Seed: 2}, topo)
+	pool := NewPool(20_000, topo)
 	rng := rand.New(rand.NewSource(5))
 	day := simclock.MeasurementStart
 	got := pool.AppendAlive([]int{-1}, rng, day, 50, func(a *Amplifier) bool { return !a.MinimalANY })
@@ -418,14 +418,14 @@ func TestRouteViaIXPProperties(t *testing.T) {
 
 func TestSensorsPlacement(t *testing.T) {
 	c := tinyCampaign(t)
-	if len(c.Sensors) != c.Cfg.NumSensors {
+	if len(c.Sensors) != NumSensors {
 		t.Fatalf("sensors = %d", len(c.Sensors))
 	}
 	prefixes := map[string]bool{}
 	for _, s := range c.Sensors {
 		prefixes[topology.Prefix24(s).String()] = true
 	}
-	if len(prefixes) < c.Cfg.SensorPrefixes/2 {
+	if len(prefixes) < sensorPrefixes/2 {
 		t.Errorf("sensor prefixes = %d, want diversity", len(prefixes))
 	}
 }

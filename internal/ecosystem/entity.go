@@ -10,47 +10,37 @@ import (
 	"dnsamp/internal/zonedb"
 )
 
-// EntityConfig tunes the major attack entity.
-type EntityConfig struct {
-	// ListSize is the amplifier working set the entity maintains per
-	// day (Fig. 12: a few thousand at paper scale).
-	ListSize int
-	// BaseEventsPerDay before the mid-August escalation.
-	BaseEventsPerDay float64
-	// BoostFactor multiplies the event rate after the escalation.
-	BoostFactor float64
-	// DailyDropRate is the share of the working set replaced each day
+// The major attack entity's behaviour. The floats are typed float64,
+// like every model constant, so that arithmetic on them rounds as it
+// did on float64 fields.
+const (
+	// entityListSize is the paper-scale amplifier working set the
+	// entity maintains per day (Fig. 12: a few thousand), scaled by
+	// the campaign's Scale.
+	entityListSize = 3600
+	// baseEventsPerDay is the paper-scale event rate before the
+	// mid-August escalation, scaled by the campaign's Scale.
+	baseEventsPerDay float64 = 77
+	// boostFactor multiplies the event rate after the escalation.
+	boostFactor float64 = 8
+	// dailyDropRate is the share of the working set replaced each day
 	// (continuous churn handling).
-	DailyDropRate float64
-	// TransitionDropRate is the share replaced on a name-transition day
+	dailyDropRate float64 = 0.12
+	// transitionDropRate is the share replaced on a name-transition day
 	// ("periods with significantly more new amplifiers usually follow
 	// name transitions", Fig. 12).
-	TransitionDropRate float64
-	// SensorLeakProb is the per-event chance that honeypot sensors leak
+	transitionDropRate float64 = 0.45
+	// sensorLeakProb is the per-event chance that honeypot sensors leak
 	// into the list (the entity excludes honeypots almost perfectly:
 	// visible in <= 0.6% of honeypot attacks, §6.1).
-	SensorLeakProb float64
-	// ToleranceDays is how long the entity tolerates a deflated size
+	sensorLeakProb float64 = 0.01
+	// toleranceDays is how long the entity tolerates a deflated size
 	// signal before moving to the next name.
-	ToleranceDays int
-	// DeclineRatio triggers a transition when today's expected size
+	toleranceDays = 5
+	// declineRatio triggers a transition when today's expected size
 	// falls below this fraction of the tenure maximum.
-	DeclineRatio float64
-}
-
-// DefaultEntityConfig returns paper-scale defaults (caller scales).
-func DefaultEntityConfig() EntityConfig {
-	return EntityConfig{
-		ListSize:           3600,
-		BaseEventsPerDay:   77,
-		BoostFactor:        8,
-		DailyDropRate:      0.12,
-		TransitionDropRate: 0.45,
-		SensorLeakProb:     0.01,
-		ToleranceDays:      5,
-		DeclineRatio:       0.85,
-	}
-}
+	declineRatio float64 = 0.85
+)
 
 // Tenure is one contiguous span during which the entity misuses a name.
 type Tenure struct {
@@ -66,7 +56,6 @@ type Tenure struct {
 // Entity is the major attack entity: rotation schedule, relocations, and
 // daily amplifier-list evolution.
 type Entity struct {
-	Cfg     EntityConfig
 	Names   []string // rotation order (lexicographic .gov list)
 	Tenures []Tenure
 	// Reloc1 is the day the back-end moved into an IXP member's
@@ -84,6 +73,10 @@ type Entity struct {
 	window simclock.Window
 	rng    *rand.Rand
 	pool   *Pool
+	// listSize and baseRate are entityListSize and baseEventsPerDay at
+	// the campaign's scale.
+	listSize int
+	baseRate float64
 
 	// day state
 	list     []int // current amplifier working set (pool ids)
@@ -93,13 +86,15 @@ type Entity struct {
 	curDay   int
 }
 
-// NewEntity plans the entity's behaviour over window. The rotation
+// NewEntity plans the entity's behaviour over window at the campaign's
+// scale, which shrinks its working set and event rate. The rotation
 // schedule is derived from the size signal the zones actually emit: the
 // entity "observes < 4096 byte responses and then transitions to the
 // next name" (§6.1).
-func NewEntity(cfg EntityConfig, db *zonedb.DB, pool *Pool, window simclock.Window, ingress1, ingress2 uint32, rng *rand.Rand) *Entity {
+func NewEntity(scale float64, db *zonedb.DB, pool *Pool, window simclock.Window, ingress1, ingress2 uint32, rng *rand.Rand) *Entity {
 	e := &Entity{
-		Cfg:      cfg,
+		listSize: scaleInt(entityListSize, scale),
+		baseRate: baseEventsPerDay * scale,
 		Names:    db.EntityNames(),
 		Ingress1: ingress1,
 		Ingress2: ingress2,
@@ -130,12 +125,12 @@ func (e *Entity) planRotation(db *zonedb.DB) {
 		if size > tenureMax {
 			tenureMax = size
 		}
-		if float64(size) < e.Cfg.DeclineRatio*float64(tenureMax) {
+		if float64(size) < declineRatio*float64(tenureMax) {
 			lowDays++
 		} else {
 			lowDays = 0
 		}
-		if lowDays >= e.Cfg.ToleranceDays && idx < len(e.Names)-1 {
+		if lowDays >= toleranceDays && idx < len(e.Names)-1 {
 			t := Tenure{NameIdx: idx, Name: e.Names[idx], Start: tenureStart, End: day.Add(simclock.Day)}
 			if overlapBudget > 0 && idx == 2 {
 				t.OverlapDays = 10
@@ -214,9 +209,9 @@ func (e *Entity) IngressAt(t simclock.Time) uint32 {
 // EventRate returns the expected events per day at t.
 func (e *Entity) EventRate(t simclock.Time) float64 {
 	if t.Before(e.BoostStart) {
-		return e.Cfg.BaseEventsPerDay
+		return e.baseRate
 	}
-	return e.Cfg.BaseEventsPerDay * e.Cfg.BoostFactor
+	return e.baseRate * boostFactor
 }
 
 // TXIDParity returns 0 for even-ID days, 1 for odd-ID days: the tool
@@ -247,9 +242,9 @@ func (e *Entity) AdvanceTo(day simclock.Time) (list []int, newCount int) {
 	e.curDay = d
 	e.newToday = 0
 
-	drop := e.Cfg.DailyDropRate
+	drop := dailyDropRate
 	if e.isTransitionDay(day) {
-		drop = e.Cfg.TransitionDropRate
+		drop = transitionDropRate
 	}
 
 	// Remove dead amplifiers and a random replacement share.
@@ -266,13 +261,13 @@ func (e *Entity) AdvanceTo(day simclock.Time) (list []int, newCount int) {
 
 	// Top up with fresh, vetted amplifiers: the entity skips RFC 8482
 	// endpoints (useless for ANY) — it evidently tests its reflectors.
-	want := e.Cfg.ListSize - len(e.list)
+	want := e.listSize - len(e.list)
 	if want > 0 {
 		e.fresh = e.pool.AppendAlive(e.fresh[:0], e.rng, day, want*2, func(a *Amplifier) bool {
 			return !a.MinimalANY && !e.inList[a.ID]
 		})
 		for _, id := range e.fresh {
-			if len(e.list) >= e.Cfg.ListSize {
+			if len(e.list) >= e.listSize {
 				break
 			}
 			e.list = append(e.list, id)

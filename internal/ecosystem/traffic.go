@@ -46,39 +46,29 @@ type SensorFlow struct {
 	EventID  int
 }
 
-// BackgroundConfig tunes legitimate traffic synthesis.
-type BackgroundConfig struct {
-	// SamplesPerDay is the expected sampled background packets per day
-	// (paper scale: ~340k/day so that attack traffic lands at ~5% of
-	// DNS packets).
-	SamplesPerDay int
-	// Clients is the background client population size.
-	Clients int
-	// ResponseShare is the response fraction (paper: 60% requests).
-	ResponseShare float64
-	// RootShare is the share of background packets for the root name —
-	// the reason some clients show low misused-name ratios in Fig. 4.
-	RootShare float64
-	// MisusedShare is the tiny share of organic traffic for misused
+// Legitimate background traffic. The floats are typed, so that
+// bgRootShare+bgMisusedShare rounds as the run-time sum of float64 fields
+// did (an untyped sum folds exactly and moves a background draw).
+const (
+	// bgSamplesPerDay is the paper-scale expected sampled background
+	// packets per day (~340k/day so that attack traffic lands at ~5% of
+	// DNS packets), scaled by the campaign's Scale.
+	bgSamplesPerDay = 340_000
+	// bgClientCount is the paper-scale background client population,
+	// scaled by the campaign's Scale.
+	bgClientCount = 120_000
+	// bgResponseShare is the response fraction (paper: 60% requests).
+	bgResponseShare float64 = 0.40
+	// bgRootShare is the share of background packets for the root name
+	// — the reason some clients show low misused-name ratios in Fig. 4.
+	bgRootShare float64 = 0.015
+	// bgMisusedShare is the tiny share of organic traffic for misused
 	// names (monitoring, research scanners).
-	MisusedShare float64
-	// ANYShare of background queries (debugging tools etc.); calibrated
-	// so that ~68% of ANY packets belong to attacks.
-	ANYShare float64
-}
-
-// DefaultBackgroundConfig returns paper-scale defaults (caller scales
-// SamplesPerDay and Clients).
-func DefaultBackgroundConfig() BackgroundConfig {
-	return BackgroundConfig{
-		SamplesPerDay: 340_000,
-		Clients:       120_000,
-		ResponseShare: 0.40,
-		RootShare:     0.015,
-		MisusedShare:  0.0004,
-		ANYShare:      0.025,
-	}
-}
+	bgMisusedShare float64 = 0.0004
+	// bgANYShare of background queries (debugging tools etc.);
+	// calibrated so that ~68% of ANY packets belong to attacks.
+	bgANYShare float64 = 0.025
+)
 
 // DayTraffic is everything one simulated day produces, with the sampled
 // IXP traffic in batch form (name IDs into the generator's
@@ -123,8 +113,7 @@ type WireDayTraffic struct {
 // pipeline consumes (pass 2 asks DayFor for its victims' rows only);
 // the live service reads WireDay through a synthetic: input.
 type Generator struct {
-	C          *Campaign
-	Background BackgroundConfig
+	C *Campaign
 	// SkipAttacks suppresses the campaign's attack-event traffic (both
 	// the IXP records and the honeypot sensor flows), leaving only the
 	// organic background. The scenario library composes its own attack
@@ -136,6 +125,8 @@ type Generator struct {
 	SkipAttacks bool
 
 	seed int64
+	// bgSamples is bgSamplesPerDay at the campaign's scale.
+	bgSamples int
 
 	// table is the frozen name-interning space: every name the
 	// generator can emit (root, explicit zones, event names, procedural
@@ -233,12 +224,11 @@ type tmplMeta struct {
 // with the campaign's Scale.
 func NewGenerator(c *Campaign, seed int64) *Generator {
 	g := &Generator{
-		C:          c,
-		Background: DefaultBackgroundConfig(),
-		seed:       seed,
+		C:         c,
+		seed:      seed,
+		bgSamples: scaleInt(bgSamplesPerDay, c.Cfg.Scale),
 	}
-	g.Background.SamplesPerDay = scaleInt(g.Background.SamplesPerDay, c.Cfg.Scale)
-	g.Background.Clients = scaleInt(g.Background.Clients, c.Cfg.Scale)
+	clients := scaleInt(bgClientCount, c.Cfg.Scale)
 
 	// Background clients across all ASes; servers in hosting space.
 	// This population is drawn once from a construction-time stream and
@@ -249,8 +239,8 @@ func NewGenerator(c *Campaign, seed int64) *Generator {
 		asns = append(asns, asn)
 	}
 	slices.Sort(asns)
-	g.bgSet = make(map[[4]byte]struct{}, g.Background.Clients)
-	for i := 0; i < g.Background.Clients; i++ {
+	g.bgSet = make(map[[4]byte]struct{}, clients)
+	for i := 0; i < clients; i++ {
 		asn := asns[rng.Intn(len(asns))]
 		addr, _ := c.Topo.RandomAddrIn(rng, asn)
 		g.bgClients = append(g.bgClients, addr)
@@ -764,7 +754,7 @@ var backgroundQTypes = []struct {
 // backgroundTraffic synthesizes the day's organic sampled DNS packets.
 func (g *dayGen) backgroundTraffic(day simclock.Time) {
 	// Weekly pattern: small dip on weekends (§3.1).
-	n := g.Background.SamplesPerDay
+	n := g.bgSamples
 	if wd := day.Std().Weekday(); wd == 0 || wd == 6 {
 		n = n * 88 / 100
 	}
@@ -785,7 +775,7 @@ func (g *dayGen) backgroundTraffic(day simclock.Time) {
 		qtype := dnswire.TypeA
 		u := g.rng.Float64()
 		switch {
-		case u < g.Background.RootShare:
+		case u < bgRootShare:
 			// Root priming and monitoring traffic: the root name is a
 			// misused name AND a common legitimate query (§4.2's low-
 			// share clients).
@@ -795,14 +785,14 @@ func (g *dayGen) backgroundTraffic(day simclock.Time) {
 			} else if g.rng.Float64() < 0.7 {
 				qtype = dnswire.TypeNS
 			}
-		case u < g.Background.RootShare+g.Background.MisusedShare:
+		case u < bgRootShare+bgMisusedShare:
 			// Research scanners and monitoring probes against
 			// amplification-prone names — these often use ANY.
 			nameID = g.misIDs[g.rng.Intn(len(misused))]
 			if g.rng.Float64() < 0.5 {
 				qtype = dnswire.TypeANY
 			}
-		case g.rng.Float64() < g.Background.ANYShare:
+		case g.rng.Float64() < bgANYShare:
 			// Organic ANY (debugging tools): spread uniformly across
 			// the bulk namespace rather than by popularity.
 			nameID = g.procBase + uint32(g.rng.Intn(g.C.DB.NumProceduralNames()))
@@ -819,7 +809,7 @@ func (g *dayGen) backgroundTraffic(day simclock.Time) {
 				}
 			}
 		}
-		if g.rng.Float64() < g.Background.ResponseShare {
+		if g.rng.Float64() < bgResponseShare {
 			g.emitBackgroundResponse(server, client, nameID, qtype, t)
 		} else {
 			g.emitBackgroundQuery(client, server, nameID, qtype, t)

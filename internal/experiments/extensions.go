@@ -58,7 +58,7 @@ func (s *Suite) AppendixB() *Report {
 	// and its sensor flows are Day's.
 	platforms := make([]*honeypot.Platform, len(configs))
 	for i, c := range configs {
-		platforms[i] = honeypot.NewPlatform(c.cfg, s.Study.Cfg.Campaign.NumSensors)
+		platforms[i] = honeypot.NewPlatform(c.cfg, ecosystem.NumSensors)
 	}
 	gen := ecosystem.NewGenerator(s.Study.Campaign, s.Study.Cfg.TrafficSeed)
 	var scratch ixp.SampleBatch

@@ -8,6 +8,7 @@ import (
 	"dnsamp/internal/analysis"
 	"dnsamp/internal/cluster"
 	"dnsamp/internal/core"
+	"dnsamp/internal/ecosystem"
 	"dnsamp/internal/honeypot"
 	"dnsamp/internal/openintel"
 	"dnsamp/internal/simclock"
@@ -401,7 +402,7 @@ func (s *Suite) Figure17() *Report {
 // Figure18 reproduces the honeypot convergence curve.
 func (s *Suite) Figure18() *Report {
 	r := &Report{ID: "figure18", Title: "honeypot sensor convergence"}
-	curve := honeypot.Convergence(s.Study.HoneypotAttacks, s.Study.Cfg.Campaign.NumSensors)
+	curve := honeypot.Convergence(s.Study.HoneypotAttacks, ecosystem.NumSensors)
 	r.addf("paper: 99.5%% of victims visible with 5 sensors; 50 sensors for 99.9%%")
 	for _, k := range []int{1, 2, 5, 10, 20, 50} {
 		if k <= len(curve) {

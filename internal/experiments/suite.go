@@ -52,7 +52,7 @@ func NewSuiteWithConfig(cfg pipeline.Config) *Suite {
 			s.Feed.RegisterNS(a.Addr, fmt.Sprintf("zone-%d.example.", a.ID))
 		}
 	}
-	s.Scans = scanner.Build(scanner.DefaultConfig(), pool, simclock.EntityPeriod())
+	s.Scans = scanner.Build(pool, simclock.EntityPeriod())
 
 	for _, r := range s.Study.Records {
 		day := simclock.Time(r.Day) * simclock.Time(simclock.Day)
@@ -66,7 +66,7 @@ func NewSuiteWithConfig(cfg pipeline.Config) *Suite {
 // Entity lazily computes the §6 analysis (shared by several figures).
 func (s *Suite) Entity() *analysis.EntityResult {
 	s.entityOnce.Do(func() {
-		s.entity = analysis.AnalyzeEntity(s.Study.Records, len(s.Study.Detections), analysis.DefaultFingerprint())
+		s.entity = analysis.AnalyzeEntity(s.Study.Records, len(s.Study.Detections))
 	})
 	return s.entity
 }

@@ -19,7 +19,7 @@ import (
 // caller's goroutine or the relay's. The source rings, the run, the
 // Items() channel and the chunks are allocated once.
 func TestDispatchZeroAllocSteadyState(t *testing.T) {
-	for _, pol := range []string{PolicyRoundRobin, PolicyBacklog, PolicyArrival} {
+	for _, pol := range []string{PolicyRoundRobin, PolicyArrival} {
 		t.Run(pol, func(t *testing.T) {
 			for _, via := range []string{"next", "items"} {
 				t.Run(via, func(t *testing.T) {

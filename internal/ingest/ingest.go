@@ -64,6 +64,7 @@ import (
 	"strings"
 	"time"
 
+	"dnsamp/internal/ecosystem"
 	"dnsamp/internal/sflow"
 	"dnsamp/internal/simclock"
 )
@@ -173,8 +174,7 @@ func ParseSpec(s string) (Spec, error) {
 				}
 			}
 		}
-		// NaN fails too; scale 1 is the paper's campaign, and a huge one overflows.
-		if !(sp.Scale > 0 && sp.Scale <= 1) || sp.Days < 1 {
+		if err := ecosystem.CheckScale(sp.Scale); err != nil || sp.Days < 1 {
 			return Spec{}, fmt.Errorf("ingest: spec %q: scale and days must be positive (scale at most 1, the paper's size)", s)
 		}
 		sp.ID = fmt.Sprintf("synthetic:scale=%g,days=%d,seed=%d", sp.Scale, sp.Days, sp.Seed)
@@ -221,9 +221,6 @@ const (
 	// PolicyRoundRobin cycles over sources with buffered datagrams —
 	// fair-share interleave, the default.
 	PolicyRoundRobin = "round-robin"
-	// PolicyBacklog picks the source with the most buffered datagrams —
-	// drains the deepest backlog first.
-	PolicyBacklog = "backlog"
 	// PolicyArrival emits datagrams in global capture-timestamp order —
 	// a heap-merge across source heads for merge-replay of multi-vantage
 	// recordings. The merge waits for every live source to present its

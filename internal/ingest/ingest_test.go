@@ -648,54 +648,6 @@ func TestSourceConservation(t *testing.T) {
 	}
 }
 
-// TestBacklogPolicy: the deepest buffer drains first, and a tie goes
-// to the source configured first.
-func TestBacklogPolicy(t *testing.T) {
-	a := &fakeRunner{at: []simclock.Time{1}}
-	b := &fakeRunner{at: []simclock.Time{2, 3, 4, 5, 6, 7}}
-	s := fakeSched(t, Config{Policy: PolicyBacklog, Tuning: fastTuning()}, a, b)
-	// Let both runners finish filling their buffers before the first
-	// Next so the depth comparison is deterministic.
-	for _, sv := range s.sups {
-		s.wg.Add(1)
-		go sv.supervise()
-	}
-	waitFor := func(ok func() bool) {
-		deadline := time.Now().Add(5 * time.Second)
-		for !ok() {
-			if time.Now().After(deadline) {
-				t.Fatal("timeout waiting for buffers")
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	waitFor(func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.sups[0].buf.n == 1 && s.sups[1].buf.n == 6
-	})
-	s.wg.Add(1)
-	go s.watchdog()
-	items := s.Next(make([]Item, 0, RunLen))
-	if len(items) != 7 {
-		t.Fatalf("got %d items, want 7", len(items))
-	}
-	if items[0].SourceID != "replay:fake-1" {
-		t.Fatalf("first item from %s, want the deeper source", items[0].SourceID)
-	}
-	var got []simclock.Time
-	for _, it := range items {
-		got = append(got, it.At)
-	}
-	// b holds 6 against a's 1 until b is down to 1: the tie goes to a.
-	if want := []simclock.Time{2, 3, 4, 5, 6, 1, 7}; !slices.Equal(got, want) {
-		t.Fatalf("backlog order %v, want %v", got, want)
-	}
-	if rest := s.Next(items); len(rest) != 0 {
-		t.Fatalf("Next after both sources drained returned %d items, want the end of the stream", len(rest))
-	}
-}
-
 // streamRunner delivers an endless time-ordered stream, one tick every
 // step starting at first, until its run is cancelled.
 type streamRunner struct{ first, step int64 }
@@ -718,7 +670,7 @@ func (r streamRunner) run(t *task, _ int64) error {
 // or, on top of that, the relay's send and the receive on Items()
 // (items).
 func BenchmarkDispatch(b *testing.B) {
-	for _, pol := range []string{PolicyRoundRobin, PolicyBacklog, PolicyArrival} {
+	for _, pol := range []string{PolicyRoundRobin, PolicyArrival} {
 		b.Run(pol+"/next", func(b *testing.B) {
 			s := fakeSched(b, Config{Policy: pol}, streamRunner{0, 3}, streamRunner{1, 3}, streamRunner{2, 3})
 			if err := s.Start(); err != nil {
@@ -927,7 +879,7 @@ func TestRunsKeepOrderUnderSlowConsumer(t *testing.T) {
 		})
 		return keys
 	}
-	for _, pol := range []string{PolicyRoundRobin, PolicyBacklog, PolicyArrival} {
+	for _, pol := range []string{PolicyRoundRobin, PolicyArrival} {
 		t.Run(pol, func(t *testing.T) {
 			slow, sawFull := drain(t, pol, 150)
 			if !sawFull {

@@ -66,13 +66,11 @@ func New(cfg Config) (*Scheduler, error) {
 	switch cfg.Policy {
 	case "", PolicyRoundRobin:
 		s.pol = &roundRobin{last: -1}
-	case PolicyBacklog:
-		s.pol = backlogWeighted{}
 	case PolicyArrival:
 		s.pol = arrivalOrder{}
 	default:
-		return nil, fmt.Errorf("ingest: unknown policy %q (want %s, %s, or %s)",
-			cfg.Policy, PolicyRoundRobin, PolicyBacklog, PolicyArrival)
+		return nil, fmt.Errorf("ingest: unknown policy %q (want %s or %s)",
+			cfg.Policy, PolicyRoundRobin, PolicyArrival)
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.ctx, s.cancel = context.WithCancel(context.Background())
@@ -647,19 +645,6 @@ func (p *roundRobin) pick(sups []*Supervisor, _ bool) int {
 		}
 	}
 	return -1
-}
-
-// backlogWeighted always drains the deepest buffer first.
-type backlogWeighted struct{}
-
-func (backlogWeighted) pick(sups []*Supervisor, _ bool) int {
-	best, bestN := -1, 0
-	for i, sv := range sups {
-		if n := sv.buf.n; n > bestN {
-			best, bestN = i, n
-		}
-	}
-	return best
 }
 
 // arrivalOrder emits datagrams in global capture-time order: a k-way

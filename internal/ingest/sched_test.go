@@ -77,8 +77,6 @@ func TestNextPickOrder(t *testing.T) {
 	}{
 		// Round-robin cycles over the sources with data, from the first.
 		{PolicyRoundRobin, [][]simclock.Time{{1, 2, 3}, {4}, {5, 6}}, []simclock.Time{1, 4, 5, 2, 6, 3}},
-		// Backlog drains the deepest ring; a tie goes to the lower index.
-		{PolicyBacklog, [][]simclock.Time{{1}, {2, 3, 4}, {5, 6}}, []simclock.Time{2, 3, 5, 1, 4, 6}},
 		// Arrival merges by capture time over finished sources.
 		{PolicyArrival, [][]simclock.Time{{10, 40}, {20, 30}, {15}}, []simclock.Time{10, 15, 20, 30, 40}},
 	}

@@ -294,7 +294,7 @@ func (r *Runner) Aggregate() *Runner {
 	for _, cp := range caps[1:] {
 		st.CaptureStats.Add(cp.Stats)
 	}
-	hp := honeypot.NewPlatform(hpCfg, r.Cfg.Campaign.NumSensors)
+	hp := honeypot.NewPlatform(hpCfg, ecosystem.NumSensors)
 	for _, flows := range dayFlows {
 		for _, sf := range flows {
 			hp.Observe(sf)

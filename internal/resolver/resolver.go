@@ -2,8 +2,8 @@
 // amplification attacks abuse: open recursive resolvers, transparent
 // forwarders (98% of open amplifiers per the paper), and authoritative
 // nameservers. It implements TTL-decrementing caches (the mechanism the
-// cache-snooping study of Appendix C exploits), response rate limiting
-// (RRL), and RFC 8482 minimal-ANY behaviour.
+// cache-snooping study of Appendix C exploits) and the RFC 8482
+// minimal-ANY answer of a zone that refuses ANY.
 package resolver
 
 import (
@@ -44,13 +44,6 @@ func (k Kind) String() string {
 	}
 }
 
-// RRLConfig is a response-rate-limiting policy.
-type RRLConfig struct {
-	Enabled bool
-	// ResponsesPerSecond is the per-client budget before slipping.
-	ResponsesPerSecond int
-}
-
 // cacheKey identifies a cached RRset.
 type cacheKey struct {
 	name  string
@@ -69,20 +62,11 @@ type Resolver struct {
 	Kind Kind
 	// Upstream is the recursive resolver a forwarder relays to.
 	Upstream *Resolver
-	// RRL is the rate-limiting policy, if any.
-	RRL RRLConfig
-	// MinimalANY makes the endpoint answer ANY queries with an RFC 8482
-	// minimal response.
-	MinimalANY bool
 	// Zones is the authority set (Authoritative kind only).
 	Zones []*zonedb.Zone
 
 	db    *zonedb.DB
 	cache map[cacheKey]cacheEntry
-
-	// rrlWindow tracks the current one-second accounting window.
-	rrlWindow simclock.Time
-	rrlCount  int
 }
 
 // New creates a resolver backed by the namespace db.
@@ -92,8 +76,8 @@ func New(addr netip.Addr, kind Kind, db *zonedb.DB) *Resolver {
 
 // Result describes the outcome of handling one query.
 type Result struct {
-	// Answered is false when the endpoint dropped the query (RRL slip,
-	// authoritative REFUSED for foreign names, ...).
+	// Answered is false when the endpoint dropped the query (a
+	// forwarder without an upstream).
 	Answered bool
 	// Size is the response size in bytes.
 	Size int
@@ -114,9 +98,6 @@ type Result struct {
 // returns the response description. The spoofed source address is
 // irrelevant to the resolver; reflection happens at the transport layer.
 func (r *Resolver) Handle(name string, qtype dnswire.Type, t simclock.Time) Result {
-	if r.RRL.Enabled && !r.allowRRL(t) {
-		return Result{}
-	}
 	switch r.Kind {
 	case Authoritative:
 		return r.handleAuthoritative(name, qtype, t)
@@ -138,7 +119,7 @@ func (r *Resolver) handleAuthoritative(name string, qtype dnswire.Type, t simclo
 	cn := dnswire.CanonicalName(name)
 	for _, z := range r.Zones {
 		if z.Name == cn {
-			if qtype == dnswire.TypeANY && (r.MinimalANY || !z.AllowANY) {
+			if qtype == dnswire.TypeANY && !z.AllowANY {
 				return Result{Answered: true, Size: dnswire.MinimalANYSize(cn), TTL: z.TTL, DefaultTTL: z.TTL, Minimal: true}
 			}
 			size := r.db.ResponseSize(cn, qtype, t)
@@ -152,9 +133,6 @@ func (r *Resolver) handleAuthoritative(name string, qtype dnswire.Type, t simclo
 
 func (r *Resolver) handleRecursive(name string, qtype dnswire.Type, t simclock.Time) Result {
 	cn := dnswire.CanonicalName(name)
-	if qtype == dnswire.TypeANY && r.MinimalANY {
-		return Result{Answered: true, Size: dnswire.MinimalANYSize(cn), TTL: 3600, DefaultTTL: 3600, Minimal: true}
-	}
 	key := cacheKey{cn, qtype}
 	if e, ok := r.cache[key]; ok && t.Before(e.expires) {
 		remaining := uint32(e.expires.Sub(t))
@@ -200,18 +178,8 @@ func (r *Resolver) Warm(name string, qtype dnswire.Type, t simclock.Time) {
 	}
 }
 
-// allowRRL implements a fixed-window per-second budget.
-func (r *Resolver) allowRRL(t simclock.Time) bool {
-	if t != r.rrlWindow {
-		r.rrlWindow = t
-		r.rrlCount = 0
-	}
-	r.rrlCount++
-	return r.rrlCount <= r.RRL.ResponsesPerSecond
-}
-
 // AmplificationFactor is the response/request size ratio for a query of
-// qtype for name at time t via this resolver, ignoring rate limiting.
+// qtype for name at time t via this resolver.
 func (r *Resolver) AmplificationFactor(name string, qtype dnswire.Type, t simclock.Time) float64 {
 	req := dnswire.QuerySize(dnswire.CanonicalName(name))
 	res := r.Handle(name, qtype, t)

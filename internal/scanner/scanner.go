@@ -18,22 +18,18 @@ import (
 	"dnsamp/internal/simclock"
 )
 
-// Config tunes the scan simulation.
-type Config struct {
-	// DailyDetectionProb is the chance one daily scan observes an alive
+// The scan simulation's coverage, matching the paper's.
+const (
+	// dailyDetectionProb is the chance one daily scan observes an alive
 	// open resolver.
-	DailyDetectionProb float64
-	// CoverageProb is the chance an amplifier is scannable at all
+	dailyDetectionProb float64 = 0.9
+	// coverageProb is the chance an amplifier is scannable at all
 	// (Shodan "omits transparent DNS forwarders"; still ~95% of abused
 	// amplifiers appear in its index).
-	CoverageProb float64
-	Seed         int64
-}
-
-// DefaultConfig matches the paper's observed coverage.
-func DefaultConfig() Config {
-	return Config{DailyDetectionProb: 0.9, CoverageProb: 0.95, Seed: 3}
-}
+	coverageProb float64 = 0.95
+	// scanSeed seeds the scan draws.
+	scanSeed = 3
+)
 
 // History is one address's scan record.
 type History struct {
@@ -51,12 +47,12 @@ type Index struct {
 // Build runs the simulated daily scans over the amplifier pool across
 // the given window and returns the index. Scanning runs from the history
 // horizon (2016) so that first-seen dates predate the campaign.
-func Build(cfg Config, pool *ecosystem.Pool, window simclock.Window) *Index {
-	rng := rand.New(rand.NewSource(cfg.Seed))
+func Build(pool *ecosystem.Pool, window simclock.Window) *Index {
+	rng := rand.New(rand.NewSource(scanSeed))
 	idx := &Index{hist: make(map[netip.Addr]History, pool.Len())}
 	for i := 0; i < pool.Len(); i++ {
 		a := pool.Get(i)
-		if rng.Float64() >= cfg.CoverageProb {
+		if rng.Float64() >= coverageProb {
 			continue // never indexed (e.g. transparent forwarder)
 		}
 		// Instead of simulating every scan day, draw the discovery lag
@@ -64,13 +60,13 @@ func Build(cfg Config, pool *ecosystem.Pool, window simclock.Window) *Index {
 		// success of a daily Bernoulli(p) process after Born, i.e.
 		// geometric; the last success is symmetric before min(Died,
 		// window end).
-		lag := geometricDays(rng, cfg.DailyDetectionProb)
+		lag := geometricDays(rng, dailyDetectionProb)
 		first := a.Born.Add(simclock.Days(lag))
 		end := a.Died
 		if end.After(window.End) {
 			end = window.End
 		}
-		backLag := geometricDays(rng, cfg.DailyDetectionProb)
+		backLag := geometricDays(rng, dailyDetectionProb)
 		last := end.Add(-simclock.Days(backLag + 1))
 		if last.Before(first) {
 			// The service lived too briefly for a second observation.

@@ -10,16 +10,14 @@ import (
 
 func testPool() *ecosystem.Pool {
 	topo := topology.Generate(topology.Config{Members: 20, ASesPerClass: 30, Seed: 1})
-	return ecosystem.NewPool(ecosystem.PoolConfig{
-		Size: 20_000, AuthoritativeShare: 0.02, ForwarderShare: 0.98, Seed: 2,
-	}, topo)
+	return ecosystem.NewPool(20_000, topo)
 }
 
 func TestCoverage(t *testing.T) {
 	pool := testPool()
-	idx := Build(DefaultConfig(), pool, simclock.EntityPeriod())
+	idx := Build(pool, simclock.EntityPeriod())
 	share := float64(len(idx.hist)) / float64(pool.Len())
-	// CoverageProb 0.95 minus short-lived endpoints that died before
+	// coverageProb 0.95 minus short-lived endpoints that died before
 	// any scan caught them.
 	if share < 0.80 || share > 0.96 {
 		t.Errorf("indexed share = %.2f", share)
@@ -29,7 +27,7 @@ func TestCoverage(t *testing.T) {
 func TestHistoryBounds(t *testing.T) {
 	pool := testPool()
 	w := simclock.EntityPeriod()
-	idx := Build(DefaultConfig(), pool, w)
+	idx := Build(pool, w)
 	checked := 0
 	for i := 0; i < pool.Len(); i++ {
 		a := pool.Get(i)
@@ -58,7 +56,7 @@ func TestHistoryBounds(t *testing.T) {
 
 func TestDiscoveryLag(t *testing.T) {
 	pool := testPool()
-	idx := Build(DefaultConfig(), pool, simclock.EntityPeriod())
+	idx := Build(pool, simclock.EntityPeriod())
 	// Mean discovery lag should reflect the detection probability
 	// (geometric with p=0.9 -> mean ~0.11 days).
 	var lagSum, n float64
@@ -77,8 +75,8 @@ func TestDiscoveryLag(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	pool := testPool()
-	a := Build(DefaultConfig(), pool, simclock.EntityPeriod())
-	b := Build(DefaultConfig(), pool, simclock.EntityPeriod())
+	a := Build(pool, simclock.EntityPeriod())
+	b := Build(pool, simclock.EntityPeriod())
 	if len(a.hist) != len(b.hist) {
 		t.Fatal("index sizes differ")
 	}
@@ -94,7 +92,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestUnknownAddr(t *testing.T) {
 	pool := testPool()
-	idx := Build(DefaultConfig(), pool, simclock.EntityPeriod())
+	idx := Build(pool, simclock.EntityPeriod())
 	var unknown = [4]byte{9, 9, 9, 9}
 	if _, ok := idx.Lookup(ecosystem.AddrFromKey(unknown)); ok {
 		t.Error("out-of-pool address should be unknown")

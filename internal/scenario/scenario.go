@@ -97,13 +97,8 @@ type Env struct {
 }
 
 // NewEnv plans the shared background substrate for the given params.
+// p.Scale must pass ecosystem.CheckScale, and p.Days be at least 1.
 func NewEnv(p Params) *Env {
-	if p.Days <= 0 {
-		p.Days = DefaultParams().Days
-	}
-	if p.Scale <= 0 {
-		p.Scale = DefaultParams().Scale
-	}
 	cfg := ecosystem.DefaultCampaignConfig(p.Scale)
 	cfg.Seed = p.CampaignSeed
 	if p.ProceduralNames > 0 {

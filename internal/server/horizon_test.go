@@ -157,7 +157,7 @@ func horizonOracle(stream []oracleSample, cfg WindowConfig) horizonResult {
 		prev = list.Names
 		r.closes = append(r.closes, list.Sorted())
 		p24, p16, p8 := map[[3]byte]bool{}, map[[2]byte]bool{}, map[byte]bool{}
-		for _, det := range core.Detect(open, list.Names, cfg.Thresholds) {
+		for _, det := range core.Detect(open, list.Names, core.DefaultThresholds()) {
 			r.dets = append(r.dets, *det)
 			v := det.Victim
 			sum.Victims++

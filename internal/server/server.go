@@ -117,9 +117,8 @@ type Config struct {
 	// picks; per-input resume cursors ride in checkpoints keyed by the
 	// stable Spec ID.
 	Inputs []ingest.Spec
-	// Policy is the ingest scheduling policy (ingest.PolicyRoundRobin,
-	// ingest.PolicyBacklog, or ingest.PolicyArrival; default
-	// round-robin).
+	// Policy is the ingest scheduling policy (ingest.PolicyRoundRobin or
+	// ingest.PolicyArrival; default round-robin).
 	Policy string
 	// IngestTuning overrides the supervision knobs (buffer depth,
 	// restart backoff, stall deadline, quarantine threshold). Zero

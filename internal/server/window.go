@@ -22,8 +22,6 @@ type WindowConfig struct {
 	// Refresh is the name-list refresh cadence in stream time (the paper
 	// allows at most 5 minutes of delay).
 	Refresh simclock.Duration
-	// Thresholds are the §4.2 detection thresholds.
-	Thresholds core.Thresholds
 }
 
 // withDefaults normalizes zero fields.
@@ -36,9 +34,6 @@ func (c WindowConfig) withDefaults() WindowConfig {
 	}
 	if c.Refresh <= 0 {
 		c.Refresh = 5 * simclock.Minute
-	}
-	if c.Thresholds == (core.Thresholds{}) {
-		c.Thresholds = core.DefaultThresholds()
 	}
 	return c
 }
@@ -245,7 +240,7 @@ func (w *Window) closeDay(now simclock.Time) {
 	p24 := make(map[[3]byte]bool)
 	p16 := make(map[[2]byte]bool)
 	p8 := make(map[byte]bool)
-	dets := core.Detect(w.agg, w.names, w.cfg.Thresholds)
+	dets := core.Detect(w.agg, w.names, core.DefaultThresholds())
 	for _, det := range dets {
 		if det.Day == w.curDay {
 			w.detections = append(w.detections, det)

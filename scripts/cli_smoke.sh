@@ -20,15 +20,20 @@
 #     one skipped datagram, and no longer prints that golden;
 #   - an unknown flag (`-cache-days`) exits 2, two replay
 #     flags exit 1, and a missing input file exits 1;
+#   - dnsampdetect, attackgen, experiments and evalrun each refuse a
+#     `-scale` of 0, -1, NaN and 2 (outside (0, 1]) with exit 2 before
+#     planning, and evalrun `-days 0` the same;
 #   - attackgen's wire exports are byte-identical to
 #     cmd/attackgen/testdata/wire.sha256: the campaign's at `-scale 0.02
 #     -wire-days 2`, and every `-list-scenarios` entry's at `-wire-days
 #     8`, each as an sFlow log and a pcap;
 #   - attackgen refuses `-scenario` without an output, an unknown
 #     scenario, and `-wire-days 0` with an output: exit 2, no file;
-#   - `experiments -scale 0.02 -run table2` prints the one table, the
-#     same bytes twice (ties broken by TLD), and an unknown `-run` exits
-#     1 before the campaign is planned, printing nothing;
+#   - `experiments -scale 0.02` prints
+#     cmd/experiments/testdata/scale0.02.golden byte for byte;
+#     `-run table2` prints the one table, the same bytes twice (ties
+#     broken by TLD), and an unknown `-run` exits 1 before the campaign
+#     is planned, printing nothing;
 #   - `evalrun` lists attackgen's catalog, scores two scenarios at the
 #     eval-smoke parameters as the golden table's rows for them, and
 #     refuses a stray argument, a bad grid value, an empty grid and an
@@ -37,6 +42,7 @@
 # The goldens and the digests change only with an intended output
 # change; regenerate them deliberately with
 #   go run ./cmd/dnsampdetect -scale 0.02 -v > cmd/dnsampdetect/testdata/scale0.02-v.golden
+#   go run ./cmd/experiments -scale 0.02 > cmd/experiments/testdata/scale0.02.golden
 # and, in a directory holding this script's exports (the commands
 # below), `sha256sum * > cmd/attackgen/testdata/wire.sha256` and
 #   dnsampdetect -scale 0.02 -v -replay-sflow campaign.sflowlog > cmd/dnsampdetect/testdata/replay-v.golden
@@ -62,6 +68,17 @@ run() {
     RC=0
     "$@" >"$WORK/out" 2>"$WORK/err" || RC=$?
     return "$RC"
+}
+
+# refuses_scale CMD...: CMD -scale V exits 2 for every V outside (0, 1],
+# before planning and printing nothing on stdout.
+refuses_scale() {
+    for v in 0 -1 NaN 2; do
+        ! run "$@" -scale "$v" || false
+        [ "$RC" -eq 2 ] || fail "$(basename "$1") -scale $v exited $RC, want 2: $(cat "$WORK/err")"
+        grep -q 'outside (0, 1\]' "$WORK/err" || fail "$(basename "$1") -scale $v: no refusal: $(cat "$WORK/err")"
+        [ ! -s "$WORK/out" ] || fail "$(basename "$1") -scale $v printed to stdout"
+    done
 }
 
 # same FILE WANT WHAT: FILE must equal WANT byte for byte.
@@ -158,9 +175,17 @@ grep -q 'mutually exclusive' "$WORK/err" || fail "two replay flags: no 'mutually
 [ "$RC" -eq 1 ] || fail "a missing snapshot exited $RC, want 1"
 ! run "$BIN" -replay-pcap "$WORK/missing.pcap" || false
 [ "$RC" -eq 1 ] || fail "a missing pcap exited $RC, want 1"
+refuses_scale "$BIN"
+refuses_scale "$WORK/attackgen" -summary
+
+echo "== experiments prints the golden"
+go build -o "$WORK/experiments" ./cmd/experiments
+"$WORK/experiments" -scale 0.02 >"$WORK/experiments.out" 2>"$WORK/err" ||
+    fail "experiments -scale 0.02 exited non-zero: $(cat "$WORK/err")"
+same "$WORK/experiments.out" cmd/experiments/testdata/scale0.02.golden \
+    "experiments -scale 0.02 stdout differs from cmd/experiments/testdata/scale0.02.golden"
 
 echo "== experiments -run"
-go build -o "$WORK/experiments" ./cmd/experiments
 run "$WORK/experiments" -scale 0.02 -run table2 || fail "experiments -run table2 exited $RC: $(cat "$WORK/err")"
 [ "$(grep -c '^== ' "$WORK/out")" -eq 1 ] || fail "-run table2 printed $(grep -c '^== ' "$WORK/out") reports, want 1"
 grep -q '^== table2: ' "$WORK/out" || fail "-run table2 did not print table2"
@@ -172,6 +197,8 @@ run "$WORK/experiments" -scale 0.02 -run table2 || fail "the second -run table2 
 grep -q 'no experiment matches "nosuch"' "$WORK/err" || fail "an unknown -run: no refusal: $(cat "$WORK/err")"
 if grep -q planning "$WORK/err"; then fail "an unknown -run planned the campaign before refusing"; fi
 [ ! -s "$WORK/out" ] || fail "an unknown -run printed a report"
+refuses_scale "$WORK/experiments"
+if grep -q planning "$WORK/err"; then fail "a refused -scale planned the campaign"; fi
 
 echo "== evalrun"
 go build -o "$WORK/evalrun" ./cmd/evalrun
@@ -194,6 +221,9 @@ same "$WORK/eval.got" "$WORK/eval.want" "two scenarios' rows differ from $EVAL_G
 [ "$RC" -eq 1 ] && grep -q 'empty thresholds grid' "$WORK/err" || fail "-minpkts , exited $RC: $(cat "$WORK/err")"
 ! run "$WORK/evalrun" -scenario no-such-scenario -out "$WORK/refused.txt" || false
 [ "$RC" -eq 1 ] || fail "an unknown scenario exited $RC, want 1"
+refuses_scale "$WORK/evalrun" -out "$WORK/refused.txt"
+! run "$WORK/evalrun" -days 0 -out "$WORK/refused.txt" || false
+[ "$RC" -eq 2 ] && grep -q -- '-days 0: want at least 1' "$WORK/err" || fail "-days 0 exited $RC: $(cat "$WORK/err")"
 [ ! -e "$WORK/refused.txt" ] || fail "a refused evalrun run wrote its output"
 
 echo "cli smoke: OK"

@@ -127,6 +127,8 @@ expect_exit 2 "$WORK/ixpmon" -follow
 expect_exit 2 "$WORK/ixpmon" -serve -sflow "$WORK/traffic.sflow"
 expect_exit 2 "$WORK/ixpmon" -sflow "$WORK/traffic.sflow" -scale 0.1
 expect_exit 2 "$WORK/ixpmon" -sflow "$WORK/traffic.sflow" -days 3
+expect_exit 2 "$WORK/ixpmon" -serve -input "replay:$WORK/traffic.sflow" -policy backlog
+grep -q 'want round-robin or arrival' "$WORK/refused.log" || fail "-policy backlog: the refusal names no policies: $(cat "$WORK/refused.log")"
 
 echo "== starting service mode on -listen =="
 "$WORK/ixpmon" -serve -listen "127.0.0.1:$UDP_PORT" -http "127.0.0.1:$HTTP_PORT" \
