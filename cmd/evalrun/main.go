@@ -55,7 +55,7 @@ func main() {
 	flag.Parse()
 
 	if flag.NArg() > 0 {
-		fatal(fmt.Errorf("unexpected arguments: %v", flag.Args()))
+		usage(fmt.Errorf("unexpected arguments: %v", flag.Args()))
 	}
 
 	if *list {
@@ -65,13 +65,12 @@ func main() {
 		return
 	}
 	if err := checkWindow(*days, *scale); err != nil {
-		fmt.Fprintln(os.Stderr, "evalrun:", err)
-		os.Exit(2)
+		usage(err)
 	}
 
 	grid, err := parseGrid(*shares, *minpkts)
 	if err != nil {
-		fatal(err)
+		usage(err)
 	}
 	var names []string
 	if *scenarios != "" {
@@ -79,7 +78,7 @@ func main() {
 			if n = strings.TrimSpace(n); n != "" {
 				// Fail on unknown names before the expensive env build.
 				if _, err := scenario.ByName(n); err != nil {
-					fatal(err)
+					usage(err)
 				}
 				names = append(names, n)
 			}
@@ -204,6 +203,13 @@ func checkWindow(days int, scale float64) error {
 		return fmt.Errorf("-scale %w", err)
 	}
 	return nil
+}
+
+// usage refuses a malformed command line with exit status 2, as the
+// flag package refuses an unknown flag.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, "evalrun:", err)
+	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -220,7 +220,7 @@ func TestRecordsParseable(t *testing.T) {
 	}
 	m.Answers = append(m.Answers, s.DNSKEYRecords(roll, 3600)...)
 	m.Answers = append(m.Answers, s.Sign(roll, "doj.gov", dnswire.TypeA, 300)...)
-	res, err := dnswire.Parse(dnswire.Encode(m))
+	res, err := dnswire.Parse(new(dnswire.Encoder).Encode(m))
 	if err != nil || !res.Complete {
 		t.Fatalf("parse: %v complete=%v", err, res != nil && res.Complete)
 	}

@@ -18,7 +18,7 @@ func BenchmarkDNSScanTruncated(b *testing.B) {
 	db := zonedb.New(zonedb.Config{ProceduralNames: 1000})
 	z, _ := db.Zone("doj.gov")
 	q := dnswire.NewQuery(7, "doj.gov", dnswire.TypeANY, 4096)
-	wire := dnswire.Encode(z.BuildANYResponse(q, simclock.MeasurementStart))[:86]
+	wire := new(dnswire.Encoder).Encode(z.BuildANYResponse(q, simclock.MeasurementStart))[:86]
 	name := make([]byte, 0, 64)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -60,13 +60,6 @@ func (e *Encoder) Encode(m *Message) []byte {
 	return e.buf
 }
 
-// Encode is a convenience wrapper around a one-shot Encoder. The result is
-// freshly allocated.
-func Encode(m *Message) []byte {
-	var e Encoder
-	return append([]byte(nil), e.Encode(m)...)
-}
-
 func appendHeader(dst []byte, h *Header) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, h.ID)
 	var flags uint16
@@ -112,26 +105,46 @@ func (e *Encoder) appendCompressedName(name string) {
 		if len(e.buf) < 0x3fff {
 			e.offsets[name] = len(e.buf)
 		}
-		label := name
-		if i := strings.IndexByte(name, '.'); i >= 0 {
-			label, name = name[:i], name[i+1:]
-		} else {
-			name = ""
-		}
-		if label == "" {
-			// Empty labels (leading or consecutive dots in a name given
-			// in presentation form; the decoder never yields one) have
-			// no wire form: a zero length octet would terminate the name
-			// early and shift every following record.
-			continue
-		}
-		if len(label) > 63 {
-			label = label[:63]
-		}
-		e.buf = append(e.buf, byte(len(label)))
-		e.buf = append(e.buf, label...)
+		var label string
+		label, name = cutLabel(name)
+		e.buf = appendLabel(e.buf, label)
 	}
 	e.buf = append(e.buf, 0)
+}
+
+// appendQName writes a message's first name, canonical, as
+// appendCompressedName does: nothing before it can compress it.
+func appendQName(dst []byte, name string) []byte {
+	for name = strings.TrimSuffix(name, "."); name != ""; {
+		var label string
+		label, name = cutLabel(name)
+		dst = appendLabel(dst, label)
+	}
+	return append(dst, 0)
+}
+
+// cutLabel splits a name without its trailing dot into its first label
+// and the rest.
+func cutLabel(name string) (label, rest string) {
+	if i := strings.IndexByte(name, '.'); i >= 0 {
+		return name[:i], name[i+1:]
+	}
+	return name, ""
+}
+
+// appendLabel writes one label, cut to 63 bytes. Empty labels (leading
+// or consecutive dots in a name given in presentation form; the decoder
+// never yields one) have no wire form: a zero length octet would
+// terminate the name early and shift every following record.
+func appendLabel(dst []byte, label string) []byte {
+	if label == "" {
+		return dst
+	}
+	if len(label) > 63 {
+		label = label[:63]
+	}
+	dst = append(dst, byte(len(label)))
+	return append(dst, label...)
 }
 
 func (e *Encoder) appendRR(rr RR) {
@@ -550,6 +563,60 @@ func NewQuery(id uint16, name string, qtype Type, ednsSize uint16) *Message {
 	return m
 }
 
+// ednsBufSize is the UDP payload size every synthesized query
+// advertises in its OPT record.
+const ednsBufSize = 4096
+
+// AppendQuery appends the encoding of NewQuery(id, name, qtype, 4096),
+// QuerySize(CanonicalName(name)) bytes, without building the message.
+func AppendQuery(dst []byte, id uint16, name string, qtype Type) []byte {
+	dst = appendHeader(dst, &Header{ID: id, RD: true, OpCode: OpQuery, QDCount: 1, ARCount: 1})
+	dst = appendQuestion(dst, CanonicalName(name), qtype)
+	// The OPT record: the root as owner, the buffer size as its class,
+	// a zero TTL and no options.
+	dst = append(dst, 0)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(TypeOPT))
+	dst = binary.BigEndian.AppendUint16(dst, ednsBufSize)
+	return append(dst, 0, 0, 0, 0, 0, 0)
+}
+
+// AppendResponse appends the encoding of NewResponse of a query for
+// (name, qtype) with transaction ID id, carrying rcode and no record,
+// QuestionSize(CanonicalName(name)) bytes, without building the
+// message. AppendAnswerA adds an answer to it.
+func AppendResponse(dst []byte, id uint16, name string, qtype Type, rcode RCode) []byte {
+	dst = appendHeader(dst, &Header{ID: id, QR: true, OpCode: OpQuery, RD: true, RA: true, RCode: rcode, QDCount: 1})
+	return appendQuestion(dst, CanonicalName(name), qtype)
+}
+
+// AppendAnswerA appends to msg, one whole message that AppendResponse
+// began for name, an A record of addr for its question name, and counts
+// it in the header. It is encoded as the Encoder writes an answer owned
+// by the question name: a compression pointer to the question at
+// offset HeaderLen, or the root's single octet, which it never points
+// at. AnswerASize gives the message's size with one such answer.
+func AppendAnswerA(msg []byte, name string, ttl uint32, addr [4]byte) []byte {
+	if strings.TrimSuffix(name, ".") == "" { // CanonicalName(name) is the root
+		msg = append(msg, 0)
+	} else {
+		msg = binary.BigEndian.AppendUint16(msg, 0xc000|HeaderLen)
+	}
+	msg = binary.BigEndian.AppendUint16(msg, uint16(TypeA))
+	msg = binary.BigEndian.AppendUint16(msg, uint16(ClassIN))
+	msg = binary.BigEndian.AppendUint32(msg, ttl)
+	msg = binary.BigEndian.AppendUint16(msg, 4)
+	msg = append(msg, addr[:]...)
+	binary.BigEndian.PutUint16(msg[6:8], binary.BigEndian.Uint16(msg[6:8])+1)
+	return msg
+}
+
+// appendQuestion appends one question for a canonical name, class IN.
+func appendQuestion(dst []byte, name string, qtype Type) []byte {
+	dst = appendQName(dst, name)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(qtype))
+	return binary.BigEndian.AppendUint16(dst, uint16(ClassIN))
+}
+
 // QuestionSize is the wire size of a header and one question for the
 // canonical name (CanonicalName(name) == name): an empty response, or a
 // query without EDNS.
@@ -562,6 +629,16 @@ func QuestionSize(name string) int {
 // OPT record.
 func QuerySize(name string) int {
 	return QuestionSize(name) + rrLen(".", 0)
+}
+
+// AnswerASize is the wire size of the response AppendResponse and one
+// AppendAnswerA build for a canonical name.
+func AnswerASize(name string) int {
+	owner := 2
+	if len(name) == 1 {
+		owner = 1
+	}
+	return QuestionSize(name) + owner + 10 + 4
 }
 
 // MinimalANYSize is the uncompressed wire size of an RFC 8482 minimal

@@ -11,7 +11,7 @@ import (
 
 func TestQueryRoundTrip(t *testing.T) {
 	q := NewQuery(0xBEEF, "doj.gov", TypeANY, 4096)
-	wire := Encode(q)
+	wire := new(Encoder).Encode(q)
 	res, err := Parse(wire)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func bigResponse() *Message {
 
 func TestFullResponseRoundTrip(t *testing.T) {
 	r := bigResponse()
-	wire := Encode(r)
+	wire := new(Encoder).Encode(r)
 	res, err := Parse(wire)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestFullResponseRoundTrip(t *testing.T) {
 
 func TestTruncatedParsePartial(t *testing.T) {
 	r := bigResponse()
-	wire := Encode(r)
+	wire := new(Encoder).Encode(r)
 	if len(wire) < 200 {
 		t.Fatalf("test response too small: %d bytes", len(wire))
 	}
@@ -171,7 +171,7 @@ func TestParseHeaderOnlyFails(t *testing.T) {
 	}
 	// Header claims a question but there is none.
 	q := NewQuery(1, "example.com", TypeA, 0)
-	wire := Encode(q)
+	wire := new(Encoder).Encode(q)
 	if _, err := Parse(wire[:HeaderLen+1]); err == nil {
 		t.Error("unreadable first question should fail")
 	}
@@ -189,7 +189,7 @@ func TestNameCompression(t *testing.T) {
 			Data: AData{mustAddr("192.0.2.1")},
 		})
 	}
-	wire := Encode(m)
+	wire := new(Encoder).Encode(m)
 	// Uncompressed: each answer name costs 15 bytes; compressed: 2.
 	uncompressed := HeaderLen + (15 + 4) + 10*(15+10+4)
 	if len(wire) >= uncompressed {
@@ -245,17 +245,57 @@ func TestEncodedNameLen(t *testing.T) {
 func TestMessageSizes(t *testing.T) {
 	long := strings.Repeat("a", 63) + "." + strings.Repeat("b", 63) + ".example.org."
 	for _, name := range []string{".", "gov.", "doj.gov.", "_sip._tcp.example.com.", "r00042.bulk-zone.net.", long} {
-		if got, want := QuestionSize(name), len(Encode(NewQuery(1, name, TypeA, 0))); got != want {
+		if got, want := QuestionSize(name), len(new(Encoder).Encode(NewQuery(1, name, TypeA, 0))); got != want {
 			t.Errorf("QuestionSize(%q) = %d, encoded %d", name, got, want)
 		}
 		for _, qt := range []Type{TypeA, TypeANY, TypeDNSKEY} {
-			if got, want := QuerySize(name), len(Encode(NewQuery(0xBEEF, name, qt, 4096))); got != want {
+			if got, want := QuerySize(name), len(new(Encoder).Encode(NewQuery(0xBEEF, name, qt, 4096))); got != want {
 				t.Errorf("QuerySize(%q) = %d, encoded %v query %d", name, got, qt, want)
 			}
 		}
 		hinfo := RR{Name: name, Type: Type(13), Class: ClassIN, Data: RawData{Bytes: make([]byte, 9)}}
 		if got, want := MinimalANYSize(name), QuerySize(name)+hinfo.WireLen(); got != want {
 			t.Errorf("MinimalANYSize(%q) = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestAppendMatchesEncoder holds the direct appends to the Encoder:
+// AppendQuery to NewQuery(…, 4096), AppendResponse to NewResponse of it
+// with an rcode, and AppendAnswerA to that response with one A record
+// owned by the question name, byte for byte, for canonical names and
+// for the presentation forms (upper case, no trailing dot, empty and
+// over-long labels) NewQuery canonicalizes; AnswerASize to the length
+// for a canonical name.
+func TestAppendMatchesEncoder(t *testing.T) {
+	long := strings.Repeat("a", 70) + ".example.org."
+	names := []string{".", "", "gov.", "Doj.GOV", "_sip._tcp.example.com.", "r00042.bulk-zone.net.", long, "a..b.", ".."}
+	var enc Encoder
+	scratch := make([]byte, 0, 8) // reused, grown by the appends
+	for _, name := range names {
+		for _, qt := range []Type{TypeA, TypeANY, TypeDNSKEY} {
+			const id = 0xBEEF
+			q := NewQuery(id, name, qt, 4096)
+			scratch = AppendQuery(scratch[:0], id, name, qt)
+			if want := enc.Encode(q); !bytes.Equal(scratch, want) {
+				t.Errorf("AppendQuery(%q, %v) = %x, encoded %x", name, qt, scratch, want)
+			}
+			resp := NewResponse(q)
+			resp.Header.RCode = RCodeRefused
+			scratch = AppendResponse(scratch[:0], id, name, qt, RCodeRefused)
+			if want := enc.Encode(resp); !bytes.Equal(scratch, want) {
+				t.Errorf("AppendResponse(%q, %v) = %x, encoded %x", name, qt, scratch, want)
+			}
+			resp.Header.RCode = RCodeNoError
+			addr := [4]byte{192, 0, 2, 7}
+			resp.Answers = []RR{{Name: CanonicalName(name), Type: TypeA, Class: ClassIN, TTL: 300, Data: AData{Addr: netip.AddrFrom4(addr)}}}
+			scratch = AppendAnswerA(AppendResponse(scratch[:0], id, name, qt, RCodeNoError), name, 300, addr)
+			if want := enc.Encode(resp); !bytes.Equal(scratch, want) {
+				t.Errorf("AppendAnswerA(%q, %v) = %x, encoded %x", name, qt, scratch, want)
+			}
+			if cn := CanonicalName(name); ValidName(cn) && AnswerASize(cn) != len(scratch) {
+				t.Errorf("AnswerASize(%q) = %d, encoded %d", cn, AnswerASize(cn), len(scratch))
+			}
 		}
 	}
 }
@@ -388,7 +428,7 @@ func TestHeaderFlagsRoundTrip(t *testing.T) {
 			OpCode: OpCode(op & 0xf), RCode: RCode(rc & 0xf),
 		}
 		m := &Message{Header: h, Questions: []Question{{Name: "x.test.", Type: TypeA, Class: ClassIN}}}
-		res, err := Parse(Encode(m))
+		res, err := Parse(new(Encoder).Encode(m))
 		if err != nil {
 			return false
 		}
@@ -421,7 +461,7 @@ func TestRandomNameRoundTrip(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		name := randName()
 		q := NewQuery(uint16(i), name, TypeTXT, 0)
-		res, err := Parse(Encode(q))
+		res, err := Parse(new(Encoder).Encode(q))
 		if err != nil {
 			t.Fatalf("name %q: %v", name, err)
 		}
@@ -466,7 +506,7 @@ func TestNSECBitmap(t *testing.T) {
 			Answers: []RR{{Name: "a.example.", Type: TypeNSEC, Class: ClassIN, TTL: 60,
 				Data: RawData{append(appendName(nil, "b.example."), bitmap...)}}},
 		}
-		res, err := Parse(Encode(m))
+		res, err := Parse(new(Encoder).Encode(m))
 		if err != nil {
 			t.Fatal(err)
 		}

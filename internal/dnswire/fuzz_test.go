@@ -31,7 +31,7 @@ func TestParseNeverPanics(t *testing.T) {
 // enough to canonicalize.
 func TestParseMutatedMessages(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	base := Encode(NewQuery(7, "peacecorps.gov", TypeANY, 4096))
+	base := new(Encoder).Encode(NewQuery(7, "peacecorps.gov", TypeANY, 4096))
 	for i := 0; i < 5000; i++ {
 		mut := append([]byte(nil), base...)
 		for k := 0; k < 1+rng.Intn(4); k++ {
@@ -55,7 +55,7 @@ func TestParseMutatedMessages(t *testing.T) {
 // truncation point: no panics, and once the question is readable the
 // name must be stable.
 func TestParseTruncationSweep(t *testing.T) {
-	wire := Encode(bigResponse())
+	wire := new(Encoder).Encode(bigResponse())
 	wantName := "nsf.gov."
 	for cut := 0; cut <= len(wire); cut++ {
 		res, err := Parse(wire[:cut])
@@ -76,12 +76,12 @@ func TestParseTruncationSweep(t *testing.T) {
 // TestEncodeParseIdempotent re-encodes a parsed message and parses it
 // again: the second round trip must agree with the first.
 func TestEncodeParseIdempotent(t *testing.T) {
-	wire1 := Encode(bigResponse())
+	wire1 := new(Encoder).Encode(bigResponse())
 	res1, err := Parse(wire1)
 	if err != nil || !res1.Complete {
 		t.Fatal(err)
 	}
-	wire2 := Encode(res1.Msg)
+	wire2 := new(Encoder).Encode(res1.Msg)
 	res2, err := Parse(wire2)
 	if err != nil || !res2.Complete {
 		t.Fatal(err)
@@ -108,8 +108,8 @@ func TestEncodeParseIdempotent(t *testing.T) {
 func FuzzParse(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2})
-	f.Add(Encode(NewQuery(0x1234, "doj.gov.", TypeANY, 4096)))
-	f.Add(Encode(bigResponse()))
+	f.Add(new(Encoder).Encode(NewQuery(0x1234, "doj.gov.", TypeANY, 4096)))
+	f.Add(new(Encoder).Encode(bigResponse()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := Parse(data)
 		if err != nil {
@@ -123,7 +123,7 @@ func FuzzParse(f *testing.F) {
 		}
 		// A completely parsed message must survive a re-encode round
 		// trip.
-		wire := Encode(res.Msg)
+		wire := new(Encoder).Encode(res.Msg)
 		res2, err := Parse(wire)
 		if err != nil {
 			t.Fatalf("re-encoded message failed to parse: %v", err)

@@ -241,13 +241,16 @@ func EncodedNameLen(name string) int {
 	return len(name) + 2
 }
 
-// appendName appends the uncompressed wire encoding of name.
+// appendName appends the uncompressed wire encoding of name. Unlike a
+// question name's, an empty label is written, as its zero length octet.
 func appendName(dst []byte, name string) []byte {
 	name = strings.TrimSuffix(name, ".")
 	if name == "" {
 		return append(dst, 0)
 	}
-	for _, label := range strings.Split(name, ".") {
+	for more := true; more; {
+		var label string
+		label, name, more = strings.Cut(name, ".")
 		if len(label) > 63 {
 			label = label[:63]
 		}

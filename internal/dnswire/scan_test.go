@@ -51,8 +51,8 @@ func scanSeeds() [][]byte {
 	seeds := [][]byte{
 		{},
 		{0, 1, 2},
-		Encode(NewQuery(0x1234, "doj.gov.", TypeANY, 4096)),
-		Encode(bigResponse()),
+		new(Encoder).Encode(NewQuery(0x1234, "doj.gov.", TypeANY, 4096)),
+		new(Encoder).Encode(bigResponse()),
 	}
 	rrs := append(bigResponse().Answers,
 		RR{Name: "nsf.gov.", Type: TypeSPF, Class: ClassIN, TTL: 300, Data: TXTData{[]string{"v=spf1 -all", ""}}},
@@ -66,7 +66,7 @@ func scanSeeds() [][]byte {
 		r.Answers = []RR{rr, ns}
 		r.Authority = []RR{ns, rr}
 		r.Additional = []RR{ns}
-		wire := Encode(r)
+		wire := new(Encoder).Encode(r)
 		seeds = append(seeds, wire)
 		if len(wire) > sampleDNSBytes {
 			seeds = append(seeds, wire[:sampleDNSBytes])
@@ -124,7 +124,7 @@ func TestScanMatchesParseMutations(t *testing.T) {
 // and "i.", which ValidName accepted.
 func TestNameFoldingIsASCIIOnly(t *testing.T) {
 	for _, label := range []string{"\xe2\x84\xaa", "\xc4\xb0"} {
-		wire := Encode(NewQuery(1, "x", TypeA, 0))
+		wire := new(Encoder).Encode(NewQuery(1, "x", TypeA, 0))
 		wire = append(wire[:HeaderLen], byte(len(label)))
 		wire = append(wire, label...)
 		wire = append(wire, 0, 0, byte(TypeA), 0, byte(ClassIN))
@@ -142,11 +142,11 @@ func TestNameFoldingIsASCIIOnly(t *testing.T) {
 		checkScanMatchesParse(t, wire)
 	}
 	// ASCII letters still fold.
-	res, err := Parse(Encode(NewQuery(1, "x", TypeA, 0)))
+	res, err := Parse(new(Encoder).Encode(NewQuery(1, "x", TypeA, 0)))
 	if err != nil || res.Msg.QName() != "x." {
 		t.Fatalf("qname %v, %v", res, err)
 	}
-	wire := Encode(NewQuery(1, "x", TypeA, 0))
+	wire := new(Encoder).Encode(NewQuery(1, "x", TypeA, 0))
 	wire[HeaderLen+1] = 'X'
 	if res, _ := Parse(wire); res.Msg.QName() != "x." {
 		t.Errorf("qname %q, want ASCII upper case folded", res.Msg.QName())
@@ -157,7 +157,7 @@ func TestNameFoldingIsASCIIOnly(t *testing.T) {
 // a later Scan into the same buffer does not disturb a copied result.
 func TestScanReusesNameBuffer(t *testing.T) {
 	buf := make([]byte, 0, 64)
-	a, err := Scan(Encode(NewQuery(1, "doj.gov", TypeANY, 0)), buf)
+	a, err := Scan(new(Encoder).Encode(NewQuery(1, "doj.gov", TypeANY, 0)), buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestScanReusesNameBuffer(t *testing.T) {
 	if string(a.QName) != "doj.gov." {
 		t.Errorf("qname %q", a.QName)
 	}
-	b, err := Scan(Encode(NewQuery(1, "nsf.gov", TypeANY, 0)), a.QName)
+	b, err := Scan(new(Encoder).Encode(NewQuery(1, "nsf.gov", TypeANY, 0)), a.QName)
 	if err != nil || string(b.QName) != "nsf.gov." {
 		t.Errorf("second scan: %q, %v", b.QName, err)
 	}

@@ -17,8 +17,11 @@ import (
 // into a scratch batch that already held it allocates only per day and
 // per event (the day's RNG and sampler, its response templates, its
 // sensor flows), never per row: far fewer objects than rows, and fewer
-// than the same day into a fresh batch, whose rows are made anew.
+// than the same day into a fresh batch, whose rows are made anew — by at
+// most freshBatch objects: the batch, the attack rows' reservation and
+// the background's, with no regrowth by doubling in between.
 func TestDayAllocs(t *testing.T) {
+	const freshBatch = 3
 	c := tinyCampaign(t)
 	g := NewGenerator(c, 7)
 	day := simclock.MeasurementStart.Add(simclock.Days(3))
@@ -33,5 +36,23 @@ func TestDayAllocs(t *testing.T) {
 	}
 	if warmed >= fresh {
 		t.Errorf("Day into a warmed scratch: %.0f allocations, into a fresh batch %.0f, want fewer", warmed, fresh)
+	}
+	if fresh > warmed+freshBatch {
+		t.Errorf("Day into a fresh batch: %.0f allocations, into a warmed scratch %.0f, want at most %d more", fresh, warmed, freshBatch)
+	}
+}
+
+// TestWireDayAllocs guards the wire path. A day of frames allocates per
+// day and per event (its RNG and sampler, the response templates, the
+// frame slice, the message scratch) and per chunk of the sampler's slab,
+// never per frame: under one object per twenty frames.
+func TestWireDayAllocs(t *testing.T) {
+	g := NewGenerator(tinyCampaign(t), 7)
+	day := simclock.MeasurementStart.Add(simclock.Days(3))
+	frames := len(g.WireDay(day).IXP) // fills the size cache
+	allocs := testing.AllocsPerRun(3, func() { g.WireDay(day) })
+	t.Logf("a day of %d frames: %.0f allocations", frames, allocs)
+	if allocs >= float64(frames)/20 {
+		t.Errorf("WireDay: %.0f allocations for %d frames, want under one per twenty frames", allocs, frames)
 	}
 }

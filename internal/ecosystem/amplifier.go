@@ -12,7 +12,7 @@
 // two sinks: Generator.Day sanitizes it (§3.1) by the rules' owners, as
 // ixp.CapturePoint.Sanitize does WireDay's frames (frame lengths from
 // netmodel, what is kept from ixp, message lengths from dnswire), and
-// WireDay frames it through AppendFrame, which the scenario overlays
+// WireDay frames it through a WireSink, which the scenario overlays
 // use too.
 package ecosystem
 

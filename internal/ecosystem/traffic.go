@@ -161,20 +161,20 @@ type Generator struct {
 func (g *Generator) Table() *names.Table { return g.table }
 
 // dayGen carries the mutable per-day state: the day's RNG stream, its
-// sampler, the wire encoder, the response-template cache, and the sink
-// every emitted packet goes to. One dayGen lives for exactly one
-// Day/WireDay call, which is what makes both safe for concurrent use.
+// wire sink and the sink's sampler, the zone-response encoder, the
+// response-template cache, and the sink every emitted packet goes to.
+// One dayGen lives for exactly one Day/WireDay call, which is what
+// makes both safe for concurrent use.
 type dayGen struct {
 	*Generator
 	rng      *rand.Rand
-	sampler  *sflow.Sampler
+	wire     WireSink
 	enc      dnswire.Encoder
 	respTmpl map[tmplKey]*respTemplate
 
 	// The sink: rows into batch (Day), or, when batch is nil, frames
-	// (WireDay).
-	batch  *ixp.SampleBatch
-	frames []TaggedRecord
+	// into wire.Out (WireDay).
+	batch *ixp.SampleBatch
 }
 
 // daySeed mixes the generator seed with the day ordinal (splitmix64
@@ -195,7 +195,7 @@ func (g *Generator) slice(day simclock.Time) *dayGen {
 	return &dayGen{
 		Generator: g,
 		rng:       rand.New(rand.NewSource(h)),
-		sampler:   sflow.NewSampler(h ^ 0x5a3c9d1),
+		wire:      WireSink{Sampler: sflow.NewSampler(h ^ 0x5a3c9d1)},
 		respTmpl:  make(map[tmplKey]*respTemplate),
 	}
 }
@@ -457,28 +457,54 @@ func (g *Generator) WireDay(day simclock.Time) *WireDayTraffic {
 	day = day.StartOfDay()
 	dg := g.slice(day)
 	sensors := dg.run(day, true)
-	return &WireDayTraffic{Day: day, IXP: dg.frames, Sensors: sensors}
+	return &WireDayTraffic{Day: day, IXP: dg.wire.Out, Sensors: sensors}
 }
 
-// run emits the day's attack events, then, when background is set and
-// the day lies in the main period, its organic background, and returns
-// the day's honeypot flows.
+// run emits the day's attack events (none with SkipAttacks), then, when
+// background is set and the day lies in the main period, its organic
+// background, and returns the day's honeypot flows.
 func (g *dayGen) run(day simclock.Time, background bool) []SensorFlow {
-	sensors := g.attacks(day)
+	var events []*AttackEvent
+	if !g.SkipAttacks {
+		events = g.C.EventsOnDay(day)
+	}
+	sensors := g.attacks(events)
 	if background && simclock.MainPeriod().Contains(day) {
 		g.backgroundTraffic(day)
 	}
 	return sensors
 }
 
-// attacks materializes the day's attack events, unless SkipAttacks is
-// set, and returns their honeypot flows: one allocation sized from the
-// events' sensors, nil when they have none.
-func (g *dayGen) attacks(day simclock.Time) []SensorFlow {
-	if g.SkipAttacks {
-		return nil
+// reserve makes room in the sink for n more packets.
+func (g *dayGen) reserve(n int) {
+	if g.batch != nil {
+		g.batch.Grow(n)
+	} else {
+		g.wire.Out = slices.Grow(g.wire.Out, n)
 	}
-	events := g.C.EventsOnDay(day)
+}
+
+// attackSamples bounds the sampled packets of events from their own
+// fields, before any draw: each amplifier's requests, thinned at the
+// sampling rate, and as many responses again. An amplifier that is
+// dead, routed around the fabric or rate-limited only lowers the count,
+// so the attack rows fill this reservation without regrowing it.
+func attackSamples(events []*AttackEvent) int {
+	n := 0
+	for _, ev := range events {
+		n += len(ev.Amplifiers) * ev.ReqPerAmp
+		if ev.RequestsViaIXP {
+			n += len(ev.Amplifiers) * ev.ReqPerAmp
+		}
+	}
+	return n / sflow.DefaultRate
+}
+
+// attacks materializes events into the sink, reserved for them first,
+// and returns their honeypot flows: one allocation sized from the
+// events' sensors, nil when they have none.
+func (g *dayGen) attacks(events []*AttackEvent) []SensorFlow {
+	g.reserve(attackSamples(events))
 	n := 0
 	for _, ev := range events {
 		n += len(ev.Sensors)
@@ -493,40 +519,62 @@ func (g *dayGen) attacks(day simclock.Time) []SensorFlow {
 	return sensors
 }
 
-// bgResponseSize is the encoded size of the one-answer background
-// response skeleton for a canonical name: header, echoed question, and
-// an A record whose owner is a compression pointer to the question name
-// (or the root's single octet, which the encoder never points at; the
-// root is the one canonical name of length 1).
-func bgResponseSize(name string) int {
-	owner := 2
-	if len(name) == 1 {
-		owner = 1
-	}
-	return dnswire.QuestionSize(name) + owner + 10 + 4
+// WireSink is the wire sink of synthesized packets: each packet, a
+// batch row's addresses, ports, IP TTL, IP ID, TXID and ingress port
+// around a DNS payload, is framed, sampled at the row's time and
+// appended to Out. The generator's WireDay and the scenario overlays
+// build every frame through one. The DNS message and the frame around
+// it are built in one reused scratch, and the sampler copies each
+// truncated frame into its slab, so a packet allocates nothing of its
+// own. Sampler must be set; Out may start nil or reserved.
+type WireSink struct {
+	Sampler *sflow.Sampler
+	Out     []TaggedRecord
+	buf     []byte // the DNS message, then the frame behind it
 }
 
-// AppendFrame is the wire sink of one synthesized packet: the frame of
-// r's addresses, ports, IP TTL and IP ID behind eth around payload, with
-// r's TXID as the DNS ID and a UDP length field of udpLen (0: header
-// plus payload), sampled at r's time and appended to out with r's
-// ingress port. The generator's WireDay and the scenario overlays build
-// every frame here.
-func AppendFrame(out []TaggedRecord, sampler *sflow.Sampler, r *ixp.BatchRecord, eth netmodel.Ethernet, payload []byte, udpLen int) []TaggedRecord {
+// AppendQuery frames the EDNS query r describes (TXID, QType) for name.
+func (w *WireSink) AppendQuery(r *ixp.BatchRecord, eth netmodel.Ethernet, name string) {
+	w.buf = dnswire.AppendQuery(w.buf[:0], r.TXID, name, r.QType)
+	w.appendFrame(r, eth, w.buf, 0)
+}
+
+// AppendResponse frames r's response (TXID, QType) to a query for name:
+// rcode and, when answer is valid, one A record of it with a 300 s TTL.
+// The UDP length field announces size bytes of DNS message, or the
+// message's own length if larger: the frame materializes a prefix of
+// the answer, like a truncated capture of a large one.
+func (w *WireSink) AppendResponse(r *ixp.BatchRecord, eth netmodel.Ethernet, name string, rcode dnswire.RCode, answer netip.Addr, size int) {
+	w.buf = dnswire.AppendResponse(w.buf[:0], r.TXID, name, r.QType, rcode)
+	if answer.IsValid() {
+		w.buf = dnswire.AppendAnswerA(w.buf, name, 300, answer.As4())
+	}
+	w.appendFrame(r, eth, w.buf, netmodel.UDPHeaderLen+max(size, len(w.buf)))
+}
+
+// appendFrame frames payload behind eth with r's TXID as the DNS ID and
+// a UDP length field of udpLen (0: header plus payload). The frame is
+// built after what the scratch holds (payload, when it is the scratch's
+// message), and the scratch is empty again once the sampler has copied
+// the frame.
+func (w *WireSink) appendFrame(r *ixp.BatchRecord, eth netmodel.Ethernet, payload []byte, udpLen int) {
 	ip := netmodel.IPv4{TTL: r.IPTTL, ID: r.IPID, Src: netip.AddrFrom4(r.Src), Dst: netip.AddrFrom4(r.Dst)}
 	udp := netmodel.UDP{SrcPort: r.SrcPort, DstPort: r.DstPort, Length: uint16(udpLen)}
-	frame := netmodel.EncodeUDPPacket(eth, ip, udp, payload)
+	start := len(w.buf)
+	w.buf = netmodel.AppendUDPPacket(w.buf, eth, ip, udp, payload)
+	frame := w.buf[start:]
 	if len(payload) >= 2 {
 		binary.BigEndian.PutUint16(frame[len(frame)-len(payload):], r.TXID)
 	}
-	return append(out, TaggedRecord{Rec: sampler.Take(r.Time, frame), Ingress: r.Ingress})
+	w.Out = append(w.Out, TaggedRecord{Rec: w.Sampler.Take(r.Time, frame), Ingress: r.Ingress})
+	w.buf = w.buf[:0]
 }
 
 // emitQuery emits the query r describes for name, a canonical name:
 // framed around its encoding with EDNS0, or as a batch row.
 func (g *dayGen) emitQuery(r ixp.BatchRecord, eth netmodel.Ethernet, name string) {
 	if g.batch == nil {
-		g.frames = AppendFrame(g.frames, g.sampler, &r, eth, g.enc.Encode(dnswire.NewQuery(r.TXID, name, r.QType, 4096)), 0)
+		g.wire.AppendQuery(&r, eth, name)
 		return
 	}
 	qlen := dnswire.QuerySize(name)
@@ -576,7 +624,7 @@ func (g *dayGen) attackTraffic(sensors *[]SensorFlow, ev *AttackEvent) {
 			eff *= c.Entity.ResponseEfficiency(ev.Start)
 		}
 		n := int(float64(ev.ReqPerAmp) * eff)
-		k := g.sampler.ThinFlow(n)
+		k := g.wire.Sampler.ThinFlow(n)
 		if k == 0 {
 			continue
 		}
@@ -597,7 +645,7 @@ func (g *dayGen) attackTraffic(sensors *[]SensorFlow, ev *AttackEvent) {
 			if c.Topo.MemberFor(amp.ASN) == ev.IngressAS {
 				continue // stays inside the ingress cone
 			}
-			k := g.sampler.ThinFlow(ev.ReqPerAmp)
+			k := g.wire.Sampler.ThinFlow(ev.ReqPerAmp)
 			for i := 0; i < k; i++ {
 				t := ev.Start.Add(simclock.Duration(g.rng.Int63n(int64(ev.Duration) + 1)))
 				g.emitAttackRequest(amp, ev, evName, evNameID, t, end)
@@ -629,7 +677,7 @@ func (g *dayGen) emitAttackResponse(amp *Amplifier, ev *AttackEvent, tmpl *respT
 	payload := tmpl.prefix[:min(len(tmpl.prefix), size)]
 	if g.batch == nil {
 		eth := netmodel.Ethernet{Src: MACForAS(amp.ASN), Dst: MACForAS(ev.VictimASN)}
-		g.frames = AppendFrame(g.frames, g.sampler, &r, eth, payload, netmodel.UDPHeaderLen+size)
+		g.wire.appendFrame(&r, eth, payload, netmodel.UDPHeaderLen+size)
 		return
 	}
 	avail, msgSize, ok := netmodel.DecodeLengths(len(payload), size, sflow.DefaultSnaplen)
@@ -705,15 +753,14 @@ func (g *dayGen) responseTemplate(name string, t simclock.Time) *respTemplate {
 
 func (g *dayGen) buildTemplate(name string, t simclock.Time) *respTemplate {
 	nameID, _ := g.table.Lookup(dnswire.CanonicalName(name))
-	q := dnswire.NewQuery(0, name, dnswire.TypeANY, 4096)
 	tmpl := &respTemplate{nameID: nameID, meta: make(map[int]tmplMeta, 4)}
 	if z, ok := g.C.DB.Zone(name); ok {
-		wire := g.enc.Encode(z.BuildANYResponse(q, t))
+		wire := g.enc.Encode(z.BuildANYResponse(dnswire.NewQuery(0, name, dnswire.TypeANY, 4096), t))
 		snapPayload := sflow.DefaultSnaplen - netmodel.EthernetHeaderLen - netmodel.IPv4HeaderLen - netmodel.UDPHeaderLen
 		tmpl.prefix, tmpl.fullLen = slices.Clone(wire[:min(len(wire), snapPayload)]), len(wire)
 	} else {
 		// Procedural name: small synthetic answer.
-		tmpl.prefix, tmpl.fullLen = dnswire.Encode(dnswire.NewResponse(q)), g.C.DB.ANYSize(name, t)
+		tmpl.prefix, tmpl.fullLen = dnswire.AppendResponse(nil, 0, name, dnswire.TypeANY, dnswire.RCodeNoError), g.C.DB.ANYSize(name, t)
 	}
 	if len(tmpl.prefix) >= dnswire.HeaderLen {
 		tmpl.anCount = uint16(tmpl.prefix[6])<<8 | uint16(tmpl.prefix[7])
@@ -759,11 +806,7 @@ func (g *dayGen) backgroundTraffic(day simclock.Time) {
 		n = n * 88 / 100
 	}
 	// Room for every draw, reserved once the attack rows are in.
-	if g.batch != nil {
-		g.batch.Grow(n)
-	} else {
-		g.frames = slices.Grow(g.frames, n)
-	}
+	g.reserve(n)
 	misused := g.C.DB.MisusedCandidates()
 	for i := 0; i < n; i++ {
 		client := g.bgClients[g.bgZipf.Draw(g.rng)-1]
@@ -854,16 +897,10 @@ func (g *dayGen) emitBackgroundResponse(server, client netip.Addr, nameID uint32
 	}
 	name := g.table.Name(nameID)
 	if g.batch == nil {
-		resp := dnswire.NewResponse(dnswire.NewQuery(r.TXID, name, qtype, 4096))
-		resp.Answers = append(resp.Answers, dnswire.RR{
-			Name: dnswire.CanonicalName(name), Type: dnswire.TypeA, Class: dnswire.ClassIN,
-			TTL: 300, Data: dnswire.AData{Addr: server},
-		})
-		payload := g.enc.Encode(resp)
-		g.frames = AppendFrame(g.frames, g.sampler, &r, netmodel.Ethernet{}, payload, netmodel.UDPHeaderLen+max(size, len(payload)))
+		g.wire.AppendResponse(&r, netmodel.Ethernet{}, name, dnswire.RCodeNoError, server, size)
 		return
 	}
-	respLen := bgResponseSize(name)
+	respLen := dnswire.AnswerASize(name)
 	g.emitSimple(r, name, respLen, max(size, respLen))
 }
 

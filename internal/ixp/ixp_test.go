@@ -14,12 +14,12 @@ import (
 
 func buildFrame(t *testing.T, src, dst string, srcPort, dstPort uint16, msg *dnswire.Message, udpLen uint16) sflow.Record {
 	t.Helper()
-	payload := dnswire.Encode(msg)
+	payload := new(dnswire.Encoder).Encode(msg)
 	ip := netmodel.IPv4{
 		TTL: 60, Src: netip.MustParseAddr(src), Dst: netip.MustParseAddr(dst),
 	}
 	udp := netmodel.UDP{SrcPort: srcPort, DstPort: dstPort, Length: udpLen}
-	frame := netmodel.EncodeUDPPacket(netmodel.Ethernet{}, ip, udp, payload)
+	frame := netmodel.AppendUDPPacket(nil, netmodel.Ethernet{}, ip, udp, payload)
 	return sflow.Record{Time: simclock.MeasurementStart, Frame: netmodel.Truncate(frame, 128), FrameLen: len(frame)}
 }
 
@@ -100,7 +100,7 @@ func TestProcessRejectsDotInLabel(t *testing.T) {
 	cp := NewCapturePoint(nil, nil)
 	payload := []byte{0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 3, 'a', '.', 'b', 0, 0, 1, 0, 1}
 	ip := netmodel.IPv4{TTL: 60, Src: netip.MustParseAddr("192.0.2.7"), Dst: netip.MustParseAddr("198.51.100.9")}
-	frame := netmodel.EncodeUDPPacket(netmodel.Ethernet{}, ip, netmodel.UDP{SrcPort: 4000, DstPort: 53}, payload)
+	frame := netmodel.AppendUDPPacket(nil, netmodel.Ethernet{}, ip, netmodel.UDP{SrcPort: 4000, DstPort: 53}, payload)
 	s, ok := cp.Process(sflow.Record{Time: simclock.MeasurementStart, Frame: frame, FrameLen: len(frame)})
 	if ok {
 		t.Fatalf("label %q accepted as the name %q", "a.b", s.QName)

@@ -185,10 +185,10 @@ func TestProcessMatchesOracle(t *testing.T) {
 // E2 84 AA (KELVIN SIGN) used to be lowercased onto "k." and counted
 // under that legitimate name; it is malformed.
 func TestProcessRejectsNonASCIIName(t *testing.T) {
-	payload := dnswire.Encode(dnswire.NewQuery(1, "k", dnswire.TypeA, 0))
+	payload := new(dnswire.Encoder).Encode(dnswire.NewQuery(1, "k", dnswire.TypeA, 0))
 	payload = append(payload[:dnswire.HeaderLen], 3, 0xe2, 0x84, 0xaa, 0, 0, byte(dnswire.TypeA), 0, byte(dnswire.ClassIN))
 	ip := netmodel.IPv4{TTL: 60, Src: netip.MustParseAddr("192.0.2.7"), Dst: netip.MustParseAddr("198.51.100.9")}
-	frame := netmodel.EncodeUDPPacket(netmodel.Ethernet{}, ip, netmodel.UDP{SrcPort: 40000, DstPort: 53}, payload)
+	frame := netmodel.AppendUDPPacket(nil, netmodel.Ethernet{}, ip, netmodel.UDP{SrcPort: 40000, DstPort: 53}, payload)
 
 	cp := ixp.NewCapturePoint(nil, nil)
 	if s, ok := cp.Process(sflow.Record{Frame: frame, FrameLen: len(frame)}); ok {

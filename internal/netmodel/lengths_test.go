@@ -28,12 +28,12 @@ func TestDecodeLengthsMatchesProcess(t *testing.T) {
 			Name: "example.com.", Type: dnswire.TypeNS, Class: dnswire.ClassIN, TTL: 300, Data: dnswire.NameData{Target: ns},
 		})
 	}
-	msg := dnswire.Encode(resp)
+	msg := new(dnswire.Encoder).Encode(resp)
 	snapPayload := sflow.DefaultSnaplen - netmodel.EthernetHeaderLen - netmodel.IPv4HeaderLen - netmodel.UDPHeaderLen
 	if len(msg) <= snapPayload+8 {
 		t.Fatalf("test message of %d bytes does not outrun the snaplen", len(msg))
 	}
-	bad := dnswire.Encode(dnswire.NewQuery(1, "bad!name.example.", dnswire.TypeA, 4096))
+	bad := new(dnswire.Encoder).Encode(dnswire.NewQuery(1, "bad!name.example.", dnswire.TypeA, 4096))
 	payloads := [][]byte{bad}
 	for _, n := range []int{0, 11, 20, 45, snapPayload, snapPayload + 8} {
 		payloads = append(payloads, msg[:n])
@@ -47,7 +47,7 @@ func TestDecodeLengthsMatchesProcess(t *testing.T) {
 		payloadLen := len(payload)
 		for msgSize := 0; msgSize <= 65535; msgSize++ {
 			udp := netmodel.UDP{SrcPort: 53, DstPort: 40000, Length: uint16(netmodel.UDPHeaderLen + msgSize)}
-			frame := netmodel.Truncate(netmodel.EncodeUDPPacket(netmodel.Ethernet{}, ip, udp, payload), sflow.DefaultSnaplen)
+			frame := netmodel.Truncate(netmodel.AppendUDPPacket(nil, netmodel.Ethernet{}, ip, udp, payload), sflow.DefaultSnaplen)
 
 			avail, size, ok := netmodel.DecodeLengths(payloadLen, msgSize, sflow.DefaultSnaplen)
 			var pkt netmodel.DecodedPacket

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 )
 
 // Errors returned by the decoders.
@@ -141,7 +142,7 @@ func (ip *IPv4) Decode(b []byte) ([]byte, error) {
 }
 
 // AppendTo appends the serialized header to dst, computing the header
-// checksum. TotalLen must already be set by the caller (EncodeUDPPacket
+// checksum. TotalLen must already be set by the caller (AppendUDPPacket
 // does this).
 func (ip *IPv4) AppendTo(dst []byte) []byte {
 	start := len(dst)
@@ -215,12 +216,14 @@ func checksum(b []byte) uint16 {
 	return ^uint16(sum)
 }
 
-// EncodeUDPPacket builds a complete Ethernet/IPv4/UDP frame around
-// payload. udpLen is the value written into the UDP length field; when it
-// exceeds len(payload)+8 the frame describes a datagram larger than what
-// is materialized — exactly the situation after IXP truncation, where the
-// generator only materializes the bytes a 128-byte snaplen would keep.
-func EncodeUDPPacket(eth Ethernet, ip IPv4, udp UDP, payload []byte) []byte {
+// AppendUDPPacket appends a complete Ethernet/IPv4/UDP frame around
+// payload to dst. udp.Length is the value written into the UDP length
+// field (0: header plus payload); when it exceeds len(payload)+8 the
+// frame describes a datagram larger than what is materialized —
+// exactly the situation after IXP truncation, where the generator only
+// materializes the bytes a 128-byte snaplen would keep. payload may be
+// dst's own bytes before len(dst): only the room past it is written.
+func AppendUDPPacket(dst []byte, eth Ethernet, ip IPv4, udp UDP, payload []byte) []byte {
 	if udp.Length == 0 {
 		udp.Length = uint16(UDPHeaderLen + len(payload))
 	}
@@ -228,12 +231,11 @@ func EncodeUDPPacket(eth Ethernet, ip IPv4, udp UDP, payload []byte) []byte {
 	ip.TotalLen = uint16(IPv4HeaderLen) + udp.Length
 	eth.EtherType = EtherTypeIPv4
 
-	buf := make([]byte, 0, EthernetHeaderLen+IPv4HeaderLen+UDPHeaderLen+len(payload))
-	buf = eth.AppendTo(buf)
-	buf = ip.AppendTo(buf)
-	buf = udp.AppendTo(buf)
-	buf = append(buf, payload...)
-	return buf
+	dst = slices.Grow(dst, EthernetHeaderLen+IPv4HeaderLen+UDPHeaderLen+len(payload))
+	dst = eth.AppendTo(dst)
+	dst = ip.AppendTo(dst)
+	dst = udp.AppendTo(dst)
+	return append(dst, payload...)
 }
 
 // Truncate clips a frame to snaplen bytes, the IXP capture behaviour.
@@ -304,7 +306,7 @@ func (p *DecodedPacket) Decode(frame []byte) error {
 
 // DecodeLengths is Decode reduced to lengths, for a producer that
 // accounts frames without building them: the frame is what
-// EncodeUDPPacket builds around payloadLen payload bytes with a UDP
+// AppendUDPPacket builds around payloadLen payload bytes with a UDP
 // length field of 8+msgSize (wrapping as the field does; a field that
 // wraps to 0 takes the encoder's default), truncated to snaplen bytes.
 // It returns len(Payload) and DNSPayloadSize() of that frame's decode,

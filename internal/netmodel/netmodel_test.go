@@ -20,7 +20,7 @@ func sampleFrame(payload []byte, udpLen uint16) []byte {
 		Dst: netip.MustParseAddr("198.51.100.7"),
 	}
 	udp := UDP{SrcPort: 53, DstPort: 40000, Length: udpLen}
-	return EncodeUDPPacket(eth, ip, udp, payload)
+	return AppendUDPPacket(nil, eth, ip, udp, payload)
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -198,7 +198,7 @@ func TestRoundTripProperty(t *testing.T) {
 			Src: netip.AddrFrom4(src), Dst: netip.AddrFrom4(dst),
 		}
 		udp := UDP{SrcPort: uint16(r.Intn(65536)), DstPort: uint16(r.Intn(65536))}
-		frame := EncodeUDPPacket(eth, ip, udp, payload)
+		frame := AppendUDPPacket(nil, eth, ip, udp, payload)
 		p, err := DecodeFrame(frame)
 		if err != nil {
 			return false

@@ -43,7 +43,7 @@ func dnsFrames() []Packet {
 		if resp {
 			udp.SrcPort, udp.DstPort = 53, uint16(40000+i)
 		}
-		return netmodel.EncodeUDPPacket(eth, ip, udp, dnswire.Encode(m))
+		return netmodel.AppendUDPPacket(nil, eth, ip, udp, new(dnswire.Encoder).Encode(m))
 	}
 	base := simclock.MeasurementStart
 	var pkts []Packet

@@ -90,8 +90,6 @@ type Result struct {
 	DefaultTTL uint32
 	// RCode of the response.
 	RCode dnswire.RCode
-	// Minimal reports an RFC 8482 minimal-ANY answer.
-	Minimal bool
 }
 
 // Handle processes a query for (name, qtype) arriving at time t and
@@ -120,7 +118,7 @@ func (r *Resolver) handleAuthoritative(name string, qtype dnswire.Type, t simclo
 	for _, z := range r.Zones {
 		if z.Name == cn {
 			if qtype == dnswire.TypeANY && !z.AllowANY {
-				return Result{Answered: true, Size: dnswire.MinimalANYSize(cn), TTL: z.TTL, DefaultTTL: z.TTL, Minimal: true}
+				return Result{Answered: true, Size: dnswire.MinimalANYSize(cn), TTL: z.TTL, DefaultTTL: z.TTL}
 			}
 			size := r.db.ResponseSize(cn, qtype, t)
 			return Result{Answered: true, Size: size, TTL: z.TTL, DefaultTTL: z.TTL}
@@ -128,7 +126,7 @@ func (r *Resolver) handleAuthoritative(name string, qtype dnswire.Type, t simclo
 	}
 	// Authoritative servers refuse queries outside their authority with
 	// a small REFUSED response.
-	return Result{Answered: true, Size: dnswire.QuestionSize(cn), RCode: dnswire.RCodeRefused, Minimal: true}
+	return Result{Answered: true, Size: dnswire.QuestionSize(cn), RCode: dnswire.RCodeRefused}
 }
 
 func (r *Resolver) handleRecursive(name string, qtype dnswire.Type, t simclock.Time) Result {

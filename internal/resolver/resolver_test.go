@@ -114,16 +114,14 @@ func TestMinimalANY(t *testing.T) {
 	}
 	r := New(addr("192.0.2.53"), Authoritative, testDB)
 	r.Zones = []*zonedb.Zone{z}
+	minimal := dnswire.MinimalANYSize("facebook.com.")
 	res := r.Handle("facebook.com", dnswire.TypeANY, simclock.MeasurementStart)
-	if !res.Answered || !res.Minimal {
-		t.Fatalf("expected a minimal ANY answer: %+v", res)
-	}
-	if res.Size > 200 {
-		t.Errorf("minimal ANY size = %d", res.Size)
+	if !res.Answered || res.Size != minimal {
+		t.Fatalf("ANY answer %+v, want answered with the %d-byte minimal response", res, minimal)
 	}
 	res = r.Handle("facebook.com", dnswire.TypeA, simclock.MeasurementStart)
-	if res.Minimal {
-		t.Error("A query should not be minimal")
+	if !res.Answered || res.Size == minimal {
+		t.Errorf("A answer %+v, want answered in full, not %d bytes", res, minimal)
 	}
 }
 

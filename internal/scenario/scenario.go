@@ -16,7 +16,7 @@
 //
 // Scenario traffic is materialized twice-consistently, like the
 // generator's Day/WireDay twins: the overlay's frames come from the
-// generator's wire sink, ecosystem.AppendFrame; the canonical batch
+// generator's wire sink, ecosystem.WireSink; the canonical batch
 // form sanitizes them through ixp.CapturePoint.Process, and
 // ExportWire writes those exact frames as an sFlow v5 datagram log
 // and/or classic pcap, so export → re-ingest (source.IngestSFlowLog /
@@ -240,13 +240,13 @@ func (bt *Built) overlay(day simclock.Time) []ecosystem.TaggedRecord {
 	}
 	seed := daySeed(bt.seed, day)
 	e := &emitter{
-		rng:     rand.New(rand.NewSource(seed)),
-		sampler: sflow.NewSampler(seed ^ 0x5ce),
-		day:     day,
-		idx:     idx,
+		rng:  rand.New(rand.NewSource(seed)),
+		wire: ecosystem.WireSink{Sampler: sflow.NewSampler(seed ^ 0x5ce)},
+		day:  day,
+		idx:  idx,
 	}
 	bt.plan.Emit(e)
-	return e.out
+	return e.wire.Out
 }
 
 // scenarioSeed decorrelates per-scenario streams: same mixing shape as
@@ -272,16 +272,14 @@ func daySeed(scSeed int64, day simclock.Time) int64 {
 }
 
 // emitter synthesizes the sampled overlay frames of one scenario day
-// through the generator's wire sink, ecosystem.AppendFrame: full frames
+// through the generator's wire sink, ecosystem.WireSink: full frames
 // with announced UDP lengths (amplified sizes survive snaplen truncation
 // via the length field), truncated by the sampler to capture records.
 type emitter struct {
-	rng     *rand.Rand
-	sampler *sflow.Sampler
-	enc     dnswire.Encoder
-	out     []ecosystem.TaggedRecord
-	day     simclock.Time // the day emitted
-	idx     int           // its window-day index
+	rng  *rand.Rand
+	wire ecosystem.WireSink
+	day  simclock.Time // the day emitted
+	idx  int           // its window-day index
 }
 
 // response emits one amp->dst DNS response whose UDP length announces
@@ -290,17 +288,14 @@ type emitter struct {
 // large answer).
 func (e *emitter) response(t simclock.Time, amp *ecosystem.Amplifier, dst netip.Addr, dstASN uint32, name string, qtype dnswire.Type, rcode dnswire.RCode, size int) {
 	r := ixp.BatchRecord{
-		Time: t, Src: amp.Addr.As4(), Dst: dst.As4(), IPTTL: amp.ObservedTTL(),
+		Time: t, Src: amp.Addr.As4(), Dst: dst.As4(), IPTTL: amp.ObservedTTL(), QType: qtype,
 		TXID:    uint16(e.rng.Intn(1 << 16)),
 		IPID:    uint16(e.rng.Intn(1 << 16)),
 		SrcPort: 53,
 		DstPort: uint16(1024 + e.rng.Intn(60000)),
 	}
-	resp := dnswire.NewResponse(dnswire.NewQuery(r.TXID, name, qtype, 4096))
-	resp.Header.RCode = rcode
-	payload := e.enc.Encode(resp)
 	eth := netmodel.Ethernet{Src: ecosystem.MACForAS(amp.ASN), Dst: ecosystem.MACForAS(dstASN)}
-	e.out = ecosystem.AppendFrame(e.out, e.sampler, &r, eth, payload, netmodel.UDPHeaderLen+max(size, len(payload)))
+	e.wire.AppendResponse(&r, eth, name, rcode, netip.Addr{}, size)
 }
 
 // query emits one src->amp DNS query; ingress carries the member-AS
@@ -308,15 +303,14 @@ func (e *emitter) response(t simclock.Time, amp *ecosystem.Amplifier, dst netip.
 // address).
 func (e *emitter) query(t simclock.Time, src netip.Addr, srcASN uint32, amp *ecosystem.Amplifier, name string, qtype dnswire.Type, ttl uint8, ingress uint32) {
 	r := ixp.BatchRecord{
-		Time: t, Src: src.As4(), Dst: amp.Addr.As4(), IPTTL: ttl, Ingress: ingress,
+		Time: t, Src: src.As4(), Dst: amp.Addr.As4(), IPTTL: ttl, Ingress: ingress, QType: qtype,
 		TXID:    uint16(e.rng.Intn(1 << 16)),
 		IPID:    uint16(e.rng.Intn(1 << 16)),
 		SrcPort: uint16(1024 + e.rng.Intn(60000)),
 		DstPort: 53,
 	}
-	payload := e.enc.Encode(dnswire.NewQuery(r.TXID, name, qtype, 4096))
 	eth := netmodel.Ethernet{Src: ecosystem.MACForAS(srcASN), Dst: ecosystem.MACForAS(amp.ASN)}
-	e.out = ecosystem.AppendFrame(e.out, e.sampler, &r, eth, payload, 0)
+	e.wire.AppendQuery(&r, eth, name)
 }
 
 // dayTime draws a uniform instant within the day.

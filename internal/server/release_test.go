@@ -101,7 +101,7 @@ func sampleRecord(o oracleSample) sflow.Record {
 		ip.Src, ip.Dst = ip.Dst, ip.Src
 		udp.SrcPort, udp.DstPort = udp.DstPort, udp.SrcPort
 	}
-	frame := netmodel.EncodeUDPPacket(netmodel.Ethernet{}, ip, udp, dnswire.Encode(msg))
+	frame := netmodel.AppendUDPPacket(nil, netmodel.Ethernet{}, ip, udp, new(dnswire.Encoder).Encode(msg))
 	return sflow.Record{Time: o.at, Frame: frame, FrameLen: len(frame)}
 }
 

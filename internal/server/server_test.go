@@ -313,7 +313,7 @@ func TestWindowFrameOutcomes(t *testing.T) {
 		q := dnswire.NewQuery(1, "x.test", dnswire.TypeA, 0)
 		q.Questions[0].Name = name // bypass canonicalization
 		ip := netmodel.IPv4{TTL: 60, Src: netip.MustParseAddr("192.0.2.7"), Dst: netip.MustParseAddr("198.51.100.9")}
-		return netmodel.EncodeUDPPacket(netmodel.Ethernet{}, ip, netmodel.UDP{SrcPort: src, DstPort: dst}, dnswire.Encode(q))
+		return netmodel.AppendUDPPacket(nil, netmodel.Ethernet{}, ip, netmodel.UDP{SrcPort: src, DstPort: dst}, new(dnswire.Encoder).Encode(q))
 	}
 	for _, f := range [][]byte{
 		{1, 2, 3},                         // non-UDP

@@ -109,6 +109,7 @@ func (b *Batcher) take() (Datagram, bool) {
 type LogWriter struct {
 	w   io.Writer
 	b   Batcher
+	buf []byte // the entry being written, reused across entries
 	err error
 }
 
@@ -160,13 +161,12 @@ func (lw *LogWriter) flush() {
 	if !ok || lw.err != nil {
 		return
 	}
-	body := EncodeDatagram(&dg)
-	var hdr [12]byte
-	binary.LittleEndian.PutUint64(hdr[:8], uint64(lw.b.at))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(body)))
-	if _, err := lw.w.Write(hdr[:]); err != nil {
-		lw.err = err
-	} else if _, err := lw.w.Write(body); err != nil {
+	// The entry header, its length filled in once the datagram is
+	// encoded behind it, and the datagram: one Write.
+	lw.buf = binary.LittleEndian.AppendUint64(lw.buf[:0], uint64(lw.b.at))
+	lw.buf = AppendDatagram(append(lw.buf, 0, 0, 0, 0), &dg)
+	binary.LittleEndian.PutUint32(lw.buf[8:], uint32(len(lw.buf)-12))
+	if _, err := lw.w.Write(lw.buf); err != nil {
 		lw.err = err
 	}
 }

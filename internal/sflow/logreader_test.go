@@ -225,6 +225,29 @@ func TestTailerStaleInsideReadAhead(t *testing.T) {
 	}
 }
 
+// BenchmarkLogWriter writes the records of BenchmarkLogReaderNextEntry's
+// log, one sample per entry, to io.Discard, one iteration per record:
+// the encoding a wire export or a recording pays per sampled frame,
+// apart from its file writes.
+func BenchmarkLogWriter(b *testing.B) {
+	recs, inputs := logRecordsN(20000, 1)
+	lw, err := NewLogWriter(io.Discard, [4]byte{198, 51, 100, 7}, DefaultRate)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(recs)
+		if err := lw.Add(recs[j], inputs[j]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := lw.Flush(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 var sinkDatagram *Datagram
 
 // BenchmarkLogReaderNextEntry reads a log from a real file, one

@@ -52,7 +52,13 @@ type Sampler struct {
 
 	rng *rand.Rand
 	seq uint64
+	// slab is the unwritten tail of the chunk take copies frames into.
+	slab []byte
 }
+
+// slabChunk is the size of the chunks a Sampler copies its records'
+// frames into: hundreds of truncated frames per allocation.
+const slabChunk = 64 << 10
 
 // NewSampler creates a sampler with the paper's defaults.
 func NewSampler(seed int64) *Sampler {
@@ -131,10 +137,19 @@ func (s *Sampler) take(t simclock.Time, frame []byte) Record {
 	// the record owns its bytes. Readers (the pcap and sFlow-datagram
 	// ingestion paths) legitimately reuse one read buffer between
 	// packets — an aliased Frame would silently corrupt every
-	// previously sampled record.
+	// previously sampled record. The copy goes into the sampler's
+	// append-only slab: no byte of a chunk is written twice, and each
+	// Frame is capped at its own bytes, so an append to one record's
+	// frame cannot reach the next record's.
+	b := netmodel.Truncate(frame, s.snaplen())
+	if len(b) > cap(s.slab) {
+		s.slab = make([]byte, 0, max(slabChunk, len(b)))
+	}
+	own := append(s.slab, b...)
+	s.slab = own[len(own):]
 	return Record{
 		Time:     t,
-		Frame:    append([]byte(nil), netmodel.Truncate(frame, s.snaplen())...),
+		Frame:    own[:len(own):len(own)],
 		FrameLen: len(frame),
 		Seq:      s.seq,
 	}

@@ -117,6 +117,12 @@ func TestTakeOwnsFrame(t *testing.T) {
 			t.Fatalf("record %d corrupted by buffer reuse:\nwant %x\ngot  %x", i, want[i], rec.Frame)
 		}
 	}
+	// Records share the sampler's slab, each frame capped at its own
+	// bytes: growing one moves it rather than writing over the next.
+	grown := append(recs[0].Frame, 0xff)
+	if !bytes.Equal(recs[1].Frame, want[1]) || !bytes.Equal(grown[:len(want[0])], want[0]) {
+		t.Fatalf("appending to record 0 changed record 1: %x", recs[1].Frame)
+	}
 }
 
 // truncRef mirrors the capture clip for the expectation

@@ -156,7 +156,7 @@ func syntheticLogRecords(count int) []ecosystem.TaggedRecord {
 			Dst: netip.AddrFrom4([4]byte{203, 0, 113, 53}),
 		}
 		udp := netmodel.UDP{SrcPort: uint16(1024 + i%60000), DstPort: 53}
-		frame := netmodel.EncodeUDPPacket(eth, ip, udp, dnswire.Encode(q))
+		frame := netmodel.AppendUDPPacket(nil, eth, ip, udp, new(dnswire.Encoder).Encode(q))
 		t := simclock.MeasurementStart.Add(simclock.Duration(i) * 3) // ~3s apart, spills across days
 		recs = append(recs, ecosystem.TaggedRecord{Rec: sflow.Record{
 			Time: t, Frame: frame, FrameLen: len(frame), Seq: uint64(i + 1),
@@ -219,7 +219,7 @@ func midnightRecords(n int) []ecosystem.TaggedRecord {
 		if i%11 == 0 {
 			udp.DstPort = 5353 // not DNS
 		}
-		frame := netmodel.EncodeUDPPacket(eth, ip, udp, dnswire.Encode(q))
+		frame := netmodel.AppendUDPPacket(nil, eth, ip, udp, new(dnswire.Encoder).Encode(q))
 		if i%13 == 0 {
 			frame = frame[:20] // not UDP: cut inside the IP header
 		}

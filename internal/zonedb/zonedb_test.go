@@ -216,7 +216,7 @@ func TestBuildANYResponseEncodes(t *testing.T) {
 	q := dnswire.NewQuery(42, "doj.gov", dnswire.TypeANY, 4096)
 	tm := simclock.MeasurementStart
 	resp := z.BuildANYResponse(q, tm)
-	wire := dnswire.Encode(resp)
+	wire := new(dnswire.Encoder).Encode(resp)
 	// The materialized response should be within ~15% of the estimate
 	// (compression makes the wire form smaller than the sum of
 	// uncompressed record lengths).

@@ -214,13 +214,13 @@ grep -v '^$' "$WORK/eval.txt" >"$WORK/eval.got"
 same "$WORK/eval.got" "$WORK/eval.want" "two scenarios' rows differ from $EVAL_GOLDEN"
 [ "$(head -c 1 "$WORK/eval.json")" = "{" ] || fail "-json wrote no JSON object"
 ! run "$WORK/evalrun" -out "$WORK/refused.txt" stray || false
-[ "$RC" -eq 1 ] && grep -q 'unexpected arguments' "$WORK/err" || fail "a stray argument exited $RC: $(cat "$WORK/err")"
+[ "$RC" -eq 2 ] && grep -q 'unexpected arguments' "$WORK/err" || fail "a stray argument exited $RC: $(cat "$WORK/err")"
 ! run "$WORK/evalrun" -shares 2 -out "$WORK/refused.txt" || false
-[ "$RC" -eq 1 ] && grep -q 'bad -shares value "2"' "$WORK/err" || fail "-shares 2 exited $RC: $(cat "$WORK/err")"
+[ "$RC" -eq 2 ] && grep -q 'bad -shares value "2"' "$WORK/err" || fail "-shares 2 exited $RC: $(cat "$WORK/err")"
 ! run "$WORK/evalrun" -minpkts , -out "$WORK/refused.txt" || false
-[ "$RC" -eq 1 ] && grep -q 'empty thresholds grid' "$WORK/err" || fail "-minpkts , exited $RC: $(cat "$WORK/err")"
+[ "$RC" -eq 2 ] && grep -q 'empty thresholds grid' "$WORK/err" || fail "-minpkts , exited $RC: $(cat "$WORK/err")"
 ! run "$WORK/evalrun" -scenario no-such-scenario -out "$WORK/refused.txt" || false
-[ "$RC" -eq 1 ] || fail "an unknown scenario exited $RC, want 1"
+[ "$RC" -eq 2 ] && grep -q 'no-such-scenario' "$WORK/err" || fail "an unknown scenario exited $RC: $(cat "$WORK/err")"
 refuses_scale "$WORK/evalrun" -out "$WORK/refused.txt"
 ! run "$WORK/evalrun" -days 0 -out "$WORK/refused.txt" || false
 [ "$RC" -eq 2 ] && grep -q -- '-days 0: want at least 1' "$WORK/err" || fail "-days 0 exited $RC: $(cat "$WORK/err")"
